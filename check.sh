@@ -24,12 +24,22 @@ go vet ./...
 echo "==> go run ./cmd/mealint ./..."
 go run ./cmd/mealint ./...
 
+echo "==> op-table gate (what an opcode is lives in internal/accel/optable.go only)"
+if grep -rnE 'case descriptor\.Op' --include='*.go' internal/accel internal/analysis/tdlcheck internal/ccompiler |
+	grep -v '_test\.go:' | grep -v '^internal/accel/optable\.go:'; then
+	echo "check.sh: a per-opcode switch grew back outside the op table" >&2
+	exit 1
+fi
+
 echo "==> scheduler differentials (serial vs wavefront, both paths, -race)"
 go test -race -run 'Differential|Submit|ExplainPlan|PlanInterleaves' \
 	./internal/accel ./internal/mealibrt
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+echo "==> bench module (nested; go test ./... at the root does not reach it)"
+(cd bench && go vet ./... && go test ./...)
 
 echo "==> mealint flag smoke (-analyzers filter, -json output)"
 test "$(go run ./cmd/mealint -analyzers addrflow -json ./internal/phys)" = "[]"

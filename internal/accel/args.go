@@ -8,18 +8,13 @@ import (
 	"mealib/internal/phys"
 )
 
-// This file defines the parameter-block schema of each accelerator: the
-// field order an accelerator's initialization process reads out of the
-// Parameter Region (paper §2.2-2.3). Fields mirror the library API the
-// accelerator instantiates (problem size, buffers, strides), plus the
-// per-iteration address strides the compiler derives from OpenMP loops so a
-// single LOOP-block descriptor can cover millions of library calls (§3.4).
-
-// i64Field packs a signed value (BLAS increments may be negative).
-func i64Field(v int64) uint64 { return uint64(v) }
-
-// i64Of unpacks a signed field.
-func i64Of(f uint64) int64 { return int64(f) }
+// This file holds the typed argument structs of the accelerators — the
+// constructors producers build parameter blocks with — and Args, the bound
+// view of a block the rest of the layer reads through. A block is the head
+// fields of the op table's schema (optable.go) followed by one Strides block
+// per strided address field: the per-iteration address strides the compiler
+// derives from OpenMP loops so a single LOOP-block descriptor can cover
+// millions of library calls (paper §2.2-2.3, §3.4).
 
 // Strides holds the per-level byte strides of one buffer across a hardware
 // loop nest (descriptor.MaxLoopLevels levels, outermost first). A plain
@@ -43,26 +38,151 @@ func (s Strides) Offset(it IterVec) int64 {
 	return off
 }
 
-// fields encodes the strides as parameter fields.
-func (s Strides) fields() []uint64 {
-	out := make([]uint64, len(s))
-	for i, v := range s {
-		out[i] = i64Field(v)
-	}
-	return out
+// IterVec is the current index of each loop-nest level, outermost first.
+type IterVec [descriptor.MaxLoopLevels]int64
+
+// Args is one invocation's parameter block bound to its accelerator's entry
+// in the op table: field access by schema position, with no copy and no
+// up-front decode. The zero Args is unbound.
+type Args struct {
+	spec *opSpec
+	p    descriptor.Params
 }
 
-// stridesOf decodes MaxLoopLevels fields.
-func stridesOf(p descriptor.Params) Strides {
+// specOf looks op up in the op table.
+func specOf(op descriptor.OpCode) (*opSpec, error) {
+	if int(op) >= len(specs) || specs[op] == nil {
+		return nil, fmt.Errorf("accel: no accelerator for opcode %v", op)
+	}
+	return specs[op], nil
+}
+
+// Bind looks op up in the op table and checks the block's field count.
+func Bind(op descriptor.OpCode, p descriptor.Params) (Args, error) {
+	s, err := specOf(op)
+	if err != nil {
+		return Args{}, err
+	}
+	if len(p) != s.nparams {
+		return Args{}, fmt.Errorf("accel: %v expects %d parameter fields, got %d", op, s.nparams, len(p))
+	}
+	return Args{spec: s, p: p}, nil
+}
+
+// Assemble lays out a parameter block from positional head-field values:
+// head fields the caller does not supply are zero (SPMV's Semiring and Bias
+// default to the plain y = A*x), and every strided address field gets the
+// Strides block strides returns for its position.
+func Assemble(op descriptor.OpCode, head []uint64, strides func(field int) Strides) (descriptor.Params, error) {
+	s, err := specOf(op)
+	if err != nil {
+		return nil, err
+	}
+	if len(head) > len(s.fields) {
+		return nil, fmt.Errorf("accel: %v takes %d head fields, got %d", op, len(s.fields), len(head))
+	}
+	p := make(descriptor.Params, s.nparams)
+	copy(p, head)
+	for f, off := range s.strideOff {
+		if off > 0 {
+			for l, v := range strides(f) {
+				p[off+l] = uint64(v)
+			}
+		}
+	}
+	return p, nil
+}
+
+// i reads head field f as a signed integer (BLAS increments may be negative).
+func (a Args) i(f int) int64 { return int64(a.p[f]) }
+
+func (a Args) f32(f int) float32 { return descriptor.F32Of(a.p[f]) }
+
+// strides returns address field f's per-level strides (zero when the schema
+// gives the field none).
+func (a Args) strides(f int) Strides {
 	var s Strides
-	for i := range s {
-		s[i] = i64Of(p[i])
+	if off := a.spec.strideOff[f]; off > 0 {
+		for l := range s {
+			s[l] = int64(a.p[off+l])
+		}
 	}
 	return s
 }
 
-// IterVec is the current index of each loop-nest level, outermost first.
-type IterVec [descriptor.MaxLoopLevels]int64
+// at returns address field f advanced to LOOP iteration vector it.
+func (a Args) at(f int, it IterVec) phys.Addr {
+	return descriptor.AddrOf(a.p[f]) + phys.Addr(a.strides(f).Offset(it))
+}
+
+// decode fills the field slots of a typed argument struct (head fields, then
+// stride blocks, in parameter order) from the block, with every address
+// advanced to iteration it.
+func (a Args) decode(slots []any, it IterVec) {
+	next := len(a.spec.fields) // next stride block
+	for f, slot := range slots {
+		switch v := slot.(type) {
+		case *int64:
+			*v = a.i(f)
+		case *bool:
+			*v = a.p[f] != 0
+		case *ElemKind:
+			*v = ElemKind(a.i(f))
+		case *float32:
+			*v = a.f32(f)
+		case *phys.Addr:
+			*v = a.at(f, it)
+		case *Strides:
+			for l := range v {
+				v[l] = int64(a.p[next+l])
+			}
+			next += len(v)
+		}
+	}
+}
+
+// encode is decode's inverse: the parameter block of a typed struct's slots.
+func encode(slots []any) descriptor.Params {
+	n := len(slots)
+	for _, slot := range slots {
+		if _, ok := slot.(*Strides); ok {
+			n += descriptor.MaxLoopLevels - 1
+		}
+	}
+	p := make(descriptor.Params, 0, n)
+	for _, slot := range slots {
+		switch v := slot.(type) {
+		case *int64:
+			p = append(p, uint64(*v))
+		case *bool:
+			var b uint64
+			if *v {
+				b = 1
+			}
+			p = append(p, b)
+		case *ElemKind:
+			p = append(p, uint64(*v))
+		case *float32:
+			p = append(p, descriptor.F32Field(*v))
+		case *phys.Addr:
+			p = append(p, descriptor.AddrField(*v))
+		case *Strides:
+			for _, s := range v {
+				p = append(p, uint64(s))
+			}
+		}
+	}
+	return p
+}
+
+// decodeTyped binds p to op and fills slots at iteration zero.
+func decodeTyped(op descriptor.OpCode, p descriptor.Params, slots []any) error {
+	a, err := Bind(op, p)
+	if err == nil {
+		a.decode(slots, IterVec{})
+	}
+	return err
+}
 
 // AxpyArgs configures the AXPY accelerator (cblas_saxpy).
 type AxpyArgs struct {
@@ -74,36 +194,17 @@ type AxpyArgs struct {
 	LoopStrideX, LoopStrideY Strides
 }
 
-// Params encodes the argument block.
-func (a AxpyArgs) Params() descriptor.Params {
-	p := descriptor.Params{
-		i64Field(a.N), descriptor.F32Field(a.Alpha),
-		descriptor.AddrField(a.X), descriptor.AddrField(a.Y),
-		i64Field(a.IncX), i64Field(a.IncY),
-	}
-	p = append(p, a.LoopStrideX.fields()...)
-	return append(p, a.LoopStrideY.fields()...)
+func (a *AxpyArgs) slots() []any {
+	return []any{&a.N, &a.Alpha, &a.X, &a.Y, &a.IncX, &a.IncY, &a.LoopStrideX, &a.LoopStrideY}
 }
+
+// Params encodes the argument block.
+func (a AxpyArgs) Params() descriptor.Params { return encode(a.slots()) }
 
 // DecodeAxpyArgs decodes an AXPY argument block.
-func DecodeAxpyArgs(p descriptor.Params) (AxpyArgs, error) {
-	const want = 6 + 2*descriptor.MaxLoopLevels
-	if len(p) != want {
-		return AxpyArgs{}, fmt.Errorf("accel: AXPY expects %d parameter fields, got %d", want, len(p))
-	}
-	return AxpyArgs{
-		N: i64Of(p[0]), Alpha: descriptor.F32Of(p[1]),
-		X: descriptor.AddrOf(p[2]), Y: descriptor.AddrOf(p[3]),
-		IncX: i64Of(p[4]), IncY: i64Of(p[5]),
-		LoopStrideX: stridesOf(p[6:]), LoopStrideY: stridesOf(p[6+descriptor.MaxLoopLevels:]),
-	}, nil
-}
-
-// shift offsets the buffers for LOOP iteration vector it.
-func (a AxpyArgs) shift(it IterVec) AxpyArgs {
-	a.X += phys.Addr(a.LoopStrideX.Offset(it))
-	a.Y += phys.Addr(a.LoopStrideY.Offset(it))
-	return a
+func DecodeAxpyArgs(p descriptor.Params) (a AxpyArgs, err error) {
+	err = decodeTyped(descriptor.OpAXPY, p, a.slots())
+	return a, err
 }
 
 // DotArgs configures the DOT accelerator (cblas_sdot and, with Complex set,
@@ -116,42 +217,18 @@ type DotArgs struct {
 	LoopStrideX, LoopStrideY, LoopStrideOut Strides
 }
 
-// Params encodes the argument block.
-func (a DotArgs) Params() descriptor.Params {
-	var cplx uint64
-	if a.Complex {
-		cplx = 1
-	}
-	p := descriptor.Params{
-		i64Field(a.N), cplx,
-		descriptor.AddrField(a.X), descriptor.AddrField(a.Y), descriptor.AddrField(a.Out),
-		i64Field(a.IncX), i64Field(a.IncY),
-	}
-	p = append(p, a.LoopStrideX.fields()...)
-	p = append(p, a.LoopStrideY.fields()...)
-	return append(p, a.LoopStrideOut.fields()...)
+func (a *DotArgs) slots() []any {
+	return []any{&a.N, &a.Complex, &a.X, &a.Y, &a.Out, &a.IncX, &a.IncY,
+		&a.LoopStrideX, &a.LoopStrideY, &a.LoopStrideOut}
 }
+
+// Params encodes the argument block.
+func (a DotArgs) Params() descriptor.Params { return encode(a.slots()) }
 
 // DecodeDotArgs decodes a DOT argument block.
-func DecodeDotArgs(p descriptor.Params) (DotArgs, error) {
-	const l = descriptor.MaxLoopLevels
-	const want = 7 + 3*l
-	if len(p) != want {
-		return DotArgs{}, fmt.Errorf("accel: DOT expects %d parameter fields, got %d", want, len(p))
-	}
-	return DotArgs{
-		N: i64Of(p[0]), Complex: p[1] != 0,
-		X: descriptor.AddrOf(p[2]), Y: descriptor.AddrOf(p[3]), Out: descriptor.AddrOf(p[4]),
-		IncX: i64Of(p[5]), IncY: i64Of(p[6]),
-		LoopStrideX: stridesOf(p[7:]), LoopStrideY: stridesOf(p[7+l:]), LoopStrideOut: stridesOf(p[7+2*l:]),
-	}, nil
-}
-
-func (a DotArgs) shift(it IterVec) DotArgs {
-	a.X += phys.Addr(a.LoopStrideX.Offset(it))
-	a.Y += phys.Addr(a.LoopStrideY.Offset(it))
-	a.Out += phys.Addr(a.LoopStrideOut.Offset(it))
-	return a
+func DecodeDotArgs(p descriptor.Params) (a DotArgs, err error) {
+	err = decodeTyped(descriptor.OpDOT, p, a.slots())
+	return a, err
 }
 
 // GemvArgs configures the GEMV accelerator (cblas_sgemv, row major,
@@ -166,40 +243,18 @@ type GemvArgs struct {
 	LoopStrideA, LoopStrideX, LoopStrideY Strides
 }
 
-// Params encodes the argument block.
-func (a GemvArgs) Params() descriptor.Params {
-	p := descriptor.Params{
-		i64Field(a.M), i64Field(a.N),
-		descriptor.F32Field(a.Alpha), descriptor.F32Field(a.Beta),
-		descriptor.AddrField(a.A), i64Field(a.Lda),
-		descriptor.AddrField(a.X), descriptor.AddrField(a.Y),
-	}
-	p = append(p, a.LoopStrideA.fields()...)
-	p = append(p, a.LoopStrideX.fields()...)
-	return append(p, a.LoopStrideY.fields()...)
+func (a *GemvArgs) slots() []any {
+	return []any{&a.M, &a.N, &a.Alpha, &a.Beta, &a.A, &a.Lda, &a.X, &a.Y,
+		&a.LoopStrideA, &a.LoopStrideX, &a.LoopStrideY}
 }
+
+// Params encodes the argument block.
+func (a GemvArgs) Params() descriptor.Params { return encode(a.slots()) }
 
 // DecodeGemvArgs decodes a GEMV argument block.
-func DecodeGemvArgs(p descriptor.Params) (GemvArgs, error) {
-	const l = descriptor.MaxLoopLevels
-	const want = 8 + 3*l
-	if len(p) != want {
-		return GemvArgs{}, fmt.Errorf("accel: GEMV expects %d parameter fields, got %d", want, len(p))
-	}
-	return GemvArgs{
-		M: i64Of(p[0]), N: i64Of(p[1]),
-		Alpha: descriptor.F32Of(p[2]), Beta: descriptor.F32Of(p[3]),
-		A: descriptor.AddrOf(p[4]), Lda: i64Of(p[5]),
-		X: descriptor.AddrOf(p[6]), Y: descriptor.AddrOf(p[7]),
-		LoopStrideA: stridesOf(p[8:]), LoopStrideX: stridesOf(p[8+l:]), LoopStrideY: stridesOf(p[8+2*l:]),
-	}, nil
-}
-
-func (a GemvArgs) shift(it IterVec) GemvArgs {
-	a.A += phys.Addr(a.LoopStrideA.Offset(it))
-	a.X += phys.Addr(a.LoopStrideX.Offset(it))
-	a.Y += phys.Addr(a.LoopStrideY.Offset(it))
-	return a
+func DecodeGemvArgs(p descriptor.Params) (a GemvArgs, err error) {
+	err = decodeTyped(descriptor.OpGEMV, p, a.slots())
+	return a, err
 }
 
 // SPMV semiring selectors (kernels.SemiringPlusTimes / SemiringMinPlus).
@@ -223,27 +278,17 @@ type SpmvArgs struct {
 	Bias                   float32
 }
 
-// Params encodes the argument block.
-func (a SpmvArgs) Params() descriptor.Params {
-	return descriptor.Params{
-		i64Field(a.M), i64Field(a.Cols), i64Field(a.NNZ),
-		descriptor.AddrField(a.RowPtr), descriptor.AddrField(a.ColIdx), descriptor.AddrField(a.Values),
-		descriptor.AddrField(a.X), descriptor.AddrField(a.Y),
-		i64Field(a.Semiring), descriptor.F32Field(a.Bias),
-	}
+func (a *SpmvArgs) slots() []any {
+	return []any{&a.M, &a.Cols, &a.NNZ, &a.RowPtr, &a.ColIdx, &a.Values, &a.X, &a.Y, &a.Semiring, &a.Bias}
 }
 
+// Params encodes the argument block.
+func (a SpmvArgs) Params() descriptor.Params { return encode(a.slots()) }
+
 // DecodeSpmvArgs decodes an SPMV argument block.
-func DecodeSpmvArgs(p descriptor.Params) (SpmvArgs, error) {
-	if len(p) != 10 {
-		return SpmvArgs{}, fmt.Errorf("accel: SPMV expects 10 parameter fields, got %d", len(p))
-	}
-	return SpmvArgs{
-		M: i64Of(p[0]), Cols: i64Of(p[1]), NNZ: i64Of(p[2]),
-		RowPtr: descriptor.AddrOf(p[3]), ColIdx: descriptor.AddrOf(p[4]), Values: descriptor.AddrOf(p[5]),
-		X: descriptor.AddrOf(p[6]), Y: descriptor.AddrOf(p[7]),
-		Semiring: i64Of(p[8]), Bias: descriptor.F32Of(p[9]),
-	}, nil
+func DecodeSpmvArgs(p descriptor.Params) (a SpmvArgs, err error) {
+	err = decodeTyped(descriptor.OpSPMV, p, a.slots())
+	return a, err
 }
 
 // Resampling kinds accepted by ResmpArgs.Kind: values 0/1 are
@@ -260,34 +305,17 @@ type ResmpArgs struct {
 	LoopStrideSrc, LoopStrideDst Strides
 }
 
-// Params encodes the argument block.
-func (a ResmpArgs) Params() descriptor.Params {
-	p := descriptor.Params{
-		i64Field(a.NIn), i64Field(a.NOut), i64Field(a.Kind),
-		descriptor.AddrField(a.Src), descriptor.AddrField(a.Dst),
-	}
-	p = append(p, a.LoopStrideSrc.fields()...)
-	return append(p, a.LoopStrideDst.fields()...)
+func (a *ResmpArgs) slots() []any {
+	return []any{&a.NIn, &a.NOut, &a.Kind, &a.Src, &a.Dst, &a.LoopStrideSrc, &a.LoopStrideDst}
 }
+
+// Params encodes the argument block.
+func (a ResmpArgs) Params() descriptor.Params { return encode(a.slots()) }
 
 // DecodeResmpArgs decodes a RESMP argument block.
-func DecodeResmpArgs(p descriptor.Params) (ResmpArgs, error) {
-	const l = descriptor.MaxLoopLevels
-	const want = 5 + 2*l
-	if len(p) != want {
-		return ResmpArgs{}, fmt.Errorf("accel: RESMP expects %d parameter fields, got %d", want, len(p))
-	}
-	return ResmpArgs{
-		NIn: i64Of(p[0]), NOut: i64Of(p[1]), Kind: i64Of(p[2]),
-		Src: descriptor.AddrOf(p[3]), Dst: descriptor.AddrOf(p[4]),
-		LoopStrideSrc: stridesOf(p[5:]), LoopStrideDst: stridesOf(p[5+l:]),
-	}, nil
-}
-
-func (a ResmpArgs) shift(it IterVec) ResmpArgs {
-	a.Src += phys.Addr(a.LoopStrideSrc.Offset(it))
-	a.Dst += phys.Addr(a.LoopStrideDst.Offset(it))
-	return a
+func DecodeResmpArgs(p descriptor.Params) (a ResmpArgs, err error) {
+	err = decodeTyped(descriptor.OpRESMP, p, a.slots())
+	return a, err
 }
 
 // FFTArgs configures the FFT accelerator (fftwf_execute on a guru plan:
@@ -300,38 +328,17 @@ type FFTArgs struct {
 	LoopStrideSrc, LoopStrideDst Strides
 }
 
-// Params encodes the argument block.
-func (a FFTArgs) Params() descriptor.Params {
-	var inv uint64
-	if a.Inverse {
-		inv = 1
-	}
-	p := descriptor.Params{
-		i64Field(a.N), inv, i64Field(a.HowMany),
-		descriptor.AddrField(a.Src), descriptor.AddrField(a.Dst),
-	}
-	p = append(p, a.LoopStrideSrc.fields()...)
-	return append(p, a.LoopStrideDst.fields()...)
+func (a *FFTArgs) slots() []any {
+	return []any{&a.N, &a.Inverse, &a.HowMany, &a.Src, &a.Dst, &a.LoopStrideSrc, &a.LoopStrideDst}
 }
+
+// Params encodes the argument block.
+func (a FFTArgs) Params() descriptor.Params { return encode(a.slots()) }
 
 // DecodeFFTArgs decodes an FFT argument block.
-func DecodeFFTArgs(p descriptor.Params) (FFTArgs, error) {
-	const l = descriptor.MaxLoopLevels
-	const want = 5 + 2*l
-	if len(p) != want {
-		return FFTArgs{}, fmt.Errorf("accel: FFT expects %d parameter fields, got %d", want, len(p))
-	}
-	return FFTArgs{
-		N: i64Of(p[0]), Inverse: p[1] != 0, HowMany: i64Of(p[2]),
-		Src: descriptor.AddrOf(p[3]), Dst: descriptor.AddrOf(p[4]),
-		LoopStrideSrc: stridesOf(p[5:]), LoopStrideDst: stridesOf(p[5+l:]),
-	}, nil
-}
-
-func (a FFTArgs) shift(it IterVec) FFTArgs {
-	a.Src += phys.Addr(a.LoopStrideSrc.Offset(it))
-	a.Dst += phys.Addr(a.LoopStrideDst.Offset(it))
-	return a
+func DecodeFFTArgs(p descriptor.Params) (a FFTArgs, err error) {
+	err = decodeTyped(descriptor.OpFFT, p, a.slots())
+	return a, err
 }
 
 // ElemKind selects the element type of a RESHP operation.
@@ -352,21 +359,15 @@ type ReshpArgs struct {
 	Src, Dst   phys.Addr
 }
 
-// Params encodes the argument block.
-func (a ReshpArgs) Params() descriptor.Params {
-	return descriptor.Params{
-		i64Field(a.Rows), i64Field(a.Cols), i64Field(int64(a.Elem)),
-		descriptor.AddrField(a.Src), descriptor.AddrField(a.Dst),
-	}
+func (a *ReshpArgs) slots() []any {
+	return []any{&a.Rows, &a.Cols, &a.Elem, &a.Src, &a.Dst}
 }
 
+// Params encodes the argument block.
+func (a ReshpArgs) Params() descriptor.Params { return encode(a.slots()) }
+
 // DecodeReshpArgs decodes a RESHP argument block.
-func DecodeReshpArgs(p descriptor.Params) (ReshpArgs, error) {
-	if len(p) != 5 {
-		return ReshpArgs{}, fmt.Errorf("accel: RESHP expects 5 parameter fields, got %d", len(p))
-	}
-	return ReshpArgs{
-		Rows: i64Of(p[0]), Cols: i64Of(p[1]), Elem: ElemKind(i64Of(p[2])),
-		Src: descriptor.AddrOf(p[3]), Dst: descriptor.AddrOf(p[4]),
-	}, nil
+func DecodeReshpArgs(p descriptor.Params) (a ReshpArgs, err error) {
+	err = decodeTyped(descriptor.OpRESHP, p, a.slots())
+	return a, err
 }

@@ -74,14 +74,27 @@ func TestDecodeWrongFieldCount(t *testing.T) {
 	}
 }
 
+// shifted decodes the typed struct's own parameter block at iteration it:
+// the route every core's arguments take.
+func shifted[T any](t *testing.T, op descriptor.OpCode, p descriptor.Params, slots func(*T) []any, it IterVec) T {
+	t.Helper()
+	a, err := Bind(op, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out T
+	a.decode(slots(&out), it)
+	return out
+}
+
 func TestShiftAdvancesBuffers(t *testing.T) {
 	a := AxpyArgs{X: 0x1000, Y: 0x2000, LoopStrideX: Lin(0x100), LoopStrideY: Lin(0x200)}
-	s := a.shift(IterVec{0, 0, 0, 3})
+	s := shifted(t, descriptor.OpAXPY, a.Params(), (*AxpyArgs).slots, IterVec{0, 0, 0, 3})
 	if s.X != 0x1300 || s.Y != 0x2600 {
 		t.Errorf("shift(3) = %v/%v", s.X, s.Y)
 	}
 	d := DotArgs{X: 0x100, Y: 0x200, Out: 0x300, LoopStrideOut: Lin(8)}
-	sd := d.shift(IterVec{0, 0, 0, 2})
+	sd := shifted(t, descriptor.OpDOT, d.Params(), (*DotArgs).slots, IterVec{0, 0, 0, 2})
 	if sd.X != 0x100 || sd.Out != 0x310 {
 		t.Errorf("dot shift = %+v", sd)
 	}
@@ -94,7 +107,7 @@ func TestMultiLevelStrides(t *testing.T) {
 		t.Errorf("offset = %d", got)
 	}
 	a := DotArgs{X: 0x1000, LoopStrideX: st}
-	if got := a.shift(IterVec{0, 0, 2, 1}).X; got != 0x1000+2*1024+16 {
+	if got := shifted(t, descriptor.OpDOT, a.Params(), (*DotArgs).slots, IterVec{0, 0, 2, 1}).X; got != 0x1000+2*1024+16 {
 		t.Errorf("multi-level shift = %v", got)
 	}
 }

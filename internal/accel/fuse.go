@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mealib/internal/descriptor"
+	"mealib/internal/span"
 	"mealib/internal/units"
 )
 
@@ -30,8 +31,10 @@ import (
 //     DRAM (the pair stays unfused) and is counted as a fusion spill.
 //
 // All span arithmetic is affine in the iteration vector, so every "for all
-// iterations" property is decided exactly by evaluating the spans at the
-// corners of the loop-count box. Fusion never changes functional execution:
+// iterations" property is decided exactly from an operand's iteration-zero
+// span and its per-level strides: two operands coincide at every iteration
+// iff they agree on both, and an operand's whole-loop extent is that span
+// stretched along each stride. Fusion never changes functional execution:
 // the comps still run in program order against the space and the
 // intermediate is still materialised, so fused and unfused runs are
 // bit-identical; only the model (time, energy, DRAM traffic) and the plan
@@ -115,138 +118,58 @@ func segmentsOf(d *descriptor.Descriptor) ([]planSegment, error) {
 	return segs, nil
 }
 
-// extSpan is one byte range a comp touches anywhere in its loop-count box.
-type extSpan struct {
-	lo, hi uint64 // [lo, hi)
-	write  bool
-}
-
-func (e extSpan) overlaps(lo, hi uint64) bool { return e.lo < hi && lo < e.hi }
-
-// cornersOf enumerates the corner iteration vectors of a loop-count box.
-// Affine span addresses attain their extremes at corners, and two affine
-// spans equal on every corner are equal at every iteration.
-func cornersOf(counts descriptor.LoopCounts) []IterVec {
-	levels := make([]int64, descriptor.MaxLoopLevels)
-	vary := 0
-	for l, c := range counts {
-		if int64(c) > 1 {
-			levels[l] = int64(c) - 1
-			vary++
-		}
+// compExtents resolves one comp's directional spans over its whole
+// loop-count box. Operand addresses are affine in the iteration vector, so
+// the extent of each is its iteration-zero span stretched along every level's
+// stride. ok is false when the spans cannot be resolved (unknown op, wrap).
+func compExtents(pi passInstr, counts descriptor.LoopCounts) ([]span.Dir, bool) {
+	a, err := Bind(pi.op, pi.params)
+	if err != nil {
+		return nil, false
 	}
-	out := make([]IterVec, 0, 1<<vary)
-	for mask := 0; mask < 1<<descriptor.MaxLoopLevels; mask++ {
-		var it IterVec
-		skip := false
-		for l := 0; l < descriptor.MaxLoopLevels; l++ {
-			if mask&(1<<l) != 0 {
-				if levels[l] == 0 {
-					skip = true // degenerate level: corner already covered
-					break
-				}
-				it[l] = levels[l]
-			}
-		}
-		if !skip {
-			out = append(out, it)
-		}
-	}
-	return out
-}
-
-// compExtents resolves one comp's spans over the whole box into extents.
-// ok is false when the spans cannot be resolved (unknown op, wrap).
-func compExtents(op descriptor.OpCode, params descriptor.Params, corners []IterVec) ([]extSpan, bool) {
-	var out []extSpan
-	for ci, it := range corners {
-		spans, err := ioSpansOf(op, params, it)
-		if err != nil || spans == nil {
-			return nil, false
-		}
-		if ci == 0 {
-			out = make([]extSpan, len(spans))
-			for i, sp := range spans {
-				out[i] = extSpan{lo: uint64(sp.addr), hi: uint64(sp.addr) + uint64(sp.bytes), write: sp.write}
-			}
-			continue
-		}
-		if len(spans) != len(out) {
-			return nil, false
-		}
-		for i, sp := range spans {
-			lo := uint64(sp.addr)
-			hi := lo + uint64(sp.bytes)
-			if lo < out[i].lo {
-				out[i].lo = lo
-			}
-			if hi > out[i].hi {
-				out[i].hi = hi
-			}
-		}
-	}
-	for _, e := range out {
-		if e.hi < e.lo { // address wrap
-			return nil, false
-		}
-	}
-	return out, true
-}
-
-// cornerSpans evaluates a comp's directional spans at every corner,
-// corner-major. nil when unresolvable.
-func cornerSpans(op descriptor.OpCode, params descriptor.Params, corners []IterVec) [][]ioSpan {
-	out := make([][]ioSpan, len(corners))
-	for i, it := range corners {
-		spans, err := ioSpansOf(op, params, it)
-		if err != nil || spans == nil {
-			return nil
-		}
-		out[i] = spans
-	}
-	return out
+	return a.appendExtents(nil, counts)
 }
 
 // handoffOf finds the producer→consumer handoff between the last comp of
 // pass a and the first comp of pass b: a read operand of the consumer that
-// equals the producer's written span at every corner. Returns the
-// per-iteration handoff size, or an error describing why none exists.
-func handoffOf(a, b []passInstr, corners []IterVec) (units.Bytes, error) {
-	prod := a[len(a)-1]
-	cons := b[0]
-	ps := cornerSpans(prod.op, prod.params, corners)
-	cs := cornerSpans(cons.op, cons.params, corners)
-	if ps == nil || cs == nil {
+// equals the producer's written operand at every iteration — same base, same
+// size, and the same stride on every loop level that actually iterates.
+// Returns the per-iteration handoff size, or an error describing why none
+// exists.
+func handoffOf(a, b []passInstr, counts descriptor.LoopCounts) (units.Bytes, error) {
+	prod, cons := a[len(a)-1], b[0]
+	pa, perr := Bind(prod.op, prod.params)
+	ca, cerr := Bind(cons.op, cons.params)
+	if perr != nil || cerr != nil {
 		return 0, fmt.Errorf("accel: fuse: unresolvable operand spans")
 	}
-	// The producer's output is its written span (every accelerator writes
-	// exactly one operand).
-	wi := -1
-	for i, sp := range ps[0] {
-		if sp.write {
-			if wi >= 0 {
-				return 0, fmt.Errorf("accel: fuse: %v writes more than one operand", prod.op)
-			}
-			wi = i
+	// The producer's output is its written operand (every accelerator writes
+	// exactly one).
+	var w Operand
+	writes := 0
+	for i := 0; i < pa.NumOperands(); i++ {
+		if o := pa.Operand(i); o.Write {
+			w = o
+			writes++
 		}
 	}
-	if wi < 0 || ps[0][wi].bytes <= 0 {
+	switch {
+	case writes > 1:
+		return 0, fmt.Errorf("accel: fuse: %v writes more than one operand", prod.op)
+	case writes == 0 || w.Bytes() <= 0:
 		return 0, fmt.Errorf("accel: fuse: %v produces no output span", prod.op)
 	}
-	for ri, sp := range cs[0] {
-		if sp.write {
+	for i := 0; i < ca.NumOperands(); i++ {
+		r := ca.Operand(i)
+		if !r.Read || r.Addr != w.Addr || r.Bytes() != w.Bytes() {
 			continue
 		}
-		match := true
-		for c := range corners {
-			w, r := ps[c][wi], cs[c][ri]
-			if r.addr != w.addr || r.bytes != w.bytes {
-				match = false
-				break
-			}
+		same := true
+		for l, c := range counts {
+			same = same && (c <= 1 || r.Strides[l] == w.Strides[l])
 		}
-		if match {
-			return ps[0][wi].bytes, nil
+		if same {
+			return w.Bytes(), nil
 		}
 	}
 	return 0, fmt.Errorf("accel: fuse: %v output is not consumed whole by %v", prod.op, cons.op)
@@ -257,15 +180,15 @@ func handoffOf(a, b []passInstr, corners []IterVec) (units.Bytes, error) {
 // datapath streams the stages concurrently, so a consumer-side write over a
 // producer-side read would race in hardware. exts maps global comp index to
 // extents; ids give the comps' global indices.
-func warHazard(aIDs, bIDs []int, exts [][]extSpan) bool {
+func warHazard(aIDs, bIDs []int, exts [][]span.Dir) bool {
 	for _, bi := range bIDs {
 		for _, w := range exts[bi] {
-			if !w.write {
+			if !w.Write {
 				continue
 			}
 			for _, ai := range aIDs {
 				for _, r := range exts[ai] {
-					if !r.write && r.overlaps(w.lo, w.hi) {
+					if !r.Write && r.Overlaps(w.Span) {
 						return true
 					}
 				}
@@ -275,18 +198,13 @@ func warHazard(aIDs, bIDs []int, exts [][]extSpan) bool {
 	return false
 }
 
-// singleConsumer reports whether the handoff extent [lo, hi) is untouched by
-// every comp other than the producer and consumer. A second toucher means
-// the intermediate must exist in DRAM after all.
-func singleConsumer(lo, hi uint64, producer, consumer int, exts [][]extSpan) bool {
+// singleConsumer reports whether the handoff extent is untouched by every
+// comp other than the producer and consumer. A second toucher means the
+// intermediate must exist in DRAM after all.
+func singleConsumer(handoff span.Span, producer, consumer int, exts [][]span.Dir) bool {
 	for id, spans := range exts {
-		if id == producer || id == consumer {
-			continue
-		}
-		for _, e := range spans {
-			if e.overlaps(lo, hi) {
-				return false
-			}
+		if id != producer && id != consumer && span.Overlap([]span.Span{handoff}, spans) {
+			return false
 		}
 	}
 	return true
@@ -314,12 +232,11 @@ func fuseSegments(segs []planSegment, lmCap units.Bytes) fuseResult {
 			total += len(ids)
 		}
 	}
-	exts := make([][]extSpan, total)
+	exts := make([][]span.Dir, total)
 	for _, seg := range segs {
-		corners := cornersOf(seg.counts)
 		for pi, pass := range seg.passes {
 			for ci, in := range pass {
-				e, ok := compExtents(in.op, in.params, corners)
+				e, ok := compExtents(in, seg.counts)
 				if !ok {
 					// One unresolvable comp blinds the liveness scan for the
 					// whole descriptor: fuse nothing.
@@ -334,7 +251,6 @@ func fuseSegments(segs []planSegment, lmCap units.Bytes) fuseResult {
 		if len(seg.passes) < 2 {
 			continue
 		}
-		corners := cornersOf(seg.counts)
 		iters := int64(1)
 		if seg.loop {
 			iters = seg.counts.Total()
@@ -359,7 +275,7 @@ func fuseSegments(segs []planSegment, lmCap units.Bytes) fuseResult {
 			if len(passes) > 0 {
 				prev := passes[len(passes)-1]
 				prevIDs := comps[len(comps)-1]
-				hb, err := handoffOf(prev, pass, corners)
+				hb, err := handoffOf(prev, pass, seg.counts)
 				switch {
 				case err != nil:
 					// No producer→consumer relationship: fall through.
@@ -372,14 +288,14 @@ func fuseSegments(segs []planSegment, lmCap units.Bytes) fuseResult {
 					consumer := ids[0]
 					// The handoff's whole-box extent is the producer's write
 					// extent (the consumer's matched read equals it at every
-					// corner by construction).
-					var wlo, whi uint64
+					// iteration by construction).
+					var handoff span.Span
 					for _, e := range exts[producer] {
-						if e.write {
-							wlo, whi = e.lo, e.hi
+						if e.Write {
+							handoff = e.Span
 						}
 					}
-					if !singleConsumer(wlo, whi, producer, consumer, exts) {
+					if !singleConsumer(handoff, producer, consumer, exts) {
 						break
 					}
 					merged := append(append([]passInstr(nil), prev...), pass...)
@@ -450,12 +366,11 @@ func VerifyChain(comps []ChainComp, counts descriptor.LoopCounts, lmCap units.By
 	if len(comps) < 2 {
 		return 0, fmt.Errorf("accel: chain needs at least two comps, got %d", len(comps))
 	}
-	corners := cornersOf(counts)
 	pass := make([]passInstr, len(comps))
-	exts := make([][]extSpan, len(comps))
+	exts := make([][]span.Dir, len(comps))
 	for i, c := range comps {
 		pass[i] = passInstr{op: c.Op, params: c.Params}
-		e, ok := compExtents(c.Op, c.Params, corners)
+		e, ok := compExtents(pass[i], counts)
 		if !ok {
 			return 0, fmt.Errorf("accel: chain stage %d (%v): unresolvable operand spans", i, c.Op)
 		}
@@ -463,7 +378,7 @@ func VerifyChain(comps []ChainComp, counts descriptor.LoopCounts, lmCap units.By
 	}
 	var total units.Bytes
 	for i := 0; i+1 < len(pass); i++ {
-		hb, err := handoffOf(pass[i:i+1], pass[i+1:i+2], corners)
+		hb, err := handoffOf(pass[i:i+1], pass[i+1:i+2], counts)
 		if err != nil {
 			return 0, fmt.Errorf("accel: chain stages %d→%d: %w", i, i+1, err)
 		}
@@ -474,16 +389,9 @@ func VerifyChain(comps []ChainComp, counts descriptor.LoopCounts, lmCap units.By
 	}
 	for i := 0; i < len(comps); i++ {
 		for j := i + 1; j < len(comps); j++ {
-			for _, w := range exts[j] {
-				if !w.write {
-					continue
-				}
-				for _, r := range exts[i] {
-					if !r.write && r.overlaps(w.lo, w.hi) {
-						return 0, fmt.Errorf("accel: chain stage %d (%v) writes memory stage %d (%v) reads",
-							j, comps[j].Op, i, comps[i].Op)
-					}
-				}
+			if warHazard([]int{i}, []int{j}, exts) {
+				return 0, fmt.Errorf("accel: chain stage %d (%v) writes memory stage %d (%v) reads",
+					j, comps[j].Op, i, comps[i].Op)
 			}
 		}
 	}

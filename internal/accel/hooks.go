@@ -2,6 +2,7 @@ package accel
 
 import (
 	"mealib/internal/phys"
+	"mealib/internal/span"
 	"mealib/internal/units"
 )
 
@@ -13,13 +14,6 @@ import (
 // instead of waiting for the whole descriptor to retire — the runtime's
 // wave-pipelining gate (internal/mealibrt) is the one consumer.
 
-// WaveSpan is one directional byte range a wave touches.
-type WaveSpan struct {
-	Addr  phys.Addr
-	Bytes units.Bytes
-	Write bool
-}
-
 // WaveHooks observes and gates the wavefront execution of one launch.
 // Methods are called from scheduler goroutines; implementations must be
 // concurrency-safe. A nil WaveHooks disables the machinery at zero cost.
@@ -30,7 +24,7 @@ type WaveHooks interface {
 	// treated as touching everything). A nil waves slice means the launch
 	// bypassed the plan IR entirely (streaming fallback) and executes as a
 	// single unresolvable wave 0.
-	Lowered(waves [][]WaveSpan)
+	Lowered(waves [][]span.Dir)
 	// WaveStart blocks until wave w may execute. The scheduler calls it
 	// immediately before running the wave's nodes.
 	WaveStart(w int)
@@ -44,10 +38,10 @@ type WaveHooks interface {
 // plan for WaveHooks.Lowered. A wave containing any barrier node (nil
 // spans) collapses to nil: its footprint is unknown and conflicts with
 // everything.
-func waveSpansOf(p *plan) [][]WaveSpan {
-	out := make([][]WaveSpan, len(p.waves))
+func waveSpansOf(p *plan) [][]span.Dir {
+	out := make([][]span.Dir, len(p.waves))
 	for wi, wave := range p.waves {
-		spans := make([]WaveSpan, 0, len(wave))
+		spans := make([]span.Dir, 0, len(wave))
 		bad := false
 		for _, k := range wave {
 			nd := &p.nodes[k]
@@ -55,9 +49,7 @@ func waveSpansOf(p *plan) [][]WaveSpan {
 				bad = true
 				break
 			}
-			for _, sp := range nd.spans {
-				spans = append(spans, WaveSpan{Addr: sp.addr, Bytes: sp.bytes, Write: sp.write})
-			}
+			spans = append(spans, nd.spans...)
 		}
 		if bad {
 			out[wi] = nil

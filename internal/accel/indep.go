@@ -4,8 +4,7 @@ import (
 	"sort"
 
 	"mealib/internal/descriptor"
-	"mealib/internal/phys"
-	"mealib/internal/units"
+	"mealib/internal/span"
 )
 
 // Iteration-independence analysis for hardware LOOP nests.
@@ -26,118 +25,6 @@ import (
 // the analysis (1M events ≈ 48 MB, checked in well under the time the
 // loop body itself will take at that scale).
 const indepMaxEvents = 1 << 20
-
-// ioSpan is one byte range an invocation reads or writes.
-type ioSpan struct {
-	addr  phys.Addr
-	bytes units.Bytes
-	write bool
-}
-
-// ioSpansOf lists the directional spans of one invocation at iteration it.
-// Unlike spansOf (locality classification), reads and writes are separated
-// and read-modify-write operands appear in both directions.
-func ioSpansOf(op descriptor.OpCode, p descriptor.Params, it IterVec) ([]ioSpan, error) {
-	switch op {
-	case descriptor.OpAXPY:
-		a, err := DecodeAxpyArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		a = a.shift(it)
-		return []ioSpan{
-			{a.X, units.Bytes(4 * span64(a.N, a.IncX)), false},
-			{a.Y, units.Bytes(4 * span64(a.N, a.IncY)), false}, // y is read (accumulated) ...
-			{a.Y, units.Bytes(4 * span64(a.N, a.IncY)), true},  // ... and written
-		}, nil
-	case descriptor.OpDOT:
-		a, err := DecodeDotArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		a = a.shift(it)
-		elem := int64(4)
-		if a.Complex {
-			elem = 8
-		}
-		return []ioSpan{
-			{a.X, units.Bytes(elem * span64(a.N, a.IncX)), false},
-			{a.Y, units.Bytes(elem * span64(a.N, a.IncY)), false},
-			{a.Out, units.Bytes(elem), true},
-		}, nil
-	case descriptor.OpGEMV:
-		a, err := DecodeGemvArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		a = a.shift(it)
-		matLen := int64(0)
-		if a.M > 0 {
-			matLen = (a.M-1)*a.Lda + a.N
-		}
-		return []ioSpan{
-			{a.A, units.Bytes(4 * matLen), false},
-			{a.X, units.Bytes(4 * a.N), false},
-			{a.Y, units.Bytes(4 * a.M), false}, // beta scaling reads y
-			{a.Y, units.Bytes(4 * a.M), true},
-		}, nil
-	case descriptor.OpSPMV:
-		a, err := DecodeSpmvArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		// SPMV has no loop strides: every iteration touches the same spans,
-		// so inside a LOOP it always reports a conflict (correctly).
-		return []ioSpan{
-			{a.RowPtr, units.Bytes(4 * (a.M + 1)), false},
-			{a.ColIdx, units.Bytes(4 * a.NNZ), false},
-			{a.Values, units.Bytes(4 * a.NNZ), false},
-			{a.X, units.Bytes(4 * a.Cols), false},
-			{a.Y, units.Bytes(4 * a.M), true},
-		}, nil
-	case descriptor.OpRESMP:
-		a, err := DecodeResmpArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		a = a.shift(it)
-		elem := int64(4)
-		if a.Kind >= ResmpComplex {
-			elem = 8
-		}
-		return []ioSpan{
-			{a.Src, units.Bytes(elem * a.NIn), false},
-			{a.Dst, units.Bytes(elem * a.NOut), true},
-		}, nil
-	case descriptor.OpFFT:
-		a, err := DecodeFFTArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		a = a.shift(it)
-		total := 8 * a.N * a.HowMany
-		return []ioSpan{
-			{a.Src, units.Bytes(total), false},
-			{a.Dst, units.Bytes(total), true},
-		}, nil
-	case descriptor.OpRESHP:
-		a, err := DecodeReshpArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		elem := int64(4)
-		if a.Elem == ElemC64 {
-			elem = 8
-		}
-		n := elem * a.Rows * a.Cols
-		return []ioSpan{
-			{a.Src, units.Bytes(n), false},
-			{a.Dst, units.Bytes(n), true},
-		}, nil
-	default:
-		return nil, nil
-	}
-}
 
 // iterEvent is one span tagged with the iteration that owns it.
 type iterEvent struct {
@@ -198,36 +85,32 @@ func (t *top2) reaches(start uint64, iter int64) bool {
 // iteration's comps run in order on one tile). Any failure to resolve
 // spans returns false.
 func loopIndependent(counts descriptor.LoopCounts, passes [][]passInstr, iters int64) bool {
-	spansPerIter := 0
+	spansPerIter, perComp := 0, maxOpSpans()
 	for _, p := range passes {
-		for range p {
-			spansPerIter += 5 // upper bound per comp (SPMV)
-		}
+		spansPerIter += len(p) * perComp
 	}
 	if spansPerIter == 0 || iters*int64(spansPerIter) > indepMaxEvents {
 		return false
 	}
 	events := make([]iterEvent, 0, iters*int64(spansPerIter))
+	spans := make([]span.Dir, 0, spansPerIter)
 	for idx := int64(0); idx < iters; idx++ {
 		it := iterVecAt(counts, idx)
+		spans = spans[:0]
 		for _, pass := range passes {
 			for _, pi := range pass {
-				spans, err := ioSpansOf(pi.op, pi.params, it)
-				if err != nil || spans == nil {
+				a, err := Bind(pi.op, pi.params)
+				if err != nil {
 					return false
 				}
-				for _, sp := range spans {
-					if sp.bytes <= 0 {
-						continue
-					}
-					start := uint64(sp.addr)
-					end := start + uint64(sp.bytes)
-					if end < start { // address wrap: unresolvable
-						return false
-					}
-					events = append(events, iterEvent{start: start, end: end, iter: idx, write: sp.write})
+				ok := false
+				if spans, ok = a.appendIO(spans, it); !ok { // address wrap: unresolvable
+					return false
 				}
 			}
+		}
+		for _, sp := range spans {
+			events = append(events, iterEvent{start: uint64(sp.Addr), end: uint64(sp.End()), iter: idx, write: sp.Write})
 		}
 	}
 	sort.Slice(events, func(i, j int) bool { return events[i].start < events[j].start })

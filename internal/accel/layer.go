@@ -38,10 +38,8 @@ type layerMetrics struct {
 	fusionSpills    *telemetry.Counter
 	wavesPerLaunch  *telemetry.Histogram
 	waveWidth       *telemetry.Histogram
-	// Per-opcode activity, indexed by descriptor.OpCode.
-	opInv [descriptor.OpRESHP + 1]*telemetry.Counter
-	opNS  [descriptor.OpRESHP + 1]*telemetry.Counter
-	opPJ  [descriptor.OpRESHP + 1]*telemetry.Counter
+	// Per-opcode activity, indexed by descriptor.OpCode like the op table.
+	opInv, opNS, opPJ []*telemetry.Counter
 }
 
 func (m *layerMetrics) init(reg *telemetry.Metrics) {
@@ -58,10 +56,17 @@ func (m *layerMetrics) init(reg *telemetry.Metrics) {
 	m.fusionSpills = reg.Counter("accel.fusion_spills")
 	m.wavesPerLaunch = reg.Histogram("accel.waves_per_launch")
 	m.waveWidth = reg.Histogram("accel.wave_width")
-	for op := descriptor.OpAXPY; op <= descriptor.OpRESHP; op++ {
-		m.opInv[op] = reg.Counter("accel.op." + op.String() + ".invocations")
-		m.opNS[op] = reg.Counter("accel.op." + op.String() + ".ns")
-		m.opPJ[op] = reg.Counter("accel.op." + op.String() + ".pJ")
+	m.opInv = make([]*telemetry.Counter, len(specs))
+	m.opNS = make([]*telemetry.Counter, len(specs))
+	m.opPJ = make([]*telemetry.Counter, len(specs))
+	for i, spec := range specs {
+		if spec == nil {
+			continue
+		}
+		name := "accel.op." + descriptor.OpCode(i).String()
+		m.opInv[i] = reg.Counter(name + ".invocations")
+		m.opNS[i] = reg.Counter(name + ".ns")
+		m.opPJ[i] = reg.Counter(name + ".pJ")
 	}
 }
 
@@ -88,7 +93,7 @@ func (l *Layer) noteLaunch(rep *Report) {
 	l.met.comps.Add(rep.Comps)
 	var total int64
 	for op, st := range rep.PerOp {
-		if int(op) >= len(l.met.opInv) || int(op) < 0 {
+		if int(op) >= len(l.met.opInv) {
 			continue
 		}
 		l.met.opInv[op].Add(st.Invocations)

@@ -7,6 +7,7 @@ import (
 
 	"mealib/internal/descriptor"
 	"mealib/internal/phys"
+	"mealib/internal/span"
 	"mealib/internal/units"
 )
 
@@ -16,7 +17,7 @@ import (
 // spans are relocated into a double-buffered staging region carved from
 // stack memory. The split reuses the same span machinery the scheduler and
 // fusion passes rely on for legality: every relocation is justified by the
-// comp's own ioSpansOf extents, and a chunk's rebased descriptor is an
+// comp's own op-table operand extents, and a chunk's rebased descriptor is an
 // ordinary descriptor the layer runs unmodified (fusion, wave scheduling
 // and capacity checks included). The runtime (internal/mealibrt/ooc.go)
 // drives the schedule: stage in, execute, write back, with the next chunk's
@@ -87,35 +88,32 @@ func (c *Config) StagingCost(n units.Bytes) (units.Seconds, units.Joules) {
 	return c.RemoteLinkBW.Time(n), units.Joules(float64(n) * 8 * float64(c.ELinkBit))
 }
 
-// oocBox is one host-window byte range a unit touches, with write direction.
-type oocBox struct {
-	lo, hi uint64
-	out    bool
-}
-
 // oocUnit is the smallest schedulable piece of the descriptor: one loop
 // iteration's passes (params fully shifted to that iteration), or one
 // top-level pass, or one split piece of an oversized comp.
 type oocUnit struct {
 	passes [][]passInstr
-	boxes  []oocBox
+	// boxes are the host-window byte ranges the unit touches, merged, with
+	// Write marking the ones it writes.
+	boxes []span.Dir
 }
 
-// mergeBoxes normalises a box list: sorted by lo, overlapping or adjacent
-// boxes merged (out flags OR — a merged extent is written if any part is).
-func mergeBoxes(boxes []oocBox) []oocBox {
+// mergeBoxes normalises a box list: sorted by address, overlapping or
+// adjacent boxes merged (Write flags OR — a merged extent is written if any
+// part is).
+func mergeBoxes(boxes []span.Dir) []span.Dir {
 	if len(boxes) < 2 {
 		return boxes
 	}
-	sort.Slice(boxes, func(i, j int) bool { return boxes[i].lo < boxes[j].lo })
+	sort.Slice(boxes, func(i, j int) bool { return boxes[i].Addr < boxes[j].Addr })
 	out := boxes[:1]
 	for _, b := range boxes[1:] {
 		cur := &out[len(out)-1]
-		if b.lo <= cur.hi {
-			if b.hi > cur.hi {
-				cur.hi = b.hi
+		if b.Addr <= cur.End() {
+			if b.End() > cur.End() {
+				cur.Bytes = units.Bytes(b.End() - cur.Addr)
 			}
-			cur.out = cur.out || b.out
+			cur.Write = cur.Write || b.Write
 			continue
 		}
 		out = append(out, b)
@@ -124,232 +122,70 @@ func mergeBoxes(boxes []oocBox) []oocBox {
 }
 
 // layoutBytes is the staging footprint of a box list (each extent aligned).
-func layoutBytes(boxes []oocBox) units.Bytes {
+func layoutBytes(boxes []span.Dir) units.Bytes {
 	var n units.Bytes
 	for _, b := range boxes {
-		n += (units.Bytes(b.hi-b.lo) + oocAlign - 1) / oocAlign * oocAlign
+		n += (b.Bytes + oocAlign - 1) / oocAlign * oocAlign
 	}
 	return n
-}
-
-// boxesOverlap reports whether any out-box of a overlaps any box of b.
-func boxesOverlap(a, b []oocBox) bool {
-	for _, x := range a {
-		if !x.out {
-			continue
-		}
-		for _, y := range b {
-			if x.lo < y.hi && y.lo < x.hi {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // shiftedParams folds the iteration vector into the comp's base addresses
 // and zeroes the loop strides, producing the params of a standalone
 // (top-level) pass equivalent to this iteration's invocation.
 func shiftedParams(op descriptor.OpCode, p descriptor.Params, it IterVec) (descriptor.Params, error) {
-	switch op {
-	case descriptor.OpAXPY:
-		a, err := DecodeAxpyArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		a = a.shift(it)
-		a.LoopStrideX, a.LoopStrideY = Strides{}, Strides{}
-		return a.Params(), nil
-	case descriptor.OpDOT:
-		a, err := DecodeDotArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		a = a.shift(it)
-		a.LoopStrideX, a.LoopStrideY, a.LoopStrideOut = Strides{}, Strides{}, Strides{}
-		return a.Params(), nil
-	case descriptor.OpGEMV:
-		a, err := DecodeGemvArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		a = a.shift(it)
-		a.LoopStrideA, a.LoopStrideX, a.LoopStrideY = Strides{}, Strides{}, Strides{}
-		return a.Params(), nil
-	case descriptor.OpRESMP:
-		a, err := DecodeResmpArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		a = a.shift(it)
-		a.LoopStrideSrc, a.LoopStrideDst = Strides{}, Strides{}
-		return a.Params(), nil
-	case descriptor.OpFFT:
-		a, err := DecodeFFTArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		a = a.shift(it)
-		a.LoopStrideSrc, a.LoopStrideDst = Strides{}, Strides{}
-		return a.Params(), nil
-	case descriptor.OpSPMV, descriptor.OpRESHP:
-		// No loop strides: every iteration names the same addresses.
-		return p, nil
-	default:
-		return nil, fmt.Errorf("accel: ooc: unknown op %v", op)
+	a, err := Bind(op, p)
+	if err != nil {
+		return nil, err
 	}
+	q := append(descriptor.Params(nil), p...)
+	for f, off := range a.spec.strideOff {
+		if off > 0 {
+			q[f] = descriptor.AddrField(a.at(f, it))
+			clear(q[off : off+descriptor.MaxLoopLevels])
+		}
+	}
+	return q, nil
 }
 
 // rebaseComp relocates a comp's window addresses via mapAddr. Each operand
 // is mapped with its full span so the relocation is rejected unless the
 // whole access lands inside one staged extent.
 func rebaseComp(op descriptor.OpCode, p descriptor.Params, mapAddr func(phys.Addr, units.Bytes) (phys.Addr, error)) (descriptor.Params, error) {
-	switch op {
-	case descriptor.OpAXPY:
-		a, err := DecodeAxpyArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		if a.X, err = mapAddr(a.X, units.Bytes(4*span64(a.N, a.IncX))); err != nil {
-			return nil, err
-		}
-		if a.Y, err = mapAddr(a.Y, units.Bytes(4*span64(a.N, a.IncY))); err != nil {
-			return nil, err
-		}
-		return a.Params(), nil
-	case descriptor.OpDOT:
-		a, err := DecodeDotArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		elem := int64(4)
-		if a.Complex {
-			elem = 8
-		}
-		if a.X, err = mapAddr(a.X, units.Bytes(elem*span64(a.N, a.IncX))); err != nil {
-			return nil, err
-		}
-		if a.Y, err = mapAddr(a.Y, units.Bytes(elem*span64(a.N, a.IncY))); err != nil {
-			return nil, err
-		}
-		if a.Out, err = mapAddr(a.Out, units.Bytes(elem)); err != nil {
-			return nil, err
-		}
-		return a.Params(), nil
-	case descriptor.OpGEMV:
-		a, err := DecodeGemvArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		matLen := int64(0)
-		if a.M > 0 {
-			matLen = (a.M-1)*a.Lda + a.N
-		}
-		if a.A, err = mapAddr(a.A, units.Bytes(4*matLen)); err != nil {
-			return nil, err
-		}
-		if a.X, err = mapAddr(a.X, units.Bytes(4*a.N)); err != nil {
-			return nil, err
-		}
-		if a.Y, err = mapAddr(a.Y, units.Bytes(4*a.M)); err != nil {
-			return nil, err
-		}
-		return a.Params(), nil
-	case descriptor.OpSPMV:
-		a, err := DecodeSpmvArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		if a.RowPtr, err = mapAddr(a.RowPtr, units.Bytes(4*(a.M+1))); err != nil {
-			return nil, err
-		}
-		if a.ColIdx, err = mapAddr(a.ColIdx, units.Bytes(4*a.NNZ)); err != nil {
-			return nil, err
-		}
-		if a.Values, err = mapAddr(a.Values, units.Bytes(4*a.NNZ)); err != nil {
-			return nil, err
-		}
-		if a.X, err = mapAddr(a.X, units.Bytes(4*a.Cols)); err != nil {
-			return nil, err
-		}
-		if a.Y, err = mapAddr(a.Y, units.Bytes(4*a.M)); err != nil {
-			return nil, err
-		}
-		return a.Params(), nil
-	case descriptor.OpRESMP:
-		a, err := DecodeResmpArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		elem := int64(4)
-		if a.Kind >= ResmpComplex {
-			elem = 8
-		}
-		if a.Src, err = mapAddr(a.Src, units.Bytes(elem*a.NIn)); err != nil {
-			return nil, err
-		}
-		if a.Dst, err = mapAddr(a.Dst, units.Bytes(elem*a.NOut)); err != nil {
-			return nil, err
-		}
-		return a.Params(), nil
-	case descriptor.OpFFT:
-		a, err := DecodeFFTArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		total := units.Bytes(8 * a.N * a.HowMany)
-		if a.Src, err = mapAddr(a.Src, total); err != nil {
-			return nil, err
-		}
-		if a.Dst, err = mapAddr(a.Dst, total); err != nil {
-			return nil, err
-		}
-		return a.Params(), nil
-	case descriptor.OpRESHP:
-		a, err := DecodeReshpArgs(p)
-		if err != nil {
-			return nil, err
-		}
-		elem := int64(4)
-		if a.Elem == ElemC64 {
-			elem = 8
-		}
-		n := units.Bytes(elem * a.Rows * a.Cols)
-		if a.Src, err = mapAddr(a.Src, n); err != nil {
-			return nil, err
-		}
-		if a.Dst, err = mapAddr(a.Dst, n); err != nil {
-			return nil, err
-		}
-		return a.Params(), nil
-	default:
-		return nil, fmt.Errorf("accel: ooc: unknown op %v", op)
+	a, err := Bind(op, p)
+	if err != nil {
+		return nil, err
 	}
+	q := append(descriptor.Params(nil), p...)
+	for i := range a.spec.operands {
+		o := a.Operand(i)
+		addr, err := mapAddr(o.Addr, o.Bytes())
+		if err != nil {
+			return nil, err
+		}
+		q[a.spec.operands[i].addr] = descriptor.AddrField(addr)
+	}
+	return q, nil
 }
 
 // unitBoxes resolves the unit's window extents from its comps' directional
 // spans at iteration zero (params are already shifted).
-func unitBoxes(passes [][]passInstr, inWindow func(phys.Addr) bool) ([]oocBox, error) {
-	var boxes []oocBox
+func unitBoxes(passes [][]passInstr, inWindow func(phys.Addr) bool) ([]span.Dir, error) {
+	var spans, boxes []span.Dir
 	for _, pass := range passes {
 		for _, pi := range pass {
-			spans, err := ioSpansOf(pi.op, pi.params, IterVec{})
+			a, err := Bind(pi.op, pi.params)
 			if err != nil {
 				return nil, err
 			}
-			if spans == nil {
-				return nil, fmt.Errorf("accel: ooc: unresolvable spans for %v", pi.op)
+			ok := false
+			if spans, ok = a.appendIO(spans[:0], IterVec{}); !ok {
+				return nil, fmt.Errorf("accel: ooc: %v operand wraps the address space", pi.op)
 			}
 			for _, sp := range spans {
-				if sp.bytes <= 0 || !inWindow(sp.addr) {
-					continue
+				if inWindow(sp.Addr) {
+					boxes = append(boxes, sp)
 				}
-				lo := uint64(sp.addr)
-				hi := lo + uint64(sp.bytes)
-				if hi < lo {
-					return nil, fmt.Errorf("accel: ooc: address wrap at %v", sp.addr)
-				}
-				boxes = append(boxes, oocBox{lo: lo, hi: hi, out: sp.write})
 			}
 		}
 	}
@@ -357,98 +193,34 @@ func unitBoxes(passes [][]passInstr, inWindow func(phys.Addr) bool) ([]oocBox, e
 }
 
 // splitOversized divides a single-comp unit whose window footprint exceeds
-// the budget into exact pieces. Only ops with elementwise-independent
-// outputs split losslessly: AXPY by vector range, GEMV by row block, FFT by
-// batch. Reductions and global-access ops return ErrUnchunkable.
+// the budget into exact pieces along the op's chunk axis. Only ops with
+// elementwise-independent outputs declare one; reductions and global-access
+// ops return ErrUnchunkable.
 func splitOversized(pi passInstr, unitBytes, budget units.Bytes) ([]descriptor.Params, error) {
-	pieces := int64((unitBytes + budget - 1) / budget)
-	if pieces < 2 {
-		pieces = 2
+	a, err := Bind(pi.op, pi.params)
+	if err != nil {
+		return nil, err
 	}
-	switch pi.op {
-	case descriptor.OpAXPY:
-		a, err := DecodeAxpyArgs(pi.params)
-		if err != nil {
-			return nil, err
-		}
-		if a.IncX <= 0 || a.IncY <= 0 || a.N < pieces {
-			return nil, fmt.Errorf("%w: AXPY with n=%d incx=%d incy=%d", ErrUnchunkable, a.N, a.IncX, a.IncY)
-		}
-		per := (a.N + pieces - 1) / pieces
-		var out []descriptor.Params
-		for start := int64(0); start < a.N; start += per {
-			q := a
-			q.N = min64(per, a.N-start)
-			q.X += phys.Addr(4 * a.IncX * start)
-			q.Y += phys.Addr(4 * a.IncY * start)
-			out = append(out, q.Params())
-		}
-		return out, nil
-	case descriptor.OpGEMV:
-		a, err := DecodeGemvArgs(pi.params)
-		if err != nil {
-			return nil, err
-		}
-		if a.M < 2 || a.Lda < a.N {
-			return nil, fmt.Errorf("%w: GEMV with m=%d lda=%d n=%d", ErrUnchunkable, a.M, a.Lda, a.N)
-		}
-		// Every piece re-reads the full x vector; rows amortise the rest.
-		fixed := units.Bytes(4 * a.N)
-		perRow := units.Bytes(4*a.Lda + 4)
-		if fixed+perRow > budget {
-			return nil, fmt.Errorf("%w: one GEMV row (%v) exceeds the staging budget %v", ErrUnchunkable, fixed+perRow, budget)
-		}
-		rows := int64((budget - fixed) / perRow)
-		if rows < 1 {
-			rows = 1
-		}
-		var out []descriptor.Params
-		for start := int64(0); start < a.M; start += rows {
-			q := a
-			q.M = min64(rows, a.M-start)
-			q.A += phys.Addr(4 * a.Lda * start)
-			q.Y += phys.Addr(4 * start)
-			out = append(out, q.Params())
-		}
-		return out, nil
-	case descriptor.OpFFT:
-		a, err := DecodeFFTArgs(pi.params)
-		if err != nil {
-			return nil, err
-		}
-		if a.HowMany < 2 {
-			return nil, fmt.Errorf("%w: single %d-point FFT exceeds the staging budget", ErrUnchunkable, a.N)
-		}
-		perBatch := units.Bytes(16 * a.N) // src + dst
-		if a.Dst == a.Src {
-			perBatch = units.Bytes(8 * a.N)
-		}
-		if perBatch > budget {
-			return nil, fmt.Errorf("%w: one %d-point FFT batch (%v) exceeds the staging budget %v", ErrUnchunkable, a.N, perBatch, budget)
-		}
-		batches := int64(budget / perBatch)
-		if batches < 1 {
-			batches = 1
-		}
-		var out []descriptor.Params
-		for start := int64(0); start < a.HowMany; start += batches {
-			q := a
-			q.HowMany = min64(batches, a.HowMany-start)
-			q.Src += phys.Addr(8 * a.N * start)
-			q.Dst += phys.Addr(8 * a.N * start)
-			out = append(out, q.Params())
-		}
-		return out, nil
-	default:
+	axis := a.spec.chunk
+	if axis == nil {
 		return nil, fmt.Errorf("%w: %v invocation footprint exceeds the staging half and the op has no exact split", ErrUnchunkable, pi.op)
 	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
+	per, err := axis.per(a, max(2, int64((unitBytes+budget-1)/budget)), budget)
+	if err != nil {
+		return nil, err
 	}
-	return b
+	var out []descriptor.Params
+	for n, start := a.i(axis.count), int64(0); start < n; start += per {
+		q := append(descriptor.Params(nil), pi.params...)
+		q[axis.count] = uint64(min(per, n-start))
+		for i := range a.spec.operands {
+			if o := &a.spec.operands[i]; o.step != nil {
+				q[o.addr] += uint64(a.spec.elem(a) * o.step(a) * start)
+			}
+		}
+		out = append(out, q)
+	}
+	return out, nil
 }
 
 // oocUnitsOf decomposes the descriptor into schedulable units: every loop
@@ -555,7 +327,7 @@ func (l *Layer) PlanOOC(d *descriptor.Descriptor, inWindow func(phys.Addr) bool,
 	imem := l.cfg.CU.IMEMBytes
 	var groups [][]oocUnit
 	var cur []oocUnit
-	var curBoxes []oocBox
+	var curBoxes []span.Dir
 	var curDesc units.Bytes = 32
 	flush := func() {
 		if len(cur) > 0 {
@@ -564,11 +336,11 @@ func (l *Layer) PlanOOC(d *descriptor.Descriptor, inWindow func(phys.Addr) bool,
 		}
 	}
 	for _, u := range units_ {
-		tentative := mergeBoxes(append(append([]oocBox(nil), curBoxes...), u.boxes...))
+		tentative := mergeBoxes(append(append([]span.Dir(nil), curBoxes...), u.boxes...))
 		uDesc := descBytesOf(u.passes)
 		if len(cur) > 0 && (layoutBytes(tentative) > halfBytes || curDesc+uDesc > imem) {
 			flush()
-			tentative = mergeBoxes(append([]oocBox(nil), u.boxes...))
+			tentative = mergeBoxes(append([]span.Dir(nil), u.boxes...))
 		}
 		cur = append(cur, u)
 		curBoxes = tentative
@@ -577,9 +349,9 @@ func (l *Layer) PlanOOC(d *descriptor.Descriptor, inWindow func(phys.Addr) bool,
 	flush()
 
 	sched := &OOCSchedule{}
-	var prevBoxes []oocBox
+	var prevOut, out []span.Span // write-back extents of the previous and the current chunk
 	for gi, group := range groups {
-		var boxes []oocBox
+		var boxes []span.Dir
 		for _, u := range group {
 			boxes = append(boxes, u.boxes...)
 		}
@@ -587,13 +359,14 @@ func (l *Layer) PlanOOC(d *descriptor.Descriptor, inWindow func(phys.Addr) bool,
 		ch := &OOCChunk{Half: gi % 2}
 		// Lay the extents out in the chunk's staging half.
 		staged := halves[ch.Half]
+		out = out[:0]
 		for _, b := range boxes {
-			n := units.Bytes(b.hi - b.lo)
-			ch.Extents = append(ch.Extents, OOCExtent{Host: phys.Addr(b.lo), Staged: staged, Bytes: n, Out: b.out})
-			staged += phys.Addr((n + oocAlign - 1) / oocAlign * oocAlign)
-			ch.StageInBytes += n
-			if b.out {
-				ch.WriteBackBytes += n
+			ch.Extents = append(ch.Extents, OOCExtent{Host: b.Addr, Staged: staged, Bytes: b.Bytes, Out: b.Write})
+			staged += phys.Addr((b.Bytes + oocAlign - 1) / oocAlign * oocAlign)
+			ch.StageInBytes += b.Bytes
+			if b.Write {
+				ch.WriteBackBytes += b.Bytes
+				out = append(out, b.Span)
 			}
 		}
 		mapAddr := func(a phys.Addr, n units.Bytes) (phys.Addr, error) {
@@ -635,14 +408,14 @@ func (l *Layer) PlanOOC(d *descriptor.Descriptor, inWindow func(phys.Addr) bool,
 		ch.Desc = cd
 		// The stage-in may run under the previous chunk's execution and
 		// write-back only when it reads nothing the previous chunk writes.
-		ch.Prefetchable = gi > 0 && !boxesOverlap(prevBoxes, boxes)
+		ch.Prefetchable = gi > 0 && !span.Overlap(prevOut, boxes)
 		if cd.Size() > sched.MaxDescBytes {
 			sched.MaxDescBytes = cd.Size()
 		}
 		sched.StageInBytes += ch.StageInBytes
 		sched.WriteBackBytes += ch.WriteBackBytes
 		sched.Chunks = append(sched.Chunks, ch)
-		prevBoxes = boxes
+		prevOut, out = out, prevOut
 	}
 	return sched, nil
 }

@@ -2,6 +2,7 @@ package accel
 
 import (
 	"mealib/internal/descriptor"
+	"mealib/internal/span"
 	"mealib/internal/units"
 )
 
@@ -11,7 +12,7 @@ import (
 // a pass is the smallest unit the hardware schedules as a whole). Edges are
 // read-after-write, write-after-read and write-after-write span
 // intersections, derived from the same affine base + Σ stride·index
-// arithmetic the decode unit performs (ioSpansOf). The functional and the
+// arithmetic the decode unit performs (Args.appendIO). The functional and the
 // analytic interpreters both lower to this IR and execute it with the one
 // wavefront scheduler in sched.go; the analytic path collapses each LOOP
 // to a representative iteration carrying a scale factor, so paper-scale
@@ -40,7 +41,7 @@ type planNode struct {
 	dispatch bool
 	// spans are the node's directional byte spans; nil means they could
 	// not be resolved and the node is a barrier (conflicts with everything).
-	spans []ioSpan
+	spans []span.Dir
 	// deps are the nodes that must complete first (always earlier in
 	// program order, so the DAG is acyclic by construction).
 	deps []int32
@@ -50,6 +51,9 @@ type planNode struct {
 // plan is the lowered descriptor.
 type plan struct {
 	nodes []planNode
+	// spansPerComp sizes each node's span list up front (the op table's bound
+	// on the directional spans of one invocation).
+	spansPerComp int
 	// fixed is the schedule-independent time: pass-configuration latency
 	// (accelerators in a LOOP body are configured once, paper §2.2) and
 	// the dispatch charges of empty loop bodies.
@@ -134,7 +138,7 @@ func (l *Layer) buildPlan(d *descriptor.Descriptor, mode planMode) (*plan, error
 	if err != nil {
 		return nil, err
 	}
-	p := &plan{}
+	p := &plan{spansPerComp: maxOpSpans()}
 	if !l.cfg.NoFusion {
 		res := fuseSegments(segs, l.cfg.LMBytes*units.Bytes(l.cfg.Tiles))
 		p.fused = res.groups
@@ -178,30 +182,20 @@ func (l *Layer) buildPlan(d *descriptor.Descriptor, mode planMode) (*plan, error
 // barrier (nil spans).
 func (p *plan) addNode(pass []passInstr, it IterVec, scale int64, dispatch bool) {
 	nd := planNode{pass: pass, it: it, scale: scale, dispatch: dispatch}
+	// Resolvable but span-free passes (every operand empty, e.g. N=0) touch no
+	// memory and conflict with nothing: they keep a non-nil empty slice so
+	// they are not mistaken for a barrier.
+	nd.spans = make([]span.Dir, 0, len(pass)*p.spansPerComp)
 	for _, pi := range pass {
-		spans, err := ioSpansOf(pi.op, pi.params, it)
-		if err != nil || spans == nil {
+		a, err := Bind(pi.op, pi.params)
+		ok := err == nil
+		if ok {
+			nd.spans, ok = a.appendIO(nd.spans, it)
+		}
+		if !ok {
 			nd.spans = nil
-			p.nodes = append(p.nodes, nd)
-			return
+			break
 		}
-		for _, sp := range spans {
-			if sp.bytes <= 0 {
-				continue
-			}
-			if uint64(sp.addr)+uint64(sp.bytes) < uint64(sp.addr) { // wrap
-				nd.spans = nil
-				p.nodes = append(p.nodes, nd)
-				return
-			}
-			nd.spans = append(nd.spans, sp)
-		}
-	}
-	if nd.spans == nil {
-		// Resolvable but span-free (every operand empty, e.g. N=0): the
-		// node touches no memory, so it conflicts with nothing. Keep a
-		// non-nil empty slice so it is not mistaken for a barrier.
-		nd.spans = []ioSpan{}
 	}
 	p.nodes = append(p.nodes, nd)
 }
@@ -360,15 +354,13 @@ func (p *plan) buildEdges() {
 			continue
 		}
 		for _, sp := range nd.spans {
-			start := uint64(sp.addr)
-			end := start + uint64(sp.bytes)
-			i, j := sb.ensure(start, end)
+			i, j := sb.ensure(uint64(sp.Addr), uint64(sp.End()))
 			for v := i; v < j; v++ {
 				ivl := &sb.ivls[v]
 				// A read depends on the last writer; a write additionally
 				// depends on every reader since that write.
 				sb.addDep(p, node, ivl.writer)
-				if sp.write {
+				if sp.Write {
 					for _, r := range ivl.readers {
 						sb.addDep(p, node, r)
 					}

@@ -48,24 +48,28 @@ func TestSpansOfCoversAllOps(t *testing.T) {
 			ReshpArgs{Rows: 4, Cols: 4, Elem: ElemC64, Src: 0x1000, Dst: 0x2000}.Params(),
 			2, 2 * 8 * 16},
 	}
+	// Classify every address as remote, so remoteBytes sums the traffic of
+	// every operand: its streamed bytes once per declared direction.
+	cfg := MEALibConfig()
+	cfg.StackOf = func(phys.Addr) int { return cfg.HomeStack + 1 }
 	for _, c := range cases {
-		spans, err := spansOf(c.op, c.p)
+		a, err := Bind(c.op, c.p)
 		if err != nil {
 			t.Errorf("%s: %v", c.name, err)
 			continue
 		}
-		if len(spans) != c.bufs {
-			t.Errorf("%s: %d spans, want %d", c.name, len(spans), c.bufs)
+		bufs := map[phys.Addr]bool{}
+		for i := 0; i < a.NumOperands(); i++ {
+			bufs[a.Operand(i).Addr] = true
 		}
-		var total units.Bytes
-		for _, s := range spans {
-			total += s.Bytes
+		if len(bufs) != c.bufs {
+			t.Errorf("%s: %d buffers, want %d", c.name, len(bufs), c.bufs)
 		}
-		if total != c.bytes {
-			t.Errorf("%s: %v bytes, want %v", c.name, total, c.bytes)
+		if total, err := cfg.remoteBytes(c.op, c.p); err != nil || total != c.bytes {
+			t.Errorf("%s: %v bytes (%v), want %v", c.name, total, err, c.bytes)
 		}
 	}
-	if _, err := spansOf(descriptor.OpAXPY, descriptor.Params{1}); err == nil {
+	if _, err := cfg.remoteBytes(descriptor.OpAXPY, descriptor.Params{1}); err == nil {
 		t.Error("short params must fail")
 	}
 }

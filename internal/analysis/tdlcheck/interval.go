@@ -1,7 +1,7 @@
 // Symbolic interval analysis of loop-carried address arithmetic.
 //
 // The extended operand span the overlap and initialization checks reason
-// about is computed in machine-width arithmetic (extend): a stride
+// about is computed in machine-width arithmetic (accel.Strides.Extend): a stride
 // times a trip count can overflow int64, and a base address plus an extent
 // can wrap past 2^64. A descriptor whose arithmetic wraps presents a small,
 // plausible-looking span to the verifier while the hardware loop nest it
@@ -11,7 +11,7 @@
 // This file closes that hole with exact integer arithmetic (math/big):
 //
 //   - every operand byte size is computed exactly and must fit the 63-bit
-//     size domain before a Span is ever built from it (fitBytes);
+//     size domain before a Span is ever built from it (operandBytes);
 //   - for every operand of every invocation, the per-iteration span at the
 //     extreme trips of the enclosing loop nest is computed exactly and must
 //     stay inside [0, 2^64) (checkIntervals). Because the per-iteration
@@ -19,7 +19,7 @@
 //     trip: minimum start at the last trip of every negative-stride level,
 //     maximum end at the last trip of every positive-stride level.
 //
-// Once both hold, the machine-width extension in extend is exact — no term
+// Once both hold, the machine-width extension is exact — no term
 // overflows — so the downstream checks that trust ext are sound. Failures
 // carry the witness iteration vector so the error names the first trip the
 // descriptor escapes its declared operand.
@@ -28,8 +28,11 @@ package tdlcheck
 
 import (
 	"fmt"
+	"math"
 	"math/big"
+	"math/bits"
 
+	"mealib/internal/accel"
 	"mealib/internal/descriptor"
 	"mealib/internal/units"
 )
@@ -38,38 +41,40 @@ import (
 // space.
 var addrSpace = new(big.Int).Lsh(big.NewInt(1), 64)
 
-// prodBytes returns the exact product of the factors.
-func prodBytes(factors ...int64) *big.Int {
-	p := big.NewInt(1)
-	for _, f := range factors {
-		p.Mul(p, big.NewInt(f))
+// operandBytes proves an operand's declared footprint,
+// Elem*((N-1)*|Step| + Tail) bytes or nothing when N <= 0, fits the
+// verifier's 63-bit size domain and returns it. The runtime evaluates the
+// same terms in machine arithmetic (accel.Operand.Bytes) and is exposed to
+// overflow; here every product and sum is checked, and whatever the checked
+// path cannot certify is re-evaluated exactly before it is judged.
+func operandBytes(o accel.Operand, op descriptor.OpCode, fail func(format string, args ...interface{})) (units.Bytes, bool) {
+	if o.N <= 0 {
+		return 0, true
 	}
-	return p
-}
-
-// vecBytes returns elem*((n-1)*|inc|+1), the exact byte extent of a strided
-// vector of n elements.
-func vecBytes(elem, n, inc int64) *big.Int {
-	if n <= 0 {
-		return big.NewInt(0)
+	if step := max(o.Step, -o.Step); step >= 0 && o.Tail >= 0 && o.Elem >= 0 {
+		rows, ok1 := mulFits(o.N-1, step)
+		elems, ok2 := rows+o.Tail, rows+o.Tail >= rows
+		bytes, ok3 := mulFits(elems, o.Elem)
+		if ok1 && ok2 && ok3 {
+			return units.Bytes(bytes), true
+		}
 	}
-	if inc < 0 {
-		inc = -inc
-	}
-	v := new(big.Int).Mul(big.NewInt(n-1), big.NewInt(inc))
-	v.Add(v, big.NewInt(1))
-	v.Mul(v, big.NewInt(elem))
-	return v
-}
-
-// fitBytes narrows an exact byte count into the verifier's size domain,
-// failing when the machine-width arithmetic downstream would overflow.
-func fitBytes(v *big.Int, what string, fail func(format string, args ...interface{})) (units.Bytes, bool) {
+	v := new(big.Int).Abs(big.NewInt(o.Step))
+	v.Mul(v, big.NewInt(o.N-1))
+	v.Add(v, big.NewInt(o.Tail))
+	v.Mul(v, big.NewInt(o.Elem))
 	if v.Sign() < 0 || !v.IsInt64() {
-		fail("%s: byte size %v exceeds the verifier's 63-bit size domain", what, v)
+		fail("%v: operand %s: byte size %v exceeds the verifier's 63-bit size domain", op, o.Name, v)
 		return 0, false
 	}
 	return units.Bytes(v.Int64()), true
+}
+
+// mulFits multiplies two non-negative values, reporting whether the product
+// is representable.
+func mulFits(a, b int64) (int64, bool) {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	return int64(lo), hi == 0 && lo <= math.MaxInt64
 }
 
 // witness is the iteration vector (one index per hardware loop level) at
@@ -121,7 +126,7 @@ func checkIntervals(c *comp, e *errs) {
 				c.op, o.name, o.base, witMin, start)
 		}
 		// Strictly below 2^64: a span ending exactly at the top of the space
-		// has a machine end() of zero, which silently breaks every Overlaps
+		// has a machine End() of zero, which silently breaks every Overlaps
 		// comparison downstream.
 		if end.Cmp(addrSpace) >= 0 {
 			e.addf(c.line, c.idx, "%v: operand %s %v: loop stride arithmetic wraps the 64-bit physical address space at iteration %v (end %v >= 2^64); the span the verifier checks does not contain the addresses the loop touches",

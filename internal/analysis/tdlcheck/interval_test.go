@@ -1,6 +1,8 @@
 package tdlcheck
 
 import (
+	"math"
+	"math/big"
 	"strings"
 	"testing"
 
@@ -107,4 +109,33 @@ func TestRejectWholeLoopExtentOverflow(t *testing.T) {
 	d.AddEndLoop()
 	err := VerifyDescriptor(d)
 	wantReject(t, err, "whole-loop extent", "63-bit size domain")
+}
+
+// TestOperandBytesIsExact checks the checked-arithmetic path of
+// operandBytes against the plain exact evaluation on values around every
+// overflow boundary: both must accept the same operands with the same size.
+func TestOperandBytesIsExact(t *testing.T) {
+	edge := []int64{math.MinInt64, math.MinInt64 + 1, -3, -1, 0, 1, 2, 3, 8, 1 << 31, 1 << 32, 1<<61 - 1, 1 << 61, 1 << 62, math.MaxInt64 - 1, math.MaxInt64}
+	for _, n := range edge {
+		for _, step := range edge {
+			for _, tail := range edge {
+				for _, elem := range []int64{0, 1, 4, 8} {
+					o := accel.Operand{Name: "v", Elem: elem, N: n, Step: step, Tail: tail}
+					want := new(big.Int)
+					if n > 0 {
+						want.Abs(big.NewInt(step))
+						want.Mul(want, big.NewInt(n-1))
+						want.Add(want, big.NewInt(tail))
+						want.Mul(want, big.NewInt(elem))
+					}
+					fits := want.Sign() >= 0 && want.IsInt64()
+					rejected := false
+					got, ok := operandBytes(o, descriptor.OpAXPY, func(string, ...interface{}) { rejected = true })
+					if ok != fits || rejected == fits || (fits && int64(got) != want.Int64()) {
+						t.Fatalf("operand %+v: got %d, %v; exact value %v", o, got, ok, want)
+					}
+				}
+			}
+		}
+	}
 }

@@ -27,14 +27,12 @@ package tdlcheck
 import (
 	"fmt"
 	"math"
-	"math/big"
 	"strings"
 
 	"mealib/internal/accel"
 	"mealib/internal/descriptor"
-	"mealib/internal/phys"
+	"mealib/internal/span"
 	"mealib/internal/tdl"
-	"mealib/internal/units"
 )
 
 // Error is one verification failure with its position.
@@ -91,42 +89,16 @@ func (e *errs) err() error {
 }
 
 // Span is a half-open byte range [Addr, Addr+Bytes) in the physical space.
-type Span struct {
-	Addr  phys.Addr
-	Bytes units.Bytes
-}
-
-func (s Span) end() phys.Addr { return s.Addr + phys.Addr(s.Bytes) }
-
-// Overlaps reports whether the two spans share at least one byte.
-func (s Span) Overlaps(o Span) bool {
-	if s.Bytes <= 0 || o.Bytes <= 0 {
-		return false
-	}
-	return s.Addr < o.end() && o.Addr < s.end()
-}
-
-// String renders the span.
-func (s Span) String() string {
-	return fmt.Sprintf("[%v,+%v)", s.Addr, s.Bytes)
-}
-
-// access is the direction an operand is streamed.
-type access uint8
-
-const (
-	accRead access = 1 << iota
-	accWrite
-)
+type Span = span.Span
 
 // operand is one buffer an invocation touches.
 type operand struct {
 	name string
 	// base is the span at loop iteration zero; ext extends it over the
 	// hardware loop nest strides (what the whole LOOP touches).
-	base, ext Span
-	align     int64 // required address alignment (element size)
-	acc       access
+	base, ext   Span
+	align       int64 // required address alignment (element size)
+	read, write bool
 	// strides is the per-level byte advance the hardware applies to the
 	// operand's base address each loop trip (zero outside a LOOP). Kept on
 	// the operand so the interval analysis can re-derive the extension in
@@ -145,249 +117,33 @@ type comp struct {
 	ops    []operand
 }
 
-// extend widens base over the loop nest: each level contributes
-// (iterations-1) strides in its direction.
-func extend(base Span, st accel.Strides, counts descriptor.LoopCounts) Span {
-	out := base
-	for l := 0; l < descriptor.MaxLoopLevels; l++ {
-		n := int64(counts[l])
-		if n < 1 {
-			n = 1
-		}
-		delta := st[l] * (n - 1)
-		if delta < 0 {
-			out.Addr += phys.Addr(delta)
-			out.Bytes += units.Bytes(-delta)
-		} else {
-			out.Bytes += units.Bytes(delta)
-		}
-	}
-	return out
-}
-
-// noStrides is the zero loop-stride vector for operands without per-level
-// advancement.
-var noStrides accel.Strides
-
-// operandsOf decodes the parameter block of one invocation, performs the
-// per-kernel semantic checks, and returns the operand list. counts is the
-// enclosing hardware loop nest (all-ones outside a LOOP).
+// operandsOf binds the parameter block of one invocation to its op-table
+// entry, runs the accelerator's input checks, proves every operand size in
+// exact arithmetic, and returns the operand list. counts is the enclosing
+// hardware loop nest (all-ones outside a LOOP).
 func operandsOf(op descriptor.OpCode, p descriptor.Params, counts descriptor.LoopCounts, fail func(format string, args ...interface{})) []operand {
-	mk := func(name string, addr phys.Addr, n units.Bytes, align int64, acc access, st accel.Strides) operand {
-		base := Span{Addr: addr, Bytes: n}
-		return operand{name: name, base: base, ext: extend(base, st, counts), align: align, acc: acc, strides: st}
+	a, err := accel.Bind(op, p)
+	if err == nil {
+		err = a.Validate()
 	}
-	switch op {
-	case descriptor.OpAXPY:
-		a, err := accel.DecodeAxpyArgs(p)
-		if err != nil {
-			fail("%v", err)
-			return nil
-		}
-		if a.N <= 0 {
-			fail("AXPY: non-positive vector length N=%d", a.N)
-			return nil
-		}
-		if a.IncX == 0 || a.IncY == 0 {
-			fail("AXPY: zero vector increment (incX=%d incY=%d)", a.IncX, a.IncY)
-			return nil
-		}
-		xb, okx := fitBytes(vecBytes(4, a.N, a.IncX), "AXPY: operand x", fail)
-		yb, oky := fitBytes(vecBytes(4, a.N, a.IncY), "AXPY: operand y", fail)
-		if !okx || !oky {
-			return nil
-		}
-		return []operand{
-			mk("x", a.X, xb, 4, accRead, a.LoopStrideX),
-			mk("y", a.Y, yb, 4, accRead|accWrite, a.LoopStrideY),
-		}
-	case descriptor.OpDOT:
-		a, err := accel.DecodeDotArgs(p)
-		if err != nil {
-			fail("%v", err)
-			return nil
-		}
-		if a.N <= 0 {
-			fail("DOT: non-positive vector length N=%d", a.N)
-			return nil
-		}
-		if a.IncX == 0 || a.IncY == 0 {
-			fail("DOT: zero vector increment (incX=%d incY=%d)", a.IncX, a.IncY)
-			return nil
-		}
-		elem := int64(4)
-		if a.Complex {
-			elem = 8
-		}
-		xb, okx := fitBytes(vecBytes(elem, a.N, a.IncX), "DOT: operand x", fail)
-		yb, oky := fitBytes(vecBytes(elem, a.N, a.IncY), "DOT: operand y", fail)
-		if !okx || !oky {
-			return nil
-		}
-		return []operand{
-			mk("x", a.X, xb, elem, accRead, a.LoopStrideX),
-			mk("y", a.Y, yb, elem, accRead, a.LoopStrideY),
-			mk("out", a.Out, units.Bytes(elem), elem, accWrite, a.LoopStrideOut),
-		}
-	case descriptor.OpGEMV:
-		a, err := accel.DecodeGemvArgs(p)
-		if err != nil {
-			fail("%v", err)
-			return nil
-		}
-		if a.M <= 0 || a.N <= 0 {
-			fail("GEMV: non-positive matrix dimensions %dx%d", a.M, a.N)
-			return nil
-		}
-		if a.Lda < a.N {
-			fail("GEMV: leading dimension %d smaller than row length %d (operand size mismatch)", a.Lda, a.N)
-			return nil
-		}
-		yAcc := accWrite
-		if a.Beta != 0 {
-			yAcc |= accRead // y is accumulated into only when beta != 0
-		}
-		arow := new(big.Int).Mul(big.NewInt(a.M-1), big.NewInt(a.Lda))
-		arow.Add(arow, big.NewInt(a.N))
-		arow.Mul(arow, big.NewInt(4))
-		ab, oka := fitBytes(arow, "GEMV: operand A", fail)
-		xb, okx := fitBytes(prodBytes(4, a.N), "GEMV: operand x", fail)
-		yb, oky := fitBytes(prodBytes(4, a.M), "GEMV: operand y", fail)
-		if !oka || !okx || !oky {
-			return nil
-		}
-		return []operand{
-			mk("A", a.A, ab, 4, accRead, a.LoopStrideA),
-			mk("x", a.X, xb, 4, accRead, a.LoopStrideX),
-			mk("y", a.Y, yb, 4, yAcc, a.LoopStrideY),
-		}
-	case descriptor.OpSPMV:
-		a, err := accel.DecodeSpmvArgs(p)
-		if err != nil {
-			fail("%v", err)
-			return nil
-		}
-		if a.M <= 0 || a.Cols <= 0 {
-			fail("SPMV: non-positive matrix dimensions %dx%d", a.M, a.Cols)
-			return nil
-		}
-		if a.NNZ < 0 {
-			fail("SPMV: negative non-zero count %d", a.NNZ)
-			return nil
-		}
-		if a.Semiring != accel.SpmvPlusTimes && a.Semiring != accel.SpmvMinPlus {
-			fail("SPMV: unknown semiring %d", a.Semiring)
-			return nil
-		}
-		rp := new(big.Int).Add(big.NewInt(a.M), big.NewInt(1))
-		rp.Mul(rp, big.NewInt(4))
-		rpb, okr := fitBytes(rp, "SPMV: operand rowPtr", fail)
-		cib, okc := fitBytes(prodBytes(4, a.NNZ), "SPMV: operand colIdx", fail)
-		xb, okx := fitBytes(prodBytes(4, a.Cols), "SPMV: operand x", fail)
-		yb, oky := fitBytes(prodBytes(4, a.M), "SPMV: operand y", fail)
-		if !okr || !okc || !okx || !oky {
-			return nil
-		}
-		return []operand{
-			mk("rowPtr", a.RowPtr, rpb, 4, accRead, noStrides),
-			mk("colIdx", a.ColIdx, cib, 4, accRead, noStrides),
-			mk("values", a.Values, cib, 4, accRead, noStrides),
-			mk("x", a.X, xb, 4, accRead, noStrides),
-			mk("y", a.Y, yb, 4, accWrite, noStrides),
-		}
-	case descriptor.OpRESMP:
-		a, err := accel.DecodeResmpArgs(p)
-		if err != nil {
-			fail("%v", err)
-			return nil
-		}
-		if a.Kind < 0 || a.Kind >= 2*accel.ResmpComplex {
-			fail("RESMP: invalid interpolation kind %d", a.Kind)
-			return nil
-		}
-		if a.NIn < 2 {
-			fail("RESMP: interpolation needs at least 2 input samples, got %d", a.NIn)
-			return nil
-		}
-		if a.NOut <= 0 {
-			fail("RESMP: non-positive output length %d", a.NOut)
-			return nil
-		}
-		elem := int64(4)
-		if a.Kind >= accel.ResmpComplex {
-			elem = 8
-		}
-		sb, oks := fitBytes(prodBytes(elem, a.NIn), "RESMP: operand src", fail)
-		db, okd := fitBytes(prodBytes(elem, a.NOut), "RESMP: operand dst", fail)
-		if !oks || !okd {
-			return nil
-		}
-		return []operand{
-			mk("src", a.Src, sb, elem, accRead, a.LoopStrideSrc),
-			mk("dst", a.Dst, db, elem, accWrite, a.LoopStrideDst),
-		}
-	case descriptor.OpFFT:
-		a, err := accel.DecodeFFTArgs(p)
-		if err != nil {
-			fail("%v", err)
-			return nil
-		}
-		if a.N <= 0 || a.N&(a.N-1) != 0 {
-			fail("FFT: transform length %d is not a power of two", a.N)
-			return nil
-		}
-		if a.HowMany <= 0 {
-			fail("FFT: non-positive batch count %d", a.HowMany)
-			return nil
-		}
-		total, okt := fitBytes(prodBytes(8, a.N, a.HowMany), "FFT: operand data", fail)
-		if !okt {
-			return nil
-		}
-		if a.Src == a.Dst {
-			return []operand{mk("data", a.Src, total, 8, accRead|accWrite, a.LoopStrideSrc)}
-		}
-		return []operand{
-			mk("src", a.Src, total, 8, accRead, a.LoopStrideSrc),
-			mk("dst", a.Dst, total, 8, accWrite, a.LoopStrideDst),
-		}
-	case descriptor.OpRESHP:
-		a, err := accel.DecodeReshpArgs(p)
-		if err != nil {
-			fail("%v", err)
-			return nil
-		}
-		if a.Rows <= 0 || a.Cols <= 0 {
-			fail("RESHP: non-positive matrix dimensions %dx%d", a.Rows, a.Cols)
-			return nil
-		}
-		if a.Elem != accel.ElemF32 && a.Elem != accel.ElemC64 {
-			fail("RESHP: invalid element kind %d", a.Elem)
-			return nil
-		}
-		elem := int64(4)
-		if a.Elem == accel.ElemC64 {
-			elem = 8
-		}
-		n, okn := fitBytes(prodBytes(elem, a.Rows, a.Cols), "RESHP: operand data", fail)
-		if !okn {
-			return nil
-		}
-		if a.Src == a.Dst {
-			if a.Rows != a.Cols {
-				fail("RESHP: in-place transpose requires a square matrix, got %dx%d", a.Rows, a.Cols)
-				return nil
-			}
-			return []operand{mk("data", a.Src, n, elem, accRead|accWrite, noStrides)}
-		}
-		return []operand{
-			mk("src", a.Src, n, elem, accRead, noStrides),
-			mk("dst", a.Dst, n, elem, accWrite, noStrides),
-		}
-	default:
-		fail("unknown accelerator opcode %v", op)
+	if err != nil {
+		fail("%v", err)
 		return nil
 	}
+	ops := make([]operand, 0, a.NumOperands())
+	fits := true
+	for i := 0; i < a.NumOperands(); i++ {
+		o := a.Operand(i)
+		n, ok := operandBytes(o, op, fail)
+		fits = fits && ok
+		base := Span{Addr: o.Addr, Bytes: n}
+		ops = append(ops, operand{name: o.Name, base: base, ext: o.Strides.Extend(base, counts),
+			align: o.Elem, read: o.Read, write: o.Write, strides: o.Strides})
+	}
+	if !fits {
+		return nil
+	}
+	return ops
 }
 
 // checkComp runs the per-invocation checks common to every kernel:
@@ -406,7 +162,7 @@ func checkComp(c *comp, e *errs) {
 	for i := 0; i < len(c.ops); i++ {
 		for j := i + 1; j < len(c.ops); j++ {
 			a, b := c.ops[i], c.ops[j]
-			if a.acc&accWrite == 0 && b.acc&accWrite == 0 {
+			if !a.write && !b.write {
 				continue
 			}
 			if a.base.Overlaps(b.base) && a.base != b.base {
@@ -648,11 +404,11 @@ func checkComps(comps []*comp, o *options, e *errs) {
 				continue
 			}
 			for _, ra := range a.ops {
-				if ra.acc&accRead == 0 {
+				if !ra.read {
 					continue
 				}
 				for _, wb := range b.ops {
-					if wb.acc&accWrite == 0 {
+					if !wb.write {
 						continue
 					}
 					if ra.base.Overlaps(wb.base) {
@@ -673,7 +429,7 @@ func checkComps(comps []*comp, o *options, e *errs) {
 	init := append([]Span(nil), o.initialized...)
 	for _, c := range comps {
 		for _, op := range c.ops {
-			if op.acc&accRead == 0 {
+			if !op.read {
 				continue
 			}
 			covered := false
@@ -688,7 +444,7 @@ func checkComps(comps []*comp, o *options, e *errs) {
 			}
 		}
 		for _, op := range c.ops {
-			if op.acc&accWrite != 0 {
+			if op.write {
 				init = append(init, op.ext)
 			}
 		}
@@ -699,33 +455,19 @@ func checkComps(comps []*comp, o *options, e *errs) {
 // extended over its hardware loops — what becomes initialized once the
 // descriptor executes. The descriptor must be valid.
 func Writes(d *descriptor.Descriptor) ([]Span, error) {
-	if d == nil {
-		return nil, fmt.Errorf("tdlcheck: nil descriptor")
-	}
-	comps, err := descriptorComps(d)
-	if err != nil {
-		return nil, err
-	}
-	var out []Span
-	for _, c := range comps {
-		params, perr := d.ParamsOf(c.idx)
-		if perr != nil {
-			return nil, perr
-		}
-		ops := operandsOf(c.op, params, c.counts, func(string, ...interface{}) {})
-		for _, op := range ops {
-			if op.acc&accWrite != 0 {
-				out = append(out, op.ext)
-			}
-		}
-	}
-	return out, nil
+	return extents(d, func(o operand) bool { return o.write })
 }
 
 // Reads returns the buffer spans a descriptor's task graph reads, extended
 // over its hardware loops — what concurrent in-flight executions must not
 // overwrite while the descriptor runs. The descriptor must be valid.
 func Reads(d *descriptor.Descriptor) ([]Span, error) {
+	return extents(d, func(o operand) bool { return o.read })
+}
+
+// extents lists the whole-loop extent of every selected operand, in program
+// order.
+func extents(d *descriptor.Descriptor, sel func(operand) bool) ([]Span, error) {
 	if d == nil {
 		return nil, fmt.Errorf("tdlcheck: nil descriptor")
 	}
@@ -739,9 +481,8 @@ func Reads(d *descriptor.Descriptor) ([]Span, error) {
 		if perr != nil {
 			return nil, perr
 		}
-		ops := operandsOf(c.op, params, c.counts, func(string, ...interface{}) {})
-		for _, op := range ops {
-			if op.acc&accRead != 0 {
+		for _, op := range operandsOf(c.op, params, c.counts, func(string, ...interface{}) {}) {
+			if sel(op) {
 				out = append(out, op.ext)
 			}
 		}

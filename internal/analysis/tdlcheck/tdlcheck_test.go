@@ -269,3 +269,45 @@ func TestVerifyProgramEmptyAndNil(t *testing.T) {
 		t.Error("empty program accepted")
 	}
 }
+
+// TestGemvBetaZeroNeverReadsY pins the one access direction of GEMV y the
+// verifier shares with the scheduler: with beta == 0 the old contents of y
+// are never consumed, so a never-written y verifies and is reported as a
+// write only; with beta != 0 the same descriptor reads an uninitialized
+// buffer.
+func TestGemvBetaZeroNeverReadsY(t *testing.T) {
+	build := func(beta float32) *descriptor.Descriptor {
+		d := &descriptor.Descriptor{}
+		if err := d.AddComp(descriptor.OpGEMV, accel.GemvArgs{
+			M: 16, N: 8, Alpha: 1, Beta: beta, A: bufA, Lda: 8, X: bufB, Y: bufC,
+		}.Params()); err != nil {
+			t.Fatal(err)
+		}
+		d.AddEndPass()
+		return d
+	}
+	inputs := WithInitialized(Span{Addr: bufA, Bytes: 4 * 16 * 8}, Span{Addr: bufB, Bytes: 4 * 8})
+	y := Span{Addr: bufC, Bytes: 4 * 16}
+
+	if err := VerifyDescriptor(build(0), inputs); err != nil {
+		t.Errorf("beta=0 GEMV over a never-written y must verify: %v", err)
+	}
+	wantReject(t, VerifyDescriptor(build(1), inputs), "GEMV reads y", "uninitialized buffer")
+
+	for beta, readsY := range map[float32]bool{0: false, 1: true} {
+		reads, err := Reads(build(beta))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := false
+		for _, s := range reads {
+			got = got || s == y
+		}
+		if got != readsY {
+			t.Errorf("beta=%v: Reads lists y = %v, want %v (%v)", beta, got, readsY, reads)
+		}
+		if writes, err := Writes(build(beta)); err != nil || len(writes) != 1 || writes[0] != y {
+			t.Errorf("beta=%v: Writes = %v, %v; want exactly y", beta, writes, err)
+		}
+	}
+}

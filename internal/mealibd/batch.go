@@ -1,9 +1,9 @@
 package mealibd
 
 import (
-	"mealib/internal/analysis/tdlcheck"
 	"mealib/internal/descriptor"
 	"mealib/internal/mealibrt"
+	"mealib/internal/span"
 )
 
 // Request batching. Small launches pay the fixed invocation overhead (cache
@@ -35,8 +35,8 @@ type batcher struct {
 type batchMember struct {
 	p      *mealibrt.Plan
 	d      *descriptor.Descriptor
-	writes []tdlcheck.Span
-	reads  []tdlcheck.Span
+	writes []span.Span
+	reads  []span.Span
 	pend   *pending
 }
 
@@ -66,23 +66,12 @@ func (b *batcher) submit(p *mealibrt.Plan, pend *pending) {
 // conflicts reports whether the spans carry a hazard against any batched
 // member. Conflicting descriptors must not share a launch: passes of one
 // descriptor may execute in any wave order.
-func (b *batcher) conflicts(writes, reads []tdlcheck.Span) bool {
+func (b *batcher) conflicts(writes, reads []span.Span) bool {
 	for _, m := range b.members {
-		if tdlSpansOverlap(writes, m.writes) ||
-			tdlSpansOverlap(writes, m.reads) ||
-			tdlSpansOverlap(reads, m.writes) {
+		if span.Overlap(writes, m.writes) ||
+			span.Overlap(writes, m.reads) ||
+			span.Overlap(reads, m.writes) {
 			return true
-		}
-	}
-	return false
-}
-
-func tdlSpansOverlap(a, b []tdlcheck.Span) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x.Overlaps(y) {
-				return true
-			}
 		}
 	}
 	return false

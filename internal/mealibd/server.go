@@ -8,10 +8,10 @@ import (
 	"net"
 	"sync"
 
-	"mealib/internal/analysis/tdlcheck"
 	"mealib/internal/descriptor"
 	"mealib/internal/mealibrt"
 	"mealib/internal/phys"
+	"mealib/internal/span"
 	"mealib/internal/telemetry"
 	"mealib/internal/units"
 )
@@ -338,7 +338,7 @@ func (sc *srvConn) handleFree(d *Dec) ([]byte, error) {
 	// allocator recycle) the range while a submitted launch still references
 	// it.
 	sc.batch.flush()
-	sc.awaitConflicting(tdlcheck.Span{Addr: b.PA(), Bytes: b.Size()}, true)
+	sc.awaitConflicting(span.Span{Addr: b.PA(), Bytes: b.Size()}, true)
 	if err := sc.sess.MemFree(b); err != nil {
 		return nil, err
 	}
@@ -362,11 +362,11 @@ func (sc *srvConn) handleStore(d *Dec) ([]byte, error) {
 	// batched member touching the span flushes the batch, and any in-flight
 	// launch not yet registered with the runtime is waited for — the
 	// session-level hostOp wait only sees registered flights.
-	span := tdlcheck.Span{Addr: b.PA() + phys.Addr(off), Bytes: units.Bytes(len(data))}
-	if sc.batch.conflicts([]tdlcheck.Span{span}, nil) {
+	sp := span.Span{Addr: b.PA() + phys.Addr(off), Bytes: units.Bytes(len(data))}
+	if sc.batch.conflicts([]span.Span{sp}, nil) {
 		sc.batch.flush()
 	}
-	sc.awaitConflicting(span, true)
+	sc.awaitConflicting(sp, true)
 	switch kind {
 	case ElemF32:
 		if len(data)%4 != 0 {
@@ -408,7 +408,7 @@ func (sc *srvConn) handleLoad(d *Dec) ([]byte, error) {
 	if kind == ElemC64 {
 		elem = 8
 	}
-	sc.awaitConflicting(tdlcheck.Span{
+	sc.awaitConflicting(span.Span{
 		Addr: b.PA() + phys.Addr(off), Bytes: elem * units.Bytes(count),
 	}, false)
 	var data []byte
@@ -557,7 +557,7 @@ func (sc *srvConn) handleStats(d *Dec) ([]byte, error) {
 // plan so DestroyPlan can wait out its own submissions.
 type submission struct {
 	plan          *mealibrt.Plan
-	writes, reads []tdlcheck.Span
+	writes, reads []span.Span
 	registered    chan struct{}
 	finished      chan struct{}
 }
@@ -568,11 +568,11 @@ type submission struct {
 // submission, so its conflict waits (Buffer host ops, Session.MemFree) would
 // let the host access — or a free and reallocation — slip in ahead of a
 // launch the tenant submitted first. Registered submissions are pruned.
-func (sc *srvConn) awaitConflicting(span tdlcheck.Span, write bool) {
-	one := []tdlcheck.Span{span}
+func (sc *srvConn) awaitConflicting(sp span.Span, write bool) {
+	one := []span.Span{sp}
 	live := sc.outstanding[:0]
 	for _, o := range sc.outstanding {
-		if tdlSpansOverlap(one, o.writes) || (write && tdlSpansOverlap(one, o.reads)) {
+		if span.Overlap(one, o.writes) || (write && span.Overlap(one, o.reads)) {
 			<-o.registered
 			continue
 		}
@@ -624,9 +624,9 @@ func (sc *srvConn) launch(p *mealibrt.Plan, ephemeral bool, batched int64, pends
 		default:
 		}
 		live = append(live, o)
-		if tdlSpansOverlap(writes, o.writes) ||
-			tdlSpansOverlap(writes, o.reads) ||
-			tdlSpansOverlap(reads, o.writes) {
+		if span.Overlap(writes, o.writes) ||
+			span.Overlap(writes, o.reads) ||
+			span.Overlap(reads, o.writes) {
 			deps = append(deps, o)
 		}
 	}
@@ -677,7 +677,7 @@ func reportOf(inv *mealibrt.Invocation, batched int64) Report {
 }
 
 // footprint sums a span set's bytes.
-func footprint(spans []tdlcheck.Span) units.Bytes {
+func footprint(spans []span.Span) units.Bytes {
 	var n units.Bytes
 	for _, s := range spans {
 		n += s.Bytes

@@ -1,6 +1,6 @@
 package mealibrt
 
-import "mealib/internal/analysis/tdlcheck"
+import "mealib/internal/span"
 
 // Fair admission. Submit used to spin on a condition variable, which admits
 // waiters in whatever order the Go scheduler wakes them — under load one
@@ -72,9 +72,9 @@ func (r *Runtime) blockedLocked(p *Plan) bool {
 // and an in-flight descriptor (admission write sets: the staging region
 // counts for out-of-core plans).
 func flightSpansConflict(p *Plan, fl *flight) bool {
-	return spansOverlap(p.admWrites, fl.writes) ||
-		spansOverlap(p.admWrites, fl.reads) ||
-		spansOverlap(p.reads, fl.writes)
+	return span.Overlap(p.admWrites, fl.writes) ||
+		span.Overlap(p.admWrites, fl.reads) ||
+		span.Overlap(p.reads, fl.writes)
 }
 
 // admitNowLocked reports whether a fresh submission may bypass the queue:
@@ -98,20 +98,9 @@ func (r *Runtime) admitNowLocked(p *Plan) bool {
 }
 
 func plansConflict(a, b *Plan) bool {
-	return spansOverlap(a.admWrites, b.admWrites) ||
-		spansOverlap(a.admWrites, b.reads) ||
-		spansOverlap(a.reads, b.admWrites)
-}
-
-func spansOverlap(a, b []tdlcheck.Span) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x.Overlaps(y) {
-				return true
-			}
-		}
-	}
-	return false
+	return span.Overlap(a.admWrites, b.admWrites) ||
+		span.Overlap(a.admWrites, b.reads) ||
+		span.Overlap(a.reads, b.admWrites)
 }
 
 // enqueueLocked appends a blocked submission to the admission queue.
@@ -209,9 +198,9 @@ func (r *Runtime) registerFlightLocked(p *Plan) *flight {
 }
 
 func flightsConflict(a, b *flight) bool {
-	return spansOverlap(a.writes, b.writes) ||
-		spansOverlap(a.writes, b.reads) ||
-		spansOverlap(a.reads, b.writes)
+	return span.Overlap(a.writes, b.writes) ||
+		span.Overlap(a.writes, b.reads) ||
+		span.Overlap(a.reads, b.writes)
 }
 
 // unregisterFlightLocked backs out an admitted flight that never launched

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"mealib/internal/accel"
-	"mealib/internal/analysis/tdlcheck"
+	"mealib/internal/span"
 	"mealib/internal/units"
 )
 
@@ -31,7 +31,7 @@ import (
 // synchronous baseline the BENCH_OOC differential measures.
 
 // oocSpans reports whether any span lives in the host-backed window.
-func (r *Runtime) oocSpans(spans []tdlcheck.Span) bool {
+func (r *Runtime) oocSpans(spans []span.Span) bool {
 	for _, sp := range spans {
 		if sp.Bytes > 0 && r.driver.InHostWindow(sp.Addr) {
 			return true

@@ -2,8 +2,7 @@ package mealibrt
 
 import (
 	"mealib/internal/accel"
-	"mealib/internal/analysis/tdlcheck"
-	"mealib/internal/phys"
+	"mealib/internal/span"
 	"mealib/internal/units"
 )
 
@@ -48,7 +47,7 @@ type flightGate struct {
 	olders []*flightGate
 	// waves is the per-wave footprint from Lowered: nil means the launch
 	// took the streaming fallback and releases nothing before it retires.
-	waves   [][]accel.WaveSpan
+	waves   [][]span.Dir
 	lowered bool
 	// done counts completed waves; doneAt[w] is the model time wave w
 	// completed at (start + shift + cumulative device time).
@@ -65,35 +64,19 @@ type flightGate struct {
 
 // flightSpans converts a flight's verifier-level footprint to wave spans
 // (the conservative stand-in when a wave's own footprint is unresolvable).
-func flightSpans(fl *flight) []accel.WaveSpan {
-	out := make([]accel.WaveSpan, 0, len(fl.reads)+len(fl.writes))
+func flightSpans(fl *flight) []span.Dir {
+	out := make([]span.Dir, 0, len(fl.reads)+len(fl.writes))
 	for _, s := range fl.reads {
-		out = append(out, accel.WaveSpan{Addr: s.Addr, Bytes: s.Bytes})
+		out = append(out, span.Dir{Span: s})
 	}
 	for _, s := range fl.writes {
-		out = append(out, accel.WaveSpan{Addr: s.Addr, Bytes: s.Bytes, Write: true})
+		out = append(out, span.Dir{Span: s, Write: true})
 	}
 	return out
 }
 
-// waveConflict reports whether two directional span sets carry a hazard:
-// any overlap where at least one side writes.
-func waveConflict(a, b []accel.WaveSpan) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if !x.Write && !y.Write {
-				continue
-			}
-			if x.Addr < y.Addr+phys.Addr(y.Bytes) && y.Addr < x.Addr+phys.Addr(x.Bytes) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Lowered records the launch's per-wave footprint (accel.WaveHooks).
-func (g *flightGate) Lowered(waves [][]accel.WaveSpan) {
+func (g *flightGate) Lowered(waves [][]span.Dir) {
 	g.r.mu.Lock()
 	g.lowered = true
 	g.waves = waves
@@ -107,7 +90,7 @@ func (g *flightGate) Lowered(waves [][]accel.WaveSpan) {
 
 // waveFootprintLocked returns wave w's directional spans, degrading to the
 // whole flight's footprint when the wave is unresolvable.
-func (g *flightGate) waveFootprintLocked(w int) []accel.WaveSpan {
+func (g *flightGate) waveFootprintLocked(w int) []span.Dir {
 	if g.waves != nil && w < len(g.waves) && g.waves[w] != nil {
 		return g.waves[w]
 	}
@@ -117,11 +100,11 @@ func (g *flightGate) waveFootprintLocked(w int) []accel.WaveSpan {
 // releaseTimeLocked returns the model time at which og stops constraining
 // spans, or ok=false while og has conflicting waves still to run (the
 // caller must wait and re-ask). Called with mu held.
-func (og *flightGate) releaseTimeLocked(spans []accel.WaveSpan) (units.Seconds, bool) {
+func (og *flightGate) releaseTimeLocked(spans []span.Dir) (units.Seconds, bool) {
 	if !og.lowered || og.waves == nil {
 		// Schedule unknown (not lowered yet, or streaming fallback): the
 		// flight releases nothing before it ends.
-		if !waveConflict(spans, flightSpans(og.fl)) {
+		if !span.Overlap(spans, flightSpans(og.fl)) {
 			return 0, true
 		}
 		if og.retired {
@@ -135,7 +118,7 @@ func (og *flightGate) releaseTimeLocked(spans []accel.WaveSpan) (units.Seconds, 
 		if ws == nil {
 			ws = flightSpans(og.fl)
 		}
-		if waveConflict(spans, ws) {
+		if span.Overlap(spans, ws) {
 			k = i
 			break
 		}
@@ -202,8 +185,8 @@ var _ accel.WaveHooks = (*flightGate)(nil)
 // flight, for the optimistic launch-time verification under pipelining: a
 // consumer admitted mid-producer reads spans the producer has not retired
 // into the initialized set yet, but is wave-gated until they are written.
-func (r *Runtime) olderWritesLocked(self *flight) []tdlcheck.Span {
-	var out []tdlcheck.Span
+func (r *Runtime) olderWritesLocked(self *flight) []span.Span {
+	var out []span.Span
 	for _, fl := range r.inflight {
 		if fl != self {
 			out = append(out, fl.writes...)

@@ -23,6 +23,7 @@ import (
 	"mealib/internal/cpu"
 	"mealib/internal/descriptor"
 	"mealib/internal/phys"
+	"mealib/internal/span"
 	"mealib/internal/tdl"
 	"mealib/internal/telemetry"
 	"mealib/internal/units"
@@ -151,7 +152,7 @@ type Runtime struct {
 	// read-before-write check at launch time. The sorted interval set keeps
 	// it proportional to the number of distinct live regions, however
 	// scattered the write history.
-	initialized spanSet
+	initialized span.Set
 	stats       Stats
 	// inflight registers the read/write span sets of every descriptor
 	// currently executing; Submit admits a new plan only when its spans
@@ -175,8 +176,8 @@ type Runtime struct {
 
 // flight is one in-flight descriptor execution.
 type flight struct {
-	reads  []tdlcheck.Span
-	writes []tdlcheck.Span
+	reads  []span.Span
+	writes []span.Span
 	// start is the model time the flight was admitted at.
 	start units.Seconds
 	// seq is the admission sequence number.
@@ -422,27 +423,27 @@ func (r *Runtime) MemFree(b *Buffer) error {
 // touch records a host write at byte offset off for the coherence model and
 // for the verifier's initialized-span tracking.
 func (b *Buffer) touch(off, n units.Bytes) {
-	b.rt.noteWrite(tdlcheck.Span{Addr: b.pa + phys.Addr(off), Bytes: n})
+	b.rt.noteWrite(span.Span{Addr: b.pa + phys.Addr(off), Bytes: n})
 }
 
 // noteWrite records a host write: the coherence model's dirty-byte estimate
 // grows and the span joins the initialized set, merging into the sorted
 // interval representation (overlaps and adjacencies coalesce regardless of
 // write order).
-func (r *Runtime) noteWrite(s tdlcheck.Span) {
+func (r *Runtime) noteWrite(s span.Span) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.dirty += s.Bytes
-	r.initialized.add(s)
+	r.initialized.Add(s)
 }
 
 // noteDeviceWrite records a device-side write (stack-to-stack DMA): the
 // span joins the initialized set but the host coherence model's dirty
 // estimate is untouched — the data never entered the host caches.
-func (r *Runtime) noteDeviceWrite(s tdlcheck.Span) {
+func (r *Runtime) noteDeviceWrite(s span.Span) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.initialized.add(s)
+	r.initialized.Add(s)
 }
 
 // StoreFloat32s writes v at byte offset off through the host mapping.
@@ -506,7 +507,7 @@ func (r *Runtime) DeviceCopyFloat32s(dst *Buffer, dstOff units.Bytes, src *Buffe
 	if err := r.space.StoreFloat32s(dst.pa+phys.Addr(dstOff), v); err != nil {
 		return err
 	}
-	r.noteDeviceWrite(tdlcheck.Span{Addr: dst.pa + phys.Addr(dstOff), Bytes: bytes})
+	r.noteDeviceWrite(span.Span{Addr: dst.pa + phys.Addr(dstOff), Bytes: bytes})
 	return nil
 }
 
@@ -578,16 +579,16 @@ type Plan struct {
 	basePA phys.Addr
 	// writes are the spans the descriptor's task graph initializes,
 	// propagated into the runtime's initialized set after each execution.
-	writes []tdlcheck.Span
+	writes []span.Span
 	// reads are the spans the task graph consumes; together with writes
 	// they drive Submit's conflict admission against in-flight descriptors.
-	reads []tdlcheck.Span
+	reads []span.Span
 	// admWrites is what admission sees as the plan's write set: writes, plus
 	// the staging region for out-of-core plans (two staged launches must
 	// never share the staging tiles, and host accesses must stay out of a
 	// flight's tiles while it runs). retire still propagates only the real
 	// writes into the initialized set.
-	admWrites []tdlcheck.Span
+	admWrites []span.Span
 	// ooc is the chunked staged schedule of an out-of-core plan — one whose
 	// footprint names host-backed buffers — and nil for ordinary plans. An
 	// out-of-core plan's original descriptor is never executed: Submit runs
@@ -724,7 +725,7 @@ func (r *Runtime) accPlanDescriptor(d *descriptor.Descriptor, sess *Session) (*P
 		if err != nil {
 			return nil, err
 		}
-		admWrites = append([]tdlcheck.Span{{Addr: stagingPA, Bytes: stagingSize}}, writes...)
+		admWrites = append([]span.Span{{Addr: stagingPA, Bytes: stagingSize}}, writes...)
 	}
 	// An out-of-core plan's command slot holds one chunk descriptor at a
 	// time (the largest sizes it); an ordinary plan's holds the descriptor.
@@ -757,7 +758,7 @@ func (p *Plan) Descriptor() *descriptor.Descriptor { return p.desc }
 // Footprint returns the verifier-derived span sets the plan's task graph
 // writes and reads — what admission checks against in-flight descriptors.
 // Callers must not mutate the returned slices.
-func (p *Plan) Footprint() (writes, reads []tdlcheck.Span) { return p.writes, p.reads }
+func (p *Plan) Footprint() (writes, reads []span.Span) { return p.writes, p.reads }
 
 // Invocation is the outcome of one AccExecute.
 type Invocation struct {
@@ -919,7 +920,7 @@ func (p *Plan) Submit(ctx context.Context) (*PendingInvocation, error) {
 	// writes are counted as initialized optimistically — the wave gate
 	// guarantees they land before any gated wave reads them.
 	if !r.cfg.NoVerify {
-		init := append([]tdlcheck.Span(nil), r.initialized.all()...)
+		init := append([]span.Span(nil), r.initialized.All()...)
 		if r.cfg.WavePipeline {
 			init = append(init, r.olderWritesLocked(fl)...)
 		}
@@ -1009,11 +1010,11 @@ func (p *Plan) Submit(ctx context.Context) (*PendingInvocation, error) {
 // for the portion of the flight's model-time window no earlier flight
 // already covered — overlapping flights split the shared idle window
 // instead of double-counting it.
-func (r *Runtime) retire(fl *flight, writes []tdlcheck.Span, rep *accel.Report, ovT units.Seconds, ovE units.Joules) units.Joules {
+func (r *Runtime) retire(fl *flight, writes []span.Span, rep *accel.Report, ovT units.Seconds, ovE units.Joules) units.Joules {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, s := range writes {
-		r.initialized.add(s)
+		r.initialized.Add(s)
 	}
 	end := fl.start + rep.Time
 	if fl.gate != nil {

@@ -3,9 +3,9 @@ package mealibrt
 import (
 	"fmt"
 
-	"mealib/internal/analysis/tdlcheck"
 	"mealib/internal/descriptor"
 	"mealib/internal/phys"
+	"mealib/internal/span"
 	"mealib/internal/telemetry"
 	"mealib/internal/units"
 	"mealib/internal/vm"
@@ -203,13 +203,13 @@ func (s *Session) MemFree(b *Buffer) error {
 		return fmt.Errorf("mealibrt: foreign or nil buffer")
 	}
 	r := s.rt
-	span := tdlcheck.Span{Addr: b.pa, Bytes: b.size}
+	sp := span.Span{Addr: b.pa, Bytes: b.size}
 	r.mu.Lock()
 	if _, ok := s.buffers[b]; !ok {
 		r.mu.Unlock()
 		return fmt.Errorf("mealibrt: buffer already freed")
 	}
-	for r.spanBusyLocked(span, true) {
+	for r.spanBusyLocked(sp, true) {
 		r.cond.Wait()
 	}
 	delete(s.buffers, b)
@@ -221,7 +221,7 @@ func (s *Session) MemFree(b *Buffer) error {
 	}
 	// The range may be reallocated: whatever was written there no longer
 	// counts as initialized data for the read-before-write verifier.
-	r.initialized.sub(span)
+	r.initialized.Sub(sp)
 	r.mu.Unlock()
 	return r.driver.Free(b.va)
 }
@@ -232,21 +232,21 @@ func (s *Session) MemFree(b *Buffer) error {
 // submissions count because their place in the schedule is already fixed; a
 // host access (or a free) slipping in ahead of one would invert the order
 // the tenant expressed. Called with mu held.
-func (r *Runtime) spanBusyLocked(span tdlcheck.Span, write bool) bool {
-	one := []tdlcheck.Span{span}
+func (r *Runtime) spanBusyLocked(sp span.Span, write bool) bool {
+	one := []span.Span{sp}
 	for _, fl := range r.inflight {
-		if spansOverlap(one, fl.writes) {
+		if span.Overlap(one, fl.writes) {
 			return true
 		}
-		if write && spansOverlap(one, fl.reads) {
+		if write && span.Overlap(one, fl.reads) {
 			return true
 		}
 	}
 	for _, w := range r.waiters {
-		if spansOverlap(one, w.p.admWrites) {
+		if span.Overlap(one, w.p.admWrites) {
 			return true
 		}
-		if write && spansOverlap(one, w.p.reads) {
+		if write && span.Overlap(one, w.p.reads) {
 			return true
 		}
 	}
@@ -258,18 +258,18 @@ func (r *Runtime) spanBusyLocked(span tdlcheck.Span, write bool) bool {
 // the runtime lock so no conflicting flight can be admitted mid-access.
 func (b *Buffer) hostOp(off, n units.Bytes, write bool, op func() error) error {
 	r := b.rt
-	span := tdlcheck.Span{Addr: b.pa + phys.Addr(off), Bytes: n}
+	sp := span.Span{Addr: b.pa + phys.Addr(off), Bytes: n}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if b.sess.closed {
 		return ErrSessionClosed
 	}
-	for r.spanBusyLocked(span, write) {
+	for r.spanBusyLocked(sp, write) {
 		r.cond.Wait()
 	}
 	if write {
 		r.dirty += n
-		r.initialized.add(span)
+		r.initialized.Add(sp)
 	}
 	return op()
 }
@@ -293,7 +293,7 @@ func (s *Session) AccPlanDescriptor(d *descriptor.Descriptor) (*Plan, error) {
 }
 
 // ownsSpanLocked reports whether the span lies inside one session buffer.
-func (s *Session) ownsSpanLocked(sp tdlcheck.Span) bool {
+func (s *Session) ownsSpanLocked(sp span.Span) bool {
 	for b := range s.buffers {
 		if sp.Addr >= b.pa && sp.Addr+phys.Addr(sp.Bytes) <= b.pa+phys.Addr(b.size) {
 			return true
@@ -304,7 +304,7 @@ func (s *Session) ownsSpanLocked(sp tdlcheck.Span) bool {
 
 // checkNamespace rejects descriptors whose footprint leaves the session's
 // buffers.
-func (s *Session) checkNamespace(writes, reads []tdlcheck.Span) error {
+func (s *Session) checkNamespace(writes, reads []span.Span) error {
 	r := s.rt
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -351,7 +351,7 @@ func (s *Session) Close() error {
 	}
 	for b := range s.buffers {
 		vas = append(vas, b.va)
-		r.initialized.sub(tdlcheck.Span{Addr: b.pa, Bytes: b.size})
+		r.initialized.Sub(span.Span{Addr: b.pa, Bytes: b.size})
 	}
 	s.plans = make(map[*Plan]struct{})
 	s.buffers = make(map[*Buffer]struct{})

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"mealib/internal/accel"
-	"mealib/internal/analysis/tdlcheck"
 	"mealib/internal/descriptor"
+	"mealib/internal/span"
 	"mealib/internal/units"
 )
 
@@ -314,9 +314,9 @@ func TestMemFreeWaitsForQueuedConflict(t *testing.T) {
 		}
 	}()
 	waitUntil(t, "p to queue", func() bool { return s.Stats().Queued == 1 })
-	span := tdlcheck.Span{Addr: x.PA(), Bytes: x.Size()}
+	whole := span.Span{Addr: x.PA(), Bytes: x.Size()}
 	r.mu.Lock()
-	busy := r.spanBusyLocked(span, true)
+	busy := r.spanBusyLocked(whole, true)
 	r.mu.Unlock()
 	if !busy {
 		t.Fatal("queued conflicting submission is invisible to spanBusyLocked: MemFree would release a buffer a queued launch reads")
@@ -352,20 +352,20 @@ func TestMemFreeClearsInitialized(t *testing.T) {
 	if err := x.StoreFloat32s(0, make([]float32, n)); err != nil {
 		t.Fatal(err)
 	}
-	span := tdlcheck.Span{Addr: x.PA(), Bytes: x.Size()}
+	whole := span.Span{Addr: x.PA(), Bytes: x.Size()}
 	if err := s.MemFree(x); err != nil {
 		t.Fatal(err)
 	}
 	r.mu.Lock()
-	var leaked []tdlcheck.Span
-	for _, sp := range r.initialized.all() {
-		if sp.Overlaps(span) {
+	var leaked []span.Span
+	for _, sp := range r.initialized.All() {
+		if sp.Overlaps(whole) {
 			leaked = append(leaked, sp)
 		}
 	}
 	r.mu.Unlock()
 	if leaked != nil {
-		t.Fatalf("freed span %v still counts as initialized: %v", span, leaked)
+		t.Fatalf("freed span %v still counts as initialized: %v", whole, leaked)
 	}
 	// Behavioral check when the allocator recycles the exact range: reading
 	// the fresh buffer without writing it must fail the verifier.
@@ -391,7 +391,7 @@ func TestMemFreeClearsInitialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x2.PA() == span.Addr {
+	if x2.PA() == whole.Addr {
 		if _, err := p.Execute(context.Background()); err == nil {
 			t.Fatal("launch reading a recycled never-written range must be rejected")
 		}

@@ -1,0 +1,268 @@
+package span
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+
+	"mealib/internal/phys"
+	"mealib/internal/units"
+)
+
+func spansEqual(a, b []Span) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func TestSetMergesOverlapAndAdjacency(t *testing.T) {
+	var ss Set
+	ss.Add(Span{Addr: 100, Bytes: 10})
+	ss.Add(Span{Addr: 200, Bytes: 10})
+	ss.Add(Span{Addr: 110, Bytes: 5}) // adjacent to the first
+	want := []Span{{Addr: 100, Bytes: 15}, {Addr: 200, Bytes: 10}}
+	if !spansEqual(ss.All(), want) {
+		t.Fatalf("after adjacency merge: %v, want %v", ss.All(), want)
+	}
+	// Bridge the gap: one span swallowing both entries.
+	ss.Add(Span{Addr: 112, Bytes: 95})
+	want = []Span{{Addr: 100, Bytes: 110}}
+	if !spansEqual(ss.All(), want) {
+		t.Fatalf("after bridging add: %v, want %v", ss.All(), want)
+	}
+}
+
+func TestSetOutOfOrderInserts(t *testing.T) {
+	var ss Set
+	ss.Add(Span{Addr: 500, Bytes: 8})
+	ss.Add(Span{Addr: 100, Bytes: 8}) // before the existing entry
+	ss.Add(Span{Addr: 300, Bytes: 8}) // between
+	want := []Span{{Addr: 100, Bytes: 8}, {Addr: 300, Bytes: 8}, {Addr: 500, Bytes: 8}}
+	if !spansEqual(ss.All(), want) {
+		t.Fatalf("out-of-order inserts: %v, want %v", ss.All(), want)
+	}
+	ss.Add(Span{Addr: 0, Bytes: 1000})
+	want = []Span{{Addr: 0, Bytes: 1000}}
+	if !spansEqual(ss.All(), want) {
+		t.Fatalf("swallowing insert: %v, want %v", ss.All(), want)
+	}
+}
+
+func TestSetIgnoresEmpty(t *testing.T) {
+	var ss Set
+	ss.Add(Span{Addr: 10, Bytes: 0})
+	ss.Add(Span{Addr: 10, Bytes: -4})
+	if len(ss.All()) != 0 {
+		t.Fatalf("empty spans must be ignored, got %v", ss.All())
+	}
+}
+
+func TestSetSub(t *testing.T) {
+	build := func(spans ...Span) *Set {
+		var ss Set
+		for _, s := range spans {
+			ss.Add(s)
+		}
+		return &ss
+	}
+	cases := []struct {
+		name string
+		ss   *Set
+		sub  Span
+		want []Span
+	}{
+		{"exact", build(Span{Addr: 100, Bytes: 10}),
+			Span{Addr: 100, Bytes: 10}, nil},
+		{"split", build(Span{Addr: 100, Bytes: 100}),
+			Span{Addr: 140, Bytes: 20},
+			[]Span{{Addr: 100, Bytes: 40}, {Addr: 160, Bytes: 40}}},
+		{"trim head", build(Span{Addr: 100, Bytes: 50}),
+			Span{Addr: 80, Bytes: 40},
+			[]Span{{Addr: 120, Bytes: 30}}},
+		{"trim tail", build(Span{Addr: 100, Bytes: 50}),
+			Span{Addr: 130, Bytes: 40},
+			[]Span{{Addr: 100, Bytes: 30}}},
+		{"across several", build(
+			Span{Addr: 100, Bytes: 10},
+			Span{Addr: 120, Bytes: 10},
+			Span{Addr: 140, Bytes: 10}),
+			Span{Addr: 105, Bytes: 40},
+			[]Span{{Addr: 100, Bytes: 5}, {Addr: 145, Bytes: 5}}},
+		{"adjacent untouched", build(Span{Addr: 100, Bytes: 10}),
+			Span{Addr: 110, Bytes: 10},
+			[]Span{{Addr: 100, Bytes: 10}}},
+		{"disjoint untouched", build(Span{Addr: 100, Bytes: 10}),
+			Span{Addr: 200, Bytes: 10},
+			[]Span{{Addr: 100, Bytes: 10}}},
+		{"empty ignored", build(Span{Addr: 100, Bytes: 10}),
+			Span{Addr: 100, Bytes: 0},
+			[]Span{{Addr: 100, Bytes: 10}}},
+	}
+	for _, tc := range cases {
+		tc.ss.Sub(tc.sub)
+		if !spansEqual(tc.ss.All(), tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, tc.ss.All(), tc.want)
+		}
+	}
+}
+
+// TestSetMatchesNaive drives the set with random spans and checks the
+// invariants (sorted, disjoint, non-adjacent) and coverage against a naive
+// byte map.
+func TestSetMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var ss Set
+	covered := map[phys.Addr]bool{}
+	for i := 0; i < 500; i++ {
+		addr := phys.Addr(rng.Intn(4096))
+		n := units.Bytes(rng.Intn(64) + 1)
+		if rng.Intn(4) == 0 {
+			ss.Sub(Span{Addr: addr, Bytes: n})
+			for b := addr; b < addr+phys.Addr(n); b++ {
+				delete(covered, b)
+			}
+			continue
+		}
+		ss.Add(Span{Addr: addr, Bytes: n})
+		for b := addr; b < addr+phys.Addr(n); b++ {
+			covered[b] = true
+		}
+	}
+	spans := ss.All()
+	if !sort.SliceIsSorted(spans, func(i, j int) bool { return spans[i].Addr < spans[j].Addr }) {
+		t.Fatal("span set not sorted")
+	}
+	var total units.Bytes
+	for i, sp := range spans {
+		if sp.Bytes <= 0 {
+			t.Fatalf("empty span in set: %v", sp)
+		}
+		if i > 0 {
+			prev := spans[i-1]
+			if prev.Addr+phys.Addr(prev.Bytes) >= sp.Addr {
+				t.Fatalf("spans %v and %v overlap or touch", prev, sp)
+			}
+		}
+		for b := sp.Addr; b < sp.Addr+phys.Addr(sp.Bytes); b++ {
+			if !covered[b] {
+				t.Fatalf("byte %v in set but never added", b)
+			}
+		}
+		total += sp.Bytes
+	}
+	if int(total) != len(covered) {
+		t.Fatalf("set covers %d bytes, naive map says %d", total, len(covered))
+	}
+}
+
+// TestSetSubEdges pins the adjacency and zero-length corners of sub:
+// removal treats touching intervals as disjoint (unlike add, where adjacency
+// merges), zero- and negative-length removals are no-ops, and removals whose
+// boundaries land exactly on interval edges leave no empty remnants.
+func TestSetSubEdges(t *testing.T) {
+	build := func(spans ...Span) *Set {
+		var ss Set
+		for _, s := range spans {
+			ss.Add(s)
+		}
+		return &ss
+	}
+	cases := []struct {
+		name string
+		ss   *Set
+		sub  Span
+		want []Span
+	}{
+		// Adjacency from below: the removal ends exactly where the span
+		// begins. add would merge these; sub must not touch it.
+		{"adjacent below untouched", build(Span{Addr: 100, Bytes: 10}),
+			Span{Addr: 90, Bytes: 10},
+			[]Span{{Addr: 100, Bytes: 10}}},
+		// Removal lands exactly between two intervals, touching both edges:
+		// neither loses a byte and no empty remnant appears between them.
+		{"touching both neighbours", build(
+			Span{Addr: 100, Bytes: 10},
+			Span{Addr: 120, Bytes: 10}),
+			Span{Addr: 110, Bytes: 10},
+			[]Span{{Addr: 100, Bytes: 10}, {Addr: 120, Bytes: 10}}},
+		// Boundaries aligned with interval edges across several spans: the
+		// outer spans survive whole, the middle vanishes, and no zero-length
+		// remnant is spliced in at either edge.
+		{"exact multi-span cut", build(
+			Span{Addr: 100, Bytes: 10},
+			Span{Addr: 120, Bytes: 10},
+			Span{Addr: 140, Bytes: 10}),
+			Span{Addr: 110, Bytes: 30},
+			[]Span{{Addr: 100, Bytes: 10}, {Addr: 140, Bytes: 10}}},
+		// One-byte removals at each edge and in the middle of one interval.
+		{"single byte head", build(Span{Addr: 100, Bytes: 10}),
+			Span{Addr: 100, Bytes: 1},
+			[]Span{{Addr: 101, Bytes: 9}}},
+		{"single byte tail", build(Span{Addr: 100, Bytes: 10}),
+			Span{Addr: 109, Bytes: 1},
+			[]Span{{Addr: 100, Bytes: 9}}},
+		{"single byte middle", build(Span{Addr: 100, Bytes: 10}),
+			Span{Addr: 105, Bytes: 1},
+			[]Span{{Addr: 100, Bytes: 5}, {Addr: 106, Bytes: 4}}},
+		// Zero- and negative-length removals are no-ops wherever they land.
+		{"zero length interior", build(Span{Addr: 100, Bytes: 10}),
+			Span{Addr: 105, Bytes: 0},
+			[]Span{{Addr: 100, Bytes: 10}}},
+		{"zero length at end", build(Span{Addr: 100, Bytes: 10}),
+			Span{Addr: 110, Bytes: 0},
+			[]Span{{Addr: 100, Bytes: 10}}},
+		{"negative length", build(Span{Addr: 100, Bytes: 10}),
+			Span{Addr: 100, Bytes: -4},
+			[]Span{{Addr: 100, Bytes: 10}}},
+		// Removing from an empty set and removing a superset of everything.
+		{"empty set", build(), Span{Addr: 100, Bytes: 10}, nil},
+		{"superset clears all", build(
+			Span{Addr: 100, Bytes: 10},
+			Span{Addr: 200, Bytes: 10}),
+			Span{Addr: 0, Bytes: 1000}, nil},
+	}
+	for _, tc := range cases {
+		tc.ss.Sub(tc.sub)
+		if !spansEqual(tc.ss.All(), tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, tc.ss.All(), tc.want)
+		}
+	}
+}
+
+// TestOverlapDirections pins the one overlap test on both element kinds:
+// plain spans collide on any shared byte, directional spans only when at
+// least one side of the pair writes, and empty spans never.
+func TestOverlapDirections(t *testing.T) {
+	a := Span{Addr: 100, Bytes: 10}
+	touching := Span{Addr: 110, Bytes: 10}
+	inside := Span{Addr: 105, Bytes: 1}
+	rd := func(s Span) Dir { return Dir{Span: s} }
+	wr := func(s Span) Dir { return Dir{Span: s, Write: true} }
+	cases := []struct {
+		name string
+		got  bool
+		want bool
+	}{
+		{"plain overlap", Overlap([]Span{a}, []Span{inside}), true},
+		{"plain adjacency", Overlap([]Span{a}, []Span{touching}), false},
+		{"plain empty", Overlap([]Span{a}, []Span{{Addr: 105}}), false},
+		{"any pair of the lists", Overlap([]Span{touching, a}, []Span{{Addr: 0, Bytes: 1}, inside}), true},
+		{"read vs read", Overlap([]Dir{rd(a)}, []Dir{rd(inside)}), false},
+		{"read vs write", Overlap([]Dir{rd(a)}, []Dir{wr(inside)}), true},
+		{"write vs read", Overlap([]Dir{wr(a)}, []Dir{rd(inside)}), true},
+		{"write vs disjoint write", Overlap([]Dir{wr(a)}, []Dir{wr(touching)}), false},
+		{"plain vs read", Overlap([]Span{a}, []Dir{rd(inside)}), true},
+		{"empty lists", Overlap([]Span(nil), []Dir{wr(a)}), false},
+	}
+	for _, c := range cases {
+		if c.got != c.want {
+			t.Errorf("%s: Overlap = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+}
