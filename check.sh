@@ -31,8 +31,15 @@ if grep -rnE 'case descriptor\.Op' --include='*.go' internal/accel internal/anal
 	exit 1
 fi
 
-echo "==> scheduler differentials (serial vs wavefront, both paths, -race)"
-go test -race -run 'Differential|Submit|ExplainPlan|PlanInterleaves' \
+echo "==> one-executor gate (every LOOP lowers through the plan IR in windows)"
+if grep -rnE 'streamWalk|interpretStream|runLoop|loopIndependent|SpanStream|planMaxNodes' --include='*.go' internal |
+	grep -v '_test\.go:'; then
+	echo "check.sh: a second executor or an expansion cap grew back" >&2
+	exit 1
+fi
+
+echo "==> scheduler differentials (serial vs wavefront vs hooked, single- and multi-window, -race)"
+go test -race -run 'Differential|Submit|ExplainPlan|PlanInterleaves|WindowWalk|WavePipelining' \
 	./internal/accel ./internal/mealibrt
 
 echo "==> go test -race ./..."

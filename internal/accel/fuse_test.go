@@ -191,12 +191,12 @@ func TestFusionCapacitySpill(t *testing.T) {
 	if len(groups) != 0 {
 		t.Fatalf("oversized handoff fused: %+v", groups)
 	}
-	p, err := r.layer.buildPlan(d, planCollapse)
-	if err != nil {
+	var lw lowering
+	if err := r.layer.lower(d, planCollapse, &lw); err != nil {
 		t.Fatal(err)
 	}
-	if p.fusionSpills != 1 {
-		t.Errorf("fusion spills = %d, want 1", p.fusionSpills)
+	if lw.fusionSpills != 1 {
+		t.Errorf("fusion spills = %d, want 1", lw.fusionSpills)
 	}
 }
 

@@ -18,13 +18,14 @@ import (
 // Methods are called from scheduler goroutines; implementations must be
 // concurrency-safe. A nil WaveHooks disables the machinery at zero cost.
 type WaveHooks interface {
-	// Lowered announces the launch's schedule before execution: one
-	// directional span list per topological wave, in execution order. A nil
+	// Lowered announces the next window of the launch's schedule before it
+	// executes: one directional span list per topological wave, in
+	// execution order, numbered on from the waves already announced. A nil
 	// element means that wave's footprint could not be resolved (it must be
-	// treated as touching everything). A nil waves slice means the launch
-	// bypassed the plan IR entirely (streaming fallback) and executes as a
-	// single unresolvable wave 0.
-	Lowered(waves [][]span.Dir)
+	// treated as touching everything). more reports that further windows
+	// follow; until the last one is announced, the waves still to come can
+	// touch anything the launch can.
+	Lowered(waves [][]span.Dir, more bool)
 	// WaveStart blocks until wave w may execute. The scheduler calls it
 	// immediately before running the wave's nodes.
 	WaveStart(w int)
@@ -35,25 +36,18 @@ type WaveHooks interface {
 }
 
 // waveSpansOf materialises the per-wave directional footprint of a lowered
-// plan for WaveHooks.Lowered. A wave containing any barrier node (nil
-// spans) collapses to nil: its footprint is unknown and conflicts with
-// everything.
+// window for WaveHooks.Lowered. A wave containing any barrier node
+// collapses to nil: its footprint is unknown and conflicts with everything.
 func waveSpansOf(p *plan) [][]span.Dir {
 	out := make([][]span.Dir, len(p.waves))
+wave:
 	for wi, wave := range p.waves {
 		spans := make([]span.Dir, 0, len(wave))
-		bad := false
 		for _, k := range wave {
-			nd := &p.nodes[k]
-			if nd.spans == nil {
-				bad = true
-				break
+			if p.nodes[k].barrier {
+				continue wave
 			}
-			spans = append(spans, nd.spans...)
-		}
-		if bad {
-			out[wi] = nil
-			continue
+			spans = append(spans, p.spansOf(k)...)
 		}
 		out[wi] = spans
 	}
@@ -61,11 +55,11 @@ func waveSpansOf(p *plan) [][]span.Dir {
 }
 
 // RunHooked is Run with wave-granularity execution hooks: hooks.Lowered
-// receives the per-wave footprint once the plan IR is built, and every wave
-// is bracketed by WaveStart (which may block the wave until an external
-// hazard clears) and WaveDone (which reports the cumulative model time, so
-// the observer can place the wave on the model timeline). A nil hooks is
-// exactly Run.
+// receives the per-wave footprint of each window as it is lowered, and
+// every wave is bracketed by WaveStart (which may block the wave until an
+// external hazard clears) and WaveDone (which reports the cumulative model
+// time, so the observer can place the wave on the model timeline). A nil
+// hooks is exactly Run.
 func (l *Layer) RunHooked(s *phys.Space, base phys.Addr, hooks WaveHooks) (*Report, error) {
 	return l.run(s, base, hooks)
 }

@@ -2,10 +2,6 @@ package accel
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"mealib/internal/descriptor"
 	"mealib/internal/noc"
@@ -28,16 +24,15 @@ type Layer struct {
 // layerMetrics are the accelerator-side metric handles. All fields no-op
 // when nil (telemetry disabled).
 type layerMetrics struct {
-	launches        *telemetry.Counter
-	nodes           *telemetry.Counter
-	streamFallbacks *telemetry.Counter
-	comps           *telemetry.Counter
-	bytesMoved      *telemetry.Counter
-	bytesElided     *telemetry.Counter
-	fusedGroups     *telemetry.Counter
-	fusionSpills    *telemetry.Counter
-	wavesPerLaunch  *telemetry.Histogram
-	waveWidth       *telemetry.Histogram
+	launches       *telemetry.Counter
+	nodes          *telemetry.Counter
+	comps          *telemetry.Counter
+	bytesMoved     *telemetry.Counter
+	bytesElided    *telemetry.Counter
+	fusedGroups    *telemetry.Counter
+	fusionSpills   *telemetry.Counter
+	wavesPerLaunch *telemetry.Histogram
+	waveWidth      *telemetry.Histogram
 	// Per-opcode activity, indexed by descriptor.OpCode like the op table.
 	opInv, opNS, opPJ []*telemetry.Counter
 }
@@ -48,7 +43,6 @@ func (m *layerMetrics) init(reg *telemetry.Metrics) {
 	}
 	m.launches = reg.Counter("accel.launches")
 	m.nodes = reg.Counter("accel.nodes")
-	m.streamFallbacks = reg.Counter("accel.stream_fallbacks")
 	m.comps = reg.Counter("accel.comps")
 	m.bytesMoved = reg.Counter("accel.bytes_moved")
 	m.bytesElided = reg.Counter("accel.bytes_elided")
@@ -225,7 +219,7 @@ func (l *Layer) run(s *phys.Space, base phys.Addr, hooks WaveHooks) (*Report, er
 	tb := l.tr.Buffer(telemetry.TrackAccel)
 	defer tb.Release()
 	tb.Begin(telemetry.SpanLaunch, "descriptor")
-	rep, err := l.interpret(d, func(op descriptor.OpCode, p descriptor.Params, it IterVec) (Work, error) {
+	rep, err := l.interpret(d, planExpand, func(op descriptor.OpCode, p descriptor.Params, it IterVec) (Work, error) {
 		return execute(s, op, p, it)
 	}, tb, hooks)
 	if err != nil {
@@ -246,11 +240,13 @@ func (l *Layer) run(s *phys.Space, base phys.Addr, hooks WaveHooks) (*Report, er
 	return rep, nil
 }
 
-// RunModel evaluates a descriptor analytically: same control flow, chaining
-// and loop accounting as Run, but workloads come from WorkOf instead of
-// functional execution, and iteration counts multiply analytically — so
-// paper-scale problems (gigabyte buffers, millions of LOOP iterations) cost
-// microseconds to evaluate. Used by the experiment harness.
+// RunModel evaluates a descriptor analytically: same plan IR, scheduler,
+// chaining and loop accounting as Run, but workloads come from WorkOf
+// instead of functional execution, and each LOOP collapses to one
+// representative node per body pass scaled by the trip count (every
+// iteration of a hardware loop has identical cost; only addresses differ) —
+// so paper-scale problems (gigabyte buffers, millions of LOOP iterations)
+// cost microseconds to evaluate. Used by the experiment harness.
 func (l *Layer) RunModel(d *descriptor.Descriptor) (*Report, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -261,7 +257,9 @@ func (l *Layer) RunModel(d *descriptor.Descriptor) (*Report, error) {
 	tb := l.tr.Buffer(telemetry.TrackAccel)
 	defer tb.Release()
 	tb.Begin(telemetry.SpanLaunch, "descriptor(model)")
-	rep, err := l.interpretModel(d, tb)
+	rep, err := l.interpret(d, planCollapse, func(op descriptor.OpCode, p descriptor.Params, _ IterVec) (Work, error) {
+		return WorkOf(op, p)
+	}, tb, nil)
 	if err != nil {
 		tb.End(telemetry.SpanLaunch, 0)
 		return nil, err
@@ -276,139 +274,16 @@ func (l *Layer) RunModel(d *descriptor.Descriptor) (*Report, error) {
 	return rep, nil
 }
 
-// interpret lowers the descriptor into the execution-plan IR (plan.go) and
-// runs it with the wavefront scheduler (sched.go). Oversized expansions —
-// LOOP trip counts past planMaxNodes — stream through the legacy loop
-// executor instead of materialising the DAG; a hooked streaming launch
-// reports itself as a single unresolvable wave, so external gating falls
-// back to whole-launch ordering.
-func (l *Layer) interpret(d *descriptor.Descriptor, exec execFunc, tb *telemetry.Buf, hooks WaveHooks) (*Report, error) {
-	tb.Begin(telemetry.SpanPlanLower, "lower")
-	p, err := l.buildPlan(d, planExpand)
-	if err != nil {
-		tb.End(telemetry.SpanPlanLower, 0)
-		return nil, err
-	}
-	if p == nil {
-		tb.End(telemetry.SpanPlanLower, 0)
-		l.met.streamFallbacks.Add(1)
-		if hooks != nil {
-			hooks.Lowered(nil)
-			hooks.WaveStart(0)
-		}
-		rep, err := l.interpretStream(d, exec, tb)
-		if hooks != nil {
-			var elapsed units.Seconds
-			if rep != nil {
-				elapsed = rep.Time
-			}
-			hooks.WaveDone(0, elapsed)
-		}
-		return rep, err
-	}
-	tb.End2(telemetry.SpanPlanLower, 0,
-		telemetry.Arg{Key: "nodes", Val: int64(len(p.nodes))},
-		telemetry.Arg{Key: "waves", Val: int64(len(p.waves))})
-	return l.runPlan(p, exec, tb, hooks)
-}
-
-// interpretModel is interpret through the same plan IR and scheduler, with
-// the analytic evaluator and O(1) loops: each LOOP collapses to one
-// representative node per body pass, scaled by the trip count (every
-// iteration of a hardware loop has identical cost; only addresses differ).
-func (l *Layer) interpretModel(d *descriptor.Descriptor, tb *telemetry.Buf) (*Report, error) {
-	model := func(op descriptor.OpCode, p descriptor.Params, _ IterVec) (Work, error) {
-		return WorkOf(op, p)
-	}
-	tb.Begin(telemetry.SpanPlanLower, "lower")
-	p, err := l.buildPlan(d, planCollapse)
-	if err != nil {
-		tb.End(telemetry.SpanPlanLower, 0)
-		return nil, err
-	}
-	if p == nil {
-		// Unreachable for descriptors that passed CheckCapacity (collapse
-		// never exceeds the instruction count), but stay total.
-		tb.End(telemetry.SpanPlanLower, 0)
-		l.met.streamFallbacks.Add(1)
-		return l.interpretStream(d, model, tb)
-	}
-	tb.End2(telemetry.SpanPlanLower, 0,
-		telemetry.Arg{Key: "nodes", Val: int64(len(p.nodes))},
-		telemetry.Arg{Key: "waves", Val: int64(len(p.waves))})
-	return l.runPlan(p, model, tb, nil)
-}
-
-// interpretStream is the pre-IR walker: it executes the instruction stream
-// directly, loop iteration by loop iteration, fanning independent LOOPs
-// over the worker pool (all-or-nothing). It remains as the memory-bounded
-// fallback for descriptors whose plan expansion would exceed planMaxNodes;
-// the choice between it and the scheduler depends only on the descriptor,
-// so serial and parallel runs of the same descriptor always take the same
-// path and stay bit-identical.
-func (l *Layer) interpretStream(d *descriptor.Descriptor, exec execFunc, tb *telemetry.Buf) (*Report, error) {
-	tb.Begin(telemetry.SpanStream, "stream")
-	rep, err := l.streamWalk(d, exec)
-	if err != nil {
-		tb.End(telemetry.SpanStream, 0)
-		return nil, err
-	}
-	tb.End2(telemetry.SpanStream, rep.Time,
-		telemetry.Arg{Key: "comps", Val: rep.Comps}, telemetry.Arg{})
-	return rep, nil
-}
-
-// streamWalk is interpretStream's instruction walk, span-free.
-func (l *Layer) streamWalk(d *descriptor.Descriptor, exec execFunc) (*Report, error) {
-	rep := newReport()
-	var pass []passInstr
-	var loopPasses [][]passInstr
-	inLoop := false
-	var loopCounts descriptor.LoopCounts
-	comp := 0
-	for _, in := range d.Instrs {
-		switch in.Kind {
-		case descriptor.KindComp:
-			params, err := d.ParamsOf(comp)
-			comp++
-			if err != nil {
-				return nil, err
-			}
-			pass = append(pass, passInstr{op: in.Op, params: params})
-		case descriptor.KindEndPass:
-			if inLoop {
-				loopPasses = append(loopPasses, pass)
-			} else {
-				rep.Time += l.cfg.PassConfigLatency
-				if err := l.runPass(exec, pass, IterVec{}, rep); err != nil {
-					return nil, err
-				}
-			}
-			pass = nil
-		case descriptor.KindLoop:
-			inLoop = true
-			loopCounts = in.Counts
-			loopPasses = nil
-		case descriptor.KindEndLoop:
-			if err := l.runLoop(exec, loopCounts, loopPasses, rep); err != nil {
-				return nil, err
-			}
-			inLoop = false
-			loopPasses = nil
-		}
-	}
-	return rep, nil
-}
-
 // iterDispatch is the amortised per-iteration initiation cost: the decode
 // unit dispatches iterations round-robin over the tiles.
 func (l *Layer) iterDispatch() units.Seconds {
 	return l.cfg.IterDispatchLatency / units.Seconds(l.cfg.Tiles)
 }
 
-// merge folds a per-iteration sub-report into r. Per-op stats merge in
-// opcode order so the float accumulation sequence is a pure function of the
-// iteration order — never of map iteration or goroutine completion order.
+// merge folds a node's sub-report into r. Per-op stats merge in op-table
+// order so the float accumulation sequence is a pure function of the node
+// order — never of map iteration or goroutine completion order. Stats
+// without an invocation are a reused sub-report's leftovers (reset).
 func (r *Report) merge(sub *Report) {
 	r.Time += sub.Time
 	r.Energy += sub.Energy
@@ -419,13 +294,12 @@ func (r *Report) merge(sub *Report) {
 	r.ElidedBytes += sub.ElidedBytes
 	r.OOCChunks += sub.OOCChunks
 	r.StagedBytes += sub.StagedBytes
-	ops := make([]descriptor.OpCode, 0, len(sub.PerOp))
-	for op := range sub.PerOp {
-		ops = append(ops, op)
-	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
-	for _, op := range ops {
+	for i := range specs {
+		op := descriptor.OpCode(i)
 		st := sub.PerOp[op]
+		if st == nil || st.Invocations == 0 {
+			continue
+		}
 		agg := r.opStats(op)
 		agg.Invocations += st.Invocations
 		agg.Time += st.Time
@@ -435,123 +309,30 @@ func (r *Report) merge(sub *Report) {
 	}
 }
 
-// iterVecAt decomposes a linear iteration index into the loop-nest vector,
-// innermost level varying fastest — the same order the recursive nest
-// visits.
-func iterVecAt(counts descriptor.LoopCounts, idx int64) IterVec {
-	var it IterVec
-	for level := descriptor.MaxLoopLevels - 1; level >= 0; level-- {
-		n := int64(counts[level])
-		if n < 1 {
-			n = 1
-		}
-		it[level] = idx % n
-		idx /= n
+// reset empties r for the next node, keeping its per-op storage.
+func (r *Report) reset() {
+	perOp := r.PerOp
+	if perOp == nil {
+		perOp = make(map[descriptor.OpCode]*OpStats)
 	}
-	return it
+	for _, st := range perOp {
+		*st = OpStats{}
+	}
+	*r = Report{PerOp: perOp}
 }
 
-// loopWorkers sizes the worker pool for a loop of iters iterations:
-// cfg.Workers if set (1 forces serial; values above GOMAXPROCS are
-// honoured), else min(GOMAXPROCS, Tiles) — one worker per tile the decode
-// unit could dispatch to, never more than the host can run.
-func (l *Layer) loopWorkers(iters int64) int {
-	w := l.cfg.Workers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-		if w > l.cfg.Tiles {
-			w = l.cfg.Tiles
-		}
-	}
-	if int64(w) > iters {
-		w = int(iters)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// runIteration executes one full iteration of the loop body (all its
-// passes) into a fresh sub-report, including the iteration's dispatch
-// charge.
-func (l *Layer) runIteration(exec execFunc, passes [][]passInstr, it IterVec) (*Report, error) {
-	sub := newReport()
-	for _, p := range passes {
-		if err := l.runPass(exec, p, it, sub); err != nil {
-			return nil, err
-		}
-	}
-	sub.Time += l.iterDispatch()
-	return sub, nil
-}
-
-// runLoop iterates the hardware loop nest over its passes, bumping the
-// iteration vector the way the decode unit advances buffer addresses.
-// Iterations proven independent (disjoint read/write spans — the property
-// the compiler guarantees before emitting a LOOP, re-derived here by
-// loopIndependent) fan out across a worker pool, mirroring the decode
-// unit's round-robin tile dispatch. Both paths build one sub-report per
-// iteration and merge them in iteration order, so serial and parallel runs
-// produce byte-identical spaces and identical reports.
-func (l *Layer) runLoop(exec execFunc, counts descriptor.LoopCounts, passes [][]passInstr, rep *Report) error {
-	rep.Time += l.cfg.PassConfigLatency * units.Seconds(len(passes))
-	iters := counts.Total()
-	if workers := l.loopWorkers(iters); workers > 1 && loopIndependent(counts, passes, iters) {
-		return l.runLoopParallel(exec, counts, passes, rep, iters, workers)
-	}
-	for idx := int64(0); idx < iters; idx++ {
-		sub, err := l.runIteration(exec, passes, iterVecAt(counts, idx))
-		if err != nil {
-			return err
-		}
-		rep.merge(sub)
-	}
-	return nil
-}
-
-// runLoopParallel executes the iterations on workers goroutines claiming
-// indices from a shared counter, then merges the sub-reports in iteration
-// order. The first error in iteration order wins, matching what the serial
-// path would have returned.
-func (l *Layer) runLoopParallel(exec execFunc, counts descriptor.LoopCounts, passes [][]passInstr, rep *Report, iters int64, workers int) error {
-	subs := make([]*Report, iters)
-	errs := make([]error, iters)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				idx := next.Add(1) - 1
-				if idx >= iters {
-					return
-				}
-				subs[idx], errs[idx] = l.runIteration(exec, passes, iterVecAt(counts, idx))
-			}
-		}()
-	}
-	wg.Wait()
-	for idx := int64(0); idx < iters; idx++ {
-		if errs[idx] != nil {
-			return errs[idx]
-		}
-		rep.merge(subs[idx])
-	}
-	return nil
-}
-
-// runPass executes one pass datapath: the comps run in order against the
+// runPass executes a node's pass datapath: the comps run in order against the
 // space; chained intermediates move through tile-local memory over the NoC
-// instead of round-tripping through DRAM.
-func (l *Layer) runPass(exec execFunc, pass []passInstr, it IterVec, rep *Report) error {
+// instead of round-tripping through DRAM. scratch holds two Works per comp.
+func (l *Layer) runPass(exec execFunc, nd *planNode, scratch []Work, rep *Report) error {
+	pass := nd.pass
 	if len(pass) == 0 {
 		return fmt.Errorf("accel: empty pass")
 	}
-	works := make([]Work, len(pass))
+	// Two Works per comp: as executed, and adjusted for chaining.
+	works, adjusted := scratch[:len(pass)], scratch[len(pass):]
 	for i, pi := range pass {
-		w, err := exec(pi.op, pi.params, it)
+		w, err := exec(pi.op, pi.params, nd.it)
 		if err != nil {
 			return err
 		}
@@ -562,7 +343,6 @@ func (l *Layer) runPass(exec execFunc, pass []passInstr, it IterVec, rep *Report
 	// the NoC instead. The intermediate is distributed across all tiles, so
 	// the transfer proceeds over Tiles one-hop links in parallel, and a
 	// sizeable fraction never leaves its producing tile at all.
-	adjusted := make([]Work, len(pass))
 	copy(adjusted, works)
 	var nocTime units.Seconds
 	var nocEnergy units.Joules

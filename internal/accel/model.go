@@ -62,17 +62,17 @@ type Config struct {
 	// DRAM traffic fusion elides.
 	NoFusion bool
 
-	// Workers bounds the goroutines the functional interpreter fans
-	// independent LOOP iterations across. 0 selects the automatic size
+	// Workers bounds the goroutines the wavefront scheduler runs the
+	// independent nodes of a wave on. 0 selects the automatic size
 	// min(GOMAXPROCS, Tiles); 1 restores fully serial execution. Values
 	// above GOMAXPROCS are honoured (useful to exercise the parallel path
 	// deterministically on small hosts). Parallel and serial runs produce
-	// byte-identical spaces and identical reports; iterations whose spans
-	// overlap fall back to serial automatically.
+	// byte-identical spaces and identical reports; nodes whose spans
+	// overlap are ordered by dependence edges.
 	Workers int
 
 	// Tracer, when non-nil, receives execution spans (descriptor launches,
-	// plan lowering, waves, nodes, streaming fallbacks) and feeds the
+	// plan lowering, waves, nodes) and feeds the
 	// accelerator metrics (launches, waves/launch, wave width, per-opcode
 	// ns and pJ, bytes moved). nil disables telemetry; the hot path then
 	// pays a single branch per instrumentation point and zero allocations.

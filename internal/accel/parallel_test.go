@@ -434,66 +434,3 @@ func TestDifferentialOverlappingWritesFallsBack(t *testing.T) {
 		return d
 	})
 }
-
-// --- loopIndependent unit tests --------------------------------------------
-
-func axpyLoopPasses(t *testing.T, a AxpyArgs) [][]passInstr {
-	t.Helper()
-	return [][]passInstr{{{op: descriptor.OpAXPY, params: a.Params()}}}
-}
-
-func TestLoopIndependentDisjointStrides(t *testing.T) {
-	counts := descriptor.LoopCounts{0, 0, 0, 16}
-	passes := axpyLoopPasses(t, AxpyArgs{
-		N: 64, X: 0x1000, Y: 0x9000, IncX: 1, IncY: 1,
-		LoopStrideX: Lin(256), LoopStrideY: Lin(256),
-	})
-	if !loopIndependent(counts, passes, 16) {
-		t.Error("disjoint strided iterations must be independent")
-	}
-}
-
-func TestLoopIndependentSharedWriteConflicts(t *testing.T) {
-	counts := descriptor.LoopCounts{0, 0, 0, 16}
-	passes := axpyLoopPasses(t, AxpyArgs{
-		N: 64, X: 0x1000, Y: 0x9000, IncX: 1, IncY: 1,
-		LoopStrideX: Lin(256), // y unstridden: every iteration writes it
-	})
-	if loopIndependent(counts, passes, 16) {
-		t.Error("shared written operand must conflict")
-	}
-}
-
-func TestLoopIndependentSharedReadOK(t *testing.T) {
-	counts := descriptor.LoopCounts{0, 0, 0, 16}
-	passes := [][]passInstr{{{op: descriptor.OpDOT, params: DotArgs{
-		N: 64, X: 0x1000, Y: 0x9000, Out: 0xd000, IncX: 1, IncY: 1,
-		LoopStrideX: Lin(256), LoopStrideOut: Lin(4), // y shared read-only
-	}.Params()}}}
-	if !loopIndependent(counts, passes, 16) {
-		t.Error("shared read-only operand must not conflict")
-	}
-}
-
-func TestLoopIndependentPartialOverlapConflicts(t *testing.T) {
-	counts := descriptor.LoopCounts{0, 0, 0, 8}
-	// Stride smaller than the written span: iteration i+1's y overlaps i's.
-	passes := axpyLoopPasses(t, AxpyArgs{
-		N: 64, X: 0x1000, Y: 0x9000, IncX: 1, IncY: 1,
-		LoopStrideX: Lin(256), LoopStrideY: Lin(128),
-	})
-	if loopIndependent(counts, passes, 8) {
-		t.Error("overlapping write strides must conflict")
-	}
-}
-
-func TestLoopIndependentEventCapFallsBack(t *testing.T) {
-	counts := descriptor.LoopCounts{0, 0, 0, 1}
-	passes := axpyLoopPasses(t, AxpyArgs{
-		N: 4, X: 0x1000, Y: 0x2000, IncX: 1, IncY: 1,
-		LoopStrideX: Lin(16), LoopStrideY: Lin(16),
-	})
-	if loopIndependent(counts, passes, indepMaxEvents) {
-		t.Error("event cap must force serial fallback")
-	}
-}

@@ -1,6 +1,8 @@
 package accel
 
 import (
+	"slices"
+
 	"mealib/internal/descriptor"
 	"mealib/internal/span"
 	"mealib/internal/units"
@@ -17,17 +19,20 @@ import (
 // wavefront scheduler in sched.go; the analytic path collapses each LOOP
 // to a representative iteration carrying a scale factor, so paper-scale
 // trip counts stay O(1) to evaluate.
+//
+// A descriptor lowers once (segments decoded and fused once) and its
+// program-order node sequence is cut into consecutive windows of at most
+// planWindow nodes. Each window is a plan of its own — edges, waves,
+// scheduler — and the windows run back to back, so order across a window
+// boundary is program order. A LOOP of any trip count therefore gets the
+// same dependence analysis and the same partial parallelism, at a lowering
+// cost linear in the trip count and memory bounded by the window.
 
-// planMaxNodes bounds the functional expansion: beyond it the interpreter
-// falls back to the streaming loop executor instead of materialising the
-// DAG (a million-iteration LOOP would cost hundreds of megabytes of nodes
-// for no scheduling insight the streaming path lacks).
-const planMaxNodes = 1 << 16
-
-// planMaxEvents bounds the spans the edge builder materialises; past it
-// the plan degrades to a serial chain (every node depends on its
-// predecessor), which is always correct.
-const planMaxEvents = indepMaxEvents
+// planWindow is the most nodes lowered, analysed and scheduled at a time.
+// The dependence scoreboard splices a sorted slice, so a window's lowering
+// cost grows with the square of its size while every window pays a fixed
+// scheduling cost; BenchmarkLowerLoop measures the trade (CHANGES.md, PR 13).
+const planWindow = 1024
 
 // planNode is one schedulable unit: one pass instance.
 type planNode struct {
@@ -39,45 +44,48 @@ type planNode struct {
 	// dispatch charges the per-iteration decode-unit dispatch latency
 	// (set on the last pass of each loop iteration).
 	dispatch bool
-	// spans are the node's directional byte spans; nil means they could
-	// not be resolved and the node is a barrier (conflicts with everything).
-	spans []span.Dir
-	// deps are the nodes that must complete first (always earlier in
-	// program order, so the DAG is acyclic by construction).
-	deps []int32
-	wave int32
+	// barrier marks a node whose spans could not be resolved: it conflicts
+	// with everything.
+	barrier bool
+	// spanLo:spanHi is the node's directional byte spans in plan.spans, and
+	// depLo:depHi in plan.deps the nodes that must complete first (always
+	// earlier in program order, so the DAG is acyclic by construction).
+	// workLo is where its runPass scratch starts in plan.work.
+	spanLo, spanHi int32
+	depLo, depHi   int32
+	workLo         int32
+	wave           int32
 }
 
-// plan is the lowered descriptor.
+// plan is one lowered window. Its storage is reset and refilled by every
+// lowering.next, so a launch of any length holds one window's worth.
 type plan struct {
 	nodes []planNode
-	// spansPerComp sizes each node's span list up front (the op table's bound
-	// on the directional spans of one invocation).
-	spansPerComp int
-	// fixed is the schedule-independent time: pass-configuration latency
-	// (accelerators in a LOOP body are configured once, paper §2.2) and
-	// the dispatch charges of empty loop bodies.
-	fixed units.Seconds
-	// waves groups node indices by wave number; every node's deps live in
-	// strictly earlier waves.
+	// spans, deps and work are the slabs the nodes index into.
+	spans []span.Dir
+	deps  []int32
+	work  []Work
+	sb    scoreboard
+	// waves groups node indices by wave number (slices of order); every
+	// node's deps live in strictly earlier waves.
 	waves [][]int32
-	// maxWidth is the widest wave.
-	maxWidth int
-	// edges counts dependence edges (introspection).
-	edges int
-	// chained reports that the edge builder gave up (span blow-up) and the
-	// plan degraded to a serial chain.
-	chained bool
-	// fused records the fusion groups applied while lowering (nil when
-	// fusion is off or nothing fused).
-	fused []FusedGroup
-	// fusionSpills counts fusible pairs left unfused because the handoff
-	// would overflow the tile-local memories (spill-to-DRAM fallback).
-	fusionSpills int
-	// scratchBytes is the peak per-iteration tile-local scratch any fused
-	// pass holds its intermediates in.
-	scratchBytes units.Bytes
+	order []int32
+	// subs and errs are the scheduler's per-node results (sched.go).
+	subs []Report
+	errs []error
 }
+
+// maxWidth is the widest wave.
+func (p *plan) maxWidth() int {
+	most := 0
+	for _, wave := range p.waves {
+		most = max(most, len(wave))
+	}
+	return most
+}
+
+func (p *plan) spansOf(k int32) []span.Dir { return p.spans[p.nodes[k].spanLo:p.nodes[k].spanHi] }
+func (p *plan) depsOf(k int32) []int32     { return p.deps[p.nodes[k].depLo:p.nodes[k].depHi] }
 
 // planMode selects how LOOP nests lower.
 type planMode int
@@ -91,128 +99,161 @@ const (
 	planCollapse
 )
 
-// planNodeCount pre-counts the nodes mode would materialise.
-func planNodeCount(d *descriptor.Descriptor, mode planMode) int64 {
-	var total int64
-	bodyPasses := int64(0)
-	inLoop := false
-	var counts descriptor.LoopCounts
-	for _, in := range d.Instrs {
-		switch in.Kind {
-		case descriptor.KindEndPass:
-			if inLoop {
-				bodyPasses++
-			} else {
-				total++
-			}
-		case descriptor.KindLoop:
-			inLoop = true
-			counts = in.Counts
-			bodyPasses = 0
-		case descriptor.KindEndLoop:
-			if mode == planCollapse {
-				total += bodyPasses
-			} else {
-				total += bodyPasses * counts.Total()
-			}
-			inLoop = false
-		}
-	}
-	return total
+// lowering is a descriptor decoded into scope segments and fused, once,
+// with a cursor over its program-order node sequence. A fused pass is one
+// node — its comps chain through tile-local memory inside runPass — so the
+// interleaving DRAM write/read passes between producer and consumer
+// disappear from the schedule itself, not just the cost model.
+type lowering struct {
+	segs []planSegment
+	mode planMode
+	// fixed is the schedule-independent time: pass-configuration latency
+	// (accelerators in a LOOP body are configured once, paper §2.2) and
+	// the dispatch charges of empty loop bodies.
+	fixed units.Seconds
+	// fused records the fusion groups applied (nil when fusion is off or
+	// nothing fused), fusionSpills the fusible pairs left unfused because
+	// the handoff would overflow the tile-local memories, and scratchBytes
+	// the peak per-iteration tile-local scratch any fused pass holds.
+	fused        []FusedGroup
+	fusionSpills int
+	scratchBytes units.Bytes
+	// The cursor: the next node is pass `pass` at iteration `iter` of
+	// segs[seg], or seg == len(segs) when none is left.
+	seg, pass int
+	iter      int64
 }
 
-// buildPlan lowers the descriptor. It returns nil (no error) when the
-// expansion would exceed planMaxNodes and the caller should stream instead.
-//
-// Lowering first decodes the descriptor into scope segments, runs the
-// fusion pass over them (unless Config.NoFusion), then emits nodes from the
-// possibly-merged pass lists. A fused pass is one node — its comps chain
-// through tile-local memory inside runPass — so the interleaving DRAM
-// write/read passes between producer and consumer disappear from the
-// schedule itself, not just the cost model.
-func (l *Layer) buildPlan(d *descriptor.Descriptor, mode planMode) (*plan, error) {
-	if planNodeCount(d, mode) > planMaxNodes {
-		return nil, nil
-	}
+// lower decodes and fuses the descriptor (unless Config.NoFusion) into lw.
+func (l *Layer) lower(d *descriptor.Descriptor, mode planMode, lw *lowering) error {
 	segs, err := segmentsOf(d)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	p := &plan{spansPerComp: maxOpSpans()}
+	*lw = lowering{segs: segs, mode: mode}
 	if !l.cfg.NoFusion {
 		res := fuseSegments(segs, l.cfg.LMBytes*units.Bytes(l.cfg.Tiles))
-		p.fused = res.groups
-		p.fusionSpills = res.spills
-		p.scratchBytes = res.scratch
+		lw.fused = res.groups
+		lw.fusionSpills = res.spills
+		lw.scratchBytes = res.scratch
 	}
 	for _, seg := range segs {
 		if !seg.loop {
-			for _, pass := range seg.passes {
-				p.fixed += l.cfg.PassConfigLatency
-				p.addNode(pass, IterVec{}, 1, false)
+			// Summed pass by pass, not multiplied: the floating-point total
+			// is part of every report.
+			for range seg.passes {
+				lw.fixed += l.cfg.PassConfigLatency
 			}
 			continue
 		}
-		iters := seg.counts.Total()
-		p.fixed += l.cfg.PassConfigLatency * units.Seconds(len(seg.passes))
-		switch {
-		case len(seg.passes) == 0:
+		lw.fixed += l.cfg.PassConfigLatency * units.Seconds(len(seg.passes))
+		if len(seg.passes) == 0 {
 			// An empty loop body still pays the per-iteration dispatch.
-			p.fixed += l.iterDispatch() * units.Seconds(iters)
-		case mode == planCollapse:
-			for pi, body := range seg.passes {
-				p.addNode(body, IterVec{}, iters, pi == len(seg.passes)-1)
-			}
-		default:
-			for idx := int64(0); idx < iters; idx++ {
-				it := iterVecAt(seg.counts, idx)
-				for pi, body := range seg.passes {
-					p.addNode(body, it, 1, pi == len(seg.passes)-1)
-				}
-			}
+			lw.fixed += l.iterDispatch() * units.Seconds(seg.counts.Total())
 		}
+	}
+	lw.settle()
+	return nil
+}
+
+// trips is how many times the cursor visits the segment's passes: every
+// iteration of an expanded LOOP, once otherwise.
+func (lw *lowering) trips(seg *planSegment) int64 {
+	if seg.loop && lw.mode == planExpand {
+		return seg.counts.Total()
+	}
+	return 1
+}
+
+// settle moves the cursor past exhausted iterations and segments, so that
+// it names a node or the end.
+func (lw *lowering) settle() {
+	for lw.seg < len(lw.segs) {
+		seg := &lw.segs[lw.seg]
+		if lw.pass < len(seg.passes) {
+			return
+		}
+		lw.pass = 0
+		lw.iter++
+		if len(seg.passes) == 0 || lw.iter >= lw.trips(seg) {
+			lw.seg++
+			lw.iter = 0
+		}
+	}
+}
+
+// more reports whether any node is left to lower.
+func (lw *lowering) more() bool { return lw.seg < len(lw.segs) }
+
+// next lowers the next window of at most planWindow nodes into p.
+func (lw *lowering) next(p *plan) {
+	p.nodes = p.nodes[:0]
+	p.spans = p.spans[:0]
+	p.work = p.work[:0]
+	spansPerComp := maxOpSpans()
+	for lw.more() && len(p.nodes) < planWindow {
+		seg := &lw.segs[lw.seg]
+		nd := planNode{pass: seg.passes[lw.pass], scale: 1, dispatch: seg.loop && lw.pass == len(seg.passes)-1}
+		switch {
+		case !seg.loop:
+		case lw.mode == planCollapse:
+			nd.scale = seg.counts.Total()
+		default:
+			nd.it = iterVecAt(seg.counts, lw.iter)
+		}
+		p.addNode(nd, spansPerComp)
+		lw.pass++
+		lw.settle()
 	}
 	p.buildEdges()
 	p.buildWaves()
-	return p, nil
+	if n := len(p.nodes); n > len(p.subs) {
+		p.subs = append(p.subs, make([]Report, n-len(p.subs))...)
+	}
+	for k := range p.nodes {
+		p.subs[k].reset()
+	}
 }
 
-// addNode appends a node, resolving its directional spans. Any span that
-// fails to resolve (undecodable comp, address wrap) turns the node into a
-// barrier (nil spans).
-func (p *plan) addNode(pass []passInstr, it IterVec, scale int64, dispatch bool) {
-	nd := planNode{pass: pass, it: it, scale: scale, dispatch: dispatch}
-	// Resolvable but span-free passes (every operand empty, e.g. N=0) touch no
-	// memory and conflict with nothing: they keep a non-nil empty slice so
-	// they are not mistaken for a barrier.
-	nd.spans = make([]span.Dir, 0, len(pass)*p.spansPerComp)
-	for _, pi := range pass {
+// iterVecAt decomposes a linear iteration index into the loop-nest vector,
+// innermost level varying fastest.
+func iterVecAt(counts descriptor.LoopCounts, idx int64) IterVec {
+	var it IterVec
+	for level := descriptor.MaxLoopLevels - 1; level >= 0; level-- {
+		n := int64(counts[level])
+		if n < 1 {
+			n = 1
+		}
+		it[level] = idx % n
+		idx /= n
+	}
+	return it
+}
+
+// addNode appends a node, resolving its directional spans into the slab
+// (spansPerComp is the op table's bound on the spans of one comp).
+// Any span that fails to resolve (undecodable comp, address wrap) turns the
+// node into a barrier. Resolvable but span-free passes (every operand
+// empty, e.g. N=0) touch no memory and conflict with nothing.
+func (p *plan) addNode(nd planNode, spansPerComp int) {
+	lo := len(p.spans)
+	p.spans = slices.Grow(p.spans, len(nd.pass)*spansPerComp)
+	for _, pi := range nd.pass {
 		a, err := Bind(pi.op, pi.params)
 		ok := err == nil
 		if ok {
-			nd.spans, ok = a.appendIO(nd.spans, it)
+			p.spans, ok = a.appendIO(p.spans, nd.it)
 		}
 		if !ok {
-			nd.spans = nil
+			nd.barrier = true
+			p.spans = p.spans[:lo]
 			break
 		}
 	}
+	nd.spanLo, nd.spanHi = int32(lo), int32(len(p.spans))
+	nd.workLo = int32(len(p.work))
+	p.work = append(p.work, make([]Work, 2*len(nd.pass))...)
 	p.nodes = append(p.nodes, nd)
-}
-
-// serialChain wires every node to its predecessor — the always-correct
-// degenerate schedule.
-func (p *plan) serialChain() {
-	p.chained = true
-	p.edges = 0
-	for k := range p.nodes {
-		if k == 0 {
-			p.nodes[k].deps = nil
-			continue
-		}
-		p.nodes[k].deps = []int32{int32(k - 1)}
-		p.edges++
-	}
 }
 
 // scoreIvl is one interval of the dependence scoreboard: the byte range
@@ -221,8 +262,12 @@ func (p *plan) serialChain() {
 type scoreIvl struct {
 	start, end uint64
 	writer     int32 // -1: never written
-	readers    []int32
+	readers    int32 // newest entry of the reader list in scoreboard.links; -1: none
 }
+
+// readerLink is one entry of an interval's reader list. Lists only grow at
+// the head, so the two halves of a split interval share their tail.
+type readerLink struct{ node, next int32 }
 
 // scoreboard sweeps nodes in program order and derives dependence edges.
 // It keeps a sorted, disjoint interval list; intervals split at span
@@ -230,7 +275,15 @@ type scoreIvl struct {
 // coarsening) while staying linear in the number of distinct boundaries.
 type scoreboard struct {
 	ivls  []scoreIvl
+	links []readerLink
 	stamp []int32 // dedup: stamp[dep] == node+1 when already recorded
+}
+
+// insert places iv at index at, shifting the tail up.
+func (sb *scoreboard) insert(at int, iv scoreIvl) {
+	sb.ivls = append(sb.ivls, scoreIvl{})
+	copy(sb.ivls[at+1:], sb.ivls[at:])
+	sb.ivls[at] = iv
 }
 
 // ensure splits/creates intervals so [start, end) is covered exactly by
@@ -249,52 +302,29 @@ func (sb *scoreboard) ensure(start, end uint64) (int, int) {
 	i := lo
 	// Split a straddling head.
 	if i < len(sb.ivls) && sb.ivls[i].start < start {
-		head := sb.ivls[i]
-		left := head
+		left := sb.ivls[i]
 		left.end = start
 		sb.ivls[i].start = start
-		sb.ivls[i].readers = append([]int32(nil), head.readers...)
-		sb.ivls = append(sb.ivls, scoreIvl{})
-		copy(sb.ivls[i+1:], sb.ivls[i:])
-		sb.ivls[i] = left
+		sb.insert(i, left)
 		i++
 	}
 	// Walk forward, filling gaps and splitting the tail.
 	j := i
 	at := start
 	for at < end {
-		if j == len(sb.ivls) || sb.ivls[j].start >= end {
-			// Gap to the end of the request.
+		if j == len(sb.ivls) || sb.ivls[j].start > at {
+			// A gap, up to the next interval or the end of the request.
 			gapEnd := end
 			if j < len(sb.ivls) && sb.ivls[j].start < gapEnd {
 				gapEnd = sb.ivls[j].start
 			}
-			sb.ivls = append(sb.ivls, scoreIvl{})
-			copy(sb.ivls[j+1:], sb.ivls[j:])
-			sb.ivls[j] = scoreIvl{start: at, end: gapEnd, writer: -1}
-			at = gapEnd
-			j++
-			continue
-		}
-		if sb.ivls[j].start > at {
-			// Gap before the next interval.
-			sb.ivls = append(sb.ivls, scoreIvl{})
-			copy(sb.ivls[j+1:], sb.ivls[j:])
-			sb.ivls[j] = scoreIvl{start: at, end: sb.ivls[j+1].start, writer: -1}
-			at = sb.ivls[j].end
-			j++
-			continue
-		}
-		if sb.ivls[j].end > end {
+			sb.insert(j, scoreIvl{start: at, end: gapEnd, writer: -1, readers: -1})
+		} else if sb.ivls[j].end > end {
 			// Split the tail.
-			tail := sb.ivls[j]
-			right := tail
+			right := sb.ivls[j]
 			right.start = end
-			right.readers = append([]int32(nil), tail.readers...)
 			sb.ivls[j].end = end
-			sb.ivls = append(sb.ivls, scoreIvl{})
-			copy(sb.ivls[j+2:], sb.ivls[j+1:])
-			sb.ivls[j+1] = right
+			sb.insert(j+1, right)
 		}
 		at = sb.ivls[j].end
 		j++
@@ -304,28 +334,32 @@ func (sb *scoreboard) ensure(start, end uint64) (int, int) {
 
 // addDep records dep -> node (dedup via stamps, no self-edges).
 func (sb *scoreboard) addDep(p *plan, node int32, dep int32) {
-	if dep == node || dep < 0 {
-		return
-	}
-	if sb.stamp[dep] == node+1 {
+	if dep == node || dep < 0 || sb.stamp[dep] == node+1 {
 		return
 	}
 	sb.stamp[dep] = node + 1
-	p.nodes[node].deps = append(p.nodes[node].deps, dep)
-	p.edges++
+	p.deps = append(p.deps, dep)
+}
+
+// addDeps makes node depend on the interval's writer and, when it writes,
+// on every reader since that write.
+func (sb *scoreboard) addDeps(p *plan, node int32, ivl *scoreIvl, write bool) {
+	sb.addDep(p, node, ivl.writer)
+	if !write {
+		return
+	}
+	for r := ivl.readers; r >= 0; r = sb.links[r].next {
+		sb.addDep(p, node, sb.links[r].node)
+	}
 }
 
 // barrier makes node depend on every node still visible in the scoreboard
 // and collapses the board to a single all-covering interval owned by node.
 func (sb *scoreboard) barrier(p *plan, node int32) {
 	for k := range sb.ivls {
-		sb.addDep(p, node, sb.ivls[k].writer)
-		for _, r := range sb.ivls[k].readers {
-			sb.addDep(p, node, r)
-		}
+		sb.addDeps(p, node, &sb.ivls[k], true)
 	}
-	sb.ivls = sb.ivls[:0]
-	sb.ivls = append(sb.ivls, scoreIvl{start: 0, end: ^uint64(0), writer: node})
+	sb.ivls = append(sb.ivls[:0], scoreIvl{start: 0, end: ^uint64(0), writer: node, readers: -1})
 }
 
 // buildEdges derives RAW/WAR/WAW edges by sweeping the nodes in program
@@ -333,89 +367,76 @@ func (sb *scoreboard) barrier(p *plan, node int32) {
 // so any schedule respecting the edges reads and writes memory exactly as
 // the serial program order would.
 func (p *plan) buildEdges() {
-	events := 0
-	for k := range p.nodes {
-		if p.nodes[k].spans == nil {
-			events++ // barriers are cheap but count them anyway
-			continue
-		}
-		events += len(p.nodes[k].spans)
-	}
-	if events > planMaxEvents {
-		p.serialChain()
-		return
-	}
-	sb := &scoreboard{stamp: make([]int32, len(p.nodes))}
+	sb := &p.sb
+	// Sized so that a small plan, whose spans seldom split one another,
+	// does not regrow them.
+	sb.ivls = slices.Grow(sb.ivls[:0], len(p.spans))
+	sb.links = slices.Grow(sb.links[:0], len(p.spans))
+	sb.stamp = append(sb.stamp[:0], make([]int32, len(p.nodes))...)
+	p.deps = p.deps[:0]
 	for k := range p.nodes {
 		node := int32(k)
 		nd := &p.nodes[k]
-		if nd.spans == nil {
+		nd.depLo = int32(len(p.deps))
+		if nd.barrier {
 			sb.barrier(p, node)
-			continue
 		}
-		for _, sp := range nd.spans {
+		for _, sp := range p.spansOf(node) {
 			i, j := sb.ensure(uint64(sp.Addr), uint64(sp.End()))
 			for v := i; v < j; v++ {
 				ivl := &sb.ivls[v]
-				// A read depends on the last writer; a write additionally
-				// depends on every reader since that write.
-				sb.addDep(p, node, ivl.writer)
+				sb.addDeps(p, node, ivl, sp.Write)
 				if sp.Write {
-					for _, r := range ivl.readers {
-						sb.addDep(p, node, r)
-					}
-					ivl.writer = node
-					ivl.readers = nil
-				} else if ivl.writer != node {
-					if n := len(ivl.readers); n == 0 || ivl.readers[n-1] != node {
-						ivl.readers = append(ivl.readers, node)
-					}
+					ivl.writer, ivl.readers = node, -1
+				} else if ivl.writer != node && (ivl.readers < 0 || sb.links[ivl.readers].node != node) {
+					sb.links = append(sb.links, readerLink{node: node, next: ivl.readers})
+					ivl.readers = int32(len(sb.links) - 1)
 				}
 			}
-			if len(sb.ivls) > 2*planMaxEvents {
-				p.serialChain()
-				return
-			}
 		}
+		nd.depHi = int32(len(p.deps))
 	}
 }
 
 // buildWaves assigns each node the earliest wave after all its deps and
-// groups the nodes by wave.
+// groups the nodes by wave (a counting sort into order, so node order is
+// kept within a wave).
 func (p *plan) buildWaves() {
-	maxWave := int32(-1)
+	p.waves = p.waves[:0]
+	// Nodes per wave, then each wave's fill position; the edge builder is
+	// done with its stamps, which are as many as the nodes.
+	width := p.sb.stamp[:0]
 	for k := range p.nodes {
 		w := int32(0)
-		for _, dep := range p.nodes[k].deps {
-			if dw := p.nodes[dep].wave + 1; dw > w {
-				w = dw
-			}
+		for _, dep := range p.depsOf(int32(k)) {
+			w = max(w, p.nodes[dep].wave+1)
 		}
 		p.nodes[k].wave = w
-		if w > maxWave {
-			maxWave = w
+		if int(w) == len(width) {
+			width = append(width, 0)
 		}
+		width[w]++
 	}
-	if maxWave < 0 {
-		return
+	p.order = append(p.order[:0], make([]int32, len(p.nodes))...)
+	at := int32(0)
+	for w, n := range width {
+		p.waves = append(p.waves, p.order[at:at+n])
+		width[w] = at
+		at += n
 	}
-	p.waves = make([][]int32, maxWave+1)
 	for k := range p.nodes {
 		w := p.nodes[k].wave
-		p.waves[w] = append(p.waves[w], int32(k))
-	}
-	for _, wave := range p.waves {
-		if len(wave) > p.maxWidth {
-			p.maxWidth = len(wave)
-		}
+		p.order[width[w]] = int32(k)
+		width[w]++
 	}
 }
 
 // PlanInfo summarises the scheduled shape of a descriptor: how many nodes
 // the plan IR lowered it to, how they spread over topological waves, and
-// how wide the widest wave is (the available parallelism).
+// how wide the widest wave is (the available parallelism). Nodes, Edges and
+// Waves are summed over the descriptor's windows.
 type PlanInfo struct {
-	// Nodes is the number of pass instances in the DAG.
+	// Nodes is the number of pass instances.
 	Nodes int
 	// Edges is the number of dependence edges.
 	Edges int
@@ -424,8 +445,9 @@ type PlanInfo struct {
 	// MaxWidth is the widest wave — how many pass instances can run
 	// concurrently at the widest point.
 	MaxWidth int
-	// SerialChain reports that dependence analysis was abandoned and the
-	// plan degraded to one-node-per-wave serial execution.
+	// SerialChain is always false: dependence analysis is never abandoned,
+	// because a window bounds what it looks at. The field stays for the
+	// callers that read it.
 	SerialChain bool
 	// Fused lists the fusion groups the lowering applied: runs of adjacent
 	// producer→consumer passes merged into single chained passes whose
@@ -439,30 +461,25 @@ type PlanInfo struct {
 	ScratchBytes units.Bytes
 }
 
-// ExplainPlan lowers a descriptor through the functional expansion and
-// reports its scheduled shape without executing it (scheduler
-// introspection; also useful for sizing Workers).
+// ExplainPlan lowers a descriptor through the functional expansion, one
+// window at a time, and reports its scheduled shape without executing it
+// (scheduler introspection; also useful for sizing Workers).
 func (l *Layer) ExplainPlan(d *descriptor.Descriptor) (PlanInfo, error) {
 	if err := d.Validate(); err != nil {
 		return PlanInfo{}, err
 	}
-	p, err := l.buildPlan(d, planExpand)
-	if err != nil {
+	var lw lowering
+	if err := l.lower(d, planExpand, &lw); err != nil {
 		return PlanInfo{}, err
 	}
-	if p == nil {
-		// Oversized expansion: the streaming executor takes over; report
-		// the degenerate shape.
-		return PlanInfo{Nodes: int(planNodeCount(d, planExpand)), SerialChain: true}, nil
+	info := PlanInfo{Fused: lw.fused, FusionSpills: lw.fusionSpills, ScratchBytes: lw.scratchBytes}
+	var p plan
+	for lw.more() {
+		lw.next(&p)
+		info.Nodes += len(p.nodes)
+		info.Edges += len(p.deps)
+		info.Waves += len(p.waves)
+		info.MaxWidth = max(info.MaxWidth, p.maxWidth())
 	}
-	return PlanInfo{
-		Nodes:        len(p.nodes),
-		Edges:        p.edges,
-		Waves:        len(p.waves),
-		MaxWidth:     p.maxWidth,
-		SerialChain:  p.chained,
-		Fused:        p.fused,
-		FusionSpills: p.fusionSpills,
-		ScratchBytes: p.scratchBytes,
-	}, nil
+	return info, nil
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mealib/internal/descriptor"
 	"mealib/internal/telemetry"
 	"mealib/internal/units"
 )
@@ -34,36 +35,32 @@ func (l *Layer) planWorkers(p *plan) int {
 			w = l.cfg.Tiles
 		}
 	}
-	if w > p.maxWidth {
-		w = p.maxWidth
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(1, min(w, p.maxWidth()))
 }
 
-// runNode executes one node into a fresh sub-report: the pass datapath at
-// the node's iteration, the iteration-dispatch charge if the node closes
-// an iteration, and the model-collapse scale. The node's span lands on tb,
-// the buffer of whichever goroutine runs it.
-func (l *Layer) runNode(exec execFunc, nd *planNode, tb *telemetry.Buf) (*Report, error) {
-	name := "node"
-	if len(nd.pass) == 1 {
-		name = nd.pass[0].op.String()
-	} else if len(nd.pass) > 1 {
-		// A multi-comp (chained or fused) pass: name the span after the
-		// whole chain so fusion is visible in traces.
-		name = nd.pass[0].op.String()
-		for _, pi := range nd.pass[1:] {
-			name += "+" + pi.op.String()
+// runNode executes node k of the window into its sub-report p.subs[k]: the
+// pass datapath at the node's iteration, the iteration-dispatch charge if
+// the node closes an iteration, and the model-collapse scale. The node's
+// span lands on tb, the buffer of whichever goroutine runs it.
+func (l *Layer) runNode(exec execFunc, p *plan, k int32, tb *telemetry.Buf) error {
+	nd, sub := &p.nodes[k], &p.subs[k]
+	if tb != nil {
+		// A multi-comp (chained or fused) pass is named after the whole
+		// chain so fusion is visible in traces.
+		name := "node"
+		for i, pi := range nd.pass {
+			if i == 0 {
+				name = pi.op.String()
+			} else {
+				name += "+" + pi.op.String()
+			}
 		}
+		tb.Begin(telemetry.SpanNode, name)
 	}
-	tb.Begin(telemetry.SpanNode, name)
-	sub := newReport()
-	if err := l.runPass(exec, nd.pass, nd.it, sub); err != nil {
+	scratch := p.work[nd.workLo : int(nd.workLo)+2*len(nd.pass)]
+	if err := l.runPass(exec, nd, scratch, sub); err != nil {
 		tb.End(telemetry.SpanNode, 0)
-		return nil, err
+		return err
 	}
 	if nd.dispatch {
 		sub.Time += l.iterDispatch()
@@ -75,7 +72,7 @@ func (l *Layer) runNode(exec execFunc, nd *planNode, tb *telemetry.Buf) (*Report
 		telemetry.Arg{Key: "scale", Val: nd.scale},
 		telemetry.Arg{Key: "comps", Val: sub.Comps})
 	l.met.nodes.Add(1)
-	return sub, nil
+	return nil
 }
 
 // scale multiplies every accumulated quantity by n (a model-collapsed
@@ -97,59 +94,102 @@ func (r *Report) scale(n int64) {
 	}
 }
 
-// runPlan executes the plan with the given evaluator and returns the
-// merged report. The first error in node order wins, matching what serial
-// execution would have returned. Non-nil hooks bracket every wave with
-// WaveStart/WaveDone (hooks.go) and force the wave loop even at one worker,
-// so external gating sees the same wave boundaries either way; sub-reports
-// still merge in node order, keeping hooked and unhooked runs bit-identical.
-func (l *Layer) runPlan(p *plan, exec execFunc, tb *telemetry.Buf, hooks WaveHooks) (*Report, error) {
-	rep := newReport()
-	rep.Time += p.fixed
-	workers := l.planWorkers(p)
-	l.met.wavesPerLaunch.Observe(int64(len(p.waves)))
-	l.met.fusedGroups.Add(int64(len(p.fused)))
-	l.met.fusionSpills.Add(int64(p.fusionSpills))
-	if hooks != nil {
-		hooks.Lowered(waveSpansOf(p))
+// planRun is one launch in progress: its lowering, the window being run
+// and what the windows share. It is one heap object, not locals of
+// interpret: the runtime starts every launch on a new goroutine, and what
+// interpret, runPlan, runNode and runPass hold on that small stack decides
+// whether it must grow before the kernel is reached.
+type planRun struct {
+	lw    lowering
+	win   plan
+	exec  execFunc
+	tb    *telemetry.Buf
+	hooks WaveHooks
+	// rep merges the sub-reports of every window in node order.
+	rep *Report
+	// waves counts the waves run so far — wave numbers run on from one
+	// window to the next — and elapsed is the model time through the last.
+	waves   int
+	elapsed units.Seconds
+}
+
+// interpret lowers the descriptor into the plan IR (plan.go) and runs it
+// window by window with the given evaluator. Non-nil hooks hear of every
+// window's waves before it runs and bracket each wave with
+// WaveStart/WaveDone (hooks.go).
+func (l *Layer) interpret(d *descriptor.Descriptor, mode planMode, exec execFunc, tb *telemetry.Buf, hooks WaveHooks) (*Report, error) {
+	tb.Begin(telemetry.SpanPlanLower, "lower")
+	r := new(planRun)
+	r.exec, r.tb, r.hooks, r.rep = exec, tb, hooks, newReport()
+	lw, p := &r.lw, &r.win
+	if err := l.lower(d, mode, lw); err != nil {
+		tb.End(telemetry.SpanPlanLower, 0)
+		return nil, err
 	}
-	if workers <= 1 && hooks == nil {
+	l.met.fusedGroups.Add(int64(len(lw.fused)))
+	l.met.fusionSpills.Add(int64(lw.fusionSpills))
+	r.rep.Time, r.elapsed = lw.fixed, lw.fixed
+	for {
+		lw.next(p)
+		tb.End2(telemetry.SpanPlanLower, 0,
+			telemetry.Arg{Key: "nodes", Val: int64(len(p.nodes))},
+			telemetry.Arg{Key: "waves", Val: int64(len(p.waves))})
+		if err := l.runPlan(r); err != nil {
+			return nil, err
+		}
+		if !lw.more() {
+			break
+		}
+		tb.Begin(telemetry.SpanPlanLower, "lower")
+	}
+	l.met.wavesPerLaunch.Observe(int64(r.waves))
+	return r.rep, nil
+}
+
+// runPlan executes the launch's current window, after announcing its waves
+// to the hooks, and merges its sub-reports into the launch's report. The
+// first error in node order wins, matching what serial execution would
+// have returned. Hooks force the wave loop even at one worker, so external
+// gating sees the same wave boundaries either way; sub-reports still merge
+// in node order, keeping hooked and unhooked runs bit-identical.
+func (l *Layer) runPlan(r *planRun) error {
+	p := &r.win
+	workers := l.planWorkers(p)
+	base := r.waves
+	r.waves += len(p.waves)
+	if r.hooks != nil {
+		r.hooks.Lowered(waveSpansOf(p), r.lw.more())
+	}
+	if workers <= 1 && r.hooks == nil {
 		// Serial: node order is a topological order (edges always point
 		// forward), so in-order execution respects every edge.
 		for k := range p.nodes {
-			sub, err := l.runNode(exec, &p.nodes[k], tb)
-			if err != nil {
-				return nil, err
+			if err := l.runNode(r.exec, p, int32(k), r.tb); err != nil {
+				return err
 			}
-			rep.merge(sub)
+			r.rep.merge(&p.subs[k])
 		}
-		return rep, nil
+		return nil
 	}
-	subs := make([]*Report, len(p.nodes))
-	errs := make([]error, len(p.nodes))
+	p.errs = append(p.errs[:0], make([]error, len(p.nodes))...)
 	failed := false
-	elapsed := p.fixed
 	for wi, wave := range p.waves {
 		l.met.waveWidth.Observe(int64(len(wave)))
-		if hooks != nil {
-			hooks.WaveStart(wi)
+		if r.hooks != nil {
+			r.hooks.WaveStart(base + wi)
 		}
-		tb.Begin(telemetry.SpanWave, "wave")
+		r.tb.Begin(telemetry.SpanWave, "wave")
 		if len(wave) == 1 || workers == 1 {
 			// Single-node waves (and hooked serial runs) execute inline: a
 			// serial chain (SPMV loop, chained passes) must not pay
 			// goroutine hand-off per node.
 			for _, k := range wave {
-				subs[k], errs[k] = l.runNode(exec, &p.nodes[k], tb)
+				p.errs[k] = l.runNode(r.exec, p, k, r.tb)
 			}
 		} else {
-			w := workers
-			if w > len(wave) {
-				w = len(wave)
-			}
 			var next atomic.Int64
 			var wg sync.WaitGroup
-			for i := 0; i < w; i++ {
+			for i := 0; i < min(workers, len(wave)); i++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
@@ -163,24 +203,24 @@ func (l *Layer) runPlan(p *plan, exec execFunc, tb *telemetry.Buf, hooks WaveHoo
 							return
 						}
 						k := wave[pos]
-						subs[k], errs[k] = l.runNode(exec, &p.nodes[k], wb)
+						p.errs[k] = l.runNode(r.exec, p, k, wb)
 					}
 				}()
 			}
 			wg.Wait()
 		}
-		tb.End2(telemetry.SpanWave, 0,
-			telemetry.Arg{Key: "wave", Val: int64(wi)},
+		r.tb.End2(telemetry.SpanWave, 0,
+			telemetry.Arg{Key: "wave", Val: int64(base + wi)},
 			telemetry.Arg{Key: "width", Val: int64(len(wave))})
 		for _, k := range wave {
-			if errs[k] != nil {
+			if p.errs[k] != nil {
 				failed = true
-			} else if subs[k] != nil {
-				elapsed += subs[k].Time
+			} else {
+				r.elapsed += p.subs[k].Time
 			}
 		}
-		if hooks != nil {
-			hooks.WaveDone(wi, elapsed)
+		if r.hooks != nil {
+			r.hooks.WaveDone(base+wi, r.elapsed)
 		}
 		if failed {
 			// Dependents of the failed node must not run; later waves are
@@ -188,13 +228,15 @@ func (l *Layer) runPlan(p *plan, exec execFunc, tb *telemetry.Buf, hooks WaveHoo
 			break
 		}
 	}
-	for k := range p.nodes {
-		if errs[k] != nil {
-			return nil, errs[k]
-		}
-		if subs[k] != nil {
-			rep.merge(subs[k])
+	if failed {
+		for _, err := range p.errs {
+			if err != nil {
+				return err
+			}
 		}
 	}
-	return rep, nil
+	for k := range p.nodes {
+		r.rep.merge(&p.subs[k])
+	}
+	return nil
 }

@@ -257,12 +257,14 @@ func TestPlanInterleavesSerialChainWithIndependentLoop(t *testing.T) {
 	d.AddEndPass()
 	d.AddEndLoop()
 
-	p, err := l.buildPlan(d, planExpand)
-	if err != nil {
+	var lw lowering
+	if err := l.lower(d, planExpand, &lw); err != nil {
 		t.Fatal(err)
 	}
-	if p == nil {
-		t.Fatal("plan unexpectedly overflowed into the streaming fallback")
+	p := &plan{}
+	lw.next(p)
+	if lw.more() {
+		t.Fatalf("%d nodes did not fit one window", spmvIters+axpyIters)
 	}
 	if got := len(p.nodes); got != spmvIters+axpyIters {
 		t.Fatalf("nodes = %d, want %d", got, spmvIters+axpyIters)
@@ -283,8 +285,8 @@ func TestPlanInterleavesSerialChainWithIndependentLoop(t *testing.T) {
 	if spmvN != 1 || axpyN != axpyIters {
 		t.Errorf("wave 0 holds %d SPMV + %d AXPY nodes, want 1 + %d", spmvN, axpyN, axpyIters)
 	}
-	if p.maxWidth <= 1 {
-		t.Errorf("maxWidth = %d: the previously-serialised case must expose parallelism", p.maxWidth)
+	if p.maxWidth() <= 1 {
+		t.Errorf("maxWidth = %d: the previously-serialised case must expose parallelism", p.maxWidth())
 	}
 
 	info, err := l.ExplainPlan(d)
@@ -294,9 +296,6 @@ func TestPlanInterleavesSerialChainWithIndependentLoop(t *testing.T) {
 	if info.Nodes != spmvIters+axpyIters || info.Waves != spmvIters || info.MaxWidth != 1+axpyIters {
 		t.Errorf("ExplainPlan = %+v, want %d nodes, %d waves, width %d",
 			info, spmvIters+axpyIters, spmvIters, 1+axpyIters)
-	}
-	if info.SerialChain {
-		t.Error("plan must not degrade to a serial chain")
 	}
 }
 

@@ -178,7 +178,7 @@ func (r *Runtime) registerFlightLocked(p *Plan) *flight {
 	r.seq++
 	fl := &flight{reads: p.reads, writes: p.admWrites, start: r.clock, seq: r.seq, sess: p.sess}
 	if r.cfg.WavePipeline && p.ooc == nil {
-		fl.gate = &flightGate{r: r, fl: fl}
+		fl.gate = &flightGate{r: r, fl: fl, more: true}
 		for _, g := range r.inflight {
 			if g.gate != nil && flightsConflict(fl, g) {
 				fl.gate.olders = append(fl.gate.olders, g.gate)

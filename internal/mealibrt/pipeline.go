@@ -45,10 +45,12 @@ type flightGate struct {
 	// that drains before the consumer's wave asks still contributes its
 	// release time to the consumer's model-time shift.
 	olders []*flightGate
-	// waves is the per-wave footprint from Lowered: nil means the launch
-	// took the streaming fallback and releases nothing before it retires.
-	waves   [][]span.Dir
-	lowered bool
+	// waves is the per-wave footprint announced so far by Lowered, one
+	// window at a time. While more is set the launch has waves still to
+	// announce (none are, before it lowers its first window), and those
+	// carry the flight's whole verifier footprint.
+	waves [][]span.Dir
+	more  bool
 	// done counts completed waves; doneAt[w] is the model time wave w
 	// completed at (start + shift + cumulative device time).
 	done   int
@@ -75,23 +77,20 @@ func flightSpans(fl *flight) []span.Dir {
 	return out
 }
 
-// Lowered records the launch's per-wave footprint (accel.WaveHooks).
-func (g *flightGate) Lowered(waves [][]span.Dir) {
+// Lowered records the per-wave footprint of the launch's next window
+// (accel.WaveHooks).
+func (g *flightGate) Lowered(waves [][]span.Dir, more bool) {
 	g.r.mu.Lock()
-	g.lowered = true
-	g.waves = waves
-	n := len(waves)
-	if n == 0 {
-		n = 1 // streaming fallback executes as a single unresolvable wave 0
-	}
-	g.doneAt = make([]units.Seconds, n)
+	g.waves = append(g.waves, waves...)
+	g.doneAt = append(g.doneAt, make([]units.Seconds, len(waves))...)
+	g.more = more
 	g.r.mu.Unlock()
 }
 
 // waveFootprintLocked returns wave w's directional spans, degrading to the
 // whole flight's footprint when the wave is unresolvable.
 func (g *flightGate) waveFootprintLocked(w int) []span.Dir {
-	if g.waves != nil && w < len(g.waves) && g.waves[w] != nil {
+	if w < len(g.waves) && g.waves[w] != nil {
 		return g.waves[w]
 	}
 	return flightSpans(g.fl)
@@ -101,26 +100,17 @@ func (g *flightGate) waveFootprintLocked(w int) []span.Dir {
 // spans, or ok=false while og has conflicting waves still to run (the
 // caller must wait and re-ask). Called with mu held.
 func (og *flightGate) releaseTimeLocked(spans []span.Dir) (units.Seconds, bool) {
-	if !og.lowered || og.waves == nil {
-		// Schedule unknown (not lowered yet, or streaming fallback): the
-		// flight releases nothing before it ends.
-		if !span.Overlap(spans, flightSpans(og.fl)) {
-			return 0, true
-		}
-		if og.retired {
-			return og.endAt, true
-		}
-		return 0, false
-	}
-	k := -1 // last wave of og whose footprint conflicts with spans
-	for i := len(og.waves) - 1; i >= 0; i-- {
-		ws := og.waves[i]
-		if ws == nil {
-			ws = flightSpans(og.fl)
-		}
-		if span.Overlap(spans, ws) {
-			k = i
-			break
+	k := len(og.waves) // last wave of og whose footprint conflicts with spans
+	if !og.more || !span.Overlap(spans, flightSpans(og.fl)) {
+		// No wave still to be announced conflicts: look among those that were.
+		for k--; k >= 0; k-- {
+			ws := og.waves[k]
+			if ws == nil {
+				ws = flightSpans(og.fl)
+			}
+			if span.Overlap(spans, ws) {
+				break
+			}
 		}
 	}
 	if k < 0 {

@@ -55,8 +55,8 @@ type Config struct {
 	// call model behaves. Results are identical either way; this switch
 	// exists for differential testing and traffic measurement.
 	NoFusion bool
-	// Workers overrides the accelerator layer's worker-pool size for
-	// independent LOOP iterations: 0 keeps the layer's own setting
+	// Workers overrides the accelerator layer's worker-pool size for the
+	// independent nodes of a wave: 0 keeps the layer's own setting
 	// (min(GOMAXPROCS, Tiles) by default), 1 forces serial execution.
 	Workers int
 	// MaxInFlight caps the number of descriptors concurrently in flight

@@ -50,7 +50,6 @@ const (
 	SpanPlanLower                 // descriptor -> plan IR lowering
 	SpanWave                      // one scheduler wave
 	SpanNode                      // one plan node (pass at an iteration)
-	SpanStream                    // streaming-fallback interpretation
 	SpanSubmit                    // Plan.Submit, doorbell included
 	SpanAdmission                 // blocked in span-conflict admission
 	SpanFlight                    // descriptor in flight (submit to retire)
@@ -63,7 +62,7 @@ const (
 )
 
 var spanNames = [numSpanTypes]string{
-	"launch", "plan_lower", "wave", "node", "stream",
+	"launch", "plan_lower", "wave", "node",
 	"submit", "admission", "flight", "wait", "dram_pass", "host", "stage",
 	"exchange",
 }

@@ -65,8 +65,8 @@ func WithHost(h *cpu.Host) Option {
 	return func(c *mealibrt.Config) { c.Host = h }
 }
 
-// WithWorkers sets the worker-pool size the functional interpreter fans
-// independent LOOP iterations across: 0 selects min(GOMAXPROCS, tiles), 1
+// WithWorkers sets the worker-pool size the wavefront scheduler runs the
+// independent nodes of a wave on: 0 selects min(GOMAXPROCS, tiles), 1
 // restores serial execution. Parallel and serial runs produce byte-identical
 // buffers and identical reports.
 func WithWorkers(n int) Option {
