@@ -1,6 +1,7 @@
 #!/bin/sh
-# check.sh — the full local gate: build, vet, lint (cmd/mealint), then the
-# test suite under the race detector. CI and pre-commit both run exactly
+# check.sh — the full local gate: build, vet, lint (cmd/mealint), the test
+# suite under the race detector, then a traced bench/ run compared against
+# the committed BENCH_BASELINE.json. CI and pre-commit both run exactly
 # this; a clean exit here means the tree is submittable.
 set -eu
 cd "$(dirname "$0")"
@@ -38,11 +39,7 @@ if grep -rnE 'streamWalk|interpretStream|runLoop|loopIndependent|SpanStream|plan
 	exit 1
 fi
 
-echo "==> scheduler differentials (serial vs wavefront vs hooked, single- and multi-window, -race)"
-go test -race -run 'Differential|Submit|ExplainPlan|PlanInterleaves|WindowWalk|WavePipelining' \
-	./internal/accel ./internal/mealibrt
-
-echo "==> go test -race ./..."
+echo "==> go test -race ./... (incl. the serial/wavefront/hooked scheduler differentials, TestFusionGate's DRAM-byte conservation, TestGraphGatePageRankSmoke's 4-stack bit-identity and per-link traffic, the out-of-core differentials and FuzzServerFrames' seed corpus)"
 go test -race ./...
 
 echo "==> bench module (nested; go test ./... at the root does not reach it)"
@@ -50,23 +47,6 @@ echo "==> bench module (nested; go test ./... at the root does not reach it)"
 
 echo "==> mealint flag smoke (-analyzers filter, -json output)"
 test "$(go run ./cmd/mealint -analyzers addrflow -json ./internal/phys)" = "[]"
-
-echo "==> mealib-bench -micro smoke (AXPY, scheduler on/off)"
-microdir=$(mktemp -d)
-tmpdirs="$tmpdirs $microdir"
-go run ./cmd/mealib-bench -micro "$microdir" -ops AXPY >/dev/null
-test -s "$microdir/BENCH_AXPY.json"
-grep -q speedup_vs_serial "$microdir/BENCH_AXPY.json"
-
-echo "==> descriptor fusion gate (CHAIN micro, bytes moved must drop)"
-go test -race -run 'TestFusionGate' -count=1 ./internal/exp
-
-echo "==> mealib-bench fused columns smoke (CHAIN, fusion on/off)"
-chaindir=$(mktemp -d)
-tmpdirs="$tmpdirs $chaindir"
-go run ./cmd/mealib-bench -micro "$chaindir" -ops CHAIN >/dev/null
-grep -q fused_ns_per_op "$chaindir/BENCH_CHAIN.json"
-grep -q dram_bytes_per_op "$chaindir/BENCH_CHAIN.json"
 
 echo "==> mealib-trace e2e smoke (traced micro AXPY, validated export)"
 tracedir=$(mktemp -d)
@@ -81,36 +61,32 @@ grep -q 'accel.launches' "$tracedir/metrics.json"
 echo "==> mealibd smoke gate (unix socket, 16 concurrent CHAIN tenants)"
 go run ./cmd/mealibd -smoke 16 >/dev/null
 
-echo "==> mealib-bench -serve smoke (loaded server, BENCH_SERVE.json)"
-servedir=$(mktemp -d)
-tmpdirs="$tmpdirs $servedir"
-go run ./cmd/mealib-bench -serve "$servedir" -launches 16 >/dev/null
-grep -q launches_per_sec "$servedir/BENCH_SERVE.json"
-grep -q wait_p99_us "$servedir/BENCH_SERVE.json"
+echo "==> benchmark gate (traced bench/ runs against BENCH_BASELINE.json: model time and energy, DRAM bytes, nodes, waves, fused groups must repeat exactly)"
+benchdir=$(mktemp -d)
+tmpdirs="$tmpdirs $benchdir"
+# serve and graph are left out: their model energy depends on which flight
+# retires first (bench/compare.go modelSlack), so a comparison of the tree
+# with itself can read "worse". The other three repeat bit for bit. With
+# GOMAXPROCS < 2 the benchmark refuses to run and the gate fails with it.
+for w in launch_small loop_kernels pipeline; do
+	bash bench/run.sh -workload "$w" -trace 1 -out "$benchdir/$w.json" >/dev/null
+	# -compare exits non-zero when an exact metric got worse. One that got
+	# better is still a baseline that no longer describes the tree.
+	status=0
+	bash bench/run.sh -compare BENCH_BASELINE.json "$benchdir/$w.json" >"$benchdir/$w.cmp" || status=$?
+	cat "$benchdir/$w.cmp"
+	if [ "$status" -ne 0 ] || grep ' better$' "$benchdir/$w.cmp" >/dev/null; then
+		echo "check.sh: $w disagrees with BENCH_BASELINE.json; fix the regression, or re-record the baseline (EXPERIMENTS.md) if the change is meant" >&2
+		exit 1
+	fi
+done
 
-echo "==> out-of-core differential smoke (oversized AXPY staged through 512 KiB, prefetch on/off)"
-oocdir=$(mktemp -d)
-tmpdirs="$tmpdirs $oocdir"
-# The benchmark itself verifies both runs bit for bit against the host
-# reference and fails hard on a mismatch; here we additionally check the
-# artifact recorded the differential and both timing columns.
-go run ./cmd/mealib-bench -ooc "$oocdir" >/dev/null
-grep -q '"bit_identical_to_host": true' "$oocdir/BENCH_OOC.json"
-grep -q prefetch_speedup "$oocdir/BENCH_OOC.json"
-
-echo "==> multi-stack graph gate (4-stack n=2^16 PageRank: bit-identity + per-link traffic conservation, -race)"
-go test -race -run 'TestGraphGatePageRankSmoke' -count=1 ./internal/apps/graph
-
-echo "==> mealib-bench -graph smoke (BENCH_GRAPH.json, verified stack sweep)"
-gdir=$(mktemp -d)
-tmpdirs="$tmpdirs $gdir"
-# The benchmark verifies every (workload, stacks) configuration bit for
-# bit against the serial reference and fails hard on divergence; here we
-# additionally check the artifact recorded the differential and the
-# multi-stack speedup column.
-go run ./cmd/mealib-bench -graph "$gdir" >/dev/null
-grep -q '"bit_identical_to_serial": true' "$gdir/BENCH_GRAPH.json"
-grep -q speedup_vs_1stack "$gdir/BENCH_GRAPH.json"
-grep -q inter_stack_bytes_per_iter "$gdir/BENCH_GRAPH.json"
+echo "==> benchmark gate self-test (a seeded +64 B accel.dram_bytes must fail the comparison)"
+awk '/"accel\.dram_bytes":/ { printf "          \"accel.dram_bytes\": %.4f,\n", $2 + 64; next } { print }' \
+	"$benchdir/loop_kernels.json" >"$benchdir/seeded.json"
+if bash bench/run.sh -compare BENCH_BASELINE.json "$benchdir/seeded.json" >/dev/null; then
+	echo "check.sh: the benchmark gate let a seeded accel.dram_bytes regression through" >&2
+	exit 1
+fi
 
 echo "check.sh: all gates passed"

@@ -7,19 +7,16 @@
 //	mealib-bench -tab 5     # one table (1..5)
 //	mealib-bench -fig 9     # one figure (1, 9, 10, 11, 12, 13, 14)
 //	mealib-bench -scale 2   # scale factor for the measured Figure 1
-//	mealib-bench -micro .   # functional-path micro-benchmarks; writes one
-//	                        # BENCH_<op>.json per op into the directory
-//	mealib-bench -ooc .     # out-of-core benchmark; writes BENCH_OOC.json
-//	mealib-bench -graph .   # multi-stack graph benchmark; writes BENCH_GRAPH.json
+//	mealib-bench -ablations # the DESIGN.md design choices, quantified
+//
+// Wall-clock and model-clock measurements of the engine itself live in the
+// nested bench/ module (bash bench/run.sh), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"mealib/internal/exp"
 )
@@ -30,13 +27,6 @@ func main() {
 	scale := flag.Int("scale", 1, "workload scale for the measured Figure 1")
 	ablations := flag.Bool("ablations", false, "quantify the DESIGN.md design choices")
 	asJSON := flag.Bool("json", false, "emit JSON instead of text tables")
-	micro := flag.String("micro", "", "run the functional-path micro-benchmarks and write BENCH_<op>.json files into this directory")
-	serve := flag.String("serve", "", "run the loaded-server benchmark (mealibd over unix sockets at 1/4/16 clients) and write BENCH_SERVE.json into this directory")
-	ooc := flag.String("ooc", "", "run the out-of-core benchmark (oversized AXPY, prefetch on/off, verified against the host reference) and write BENCH_OOC.json into this directory")
-	graphDir := flag.String("graph", "", "run the multi-stack graph benchmark (PageRank and BFS over 1/2/4 stacks, verified against the serial references) and write BENCH_GRAPH.json into this directory")
-	launches := flag.Int("launches", 64, "per-client launch count for -serve")
-	workers := flag.Int("workers", 0, "accelerator worker-pool size for -micro (0 = auto, 1 = serial)")
-	opsFlag := flag.String("ops", "", "comma-separated op filter for -micro (e.g. AXPY,FFT); empty = all ops")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -76,50 +66,6 @@ func main() {
 	}
 
 	switch {
-	case *graphDir != "":
-		path, res, err := exp.WriteGraphBench(*graphDir)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("wrote", path)
-		printTable(exp.RenderGraph(res), nil)
-	case *ooc != "":
-		path, res, err := exp.WriteOOCBench(*ooc)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("wrote", path)
-		printTable(exp.RenderOOC(res), nil)
-	case *serve != "":
-		path, res, err := exp.WriteServeBench(*serve, *launches)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("wrote", path)
-		printTable(exp.RenderServe(res), nil)
-	case *micro != "":
-		var ops []string
-		for _, op := range strings.Split(*opsFlag, ",") {
-			if op = strings.TrimSpace(op); op != "" {
-				ops = append(ops, op)
-			}
-		}
-		rows, err := exp.MicroBenchmarks(*workers, ops...)
-		if err != nil {
-			fail(err)
-		}
-		for _, r := range rows {
-			out, err := json.MarshalIndent(r, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			path := filepath.Join(*micro, "BENCH_"+r.Op+".json")
-			if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Println("wrote", path)
-		}
-		printTable(exp.RenderMicro(rows), nil)
 	case *ablations:
 		printTable(exp.RenderAblations())
 	case *tab != 0:

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math/rand"
 	"testing"
 
 	"mealib/internal/accel"
@@ -11,12 +12,14 @@ import (
 	"mealib/internal/units"
 )
 
-// chainGateRun executes the CHAIN micro shape once on a traced layer and
-// returns the accelerator's DRAM traffic counters.
+// chainGateRun executes the CHAIN shape (RESMP feeding FFT, looped over
+// disjoint rows) once on a traced layer and returns the accelerator's DRAM
+// traffic counters.
 func chainGateRun(t *testing.T, noFusion bool) (moved, elided, groups int64) {
 	t.Helper()
+	const arena phys.Addr = 0x10000
 	s := phys.NewSpace(256 * units.MiB)
-	if _, err := s.Map(microArenaBase, 32*units.MiB); err != nil {
+	if _, err := s.Map(arena, 32*units.MiB); err != nil {
 		t.Fatal(err)
 	}
 	tr := telemetry.New()
@@ -27,11 +30,18 @@ func chainGateRun(t *testing.T, noFusion bool) (moved, elided, groups int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rig := &microRig{space: s, layer: l, next: microArenaBase}
 	const nin, n, iters = 768, 1024, 32
-	ra := rig.alloc(8 * nin * iters)
-	ia := rig.alloc(8 * n * iters)
-	if err := rig.fillC64(ra, nin*iters, 12); err != nil {
+	// Raw rows, image rows, then the descriptor, each 64-byte aligned so the
+	// cores' views stay zero-copy.
+	ra := arena
+	ia := ra + 8*nin*iters
+	base := ia + 8*n*iters
+	rng := rand.New(rand.NewSource(12))
+	raw := make([]complex64, nin*iters)
+	for i := range raw {
+		raw[i] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
+	}
+	if err := s.StoreComplex64s(ra, raw); err != nil {
 		t.Fatal(err)
 	}
 	d := &descriptor.Descriptor{}
@@ -54,8 +64,7 @@ func chainGateRun(t *testing.T, noFusion bool) (moved, elided, groups int64) {
 	}
 	d.AddEndPass()
 	d.AddEndLoop()
-	base := rig.alloc(int(d.Size()))
-	if _, err := rig.layer.RunPlain(rig.space, d, base); err != nil {
+	if _, err := l.RunPlain(s, d, base); err != nil {
 		t.Fatal(err)
 	}
 	m := tr.Metrics()
@@ -65,7 +74,7 @@ func chainGateRun(t *testing.T, noFusion bool) (moved, elided, groups int64) {
 }
 
 // TestFusionGate is the CI gate for the fusion pass: running the CHAIN
-// micro with fusion on must move strictly fewer DRAM bytes than with fusion
+// shape with fusion on must move strictly fewer DRAM bytes than with fusion
 // off, by exactly the size of the elided intermediate (one 8 KiB row stored
 // and re-loaded per loop iteration).
 func TestFusionGate(t *testing.T) {

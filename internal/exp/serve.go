@@ -1,21 +1,17 @@
 package exp
 
-// Loaded-server harness: the smoke test behind `mealibd -smoke` and the
-// benchmark behind `mealib-bench -serve`. Both bring a real mealibd endpoint
-// up on a unix socket in a temp directory and drive it through the wire
+// The smoke test behind `mealibd -smoke`: it brings a real mealibd endpoint
+// up on a unix socket in a temp directory and drives it through the wire
 // client, so the whole service stack — framing, sessions, quotas, fair
 // admission, batching, wave pipelining — is on the path.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
-	"time"
 
 	"mealib/internal/accel"
 	"mealib/internal/descriptor"
@@ -28,8 +24,8 @@ import (
 	"mealib/internal/units"
 )
 
-// The CHAIN shape from the micro suite (RESMP feeding FFT under a hardware
-// loop) — the smoke workload.
+// The CHAIN shape (RESMP feeding FFT under a hardware loop) — the smoke
+// workload.
 const (
 	serveChainNIn   = 768
 	serveChainN     = 1024
@@ -245,171 +241,4 @@ func ServeSmoke(clients int) error {
 		}
 	}
 	return ep.stop()
-}
-
-// ServeBenchPoint is the loaded-server benchmark at one client count.
-type ServeBenchPoint struct {
-	Clients        int           `json:"clients"`
-	Launches       int           `json:"launches"`
-	WallSeconds    units.Seconds `json:"wall_seconds"`
-	LaunchesPerSec float64       `json:"launches_per_sec"`
-	// Wait latencies are the wall time of the submit→wait round trip as
-	// the tenant sees it, microseconds.
-	WaitP50Micros float64 `json:"wait_p50_us"`
-	WaitP99Micros float64 `json:"wait_p99_us"`
-}
-
-// ServeBenchResult is the BENCH_SERVE.json payload.
-type ServeBenchResult struct {
-	Op                string            `json:"op"`
-	VectorLen         int               `json:"vector_len"`
-	PerClientLaunches int               `json:"per_client_launches"`
-	Points            []ServeBenchPoint `json:"points"`
-}
-
-// ServeBench measures the loaded server: for each client count, that many
-// tenants each stream perClient small AXPY launches (submit immediately
-// followed by wait) and the run records aggregate launches/s plus the p50
-// and p99 of the per-launch round-trip latency.
-func ServeBench(counts []int, perClient int) (*ServeBenchResult, error) {
-	const n = 4096
-	res := &ServeBenchResult{Op: "AXPY", VectorLen: n, PerClientLaunches: perClient}
-	for _, clients := range counts {
-		ep, err := startServeEndpoint()
-		if err != nil {
-			return nil, err
-		}
-		lats := make([][]time.Duration, clients)
-		errs := make([]error, clients)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for i := 0; i < clients; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				errs[i] = func() error {
-					cl, err := client.Dial(client.Config{
-						Network: "unix", Addr: ep.addr, Tenant: fmt.Sprintf("bench%02d", i),
-					})
-					if err != nil {
-						return err
-					}
-					defer cl.Close()
-					x, err := cl.Alloc(4 * n)
-					if err != nil {
-						return err
-					}
-					y, err := cl.Alloc(4 * n)
-					if err != nil {
-						return err
-					}
-					vs := make([]float32, n)
-					for j := range vs {
-						vs[j] = float32(j % 7)
-					}
-					if err := x.StoreFloat32s(0, vs); err != nil {
-						return err
-					}
-					if err := y.StoreFloat32s(0, make([]float32, n)); err != nil {
-						return err
-					}
-					d := &descriptor.Descriptor{}
-					if err := d.AddComp(descriptor.OpAXPY, accel.AxpyArgs{
-						N: n, Alpha: 1, X: phys.Addr(x.PA()), Y: phys.Addr(y.PA()), IncX: 1, IncY: 1,
-					}.Params()); err != nil {
-						return err
-					}
-					d.AddEndPass()
-					p, err := cl.Plan(d)
-					if err != nil {
-						return err
-					}
-					lats[i] = make([]time.Duration, 0, perClient)
-					for k := 0; k < perClient; k++ {
-						t0 := time.Now()
-						if _, err := p.Execute(); err != nil {
-							return err
-						}
-						lats[i] = append(lats[i], time.Since(t0))
-					}
-					return nil
-				}()
-			}(i)
-		}
-		wg.Wait()
-		wall := time.Since(start)
-		for i, err := range errs {
-			if err != nil {
-				_ = ep.stop() // the client error is the one to report
-				return nil, fmt.Errorf("exp: bench client %d at %d clients: %w", i, clients, err)
-			}
-		}
-		if err := ep.stop(); err != nil {
-			return nil, err
-		}
-		var all []time.Duration
-		for _, l := range lats {
-			all = append(all, l...)
-		}
-		sort.Slice(all, func(a, b int) bool { return all[a] < all[b] })
-		q := func(p float64) float64 {
-			if len(all) == 0 {
-				return 0
-			}
-			idx := int(p * float64(len(all)-1))
-			return float64(all[idx].Nanoseconds()) / 1e3
-		}
-		launches := clients * perClient
-		res.Points = append(res.Points, ServeBenchPoint{
-			Clients:        clients,
-			Launches:       launches,
-			WallSeconds:    units.Seconds(wall.Seconds()),
-			LaunchesPerSec: float64(launches) / wall.Seconds(),
-			WaitP50Micros:  q(0.50),
-			WaitP99Micros:  q(0.99),
-		})
-	}
-	return res, nil
-}
-
-// WriteServeBench runs ServeBench at the standard 1/4/16 client points and
-// writes BENCH_SERVE.json into dir, returning the path.
-func WriteServeBench(dir string, perClient int) (string, *ServeBenchResult, error) {
-	if perClient <= 0 {
-		perClient = 64
-	}
-	res, err := ServeBench([]int{1, 4, 16}, perClient)
-	if err != nil {
-		return "", nil, err
-	}
-	out, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return "", nil, err
-	}
-	path := filepath.Join(dir, "BENCH_SERVE.json")
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return "", nil, err
-	}
-	return path, res, nil
-}
-
-// RenderServe formats the loaded-server benchmark.
-func RenderServe(res *ServeBenchResult) *Table {
-	t := &Table{
-		Title:   "Loaded server: " + res.Op + " launch streams over unix sockets",
-		Columns: []string{"clients", "launches", "launches/s", "p50 wait (us)", "p99 wait (us)"},
-		Notes: []string{
-			fmt.Sprintf("%d launches per client, %d-element vectors; submit+wait round trip per launch", res.PerClientLaunches, res.VectorLen),
-		},
-	}
-	for _, p := range res.Points {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", p.Clients),
-			fmt.Sprintf("%d", p.Launches),
-			fmt.Sprintf("%.0f", p.LaunchesPerSec),
-			fmt.Sprintf("%.1f", p.WaitP50Micros),
-			fmt.Sprintf("%.1f", p.WaitP99Micros),
-		})
-	}
-	return t
 }

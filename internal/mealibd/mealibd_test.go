@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -900,4 +902,58 @@ func TestRemoteOverCapacityError(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestRemoteAccessStaysInBounds is the wire half of the tenant-isolation
+// regression: the store and load offsets come raw from the client frame, so
+// a tenant aiming one at the buffer next door (below or above its own) must
+// get a remote error, must leave the neighbour's bytes alone, and must keep
+// a usable connection.
+func TestRemoteAccessStaysInBounds(t *testing.T) {
+	const size = 4 * units.KiB
+	_, addr := startServer(t, nil)
+	var bufs []*client.Buffer
+	for _, tenant := range []string{"a", "b", "c"} {
+		cl, err := client.Dial(client.Config{Network: "unix", Addr: addr, Tenant: tenant, Quota: size})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		b, err := cl.Alloc(size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bufs = append(bufs, b)
+	}
+	sort.Slice(bufs, func(i, j int) bool { return bufs[i].PA() < bufs[j].PA() })
+	below, mid, above := bufs[0], bufs[1], bufs[2]
+	ones := make([]int32, size/4)
+	for i := range ones {
+		ones[i] = 1
+	}
+	for _, b := range bufs {
+		if err := b.StoreInt32s(0, ones); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for what, off := range map[string]units.Bytes{
+		"negative":     -units.Bytes(mid.PA() - below.PA()),
+		"past the end": units.Bytes(above.PA() - mid.PA()),
+	} {
+		if err := mid.StoreInt32s(off, []int32{9, 9, 9, 9}); err == nil {
+			t.Errorf("%s store at %d succeeded", what, off)
+		}
+		if _, err := mid.LoadInt32s(off, 4); err == nil {
+			t.Errorf("%s load at %d succeeded", what, off)
+		}
+	}
+	for i, b := range bufs {
+		got, err := b.LoadInt32s(0, len(ones))
+		if err != nil {
+			t.Fatalf("buffer %d's connection after the refused accesses: %v", i, err)
+		}
+		if !slices.Equal(got, ones) {
+			t.Errorf("buffer %d changed under an out-of-range access through its neighbour", i)
+		}
+	}
 }

@@ -229,8 +229,8 @@ func UnmarshalDescriptor(d *Dec) (*descriptor.Descriptor, error) {
 		case descriptor.KindComp:
 			op := descriptor.OpCode(d.U8())
 			nf := int(d.U32())
-			if nf > maxFrame/8 {
-				return nil, fmt.Errorf("mealibd: parameter block of %d fields too large", nf)
+			if nf > len(d.b)/8 { // before allocating what a 5-byte header claims
+				return nil, fmt.Errorf("mealibd: parameter block of %d fields exceeds the payload", nf)
 			}
 			p := make(descriptor.Params, nf)
 			for j := range p {

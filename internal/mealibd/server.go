@@ -346,6 +346,17 @@ func (sc *srvConn) handleFree(d *Dec) ([]byte, error) {
 	return okReply(nil), nil
 }
 
+// elemBytes is the size of one element of a store or load of the given kind.
+func elemBytes(kind uint8) (int, error) {
+	switch kind {
+	case ElemF32, ElemI32:
+		return 4, nil
+	case ElemC64:
+		return 8, nil
+	}
+	return 0, fmt.Errorf("mealibd: unknown element kind %d", kind)
+}
+
 func (sc *srvConn) handleStore(d *Dec) ([]byte, error) {
 	id := d.U64()
 	off := units.Bytes(d.U64())
@@ -358,34 +369,28 @@ func (sc *srvConn) handleStore(d *Dec) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("mealibd: unknown buffer %d", id)
 	}
+	elem, err := elemBytes(kind)
+	if err != nil {
+		return nil, err
+	}
+	if len(data)%elem != 0 {
+		return nil, fmt.Errorf("mealibd: store of %d bytes not a multiple of the %d-byte element", len(data), elem)
+	}
 	// A store must not overtake a launch the tenant submitted first: a
 	// batched member touching the span flushes the batch, and any in-flight
 	// launch not yet registered with the runtime is waited for — the
-	// session-level hostOp wait only sees registered flights.
+	// session-level host-access wait only sees registered flights.
 	sp := span.Span{Addr: b.PA() + phys.Addr(off), Bytes: units.Bytes(len(data))}
 	if sc.batch.conflicts([]span.Span{sp}, nil) {
 		sc.batch.flush()
 	}
 	sc.awaitConflicting(sp, true)
-	switch kind {
-	case ElemF32:
-		if len(data)%4 != 0 {
-			return nil, fmt.Errorf("mealibd: f32 store of %d bytes not a multiple of 4", len(data))
-		}
-		return okReply(nil), b.StoreFloat32s(off, BytesToF32(data))
-	case ElemC64:
-		if len(data)%8 != 0 {
-			return nil, fmt.Errorf("mealibd: c64 store of %d bytes not a multiple of 8", len(data))
-		}
-		return okReply(nil), b.StoreComplex64s(off, BytesToC64(data))
-	case ElemI32:
-		if len(data)%4 != 0 {
-			return nil, fmt.Errorf("mealibd: i32 store of %d bytes not a multiple of 4", len(data))
-		}
-		return okReply(nil), b.StoreInt32s(off, BytesToI32(data))
-	default:
-		return nil, fmt.Errorf("mealibd: unknown element kind %d", kind)
+	// The wire and the physical space share one little-endian element
+	// layout, so the frame's bytes go in as they are.
+	if err := b.StoreBytes(off, data); err != nil {
+		return nil, err
 	}
+	return okReply(nil), nil
 }
 
 func (sc *srvConn) handleLoad(d *Dec) ([]byte, error) {
@@ -400,39 +405,19 @@ func (sc *srvConn) handleLoad(d *Dec) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("mealibd: unknown buffer %d", id)
 	}
+	elem, err := elemBytes(kind)
+	if err != nil {
+		return nil, err
+	}
 	// Loads observe launched data: anything still sitting in the batch must
 	// fly first, and writers not yet registered with the runtime must
-	// register so the host-op wait underneath sees them.
+	// register so the host-access wait underneath sees them.
 	sc.batch.flush()
-	elem := units.Bytes(4)
-	if kind == ElemC64 {
-		elem = 8
-	}
-	sc.awaitConflicting(span.Span{
-		Addr: b.PA() + phys.Addr(off), Bytes: elem * units.Bytes(count),
-	}, false)
-	var data []byte
-	switch kind {
-	case ElemF32:
-		vs, err := b.LoadFloat32s(off, count)
-		if err != nil {
-			return nil, err
-		}
-		data = F32ToBytes(vs)
-	case ElemC64:
-		vs, err := b.LoadComplex64s(off, count)
-		if err != nil {
-			return nil, err
-		}
-		data = C64ToBytes(vs)
-	case ElemI32:
-		vs, err := b.LoadInt32s(off, count)
-		if err != nil {
-			return nil, err
-		}
-		data = I32ToBytes(vs)
-	default:
-		return nil, fmt.Errorf("mealibd: unknown element kind %d", kind)
+	n := elem * count
+	sc.awaitConflicting(span.Span{Addr: b.PA() + phys.Addr(off), Bytes: units.Bytes(n)}, false)
+	data, err := b.LoadBytes(off, n)
+	if err != nil {
+		return nil, err
 	}
 	return okReply(func(e *Enc) { e.Bytes(data) }), nil
 }

@@ -1,6 +1,10 @@
 package mealibrt
 
-import "mealib/internal/units"
+import (
+	"slices"
+
+	"mealib/internal/units"
+)
 
 // Host idle-energy accounting for overlapping flights (ROADMAP item:
 // flight-aware energy). While any descriptor is in flight the link
@@ -31,27 +35,23 @@ func (w *idleWindows) add(start, end units.Seconds) units.Seconds {
 		return 0
 	}
 	gained := end - start
-	merged := make([]idleIvl, 0, len(w.ivls)+1)
-	i := 0
-	for ; i < len(w.ivls) && w.ivls[i].end < start; i++ {
-		merged = append(merged, w.ivls[i])
+	// ivls[lo:hi] are the windows that overlap or touch [start, end): they
+	// and the new window collapse into one, in place.
+	lo := 0
+	for lo < len(w.ivls) && w.ivls[lo].end < start {
+		lo++
 	}
-	ns, ne := start, end
-	for ; i < len(w.ivls) && w.ivls[i].start <= end; i++ {
-		ov := min(w.ivls[i].end, end) - max(w.ivls[i].start, start)
-		if ov > 0 {
+	merged := idleIvl{start: start, end: end}
+	hi := lo
+	for ; hi < len(w.ivls) && w.ivls[hi].start <= end; hi++ {
+		iv := w.ivls[hi]
+		if ov := min(iv.end, end) - max(iv.start, start); ov > 0 {
 			gained -= ov
 		}
-		if w.ivls[i].start < ns {
-			ns = w.ivls[i].start
-		}
-		if w.ivls[i].end > ne {
-			ne = w.ivls[i].end
-		}
+		merged.start = min(merged.start, iv.start)
+		merged.end = max(merged.end, iv.end)
 	}
-	merged = append(merged, idleIvl{start: ns, end: ne})
-	merged = append(merged, w.ivls[i:]...)
-	w.ivls = merged
+	w.ivls = slices.Replace(w.ivls, lo, hi, merged)
 	if gained < 0 {
 		gained = 0
 	}

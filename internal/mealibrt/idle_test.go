@@ -50,6 +50,35 @@ func TestIdleWindowsAdd(t *testing.T) {
 	if got := w.add(50, 50); got != 0 {
 		t.Fatalf("empty window billed %v", got)
 	}
+	// A window before everything is inserted in front, in order.
+	w.add(60, 70)
+	if got := w.add(-10, -5); !units.CloseTo(float64(got), 5) {
+		t.Fatalf("leading window billed %v, want 5", got)
+	}
+	if len(w.ivls) != 3 || w.ivls[0].end > w.ivls[1].start || w.ivls[1].end > w.ivls[2].start {
+		t.Fatalf("set out of order after a front insert: %v", w.ivls)
+	}
+}
+
+// TestIdleWindowsAddSteadyStateAllocs pins the retire path's steady state:
+// a serial flight starts where the last one ended, so its window extends
+// the set's one element in place.
+func TestIdleWindowsAddSteadyStateAllocs(t *testing.T) {
+	var w idleWindows
+	w.add(0, 1)
+	at := units.Seconds(1)
+	allocs := testing.AllocsPerRun(100, func() {
+		if got := w.add(at, at+1); !units.CloseTo(float64(got), 1) {
+			t.Fatalf("serial window at %v billed %v, want 1", at, got)
+		}
+		at++
+	})
+	if allocs != 0 {
+		t.Fatalf("extending the last window allocates %v times per retire, want 0", allocs)
+	}
+	if len(w.ivls) != 1 {
+		t.Fatalf("serial windows did not stay merged: %v", w.ivls)
+	}
 }
 
 // loopAxpyPlan builds a LOOP{iters} x PASS{AXPY n} plan over fresh disjoint

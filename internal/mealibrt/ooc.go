@@ -28,7 +28,7 @@ import (
 // previous occupant's write-back drains; a non-prefetchable chunk's
 // stage-in additionally waits for the whole previous chunk to finish. With
 // Config.NoPrefetch every stage-in waits that way, which is exactly the
-// synchronous baseline the BENCH_OOC differential measures.
+// synchronous baseline TestOOCPrefetchFasterThanSync compares against.
 
 // oocSpans reports whether any span lives in the host-backed window.
 func (r *Runtime) oocSpans(spans []span.Span) bool {
@@ -83,7 +83,7 @@ func (r *Runtime) writeBack(ch *accel.OOCChunk) error {
 // every chunk.
 func (r *Runtime) runOOC(p *Plan) (*accel.Report, error) {
 	sched := p.ooc
-	acfg := r.layer.Config()
+	acfg := r.layers[0].Config()
 	agg := accel.NewReport()
 	chunks := sched.Chunks
 	// Timeline frontiers (model seconds from the flight's start).
@@ -138,7 +138,7 @@ func (r *Runtime) runOOC(p *Plan) (*accel.Report, error) {
 			go func() { pf <- r.stageIn(nc) }()
 		}
 		// Execute the rebased chunk descriptor out of the plan's slot.
-		rep, err := r.layer.RunPlain(r.space, ch.Desc, p.basePA)
+		rep, err := r.layers[0].RunPlain(r.space, ch.Desc, p.basePA)
 		if err != nil {
 			drainPF()
 			return nil, fmt.Errorf("mealibrt: ooc chunk %d: %w", i, err)

@@ -114,14 +114,13 @@ type Runtime struct {
 	cfg    *Config
 	space  *phys.Space
 	driver *vm.Driver
-	layer  *accel.Layer
 	// layers holds one accelerator layer per memory stack (paper Figure 2:
-	// every stack carries its own logic layer). layers[0] is layer. A plan
-	// built with AccPlanDescriptorOn(k, …) runs on layers[k], so its
-	// accesses to stack-k buffers are local and everything else crosses the
-	// inter-stack links. All layers share the one link controller, space,
-	// and admission state — a multi-stack launch is N plans submitted to N
-	// layers under the same span-conflict admission.
+	// every stack carries its own logic layer). A plan built with
+	// AccPlanDescriptorOn(k, …) runs on layers[k], so its accesses to
+	// stack-k buffers are local and everything else crosses the inter-stack
+	// links. All layers share the one link controller, space, and admission
+	// state — a multi-stack launch is N plans submitted to N layers under
+	// the same span-conflict admission.
 	layers []*accel.Layer
 	// mStackLaunches counts launches routed to each stack's layer.
 	mStackLaunches []*telemetry.Counter
@@ -236,8 +235,7 @@ func New(cfg *Config) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &Runtime{cfg: cfg, space: space, driver: driver, layer: layer, tr: cfg.Tracer}
-	rt.layers = []*accel.Layer{layer}
+	rt := &Runtime{cfg: cfg, space: space, driver: driver, layers: []*accel.Layer{layer}, tr: cfg.Tracer}
 	for k := 1; k < driver.Stacks(); k++ {
 		// Each remote stack gets its own layer instance homed there; the
 		// configs differ only in HomeStack, so every layer prices the same
@@ -271,7 +269,7 @@ func (r *Runtime) Space() *phys.Space { return r.space }
 func (r *Runtime) Driver() *vm.Driver { return r.driver }
 
 // Layer exposes stack 0's accelerator layer.
-func (r *Runtime) Layer() *accel.Layer { return r.layer }
+func (r *Runtime) Layer() *accel.Layer { return r.layers[0] }
 
 // LayerOn exposes the accelerator layer of the given memory stack.
 func (r *Runtime) LayerOn(stack int) (*accel.Layer, error) {
@@ -317,7 +315,7 @@ type Buffer struct {
 	size units.Bytes
 	// sess is the owning tenant session, nil for runtime-level buffers.
 	// Session buffers trade the legacy fail-fast link-controller semantics
-	// for blocking span-conflict waits (session.go).
+	// for blocking span-conflict waits (access).
 	sess *Session
 	// host marks a host-backed (non-resident) buffer: the CPU reaches it
 	// normally, but a descriptor naming it is lowered into chunked staged
@@ -420,12 +418,6 @@ func (r *Runtime) MemFree(b *Buffer) error {
 	return r.driver.Free(b.va)
 }
 
-// touch records a host write at byte offset off for the coherence model and
-// for the verifier's initialized-span tracking.
-func (b *Buffer) touch(off, n units.Bytes) {
-	b.rt.noteWrite(span.Span{Addr: b.pa + phys.Addr(off), Bytes: n})
-}
-
 // noteWrite records a host write: the coherence model's dirty-byte estimate
 // grows and the span joins the initialized set, merging into the sorted
 // interval representation (overlaps and adjacencies coalesce regardless of
@@ -446,34 +438,79 @@ func (r *Runtime) noteDeviceWrite(s span.Span) {
 	r.initialized.Add(s)
 }
 
+// access runs one host-side access to the n bytes at byte offset off. The
+// range is checked against the buffer first: mealibd passes offsets raw from
+// the client frame, and the physical memory on either side of the buffer
+// belongs to another tenant. A session buffer then waits until no accepted
+// descriptor conflicts with the span and runs op under the runtime lock, so
+// no conflicting flight can be admitted mid-access; a runtime buffer keeps
+// the fail-fast link-controller check. A write is recorded for the coherence
+// model and the verifier's initialized-span tracking.
+func (b *Buffer) access(off, n units.Bytes, write bool, op func(pa phys.Addr) error) error {
+	if off < 0 || n < 0 || off > b.size-n {
+		return fmt.Errorf("mealibrt: access to %d bytes at offset %d is outside the %d-byte buffer", n, off, b.size)
+	}
+	r := b.rt
+	sp := span.Span{Addr: b.pa + phys.Addr(off), Bytes: n}
+	if b.sess == nil {
+		if err := r.hostAccess(); err != nil {
+			return err
+		}
+		if write {
+			r.noteWrite(sp)
+		}
+		return op(sp.Addr)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if b.sess.closed {
+		return ErrSessionClosed
+	}
+	for r.spanBusyLocked(sp, write) {
+		r.cond.Wait()
+	}
+	if write {
+		r.dirty += n
+		r.initialized.Add(sp)
+	}
+	return op(sp.Addr)
+}
+
+// StoreBytes writes p at byte offset off through the host mapping, in the
+// little-endian element layout every typed accessor uses.
+func (b *Buffer) StoreBytes(off units.Bytes, p []byte) error {
+	return b.access(off, units.Bytes(len(p)), true, func(pa phys.Addr) error {
+		dst, err := b.rt.space.ViewBytes(pa, len(p))
+		if err != nil {
+			return err
+		}
+		copy(dst, p)
+		return nil
+	})
+}
+
+// LoadBytes reads a copy of the n bytes at byte offset off.
+func (b *Buffer) LoadBytes(off units.Bytes, n int) (out []byte, err error) {
+	err = b.access(off, units.Bytes(n), false, func(pa phys.Addr) error {
+		src, err := b.rt.space.ViewBytes(pa, n)
+		if err != nil {
+			return err
+		}
+		out = append([]byte(nil), src...)
+		return nil
+	})
+	return out, err
+}
+
 // StoreFloat32s writes v at byte offset off through the host mapping.
 func (b *Buffer) StoreFloat32s(off units.Bytes, v []float32) error {
-	if b.sess != nil {
-		return b.hostOp(off, units.Bytes(4*len(v)), true, func() error {
-			return b.rt.space.StoreFloat32s(b.pa+phys.Addr(off), v)
-		})
-	}
-	if err := b.rt.hostAccess(); err != nil {
-		return err
-	}
-	b.touch(off, units.Bytes(4*len(v)))
-	return b.rt.space.StoreFloat32s(b.pa+phys.Addr(off), v)
+	return b.access(off, units.Bytes(4*len(v)), true, func(pa phys.Addr) error { return b.rt.space.StoreFloat32s(pa, v) })
 }
 
 // LoadFloat32s reads n float32 values at byte offset off.
-func (b *Buffer) LoadFloat32s(off units.Bytes, n int) ([]float32, error) {
-	if b.sess != nil {
-		var out []float32
-		err := b.hostOp(off, units.Bytes(4*n), false, func() (e error) {
-			out, e = b.rt.space.LoadFloat32s(b.pa+phys.Addr(off), n)
-			return
-		})
-		return out, err
-	}
-	if err := b.rt.hostAccess(); err != nil {
-		return nil, err
-	}
-	return b.rt.space.LoadFloat32s(b.pa+phys.Addr(off), n)
+func (b *Buffer) LoadFloat32s(off units.Bytes, n int) (out []float32, err error) {
+	err = b.access(off, units.Bytes(4*n), false, func(pa phys.Addr) (e error) { out, e = b.rt.space.LoadFloat32s(pa, n); return })
+	return out, err
 }
 
 // DeviceCopyFloat32s copies n float32 values from src at srcOff into dst
@@ -513,62 +550,24 @@ func (r *Runtime) DeviceCopyFloat32s(dst *Buffer, dstOff units.Bytes, src *Buffe
 
 // StoreComplex64s writes v at byte offset off.
 func (b *Buffer) StoreComplex64s(off units.Bytes, v []complex64) error {
-	if b.sess != nil {
-		return b.hostOp(off, units.Bytes(8*len(v)), true, func() error {
-			return b.rt.space.StoreComplex64s(b.pa+phys.Addr(off), v)
-		})
-	}
-	if err := b.rt.hostAccess(); err != nil {
-		return err
-	}
-	b.touch(off, units.Bytes(8*len(v)))
-	return b.rt.space.StoreComplex64s(b.pa+phys.Addr(off), v)
+	return b.access(off, units.Bytes(8*len(v)), true, func(pa phys.Addr) error { return b.rt.space.StoreComplex64s(pa, v) })
 }
 
 // LoadComplex64s reads n complex64 values at byte offset off.
-func (b *Buffer) LoadComplex64s(off units.Bytes, n int) ([]complex64, error) {
-	if b.sess != nil {
-		var out []complex64
-		err := b.hostOp(off, units.Bytes(8*n), false, func() (e error) {
-			out, e = b.rt.space.LoadComplex64s(b.pa+phys.Addr(off), n)
-			return
-		})
-		return out, err
-	}
-	if err := b.rt.hostAccess(); err != nil {
-		return nil, err
-	}
-	return b.rt.space.LoadComplex64s(b.pa+phys.Addr(off), n)
+func (b *Buffer) LoadComplex64s(off units.Bytes, n int) (out []complex64, err error) {
+	err = b.access(off, units.Bytes(8*n), false, func(pa phys.Addr) (e error) { out, e = b.rt.space.LoadComplex64s(pa, n); return })
+	return out, err
 }
 
 // StoreInt32s writes v at byte offset off.
 func (b *Buffer) StoreInt32s(off units.Bytes, v []int32) error {
-	if b.sess != nil {
-		return b.hostOp(off, units.Bytes(4*len(v)), true, func() error {
-			return b.rt.space.StoreInt32s(b.pa+phys.Addr(off), v)
-		})
-	}
-	if err := b.rt.hostAccess(); err != nil {
-		return err
-	}
-	b.touch(off, units.Bytes(4*len(v)))
-	return b.rt.space.StoreInt32s(b.pa+phys.Addr(off), v)
+	return b.access(off, units.Bytes(4*len(v)), true, func(pa phys.Addr) error { return b.rt.space.StoreInt32s(pa, v) })
 }
 
 // LoadInt32s reads n int32 values at byte offset off.
-func (b *Buffer) LoadInt32s(off units.Bytes, n int) ([]int32, error) {
-	if b.sess != nil {
-		var out []int32
-		err := b.hostOp(off, units.Bytes(4*n), false, func() (e error) {
-			out, e = b.rt.space.LoadInt32s(b.pa+phys.Addr(off), n)
-			return
-		})
-		return out, err
-	}
-	if err := b.rt.hostAccess(); err != nil {
-		return nil, err
-	}
-	return b.rt.space.LoadInt32s(b.pa+phys.Addr(off), n)
+func (b *Buffer) LoadInt32s(off units.Bytes, n int) (out []int32, err error) {
+	err = b.access(off, units.Bytes(4*n), false, func(pa phys.Addr) (e error) { out, e = b.rt.space.LoadInt32s(pa, n); return })
+	return out, err
 }
 
 // Plan is a reusable accelerator descriptor (mealib_acc_plan's acc_plan).
@@ -629,7 +628,7 @@ func (r *Runtime) accPlanCommon(tdlSrc string, params map[string]descriptor.Para
 		// merged chained passes exactly as it accepted the originals (the
 		// plan lowering would fuse them anyway; doing it here keeps what
 		// the verifier checks and what the hardware runs identical).
-		if _, err := tdl.Fuse(prog, resolve, r.layer.Config()); err != nil {
+		if _, err := tdl.Fuse(prog, resolve, r.layers[0].Config()); err != nil {
 			return nil, fmt.Errorf("mealibrt: fusion pass failed: %w", err)
 		}
 		if !r.cfg.NoVerify {
@@ -720,7 +719,7 @@ func (r *Runtime) accPlanDescriptor(d *descriptor.Descriptor, sess *Session) (*P
 			return nil, fmt.Errorf("%w: descriptor names host-backed buffers but out-of-core execution is disabled", ErrOverCapacity)
 		}
 		half := stagingSize / 2
-		sched, err = r.layer.PlanOOC(d, r.driver.InHostWindow,
+		sched, err = r.layers[0].PlanOOC(d, r.driver.InHostWindow,
 			[2]phys.Addr{stagingPA, stagingPA + phys.Addr(half)}, half)
 		if err != nil {
 			return nil, err

@@ -253,27 +253,6 @@ func (r *Runtime) spanBusyLocked(sp span.Span, write bool) bool {
 	return false
 }
 
-// hostOp runs a host-side access to a session buffer: wait until no
-// in-flight descriptor conflicts with the span, then perform the copy under
-// the runtime lock so no conflicting flight can be admitted mid-access.
-func (b *Buffer) hostOp(off, n units.Bytes, write bool, op func() error) error {
-	r := b.rt
-	sp := span.Span{Addr: b.pa + phys.Addr(off), Bytes: n}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if b.sess.closed {
-		return ErrSessionClosed
-	}
-	for r.spanBusyLocked(sp, write) {
-		r.cond.Wait()
-	}
-	if write {
-		r.dirty += n
-		r.initialized.Add(sp)
-	}
-	return op()
-}
-
 // AccPlan compiles a TDL program into a plan owned by the session (see
 // Runtime.AccPlan).
 func (s *Session) AccPlan(tdlSrc string, params map[string]descriptor.Params) (*Plan, error) {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -772,5 +774,90 @@ func TestWavePipeliningMultiWindowProducer(t *testing.T) {
 	}
 	if pipeT > serialT {
 		t.Fatalf("pipelined model time %v is past whole-launch serialization %v", pipeT, serialT)
+	}
+}
+
+// TestBufferAccessStaysInBounds is the tenant-isolation regression test:
+// offsets reach Buffer.Store*/Load* raw from mealibd clients, and before
+// the bounds check a store through one tenant's buffer at a negative or
+// past-the-end offset landed in the neighbouring tenant's memory with a nil
+// error. Every out-of-range access must fail and leave both neighbours'
+// bytes as they were, on session and on runtime buffers alike.
+func TestBufferAccessStaysInBounds(t *testing.T) {
+	const size = 4 * units.KiB
+	r := newRuntime(t)
+	allocators := map[string]func(i int) (*Buffer, error){
+		"runtime": func(int) (*Buffer, error) { return r.MemAlloc(size) },
+		"session": func(i int) (*Buffer, error) {
+			s, err := r.NewSession(SessionConfig{Name: string(rune('a' + i)), MemQuota: size})
+			if err != nil {
+				return nil, err
+			}
+			return s.MemAlloc(size)
+		},
+	}
+	for name, alloc := range allocators {
+		t.Run(name, func(t *testing.T) {
+			var bufs []*Buffer
+			for i := 0; i < 3; i++ {
+				b, err := alloc(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bufs = append(bufs, b)
+			}
+			sort.Slice(bufs, func(i, j int) bool { return bufs[i].PA() < bufs[j].PA() })
+			below, mid, above := bufs[0], bufs[1], bufs[2]
+			ones := make([]int32, size/4)
+			for i := range ones {
+				ones[i] = 1
+			}
+			for _, b := range bufs {
+				if err := b.StoreInt32s(0, ones); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Offsets from mid that land exactly on a neighbour, plus one
+			// that starts inside mid and runs off its end.
+			offsets := map[string]units.Bytes{
+				"negative":     -units.Bytes(mid.PA() - below.PA()),
+				"past the end": units.Bytes(above.PA() - mid.PA()),
+				"straddling":   size - 8,
+			}
+			// Every accessor, 16 bytes each.
+			accessors := map[string]func(off units.Bytes) error{
+				"StoreInt32s":     func(off units.Bytes) error { return mid.StoreInt32s(off, []int32{9, 9, 9, 9}) },
+				"StoreFloat32s":   func(off units.Bytes) error { return mid.StoreFloat32s(off, []float32{9, 9, 9, 9}) },
+				"StoreComplex64s": func(off units.Bytes) error { return mid.StoreComplex64s(off, []complex64{9, 9}) },
+				"StoreBytes":      func(off units.Bytes) error { return mid.StoreBytes(off, make([]byte, 16)) },
+				"LoadInt32s":      func(off units.Bytes) error { _, err := mid.LoadInt32s(off, 4); return err },
+				"LoadFloat32s":    func(off units.Bytes) error { _, err := mid.LoadFloat32s(off, 4); return err },
+				"LoadComplex64s":  func(off units.Bytes) error { _, err := mid.LoadComplex64s(off, 2); return err },
+				"LoadBytes":       func(off units.Bytes) error { _, err := mid.LoadBytes(off, 16); return err },
+			}
+			for what, off := range offsets {
+				for name, access := range accessors {
+					if err := access(off); err == nil {
+						t.Errorf("%s %s at %d succeeded", what, name, off)
+					}
+				}
+			}
+			if _, err := mid.LoadInt32s(0, -1); err == nil {
+				t.Error("LoadInt32s of a negative count succeeded")
+			}
+			for i, b := range bufs {
+				got, err := b.LoadInt32s(0, len(ones))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, ones) {
+					t.Errorf("buffer %d changed under an out-of-range access through its neighbour", i)
+				}
+			}
+			// The last in-range element is still reachable.
+			if err := mid.StoreBytes(size-4, []byte{1, 0, 0, 0}); err != nil {
+				t.Errorf("in-range store at the buffer's end: %v", err)
+			}
+		})
 	}
 }

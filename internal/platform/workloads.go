@@ -68,13 +68,9 @@ func StandardDataSets() []DataSet {
 	}
 }
 
-// RGGSeed is the fixed seed the committed graph benchmarks use, so their
-// input graphs — and therefore BENCH_GRAPH.json — are identical run to run.
-const RGGSeed int64 = 2020
-
 // RGGGraph builds the synthetic stand-in for Table 2's rgg_n_2_20 graph:
 // a random geometric graph adjacency matrix with the paper's node count
-// and degree reachable as RGGGraph(1<<20, 13, RGGSeed).
+// and degree reachable as RGGGraph(1<<20, 13, seed).
 //
 // Determinism: sparse.RGG draws every node coordinate from a rand.Source
 // seeded with the explicit seed argument and uses no other randomness —
