@@ -39,6 +39,13 @@ if grep -rnE 'streamWalk|interpretStream|runLoop|loopIndependent|SpanStream|plan
 	exit 1
 fi
 
+echo "==> one-tenant gate (the default tenant is a Session; the runtime alone keeps the ordering rule)"
+if grep -nE 'hostAccess\(|sess [!=]= nil|[!=]= defaultTenant' internal/mealibrt/*.go | grep -v '_test\.go:' ||
+	grep -nE 'awaitConflicting|awaitPlanFinished|sc\.outstanding' internal/mealibd/*.go | grep -v '_test\.go:'; then
+	echo "check.sh: a branch on the default tenant, the fail-fast link check or mealibd's shadow queue grew back" >&2
+	exit 1
+fi
+
 echo "==> go test -race ./... (incl. the serial/wavefront/hooked scheduler differentials, TestFusionGate's DRAM-byte conservation, TestGraphGatePageRankSmoke's 4-stack bit-identity and per-link traffic, the out-of-core differentials and FuzzServerFrames' seed corpus)"
 go test -race ./...
 

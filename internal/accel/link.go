@@ -13,13 +13,13 @@ import (
 // controller."
 //
 // The runtime acquires the controller for the accelerators around every
-// descriptor execution; host-side buffer accesses consult HostMayAccess.
-// Because the simulation executes synchronously this is primarily a
-// correctness guard (a host access during accelerator ownership is a
-// programming error the real hardware would stall, and this model reports),
-// but it also gives the coherence story of §3.5 its missing half: the
-// wbinvd happens before ownership transfers, and ownership transfers back
-// only when the accelerators are done.
+// descriptor execution. The controller is the ownership ledger, not the
+// stall: the runtime makes a conflicting host access wait on the spans of
+// the launches it has accepted (mealibrt's ordering rule), which is finer
+// than whole-DRAM ownership, and HostMayAccess is left as the quiescence
+// probe. The ledger still gives the coherence story of §3.5 its missing
+// half: the wbinvd happens before ownership transfers, and ownership
+// transfers back only when the accelerators are done.
 type LinkController struct {
 	mu    sync.Mutex
 	owner linkOwner

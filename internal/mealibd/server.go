@@ -156,12 +156,11 @@ type srvConn struct {
 	c    net.Conn
 	sess *mealibrt.Session
 
-	nextID      uint64
-	bufs        map[uint64]*mealibrt.Buffer
-	plans       map[uint64]*mealibrt.Plan
-	tickets     map[uint64]*pending
-	batch       *batcher
-	outstanding []*submission
+	nextID  uint64
+	bufs    map[uint64]*mealibrt.Buffer
+	plans   map[uint64]*mealibrt.Plan
+	tickets map[uint64]*pending
+	batch   *batcher
 }
 
 func (s *Server) serveConn(c net.Conn) {
@@ -333,12 +332,8 @@ func (sc *srvConn) handleFree(d *Dec) ([]byte, error) {
 		return nil, fmt.Errorf("mealibd: unknown buffer %d", id)
 	}
 	// A batched descriptor may still reference the buffer: flush first so
-	// the free waits behind the launch, not ahead of it — and wait for every
-	// conflicting launch to register, or MemFree could release (and the
-	// allocator recycle) the range while a submitted launch still references
-	// it.
+	// the runtime has accepted the launch and the free waits behind it.
 	sc.batch.flush()
-	sc.awaitConflicting(span.Span{Addr: b.PA(), Bytes: b.Size()}, true)
 	if err := sc.sess.MemFree(b); err != nil {
 		return nil, err
 	}
@@ -377,14 +372,12 @@ func (sc *srvConn) handleStore(d *Dec) ([]byte, error) {
 		return nil, fmt.Errorf("mealibd: store of %d bytes not a multiple of the %d-byte element", len(data), elem)
 	}
 	// A store must not overtake a launch the tenant submitted first: a
-	// batched member touching the span flushes the batch, and any in-flight
-	// launch not yet registered with the runtime is waited for — the
-	// session-level host-access wait only sees registered flights.
+	// batched member touching the span flushes the batch, so the runtime has
+	// accepted the launch and orders the store behind it.
 	sp := span.Span{Addr: b.PA() + phys.Addr(off), Bytes: units.Bytes(len(data))}
 	if sc.batch.conflicts([]span.Span{sp}, nil) {
 		sc.batch.flush()
 	}
-	sc.awaitConflicting(sp, true)
 	// The wire and the physical space share one little-endian element
 	// layout, so the frame's bytes go in as they are.
 	if err := b.StoreBytes(off, data); err != nil {
@@ -410,12 +403,9 @@ func (sc *srvConn) handleLoad(d *Dec) ([]byte, error) {
 		return nil, err
 	}
 	// Loads observe launched data: anything still sitting in the batch must
-	// fly first, and writers not yet registered with the runtime must
-	// register so the host-access wait underneath sees them.
+	// be accepted by the runtime first.
 	sc.batch.flush()
-	n := elem * count
-	sc.awaitConflicting(span.Span{Addr: b.PA() + phys.Addr(off), Bytes: units.Bytes(n)}, false)
-	data, err := b.LoadBytes(off, n)
+	data, err := b.LoadBytes(off, elem*count)
 	if err != nil {
 		return nil, err
 	}
@@ -446,12 +436,9 @@ func (sc *srvConn) handleDestroyPlan(d *Dec) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("mealibd: unknown plan %d", id)
 	}
-	// The plan may still sit in the batch (flush launches it) or have
-	// launches in flight whose goroutines read it concurrently: wait them
-	// out, or Destroy would race its own Submit and free command space a
-	// flight is still decoding.
+	// The plan may still sit in the batch: flush launches it, and Destroy
+	// waits out the plan's accepted launches.
 	sc.batch.flush()
-	sc.awaitPlanFinished(p)
 	if err := p.Destroy(); err != nil {
 		return nil, err
 	}
@@ -531,101 +518,33 @@ func (sc *srvConn) handleStats(d *Dec) ([]byte, error) {
 	return okReply(func(e *Enc) { e.Bytes(js) }), nil
 }
 
-// submission pins per-connection launch order: a later launch whose
-// footprint conflicts with an earlier one from the same connection must not
-// reach the runtime's admission queue first, or the producer/consumer order
-// the tenant expressed on the wire could invert. Each launch registers here
-// and closes registered once its Submit call returned — at which point the
-// runtime has fixed its place in the schedule (or rejected it) and its own
-// span-conflict waits (host stores/loads, MemFree) can see it. finished
-// closes once the flight has fully drained; plan identifies the launched
-// plan so DestroyPlan can wait out its own submissions.
-type submission struct {
-	plan          *mealibrt.Plan
-	writes, reads []span.Span
-	registered    chan struct{}
-	finished      chan struct{}
-}
-
-// awaitConflicting blocks until every outstanding submission whose footprint
-// conflicts with a host access to span has registered with the runtime.
-// Until a launch goroutine's Plan.Submit returns, the runtime cannot see the
-// submission, so its conflict waits (Buffer host ops, Session.MemFree) would
-// let the host access — or a free and reallocation — slip in ahead of a
-// launch the tenant submitted first. Registered submissions are pruned.
-func (sc *srvConn) awaitConflicting(sp span.Span, write bool) {
-	one := []span.Span{sp}
-	live := sc.outstanding[:0]
-	for _, o := range sc.outstanding {
-		if span.Overlap(one, o.writes) || (write && span.Overlap(one, o.reads)) {
-			<-o.registered
-			continue
-		}
-		select {
-		case <-o.registered:
-		default:
-			live = append(live, o)
-		}
-	}
-	sc.outstanding = live
-}
-
-// awaitPlanFinished blocks until every outstanding launch of p has fully
-// completed, so destroying p can neither race its own Submit (an
-// unsynchronized baseVA read) nor free command space a flight is still
-// decoding. Registered submissions of other plans are pruned.
-func (sc *srvConn) awaitPlanFinished(p *mealibrt.Plan) {
-	live := sc.outstanding[:0]
-	for _, o := range sc.outstanding {
-		if o.plan == p {
-			<-o.finished
-			continue
-		}
-		select {
-		case <-o.registered:
-		default:
-			live = append(live, o)
-		}
-	}
-	sc.outstanding = live
-}
-
-// launch admits p asynchronously and fans the completed invocation out to
-// pends (batched tells the report how many coalesced members share the
-// flight; ephemeral plans are destroyed after it drains). The connection
-// goroutine stays free to serve waits and stats while the launch sits in
-// admission, so backpressure errors — queue full, session closed — surface
-// at the ticket's Wait. A launch conflicting with an earlier not-yet-admitted
-// launch from this connection waits for it to register first, preserving
-// wire order exactly where it matters; disjoint launches race freely.
+// launch accepts p on the connection goroutine — the runtime fixes the
+// launch's place at once, so wire order is runtime order: the tenant's later
+// stores, loads, frees and destroys wait behind it and its later launches
+// queue behind it — and starts it on a goroutine of its own, fanning the
+// completed invocation out to pends (batched tells the report how many
+// coalesced members share the flight; ephemeral plans are destroyed after it
+// drains). The connection goroutine stays free to serve waits and stats while
+// the launch sits in admission, and every launch error, the typed
+// backpressure ones Accept returns included, surfaces at the ticket's Wait.
 func (sc *srvConn) launch(p *mealibrt.Plan, ephemeral bool, batched int64, pends []*pending) {
-	writes, reads := p.Footprint()
-	var deps []*submission
-	live := sc.outstanding[:0]
-	for _, o := range sc.outstanding {
-		select {
-		case <-o.registered:
-			continue // admitted or rejected: runtime order is already fixed
-		default:
+	finish := func(err error) {
+		if ephemeral {
+			_ = p.Destroy()
 		}
-		live = append(live, o)
-		if span.Overlap(writes, o.writes) ||
-			span.Overlap(writes, o.reads) ||
-			span.Overlap(reads, o.writes) {
-			deps = append(deps, o)
+		for _, pend := range pends {
+			pend.err = err
+			close(pend.done)
 		}
 	}
-	sub := &submission{plan: p, writes: writes, reads: reads,
-		registered: make(chan struct{}), finished: make(chan struct{})}
-	sc.outstanding = append(live, sub)
+	l, err := p.Accept()
+	if err != nil {
+		finish(err)
+		return
+	}
 	h := sc.srv.hWaitNanos
 	go func() {
-		defer close(sub.finished)
-		for _, d := range deps {
-			<-d.registered
-		}
-		pi, err := p.Submit(context.Background())
-		close(sub.registered)
+		pi, err := l.Start(context.Background())
 		if err == nil {
 			var inv *mealibrt.Invocation
 			inv, err = pi.Wait(context.Background())
@@ -637,13 +556,7 @@ func (sc *srvConn) launch(p *mealibrt.Plan, ephemeral bool, batched int64, pends
 				h.Observe(int64(float64(inv.Report.Time) * 1e9))
 			}
 		}
-		if ephemeral {
-			_ = p.Destroy()
-		}
-		for _, pend := range pends {
-			pend.err = err
-			close(pend.done)
-		}
+		finish(err)
 	}()
 }
 

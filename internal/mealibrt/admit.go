@@ -11,17 +11,8 @@ import "mealib/internal/span"
 // round-robin over tenants. One tenant's conflicting stream therefore
 // interleaves with another's instead of monopolising the accelerator.
 
-// defaultTenant names the runtime's own (sessionless) submissions for
-// round-robin purposes.
-const defaultTenant = "_default"
-
 // tenant returns the plan's tenant name for fair admission.
-func (p *Plan) tenant() string {
-	if p.sess != nil {
-		return p.sess.cfg.Name
-	}
-	return defaultTenant
-}
+func (p *Plan) tenant() string { return p.sess.cfg.Name }
 
 // waiter is one submission blocked in admission.
 type waiter struct {
@@ -30,9 +21,9 @@ type waiter struct {
 	// ready is closed by the pump once the waiter is admitted and its
 	// flight registered.
 	ready chan struct{}
-	// admitted and fl are written by the pump with mu held.
-	admitted bool
-	fl       *flight
+	// fl is the waiter's flight once the pump has admitted it (written with
+	// mu held).
+	fl *flight
 }
 
 // blockedLocked reports whether the plan must wait for admission: the global
@@ -43,7 +34,7 @@ func (r *Runtime) blockedLocked(p *Plan) bool {
 	if r.cfg.MaxInFlight > 0 && len(r.inflight) >= r.cfg.MaxInFlight {
 		return true
 	}
-	if s := p.sess; s != nil && s.cfg.MaxInFlight > 0 && s.inflight >= s.cfg.MaxInFlight {
+	if s := p.sess; s.cfg.MaxInFlight > 0 && s.inflight >= s.cfg.MaxInFlight {
 		return true
 	}
 	if r.cfg.WavePipeline && p.ooc == nil {
@@ -52,7 +43,7 @@ func (r *Runtime) blockedLocked(p *Plan) bool {
 		// out-of-core chunk schedule) exposes no wave stream to gate
 		// behind, so conflicts with one still block admission.
 		for _, fl := range r.inflight {
-			if fl.gate == nil && flightSpansConflict(p, fl) {
+			if fl.gate == nil && plansConflict(p, fl.p) {
 				return true
 			}
 		}
@@ -61,20 +52,11 @@ func (r *Runtime) blockedLocked(p *Plan) bool {
 	// No pipelining — or an out-of-core plan, whose staged chunk schedule
 	// runs gateless and must serialize behind every conflicting flight.
 	for _, fl := range r.inflight {
-		if flightSpansConflict(p, fl) {
+		if plansConflict(p, fl.p) {
 			return true
 		}
 	}
 	return false
-}
-
-// flightSpansConflict reports a dependence between a plan awaiting admission
-// and an in-flight descriptor (admission write sets: the staging region
-// counts for out-of-core plans).
-func flightSpansConflict(p *Plan, fl *flight) bool {
-	return span.Overlap(p.admWrites, fl.writes) ||
-		span.Overlap(p.admWrites, fl.reads) ||
-		span.Overlap(p.reads, fl.writes)
 }
 
 // admitNowLocked reports whether a fresh submission may bypass the queue:
@@ -97,6 +79,9 @@ func (r *Runtime) admitNowLocked(p *Plan) bool {
 	return true
 }
 
+// plansConflict reports a dependence between two launches, by their
+// admission footprints (the staging region counts as written by an
+// out-of-core plan).
 func plansConflict(a, b *Plan) bool {
 	return span.Overlap(a.admWrites, b.admWrites) ||
 		span.Overlap(a.admWrites, b.reads) ||
@@ -107,6 +92,7 @@ func plansConflict(a, b *Plan) bool {
 func (r *Runtime) enqueueLocked(p *Plan) *waiter {
 	w := &waiter{p: p, tenant: p.tenant(), ready: make(chan struct{})}
 	r.waiters = append(r.waiters, w)
+	p.sess.queued++
 	return w
 }
 
@@ -116,6 +102,7 @@ func (r *Runtime) dequeueLocked(w *waiter) {
 	for i, q := range r.waiters {
 		if q == w {
 			r.waiters = append(r.waiters[:i], r.waiters[i+1:]...)
+			w.p.sess.queued--
 			return
 		}
 	}
@@ -132,7 +119,6 @@ func (r *Runtime) pumpLocked() {
 			return
 		}
 		r.dequeueLocked(w)
-		w.admitted = true
 		w.fl = r.registerFlightLocked(w.p)
 		r.lastTenant = w.tenant
 		close(w.ready)
@@ -176,31 +162,23 @@ func (r *Runtime) pickLocked() *waiter {
 // with mu held.
 func (r *Runtime) registerFlightLocked(p *Plan) *flight {
 	r.seq++
-	fl := &flight{reads: p.reads, writes: p.admWrites, start: r.clock, seq: r.seq, sess: p.sess}
+	fl := &flight{p: p, start: r.clock, seq: r.seq}
 	if r.cfg.WavePipeline && p.ooc == nil {
 		fl.gate = &flightGate{r: r, fl: fl, more: true}
 		for _, g := range r.inflight {
-			if g.gate != nil && flightsConflict(fl, g) {
+			if g.gate != nil && plansConflict(p, g.p) {
 				fl.gate.olders = append(fl.gate.olders, g.gate)
 			}
 		}
 	}
 	r.inflight = append(r.inflight, fl)
-	if p.sess != nil {
-		p.sess.inflight++
-		p.sess.gInflight.Set(int64(p.sess.inflight))
-	}
+	p.sess.inflight++
+	p.sess.gInflight.Set(int64(p.sess.inflight))
 	r.mInflight.Set(int64(len(r.inflight)))
 	if r.cfg.AdmitHook != nil {
 		r.cfg.AdmitHook(p.tenant())
 	}
 	return fl
-}
-
-func flightsConflict(a, b *flight) bool {
-	return span.Overlap(a.writes, b.writes) ||
-		span.Overlap(a.writes, b.reads) ||
-		span.Overlap(a.reads, b.writes)
 }
 
 // unregisterFlightLocked backs out an admitted flight that never launched
@@ -211,12 +189,5 @@ func (r *Runtime) unregisterFlightLocked(fl *flight) {
 		fl.gate.retired = true
 		fl.gate.endAt = fl.start + fl.gate.shift + fl.gate.elapsed
 	}
-	if fl.sess != nil {
-		fl.sess.inflight--
-		fl.sess.gInflight.Set(int64(fl.sess.inflight))
-	}
 	r.removeFlightLocked(fl)
-	r.mInflight.Set(int64(len(r.inflight)))
-	r.cond.Broadcast()
-	r.pumpLocked()
 }

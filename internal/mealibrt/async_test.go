@@ -10,41 +10,11 @@ import (
 )
 
 // axpyPlan builds an installed single-AXPY plan y += alpha*x over n
-// elements, with the inputs written so the launch verifier is satisfied.
+// elements on the default tenant, with the inputs written so the launch
+// verifier is satisfied.
 func axpyPlan(t *testing.T, r *Runtime, alpha float32, n int) (*Plan, *Buffer, *Buffer) {
 	t.Helper()
-	x, err := r.MemAlloc(units.Bytes(4 * n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	y, err := r.MemAlloc(units.Bytes(4 * n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := make([]float32, n)
-	ys := make([]float32, n)
-	for i := range xs {
-		xs[i] = float32(i % 7)
-		ys[i] = 1
-	}
-	if err := x.StoreFloat32s(0, xs); err != nil {
-		t.Fatal(err)
-	}
-	if err := y.StoreFloat32s(0, ys); err != nil {
-		t.Fatal(err)
-	}
-	d := &descriptor.Descriptor{}
-	if err := d.AddComp(descriptor.OpAXPY, accel.AxpyArgs{
-		N: int64(n), Alpha: alpha, X: x.PA(), Y: y.PA(), IncX: 1, IncY: 1,
-	}.Params()); err != nil {
-		t.Fatal(err)
-	}
-	d.AddEndPass()
-	p, err := r.AccPlanDescriptor(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p, x, y
+	return sessAxpyPlan(t, r.def, alpha, n)
 }
 
 func checkAxpy(t *testing.T, y *Buffer, alpha float32, n int) {
@@ -176,59 +146,154 @@ func TestSubmitMaxInFlight(t *testing.T) {
 	}
 }
 
-// While the accelerators hold the link, every host-side DRAM surface —
-// buffer access, allocation, planning, freeing — must be refused.
-func TestHostSurfacesBlockedDuringFlight(t *testing.T) {
-	r := newRuntime(t)
-	const n = 64
-	p, x, y := axpyPlan(t, r, 2, n)
+// While a flight is in the air a host operation is ordered, not refused, on
+// every tenant: a store elsewhere, an allocation and a plan install go through
+// at once, and a store into the flight's bytes lands after it.
+func TestHostOpsOrderBehindFlight(t *testing.T) {
+	eachTenant(t, DefaultConfig(), func(t *testing.T, r *Runtime, s *Session) {
+		slow, x, y := slowAxpyPlan(t, s, 1<<16, 1<<11)
+		other, err := s.MemAlloc(4 * units.KiB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pi, err := slow.Submit(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := other.StoreFloat32s(0, []float32{7}); err != nil {
+			t.Errorf("disjoint store mid-flight: %v", err)
+		}
+		if _, err := x.LoadFloat32s(0, 1); err != nil {
+			t.Errorf("load of the flight's input mid-flight: %v", err)
+		}
+		fresh, err := s.MemAlloc(4 * units.KiB)
+		if err != nil {
+			t.Errorf("allocation mid-flight: %v", err)
+		} else if err := s.MemFree(fresh); err != nil {
+			t.Errorf("free of an untouched buffer mid-flight: %v", err)
+		}
+		d := &descriptor.Descriptor{}
+		if err := d.AddComp(descriptor.OpAXPY, accel.AxpyArgs{
+			N: 1, Alpha: 1, X: other.PA(), Y: other.PA() + 4, IncX: 1, IncY: 1,
+		}.Params()); err != nil {
+			t.Fatal(err)
+		}
+		d.AddEndPass()
+		p, err := s.AccPlanDescriptor(d)
+		if err != nil {
+			t.Errorf("planning mid-flight: %v", err)
+		} else if err := p.Destroy(); err != nil {
+			t.Errorf("destroy of an idle plan mid-flight: %v", err)
+		}
+		if r.Link().HostMayAccess() {
+			t.Fatal("the flight drained before the host operations ran: nothing was tested")
+		}
+		// The conflicting store returns only once the flight has retired.
+		if err := y.StoreFloat32s(0, []float32{9}); err != nil {
+			t.Fatalf("store into the flight's output: %v", err)
+		}
+		if got := r.Stats().Invocations; got != 1 {
+			t.Errorf("Invocations = %d when the conflicting store returned, want 1 (it must wait for the flight)", got)
+		}
+		if _, err := pi.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := y.LoadFloat32s(0, 2); err != nil || got[0] != 9 || got[1] != 0 {
+			t.Errorf("y[0:2] = %v, %v; want [9 0]", got, err)
+		}
+		if !r.Link().HostMayAccess() {
+			t.Error("link must return to the host after the flight")
+		}
+	})
+}
 
-	r.Link().AcquireShared()
-	if err := y.StoreFloat32s(0, []float32{9}); err == nil {
-		t.Error("store must be blocked")
-	}
-	if _, err := y.LoadFloat32s(0, 1); err == nil {
-		t.Error("load must be blocked")
-	}
-	if _, err := y.LoadInt32s(0, 1); err == nil {
-		t.Error("int32 load must be blocked")
-	}
-	if _, err := r.MemAlloc(4 * units.KiB); err == nil {
-		t.Error("allocation must be blocked (it maps a region the accelerators may be walking)")
-	}
-	if err := r.MemFree(x); err == nil {
-		t.Error("free must be blocked")
-	}
-	d := &descriptor.Descriptor{}
-	if err := d.AddComp(descriptor.OpAXPY, accel.AxpyArgs{
-		N: 1, Alpha: 1, X: x.PA(), Y: y.PA(), IncX: 1, IncY: 1,
-	}.Params()); err != nil {
-		t.Fatal(err)
-	}
-	d.AddEndPass()
-	if _, err := r.AccPlanDescriptor(d); err == nil {
-		t.Error("planning must be blocked (it encodes into the command space)")
-	}
-	if err := p.Destroy(); err == nil {
-		t.Error("destroy must be blocked")
-	}
-	if err := r.Link().ReleaseShared(); err != nil {
-		t.Fatal(err)
-	}
+// A plan destroyed with its own launch in the air: Destroy waits the flight
+// out instead of freeing command space the flight is decoding, and the
+// launch still completes with the right bytes.
+func TestDestroyWaitsForOwnFlight(t *testing.T) {
+	eachTenant(t, DefaultConfig(), func(t *testing.T, r *Runtime, s *Session) {
+		const n, iters = 1 << 14, 1 << 9
+		slow, x, y := slowAxpyPlan(t, s, n, iters)
+		ones := make([]float32, n)
+		for i := range ones {
+			ones[i] = 1
+		}
+		if err := x.StoreFloat32s(0, ones); err != nil {
+			t.Fatal(err)
+		}
+		pi, err := slow.Submit(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := slow.Destroy(); err != nil {
+			t.Fatalf("destroy of a plan with its launch in flight: %v", err)
+		}
+		if got := r.Stats().Invocations; got != 1 {
+			t.Errorf("Invocations = %d when Destroy returned, want 1 (it must wait for the flight)", got)
+		}
+		if _, err := pi.Wait(context.Background()); err != nil {
+			t.Fatalf("wait after destroy: %v", err)
+		}
+		got, err := y.LoadFloat32s(0, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range got {
+			if v != iters {
+				t.Fatalf("y[%d] = %v, want %d", i, v, iters)
+			}
+		}
+		if _, err := slow.Submit(context.Background()); err == nil {
+			t.Error("submit of a destroyed plan must fail")
+		}
+	})
+}
 
-	// With ownership back, the same plan still executes.
-	inv, err := p.Execute(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inv.Report.Comps != 1 {
-		t.Errorf("Comps = %d, want 1", inv.Report.Comps)
-	}
-	checkAxpy(t, y, 2, n)
-	if err := p.Destroy(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Submit(context.Background()); err == nil {
-		t.Error("submit of a destroyed plan must fail")
-	}
+// One goroutine launches an AXPY into y over and over while another stores
+// into y: every store succeeds, and each store and each launch takes effect
+// whole — y ends as the last store plus a whole number of launches.
+func TestStoreRacesExecute(t *testing.T) {
+	eachTenant(t, DefaultConfig(), func(t *testing.T, r *Runtime, s *Session) {
+		const n, launches = 1 << 14, 40
+		p, _, y := sessAxpyPlan(t, s, 1, n) // x[i] = i%7, y[i] = 1
+		ones := make([]float32, n)
+		for i := range ones {
+			ones[i] = 1
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for k := 0; k < launches; k++ {
+				if _, err := p.Execute(context.Background()); err != nil {
+					t.Errorf("launch %d: %v", k, err)
+					return
+				}
+			}
+		}()
+		for stores, running := 0, true; running; stores++ {
+			select {
+			case <-done:
+				running = false
+			default:
+			}
+			if err := y.StoreFloat32s(0, ones); err != nil {
+				t.Fatalf("store %d: %v", stores, err)
+			}
+		}
+		<-done
+		got, err := y.LoadFloat32s(0, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// y[i] = 1 + j*(i%7) for one j: the launches since the last store.
+		j := got[1] - 1
+		if j < 0 || j > launches || j != float32(int(j)) {
+			t.Fatalf("y[1] = %v: not 1 plus a whole number of launches", got[1])
+		}
+		for i, v := range got {
+			if want := 1 + j*float32(i%7); v != want {
+				t.Fatalf("y[%d] = %v, want %v (%v launches since the last store): a store landed inside a launch", i, v, want, j)
+			}
+		}
+	})
 }

@@ -17,9 +17,9 @@ var (
 	ErrSessionClosed = errors.New("mealibrt: session closed")
 	// ErrOverCapacity is returned by MemAlloc when the request exceeds the
 	// physical data-space capacity and out-of-core execution is unavailable
-	// (no staging region configured, or Config.NoOOC). With out-of-core
-	// enabled the same request silently succeeds as a host-backed buffer —
-	// capacity becomes a performance property, not a failure mode. Distinct
+	// (no staging region configured). With a staging region the same request
+	// silently succeeds as a host-backed buffer — capacity becomes a
+	// performance property, not a failure mode. Distinct
 	// from ErrQuotaExceeded: quota is a per-tenant policy limit, capacity a
 	// hardware fact.
 	ErrOverCapacity = errors.New("mealibrt: allocation exceeds physical stack capacity")

@@ -220,9 +220,9 @@ func TestOOCPrefetchFasterThanSync(t *testing.T) {
 	}
 }
 
-// The typed failure mode: without a staging region (or with NoOOC), an
-// over-capacity MemAlloc fails with ErrOverCapacity — distinguishable by
-// errors.Is from a quota denial.
+// The typed failure mode: without a staging region, an over-capacity
+// MemAlloc and any MemAllocHost fail with ErrOverCapacity — distinguishable
+// by errors.Is from a quota denial.
 func TestOverCapacityTypedError(t *testing.T) {
 	rt, err := New(oocConfig(0))
 	if err != nil {
@@ -231,18 +231,8 @@ func TestOverCapacityTypedError(t *testing.T) {
 	if _, err := rt.MemAlloc(2 * units.MiB); !errors.Is(err, ErrOverCapacity) {
 		t.Fatalf("no-staging over-capacity alloc: got %v, want ErrOverCapacity", err)
 	}
-
-	cfg := oocConfig(128 * units.KiB)
-	cfg.NoOOC = true
-	rt2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt2.MemAlloc(2 * units.MiB); !errors.Is(err, ErrOverCapacity) {
-		t.Fatalf("NoOOC over-capacity alloc: got %v, want ErrOverCapacity", err)
-	}
-	if _, err := rt2.MemAllocHost(units.MiB); !errors.Is(err, ErrOverCapacity) {
-		t.Fatalf("NoOOC MemAllocHost: got %v, want ErrOverCapacity", err)
+	if _, err := rt.MemAllocHost(units.MiB); !errors.Is(err, ErrOverCapacity) {
+		t.Fatalf("no-staging MemAllocHost: got %v, want ErrOverCapacity", err)
 	}
 
 	// A fragmentation failure (request fits the pool's capacity but not its

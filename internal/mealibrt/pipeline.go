@@ -67,11 +67,11 @@ type flightGate struct {
 // flightSpans converts a flight's verifier-level footprint to wave spans
 // (the conservative stand-in when a wave's own footprint is unresolvable).
 func flightSpans(fl *flight) []span.Dir {
-	out := make([]span.Dir, 0, len(fl.reads)+len(fl.writes))
-	for _, s := range fl.reads {
+	out := make([]span.Dir, 0, len(fl.p.reads)+len(fl.p.admWrites))
+	for _, s := range fl.p.reads {
 		out = append(out, span.Dir{Span: s})
 	}
-	for _, s := range fl.writes {
+	for _, s := range fl.p.admWrites {
 		out = append(out, span.Dir{Span: s, Write: true})
 	}
 	return out
@@ -171,15 +171,17 @@ func (g *flightGate) WaveDone(w int, elapsed units.Seconds) {
 
 var _ accel.WaveHooks = (*flightGate)(nil)
 
-// olderWritesLocked collects the write spans of every other in-flight
-// flight, for the optimistic launch-time verification under pipelining: a
-// consumer admitted mid-producer reads spans the producer has not retired
-// into the initialized set yet, but is wave-gated until they are written.
+// olderWritesLocked collects the write spans of every flight admitted before
+// self and still in flight, for the optimistic launch-time verification under
+// pipelining: a consumer admitted mid-producer reads spans the producer has
+// not retired into the initialized set yet, but is wave-gated until they are
+// written. Flights admitted after self do not count — a launch is verified in
+// Start, which may run after younger launches were accepted.
 func (r *Runtime) olderWritesLocked(self *flight) []span.Span {
 	var out []span.Span
 	for _, fl := range r.inflight {
-		if fl != self {
-			out = append(out, fl.writes...)
+		if fl.seq < self.seq {
+			out = append(out, fl.p.admWrites...)
 		}
 	}
 	return out

@@ -13,18 +13,15 @@ package mealibrt
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
 	"mealib/internal/accel"
-	"mealib/internal/alloc"
 	"mealib/internal/analysis/tdlcheck"
 	"mealib/internal/cpu"
 	"mealib/internal/descriptor"
 	"mealib/internal/phys"
 	"mealib/internal/span"
-	"mealib/internal/tdl"
 	"mealib/internal/telemetry"
 	"mealib/internal/units"
 	"mealib/internal/vm"
@@ -44,10 +41,6 @@ type Config struct {
 	// descriptor and ringing the doorbell (user/kernel crossing plus
 	// uncached CR write).
 	DescriptorSetupLatency units.Seconds
-	// NoVerify disables the static descriptor verifier (tdlcheck) that
-	// otherwise rejects malformed task graphs at plan and launch time —
-	// the library-level equivalent of tdlc's -nocheck escape hatch.
-	NoVerify bool
 	// NoFusion disables descriptor fusion at both levels: AccPlan stops
 	// merging producer→consumer TDL passes, and the accelerator layer's
 	// plan lowering keeps every pass as its own node, so intermediates
@@ -63,10 +56,6 @@ type Config struct {
 	// through Plan.Submit (0 = unlimited). Submissions past the cap block
 	// in admission until a flight completes.
 	MaxInFlight int
-	// NoOOC disables out-of-core execution even when the driver has a
-	// staging region: over-capacity MemAllocs fail with ErrOverCapacity
-	// instead of falling back to host-backed buffers.
-	NoOOC bool
 	// NoPrefetch runs out-of-core chunk schedules synchronously — stage in,
 	// execute, write back, one chunk at a time — instead of prefetching the
 	// next chunk's tiles under the current chunk's execution. Results are
@@ -124,9 +113,15 @@ type Runtime struct {
 	layers []*accel.Layer
 	// mStackLaunches counts launches routed to each stack's layer.
 	mStackLaunches []*telemetry.Counter
-	// link arbitrates DRAM ownership between the host and the
-	// accelerators (paper §2.1).
+	// link accounts DRAM ownership between the host and the accelerators
+	// (paper §2.1): every flight holds it shared from doorbell to completion.
+	// It blocks nobody; host operations wait on the spans of accepted
+	// launches instead (Session.awaitLocked).
 	link accel.LinkController
+	// def is the default tenant: the session behind Runtime.MemAlloc,
+	// AccPlan and the other runtime-level routines of §3.5. It has no quota
+	// and no caps, and its namespace is the whole physical space.
+	def *Session
 	// tr records execution spans (nil: telemetry disabled); the handles
 	// below are resolved once at New and are themselves concurrency-safe,
 	// so none of this needs mu.
@@ -138,7 +133,8 @@ type Runtime struct {
 	mOOCLaunches *telemetry.Counter
 	mOOCChunks   *telemetry.Counter
 	mOOCStaged   *telemetry.Counter
-	// cond (bound to mu) wakes admission waiters when a flight completes.
+	// cond (bound to mu) wakes whatever waits for accepted work to go away:
+	// host operations, Destroy, Session.Close and wave gates.
 	cond *sync.Cond
 	// mu guards every field below: the coherence/verification state and
 	// the in-flight descriptor registry, shared between the host path and
@@ -175,14 +171,12 @@ type Runtime struct {
 
 // flight is one in-flight descriptor execution.
 type flight struct {
-	reads  []span.Span
-	writes []span.Span
+	// p is the launched plan.
+	p *Plan
 	// start is the model time the flight was admitted at.
 	start units.Seconds
 	// seq is the admission sequence number.
 	seq uint64
-	// sess is the owning tenant (nil: the runtime's default tenant).
-	sess *Session
 	// gate pipelines the flight's waves behind conflicting older flights
 	// when Config.WavePipeline is set (nil otherwise).
 	gate *flightGate
@@ -259,6 +253,10 @@ func New(cfg *Config) (*Runtime, error) {
 	rt.mOOCChunks = reg.Counter("rt.ooc_chunks")
 	rt.mOOCStaged = reg.Counter("rt.ooc_staged_bytes")
 	rt.cond = sync.NewCond(&rt.mu)
+	if rt.def, err = rt.NewSession(SessionConfig{Name: defaultTenant}); err != nil {
+		return nil, err
+	}
+	rt.def.namespace = span.Span{Bytes: cfg.SpaceSize}
 	return rt, nil
 }
 
@@ -297,15 +295,6 @@ func (r *Runtime) Link() *accel.LinkController { return &r.link }
 // the same registry the runtime feeds.
 func (r *Runtime) Tracer() *telemetry.Tracer { return r.tr }
 
-// hostAccess guards host-side buffer accesses: while the accelerators own
-// the DRAM, the link controller blocks the CPU (paper §2.1).
-func (r *Runtime) hostAccess() error {
-	if !r.link.HostMayAccess() {
-		return fmt.Errorf("mealibrt: host DRAM access blocked by the link controller (accelerators running)")
-	}
-	return nil
-}
-
 // Buffer is a MemAlloc'ed physically contiguous buffer visible to the CPU
 // (virtual address) and the accelerators (physical address).
 type Buffer struct {
@@ -313,9 +302,8 @@ type Buffer struct {
 	va   vm.VAddr
 	pa   phys.Addr
 	size units.Bytes
-	// sess is the owning tenant session, nil for runtime-level buffers.
-	// Session buffers trade the legacy fail-fast link-controller semantics
-	// for blocking span-conflict waits (access).
+	// sess is the owning tenant: the runtime's default tenant for buffers
+	// from Runtime.MemAlloc.
 	sess *Session
 	// host marks a host-backed (non-resident) buffer: the CPU reaches it
 	// normally, but a descriptor naming it is lowered into chunked staged
@@ -337,137 +325,70 @@ func (b *Buffer) Size() units.Bytes { return b.size }
 // accelerators only through staged chunk launches.
 func (b *Buffer) Resident() bool { return !b.host }
 
-// allocAuto is the residency-aware allocation path shared by the runtime
-// and session MemAllocs: try the requested stack first, and when the
-// request exceeds the stack's physical capacity (alloc.ErrTooLarge — a
-// hardware fact no amount of freeing cures), fall back to a host-backed
-// buffer that out-of-core execution will stage through stack tiles. The
-// fallback needs a staging region; without one (or with Config.NoOOC) the
-// over-capacity request fails with ErrOverCapacity.
-func (r *Runtime) allocAuto(stack int, n units.Bytes) (vm.VAddr, phys.Addr, bool, error) {
-	va, pa, err := r.driver.AllocDataOn(stack, n)
-	if err == nil {
-		return va, pa, false, nil
-	}
-	if !errors.Is(err, alloc.ErrTooLarge) {
-		return 0, 0, false, err
-	}
-	if _, staging := r.driver.Staging(); staging == 0 || r.cfg.NoOOC {
-		return 0, 0, false, fmt.Errorf("%w: %v exceeds the %v data space and out-of-core execution is disabled",
-			ErrOverCapacity, n, r.cfg.Driver.DataSize)
-	}
-	va, pa, err = r.driver.AllocHost(n)
-	return va, pa, true, err
-}
-
 // MemAlloc reserves a physically contiguous buffer in the local memory
 // stack's data space (mealib_mem_alloc). A request larger than the data
 // space itself falls back to a host-backed out-of-core buffer when the
-// runtime has a staging region (see Config.Driver.StagingSize); with
-// out-of-core disabled it fails with ErrOverCapacity.
-func (r *Runtime) MemAlloc(n units.Bytes) (*Buffer, error) {
-	return r.MemAllocOn(0, n)
-}
+// runtime has a staging region (see Config.Driver.StagingSize); without one
+// it fails with ErrOverCapacity.
+func (r *Runtime) MemAlloc(n units.Bytes) (*Buffer, error) { return r.def.MemAlloc(n) }
 
 // MemAllocOn reserves a buffer on an explicit memory stack (paper §3.5:
 // the allocation's stack can be specified; stack 0 is the accelerators'
 // Local Memory Stack, others are Remote Memory Stacks whose traffic
 // crosses the inter-stack links).
 func (r *Runtime) MemAllocOn(stack int, n units.Bytes) (*Buffer, error) {
-	// Allocation maps a new region into the physical space, which in-flight
-	// accelerator accesses walk concurrently: like any other host DRAM
-	// access it must wait for link ownership.
-	if err := r.hostAccess(); err != nil {
-		return nil, err
-	}
-	va, pa, host, err := r.allocAuto(stack, n)
-	if err != nil {
-		return nil, err
-	}
-	return &Buffer{rt: r, va: va, pa: pa, size: n, host: host}, nil
+	return r.def.MemAllocOn(stack, n)
 }
 
 // MemAllocHost reserves a host-backed buffer unconditionally, regardless of
 // whether the request would fit stack memory. Useful for keeping cold data
 // out of the stack on purpose.
-func (r *Runtime) MemAllocHost(n units.Bytes) (*Buffer, error) {
-	if err := r.hostAccess(); err != nil {
-		return nil, err
-	}
-	if _, staging := r.driver.Staging(); staging == 0 || r.cfg.NoOOC {
-		return nil, fmt.Errorf("%w: host-backed allocation requires out-of-core execution", ErrOverCapacity)
-	}
-	va, pa, err := r.driver.AllocHost(n)
-	if err != nil {
-		return nil, err
-	}
-	return &Buffer{rt: r, va: va, pa: pa, size: n, host: true}, nil
-}
+func (r *Runtime) MemAllocHost(n units.Bytes) (*Buffer, error) { return r.def.MemAllocHost(n) }
 
 // Stacks returns the number of memory stacks.
 func (r *Runtime) Stacks() int { return r.driver.Stacks() }
 
 // MemFree releases a buffer (mealib_mem_free).
-func (r *Runtime) MemFree(b *Buffer) error {
-	if b == nil || b.rt != r {
-		return fmt.Errorf("mealibrt: foreign or nil buffer")
+func (r *Runtime) MemFree(b *Buffer) error { return r.def.MemFree(b) }
+
+// DeviceCopyFloat32s copies between two buffers of the default tenant on the
+// device side (see Session.DeviceCopyFloat32s).
+func (r *Runtime) DeviceCopyFloat32s(dst *Buffer, dstOff units.Bytes, src *Buffer, srcOff units.Bytes, n int) error {
+	return r.def.DeviceCopyFloat32s(dst, dstOff, src, srcOff, n)
+}
+
+// span checks the n bytes at byte offset off against the buffer and returns
+// them as a physical range. mealibd passes offsets raw from the client
+// frame, and the physical memory on either side of the buffer belongs to
+// another tenant.
+func (b *Buffer) span(off, n units.Bytes) (span.Span, error) {
+	if off < 0 || n < 0 || off > b.size-n {
+		return span.Span{}, fmt.Errorf("mealibrt: access to %d bytes at offset %d is outside the %d-byte buffer", n, off, b.size)
 	}
-	if err := r.hostAccess(); err != nil {
+	return span.Span{Addr: b.pa + phys.Addr(off), Bytes: n}, nil
+}
+
+// access runs one host-side access to the n bytes at byte offset off: it
+// waits until no accepted launch conflicts with the range (the ordering
+// rule, Session.awaitLocked) and runs op under the runtime lock, so no
+// conflicting launch can be accepted mid-access. A write is recorded for
+// the coherence model and the verifier's initialized-span tracking.
+func (b *Buffer) access(off, n units.Bytes, write bool, op func(pa phys.Addr) error) error {
+	sp, err := b.span(off, n)
+	if err != nil {
 		return err
 	}
-	return r.driver.Free(b.va)
-}
-
-// noteWrite records a host write: the coherence model's dirty-byte estimate
-// grows and the span joins the initialized set, merging into the sorted
-// interval representation (overlaps and adjacencies coalesce regardless of
-// write order).
-func (r *Runtime) noteWrite(s span.Span) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.dirty += s.Bytes
-	r.initialized.Add(s)
-}
-
-// noteDeviceWrite records a device-side write (stack-to-stack DMA): the
-// span joins the initialized set but the host coherence model's dirty
-// estimate is untouched — the data never entered the host caches.
-func (r *Runtime) noteDeviceWrite(s span.Span) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.initialized.Add(s)
-}
-
-// access runs one host-side access to the n bytes at byte offset off. The
-// range is checked against the buffer first: mealibd passes offsets raw from
-// the client frame, and the physical memory on either side of the buffer
-// belongs to another tenant. A session buffer then waits until no accepted
-// descriptor conflicts with the span and runs op under the runtime lock, so
-// no conflicting flight can be admitted mid-access; a runtime buffer keeps
-// the fail-fast link-controller check. A write is recorded for the coherence
-// model and the verifier's initialized-span tracking.
-func (b *Buffer) access(off, n units.Bytes, write bool, op func(pa phys.Addr) error) error {
-	if off < 0 || n < 0 || off > b.size-n {
-		return fmt.Errorf("mealibrt: access to %d bytes at offset %d is outside the %d-byte buffer", n, off, b.size)
+	var rd, wr span.Span
+	if write {
+		wr = sp
+	} else {
+		rd = sp
 	}
 	r := b.rt
-	sp := span.Span{Addr: b.pa + phys.Addr(off), Bytes: n}
-	if b.sess == nil {
-		if err := r.hostAccess(); err != nil {
-			return err
-		}
-		if write {
-			r.noteWrite(sp)
-		}
-		return op(sp.Addr)
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if b.sess.closed {
-		return ErrSessionClosed
-	}
-	for r.spanBusyLocked(sp, write) {
-		r.cond.Wait()
+	if err := b.sess.awaitLocked(rd, wr); err != nil {
+		return err
 	}
 	if write {
 		r.dirty += n
@@ -511,41 +432,6 @@ func (b *Buffer) StoreFloat32s(off units.Bytes, v []float32) error {
 func (b *Buffer) LoadFloat32s(off units.Bytes, n int) (out []float32, err error) {
 	err = b.access(off, units.Bytes(4*n), false, func(pa phys.Addr) (e error) { out, e = b.rt.space.LoadFloat32s(pa, n); return })
 	return out, err
-}
-
-// DeviceCopyFloat32s copies n float32 values from src at srcOff into dst
-// at dstOff entirely on the device side — the multi-stack exchange engine
-// uses it for stack-to-stack result-segment transfers, whose traffic and
-// energy the inter-stack interconnect model prices separately. Unlike a
-// host Load/Store round trip, the data never enters the host cache
-// hierarchy: the copy marks the destination span initialized for the
-// verifier but adds nothing to the coherence model's dirty estimate, so
-// the next launch does not pay wbinvd for it. Both buffers must be
-// stack-resident and runtime-owned (not session or host-backed).
-func (r *Runtime) DeviceCopyFloat32s(dst *Buffer, dstOff units.Bytes, src *Buffer, srcOff units.Bytes, n int) error {
-	if dst.sess != nil || src.sess != nil {
-		return fmt.Errorf("mealibrt: device copy does not take session buffers")
-	}
-	if !dst.Resident() || !src.Resident() {
-		return fmt.Errorf("mealibrt: device copy needs stack-resident buffers")
-	}
-	bytes := units.Bytes(4 * n)
-	if srcOff+bytes > src.size || dstOff+bytes > dst.size {
-		return fmt.Errorf("mealibrt: device copy of %d bytes at src+%d/dst+%d overruns %d/%d",
-			bytes, srcOff, dstOff, src.size, dst.size)
-	}
-	if err := r.hostAccess(); err != nil {
-		return err
-	}
-	v, err := r.space.LoadFloat32s(src.pa+phys.Addr(srcOff), n)
-	if err != nil {
-		return err
-	}
-	if err := r.space.StoreFloat32s(dst.pa+phys.Addr(dstOff), v); err != nil {
-		return err
-	}
-	r.noteDeviceWrite(span.Span{Addr: dst.pa + phys.Addr(dstOff), Bytes: bytes})
-	return nil
 }
 
 // StoreComplex64s writes v at byte offset off.
@@ -593,62 +479,34 @@ type Plan struct {
 	// out-of-core plan's original descriptor is never executed: Submit runs
 	// the schedule's rebased chunk descriptors instead (ooc.go).
 	ooc *accel.OOCSchedule
-	// sess is the owning tenant session, nil for runtime-level plans.
+	// sess is the owning tenant: the runtime's default tenant for plans
+	// from Runtime.AccPlan*.
 	sess *Session
 	// stack selects the accelerator layer the plan launches on (the memory
 	// stack whose logic layer executes the descriptor); 0 unless the plan
 	// came from AccPlanDescriptorOn.
 	stack int
+	// accepted counts the plan's launches the runtime has accepted and not
+	// yet finished with, queued or in flight (guarded by the runtime's mu).
+	// Destroy waits for it to drain: a flight decodes the plan's command
+	// space for as long as it runs.
+	accepted int
 }
 
 // AccPlan compiles a TDL program against the parameter table and encodes
 // the resulting descriptor into the command space (mealib_acc_plan). The
-// program is statically verified first (unless Config.NoVerify): dangling
-// parameter references, bad loop trip counts, inconsistent operand sizes
-// and malformed task graphs are rejected here, with TDL line numbers,
-// instead of failing deep inside the accelerator layer.
+// program is statically verified first: dangling parameter references, bad
+// loop trip counts, inconsistent operand sizes and malformed task graphs are
+// rejected here, with TDL line numbers, instead of failing deep inside the
+// accelerator layer.
 func (r *Runtime) AccPlan(tdlSrc string, params map[string]descriptor.Params) (*Plan, error) {
-	return r.accPlanCommon(tdlSrc, params, nil)
-}
-
-func (r *Runtime) accPlanCommon(tdlSrc string, params map[string]descriptor.Params, sess *Session) (*Plan, error) {
-	prog, err := tdl.Parse(tdlSrc)
-	if err != nil {
-		return nil, err
-	}
-	resolve := tdl.MapResolver(params)
-	if !r.cfg.NoVerify {
-		if err := tdlcheck.Verify(prog, resolve); err != nil {
-			return nil, fmt.Errorf("mealibrt: program rejected by the static verifier: %w", err)
-		}
-	}
-	if !r.cfg.NoFusion {
-		// Fuse producer→consumer pass chains at the program level, then
-		// verify the fused program again: the verifier must accept the
-		// merged chained passes exactly as it accepted the originals (the
-		// plan lowering would fuse them anyway; doing it here keeps what
-		// the verifier checks and what the hardware runs identical).
-		if _, err := tdl.Fuse(prog, resolve, r.layers[0].Config()); err != nil {
-			return nil, fmt.Errorf("mealibrt: fusion pass failed: %w", err)
-		}
-		if !r.cfg.NoVerify {
-			if err := tdlcheck.Verify(prog, resolve); err != nil {
-				return nil, fmt.Errorf("mealibrt: fused program rejected by the static verifier: %w", err)
-			}
-		}
-	}
-	d, err := tdl.Compile(prog, resolve)
-	if err != nil {
-		return nil, err
-	}
-	return r.accPlanDescriptor(d, sess)
+	return r.def.AccPlan(tdlSrc, params)
 }
 
 // AccPlanDescriptor installs an already-built descriptor (the path the Go
-// public API uses). Unless Config.NoVerify is set, the descriptor is run
-// through the static verifier first.
+// public API uses) after running it through the static verifier.
 func (r *Runtime) AccPlanDescriptor(d *descriptor.Descriptor) (*Plan, error) {
-	return r.accPlanDescriptor(d, nil)
+	return r.def.AccPlanDescriptor(d)
 }
 
 // AccPlanDescriptorOn installs a descriptor that will launch on the given
@@ -657,98 +515,7 @@ func (r *Runtime) AccPlanDescriptor(d *descriptor.Descriptor) (*Plan, error) {
 // lowering is a stack-0 facility (the staging region lives there), so
 // host-backed operands are rejected on other stacks.
 func (r *Runtime) AccPlanDescriptorOn(stack int, d *descriptor.Descriptor) (*Plan, error) {
-	if stack < 0 || stack >= len(r.layers) {
-		return nil, fmt.Errorf("mealibrt: no accelerator layer on stack %d (have %d)", stack, len(r.layers))
-	}
-	p, err := r.accPlanDescriptor(d, nil)
-	if err != nil {
-		return nil, err
-	}
-	if p.ooc != nil && stack != 0 {
-		_ = p.Destroy()
-		return nil, fmt.Errorf("mealibrt: out-of-core plans must launch on stack 0, not %d", stack)
-	}
-	p.stack = stack
-	return p, nil
-}
-
-func (r *Runtime) accPlanDescriptor(d *descriptor.Descriptor, sess *Session) (*Plan, error) {
-	if d == nil {
-		return nil, fmt.Errorf("mealibrt: nil descriptor")
-	}
-	if sess == nil {
-		// Planning maps a command-space region and encodes the descriptor
-		// into it: host-side DRAM work that, on the legacy single-tenant
-		// path, must wait for link ownership. Session planning instead
-		// relies on the space's region-table lock — a tenant may plan while
-		// another tenant's flight executes.
-		if err := r.hostAccess(); err != nil {
-			return nil, err
-		}
-	}
-	if !r.cfg.NoVerify {
-		if err := tdlcheck.VerifyDescriptor(d); err != nil {
-			return nil, fmt.Errorf("mealibrt: descriptor rejected by the static verifier: %w", err)
-		}
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	writes, err := tdlcheck.Writes(d)
-	if err != nil {
-		return nil, err
-	}
-	reads, err := tdlcheck.Reads(d)
-	if err != nil {
-		return nil, err
-	}
-	if sess != nil {
-		if err := sess.checkNamespace(writes, reads); err != nil {
-			return nil, err
-		}
-	}
-	// Residency split: a descriptor naming host-backed spans cannot execute
-	// directly (the accelerators cannot reach host DRAM) — lower it into a
-	// chunked staged schedule here, at plan time, so Submit replays the
-	// same deterministic schedule on every execution.
-	var sched *accel.OOCSchedule
-	admWrites := writes
-	if r.oocSpans(writes) || r.oocSpans(reads) {
-		stagingPA, stagingSize := r.driver.Staging()
-		if stagingSize == 0 || r.cfg.NoOOC {
-			return nil, fmt.Errorf("%w: descriptor names host-backed buffers but out-of-core execution is disabled", ErrOverCapacity)
-		}
-		half := stagingSize / 2
-		sched, err = r.layers[0].PlanOOC(d, r.driver.InHostWindow,
-			[2]phys.Addr{stagingPA, stagingPA + phys.Addr(half)}, half)
-		if err != nil {
-			return nil, err
-		}
-		admWrites = append([]span.Span{{Addr: stagingPA, Bytes: stagingSize}}, writes...)
-	}
-	// An out-of-core plan's command slot holds one chunk descriptor at a
-	// time (the largest sizes it); an ordinary plan's holds the descriptor.
-	cmdBytes := d.Size()
-	if sched != nil {
-		cmdBytes = sched.MaxDescBytes
-	}
-	va, pa, err := r.driver.AllocCommand(cmdBytes)
-	if err != nil {
-		return nil, err
-	}
-	if sched == nil {
-		if err := d.Encode(r.space, pa); err != nil {
-			_ = r.driver.Free(va)
-			return nil, err
-		}
-	}
-	p := &Plan{rt: r, desc: d, baseVA: va, basePA: pa, writes: writes, reads: reads, admWrites: admWrites, ooc: sched, sess: sess}
-	if sess != nil {
-		r.mu.Lock()
-		sess.plans[p] = struct{}{}
-		r.mu.Unlock()
-	}
-	return p, nil
+	return r.def.AccPlanDescriptorOn(stack, d)
 }
 
 // Descriptor returns the plan's descriptor.
@@ -836,46 +603,91 @@ func (pi *PendingInvocation) Wait(ctx context.Context) (*Invocation, error) {
 // with Config.WavePipeline the span conflicts do not block admission at all
 // and are enforced at wave granularity instead (pipeline.go). The context
 // bounds only the admission wait: once admitted, the launch proceeds.
+//
+// Submit is Accept then Start under one hold of the runtime lock.
 func (p *Plan) Submit(ctx context.Context) (*PendingInvocation, error) {
+	return Launch{p: p}.Start(ctx)
+}
+
+// Launch is one launch of a plan whose place in the runtime's order is
+// fixed: Accept either admitted it on the spot (fl) or queued it (w).
+type Launch struct {
+	p  *Plan
+	fl *flight
+	w  *waiter
+}
+
+// Accept is the first half of Submit, the one that decides order, and it
+// never blocks: the launch is refused (plan destroyed, session closed,
+// ErrQueueFull) or takes its place — a flight in the registry, or a waiter at
+// the back of the admission queue. From that instant every later operation
+// whose bytes conflict with the launch (a store, load, device copy or free, a
+// Destroy of the plan, another launch by the tenant) takes effect after it. A
+// front end that must not block its dispatch loop calls Accept there, in the
+// order its tenant spoke, and Start wherever it can afford to wait. Every
+// accepted launch must be started, exactly once.
+func (p *Plan) Accept() (Launch, error) {
 	r := p.rt
-	s := p.sess
-	tb := r.tr.Buffer(telemetry.TrackRuntime)
-	defer tb.Release()
-	tb.Begin(telemetry.SpanSubmit, "submit")
 	r.mu.Lock()
-	// baseVA is guarded by mu: in the server, Destroy and Submit run on
-	// different goroutines.
+	defer r.mu.Unlock()
+	return p.acceptLocked()
+}
+
+func (p *Plan) acceptLocked() (Launch, error) {
+	r, s := p.rt, p.sess
 	if p.baseVA == 0 {
-		r.mu.Unlock()
-		tb.End(telemetry.SpanSubmit, 0)
-		return nil, fmt.Errorf("mealibrt: plan already destroyed")
+		return Launch{}, fmt.Errorf("mealibrt: plan already destroyed")
 	}
-	if s != nil && s.closed {
-		r.mu.Unlock()
-		tb.End(telemetry.SpanSubmit, 0)
-		return nil, ErrSessionClosed
+	if s.closed {
+		return Launch{}, ErrSessionClosed
 	}
-	var fl *flight
+	l := Launch{p: p}
 	if r.admitNowLocked(p) {
-		fl = r.registerFlightLocked(p)
+		l.fl = r.registerFlightLocked(p)
 	} else {
-		// The admission span covers only actual stalls, so an uncontended
-		// Submit shows a single submit span in the trace.
-		if s != nil && s.cfg.MaxQueued > 0 && s.queued >= s.cfg.MaxQueued {
+		if s.cfg.MaxQueued > 0 && s.queued >= s.cfg.MaxQueued {
 			s.stats.QueueFull++
 			s.mQueueFull.Add(1)
-			queued := s.queued
-			r.mu.Unlock()
-			tb.End(telemetry.SpanSubmit, 0)
-			return nil, fmt.Errorf("%w: %d submissions already queued", ErrQueueFull, queued)
+			return Launch{}, fmt.Errorf("%w: %d submissions already queued", ErrQueueFull, s.queued)
 		}
-		w := r.enqueueLocked(p)
-		if s != nil {
-			s.queued++
-			s.stats.Stalls++
-			s.mStalls.Add(1)
-		}
+		l.w = r.enqueueLocked(p)
+		s.stats.Stalls++
+		s.mStalls.Add(1)
 		r.mStalls.Add(1)
+	}
+	p.accepted++
+	return l, nil
+}
+
+// Start is the second half of Submit: it waits for admission under ctx,
+// verifies the launch against the initialized set, rings the doorbell and
+// hands the flight to its goroutine. A cancelled wait gives the launch's
+// place back.
+func (l Launch) Start(ctx context.Context) (*PendingInvocation, error) {
+	tb := l.p.rt.tr.Buffer(telemetry.TrackRuntime)
+	defer tb.Release()
+	tb.Begin(telemetry.SpanSubmit, "submit")
+	pi, ovT, err := l.start(ctx, tb)
+	tb.End(telemetry.SpanSubmit, ovT)
+	return pi, err
+}
+
+func (l Launch) start(ctx context.Context, tb *telemetry.Buf) (*PendingInvocation, units.Seconds, error) {
+	p := l.p
+	r, s := p.rt, p.sess
+	r.mu.Lock()
+	if l.fl == nil && l.w == nil {
+		// Submit: the launch is accepted here, under the same hold of mu.
+		var err error
+		if l, err = p.acceptLocked(); err != nil {
+			r.mu.Unlock()
+			return nil, 0, err
+		}
+	}
+	fl := l.fl
+	if w := l.w; w != nil {
+		// The admission span covers only actual stalls, so an uncontended
+		// Submit shows a single submit span in the trace.
 		tb.Begin(telemetry.SpanAdmission, "admission")
 		r.mu.Unlock()
 		select {
@@ -883,30 +695,20 @@ func (p *Plan) Submit(ctx context.Context) (*PendingInvocation, error) {
 			r.mu.Lock()
 		case <-ctx.Done():
 			r.mu.Lock()
-			if s != nil {
-				s.queued--
-			}
-			if !w.admitted {
+			if w.fl != nil {
+				// Admission raced the cancellation: back the flight out.
+				r.unregisterFlightLocked(w.fl)
+			} else {
+				// A host access (or a free, or a Destroy) may be blocked on
+				// this waiter: its departure can unblock them.
 				r.dequeueLocked(w)
-				// A host access (or a free) may be blocked on this waiter's
-				// footprint: its departure can unblock them.
+				p.accepted--
 				r.cond.Broadcast()
-				r.mu.Unlock()
-				tb.End2(telemetry.SpanAdmission, 0,
-					telemetry.Arg{Key: "cancelled", Val: int64(1)}, telemetry.Arg{})
-				tb.End(telemetry.SpanSubmit, 0)
-				return nil, ctx.Err()
 			}
-			// Admission raced the cancellation: back the flight out.
-			r.unregisterFlightLocked(w.fl)
 			r.mu.Unlock()
 			tb.End2(telemetry.SpanAdmission, 0,
 				telemetry.Arg{Key: "cancelled", Val: int64(1)}, telemetry.Arg{})
-			tb.End(telemetry.SpanSubmit, 0)
-			return nil, ctx.Err()
-		}
-		if s != nil {
-			s.queued--
+			return nil, 0, ctx.Err()
 		}
 		fl = w.fl
 		tb.End2(telemetry.SpanAdmission, 0,
@@ -918,17 +720,14 @@ func (p *Plan) Submit(ctx context.Context) (*PendingInvocation, error) {
 	// pipelining the producers may still be in flight; their declared
 	// writes are counted as initialized optimistically — the wave gate
 	// guarantees they land before any gated wave reads them.
-	if !r.cfg.NoVerify {
-		init := append([]span.Span(nil), r.initialized.All()...)
-		if r.cfg.WavePipeline {
-			init = append(init, r.olderWritesLocked(fl)...)
-		}
-		if err := tdlcheck.VerifyDescriptor(p.desc, tdlcheck.WithInitialized(init...)); err != nil {
-			r.unregisterFlightLocked(fl)
-			r.mu.Unlock()
-			tb.End(telemetry.SpanSubmit, 0)
-			return nil, fmt.Errorf("mealibrt: launch rejected by the static verifier: %w", err)
-		}
+	init := append([]span.Span(nil), r.initialized.All()...)
+	if r.cfg.WavePipeline {
+		init = append(init, r.olderWritesLocked(fl)...)
+	}
+	if err := tdlcheck.VerifyDescriptor(p.desc, tdlcheck.WithInitialized(init...)); err != nil {
+		r.unregisterFlightLocked(fl)
+		r.mu.Unlock()
+		return nil, 0, fmt.Errorf("mealibrt: launch rejected by the static verifier: %w", err)
 	}
 	dirty := r.dirty
 	if llc := r.cfg.Host.Cache.LLC(); dirty > llc {
@@ -936,17 +735,13 @@ func (p *Plan) Submit(ctx context.Context) (*PendingInvocation, error) {
 	}
 	r.dirty = 0
 	// Ownership of the DRAM passes to the accelerators for the duration of
-	// the flight (paper §2.1): the first flight blocks host accesses, the
-	// last completion hands ownership back. Acquiring inside the admission
-	// critical section closes the window where a host accessor could slip
-	// between the flight registration and the ownership transfer.
+	// the flight (paper §2.1): the first flight takes it from the host, the
+	// last completion hands it back.
 	r.link.AcquireShared()
 	r.mSubmits.Add(1)
 	r.mStackLaunches[p.stack].Add(1)
-	if s != nil {
-		s.stats.Submits++
-		s.mSubmits.Add(1)
-	}
+	s.stats.Submits++
+	s.mSubmits.Add(1)
 	r.mu.Unlock()
 
 	ovT, ovE := InvocationOverhead(r.cfg.Host, r.cfg.DescriptorSetupLatency, p.desc.Size(), dirty)
@@ -958,8 +753,7 @@ func (p *Plan) Submit(ctx context.Context) (*PendingInvocation, error) {
 				err = fmt.Errorf("%w (and link release failed: %v)", err, relErr)
 			}
 			r.finishFlight(fl)
-			tb.End(telemetry.SpanSubmit, 0)
-			return nil, err
+			return nil, 0, err
 		}
 		tb.Instant(telemetry.SpanSubmit, "doorbell")
 	}
@@ -989,7 +783,7 @@ func (p *Plan) Submit(ctx context.Context) (*PendingInvocation, error) {
 			fb.End(telemetry.SpanFlight, 0)
 			return
 		}
-		idleE := r.retire(fl, p.writes, rep, ovT, ovE)
+		idleE := r.retire(fl, rep, ovT, ovE)
 		pi.inv = &Invocation{
 			Report:         rep,
 			OverheadTime:   ovT,
@@ -999,8 +793,7 @@ func (p *Plan) Submit(ctx context.Context) (*PendingInvocation, error) {
 		fb.End2(telemetry.SpanFlight, rep.Time,
 			telemetry.Arg{Key: "comps", Val: rep.Comps}, telemetry.Arg{})
 	}()
-	tb.End(telemetry.SpanSubmit, ovT)
-	return pi, nil
+	return pi, ovT, nil
 }
 
 // retire completes a successful flight: the descriptor's writes become live
@@ -1009,10 +802,10 @@ func (p *Plan) Submit(ctx context.Context) (*PendingInvocation, error) {
 // for the portion of the flight's model-time window no earlier flight
 // already covered — overlapping flights split the shared idle window
 // instead of double-counting it.
-func (r *Runtime) retire(fl *flight, writes []span.Span, rep *accel.Report, ovT units.Seconds, ovE units.Joules) units.Joules {
+func (r *Runtime) retire(fl *flight, rep *accel.Report, ovT units.Seconds, ovE units.Joules) units.Joules {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, s := range writes {
+	for _, s := range fl.p.writes {
 		r.initialized.Add(s)
 	}
 	end := fl.start + rep.Time
@@ -1035,18 +828,12 @@ func (r *Runtime) retire(fl *flight, writes []span.Span, rep *accel.Report, ovT 
 	r.stats.AccelTime += rep.Time
 	r.stats.AccelEnergy += rep.Energy
 	r.stats.HostIdleEnergy += idleE
-	if s := fl.sess; s != nil {
-		s.inflight--
-		s.gInflight.Set(int64(s.inflight))
-		s.stats.Invocations++
-		s.stats.AccelTime += rep.Time
-		s.stats.BytesMoved += rep.NoCBytes
-		s.stats.BytesElided += rep.ElidedBytes
-	}
+	s := fl.p.sess
+	s.stats.Invocations++
+	s.stats.AccelTime += rep.Time
+	s.stats.BytesMoved += rep.NoCBytes
+	s.stats.BytesElided += rep.ElidedBytes
 	r.removeFlightLocked(fl)
-	r.mInflight.Set(int64(len(r.inflight)))
-	r.cond.Broadcast()
-	r.pumpLocked()
 	return idleE
 }
 
@@ -1057,15 +844,24 @@ func (r *Runtime) finishFlight(fl *flight) {
 	r.unregisterFlightLocked(fl)
 }
 
-// removeFlightLocked drops fl from the in-flight registry. Called with mu
-// held.
+// removeFlightLocked drops fl from the in-flight registry and from its
+// tenant's and plan's counts, then wakes everything that may have been
+// waiting on it: host operations and Destroy on cond, queued launches through
+// the pump. Called with mu held.
 func (r *Runtime) removeFlightLocked(fl *flight) {
 	for i, f := range r.inflight {
 		if f == fl {
 			r.inflight = append(r.inflight[:i], r.inflight[i+1:]...)
-			return
+			break
 		}
 	}
+	s := fl.p.sess
+	s.inflight--
+	s.gInflight.Set(int64(s.inflight))
+	fl.p.accepted--
+	r.mInflight.Set(int64(len(r.inflight)))
+	r.cond.Broadcast()
+	r.pumpLocked()
 }
 
 // AccExecute launches the plan and waits for it (mealib_acc_execute):
@@ -1088,24 +884,18 @@ func (r *Runtime) ModelTime() units.Seconds {
 }
 
 // Destroy releases the plan's command-space allocation
-// (mealib_acc_destroy).
+// (mealib_acc_destroy), after the plan's accepted launches have drained.
 func (p *Plan) Destroy() error {
 	r := p.rt
 	r.mu.Lock()
-	// baseVA is guarded by mu: in the server, Destroy and Submit run on
-	// different goroutines.
+	for p.accepted > 0 {
+		r.cond.Wait()
+	}
 	if p.baseVA == 0 {
 		r.mu.Unlock()
 		return fmt.Errorf("mealibrt: plan already destroyed")
 	}
-	if p.sess == nil {
-		if err := r.hostAccess(); err != nil {
-			r.mu.Unlock()
-			return err
-		}
-	} else {
-		delete(p.sess.plans, p)
-	}
+	delete(p.sess.plans, p)
 	va := p.baseVA
 	p.baseVA = 0
 	r.mu.Unlock()

@@ -247,33 +247,6 @@ func TestInvocationOverheadModel(t *testing.T) {
 	}
 }
 
-func TestLinkControllerBlocksHostDuringExecution(t *testing.T) {
-	r := newRuntime(t)
-	b, err := r.MemAlloc(64 * units.KiB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.StoreFloat32s(0, []float32{1}); err != nil {
-		t.Fatalf("host access while host owns the link: %v", err)
-	}
-	// Simulate the accelerator-owned window.
-	if err := r.Link().AcquireForAccelerators(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.StoreFloat32s(0, []float32{2}); err == nil {
-		t.Error("host store must be blocked while accelerators own the DRAM")
-	}
-	if _, err := b.LoadFloat32s(0, 1); err == nil {
-		t.Error("host load must be blocked while accelerators own the DRAM")
-	}
-	if err := r.Link().ReleaseToHost(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.StoreFloat32s(0, []float32{3}); err != nil {
-		t.Errorf("host access after release: %v", err)
-	}
-}
-
 func TestLinkOwnershipReturnsAfterExecute(t *testing.T) {
 	r := newRuntime(t)
 	n := 64

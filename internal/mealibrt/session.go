@@ -1,11 +1,16 @@
 package mealibrt
 
 import (
+	"errors"
 	"fmt"
 
+	"mealib/internal/accel"
+	"mealib/internal/alloc"
+	"mealib/internal/analysis/tdlcheck"
 	"mealib/internal/descriptor"
 	"mealib/internal/phys"
 	"mealib/internal/span"
+	"mealib/internal/tdl"
 	"mealib/internal/telemetry"
 	"mealib/internal/units"
 	"mealib/internal/vm"
@@ -16,15 +21,24 @@ import (
 // in-flight and queue bounds (backpressure), and per-tenant accounting
 // exported through the metrics registry as session.<name>.*. Sessions are
 // what a multi-tenant front end (internal/mealibd) hands each connection;
-// the runtime's own top-level surfaces (Runtime.MemAlloc, AccPlan) keep
-// their original single-tenant semantics untouched.
+// the runtime's own top-level surfaces (Runtime.MemAlloc, AccPlan) are the
+// same calls on the default tenant, a session named defaultTenant with no
+// quota, no bounds and the whole physical space as its namespace.
 //
-// Host accesses through session buffers differ from the legacy path: where
-// a sessionless Buffer store fails fast when the link controller has handed
-// DRAM to the accelerators, a session store waits until no in-flight
-// descriptor conflicts with the touched span and then runs under the
-// runtime lock — a server cannot bounce a tenant's store because an
-// unrelated tenant's flight happens to be executing.
+// The ordering rule, for every tenant: once the runtime has accepted a launch
+// (Plan.Accept — in flight or queued), any later operation whose bytes
+// conflict with it takes effect after it. A store, load, device copy or free
+// waits until no accepted launch conflicts with its span and then runs under
+// the runtime lock (awaitLocked); Plan.Destroy waits for the plan's own
+// launches; another launch by the same tenant queues behind the tenant's
+// earlier ones. Operations wait, they do not fail — a server cannot bounce a
+// tenant's store because an unrelated tenant's flight happens to be
+// executing.
+
+// defaultTenant names the session behind the runtime-level routines.
+const defaultTenant = "_default"
+
+// SessionConfig names a tenant and bounds it.
 type SessionConfig struct {
 	// Name identifies the tenant in metrics, stats and the admission hook.
 	Name string
@@ -64,6 +78,11 @@ type SessionStats struct {
 type Session struct {
 	rt  *Runtime
 	cfg SessionConfig
+	// namespace is what the tenant's descriptors may name besides its own
+	// buffers: nothing for a session a caller opened, the whole physical
+	// space for the default tenant, whose callers also plan over memory they
+	// mapped through the driver themselves. Fixed before the session is used.
+	namespace span.Span
 	// guarded by rt.mu:
 	closed bool
 	// memUsed is the tenant's total live footprint (what the quota bounds);
@@ -130,33 +149,46 @@ func (s *Session) Stats() SessionStats {
 // out-of-core buffers when the runtime has a staging region — the quota
 // bounds virtual (total) bytes either way.
 func (s *Session) MemAlloc(n units.Bytes) (*Buffer, error) {
-	return s.MemAllocOn(0, n)
+	return s.alloc(0, n, false)
 }
 
 // MemAllocOn reserves a buffer on an explicit memory stack. The quota is
 // charged in requested bytes and reserved before the driver call, so
 // concurrent allocations cannot oversubscribe it.
 func (s *Session) MemAllocOn(stack int, n units.Bytes) (*Buffer, error) {
-	return s.alloc(n, func(r *Runtime) (vm.VAddr, phys.Addr, bool, error) {
-		return r.allocAuto(stack, n)
-	})
+	return s.alloc(stack, n, false)
 }
 
 // MemAllocHost reserves a host-backed (non-resident) buffer unconditionally;
 // see Runtime.MemAllocHost.
 func (s *Session) MemAllocHost(n units.Bytes) (*Buffer, error) {
-	return s.alloc(n, func(r *Runtime) (vm.VAddr, phys.Addr, bool, error) {
-		if _, staging := r.driver.Staging(); staging == 0 || r.cfg.NoOOC {
-			return 0, 0, false, fmt.Errorf("%w: host-backed allocation requires out-of-core execution", ErrOverCapacity)
-		}
-		va, pa, err := r.driver.AllocHost(n)
-		return va, pa, true, err
-	})
+	return s.alloc(0, n, true)
 }
 
-// alloc is the shared quota-charge/driver-call/rollback sequence behind the
-// session allocators.
-func (s *Session) alloc(n units.Bytes, driverAlloc func(*Runtime) (vm.VAddr, phys.Addr, bool, error)) (*Buffer, error) {
+// place maps n bytes and reports whether they ended up host-backed: on the
+// requested stack, or — when the caller asks for it, or the request exceeds
+// the stack's physical capacity (alloc.ErrTooLarge, a hardware fact no
+// amount of freeing cures) — in the host window, for out-of-core execution
+// to stage through stack tiles. That needs a staging region; without one
+// the request fails with ErrOverCapacity.
+func (r *Runtime) place(stack int, n units.Bytes, host bool) (vm.VAddr, phys.Addr, bool, error) {
+	if !host {
+		va, pa, err := r.driver.AllocDataOn(stack, n)
+		if err == nil || !errors.Is(err, alloc.ErrTooLarge) {
+			return va, pa, false, err
+		}
+	}
+	if _, staging := r.driver.Staging(); staging == 0 {
+		return 0, 0, false, fmt.Errorf("%w: %v needs a host-backed buffer (the data space is %v) and the runtime has no staging region",
+			ErrOverCapacity, n, r.cfg.Driver.DataSize)
+	}
+	va, pa, err := r.driver.AllocHost(n)
+	return va, pa, true, err
+}
+
+// alloc is the quota-charge/driver-call/rollback sequence behind the
+// allocators.
+func (s *Session) alloc(stack int, n units.Bytes, host bool) (*Buffer, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("mealibrt: non-positive allocation %d", n)
 	}
@@ -177,7 +209,7 @@ func (s *Session) alloc(n units.Bytes, driverAlloc func(*Runtime) (vm.VAddr, phy
 	s.memUsed += n
 	s.gMemUsed.Set(int64(s.memUsed))
 	r.mu.Unlock()
-	va, pa, host, err := driverAlloc(r)
+	va, pa, host, err := r.place(stack, n, host)
 	if err != nil {
 		r.mu.Lock()
 		s.memUsed -= n
@@ -196,8 +228,8 @@ func (s *Session) alloc(n units.Bytes, driverAlloc func(*Runtime) (vm.VAddr, phy
 	return b, nil
 }
 
-// MemFree releases a session buffer, waiting out any in-flight descriptor
-// still touching it before the mapping disappears.
+// MemFree releases a buffer, waiting out every accepted launch still
+// touching it before the mapping disappears.
 func (s *Session) MemFree(b *Buffer) error {
 	if b == nil || b.sess != s {
 		return fmt.Errorf("mealibrt: foreign or nil buffer")
@@ -205,12 +237,13 @@ func (s *Session) MemFree(b *Buffer) error {
 	r := s.rt
 	sp := span.Span{Addr: b.pa, Bytes: b.size}
 	r.mu.Lock()
+	if err := s.awaitLocked(span.Span{}, sp); err != nil {
+		r.mu.Unlock()
+		return err
+	}
 	if _, ok := s.buffers[b]; !ok {
 		r.mu.Unlock()
 		return fmt.Errorf("mealibrt: buffer already freed")
-	}
-	for r.spanBusyLocked(sp, true) {
-		r.cond.Wait()
 	}
 	delete(s.buffers, b)
 	s.memUsed -= b.size
@@ -226,6 +259,68 @@ func (s *Session) MemFree(b *Buffer) error {
 	return r.driver.Free(b.va)
 }
 
+// DeviceCopyFloat32s copies n float32 values from src at srcOff into dst
+// at dstOff entirely on the device side — the multi-stack exchange engine
+// uses it for stack-to-stack result-segment transfers, whose traffic and
+// energy the inter-stack interconnect model prices separately. Unlike a
+// host Load/Store round trip, the data never enters the host cache
+// hierarchy: the copy marks the destination span initialized for the
+// verifier but adds nothing to the coherence model's dirty estimate, so
+// the next launch does not pay wbinvd for it. Both buffers must be the
+// session's and stack-resident; the ranges are checked and ordered against
+// accepted launches exactly as a load of src and a store to dst are.
+func (s *Session) DeviceCopyFloat32s(dst *Buffer, dstOff units.Bytes, src *Buffer, srcOff units.Bytes, n int) error {
+	if dst == nil || src == nil || dst.sess != s || src.sess != s {
+		return fmt.Errorf("mealibrt: device copy takes two buffers of one session")
+	}
+	if !dst.Resident() || !src.Resident() {
+		return fmt.Errorf("mealibrt: device copy needs stack-resident buffers")
+	}
+	from, err := src.span(srcOff, units.Bytes(4*n))
+	if err != nil {
+		return err
+	}
+	to, err := dst.span(dstOff, units.Bytes(4*n))
+	if err != nil {
+		return err
+	}
+	r := s.rt
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := s.awaitLocked(from, to); err != nil {
+		return err
+	}
+	in, err := r.space.ViewBytes(from.Addr, int(from.Bytes))
+	if err != nil {
+		return err
+	}
+	out, err := r.space.ViewBytes(to.Addr, int(to.Bytes))
+	if err != nil {
+		return err
+	}
+	copy(out, in)
+	r.initialized.Add(to)
+	return nil
+}
+
+// awaitLocked is where a host operation obeys the ordering rule: it returns
+// once no launch the runtime has accepted conflicts with reading rd and
+// writing wr (a zero span stands for "nothing"), with mu held throughout the
+// return, so the caller's operation and the next Accept are ordered too.
+// Called with mu held; the wait releases it.
+func (s *Session) awaitLocked(rd, wr span.Span) error {
+	r := s.rt
+	for {
+		if s.closed {
+			return ErrSessionClosed
+		}
+		if !r.spanBusyLocked(rd, false) && !r.spanBusyLocked(wr, true) {
+			return nil
+		}
+		r.cond.Wait()
+	}
+}
+
 // spanBusyLocked reports whether a descriptor the runtime has accepted —
 // in flight, or queued for admission — conflicts with a host access to span:
 // any overlap for a host write, writer overlap for a host read. Queued
@@ -234,19 +329,16 @@ func (s *Session) MemFree(b *Buffer) error {
 // the tenant expressed. Called with mu held.
 func (r *Runtime) spanBusyLocked(sp span.Span, write bool) bool {
 	one := []span.Span{sp}
+	hits := func(p *Plan) bool {
+		return span.Overlap(one, p.admWrites) || write && span.Overlap(one, p.reads)
+	}
 	for _, fl := range r.inflight {
-		if span.Overlap(one, fl.writes) {
-			return true
-		}
-		if write && span.Overlap(one, fl.reads) {
+		if hits(fl.p) {
 			return true
 		}
 	}
 	for _, w := range r.waiters {
-		if span.Overlap(one, w.p.admWrites) {
-			return true
-		}
-		if write && span.Overlap(one, w.p.reads) {
+		if hits(w.p) {
 			return true
 		}
 	}
@@ -256,25 +348,127 @@ func (r *Runtime) spanBusyLocked(sp span.Span, write bool) bool {
 // AccPlan compiles a TDL program into a plan owned by the session (see
 // Runtime.AccPlan).
 func (s *Session) AccPlan(tdlSrc string, params map[string]descriptor.Params) (*Plan, error) {
-	p, err := s.rt.accPlanCommon(tdlSrc, params, s)
+	r := s.rt
+	prog, err := tdl.Parse(tdlSrc)
 	if err != nil {
 		return nil, err
 	}
-	return p, nil
+	resolve := tdl.MapResolver(params)
+	if err := tdlcheck.Verify(prog, resolve); err != nil {
+		return nil, fmt.Errorf("mealibrt: program rejected by the static verifier: %w", err)
+	}
+	if !r.cfg.NoFusion {
+		// Fuse producer→consumer pass chains at the program level, then
+		// verify the fused program again: the verifier must accept the
+		// merged chained passes exactly as it accepted the originals (the
+		// plan lowering would fuse them anyway; doing it here keeps what
+		// the verifier checks and what the hardware runs identical).
+		if _, err := tdl.Fuse(prog, resolve, r.layers[0].Config()); err != nil {
+			return nil, fmt.Errorf("mealibrt: fusion pass failed: %w", err)
+		}
+		if err := tdlcheck.Verify(prog, resolve); err != nil {
+			return nil, fmt.Errorf("mealibrt: fused program rejected by the static verifier: %w", err)
+		}
+	}
+	d, err := tdl.Compile(prog, resolve)
+	if err != nil {
+		return nil, err
+	}
+	return s.AccPlanDescriptor(d)
 }
 
 // AccPlanDescriptor installs an already-built descriptor as a session plan.
 // On top of the static verifier, the descriptor's whole footprint must lie
-// inside the session's own buffers — one tenant's descriptors cannot name
+// inside the session's namespace — one tenant's descriptors cannot name
 // another tenant's memory, however well-formed they are.
 func (s *Session) AccPlanDescriptor(d *descriptor.Descriptor) (*Plan, error) {
-	return s.rt.accPlanDescriptor(d, s)
+	return s.AccPlanDescriptorOn(0, d)
 }
 
-// ownsSpanLocked reports whether the span lies inside one session buffer.
+// AccPlanDescriptorOn is AccPlanDescriptor for a plan that launches on the
+// given memory stack's accelerator layer (see Runtime.AccPlanDescriptorOn).
+func (s *Session) AccPlanDescriptorOn(stack int, d *descriptor.Descriptor) (*Plan, error) {
+	r := s.rt
+	if _, err := r.LayerOn(stack); err != nil {
+		return nil, err
+	}
+	if d == nil {
+		return nil, fmt.Errorf("mealibrt: nil descriptor")
+	}
+	if err := tdlcheck.VerifyDescriptor(d); err != nil {
+		return nil, fmt.Errorf("mealibrt: descriptor rejected by the static verifier: %w", err)
+	}
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	writes, err := tdlcheck.Writes(d)
+	if err != nil {
+		return nil, err
+	}
+	reads, err := tdlcheck.Reads(d)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.checkNamespace(writes, reads); err != nil {
+		return nil, err
+	}
+	// Residency split: a descriptor naming host-backed spans cannot execute
+	// directly (the accelerators cannot reach host DRAM) — lower it into a
+	// chunked staged schedule here, at plan time, so Submit replays the
+	// same deterministic schedule on every execution.
+	var sched *accel.OOCSchedule
+	admWrites := writes
+	if r.oocSpans(writes) || r.oocSpans(reads) {
+		if stack != 0 {
+			return nil, fmt.Errorf("mealibrt: out-of-core plans must launch on stack 0, not %d", stack)
+		}
+		stagingPA, stagingSize := r.driver.Staging()
+		if stagingSize == 0 {
+			return nil, fmt.Errorf("%w: descriptor names host-backed buffers and the runtime has no staging region", ErrOverCapacity)
+		}
+		half := stagingSize / 2
+		sched, err = r.layers[0].PlanOOC(d, r.driver.InHostWindow,
+			[2]phys.Addr{stagingPA, stagingPA + phys.Addr(half)}, half)
+		if err != nil {
+			return nil, err
+		}
+		admWrites = append([]span.Span{{Addr: stagingPA, Bytes: stagingSize}}, writes...)
+	}
+	// An out-of-core plan's command slot holds one chunk descriptor at a
+	// time (the largest sizes it); an ordinary plan's holds the descriptor.
+	cmdBytes := d.Size()
+	if sched != nil {
+		cmdBytes = sched.MaxDescBytes
+	}
+	va, pa, err := r.driver.AllocCommand(cmdBytes)
+	if err != nil {
+		return nil, err
+	}
+	if sched == nil {
+		if err := d.Encode(r.space, pa); err != nil {
+			_ = r.driver.Free(va)
+			return nil, err
+		}
+	}
+	p := &Plan{rt: r, desc: d, baseVA: va, basePA: pa, writes: writes, reads: reads,
+		admWrites: admWrites, ooc: sched, sess: s, stack: stack}
+	r.mu.Lock()
+	s.plans[p] = struct{}{}
+	r.mu.Unlock()
+	return p, nil
+}
+
+// ownsSpanLocked reports whether the span lies inside the session's
+// namespace or inside one of its buffers.
 func (s *Session) ownsSpanLocked(sp span.Span) bool {
+	within := func(outer span.Span) bool {
+		return outer.Bytes > 0 && sp.Addr >= outer.Addr && sp.End() <= outer.End()
+	}
+	if within(s.namespace) {
+		return true
+	}
 	for b := range s.buffers {
-		if sp.Addr >= b.pa && sp.Addr+phys.Addr(sp.Bytes) <= b.pa+phys.Addr(b.size) {
+		if within(span.Span{Addr: b.pa, Bytes: b.size}) {
 			return true
 		}
 	}

@@ -16,8 +16,29 @@ import (
 	"mealib/internal/units"
 )
 
-// sessAxpyPlan is axpyPlan through a session: quota-accounted buffers and a
-// namespace-checked descriptor.
+// eachTenant runs f on the runtime's default tenant and on a named session,
+// each over a fresh runtime: the ordering rule and the host operations are one
+// implementation, and every tenant has to see the same behaviour from it.
+func eachTenant(t *testing.T, cfg *Config, f func(t *testing.T, r *Runtime, s *Session)) {
+	for _, name := range []string{"default", "session"} {
+		t.Run(name, func(t *testing.T) {
+			r, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := r.def
+			if name == "session" {
+				if s, err = r.NewSession(SessionConfig{Name: "tenant-a"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f(t, r, s)
+		})
+	}
+}
+
+// sessAxpyPlan builds an installed single-AXPY plan y += alpha*x over n
+// elements (x[i] = i%7, y[i] = 1) in the session's own buffers.
 func sessAxpyPlan(t *testing.T, s *Session, alpha float32, n int) (*Plan, *Buffer, *Buffer) {
 	t.Helper()
 	x, err := s.MemAlloc(units.Bytes(4 * n))
@@ -137,15 +158,16 @@ func TestSessionNamespace(t *testing.T) {
 	}
 }
 
-// slowAxpyPlan builds a hardware-loop AXPY big enough to stay in flight for
-// a while (wall-clock), so tests can observe the runtime mid-flight.
-func slowAxpyPlan(t *testing.T, r *Runtime, n, iters int) (*Plan, *Buffer, *Buffer) {
+// slowAxpyPlan builds a hardware-loop AXPY (alpha 1 over zeroed x and y) big
+// enough to stay in flight for a while (wall-clock), so tests can observe the
+// runtime mid-flight.
+func slowAxpyPlan(t *testing.T, s *Session, n, iters int) (*Plan, *Buffer, *Buffer) {
 	t.Helper()
-	x, err := r.MemAlloc(units.Bytes(4 * n))
+	x, err := s.MemAlloc(units.Bytes(4 * n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := r.MemAlloc(units.Bytes(4 * n))
+	y, err := s.MemAlloc(units.Bytes(4 * n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +188,7 @@ func slowAxpyPlan(t *testing.T, r *Runtime, n, iters int) (*Plan, *Buffer, *Buff
 	}
 	d.AddEndPass()
 	d.AddEndLoop()
-	p, err := r.AccPlanDescriptor(d)
+	p, err := s.AccPlanDescriptor(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,55 +308,49 @@ func TestSessionBackpressure(t *testing.T) {
 func TestMemFreeWaitsForQueuedConflict(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxInFlight = 1
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := r.NewSession(SessionConfig{Name: "tenant-a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 1 << 12
-	p, x, y := sessAxpyPlan(t, s, 2, n)
-	// The blocker holds the single global in-flight slot over disjoint
-	// buffers, so p's submission queues without conflicting on data.
-	blocker, _, _ := slowAxpyPlan(t, r, 1<<16, 1<<11)
-	fb, err := blocker.Submit(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		pi, err := p.Submit(context.Background())
+	eachTenant(t, cfg, func(t *testing.T, r *Runtime, s *Session) {
+		const n = 1 << 12
+		p, x, y := sessAxpyPlan(t, s, 2, n)
+		// The blocker holds the single global in-flight slot over disjoint
+		// buffers, so p's submission queues without conflicting on data.
+		blocker, _, _ := slowAxpyPlan(t, r.def, 1<<16, 1<<11)
+		fb, err := blocker.Submit(context.Background())
 		if err != nil {
-			t.Error(err)
-			return
+			t.Fatal(err)
 		}
-		if _, err := pi.Wait(context.Background()); err != nil {
-			t.Error(err)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pi, err := p.Submit(context.Background())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := pi.Wait(context.Background()); err != nil {
+				t.Error(err)
+			}
+		}()
+		waitUntil(t, "p to queue", func() bool { return s.Stats().Queued == 1 })
+		whole := span.Span{Addr: x.PA(), Bytes: x.Size()}
+		r.mu.Lock()
+		busy := r.spanBusyLocked(whole, true)
+		r.mu.Unlock()
+		if !busy {
+			t.Fatal("queued conflicting submission is invisible to spanBusyLocked: MemFree would release a buffer a queued launch reads")
 		}
-	}()
-	waitUntil(t, "p to queue", func() bool { return s.Stats().Queued == 1 })
-	whole := span.Span{Addr: x.PA(), Bytes: x.Size()}
-	r.mu.Lock()
-	busy := r.spanBusyLocked(whole, true)
-	r.mu.Unlock()
-	if !busy {
-		t.Fatal("queued conflicting submission is invisible to spanBusyLocked: MemFree would release a buffer a queued launch reads")
-	}
-	// The free must block behind the queued launch and only then release.
-	freed := make(chan error, 1)
-	go func() { freed <- s.MemFree(x) }()
-	if _, err := fb.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	checkAxpy(t, y, 2, n)
-	if err := <-freed; err != nil {
-		t.Fatal(err)
-	}
+		// The free must block behind the queued launch and only then release.
+		freed := make(chan error, 1)
+		go func() { freed <- s.MemFree(x) }()
+		if _, err := fb.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		checkAxpy(t, y, 2, n)
+		if err := <-freed; err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // Freeing a buffer must retire its span from the initialized set: a fresh
@@ -342,74 +358,70 @@ func TestMemFreeWaitsForQueuedConflict(t *testing.T) {
 // descriptor reading it before writing must be rejected by the launch-time
 // verifier instead of silently reading zeros.
 func TestMemFreeClearsInitialized(t *testing.T) {
-	r := newRuntime(t)
-	s, err := r.NewSession(SessionConfig{Name: "tenant-a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 64
-	x, err := s.MemAlloc(4 * n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := x.StoreFloat32s(0, make([]float32, n)); err != nil {
-		t.Fatal(err)
-	}
-	whole := span.Span{Addr: x.PA(), Bytes: x.Size()}
-	if err := s.MemFree(x); err != nil {
-		t.Fatal(err)
-	}
-	r.mu.Lock()
-	var leaked []span.Span
-	for _, sp := range r.initialized.All() {
-		if sp.Overlaps(whole) {
-			leaked = append(leaked, sp)
+	eachTenant(t, DefaultConfig(), func(t *testing.T, r *Runtime, s *Session) {
+		const n = 64
+		x, err := s.MemAlloc(4 * n)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	r.mu.Unlock()
-	if leaked != nil {
-		t.Fatalf("freed span %v still counts as initialized: %v", whole, leaked)
-	}
-	// Behavioral check when the allocator recycles the exact range: reading
-	// the fresh buffer without writing it must fail the verifier.
-	x2, err := s.MemAlloc(4 * n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y, err := s.MemAlloc(4 * n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := y.StoreFloat32s(0, make([]float32, n)); err != nil {
-		t.Fatal(err)
-	}
-	d := &descriptor.Descriptor{}
-	if err := d.AddComp(descriptor.OpAXPY, accel.AxpyArgs{
-		N: n, Alpha: 1, X: x2.PA(), Y: y.PA(), IncX: 1, IncY: 1,
-	}.Params()); err != nil {
-		t.Fatal(err)
-	}
-	d.AddEndPass()
-	p, err := s.AccPlanDescriptor(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x2.PA() == whole.Addr {
-		if _, err := p.Execute(context.Background()); err == nil {
-			t.Fatal("launch reading a recycled never-written range must be rejected")
+		if err := x.StoreFloat32s(0, make([]float32, n)); err != nil {
+			t.Fatal(err)
 		}
-	}
+		whole := span.Span{Addr: x.PA(), Bytes: x.Size()}
+		if err := s.MemFree(x); err != nil {
+			t.Fatal(err)
+		}
+		r.mu.Lock()
+		var leaked []span.Span
+		for _, sp := range r.initialized.All() {
+			if sp.Overlaps(whole) {
+				leaked = append(leaked, sp)
+			}
+		}
+		r.mu.Unlock()
+		if leaked != nil {
+			t.Fatalf("freed span %v still counts as initialized: %v", whole, leaked)
+		}
+		// Behavioral check when the allocator recycles the exact range: reading
+		// the fresh buffer without writing it must fail the verifier.
+		x2, err := s.MemAlloc(4 * n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, err := s.MemAlloc(4 * n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := y.StoreFloat32s(0, make([]float32, n)); err != nil {
+			t.Fatal(err)
+		}
+		d := &descriptor.Descriptor{}
+		if err := d.AddComp(descriptor.OpAXPY, accel.AxpyArgs{
+			N: n, Alpha: 1, X: x2.PA(), Y: y.PA(), IncX: 1, IncY: 1,
+		}.Params()); err != nil {
+			t.Fatal(err)
+		}
+		d.AddEndPass()
+		p, err := s.AccPlanDescriptor(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if x2.PA() == whole.Addr {
+			if _, err := p.Execute(context.Background()); err == nil {
+				t.Fatal("launch reading a recycled never-written range must be rejected")
+			}
+		}
+	})
 }
 
 // A context cancellation must free a submission stuck in admission — and only
 // abandon the wait, never the flight, when it fires during Wait.
 func TestSubmitContextCancellation(t *testing.T) {
-	r := newRuntime(t)
+	eachTenant(t, DefaultConfig(), testSubmitContextCancellation)
+}
+
+func testSubmitContextCancellation(t *testing.T, r *Runtime, s *Session) {
 	const n = 1 << 12
-	s, err := r.NewSession(SessionConfig{Name: "tenant-a"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A slow flight over x,y...
 	x, err := s.MemAlloc(units.Bytes(4 * n))
 	if err != nil {
@@ -527,7 +539,7 @@ func TestAdmissionFairness(t *testing.T) {
 	}
 	// The blocker: a long default-tenant flight holding the single in-flight
 	// slot while both tenants queue their whole streams.
-	blocker, _, _ := slowAxpyPlan(t, r, 1<<16, 1<<11)
+	blocker, _, _ := slowAxpyPlan(t, r.def, 1<<16, 1<<11)
 	fb, err := blocker.Submit(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -780,34 +792,29 @@ func TestWavePipeliningMultiWindowProducer(t *testing.T) {
 // TestBufferAccessStaysInBounds is the tenant-isolation regression test:
 // offsets reach Buffer.Store*/Load* raw from mealibd clients, and before
 // the bounds check a store through one tenant's buffer at a negative or
-// past-the-end offset landed in the neighbouring tenant's memory with a nil
-// error. Every out-of-range access must fail and leave both neighbours'
-// bytes as they were, on session and on runtime buffers alike.
+// past-the-end offset landed in the neighbouring buffer with a nil error (a
+// device copy still did, at a negative offset, until it took the same check).
+// Every out-of-range access must fail and leave both neighbours' bytes as
+// they were, on session and on runtime buffers alike.
 func TestBufferAccessStaysInBounds(t *testing.T) {
 	const size = 4 * units.KiB
 	r := newRuntime(t)
-	allocators := map[string]func(i int) (*Buffer, error){
-		"runtime": func(int) (*Buffer, error) { return r.MemAlloc(size) },
-		"session": func(i int) (*Buffer, error) {
-			s, err := r.NewSession(SessionConfig{Name: string(rune('a' + i)), MemQuota: size})
-			if err != nil {
-				return nil, err
-			}
-			return s.MemAlloc(size)
-		},
+	named, err := r.NewSession(SessionConfig{Name: "tenant-a", MemQuota: 4 * size})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, alloc := range allocators {
+	for name, s := range map[string]*Session{"runtime": r.def, "session": named} {
 		t.Run(name, func(t *testing.T) {
 			var bufs []*Buffer
-			for i := 0; i < 3; i++ {
-				b, err := alloc(i)
+			for i := 0; i < 4; i++ {
+				b, err := s.MemAlloc(size)
 				if err != nil {
 					t.Fatal(err)
 				}
 				bufs = append(bufs, b)
 			}
 			sort.Slice(bufs, func(i, j int) bool { return bufs[i].PA() < bufs[j].PA() })
-			below, mid, above := bufs[0], bufs[1], bufs[2]
+			below, mid, above, far := bufs[0], bufs[1], bufs[2], bufs[3]
 			ones := make([]int32, size/4)
 			for i := range ones {
 				ones[i] = 1
@@ -824,7 +831,8 @@ func TestBufferAccessStaysInBounds(t *testing.T) {
 				"past the end": units.Bytes(above.PA() - mid.PA()),
 				"straddling":   size - 8,
 			}
-			// Every accessor, 16 bytes each.
+			// Every accessor, 16 bytes each; the device copies move them
+			// between mid and far, in range on far's side.
 			accessors := map[string]func(off units.Bytes) error{
 				"StoreInt32s":     func(off units.Bytes) error { return mid.StoreInt32s(off, []int32{9, 9, 9, 9}) },
 				"StoreFloat32s":   func(off units.Bytes) error { return mid.StoreFloat32s(off, []float32{9, 9, 9, 9}) },
@@ -834,6 +842,8 @@ func TestBufferAccessStaysInBounds(t *testing.T) {
 				"LoadFloat32s":    func(off units.Bytes) error { _, err := mid.LoadFloat32s(off, 4); return err },
 				"LoadComplex64s":  func(off units.Bytes) error { _, err := mid.LoadComplex64s(off, 2); return err },
 				"LoadBytes":       func(off units.Bytes) error { _, err := mid.LoadBytes(off, 16); return err },
+				"DeviceCopy to":   func(off units.Bytes) error { return s.DeviceCopyFloat32s(mid, off, far, size/2, 4) },
+				"DeviceCopy from": func(off units.Bytes) error { return s.DeviceCopyFloat32s(far, size/2, mid, off, 4) },
 			}
 			for what, off := range offsets {
 				for name, access := range accessors {
@@ -845,6 +855,9 @@ func TestBufferAccessStaysInBounds(t *testing.T) {
 			if _, err := mid.LoadInt32s(0, -1); err == nil {
 				t.Error("LoadInt32s of a negative count succeeded")
 			}
+			if err := s.DeviceCopyFloat32s(mid, 0, far, 0, -1); err == nil {
+				t.Error("device copy of a negative count succeeded")
+			}
 			for i, b := range bufs {
 				got, err := b.LoadInt32s(0, len(ones))
 				if err != nil {
@@ -854,9 +867,16 @@ func TestBufferAccessStaysInBounds(t *testing.T) {
 					t.Errorf("buffer %d changed under an out-of-range access through its neighbour", i)
 				}
 			}
-			// The last in-range element is still reachable.
-			if err := mid.StoreBytes(size-4, []byte{1, 0, 0, 0}); err != nil {
+			// The last in-range element is still reachable, by a store and by
+			// a device copy between two buffers of the tenant.
+			if err := mid.StoreBytes(size-4, []byte{2, 0, 0, 0}); err != nil {
 				t.Errorf("in-range store at the buffer's end: %v", err)
+			}
+			if err := s.DeviceCopyFloat32s(far, size-4, mid, size-4, 1); err != nil {
+				t.Errorf("in-range device copy at the buffers' ends: %v", err)
+			}
+			if got, err := far.LoadInt32s(size-8, 2); err != nil || got[0] != 1 || got[1] != 2 {
+				t.Errorf("far[-2:] = %v, %v after the device copy; want [1 2]", got, err)
 			}
 		})
 	}

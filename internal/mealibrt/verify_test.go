@@ -105,103 +105,3 @@ func TestAccPlanRejectsWrappingLoopStride(t *testing.T) {
 	})
 	wantErr(t, err, "rejected by the static verifier", "wraps the 64-bit physical address space", "iteration (0,0,0,3)")
 }
-
-// TestNoVerifyBothDirections pins down the escape hatch's contract from both
-// sides: a plan the verifier rejects (AXPY reading an x buffer no write ever
-// reached) is refused at launch with verification on, and with NoVerify the
-// same descriptor executes — reading zeroes, so y is left exactly as the
-// host wrote it. The corruption is silent but predictable; that
-// predictability is what the test asserts.
-func TestNoVerifyBothDirections(t *testing.T) {
-	const n = 64
-	setup := func(t *testing.T, cfg *Config) (*Runtime, *Buffer, *Buffer) {
-		t.Helper()
-		r, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x, err := r.MemAlloc(4 * n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		y, err := r.MemAlloc(4 * n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r, x, y
-	}
-	yInit := make([]float32, n)
-	for i := range yInit {
-		yInit[i] = float32(i) + 1
-	}
-	plan := func(r *Runtime, x, y *Buffer) (*Plan, error) {
-		return r.AccPlan(`PASS { COMP AXPY PARAMS "axpy.para" }`, map[string]descriptor.Params{
-			"axpy.para": accel.AxpyArgs{N: n, Alpha: 3, X: x.PA(), Y: y.PA(), IncX: 1, IncY: 1}.Params(),
-		})
-	}
-
-	// Verification on: the launch is rejected — x was never initialized.
-	r, x, y := setup(t, DefaultConfig())
-	if err := y.StoreFloat32s(0, yInit); err != nil {
-		t.Fatal(err)
-	}
-	p, err := plan(r, x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = p.Execute(context.Background())
-	wantErr(t, err, "launch rejected by the static verifier", "uninitialized")
-
-	// Verification off: the same descriptor executes. The accelerator reads
-	// the zeroes backing the unwritten x, so y += 3*x leaves y bit-identical
-	// to what the host stored — the check it bypassed is exactly the one
-	// that would have flagged the read.
-	cfg := DefaultConfig()
-	cfg.NoVerify = true
-	r2, x2, y2 := setup(t, cfg)
-	if err := y2.StoreFloat32s(0, yInit); err != nil {
-		t.Fatal(err)
-	}
-	p2, err := plan(r2, x2, y2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p2.Execute(context.Background()); err != nil {
-		t.Fatalf("NoVerify execute: %v", err)
-	}
-	got, err := y2.LoadFloat32s(0, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != yInit[i] {
-			t.Fatalf("y[%d] = %v after NoVerify AXPY over uninitialized x, want untouched %v", i, got[i], yInit[i])
-		}
-	}
-	_ = x2
-}
-
-func TestNoVerifyEscapeHatch(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NoVerify = true
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 64
-	buf, err := r.MemAlloc(units.Bytes(8 * n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Uninitialized read: the verifier would reject this launch, but
-	// NoVerify waives the check and the simulated FFT runs on zeroes.
-	plan, err := r.AccPlan(`PASS { COMP FFT PARAMS "fft.para" }`, map[string]descriptor.Params{
-		"fft.para": accel.FFTArgs{N: int64(n), HowMany: 1, Src: buf.PA(), Dst: buf.PA()}.Params(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plan.Execute(context.Background()); err != nil {
-		t.Fatalf("NoVerify execute: %v", err)
-	}
-}
