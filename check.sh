@@ -46,8 +46,11 @@ if grep -nE 'hostAccess\(|sess [!=]= nil|[!=]= defaultTenant' internal/mealibrt/
 	exit 1
 fi
 
-echo "==> go test -race ./... (incl. the serial/wavefront/hooked scheduler differentials, TestFusionGate's DRAM-byte conservation, TestGraphGatePageRankSmoke's 4-stack bit-identity and per-link traffic, the out-of-core differentials and FuzzServerFrames' seed corpus)"
+echo "==> go test -race ./... (incl. the serial/wavefront/hooked scheduler differentials, TestNestVerdictNeverOptimistic, TestTemplateDepsMatchScoreboard and TestAppNestsAreConflictFree on the nest templates, TestFusionGate's DRAM-byte conservation, TestGraphGatePageRankSmoke's 4-stack bit-identity and per-link traffic, the out-of-core differentials and FuzzServerFrames' seed corpus)"
 go test -race ./...
+
+echo "==> BenchmarkLowerLoop smoke (one launch of each nest on the template path and on the scoreboard path; it fails if a nest is on the wrong one)"
+go test -run '^$' -bench BenchmarkLowerLoop -benchtime 1x ./internal/accel
 
 echo "==> bench module (nested; go test ./... at the root does not reach it)"
 (cd bench && go vet ./... && go test ./...)

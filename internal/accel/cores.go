@@ -98,7 +98,7 @@ func dotCore(s *phys.Space, a DotArgs) error {
 		if err != nil {
 			return err
 		}
-		return s.StoreComplex64s(a.Out, []complex64{r})
+		return s.WriteComplex64(a.Out, r)
 	}
 	x, err := s.ViewFloat32s(a.X, vecLen(a.N, a.IncX))
 	if err != nil {

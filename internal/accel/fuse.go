@@ -10,7 +10,7 @@ import (
 
 // Descriptor fusion: a compile pass over the plan IR that merges adjacent
 // producer→consumer passes into single chained passes, so the intermediate
-// buffer lives in tile-local scratch (charged to the NoC by runPass) instead
+// buffer lives in tile-local scratch (charged to the NoC by Layer.price) instead
 // of round-tripping through DRAM between launches of the two datapaths.
 //
 // A pair of adjacent passes in the same scope (both top-level, or both in
@@ -70,6 +70,10 @@ type planSegment struct {
 	comps [][]int
 	// firstPass is the program-order index of passes[0].
 	firstPass int
+	// tmpl holds one template per (fused) pass, and nest the verdict on an
+	// expanded LOOP of more than one iteration (template.go).
+	tmpl []nodeTemplate
+	nest *nest
 }
 
 // segmentsOf decodes the descriptor into scope segments with resolved

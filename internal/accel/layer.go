@@ -1,7 +1,9 @@
 package accel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"mealib/internal/descriptor"
 	"mealib/internal/noc"
@@ -154,10 +156,29 @@ func newReport() *Report {
 // runtime's out-of-core driver aggregates per-chunk reports into one).
 func NewReport() *Report { return newReport() }
 
-// Merge folds sub into r in deterministic op order (see merge).
+// Merge folds sub into r. Per-op stats merge in op-table order, so the float
+// accumulation sequence never depends on map iteration order.
 func (r *Report) Merge(sub *Report) {
-	r.merge(sub)
+	r.Time += sub.Time
+	r.Energy += sub.Energy
+	r.Comps += sub.Comps
+	r.NoCBytes += sub.NoCBytes
 	r.FetchDecodeTime += sub.FetchDecodeTime
+	r.LMSpillBytes += sub.LMSpillBytes
+	r.RemoteBytes += sub.RemoteBytes
+	r.ElidedBytes += sub.ElidedBytes
+	r.OOCChunks += sub.OOCChunks
+	r.StagedBytes += sub.StagedBytes
+	for i := range specs {
+		if st := sub.PerOp[descriptor.OpCode(i)]; st != nil {
+			agg := r.opStats(descriptor.OpCode(i))
+			agg.Invocations += st.Invocations
+			agg.Time += st.Time
+			agg.Energy += st.Energy
+			agg.Flops += st.Flops
+			agg.Bytes += st.Bytes
+		}
+	}
 }
 
 func (r *Report) opStats(op descriptor.OpCode) *OpStats {
@@ -169,28 +190,11 @@ func (r *Report) opStats(op descriptor.OpCode) *OpStats {
 	return st
 }
 
-// add merges a single invocation into the report.
-func (r *Report) add(op descriptor.OpCode, w Work, c Cost) {
-	st := r.opStats(op)
-	st.Invocations++
-	st.Time += c.Time
-	st.Energy += c.Energy
-	st.Flops += w.Flops
-	st.Bytes += w.Total()
-	r.Time += c.Time
-	r.Energy += c.Energy
-	r.Comps++
-}
-
 // passInstr is one decoded comp within a pass.
 type passInstr struct {
 	op     descriptor.OpCode
 	params descriptor.Params
 }
-
-// execFunc evaluates one comp: functionally against a space, or
-// analytically via WorkOf.
-type execFunc func(op descriptor.OpCode, p descriptor.Params, it IterVec) (Work, error)
 
 // Run executes the descriptor encoded at base: the hardware flow of §2.2-2.3.
 // The CR command must be CmdStart; on completion the layer writes CmdDone.
@@ -219,9 +223,7 @@ func (l *Layer) run(s *phys.Space, base phys.Addr, hooks WaveHooks) (*Report, er
 	tb := l.tr.Buffer(telemetry.TrackAccel)
 	defer tb.Release()
 	tb.Begin(telemetry.SpanLaunch, "descriptor")
-	rep, err := l.interpret(d, planExpand, func(op descriptor.OpCode, p descriptor.Params, it IterVec) (Work, error) {
-		return execute(s, op, p, it)
-	}, tb, hooks)
+	rep, err := l.interpret(d, planExpand, s, tb, hooks)
 	if err != nil {
 		tb.End(telemetry.SpanLaunch, 0)
 		return nil, err
@@ -241,12 +243,12 @@ func (l *Layer) run(s *phys.Space, base phys.Addr, hooks WaveHooks) (*Report, er
 }
 
 // RunModel evaluates a descriptor analytically: same plan IR, scheduler,
-// chaining and loop accounting as Run, but workloads come from WorkOf
-// instead of functional execution, and each LOOP collapses to one
-// representative node per body pass scaled by the trip count (every
-// iteration of a hardware loop has identical cost; only addresses differ) —
-// so paper-scale problems (gigabyte buffers, millions of LOOP iterations)
-// cost microseconds to evaluate. Used by the experiment harness.
+// chaining and loop accounting as Run, but nothing executes, and each LOOP
+// collapses to one representative node per body pass scaled by the trip
+// count (every iteration of a hardware loop has identical cost; only
+// addresses differ) — so paper-scale problems (gigabyte buffers, millions of
+// LOOP iterations) cost microseconds to evaluate. Used by the experiment
+// harness.
 func (l *Layer) RunModel(d *descriptor.Descriptor) (*Report, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -257,9 +259,7 @@ func (l *Layer) RunModel(d *descriptor.Descriptor) (*Report, error) {
 	tb := l.tr.Buffer(telemetry.TrackAccel)
 	defer tb.Release()
 	tb.Begin(telemetry.SpanLaunch, "descriptor(model)")
-	rep, err := l.interpret(d, planCollapse, func(op descriptor.OpCode, p descriptor.Params, _ IterVec) (Work, error) {
-		return WorkOf(op, p)
-	}, tb, nil)
+	rep, err := l.interpret(d, planCollapse, nil, tb, nil)
 	if err != nil {
 		tb.End(telemetry.SpanLaunch, 0)
 		return nil, err
@@ -280,119 +280,116 @@ func (l *Layer) iterDispatch() units.Seconds {
 	return l.cfg.IterDispatchLatency / units.Seconds(l.cfg.Tiles)
 }
 
-// merge folds a node's sub-report into r. Per-op stats merge in op-table
-// order so the float accumulation sequence is a pure function of the node
-// order — never of map iteration or goroutine completion order. Stats
-// without an invocation are a reused sub-report's leftovers (reset).
-func (r *Report) merge(sub *Report) {
-	r.Time += sub.Time
-	r.Energy += sub.Energy
-	r.Comps += sub.Comps
-	r.NoCBytes += sub.NoCBytes
-	r.LMSpillBytes += sub.LMSpillBytes
-	r.RemoteBytes += sub.RemoteBytes
-	r.ElidedBytes += sub.ElidedBytes
-	r.OOCChunks += sub.OOCChunks
-	r.StagedBytes += sub.StagedBytes
-	for i := range specs {
-		op := descriptor.OpCode(i)
-		st := sub.PerOp[op]
-		if st == nil || st.Invocations == 0 {
-			continue
-		}
-		agg := r.opStats(op)
-		agg.Invocations += st.Invocations
-		agg.Time += st.Time
-		agg.Energy += st.Energy
-		agg.Flops += st.Flops
-		agg.Bytes += st.Bytes
-	}
-}
-
-// reset empties r for the next node, keeping its per-op storage.
-func (r *Report) reset() {
-	perOp := r.PerOp
-	if perOp == nil {
-		perOp = make(map[descriptor.OpCode]*OpStats)
-	}
-	for _, st := range perOp {
-		*st = OpStats{}
-	}
-	*r = Report{PerOp: perOp}
-}
-
-// runPass executes a node's pass datapath: the comps run in order against the
-// space; chained intermediates move through tile-local memory over the NoC
-// instead of round-tripping through DRAM. scratch holds two Works per comp.
-func (l *Layer) runPass(exec execFunc, nd *planNode, scratch []Work, rep *Report) error {
-	pass := nd.pass
+// price fills the template's sub-report: what one instance of the pass costs
+// on the model. The comps' workloads come from their parameters alone;
+// chained intermediates move through tile-local memory over the NoC instead
+// of round-tripping through DRAM.
+func (l *Layer) price(t *nodeTemplate, pass []passInstr) {
 	if len(pass) == 0 {
-		return fmt.Errorf("accel: empty pass")
+		t.err = fmt.Errorf("accel: empty pass")
+		return
 	}
-	// Two Works per comp: as executed, and adjusted for chaining.
-	works, adjusted := scratch[:len(pass)], scratch[len(pass):]
-	for i, pi := range pass {
-		w, err := exec(pi.op, pi.params, nd.it)
-		if err != nil {
-			return err
-		}
-		works[i] = w
-	}
-	// Chaining: producer i hands its output to consumer i+1 through tile
-	// local memory (paper Figure 12a). Remove the DRAM round trip and charge
-	// the NoC instead. The intermediate is distributed across all tiles, so
-	// the transfer proceeds over Tiles one-hop links in parallel, and a
-	// sizeable fraction never leaves its producing tile at all.
-	copy(adjusted, works)
 	var nocTime units.Seconds
 	var nocEnergy units.Joules
 	lmCap := l.cfg.LMBytes * units.Bytes(l.cfg.Tiles)
-	for i := 0; i+1 < len(pass); i++ {
-		chained := adjusted[i].OutStream
-		if adjusted[i+1].InStream < chained {
-			chained = adjusted[i+1].InStream
+	// fromPrev is what the link from the previous comp took off this one's
+	// input stream.
+	var fromPrev units.Bytes
+	next := t.comps[0].Work()
+	for i, in := range pass {
+		w := next
+		adjusted := w
+		adjusted.InStream -= fromPrev
+		fromPrev = 0
+		if i+1 < len(pass) {
+			// Chaining: producer i hands its output to consumer i+1 through
+			// tile local memory (paper Figure 12a). Remove the DRAM round trip
+			// and charge the NoC instead. The intermediate is distributed
+			// across all tiles, so the transfer proceeds over Tiles one-hop
+			// links in parallel, and a sizeable fraction never leaves its
+			// producing tile at all.
+			next = t.comps[i+1].Work()
+			chained := min(w.OutStream, next.InStream)
+			// Chained data is buffered in the tile local memories; anything
+			// beyond their aggregate capacity spills to DRAM after all
+			// (store-and-forward in LM-sized chunks would serialise the
+			// stages, which the hardware avoids by spilling).
+			if chained > lmCap {
+				t.spill += chained - lmCap
+				chained = lmCap
+			}
+			adjusted.OutStream -= chained
+			fromPrev = chained
+			perLink := chained / units.Bytes(l.cfg.Tiles)
+			tt, e := l.cfg.Mesh.Transfer(noc.Coord{X: 0, Y: 0}, noc.Coord{X: 1, Y: 0}, perLink)
+			nocTime += tt
+			nocEnergy += e * units.Joules(l.cfg.Tiles) / 2 // ~half stays tile-local
+			t.noc += chained
+			// The DRAM store of the producer and load of the consumer both
+			// disappear.
+			t.elided += 2 * chained
 		}
-		// Chained data is buffered in the tile local memories; anything
-		// beyond their aggregate capacity spills to DRAM after all
-		// (store-and-forward in LM-sized chunks would serialise the
-		// stages, which the hardware avoids by spilling).
-		if chained > lmCap {
-			rep.LMSpillBytes += chained - lmCap
-			chained = lmCap
-		}
-		adjusted[i].OutStream -= chained
-		adjusted[i+1].InStream -= chained
-		perLink := chained / units.Bytes(l.cfg.Tiles)
-		t, e := l.cfg.Mesh.Transfer(noc.Coord{X: 0, Y: 0}, noc.Coord{X: 1, Y: 0}, perLink)
-		nocTime += t
-		nocEnergy += e * units.Joules(l.cfg.Tiles) / 2 // ~half stays tile-local
-		rep.NoCBytes += chained
-		// The DRAM store of the producer and load of the consumer both
-		// disappear.
-		rep.ElidedBytes += 2 * chained
-	}
-	for i, pi := range pass {
-		c, err := l.cfg.OpCost(pi.op, adjusted[i])
+		c, err := l.cfg.OpCost(in.op, adjusted)
 		if err != nil {
-			return err
+			t.err = err
+			return
 		}
 		// Remote-stack buffers stream over the inter-stack links instead of
 		// the local TSVs (paper §3.3: data should reside in the LMS).
-		remote, err := l.cfg.remoteBytes(pi.op, pi.params)
-		if err != nil {
-			return err
-		}
-		if remote > 0 {
+		if remote := l.cfg.remoteBytes(t.comps[i]); remote > 0 {
 			extraT, extraE := l.cfg.remotePenalty(remote)
 			c.Time += extraT
 			c.Energy += extraE
-			rep.RemoteBytes += remote
+			t.remote += remote
 		}
-		rep.add(pi.op, works[i], c)
+		t.add(in.op, w, c)
 	}
-	rep.Time += nocTime
-	rep.Energy += nocEnergy
-	return nil
+	t.time += nocTime
+	t.energy += nocEnergy
+	if t.dispatch {
+		t.time += l.iterDispatch()
+	}
+	if t.scale > 1 {
+		t.scaleBy(t.scale)
+	}
+}
+
+// add prices one invocation into the sub-report, keeping ops in op-table
+// order.
+func (t *nodeTemplate) add(op descriptor.OpCode, w Work, c Cost) {
+	i, found := slices.BinarySearchFunc(t.ops, op, func(o opCost, op descriptor.OpCode) int { return cmp.Compare(o.op, op) })
+	if !found {
+		t.ops = slices.Insert(t.ops, i, opCost{op: op})
+	}
+	st := &t.ops[i].OpStats
+	st.Invocations++
+	st.Time += c.Time
+	st.Energy += c.Energy
+	st.Flops += w.Flops
+	st.Bytes += w.Total()
+	t.time += c.Time
+	t.energy += c.Energy
+	t.ncomps++
+}
+
+// scaleBy multiplies every accumulated quantity by n (a model-collapsed
+// node stands for n identical iterations).
+func (t *nodeTemplate) scaleBy(n int64) {
+	t.time *= units.Seconds(n)
+	t.energy *= units.Joules(n)
+	t.ncomps *= n
+	t.noc *= units.Bytes(n)
+	t.spill *= units.Bytes(n)
+	t.remote *= units.Bytes(n)
+	t.elided *= units.Bytes(n)
+	for i := range t.ops {
+		st := &t.ops[i].OpStats
+		st.Invocations *= n
+		st.Time *= units.Seconds(n)
+		st.Energy *= units.Joules(n)
+		st.Flops *= units.Flops(n)
+		st.Bytes *= units.Bytes(n)
+	}
 }
 
 // RunPlain is a convenience for host-free tests: it encodes the descriptor,

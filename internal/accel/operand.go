@@ -117,23 +117,24 @@ func (a Args) appendSpans(dst []span.Dir, it IterVec, box *descriptor.LoopCounts
 	return dst, true
 }
 
-// maxOpSpans bounds the directional spans one invocation of any accelerator
-// in the table can emit.
-func maxOpSpans() int {
-	most := 0
-	for _, s := range specs {
-		if s == nil {
+// appendStrided is appendIO for every iteration at once: the spans at
+// iteration zero, each with its operand's strides; stridedSpan.at shifts one
+// to an iteration and makes the wrap check there.
+func (a Args) appendStrided(dst []stridedSpan) []stridedSpan {
+	for i := range a.spec.operands {
+		o := a.Operand(i)
+		s := stridedSpan{strides: o.Strides}
+		if s.Addr, s.Bytes = o.Addr, o.Bytes(); s.Bytes <= 0 {
 			continue
 		}
-		n := len(s.operands)
-		for i := range s.operands {
-			if s.operands[i].acc == accRead|accWrite {
-				n++
-			}
+		if o.Read {
+			dst = append(dst, s)
 		}
-		most = max(most, n)
+		if s.Write = o.Write; o.Write {
+			dst = append(dst, s)
+		}
 	}
-	return most
+	return dst
 }
 
 // traffic returns the bytes operand i streams in one direction: its footprint
@@ -196,37 +197,18 @@ func WorkOf(op descriptor.OpCode, p descriptor.Params) (Work, error) {
 	return a.Work(), nil
 }
 
-// execute dispatches one accelerator invocation functionally against the
-// space (the accelerators in this reproduction really compute) and returns
-// its workload profile. it is the LOOP nest iteration vector used to
-// advance strided buffers.
-func execute(s *phys.Space, op descriptor.OpCode, p descriptor.Params, it IterVec) (Work, error) {
-	a, err := Bind(op, p)
-	if err != nil {
-		return Work{}, err
-	}
-	if err := a.spec.run(s, a, it); err != nil {
-		return Work{}, err
-	}
-	return a.Work(), nil
-}
-
 // remoteBytes sums the traffic of operands living outside the home stack
 // (paper §3.3: data should reside in the accelerator's Local Memory Stack;
 // remote-stack traffic crosses the inter-stack high-speed links). An operand
 // is classified by its base address and charged once per declared direction.
-func (c *Config) remoteBytes(op descriptor.OpCode, p descriptor.Params) (units.Bytes, error) {
+func (c *Config) remoteBytes(a Args) units.Bytes {
 	if c.StackOf == nil {
-		return 0, nil
-	}
-	a, err := Bind(op, p)
-	if err != nil {
-		return 0, err
+		return 0
 	}
 	var remote units.Bytes
 	for i := range a.spec.operands {
 		o := &a.spec.operands[i]
-		if stack := c.StackOf(descriptor.AddrOf(p[o.addr])); stack >= 0 && stack != c.HomeStack {
+		if stack := c.StackOf(descriptor.AddrOf(a.p[o.addr])); stack >= 0 && stack != c.HomeStack {
 			n := a.traffic(i)
 			if o.acc == accRead|accWrite {
 				n *= 2
@@ -234,7 +216,7 @@ func (c *Config) remoteBytes(op descriptor.OpCode, p descriptor.Params) (units.B
 			remote += n
 		}
 	}
-	return remote, nil
+	return remote
 }
 
 // remotePenalty converts remote traffic to the extra time and energy of

@@ -115,15 +115,22 @@ type opSpec struct {
 	// ops, boundary-coupled interpolation).
 	chunk *chunkAxis
 
-	// Derived by newSpec: the parameter count and each field's Strides offset
-	// (0: none).
+	// Derived by newSpec: the parameter count, each field's Strides offset
+	// (0: none) and the most directional spans one invocation emits.
 	nparams   int
 	strideOff []int
+	maxSpans  int
 }
 
 func newSpec(s opSpec) *opSpec {
 	s.nparams = len(s.fields)
 	s.strideOff = make([]int, len(s.fields))
+	s.maxSpans = len(s.operands)
+	for i := range s.operands {
+		if s.operands[i].acc == accRead|accWrite {
+			s.maxSpans++
+		}
+	}
 	for f, k := range s.fields {
 		if k == fStrided {
 			s.strideOff[f] = s.nparams

@@ -248,3 +248,15 @@ func TestGemvBetaZeroWritesOnly(t *testing.T) {
 		t.Errorf("work model must not depend on beta: %+v vs %+v", w0, w1)
 	}
 }
+
+// maxOpSpans bounds the directional spans one invocation of any accelerator
+// in the table can emit.
+func maxOpSpans() int {
+	most := 0
+	for _, s := range specs {
+		if s != nil {
+			most = max(most, s.maxSpans)
+		}
+	}
+	return most
+}

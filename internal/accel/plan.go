@@ -14,13 +14,14 @@ import (
 // a pass is the smallest unit the hardware schedules as a whole). Edges are
 // read-after-write, write-after-read and write-after-write span
 // intersections, derived from the same affine base + Σ stride·index
-// arithmetic the decode unit performs (Args.appendIO). The functional and the
-// analytic interpreters both lower to this IR and execute it with the one
-// wavefront scheduler in sched.go; the analytic path collapses each LOOP
+// arithmetic the decode unit performs (Args.appendStrided). The functional
+// and the analytic interpreters both lower to this IR and execute it with the
+// one wavefront scheduler in sched.go; the analytic path collapses each LOOP
 // to a representative iteration carrying a scale factor, so paper-scale
 // trip counts stay O(1) to evaluate.
 //
-// A descriptor lowers once (segments decoded and fused once) and its
+// A descriptor lowers once (segments decoded and fused once, every pass
+// bound, resolved and priced once into its template, template.go) and its
 // program-order node sequence is cut into consecutive windows of at most
 // planWindow nodes. Each window is a plan of its own — edges, waves,
 // scheduler — and the windows run back to back, so order across a window
@@ -29,18 +30,19 @@ import (
 // cost linear in the trip count and memory bounded by the window.
 
 // planWindow is the most nodes lowered, analysed and scheduled at a time.
-// The dependence scoreboard splices a sorted slice, so a window's lowering
-// cost grows with the square of its size while every window pays a fixed
-// scheduling cost; BenchmarkLowerLoop measures the trade (CHANGES.md, PR 13).
+// A window inside a nest the template proved conflict-free takes its edges
+// from the template; any other goes through the dependence scoreboard, which
+// splices a sorted slice, so its lowering cost grows with the square of the
+// window while every window pays a fixed scheduling cost. BenchmarkLowerLoop
+// measures both paths (CHANGES.md, PR 13 and PR 18).
 const planWindow = 1024
 
-// planNode is one schedulable unit: one pass instance.
+// planNode is one schedulable unit: one pass instance, which is its
+// segment's template for the pass at one iteration.
 type planNode struct {
 	pass []passInstr
+	tmpl *nodeTemplate
 	it   IterVec
-	// scale multiplies the node's sub-report (model-collapsed loops: the
-	// node stands for scale identical iterations). 1 on the functional path.
-	scale int64
 	// dispatch charges the per-iteration decode-unit dispatch latency
 	// (set on the last pass of each loop iteration).
 	dispatch bool
@@ -50,10 +52,8 @@ type planNode struct {
 	// spanLo:spanHi is the node's directional byte spans in plan.spans, and
 	// depLo:depHi in plan.deps the nodes that must complete first (always
 	// earlier in program order, so the DAG is acyclic by construction).
-	// workLo is where its runPass scratch starts in plan.work.
 	spanLo, spanHi int32
 	depLo, depHi   int32
-	workLo         int32
 	wave           int32
 }
 
@@ -61,17 +61,15 @@ type planNode struct {
 // lowering.next, so a launch of any length holds one window's worth.
 type plan struct {
 	nodes []planNode
-	// spans, deps and work are the slabs the nodes index into.
+	// spans and deps are the slabs the nodes index into.
 	spans []span.Dir
 	deps  []int32
-	work  []Work
 	sb    scoreboard
 	// waves groups node indices by wave number (slices of order); every
 	// node's deps live in strictly earlier waves.
 	waves [][]int32
 	order []int32
-	// subs and errs are the scheduler's per-node results (sched.go).
-	subs []Report
+	// errs are the scheduler's per-node results (sched.go).
 	errs []error
 }
 
@@ -101,8 +99,8 @@ const (
 
 // lowering is a descriptor decoded into scope segments and fused, once,
 // with a cursor over its program-order node sequence. A fused pass is one
-// node — its comps chain through tile-local memory inside runPass — so the
-// interleaving DRAM write/read passes between producer and consumer
+// node — its comps chain through tile-local memory, priced as one pass — so
+// the interleaving DRAM write/read passes between producer and consumer
 // disappear from the schedule itself, not just the cost model.
 type lowering struct {
 	segs []planSegment
@@ -118,19 +116,22 @@ type lowering struct {
 	fused        []FusedGroup
 	fusionSpills int
 	scratchBytes units.Bytes
+	// window is planWindow, but for the tests that cut small windows.
+	window int
 	// The cursor: the next node is pass `pass` at iteration `iter` of
 	// segs[seg], or seg == len(segs) when none is left.
 	seg, pass int
 	iter      int64
 }
 
-// lower decodes and fuses the descriptor (unless Config.NoFusion) into lw.
+// lower decodes and fuses the descriptor (unless Config.NoFusion) into lw
+// and builds the templates of its passes.
 func (l *Layer) lower(d *descriptor.Descriptor, mode planMode, lw *lowering) error {
 	segs, err := segmentsOf(d)
 	if err != nil {
 		return err
 	}
-	*lw = lowering{segs: segs, mode: mode}
+	*lw = lowering{segs: segs, mode: mode, window: planWindow}
 	if !l.cfg.NoFusion {
 		res := fuseSegments(segs, l.cfg.LMBytes*units.Bytes(l.cfg.Tiles))
 		lw.fused = res.groups
@@ -151,6 +152,9 @@ func (l *Layer) lower(d *descriptor.Descriptor, mode planMode, lw *lowering) err
 			// An empty loop body still pays the per-iteration dispatch.
 			lw.fixed += l.iterDispatch() * units.Seconds(seg.counts.Total())
 		}
+	}
+	for si := range segs {
+		l.buildTemplates(&segs[si], mode)
 	}
 	lw.settle()
 	return nil
@@ -185,34 +189,37 @@ func (lw *lowering) settle() {
 // more reports whether any node is left to lower.
 func (lw *lowering) more() bool { return lw.seg < len(lw.segs) }
 
-// next lowers the next window of at most planWindow nodes into p.
+// next lowers the next window of at most planWindow nodes into p. A window
+// that lies wholly inside one conflict-free nest takes its edges from the
+// template; every other one (mixed segments, top-level passes, a nest the
+// verdict left unknown) goes through the dependence scoreboard.
 func (lw *lowering) next(p *plan) {
 	p.nodes = p.nodes[:0]
 	p.spans = p.spans[:0]
-	p.work = p.work[:0]
-	spansPerComp := maxOpSpans()
-	for lw.more() && len(p.nodes) < planWindow {
+	first, last, pass := lw.seg, lw.seg, lw.pass
+	for lw.more() && len(p.nodes) < lw.window {
 		seg := &lw.segs[lw.seg]
-		nd := planNode{pass: seg.passes[lw.pass], scale: 1, dispatch: seg.loop && lw.pass == len(seg.passes)-1}
-		switch {
-		case !seg.loop:
-		case lw.mode == planCollapse:
-			nd.scale = seg.counts.Total()
-		default:
+		t := &seg.tmpl[lw.pass]
+		nd := planNode{pass: seg.passes[lw.pass], tmpl: t, dispatch: t.dispatch}
+		if seg.loop && lw.mode == planExpand {
 			nd.it = iterVecAt(seg.counts, lw.iter)
 		}
-		p.addNode(nd, spansPerComp)
+		last = lw.seg
+		p.addNode(nd)
 		lw.pass++
 		lw.settle()
 	}
-	p.buildEdges()
+	// Segments come in order: the window lies in one iff it ends where it began.
+	var n *nest
+	if first == last && first < len(lw.segs) {
+		n = lw.segs[first].nest
+	}
+	if n != nil && n.rule == ruleNone {
+		p.templateEdges(n.deps, pass, len(lw.segs[first].tmpl))
+	} else {
+		p.buildEdges()
+	}
 	p.buildWaves()
-	if n := len(p.nodes); n > len(p.subs) {
-		p.subs = append(p.subs, make([]Report, n-len(p.subs))...)
-	}
-	for k := range p.nodes {
-		p.subs[k].reset()
-	}
 }
 
 // iterVecAt decomposes a linear iteration index into the loop-nest vector,
@@ -230,29 +237,25 @@ func iterVecAt(counts descriptor.LoopCounts, idx int64) IterVec {
 	return it
 }
 
-// addNode appends a node, resolving its directional spans into the slab
-// (spansPerComp is the op table's bound on the spans of one comp).
-// Any span that fails to resolve (undecodable comp, address wrap) turns the
-// node into a barrier. Resolvable but span-free passes (every operand
-// empty, e.g. N=0) touch no memory and conflict with nothing.
-func (p *plan) addNode(nd planNode, spansPerComp int) {
+// addNode appends a node, shifting its template's spans to its iteration
+// into the slab. Any span that fails to resolve (undecodable comp, address
+// wrap at this iteration) turns the node into a barrier. Resolvable but
+// span-free passes (every operand empty, e.g. N=0) touch no memory and
+// conflict with nothing.
+func (p *plan) addNode(nd planNode) {
 	lo := len(p.spans)
-	p.spans = slices.Grow(p.spans, len(nd.pass)*spansPerComp)
-	for _, pi := range nd.pass {
-		a, err := Bind(pi.op, pi.params)
-		ok := err == nil
-		if ok {
-			p.spans, ok = a.appendIO(p.spans, nd.it)
-		}
+	p.spans = slices.Grow(p.spans, len(nd.tmpl.spans))
+	nd.barrier = nd.tmpl.barrier
+	for i := range nd.tmpl.spans {
+		sp, ok := nd.tmpl.spans[i].at(nd.it)
 		if !ok {
 			nd.barrier = true
 			p.spans = p.spans[:lo]
 			break
 		}
+		p.spans = append(p.spans, sp)
 	}
 	nd.spanLo, nd.spanHi = int32(lo), int32(len(p.spans))
-	nd.workLo = int32(len(p.work))
-	p.work = append(p.work, make([]Work, 2*len(nd.pass))...)
 	p.nodes = append(p.nodes, nd)
 }
 
@@ -367,13 +370,19 @@ func (sb *scoreboard) barrier(p *plan, node int32) {
 // so any schedule respecting the edges reads and writes memory exactly as
 // the serial program order would.
 func (p *plan) buildEdges() {
+	p.deps = p.deps[:0]
+	if len(p.nodes) == 1 {
+		// One node has nothing to be ordered against (most launches are one
+		// top-level pass): no scoreboard to build.
+		p.nodes[0].depLo, p.nodes[0].depHi = 0, 0
+		return
+	}
 	sb := &p.sb
 	// Sized so that a small plan, whose spans seldom split one another,
 	// does not regrow them.
 	sb.ivls = slices.Grow(sb.ivls[:0], len(p.spans))
 	sb.links = slices.Grow(sb.links[:0], len(p.spans))
 	sb.stamp = append(sb.stamp[:0], make([]int32, len(p.nodes))...)
-	p.deps = p.deps[:0]
 	for k := range p.nodes {
 		node := int32(k)
 		nd := &p.nodes[k]
@@ -449,6 +458,12 @@ type PlanInfo struct {
 	// because a window bounds what it looks at. The field stays for the
 	// callers that read it.
 	SerialChain bool
+	// BlockedLoops lists the LOOPs of more than one iteration whose
+	// iterations could not be proven conflict-free from the body's strides,
+	// and whose order the dependence scoreboard therefore works out node by
+	// node (often a serial chain). A LOOP not listed runs every window as
+	// its body's own edges repeated, with no cross-iteration ordering.
+	BlockedLoops []BlockedLoop
 	// Fused lists the fusion groups the lowering applied: runs of adjacent
 	// producer→consumer passes merged into single chained passes whose
 	// intermediates stay in tile-local scratch.
@@ -461,9 +476,20 @@ type PlanInfo struct {
 	ScratchBytes units.Bytes
 }
 
+// BlockedLoop is the verdict on one LOOP left on the scoreboard.
+type BlockedLoop struct {
+	// FirstPass is the program-order index of the LOOP's first body pass (as
+	// in FusedGroup), and Iters its flattened trip count.
+	FirstPass int
+	Iters     int64
+	// Why names the operand pair or the rule that blocked the proof.
+	Why string
+}
+
 // ExplainPlan lowers a descriptor through the functional expansion, one
 // window at a time, and reports its scheduled shape without executing it
-// (scheduler introspection; also useful for sizing Workers).
+// (scheduler introspection; also useful for sizing Workers). The verdicts
+// come from the same templates a run uses.
 func (l *Layer) ExplainPlan(d *descriptor.Descriptor) (PlanInfo, error) {
 	if err := d.Validate(); err != nil {
 		return PlanInfo{}, err
@@ -473,6 +499,11 @@ func (l *Layer) ExplainPlan(d *descriptor.Descriptor) (PlanInfo, error) {
 		return PlanInfo{}, err
 	}
 	info := PlanInfo{Fused: lw.fused, FusionSpills: lw.fusionSpills, ScratchBytes: lw.scratchBytes}
+	for si := range lw.segs {
+		if seg := &lw.segs[si]; seg.nest != nil && seg.nest.rule != ruleNone {
+			info.BlockedLoops = append(info.BlockedLoops, BlockedLoop{seg.firstPass, seg.counts.Total(), seg.nest.why()})
+		}
+	}
 	var p plan
 	for lw.more() {
 		lw.next(&p)

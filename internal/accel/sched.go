@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"mealib/internal/descriptor"
+	"mealib/internal/phys"
 	"mealib/internal/telemetry"
 	"mealib/internal/units"
 )
@@ -19,10 +20,11 @@ import (
 // interleaves with unrelated passes instead of serialising the whole
 // descriptor.
 //
-// Determinism: each node builds a private sub-report; sub-reports merge in
-// node (program) order regardless of which goroutine ran which node, and
-// memory effects are ordered by the edges. Serial (Workers=1) and
-// scheduled runs are therefore bit-identical in both memory and Report.
+// Determinism: a node's sub-report is its template's, priced before anything
+// runs; sub-reports merge in node (program) order regardless of which
+// goroutine ran which node, and memory effects are ordered by the edges.
+// Serial (Workers=1) and scheduled runs are therefore bit-identical in both
+// memory and Report.
 
 // planWorkers sizes the pool for a plan: cfg.Workers if set (1 forces
 // serial), else min(GOMAXPROCS, Tiles), never wider than the plan's widest
@@ -38,71 +40,70 @@ func (l *Layer) planWorkers(p *plan) int {
 	return max(1, min(w, p.maxWidth()))
 }
 
-// runNode executes node k of the window into its sub-report p.subs[k]: the
-// pass datapath at the node's iteration, the iteration-dispatch charge if
-// the node closes an iteration, and the model-collapse scale. The node's
-// span lands on tb, the buffer of whichever goroutine runs it.
-func (l *Layer) runNode(exec execFunc, p *plan, k int32, tb *telemetry.Buf) error {
-	nd, sub := &p.nodes[k], &p.subs[k]
+// runNode executes node k of the window: its template's comps at the node's
+// iteration (nothing on the analytic path). What the node costs is the
+// template's sub-report. The node's span lands on tb, the buffer of whichever
+// goroutine runs it.
+func (l *Layer) runNode(r *planRun, k int32, tb *telemetry.Buf) error {
+	nd := &r.win.nodes[k]
+	t := nd.tmpl
 	if tb != nil {
-		// A multi-comp (chained or fused) pass is named after the whole
-		// chain so fusion is visible in traces.
-		name := "node"
-		for i, pi := range nd.pass {
-			if i == 0 {
-				name = pi.op.String()
-			} else {
-				name += "+" + pi.op.String()
-			}
-		}
-		tb.Begin(telemetry.SpanNode, name)
+		tb.Begin(telemetry.SpanNode, t.name)
 	}
-	scratch := p.work[nd.workLo : int(nd.workLo)+2*len(nd.pass)]
-	if err := l.runPass(exec, nd, scratch, sub); err != nil {
+	err := t.err
+	for i := 0; i < len(t.comps) && r.space != nil; i++ {
+		if rerr := t.comps[i].spec.run(r.space, t.comps[i], nd.it); rerr != nil {
+			err = rerr
+			break
+		}
+	}
+	if err != nil {
 		tb.End(telemetry.SpanNode, 0)
 		return err
 	}
-	if nd.dispatch {
-		sub.Time += l.iterDispatch()
-	}
-	if nd.scale > 1 {
-		sub.scale(nd.scale)
-	}
-	tb.End2(telemetry.SpanNode, sub.Time,
-		telemetry.Arg{Key: "scale", Val: nd.scale},
-		telemetry.Arg{Key: "comps", Val: sub.Comps})
+	tb.End2(telemetry.SpanNode, t.time,
+		telemetry.Arg{Key: "scale", Val: t.scale},
+		telemetry.Arg{Key: "comps", Val: t.ncomps})
 	l.met.nodes.Add(1)
 	return nil
 }
 
-// scale multiplies every accumulated quantity by n (a model-collapsed
-// node stands for n identical iterations).
-func (r *Report) scale(n int64) {
-	r.Time *= units.Seconds(n)
-	r.Energy *= units.Joules(n)
-	r.Comps *= n
-	r.NoCBytes *= units.Bytes(n)
-	r.LMSpillBytes *= units.Bytes(n)
-	r.RemoteBytes *= units.Bytes(n)
-	r.ElidedBytes *= units.Bytes(n)
-	for _, st := range r.PerOp {
-		st.Invocations *= n
-		st.Time *= units.Seconds(n)
-		st.Energy *= units.Joules(n)
-		st.Flops *= units.Flops(n)
-		st.Bytes *= units.Bytes(n)
+// merge folds one node's sub-report into the launch's report. It runs once
+// per node, in node order, and adds the per-op stats in op-table order, so
+// the float accumulation sequence is a pure function of the node order —
+// never of goroutine completion order.
+func (r *planRun) merge(t *nodeTemplate) {
+	rep := r.rep
+	rep.Time += t.time
+	rep.Energy += t.energy
+	rep.Comps += t.ncomps
+	rep.NoCBytes += t.noc
+	rep.LMSpillBytes += t.spill
+	rep.RemoteBytes += t.remote
+	rep.ElidedBytes += t.elided
+	for i := range t.ops {
+		o := &t.ops[i]
+		if o.agg == nil {
+			o.agg = rep.opStats(o.op)
+		}
+		o.agg.Invocations += o.Invocations
+		o.agg.Time += o.Time
+		o.agg.Energy += o.Energy
+		o.agg.Flops += o.Flops
+		o.agg.Bytes += o.Bytes
 	}
 }
 
 // planRun is one launch in progress: its lowering, the window being run
 // and what the windows share. It is one heap object, not locals of
 // interpret: the runtime starts every launch on a new goroutine, and what
-// interpret, runPlan, runNode and runPass hold on that small stack decides
+// interpret, runPlan and runNode hold on that small stack decides
 // whether it must grow before the kernel is reached.
 type planRun struct {
-	lw    lowering
-	win   plan
-	exec  execFunc
+	lw  lowering
+	win plan
+	// space is what the comps run against; nil evaluates analytically.
+	space *phys.Space
 	tb    *telemetry.Buf
 	hooks WaveHooks
 	// rep merges the sub-reports of every window in node order.
@@ -114,13 +115,13 @@ type planRun struct {
 }
 
 // interpret lowers the descriptor into the plan IR (plan.go) and runs it
-// window by window with the given evaluator. Non-nil hooks hear of every
-// window's waves before it runs and bracket each wave with
-// WaveStart/WaveDone (hooks.go).
-func (l *Layer) interpret(d *descriptor.Descriptor, mode planMode, exec execFunc, tb *telemetry.Buf, hooks WaveHooks) (*Report, error) {
+// window by window, functionally against s or, with a nil s, analytically.
+// Non-nil hooks hear of every window's waves before it runs and bracket each
+// wave with WaveStart/WaveDone (hooks.go).
+func (l *Layer) interpret(d *descriptor.Descriptor, mode planMode, s *phys.Space, tb *telemetry.Buf, hooks WaveHooks) (*Report, error) {
 	tb.Begin(telemetry.SpanPlanLower, "lower")
 	r := new(planRun)
-	r.exec, r.tb, r.hooks, r.rep = exec, tb, hooks, newReport()
+	r.space, r.tb, r.hooks, r.rep = s, tb, hooks, newReport()
 	lw, p := &r.lw, &r.win
 	if err := l.lower(d, mode, lw); err != nil {
 		tb.End(telemetry.SpanPlanLower, 0)
@@ -164,10 +165,10 @@ func (l *Layer) runPlan(r *planRun) error {
 		// Serial: node order is a topological order (edges always point
 		// forward), so in-order execution respects every edge.
 		for k := range p.nodes {
-			if err := l.runNode(r.exec, p, int32(k), r.tb); err != nil {
+			if err := l.runNode(r, int32(k), r.tb); err != nil {
 				return err
 			}
-			r.rep.merge(&p.subs[k])
+			r.merge(p.nodes[k].tmpl)
 		}
 		return nil
 	}
@@ -184,7 +185,7 @@ func (l *Layer) runPlan(r *planRun) error {
 			// serial chain (SPMV loop, chained passes) must not pay
 			// goroutine hand-off per node.
 			for _, k := range wave {
-				p.errs[k] = l.runNode(r.exec, p, k, r.tb)
+				p.errs[k] = l.runNode(r, k, r.tb)
 			}
 		} else {
 			var next atomic.Int64
@@ -203,7 +204,7 @@ func (l *Layer) runPlan(r *planRun) error {
 							return
 						}
 						k := wave[pos]
-						p.errs[k] = l.runNode(r.exec, p, k, wb)
+						p.errs[k] = l.runNode(r, k, wb)
 					}
 				}()
 			}
@@ -216,7 +217,7 @@ func (l *Layer) runPlan(r *planRun) error {
 			if p.errs[k] != nil {
 				failed = true
 			} else {
-				r.elapsed += p.subs[k].Time
+				r.elapsed += p.nodes[k].tmpl.time
 			}
 		}
 		if r.hooks != nil {
@@ -236,7 +237,7 @@ func (l *Layer) runPlan(r *planRun) error {
 		}
 	}
 	for k := range p.nodes {
-		r.rep.merge(&p.subs[k])
+		r.merge(p.nodes[k].tmpl)
 	}
 	return nil
 }

@@ -65,12 +65,9 @@ func TestSpansOfCoversAllOps(t *testing.T) {
 		if len(bufs) != c.bufs {
 			t.Errorf("%s: %d buffers, want %d", c.name, len(bufs), c.bufs)
 		}
-		if total, err := cfg.remoteBytes(c.op, c.p); err != nil || total != c.bytes {
-			t.Errorf("%s: %v bytes (%v), want %v", c.name, total, err, c.bytes)
+		if total := cfg.remoteBytes(a); total != c.bytes {
+			t.Errorf("%s: %v bytes, want %v", c.name, total, c.bytes)
 		}
-	}
-	if _, err := cfg.remoteBytes(descriptor.OpAXPY, descriptor.Params{1}); err == nil {
-		t.Error("short params must fail")
 	}
 }
 
@@ -84,21 +81,24 @@ func TestRemoteBytesClassification(t *testing.T) {
 		return 1
 	}
 	cfg.HomeStack = 0
-	local := AxpyArgs{N: 1000, X: 0x1000, Y: 0x2000, IncX: 1, IncY: 1}.Params()
-	if remote, err := cfg.remoteBytes(descriptor.OpAXPY, local); err != nil || remote != 0 {
-		t.Errorf("local buffers: remote = %v, %v", remote, err)
+	bind := func(a AxpyArgs) Args {
+		bound, err := Bind(descriptor.OpAXPY, a.Params())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bound
 	}
-	mixed := AxpyArgs{N: 1000, X: 0x9000_0000, Y: 0x2000, IncX: 1, IncY: 1}.Params()
-	remote, err := cfg.remoteBytes(descriptor.OpAXPY, mixed)
-	if err != nil {
-		t.Fatal(err)
+	local := bind(AxpyArgs{N: 1000, X: 0x1000, Y: 0x2000, IncX: 1, IncY: 1})
+	if remote := cfg.remoteBytes(local); remote != 0 {
+		t.Errorf("local buffers: remote = %v", remote)
 	}
-	if remote != 4000 {
+	mixed := bind(AxpyArgs{N: 1000, X: 0x9000_0000, Y: 0x2000, IncX: 1, IncY: 1})
+	if remote := cfg.remoteBytes(mixed); remote != 4000 {
 		t.Errorf("remote x: %v bytes, want 4000", remote)
 	}
 	// Without a stack map everything is local.
 	cfg.StackOf = nil
-	if remote, _ := cfg.remoteBytes(descriptor.OpAXPY, mixed); remote != 0 {
+	if remote := cfg.remoteBytes(mixed); remote != 0 {
 		t.Errorf("nil StackOf must classify nothing as remote, got %v", remote)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -424,36 +425,75 @@ func TestWindowWalk(t *testing.T) {
 	}
 }
 
-// BenchmarkLowerLoop launches the STAP inner-product nest at four trip
-// counts and reports the cost of lowering and running it per node. With
-// windowed lowering the figure must not grow with the trip count.
+// BenchmarkLowerLoop reports the cost of lowering and running a nest per
+// node, on both lowering paths: the STAP inner-product nest at four trip
+// counts (conflict-free: edges from the template) and, as carried/, the same
+// nest with a zero-stride out, every iteration storing to the one
+// accumulator (a carried dependence: every window on the scoreboard, every
+// wave one node). Neither figure may grow with the trip count.
 func BenchmarkLowerLoop(b *testing.B) {
 	const cells, n = 32, 16
 	for _, sz := range []struct{ pairs, sv int }{{16, 2}, {128, 2}, {512, 2}, {512, 8}} {
 		iters := sz.pairs * sz.sv * cells
-		b.Run(fmt.Sprintf("iters=%d", iters), func(b *testing.B) {
-			s := phys.NewSpace(1 * units.GiB)
-			if _, err := s.Map(0x10000, 16*units.MiB); err != nil {
-				b.Fatal(err)
+		for _, carried := range []bool{false, true} {
+			name := fmt.Sprintf("iters=%d", iters)
+			if carried {
+				name = "carried/" + name
 			}
-			l, err := NewLayer(MEALibConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := &testRig{space: s, layer: l, next: 0x10000}
-			w := r.alloc(8 * sz.pairs * sz.sv * n)
-			y := r.alloc(8 * sz.pairs * n * cells)
-			out := r.alloc(8 * iters)
-			d := cdotcNest(b, sz.pairs, sz.sv, cells, n, w, y, out)
-			base := r.alloc(int(d.Size()))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := l.RunPlain(s, d, base); err != nil {
+			b.Run(name, func(b *testing.B) {
+				s := phys.NewSpace(1 * units.GiB)
+				if _, err := s.Map(0x10000, 16*units.MiB); err != nil {
 					b.Fatal(err)
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(iters), "ns/node")
-		})
+				l, err := NewLayer(MEALibConfig())
+				if err != nil {
+					b.Fatal(err)
+				}
+				r := &testRig{space: s, layer: l, next: 0x10000}
+				w := r.alloc(8 * sz.pairs * sz.sv * n)
+				y := r.alloc(8 * sz.pairs * n * cells)
+				out := r.alloc(8 * iters)
+				d := cdotcNest(b, sz.pairs, sz.sv, cells, n, w, y, out)
+				if carried {
+					p, err := d.ParamsOf(0)
+					if err != nil {
+						b.Fatal(err)
+					}
+					args, err := DecodeDotArgs(p)
+					if err != nil {
+						b.Fatal(err)
+					}
+					args.LoopStrideOut = Strides{}
+					d = &descriptor.Descriptor{}
+					if err := d.AddLoop(uint32(sz.pairs), uint32(sz.sv), cells); err != nil {
+						b.Fatal(err)
+					}
+					if err := d.AddComp(descriptor.OpDOT, args.Params()); err != nil {
+						b.Fatal(err)
+					}
+					d.AddEndPass()
+					d.AddEndLoop()
+				}
+				info, err := l.ExplainPlan(d)
+				if err != nil || (len(info.BlockedLoops) != 0) != carried {
+					b.Fatalf("the nest is on the wrong lowering path: %+v, %v", info.BlockedLoops, err)
+				}
+				base := r.alloc(int(d.Size()))
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := l.RunPlain(s, d, base); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				nodes := float64(b.N) * float64(iters)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/nodes, "ns/node")
+				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/nodes, "allocs/node")
+			})
+		}
 	}
 }

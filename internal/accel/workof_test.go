@@ -99,6 +99,19 @@ var indexFill = map[descriptor.OpCode]func(t *testing.T, rng *rand.Rand, s *phys
 	},
 }
 
+// execute runs one invocation functionally against the space at iteration it
+// and returns its workload profile, as a launch does through a template.
+func execute(s *phys.Space, op descriptor.OpCode, p descriptor.Params, it IterVec) (Work, error) {
+	a, err := Bind(op, p)
+	if err != nil {
+		return Work{}, err
+	}
+	if err := a.spec.run(s, a, it); err != nil {
+		return Work{}, err
+	}
+	return a.Work(), nil
+}
+
 // checkFootprint runs one invocation in a fresh space that maps exactly the
 // bytes its table entry declares at iteration it — regions are
 // byte-granular and any access outside one errors — and checks the core

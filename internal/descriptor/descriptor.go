@@ -76,15 +76,25 @@ const MaxLoopLevels = 4
 // outermost first. Unused levels are 1 (or 0, normalised to 1).
 type LoopCounts [MaxLoopLevels]uint32
 
-// Total returns the flattened iteration count.
+// Total returns the flattened iteration count, saturated at the largest
+// int64 when four 32-bit levels multiply past it (Validate rejects such a
+// LOOP, so no executor ever iterates a saturated count).
 func (c LoopCounts) Total() int64 {
-	total := int64(1)
+	total, _ := c.total()
+	return total
+}
+
+func (c LoopCounts) total() (total int64, ok bool) {
+	total = 1
 	for _, v := range c {
 		if v > 1 {
+			if total > math.MaxInt64/int64(v) {
+				return math.MaxInt64, false
+			}
 			total *= int64(v)
 		}
 	}
-	return total
+	return total, true
 }
 
 // normalised replaces zero levels with 1.
@@ -226,8 +236,8 @@ func (d *Descriptor) Validate() error {
 			if open {
 				return fmt.Errorf("descriptor: instruction %d: LOOP inside an open pass", i)
 			}
-			if in.Counts.Total() < 1 {
-				return fmt.Errorf("descriptor: instruction %d: zero-iteration LOOP", i)
+			if _, ok := in.Counts.total(); !ok {
+				return fmt.Errorf("descriptor: instruction %d: LOOP trip count %v overflows", i, in.Counts)
 			}
 			inLoop = true
 		case KindEndLoop:

@@ -239,6 +239,48 @@ func TestLoopCountsTotal(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsOverflowingLoop: three levels of 2^32-1 multiply past
+// int64; the product used to wrap to 12 884 901 887, which looked like a
+// valid trip count the executor and the verifier would each reinterpret.
+func TestValidateRejectsOverflowingLoop(t *testing.T) {
+	const top = 1<<32 - 1
+	looped := func(counts ...uint32) *Descriptor {
+		d := &Descriptor{}
+		if err := d.AddLoop(counts...); err != nil {
+			t.Fatal(err)
+		}
+		_ = d.AddComp(OpAXPY, Params{1})
+		d.AddEndPass()
+		d.AddEndLoop()
+		return d
+	}
+	for _, counts := range [][]uint32{{top, top, top}, {top, top}, {top, top, top, top}, {2, 1 << 31, 1 << 31}} {
+		d := looped(counts...)
+		if err := d.Validate(); err == nil || !strings.Contains(err.Error(), "overflows") {
+			t.Errorf("Validate(LOOP %v) = %v, want a trip-count overflow (Total = %d)", counts, err, d.Instrs[0].Counts.Total())
+		}
+		if err := d.Encode(space(t), 0x1000); err == nil {
+			t.Errorf("Encode accepted LOOP %v", counts)
+		}
+	}
+	// The largest counts that fit stay valid, and Decode applies the same
+	// check to an image whose counts were raised after it was encoded.
+	s := space(t)
+	d := looped(1<<31-1, 1<<31-1, 2)
+	if err := d.Encode(s, 0x1000); err != nil {
+		t.Fatalf("LOOP of %d iterations: %v", d.Instrs[0].Counts.Total(), err)
+	}
+	if _, err := Decode(s, 0x1000); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteUint32(0x1000+crSize+16+8, top); err != nil { // level 3 of instruction 0
+		t.Fatal(err)
+	}
+	if _, err := Decode(s, 0x1000); err == nil {
+		t.Error("Decode accepted an image whose LOOP trip count overflows")
+	}
+}
+
 func TestSizeMatchesEncoding(t *testing.T) {
 	s := space(t)
 	d := simpleDescriptor(t)

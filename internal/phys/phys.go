@@ -15,6 +15,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"mealib/internal/units"
 )
@@ -49,16 +50,19 @@ func (r *Region) end() Addr { return r.addr + Addr(len(r.data)) }
 
 // Space is a sparse simulated physical address space.
 //
-// The region table is guarded by mu so mappings can be created and destroyed
-// while accelerator flights walk the table concurrently (a multi-tenant
+// The region table is an immutable snapshot behind an atomic pointer:
+// accelerator flights walk it without taking a lock (two wave workers doing
+// three accesses per CDOTC used to bounce the reader count's cache line),
+// while Map and Unmap, serialised by mu, publish a modified copy — so
+// mappings can be created and destroyed while flights run (a multi-tenant
 // runtime allocates for one session while another's descriptors execute).
 // The region *contents* are not guarded: data races on the simulated DRAM
 // bytes are the responsibility of the dependence tracking above (admission
 // and wave gating in mealibrt), exactly as on real hardware.
 type Space struct {
-	size    units.Bytes // fixed at construction
-	mu      sync.RWMutex
-	regions []*Region // sorted by base address, non-overlapping
+	size  units.Bytes // fixed at construction
+	table atomic.Pointer[[]*Region]
+	mu    sync.Mutex // serialises Map and Unmap, the table's writers
 }
 
 // NewSpace returns an empty space of the given total size.
@@ -71,25 +75,33 @@ func (s *Space) Size() units.Bytes { return s.size }
 
 // Mapped returns the total size of all mapped regions.
 func (s *Space) Mapped() units.Bytes {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	var total units.Bytes
-	for _, r := range s.regions {
+	for _, r := range s.regions() {
 		total += r.Size()
 	}
 	return total
 }
 
-// locateLocked returns the index of the region containing a, or -1. The
-// caller must hold mu (either mode).
-func (s *Space) locateLocked(a Addr) int {
-	i := sort.Search(len(s.regions), func(i int) bool {
-		return s.regions[i].end() > a
-	})
-	if i < len(s.regions) && s.regions[i].contains(a) {
-		return i
+// regions returns the current table: sorted by base address, non-overlapping,
+// never modified once published.
+func (s *Space) regions() []*Region {
+	if t := s.table.Load(); t != nil {
+		return *t
 	}
-	return -1
+	return nil
+}
+
+// search returns the index of the first region ending after a.
+func search(regions []*Region, a Addr) int {
+	return sort.Search(len(regions), func(i int) bool { return regions[i].end() > a })
+}
+
+// locate returns the region of the table containing a, or nil.
+func locate(regions []*Region, a Addr) *Region {
+	if i := search(regions, a); i < len(regions) && regions[i].contains(a) {
+		return regions[i]
+	}
+	return nil
 }
 
 // Map creates a region of the given size at addr. It fails if the region
@@ -103,16 +115,15 @@ func (s *Space) Map(addr Addr, size units.Bytes) (*Region, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i := sort.Search(len(s.regions), func(i int) bool {
-		return s.regions[i].end() > addr
-	})
-	if i < len(s.regions) && s.regions[i].addr < addr+Addr(size) {
-		return nil, fmt.Errorf("phys: map %s+%s overlaps region at %s", addr, size, s.regions[i].addr)
+	old := s.regions()
+	i := search(old, addr)
+	if i < len(old) && old[i].addr < addr+Addr(size) {
+		return nil, fmt.Errorf("phys: map %s+%s overlaps region at %s", addr, size, old[i].addr)
 	}
 	r := &Region{addr: addr, data: make([]byte, size)}
-	s.regions = append(s.regions, nil)
-	copy(s.regions[i+1:], s.regions[i:])
-	s.regions[i] = r
+	next := make([]*Region, 0, len(old)+1)
+	next = append(append(append(next, old[:i]...), r), old[i:]...)
+	s.table.Store(&next)
 	return r, nil
 }
 
@@ -120,34 +131,28 @@ func (s *Space) Map(addr Addr, size units.Bytes) (*Region, error) {
 func (s *Space) Unmap(addr Addr) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i := s.locateLocked(addr)
-	if i < 0 || s.regions[i].addr != addr {
+	old := s.regions()
+	i := search(old, addr)
+	if i == len(old) || old[i].addr != addr {
 		return fmt.Errorf("phys: unmap %s: no region based there", addr)
 	}
-	s.regions = append(s.regions[:i], s.regions[i+1:]...)
+	next := append(append(make([]*Region, 0, len(old)-1), old[:i]...), old[i+1:]...)
+	s.table.Store(&next)
 	return nil
 }
 
 // Region returns the region containing addr, if any.
 func (s *Space) Region(addr Addr) (*Region, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	i := s.locateLocked(addr)
-	if i < 0 {
-		return nil, false
-	}
-	return s.regions[i], true
+	r := locate(s.regions(), addr)
+	return r, r != nil
 }
 
 // slice returns the n bytes at addr, which must lie inside one region.
 func (s *Space) slice(addr Addr, n int) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	i := s.locateLocked(addr)
-	if i < 0 {
+	r := locate(s.regions(), addr)
+	if r == nil {
 		return nil, fmt.Errorf("phys: access to unmapped address %s", addr)
 	}
-	r := s.regions[i]
 	off := int(addr - r.addr)
 	if off+n > len(r.data) {
 		return nil, fmt.Errorf("phys: access %s+%d crosses region end %s", addr, n, r.end())
@@ -251,12 +256,20 @@ func (s *Space) LoadComplex64s(addr Addr, n int) ([]complex64, error) {
 
 // StoreComplex64s copies v into the space starting at addr.
 func (s *Space) StoreComplex64s(addr Addr, v []complex64) error {
-	f := make([]float32, 2*len(v))
-	for i, c := range v {
-		f[2*i] = real(c)
-		f[2*i+1] = imag(c)
+	b, err := s.slice(addr, 8*len(v))
+	if err != nil {
+		return err
 	}
-	return s.StoreFloat32s(addr, f)
+	for i, c := range v {
+		binary.LittleEndian.PutUint32(b[8*i:], math.Float32bits(real(c)))
+		binary.LittleEndian.PutUint32(b[8*i+4:], math.Float32bits(imag(c)))
+	}
+	return nil
+}
+
+// WriteComplex64 writes one complex64 (re, im) at addr.
+func (s *Space) WriteComplex64(addr Addr, v complex64) error {
+	return s.WriteUint64(addr, uint64(math.Float32bits(real(v)))|uint64(math.Float32bits(imag(v)))<<32)
 }
 
 // LoadInt32s copies n int32 values starting at addr (used for CSR index

@@ -1,6 +1,7 @@
 package phys
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -143,8 +144,14 @@ func TestBulkComplex64(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := []complex64{1 + 2i, -3 - 4i, 0, complex(1e10, -1e-10)}
-	if err := s.StoreComplex64s(64, in); err != nil {
+	if err := s.StoreComplex64s(64, in[:3]); err != nil {
 		t.Fatal(err)
+	}
+	if err := s.WriteComplex64(64+8*3, in[3]); err != nil {
+		t.Fatal(err)
+	}
+	if s.WriteComplex64(4092, 1) == nil || s.StoreComplex64s(4096, in) == nil {
+		t.Error("a complex store past the region must fail")
 	}
 	out, err := s.LoadComplex64s(64, len(in))
 	if err != nil {
@@ -214,5 +221,81 @@ func TestPropertyFloat32RoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSpaceConcurrentMapUnmapAndView: readers take no lock, so views and
+// scalar accesses on a mapped region must stay correct while another
+// goroutine maps and unmaps its neighbours, and an address whose region is
+// gone (or was never there) must still fail. Run under -race.
+func TestSpaceConcurrentMapUnmapAndView(t *testing.T) {
+	const page = Addr(4096)
+	s := NewSpace(64 * units.KiB)
+	if _, err := s.Map(4*page, units.Bytes(page)); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var churn sync.WaitGroup
+	churn.Add(1)
+	go func() {
+		defer churn.Done()
+		// Neighbours on both sides of the stable region, so its index in the
+		// table moves; page 9 is never mapped.
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			a := []Addr{3, 5, 1, 7}[i%4] * page
+			if _, err := s.Map(a, units.Bytes(page)); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, ok := s.Region(a + 8); !ok || s.Mapped() != 2*units.Bytes(page) {
+				t.Errorf("round %d: the region just mapped at %v is not in the table", i, a)
+			}
+			if err := s.Unmap(a); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := s.ViewBytes(a, 8); err == nil {
+				t.Errorf("round %d: access to %v succeeded after Unmap", i, a)
+			}
+		}
+	}()
+	var readers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			base := 4*page + Addr(g)*1024 // each reader owns a quarter of the region
+			for i := 0; i < 2000; i++ {
+				v, err := s.ViewFloat32s(base, 64)
+				if err != nil || !v.Aliased() {
+					t.Errorf("reader %d: view of the stable region: aliased %v, %v", g, v.Aliased(), err)
+					return
+				}
+				v.Data[i%64] = float32(i)
+				if got, err := s.ReadFloat32(base + Addr(4*(i%64))); err != nil || got != float32(i) {
+					t.Errorf("reader %d: read back %v, %v; want %d", g, got, err, i)
+					return
+				}
+				if err := s.WriteComplex64(base+512, complex(float32(g), float32(i))); err != nil {
+					t.Errorf("reader %d: %v", g, err)
+					return
+				}
+				if s.SpanMapped(9*page, 8) || s.WriteUint32(9*page, 1) == nil {
+					t.Errorf("reader %d: unmapped page 9 accepted an access", g)
+					return
+				}
+			}
+		}(g)
+	}
+	readers.Wait()
+	close(stop)
+	churn.Wait()
+	if s.Mapped() != units.Bytes(page) {
+		t.Errorf("mapped = %v after the churn, want the one stable region", s.Mapped())
 	}
 }

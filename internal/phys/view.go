@@ -111,15 +111,13 @@ func (s *Space) scatter(addr Addr, b []byte) error {
 // copyRange visits the region-backed byte windows covering [addr, addr+n),
 // failing if any byte of the range is unmapped.
 func (s *Space) copyRange(addr Addr, n int, visit func(off int, window []byte)) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	regions := s.regions()
 	done := 0
 	for done < n {
-		i := s.locateLocked(addr + Addr(done))
-		if i < 0 {
+		r := locate(regions, addr+Addr(done))
+		if r == nil {
 			return fmt.Errorf("phys: access to unmapped address %s", addr+Addr(done))
 		}
-		r := s.regions[i]
 		off := int(addr + Addr(done) - r.addr)
 		take := len(r.data) - off
 		if take > n-done {
