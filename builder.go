@@ -262,7 +262,7 @@ func (ip *InstalledPlan) ExecuteContext(ctx context.Context) (*Run, error) {
 
 // PendingRun is an in-flight plan execution started by Submit.
 type PendingRun struct {
-	pi *mealibrt.PendingInvocation
+	pi *mealibrt.Launch
 }
 
 // Wait blocks until the flight completes and returns its Run.

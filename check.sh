@@ -46,7 +46,14 @@ if grep -nE 'hostAccess\(|sess [!=]= nil|[!=]= defaultTenant' internal/mealibrt/
 	exit 1
 fi
 
-echo "==> go test -race ./... (incl. the serial/wavefront/hooked scheduler differentials, TestNestVerdictNeverOptimistic, TestTemplateDepsMatchScoreboard and TestAppNestsAreConflictFree on the nest templates, TestFusionGate's DRAM-byte conservation, TestGraphGatePageRankSmoke's 4-stack bit-identity and per-link traffic, the out-of-core differentials and FuzzServerFrames' seed corpus)"
+echo "==> one-launch-record gate (a launch is one record from Accept to retirement; the registry of accepted launches is the only ledger of DRAM ownership)"
+if grep -nE 'type (waiter|flight|PendingInvocation) |LinkController|AcquireShared|ReleaseShared' \
+	internal/mealibrt/*.go internal/accel/*.go internal/mealibd/*.go | grep -v '_test\.go:'; then
+	echo "check.sh: a second per-launch type or the link controller's ledger grew back" >&2
+	exit 1
+fi
+
+echo "==> go test -race ./... (incl. the serial/wavefront/hooked scheduler differentials, TestNestVerdictNeverOptimistic, TestTemplateDepsMatchScoreboard and TestAppNestsAreConflictFree on the nest templates, TestFusionGate's DRAM-byte conservation, TestGraphGatePageRankSmoke's 4-stack bit-identity and per-link traffic, the out-of-core differentials, FuzzServerFrames' seed corpus, and on the one launch record TestLaunchLifeCycle, TestLaunchStartsOnce, TestCancelledWaiterAdmitsTheNextOne, span's TestConflict, TestEngineModelVsFigure9Calibration and Runtime.CheckInvariants at the end of the mealibrt, FuzzServerFrames and mealibd server tests)"
 go test -race ./...
 
 echo "==> BenchmarkLowerLoop smoke (one launch of each nest on the template path and on the scoreboard path; it fails if a nest is on the wrong one)"

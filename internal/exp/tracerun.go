@@ -184,7 +184,7 @@ func TraceMicro(tr *telemetry.Tracer, op string) error {
 		return err
 	}
 	var total units.Seconds
-	for _, f := range []*mealibrt.PendingInvocation{fa, fb, fc} {
+	for _, f := range []*mealibrt.Launch{fa, fb, fc} {
 		inv, err := f.Wait(context.Background())
 		if err != nil {
 			return err

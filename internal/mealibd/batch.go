@@ -68,9 +68,7 @@ func (b *batcher) submit(p *mealibrt.Plan, pend *pending) {
 // descriptor may execute in any wave order.
 func (b *batcher) conflicts(writes, reads []span.Span) bool {
 	for _, m := range b.members {
-		if span.Overlap(writes, m.writes) ||
-			span.Overlap(writes, m.reads) ||
-			span.Overlap(reads, m.writes) {
+		if span.Conflict(writes, reads, m.writes, m.reads) {
 			return true
 		}
 	}

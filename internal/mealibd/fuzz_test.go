@@ -206,8 +206,8 @@ func FuzzServerFrames(f *testing.F) {
 				t.Errorf("%s = %d after the connection dropped, want 0", name, v)
 			}
 		}
-		if !rt.Link().HostMayAccess() {
-			t.Error("the link controller still blocks the host after the connection dropped")
+		if err := rt.CheckInvariants(); err != nil {
+			t.Errorf("after the connection dropped: %v", err)
 		}
 		whole, err := rt.MemAlloc(fuzzDataSize)
 		if err != nil {

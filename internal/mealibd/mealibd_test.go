@@ -64,6 +64,9 @@ func startServer(t *testing.T, mut func(*mealibd.Config)) (*mealibrt.Runtime, st
 		if err := <-done; err != nil {
 			t.Errorf("Serve returned %v, want nil on clean shutdown", err)
 		}
+		if err := rt.CheckInvariants(); err != nil {
+			t.Errorf("after the server closed: %v", err)
+		}
 	})
 	return rt, addr
 }
@@ -859,6 +862,9 @@ func TestRemoteOverCapacityError(t *testing.T) {
 			}
 			if err := <-done; err != nil {
 				t.Errorf("Serve returned %v, want nil on clean shutdown", err)
+			}
+			if err := rt.CheckInvariants(); err != nil {
+				t.Errorf("after the server closed: %v", err)
 			}
 		})
 		return addr

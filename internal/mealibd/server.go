@@ -139,9 +139,8 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// pending is one submitted ticket: direct flights wrap a
-// PendingInvocation's completion; batched tickets are fanned out by the
-// merged launch.
+// pending is one submitted ticket: direct flights wrap a Launch's
+// completion; batched tickets are fanned out by the merged launch.
 type pending struct {
 	done chan struct{}
 	rep  Report
@@ -544,10 +543,10 @@ func (sc *srvConn) launch(p *mealibrt.Plan, ephemeral bool, batched int64, pends
 	}
 	h := sc.srv.hWaitNanos
 	go func() {
-		pi, err := l.Start(context.Background())
+		_, err := l.Start(context.Background())
 		if err == nil {
 			var inv *mealibrt.Invocation
-			inv, err = pi.Wait(context.Background())
+			inv, err = l.Wait(context.Background())
 			if err == nil {
 				rep := reportOf(inv, batched)
 				for _, pend := range pends {

@@ -20,6 +20,7 @@ func multiStackRuntime(t *testing.T, n int) *Runtime {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkQuiescent(t, rt)
 	return rt
 }
 

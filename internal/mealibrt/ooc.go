@@ -78,9 +78,9 @@ func (r *Runtime) writeBack(ch *accel.OOCChunk) error {
 }
 
 // runOOC drives the plan's chunk schedule and returns the aggregate report.
-// Called from Submit's flight goroutine with the flight registered and the
-// link held; the descriptor command slot at p.basePA is reused serially for
-// every chunk.
+// Called from the launch's flight goroutine, so the launch is admitted and
+// holds the staging region; the descriptor command slot at p.basePA is reused
+// serially for every chunk.
 func (r *Runtime) runOOC(p *Plan) (*accel.Report, error) {
 	sched := p.ooc
 	acfg := r.layers[0].Config()

@@ -34,12 +34,12 @@ import (
 // for the clock frontier and idle-energy billing; Report.Time itself stays
 // pure device time.
 
-// flightGate gates one flight's waves behind its older conflicting flights.
+// flightGate gates one launch's waves behind its older conflicting flights.
 // All fields are guarded by the runtime's mu; blocking uses the runtime's
-// cond, which WaveDone, retire and finishFlight broadcast.
+// cond, which WaveDone and finish broadcast.
 type flightGate struct {
-	r  *Runtime
-	fl *flight
+	r *Runtime
+	l *Launch
 	// olders are the gates of the conflicting flights that were in flight
 	// when this one was admitted. Gates outlive retirement, so a producer
 	// that drains before the consumer's wave asks still contributes its
@@ -59,19 +59,20 @@ type flightGate struct {
 	// through the last completed wave.
 	shift   units.Seconds
 	elapsed units.Seconds
-	// retired marks the flight done (or backed out); endAt is its model end.
+	// retired marks the flight done (or backed out) and endAt its model end;
+	// finish alone writes them.
 	retired bool
 	endAt   units.Seconds
 }
 
-// flightSpans converts a flight's verifier-level footprint to wave spans
+// flightSpans converts a launch's verifier-level footprint to wave spans
 // (the conservative stand-in when a wave's own footprint is unresolvable).
-func flightSpans(fl *flight) []span.Dir {
-	out := make([]span.Dir, 0, len(fl.p.reads)+len(fl.p.admWrites))
-	for _, s := range fl.p.reads {
+func flightSpans(l *Launch) []span.Dir {
+	out := make([]span.Dir, 0, len(l.p.reads)+len(l.p.admWrites))
+	for _, s := range l.p.reads {
 		out = append(out, span.Dir{Span: s})
 	}
-	for _, s := range fl.p.admWrites {
+	for _, s := range l.p.admWrites {
 		out = append(out, span.Dir{Span: s, Write: true})
 	}
 	return out
@@ -93,7 +94,7 @@ func (g *flightGate) waveFootprintLocked(w int) []span.Dir {
 	if w < len(g.waves) && g.waves[w] != nil {
 		return g.waves[w]
 	}
-	return flightSpans(g.fl)
+	return flightSpans(g.l)
 }
 
 // releaseTimeLocked returns the model time at which og stops constraining
@@ -101,12 +102,12 @@ func (g *flightGate) waveFootprintLocked(w int) []span.Dir {
 // caller must wait and re-ask). Called with mu held.
 func (og *flightGate) releaseTimeLocked(spans []span.Dir) (units.Seconds, bool) {
 	k := len(og.waves) // last wave of og whose footprint conflicts with spans
-	if !og.more || !span.Overlap(spans, flightSpans(og.fl)) {
+	if !og.more || !span.Overlap(spans, flightSpans(og.l)) {
 		// No wave still to be announced conflicts: look among those that were.
 		for k--; k >= 0; k-- {
 			ws := og.waves[k]
 			if ws == nil {
-				ws = flightSpans(og.fl)
+				ws = flightSpans(og.l)
 			}
 			if span.Overlap(spans, ws) {
 				break
@@ -149,7 +150,7 @@ func (g *flightGate) WaveStart(w int) {
 			r.cond.Wait()
 		}
 	}
-	if have := g.fl.start + g.shift + g.elapsed; need > have {
+	if have := g.l.start + g.shift + g.elapsed; need > have {
 		g.shift += need - have
 	}
 	r.mu.Unlock()
@@ -163,7 +164,7 @@ func (g *flightGate) WaveDone(w int, elapsed units.Seconds) {
 	g.elapsed = elapsed
 	g.done = w + 1
 	if w < len(g.doneAt) {
-		g.doneAt[w] = g.fl.start + g.shift + elapsed
+		g.doneAt[w] = g.l.start + g.shift + elapsed
 	}
 	r.cond.Broadcast()
 	r.mu.Unlock()
@@ -171,17 +172,17 @@ func (g *flightGate) WaveDone(w int, elapsed units.Seconds) {
 
 var _ accel.WaveHooks = (*flightGate)(nil)
 
-// olderWritesLocked collects the write spans of every flight admitted before
+// olderWritesLocked collects the write spans of every launch admitted before
 // self and still in flight, for the optimistic launch-time verification under
 // pipelining: a consumer admitted mid-producer reads spans the producer has
 // not retired into the initialized set yet, but is wave-gated until they are
-// written. Flights admitted after self do not count — a launch is verified in
+// written. Launches admitted after self do not count — a launch is verified in
 // Start, which may run after younger launches were accepted.
-func (r *Runtime) olderWritesLocked(self *flight) []span.Span {
+func (r *Runtime) olderWritesLocked(self *Launch) []span.Span {
 	var out []span.Span
-	for _, fl := range r.inflight {
-		if fl.seq < self.seq {
-			out = append(out, fl.p.admWrites...)
+	for _, l := range r.launches {
+		if l.seq != 0 && l.seq < self.seq {
+			out = append(out, l.p.admWrites...)
 		}
 	}
 	return out

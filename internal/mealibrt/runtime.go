@@ -107,17 +107,12 @@ type Runtime struct {
 	// every stack carries its own logic layer). A plan built with
 	// AccPlanDescriptorOn(k, …) runs on layers[k], so its accesses to
 	// stack-k buffers are local and everything else crosses the inter-stack
-	// links. All layers share the one link controller, space, and admission
-	// state — a multi-stack launch is N plans submitted to N layers under
-	// the same span-conflict admission.
+	// links. All layers share the one space and the one launch registry — a
+	// multi-stack launch is N plans submitted to N layers under the same
+	// span-conflict admission.
 	layers []*accel.Layer
 	// mStackLaunches counts launches routed to each stack's layer.
 	mStackLaunches []*telemetry.Counter
-	// link accounts DRAM ownership between the host and the accelerators
-	// (paper §2.1): every flight holds it shared from doorbell to completion.
-	// It blocks nobody; host operations wait on the spans of accepted
-	// launches instead (Session.awaitLocked).
-	link accel.LinkController
 	// def is the default tenant: the session behind Runtime.MemAlloc,
 	// AccPlan and the other runtime-level routines of §3.5. It has no quota
 	// and no caps, and its namespace is the whole physical space.
@@ -137,9 +132,11 @@ type Runtime struct {
 	// host operations, Destroy, Session.Close and wave gates.
 	cond *sync.Cond
 	// mu guards every field below: the coherence/verification state and
-	// the in-flight descriptor registry, shared between the host path and
-	// the completion goroutines of submitted plans.
+	// the launch registry, shared between the host path and the completion
+	// goroutines of submitted plans.
 	mu sync.Mutex
+	// sessions are the open tenants, the default one included.
+	sessions map[*Session]struct{}
 	// dirty approximates the modified cache contents since the last flush.
 	dirty units.Bytes
 	// initialized tracks which data-space spans the host (or a completed
@@ -149,15 +146,17 @@ type Runtime struct {
 	// scattered the write history.
 	initialized span.Set
 	stats       Stats
-	// inflight registers the read/write span sets of every descriptor
-	// currently executing; Submit admits a new plan only when its spans
-	// do not conflict with them.
-	inflight []*flight
-	// waiters is the fair-admission queue (admit.go): blocked submissions
-	// in arrival order, admitted round-robin over tenants by the pump.
-	waiters    []*waiter
+	// launches is the registry of accepted launches in acceptance order, and
+	// the one ledger of which bytes the accelerators own (the link controller
+	// of paper §2.1): a record joins it in Accept and leaves through finish.
+	// Admission checks a plan's spans against the admitted ones, the pump
+	// (admit.go) admits the queued ones round-robin over tenants, and a host
+	// operation waits while any of them conflicts with its span. inflight
+	// counts the admitted ones for the MaxInFlight cap.
+	launches   []*Launch
+	inflight   int
 	lastTenant string
-	// seq numbers flights in admission order; wave-pipelining gates only
+	// seq numbers launches in admission order; wave-pipelining gates only
 	// ever wait on lower-seq flights, keeping the wait graph acyclic.
 	seq uint64
 	// clock is the model-time frontier: flights start at the current
@@ -167,19 +166,6 @@ type Runtime struct {
 	// already been billed, so overlapping flights split the shared window
 	// instead of each billing it in full (see idle.go).
 	billedIdle idleWindows
-}
-
-// flight is one in-flight descriptor execution.
-type flight struct {
-	// p is the launched plan.
-	p *Plan
-	// start is the model time the flight was admitted at.
-	start units.Seconds
-	// seq is the admission sequence number.
-	seq uint64
-	// gate pipelines the flight's waves behind conflicting older flights
-	// when Config.WavePipeline is set (nil otherwise).
-	gate *flightGate
 }
 
 // Stats aggregates invocation accounting across the runtime's lifetime
@@ -229,7 +215,8 @@ func New(cfg *Config) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &Runtime{cfg: cfg, space: space, driver: driver, layers: []*accel.Layer{layer}, tr: cfg.Tracer}
+	rt := &Runtime{cfg: cfg, space: space, driver: driver, layers: []*accel.Layer{layer}, tr: cfg.Tracer,
+		sessions: make(map[*Session]struct{})}
 	for k := 1; k < driver.Stacks(); k++ {
 		// Each remote stack gets its own layer instance homed there; the
 		// configs differ only in HomeStack, so every layer prices the same
@@ -287,8 +274,43 @@ func (r *Runtime) Stats() Stats {
 	return r.stats
 }
 
-// Link exposes the link controller (diagnostics and tests).
-func (r *Runtime) Link() *accel.LinkController { return &r.link }
+// CheckInvariants holds the runtime's books to a scan and returns the first
+// disagreement. It is for a quiescent point, where the caller knows that no
+// launch is accepted and no call into the runtime is in progress: there a
+// record still in the registry is itself a violation, because "the
+// accelerators own no DRAM" (paper §2.1) means exactly "nothing is accepted",
+// and every count and gauge derived from the registry must read zero.
+func (r *Runtime) CheckInvariants() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if n := len(r.launches); n > 0 {
+		l := r.launches[0]
+		return fmt.Errorf("mealibrt: %d launches still accepted; the oldest is tenant %q's (admission seq %d, started %t)",
+			n, l.p.tenant(), l.seq, l.started)
+	}
+	if r.inflight != 0 || r.mInflight.Value() != 0 {
+		return fmt.Errorf("mealibrt: empty registry, but %d in flight (gauge rt.inflight %d)", r.inflight, r.mInflight.Value())
+	}
+	for s := range r.sessions {
+		if s.inflight != 0 || s.queued != 0 || s.gInflight.Value() != 0 {
+			return fmt.Errorf("mealibrt: empty registry, but session %q counts %d in flight (gauge %d) and %d queued",
+				s.cfg.Name, s.inflight, s.gInflight.Value(), s.queued)
+		}
+		for p := range s.plans {
+			if p.accepted != 0 {
+				return fmt.Errorf("mealibrt: empty registry, but a plan of session %q counts %d accepted launches", s.cfg.Name, p.accepted)
+			}
+		}
+		var used units.Bytes
+		for b := range s.buffers {
+			used += b.size
+		}
+		if used != s.memUsed {
+			return fmt.Errorf("mealibrt: session %q holds %d bytes in buffers but is charged %d", s.cfg.Name, used, s.memUsed)
+		}
+	}
+	return nil
+}
 
 // Tracer exposes the runtime's telemetry tracer (nil when telemetry is
 // disabled), so front ends like mealibd can report per-tenant metrics from
@@ -562,36 +584,61 @@ func InvocationOverhead(h *cpu.Host, setup units.Seconds, descSize, dirty units.
 	return t, e
 }
 
-// PendingInvocation is a descriptor execution started by Plan.Submit and
-// not yet waited for.
-type PendingInvocation struct {
+// Launch is one launch of a plan: the record Plan.Accept creates, the
+// registry holds while the runtime owes the launch anything, and Wait
+// collects. It only moves forward:
+//
+//	Accept ─▶ queued ─(pump)─▶ admitted ─(Start)─▶ started ─▶ retired | failed
+//	   └──── uncontended ────────▲
+//
+// A queued launch holds its place in the order: conflicting host operations
+// and its tenant's later launches wait behind it. An admitted one also holds
+// a MaxInFlight slot and a start on the model timeline. Start may find the
+// launch still queued and waits for the pump; a cancelled wait, a rejection
+// by the launch-time verifier and a doorbell or kernel error end the launch
+// through the same exit as retirement (finish). The fields are guarded by the
+// runtime's mu; inv and err may also be read once done is closed.
+type Launch struct {
+	p *Plan
+	// started is set by the one Start a launch accepts.
+	started bool
+	// ready exists only if the launch had to queue; admission closes it.
+	ready chan struct{}
+	// seq is the admission sequence number (0 while queued) and start the
+	// model time the launch was admitted at.
+	seq   uint64
+	start units.Seconds
+	// gate pipelines the launch's waves behind conflicting older flights
+	// when Config.WavePipeline is set (nil otherwise).
+	gate *flightGate
+	// done is closed when the launch leaves the registry, with inv (retired)
+	// or err (failed, or its place given back) set.
 	done chan struct{}
-	tr   *telemetry.Tracer
 	inv  *Invocation
 	err  error
 }
 
-// Wait blocks until the submitted descriptor completes and returns the
-// invocation outcome, or until the context ends. A context cancellation
-// abandons the wait only — the flight itself runs to completion (the
-// simulated hardware cannot be preempted mid-descriptor), and a later Wait
-// call can still collect the result.
-func (pi *PendingInvocation) Wait(ctx context.Context) (*Invocation, error) {
-	tb := pi.tr.Buffer(telemetry.TrackRuntime)
+// Wait blocks until the launch has left the runtime and returns the
+// invocation outcome or the error that ended it, or until the context ends.
+// A context cancellation abandons the wait only — the flight itself runs to
+// completion (the simulated hardware cannot be preempted mid-descriptor),
+// and a later Wait call can still collect the result.
+func (l *Launch) Wait(ctx context.Context) (*Invocation, error) {
+	tb := l.p.rt.tr.Buffer(telemetry.TrackRuntime)
 	defer tb.Release()
 	tb.Begin(telemetry.SpanWait, "wait")
 	select {
-	case <-pi.done:
+	case <-l.done:
 	case <-ctx.Done():
 		tb.End(telemetry.SpanWait, 0)
 		return nil, ctx.Err()
 	}
 	var model units.Seconds
-	if pi.inv != nil {
-		model = pi.inv.Report.Time
+	if l.inv != nil {
+		model = l.inv.Report.Time
 	}
 	tb.End(telemetry.SpanWait, model)
-	return pi.inv, pi.err
+	return l.inv, l.err
 }
 
 // Submit launches the plan asynchronously: the mealib_acc_execute doorbell
@@ -605,114 +652,114 @@ func (pi *PendingInvocation) Wait(ctx context.Context) (*Invocation, error) {
 // bounds only the admission wait: once admitted, the launch proceeds.
 //
 // Submit is Accept then Start under one hold of the runtime lock.
-func (p *Plan) Submit(ctx context.Context) (*PendingInvocation, error) {
-	return Launch{p: p}.Start(ctx)
-}
-
-// Launch is one launch of a plan whose place in the runtime's order is
-// fixed: Accept either admitted it on the spot (fl) or queued it (w).
-type Launch struct {
-	p  *Plan
-	fl *flight
-	w  *waiter
-}
+func (p *Plan) Submit(ctx context.Context) (*Launch, error) { return p.newLaunch().launch(ctx, true) }
 
 // Accept is the first half of Submit, the one that decides order, and it
 // never blocks: the launch is refused (plan destroyed, session closed,
-// ErrQueueFull) or takes its place — a flight in the registry, or a waiter at
-// the back of the admission queue. From that instant every later operation
-// whose bytes conflict with the launch (a store, load, device copy or free, a
-// Destroy of the plan, another launch by the tenant) takes effect after it. A
-// front end that must not block its dispatch loop calls Accept there, in the
-// order its tenant spoke, and Start wherever it can afford to wait. Every
-// accepted launch must be started, exactly once.
-func (p *Plan) Accept() (Launch, error) {
+// ErrQueueFull) or takes its place in the registry, admitted on the spot or
+// queued. From that instant every later operation whose bytes conflict with
+// the launch (a store, load, device copy or free, a Destroy of the plan,
+// another launch by the tenant) takes effect after it. A front end that must
+// not block its dispatch loop calls Accept there, in the order its tenant
+// spoke, and Start wherever it can afford to wait. Every accepted launch must
+// be started; a second Start is refused.
+func (p *Plan) Accept() (*Launch, error) {
+	l := p.newLaunch()
 	r := p.rt
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return p.acceptLocked()
+	if err := l.acceptLocked(); err != nil {
+		return nil, err
+	}
+	return l, nil
 }
 
-func (p *Plan) acceptLocked() (Launch, error) {
+// newLaunch allocates a record, before mu is taken: concurrent callers share
+// the lock on this path.
+func (p *Plan) newLaunch() *Launch { return &Launch{p: p, done: make(chan struct{})} }
+
+func (l *Launch) acceptLocked() error {
+	p := l.p
 	r, s := p.rt, p.sess
 	if p.baseVA == 0 {
-		return Launch{}, fmt.Errorf("mealibrt: plan already destroyed")
+		return fmt.Errorf("mealibrt: plan already destroyed")
 	}
 	if s.closed {
-		return Launch{}, ErrSessionClosed
+		return ErrSessionClosed
 	}
-	l := Launch{p: p}
-	if r.admitNowLocked(p) {
-		l.fl = r.registerFlightLocked(p)
+	admit := r.admitNowLocked(p)
+	if !admit && s.cfg.MaxQueued > 0 && s.queued >= s.cfg.MaxQueued {
+		s.stats.QueueFull++
+		s.mQueueFull.Add(1)
+		return fmt.Errorf("%w: %d submissions already queued", ErrQueueFull, s.queued)
+	}
+	r.launches = append(r.launches, l)
+	p.accepted++
+	if admit {
+		r.admitLocked(l)
 	} else {
-		if s.cfg.MaxQueued > 0 && s.queued >= s.cfg.MaxQueued {
-			s.stats.QueueFull++
-			s.mQueueFull.Add(1)
-			return Launch{}, fmt.Errorf("%w: %d submissions already queued", ErrQueueFull, s.queued)
-		}
-		l.w = r.enqueueLocked(p)
+		l.ready = make(chan struct{})
+		s.queued++
 		s.stats.Stalls++
 		s.mStalls.Add(1)
 		r.mStalls.Add(1)
 	}
-	p.accepted++
-	return l, nil
+	return nil
 }
 
 // Start is the second half of Submit: it waits for admission under ctx,
 // verifies the launch against the initialized set, rings the doorbell and
 // hands the flight to its goroutine. A cancelled wait gives the launch's
-// place back.
-func (l Launch) Start(ctx context.Context) (*PendingInvocation, error) {
+// place back. It returns the launch itself, for Wait.
+func (l *Launch) Start(ctx context.Context) (*Launch, error) { return l.launch(ctx, false) }
+
+// launch is Start, preceded under the same hold of mu by acceptance when the
+// caller is Submit.
+func (l *Launch) launch(ctx context.Context, accept bool) (*Launch, error) {
 	tb := l.p.rt.tr.Buffer(telemetry.TrackRuntime)
 	defer tb.Release()
 	tb.Begin(telemetry.SpanSubmit, "submit")
-	pi, ovT, err := l.start(ctx, tb)
+	ovT, err := l.launchTraced(ctx, accept, tb)
 	tb.End(telemetry.SpanSubmit, ovT)
-	return pi, err
+	if err != nil {
+		return nil, err
+	}
+	return l, nil
 }
 
-func (l Launch) start(ctx context.Context, tb *telemetry.Buf) (*PendingInvocation, units.Seconds, error) {
+func (l *Launch) launchTraced(ctx context.Context, accept bool, tb *telemetry.Buf) (units.Seconds, error) {
 	p := l.p
 	r, s := p.rt, p.sess
 	r.mu.Lock()
-	if l.fl == nil && l.w == nil {
-		// Submit: the launch is accepted here, under the same hold of mu.
-		var err error
-		if l, err = p.acceptLocked(); err != nil {
+	if accept {
+		if err := l.acceptLocked(); err != nil {
 			r.mu.Unlock()
-			return nil, 0, err
+			return 0, err
 		}
 	}
-	fl := l.fl
-	if w := l.w; w != nil {
+	if l.started {
+		r.mu.Unlock()
+		return 0, fmt.Errorf("mealibrt: launch already started")
+	}
+	l.started = true
+	if l.seq == 0 {
 		// The admission span covers only actual stalls, so an uncontended
 		// Submit shows a single submit span in the trace.
 		tb.Begin(telemetry.SpanAdmission, "admission")
 		r.mu.Unlock()
 		select {
-		case <-w.ready:
+		case <-l.ready:
 			r.mu.Lock()
 		case <-ctx.Done():
-			r.mu.Lock()
-			if w.fl != nil {
-				// Admission raced the cancellation: back the flight out.
-				r.unregisterFlightLocked(w.fl)
-			} else {
-				// A host access (or a free, or a Destroy) may be blocked on
-				// this waiter: its departure can unblock them.
-				r.dequeueLocked(w)
-				p.accepted--
-				r.cond.Broadcast()
-			}
-			r.mu.Unlock()
+			// The launch gives its place back, queued or (admission raced
+			// the cancellation) already in flight.
+			r.finish(l, nil, ctx.Err())
 			tb.End2(telemetry.SpanAdmission, 0,
 				telemetry.Arg{Key: "cancelled", Val: int64(1)}, telemetry.Arg{})
-			return nil, 0, ctx.Err()
+			return 0, ctx.Err()
 		}
-		fl = w.fl
 		tb.End2(telemetry.SpanAdmission, 0,
-			telemetry.Arg{Key: "inflight", Val: int64(len(r.inflight))}, telemetry.Arg{})
+			telemetry.Arg{Key: "inflight", Val: int64(r.inflight)}, telemetry.Arg{})
 	}
 	// Launch-time verification: without pipelining, admission has drained
 	// every in-flight writer overlapping this plan's reads, so the
@@ -722,22 +769,19 @@ func (l Launch) start(ctx context.Context, tb *telemetry.Buf) (*PendingInvocatio
 	// guarantees they land before any gated wave reads them.
 	init := append([]span.Span(nil), r.initialized.All()...)
 	if r.cfg.WavePipeline {
-		init = append(init, r.olderWritesLocked(fl)...)
+		init = append(init, r.olderWritesLocked(l)...)
 	}
 	if err := tdlcheck.VerifyDescriptor(p.desc, tdlcheck.WithInitialized(init...)); err != nil {
-		r.unregisterFlightLocked(fl)
 		r.mu.Unlock()
-		return nil, 0, fmt.Errorf("mealibrt: launch rejected by the static verifier: %w", err)
+		err = fmt.Errorf("mealibrt: launch rejected by the static verifier: %w", err)
+		r.finish(l, nil, err)
+		return 0, err
 	}
 	dirty := r.dirty
 	if llc := r.cfg.Host.Cache.LLC(); dirty > llc {
 		dirty = llc
 	}
 	r.dirty = 0
-	// Ownership of the DRAM passes to the accelerators for the duration of
-	// the flight (paper §2.1): the first flight takes it from the host, the
-	// last completion hands it back.
-	r.link.AcquireShared()
 	r.mSubmits.Add(1)
 	r.mStackLaunches[p.stack].Add(1)
 	s.stats.Submits++
@@ -749,19 +793,13 @@ func (l Launch) start(ctx context.Context, tb *telemetry.Buf) (*PendingInvocatio
 		// Out-of-core plans have no resident descriptor to ring: each chunk
 		// is encoded and doorbelled inside the schedule driver (ooc.go).
 		if err := descriptor.WriteCommand(r.space, p.basePA, descriptor.CmdStart); err != nil {
-			if relErr := r.link.ReleaseShared(); relErr != nil {
-				err = fmt.Errorf("%w (and link release failed: %v)", err, relErr)
-			}
-			r.finishFlight(fl)
-			return nil, 0, err
+			r.finish(l, nil, err)
+			return 0, err
 		}
 		tb.Instant(telemetry.SpanSubmit, "doorbell")
 	}
-	pi := &PendingInvocation{done: make(chan struct{}), tr: r.tr}
 	go func() {
-		defer close(pi.done)
 		fb := r.tr.Buffer(telemetry.TrackRuntime)
-		defer fb.Release()
 		fb.Begin(telemetry.SpanFlight, "flight")
 		var rep *accel.Report
 		var err error
@@ -769,110 +807,74 @@ func (l Launch) start(ctx context.Context, tb *telemetry.Buf) (*PendingInvocatio
 		switch {
 		case p.ooc != nil:
 			rep, err = r.runOOC(p)
-		case fl.gate != nil:
-			rep, err = layer.RunHooked(r.space, p.basePA, fl.gate)
+		case l.gate != nil:
+			rep, err = layer.RunHooked(r.space, p.basePA, l.gate)
 		default:
 			rep, err = layer.Run(r.space, p.basePA)
 		}
-		if relErr := r.link.ReleaseShared(); relErr != nil && err == nil {
-			err = relErr
-		}
+		// The flight's trace is complete before Wait can return: whoever
+		// collects the launch may export the trace.
 		if err != nil {
-			pi.err = err
-			r.finishFlight(fl)
 			fb.End(telemetry.SpanFlight, 0)
+			fb.Release()
+			r.finish(l, nil, err)
 			return
-		}
-		idleE := r.retire(fl, rep, ovT, ovE)
-		pi.inv = &Invocation{
-			Report:         rep,
-			OverheadTime:   ovT,
-			OverheadEnergy: ovE,
-			HostIdleEnergy: idleE,
 		}
 		fb.End2(telemetry.SpanFlight, rep.Time,
 			telemetry.Arg{Key: "comps", Val: rep.Comps}, telemetry.Arg{})
+		fb.Release()
+		r.finish(l, &Invocation{Report: rep, OverheadTime: ovT, OverheadEnergy: ovE}, nil)
 	}()
-	return pi, ovT, nil
+	return ovT, nil
 }
 
-// retire completes a successful flight: the descriptor's writes become live
-// data for subsequent launches, the accounting lands in Stats, and
-// admission waiters are woken. The returned energy is the host-idle bill
-// for the portion of the flight's model-time window no earlier flight
-// already covered — overlapping flights split the shared idle window
-// instead of double-counting it.
-func (r *Runtime) retire(fl *flight, rep *accel.Report, ovT units.Seconds, ovE units.Joules) units.Joules {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, s := range fl.p.writes {
+// retireLocked is the successful flight's half of finish: the descriptor's
+// writes become live data for subsequent launches and the accounting lands in
+// Stats and in inv. The host-idle energy the invocation is billed covers the
+// portion of its model-time window no earlier flight already covered —
+// overlapping flights split the shared idle window instead of double-counting
+// it.
+func (r *Runtime) retireLocked(l *Launch, inv *Invocation) {
+	rep := inv.Report
+	for _, s := range l.p.writes {
 		r.initialized.Add(s)
 	}
-	end := fl.start + rep.Time
-	if fl.gate != nil {
+	end := l.start + rep.Time
+	if g := l.gate; g != nil {
 		// The flight's waves stalled behind older conflicting flights for
-		// gate.shift of model time: its window on the model timeline is
-		// that much longer than its pure device time.
-		fl.gate.retired = true
-		fl.gate.endAt = fl.start + fl.gate.shift + rep.Time
-		end = fl.gate.endAt
+		// g.shift of model time: its window on the model timeline is that
+		// much longer than its device time, which is the report's (summed in
+		// node order), not the gate's running per-wave total.
+		g.elapsed = rep.Time
+		end = l.start + g.shift + rep.Time
 	}
-	newIdle := r.billedIdle.add(fl.start, end)
+	newIdle := r.billedIdle.add(l.start, end)
 	if end > r.clock {
 		r.clock = end
 	}
-	idleE := r.cfg.Host.Wait(newIdle).Energy
+	inv.HostIdleEnergy = r.cfg.Host.Wait(newIdle).Energy
 	r.stats.Invocations++
-	r.stats.OverheadTime += ovT
-	r.stats.OverheadEnergy += ovE
+	r.stats.OverheadTime += inv.OverheadTime
+	r.stats.OverheadEnergy += inv.OverheadEnergy
 	r.stats.AccelTime += rep.Time
 	r.stats.AccelEnergy += rep.Energy
-	r.stats.HostIdleEnergy += idleE
-	s := fl.p.sess
+	r.stats.HostIdleEnergy += inv.HostIdleEnergy
+	s := l.p.sess
 	s.stats.Invocations++
 	s.stats.AccelTime += rep.Time
 	s.stats.BytesMoved += rep.NoCBytes
 	s.stats.BytesElided += rep.ElidedBytes
-	r.removeFlightLocked(fl)
-	return idleE
-}
-
-// finishFlight unregisters a flight that failed before or during execution.
-func (r *Runtime) finishFlight(fl *flight) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.unregisterFlightLocked(fl)
-}
-
-// removeFlightLocked drops fl from the in-flight registry and from its
-// tenant's and plan's counts, then wakes everything that may have been
-// waiting on it: host operations and Destroy on cond, queued launches through
-// the pump. Called with mu held.
-func (r *Runtime) removeFlightLocked(fl *flight) {
-	for i, f := range r.inflight {
-		if f == fl {
-			r.inflight = append(r.inflight[:i], r.inflight[i+1:]...)
-			break
-		}
-	}
-	s := fl.p.sess
-	s.inflight--
-	s.gInflight.Set(int64(s.inflight))
-	fl.p.accepted--
-	r.mInflight.Set(int64(len(r.inflight)))
-	r.cond.Broadcast()
-	r.pumpLocked()
 }
 
 // AccExecute launches the plan and waits for it (mealib_acc_execute):
 // flush, doorbell, run, and account. The same plan can be executed
 // repeatedly. Execute is exactly Submit followed by Wait.
 func (p *Plan) Execute(ctx context.Context) (*Invocation, error) {
-	pi, err := p.Submit(ctx)
+	l, err := p.Submit(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return pi.Wait(ctx)
+	return l.Wait(ctx)
 }
 
 // ModelTime returns the model-time frontier: the end of the latest retired

@@ -15,7 +15,18 @@ func newRuntime(t *testing.T) *Runtime {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkQuiescent(t, r)
 	return r
+}
+
+// checkQuiescent ends the test on the runtime's own audit: whatever the test
+// did, nothing may be left accepted and every count must balance.
+func checkQuiescent(t *testing.T, r *Runtime) {
+	t.Cleanup(func() {
+		if err := r.CheckInvariants(); err != nil {
+			t.Errorf("at the end of the test: %v", err)
+		}
+	})
 }
 
 func TestNewValidatesConfig(t *testing.T) {
@@ -264,12 +275,8 @@ func TestLinkOwnershipReturnsAfterExecute(t *testing.T) {
 	if _, err := plan.Execute(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Link().HostMayAccess() {
-		t.Error("link must return to the host after execution")
-	}
-	// Two handovers per invocation.
-	if got := r.Link().Transfers(); got != 2 {
-		t.Errorf("transfers = %d, want 2", got)
+	if err := r.CheckInvariants(); err != nil {
+		t.Errorf("the DRAM must return to the host after execution: %v", err)
 	}
 }
 

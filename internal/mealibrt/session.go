@@ -108,7 +108,7 @@ func (r *Runtime) NewSession(cfg SessionConfig) (*Session, error) {
 	}
 	reg := r.tr.Metrics()
 	pre := "session." + cfg.Name + "."
-	return &Session{
+	s := &Session{
 		rt:           r,
 		cfg:          cfg,
 		buffers:      make(map[*Buffer]struct{}),
@@ -120,7 +120,11 @@ func (r *Runtime) NewSession(cfg SessionConfig) (*Session, error) {
 		gMemUsed:     reg.Gauge(pre + "mem_used"),
 		gMemResident: reg.Gauge(pre + "mem_resident"),
 		gInflight:    reg.Gauge(pre + "inflight"),
-	}, nil
+	}
+	r.mu.Lock()
+	r.sessions[s] = struct{}{}
+	r.mu.Unlock()
+	return s, nil
 }
 
 // Name returns the session's tenant name.
@@ -314,31 +318,23 @@ func (s *Session) awaitLocked(rd, wr span.Span) error {
 		if s.closed {
 			return ErrSessionClosed
 		}
-		if !r.spanBusyLocked(rd, false) && !r.spanBusyLocked(wr, true) {
+		if !r.spanBusyLocked(rd, wr) {
 			return nil
 		}
 		r.cond.Wait()
 	}
 }
 
-// spanBusyLocked reports whether a descriptor the runtime has accepted —
-// in flight, or queued for admission — conflicts with a host access to span:
-// any overlap for a host write, writer overlap for a host read. Queued
-// submissions count because their place in the schedule is already fixed; a
-// host access (or a free) slipping in ahead of one would invert the order
-// the tenant expressed. Called with mu held.
-func (r *Runtime) spanBusyLocked(sp span.Span, write bool) bool {
-	one := []span.Span{sp}
-	hits := func(p *Plan) bool {
-		return span.Overlap(one, p.admWrites) || write && span.Overlap(one, p.reads)
-	}
-	for _, fl := range r.inflight {
-		if hits(fl.p) {
-			return true
-		}
-	}
-	for _, w := range r.waiters {
-		if hits(w.p) {
+// spanBusyLocked reports whether a descriptor the runtime has accepted — in
+// flight, or queued for admission — conflicts with a host operation that reads
+// rd and writes wr (a zero span stands for "nothing"). Queued submissions count
+// because their place in the schedule is already fixed; a host access (or a
+// free) slipping in ahead of one would invert the order the tenant expressed.
+// Called with mu held.
+func (r *Runtime) spanBusyLocked(rd, wr span.Span) bool {
+	rds, wrs := []span.Span{rd}, []span.Span{wr}
+	for _, l := range r.launches {
+		if span.Conflict(wrs, rds, l.p.admWrites, l.p.reads) {
 			return true
 		}
 	}
@@ -513,6 +509,7 @@ func (s *Session) Close() error {
 	for s.inflight > 0 || s.queued > 0 {
 		r.cond.Wait()
 	}
+	delete(r.sessions, s)
 	// baseVA is guarded by mu (Destroy and Submit run on different
 	// goroutines in the server): capture and zero it here, free outside.
 	vas := make([]vm.VAddr, 0, len(s.plans)+len(s.buffers))

@@ -32,6 +32,7 @@ func eachTenant(t *testing.T, cfg *Config, f func(t *testing.T, r *Runtime, s *S
 					t.Fatal(err)
 				}
 			}
+			checkQuiescent(t, r)
 			f(t, r, s)
 		})
 	}
@@ -158,28 +159,15 @@ func TestSessionNamespace(t *testing.T) {
 	}
 }
 
-// slowAxpyPlan builds a hardware-loop AXPY (alpha 1 over zeroed x and y) big
-// enough to stay in flight for a while (wall-clock), so tests can observe the
-// runtime mid-flight.
-func slowAxpyPlan(t *testing.T, s *Session, n, iters int) (*Plan, *Buffer, *Buffer) {
+// axpyOver installs y += x over n elements of the two buffers, looped iters
+// times when iters > 1.
+func axpyOver(t *testing.T, s *Session, x, y *Buffer, n, iters int) *Plan {
 	t.Helper()
-	x, err := s.MemAlloc(units.Bytes(4 * n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	y, err := s.MemAlloc(units.Bytes(4 * n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := x.StoreFloat32s(0, make([]float32, n)); err != nil {
-		t.Fatal(err)
-	}
-	if err := y.StoreFloat32s(0, make([]float32, n)); err != nil {
-		t.Fatal(err)
-	}
 	d := &descriptor.Descriptor{}
-	if err := d.AddLoop(uint32(iters)); err != nil {
-		t.Fatal(err)
+	if iters > 1 {
+		if err := d.AddLoop(uint32(iters)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := d.AddComp(descriptor.OpAXPY, accel.AxpyArgs{
 		N: int64(n), Alpha: 1, X: x.PA(), Y: y.PA(), IncX: 1, IncY: 1,
@@ -187,12 +175,36 @@ func slowAxpyPlan(t *testing.T, s *Session, n, iters int) (*Plan, *Buffer, *Buff
 		t.Fatal(err)
 	}
 	d.AddEndPass()
-	d.AddEndLoop()
+	if iters > 1 {
+		d.AddEndLoop()
+	}
 	p, err := s.AccPlanDescriptor(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, x, y
+	return p
+}
+
+// zeroed allocates n zeroed float32 elements in the session.
+func zeroed(t *testing.T, s *Session, n int) *Buffer {
+	t.Helper()
+	b, err := s.MemAlloc(units.Bytes(4 * n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.StoreFloat32s(0, make([]float32, n)); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// slowAxpyPlan builds a hardware-loop AXPY (alpha 1 over zeroed x and y) big
+// enough to stay in flight for a while (wall-clock), so tests can observe the
+// runtime mid-flight.
+func slowAxpyPlan(t *testing.T, s *Session, n, iters int) (*Plan, *Buffer, *Buffer) {
+	t.Helper()
+	x, y := zeroed(t, s, n), zeroed(t, s, n)
+	return axpyOver(t, s, x, y, n, iters), x, y
 }
 
 // waitUntil polls cond every millisecond until it holds or ~10s of polling
@@ -261,7 +273,7 @@ func TestSessionBackpressure(t *testing.T) {
 	// p2 queues behind the session cap.
 	var wg sync.WaitGroup
 	wg.Add(1)
-	var f2 *PendingInvocation
+	var f2 *Launch
 	var err2 error
 	go func() {
 		defer wg.Done()
@@ -334,7 +346,7 @@ func TestMemFreeWaitsForQueuedConflict(t *testing.T) {
 		waitUntil(t, "p to queue", func() bool { return s.Stats().Queued == 1 })
 		whole := span.Span{Addr: x.PA(), Bytes: x.Size()}
 		r.mu.Lock()
-		busy := r.spanBusyLocked(whole, true)
+		busy := r.spanBusyLocked(span.Span{}, whole)
 		r.mu.Unlock()
 		if !busy {
 			t.Fatal("queued conflicting submission is invisible to spanBusyLocked: MemFree would release a buffer a queued launch reads")
@@ -744,7 +756,7 @@ func TestWavePipeliningMultiWindowProducer(t *testing.T) {
 		cons.AddEndPass()
 		var times [2]units.Seconds
 		var plans [2]*Plan
-		var pending [2]*PendingInvocation
+		var pending [2]*Launch
 		for i, d := range []*descriptor.Descriptor{prod, cons} {
 			if plans[i], err = r.AccPlanDescriptor(d); err != nil {
 				t.Fatal(err)

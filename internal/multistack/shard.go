@@ -245,7 +245,7 @@ func (sh *Sharded) Step(ctx context.Context) (IterStats, error) {
 	s := sh.sys
 	// Compute phase: submit all, wait all. Shard footprints are disjoint,
 	// so admission overlaps the flights; model time is the slowest shard.
-	pending := make([]*mealibrt.PendingInvocation, len(sh.shards))
+	pending := make([]*mealibrt.Launch, len(sh.shards))
 	for i, sd := range sh.shards {
 		pi, err := sd.plan.Submit(ctx)
 		if err != nil {

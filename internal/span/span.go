@@ -68,6 +68,13 @@ func Overlap[A, B ranged](a []A, b []B) bool {
 	return false
 }
 
+// Conflict reports a dependence between two operations a and b, each given
+// as the spans it writes and the spans it reads: a write/write, write/read or
+// read/write overlap. Two reads of the same bytes are not one.
+func Conflict(aWrites, aReads, bWrites, bReads []Span) bool {
+	return Overlap(aWrites, bWrites) || Overlap(aWrites, bReads) || Overlap(aReads, bWrites)
+}
+
 // Set maintains byte ranges as a sorted, pairwise disjoint, non-adjacent
 // list. Insertion merges with every overlapping or adjacent neighbour, so
 // scattered writes coalesce instead of growing the set unboundedly, and a

@@ -266,3 +266,38 @@ func TestOverlapDirections(t *testing.T) {
 		}
 	}
 }
+
+// TestConflict is the one hazard predicate admission, the host-operation
+// wait and mealibd's batcher share: two operations conflict when one writes
+// bytes the other writes or reads.
+func TestConflict(t *testing.T) {
+	a := []Span{{Addr: 100, Bytes: 10}}
+	inside := []Span{{Addr: 105, Bytes: 1}}
+	touching := []Span{{Addr: 110, Bytes: 10}}
+	far := []Span{{Addr: 900, Bytes: 10}}
+	cases := []struct {
+		name                             string
+		aWrites, aReads, bWrites, bReads []Span
+		want                             bool
+	}{
+		{"write/write", a, nil, inside, nil, true},
+		{"write/read", a, nil, nil, inside, true},
+		{"read/write", nil, a, inside, nil, true},
+		{"read/read", nil, a, nil, inside, false},
+		{"read/read beside disjoint writes", far, a, touching, inside, false},
+		{"all empty", nil, nil, nil, nil, false},
+		{"one side empty", a, a, nil, nil, false},
+		{"zero-length span", a, nil, []Span{{Addr: 105}}, nil, false},
+		{"adjacent writes", a, nil, touching, nil, false},
+		{"adjacent write and read", a, nil, nil, touching, false},
+		{"any pair of the lists", append(far, a...), nil, nil, append(touching, inside...), true},
+	}
+	for _, c := range cases {
+		if got := Conflict(c.aWrites, c.aReads, c.bWrites, c.bReads); got != c.want {
+			t.Errorf("%s: Conflict = %v, want %v", c.name, got, c.want)
+		}
+		if got := Conflict(c.bWrites, c.bReads, c.aWrites, c.aReads); got != c.want {
+			t.Errorf("%s, sides swapped: Conflict = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -53,7 +53,7 @@ const (
 	SpanSubmit                    // Plan.Submit, doorbell included
 	SpanAdmission                 // blocked in span-conflict admission
 	SpanFlight                    // descriptor in flight (submit to retire)
-	SpanWait                      // PendingInvocation.Wait blocking
+	SpanWait                      // Launch.Wait blocking
 	SpanDRAMPass                  // one DRAM simulator trace run
 	SpanHost                      // host-side (non-accelerated) work
 	SpanStage                     // application pipeline stage
