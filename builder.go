@@ -251,7 +251,9 @@ func (ip *InstalledPlan) Execute() (*Run, error) {
 }
 
 // ExecuteContext launches the plan under a context bounding the admission
-// wait and the completion wait.
+// wait. Once admitted the launch runs to completion, on the caller's
+// goroutine, before ExecuteContext returns: the simulated hardware cannot be
+// preempted mid-descriptor. Use SubmitContext and Wait for a wait to abandon.
 func (ip *InstalledPlan) ExecuteContext(ctx context.Context) (*Run, error) {
 	inv, err := ip.p.Execute(ctx)
 	if err != nil {

@@ -27,6 +27,7 @@ type Layer struct {
 // when nil (telemetry disabled).
 type layerMetrics struct {
 	launches       *telemetry.Counter
+	compiles       *telemetry.Counter
 	nodes          *telemetry.Counter
 	comps          *telemetry.Counter
 	bytesMoved     *telemetry.Counter
@@ -44,6 +45,7 @@ func (m *layerMetrics) init(reg *telemetry.Metrics) {
 		return
 	}
 	m.launches = reg.Counter("accel.launches")
+	m.compiles = reg.Counter("accel.compiles")
 	m.nodes = reg.Counter("accel.nodes")
 	m.comps = reg.Counter("accel.comps")
 	m.bytesMoved = reg.Counter("accel.bytes_moved")
@@ -204,36 +206,43 @@ func (l *Layer) Run(s *phys.Space, base phys.Addr) (*Report, error) {
 	return l.run(s, base, nil)
 }
 
-// run is Run with optional wave-granularity hooks (see hooks.go).
+// run is Run with optional wave-granularity hooks (see hooks.go): read the
+// command, decode what is at base, compile it and launch the program.
 func (l *Layer) run(s *phys.Space, base phys.Addr, hooks WaveHooks) (*Report, error) {
-	cmd, err := descriptor.ReadCommand(s, base)
-	if err != nil {
+	if err := started(s, base); err != nil {
 		return nil, err
-	}
-	if cmd != descriptor.CmdStart {
-		return nil, fmt.Errorf("accel: descriptor at %v not started (command %d)", base, cmd)
 	}
 	d, err := descriptor.Decode(s, base)
 	if err != nil {
 		return nil, err
 	}
-	if err := l.cfg.CU.CheckCapacity(d); err != nil {
+	prog, err := l.compile(d, planExpand, planWindow)
+	if err != nil {
 		return nil, err
 	}
+	return l.launch(prog, "descriptor", s, base, hooks)
+}
+
+// launch runs a compiled program under its launch span: functionally against
+// the descriptor started at base in s, or, with a nil s, analytically. The
+// configuration unit's fetch and decode is charged once, at the end, and the
+// functional run completes by writing CmdDone.
+func (l *Layer) launch(prog *Program, name string, s *phys.Space, base phys.Addr, hooks WaveHooks) (*Report, error) {
 	tb := l.tr.Buffer(telemetry.TrackAccel)
 	defer tb.Release()
-	tb.Begin(telemetry.SpanLaunch, "descriptor")
-	rep, err := l.interpret(d, planExpand, s, tb, hooks)
+	tb.Begin(telemetry.SpanLaunch, name)
+	rep, err := l.exec(prog, s, tb, hooks)
 	if err != nil {
 		tb.End(telemetry.SpanLaunch, 0)
 		return nil, err
 	}
-	fd := l.cfg.CU.FetchDecodeTime(d)
-	rep.FetchDecodeTime = fd
-	rep.Time += fd
-	if err := descriptor.WriteCommand(s, base, descriptor.CmdDone); err != nil {
-		tb.End(telemetry.SpanLaunch, rep.Time)
-		return nil, err
+	rep.FetchDecodeTime = prog.fetchDecode
+	rep.Time += prog.fetchDecode
+	if s != nil {
+		if err := descriptor.WriteCommand(s, base, descriptor.CmdDone); err != nil {
+			tb.End(telemetry.SpanLaunch, rep.Time)
+			return nil, err
+		}
 	}
 	tb.End2(telemetry.SpanLaunch, rep.Time,
 		telemetry.Arg{Key: "comps", Val: rep.Comps},
@@ -253,25 +262,11 @@ func (l *Layer) RunModel(d *descriptor.Descriptor) (*Report, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	if err := l.cfg.CU.CheckCapacity(d); err != nil {
-		return nil, err
-	}
-	tb := l.tr.Buffer(telemetry.TrackAccel)
-	defer tb.Release()
-	tb.Begin(telemetry.SpanLaunch, "descriptor(model)")
-	rep, err := l.interpret(d, planCollapse, nil, tb, nil)
+	prog, err := l.compile(d, planCollapse, planWindow)
 	if err != nil {
-		tb.End(telemetry.SpanLaunch, 0)
 		return nil, err
 	}
-	fd := l.cfg.CU.FetchDecodeTime(d)
-	rep.FetchDecodeTime = fd
-	rep.Time += fd
-	tb.End2(telemetry.SpanLaunch, rep.Time,
-		telemetry.Arg{Key: "comps", Val: rep.Comps},
-		telemetry.Arg{Key: "noc_bytes", Val: int64(rep.NoCBytes)})
-	l.noteLaunch(rep)
-	return rep, nil
+	return l.launch(prog, "descriptor(model)", nil, 0, nil)
 }
 
 // iterDispatch is the amortised per-iteration initiation cost: the decode

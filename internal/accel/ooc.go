@@ -54,8 +54,11 @@ type OOCExtent struct {
 // OOCChunk is one staged launch of the schedule.
 type OOCChunk struct {
 	// Desc is the rebased descriptor: the original comps of this chunk's
-	// units with window addresses relocated into the staging half.
+	// units with window addresses relocated into the staging half. Prog is
+	// Desc compiled, once, for the layer that planned the schedule: the
+	// driver installs its image in the plan's slot and runs it (RunProgram).
 	Desc *descriptor.Descriptor
+	Prog *Program
 	// Extents are the relocations, sorted by host address.
 	Extents []OOCExtent
 	// Half selects which staging half the chunk occupies (ping-pong).
@@ -399,13 +402,10 @@ func (l *Layer) PlanOOC(d *descriptor.Descriptor, inWindow func(phys.Addr) bool,
 				cd.AddEndPass()
 			}
 		}
-		if err := cd.Validate(); err != nil {
-			return nil, fmt.Errorf("accel: ooc: chunk %d: %w", gi, err)
-		}
-		if err := l.cfg.CU.CheckCapacity(cd); err != nil {
-			return nil, fmt.Errorf("accel: ooc: chunk %d: %w", gi, err)
-		}
 		ch.Desc = cd
+		if ch.Prog, err = l.Compile(cd); err != nil {
+			return nil, fmt.Errorf("accel: ooc: chunk %d: %w", gi, err)
+		}
 		// The stage-in may run under the previous chunk's execution and
 		// write-back only when it reads nothing the previous chunk writes.
 		ch.Prefetchable = gi > 0 && !span.Overlap(prevOut, boxes)

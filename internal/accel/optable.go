@@ -170,7 +170,7 @@ const (
 )
 
 // specs is the table, indexed by opcode. Only tests ever replace an entry.
-var specs = []*opSpec{
+var specs = [...]*opSpec{
 	descriptor.OpAXPY: newSpec(opSpec{
 		fields: []fieldKind{fInt, fF32, fStrided, fStrided, fInt, fInt},
 		elem:   f32Elems,

@@ -80,7 +80,8 @@ func requireReportsIdentical(t *testing.T, serial, parallel *Report) {
 // parallel (Workers=4 — above this host's core count, which still
 // interleaves goroutines and lets -race observe conflicts), runs the
 // descriptor built by build on both, and requires bit-identical arena
-// contents and identical reports.
+// contents and identical reports. Every descriptor of this corpus then goes
+// through the compiled-program differential (program_test.go).
 func runDifferential(t *testing.T, build func(r *testRig) *descriptor.Descriptor) {
 	t.Helper()
 	serialRig := newRigWorkers(t, 1)
@@ -105,6 +106,7 @@ func runDifferential(t *testing.T, build func(r *testRig) *descriptor.Descriptor
 		}
 	}
 	requireReportsIdentical(t, sRep, pRep)
+	requireCompiledEqualsFresh(t, func() *testRig { return newRigWorkers(t, 4) }, planWindow, false, build)
 }
 
 // storeRandF32 fills [addr, addr+4n) with seeded noise.

@@ -58,7 +58,9 @@ type planNode struct {
 }
 
 // plan is one lowered window. Its storage is reset and refilled by every
-// lowering.next, so a launch of any length holds one window's worth.
+// lowering.next, so a launch of any length holds one window's worth. A run
+// only reads it: the one window of a short program is lowered at Compile and
+// shared by every run.
 type plan struct {
 	nodes []planNode
 	// spans and deps are the slabs the nodes index into.
@@ -69,8 +71,6 @@ type plan struct {
 	// node's deps live in strictly earlier waves.
 	waves [][]int32
 	order []int32
-	// errs are the scheduler's per-node results (sched.go).
-	errs []error
 }
 
 // maxWidth is the widest wave.
@@ -486,31 +486,35 @@ type BlockedLoop struct {
 	Why string
 }
 
-// ExplainPlan lowers a descriptor through the functional expansion, one
-// window at a time, and reports its scheduled shape without executing it
-// (scheduler introspection; also useful for sizing Workers). The verdicts
-// come from the same templates a run uses.
+// ExplainPlan compiles a descriptor as a run would, walks its windows and
+// reports its scheduled shape without executing it (scheduler introspection;
+// also useful for sizing Workers). The verdicts come from the same templates
+// a run uses.
 func (l *Layer) ExplainPlan(d *descriptor.Descriptor) (PlanInfo, error) {
 	if err := d.Validate(); err != nil {
 		return PlanInfo{}, err
 	}
-	var lw lowering
-	if err := l.lower(d, planExpand, &lw); err != nil {
+	prog, err := l.compile(d, planExpand, planWindow)
+	if err != nil {
 		return PlanInfo{}, err
 	}
+	r := planRun{prog: prog, lw: prog.lw}
+	lw := &r.lw
 	info := PlanInfo{Fused: lw.fused, FusionSpills: lw.fusionSpills, ScratchBytes: lw.scratchBytes}
 	for si := range lw.segs {
 		if seg := &lw.segs[si]; seg.nest != nil && seg.nest.rule != ruleNone {
 			info.BlockedLoops = append(info.BlockedLoops, BlockedLoop{seg.firstPass, seg.counts.Total(), seg.nest.why()})
 		}
 	}
-	var p plan
-	for lw.more() {
-		lw.next(&p)
+	for {
+		r.nextWindow()
+		p := r.win
 		info.Nodes += len(p.nodes)
 		info.Edges += len(p.deps)
 		info.Waves += len(p.waves)
 		info.MaxWidth = max(info.MaxWidth, p.maxWidth())
+		if !lw.more() {
+			return info, nil
+		}
 	}
-	return info, nil
 }

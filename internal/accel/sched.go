@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mealib/internal/descriptor"
 	"mealib/internal/phys"
 	"mealib/internal/telemetry"
 	"mealib/internal/units"
@@ -83,65 +82,81 @@ func (r *planRun) merge(t *nodeTemplate) {
 	rep.ElidedBytes += t.elided
 	for i := range t.ops {
 		o := &t.ops[i]
-		if o.agg == nil {
-			o.agg = rep.opStats(o.op)
+		agg := r.agg[o.op]
+		if agg == nil {
+			agg = rep.opStats(o.op)
+			r.agg[o.op] = agg
 		}
-		o.agg.Invocations += o.Invocations
-		o.agg.Time += o.Time
-		o.agg.Energy += o.Energy
-		o.agg.Flops += o.Flops
-		o.agg.Bytes += o.Bytes
+		agg.Invocations += o.Invocations
+		agg.Time += o.Time
+		agg.Energy += o.Energy
+		agg.Flops += o.Flops
+		agg.Bytes += o.Bytes
 	}
 }
 
-// planRun is one launch in progress: its lowering, the window being run
-// and what the windows share. It is one heap object, not locals of
-// interpret: the runtime starts every launch on a new goroutine, and what
-// interpret, runPlan and runNode hold on that small stack decides
-// whether it must grow before the kernel is reached.
+// planRun is one run of a program: the cursor over its windows, the window
+// being run and what the windows share. Everything a run writes is here or in
+// memory; the program is shared with every other run of it. It is one heap
+// object, not locals of exec: a submitted launch runs on a new goroutine, and
+// what exec, runPlan and runNode hold on that small stack decides whether it
+// must grow before the kernel is reached.
 type planRun struct {
+	prog *Program
+	// lw is the run's copy of the program's lowering: its cursor. win is the
+	// window being run: the program's own when it has one, else the run's,
+	// which the cursor refills.
 	lw  lowering
-	win plan
+	win *plan
 	// space is what the comps run against; nil evaluates analytically.
 	space *phys.Space
 	tb    *telemetry.Buf
 	hooks WaveHooks
-	// rep merges the sub-reports of every window in node order.
-	rep *Report
+	// rep merges the sub-reports of every window in node order; agg is where
+	// it accumulates each accelerator's stats, and errs the scheduler's
+	// per-node results for the window.
+	rep  *Report
+	agg  [len(specs)]*OpStats
+	errs []error
 	// waves counts the waves run so far — wave numbers run on from one
 	// window to the next — and elapsed is the model time through the last.
 	waves   int
 	elapsed units.Seconds
 }
 
-// interpret lowers the descriptor into the plan IR (plan.go) and runs it
-// window by window, functionally against s or, with a nil s, analytically.
-// Non-nil hooks hear of every window's waves before it runs and bracket each
-// wave with WaveStart/WaveDone (hooks.go).
-func (l *Layer) interpret(d *descriptor.Descriptor, mode planMode, s *phys.Space, tb *telemetry.Buf, hooks WaveHooks) (*Report, error) {
-	tb.Begin(telemetry.SpanPlanLower, "lower")
-	r := new(planRun)
-	r.space, r.tb, r.hooks, r.rep = s, tb, hooks, newReport()
-	lw, p := &r.lw, &r.win
-	if err := l.lower(d, mode, lw); err != nil {
-		tb.End(telemetry.SpanPlanLower, 0)
-		return nil, err
+// nextWindow makes the program's next window current: the one it was compiled
+// with, or the next the cursor lowers.
+func (r *planRun) nextWindow() {
+	if r.prog.win != nil {
+		r.win, r.lw.seg = r.prog.win, len(r.lw.segs)
+		return
 	}
-	l.met.fusedGroups.Add(int64(len(lw.fused)))
-	l.met.fusionSpills.Add(int64(lw.fusionSpills))
-	r.rep.Time, r.elapsed = lw.fixed, lw.fixed
+	r.tb.Begin(telemetry.SpanPlanLower, "lower")
+	if r.win == nil {
+		r.win = new(plan)
+	}
+	r.lw.next(r.win)
+	r.tb.End2(telemetry.SpanPlanLower, 0,
+		telemetry.Arg{Key: "nodes", Val: int64(len(r.win.nodes))},
+		telemetry.Arg{Key: "waves", Val: int64(len(r.win.waves))})
+}
+
+// exec runs a compiled program window by window, functionally against s or,
+// with a nil s, analytically. Non-nil hooks hear of every window's waves
+// before it runs and bracket each wave with WaveStart/WaveDone (hooks.go).
+func (l *Layer) exec(prog *Program, s *phys.Space, tb *telemetry.Buf, hooks WaveHooks) (*Report, error) {
+	r := &planRun{prog: prog, lw: prog.lw, space: s, tb: tb, hooks: hooks, rep: newReport()}
+	l.met.fusedGroups.Add(int64(len(r.lw.fused)))
+	l.met.fusionSpills.Add(int64(r.lw.fusionSpills))
+	r.rep.Time, r.elapsed = r.lw.fixed, r.lw.fixed
 	for {
-		lw.next(p)
-		tb.End2(telemetry.SpanPlanLower, 0,
-			telemetry.Arg{Key: "nodes", Val: int64(len(p.nodes))},
-			telemetry.Arg{Key: "waves", Val: int64(len(p.waves))})
+		r.nextWindow()
 		if err := l.runPlan(r); err != nil {
 			return nil, err
 		}
-		if !lw.more() {
+		if !r.lw.more() {
 			break
 		}
-		tb.Begin(telemetry.SpanPlanLower, "lower")
 	}
 	l.met.wavesPerLaunch.Observe(int64(r.waves))
 	return r.rep, nil
@@ -154,12 +169,12 @@ func (l *Layer) interpret(d *descriptor.Descriptor, mode planMode, s *phys.Space
 // gating sees the same wave boundaries either way; sub-reports still merge
 // in node order, keeping hooked and unhooked runs bit-identical.
 func (l *Layer) runPlan(r *planRun) error {
-	p := &r.win
+	p := r.win
 	workers := l.planWorkers(p)
 	base := r.waves
 	r.waves += len(p.waves)
 	if r.hooks != nil {
-		r.hooks.Lowered(waveSpansOf(p), r.lw.more())
+		r.hooks.Lowered(r.prog.wavesOf(p), r.lw.more())
 	}
 	if workers <= 1 && r.hooks == nil {
 		// Serial: node order is a topological order (edges always point
@@ -172,7 +187,7 @@ func (l *Layer) runPlan(r *planRun) error {
 		}
 		return nil
 	}
-	p.errs = append(p.errs[:0], make([]error, len(p.nodes))...)
+	r.errs = append(r.errs[:0], make([]error, len(p.nodes))...)
 	failed := false
 	for wi, wave := range p.waves {
 		l.met.waveWidth.Observe(int64(len(wave)))
@@ -185,7 +200,7 @@ func (l *Layer) runPlan(r *planRun) error {
 			// serial chain (SPMV loop, chained passes) must not pay
 			// goroutine hand-off per node.
 			for _, k := range wave {
-				p.errs[k] = l.runNode(r, k, r.tb)
+				r.errs[k] = l.runNode(r, k, r.tb)
 			}
 		} else {
 			var next atomic.Int64
@@ -204,7 +219,7 @@ func (l *Layer) runPlan(r *planRun) error {
 							return
 						}
 						k := wave[pos]
-						p.errs[k] = l.runNode(r, k, wb)
+						r.errs[k] = l.runNode(r, k, wb)
 					}
 				}()
 			}
@@ -214,7 +229,7 @@ func (l *Layer) runPlan(r *planRun) error {
 			telemetry.Arg{Key: "wave", Val: int64(base + wi)},
 			telemetry.Arg{Key: "width", Val: int64(len(wave))})
 		for _, k := range wave {
-			if p.errs[k] != nil {
+			if r.errs[k] != nil {
 				failed = true
 			} else {
 				r.elapsed += p.nodes[k].tmpl.time
@@ -230,7 +245,7 @@ func (l *Layer) runPlan(r *planRun) error {
 		}
 	}
 	if failed {
-		for _, err := range p.errs {
+		for _, err := range r.errs {
 			if err != nil {
 				return err
 			}

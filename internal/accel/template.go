@@ -17,7 +17,8 @@ import (
 // instances share, and every expanded LOOP of more than one iteration a
 // verdict on whether two of its iterations can conflict. A plan node is a
 // (template, iteration) pair; a top-level pass is the one-iteration case.
-// Templates are rebuilt per launch, in time linear in the body.
+// Templates are built once per compiled Program (program.go), in time linear
+// in the body, and no run writes to them.
 
 // stridedSpan is one directional span of a pass at iteration zero with the
 // per-level advance of its operand.
@@ -34,12 +35,10 @@ func (s *stridedSpan) at(it IterVec) (_ span.Dir, ok bool) {
 	return d, d.End() >= d.Addr
 }
 
-// opCost is one accelerator's share of a node's sub-report. agg caches where
-// the launch's report accumulates it (the one field a run writes).
+// opCost is one accelerator's share of a node's sub-report.
 type opCost struct {
 	op descriptor.OpCode
 	OpStats
-	agg *OpStats
 }
 
 // nodeTemplate is what every instance of one pass of a segment shares.

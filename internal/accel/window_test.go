@@ -155,6 +155,7 @@ func runWindowDifferential(t *testing.T, build func(r *testRig) *descriptor.Desc
 			t.Errorf("%v: model %+v, functional %+v", op, ms, fs)
 		}
 	}
+	requireCompiledEqualsFresh(t, func() *testRig { return newRigWorkers(t, 2) }, planWindow, true, build)
 	return want
 }
 

@@ -9,6 +9,41 @@ import (
 	"mealib/internal/phys"
 )
 
+// fuzzSeed is one input of FuzzVerifyDescriptor: an AXPY in a LOOP.
+type fuzzSeed struct {
+	n, inc  int64
+	x, y    uint64
+	strideY int64
+	trips   uint32
+}
+
+// fuzzSeeds is the fuzzer's seed corpus (the ExposedReads property test runs
+// over it too).
+var fuzzSeeds = []fuzzSeed{
+	{256, 1, 0x1000, 0x11000, 4096, 4},
+	{256, 1, 0x1000, 0xffff_ffff_ffff_f000, 1 << 62, 4},
+	{1, 1, 0x1000, 1 << 63, 1 << 33, math.MaxUint32},
+	{4, 1, 0x1000, 0x2000, -0x1000, 4},
+	{math.MaxInt64, math.MaxInt64, 0x1000, 0x11000, 0, 1},
+	{256, 1, 0x1000, 0xffff_ffff_ffff_fc00, 0, 1},
+}
+
+// descriptor builds the seed's descriptor, or nil when the builder refuses it.
+func (s fuzzSeed) descriptor() *descriptor.Descriptor {
+	d := &descriptor.Descriptor{}
+	if err := d.AddLoop(s.trips); err != nil {
+		return nil
+	}
+	args := accel.AxpyArgs{N: s.n, Alpha: 1, X: phys.Addr(s.x), Y: phys.Addr(s.y),
+		IncX: s.inc, IncY: 1, LoopStrideY: accel.Lin(s.strideY)}
+	if err := d.AddComp(descriptor.OpAXPY, args.Params()); err != nil {
+		return nil
+	}
+	d.AddEndPass()
+	d.AddEndLoop()
+	return d
+}
+
 // FuzzVerifyDescriptor drives the lowered-descriptor verifier with arbitrary
 // AXPY-in-LOOP parameters, the shape every interval-analysis corner case
 // fits: vector length and increment, wrap-adjacent base addresses, signed
@@ -22,24 +57,14 @@ func FuzzVerifyDescriptor(f *testing.F) {
 	// whose product with the trip count overflows int64, a max-trip loop, a
 	// negative stride walking under address zero, a size-domain overflow,
 	// and a span flush against the top of the space.
-	f.Add(int64(256), int64(1), uint64(0x1000), uint64(0x11000), int64(4096), uint32(4))
-	f.Add(int64(256), int64(1), uint64(0x1000), uint64(0xffff_ffff_ffff_f000), int64(1)<<62, uint32(4))
-	f.Add(int64(1), int64(1), uint64(0x1000), uint64(1)<<63, int64(1)<<33, uint32(math.MaxUint32))
-	f.Add(int64(4), int64(1), uint64(0x1000), uint64(0x2000), int64(-0x1000), uint32(4))
-	f.Add(int64(math.MaxInt64), int64(math.MaxInt64), uint64(0x1000), uint64(0x11000), int64(0), uint32(1))
-	f.Add(int64(256), int64(1), uint64(0x1000), uint64(0xffff_ffff_ffff_fc00), int64(0), uint32(1))
+	for _, s := range fuzzSeeds {
+		f.Add(s.n, s.inc, s.x, s.y, s.strideY, s.trips)
+	}
 	f.Fuzz(func(t *testing.T, n, inc int64, x, y uint64, strideY int64, trips uint32) {
-		d := &descriptor.Descriptor{}
-		if err := d.AddLoop(trips); err != nil {
+		d := fuzzSeed{n, inc, x, y, strideY, trips}.descriptor()
+		if d == nil {
 			t.Skip()
 		}
-		args := accel.AxpyArgs{N: n, Alpha: 1, X: phys.Addr(x), Y: phys.Addr(y),
-			IncX: inc, IncY: 1, LoopStrideY: accel.Lin(strideY)}
-		if err := d.AddComp(descriptor.OpAXPY, args.Params()); err != nil {
-			t.Skip()
-		}
-		d.AddEndPass()
-		d.AddEndLoop()
 		if err := VerifyDescriptor(d); err != nil {
 			return // rejected: the verifier did its job
 		}

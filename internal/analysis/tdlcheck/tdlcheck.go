@@ -340,28 +340,33 @@ func VerifyDescriptor(d *descriptor.Descriptor, opts ...Option) error {
 		e.addf(0, -1, "%v", err)
 		return e.err()
 	}
-	comps, err := descriptorComps(d)
+	comps, err := boundComps(d, func(comp int, format string, args ...interface{}) { e.addf(0, comp, format, args...) })
 	if err != nil {
 		e.addf(0, -1, "%v", err)
 		return e.err()
-	}
-	for _, c := range comps {
-		params, perr := d.ParamsOf(c.idx)
-		if perr != nil {
-			e.addf(0, c.idx, "%v", perr)
-			continue
-		}
-		c.ops = operandsOf(c.op, params, c.counts, func(format string, args ...interface{}) {
-			e.addf(0, c.idx, format, args...)
-		})
 	}
 	checkComps(comps, &o, &e)
 	return e.err()
 }
 
+// boundComps reconstructs the invocations of a validated descriptor and binds
+// their operands; an invocation whose operands fail a check reports through
+// fail and is left without any.
+func boundComps(d *descriptor.Descriptor, fail func(comp int, format string, args ...interface{})) ([]*comp, error) {
+	comps := descriptorComps(d)
+	for _, c := range comps {
+		params, err := d.ParamsOf(c.idx)
+		if err != nil {
+			return nil, err
+		}
+		c.ops = operandsOf(c.op, params, c.counts, func(format string, args ...interface{}) { fail(c.idx, format, args...) })
+	}
+	return comps, nil
+}
+
 // descriptorComps reconstructs the pass/loop structure of a validated
 // descriptor's instruction stream.
-func descriptorComps(d *descriptor.Descriptor) ([]*comp, error) {
+func descriptorComps(d *descriptor.Descriptor) []*comp {
 	var comps []*comp
 	ones := loopCountsOf(nil)
 	counts := ones
@@ -384,7 +389,7 @@ func descriptorComps(d *descriptor.Descriptor) ([]*comp, error) {
 			counts = ones
 		}
 	}
-	return comps, nil
+	return comps
 }
 
 // checkComps runs the per-invocation and cross-invocation (task graph)
@@ -426,29 +431,53 @@ func checkComps(comps []*comp, o *options, e *errs) {
 	if !o.checkInit {
 		return
 	}
-	init := append([]Span(nil), o.initialized...)
+	exposedReads(comps, func(c *comp, op *operand) {
+		for _, s := range o.initialized {
+			if s.Overlaps(op.ext) {
+				return
+			}
+		}
+		e.addf(c.line, c.idx, "%v reads %s %v before any write reaches it (uninitialized buffer)", c.op, op.name, op.base)
+	})
+}
+
+// exposedReads visits, in program order, every read operand that no write of
+// an earlier invocation overlaps: the reads only data initialized before the
+// launch can satisfy.
+func exposedReads(comps []*comp, visit func(*comp, *operand)) {
+	var written []Span
 	for _, c := range comps {
-		for _, op := range c.ops {
+	reads:
+		for i := range c.ops {
+			op := &c.ops[i]
 			if !op.read {
 				continue
 			}
-			covered := false
-			for _, s := range init {
-				if s.Overlaps(op.ext) {
-					covered = true
-					break
+			for _, w := range written {
+				if w.Overlaps(op.ext) {
+					continue reads
 				}
 			}
-			if !covered {
-				e.addf(c.line, c.idx, "%v reads %s %v before any write reaches it (uninitialized buffer)", c.op, op.name, op.base)
-			}
+			visit(c, op)
 		}
 		for _, op := range c.ops {
 			if op.write {
-				init = append(init, op.ext)
+				written = append(written, op.ext)
 			}
 		}
 	}
+}
+
+// ExposedReads returns the whole-loop extents of the reads no earlier write of
+// the program overlaps. They are all of a verified descriptor that the state
+// of memory at launch still decides: VerifyDescriptor(d, WithInitialized(s...))
+// passes exactly when VerifyDescriptor(d) does and every exposed read overlaps
+// one of s. The descriptor must be valid.
+func ExposedReads(d *descriptor.Descriptor) []Span {
+	var out []Span
+	comps, _ := boundComps(d, func(int, string, ...interface{}) {})
+	exposedReads(comps, func(_ *comp, op *operand) { out = append(out, op.ext) })
+	return out
 }
 
 // Writes returns the buffer spans a descriptor's task graph writes,
@@ -471,17 +500,13 @@ func extents(d *descriptor.Descriptor, sel func(operand) bool) ([]Span, error) {
 	if d == nil {
 		return nil, fmt.Errorf("tdlcheck: nil descriptor")
 	}
-	comps, err := descriptorComps(d)
+	comps, err := boundComps(d, func(int, string, ...interface{}) {})
 	if err != nil {
 		return nil, err
 	}
 	var out []Span
 	for _, c := range comps {
-		params, perr := d.ParamsOf(c.idx)
-		if perr != nil {
-			return nil, perr
-		}
-		for _, op := range operandsOf(c.op, params, c.counts, func(string, ...interface{}) {}) {
+		for _, op := range c.ops {
 			if sel(op) {
 				out = append(out, op.ext)
 			}

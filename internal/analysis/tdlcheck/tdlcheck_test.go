@@ -1,13 +1,16 @@
 package tdlcheck
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
 	"mealib/internal/accel"
 	"mealib/internal/descriptor"
 	"mealib/internal/phys"
+	"mealib/internal/span"
 	"mealib/internal/tdl"
+	"mealib/internal/units"
 )
 
 // base addresses of disjoint 64 KiB test buffers.
@@ -309,5 +312,104 @@ func TestGemvBetaZeroNeverReadsY(t *testing.T) {
 		if writes, err := Writes(build(beta)); err != nil || len(writes) != 1 || writes[0] != y {
 			t.Errorf("beta=%v: Writes = %v, %v; want exactly y", beta, writes, err)
 		}
+	}
+}
+
+// randomTaskGraph builds a descriptor of one to four passes of AXPY, FFT, DOT
+// and RESMP over the four test buffers, some passes chained, some in a LOOP
+// with strided operands. Many are invalid (partial overlaps, chained cycles):
+// the property below covers both verdicts.
+func randomTaskGraph(rng *rand.Rand) *descriptor.Descriptor {
+	bufs := []phys.Addr{bufA, bufB, bufC, bufD}
+	pick := func() phys.Addr { return bufs[rng.Intn(len(bufs))] + phys.Addr(4*rng.Intn(3)*256) }
+	comp := func(d *descriptor.Descriptor, stride int64) {
+		var err error
+		switch rng.Intn(4) {
+		case 0:
+			err = d.AddComp(descriptor.OpAXPY, accel.AxpyArgs{N: 256, Alpha: 2, X: pick(), Y: pick(), IncX: 1, IncY: 1,
+				LoopStrideX: accel.Lin(stride), LoopStrideY: accel.Lin(stride)}.Params())
+		case 1:
+			err = d.AddComp(descriptor.OpFFT, fft(pick(), pick(), 256))
+		case 2:
+			err = d.AddComp(descriptor.OpDOT, accel.DotArgs{N: 256, X: pick(), Y: pick(), Out: pick(), IncX: 1, IncY: 1,
+				LoopStrideOut: accel.Lin(stride / 256)}.Params())
+		default:
+			err = d.AddComp(descriptor.OpRESMP, resmp(pick(), pick(), 128, 256))
+		}
+		if err != nil {
+			panic(err)
+		}
+	}
+	d := &descriptor.Descriptor{}
+	for passes := 1 + rng.Intn(4); passes > 0; passes-- {
+		var stride int64
+		loop := rng.Intn(3) == 0
+		if loop {
+			if err := d.AddLoop(uint32(2 + rng.Intn(3))); err != nil {
+				panic(err)
+			}
+			stride = 1024 * int64(rng.Intn(3))
+		}
+		for comps := 1 + rng.Intn(2); comps > 0; comps-- {
+			comp(d, stride)
+		}
+		d.AddEndPass()
+		if loop {
+			d.AddEndLoop()
+		}
+	}
+	return d
+}
+
+// TestExposedReadsIsTheReadBeforeWriteCheck: the launch-time question is
+// exactly "does every exposed read overlap initialized data". Over the fuzz
+// corpus and seeded random task graphs, against random initialized sets, the
+// full verifier with the set accepts iff the verifier without it accepts and
+// every ExposedReads span overlaps the set.
+func TestExposedReadsIsTheReadBeforeWriteCheck(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var corpus []*descriptor.Descriptor
+	for _, s := range fuzzSeeds {
+		if d := s.descriptor(); d != nil {
+			corpus = append(corpus, d)
+		}
+	}
+	for i := 0; i < 400; i++ {
+		corpus = append(corpus, randomTaskGraph(rng))
+	}
+	accepted, rejectedByInit := 0, 0
+	for di, d := range corpus {
+		static := VerifyDescriptor(d)
+		exposed := ExposedReads(d)
+		for trial := 0; trial < 16; trial++ {
+			var init []Span
+			var set span.Set
+			for n := rng.Intn(5); n > 0; n-- {
+				s := Span{Addr: phys.Addr(rng.Intn(0x48000)), Bytes: units.Bytes(rng.Intn(0x12000))}
+				if trial == 0 {
+					// Once per descriptor, whole buffers: most valid graphs launch.
+					s = Span{Addr: bufA + phys.Addr(rng.Intn(4))*0x10000, Bytes: 0x10000}
+				}
+				init = append(init, s)
+				set.Add(s)
+			}
+			covered := true
+			for _, r := range exposed {
+				covered = covered && set.Overlaps(r)
+			}
+			full := VerifyDescriptor(d, WithInitialized(init...))
+			if (full == nil) != (static == nil && covered) {
+				t.Fatalf("descriptor %d, initialized %v:\nVerifyDescriptor with the set: %v\nwithout it: %v; exposed reads %v, all overlapping the set: %v\n%s",
+					di, init, full, static, exposed, covered, d.Disassemble())
+			}
+			if full == nil {
+				accepted++
+			} else if static == nil {
+				rejectedByInit++
+			}
+		}
+	}
+	if accepted < 100 || rejectedByInit < 100 {
+		t.Fatalf("the corpus is one-sided: %d launches accepted, %d rejected for an uninitialized read", accepted, rejectedByInit)
 	}
 }

@@ -19,6 +19,7 @@ package descriptor
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"mealib/internal/phys"
@@ -351,6 +352,40 @@ func (d *Descriptor) Encode(s *phys.Space, base phys.Addr) error {
 		}
 	}
 	return nil
+}
+
+// Clone returns a deep copy: no later change to d, its instructions or the
+// parameter blocks it was built from reaches the copy.
+func (d *Descriptor) Clone() *Descriptor {
+	c := &Descriptor{Instrs: slices.Clone(d.Instrs), params: make([]Params, len(d.params))}
+	for i, p := range d.params {
+		c.params[i] = slices.Clone(p)
+	}
+	return c
+}
+
+// Image returns the descriptor as Encode writes it at base 0 (command
+// CmdIdle), and the offsets of its 64-bit words that hold absolute addresses:
+// the PR base in the control region and every COMP's parameter pointer.
+// Encode at any other base writes the same bytes with those words advanced by
+// the base, so one image serves every command slot. The first eight bytes are
+// the magic and the command word, ReadCommand's and WriteCommand's.
+func (d *Descriptor) Image() (img []byte, ptrs []int, err error) {
+	scratch := phys.NewSpace(d.Size())
+	reg, err := scratch.Map(0, d.Size())
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := d.Encode(scratch, 0); err != nil {
+		return nil, nil, err
+	}
+	ptrs = append(ptrs, headerOffPRBase)
+	for i, in := range d.Instrs {
+		if in.Kind == KindComp {
+			ptrs = append(ptrs, crSize+instrSize*i+8)
+		}
+	}
+	return reg.Bytes(), ptrs, nil
 }
 
 // WriteCommand sets the CR command field of an encoded descriptor.

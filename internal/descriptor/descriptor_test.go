@@ -1,6 +1,8 @@
 package descriptor
 
 import (
+	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -352,5 +354,72 @@ func TestDisassemble(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("disassembly missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestImageIsEncodeAtAnyBase: the base-0 image with its address words advanced
+// by the base is byte for byte what Encode writes there, so the layer may take
+// "the bytes in the slot equal the image" for "the slot decodes to this
+// descriptor".
+func TestImageIsEncodeAtAnyBase(t *testing.T) {
+	d := simpleDescriptor(t)
+	if err := d.AddLoop(3, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddComp(OpDOT, Params{32, 1, AddrField(0x30000), AddrField(0x40000), AddrField(0x50000)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddComp(OpFFT, Params{64, 0, 1, AddrField(0x20000)}); err != nil {
+		t.Fatal(err)
+	}
+	d.AddEndPass()
+	d.AddEndLoop()
+	img, ptrs, err := d.Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(img) != int(d.Size()) || len(ptrs) != 1+d.Comps() {
+		t.Fatalf("image of %d bytes with %d address words; the descriptor is %v with %d comps", len(img), len(ptrs), d.Size(), d.Comps())
+	}
+	s := space(t)
+	for _, base := range []phys.Addr{0x1000, 0x2040, 0x80000} {
+		if err := d.Encode(s, base); err != nil {
+			t.Fatal(err)
+		}
+		want, err := s.ViewBytes(base, len(img))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := append([]byte(nil), img...)
+		for _, off := range ptrs {
+			binary.LittleEndian.PutUint64(got[off:], binary.LittleEndian.Uint64(got[off:])+uint64(base))
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("base %v: the rebased image differs from Encode's bytes", base)
+		}
+	}
+}
+
+// TestCloneIsDeep: nothing done to the original reaches the clone.
+func TestCloneIsDeep(t *testing.T) {
+	p := Params{100, F32Field(2.5), AddrField(0x2000), AddrField(0x3000)}
+	d := &Descriptor{}
+	if err := d.AddComp(OpAXPY, p); err != nil {
+		t.Fatal(err)
+	}
+	d.AddEndPass()
+	c := d.Clone()
+	want := c.Disassemble()
+	p[0] = 7
+	d.Instrs[0].Op = OpDOT
+	if err := d.AddComp(OpFFT, Params{64, 0, 1, AddrField(0x20000)}); err != nil {
+		t.Fatal(err)
+	}
+	d.AddEndPass()
+	if got := c.Disassemble(); got != want || c.Comps() != 1 {
+		t.Fatalf("the clone changed with the original:\n%s\nwant:\n%s", got, want)
+	}
+	if q, _ := c.ParamsOf(0); q[0] != 100 {
+		t.Fatalf("the clone shares the original's parameter block: N = %d", q[0])
 	}
 }

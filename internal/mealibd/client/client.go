@@ -139,6 +139,8 @@ func wireError(code uint16, msg string) error {
 		return fmt.Errorf("%w (remote: %s)", mealibrt.ErrSessionClosed, msg)
 	case mealibd.CodeOverCapacity:
 		return fmt.Errorf("%w (remote: %s)", mealibrt.ErrOverCapacity, msg)
+	case mealibd.CodePlanStale:
+		return fmt.Errorf("%w (remote: %s)", mealibrt.ErrPlanStale, msg)
 	default:
 		return fmt.Errorf("client: server error: %s", msg)
 	}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
 	"sync"
@@ -961,5 +962,73 @@ func TestRemoteAccessStaysInBounds(t *testing.T) {
 		if !slices.Equal(got, ones) {
 			t.Errorf("buffer %d changed under an out-of-range access through its neighbour", i)
 		}
+	}
+}
+
+// TestFreedBufferStalesPlan is the wire half of the stale-plan rule (its
+// in-process half is mealibrt's test of the same name): tenant a frees a buffer
+// its installed plan names, tenant b is handed the same physical range, and a's
+// next launch must come back as the typed ErrPlanStale, carried by
+// CodePlanStale, with b's bytes untouched and both connections usable.
+func TestFreedBufferStalesPlan(t *testing.T) {
+	_, addr := startServer(t, nil)
+	dial := func(tenant string) *client.Client {
+		t.Helper()
+		cl, err := client.Dial(client.Config{Network: "unix", Addr: addr, Tenant: tenant})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = cl.Close() })
+		return cl
+	}
+	a, b := dial("a"), dial("b")
+	ones := []float32{1, 1, 1, 1}
+	alloc := func(cl *client.Client) *client.Buffer {
+		t.Helper()
+		buf, err := cl.Alloc(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := buf.StoreFloat32s(0, ones); err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	x, y := alloc(a), alloc(a)
+	d := &descriptor.Descriptor{}
+	if err := d.AddComp(descriptor.OpAXPY, accel.AxpyArgs{
+		N: 4, Alpha: 1, X: phys.Addr(x.PA()), Y: phys.Addr(y.PA()), IncX: 1, IncY: 1,
+	}.Params()); err != nil {
+		t.Fatal(err)
+	}
+	d.AddEndPass()
+	p, err := a.Plan(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Execute(); err != nil {
+		t.Fatal(err)
+	}
+	freed := y.PA()
+	if err := y.Free(); err != nil {
+		t.Fatal(err)
+	}
+	theirs := alloc(b)
+	if theirs.PA() != freed {
+		t.Fatalf("b's buffer landed at %#x, not in the range a freed (%#x): the test needs the allocator to recycle it", theirs.PA(), freed)
+	}
+	_, err = p.Execute()
+	got, lerr := theirs.LoadFloat32s(0, 4)
+	if lerr != nil {
+		t.Fatal(lerr)
+	}
+	if !errors.Is(err, mealibrt.ErrPlanStale) || !reflect.DeepEqual(got, ones) {
+		t.Fatalf("remote Execute of a plan over a freed buffer: error %v, and tenant b's buffer reads %v; want ErrPlanStale and %v", err, got, ones)
+	}
+	if err := p.Destroy(); err != nil {
+		t.Errorf("destroying the stale plan: %v", err)
+	}
+	if _, err := x.LoadFloat32s(0, 4); err != nil {
+		t.Errorf("tenant a's connection after the refusal: %v", err)
 	}
 }

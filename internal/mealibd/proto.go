@@ -52,6 +52,7 @@ const (
 	CodeQueueFull
 	CodeSessionClosed
 	CodeOverCapacity
+	CodePlanStale
 )
 
 // Element kinds for store/load payloads.

@@ -215,6 +215,8 @@ func errReply(err error) []byte {
 		code = CodeSessionClosed
 	case errors.Is(err, mealibrt.ErrOverCapacity):
 		code = CodeOverCapacity
+	case errors.Is(err, mealibrt.ErrPlanStale):
+		code = CodePlanStale
 	}
 	e := &Enc{}
 	e.U8(ReplyErr)

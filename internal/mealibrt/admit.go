@@ -25,7 +25,10 @@ func (p *Plan) tenant() string { return p.sess.cfg.Name }
 // (the plan's waves gate on its progress instead, pipeline.go); a gateless
 // one, an out-of-core chunk schedule, exposes no wave stream to gate behind
 // and still does, and an out-of-core plan, which runs gateless itself,
-// serializes behind every conflicting flight. Called with mu held.
+// serializes behind every conflicting flight. So does a launch behind a flight
+// of its own plan, pipelining or not: the two share the plan's one command
+// word, where the later doorbell and the earlier CmdDone would overwrite each
+// other. Called with mu held.
 func (r *Runtime) blockedLocked(p *Plan) bool {
 	if r.cfg.MaxInFlight > 0 && r.inflight >= r.cfg.MaxInFlight {
 		return true
@@ -35,7 +38,7 @@ func (r *Runtime) blockedLocked(p *Plan) bool {
 	}
 	gated := r.cfg.WavePipeline && p.ooc == nil
 	for _, l := range r.launches {
-		if l.seq != 0 && !(gated && l.gate != nil) && plansConflict(p, l.p) {
+		if l.seq != 0 && (l.p == p || !(gated && l.gate != nil) && plansConflict(p, l.p)) {
 			return true
 		}
 	}
@@ -174,5 +177,7 @@ func (r *Runtime) finish(l *Launch, inv *Invocation, err error) {
 	r.cond.Broadcast()
 	r.pumpLocked()
 	r.mu.Unlock()
-	close(l.done)
+	if l.done != nil {
+		close(l.done)
+	}
 }

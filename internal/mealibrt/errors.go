@@ -23,4 +23,10 @@ var (
 	// from ErrQuotaExceeded: quota is a per-tenant policy limit, capacity a
 	// hardware fact.
 	ErrOverCapacity = errors.New("mealibrt: allocation exceeds physical stack capacity")
+	// ErrPlanStale is returned by Plan.Submit, Accept and Execute once the
+	// plan's session has freed a buffer the plan's descriptor names: the plan
+	// is launchable only while its footprint passes the namespace check it
+	// passed at install, because the freed range may be another tenant's by
+	// now. Install a new plan over live buffers.
+	ErrPlanStale = errors.New("mealibrt: plan is stale")
 )

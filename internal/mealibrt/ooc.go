@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"mealib/internal/accel"
+	"mealib/internal/descriptor"
+	"mealib/internal/phys"
 	"mealib/internal/span"
 	"mealib/internal/units"
 )
@@ -77,6 +79,17 @@ func (r *Runtime) writeBack(ch *accel.OOCChunk) error {
 	return nil
 }
 
+// runChunk installs the chunk's program at base, rings it and runs it.
+func (r *Runtime) runChunk(ch *accel.OOCChunk, base phys.Addr) (*accel.Report, error) {
+	if err := ch.Prog.Install(r.space, base); err != nil {
+		return nil, err
+	}
+	if err := descriptor.WriteCommand(r.space, base, descriptor.CmdStart); err != nil {
+		return nil, err
+	}
+	return r.layers[0].RunProgram(r.space, base, ch.Prog, nil)
+}
+
 // runOOC drives the plan's chunk schedule and returns the aggregate report.
 // Called from the launch's flight goroutine, so the launch is admitted and
 // holds the staging region; the descriptor command slot at p.basePA is reused
@@ -137,8 +150,9 @@ func (r *Runtime) runOOC(p *Plan) (*accel.Report, error) {
 			nc := chunks[next]
 			go func() { pf <- r.stageIn(nc) }()
 		}
-		// Execute the rebased chunk descriptor out of the plan's slot.
-		rep, err := r.layers[0].RunPlain(r.space, ch.Desc, p.basePA)
+		// Execute the rebased chunk descriptor out of the plan's slot: its
+		// image, compiled when the schedule was planned, and the doorbell.
+		rep, err := r.runChunk(ch, p.basePA)
 		if err != nil {
 			drainPF()
 			return nil, fmt.Errorf("mealibrt: ooc chunk %d: %w", i, err)

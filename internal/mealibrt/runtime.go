@@ -478,10 +478,21 @@ func (b *Buffer) LoadInt32s(off units.Bytes, n int) (out []int32, err error) {
 	return out, err
 }
 
-// Plan is a reusable accelerator descriptor (mealib_acc_plan's acc_plan).
+// Plan is a reusable accelerator descriptor (mealib_acc_plan's acc_plan),
+// compiled when it is installed: everything a launch needs that the descriptor
+// and the layer decide is fixed here, once, and an Execute is a flush, a
+// doorbell and the kernels (paper §3.5).
 type Plan struct {
-	rt     *Runtime
-	desc   *descriptor.Descriptor
+	rt *Runtime
+	// desc is the plan's own copy of the descriptor it was installed from and
+	// descSize its encoded size (the modelled descriptor copy); nothing the
+	// caller does to its descriptor afterwards reaches the plan.
+	desc     *descriptor.Descriptor
+	descSize units.Bytes
+	// prog is desc compiled for the plan's layer, and its image is what the
+	// command slot holds (nil for an out-of-core plan, whose chunks carry
+	// their own programs).
+	prog   *accel.Program
 	baseVA vm.VAddr
 	basePA phys.Addr
 	// writes are the spans the descriptor's task graph initializes,
@@ -489,7 +500,11 @@ type Plan struct {
 	writes []span.Span
 	// reads are the spans the task graph consumes; together with writes
 	// they drive Submit's conflict admission against in-flight descriptors.
-	reads []span.Span
+	// exposed are those of them no earlier write of the plan covers
+	// (tdlcheck.ExposedReads): all the launch-time verifier still has to ask
+	// the initialized set about.
+	reads   []span.Span
+	exposed []span.Span
 	// admWrites is what admission sees as the plan's write set: writes, plus
 	// the staging region for out-of-core plans (two staged launches must
 	// never share the staging tiles, and host accesses must stay out of a
@@ -510,9 +525,14 @@ type Plan struct {
 	stack int
 	// accepted counts the plan's launches the runtime has accepted and not
 	// yet finished with, queued or in flight (guarded by the runtime's mu).
-	// Destroy waits for it to drain: a flight decodes the plan's command
+	// Destroy waits for it to drain: a flight fetches from the plan's command
 	// space for as long as it runs.
 	accepted int
+	// stale marks a plan whose footprint no longer passes the namespace check
+	// it passed at install: its session freed a buffer it names (guarded by
+	// mu; set by Session.MemFree, never cleared). A stale plan is not
+	// launchable.
+	stale bool
 }
 
 // AccPlan compiles a TDL program against the parameter table and encodes
@@ -540,7 +560,8 @@ func (r *Runtime) AccPlanDescriptorOn(stack int, d *descriptor.Descriptor) (*Pla
 	return r.def.AccPlanDescriptorOn(stack, d)
 }
 
-// Descriptor returns the plan's descriptor.
+// Descriptor returns the plan's descriptor: the plan's own copy of what it
+// was installed from. Callers must not mutate it.
 func (p *Plan) Descriptor() *descriptor.Descriptor { return p.desc }
 
 // Footprint returns the verifier-derived span sets the plan's task graph
@@ -612,7 +633,8 @@ type Launch struct {
 	// when Config.WavePipeline is set (nil otherwise).
 	gate *flightGate
 	// done is closed when the launch leaves the registry, with inv (retired)
-	// or err (failed, or its place given back) set.
+	// or err (failed, or its place given back) set. It exists only for a
+	// record somebody else can wait on: Execute's never leaves its caller.
 	done chan struct{}
 	inv  *Invocation
 	err  error
@@ -633,6 +655,11 @@ func (l *Launch) Wait(ctx context.Context) (*Invocation, error) {
 		tb.End(telemetry.SpanWait, 0)
 		return nil, ctx.Err()
 	}
+	return l.outcome(tb)
+}
+
+// outcome ends the wait span on tb and returns what the finished launch left.
+func (l *Launch) outcome(tb *telemetry.Buf) (*Invocation, error) {
 	var model units.Seconds
 	if l.inv != nil {
 		model = l.inv.Report.Time
@@ -655,10 +682,10 @@ func (l *Launch) Wait(ctx context.Context) (*Invocation, error) {
 func (p *Plan) Submit(ctx context.Context) (*Launch, error) { return p.newLaunch().launch(ctx, true) }
 
 // Accept is the first half of Submit, the one that decides order, and it
-// never blocks: the launch is refused (plan destroyed, session closed,
-// ErrQueueFull) or takes its place in the registry, admitted on the spot or
-// queued. From that instant every later operation whose bytes conflict with
-// the launch (a store, load, device copy or free, a Destroy of the plan,
+// never blocks: the launch is refused (plan destroyed or stale, session
+// closed, ErrQueueFull) or takes its place in the registry, admitted on the
+// spot or queued. From that instant every later operation whose bytes conflict
+// with the launch (a store, load, device copy or free, a Destroy of the plan,
 // another launch by the tenant) takes effect after it. A front end that must
 // not block its dispatch loop calls Accept there, in the order its tenant
 // spoke, and Start wherever it can afford to wait. Every accepted launch must
@@ -674,8 +701,8 @@ func (p *Plan) Accept() (*Launch, error) {
 	return l, nil
 }
 
-// newLaunch allocates a record, before mu is taken: concurrent callers share
-// the lock on this path.
+// newLaunch allocates a record somebody may Wait on, before mu is taken:
+// concurrent callers share the lock on this path.
 func (p *Plan) newLaunch() *Launch { return &Launch{p: p, done: make(chan struct{})} }
 
 func (l *Launch) acceptLocked() error {
@@ -683,6 +710,9 @@ func (l *Launch) acceptLocked() error {
 	r, s := p.rt, p.sess
 	if p.baseVA == 0 {
 		return fmt.Errorf("mealibrt: plan already destroyed")
+	}
+	if p.stale {
+		return fmt.Errorf("%w: session %q freed a buffer its descriptor names", ErrPlanStale, s.cfg.Name)
 	}
 	if s.closed {
 		return ErrSessionClosed
@@ -716,30 +746,38 @@ func (l *Launch) Start(ctx context.Context) (*Launch, error) { return l.launch(c
 // launch is Start, preceded under the same hold of mu by acceptance when the
 // caller is Submit.
 func (l *Launch) launch(ctx context.Context, accept bool) (*Launch, error) {
-	tb := l.p.rt.tr.Buffer(telemetry.TrackRuntime)
-	defer tb.Release()
-	tb.Begin(telemetry.SpanSubmit, "submit")
-	ovT, err := l.launchTraced(ctx, accept, tb)
-	tb.End(telemetry.SpanSubmit, ovT)
+	ovT, ovE, err := l.ring(ctx, accept)
 	if err != nil {
 		return nil, err
 	}
+	go l.fly(ovT, ovE)
 	return l, nil
 }
 
-func (l *Launch) launchTraced(ctx context.Context, accept bool, tb *telemetry.Buf) (units.Seconds, error) {
+// ring takes the launch to the doorbell under its submit span and returns the
+// modelled invocation overhead; the flight is the caller's to run.
+func (l *Launch) ring(ctx context.Context, accept bool) (units.Seconds, units.Joules, error) {
+	tb := l.p.rt.tr.Buffer(telemetry.TrackRuntime)
+	defer tb.Release()
+	tb.Begin(telemetry.SpanSubmit, "submit")
+	ovT, ovE, err := l.ringTraced(ctx, accept, tb)
+	tb.End(telemetry.SpanSubmit, ovT)
+	return ovT, ovE, err
+}
+
+func (l *Launch) ringTraced(ctx context.Context, accept bool, tb *telemetry.Buf) (units.Seconds, units.Joules, error) {
 	p := l.p
 	r, s := p.rt, p.sess
 	r.mu.Lock()
 	if accept {
 		if err := l.acceptLocked(); err != nil {
 			r.mu.Unlock()
-			return 0, err
+			return 0, 0, err
 		}
 	}
 	if l.started {
 		r.mu.Unlock()
-		return 0, fmt.Errorf("mealibrt: launch already started")
+		return 0, 0, fmt.Errorf("mealibrt: launch already started")
 	}
 	l.started = true
 	if l.seq == 0 {
@@ -756,26 +794,16 @@ func (l *Launch) launchTraced(ctx context.Context, accept bool, tb *telemetry.Bu
 			r.finish(l, nil, ctx.Err())
 			tb.End2(telemetry.SpanAdmission, 0,
 				telemetry.Arg{Key: "cancelled", Val: int64(1)}, telemetry.Arg{})
-			return 0, ctx.Err()
+			return 0, 0, ctx.Err()
 		}
 		tb.End2(telemetry.SpanAdmission, 0,
 			telemetry.Arg{Key: "inflight", Val: int64(r.inflight)}, telemetry.Arg{})
 	}
-	// Launch-time verification: without pipelining, admission has drained
-	// every in-flight writer overlapping this plan's reads, so the
-	// initialized set is complete for the read-before-write check. With
-	// pipelining the producers may still be in flight; their declared
-	// writes are counted as initialized optimistically — the wave gate
-	// guarantees they land before any gated wave reads them.
-	init := append([]span.Span(nil), r.initialized.All()...)
-	if r.cfg.WavePipeline {
-		init = append(init, r.olderWritesLocked(l)...)
-	}
-	if err := tdlcheck.VerifyDescriptor(p.desc, tdlcheck.WithInitialized(init...)); err != nil {
+	if err := r.verifyLocked(l); err != nil {
 		r.mu.Unlock()
 		err = fmt.Errorf("mealibrt: launch rejected by the static verifier: %w", err)
 		r.finish(l, nil, err)
-		return 0, err
+		return 0, 0, err
 	}
 	dirty := r.dirty
 	if llc := r.cfg.Host.Cache.LLC(); dirty > llc {
@@ -788,44 +816,76 @@ func (l *Launch) launchTraced(ctx context.Context, accept bool, tb *telemetry.Bu
 	s.mSubmits.Add(1)
 	r.mu.Unlock()
 
-	ovT, ovE := InvocationOverhead(r.cfg.Host, r.cfg.DescriptorSetupLatency, p.desc.Size(), dirty)
+	ovT, ovE := InvocationOverhead(r.cfg.Host, r.cfg.DescriptorSetupLatency, p.descSize, dirty)
 	if p.ooc == nil {
 		// Out-of-core plans have no resident descriptor to ring: each chunk
-		// is encoded and doorbelled inside the schedule driver (ooc.go).
+		// is installed and doorbelled inside the schedule driver (ooc.go).
 		if err := descriptor.WriteCommand(r.space, p.basePA, descriptor.CmdStart); err != nil {
 			r.finish(l, nil, err)
-			return 0, err
+			return 0, 0, err
 		}
 		tb.Instant(telemetry.SpanSubmit, "doorbell")
 	}
-	go func() {
-		fb := r.tr.Buffer(telemetry.TrackRuntime)
-		fb.Begin(telemetry.SpanFlight, "flight")
-		var rep *accel.Report
-		var err error
-		layer := r.layers[p.stack]
-		switch {
-		case p.ooc != nil:
-			rep, err = r.runOOC(p)
-		case l.gate != nil:
-			rep, err = layer.RunHooked(r.space, p.basePA, l.gate)
-		default:
-			rep, err = layer.Run(r.space, p.basePA)
+	return ovT, ovE, nil
+}
+
+// verifyLocked is the launch-time verification: of everything the static
+// verifier checks, only the read-before-write check depends on the moment of
+// the launch, and of that only whether each of the plan's exposed reads
+// overlaps initialized data. Without pipelining, admission has drained every
+// in-flight writer overlapping the plan's reads, so the initialized set is
+// complete. With pipelining the producers may still be in flight; their
+// declared writes count as initialized optimistically — the wave gate
+// guarantees they land before any gated wave reads them. A launch about to be
+// rejected runs the whole verifier over a copy of the set, for its error.
+// Called with mu held.
+func (r *Runtime) verifyLocked(l *Launch) error {
+	var older []span.Span
+	for _, sp := range l.p.exposed {
+		if r.initialized.Overlaps(sp) {
+			continue
 		}
-		// The flight's trace is complete before Wait can return: whoever
-		// collects the launch may export the trace.
-		if err != nil {
-			fb.End(telemetry.SpanFlight, 0)
-			fb.Release()
-			r.finish(l, nil, err)
-			return
+		if older == nil && r.cfg.WavePipeline {
+			older = r.olderWritesLocked(l)
 		}
-		fb.End2(telemetry.SpanFlight, rep.Time,
-			telemetry.Arg{Key: "comps", Val: rep.Comps}, telemetry.Arg{})
+		if !span.Overlap(older, []span.Span{sp}) {
+			init := append(append([]span.Span(nil), r.initialized.All()...), older...)
+			return tdlcheck.VerifyDescriptor(l.p.desc, tdlcheck.WithInitialized(init...))
+		}
+	}
+	return nil
+}
+
+// fly is the flight: it runs the plan's program on its layer and takes the
+// launch out of the registry through finish, retired or failed.
+func (l *Launch) fly(ovT units.Seconds, ovE units.Joules) {
+	p := l.p
+	r := p.rt
+	fb := r.tr.Buffer(telemetry.TrackRuntime)
+	fb.Begin(telemetry.SpanFlight, "flight")
+	var rep *accel.Report
+	var err error
+	if p.ooc != nil {
+		rep, err = r.runOOC(p)
+	} else {
+		var hooks accel.WaveHooks
+		if l.gate != nil {
+			hooks = l.gate
+		}
+		rep, err = r.layers[p.stack].RunProgram(r.space, p.basePA, p.prog, hooks)
+	}
+	// The flight's trace is complete before Wait can return: whoever
+	// collects the launch may export the trace.
+	if err != nil {
+		fb.End(telemetry.SpanFlight, 0)
 		fb.Release()
-		r.finish(l, &Invocation{Report: rep, OverheadTime: ovT, OverheadEnergy: ovE}, nil)
-	}()
-	return ovT, nil
+		r.finish(l, nil, err)
+		return
+	}
+	fb.End2(telemetry.SpanFlight, rep.Time,
+		telemetry.Arg{Key: "comps", Val: rep.Comps}, telemetry.Arg{})
+	fb.Release()
+	r.finish(l, &Invocation{Report: rep, OverheadTime: ovT, OverheadEnergy: ovE}, nil)
 }
 
 // retireLocked is the successful flight's half of finish: the descriptor's
@@ -868,13 +928,23 @@ func (r *Runtime) retireLocked(l *Launch, inv *Invocation) {
 
 // AccExecute launches the plan and waits for it (mealib_acc_execute):
 // flush, doorbell, run, and account. The same plan can be executed
-// repeatedly. Execute is exactly Submit followed by Wait.
+// repeatedly. Execute does what Submit followed by Wait does, by one caller,
+// so the flight runs where that caller would only wait for it: on its own
+// goroutine, with no hand-off and no record anyone else could collect. The
+// context therefore bounds the admission wait only. Once admitted, the launch
+// runs to completion before Execute returns, as it would have behind an
+// abandoned Wait (the simulated hardware cannot be preempted mid-descriptor).
 func (p *Plan) Execute(ctx context.Context) (*Invocation, error) {
-	l, err := p.Submit(ctx)
+	l := &Launch{p: p}
+	ovT, ovE, err := l.ring(ctx, true)
 	if err != nil {
 		return nil, err
 	}
-	return l.Wait(ctx)
+	tb := p.rt.tr.Buffer(telemetry.TrackRuntime)
+	defer tb.Release()
+	tb.Begin(telemetry.SpanWait, "wait")
+	l.fly(ovT, ovE)
+	return l.outcome(tb)
 }
 
 // ModelTime returns the model-time frontier: the end of the latest retired

@@ -318,8 +318,8 @@ func TestAccPlanDescriptorErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Descriptor() != d {
-		t.Error("Descriptor accessor must return the plan's descriptor")
+	if got := p.Descriptor(); got == d || got.Disassemble() != d.Disassemble() {
+		t.Error("Descriptor accessor must return the plan's own copy of the descriptor it was installed from")
 	}
 	// Exhaust the command space: repeated plans without Destroy.
 	for i := 0; i < 1<<16; i++ {

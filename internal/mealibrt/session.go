@@ -257,8 +257,18 @@ func (s *Session) MemFree(b *Buffer) error {
 		s.gMemResident.Set(int64(s.memResident))
 	}
 	// The range may be reallocated: whatever was written there no longer
-	// counts as initialized data for the read-before-write verifier.
+	// counts as initialized data for the read-before-write verifier, and a
+	// plan of the session that names it no longer passes the namespace check
+	// it passed at install. Such a plan is stale from here on: the range may
+	// be another tenant's before its next launch, and all the launch-time
+	// verifier asks is whether somebody initialized it.
 	r.initialized.Sub(sp)
+	freed := []span.Span{sp}
+	for p := range s.plans {
+		if span.Overlap(freed, p.writes) || span.Overlap(freed, p.reads) {
+			p.stale = p.stale || s.namespaceLocked(p.writes, p.reads) != nil
+		}
+	}
 	r.mu.Unlock()
 	return r.driver.Free(b.va)
 }
@@ -391,6 +401,10 @@ func (s *Session) AccPlanDescriptorOn(stack int, d *descriptor.Descriptor) (*Pla
 	if d == nil {
 		return nil, fmt.Errorf("mealibrt: nil descriptor")
 	}
+	// What is verified here, compiled below and launched later is the plan's
+	// own copy: the caller keeps its descriptor and may do with it what it
+	// likes.
+	d = d.Clone()
 	if err := tdlcheck.VerifyDescriptor(d); err != nil {
 		return nil, fmt.Errorf("mealibrt: descriptor rejected by the static verifier: %w", err)
 	}
@@ -431,22 +445,27 @@ func (s *Session) AccPlanDescriptorOn(stack int, d *descriptor.Descriptor) (*Pla
 		admWrites = append([]span.Span{{Addr: stagingPA, Bytes: stagingSize}}, writes...)
 	}
 	// An out-of-core plan's command slot holds one chunk descriptor at a
-	// time (the largest sizes it); an ordinary plan's holds the descriptor.
+	// time (the largest sizes it); an ordinary plan's holds the descriptor,
+	// compiled here, once, for every launch to come.
 	cmdBytes := d.Size()
+	var prog *accel.Program
 	if sched != nil {
 		cmdBytes = sched.MaxDescBytes
+	} else if prog, err = r.layers[stack].Compile(d); err != nil {
+		return nil, err
 	}
 	va, pa, err := r.driver.AllocCommand(cmdBytes)
 	if err != nil {
 		return nil, err
 	}
-	if sched == nil {
-		if err := d.Encode(r.space, pa); err != nil {
+	if prog != nil {
+		if err := prog.Install(r.space, pa); err != nil {
 			_ = r.driver.Free(va)
 			return nil, err
 		}
 	}
-	p := &Plan{rt: r, desc: d, baseVA: va, basePA: pa, writes: writes, reads: reads,
+	p := &Plan{rt: r, desc: d, descSize: d.Size(), prog: prog, baseVA: va, basePA: pa,
+		writes: writes, reads: reads, exposed: tdlcheck.ExposedReads(d),
 		admWrites: admWrites, ooc: sched, sess: s, stack: stack}
 	r.mu.Lock()
 	s.plans[p] = struct{}{}
@@ -480,6 +499,14 @@ func (s *Session) checkNamespace(writes, reads []span.Span) error {
 	if s.closed {
 		return ErrSessionClosed
 	}
+	return s.namespaceLocked(writes, reads)
+}
+
+// namespaceLocked is the namespace predicate: nil when every span lies inside
+// the session's namespace or one of its live buffers. A plan passes it at
+// install and is launchable for as long as it would pass it again
+// (Session.MemFree). Called with mu held.
+func (s *Session) namespaceLocked(writes, reads []span.Span) error {
 	for _, sp := range writes {
 		if !s.ownsSpanLocked(sp) {
 			return fmt.Errorf("mealibrt: session %q: descriptor writes %s+%d outside the session's buffers",

@@ -147,6 +147,13 @@ func (ss *Set) Sub(s Span) {
 	ss.spans = append(ss.spans[:i], append(keep, ss.spans[j:]...)...)
 }
 
+// Overlaps reports whether any member of the set shares a byte with s: a
+// binary search for the first member ending past s.Addr, the only one that can.
+func (ss *Set) Overlaps(s Span) bool {
+	i := sort.Search(len(ss.spans), func(k int) bool { return ss.spans[k].End() > s.Addr })
+	return i < len(ss.spans) && ss.spans[i].Overlaps(s)
+}
+
 // All returns the merged intervals in address order. The slice aliases the
 // set; callers must not retain it across Add or Sub calls.
 func (ss *Set) All() []Span { return ss.spans }

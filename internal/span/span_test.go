@@ -301,3 +301,49 @@ func TestConflict(t *testing.T) {
 		}
 	}
 }
+
+// TestSetOverlaps is the table for the binary search, and a sweep holding it
+// to the linear scan it replaces.
+func TestSetOverlaps(t *testing.T) {
+	var empty, ss Set
+	for _, s := range []Span{{Addr: 100, Bytes: 10}, {Addr: 200, Bytes: 10}, {Addr: 300, Bytes: 10}} {
+		ss.Add(s)
+	}
+	for _, tc := range []struct {
+		name string
+		set  *Set
+		s    Span
+		want bool
+	}{
+		{"empty set", &empty, Span{Addr: 0, Bytes: 1 << 40}, false},
+		{"adjacent below the first member", &ss, Span{Addr: 90, Bytes: 10}, false},
+		{"adjacent above the last member", &ss, Span{Addr: 310, Bytes: 10}, false},
+		{"adjacent on both sides, in a gap", &ss, Span{Addr: 110, Bytes: 90}, false},
+		{"first byte of the first member", &ss, Span{Addr: 95, Bytes: 6}, true},
+		{"last byte of the last member", &ss, Span{Addr: 309, Bytes: 50}, true},
+		{"covering several members", &ss, Span{Addr: 150, Bytes: 200}, true},
+		{"covering every member", &ss, Span{Addr: 0, Bytes: 1000}, true},
+		{"inside a member", &ss, Span{Addr: 203, Bytes: 2}, true},
+		{"empty span inside a member", &ss, Span{Addr: 203, Bytes: 0}, false},
+		{"negative span inside a member", &ss, Span{Addr: 203, Bytes: -2}, false},
+	} {
+		if got := tc.set.Overlaps(tc.s); got != tc.want {
+			t.Errorf("%s: Overlaps(%v) = %v, want %v", tc.name, tc.s, got, tc.want)
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 2000; trial++ {
+		var set Set
+		for n := rng.Intn(6); n > 0; n-- {
+			set.Add(Span{Addr: phys.Addr(rng.Intn(64)), Bytes: units.Bytes(rng.Intn(8))})
+		}
+		s := Span{Addr: phys.Addr(rng.Intn(64)), Bytes: units.Bytes(rng.Intn(10) - 1)}
+		want := false
+		for _, m := range set.All() {
+			want = want || m.Overlaps(s)
+		}
+		if got := set.Overlaps(s); got != want {
+			t.Fatalf("trial %d: %v.Overlaps(%v) = %v, the scan says %v", trial, set.All(), s, got, want)
+		}
+	}
+}
