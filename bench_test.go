@@ -3,26 +3,23 @@ package mealib
 // The benchmark harness regenerates every table and figure of the paper's
 // evaluation (run `go test -bench=. -benchmem`). Model-driven figures
 // report their headline numbers as custom metrics (paper-vs-reproduced is
-// printed by cmd/mealib-bench and recorded in EXPERIMENTS.md); kernel
-// benchmarks measure the real Go implementations; ablation benchmarks
-// quantify the design choices DESIGN.md calls out.
+// printed by cmd/mealib-bench and recorded in EXPERIMENTS.md); ablation
+// benchmarks quantify the design choices DESIGN.md calls out. Wall-clock
+// numbers (kernels, looped shapes, launches) are bench/'s: kernels.host_us,
+// loop.*_us and the launch_small workload.
 
 import (
 	"math/rand"
 	"testing"
 
 	"mealib/internal/accel"
-	"mealib/internal/apps/sar"
 	"mealib/internal/apps/stap"
 	"mealib/internal/descriptor"
 	"mealib/internal/dram"
 	"mealib/internal/exp"
-	"mealib/internal/kernels"
-	"mealib/internal/mealibrt"
 	"mealib/internal/phys"
 	"mealib/internal/platform"
 	"mealib/internal/power"
-	"mealib/internal/sparse"
 	"mealib/internal/units"
 )
 
@@ -174,167 +171,6 @@ func BenchmarkTable2Workloads(b *testing.B) {
 	}
 }
 
-// --- Kernel microbenchmarks (real measured work) ---
-
-func benchVec(n int) ([]float32, []float32) {
-	rng := rand.New(rand.NewSource(1))
-	x := make([]float32, n)
-	y := make([]float32, n)
-	for i := range x {
-		x[i] = float32(rng.NormFloat64())
-		y[i] = float32(rng.NormFloat64())
-	}
-	return x, y
-}
-
-func BenchmarkKernelSaxpy(b *testing.B) {
-	x, y := benchVec(1 << 20)
-	b.SetBytes(3 * 4 << 20)
-	for i := 0; i < b.N; i++ {
-		if err := kernels.Saxpy(len(x), 1.0001, x, 1, y, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKernelSaxpyNaive(b *testing.B) {
-	x, y := benchVec(1 << 20)
-	b.SetBytes(3 * 4 << 20)
-	for i := 0; i < b.N; i++ {
-		if err := kernels.SaxpyNaive(len(x), 1.0001, x, 1, y, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKernelSdot(b *testing.B) {
-	x, y := benchVec(1 << 20)
-	b.SetBytes(2 * 4 << 20)
-	for i := 0; i < b.N; i++ {
-		if _, err := kernels.Sdot(len(x), x, 1, y, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKernelSgemv(b *testing.B) {
-	n := 1024
-	a, _ := benchVec(n * n)
-	x, y := benchVec(n)
-	b.SetBytes(int64(4 * n * n))
-	for i := 0; i < b.N; i++ {
-		if err := kernels.Sgemv(n, n, 1, a, n, x, 0, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKernelSpmvRGG(b *testing.B) {
-	m, err := sparse.RGG(1<<14, 13, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]float32, m.Cols)
-	y := make([]float32, m.Rows)
-	for i := range x {
-		x[i] = 1
-	}
-	b.SetBytes(int64(12 * m.NNZ()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := kernels.SpmvCSR(m.Rows, m.RowPtr, m.ColIdx, m.Values, x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKernelFFT64K(b *testing.B) {
-	n := 1 << 16
-	data := make([]complex64, n)
-	for i := range data {
-		data[i] = complex(float32(i%17), float32(i%5))
-	}
-	plan, err := kernels.NewFFTPlan(n, kernels.Forward)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(8 * n))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := plan.Execute(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKernelTranspose(b *testing.B) {
-	n := 1024
-	src, _ := benchVec(n * n)
-	dst := make([]float32, n*n)
-	b.SetBytes(int64(8 * n * n))
-	for i := 0; i < b.N; i++ {
-		if err := kernels.Transpose(n, n, src, dst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKernelResample(b *testing.B) {
-	src, _ := benchVec(1 << 18)
-	dst := make([]float32, 1<<19)
-	b.SetBytes(4 * (1<<18 + 1<<19))
-	for i := 0; i < b.N; i++ {
-		if err := kernels.Resample(src, dst, kernels.InterpLinear); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKernelCdotc(b *testing.B) {
-	n := 1 << 18
-	x := make([]complex64, n)
-	for i := range x {
-		x[i] = complex(float32(i%7), float32(i%3))
-	}
-	b.SetBytes(int64(16 * n))
-	for i := 0; i < b.N; i++ {
-		if _, err := kernels.Cdotc(n, x, 1, x, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEndToEndAXPY measures the full simulated stack: runtime
-// invocation, descriptor decode, functional execution, DRAM/energy model.
-func BenchmarkEndToEndAXPY(b *testing.B) {
-	sys, err := New()
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := 1 << 16
-	x, err := sys.AllocFloat32(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	y, err := sys.AllocFloat32(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	xs, ys := benchVec(n)
-	if err := x.Set(xs); err != nil {
-		b.Fatal(err)
-	}
-	if err := y.Set(ys); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.Saxpy(1.0001, x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkDRAMSimulatorStream measures the trace-driven DRAM simulator.
 func BenchmarkDRAMSimulatorStream(b *testing.B) {
 	sim, err := dram.NewSimulator(dram.HMC3D())
@@ -458,6 +294,18 @@ func BenchmarkAblationRowBuffer(b *testing.B) {
 	b.ReportMetric(ratio, "small-row-energy-overhead")
 }
 
+// benchVec returns two seeded random vectors of n elements.
+func benchVec(n int) ([]float32, []float32) {
+	rng := rand.New(rand.NewSource(1))
+	x := make([]float32, n)
+	y := make([]float32, n)
+	for i := range x {
+		x[i] = float32(rng.NormFloat64())
+		y[i] = float32(rng.NormFloat64())
+	}
+	return x, y
+}
+
 // BenchmarkAblationCoherenceFlush quantifies the wbinvd invocation cost
 // (design choice 5) by comparing dirty- and clean-cache launches.
 func BenchmarkAblationCoherenceFlush(b *testing.B) {
@@ -538,170 +386,4 @@ func BenchmarkAblationRemoteStack(b *testing.B) {
 		ratio = float64(remote.AccelTime) / float64(local.AccelTime)
 	}
 	b.ReportMetric(ratio, "remote-vs-local-slowdown")
-}
-
-// --- Functional execution engine: serial vs parallel LOOP dispatch ---
-
-// funcBenchLayer builds a layer with an explicit worker-pool size over a
-// space with a mapped arena.
-func funcBenchLayer(b *testing.B, workers int) (*accel.Layer, *phys.Space) {
-	b.Helper()
-	cfg := accel.MEALibConfig()
-	cfg.Workers = workers
-	l, err := accel.NewLayer(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := phys.NewSpace(1 * units.GiB)
-	if _, err := s.Map(0x10000, 64*units.MiB); err != nil {
-		b.Fatal(err)
-	}
-	return l, s
-}
-
-// benchWorkerModes runs fn once per worker mode: serial pins Workers=1,
-// parallel uses the automatic min(GOMAXPROCS, Tiles) pool.
-func benchWorkerModes(b *testing.B, fn func(b *testing.B, workers int)) {
-	b.Run("serial", func(b *testing.B) { fn(b, 1) })
-	b.Run("parallel", func(b *testing.B) { fn(b, 0) })
-}
-
-// BenchmarkFunctionalLoopAXPY measures a multi-iteration strided AXPY LOOP
-// through the functional interpreter (the acceptance workload: independent
-// iterations the engine may fan out).
-func BenchmarkFunctionalLoopAXPY(b *testing.B) {
-	benchWorkerModes(b, func(b *testing.B, workers int) {
-		l, s := funcBenchLayer(b, workers)
-		const n, iters = 4096, 64
-		rng := rand.New(rand.NewSource(5))
-		buf := make([]float32, n*iters)
-		for i := range buf {
-			buf[i] = float32(rng.NormFloat64())
-		}
-		xa, ya := phys.Addr(0x10000), phys.Addr(0x10000+4*n*iters)
-		if err := s.StoreFloat32s(xa, buf); err != nil {
-			b.Fatal(err)
-		}
-		if err := s.StoreFloat32s(ya, buf); err != nil {
-			b.Fatal(err)
-		}
-		d := &descriptor.Descriptor{}
-		if err := d.AddLoop(iters); err != nil {
-			b.Fatal(err)
-		}
-		if err := d.AddComp(descriptor.OpAXPY, accel.AxpyArgs{
-			N: n, Alpha: 1.0001, X: xa, Y: ya, IncX: 1, IncY: 1,
-			LoopStrideX: accel.Lin(4 * n), LoopStrideY: accel.Lin(4 * n),
-		}.Params()); err != nil {
-			b.Fatal(err)
-		}
-		d.AddEndPass()
-		d.AddEndLoop()
-		base := phys.Addr(0x10000 + 2*4*n*iters + 4096)
-		b.SetBytes(int64(2 * 4 * n * iters))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := l.RunPlain(s, d, base); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkFunctionalLoopFFT measures the per-row in-place FFT LOOP (the
-// SAR row shape) through the functional interpreter.
-func BenchmarkFunctionalLoopFFT(b *testing.B) {
-	benchWorkerModes(b, func(b *testing.B, workers int) {
-		l, s := funcBenchLayer(b, workers)
-		const n, iters = 1024, 64
-		rng := rand.New(rand.NewSource(6))
-		buf := make([]complex64, n*iters)
-		for i := range buf {
-			buf[i] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
-		}
-		sa := phys.Addr(0x10000)
-		if err := s.StoreComplex64s(sa, buf); err != nil {
-			b.Fatal(err)
-		}
-		d := &descriptor.Descriptor{}
-		if err := d.AddLoop(iters); err != nil {
-			b.Fatal(err)
-		}
-		if err := d.AddComp(descriptor.OpFFT, accel.FFTArgs{
-			N: n, HowMany: 1, Src: sa, Dst: sa,
-			LoopStrideSrc: accel.Lin(8 * n), LoopStrideDst: accel.Lin(8 * n),
-		}.Params()); err != nil {
-			b.Fatal(err)
-		}
-		d.AddEndPass()
-		d.AddEndLoop()
-		base := phys.Addr(0x10000 + 8*n*iters + 4096)
-		b.SetBytes(int64(8 * n * iters))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := l.RunPlain(s, d, base); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkFunctionalSTAPInnerProducts drives the STAP adaptive-weight
-// inner-product stage (a 3-level LOOP of complex DOTs) functionally.
-func BenchmarkFunctionalSTAPInnerProducts(b *testing.B) {
-	benchWorkerModes(b, func(b *testing.B, workers int) {
-		cfg := mealibrt.DefaultConfig()
-		cfg.Workers = workers
-		rt, err := mealibrt.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p := stap.Params{Name: "bench", NChan: 4, NPulses: 16, NRange: 512,
-			NBlocks: 4, NSteering: 8, TDOF: 4, TBS: 32}
-		pl, err := stap.NewPipeline(p, rt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := pl.LoadDatacube(7); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := pl.DopplerProcess(); err != nil {
-			b.Fatal(err)
-		}
-		if err := pl.SolveWeights(); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := pl.InnerProducts(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkFunctionalSARFormImage drives the chained per-row RESMP+FFT SAR
-// image formation functionally.
-func BenchmarkFunctionalSARFormImage(b *testing.B) {
-	benchWorkerModes(b, func(b *testing.B, workers int) {
-		cfg := mealibrt.DefaultConfig()
-		cfg.Workers = workers
-		rt, err := mealibrt.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pl, err := sar.NewPipeline(sar.Square(128), rt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := pl.LoadRaw(3); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := pl.FormImageChained(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -53,7 +53,15 @@ if grep -nE 'type (waiter|flight|PendingInvocation) |LinkController|AcquireShare
 	exit 1
 fi
 
-echo "==> go test -race ./... (incl. the serial/wavefront/hooked scheduler differentials, TestNestVerdictNeverOptimistic, TestTemplateDepsMatchScoreboard and TestAppNestsAreConflictFree on the nest templates, TestFusionGate's DRAM-byte conservation, TestGraphGatePageRankSmoke's 4-stack bit-identity and per-link traffic, the out-of-core differentials, FuzzServerFrames' seed corpus, and on the one launch record TestLaunchLifeCycle, TestLaunchStartsOnce, TestCancelledWaiterAdmitsTheNextOne, span's TestConflict, TestEngineModelVsFigure9Calibration and Runtime.CheckInvariants at the end of the mealibrt, FuzzServerFrames and mealibd server tests, and on the compiled plan TestExecuteFixedCost (allocations per Execute and accel.compiles flat across launches), the TestCompiledEqualsFresh* differentials behind every differential corpus, TestProgramSharedByConcurrentRuns, TestSessionsShareOneLayer, TestStaleImageNeverRuns, TestFreedBufferStalesPlan in process and over the wire, TestPlanIsImmutableAfterInstall, TestSamePlanFlightsTakeTurns, TestExposedReadsIsTheReadBeforeWriteCheck and span's TestSetOverlaps)"
+echo "==> one-walk gate (install reads a descriptor once: one parser of the instruction region, one verifier entry, one encoder)"
+if grep -nE 'tdlcheck\.(Writes|Reads|ExposedReads)\(' internal/mealibrt/*.go internal/mealibd/*.go | grep -v '_test\.go:' ||
+	grep -n 'phys\.NewSpace' internal/descriptor/*.go | grep -v '_test\.go:' ||
+	grep -rn 'case descriptor\.KindEndPass' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/mealibd/proto\.go:'; then
+	echo "check.sh: a second reading of the descriptor at install, a scratch space in the encoder or a second parser of the instruction region grew back" >&2
+	exit 1
+fi
+
+echo "==> go test -race ./... (incl. the serial/wavefront/hooked scheduler differentials, TestNestVerdictNeverOptimistic, TestTemplateDepsMatchScoreboard and TestAppNestsAreConflictFree on the nest templates, TestFusionGate's DRAM-byte conservation, TestGraphGatePageRankSmoke's 4-stack bit-identity and per-link traffic, the out-of-core differentials, FuzzServerFrames' seed corpus, and on the one launch record TestLaunchLifeCycle, TestLaunchStartsOnce, TestCancelledWaiterAdmitsTheNextOne, span's TestConflict, TestEngineModelVsFigure9Calibration and Runtime.CheckInvariants at the end of the mealibrt, FuzzServerFrames and mealibd server tests, and on the compiled plan TestExecuteFixedCost (allocations per Execute and accel.compiles flat across launches), the TestCompiledEqualsFresh* differentials behind every differential corpus, TestProgramSharedByConcurrentRuns, TestSessionsShareOneLayer, TestStaleImageNeverRuns, TestFreedBufferStalesPlan in process and over the wire, TestPlanIsImmutableAfterInstall, TestSamePlanFlightsTakeTurns, TestExposedReadsIsTheReadBeforeWriteCheck and span's TestSetOverlaps, and on the one-walk install TestInstallFixedCost (allocations per install, one compile each), TestEncodeIsImageAtBase and TestScopes, TestCheckIsTheOneWalk, TestIntervalFitsIsExact, TestBatchMemberFailsAlone and TestLaunchRun)"
 go test -race ./...
 
 echo "==> BenchmarkLowerLoop smoke (one launch of each nest on the template path and on the scoreboard path; it fails if a nest is on the wrong one)"

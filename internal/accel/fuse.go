@@ -60,15 +60,15 @@ type FusedGroup struct {
 	Iters int64
 }
 
-// planSegment is one scope of a descriptor: either a run of consecutive
-// top-level passes or one LOOP nest with its body passes.
+// planSegment is one scope of a descriptor (descriptor.Scope: a run of
+// consecutive top-level passes, or one LOOP nest with its body passes), with
+// what the layer derives from it.
 type planSegment struct {
 	loop   bool
 	counts descriptor.LoopCounts
-	passes [][]passInstr
-	// comps holds the global comp index of every comp, parallel to passes.
-	comps [][]int
-	// firstPass is the program-order index of passes[0].
+	// passes are the scope's, until fusion merges adjacent ones.
+	passes [][]descriptor.Comp
+	// firstPass is the program-order index of the scope's first pass.
 	firstPass int
 	// tmpl holds one template per (fused) pass, and nest the verdict on an
 	// expanded LOOP of more than one iteration (template.go).
@@ -76,48 +76,15 @@ type planSegment struct {
 	nest *nest
 }
 
-// segmentsOf decodes the descriptor into scope segments with resolved
-// parameter blocks.
+// segmentsOf reads the descriptor's scopes into segments.
 func segmentsOf(d *descriptor.Descriptor) ([]planSegment, error) {
-	var segs []planSegment
-	var pass []passInstr
-	var ids []int
-	comp := 0
-	npass := 0
-	inLoop := false
-	topSeg := -1 // index of the open run of top-level passes
-	for _, in := range d.Instrs {
-		switch in.Kind {
-		case descriptor.KindComp:
-			params, err := d.ParamsOf(comp)
-			if err != nil {
-				return nil, err
-			}
-			pass = append(pass, passInstr{op: in.Op, params: params})
-			ids = append(ids, comp)
-			comp++
-		case descriptor.KindEndPass:
-			if inLoop {
-				seg := &segs[len(segs)-1]
-				seg.passes = append(seg.passes, pass)
-				seg.comps = append(seg.comps, ids)
-			} else {
-				if topSeg < 0 {
-					topSeg = len(segs)
-					segs = append(segs, planSegment{firstPass: npass})
-				}
-				segs[topSeg].passes = append(segs[topSeg].passes, pass)
-				segs[topSeg].comps = append(segs[topSeg].comps, ids)
-			}
-			pass, ids = nil, nil
-			npass++
-		case descriptor.KindLoop:
-			inLoop = true
-			topSeg = -1
-			segs = append(segs, planSegment{loop: true, counts: in.Counts, firstPass: npass})
-		case descriptor.KindEndLoop:
-			inLoop = false
-		}
+	scopes, err := d.Scopes()
+	if err != nil {
+		return nil, err
+	}
+	segs := make([]planSegment, len(scopes))
+	for i, sc := range scopes {
+		segs[i] = planSegment{loop: sc.Loop, counts: sc.Counts, passes: sc.Passes, firstPass: sc.FirstPass}
 	}
 	return segs, nil
 }
@@ -126,8 +93,8 @@ func segmentsOf(d *descriptor.Descriptor) ([]planSegment, error) {
 // loop-count box. Operand addresses are affine in the iteration vector, so
 // the extent of each is its iteration-zero span stretched along every level's
 // stride. ok is false when the spans cannot be resolved (unknown op, wrap).
-func compExtents(pi passInstr, counts descriptor.LoopCounts) ([]span.Dir, bool) {
-	a, err := Bind(pi.op, pi.params)
+func compExtents(pi descriptor.Comp, counts descriptor.LoopCounts) ([]span.Dir, bool) {
+	a, err := Bind(pi.Op, pi.Params)
 	if err != nil {
 		return nil, false
 	}
@@ -140,10 +107,10 @@ func compExtents(pi passInstr, counts descriptor.LoopCounts) ([]span.Dir, bool) 
 // size, and the same stride on every loop level that actually iterates.
 // Returns the per-iteration handoff size, or an error describing why none
 // exists.
-func handoffOf(a, b []passInstr, counts descriptor.LoopCounts) (units.Bytes, error) {
+func handoffOf(a, b []descriptor.Comp, counts descriptor.LoopCounts) (units.Bytes, error) {
 	prod, cons := a[len(a)-1], b[0]
-	pa, perr := Bind(prod.op, prod.params)
-	ca, cerr := Bind(cons.op, cons.params)
+	pa, perr := Bind(prod.Op, prod.Params)
+	ca, cerr := Bind(cons.Op, cons.Params)
 	if perr != nil || cerr != nil {
 		return 0, fmt.Errorf("accel: fuse: unresolvable operand spans")
 	}
@@ -159,9 +126,9 @@ func handoffOf(a, b []passInstr, counts descriptor.LoopCounts) (units.Bytes, err
 	}
 	switch {
 	case writes > 1:
-		return 0, fmt.Errorf("accel: fuse: %v writes more than one operand", prod.op)
+		return 0, fmt.Errorf("accel: fuse: %v writes more than one operand", prod.Op)
 	case writes == 0 || w.Bytes() <= 0:
-		return 0, fmt.Errorf("accel: fuse: %v produces no output span", prod.op)
+		return 0, fmt.Errorf("accel: fuse: %v produces no output span", prod.Op)
 	}
 	for i := 0; i < ca.NumOperands(); i++ {
 		r := ca.Operand(i)
@@ -176,22 +143,22 @@ func handoffOf(a, b []passInstr, counts descriptor.LoopCounts) (units.Bytes, err
 			return w.Bytes(), nil
 		}
 	}
-	return 0, fmt.Errorf("accel: fuse: %v output is not consumed whole by %v", prod.op, cons.op)
+	return 0, fmt.Errorf("accel: fuse: %v output is not consumed whole by %v", prod.Op, cons.Op)
 }
 
 // warHazard reports whether any comp of pass b writes memory any comp of
 // pass a reads, judged on whole-box extents (conservative): the fused
 // datapath streams the stages concurrently, so a consumer-side write over a
 // producer-side read would race in hardware. exts maps global comp index to
-// extents; ids give the comps' global indices.
-func warHazard(aIDs, bIDs []int, exts [][]span.Dir) bool {
-	for _, bi := range bIDs {
-		for _, w := range exts[bi] {
+// extents.
+func warHazard(a, b []descriptor.Comp, exts [][]span.Dir) bool {
+	for _, bc := range b {
+		for _, w := range exts[bc.Index] {
 			if !w.Write {
 				continue
 			}
-			for _, ai := range aIDs {
-				for _, r := range exts[ai] {
+			for _, ac := range a {
+				for _, r := range exts[ac.Index] {
 					if !r.Write && r.Overlaps(w.Span) {
 						return true
 					}
@@ -232,21 +199,21 @@ func fuseSegments(segs []planSegment, lmCap units.Bytes) fuseResult {
 	// Liveness needs every comp's whole-box extents, across all segments.
 	total := 0
 	for _, seg := range segs {
-		for _, ids := range seg.comps {
-			total += len(ids)
+		for _, pass := range seg.passes {
+			total += len(pass)
 		}
 	}
 	exts := make([][]span.Dir, total)
 	for _, seg := range segs {
-		for pi, pass := range seg.passes {
-			for ci, in := range pass {
+		for _, pass := range seg.passes {
+			for _, in := range pass {
 				e, ok := compExtents(in, seg.counts)
 				if !ok {
 					// One unresolvable comp blinds the liveness scan for the
 					// whole descriptor: fuse nothing.
 					return fuseResult{}
 				}
-				exts[seg.comps[pi][ci]] = e
+				exts[in.Index] = e
 			}
 		}
 	}
@@ -259,8 +226,7 @@ func fuseSegments(segs []planSegment, lmCap units.Bytes) fuseResult {
 		if seg.loop {
 			iters = seg.counts.Total()
 		}
-		var passes [][]passInstr
-		var comps [][]int
+		var passes [][]descriptor.Comp
 		var origin []int // original program-order pass index of each output pass
 		var group *FusedGroup
 		var groupScratch units.Bytes
@@ -275,21 +241,19 @@ func fuseSegments(segs []planSegment, lmCap units.Bytes) fuseResult {
 			groupScratch = 0
 		}
 		for pi, pass := range seg.passes {
-			ids := seg.comps[pi]
 			if len(passes) > 0 {
 				prev := passes[len(passes)-1]
-				prevIDs := comps[len(comps)-1]
 				hb, err := handoffOf(prev, pass, seg.counts)
 				switch {
 				case err != nil:
 					// No producer→consumer relationship: fall through.
 				case groupScratch+hb > lmCap:
 					res.spills++
-				case warHazard(prevIDs, ids, exts):
+				case warHazard(prev, pass, exts):
 					// Unsafe to stream concurrently: keep the DRAM boundary.
 				default:
-					producer := prevIDs[len(prevIDs)-1]
-					consumer := ids[0]
+					producer := prev[len(prev)-1].Index
+					consumer := pass[0].Index
 					// The handoff's whole-box extent is the producer's write
 					// extent (the consumer's matched read equals it at every
 					// iteration by construction).
@@ -302,9 +266,7 @@ func fuseSegments(segs []planSegment, lmCap units.Bytes) fuseResult {
 					if !singleConsumer(handoff, producer, consumer, exts) {
 						break
 					}
-					merged := append(append([]passInstr(nil), prev...), pass...)
-					passes[len(passes)-1] = merged
-					comps[len(comps)-1] = append(append([]int(nil), prevIDs...), ids...)
+					passes[len(passes)-1] = append(append([]descriptor.Comp(nil), prev...), pass...)
 					if group == nil {
 						group = &FusedGroup{
 							FirstPass: origin[len(origin)-1],
@@ -322,21 +284,19 @@ func fuseSegments(segs []planSegment, lmCap units.Bytes) fuseResult {
 			}
 			flush()
 			passes = append(passes, pass)
-			comps = append(comps, ids)
 			origin = append(origin, seg.firstPass+pi)
 		}
 		flush()
 		seg.passes = passes
-		seg.comps = comps
 	}
 	return res
 }
 
 // opsOf lists the mnemonics of a pass.
-func opsOf(pass []passInstr) []string {
+func opsOf(pass []descriptor.Comp) []string {
 	out := make([]string, len(pass))
 	for i, in := range pass {
-		out[i] = in.op.String()
+		out[i] = in.Op.String()
 	}
 	return out
 }
@@ -370,10 +330,10 @@ func VerifyChain(comps []ChainComp, counts descriptor.LoopCounts, lmCap units.By
 	if len(comps) < 2 {
 		return 0, fmt.Errorf("accel: chain needs at least two comps, got %d", len(comps))
 	}
-	pass := make([]passInstr, len(comps))
+	pass := make([]descriptor.Comp, len(comps))
 	exts := make([][]span.Dir, len(comps))
 	for i, c := range comps {
-		pass[i] = passInstr{op: c.Op, params: c.Params}
+		pass[i] = descriptor.Comp{Op: c.Op, Params: c.Params, Index: i}
 		e, ok := compExtents(pass[i], counts)
 		if !ok {
 			return 0, fmt.Errorf("accel: chain stage %d (%v): unresolvable operand spans", i, c.Op)
@@ -393,7 +353,7 @@ func VerifyChain(comps []ChainComp, counts descriptor.LoopCounts, lmCap units.By
 	}
 	for i := 0; i < len(comps); i++ {
 		for j := i + 1; j < len(comps); j++ {
-			if warHazard([]int{i}, []int{j}, exts) {
+			if warHazard(pass[i:i+1], pass[j:j+1], exts) {
 				return 0, fmt.Errorf("accel: chain stage %d (%v) writes memory stage %d (%v) reads",
 					j, comps[j].Op, i, comps[i].Op)
 			}

@@ -192,12 +192,6 @@ func (r *Report) opStats(op descriptor.OpCode) *OpStats {
 	return st
 }
 
-// passInstr is one decoded comp within a pass.
-type passInstr struct {
-	op     descriptor.OpCode
-	params descriptor.Params
-}
-
 // Run executes the descriptor encoded at base: the hardware flow of §2.2-2.3.
 // The CR command must be CmdStart; on completion the layer writes CmdDone.
 // Execution is functional (data in the space is really transformed) and
@@ -279,7 +273,7 @@ func (l *Layer) iterDispatch() units.Seconds {
 // on the model. The comps' workloads come from their parameters alone;
 // chained intermediates move through tile-local memory over the NoC instead
 // of round-tripping through DRAM.
-func (l *Layer) price(t *nodeTemplate, pass []passInstr) {
+func (l *Layer) price(t *nodeTemplate, pass []descriptor.Comp) {
 	if len(pass) == 0 {
 		t.err = fmt.Errorf("accel: empty pass")
 		return
@@ -324,7 +318,7 @@ func (l *Layer) price(t *nodeTemplate, pass []passInstr) {
 			// disappear.
 			t.elided += 2 * chained
 		}
-		c, err := l.cfg.OpCost(in.op, adjusted)
+		c, err := l.cfg.OpCost(in.Op, adjusted)
 		if err != nil {
 			t.err = err
 			return
@@ -337,7 +331,7 @@ func (l *Layer) price(t *nodeTemplate, pass []passInstr) {
 			c.Energy += extraE
 			t.remote += remote
 		}
-		t.add(in.op, w, c)
+		t.add(in.Op, w, c)
 	}
 	t.time += nocTime
 	t.energy += nocEnergy

@@ -95,7 +95,7 @@ func (c *Config) StagingCost(n units.Bytes) (units.Seconds, units.Joules) {
 // iteration's passes (params fully shifted to that iteration), or one
 // top-level pass, or one split piece of an oversized comp.
 type oocUnit struct {
-	passes [][]passInstr
+	passes [][]descriptor.Comp
 	// boxes are the host-window byte ranges the unit touches, merged, with
 	// Write marking the ones it writes.
 	boxes []span.Dir
@@ -173,17 +173,17 @@ func rebaseComp(op descriptor.OpCode, p descriptor.Params, mapAddr func(phys.Add
 
 // unitBoxes resolves the unit's window extents from its comps' directional
 // spans at iteration zero (params are already shifted).
-func unitBoxes(passes [][]passInstr, inWindow func(phys.Addr) bool) ([]span.Dir, error) {
+func unitBoxes(passes [][]descriptor.Comp, inWindow func(phys.Addr) bool) ([]span.Dir, error) {
 	var spans, boxes []span.Dir
 	for _, pass := range passes {
 		for _, pi := range pass {
-			a, err := Bind(pi.op, pi.params)
+			a, err := Bind(pi.Op, pi.Params)
 			if err != nil {
 				return nil, err
 			}
 			ok := false
 			if spans, ok = a.appendIO(spans[:0], IterVec{}); !ok {
-				return nil, fmt.Errorf("accel: ooc: %v operand wraps the address space", pi.op)
+				return nil, fmt.Errorf("accel: ooc: %v operand wraps the address space", pi.Op)
 			}
 			for _, sp := range spans {
 				if inWindow(sp.Addr) {
@@ -199,14 +199,14 @@ func unitBoxes(passes [][]passInstr, inWindow func(phys.Addr) bool) ([]span.Dir,
 // the budget into exact pieces along the op's chunk axis. Only ops with
 // elementwise-independent outputs declare one; reductions and global-access
 // ops return ErrUnchunkable.
-func splitOversized(pi passInstr, unitBytes, budget units.Bytes) ([]descriptor.Params, error) {
-	a, err := Bind(pi.op, pi.params)
+func splitOversized(pi descriptor.Comp, unitBytes, budget units.Bytes) ([]descriptor.Params, error) {
+	a, err := Bind(pi.Op, pi.Params)
 	if err != nil {
 		return nil, err
 	}
 	axis := a.spec.chunk
 	if axis == nil {
-		return nil, fmt.Errorf("%w: %v invocation footprint exceeds the staging half and the op has no exact split", ErrUnchunkable, pi.op)
+		return nil, fmt.Errorf("%w: %v invocation footprint exceeds the staging half and the op has no exact split", ErrUnchunkable, pi.Op)
 	}
 	per, err := axis.per(a, max(2, int64((unitBytes+budget-1)/budget)), budget)
 	if err != nil {
@@ -214,7 +214,7 @@ func splitOversized(pi passInstr, unitBytes, budget units.Bytes) ([]descriptor.P
 	}
 	var out []descriptor.Params
 	for n, start := a.i(axis.count), int64(0); start < n; start += per {
-		q := append(descriptor.Params(nil), pi.params...)
+		q := append(descriptor.Params(nil), pi.Params...)
 		q[axis.count] = uint64(min(per, n-start))
 		for i := range a.spec.operands {
 			if o := &a.spec.operands[i]; o.step != nil {
@@ -239,7 +239,7 @@ func oocUnitsOf(d *descriptor.Descriptor, inWindow func(phys.Addr) bool, budget 
 	for _, seg := range segs {
 		if !seg.loop {
 			for _, pass := range seg.passes {
-				raw = append(raw, oocUnit{passes: [][]passInstr{pass}})
+				raw = append(raw, oocUnit{passes: [][]descriptor.Comp{pass}})
 			}
 			continue
 		}
@@ -249,15 +249,15 @@ func oocUnitsOf(d *descriptor.Descriptor, inWindow func(phys.Addr) bool, budget 
 		}
 		for idx := int64(0); idx < iters; idx++ {
 			it := iterVecAt(seg.counts, idx)
-			passes := make([][]passInstr, 0, len(seg.passes))
+			passes := make([][]descriptor.Comp, 0, len(seg.passes))
 			for _, pass := range seg.passes {
-				shifted := make([]passInstr, len(pass))
+				shifted := make([]descriptor.Comp, len(pass))
 				for i, pi := range pass {
-					p, err := shiftedParams(pi.op, pi.params, it)
+					p, err := shiftedParams(pi.Op, pi.Params, it)
 					if err != nil {
 						return nil, err
 					}
-					shifted[i] = passInstr{op: pi.op, params: p}
+					shifted[i] = descriptor.Comp{Op: pi.Op, Params: p}
 				}
 				passes = append(passes, shifted)
 			}
@@ -284,7 +284,7 @@ func oocUnitsOf(d *descriptor.Descriptor, inWindow func(phys.Addr) bool, budget 
 			return nil, err
 		}
 		for _, p := range pieces {
-			pu := oocUnit{passes: [][]passInstr{{{op: u.passes[0][0].op, params: p}}}}
+			pu := oocUnit{passes: [][]descriptor.Comp{{{Op: u.passes[0][0].Op, Params: p}}}}
 			if pu.boxes, err = unitBoxes(pu.passes, inWindow); err != nil {
 				return nil, err
 			}
@@ -299,12 +299,12 @@ func oocUnitsOf(d *descriptor.Descriptor, inWindow func(phys.Addr) bool, budget 
 
 // descBytesOf estimates the encoded size of a chunk's passes (CR + IR + PR,
 // matching descriptor.Size's accounting).
-func descBytesOf(passes [][]passInstr) units.Bytes {
+func descBytesOf(passes [][]descriptor.Comp) units.Bytes {
 	n := units.Bytes(32) // control region
 	for _, pass := range passes {
 		n += 32 // ENDPASS instruction
 		for _, pi := range pass {
-			n += 32 + units.Bytes(4+8*len(pi.params))
+			n += 32 + units.Bytes(4+8*len(pi.Params))
 		}
 	}
 	return n
@@ -391,11 +391,11 @@ func (l *Layer) PlanOOC(d *descriptor.Descriptor, inWindow func(phys.Addr) bool,
 		for _, u := range group {
 			for _, pass := range u.passes {
 				for _, pi := range pass {
-					p, err := rebaseComp(pi.op, pi.params, mapAddr)
+					p, err := rebaseComp(pi.Op, pi.Params, mapAddr)
 					if err != nil {
 						return nil, err
 					}
-					if err := cd.AddComp(pi.op, p); err != nil {
+					if err := cd.AddComp(pi.Op, p); err != nil {
 						return nil, err
 					}
 				}

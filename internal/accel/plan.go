@@ -40,7 +40,7 @@ const planWindow = 1024
 // planNode is one schedulable unit: one pass instance, which is its
 // segment's template for the pass at one iteration.
 type planNode struct {
-	pass []passInstr
+	pass []descriptor.Comp
 	tmpl *nodeTemplate
 	it   IterVec
 	// dispatch charges the per-iteration decode-unit dispatch latency

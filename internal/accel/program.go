@@ -104,15 +104,7 @@ func (pr *Program) wavesOf(p *plan) [][]span.Dir {
 // Install writes the program's image at base, command idle: what
 // descriptor.Encode writes there for the descriptor it was compiled from.
 func (pr *Program) Install(s *phys.Space, base phys.Addr) error {
-	slot, err := s.ViewBytes(base, len(pr.img))
-	if err != nil {
-		return err
-	}
-	copy(slot, pr.img)
-	for _, off := range pr.ptrs {
-		binary.LittleEndian.PutUint64(slot[off:], binary.LittleEndian.Uint64(slot[off:])+uint64(base))
-	}
-	return nil
+	return descriptor.InstallImage(s, base, pr.img, pr.ptrs)
 }
 
 // installedAt reports whether the bytes at base are the program's image, the

@@ -275,7 +275,7 @@ func TestPlanInterleavesSerialChainWithIndependentLoop(t *testing.T) {
 	}
 	var spmvN, axpyN int
 	for _, k := range p.waves[0] {
-		switch p.nodes[k].pass[0].op {
+		switch p.nodes[k].pass[0].Op {
 		case descriptor.OpSPMV:
 			spmvN++
 		case descriptor.OpAXPY:

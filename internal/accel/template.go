@@ -90,7 +90,7 @@ func (l *Layer) buildTemplates(seg *planSegment, mode planMode) {
 	for _, pass := range seg.passes {
 		comps += len(pass)
 		for _, in := range pass {
-			if spec, err := specOf(in.op); err == nil {
+			if spec, err := specOf(in.Op); err == nil {
 				nspans += spec.maxSpans
 			}
 		}
@@ -111,7 +111,7 @@ func (l *Layer) buildTemplates(seg *planSegment, mode planMode) {
 		}
 		at := len(spans)
 		for _, in := range pass {
-			if a, err := Bind(in.op, in.params); err != nil && !t.barrier {
+			if a, err := Bind(in.Op, in.Params); err != nil && !t.barrier {
 				t.barrier, t.err = true, err
 			} else if !t.barrier {
 				t.comps = append(t.comps, a)

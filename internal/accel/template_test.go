@@ -135,7 +135,7 @@ func iterationsConflict(t testing.TB, d *descriptor.Descriptor) bool {
 		var spans []span.Dir
 		for _, pass := range segs[0].passes {
 			for _, in := range pass {
-				a, err := Bind(in.op, in.params)
+				a, err := Bind(in.Op, in.Params)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -384,7 +384,7 @@ func TestWindowWalk(t *testing.T) {
 			t.Fatal(err)
 		}
 		type key struct {
-			pass     *passInstr
+			pass     *descriptor.Comp
 			it       IterVec
 			dispatch bool
 		}

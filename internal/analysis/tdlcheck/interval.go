@@ -96,45 +96,75 @@ func (w witness) String() string {
 // checkIntervals proves, for every operand of the invocation and every trip
 // of its enclosing loop nest, that the per-iteration span stays inside the
 // 64-bit physical address space and that the whole-loop extent is
-// representable. All arithmetic is exact; a failure reports the iteration
-// vector that first escapes.
+// representable. An operand the checked machine arithmetic of intervalFits
+// cannot certify is judged in exact arithmetic; a failure reports the
+// iteration vector that first escapes.
 func checkIntervals(c *comp, e *errs) {
-	for _, o := range c.ops {
-		lo := new(big.Int).SetUint64(uint64(o.base.Addr))
-		hi := new(big.Int).Add(lo, big.NewInt(int64(o.base.Bytes)))
-		minOff, maxOff := new(big.Int), new(big.Int)
-		var witMin, witMax witness
-		for l := 0; l < descriptor.MaxLoopLevels; l++ {
-			n := int64(c.counts[l])
-			if n < 1 {
-				n = 1
-			}
-			d := new(big.Int).Mul(big.NewInt(o.strides[l]), big.NewInt(n-1))
-			switch d.Sign() {
-			case -1:
-				minOff.Add(minOff, d)
-				witMin[l] = n - 1
-			case 1:
-				maxOff.Add(maxOff, d)
-				witMax[l] = n - 1
-			}
-		}
-		start := new(big.Int).Add(lo, minOff)
-		end := new(big.Int).Add(hi, maxOff)
-		if start.Sign() < 0 {
-			e.addf(c.line, c.idx, "%v: operand %s %v: loop stride arithmetic underflows the physical address space at iteration %v (start %v < 0); the span the verifier checks does not contain the addresses the loop touches",
-				c.op, o.name, o.base, witMin, start)
-		}
-		// Strictly below 2^64: a span ending exactly at the top of the space
-		// has a machine End() of zero, which silently breaks every Overlaps
-		// comparison downstream.
-		if end.Cmp(addrSpace) >= 0 {
-			e.addf(c.line, c.idx, "%v: operand %s %v: loop stride arithmetic wraps the 64-bit physical address space at iteration %v (end %v >= 2^64); the span the verifier checks does not contain the addresses the loop touches",
-				c.op, o.name, o.base, witMax, end)
-		}
-		if total := new(big.Int).Sub(end, start); !total.IsInt64() {
-			e.addf(c.line, c.idx, "%v: operand %s: whole-loop extent %v bytes exceeds the verifier's 63-bit size domain",
-				c.op, o.name, total)
+	for i := range c.ops {
+		if o := &c.ops[i]; !intervalFits(o, c.counts) {
+			checkIntervalExact(c, o, e)
 		}
 	}
+}
+
+func checkIntervalExact(c *comp, o *operand, e *errs) {
+	lo := new(big.Int).SetUint64(uint64(o.base.Addr))
+	hi := new(big.Int).Add(lo, big.NewInt(int64(o.base.Bytes)))
+	minOff, maxOff := new(big.Int), new(big.Int)
+	var witMin, witMax witness
+	for l := 0; l < descriptor.MaxLoopLevels; l++ {
+		n := int64(c.counts[l])
+		if n < 1 {
+			n = 1
+		}
+		d := new(big.Int).Mul(big.NewInt(o.strides[l]), big.NewInt(n-1))
+		switch d.Sign() {
+		case -1:
+			minOff.Add(minOff, d)
+			witMin[l] = n - 1
+		case 1:
+			maxOff.Add(maxOff, d)
+			witMax[l] = n - 1
+		}
+	}
+	start := new(big.Int).Add(lo, minOff)
+	end := new(big.Int).Add(hi, maxOff)
+	if start.Sign() < 0 {
+		e.addf(c.line, c.idx, "%v: operand %s %v: loop stride arithmetic underflows the physical address space at iteration %v (start %v < 0); the span the verifier checks does not contain the addresses the loop touches",
+			c.op, o.name, o.base, witMin, start)
+	}
+	// Strictly below 2^64: a span ending exactly at the top of the space
+	// has a machine End() of zero, which silently breaks every Overlaps
+	// comparison downstream.
+	if end.Cmp(addrSpace) >= 0 {
+		e.addf(c.line, c.idx, "%v: operand %s %v: loop stride arithmetic wraps the 64-bit physical address space at iteration %v (end %v >= 2^64); the span the verifier checks does not contain the addresses the loop touches",
+			c.op, o.name, o.base, witMax, end)
+	}
+	if total := new(big.Int).Sub(end, start); !total.IsInt64() {
+		e.addf(c.line, c.idx, "%v: operand %s: whole-loop extent %v bytes exceeds the verifier's 63-bit size domain",
+			c.op, o.name, total)
+	}
+}
+
+// intervalFits certifies checkIntervals' three properties for one operand in
+// checked machine arithmetic. False means not certified, never wrong (a stride
+// of MinInt64 has no magnitude, and mulFits refuses it): the caller
+// re-evaluates exactly before it judges, as operandBytes does.
+func intervalFits(o *operand, counts descriptor.LoopCounts) bool {
+	var minOff, maxOff uint64 // magnitudes of the extreme offsets
+	for l, st := range o.strides {
+		mag, ok := mulFits(max(st, -st), max(int64(counts[l]), 1)-1)
+		off := &maxOff
+		if st < 0 {
+			off = &minOff
+		}
+		var carry uint64
+		if *off, carry = bits.Add64(*off, uint64(mag), 0); !ok || carry != 0 {
+			return false
+		}
+	}
+	lo := uint64(o.base.Addr)
+	end, c1 := bits.Add64(lo, uint64(o.base.Bytes), 0)
+	end, c2 := bits.Add64(end, maxOff, 0)
+	return minOff <= lo && c1|c2 == 0 && end-(lo-minOff) <= math.MaxInt64
 }

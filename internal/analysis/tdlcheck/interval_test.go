@@ -10,6 +10,7 @@ import (
 	"mealib/internal/descriptor"
 	"mealib/internal/phys"
 	"mealib/internal/tdl"
+	"mealib/internal/units"
 )
 
 // stridedAxpy is an AXPY whose y operand advances by strideY bytes per trip
@@ -133,6 +134,42 @@ func TestOperandBytesIsExact(t *testing.T) {
 					got, ok := operandBytes(o, descriptor.OpAXPY, func(string, ...interface{}) { rejected = true })
 					if ok != fits || rejected == fits || (fits && int64(got) != want.Int64()) {
 						t.Fatalf("operand %+v: got %d, %v; exact value %v", o, got, ok, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestIntervalFitsIsExact holds the machine-arithmetic certificate of
+// checkIntervals to the exact evaluation on addresses, sizes, strides and trip
+// counts around every overflow boundary: whatever it certifies the exact path
+// accepts, and on this grid it certifies everything the exact path accepts.
+func TestIntervalFitsIsExact(t *testing.T) {
+	addrs := []uint64{0, 1, 1 << 32, 1 << 63, math.MaxUint64 - 8, math.MaxUint64}
+	sizes := []int64{0, 1, 8, 1 << 62, math.MaxInt64}
+	strides := []int64{math.MinInt64, math.MinInt64 + 1, -(1 << 60), -8, 0, 8, 1 << 60, math.MaxInt64}
+	counts := []uint32{0, 1, 2, 8, math.MaxUint32}
+	for _, addr := range addrs {
+		for _, size := range sizes {
+			for _, s0 := range strides {
+				for _, s1 := range strides {
+					for _, n0 := range counts {
+						for _, n1 := range counts {
+							o := operand{name: "v", base: Span{Addr: phys.Addr(addr), Bytes: units.Bytes(size)}}
+							o.strides[0], o.strides[descriptor.MaxLoopLevels-1] = s0, s1
+							c := comp{op: descriptor.OpAXPY, ops: []operand{o}}
+							c.counts[0], c.counts[descriptor.MaxLoopLevels-1] = n0, n1
+							var e errs
+							checkIntervals(&c, &e)
+							// The exact path alone: an operand the certificate
+							// cannot be asked about.
+							var exact errs
+							checkIntervalExact(&c, &c.ops[0], &exact)
+							if fits := intervalFits(&c.ops[0], c.counts); fits != (len(exact.list) == 0) || len(e.list) != len(exact.list) {
+								t.Fatalf("operand %+v under %v: certified %v, checkIntervals reports %d failures, the exact evaluation %v", o, c.counts, fits, len(e.list), exact.err())
+							}
+						}
 					}
 				}
 			}

@@ -15,10 +15,12 @@
 //   - Verify additionally resolves every parameter reference and checks the
 //     per-kernel operand semantics and the dataflow of the task graph —
 //     what mealib_acc_plan checks.
-//   - VerifyDescriptor performs the operand and dataflow checks on an
-//     already-lowered descriptor — what the runtime checks on the
-//     AccPlanDescriptor path and again (with the host-initialized span set)
-//     at execute time.
+//   - Check performs the operand and dataflow checks on an already-lowered
+//     descriptor in one reading and returns the verdict together with the
+//     footprint — what the runtime does on the AccPlanDescriptor path.
+//     VerifyDescriptor (its verdict; with the host-initialized span set, the
+//     error of a launch about to be rejected), Writes, Reads and ExposedReads
+//     are views of it.
 //
 // Errors carry positions: the TDL source line when the program was parsed,
 // otherwise the accelerator-invocation index.
@@ -289,11 +291,11 @@ func Verify(prog *tdl.Program, resolve tdl.ParamResolver, opts ...Option) error 
 		e.addf(0, -1, "nil parameter resolver")
 		return e.err()
 	}
-	var comps []*comp
+	var comps []comp
 	idx, passNo := 0, 0
 	addPass := func(p tdl.Pass, counts descriptor.LoopCounts) {
 		for _, c := range p.Comps {
-			cm := &comp{line: c.Line, idx: idx, pass: passNo, op: c.Op, counts: counts}
+			cm := comp{line: c.Line, idx: idx, pass: passNo, op: c.Op, counts: counts}
 			params, err := resolve(c.ParamRef)
 			if err != nil {
 				e.addf(c.Line, idx, "dangling parameter reference %q: %v", c.ParamRef, err)
@@ -323,88 +325,127 @@ func Verify(prog *tdl.Program, resolve tdl.ParamResolver, opts ...Option) error 
 	return e.err()
 }
 
-// VerifyDescriptor performs the operand and dataflow checks on a lowered
-// descriptor. Positions are invocation indices (the TDL line information is
-// gone after lowering).
-func VerifyDescriptor(d *descriptor.Descriptor, opts ...Option) error {
+// Footprint is what a descriptor's task graph touches, every span extended
+// over its hardware loops, in program order.
+type Footprint struct {
+	// Writes become initialized once the descriptor executes; Reads are what
+	// concurrent executions must not overwrite while it runs.
+	Writes, Reads []Span
+	// Exposed are the reads no earlier write of the program overlaps: all of a
+	// verified descriptor that the state of memory at launch still decides.
+	// Check(d, WithInitialized(s...)) passes exactly when Check(d) does and
+	// every exposed read overlaps one of s.
+	Exposed []Span
+}
+
+// Check is the one reading of a lowered descriptor: it validates the
+// structure, binds every invocation once, runs the operand and dataflow checks
+// and returns the verdict together with the footprint. Positions are
+// invocation indices (the TDL line information is gone after lowering). The
+// footprint covers every invocation whose operands bound, whatever the
+// verdict; VerifyDescriptor, Writes, Reads and ExposedReads are views of it.
+func Check(d *descriptor.Descriptor, opts ...Option) (Footprint, error) {
 	var o options
 	for _, opt := range opts {
 		opt(&o)
 	}
 	var e errs
-	if d == nil {
-		e.addf(0, -1, "nil descriptor")
-		return e.err()
-	}
-	if err := d.Validate(); err != nil {
-		e.addf(0, -1, "%v", err)
-		return e.err()
-	}
-	comps, err := boundComps(d, func(comp int, format string, args ...interface{}) { e.addf(0, comp, format, args...) })
+	fp, err := check(d, &o, &e)
 	if err != nil {
 		e.addf(0, -1, "%v", err)
-		return e.err()
 	}
-	checkComps(comps, &o, &e)
-	return e.err()
+	return fp, e.err()
 }
 
-// boundComps reconstructs the invocations of a validated descriptor and binds
-// their operands; an invocation whose operands fail a check reports through
-// fail and is left without any.
-func boundComps(d *descriptor.Descriptor, fail func(comp int, format string, args ...interface{})) ([]*comp, error) {
-	comps := descriptorComps(d)
-	for _, c := range comps {
-		params, err := d.ParamsOf(c.idx)
-		if err != nil {
-			return nil, err
-		}
-		c.ops = operandsOf(c.op, params, c.counts, func(format string, args ...interface{}) { fail(c.idx, format, args...) })
+// check is Check with the verdict in e and the failures that leave nothing to
+// bind (no descriptor, a malformed instruction region, a COMP without
+// parameters) as its error.
+func check(d *descriptor.Descriptor, o *options, e *errs) (Footprint, error) {
+	if d == nil {
+		return Footprint{}, fmt.Errorf("nil descriptor")
 	}
-	return comps, nil
-}
-
-// descriptorComps reconstructs the pass/loop structure of a validated
-// descriptor's instruction stream.
-func descriptorComps(d *descriptor.Descriptor) []*comp {
-	var comps []*comp
-	ones := loopCountsOf(nil)
-	counts := ones
-	passNo, idx := 0, 0
-	for _, in := range d.Instrs {
-		switch in.Kind {
-		case descriptor.KindComp:
-			comps = append(comps, &comp{idx: idx, pass: passNo, op: in.Op, counts: counts})
-			idx++
-		case descriptor.KindEndPass:
-			passNo++
-		case descriptor.KindLoop:
-			counts = in.Counts
-			for l := range counts {
-				if counts[l] == 0 {
-					counts[l] = 1
-				}
+	if err := d.Validate(); err != nil {
+		return Footprint{}, err
+	}
+	scopes, err := d.Scopes()
+	if err != nil {
+		return Footprint{}, err
+	}
+	comps := make([]comp, 0, d.Comps())
+	for _, sc := range scopes {
+		for pi, pass := range sc.Passes {
+			for _, in := range pass {
+				idx := in.Index
+				comps = append(comps, comp{idx: idx, pass: sc.FirstPass + pi, op: in.Op, counts: sc.Counts,
+					ops: operandsOf(in.Op, in.Params, sc.Counts, func(format string, args ...interface{}) {
+						e.addf(0, idx, format, args...)
+					})})
 			}
-		case descriptor.KindEndLoop:
-			counts = ones
 		}
 	}
-	return comps
+	return checkComps(comps, o, e), nil
+}
+
+// VerifyDescriptor performs the operand and dataflow checks on a lowered
+// descriptor: Check's verdict.
+func VerifyDescriptor(d *descriptor.Descriptor, opts ...Option) error {
+	_, err := Check(d, opts...)
+	return err
+}
+
+// footprintOf is Check's footprint without its verdict, for the views that
+// take any valid descriptor.
+func footprintOf(d *descriptor.Descriptor) (Footprint, error) {
+	fp, err := check(d, &options{}, &errs{})
+	if err != nil {
+		err = fmt.Errorf("tdlcheck: %w", err)
+	}
+	return fp, err
+}
+
+// ExposedReads returns the whole-loop extents of the reads no earlier write of
+// the program overlaps (Footprint.Exposed). The descriptor must be valid.
+func ExposedReads(d *descriptor.Descriptor) []Span {
+	fp, _ := footprintOf(d)
+	return fp.Exposed
+}
+
+// Writes returns the buffer spans a descriptor's task graph writes,
+// extended over its hardware loops — what becomes initialized once the
+// descriptor executes. The descriptor must be valid.
+func Writes(d *descriptor.Descriptor) ([]Span, error) {
+	fp, err := footprintOf(d)
+	return fp.Writes, err
+}
+
+// Reads returns the buffer spans a descriptor's task graph reads, extended
+// over its hardware loops — what concurrent in-flight executions must not
+// overwrite while the descriptor runs. The descriptor must be valid.
+func Reads(d *descriptor.Descriptor) ([]Span, error) {
+	fp, err := footprintOf(d)
+	return fp.Reads, err
 }
 
 // checkComps runs the per-invocation and cross-invocation (task graph)
-// checks over the program's invocations in execution order.
-func checkComps(comps []*comp, o *options, e *errs) {
-	for _, c := range comps {
-		checkComp(c, e)
+// checks over the program's invocations in execution order, and collects
+// their footprint on the way.
+func checkComps(comps []comp, o *options, e *errs) Footprint {
+	n := 0
+	for i := range comps {
+		checkComp(&comps[i], e)
+		n += len(comps[i].ops)
 	}
+	// One slab (an operand is at most a read, an exposed read and a write), cut
+	// so that no append reaches a neighbour.
+	slab := make([]Span, 3*n)
+	fp := Footprint{Reads: slab[:0:n], Exposed: slab[n : n : 2*n], Writes: slab[2*n : 2*n]}
 	// Write-after-read inside a chained pass: the comps of a pass stream
 	// concurrently (producer feeds consumer through tile-local memory), so a
 	// later comp writing a span an earlier comp reads is a cycle in the
 	// task graph — the datapath cannot be scheduled.
 	for i := 0; i < len(comps); i++ {
 		for j := i + 1; j < len(comps); j++ {
-			a, b := comps[i], comps[j]
+			a, b := &comps[i], &comps[j]
 			if a.pass != b.pass {
 				continue
 			}
@@ -423,94 +464,42 @@ func checkComps(comps []*comp, o *options, e *errs) {
 			}
 		}
 	}
-	// Read-before-write: with the initialized span set known, every read
-	// must be covered by host-initialized data or by an earlier write of
-	// this program. Extended (whole-loop) spans are used for writes and
-	// any-overlap semantics for reads, so the check under-approximates and
-	// never rejects a program whose reads might be satisfied.
-	if !o.checkInit {
-		return
-	}
-	exposedReads(comps, func(c *comp, op *operand) {
-		for _, s := range o.initialized {
-			if s.Overlaps(op.ext) {
-				return
-			}
-		}
-		e.addf(c.line, c.idx, "%v reads %s %v before any write reaches it (uninitialized buffer)", c.op, op.name, op.base)
-	})
-}
-
-// exposedReads visits, in program order, every read operand that no write of
-// an earlier invocation overlaps: the reads only data initialized before the
-// launch can satisfy.
-func exposedReads(comps []*comp, visit func(*comp, *operand)) {
-	var written []Span
-	for _, c := range comps {
-	reads:
-		for i := range c.ops {
-			op := &c.ops[i]
+	// Read-before-write: a read no write of an earlier invocation overlaps is
+	// exposed — only data initialized before the launch can satisfy it. With
+	// the initialized span set known, every exposed read must be covered by it.
+	// Extended (whole-loop) spans are used for writes and any-overlap semantics
+	// for reads, so the check under-approximates and never rejects a program
+	// whose reads might be satisfied.
+	for i := range comps {
+		c := &comps[i]
+		for j := range c.ops {
+			op := &c.ops[j]
 			if !op.read {
 				continue
 			}
-			for _, w := range written {
-				if w.Overlaps(op.ext) {
-					continue reads
-				}
+			fp.Reads = append(fp.Reads, op.ext)
+			if overlapsAny(fp.Writes, op.ext) {
+				continue
 			}
-			visit(c, op)
+			fp.Exposed = append(fp.Exposed, op.ext)
+			if o.checkInit && !overlapsAny(o.initialized, op.ext) {
+				e.addf(c.line, c.idx, "%v reads %s %v before any write reaches it (uninitialized buffer)", c.op, op.name, op.base)
+			}
 		}
 		for _, op := range c.ops {
 			if op.write {
-				written = append(written, op.ext)
+				fp.Writes = append(fp.Writes, op.ext)
 			}
 		}
 	}
+	return fp
 }
 
-// ExposedReads returns the whole-loop extents of the reads no earlier write of
-// the program overlaps. They are all of a verified descriptor that the state
-// of memory at launch still decides: VerifyDescriptor(d, WithInitialized(s...))
-// passes exactly when VerifyDescriptor(d) does and every exposed read overlaps
-// one of s. The descriptor must be valid.
-func ExposedReads(d *descriptor.Descriptor) []Span {
-	var out []Span
-	comps, _ := boundComps(d, func(int, string, ...interface{}) {})
-	exposedReads(comps, func(_ *comp, op *operand) { out = append(out, op.ext) })
-	return out
-}
-
-// Writes returns the buffer spans a descriptor's task graph writes,
-// extended over its hardware loops — what becomes initialized once the
-// descriptor executes. The descriptor must be valid.
-func Writes(d *descriptor.Descriptor) ([]Span, error) {
-	return extents(d, func(o operand) bool { return o.write })
-}
-
-// Reads returns the buffer spans a descriptor's task graph reads, extended
-// over its hardware loops — what concurrent in-flight executions must not
-// overwrite while the descriptor runs. The descriptor must be valid.
-func Reads(d *descriptor.Descriptor) ([]Span, error) {
-	return extents(d, func(o operand) bool { return o.read })
-}
-
-// extents lists the whole-loop extent of every selected operand, in program
-// order.
-func extents(d *descriptor.Descriptor, sel func(operand) bool) ([]Span, error) {
-	if d == nil {
-		return nil, fmt.Errorf("tdlcheck: nil descriptor")
-	}
-	comps, err := boundComps(d, func(int, string, ...interface{}) {})
-	if err != nil {
-		return nil, err
-	}
-	var out []Span
-	for _, c := range comps {
-		for _, op := range c.ops {
-			if sel(op) {
-				out = append(out, op.ext)
-			}
+func overlapsAny(spans []Span, s Span) bool {
+	for _, w := range spans {
+		if w.Overlaps(s) {
+			return true
 		}
 	}
-	return out, nil
+	return false
 }

@@ -2,6 +2,7 @@ package tdlcheck
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -411,5 +412,82 @@ func TestExposedReadsIsTheReadBeforeWriteCheck(t *testing.T) {
 	}
 	if accepted < 100 || rejectedByInit < 100 {
 		t.Fatalf("the corpus is one-sided: %d launches accepted, %d rejected for an uninitialized read", accepted, rejectedByInit)
+	}
+}
+
+// TestCheckIsTheOneWalk: Check's verdict is VerifyDescriptor's and its
+// footprint is what Writes, Reads and ExposedReads return, over the fuzz corpus
+// and seeded random task graphs; and on every accepted descriptor the writes
+// and reads are the whole-loop extents of the bound operands, in program order,
+// as an independent pass over the scopes derives them.
+func TestCheckIsTheOneWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	var corpus []*descriptor.Descriptor
+	for _, s := range fuzzSeeds {
+		if d := s.descriptor(); d != nil {
+			corpus = append(corpus, d)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		corpus = append(corpus, randomTaskGraph(rng))
+	}
+	text := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	accepted := 0
+	for di, d := range corpus {
+		fp, err := Check(d)
+		if want := VerifyDescriptor(d); text(err) != text(want) {
+			t.Fatalf("descriptor %d: Check says %v, VerifyDescriptor %v", di, err, want)
+		}
+		writes, werr := Writes(d)
+		reads, rerr := Reads(d)
+		if werr != nil || rerr != nil || !slices.Equal(fp.Writes, writes) || !slices.Equal(fp.Reads, reads) || !slices.Equal(fp.Exposed, ExposedReads(d)) {
+			t.Fatalf("descriptor %d: Check's footprint %+v; the views return %v (%v), %v (%v), %v", di, fp, writes, werr, reads, rerr, ExposedReads(d))
+		}
+		if err != nil {
+			continue
+		}
+		accepted++
+		scopes, err := d.Scopes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantW, wantR []Span
+		for _, sc := range scopes {
+			for _, pass := range sc.Passes {
+				for _, c := range pass {
+					a, err := accel.Bind(c.Op, c.Params)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < a.NumOperands(); i++ {
+						o := a.Operand(i)
+						ext := o.Strides.Extend(Span{Addr: o.Addr, Bytes: o.Bytes()}, sc.Counts)
+						if o.Read {
+							wantR = append(wantR, ext)
+						}
+						if o.Write {
+							wantW = append(wantW, ext)
+						}
+					}
+				}
+			}
+		}
+		if !slices.Equal(fp.Writes, wantW) || !slices.Equal(fp.Reads, wantR) {
+			t.Fatalf("descriptor %d: footprint writes %v reads %v, want %v and %v\n%s", di, fp.Writes, fp.Reads, wantW, wantR, d.Disassemble())
+		}
+	}
+	if accepted < 20 {
+		t.Fatalf("only %d descriptors of the corpus verify: the footprint oracle tested nothing", accepted)
+	}
+	if fp, err := Check(nil); err == nil || err.Error() != "tdlcheck: nil descriptor" || fp.Writes != nil {
+		t.Errorf("Check(nil) = %+v, %v", fp, err)
+	}
+	if _, err := Writes(nil); err == nil || err.Error() != "tdlcheck: nil descriptor" {
+		t.Errorf("Writes(nil): %v", err)
 	}
 }

@@ -17,6 +17,7 @@
 package descriptor
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -265,6 +266,70 @@ func (d *Descriptor) Validate() error {
 	return nil
 }
 
+// Comp is one accelerator invocation of a scope: its opcode, its parameter
+// block and its index among the descriptor's COMPs, in program order.
+type Comp struct {
+	Op     OpCode
+	Params Params
+	Index  int
+}
+
+// Scope is one scope of the instruction region: a run of consecutive top-level
+// passes, or one LOOP with its body passes.
+type Scope struct {
+	Loop bool
+	// Counts is the LOOP's iteration counts, zero levels normalised to 1
+	// (all ones outside a LOOP).
+	Counts LoopCounts
+	// FirstPass is the program-order index of Passes[0], counting every pass,
+	// top-level and loop-body alike.
+	FirstPass int
+	Passes    [][]Comp
+}
+
+// Scopes parses the instruction region: the one walk over Instrs everything
+// that needs the pass and LOOP structure reads it through. Validate is the
+// structural gate in front of it; the only thing Scopes itself refuses is a
+// COMP without a parameter block.
+func (d *Descriptor) Scopes() ([]Scope, error) {
+	npass := 0
+	for _, in := range d.Instrs {
+		if in.Kind == KindEndPass {
+			npass++
+		}
+	}
+	// One slab of comps and one of passes, sized up front: the scopes slice them.
+	comps := make([]Comp, 0, len(d.params))
+	passes := make([][]Comp, 0, npass)
+	var scopes []Scope
+	cur := -1  // scopes[cur] takes the next pass; -1 when it opens a top-level run
+	first := 0 // where the pass in progress starts in comps
+	for _, in := range d.Instrs {
+		switch in.Kind {
+		case KindComp:
+			if len(comps) == len(d.params) {
+				return nil, fmt.Errorf("descriptor: no parameter block %d (have %d)", len(comps), len(d.params))
+			}
+			comps = append(comps, Comp{Op: in.Op, Params: d.params[len(comps)], Index: len(comps)})
+		case KindEndPass:
+			if cur < 0 {
+				cur = len(scopes)
+				scopes = append(scopes, Scope{Counts: LoopCounts{}.normalised(), FirstPass: len(passes)})
+			}
+			passes = append(passes, comps[first:len(comps):len(comps)])
+			first = len(comps)
+			sc := &scopes[cur]
+			sc.Passes = passes[sc.FirstPass:len(passes):len(passes)]
+		case KindLoop:
+			cur = len(scopes)
+			scopes = append(scopes, Scope{Loop: true, Counts: in.Counts.normalised(), FirstPass: len(passes)})
+		case KindEndLoop:
+			cur = -1
+		}
+	}
+	return scopes, nil
+}
+
 // Size returns the total encoded size (CR + IR + PR).
 func (d *Descriptor) Size() units.Bytes {
 	n := units.Bytes(crSize + instrSize*len(d.Instrs))
@@ -274,84 +339,18 @@ func (d *Descriptor) Size() units.Bytes {
 	return n
 }
 
-// Encode serialises the descriptor into the space at base. The CR command is
-// written as CmdIdle; the runtime flips it to CmdStart to launch.
+// Encode serialises the descriptor into the space at base: the image, put at
+// base. The CR command is written as CmdIdle; the runtime flips it to CmdStart
+// to launch.
 func (d *Descriptor) Encode(s *phys.Space, base phys.Addr) error {
 	if err := d.Validate(); err != nil {
 		return err
 	}
-	prBase := base + phys.Addr(crSize+instrSize*len(d.Instrs))
-	// Control region.
-	if err := s.WriteUint32(base, magic); err != nil {
+	img, ptrs, err := d.Image()
+	if err != nil {
 		return err
 	}
-	if err := s.WriteUint32(base+headerOffCommand, CmdIdle); err != nil {
-		return err
-	}
-	if err := s.WriteUint32(base+headerOffNInstr, uint32(len(d.Instrs))); err != nil {
-		return err
-	}
-	if err := s.WriteUint64(base+headerOffPRBase, uint64(prBase)); err != nil {
-		return err
-	}
-	if err := s.WriteUint64(base+headerOffTotal, uint64(d.Size())); err != nil {
-		return err
-	}
-	// Parameter region first, so instruction entries can reference it.
-	paramAddrs := make([]phys.Addr, len(d.params))
-	paramSizes := make([]uint32, len(d.params))
-	pa := prBase
-	for i, p := range d.params {
-		paramAddrs[i] = pa
-		paramSizes[i] = uint32(4 + 8*len(p))
-		if err := s.WriteUint32(pa, uint32(len(p))); err != nil {
-			return err
-		}
-		for j, f := range p {
-			if err := s.WriteUint64(pa+4+phys.Addr(8*j), f); err != nil {
-				return err
-			}
-		}
-		pa += phys.Addr(paramSizes[i])
-	}
-	// Instruction region.
-	pi := 0
-	for i, in := range d.Instrs {
-		at := base + phys.Addr(crSize+instrSize*i)
-		word0 := uint32(in.Kind) | uint32(in.Op)<<8
-		if err := s.WriteUint32(at, word0); err != nil {
-			return err
-		}
-		var count uint32
-		var paddr phys.Addr
-		var extra LoopCounts
-		if in.Kind == KindComp {
-			count = paramSizes[pi]
-			paddr = paramAddrs[pi]
-			pi++
-		} else if in.Kind == KindLoop {
-			lc := in.Counts.normalised()
-			count = lc[0]
-			extra = lc
-		}
-		if err := s.WriteUint32(at+4, count); err != nil {
-			return err
-		}
-		if err := s.WriteUint64(at+8, uint64(paddr)); err != nil {
-			return err
-		}
-		// Levels 1..3 of a LOOP live in the reserved tail of the entry.
-		for l := 1; l < MaxLoopLevels; l++ {
-			v := extra[l]
-			if in.Kind != KindLoop {
-				v = 0
-			}
-			if err := s.WriteUint32(at+16+phys.Addr(4*(l-1)), v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return InstallImage(s, base, img, ptrs)
 }
 
 // Clone returns a deep copy: no later change to d, its instructions or the
@@ -364,28 +363,83 @@ func (d *Descriptor) Clone() *Descriptor {
 	return c
 }
 
-// Image returns the descriptor as Encode writes it at base 0 (command
-// CmdIdle), and the offsets of its 64-bit words that hold absolute addresses:
-// the PR base in the control region and every COMP's parameter pointer.
-// Encode at any other base writes the same bytes with those words advanced by
-// the base, so one image serves every command slot. The first eight bytes are
-// the magic and the command word, ReadCommand's and WriteCommand's.
+// Image lays the descriptor out in bytes as it stands at base 0 (command
+// CmdIdle), and returns with it the offsets of its 64-bit words that hold
+// absolute addresses: the PR base in the control region and every COMP's
+// parameter pointer. At any other base the same bytes stand with those words
+// advanced by the base (InstallImage), so one image serves every command slot.
+// The first eight bytes are the magic and the command word, ReadCommand's and
+// WriteCommand's. This is the one place the byte layout is written; Decode is
+// the one place it is read. The descriptor must be valid.
 func (d *Descriptor) Image() (img []byte, ptrs []int, err error) {
-	scratch := phys.NewSpace(d.Size())
-	reg, err := scratch.Map(0, d.Size())
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := d.Encode(scratch, 0); err != nil {
-		return nil, nil, err
-	}
-	ptrs = append(ptrs, headerOffPRBase)
+	le := binary.LittleEndian
+	prBase := crSize + instrSize*len(d.Instrs)
+	img = make([]byte, d.Size())
+	ptrs = append(make([]int, 0, 1+len(d.params)), headerOffPRBase)
+	// Control region.
+	le.PutUint32(img, magic)
+	le.PutUint32(img[headerOffCommand:], CmdIdle)
+	le.PutUint32(img[headerOffNInstr:], uint32(len(d.Instrs)))
+	le.PutUint64(img[headerOffPRBase:], uint64(prBase))
+	le.PutUint64(img[headerOffTotal:], uint64(len(img)))
+	// Instruction region, each COMP's parameter block going to the parameter
+	// region as its entry is written.
+	pa, comp := prBase, 0
 	for i, in := range d.Instrs {
-		if in.Kind == KindComp {
+		at := img[crSize+instrSize*i:]
+		le.PutUint32(at, uint32(in.Kind)|uint32(in.Op)<<8)
+		switch in.Kind {
+		case KindComp:
+			if comp >= len(d.params) {
+				return nil, nil, fmt.Errorf("descriptor: no parameter block %d (have %d)", comp, len(d.params))
+			}
+			p := d.params[comp]
+			comp++
+			size := 4 + 8*len(p)
+			le.PutUint32(at[4:], uint32(size))
+			le.PutUint64(at[8:], uint64(pa))
 			ptrs = append(ptrs, crSize+instrSize*i+8)
+			le.PutUint32(img[pa:], uint32(len(p)))
+			for j, f := range p {
+				le.PutUint64(img[pa+4+8*j:], f)
+			}
+			pa += size
+		case KindLoop:
+			// Level 0 is the entry's count; levels 1..3 live in its reserved tail.
+			for l, c := range in.Counts.normalised() {
+				le.PutUint32(at[loopLevelOff[l]:], c)
+			}
 		}
 	}
-	return reg.Bytes(), ptrs, nil
+	return img, ptrs, nil
+}
+
+// loopLevelOff is where a LOOP entry keeps each level's count.
+var loopLevelOff = [MaxLoopLevels]int{4, 16, 20, 24}
+
+// InstallImage puts an image (Image) at base: its bytes, with the address words
+// at ptrs advanced by base. A slot that is not one mapped region takes the
+// relocated bytes a 32-bit word at a time.
+func InstallImage(s *phys.Space, base phys.Addr, img []byte, ptrs []int) error {
+	le := binary.LittleEndian
+	slot, err := s.ViewBytes(base, len(img))
+	straddles := err != nil
+	if straddles {
+		slot = make([]byte, len(img))
+	}
+	copy(slot, img)
+	for _, off := range ptrs {
+		le.PutUint64(slot[off:], le.Uint64(slot[off:])+uint64(base))
+	}
+	if !straddles {
+		return nil
+	}
+	for off := 0; off < len(slot); off += 4 {
+		if err := s.WriteUint32(base+phys.Addr(off), le.Uint32(slot[off:])); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // WriteCommand sets the CR command field of an encoded descriptor.
@@ -498,9 +552,8 @@ func Decode(s *phys.Space, base phys.Addr) (*Descriptor, error) {
 			}
 			d.params = append(d.params, p)
 		case KindLoop:
-			in.Counts[0] = count
-			for l := 1; l < MaxLoopLevels; l++ {
-				v, err := s.ReadUint32(at + 16 + phys.Addr(4*(l-1)))
+			for l := range in.Counts {
+				v, err := s.ReadUint32(at + phys.Addr(loopLevelOff[l]))
 				if err != nil {
 					return nil, err
 				}

@@ -3,6 +3,9 @@ package descriptor
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -421,5 +424,213 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if q, _ := c.ParamsOf(0); q[0] != 100 {
 		t.Fatalf("the clone shares the original's parameter block: N = %d", q[0])
+	}
+}
+
+// corpus is the descriptors the layout tests run over: hand-built shapes, and
+// everything FuzzDecode's seeds (the f.Add values and testdata/fuzz) decode to
+// when they mutate its image.
+func corpus(t *testing.T) []*Descriptor {
+	t.Helper()
+	nested := simpleDescriptor(t)
+	if err := nested.AddLoop(3, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := nested.AddComp(OpDOT, Params{32, 1, AddrField(0x30000), AddrField(0x40000), AddrField(0x50000)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := nested.AddComp(OpFFT, Params{}); err != nil {
+		t.Fatal(err)
+	}
+	nested.AddEndPass()
+	nested.AddEndLoop()
+	if err := nested.AddComp(OpRESHP, Params{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	nested.AddEndPass()
+	empty := &Descriptor{}
+	if err := empty.AddLoop(1<<32-1, 2, 1, 7); err != nil {
+		t.Fatal(err)
+	}
+	empty.AddEndLoop()
+	out := []*Descriptor{simpleDescriptor(t), nested, empty}
+	seed := &Descriptor{}
+	if err := seed.AddLoop(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.AddComp(OpAXPY, Params{64, F32Field(2), AddrField(0x2000), AddrField(0x3000), 1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	seed.AddEndPass()
+	seed.AddEndLoop()
+	for _, m := range []struct {
+		off uint32
+		val uint64
+	}{{0, 0}, {headerOffNInstr, 1 << 40}, {headerOffPRBase, 8}, {headerOffTotal, 3}, {crSize, 0xff},
+		{crSize + 4, 0xffffffff}, {crSize + 8, 1 << 33}, {163, 4294967392}, {crSize + 4, 6}, {crSize + 20, 9}} {
+		s := space(t)
+		if err := seed.Encode(s, 0x1000); err != nil {
+			t.Fatal(err)
+		}
+		b, err := s.ViewBytes(0x1000+phys.Addr(m.off%uint32(seed.Size()-8)), 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)^m.val)
+		if d, err := Decode(s, 0x1000); err == nil {
+			out = append(out, d)
+		}
+	}
+	if len(out) < 6 {
+		t.Fatalf("only %d descriptors in the corpus: the mutated images no longer decode", len(out))
+	}
+	return out
+}
+
+// TestEncodeIsImageAtBase: Encode is the image put at a base. Over the corpus
+// and several bases, one of them a slot made of two mapped regions, the bytes in
+// the slot are Image's with the address words advanced by the base, and they
+// decode to the descriptor. The golden string pins the layout itself, as the
+// word-by-word writer this encoder replaced produced it.
+func TestEncodeIsImageAtBase(t *testing.T) {
+	s := space(t)
+	// Two more regions, meeting where the last base's control region ends: no
+	// view covers that slot.
+	const split = 0x200000
+	for _, at := range []phys.Addr{split - 4096, split} {
+		if _, err := s.Map(at, 4096); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.ViewBytes(split-crSize, crSize+instrSize); err == nil {
+		t.Fatal("the two regions are viewable as one: the straddling slot tests nothing")
+	}
+	for i, d := range corpus(t) {
+		img, ptrs, err := d.Image()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(img) != int(d.Size()) || len(ptrs) != 1+d.Comps() {
+			t.Fatalf("descriptor %d: image of %d bytes with %d address words; the descriptor is %v with %d comps", i, len(img), len(ptrs), d.Size(), d.Comps())
+		}
+		for _, base := range []phys.Addr{0x1000, 0x2040, 0x80004, split - crSize} {
+			if err := d.Encode(s, base); err != nil {
+				t.Fatalf("descriptor %d at %v: %v", i, base, err)
+			}
+			want := append([]byte(nil), img...)
+			for _, off := range ptrs {
+				binary.LittleEndian.PutUint64(want[off:], binary.LittleEndian.Uint64(want[off:])+uint64(base))
+			}
+			var got []byte
+			for off := 0; off < len(img); off += 4 {
+				w, err := s.ViewBytes(base+phys.Addr(off), 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, w...)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("descriptor %d at %v: the slot differs from the relocated image", i, base)
+			}
+			dec, err := Decode(s, base)
+			if err != nil {
+				t.Fatalf("descriptor %d at %v: %v", i, base, err)
+			}
+			if dec.Disassemble() != d.Disassemble() || !reflect.DeepEqual(dec.params, d.params) {
+				t.Fatalf("descriptor %d at %v: decoded\n%s%v\nwant\n%s%v", i, base, dec.Disassemble(), dec.params, d.Disassemble(), d.params)
+			}
+		}
+	}
+
+	d := &Descriptor{}
+	if err := d.AddLoop(2, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddComp(OpDOT, Params{7, AddrField(0x2000)}); err != nil {
+		t.Fatal(err)
+	}
+	d.AddEndPass()
+	d.AddEndLoop()
+	if err := d.Encode(s, 0x1000); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.ViewBytes(0x1000, int(d.Size()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const golden = "4c41454d000000000400000000000000a010000000000000b400000000000000" + // CR: magic, idle, 4 instructions, PR base, total
+		"0200000001000000000000000000000001000000020000000300000000000000" + // LOOP 1 x 1 x 2 x 3
+		"0002000014000000a0100000000000000000000000000000" + "0000000000000000" + // COMP DOT, 20 parameter bytes at the PR base
+		"0100000000000000000000000000000000000000000000000000000000000000" + // ENDPASS
+		"0300000000000000000000000000000000000000000000000000000000000000" + // ENDLOOP
+		"0200000007000000000000000020000000000000" // PR: 2 fields, 7, 0x2000
+	if hex.EncodeToString(got) != golden {
+		t.Errorf("the byte layout moved:\n got %x\nwant %s", got, golden)
+	}
+}
+
+// TestScopes: the one parser of the instruction region yields a run of
+// top-level passes or a LOOP per scope, with program-order pass and comp
+// indices and the parameter blocks themselves.
+func TestScopes(t *testing.T) {
+	d := &Descriptor{}
+	add := func(op OpCode, tag uint64) {
+		t.Helper()
+		if err := d.AddComp(op, Params{tag}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add(OpAXPY, 0)
+	d.AddEndPass()
+	add(OpDOT, 1)
+	add(OpFFT, 2)
+	d.AddEndPass()
+	if err := d.AddLoop(4, 2); err != nil {
+		t.Fatal(err)
+	}
+	add(OpRESMP, 3)
+	d.AddEndPass()
+	add(OpFFT, 4)
+	d.AddEndPass()
+	d.AddEndLoop()
+	d.Instrs = append(d.Instrs, Instruction{Kind: KindLoop}) // empty body, zero counts
+	d.AddEndLoop()
+	add(OpGEMV, 5)
+	d.AddEndPass()
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	scopes, err := d.Scopes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, sc := range scopes {
+		fmt.Fprintf(&got, "loop=%v counts=%v first=%d:", sc.Loop, sc.Counts, sc.FirstPass)
+		for _, pass := range sc.Passes {
+			got.WriteString(" [")
+			for _, c := range pass {
+				fmt.Fprintf(&got, "%v#%d/%d ", c.Op, c.Index, c.Params[0])
+			}
+			got.WriteString("]")
+		}
+		got.WriteString("\n")
+	}
+	const want = "loop=false counts=[1 1 1 1] first=0: [AXPY#0/0 ] [DOT#1/1 FFT#2/2 ]\n" +
+		"loop=true counts=[1 1 4 2] first=2: [RESMP#3/3 ] [FFT#4/4 ]\n" +
+		"loop=true counts=[1 1 1 1] first=4:\n" +
+		"loop=false counts=[1 1 1 1] first=4: [GEMV#5/5 ]\n"
+	if got.String() != want {
+		t.Errorf("Scopes:\n%swant\n%s", got.String(), want)
+	}
+	// A pass is its own slice: appending to one cannot reach the next.
+	first := scopes[0].Passes[0]
+	_ = append(first, Comp{Op: OpSPMV})
+	if scopes[0].Passes[1][0].Op != OpDOT {
+		t.Error("appending to a pass overwrote its neighbour")
+	}
+	d.params = d.params[:5]
+	if _, err := d.Scopes(); err == nil {
+		t.Error("Scopes of a descriptor with a COMP and no parameter block: got nil, want an error")
 	}
 }

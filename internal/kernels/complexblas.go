@@ -38,7 +38,7 @@ func Cdotc(n int, x []complex64, incX int, y []complex64, incY int) (complex64, 
 		return 0, err
 	}
 	xs, ys := x[:n], y[:n]
-	sum := parallelReduceComplex(n, func(lo, hi int) complex128 {
+	sum := parallelReduce(n, func(lo, hi int) complex128 {
 		var s complex128
 		for i := lo; i < hi; i++ {
 			xv := complex128(xs[i])

@@ -35,11 +35,11 @@ func parallelRanges(n int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// parallelReduce splits [0, n) into chunks, computes a float64 partial per
-// chunk and returns the sum of partials. Partials are stored indexed by
-// chunk and summed in chunk order, so the result is a pure function of n
-// and GOMAXPROCS — never of goroutine completion order.
-func parallelReduce(n int, fn func(lo, hi int) float64) float64 {
+// parallelReduce splits [0, n) into chunks, computes a partial per chunk and
+// returns the sum of partials. Partials are stored indexed by chunk and
+// summed in chunk order, so the result is a pure function of n and
+// GOMAXPROCS — never of goroutine completion order.
+func parallelReduce[T float64 | complex128](n int, fn func(lo, hi int) T) T {
 	workers := runtime.GOMAXPROCS(0)
 	if n < minParallel || workers <= 1 {
 		return fn(0, n)
@@ -49,7 +49,7 @@ func parallelReduce(n int, fn func(lo, hi int) float64) float64 {
 	}
 	chunk := (n + workers - 1) / workers
 	nchunks := (n + chunk - 1) / chunk
-	parts := make([]float64, nchunks)
+	parts := make([]T, nchunks)
 	var wg sync.WaitGroup
 	for c := 0; c < nchunks; c++ {
 		lo := c * chunk
@@ -64,41 +64,7 @@ func parallelReduce(n int, fn func(lo, hi int) float64) float64 {
 		}(c, lo, hi)
 	}
 	wg.Wait()
-	var sum float64
-	for _, p := range parts {
-		sum += p
-	}
-	return sum
-}
-
-// parallelReduceComplex is parallelReduce for complex128 partials, with the
-// same chunk-order summation guarantee.
-func parallelReduceComplex(n int, fn func(lo, hi int) complex128) complex128 {
-	workers := runtime.GOMAXPROCS(0)
-	if n < minParallel || workers <= 1 {
-		return fn(0, n)
-	}
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	nchunks := (n + chunk - 1) / chunk
-	parts := make([]complex128, nchunks)
-	var wg sync.WaitGroup
-	for c := 0; c < nchunks; c++ {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			parts[c] = fn(lo, hi)
-		}(c, lo, hi)
-	}
-	wg.Wait()
-	var sum complex128
+	var sum T
 	for _, p := range parts {
 		sum += p
 	}

@@ -207,12 +207,12 @@ func TestParallelReduceBitIdentical(t *testing.T) {
 			}
 			return s
 		}
-		cfirst := parallelReduceComplex(n, csum)
+		cfirst := parallelReduce(n, csum)
 		for run := 0; run < 50; run++ {
-			got := parallelReduceComplex(n, csum)
+			got := parallelReduce(n, csum)
 			if math.Float64bits(real(got)) != math.Float64bits(real(cfirst)) ||
 				math.Float64bits(imag(got)) != math.Float64bits(imag(cfirst)) {
-				t.Fatalf("run %d: parallelReduceComplex = %v, first run gave %v", run, got, cfirst)
+				t.Fatalf("run %d: parallelReduce (complex) = %v, first run gave %v", run, got, cfirst)
 			}
 		}
 	})
@@ -228,11 +228,11 @@ func TestParallelReduceDeterministic(t *testing.T) {
 		if sum != float64(n) {
 			t.Errorf("parallelReduce = %v, want %v", sum, n)
 		}
-		csum := parallelReduceComplex(n, func(lo, hi int) complex128 {
+		csum := parallelReduce(n, func(lo, hi int) complex128 {
 			return complex(float64(hi-lo), float64(hi-lo))
 		})
 		if csum != complex(float64(n), float64(n)) {
-			t.Errorf("parallelReduceComplex = %v", csum)
+			t.Errorf("parallelReduce (complex) = %v", csum)
 		}
 		// Zero and tiny inputs stay on the serial path.
 		if got := parallelReduce(3, func(lo, hi int) float64 { return float64(hi - lo) }); got != 3 {

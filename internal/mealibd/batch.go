@@ -1,6 +1,8 @@
 package mealibd
 
 import (
+	"slices"
+
 	"mealib/internal/descriptor"
 	"mealib/internal/mealibrt"
 	"mealib/internal/span"
@@ -33,8 +35,10 @@ type batcher struct {
 }
 
 type batchMember struct {
-	p      *mealibrt.Plan
-	d      *descriptor.Descriptor
+	p *mealibrt.Plan
+	// scopes is the plan's descriptor as descriptor.Scopes reads it: top-level
+	// passes only.
+	scopes []descriptor.Scope
 	writes []span.Span
 	reads  []span.Span
 	pend   *pending
@@ -46,10 +50,10 @@ type batchMember struct {
 // Wait.
 func (b *batcher) submit(p *mealibrt.Plan, pend *pending) {
 	srv := b.sc.srv
-	d := p.Descriptor()
 	writes, reads := p.Footprint()
-	if srv.cfg.BatchMax <= 1 || hasLoop(d) ||
-		footprint(writes)+footprint(reads) > srv.cfg.BatchBytes {
+	scopes, err := p.Descriptor().Scopes()
+	if err != nil || srv.cfg.BatchMax <= 1 || footprint(writes)+footprint(reads) > srv.cfg.BatchBytes ||
+		slices.ContainsFunc(scopes, func(sc descriptor.Scope) bool { return sc.Loop }) {
 		b.flush()
 		b.sc.launch(p, false, 1, []*pending{pend})
 		return
@@ -57,7 +61,7 @@ func (b *batcher) submit(p *mealibrt.Plan, pend *pending) {
 	if b.conflicts(writes, reads) {
 		b.flush()
 	}
-	b.members = append(b.members, batchMember{p: p, d: d, writes: writes, reads: reads, pend: pend})
+	b.members = append(b.members, batchMember{p: p, scopes: scopes, writes: writes, reads: reads, pend: pend})
 	if len(b.members) >= srv.cfg.BatchMax {
 		b.flush()
 	}
@@ -76,32 +80,28 @@ func (b *batcher) conflicts(writes, reads []span.Span) bool {
 }
 
 // flush launches whatever the batch holds. A single member launches alone;
-// several merge into one descriptor — one pass per member — installed as an
-// ephemeral session plan, launched once, and fanned out to every member's
-// ticket on completion.
+// several merge into one descriptor — one pass per member pass — installed as
+// an ephemeral session plan, launched once, and fanned out to every member's
+// ticket on completion. A merge the session cannot install (a member gone
+// stale since it was planned, members that fit the instruction memory one by
+// one and not together) is nobody's verdict: every member then launches alone
+// through its own installed plan, in submission order, and gets its own.
 func (b *batcher) flush() {
 	if b == nil || len(b.members) == 0 {
 		return
 	}
 	members := b.members
 	b.members = nil
-	if len(members) == 1 {
-		// A batch of one launches through its installed plan directly; the
-		// ephemeral merge would only duplicate the command-space encoding.
-		m := members[0]
-		b.sc.launch(m.p, false, 1, []*pending{m.pend})
-		return
+	// A batch of one launches through its installed plan directly: the
+	// ephemeral merge would only duplicate the command-space encoding.
+	var plan *mealibrt.Plan
+	if len(members) > 1 {
+		plan = b.merge(members)
 	}
-	merged := &descriptor.Descriptor{}
-	for _, m := range members {
-		if err := appendPasses(merged, m.d); err != nil {
-			b.failAll(members, err)
-			return
+	if plan == nil {
+		for _, m := range members {
+			b.sc.launch(m.p, false, 1, []*pending{m.pend})
 		}
-	}
-	plan, err := b.sc.sess.AccPlanDescriptor(merged)
-	if err != nil {
-		b.failAll(members, err)
 		return
 	}
 	b.sc.srv.mBatches.Add(1)
@@ -113,30 +113,21 @@ func (b *batcher) flush() {
 	b.sc.launch(plan, true, int64(len(members)), pends)
 }
 
-func (b *batcher) failAll(members []batchMember, err error) {
+// merge installs the members' passes as one plan, or returns nil.
+func (b *batcher) merge(members []batchMember) *mealibrt.Plan {
+	merged := &descriptor.Descriptor{}
 	for _, m := range members {
-		m.pend.err = err
-		close(m.pend.done)
-	}
-}
-
-// appendPasses copies src's loop-free pass structure onto dst.
-func appendPasses(dst, src *descriptor.Descriptor) error {
-	comp := 0
-	for _, in := range src.Instrs {
-		switch in.Kind {
-		case descriptor.KindComp:
-			p, err := src.ParamsOf(comp)
-			if err != nil {
-				return err
+		for _, sc := range m.scopes {
+			for _, pass := range sc.Passes {
+				for _, c := range pass {
+					if merged.AddComp(c.Op, c.Params) != nil {
+						return nil
+					}
+				}
+				merged.AddEndPass()
 			}
-			comp++
-			if err := dst.AddComp(in.Op, p); err != nil {
-				return err
-			}
-		case descriptor.KindEndPass:
-			dst.AddEndPass()
 		}
 	}
-	return nil
+	plan, _ := b.sc.sess.AccPlanDescriptor(merged) // nil with any error: the members answer for themselves
+	return plan
 }

@@ -1032,3 +1032,118 @@ func TestFreedBufferStalesPlan(t *testing.T) {
 		t.Errorf("tenant a's connection after the refusal: %v", err)
 	}
 }
+
+// TestBatchMemberFailsAlone: the batcher re-installs its members as one merged
+// plan, and a merge the session cannot install is not a verdict on anybody. The
+// members then launch through their own plans, in submission order: a member
+// whose plan went stale gets ErrPlanStale, typed, and the one next to it runs;
+// members that fit the instruction memory one by one and not together all run.
+func TestBatchMemberFailsAlone(t *testing.T) {
+	dial := func(t *testing.T) *client.Client {
+		t.Helper()
+		_, addr := startServer(t, nil)
+		cl, err := client.Dial(client.Config{Network: "unix", Addr: addr, Tenant: "a"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = cl.Close() })
+		return cl
+	}
+	filled := func(v float32, n int) []float32 {
+		out := make([]float32, n)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	alloc := func(t *testing.T, cl *client.Client, n int) *client.Buffer {
+		t.Helper()
+		buf, err := cl.Alloc(units.Bytes(4 * n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := buf.StoreFloat32s(0, filled(1, n)); err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	// axpys plans y += x as `passes` passes of n elements each.
+	axpys := func(t *testing.T, cl *client.Client, x, y *client.Buffer, passes, n int) *client.Plan {
+		t.Helper()
+		d := &descriptor.Descriptor{}
+		for i := 0; i < passes; i++ {
+			off := phys.Addr(4 * n * i)
+			if err := d.AddComp(descriptor.OpAXPY, accel.AxpyArgs{
+				N: int64(n), Alpha: 1, X: phys.Addr(x.PA()) + off, Y: phys.Addr(y.PA()) + off, IncX: 1, IncY: 1,
+			}.Params()); err != nil {
+				t.Fatal(err)
+			}
+			d.AddEndPass()
+		}
+		p, err := cl.Plan(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	submitBoth := func(t *testing.T, p1, p2 *client.Plan) (err1, err2 error) {
+		t.Helper()
+		t1, err := p1.Submit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t2, err := p2.Submit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err1 = t1.Wait()
+		_, err2 = t2.Wait()
+		return err1, err2
+	}
+
+	t.Run("stale member", func(t *testing.T) {
+		cl := dial(t)
+		y1 := alloc(t, cl, 4)
+		good := axpys(t, cl, alloc(t, cl, 4), y1, 1, 4)
+		y2 := alloc(t, cl, 4)
+		bad := axpys(t, cl, alloc(t, cl, 4), y2, 1, 4)
+		if err := y2.Free(); err != nil {
+			t.Fatal(err)
+		}
+		goodErr, badErr := submitBoth(t, good, bad)
+		got, err := y1.LoadFloat32s(0, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if goodErr != nil || !errors.Is(badErr, mealibrt.ErrPlanStale) || !reflect.DeepEqual(got, []float32{2, 2, 2, 2}) {
+			t.Fatalf("a good plan batched with a stale one: the good one's Wait returned %v and its y reads %v, the stale one's Wait returned %v; want nil, [2 2 2 2] and ErrPlanStale",
+				goodErr, got, badErr)
+		}
+	})
+
+	t.Run("oversize merge", func(t *testing.T) {
+		cl := dial(t)
+		// 200 passes encode to some 36 KiB of the 64 KiB instruction memory; two
+		// such members batch (their data is 1600 bytes each) and cannot merge.
+		const passes = 200
+		var ys [2]*client.Buffer
+		var plans [2]*client.Plan
+		for i := range plans {
+			ys[i] = alloc(t, cl, passes)
+			plans[i] = axpys(t, cl, alloc(t, cl, passes), ys[i], passes, 1)
+		}
+		err1, err2 := submitBoth(t, plans[0], plans[1])
+		if err1 != nil || err2 != nil {
+			t.Fatalf("two members whose merge exceeds the instruction memory: Waits returned %v and %v, want both to run alone", err1, err2)
+		}
+		for i, y := range ys {
+			got, err := y.LoadFloat32s(0, passes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, filled(2, passes)) {
+				t.Errorf("member %d did not run: y[:4] = %v", i, got[:4])
+			}
+		}
+	})
+}

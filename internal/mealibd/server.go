@@ -8,7 +8,6 @@ import (
 	"net"
 	"sync"
 
-	"mealib/internal/descriptor"
 	"mealib/internal/mealibrt"
 	"mealib/internal/phys"
 	"mealib/internal/span"
@@ -522,10 +521,10 @@ func (sc *srvConn) handleStats(d *Dec) ([]byte, error) {
 // launch accepts p on the connection goroutine — the runtime fixes the
 // launch's place at once, so wire order is runtime order: the tenant's later
 // stores, loads, frees and destroys wait behind it and its later launches
-// queue behind it — and starts it on a goroutine of its own, fanning the
-// completed invocation out to pends (batched tells the report how many
-// coalesced members share the flight; ephemeral plans are destroyed after it
-// drains). The connection goroutine stays free to serve waits and stats while
+// queue behind it — and runs it (Launch.Run: admission wait, doorbell and
+// flight) on one goroutine of its own, fanning the completed invocation out to
+// pends (batched tells the report how many coalesced members share the flight;
+// ephemeral plans are destroyed after it drains). The connection goroutine stays free to serve waits and stats while
 // the launch sits in admission, and every launch error, the typed
 // backpressure ones Accept returns included, surfaces at the ticket's Wait.
 func (sc *srvConn) launch(p *mealibrt.Plan, ephemeral bool, batched int64, pends []*pending) {
@@ -545,17 +544,13 @@ func (sc *srvConn) launch(p *mealibrt.Plan, ephemeral bool, batched int64, pends
 	}
 	h := sc.srv.hWaitNanos
 	go func() {
-		_, err := l.Start(context.Background())
+		inv, err := l.Run(context.Background())
 		if err == nil {
-			var inv *mealibrt.Invocation
-			inv, err = l.Wait(context.Background())
-			if err == nil {
-				rep := reportOf(inv, batched)
-				for _, pend := range pends {
-					pend.rep = rep
-				}
-				h.Observe(int64(float64(inv.Report.Time) * 1e9))
+			rep := reportOf(inv, batched)
+			for _, pend := range pends {
+				pend.rep = rep
 			}
+			h.Observe(int64(float64(inv.Report.Time) * 1e9))
 		}
 		finish(err)
 	}()
@@ -582,14 +577,4 @@ func footprint(spans []span.Span) units.Bytes {
 		n += s.Bytes
 	}
 	return n
-}
-
-// hasLoop reports whether the descriptor contains a hardware loop.
-func hasLoop(d *descriptor.Descriptor) bool {
-	for _, in := range d.Instrs {
-		if in.Kind == descriptor.KindLoop {
-			return true
-		}
-	}
-	return false
 }

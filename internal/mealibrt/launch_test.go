@@ -360,3 +360,78 @@ func TestLaunchLifeCycle(t *testing.T) {
 		}
 	})
 }
+
+// TestLaunchRun: Run is Start and Wait by one caller. A queued launch waits
+// for the pump, flies and retires inside Run; under a cancelled context it
+// gives its place back, as Start would; and Run is the launch's one Start.
+func TestLaunchRun(t *testing.T) {
+	bg := context.Background()
+	cancelled, cancel := context.WithCancel(bg)
+	cancel()
+	const n, iters = 1 << 10, 1 << 8
+	r := newRuntime(t)
+	f, x, y := slowAxpyPlan(t, r.def, 1<<14, iters)
+	filled := func(v float32) []float32 {
+		out := make([]float32, n)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	if err := x.StoreFloat32s(0, filled(1)); err != nil {
+		t.Fatal(err)
+	}
+	// Both read what the flight writes, and each writes a buffer of its own.
+	z := zeroed(t, r.def, n)
+	p := axpyOver(t, r.def, y, z, n, 1)
+	q := axpyOver(t, r.def, y, zeroed(t, r.def, n), n, 1)
+	lf, err := f.Submit(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp, err := p.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lq, err := q.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCounts(t, "both queued behind the flight", r, p, 1, 2, 1, 3)
+	if inv, err := lq.Run(cancelled); inv != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run of a queued launch under a cancelled context: got %v, %v; want context.Canceled", inv, err)
+	}
+	wantCounts(t, "one place given back", r, q, 1, 1, 0, 2)
+	if _, err := lq.Wait(bg); !errors.Is(err, context.Canceled) {
+		t.Errorf("Wait on the cancelled launch: got %v, want context.Canceled", err)
+	}
+	inv, err := lp.Run(bg)
+	if err != nil || inv == nil || inv.Report.Comps != 1 {
+		t.Fatalf("Run of a queued launch: got %+v, %v", inv, err)
+	}
+	// Run returned, so the launch has retired, and it was admitted only once
+	// the flight had: z holds what the whole flight left in y.
+	wantCounts(t, "retired", r, p, 0, 0, 0, 0)
+	got, err := z.LoadFloat32s(0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, filled(iters)) {
+		t.Errorf("z[:4] = %v after Run, want %d everywhere", got[:4], iters)
+	}
+	if again, err := lp.Wait(bg); again != inv || err != nil {
+		t.Errorf("Wait after Run: got %v, %v; want Run's invocation", again, err)
+	}
+	if _, err := lp.Run(bg); err == nil {
+		t.Error("a second Run of one launch: got nil, want an error")
+	}
+	if _, err := lp.Start(bg); err == nil {
+		t.Error("Start after Run: got nil, want an error")
+	}
+	if _, err := lf.Wait(bg); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Stats().Invocations; got != 2 {
+		t.Errorf("Invocations = %d, want 2 (the flight, and p once)", got)
+	}
+}

@@ -289,6 +289,60 @@ func TestExecuteFixedCost(t *testing.T) {
 	}
 }
 
+// TestInstallFixedCost gates what installing a plan may cost: the descriptor
+// is read once by the verifier, compiled once and serialised once, so the
+// allocations of AccPlanDescriptor + Destroy are bounded (40 for a one-pass
+// descriptor and 112 for an eight-pass one, what mealibd's batcher installs
+// per flush; 76 and 360 before the install was one walk) and accel.compiles
+// moves by exactly one per install. The race detector adds a few.
+func TestInstallFixedCost(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Tracer = telemetry.New()
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkQuiescent(t, r)
+	compiles := r.Tracer().Metrics().Counter("accel.compiles")
+	const n = 256
+	for _, tc := range []struct {
+		passes int
+		most   float64
+	}{{1, 48}, {8, 140}} {
+		d := &descriptor.Descriptor{}
+		for i := 0; i < tc.passes; i++ {
+			x, y := zeroed(t, r.def, n), zeroed(t, r.def, n)
+			if err := d.AddComp(descriptor.OpAXPY, accel.AxpyArgs{
+				N: n, Alpha: 2, X: x.PA(), Y: y.PA(), IncX: 1, IncY: 1,
+			}.Params()); err != nil {
+				t.Fatal(err)
+			}
+			d.AddEndPass()
+		}
+		install := func() {
+			p, err := r.AccPlanDescriptor(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Destroy(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		install()
+		before := compiles.Value()
+		const runs = 100
+		avg := testing.AllocsPerRun(runs, install)
+		if avg > tc.most {
+			t.Errorf("installing and destroying a %d-pass plan allocates %.1f times, want at most %.0f", tc.passes, avg, tc.most)
+		}
+		// AllocsPerRun makes one warm-up call of its own.
+		if got := compiles.Value() - before; got != runs+1 {
+			t.Errorf("%d installs of a %d-pass plan compiled %d times, want once each", runs+1, tc.passes, got)
+		}
+		t.Logf("%d-pass install + destroy: %.1f allocations", tc.passes, avg)
+	}
+}
+
 // TestSamePlanFlightsTakeTurns: a plan has one command word, so launches of
 // one plan never overlap, wave pipelining or not. Submitted back to back under
 // WavePipeline they used to be admitted together, and the later doorbell and

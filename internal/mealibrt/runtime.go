@@ -928,19 +928,27 @@ func (r *Runtime) retireLocked(l *Launch, inv *Invocation) {
 
 // AccExecute launches the plan and waits for it (mealib_acc_execute):
 // flush, doorbell, run, and account. The same plan can be executed
-// repeatedly. Execute does what Submit followed by Wait does, by one caller,
-// so the flight runs where that caller would only wait for it: on its own
-// goroutine, with no hand-off and no record anyone else could collect. The
-// context therefore bounds the admission wait only. Once admitted, the launch
-// runs to completion before Execute returns, as it would have behind an
-// abandoned Wait (the simulated hardware cannot be preempted mid-descriptor).
+// repeatedly. Execute is Accept and Run under one hold of the runtime lock,
+// with a record nobody else could collect.
 func (p *Plan) Execute(ctx context.Context) (*Invocation, error) {
-	l := &Launch{p: p}
-	ovT, ovE, err := l.ring(ctx, true)
+	return (&Launch{p: p}).run(ctx, true)
+}
+
+// Run is Start followed by Wait, by one caller, so the flight runs where that
+// caller would only wait for it: on its own goroutine, with no hand-off. The
+// context therefore bounds the admission wait only (a cancelled one gives the
+// launch's place back, as in Start). Once admitted, the launch runs to
+// completion before Run returns, as it would have behind an abandoned Wait
+// (the simulated hardware cannot be preempted mid-descriptor). Run counts as
+// the launch's one Start, and Wait still collects the outcome afterwards.
+func (l *Launch) Run(ctx context.Context) (*Invocation, error) { return l.run(ctx, false) }
+
+func (l *Launch) run(ctx context.Context, accept bool) (*Invocation, error) {
+	ovT, ovE, err := l.ring(ctx, accept)
 	if err != nil {
 		return nil, err
 	}
-	tb := p.rt.tr.Buffer(telemetry.TrackRuntime)
+	tb := l.p.rt.tr.Buffer(telemetry.TrackRuntime)
 	defer tb.Release()
 	tb.Begin(telemetry.SpanWait, "wait")
 	l.fly(ovT, ovE)

@@ -364,16 +364,13 @@ func (s *Session) AccPlan(tdlSrc string, params map[string]descriptor.Params) (*
 		return nil, fmt.Errorf("mealibrt: program rejected by the static verifier: %w", err)
 	}
 	if !r.cfg.NoFusion {
-		// Fuse producer→consumer pass chains at the program level, then
-		// verify the fused program again: the verifier must accept the
-		// merged chained passes exactly as it accepted the originals (the
-		// plan lowering would fuse them anyway; doing it here keeps what
-		// the verifier checks and what the hardware runs identical).
+		// Fuse producer→consumer pass chains at the program level (the plan
+		// lowering would fuse them anyway; doing it here keeps what the
+		// verifier checks and what the hardware runs identical). The merged
+		// chained passes are verified once, in the form they are installed in:
+		// by AccPlanDescriptor's reading of the compiled descriptor.
 		if _, err := tdl.Fuse(prog, resolve, r.layers[0].Config()); err != nil {
 			return nil, fmt.Errorf("mealibrt: fusion pass failed: %w", err)
-		}
-		if err := tdlcheck.Verify(prog, resolve); err != nil {
-			return nil, fmt.Errorf("mealibrt: fused program rejected by the static verifier: %w", err)
 		}
 	}
 	d, err := tdl.Compile(prog, resolve)
@@ -405,20 +402,13 @@ func (s *Session) AccPlanDescriptorOn(stack int, d *descriptor.Descriptor) (*Pla
 	// own copy: the caller keeps its descriptor and may do with it what it
 	// likes.
 	d = d.Clone()
-	if err := tdlcheck.VerifyDescriptor(d); err != nil {
+	// One reading by the verifier: the verdict, and the footprint everything
+	// below and every launch to come is judged by.
+	fp, err := tdlcheck.Check(d)
+	if err != nil {
 		return nil, fmt.Errorf("mealibrt: descriptor rejected by the static verifier: %w", err)
 	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	writes, err := tdlcheck.Writes(d)
-	if err != nil {
-		return nil, err
-	}
-	reads, err := tdlcheck.Reads(d)
-	if err != nil {
-		return nil, err
-	}
+	writes, reads := fp.Writes, fp.Reads
 	if err := s.checkNamespace(writes, reads); err != nil {
 		return nil, err
 	}
@@ -465,7 +455,7 @@ func (s *Session) AccPlanDescriptorOn(stack int, d *descriptor.Descriptor) (*Pla
 		}
 	}
 	p := &Plan{rt: r, desc: d, descSize: d.Size(), prog: prog, baseVA: va, basePA: pa,
-		writes: writes, reads: reads, exposed: tdlcheck.ExposedReads(d),
+		writes: writes, reads: reads, exposed: fp.Exposed,
 		admWrites: admWrites, ooc: sched, sess: s, stack: stack}
 	r.mu.Lock()
 	s.plans[p] = struct{}{}
