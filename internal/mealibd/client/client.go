@@ -6,6 +6,7 @@
 package client
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -33,8 +34,29 @@ type Config struct {
 // Client is one open tenant session. Methods are safe for concurrent use;
 // requests serialise on the single connection.
 type Client struct {
-	mu sync.Mutex
-	c  net.Conn
+	// c is the connection. Close closes it without mu, which unblocks a
+	// request in flight; c.err is guarded by mu.
+	c   conn
+	mu  sync.Mutex // serialises requests; guards c.err and the fields below
+	r   *bufio.Reader
+	out mealibd.Enc // the request; its storage is reused from one to the next
+}
+
+// conn is the client's end of the connection, and its first failure sticks:
+// after a write that did not go out whole, or a reply that was not read
+// whole, requests and replies are out of step, so every later request
+// returns that error instead of reading a reply that belongs to another.
+type conn struct {
+	net.Conn
+	err error
+}
+
+func (c *conn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	if err != nil && c.err == nil {
+		c.err = err
+	}
+	return n, err
 }
 
 // Buffer is a remote quota-accounted allocation.
@@ -69,14 +91,7 @@ func Dial(cfg Config) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl := &Client{c: c}
-	_, err = cl.roundTrip(mealibd.MsgHello, func(e *mealibd.Enc) error {
-		e.Str(cfg.Tenant)
-		e.U64(uint64(cfg.Quota))
-		e.U32(uint32(cfg.MaxInFlight))
-		e.U32(uint32(cfg.MaxQueued))
-		return nil
-	})
+	cl, err := open(c, cfg)
 	if err != nil {
 		_ = c.Close()
 		return nil, err
@@ -84,30 +99,51 @@ func Dial(cfg Config) (*Client, error) {
 	return cl, nil
 }
 
-// Close tears the connection down; the server drains and closes the session
-// (its buffers and plans are released).
-func (cl *Client) Close() error {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.c.Close()
+// open opens the session on an established connection.
+func open(c net.Conn, cfg Config) (*Client, error) {
+	cl := &Client{c: conn{Conn: c}, r: bufio.NewReader(c)}
+	_, err := cl.roundTrip(mealibd.MsgHello, func(e *mealibd.Enc) error {
+		e.Str(cfg.Tenant)
+		e.U64(uint64(cfg.Quota))
+		e.U32(uint32(cfg.MaxInFlight))
+		e.U32(uint32(cfg.MaxQueued))
+		return nil
+	})
+	return cl, err
 }
 
-// roundTrip sends one request frame and decodes the reply envelope.
+// Close tears the connection down; the server drains and closes the session
+// (its buffers and plans are released). It does not wait for a request in
+// flight: that request, and every later one, returns an error.
+func (cl *Client) Close() error {
+	return cl.c.Conn.Close()
+}
+
+// roundTrip sends one request frame and decodes the reply envelope. The
+// request is encoded into the client's reused Enc, so under the lock; the
+// reply is a payload of its own, decoded by the caller after the lock.
 func (cl *Client) roundTrip(msg uint8, body func(*mealibd.Enc) error) (*mealibd.Dec, error) {
-	e := &mealibd.Enc{}
-	e.U8(msg)
-	if body != nil {
-		if err := body(e); err != nil {
-			return nil, err
-		}
-	}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if err := mealibd.WriteFrame(cl.c, e.Payload()); err != nil {
+	if cl.c.err != nil {
+		return nil, cl.c.err
+	}
+	e := &cl.out
+	e.U8(msg)
+	var err error
+	if body != nil {
+		err = body(e)
+	}
+	if err == nil {
+		err = e.WriteFrame(&cl.c)
+	}
+	e.Reset()
+	if err != nil {
 		return nil, err
 	}
-	payload, err := mealibd.ReadFrame(cl.c)
+	payload, err := mealibd.ReadFrame(cl.r)
 	if err != nil {
+		cl.c.err = err
 		return nil, err
 	}
 	d := mealibd.NewDec(payload)
@@ -285,6 +321,21 @@ func (t *Ticket) Wait() (*mealibd.Report, error) {
 		e.U64(t.id)
 		return nil
 	})
+	return report(d, err)
+}
+
+// Execute is Submit followed by Wait, in one round trip (MsgExecute). A
+// server that predates MsgExecute answers "unknown message type 11".
+func (p *Plan) Execute() (*mealibd.Report, error) {
+	d, err := p.cl.roundTrip(mealibd.MsgExecute, func(e *mealibd.Enc) error {
+		e.U64(p.id)
+		return nil
+	})
+	return report(d, err)
+}
+
+// report decodes a Wait or Execute reply.
+func report(d *mealibd.Dec, err error) (*mealibd.Report, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -293,15 +344,6 @@ func (t *Ticket) Wait() (*mealibd.Report, error) {
 		return nil, err
 	}
 	return &rep, nil
-}
-
-// Execute is Submit followed by Wait.
-func (p *Plan) Execute() (*mealibd.Report, error) {
-	t, err := p.Submit()
-	if err != nil {
-		return nil, err
-	}
-	return t.Wait()
 }
 
 // Stats fetches the tenant + runtime accounting snapshot as JSON.

@@ -96,110 +96,38 @@ func tooMuchWork(payload []byte) bool {
 	return total > 4096
 }
 
-// FuzzServerFrames drives one server connection over net.Pipe with an
-// arbitrary sequence of request frames, then drops it. The server must
-// never panic; every frame is answered by one well-formed reply (or the
-// connection is closed); and once the handler has returned nothing of the
-// tenant is left behind: no quota held, no flight in the runtime, the link
-// back with the host and the whole data space allocatable again.
-func FuzzServerFrames(f *testing.F) {
-	// The allocator is deterministic, so the addresses a scratch runtime
-	// hands out are the ones the fuzzed server's first two buffers get.
-	const bufBytes = 4 * units.KiB
-	scratch := fuzzRuntime(f)
-	sx, err := scratch.MemAlloc(bufBytes)
+// servePipe serves one connection over net.Pipe on a fresh fuzz runtime. It
+// returns the client end and drop, which closes it, waits for the handler and
+// checks that nothing of the tenant is left behind: no quota held, no flight
+// in the runtime, the link back with the host and the whole data space
+// allocatable again.
+func servePipe(t *testing.T, cfg Config) (net.Conn, func()) {
+	t.Helper()
+	rt := fuzzRuntime(t)
+	cfg.Runtime = rt
+	srv, err := New(cfg)
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
-	sy, err := scratch.MemAlloc(bufBytes)
-	if err != nil {
-		f.Fatal(err)
-	}
-	axpy := &descriptor.Descriptor{}
-	if err := axpy.AddComp(descriptor.OpAXPY, accel.AxpyArgs{
-		N: 16, Alpha: 2, X: sx.PA(), Y: sy.PA(), IncX: 1, IncY: 1,
-	}.Params()); err != nil {
-		f.Fatal(err)
-	}
-	axpy.AddEndPass()
-	var planErr error
-	hello := frame(MsgHello, func(e *Enc) { e.Str("fuzz"); e.U64(0); e.U32(0); e.U32(0) })
-	alloc := frame(MsgAlloc, func(e *Enc) { e.U32(0); e.U64(uint64(bufBytes)) })
-	store := func(id uint64, off int64) []byte {
-		return frame(MsgStore, func(e *Enc) {
-			e.U64(id)
-			e.U64(uint64(off))
-			e.U8(ElemF32)
-			e.Bytes(F32ToBytes(make([]float32, 16)))
-		})
-	}
-	load := func(id uint64, off int64) []byte {
-		return frame(MsgLoad, func(e *Enc) { e.U64(id); e.U64(uint64(off)); e.U8(ElemF32); e.U32(16) })
-	}
-	id := func(msg uint8, id uint64) []byte { return frame(msg, func(e *Enc) { e.U64(id) }) }
-	plan := frame(MsgPlan, func(e *Enc) { planErr = MarshalDescriptor(e, axpy) })
-	if planErr != nil {
-		f.Fatal(planErr)
-	}
-	// Buffers get ids 1 and 2, the plan 3, its first ticket 4.
-	f.Add(packFrames(hello, alloc, alloc, store(1, 0), store(2, 0), plan, id(MsgSubmit, 3), id(MsgWait, 4),
-		load(2, 0), frame(MsgStats, nil), id(MsgDestroyPlan, 3), id(MsgFree, 1), id(MsgFree, 2)))
-	// The two offsets that used to reach the neighbouring buffer.
-	f.Add(packFrames(hello, alloc, alloc, store(2, -int64(bufBytes)), store(1, int64(bufBytes)),
-		load(2, -int64(bufBytes)), load(1, int64(bufBytes)), load(1, 0)))
-	// A client that vanishes with a launch in flight and nothing freed.
-	f.Add(packFrames(hello, alloc, alloc, store(1, 0), store(2, 0), plan, id(MsgSubmit, 3), id(MsgSubmit, 3)))
-	// A comp claiming 2^25 parameter fields in a 7-byte plan frame: the
-	// decoder used to allocate and walk all of them.
-	f.Add(packFrames(hello, frame(MsgPlan, func(e *Enc) {
-		e.U32(1)
-		e.U8(uint8(descriptor.KindComp))
-		e.U8(uint8(descriptor.OpAXPY))
-		e.U32(1 << 25)
-	})))
-	// No hello, an unknown type, an empty frame, a truncated body.
-	f.Add(packFrames(alloc, []byte{0xff}, nil, hello[:3]))
-
-	f.Fuzz(func(t *testing.T, in []byte) {
-		frames := unpackFrames(in)
-		for _, p := range frames {
-			if tooMuchWork(p) {
-				t.Skip("more loop iterations than a fuzz execution should run")
-			}
-		}
-		rt := fuzzRuntime(t)
-		srv, err := New(Config{Runtime: rt})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cli, srvEnd := net.Pipe()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			srv.serveConn(srvEnd)
-		}()
-		// A reply that never comes must fail the run, not hang it.
-		watchdog := time.AfterFunc(time.Minute, func() { _ = cli.Close() })
-		defer watchdog.Stop()
-		for i, p := range frames {
-			// One Write per frame: a zero-length Write on a net.Pipe blocks
-			// until the peer's next Read, which an empty payload never causes.
-			if _, err := cli.Write(append(binary.LittleEndian.AppendUint32(nil, uint32(len(p))), p...)); err != nil {
-				t.Fatalf("frame %d: write: %v", i, err)
-			}
-			reply, err := ReadFrame(cli)
-			if err != nil {
-				t.Fatalf("frame %d: no reply: %v", i, err)
-			}
-			if len(reply) == 0 || (reply[0] != ReplyOK && reply[0] != ReplyErr) {
-				t.Fatalf("frame %d: malformed reply % x", i, reply)
-			}
-		}
+	cli, srvEnd := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.serveConn(srvEnd)
+	}()
+	// A reply that never comes must fail the run, not hang it; closing the
+	// pipe when a run fails unblocks the server and any writer.
+	watchdog := time.AfterFunc(time.Minute, func() { _ = cli.Close() })
+	t.Cleanup(func() {
+		watchdog.Stop()
+		_ = cli.Close()
+	})
+	return cli, func() {
+		t.Helper()
 		if err := cli.Close(); err != nil {
 			t.Fatal(err)
 		}
 		<-done
-
 		for name, v := range rt.Tracer().Metrics().Snapshot().Gauges {
 			held := strings.HasPrefix(name, "session.") || name == "rt.inflight"
 			if held && v != 0 {
@@ -216,5 +144,127 @@ func FuzzServerFrames(f *testing.F) {
 		if err := rt.MemFree(whole); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// FuzzServerFrames drives one server connection (servePipe) with an arbitrary
+// sequence of request frames, then drops it. Pipelined, a writer goroutine
+// sends every frame back to back while the test reads the replies, so frames
+// meet the server's buffered reader and reused payload storage in runs;
+// otherwise each frame waits for its reply. The server must never panic;
+// every frame is answered by one well-formed reply (or the connection is
+// closed); and once the handler has returned nothing of the tenant is left
+// behind.
+func FuzzServerFrames(f *testing.F) {
+	// The allocator is deterministic, so the addresses a scratch runtime
+	// hands out are the ones the fuzzed server's first buffers get.
+	const bufBytes = 4 * units.KiB
+	scratch := fuzzRuntime(f)
+	var sbuf [4]*mealibrt.Buffer
+	for i := range sbuf {
+		b, err := scratch.MemAlloc(bufBytes)
+		if err != nil {
+			f.Fatal(err)
+		}
+		sbuf[i] = b
+	}
+	axpyOver := func(x, y *mealibrt.Buffer) *descriptor.Descriptor {
+		d := &descriptor.Descriptor{}
+		if err := d.AddComp(descriptor.OpAXPY, accel.AxpyArgs{
+			N: 16, Alpha: 2, X: x.PA(), Y: y.PA(), IncX: 1, IncY: 1,
+		}.Params()); err != nil {
+			f.Fatal(err)
+		}
+		d.AddEndPass()
+		return d
+	}
+	planOf := func(d *descriptor.Descriptor) []byte {
+		var err error
+		p := frame(MsgPlan, func(e *Enc) { err = MarshalDescriptor(e, d) })
+		if err != nil {
+			f.Fatal(err)
+		}
+		return p
+	}
+	hello := frame(MsgHello, func(e *Enc) { e.Str("fuzz"); e.U64(0); e.U32(0); e.U32(0) })
+	alloc := frame(MsgAlloc, func(e *Enc) { e.U32(0); e.U64(uint64(bufBytes)) })
+	store := func(id uint64, off int64) []byte {
+		return frame(MsgStore, func(e *Enc) {
+			e.U64(id)
+			e.U64(uint64(off))
+			e.U8(ElemF32)
+			e.Bytes(F32ToBytes(make([]float32, 16)))
+		})
+	}
+	load := func(id uint64, off int64) []byte {
+		return frame(MsgLoad, func(e *Enc) { e.U64(id); e.U64(uint64(off)); e.U8(ElemF32); e.U32(16) })
+	}
+	id := func(msg uint8, id uint64) []byte { return frame(msg, func(e *Enc) { e.U64(id) }) }
+	plan := planOf(axpyOver(sbuf[0], sbuf[1]))
+	// Buffers get ids 1 and 2, the plan 3, its first ticket 4.
+	f.Add(false, packFrames(hello, alloc, alloc, store(1, 0), store(2, 0), plan, id(MsgSubmit, 3), id(MsgWait, 4),
+		load(2, 0), frame(MsgStats, nil), id(MsgDestroyPlan, 3), id(MsgFree, 1), id(MsgFree, 2)))
+	// The two offsets that used to reach the neighbouring buffer.
+	f.Add(false, packFrames(hello, alloc, alloc, store(2, -int64(bufBytes)), store(1, int64(bufBytes)),
+		load(2, -int64(bufBytes)), load(1, int64(bufBytes)), load(1, 0)))
+	// A client that vanishes with a launch in flight and nothing freed.
+	f.Add(false, packFrames(hello, alloc, alloc, store(1, 0), store(2, 0), plan, id(MsgSubmit, 3), id(MsgSubmit, 3)))
+	// A comp claiming 2^25 parameter fields in a 7-byte plan frame: the
+	// decoder used to allocate and walk all of them.
+	f.Add(false, packFrames(hello, frame(MsgPlan, func(e *Enc) {
+		e.U32(1)
+		e.U8(uint8(descriptor.KindComp))
+		e.U8(uint8(descriptor.OpAXPY))
+		e.U32(1 << 25)
+	})))
+	// No hello, an unknown type, an empty frame, a truncated body.
+	f.Add(false, packFrames(alloc, []byte{0xff}, nil, hello[:3]))
+	// Execute: a plan run twice with a load between, then a destroyed plan
+	// (id 3 is unknown by then), one frame at a time and pipelined.
+	executes := packFrames(hello, alloc, alloc, store(1, 0), store(2, 0), plan, id(MsgExecute, 3), load(2, 0),
+		id(MsgExecute, 3), frame(MsgStats, nil), id(MsgDestroyPlan, 3), id(MsgExecute, 3), id(MsgFree, 1), id(MsgFree, 2))
+	f.Add(false, executes)
+	f.Add(true, executes)
+	// An Execute that joins a pending Submit's batch (plans 5 and 6 are
+	// disjoint; the Submit's ticket is 7), pipelined.
+	f.Add(true, packFrames(hello, alloc, alloc, alloc, alloc, store(1, 0), store(2, 0), store(3, 0), store(4, 0),
+		plan, planOf(axpyOver(sbuf[2], sbuf[3])), id(MsgSubmit, 5), id(MsgExecute, 6), id(MsgWait, 7)))
+	// An Execute of a plan whose buffer was freed, and a client that vanishes
+	// with an Execute's batch partner still pending.
+	f.Add(true, packFrames(hello, alloc, alloc, store(1, 0), store(2, 0), plan, id(MsgFree, 2), id(MsgExecute, 3),
+		id(MsgSubmit, 3)))
+
+	f.Fuzz(func(t *testing.T, pipelined bool, in []byte) {
+		frames := unpackFrames(in)
+		for _, p := range frames {
+			if tooMuchWork(p) {
+				t.Skip("more loop iterations than a fuzz execution should run")
+			}
+		}
+		cli, drop := servePipe(t, Config{})
+		if pipelined {
+			go func() {
+				for _, p := range frames {
+					if WriteFrame(cli, p) != nil {
+						return // the run failed and closed the pipe
+					}
+				}
+			}()
+		}
+		for i, p := range frames {
+			if !pipelined {
+				if err := WriteFrame(cli, p); err != nil {
+					t.Fatalf("frame %d: write: %v", i, err)
+				}
+			}
+			reply, err := ReadFrame(cli)
+			if err != nil {
+				t.Fatalf("frame %d: no reply: %v", i, err)
+			}
+			if len(reply) == 0 || (reply[0] != ReplyOK && reply[0] != ReplyErr) {
+				t.Fatalf("frame %d: malformed reply % x", i, reply)
+			}
+		}
+		drop()
 	})
 }

@@ -1147,3 +1147,148 @@ func TestBatchMemberFailsAlone(t *testing.T) {
 		}
 	})
 }
+
+// launchOutcome is what one tenant saw: every report and error in order, and
+// the bytes of the buffers it compares.
+type launchOutcome struct {
+	reps []mealibd.Report
+	errs []string
+	mem  [][]float32
+}
+
+func (o *launchOutcome) add(rep *mealibd.Report, err error) {
+	if rep != nil {
+		o.reps = append(o.reps, *rep)
+	}
+	if err != nil {
+		o.errs = append(o.errs, err.Error())
+	}
+}
+
+func (o *launchOutcome) load(t *testing.T, b *client.Buffer, n int) {
+	t.Helper()
+	vs, err := b.LoadFloat32s(0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.mem = append(o.mem, vs)
+}
+
+// TestExecuteIsSubmitThenWait: Execute is one round trip (MsgExecute) where
+// it used to be Submit then Wait, and nothing else may tell them apart. Each
+// case runs once with Execute and once with Submit + Wait, on a fresh server
+// each: the reports (Batched included), the errors and every buffer's bytes
+// must be the same.
+func TestExecuteIsSubmitThenWait(t *testing.T) {
+	type launchFunc func(*client.Plan) (*mealibd.Report, error)
+	execute := func(p *client.Plan) (*mealibd.Report, error) { return p.Execute() }
+	submitWait := func(p *client.Plan) (*mealibd.Report, error) {
+		tk, err := p.Submit()
+		if err != nil {
+			return nil, err
+		}
+		return tk.Wait()
+	}
+	const n = 256
+	cases := []struct {
+		name string
+		run  func(t *testing.T, cl *client.Client, launch launchFunc, o *launchOutcome)
+	}{
+		{"lone plan", func(t *testing.T, cl *client.Client, launch launchFunc, o *launchOutcome) {
+			p, y := remoteAxpy(t, cl, 2, n)
+			o.add(launch(p))
+			o.load(t, y, n)
+		}},
+		{"joins two pending submits", func(t *testing.T, cl *client.Client, launch launchFunc, o *launchOutcome) {
+			var plans [3]*client.Plan
+			var ys [3]*client.Buffer
+			for i := range plans {
+				plans[i], ys[i] = remoteAxpy(t, cl, float32(i+1), n)
+			}
+			var tickets [2]*client.Ticket
+			for i := range tickets {
+				tk, err := plans[i].Submit()
+				if err != nil {
+					t.Fatal(err)
+				}
+				tickets[i] = tk
+			}
+			rep, err := launch(plans[2])
+			if err != nil || rep.Batched != 3 {
+				t.Errorf("launch behind two pending submits: Batched %+v, error %v; want 3, nil", rep, err)
+			}
+			o.add(rep, err)
+			for _, tk := range tickets {
+				o.add(tk.Wait())
+			}
+			for _, y := range ys {
+				o.load(t, y, n)
+			}
+		}},
+		{"stale plan", func(t *testing.T, cl *client.Client, launch launchFunc, o *launchOutcome) {
+			var bufs [2]*client.Buffer
+			for i := range bufs {
+				b, err := cl.Alloc(16)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := b.StoreFloat32s(0, []float32{1, 2, 3, 4}); err != nil {
+					t.Fatal(err)
+				}
+				bufs[i] = b
+			}
+			d := &descriptor.Descriptor{}
+			if err := d.AddComp(descriptor.OpAXPY, accel.AxpyArgs{
+				N: 4, Alpha: 1, X: phys.Addr(bufs[0].PA()), Y: phys.Addr(bufs[1].PA()), IncX: 1, IncY: 1,
+			}.Params()); err != nil {
+				t.Fatal(err)
+			}
+			d.AddEndPass()
+			p, err := cl.Plan(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := bufs[1].Free(); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := launch(p)
+			if !errors.Is(err, mealibrt.ErrPlanStale) {
+				t.Errorf("launch of a plan over a freed buffer: %v, want ErrPlanStale", err)
+			}
+			o.add(rep, err)
+			o.load(t, bufs[0], 4)
+		}},
+		{"unknown plan", func(t *testing.T, cl *client.Client, launch launchFunc, o *launchOutcome) {
+			p, y := remoteAxpy(t, cl, 2, n)
+			if err := p.Destroy(); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := launch(p)
+			if err == nil {
+				t.Errorf("launch of a destroyed plan succeeded")
+			}
+			o.add(rep, err)
+			o.load(t, y, n)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var got [2]launchOutcome
+			for i, launch := range []launchFunc{execute, submitWait} {
+				_, addr := startServer(t, nil)
+				cl, err := client.Dial(client.Config{Network: "unix", Addr: addr, Tenant: "t"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc.run(t, cl, launch, &got[i])
+				if err := cl.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(got[0], got[1]) {
+				t.Errorf("Execute and Submit + Wait differ:\nExecute:       %+v %q\nSubmit + Wait: %+v %q",
+					got[0].reps, got[0].errs, got[1].reps, got[1].errs)
+			}
+		})
+	}
+}

@@ -6,13 +6,23 @@
 // client lives in internal/mealibd/client.
 //
 // Wire format. Every message is one frame: a little-endian uint32 payload
-// length followed by the payload, whose first byte is the message type.
-// Requests flow client→server, one at a time per connection (the client
-// serialises); every request is answered by exactly one reply frame whose
-// first byte is ReplyOK or ReplyErr. ReplyErr carries a uint16 error code —
-// quota, queue-full and session-closed map onto the runtime's typed sentinel
-// errors on the client side, so a remote tenant can errors.Is() its way
-// through backpressure exactly like an in-process one.
+// length followed by the payload, whose first byte is the message type. A
+// frame leaves in one Write: Enc builds the payload behind a reserved header,
+// so the header is filled in and sent with it, and the payload is not copied.
+// Each end reads through one buffered reader, so a frame is normally one
+// read. Requests flow client→server and every request is answered by exactly
+// one reply frame, in request order, whose first byte is ReplyOK or ReplyErr.
+// A client may pipeline requests (send several before reading a reply) as
+// long as it reads the replies while it sends; the client in this tree sends
+// one at a time. ReplyErr carries a uint16 error code — quota, queue-full and
+// session-closed map onto the runtime's typed sentinel errors on the client
+// side, so a remote tenant can errors.Is() its way through backpressure
+// exactly like an in-process one.
+//
+// MsgExecute is MsgSubmit followed by MsgWait for the ticket it books, in one
+// round trip: the server runs the same submit and wait paths, so an Execute
+// that meets batched submissions joins their batch as Submit + Wait would. A
+// server that predates it answers "unknown message type 11".
 package mealibd
 
 import (
@@ -37,6 +47,7 @@ const (
 	MsgSubmit                       // launch (or batch) a plan, returning a ticket
 	MsgWait                         // block until a ticket's flight completes
 	MsgStats                        // tenant + runtime accounting snapshot (JSON)
+	MsgExecute                      // submit a plan and wait for that ticket, in one round trip
 )
 
 // Reply status bytes.
@@ -66,47 +77,142 @@ const (
 // hostile peer and are refused before allocation.
 const maxFrame = 1 << 28
 
-// WriteFrame emits one length-prefixed frame.
+// hdrLen is the frame header: the payload length, a little-endian uint32.
+const hdrLen = 4
+
+// smallFrame is the most a reader allocates on the strength of a header
+// alone, and the most a connection keeps between frames. A larger payload is
+// grown as its bytes arrive and dropped after use, so a header that lies
+// costs about what was actually sent, and a connection that once carried a
+// 16 MiB store does not hold 16 MiB.
+const smallFrame = 64 << 10
+
+func errFrameSize(n uint64) error {
+	return fmt.Errorf("mealibd: frame of %d bytes exceeds the %d limit", n, maxFrame)
+}
+
+// WriteFrame emits one length-prefixed frame in one Write. It copies the
+// payload behind a header; a message built in an Enc goes out without that
+// copy through Enc.WriteFrame.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > maxFrame {
-		return fmt.Errorf("mealibd: frame of %d bytes exceeds the %d limit", len(payload), maxFrame)
+		return errFrameSize(uint64(len(payload)))
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+	e := Enc{b: make([]byte, hdrLen, hdrLen+len(payload))}
+	e.b = append(e.b, payload...)
+	return e.WriteFrame(w)
 }
 
 // ReadFrame reads one length-prefixed frame.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func ReadFrame(r io.Reader) ([]byte, error) { return readFrame(r, nil) }
+
+// readFrame reads one frame into buf's storage when the payload fits its
+// capacity, and into new storage otherwise. A payload past smallFrame grows
+// as its bytes arrive (readLarge).
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < hdrLen {
+		buf = make([]byte, hdrLen)
+	}
+	hdr := buf[:hdrLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("mealibd: frame of %d bytes exceeds the %d limit", n, maxFrame)
+	n := binary.LittleEndian.Uint32(hdr)
+	switch {
+	case n > maxFrame:
+		return nil, errFrameSize(uint64(n))
+	case int(n) <= cap(buf):
+		buf = buf[:n]
+	case n <= smallFrame:
+		buf = make([]byte, n)
+	default:
+		return readLarge(r, int(n))
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, midFrame(err)
+	}
+	return buf, nil
+}
+
+// readLarge reads an n-byte payload in parts: the first smallFrame bytes,
+// then each part as large as all the parts before it, so what is allocated
+// before the bytes arrive never exceeds what has arrived (or smallFrame).
+// The parts are joined once the payload is whole.
+func readLarge(r io.Reader, n int) ([]byte, error) {
+	var parts [][]byte
+	for got := 0; got < n; {
+		p := make([]byte, min(n-got, max(got, smallFrame)))
+		if _, err := io.ReadFull(r, p); err != nil {
+			return nil, midFrame(err)
+		}
+		parts = append(parts, p)
+		got += len(p)
+	}
+	payload := make([]byte, 0, n)
+	for _, p := range parts {
+		payload = append(payload, p...)
 	}
 	return payload, nil
 }
 
-// Enc builds a payload.
-type Enc struct{ b []byte }
+// midFrame reports an end of stream inside a frame as the truncation it is.
+func midFrame(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// Enc builds a payload behind a reserved frame header, so WriteFrame sends
+// header and payload in one Write without copying the payload. The zero
+// value is ready to use; Reset readies it for the next message.
+type Enc struct {
+	b []byte // b[:hdrLen] is the header WriteFrame fills in; the payload follows
+}
+
+// buf returns the storage with the header reserved.
+func (e *Enc) buf() []byte {
+	if e.b == nil {
+		e.b = make([]byte, hdrLen, 64)
+	}
+	return e.b
+}
 
 // Payload returns the bytes built so far.
-func (e *Enc) Payload() []byte { return e.b }
+func (e *Enc) Payload() []byte {
+	if e.b == nil {
+		return nil
+	}
+	return e.b[hdrLen:]
+}
 
-func (e *Enc) U8(v uint8)    { e.b = append(e.b, v) }
-func (e *Enc) U16(v uint16)  { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
-func (e *Enc) U32(v uint32)  { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *Enc) U64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
+// Reset empties the payload and keeps the storage for the next message,
+// unless a message larger than smallFrame grew it.
+func (e *Enc) Reset() {
+	if cap(e.b) > hdrLen+smallFrame {
+		e.b = nil
+	} else if e.b != nil {
+		e.b = e.b[:hdrLen]
+	}
+}
+
+// WriteFrame sends the payload built so far as one frame, header and payload
+// in one Write. This is the one place a frame header is written.
+func (e *Enc) WriteFrame(w io.Writer) error {
+	b := e.buf()
+	n := len(b) - hdrLen
+	if n > maxFrame {
+		return errFrameSize(uint64(n))
+	}
+	binary.LittleEndian.PutUint32(b, uint32(n))
+	_, err := w.Write(b)
+	return err
+}
+
+func (e *Enc) U8(v uint8)    { e.b = append(e.buf(), v) }
+func (e *Enc) U16(v uint16)  { e.b = binary.LittleEndian.AppendUint16(e.buf(), v) }
+func (e *Enc) U32(v uint32)  { e.b = binary.LittleEndian.AppendUint32(e.buf(), v) }
+func (e *Enc) U64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.buf(), v) }
 func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
 func (e *Enc) Str(s string) {
 	e.U32(uint32(len(s)))
@@ -118,7 +224,9 @@ func (e *Enc) Bytes(p []byte) {
 }
 
 // Dec consumes a payload; the first decoding error sticks (check Err at the
-// end of a message).
+// end of a message). Str and Bytes return copies, and UnmarshalDescriptor
+// builds a descriptor of its own, so nothing decoded holds the payload: the
+// server reads the next frame into the same storage.
 type Dec struct {
 	b   []byte
 	err error
@@ -269,7 +377,7 @@ func UnmarshalDescriptor(d *Dec) (*descriptor.Descriptor, error) {
 }
 
 // Report is the wire form of one completed flight's accounting, the MsgWait
-// reply body.
+// and MsgExecute reply body.
 type Report struct {
 	// Comps counts accelerator activations; Batched is the number of
 	// descriptors the server coalesced into the launch that carried this

@@ -1,6 +1,7 @@
 package mealibd
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -170,18 +171,29 @@ func (s *Server) serveConn(c net.Conn) {
 		tickets: make(map[uint64]*pending),
 	}
 	defer sc.cleanup()
+	r := bufio.NewReader(c) // a frame, or a run of pipelined ones, is normally one read
+	var in []byte           // request payload storage, reused from frame to frame
+	var out Enc             // the reply, likewise
 	for {
-		payload, err := ReadFrame(c)
+		payload, err := readFrame(r, in)
 		if err != nil {
 			return // disconnect (clean EOF included)
 		}
-		d := NewDec(payload)
-		reply, err := sc.dispatch(d)
-		if err != nil {
-			reply = errReply(err)
+		out.U8(ReplyOK)
+		if err := sc.dispatch(&Dec{b: payload}, &out); err != nil {
+			out.Reset()
+			errReply(&out, err)
 		}
-		if err := WriteFrame(c, reply); err != nil {
+		err = out.WriteFrame(c)
+		out.Reset()
+		if err != nil {
 			return
+		}
+		// Nothing holds the payload once dispatch has returned (Dec.Str,
+		// Dec.Bytes and UnmarshalDescriptor copy what they keep), so the next
+		// frame may be read over it; TestServerKeepsNoPayload pins that.
+		if cap(payload) <= smallFrame {
+			in = payload
 		}
 	}
 }
@@ -201,9 +213,9 @@ func (sc *srvConn) cleanup() {
 	}
 }
 
-// errReply maps an error onto the wire, preserving the runtime's typed
-// sentinels as dedicated codes.
-func errReply(err error) []byte {
+// errReply writes err as the reply, preserving the runtime's typed sentinels
+// as dedicated codes.
+func errReply(e *Enc, err error) {
 	code := CodeGeneric
 	switch {
 	case errors.Is(err, mealibrt.ErrQuotaExceeded):
@@ -217,63 +229,68 @@ func errReply(err error) []byte {
 	case errors.Is(err, mealibrt.ErrPlanStale):
 		code = CodePlanStale
 	}
-	e := &Enc{}
 	e.U8(ReplyErr)
 	e.U16(code)
 	e.Str(err.Error())
-	return e.Payload()
 }
 
-func okReply(body func(*Enc)) []byte {
-	e := &Enc{}
-	e.U8(ReplyOK)
-	if body != nil {
-		body(e)
-	}
-	return e.Payload()
-}
-
-func (sc *srvConn) dispatch(d *Dec) ([]byte, error) {
+// dispatch serves one request. A handler appends its reply body to e, which
+// already holds ReplyOK; on an error the caller replaces the reply.
+func (sc *srvConn) dispatch(d *Dec, e *Enc) error {
 	t := d.U8()
 	if sc.sess == nil && t != MsgHello {
-		return nil, fmt.Errorf("mealibd: first message must be hello")
+		return fmt.Errorf("mealibd: first message must be hello")
 	}
 	switch t {
 	case MsgHello:
-		return sc.handleHello(d)
+		return sc.handleHello(d, e)
 	case MsgAlloc:
-		return sc.handleAlloc(d)
+		return sc.handleAlloc(d, e)
 	case MsgFree:
 		return sc.handleFree(d)
 	case MsgStore:
 		return sc.handleStore(d)
 	case MsgLoad:
-		return sc.handleLoad(d)
+		return sc.handleLoad(d, e)
 	case MsgPlan:
-		return sc.handlePlan(d)
+		return sc.handlePlan(d, e)
 	case MsgDestroyPlan:
 		return sc.handleDestroyPlan(d)
 	case MsgSubmit:
-		return sc.handleSubmit(d)
+		ticket, err := sc.submit(d)
+		if err == nil {
+			e.U64(ticket)
+		}
+		return err
 	case MsgWait:
-		return sc.handleWait(d)
+		ticket := d.U64()
+		if d.Err() != nil {
+			return d.Err()
+		}
+		return sc.wait(ticket, e)
+	case MsgExecute:
+		ticket, err := sc.submit(d)
+		if err != nil {
+			return err
+		}
+		return sc.wait(ticket, e)
 	case MsgStats:
-		return sc.handleStats(d)
+		return sc.handleStats(e)
 	default:
-		return nil, fmt.Errorf("mealibd: unknown message type %d", t)
+		return fmt.Errorf("mealibd: unknown message type %d", t)
 	}
 }
 
-func (sc *srvConn) handleHello(d *Dec) ([]byte, error) {
+func (sc *srvConn) handleHello(d *Dec, e *Enc) error {
 	if sc.sess != nil {
-		return nil, fmt.Errorf("mealibd: session already open")
+		return fmt.Errorf("mealibd: session already open")
 	}
 	name := d.Str()
 	quota := units.Bytes(d.U64())
 	maxInFlight := int(d.U32())
 	maxQueued := int(d.U32())
 	if d.Err() != nil {
-		return nil, d.Err()
+		return d.Err()
 	}
 	cfg := sc.srv.cfg
 	if quota == 0 {
@@ -292,53 +309,50 @@ func (sc *srvConn) handleHello(d *Dec) ([]byte, error) {
 		MaxQueued:   maxQueued,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sc.sess = sess
 	sc.batch = &batcher{sc: sc}
-	return okReply(func(e *Enc) {
-		e.U64(uint64(quota))
-		e.U32(uint32(maxInFlight))
-		e.U32(uint32(maxQueued))
-	}), nil
+	e.U64(uint64(quota))
+	e.U32(uint32(maxInFlight))
+	e.U32(uint32(maxQueued))
+	return nil
 }
 
-func (sc *srvConn) handleAlloc(d *Dec) ([]byte, error) {
+func (sc *srvConn) handleAlloc(d *Dec, e *Enc) error {
 	stack := int(d.U32())
 	n := units.Bytes(d.U64())
 	if d.Err() != nil {
-		return nil, d.Err()
+		return d.Err()
 	}
 	b, err := sc.sess.MemAllocOn(stack, n)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sc.nextID++
-	id := sc.nextID
-	sc.bufs[id] = b
-	return okReply(func(e *Enc) {
-		e.U64(id)
-		e.U64(uint64(b.PA()))
-	}), nil
+	sc.bufs[sc.nextID] = b
+	e.U64(sc.nextID)
+	e.U64(uint64(b.PA()))
+	return nil
 }
 
-func (sc *srvConn) handleFree(d *Dec) ([]byte, error) {
+func (sc *srvConn) handleFree(d *Dec) error {
 	id := d.U64()
 	if d.Err() != nil {
-		return nil, d.Err()
+		return d.Err()
 	}
 	b, ok := sc.bufs[id]
 	if !ok {
-		return nil, fmt.Errorf("mealibd: unknown buffer %d", id)
+		return fmt.Errorf("mealibd: unknown buffer %d", id)
 	}
 	// A batched descriptor may still reference the buffer: flush first so
 	// the runtime has accepted the launch and the free waits behind it.
 	sc.batch.flush()
 	if err := sc.sess.MemFree(b); err != nil {
-		return nil, err
+		return err
 	}
 	delete(sc.bufs, id)
-	return okReply(nil), nil
+	return nil
 }
 
 // elemBytes is the size of one element of a store or load of the given kind.
@@ -352,24 +366,24 @@ func elemBytes(kind uint8) (int, error) {
 	return 0, fmt.Errorf("mealibd: unknown element kind %d", kind)
 }
 
-func (sc *srvConn) handleStore(d *Dec) ([]byte, error) {
+func (sc *srvConn) handleStore(d *Dec) error {
 	id := d.U64()
 	off := units.Bytes(d.U64())
 	kind := d.U8()
 	data := d.Bytes()
 	if d.Err() != nil {
-		return nil, d.Err()
+		return d.Err()
 	}
 	b, ok := sc.bufs[id]
 	if !ok {
-		return nil, fmt.Errorf("mealibd: unknown buffer %d", id)
+		return fmt.Errorf("mealibd: unknown buffer %d", id)
 	}
 	elem, err := elemBytes(kind)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(data)%elem != 0 {
-		return nil, fmt.Errorf("mealibd: store of %d bytes not a multiple of the %d-byte element", len(data), elem)
+		return fmt.Errorf("mealibd: store of %d bytes not a multiple of the %d-byte element", len(data), elem)
 	}
 	// A store must not overtake a launch the tenant submitted first: a
 	// batched member touching the span flushes the batch, so the runtime has
@@ -380,107 +394,104 @@ func (sc *srvConn) handleStore(d *Dec) ([]byte, error) {
 	}
 	// The wire and the physical space share one little-endian element
 	// layout, so the frame's bytes go in as they are.
-	if err := b.StoreBytes(off, data); err != nil {
-		return nil, err
-	}
-	return okReply(nil), nil
+	return b.StoreBytes(off, data)
 }
 
-func (sc *srvConn) handleLoad(d *Dec) ([]byte, error) {
+func (sc *srvConn) handleLoad(d *Dec, e *Enc) error {
 	id := d.U64()
 	off := units.Bytes(d.U64())
 	kind := d.U8()
 	count := int(d.U32())
 	if d.Err() != nil {
-		return nil, d.Err()
+		return d.Err()
 	}
 	b, ok := sc.bufs[id]
 	if !ok {
-		return nil, fmt.Errorf("mealibd: unknown buffer %d", id)
+		return fmt.Errorf("mealibd: unknown buffer %d", id)
 	}
 	elem, err := elemBytes(kind)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Loads observe launched data: anything still sitting in the batch must
 	// be accepted by the runtime first.
 	sc.batch.flush()
 	data, err := b.LoadBytes(off, elem*count)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return okReply(func(e *Enc) { e.Bytes(data) }), nil
+	e.Bytes(data)
+	return nil
 }
 
-func (sc *srvConn) handlePlan(d *Dec) ([]byte, error) {
+func (sc *srvConn) handlePlan(d *Dec, e *Enc) error {
 	desc, err := UnmarshalDescriptor(d)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	p, err := sc.sess.AccPlanDescriptor(desc)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sc.nextID++
-	id := sc.nextID
-	sc.plans[id] = p
-	return okReply(func(e *Enc) { e.U64(id) }), nil
+	sc.plans[sc.nextID] = p
+	e.U64(sc.nextID)
+	return nil
 }
 
-func (sc *srvConn) handleDestroyPlan(d *Dec) ([]byte, error) {
+func (sc *srvConn) handleDestroyPlan(d *Dec) error {
 	id := d.U64()
 	if d.Err() != nil {
-		return nil, d.Err()
+		return d.Err()
 	}
 	p, ok := sc.plans[id]
 	if !ok {
-		return nil, fmt.Errorf("mealibd: unknown plan %d", id)
+		return fmt.Errorf("mealibd: unknown plan %d", id)
 	}
 	// The plan may still sit in the batch: flush launches it, and Destroy
 	// waits out the plan's accepted launches.
 	sc.batch.flush()
 	if err := p.Destroy(); err != nil {
-		return nil, err
+		return err
 	}
 	delete(sc.plans, id)
-	return okReply(nil), nil
+	return nil
 }
 
-func (sc *srvConn) handleSubmit(d *Dec) ([]byte, error) {
+// submit routes the plan the request names into the batcher (MsgSubmit, and
+// the first half of MsgExecute) and books its ticket.
+func (sc *srvConn) submit(d *Dec) (uint64, error) {
 	id := d.U64()
 	if d.Err() != nil {
-		return nil, d.Err()
+		return 0, d.Err()
 	}
 	p, ok := sc.plans[id]
 	if !ok {
-		return nil, fmt.Errorf("mealibd: unknown plan %d", id)
+		return 0, fmt.Errorf("mealibd: unknown plan %d", id)
 	}
 	pend := &pending{done: make(chan struct{})}
 	sc.batch.submit(p, pend)
 	sc.nextID++
-	ticket := sc.nextID
-	sc.tickets[ticket] = pend
-	return okReply(func(e *Enc) { e.U64(ticket) }), nil
+	sc.tickets[sc.nextID] = pend
+	return sc.nextID, nil
 }
 
-func (sc *srvConn) handleWait(d *Dec) ([]byte, error) {
-	ticket := d.U64()
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
+// wait blocks until the ticket's flight completes and appends its report
+// (MsgWait, and the second half of MsgExecute).
+func (sc *srvConn) wait(ticket uint64, e *Enc) error {
 	pend, ok := sc.tickets[ticket]
 	if !ok {
-		return nil, fmt.Errorf("mealibd: unknown ticket %d", ticket)
+		return fmt.Errorf("mealibd: unknown ticket %d", ticket)
 	}
 	// The awaited ticket may still be sitting in the batch.
 	sc.batch.flush()
 	<-pend.done
 	delete(sc.tickets, ticket)
 	if pend.err != nil {
-		return nil, pend.err
+		return pend.err
 	}
-	rep := pend.rep
-	return okReply(func(e *Enc) { MarshalReport(e, &rep) }), nil
+	MarshalReport(e, &pend.rep)
+	return nil
 }
 
 // statsBody is the MsgStats JSON payload.
@@ -493,7 +504,7 @@ type statsBody struct {
 	Quantiles map[string]interface{} `json:"-"`
 }
 
-func (sc *srvConn) handleStats(d *Dec) ([]byte, error) {
+func (sc *srvConn) handleStats(e *Enc) error {
 	sc.batch.flush()
 	body := statsBody{
 		Tenant:    sc.sess.Name(),
@@ -513,9 +524,10 @@ func (sc *srvConn) handleStats(d *Dec) ([]byte, error) {
 	}
 	js, err := json.Marshal(&body)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return okReply(func(e *Enc) { e.Bytes(js) }), nil
+	e.Bytes(js)
+	return nil
 }
 
 // launch accepts p on the connection goroutine — the runtime fixes the
