@@ -2,6 +2,7 @@ package accel
 
 import (
 	"fmt"
+	"sync"
 
 	"mealib/internal/descriptor"
 	"mealib/internal/kernels"
@@ -175,13 +176,96 @@ func encode(slots []any) descriptor.Params {
 	return p
 }
 
-// decodeTyped binds p to op and fills slots at iteration zero.
-func decodeTyped(op descriptor.OpCode, p descriptor.Params, slots []any) error {
+// next advances it to the following iteration of a nest of counts, like an
+// odometer.
+func (it *IterVec) next(counts *descriptor.LoopCounts) {
+	l := descriptor.MaxLoopLevels - 1
+	for ; l > 0 && it[l]+1 >= max(int64(counts[l]), 1); l-- {
+		it[l] = 0
+	}
+	it[l]++
+}
+
+// maxBlock is the most instances of a range one block holds: a bit each in
+// iters.failed.
+const maxBlock = 64
+
+// iters is a block of a range for a comp's run entry: n iterations of a nest
+// of counts from it. An instance a comp failed has its bit set in failed and
+// runs no more; err is what the first failed instance, at, failed with.
+type iters struct {
+	it     IterVec
+	counts descriptor.LoopCounts
+	n, at  int
+	failed uint64
+	err    error
+}
+
+// ranged is the run entry of an accelerator whose core executes a T: it
+// decodes the block once, through T's slots, then steps the iteration like an
+// odometer and moves only the addresses; the core still checks every call.
+// The decoded struct is pooled: a block runs on whichever worker claims it.
+func ranged[T any, P typed[T]](core func(*phys.Space, T) error) func(*phys.Space, Args, iters) iters {
+	var fields []int // the address slots
+	for f, slot := range P(new(T)).slots() {
+		if _, ok := slot.(*phys.Addr); ok {
+			fields = append(fields, f)
+		}
+	}
+	type state struct {
+		t       T
+		slots   []any
+		strides []Strides
+	}
+	pool := sync.Pool{New: func() any {
+		d := new(state)
+		d.slots = P(&d.t).slots()
+		return d
+	}}
+	return func(s *phys.Space, a Args, b iters) iters {
+		d := pool.Get().(*state)
+		a.decode(d.slots, b.it)
+		if b.n > 1 && d.strides == nil {
+			d.strides = make([]Strides, len(fields))
+		}
+		for i := 0; i < len(fields) && b.n > 1; i++ {
+			d.strides[i] = a.strides(fields[i])
+		}
+		for j, it := 0, b.it; j < b.n; j++ {
+			if j > 0 {
+				it.next(&b.counts)
+				for i, f := range fields {
+					*d.slots[f].(*phys.Addr) = descriptor.AddrOf(a.p[f]) + phys.Addr(d.strides[i].Offset(it))
+				}
+			}
+			if b.failed&(1<<j) != 0 {
+				continue
+			}
+			if err := core(s, d.t); err != nil {
+				b.failed |= 1 << j
+				if b.err == nil || j < b.at {
+					b.at, b.err = j, err
+				}
+			}
+		}
+		pool.Put(d)
+		return b
+	}
+}
+
+// typed is a typed argument struct's pointer, which lays out its fields.
+type typed[T any] interface {
+	*T
+	slots() []any
+}
+
+// decodeTyped binds p to op and decodes it into a T at iteration zero.
+func decodeTyped[T any, P typed[T]](op descriptor.OpCode, p descriptor.Params) (t T, err error) {
 	a, err := Bind(op, p)
 	if err == nil {
-		a.decode(slots, IterVec{})
+		a.decode(P(&t).slots(), IterVec{})
 	}
-	return err
+	return t, err
 }
 
 // AxpyArgs configures the AXPY accelerator (cblas_saxpy).
@@ -202,9 +286,8 @@ func (a *AxpyArgs) slots() []any {
 func (a AxpyArgs) Params() descriptor.Params { return encode(a.slots()) }
 
 // DecodeAxpyArgs decodes an AXPY argument block.
-func DecodeAxpyArgs(p descriptor.Params) (a AxpyArgs, err error) {
-	err = decodeTyped(descriptor.OpAXPY, p, a.slots())
-	return a, err
+func DecodeAxpyArgs(p descriptor.Params) (AxpyArgs, error) {
+	return decodeTyped[AxpyArgs](descriptor.OpAXPY, p)
 }
 
 // DotArgs configures the DOT accelerator (cblas_sdot and, with Complex set,
@@ -226,9 +309,8 @@ func (a *DotArgs) slots() []any {
 func (a DotArgs) Params() descriptor.Params { return encode(a.slots()) }
 
 // DecodeDotArgs decodes a DOT argument block.
-func DecodeDotArgs(p descriptor.Params) (a DotArgs, err error) {
-	err = decodeTyped(descriptor.OpDOT, p, a.slots())
-	return a, err
+func DecodeDotArgs(p descriptor.Params) (DotArgs, error) {
+	return decodeTyped[DotArgs](descriptor.OpDOT, p)
 }
 
 // GemvArgs configures the GEMV accelerator (cblas_sgemv, row major,
@@ -252,9 +334,8 @@ func (a *GemvArgs) slots() []any {
 func (a GemvArgs) Params() descriptor.Params { return encode(a.slots()) }
 
 // DecodeGemvArgs decodes a GEMV argument block.
-func DecodeGemvArgs(p descriptor.Params) (a GemvArgs, err error) {
-	err = decodeTyped(descriptor.OpGEMV, p, a.slots())
-	return a, err
+func DecodeGemvArgs(p descriptor.Params) (GemvArgs, error) {
+	return decodeTyped[GemvArgs](descriptor.OpGEMV, p)
 }
 
 // SPMV semiring selectors (kernels.SemiringPlusTimes / SemiringMinPlus).
@@ -286,9 +367,8 @@ func (a *SpmvArgs) slots() []any {
 func (a SpmvArgs) Params() descriptor.Params { return encode(a.slots()) }
 
 // DecodeSpmvArgs decodes an SPMV argument block.
-func DecodeSpmvArgs(p descriptor.Params) (a SpmvArgs, err error) {
-	err = decodeTyped(descriptor.OpSPMV, p, a.slots())
-	return a, err
+func DecodeSpmvArgs(p descriptor.Params) (SpmvArgs, error) {
+	return decodeTyped[SpmvArgs](descriptor.OpSPMV, p)
 }
 
 // Resampling kinds accepted by ResmpArgs.Kind: values 0/1 are
@@ -313,9 +393,8 @@ func (a *ResmpArgs) slots() []any {
 func (a ResmpArgs) Params() descriptor.Params { return encode(a.slots()) }
 
 // DecodeResmpArgs decodes a RESMP argument block.
-func DecodeResmpArgs(p descriptor.Params) (a ResmpArgs, err error) {
-	err = decodeTyped(descriptor.OpRESMP, p, a.slots())
-	return a, err
+func DecodeResmpArgs(p descriptor.Params) (ResmpArgs, error) {
+	return decodeTyped[ResmpArgs](descriptor.OpRESMP, p)
 }
 
 // FFTArgs configures the FFT accelerator (fftwf_execute on a guru plan:
@@ -336,9 +415,8 @@ func (a *FFTArgs) slots() []any {
 func (a FFTArgs) Params() descriptor.Params { return encode(a.slots()) }
 
 // DecodeFFTArgs decodes an FFT argument block.
-func DecodeFFTArgs(p descriptor.Params) (a FFTArgs, err error) {
-	err = decodeTyped(descriptor.OpFFT, p, a.slots())
-	return a, err
+func DecodeFFTArgs(p descriptor.Params) (FFTArgs, error) {
+	return decodeTyped[FFTArgs](descriptor.OpFFT, p)
 }
 
 // ElemKind selects the element type of a RESHP operation.
@@ -367,7 +445,6 @@ func (a *ReshpArgs) slots() []any {
 func (a ReshpArgs) Params() descriptor.Params { return encode(a.slots()) }
 
 // DecodeReshpArgs decodes a RESHP argument block.
-func DecodeReshpArgs(p descriptor.Params) (a ReshpArgs, err error) {
-	err = decodeTyped(descriptor.OpRESHP, p, a.slots())
-	return a, err
+func DecodeReshpArgs(p descriptor.Params) (ReshpArgs, error) {
+	return decodeTyped[ReshpArgs](descriptor.OpRESHP, p)
 }

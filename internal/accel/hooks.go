@@ -36,20 +36,30 @@ type WaveHooks interface {
 }
 
 // waveSpansOf materialises the per-wave directional footprint of a lowered
-// window for WaveHooks.Lowered. A wave containing any barrier node
-// collapses to nil: its footprint is unknown and conflicts with everything.
+// window for WaveHooks.Lowered, every instance's spans in program order. A
+// wave containing any barrier node collapses to nil: its footprint is unknown
+// and conflicts with everything.
 func waveSpansOf(p *plan) [][]span.Dir {
 	out := make([][]span.Dir, len(p.waves))
-wave:
 	for wi, wave := range p.waves {
-		spans := make([]span.Dir, 0, len(wave))
-		for _, k := range wave {
-			if p.nodes[k].barrier {
-				continue wave
+		spans := make([]span.Dir, 0, p.width(wave))
+		if p.inOrder(wave, func(k int32, j int) bool {
+			nd := &p.nodes[k]
+			if nd.barrier {
+				return false
 			}
-			spans = append(spans, p.spansOf(k)...)
+			it := p.iterAt(k, j)
+			for i := range nd.tmpl.spans {
+				sp, ok := nd.tmpl.spans[i].at(it)
+				if !ok {
+					return false
+				}
+				spans = append(spans, sp)
+			}
+			return true
+		}) {
+			out[wi] = spans
 		}
-		out[wi] = spans
 	}
 	return out
 }

@@ -109,8 +109,8 @@ type opSpec struct {
 	validate func(a Args) error
 	// flops is nil for pure data movement.
 	flops func(a Args) units.Flops
-	// run executes the invocation functionally at iteration it.
-	run func(s *phys.Space, a Args, it IterVec) error
+	// run executes the invocation over a block of iterations (ranged).
+	run func(s *phys.Space, a Args, b iters) iters
 	// chunk is nil when the op has no exact split (reductions, global-access
 	// ops, boundary-coupled interpolation).
 	chunk *chunkAxis
@@ -188,11 +188,7 @@ var specs = [...]*opSpec{
 			return nil
 		},
 		flops: func(a Args) units.Flops { return kernels.SaxpyFlops(int(a.i(axN))) },
-		run: func(s *phys.Space, a Args, it IterVec) error {
-			var t AxpyArgs
-			a.decode(t.slots(), it)
-			return axpyCore(s, t)
-		},
+		run:   ranged(axpyCore),
 		// By vector range.
 		chunk: &chunkAxis{count: axN, per: func(a Args, pieces int64, _ units.Bytes) (int64, error) {
 			n, incX, incY := a.i(axN), a.i(axIncX), a.i(axIncY)
@@ -226,11 +222,7 @@ var specs = [...]*opSpec{
 			}
 			return kernels.SdotFlops(int(a.i(dtN)))
 		},
-		run: func(s *phys.Space, a Args, it IterVec) error {
-			var t DotArgs
-			a.decode(t.slots(), it)
-			return dotCore(s, t)
-		},
+		run: ranged(dotCore),
 	}),
 
 	descriptor.OpGEMV: newSpec(opSpec{
@@ -252,11 +244,7 @@ var specs = [...]*opSpec{
 			return nil
 		},
 		flops: func(a Args) units.Flops { return kernels.SgemvFlops(int(a.i(gvM)), int(a.i(gvN))) },
-		run: func(s *phys.Space, a Args, it IterVec) error {
-			var t GemvArgs
-			a.decode(t.slots(), it)
-			return gemvCore(s, t)
-		},
+		run:   ranged(gemvCore),
 		// By row block: every piece re-reads the full x vector; rows amortise
 		// the rest.
 		chunk: &chunkAxis{count: gvM, per: func(a Args, _ int64, budget units.Bytes) (int64, error) {
@@ -295,11 +283,7 @@ var specs = [...]*opSpec{
 			return nil
 		},
 		flops: func(a Args) units.Flops { return kernels.SpmvFlops(int(a.i(spNNZ))) },
-		run: func(s *phys.Space, a Args, it IterVec) error {
-			var t SpmvArgs
-			a.decode(t.slots(), it)
-			return spmvCore(s, t)
-		},
+		run:   ranged(spmvCore),
 	}),
 
 	descriptor.OpRESMP: newSpec(opSpec{
@@ -327,11 +311,7 @@ var specs = [...]*opSpec{
 			}
 			return f
 		},
-		run: func(s *phys.Space, a Args, it IterVec) error {
-			var t ResmpArgs
-			a.decode(t.slots(), it)
-			return resmpCore(s, t)
-		},
+		run: ranged(resmpCore),
 	}),
 
 	descriptor.OpFFT: newSpec(opSpec{
@@ -353,11 +333,7 @@ var specs = [...]*opSpec{
 		flops: func(a Args) units.Flops {
 			return units.Flops(float64(a.i(ffHowMany))) * kernels.FFTFlops(int(a.i(ffN)))
 		},
-		run: func(s *phys.Space, a Args, it IterVec) error {
-			var t FFTArgs
-			a.decode(t.slots(), it)
-			return fftCore(s, t)
-		},
+		run: ranged(fftCore),
 		// By batch.
 		chunk: &chunkAxis{count: ffHowMany, per: func(a Args, _ int64, budget units.Bytes) (int64, error) {
 			n := a.i(ffN)
@@ -393,10 +369,6 @@ var specs = [...]*opSpec{
 			}
 			return nil
 		},
-		run: func(s *phys.Space, a Args, it IterVec) error {
-			var t ReshpArgs
-			a.decode(t.slots(), it)
-			return reshpCore(s, t)
-		},
+		run: ranged(reshpCore),
 	}),
 }

@@ -35,25 +35,38 @@ func toySpec() *opSpec {
 			return nil
 		},
 		flops: func(a Args) units.Flops { return units.Flops(2 * a.i(toyN)) },
-		run: func(s *phys.Space, a Args, it IterVec) error {
-			n := int(a.i(toyN))
-			src, err := s.LoadFloat32s(a.at(toySrc, it), n)
-			if err != nil {
-				return err
-			}
-			bias, err := s.ReadFloat32(a.at(toyBias, it))
-			if err != nil {
-				return err
-			}
-			for i := range src {
-				src[i] = a.f32(toyAlpha)*src[i] + bias
-			}
-			return s.StoreFloat32s(a.at(toyDst, it), src)
-		},
+		run:   ranged(toyCore),
 		chunk: &chunkAxis{count: toyN, per: func(a Args, pieces int64, _ units.Bytes) (int64, error) {
 			return (a.i(toyN) + pieces - 1) / pieces, nil
 		}},
 	})
+}
+
+// toyArgs is the toy's parameter block as its core reads it.
+type toyArgs struct {
+	N                    int64
+	Alpha                float32
+	Src, Dst, Bias       phys.Addr
+	SrcStride, DstStride Strides
+}
+
+func (a *toyArgs) slots() []any {
+	return []any{&a.N, &a.Alpha, &a.Src, &a.Dst, &a.Bias, &a.SrcStride, &a.DstStride}
+}
+
+func toyCore(s *phys.Space, a toyArgs) error {
+	src, err := s.LoadFloat32s(a.Src, int(a.N))
+	if err != nil {
+		return err
+	}
+	bias, err := s.ReadFloat32(a.Bias)
+	if err != nil {
+		return err
+	}
+	for i := range src {
+		src[i] = a.Alpha*src[i] + bias
+	}
+	return s.StoreFloat32s(a.Dst, src)
 }
 
 func toyParams(n int64, alpha float32, src, dst, bias phys.Addr, srcStride, dstStride int64) descriptor.Params {

@@ -8,12 +8,12 @@ import (
 	"mealib/internal/units"
 )
 
-// Execution-plan IR: a decoded descriptor is lowered into a DAG of op
-// nodes before anything runs. One node is one pass instance — a PASS
-// datapath at one loop iteration (chaining couples the comps of a pass, so
-// a pass is the smallest unit the hardware schedules as a whole). Edges are
-// read-after-write, write-after-read and write-after-write span
-// intersections, derived from the same affine base + Σ stride·index
+// Execution-plan IR: a decoded descriptor is lowered into a DAG of ranges
+// before anything runs. A range is one PASS datapath (chaining couples the
+// comps of a pass, so a pass is the smallest unit the hardware schedules as a
+// whole) at consecutive loop iterations, all in one wave; each is a pass
+// instance. Edges are read-after-write, write-after-read and write-after-write
+// span intersections, derived from the same affine base + Σ stride·index
 // arithmetic the decode unit performs (Args.appendStrided). The functional
 // and the analytic interpreters both lower to this IR and execute it with the
 // one wavefront scheduler in sched.go; the analytic path collapses each LOOP
@@ -22,30 +22,30 @@ import (
 //
 // A descriptor lowers once (segments decoded and fused once, every pass
 // bound, resolved and priced once into its template, template.go) and its
-// program-order node sequence is cut into consecutive windows of at most
-// planWindow nodes. Each window is a plan of its own — edges, waves,
+// program-order sequence of pass instances is cut into consecutive windows of
+// at most planWindow. Each window is a plan of its own — edges, waves,
 // scheduler — and the windows run back to back, so order across a window
-// boundary is program order. A LOOP of any trip count therefore gets the
-// same dependence analysis and the same partial parallelism, at a lowering
-// cost linear in the trip count and memory bounded by the window.
+// boundary is program order. A window wholly inside a nest proved
+// conflict-free lowers to a few ranges per body pass; any other goes through
+// the dependence scoreboard an instance at a time. Either way every instance
+// lands in the wave the scoreboard gives it.
 
-// planWindow is the most nodes lowered, analysed and scheduled at a time.
-// A window inside a nest the template proved conflict-free takes its edges
-// from the template; any other goes through the dependence scoreboard, which
-// splices a sorted slice, so its lowering cost grows with the square of the
-// window while every window pays a fixed scheduling cost. BenchmarkLowerLoop
-// measures both paths (CHANGES.md, PR 13 and PR 18).
+// planWindow is the most pass instances lowered, analysed and scheduled at a
+// time, on both paths alike, so the waves hooks see do not depend on the
+// path. The scoreboard's lowering cost grows with the square of the window,
+// that of ranges with the body. BenchmarkLowerLoop measures both (CHANGES.md).
 const planWindow = 1024
 
-// planNode is one schedulable unit: one pass instance, which is its
-// segment's template for the pass at one iteration.
+// planNode is one schedulable unit, a range: its segment's template for one
+// pass at n consecutive iterations from it (linear index iter), in wave
+// wave; on the scoreboard n is 1. Its instances sit at window positions ord,
+// ord+len(body), and so on, in program order.
 type planNode struct {
-	pass []descriptor.Comp
 	tmpl *nodeTemplate
 	it   IterVec
-	// dispatch charges the per-iteration decode-unit dispatch latency
-	// (set on the last pass of each loop iteration).
-	dispatch bool
+	iter int64
+	n    int32
+	ord  int32
 	// barrier marks a node whose spans could not be resolved: it conflicts
 	// with everything.
 	barrier bool
@@ -71,15 +71,52 @@ type plan struct {
 	// node's deps live in strictly earlier waves.
 	waves [][]int32
 	order []int32
+	// size counts the pass instances and edges the edges. Program order in a
+	// window of ranges runs round body from pass first.
+	size, edges int
+	body        []nodeTemplate
+	first       int
+}
+
+// width counts the wave's pass instances.
+func (p *plan) width(wave []int32) (n int) {
+	for _, k := range wave {
+		n += int(p.nodes[k].n)
+	}
+	return n
 }
 
 // maxWidth is the widest wave.
 func (p *plan) maxWidth() int {
 	most := 0
 	for _, wave := range p.waves {
-		most = max(most, len(wave))
+		most = max(most, p.width(wave))
 	}
 	return most
+}
+
+// iterAt is the iteration of the j-th instance of node k.
+func (p *plan) iterAt(k int32, j int) IterVec {
+	if j == 0 {
+		return p.nodes[k].it
+	}
+	return iterVecAt(p.nodes[k].tmpl.counts, p.nodes[k].iter+int64(j))
+}
+
+// inOrder calls f on the wave's instances in program order until f returns
+// false: every node's first, then every node's second, and so on.
+func (p *plan) inOrder(wave []int32, f func(k int32, j int) bool) bool {
+	for j, more := 0, true; more; j++ {
+		more = false
+		for _, k := range wave {
+			if n := int(p.nodes[k].n); j < n {
+				if more = more || j+1 < n; !f(k, j) {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 func (p *plan) spansOf(k int32) []span.Dir { return p.spans[p.nodes[k].spanLo:p.nodes[k].spanHi] }
@@ -89,7 +126,7 @@ func (p *plan) depsOf(k int32) []int32     { return p.deps[p.nodes[k].depLo:p.no
 type planMode int
 
 const (
-	// planExpand materialises one node per pass per iteration (functional
+	// planExpand lowers every pass at every iteration (functional
 	// execution: every iteration really runs).
 	planExpand planMode = iota
 	// planCollapse keeps one node per loop-body pass, scaled by the trip
@@ -98,10 +135,10 @@ const (
 )
 
 // lowering is a descriptor decoded into scope segments and fused, once,
-// with a cursor over its program-order node sequence. A fused pass is one
-// node — its comps chain through tile-local memory, priced as one pass — so
-// the interleaving DRAM write/read passes between producer and consumer
-// disappear from the schedule itself, not just the cost model.
+// with a cursor over its program-order sequence of pass instances. A fused
+// pass is one pass — its comps chain through tile-local memory, priced as one
+// pass — so the interleaving DRAM write/read passes between producer and
+// consumer disappear from the schedule itself, not just the cost model.
 type lowering struct {
 	segs []planSegment
 	mode planMode
@@ -118,7 +155,7 @@ type lowering struct {
 	scratchBytes units.Bytes
 	// window is planWindow, but for the tests that cut small windows.
 	window int
-	// The cursor: the next node is pass `pass` at iteration `iter` of
+	// The cursor: the next instance is pass `pass` at iteration `iter` of
 	// segs[seg], or seg == len(segs) when none is left.
 	seg, pass int
 	iter      int64
@@ -170,7 +207,7 @@ func (lw *lowering) trips(seg *planSegment) int64 {
 }
 
 // settle moves the cursor past exhausted iterations and segments, so that
-// it names a node or the end.
+// it names a pass instance or the end.
 func (lw *lowering) settle() {
 	for lw.seg < len(lw.segs) {
 		seg := &lw.segs[lw.seg]
@@ -186,38 +223,65 @@ func (lw *lowering) settle() {
 	}
 }
 
-// more reports whether any node is left to lower.
+// more reports whether any pass instance is left to lower.
 func (lw *lowering) more() bool { return lw.seg < len(lw.segs) }
 
-// next lowers the next window of at most planWindow nodes into p. A window
-// that lies wholly inside one conflict-free nest takes its edges from the
-// template; every other one (mixed segments, top-level passes, a nest the
-// verdict left unknown) goes through the dependence scoreboard.
+// next lowers the next window into p: as ranges if it lies wholly inside one
+// conflict-free nest (it is full or ends with the nest), else on the
+// dependence scoreboard.
 func (lw *lowering) next(p *plan) {
-	p.nodes = p.nodes[:0]
-	p.spans = p.spans[:0]
-	first, last, pass := lw.seg, lw.seg, lw.pass
+	if lw.more() && lw.segs[lw.seg].nest != nil && lw.segs[lw.seg].nest.rule == ruleNone {
+		seg, cur := &lw.segs[lw.seg], *lw
+		body := int64(len(seg.passes))
+		at := lw.iter*body + int64(lw.pass)
+		size := min(int64(lw.window), seg.counts.Total()*body-at)
+		lw.iter, lw.pass = (at+size-1)/body, int((at+size-1)%body)+1
+		if lw.settle(); size == int64(lw.window) || !lw.more() {
+			p.lowerRanges(seg, at, size)
+			return
+		}
+		*lw = cur
+	}
+	p.nodes, p.spans, p.body = p.nodes[:0], p.spans[:0], nil
 	for lw.more() && len(p.nodes) < lw.window {
 		seg := &lw.segs[lw.seg]
-		t := &seg.tmpl[lw.pass]
-		nd := planNode{pass: seg.passes[lw.pass], tmpl: t, dispatch: t.dispatch}
-		if seg.loop && lw.mode == planExpand {
-			nd.it = iterVecAt(seg.counts, lw.iter)
-		}
-		last = lw.seg
-		p.addNode(nd)
+		p.addNode(planNode{tmpl: &seg.tmpl[lw.pass], iter: lw.iter, n: 1, ord: int32(len(p.nodes))})
 		lw.pass++
 		lw.settle()
 	}
-	// Segments come in order: the window lies in one iff it ends where it began.
-	var n *nest
-	if first == last && first < len(lw.segs) {
-		n = lw.segs[first].nest
+	p.size = len(p.nodes)
+	p.buildEdges()
+	p.edges = len(p.deps)
+	p.buildWaves()
+}
+
+// lowerRanges lowers size instances from instance at of the conflict-free
+// nest in seg to a range per body pass and wave. No two iterations conflict,
+// so an instance's wave is its pass's depth in one iteration — but in a first
+// iteration the window starts inside: its edges to passes before the window
+// are dropped, as on the scoreboard, so its passes get ranges of their own.
+func (p *plan) lowerRanges(seg *planSegment, at, size int64) {
+	n, body := seg.nest, int64(len(seg.tmpl))
+	p.nodes, p.spans, p.deps, p.edges = p.nodes[:0], p.spans[:0], p.deps[:0], 0
+	p.size, p.body, p.first = int(size), seg.tmpl, int(at%body)
+	for pass := p.first; p.first > 0 && pass < int(body) && int64(pass-p.first) < size; pass++ {
+		w := int32(0)
+		for _, dep := range n.deps[pass] {
+			if dep >= int32(p.first) {
+				w, p.edges = max(w, p.nodes[int(dep)-p.first].wave+1), p.edges+1
+			}
+		}
+		p.nodes = append(p.nodes, planNode{tmpl: &seg.tmpl[pass], it: iterVecAt(seg.counts, at/body), iter: at / body,
+			n: 1, ord: int32(pass - p.first), wave: w})
 	}
-	if n != nil && n.rule == ruleNone {
-		p.templateEdges(n.deps, pass, len(lw.segs[first].tmpl))
-	} else {
-		p.buildEdges()
+	// The whole iterations, the last perhaps cut short.
+	for iter, pass := (at+body-1)/body, int64(0); pass < body && iter*body+pass < at+size; pass++ {
+		count := (at + size - iter*body - pass + body - 1) / body
+		if n.deps != nil {
+			p.edges += int(count) * len(n.deps[pass])
+		}
+		p.nodes = append(p.nodes, planNode{tmpl: &seg.tmpl[pass], it: iterVecAt(seg.counts, iter), iter: iter,
+			n: int32(count), ord: int32(iter*body + pass - at), wave: n.depth[pass]})
 	}
 	p.buildWaves()
 }
@@ -237,15 +301,15 @@ func iterVecAt(counts descriptor.LoopCounts, idx int64) IterVec {
 	return it
 }
 
-// addNode appends a node, shifting its template's spans to its iteration
-// into the slab. Any span that fails to resolve (undecodable comp, address
-// wrap at this iteration) turns the node into a barrier. Resolvable but
-// span-free passes (every operand empty, e.g. N=0) touch no memory and
-// conflict with nothing.
+// addNode appends a node of one instance, shifting its template's spans to
+// its iteration into the slab. Any span that fails to resolve (undecodable
+// comp, address wrap at this iteration) turns the node into a barrier.
+// Resolvable but span-free passes (every operand empty, e.g. N=0) touch no
+// memory and conflict with nothing.
 func (p *plan) addNode(nd planNode) {
 	lo := len(p.spans)
 	p.spans = slices.Grow(p.spans, len(nd.tmpl.spans))
-	nd.barrier = nd.tmpl.barrier
+	nd.barrier, nd.it = nd.tmpl.barrier, iterVecAt(nd.tmpl.counts, nd.iter)
 	for i := range nd.tmpl.spans {
 		sp, ok := nd.tmpl.spans[i].at(nd.it)
 		if !ok {
@@ -407,43 +471,43 @@ func (p *plan) buildEdges() {
 	}
 }
 
-// buildWaves assigns each node the earliest wave after all its deps and
-// groups the nodes by wave (a counting sort into order, so node order is
-// kept within a wave).
+// buildWaves puts each node in the earliest wave after all its deps and the
+// one it has (a range's), and groups the nodes by wave (a counting sort into
+// order, so node order is kept within a wave).
 func (p *plan) buildWaves() {
 	p.waves = p.waves[:0]
 	// Nodes per wave, then each wave's fill position; the edge builder is
 	// done with its stamps, which are as many as the nodes.
-	width := p.sb.stamp[:0]
+	fill := p.sb.stamp[:0]
 	for k := range p.nodes {
-		w := int32(0)
+		nd := &p.nodes[k]
 		for _, dep := range p.depsOf(int32(k)) {
-			w = max(w, p.nodes[dep].wave+1)
+			nd.wave = max(nd.wave, p.nodes[dep].wave+1)
 		}
-		p.nodes[k].wave = w
-		if int(w) == len(width) {
-			width = append(width, 0)
+		for int(nd.wave) >= len(fill) {
+			fill = append(fill, 0)
 		}
-		width[w]++
+		fill[nd.wave]++
 	}
 	p.order = append(p.order[:0], make([]int32, len(p.nodes))...)
 	at := int32(0)
-	for w, n := range width {
+	for w, n := range fill {
 		p.waves = append(p.waves, p.order[at:at+n])
-		width[w] = at
+		fill[w] = at
 		at += n
 	}
 	for k := range p.nodes {
 		w := p.nodes[k].wave
-		p.order[width[w]] = int32(k)
-		width[w]++
+		p.order[fill[w]] = int32(k)
+		fill[w]++
 	}
+	p.sb.stamp = fill
 }
 
-// PlanInfo summarises the scheduled shape of a descriptor: how many nodes
-// the plan IR lowered it to, how they spread over topological waves, and
-// how wide the widest wave is (the available parallelism). Nodes, Edges and
-// Waves are summed over the descriptor's windows.
+// PlanInfo summarises the scheduled shape of a descriptor: how many pass
+// instances the plan IR lowered it to, how they spread over topological
+// waves, and how wide the widest wave is (the available parallelism). Nodes,
+// Edges and Waves are summed over the descriptor's windows.
 type PlanInfo struct {
 	// Nodes is the number of pass instances.
 	Nodes int
@@ -460,9 +524,8 @@ type PlanInfo struct {
 	SerialChain bool
 	// BlockedLoops lists the LOOPs of more than one iteration whose
 	// iterations could not be proven conflict-free from the body's strides,
-	// and whose order the dependence scoreboard therefore works out node by
-	// node (often a serial chain). A LOOP not listed runs every window as
-	// its body's own edges repeated, with no cross-iteration ordering.
+	// and whose order the dependence scoreboard therefore works out instance
+	// by instance (often a serial chain). A LOOP not listed runs as ranges.
 	BlockedLoops []BlockedLoop
 	// Fused lists the fusion groups the lowering applied: runs of adjacent
 	// producer→consumer passes merged into single chained passes whose
@@ -509,8 +572,8 @@ func (l *Layer) ExplainPlan(d *descriptor.Descriptor) (PlanInfo, error) {
 	for {
 		r.nextWindow()
 		p := r.win
-		info.Nodes += len(p.nodes)
-		info.Edges += len(p.deps)
+		info.Nodes += p.size
+		info.Edges += p.edges
 		info.Waves += len(p.waves)
 		info.MaxWidth = max(info.MaxWidth, p.maxWidth())
 		if !lw.more() {

@@ -10,18 +10,18 @@ import (
 	"mealib/internal/units"
 )
 
-// Wavefront scheduler over the execution-plan IR (plan.go). Nodes execute
-// in topological waves: wave w starts only after wave w-1 completed, and
-// within a wave every node is pairwise independent (conflicting nodes are
-// ordered by dependence edges, and waves strictly increase along edges).
-// Independent work therefore runs concurrently on the worker pool while
-// dependent work pipelines wave by wave — an SPMV loop's serial chain
-// interleaves with unrelated passes instead of serialising the whole
-// descriptor.
+// Wavefront scheduler over the execution-plan IR (plan.go). Ranges execute
+// in topological waves: wave w starts only after wave w-1 completed, and no
+// two pass instances of a wave conflict (conflicting instances are ordered by
+// dependence edges, and waves strictly increase along edges). Workers claim a
+// wave's instances in blocks from one atomic cursor, so independent work runs
+// concurrently while dependent work pipelines wave by wave — an SPMV loop's
+// serial chain interleaves with unrelated passes instead of serialising the
+// whole descriptor.
 //
-// Determinism: a node's sub-report is its template's, priced before anything
-// runs; sub-reports merge in node (program) order regardless of which
-// goroutine ran which node, and memory effects are ordered by the edges.
+// Determinism: an instance's sub-report is its template's, priced before
+// anything runs; sub-reports merge in program order regardless of which
+// goroutine ran which block, and memory effects are ordered by the edges.
 // Serial (Workers=1) and scheduled runs are therefore bit-identical in both
 // memory and Report.
 
@@ -39,38 +39,46 @@ func (l *Layer) planWorkers(p *plan) int {
 	return max(1, min(w, p.maxWidth()))
 }
 
-// runNode executes node k of the window: its template's comps at the node's
-// iteration (nothing on the analytic path). What the node costs is the
-// template's sub-report. The node's span lands on tb, the buffer of whichever
-// goroutine runs it.
-func (l *Layer) runNode(r *planRun, k int32, tb *telemetry.Buf) error {
-	nd := &r.win.nodes[k]
-	t := nd.tmpl
+// runBlock executes instances [lo, lo+n) of node k, one comp over the block
+// after the other (none on the analytic path; an instance a comp failed runs
+// no more): the instances of a range do not conflict. The block's span lands
+// on tb, the buffer of whichever goroutine runs it.
+func (l *Layer) runBlock(r *planRun, k int32, lo, n int, tb *telemetry.Buf) {
+	p, t := r.win, r.win.nodes[k].tmpl
 	if tb != nil {
 		tb.Begin(telemetry.SpanNode, t.name)
 	}
-	err := t.err
+	b := iters{it: p.iterAt(k, lo), counts: t.counts, n: n}
 	for i := 0; i < len(t.comps) && r.space != nil; i++ {
-		if rerr := t.comps[i].spec.run(r.space, t.comps[i], nd.it); rerr != nil {
-			err = rerr
+		b = t.comps[i].spec.run(r.space, t.comps[i], b)
+	}
+	if t.err != nil && b.failed&1 == 0 {
+		// Every instance fails, the first with t.err unless a comp failed it.
+		b.at, b.err = 0, t.err
+	}
+	if b.err == nil {
+		if tb != nil {
+			tb.End2(telemetry.SpanNode, t.time,
+				telemetry.Arg{Key: "iters", Val: int64(n)},
+				telemetry.Arg{Key: "comps", Val: t.ncomps})
+		}
+		l.met.nodes.Add(int64(n))
+		return
+	}
+	tb.End(telemetry.SpanNode, 0)
+	// Keep the failure first in program order, whichever block reports first.
+	f := &failure{int(p.nodes[k].ord) + (lo+b.at)*max(1, len(p.body)), b.err}
+	for old := r.failed.Load(); old == nil || f.at < old.at; old = r.failed.Load() {
+		if r.failed.CompareAndSwap(old, f) {
 			break
 		}
 	}
-	if err != nil {
-		tb.End(telemetry.SpanNode, 0)
-		return err
-	}
-	tb.End2(telemetry.SpanNode, t.time,
-		telemetry.Arg{Key: "scale", Val: t.scale},
-		telemetry.Arg{Key: "comps", Val: t.ncomps})
-	l.met.nodes.Add(1)
-	return nil
 }
 
-// merge folds one node's sub-report into the launch's report. It runs once
-// per node, in node order, and adds the per-op stats in op-table order, so
-// the float accumulation sequence is a pure function of the node order —
-// never of goroutine completion order.
+// merge folds one pass instance's sub-report into the launch's report. It
+// runs once per instance, in program order, and adds the per-op stats in
+// op-table order, so the float accumulation sequence is a pure function of
+// the program — never of goroutine completion order.
 func (r *planRun) merge(t *nodeTemplate) {
 	rep := r.rep
 	rep.Time += t.time
@@ -99,7 +107,7 @@ func (r *planRun) merge(t *nodeTemplate) {
 // being run and what the windows share. Everything a run writes is here or in
 // memory; the program is shared with every other run of it. It is one heap
 // object, not locals of exec: a submitted launch runs on a new goroutine, and
-// what exec, runPlan and runNode hold on that small stack decides whether it
+// what exec, runPlan and runBlock hold on that small stack decides whether it
 // must grow before the kernel is reached.
 type planRun struct {
 	prog *Program
@@ -112,12 +120,14 @@ type planRun struct {
 	space *phys.Space
 	tb    *telemetry.Buf
 	hooks WaveHooks
-	// rep merges the sub-reports of every window in node order; agg is where
-	// it accumulates each accelerator's stats, and errs the scheduler's
-	// per-node results for the window.
-	rep  *Report
-	agg  [len(specs)]*OpStats
-	errs []error
+	// rep merges the sub-reports of every window in program order, agg is
+	// where it accumulates each accelerator's stats, and blocks the claims on
+	// the wave running.
+	rep    *Report
+	agg    [len(specs)]*OpStats
+	blocks []block
+	// failed is the first failure in program order.
+	failed atomic.Pointer[failure]
 	// waves counts the waves run so far — wave numbers run on from one
 	// window to the next — and elapsed is the model time through the last.
 	waves   int
@@ -137,7 +147,7 @@ func (r *planRun) nextWindow() {
 	}
 	r.lw.next(r.win)
 	r.tb.End2(telemetry.SpanPlanLower, 0,
-		telemetry.Arg{Key: "nodes", Val: int64(len(r.win.nodes))},
+		telemetry.Arg{Key: "nodes", Val: int64(r.win.size)},
 		telemetry.Arg{Key: "waves", Val: int64(len(r.win.waves))})
 }
 
@@ -162,12 +172,21 @@ func (l *Layer) exec(prog *Program, s *phys.Space, tb *telemetry.Buf, hooks Wave
 	return r.rep, nil
 }
 
-// runPlan executes the launch's current window, after announcing its waves
-// to the hooks, and merges its sub-reports into the launch's report. The
-// first error in node order wins, matching what serial execution would
-// have returned. Hooks force the wave loop even at one worker, so external
-// gating sees the same wave boundaries either way; sub-reports still merge
-// in node order, keeping hooked and unhooked runs bit-identical.
+// failure is a failed pass instance: its window position and its error.
+type failure struct {
+	at  int
+	err error
+}
+
+// block is a claim of a wave worker: instances [lo, lo+n) of node k.
+type block struct{ k, lo, n int32 }
+
+// runPlan executes the launch's current window wave by wave, after
+// announcing its waves to the hooks, and merges its sub-reports into the
+// launch's report. A wave with a failure ends the run (its dependents must
+// not run) with the first error in program order, as serial execution would
+// return. Hooks or workers bracket every wave (span, histogram, WaveStart and
+// WaveDone), so gating sees the same waves at any worker count.
 func (l *Layer) runPlan(r *planRun) error {
 	p := r.win
 	workers := l.planWorkers(p)
@@ -176,83 +195,78 @@ func (l *Layer) runPlan(r *planRun) error {
 	if r.hooks != nil {
 		r.hooks.Lowered(r.prog.wavesOf(p), r.lw.more())
 	}
-	if workers <= 1 && r.hooks == nil {
-		// Serial: node order is a topological order (edges always point
-		// forward), so in-order execution respects every edge.
-		for k := range p.nodes {
-			if err := l.runNode(r, int32(k), r.tb); err != nil {
-				return err
-			}
-			r.merge(p.nodes[k].tmpl)
-		}
-		return nil
-	}
-	r.errs = append(r.errs[:0], make([]error, len(p.nodes))...)
-	failed := false
+	bracket := workers > 1 || r.hooks != nil
 	for wi, wave := range p.waves {
-		l.met.waveWidth.Observe(int64(len(wave)))
-		if r.hooks != nil {
-			r.hooks.WaveStart(base + wi)
+		width := p.width(wave)
+		if bracket {
+			l.met.waveWidth.Observe(int64(width))
+			if r.hooks != nil {
+				r.hooks.WaveStart(base + wi)
+			}
+			r.tb.Begin(telemetry.SpanWave, "wave")
 		}
-		r.tb.Begin(telemetry.SpanWave, "wave")
-		if len(wave) == 1 || workers == 1 {
-			// Single-node waves (and hooked serial runs) execute inline: a
-			// serial chain (SPMV loop, chained passes) must not pay
-			// goroutine hand-off per node.
-			for _, k := range wave {
-				r.errs[k] = l.runNode(r, k, r.tb)
-			}
-		} else {
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for i := 0; i < min(workers, len(wave)); i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					// Each wave worker records onto its own buffer; the
-					// coordinator's wave span brackets them all.
-					wb := l.tr.Buffer(telemetry.TrackAccel)
-					defer wb.Release()
-					for {
-						pos := next.Add(1) - 1
-						if pos >= int64(len(wave)) {
-							return
-						}
-						k := wave[pos]
-						r.errs[k] = l.runNode(r, k, wb)
-					}
-				}()
-			}
-			wg.Wait()
-		}
-		r.tb.End2(telemetry.SpanWave, 0,
-			telemetry.Arg{Key: "wave", Val: int64(base + wi)},
-			telemetry.Arg{Key: "width", Val: int64(len(wave))})
-		for _, k := range wave {
-			if r.errs[k] != nil {
-				failed = true
-			} else {
-				r.elapsed += p.nodes[k].tmpl.time
-			}
+		l.runWave(r, wave, width, workers)
+		if bracket {
+			r.tb.End2(telemetry.SpanWave, 0,
+				telemetry.Arg{Key: "wave", Val: int64(base + wi)},
+				telemetry.Arg{Key: "width", Val: int64(width)})
 		}
 		if r.hooks != nil {
+			// The model time through the wave, added in program order.
+			p.inOrder(wave, func(k int32, _ int) bool { r.elapsed += p.nodes[k].tmpl.time; return true })
 			r.hooks.WaveDone(base+wi, r.elapsed)
 		}
-		if failed {
-			// Dependents of the failed node must not run; later waves are
-			// abandoned wholesale (conservative, still deterministic).
-			break
+		if f := r.failed.Load(); f != nil {
+			return f.err
 		}
 	}
-	if failed {
-		for _, err := range r.errs {
-			if err != nil {
-				return err
-			}
+	for q := range p.size {
+		if p.body == nil {
+			r.merge(p.nodes[q].tmpl)
+		} else {
+			r.merge(&p.body[(p.first+q)%len(p.body)])
 		}
-	}
-	for k := range p.nodes {
-		r.merge(p.nodes[k].tmpl)
 	}
 	return nil
+}
+
+// runWave runs the wave in blocks of its width over 8·workers, so that a
+// slow core still sheds work: inline for one worker or instance, else claimed
+// from one atomic cursor by up to workers goroutines.
+func (l *Layer) runWave(r *planRun, wave []int32, width, workers int) {
+	size := int32(1)
+	if width > 8*workers {
+		size = int32(min(maxBlock, width/(8*workers)))
+	}
+	if workers == 1 || width == 1 {
+		for _, k := range wave {
+			for lo, n := int32(0), r.win.nodes[k].n; lo < n; lo += size {
+				l.runBlock(r, k, int(lo), int(min(size, n-lo)), r.tb)
+			}
+		}
+		return
+	}
+	r.blocks = r.blocks[:0]
+	for _, k := range wave {
+		for lo, n := int32(0), r.win.nodes[k].n; lo < n; lo += size {
+			r.blocks = append(r.blocks, block{k, lo, min(size, n-lo)})
+		}
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, len(r.blocks)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Each wave worker records onto its own buffer; the coordinator's
+			// wave span brackets them all.
+			wb := l.tr.Buffer(telemetry.TrackAccel)
+			defer wb.Release()
+			for i := next.Add(1) - 1; i < int64(len(r.blocks)); i = next.Add(1) - 1 {
+				b := r.blocks[i]
+				l.runBlock(r, b.k, int(b.lo), int(b.n), wb)
+			}
+		}()
+	}
+	wg.Wait()
 }

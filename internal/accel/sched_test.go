@@ -275,10 +275,10 @@ func TestPlanInterleavesSerialChainWithIndependentLoop(t *testing.T) {
 	}
 	var spmvN, axpyN int
 	for _, k := range p.waves[0] {
-		switch p.nodes[k].pass[0].Op {
-		case descriptor.OpSPMV:
+		switch p.nodes[k].tmpl.comps[0].spec {
+		case specs[descriptor.OpSPMV]:
 			spmvN++
-		case descriptor.OpAXPY:
+		case specs[descriptor.OpAXPY]:
 			axpyN++
 		}
 	}

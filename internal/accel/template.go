@@ -12,13 +12,14 @@ import (
 )
 
 // Nest templates. The decode unit configures a LOOP body once and then only
-// advances addresses per iteration (paper §2.2); so does the lowering.
-// Layer.lower gives every pass of every segment a template of what its
-// instances share, and every expanded LOOP of more than one iteration a
+// advances addresses per iteration (paper §2.2); so do the lowering and the
+// engine. Layer.lower gives every pass of every segment a template of what
+// its instances share, and every expanded LOOP of more than one iteration a
 // verdict on whether two of its iterations can conflict. A plan node is a
-// (template, iteration) pair; a top-level pass is the one-iteration case.
-// Templates are built once per compiled Program (program.go), in time linear
-// in the body, and no run writes to them.
+// range (template, first iteration, count), which runs each comp decoded
+// once (ranged); a top-level pass is a range of one. Templates are built once
+// per compiled Program (program.go), in time linear in the body, and no run
+// writes to them.
 
 // stridedSpan is one directional span of a pass at iteration zero with the
 // per-level advance of its operand.
@@ -52,9 +53,10 @@ type nodeTemplate struct {
 	spans []stridedSpan
 	// dispatch charges the per-iteration decode-unit dispatch latency (the
 	// last pass of a LOOP body); scale is the trip count the one node of a
-	// model-collapsed LOOP stands for, else 1.
+	// model-collapsed LOOP stands for, else 1; counts are the segment's.
 	dispatch bool
 	scale    int64
+	counts   descriptor.LoopCounts
 	// name labels the node's trace span: the whole chain, so fusion shows.
 	name string
 	// The node's sub-report, priced once (no input of the model reads the
@@ -79,8 +81,10 @@ type nest struct {
 	rule blockRule
 	a, b int
 	// deps[pass] are the earlier passes of its own iteration that body pass
-	// `pass` of a conflict-free nest must follow (nil for a one-pass body).
-	deps [][]int32
+	// `pass` of a conflict-free nest must follow (nil for a one-pass body),
+	// and depth[pass] the wave they put it in.
+	deps  [][]int32
+	depth []int32
 }
 
 // buildTemplates binds, resolves and prices every pass of the segment once,
@@ -100,7 +104,7 @@ func (l *Layer) buildTemplates(seg *planSegment, mode planMode) {
 	spans := make([]stridedSpan, 0, nspans)
 	for pi, pass := range seg.passes {
 		t := &seg.tmpl[pi]
-		t.scale, t.dispatch = 1, seg.loop && pi == len(seg.passes)-1
+		t.scale, t.dispatch, t.counts = 1, seg.loop && pi == len(seg.passes)-1, seg.counts
 		if seg.loop && mode == planCollapse {
 			t.scale = seg.counts.Total()
 		}
@@ -128,30 +132,6 @@ func (l *Layer) buildTemplates(seg *planSegment, mode planMode) {
 	if seg.loop && mode == planExpand && seg.counts.Total() > 1 {
 		seg.nest = &nest{spans: spans}
 		seg.nest.judge(seg.tmpl, seg.counts)
-	}
-}
-
-// templateEdges fills the deps of a window that lies wholly inside one
-// conflict-free nest of `body` passes, and whose first node is body pass
-// `pass`, from the edges among the passes of one iteration. No two iterations
-// conflict, so the scoreboard's edge set is the union of the per-iteration
-// edges; an edge to a node before the window start is dropped, as the
-// scoreboard never sees that node.
-func (p *plan) templateEdges(deps [][]int32, pass, body int) {
-	p.deps = p.deps[:0]
-	for k := range p.nodes {
-		nd := &p.nodes[k]
-		nd.depLo = int32(len(p.deps))
-		for i := 0; deps != nil && i < len(deps[pass]); i++ {
-			// The node's iteration began at window index k-pass.
-			if dep := int32(k-pass) + deps[pass][i]; dep >= 0 {
-				p.deps = append(p.deps, dep)
-			}
-		}
-		nd.depHi = int32(len(p.deps))
-		if pass++; pass == body {
-			pass = 0
-		}
 	}
 }
 
@@ -231,16 +211,18 @@ func (n *nest) judge(tmpl []nodeTemplate, counts descriptor.LoopCounts) {
 			}
 		}
 	}
+	n.depth = make([]int32, len(tmpl))
 	if len(tmpl) > 1 {
 		// The dependence scoreboard over iteration zero.
 		var p plan
 		for pi := range tmpl {
-			p.addNode(planNode{tmpl: &tmpl[pi]})
+			p.addNode(planNode{tmpl: &tmpl[pi], n: 1})
 		}
 		p.buildEdges()
+		p.buildWaves()
 		n.deps = make([][]int32, len(tmpl))
 		for pi := range n.deps {
-			n.deps[pi] = p.depsOf(int32(pi))
+			n.deps[pi], n.depth[pi] = p.depsOf(int32(pi)), p.nodes[pi].wave
 		}
 	}
 }

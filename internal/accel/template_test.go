@@ -2,7 +2,6 @@ package accel
 
 import (
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 
@@ -189,38 +188,67 @@ func TestNestVerdictNeverOptimistic(t *testing.T) {
 	}
 }
 
-// templateMatchesScoreboard cuts the nest into windows of `window` nodes and
-// reports whether, in every one, the deps and waves next filled in equal what
-// the scoreboard derives from the same nodes.
-func templateMatchesScoreboard(lw *lowering, window int) bool {
+// nodesOf lowers the window the cursor names on the dependence scoreboard
+// whatever the verdict on its nest — the materialised nodes ranges stand for
+// — and returns the cursor after it.
+func nodesOf(lw lowering, q *plan) lowering {
+	if n := lw.segs[lw.seg].nest; n != nil {
+		defer func(rule blockRule) { n.rule = rule }(n.rule)
+		n.rule = ruleBarrier
+	}
+	lw.next(q)
+	return lw
+}
+
+// templateMatchesScoreboard cuts the nest into windows of `window` pass
+// instances and reports whether, in every one, each pass instance the ranges
+// next lowered stand for is the one the scoreboard path materialises at its
+// program-order position, in the same wave, and the window's counts —
+// instances, edges, waves, widest wave — are the materialised ones. A window
+// must be lowered as ranges exactly when the nest is conflict-free. It also
+// returns the materialised counts summed over the windows, as ExplainPlan
+// sums them, and how many windows of ranges started inside an iteration.
+func templateMatchesScoreboard(lw *lowering, window int) (_ PlanInfo, mid int, ok bool) {
 	lw.window = window
-	var p plan
+	var info PlanInfo
+	var p, q plan
 	for lw.more() {
+		cur := nodesOf(*lw, &q)
 		lw.next(&p)
-		nodes, deps := slices.Clone(p.nodes), slices.Clone(p.deps)
-		p.buildEdges()
-		p.buildWaves()
-		if !slices.Equal(deps, p.deps) {
-			return false
+		if p.first > 0 {
+			mid++
 		}
-		for k, nd := range p.nodes {
-			if was := nodes[k]; was.depLo != nd.depLo || was.depHi != nd.depHi || was.wave != nd.wave {
-				return false
+		info.Nodes += q.size
+		info.Edges += q.edges
+		info.Waves += len(q.waves)
+		info.MaxWidth = max(info.MaxWidth, q.maxWidth())
+		if (p.body != nil) != (lw.segs[0].nest.rule == ruleNone) || cur.seg != lw.seg || cur.pass != lw.pass || cur.iter != lw.iter ||
+			p.size != q.size || p.edges != q.edges || len(p.waves) != len(q.waves) || p.maxWidth() != q.maxWidth() {
+			return info, mid, false
+		}
+		for k := range p.nodes {
+			nd := &p.nodes[k]
+			for j := range int(nd.n) {
+				was := &q.nodes[int(nd.ord)+j*max(1, len(p.body))]
+				if was.tmpl != nd.tmpl || was.iter != nd.iter+int64(j) || was.wave != nd.wave {
+					return info, mid, false
+				}
 			}
 		}
 	}
-	return true
+	return info, mid, true
 }
 
 // TestTemplateDepsMatchScoreboard: whenever the verdict is conflict-free, a
-// window's edges taken from the template — windows of every small size, so
-// most start and end mid-iteration — are exactly the scoreboard's, in the
-// same order, and so are the waves. The control at the end shows the test
-// can tell: a zero-stride write forced to "conflict-free" does not match.
+// window lowered as ranges — windows of every small size, so most start and
+// end mid-iteration, and of planWindow — puts every pass instance in the wave
+// the scoreboard gives it on the materialised nodes, and ExplainPlan reports
+// the materialised counts. The control at the end shows the test can tell: a
+// zero-stride write forced to "conflict-free" does not match.
 func TestTemplateDepsMatchScoreboard(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	layers := []*Layer{fuseRig(t, 1, false).layer, fuseRig(t, 1, true).layer}
-	checked, edges := 0, 0
+	checked, edges, mid := 0, 0, 0
 	for trial := 0; trial < 400; trial++ {
 		d := randomNest(t, rng)
 		for _, l := range layers {
@@ -232,16 +260,29 @@ func TestTemplateDepsMatchScoreboard(t *testing.T) {
 			for _, deps := range n.deps {
 				edges += len(deps)
 			}
-			for window := 1; window <= 7; window++ {
-				if lw, _ = lowerNest(t, l, d); !templateMatchesScoreboard(lw, window) {
-					t.Fatalf("trial %d, windows of %d: template edges differ from the scoreboard's:\n%s", trial, window, d.Disassemble())
+			for _, window := range []int{1, 2, 3, 4, 5, 6, 7, planWindow} {
+				lw, _ = lowerNest(t, l, d)
+				sum, m, ok := templateMatchesScoreboard(lw, window)
+				if mid += m; !ok {
+					t.Fatalf("trial %d, windows of %d: the ranges differ from the scoreboard's nodes:\n%s", trial, window, d.Disassemble())
+				}
+				if window != planWindow {
+					continue
+				}
+				info, err := l.ExplainPlan(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.Nodes != sum.Nodes || info.Edges != sum.Edges || info.Waves != sum.Waves || info.MaxWidth != sum.MaxWidth {
+					t.Fatalf("trial %d: ExplainPlan = %+v, the materialised nodes %+v", trial, info, sum)
 				}
 			}
 		}
 	}
-	t.Logf("%d conflict-free lowerings checked, %d intra-iteration edges among them", checked, edges)
-	if checked < 100 || edges < 100 {
-		t.Errorf("only %d conflict-free lowerings with %d intra-iteration edges: the generator proves too little", checked, edges)
+	t.Logf("%d conflict-free lowerings checked, %d intra-iteration edges among them, %d windows started inside an iteration", checked, edges, mid)
+	if checked < 100 || edges < 100 || mid < 100 {
+		t.Errorf("only %d conflict-free lowerings with %d intra-iteration edges, %d windows started inside an iteration: the generator proves too little",
+			checked, edges, mid)
 	}
 
 	// Every iteration accumulates into the same y.
@@ -255,11 +296,12 @@ func TestTemplateDepsMatchScoreboard(t *testing.T) {
 	d.AddEndPass()
 	d.AddEndLoop()
 	lw, n := lowerNest(t, layers[0], d)
-	if n.rule != ruleTiling || !templateMatchesScoreboard(lw, 3) {
-		t.Fatalf("a zero-stride write: rule %d, want %d and the scoreboard's own edges", n.rule, ruleTiling)
+	if _, _, ok := templateMatchesScoreboard(lw, 3); n.rule != ruleTiling || !ok {
+		t.Fatalf("a zero-stride write: rule %d, want %d and the scoreboard's own nodes", n.rule, ruleTiling)
 	}
 	lw, n = lowerNest(t, layers[0], d)
-	if n.rule = ruleNone; templateMatchesScoreboard(lw, 3) {
+	n.rule, n.depth = ruleNone, []int32{0}
+	if _, _, ok := templateMatchesScoreboard(lw, 3); ok {
 		t.Error("a zero-stride write forced to conflict-free still matched the scoreboard: the comparison proves nothing")
 	}
 }

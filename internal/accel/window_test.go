@@ -231,6 +231,51 @@ func TestDifferentialWindowsProducerConsumer(t *testing.T) {
 	}
 }
 
+// threePassNest is a conflict-free LOOP of three unfused passes a
+// window of planWindow cuts inside an iteration: an AXPY into y, a DOT over
+// the first half of y (not the AXPY's whole output, so fusion leaves the pair
+// alone) and an AXPY into z that depends on neither. The windows after the
+// first start at the DOT and at the second AXPY.
+func threePassNest(t testing.TB, iters, n int, x, y, z, out phys.Addr) *descriptor.Descriptor {
+	t.Helper()
+	d := &descriptor.Descriptor{}
+	add := func(op descriptor.OpCode, p descriptor.Params) {
+		if err := d.AddComp(op, p); err != nil {
+			t.Fatal(err)
+		}
+		d.AddEndPass()
+	}
+	if err := d.AddLoop(uint32(iters)); err != nil {
+		t.Fatal(err)
+	}
+	v := Lin(int64(4 * n))
+	add(descriptor.OpAXPY, AxpyArgs{N: int64(n), Alpha: 0.5, X: x, Y: y, IncX: 1, IncY: 1, LoopStrideX: v, LoopStrideY: v}.Params())
+	add(descriptor.OpDOT, DotArgs{N: int64(n / 2), X: y, Y: x, Out: out, IncX: 1, IncY: 1,
+		LoopStrideX: v, LoopStrideY: v, LoopStrideOut: Lin(4)}.Params())
+	add(descriptor.OpAXPY, AxpyArgs{N: int64(n), Alpha: -2, X: x, Y: z, IncX: 1, IncY: 1, LoopStrideX: v, LoopStrideY: v}.Params())
+	d.AddEndLoop()
+	return d
+}
+
+// TestDifferentialWindowsThreePassNest: windows of a conflict-free nest that
+// start inside an iteration, where the first iteration's DOT loses its edge
+// to the AXPY before the window and lands a wave earlier than the others.
+func TestDifferentialWindowsThreePassNest(t *testing.T) {
+	const n = 16
+	iters := 2*planWindow/3 + 20
+	rep := runWindowDifferential(t, func(r *testRig) *descriptor.Descriptor {
+		x, y, z := r.alloc(4*n*iters), r.alloc(4*n*iters), r.alloc(4*n*iters)
+		out := r.alloc(4 * iters)
+		storeRandF32(t, r, x, n*iters, 241)
+		storeRandF32(t, r, y, n*iters, 242)
+		storeRandF32(t, r, z, n*iters, 243)
+		return threePassNest(t, iters, n, x, y, z, out)
+	})
+	if want := int64(3 * iters); rep.Comps != want || rep.ElidedBytes != 0 {
+		t.Errorf("comps = %d (elided %d), want %d unfused", rep.Comps, rep.ElidedBytes, want)
+	}
+}
+
 // TestDifferentialWindowsCarriedChain: every iteration of an SPMV loop
 // rewrites the same y, so each depends on the one before — also on the one
 // that ran in the window before.
@@ -345,10 +390,10 @@ func TestPlanLoopDependences(t *testing.T) {
 }
 
 // TestWindowWalk is the window-walk property: for random descriptors every
-// window holds at most planWindow nodes (exactly that many but for the
-// last), the windows' nodes concatenate to the full expansion in program
-// order, and the one plan they are lowered into never grows past what a
-// single window needs.
+// window holds at most planWindow pass instances (exactly that many but for
+// the last), the windows' ranges, expanded, concatenate to the full expansion
+// in program order, and the one plan they are lowered into never grows past
+// what a single window needs.
 func TestWindowWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	l := newModelLayer(t, 1)
@@ -384,21 +429,21 @@ func TestWindowWalk(t *testing.T) {
 			t.Fatal(err)
 		}
 		type key struct {
-			pass     *descriptor.Comp
-			it       IterVec
-			dispatch bool
+			tmpl *nodeTemplate
+			it   IterVec
 		}
 		var want []key
-		for _, seg := range lw.segs {
+		for si := range lw.segs {
+			seg := &lw.segs[si]
 			iters := int64(1)
 			if seg.loop {
 				iters = seg.counts.Total()
 			}
 			for idx := int64(0); idx < iters; idx++ {
-				for pi, ps := range seg.passes {
-					k := key{pass: &ps[0]}
+				for pi := range seg.passes {
+					k := key{tmpl: &seg.tmpl[pi]}
 					if seg.loop {
-						k.it, k.dispatch = iterVecAt(seg.counts, idx), pi == len(seg.passes)-1
+						k.it = iterVecAt(seg.counts, idx)
 					}
 					want = append(want, k)
 				}
@@ -408,11 +453,16 @@ func TestWindowWalk(t *testing.T) {
 		var got []key
 		for lw.more() {
 			lw.next(&p)
-			if len(p.nodes) > planWindow || (lw.more() && len(p.nodes) != planWindow) {
-				t.Fatalf("trial %d: a window of %d nodes (more: %v)", trial, len(p.nodes), lw.more())
+			if p.size > planWindow || (lw.more() && p.size != planWindow) {
+				t.Fatalf("trial %d: a window of %d pass instances (more: %v)", trial, p.size, lw.more())
 			}
-			for _, nd := range p.nodes {
-				got = append(got, key{&nd.pass[0], nd.it, nd.dispatch})
+			// A window's ranges, expanded, in program order.
+			at := len(got)
+			got = append(got, make([]key, p.size)...)
+			for k := range p.nodes {
+				for j := range int(p.nodes[k].n) {
+					got[at+int(p.nodes[k].ord)+j*max(1, len(p.body))] = key{p.nodes[k].tmpl, p.iterAt(int32(k), j)}
+				}
 			}
 		}
 		if !reflect.DeepEqual(got, want) {
@@ -427,11 +477,11 @@ func TestWindowWalk(t *testing.T) {
 }
 
 // BenchmarkLowerLoop reports the cost of lowering and running a nest per
-// node, on both lowering paths: the STAP inner-product nest at four trip
-// counts (conflict-free: edges from the template) and, as carried/, the same
-// nest with a zero-stride out, every iteration storing to the one
+// iteration, on both lowering paths: the STAP inner-product nest at four trip
+// counts (conflict-free: every window a few ranges) and, as carried/, the
+// same nest with a zero-stride out, every iteration storing to the one
 // accumulator (a carried dependence: every window on the scoreboard, every
-// wave one node). Neither figure may grow with the trip count.
+// wave one pass instance). Neither figure may grow with the trip count.
 func BenchmarkLowerLoop(b *testing.B) {
 	const cells, n = 32, 16
 	for _, sz := range []struct{ pairs, sv int }{{16, 2}, {128, 2}, {512, 2}, {512, 8}} {
@@ -491,9 +541,9 @@ func BenchmarkLowerLoop(b *testing.B) {
 				}
 				b.StopTimer()
 				runtime.ReadMemStats(&after)
-				nodes := float64(b.N) * float64(iters)
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/nodes, "ns/node")
-				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/nodes, "allocs/node")
+				runs := float64(b.N) * float64(iters)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/runs, "ns/iter")
+				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/runs, "allocs/iter")
 			})
 		}
 	}

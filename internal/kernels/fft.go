@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/cmplx"
+	"runtime"
 	"sync"
 )
 
@@ -218,35 +219,47 @@ func FFT(data []complex64, dir Direction) error {
 
 // FFTBatch executes the plan over howMany contiguous transforms stored back
 // to back in data, in parallel — the batched FFT of the STAP Doppler stage.
+// Below minParallel transforms it runs them inline and allocates nothing but
+// the per-call plan of a length that is not a power of two. The error
+// returned is the first transform's, in batch order.
 func FFTBatch(p *FFTPlan, data []complex64, howMany int) error {
 	n := p.Len()
 	if len(data) < n*howMany {
 		return fmt.Errorf("kernels: fft batch: data length %d < %d transforms of %d", len(data), howMany, n)
 	}
+	if howMany < minParallel || runtime.GOMAXPROCS(0) <= 1 {
+		return fftRange(p, data, 0, howMany)
+	}
+	// One slot per range, at its first transform.
 	errs := make([]error, howMany)
-	parallelRanges(howMany, func(lo, hi int) {
-		// Each goroutine needs its own plan state (scratch aliasing).
-		local := p
-		if !p.pow2 {
-			var err error
-			local, err = NewFFTPlan(n, p.dir)
-			if err != nil {
-				for b := lo; b < hi; b++ {
-					errs[b] = err
-				}
-				return
-			}
-		}
-		for b := lo; b < hi; b++ {
-			errs[b] = local.Execute(data[b*n : (b+1)*n])
-		}
-	})
+	parallelRanges(howMany, func(lo, hi int) { errs[lo] = fftRange(p, data, lo, hi) })
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// fftRange executes transforms [lo, hi) of data, every one of them, and
+// returns the first error.
+func fftRange(p *FFTPlan, data []complex64, lo, hi int) error {
+	n := p.Len()
+	// Each range needs its own plan state (scratch aliasing).
+	local := p
+	if !p.pow2 {
+		var err error
+		if local, err = NewFFTPlan(n, p.dir); err != nil {
+			return err
+		}
+	}
+	var first error
+	for b := lo; b < hi; b++ {
+		if err := local.Execute(data[b*n : (b+1)*n]); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // FFT2D transforms an r x c row-major complex matrix in place (rows then

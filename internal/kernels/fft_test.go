@@ -220,3 +220,22 @@ func TestFFT2DErrors(t *testing.T) {
 		t.Error("short buffer must fail")
 	}
 }
+
+// TestFFTBatchInlineAllocatesNothing: below minParallel transforms a batch of
+// a power-of-two length runs inline on the shared plan and allocates nothing.
+func TestFFTBatchInlineAllocatesNothing(t *testing.T) {
+	p, err := SharedFFTPlan(1024, Forward)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, howMany := range []int{1, 4} {
+		data := make([]complex64, 1024*howMany)
+		if avg := testing.AllocsPerRun(100, func() {
+			if err := FFTBatch(p, data, howMany); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("FFTBatch of %d transforms allocates %v times a call, want 0", howMany, avg)
+		}
+	}
+}

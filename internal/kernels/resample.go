@@ -1,6 +1,9 @@
 package kernels
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // InterpKind selects the interpolation rule used by Resample.
 type InterpKind int
@@ -36,29 +39,38 @@ func resample(src, dst []float32, kind InterpKind, parallel bool) error {
 		return fmt.Errorf("kernels: resample: unknown interpolation kind %d", kind)
 	}
 	scale := float64(n-1) / float64(max(m-1, 1))
-	body := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			pos := float64(i) * scale
-			j := int(pos)
-			if j >= n-1 {
-				j = n - 2
-			}
-			t := float32(pos - float64(j))
-			switch kind {
-			case InterpLinear:
-				dst[i] = src[j] + t*(src[j+1]-src[j])
-			case InterpCubic:
-				dst[i] = catmullRom(sampleExtrapolated(src, j-1), src[j], src[j+1], sampleExtrapolated(src, j+2), t)
-			}
-		}
-	}
-	if parallel {
-		parallelRanges(m, body)
+	if parallel && m >= minParallel {
+		// The closure is built only here: below minParallel a call allocates
+		// nothing.
+		parallelRanges(m, func(lo, hi int) { resampleRange(src, dst, kind, scale, lo, hi) })
 	} else {
-		body(0, m)
+		resampleRange(src, dst, kind, scale, 0, m)
 	}
 	return nil
 }
+
+// resampleRange computes dst[lo:hi].
+func resampleRange(src, dst []float32, kind InterpKind, scale float64, lo, hi int) {
+	n := len(src)
+	for i := lo; i < hi; i++ {
+		pos := float64(i) * scale
+		j := int(pos)
+		if j >= n-1 {
+			j = n - 2
+		}
+		t := float32(pos - float64(j))
+		switch kind {
+		case InterpLinear:
+			dst[i] = src[j] + t*(src[j+1]-src[j])
+		case InterpCubic:
+			dst[i] = catmullRom(sampleExtrapolated(src, j-1), src[j], src[j+1], sampleExtrapolated(src, j+2), t)
+		}
+	}
+}
+
+// splitScratch holds the split planes of ResampleC64, so that a steady
+// stream of calls (one per SAR row) allocates nothing.
+var splitScratch = sync.Pool{New: func() any { return new([]float32) }}
 
 // ResampleC64 resamples a complex signal by interpolating the real and
 // imaginary parts independently (the SAR range-interpolation use of the
@@ -68,14 +80,18 @@ func ResampleC64(src []complex64, dst []complex64, kind InterpKind) error {
 	if n < 2 {
 		return fmt.Errorf("kernels: resample: need at least 2 source samples, have %d", n)
 	}
-	re := make([]float32, n)
-	im := make([]float32, n)
+	buf := splitScratch.Get().(*[]float32)
+	defer splitScratch.Put(buf)
+	if cap(*buf) < 2*(n+m) {
+		*buf = make([]float32, 2*(n+m))
+	}
+	planes := (*buf)[:2*(n+m)]
+	re, im := planes[:n:n], planes[n:2*n:2*n]
+	reOut, imOut := planes[2*n:2*n+m:2*n+m], planes[2*n+m:]
 	for i, c := range src {
 		re[i] = real(c)
 		im[i] = imag(c)
 	}
-	reOut := make([]float32, m)
-	imOut := make([]float32, m)
 	if err := Resample(re, reOut, kind); err != nil {
 		return err
 	}

@@ -105,3 +105,42 @@ func TestResampleErrors(t *testing.T) {
 		t.Errorf("empty destination must be a no-op: %v", err)
 	}
 }
+
+// TestResampleC64AllocatesNothing: a SAR row's complex resample borrows its
+// split planes from a pool and runs inline below minParallel, so a steady
+// stream of calls allocates nothing; the output is the split planes
+// resampled one by one, bit for bit.
+func TestResampleC64AllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	src := make([]complex64, 1024)
+	for i := range src {
+		src[i] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
+	}
+	dst := make([]complex64, 1024)
+	for _, kind := range []InterpKind{InterpLinear, InterpCubic} {
+		if avg := testing.AllocsPerRun(100, func() {
+			if err := ResampleC64(src, dst, kind); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("kind %d: ResampleC64 of 1024 samples allocates %v times a call, want 0", kind, avg)
+		}
+		re, im := make([]float32, len(src)), make([]float32, len(src))
+		for i, c := range src {
+			re[i], im[i] = real(c), imag(c)
+		}
+		reOut, imOut := make([]float32, len(dst)), make([]float32, len(dst))
+		if err := ResampleNaive(re, reOut, kind); err != nil {
+			t.Fatal(err)
+		}
+		if err := ResampleNaive(im, imOut, kind); err != nil {
+			t.Fatal(err)
+		}
+		for i := range dst {
+			if want := complex(reOut[i], imOut[i]); math.Float32bits(real(dst[i])) != math.Float32bits(real(want)) ||
+				math.Float32bits(imag(dst[i])) != math.Float32bits(imag(want)) {
+				t.Fatalf("kind %d: dst[%d] = %v, want %v", kind, i, dst[i], want)
+			}
+		}
+	}
+}

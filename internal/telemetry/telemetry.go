@@ -49,7 +49,7 @@ const (
 	SpanLaunch    SpanType = iota // one descriptor execution end to end
 	SpanPlanLower                 // descriptor -> plan IR lowering
 	SpanWave                      // one scheduler wave
-	SpanNode                      // one plan node (pass at an iteration)
+	SpanNode                      // one block of a plan range (a pass at consecutive iterations)
 	SpanSubmit                    // Plan.Submit, doorbell included
 	SpanAdmission                 // blocked in span-conflict admission
 	SpanFlight                    // descriptor in flight (submit to retire)
