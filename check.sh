@@ -61,11 +61,20 @@ if grep -nE 'tdlcheck\.(Writes|Reads|ExposedReads)\(' internal/mealibrt/*.go int
 	exit 1
 fi
 
+echo "==> one-extent gate (where a strided LOOP operand goes over the nest is computed once, in checked arithmetic, in internal/span)"
+if grep -rnE 'Extend\(|nestExtent|intervalFits|stridedSpan' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/span/'; then
+	echo "check.sh: a second strided-extent implementation grew back outside internal/span" >&2
+	exit 1
+fi
+
 echo "==> go test -race ./... (incl. the serial/wavefront/hooked scheduler differentials, TestNestVerdictNeverOptimistic, TestTemplateDepsMatchScoreboard and TestAppNestsAreConflictFree on the nest templates, and on ranges TestConflictFreeWindowIsConstantSize, TestRangeWaveFootprintIsNodeUnion, TestRangeErrorIsFirstInProgramOrder and TestDifferentialWindowsThreePassNest, TestResampleC64AllocatesNothing and TestFFTBatchInlineAllocatesNothing on the SAR kernels, TestFusionGate's DRAM-byte conservation, TestGraphGatePageRankSmoke's 4-stack bit-identity and per-link traffic, the out-of-core differentials, FuzzServerFrames' seed corpus, and on the one launch record TestLaunchLifeCycle, TestLaunchStartsOnce, TestCancelledWaiterAdmitsTheNextOne, span's TestConflict, TestEngineModelVsFigure9Calibration and Runtime.CheckInvariants at the end of the mealibrt, FuzzServerFrames and mealibd server tests, and on the compiled plan TestExecuteFixedCost (allocations per Execute and accel.compiles flat across launches), the TestCompiledEqualsFresh* differentials behind every differential corpus, TestProgramSharedByConcurrentRuns, TestSessionsShareOneLayer, TestStaleImageNeverRuns, TestFreedBufferStalesPlan in process and over the wire, TestPlanIsImmutableAfterInstall, TestSamePlanFlightsTakeTurns, TestExposedReadsIsTheReadBeforeWriteCheck and span's TestSetOverlaps, and on the one-walk install TestInstallFixedCost (allocations per install, one compile each), TestEncodeIsImageAtBase and TestScopes, TestCheckIsTheOneWalk, TestIntervalFitsIsExact, TestBatchMemberFailsAlone and TestLaunchRun, and on the mealibd wire TestFrameIsOneWrite (one Write per frame, k pipelined frames in at most k+1 Reads), TestExecuteIsSubmitThenWait, TestReadFrameAllocatesWhatArrives, TestServerKeepsNoPayload, TestClientCloseUnblocksPendingRequest, TestClientFailureSticks, FuzzReadFrame's seed corpus and FuzzServerFrames' pipelined and MsgExecute seeds)"
 go test -race ./...
 
 echo "==> FuzzReadFrame, 5 s (a frame header is a claim: what ReadFrame allocates follows the bytes that arrive)"
 go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 5s ./internal/mealibd
+
+echo "==> FuzzStridedExtent, 5 s (span.Strided.Extent against the exact math/big extent)"
+go test -run '^$' -fuzz '^FuzzStridedExtent$' -fuzztime 5s ./internal/span
 
 echo "==> BenchmarkLowerLoop smoke (one launch of each nest on the range path and on the scoreboard path; it fails if a nest is on the wrong one)"
 go test -run '^$' -bench BenchmarkLowerLoop -benchtime 1x ./internal/accel

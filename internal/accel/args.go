@@ -7,6 +7,7 @@ import (
 	"mealib/internal/descriptor"
 	"mealib/internal/kernels"
 	"mealib/internal/phys"
+	"mealib/internal/span"
 )
 
 // This file holds the typed argument structs of the accelerators — the
@@ -18,9 +19,8 @@ import (
 // millions of library calls (paper §2.2-2.3, §3.4).
 
 // Strides holds the per-level byte strides of one buffer across a hardware
-// loop nest (descriptor.MaxLoopLevels levels, outermost first). A plain
-// single loop uses Lin.
-type Strides [descriptor.MaxLoopLevels]int64
+// loop nest (span.Strides). A plain single loop uses Lin.
+type Strides = span.Strides
 
 // Lin builds single-level strides (the innermost level advances by s bytes
 // per iteration).
@@ -30,17 +30,8 @@ func Lin(s int64) Strides {
 	return st
 }
 
-// Offset returns the byte offset of iteration vector it.
-func (s Strides) Offset(it IterVec) int64 {
-	var off int64
-	for l := range s {
-		off += s[l] * it[l]
-	}
-	return off
-}
-
 // IterVec is the current index of each loop-nest level, outermost first.
-type IterVec [descriptor.MaxLoopLevels]int64
+type IterVec = span.IterVec
 
 // Args is one invocation's parameter block bound to its accelerator's entry
 // in the op table: field access by schema position, with no copy and no
@@ -176,9 +167,9 @@ func encode(slots []any) descriptor.Params {
 	return p
 }
 
-// next advances it to the following iteration of a nest of counts, like an
-// odometer.
-func (it *IterVec) next(counts *descriptor.LoopCounts) {
+// nextIter advances it to the following iteration of a nest of counts, like
+// an odometer.
+func nextIter(it *IterVec, counts *descriptor.LoopCounts) {
 	l := descriptor.MaxLoopLevels - 1
 	for ; l > 0 && it[l]+1 >= max(int64(counts[l]), 1); l-- {
 		it[l] = 0
@@ -233,7 +224,7 @@ func ranged[T any, P typed[T]](core func(*phys.Space, T) error) func(*phys.Space
 		}
 		for j, it := 0, b.it; j < b.n; j++ {
 			if j > 0 {
-				it.next(&b.counts)
+				nextIter(&it, &b.counts)
 				for i, f := range fields {
 					*d.slots[f].(*phys.Addr) = descriptor.AddrOf(a.p[f]) + phys.Addr(d.strides[i].Offset(it))
 				}

@@ -17,9 +17,8 @@ import (
 // the same LOOP body) fuses when:
 //
 //  1. Handoff: the producer pass's last comp writes exactly the span the
-//     consumer pass's first comp reads — same base address, same byte
-//     count, and the same per-level loop strides, so the equality holds at
-//     every iteration of the surrounding nest ("consumed whole").
+//     consumer pass's first comp reads at every iteration of the surrounding
+//     nest ("consumed whole").
 //  2. No WAR hazard: no comp of the consumer pass writes memory any comp of
 //     the producer pass reads (the chained datapath streams concurrently;
 //     this mirrors the in-pass rule the tdlcheck verifier enforces).
@@ -30,11 +29,10 @@ import (
 //     aggregate tile-local memory. A chain that exceeds it falls back to
 //     DRAM (the pair stays unfused) and is counted as a fusion spill.
 //
-// All span arithmetic is affine in the iteration vector, so every "for all
-// iterations" property is decided exactly from an operand's iteration-zero
-// span and its per-level strides: two operands coincide at every iteration
-// iff they agree on both, and an operand's whole-loop extent is that span
-// stretched along each stride. Fusion never changes functional execution:
+// Every "for all iterations" property is decided exactly from the comps'
+// span.Strided lists: two spans coincide at every iteration iff they agree
+// at iteration zero and advance together, and a span's whole-loop extent is
+// its Extent. Fusion never changes functional execution:
 // the comps still run in program order against the space and the
 // intermediate is still materialised, so fused and unfused runs are
 // bit-identical; only the model (time, energy, DRAM traffic) and the plan
@@ -89,61 +87,59 @@ func segmentsOf(d *descriptor.Descriptor) ([]planSegment, error) {
 	return segs, nil
 }
 
-// compExtents resolves one comp's directional spans over its whole
-// loop-count box. Operand addresses are affine in the iteration vector, so
-// the extent of each is its iteration-zero span stretched along every level's
-// stride. ok is false when the spans cannot be resolved (unknown op, wrap).
-func compExtents(pi descriptor.Comp, counts descriptor.LoopCounts) ([]span.Dir, bool) {
-	a, err := Bind(pi.Op, pi.Params)
-	if err != nil {
-		return nil, false
+// compExtents appends a bound comp's directional spans over its whole
+// loop-count box to dst: each span's Extent, in checked arithmetic. ok is
+// false when one overflows.
+func compExtents(dst []span.Dir, a Args, counts descriptor.LoopCounts) (_ []span.Dir, ok bool) {
+	var buf spanBuf
+	for _, s := range a.appendSpans(buf[:0]) {
+		ext, ok := s.Extent(counts)
+		if !ok {
+			return dst, false
+		}
+		dst = append(dst, span.Dir{Span: ext, Write: s.Write})
 	}
-	return a.appendExtents(nil, counts)
+	return dst, true
 }
 
-// handoffOf finds the producer→consumer handoff between the last comp of
-// pass a and the first comp of pass b: a read operand of the consumer that
-// equals the producer's written operand at every iteration — same base, same
-// size, and the same stride on every loop level that actually iterates.
-// Returns the per-iteration handoff size, or an error describing why none
-// exists.
-func handoffOf(a, b []descriptor.Comp, counts descriptor.LoopCounts) (units.Bytes, error) {
-	prod, cons := a[len(a)-1], b[0]
-	pa, perr := Bind(prod.Op, prod.Params)
-	ca, cerr := Bind(cons.Op, cons.Params)
-	if perr != nil || cerr != nil {
-		return 0, fmt.Errorf("accel: fuse: unresolvable operand spans")
-	}
-	// The producer's output is its written operand (every accelerator writes
-	// exactly one).
-	var w Operand
-	writes := 0
-	for i := 0; i < pa.NumOperands(); i++ {
-		if o := pa.Operand(i); o.Write {
-			w = o
-			writes++
+// linkFault is why two adjacent passes are no producer→consumer link: a
+// format of the producer's and the consumer's op. "" is a link.
+type linkFault string
+
+const (
+	linkManyOutputs linkFault = "%[1]v writes more than one operand"
+	linkNoOutput    linkFault = "%[1]v produces no output span"
+	linkNotWhole    linkFault = "%[1]v output is not consumed whole by %[2]v"
+)
+
+// handoffOf finds the producer→consumer handoff from prod, the last comp of a
+// pass, to cons, the first of the next: a span cons reads that equals the one
+// prod writes at every iteration — the same iteration-zero span, advancing
+// together (span.Strides.Together). Returns the per-iteration handoff size,
+// or why there is none.
+func handoffOf(prod, cons Args, counts descriptor.LoopCounts) (units.Bytes, linkFault) {
+	// The producer's output is its written span (every accelerator writes
+	// exactly one operand).
+	var pbuf, cbuf spanBuf
+	var w *span.Strided
+	for ps, i := prod.appendSpans(pbuf[:0]), 0; i < len(ps); i++ {
+		switch {
+		case !ps[i].Write:
+		case w != nil:
+			return 0, linkManyOutputs
+		default:
+			w = &ps[i]
 		}
 	}
-	switch {
-	case writes > 1:
-		return 0, fmt.Errorf("accel: fuse: %v writes more than one operand", prod.Op)
-	case writes == 0 || w.Bytes() <= 0:
-		return 0, fmt.Errorf("accel: fuse: %v produces no output span", prod.Op)
+	if w == nil {
+		return 0, linkNoOutput
 	}
-	for i := 0; i < ca.NumOperands(); i++ {
-		r := ca.Operand(i)
-		if !r.Read || r.Addr != w.Addr || r.Bytes() != w.Bytes() {
-			continue
-		}
-		same := true
-		for l, c := range counts {
-			same = same && (c <= 1 || r.Strides[l] == w.Strides[l])
-		}
-		if same {
-			return w.Bytes(), nil
+	for _, r := range cons.appendSpans(cbuf[:0]) {
+		if !r.Write && r.Span == w.Span && r.Strides.Together(w.Strides, counts) {
+			return w.Bytes, ""
 		}
 	}
-	return 0, fmt.Errorf("accel: fuse: %v output is not consumed whole by %v", prod.Op, cons.Op)
+	return 0, linkNotWhole
 }
 
 // warHazard reports whether any comp of pass b writes memory any comp of
@@ -196,24 +192,32 @@ type fuseResult struct {
 // intermediates of one pass may occupy.
 func fuseSegments(segs []planSegment, lmCap units.Bytes) fuseResult {
 	var res fuseResult
-	// Liveness needs every comp's whole-box extents, across all segments.
-	total := 0
+	// Liveness needs every comp bound and its whole-box extents, across all
+	// segments, in one slab; a descriptor with no two adjacent passes fuses
+	// nothing.
+	comps, nspans, adjacent := 0, 0, false
 	for _, seg := range segs {
-		for _, pass := range seg.passes {
-			total += len(pass)
-		}
+		c, n := sizeOf(seg.passes)
+		comps, nspans, adjacent = comps+c, nspans+n, adjacent || len(seg.passes) > 1
 	}
-	exts := make([][]span.Dir, total)
+	if !adjacent {
+		return res
+	}
+	bound, exts, slab := make([]Args, comps), make([][]span.Dir, comps), make([]span.Dir, 0, nspans)
 	for _, seg := range segs {
 		for _, pass := range seg.passes {
 			for _, in := range pass {
-				e, ok := compExtents(in, seg.counts)
+				a, err := Bind(in.Op, in.Params)
+				at, ok := len(slab), err == nil
+				if ok {
+					slab, ok = compExtents(slab, a, seg.counts)
+				}
 				if !ok {
 					// One unresolvable comp blinds the liveness scan for the
 					// whole descriptor: fuse nothing.
 					return fuseResult{}
 				}
-				exts[in.Index] = e
+				bound[in.Index], exts[in.Index] = a, slab[at:len(slab):len(slab)]
 			}
 		}
 	}
@@ -226,8 +230,10 @@ func fuseSegments(segs []planSegment, lmCap units.Bytes) fuseResult {
 		if seg.loop {
 			iters = seg.counts.Total()
 		}
-		var passes [][]descriptor.Comp
-		var origin []int // original program-order pass index of each output pass
+		// The merged passes overwrite the segment's in place: the output
+		// never outruns the input.
+		passes := seg.passes[:0]
+		last := 0 // original program-order index of the last output pass
 		var group *FusedGroup
 		var groupScratch units.Bytes
 		flush := func() {
@@ -243,17 +249,16 @@ func fuseSegments(segs []planSegment, lmCap units.Bytes) fuseResult {
 		for pi, pass := range seg.passes {
 			if len(passes) > 0 {
 				prev := passes[len(passes)-1]
-				hb, err := handoffOf(prev, pass, seg.counts)
+				producer, consumer := prev[len(prev)-1].Index, pass[0].Index
+				hb, fault := handoffOf(bound[producer], bound[consumer], seg.counts)
 				switch {
-				case err != nil:
+				case fault != "":
 					// No producer→consumer relationship: fall through.
 				case groupScratch+hb > lmCap:
 					res.spills++
 				case warHazard(prev, pass, exts):
 					// Unsafe to stream concurrently: keep the DRAM boundary.
 				default:
-					producer := prev[len(prev)-1].Index
-					consumer := pass[0].Index
 					// The handoff's whole-box extent is the producer's write
 					// extent (the consumer's matched read equals it at every
 					// iteration by construction).
@@ -269,7 +274,7 @@ func fuseSegments(segs []planSegment, lmCap units.Bytes) fuseResult {
 					passes[len(passes)-1] = append(append([]descriptor.Comp(nil), prev...), pass...)
 					if group == nil {
 						group = &FusedGroup{
-							FirstPass: origin[len(origin)-1],
+							FirstPass: last,
 							Passes:    1,
 							Iters:     iters,
 							Ops:       opsOf(prev),
@@ -284,7 +289,7 @@ func fuseSegments(segs []planSegment, lmCap units.Bytes) fuseResult {
 			}
 			flush()
 			passes = append(passes, pass)
-			origin = append(origin, seg.firstPass+pi)
+			last = seg.firstPass + pi
 		}
 		flush()
 		seg.passes = passes
@@ -331,20 +336,24 @@ func VerifyChain(comps []ChainComp, counts descriptor.LoopCounts, lmCap units.By
 		return 0, fmt.Errorf("accel: chain needs at least two comps, got %d", len(comps))
 	}
 	pass := make([]descriptor.Comp, len(comps))
-	exts := make([][]span.Dir, len(comps))
+	bound, exts := make([]Args, len(comps)), make([][]span.Dir, len(comps))
 	for i, c := range comps {
 		pass[i] = descriptor.Comp{Op: c.Op, Params: c.Params, Index: i}
-		e, ok := compExtents(pass[i], counts)
+		a, err := Bind(c.Op, c.Params)
+		ok := err == nil
+		if ok {
+			exts[i], ok = compExtents(nil, a, counts)
+		}
 		if !ok {
 			return 0, fmt.Errorf("accel: chain stage %d (%v): unresolvable operand spans", i, c.Op)
 		}
-		exts[i] = e
+		bound[i] = a
 	}
 	var total units.Bytes
 	for i := 0; i+1 < len(pass); i++ {
-		hb, err := handoffOf(pass[i:i+1], pass[i+1:i+2], counts)
-		if err != nil {
-			return 0, fmt.Errorf("accel: chain stages %d→%d: %w", i, i+1, err)
+		hb, fault := handoffOf(bound[i], bound[i+1], counts)
+		if fault != "" {
+			return 0, fmt.Errorf("accel: chain stages %d→%d: %w", i, i+1, fmt.Errorf("accel: fuse: "+string(fault), comps[i].Op, comps[i+1].Op))
 		}
 		total += hb
 	}

@@ -2,6 +2,7 @@ package accel
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mealib/internal/descriptor"
@@ -299,6 +300,43 @@ func TestVerifyChain(t *testing.T) {
 	// Single comp is not a chain.
 	if _, err := VerifyChain(ok[:1], descriptor.LoopCounts{}, lmCap); err == nil {
 		t.Error("single-comp chain accepted")
+	}
+}
+
+// TestFusionExtentRefusesWrap: an operand whose whole-nest extent overflows
+// the address arithmetic cannot be judged for fusion. Over five trips of 2^62
+// bytes an AXPY's y ends 2^64 bytes past where it starts; machine arithmetic
+// wraps that to nothing and judged the WAR and single-consumer rules on a
+// 16-byte hull. compExtents refuses it, so fusion fuses nothing and
+// VerifyChain names the stage.
+func TestFusionExtentRefusesWrap(t *testing.T) {
+	counts := descriptor.LoopCounts{1, 1, 1, 5}
+	prod := AxpyArgs{N: 4, Alpha: 1, X: 0x1000, Y: 0x2000, IncX: 1, IncY: 1, LoopStrideY: Lin(1 << 62)}
+	cons := AxpyArgs{N: 4, Alpha: 1, X: 0x2000, Y: 0x3000, IncX: 1, IncY: 1, LoopStrideX: Lin(1 << 62)}
+	a, err := Bind(descriptor.OpAXPY, prod.Params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exts, ok := compExtents(nil, a, counts); ok {
+		t.Errorf("compExtents = %v, ok; want not ok: y's extent overflows", exts)
+	}
+	chain := []ChainComp{{Op: descriptor.OpAXPY, Params: prod.Params()}, {Op: descriptor.OpAXPY, Params: cons.Params()}}
+	if _, err := VerifyChain(chain, counts, 1<<30); err == nil || !strings.Contains(err.Error(), "chain stage 0 (AXPY): unresolvable operand spans") {
+		t.Errorf("VerifyChain: %v; want its unresolvable operand spans error", err)
+	}
+	d := &descriptor.Descriptor{}
+	if err := d.AddLoop(5); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range chain {
+		if err := d.AddComp(c.Op, c.Params); err != nil {
+			t.Fatal(err)
+		}
+		d.AddEndPass()
+	}
+	d.AddEndLoop()
+	if groups, err := FusionGroups(d, MEALibConfig()); err != nil || len(groups) != 0 {
+		t.Errorf("FusionGroups = %+v, %v; want nothing fused", groups, err)
 	}
 }
 

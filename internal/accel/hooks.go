@@ -50,7 +50,7 @@ func waveSpansOf(p *plan) [][]span.Dir {
 			}
 			it := p.iterAt(k, j)
 			for i := range nd.tmpl.spans {
-				sp, ok := nd.tmpl.spans[i].at(it)
+				sp, ok := nd.tmpl.spans[i].At(it)
 				if !ok {
 					return false
 				}

@@ -3,6 +3,7 @@ package accel
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"mealib/internal/descriptor"
@@ -172,9 +173,10 @@ func rebaseComp(op descriptor.OpCode, p descriptor.Params, mapAddr func(phys.Add
 }
 
 // unitBoxes resolves the unit's window extents from its comps' directional
-// spans at iteration zero (params are already shifted).
+// spans at iteration zero (params are already shifted): their extents over
+// no loop.
 func unitBoxes(passes [][]descriptor.Comp, inWindow func(phys.Addr) bool) ([]span.Dir, error) {
-	var spans, boxes []span.Dir
+	var boxes []span.Dir
 	for _, pass := range passes {
 		for _, pi := range pass {
 			a, err := Bind(pi.Op, pi.Params)
@@ -182,17 +184,12 @@ func unitBoxes(passes [][]descriptor.Comp, inWindow func(phys.Addr) bool) ([]spa
 				return nil, err
 			}
 			ok := false
-			if spans, ok = a.appendIO(spans[:0], IterVec{}); !ok {
+			if boxes, ok = compExtents(boxes, a, descriptor.LoopCounts{}); !ok {
 				return nil, fmt.Errorf("accel: ooc: %v operand wraps the address space", pi.Op)
-			}
-			for _, sp := range spans {
-				if inWindow(sp.Addr) {
-					boxes = append(boxes, sp)
-				}
 			}
 		}
 	}
-	return mergeBoxes(boxes), nil
+	return mergeBoxes(slices.DeleteFunc(boxes, func(b span.Dir) bool { return !inWindow(b.Addr) })), nil
 }
 
 // splitOversized divides a single-comp unit whose window footprint exceeds

@@ -61,69 +61,15 @@ func elems(n, step, tail int64) int64 {
 // Bytes returns the operand's footprint.
 func (o Operand) Bytes() units.Bytes { return units.Bytes(o.Elem * elems(o.N, o.Step, o.Tail)) }
 
-// Extend widens base over the loop nest: each level contributes
-// (iterations-1) strides in its direction. The result covers every byte any
-// iteration's span touches.
-func (st Strides) Extend(base span.Span, counts descriptor.LoopCounts) span.Span {
-	for l, c := range counts {
-		n := int64(c)
-		if n < 1 {
-			n = 1
-		}
-		delta := st[l] * (n - 1)
-		if delta < 0 {
-			base.Addr += phys.Addr(delta)
-			delta = -delta
-		}
-		base.Bytes += units.Bytes(delta)
-	}
-	return base
-}
-
-// appendIO appends the invocation's directional byte spans at iteration it
-// to dst: reads and writes separately, a read-modify-write operand in both
-// directions, empty operands skipped. ok is false when an operand wraps the
-// address space and the footprint cannot be trusted.
-func (a Args) appendIO(dst []span.Dir, it IterVec) (_ []span.Dir, ok bool) {
-	return a.appendSpans(dst, it, nil)
-}
-
-// appendExtents is appendIO over every iteration of a loop nest at once: each
-// span is the operand's whole-box extent.
-func (a Args) appendExtents(dst []span.Dir, counts descriptor.LoopCounts) (_ []span.Dir, ok bool) {
-	return a.appendSpans(dst, IterVec{}, &counts)
-}
-
-func (a Args) appendSpans(dst []span.Dir, it IterVec, box *descriptor.LoopCounts) ([]span.Dir, bool) {
+// appendSpans appends the invocation's directional spans to dst, each at
+// iteration zero with its operand's strides: reads and writes separately, a
+// read-modify-write operand in both directions, empty operands skipped. It is
+// the one list every footprint starts from: span.Strided.At places an entry at
+// one iteration, Extent over a whole nest.
+func (a Args) appendSpans(dst []span.Strided) []span.Strided {
 	for i := range a.spec.operands {
 		o := a.Operand(i)
-		s := span.Span{Addr: o.Addr + phys.Addr(o.Strides.Offset(it)), Bytes: o.Bytes()}
-		if s.Bytes <= 0 {
-			continue
-		}
-		if box != nil {
-			s = o.Strides.Extend(s, *box)
-		}
-		if s.Bytes < 0 || s.End() < s.Addr {
-			return dst, false
-		}
-		if o.Read {
-			dst = append(dst, span.Dir{Span: s})
-		}
-		if o.Write {
-			dst = append(dst, span.Dir{Span: s, Write: true})
-		}
-	}
-	return dst, true
-}
-
-// appendStrided is appendIO for every iteration at once: the spans at
-// iteration zero, each with its operand's strides; stridedSpan.at shifts one
-// to an iteration and makes the wrap check there.
-func (a Args) appendStrided(dst []stridedSpan) []stridedSpan {
-	for i := range a.spec.operands {
-		o := a.Operand(i)
-		s := stridedSpan{strides: o.Strides}
+		s := span.Strided{Strides: o.Strides}
 		if s.Addr, s.Bytes = o.Addr, o.Bytes(); s.Bytes <= 0 {
 			continue
 		}
@@ -136,6 +82,9 @@ func (a Args) appendStrided(dst []stridedSpan) []stridedSpan {
 	}
 	return dst
 }
+
+// spanBuf is stack room for one invocation's span list, any accelerator's.
+type spanBuf [8]span.Strided
 
 // traffic returns the bytes operand i streams in one direction: its footprint
 // unless the table declares a different traffic extent.

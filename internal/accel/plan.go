@@ -14,7 +14,7 @@ import (
 // whole) at consecutive loop iterations, all in one wave; each is a pass
 // instance. Edges are read-after-write, write-after-read and write-after-write
 // span intersections, derived from the same affine base + Σ stride·index
-// arithmetic the decode unit performs (Args.appendStrided). The functional
+// arithmetic the decode unit performs (span.Strided.At). The functional
 // and the analytic interpreters both lower to this IR and execute it with the
 // one wavefront scheduler in sched.go; the analytic path collapses each LOOP
 // to a representative iteration carrying a scale factor, so paper-scale
@@ -311,7 +311,7 @@ func (p *plan) addNode(nd planNode) {
 	p.spans = slices.Grow(p.spans, len(nd.tmpl.spans))
 	nd.barrier, nd.it = nd.tmpl.barrier, iterVecAt(nd.tmpl.counts, nd.iter)
 	for i := range nd.tmpl.spans {
-		sp, ok := nd.tmpl.spans[i].at(nd.it)
+		sp, ok := nd.tmpl.spans[i].At(nd.it)
 		if !ok {
 			nd.barrier = true
 			p.spans = p.spans[:lo]

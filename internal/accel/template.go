@@ -2,11 +2,9 @@ package accel
 
 import (
 	"fmt"
-	"math/bits"
 	"strings"
 
 	"mealib/internal/descriptor"
-	"mealib/internal/phys"
 	"mealib/internal/span"
 	"mealib/internal/units"
 )
@@ -19,22 +17,8 @@ import (
 // range (template, first iteration, count), which runs each comp decoded
 // once (ranged); a top-level pass is a range of one. Templates are built once
 // per compiled Program (program.go), in time linear in the body, and no run
-// writes to them.
-
-// stridedSpan is one directional span of a pass at iteration zero with the
-// per-level advance of its operand.
-type stridedSpan struct {
-	span.Dir
-	strides Strides
-}
-
-// at returns the span at iteration it; ok is false when it wraps the
-// address space there and the footprint cannot be trusted.
-func (s *stridedSpan) at(it IterVec) (_ span.Dir, ok bool) {
-	d := s.Dir
-	d.Addr += phys.Addr(s.strides.Offset(it))
-	return d, d.End() >= d.Addr
-}
+// writes to them. A template's spans are its comps' span.Strided lists: the
+// lowering places them with At, the verdict judges their Extent.
 
 // opCost is one accelerator's share of a node's sub-report.
 type opCost struct {
@@ -50,7 +34,7 @@ type nodeTemplate struct {
 	comps   []Args
 	barrier bool
 	// spans are the pass's directional spans at iteration zero.
-	spans []stridedSpan
+	spans []span.Strided
 	// dispatch charges the per-iteration decode-unit dispatch latency (the
 	// last pass of a LOOP body); scale is the trip count the one node of a
 	// model-collapsed LOOP stands for, else 1; counts are the segment's.
@@ -75,7 +59,7 @@ type nodeTemplate struct {
 // iteration as a whole.
 type nest struct {
 	// spans are the body's spans, pass after pass.
-	spans []stridedSpan
+	spans []span.Strided
 	// rule says why two iterations may conflict (ruleNone: they cannot) and
 	// a and b index the spans it is about.
 	rule blockRule
@@ -90,18 +74,10 @@ type nest struct {
 // buildTemplates binds, resolves and prices every pass of the segment once,
 // out of one slab per kind, and judges an expanded LOOP.
 func (l *Layer) buildTemplates(seg *planSegment, mode planMode) {
-	comps, nspans := 0, 0
-	for _, pass := range seg.passes {
-		comps += len(pass)
-		for _, in := range pass {
-			if spec, err := specOf(in.Op); err == nil {
-				nspans += spec.maxSpans
-			}
-		}
-	}
+	comps, nspans := sizeOf(seg.passes)
 	seg.tmpl = make([]nodeTemplate, len(seg.passes))
 	bound, ops := make([]Args, comps), make([]opCost, comps)
-	spans := make([]stridedSpan, 0, nspans)
+	spans := make([]span.Strided, 0, nspans)
 	for pi, pass := range seg.passes {
 		t := &seg.tmpl[pi]
 		t.scale, t.dispatch, t.counts = 1, seg.loop && pi == len(seg.passes)-1, seg.counts
@@ -110,7 +86,9 @@ func (l *Layer) buildTemplates(seg *planSegment, mode planMode) {
 		}
 		t.comps, bound = bound[:0:len(pass)], bound[len(pass):]
 		t.ops, ops = ops[:0:len(pass)], ops[len(pass):]
-		if l.tr != nil {
+		if l.tr != nil && len(pass) == 1 {
+			t.name = pass[0].Op.String()
+		} else if l.tr != nil {
 			t.name = strings.Join(opsOf(pass), "+")
 		}
 		at := len(spans)
@@ -119,7 +97,7 @@ func (l *Layer) buildTemplates(seg *planSegment, mode planMode) {
 				t.barrier, t.err = true, err
 			} else if !t.barrier {
 				t.comps = append(t.comps, a)
-				spans = a.appendStrided(spans)
+				spans = a.appendSpans(spans)
 			}
 		}
 		if t.barrier {
@@ -133,6 +111,19 @@ func (l *Layer) buildTemplates(seg *planSegment, mode planMode) {
 		seg.nest = &nest{spans: spans}
 		seg.nest.judge(seg.tmpl, seg.counts)
 	}
+}
+
+// sizeOf counts the comps of passes and the most spans they resolve to.
+func sizeOf(passes [][]descriptor.Comp) (comps, spans int) {
+	for _, pass := range passes {
+		comps += len(pass)
+		for _, in := range pass {
+			if spec, err := specOf(in.Op); err == nil {
+				spans += spec.maxSpans
+			}
+		}
+	}
+	return comps, spans
 }
 
 // blockRule is why a LOOP's iterations stay on the dependence scoreboard.
@@ -185,27 +176,26 @@ func (n *nest) judge(tmpl []nodeTemplate, counts descriptor.LoopCounts) {
 			return
 		}
 	}
-	ext := make([][2]uint64, len(n.spans))
+	ext := make([]span.Span, len(n.spans))
 	for i := range n.spans {
-		if n.a, n.b = i, i; !nestExtent(&n.spans[i], counts, &ext[i]) {
-			n.rule = ruleOverflow
+		var ok bool
+		if ext[i], ok = n.spans[i].Extent(counts); !ok {
+			n.a, n.b, n.rule = i, i, ruleOverflow
 			return
 		}
 	}
 	for i := range n.spans {
 		for j := i; j < len(n.spans); j++ {
 			a, b := &n.spans[i], &n.spans[j]
-			if !a.Write && !b.Write || ext[i][0] >= ext[j][1] || ext[j][0] >= ext[i][1] {
+			if !a.Write && !b.Write || !ext[i].Overlaps(ext[j]) {
 				continue
 			}
 			n.a, n.b = i, j
-			for l, c := range counts {
-				if c > 1 && a.strides[l] != b.strides[l] {
-					n.rule = ruleStrides
-					return
-				}
+			if !a.Strides.Together(b.Strides, counts) {
+				n.rule = ruleStrides
+				return
 			}
-			if !tiles(a.strides, counts, uint64(max(a.End(), b.End())-min(a.Addr, b.Addr))) {
+			if !tiles(a.Strides, counts, uint64(max(a.End(), b.End())-min(a.Addr, b.Addr))) {
 				n.rule = ruleTiling
 				return
 			}
@@ -227,55 +217,21 @@ func (n *nest) judge(tmpl []nodeTemplate, counts descriptor.LoopCounts) {
 	}
 }
 
-// reach is how far a level of count iterations moves an operand over the
-// nest, |stride|*(count-1); ok is false when that overflows.
-func reach(stride int64, count uint32) (_ uint64, ok bool) {
-	if count <= 1 {
-		return 0, true
-	}
-	over, d := bits.Mul64(magnitude(stride), uint64(count-1))
-	return d, over == 0
-}
-
-func magnitude(v int64) uint64 {
-	if v < 0 {
-		return -uint64(v)
-	}
-	return uint64(v)
-}
-
-// nestExtent is Strides.Extend in checked arithmetic: the bytes
-// [ext[0], ext[1]) the span covers over every iteration of the nest.
-func nestExtent(s *stridedSpan, counts descriptor.LoopCounts, ext *[2]uint64) bool {
-	lo, hi := uint64(s.Addr), uint64(s.End())
-	ok := hi >= lo
-	for l, c := range counts {
-		d, fits := reach(s.strides[l], c)
-		if s.strides[l] < 0 {
-			ok, lo = ok && fits && d <= lo, lo-d
-		} else {
-			ok, hi = ok && fits && hi+d >= hi, hi+d
-		}
-	}
-	ext[0], ext[1] = lo, hi
-	return ok
-}
-
 // tiles reports whether iterations advancing by strides carry a block of
 // hull bytes clear of every other iteration's (see judge).
-func tiles(strides Strides, counts descriptor.LoopCounts, hull uint64) bool {
+func tiles(strides span.Strides, counts descriptor.LoopCounts, hull uint64) bool {
 	for l, c := range counts {
 		need := hull
 		for m, cm := range counts {
 			// m is below l: a smaller |stride|, ties broken by level.
-			if sm, sl := magnitude(strides[m]), magnitude(strides[l]); sm < sl || sm == sl && m < l {
-				d, ok := reach(strides[m], cm)
+			if sm, sl := strides.Mag(m), strides.Mag(l); sm < sl || sm == sl && m < l {
+				d, ok := strides.Reach(m, cm)
 				if need += d; !ok || need < d {
 					return false
 				}
 			}
 		}
-		if c > 1 && magnitude(strides[l]) < need {
+		if c > 1 && strides.Mag(l) < need {
 			return false
 		}
 	}

@@ -1,28 +1,15 @@
-// Symbolic interval analysis of loop-carried address arithmetic.
-//
-// The extended operand span the overlap and initialization checks reason
-// about is computed in machine-width arithmetic (accel.Strides.Extend): a stride
-// times a trip count can overflow int64, and a base address plus an extent
-// can wrap past 2^64. A descriptor whose arithmetic wraps presents a small,
-// plausible-looking span to the verifier while the hardware loop nest it
-// describes walks addresses far outside it — the same provenance-stripping
-// bug addrflow catches in host code, hidden inside a TDL loop.
-//
-// This file closes that hole with exact integer arithmetic (math/big):
-//
-//   - every operand byte size is computed exactly and must fit the 63-bit
-//     size domain before a Span is ever built from it (operandBytes);
-//   - for every operand of every invocation, the per-iteration span at the
-//     extreme trips of the enclosing loop nest is computed exactly and must
-//     stay inside [0, 2^64) (checkIntervals). Because the per-iteration
-//     offset is linear in each induction variable, the extremes bound every
-//     trip: minimum start at the last trip of every negative-stride level,
-//     maximum end at the last trip of every positive-stride level.
-//
-// Once both hold, the machine-width extension is exact — no term
-// overflows — so the downstream checks that trust ext are sound. Failures
-// carry the witness iteration vector so the error names the first trip the
-// descriptor escapes its declared operand.
+// Symbolic interval analysis of loop-carried address arithmetic. A stride
+// times a trip count can overflow 64 bits and a base plus an extent can wrap
+// past 2^64, so a descriptor can name a small, plausible span while its loop
+// nest walks far outside it — addrflow's provenance-stripping bug, hidden in
+// a TDL loop. Every operand's byte size must fit 63 bits (operandBytes), and
+// its whole-nest extent, span.Strided.Extent in checked arithmetic, must keep
+// every iteration inside [0, 2^64) with a size inside 63 bits
+// (checkIntervals). Only an operand Extent refuses is re-evaluated exactly,
+// to name the witness iteration and the out-of-range value: the offset is
+// linear in each induction variable, so the minimum start is at the last
+// trip of every negative-stride level and the maximum end at the last trip
+// of every positive-stride level.
 
 package tdlcheck
 
@@ -36,10 +23,6 @@ import (
 	"mealib/internal/descriptor"
 	"mealib/internal/units"
 )
-
-// addrSpace is 2^64, the exclusive upper bound of the physical address
-// space.
-var addrSpace = new(big.Int).Lsh(big.NewInt(1), 64)
 
 // operandBytes proves an operand's declared footprint,
 // Elem*((N-1)*|Step| + Tail) bytes or nothing when N <= 0, fits the
@@ -96,75 +79,45 @@ func (w witness) String() string {
 // checkIntervals proves, for every operand of the invocation and every trip
 // of its enclosing loop nest, that the per-iteration span stays inside the
 // 64-bit physical address space and that the whole-loop extent is
-// representable. An operand the checked machine arithmetic of intervalFits
-// cannot certify is judged in exact arithmetic; a failure reports the
-// iteration vector that first escapes.
+// representable. An operand whose Extent is refused is judged in exact
+// arithmetic, which reports the iteration vector that first escapes.
 func checkIntervals(c *comp, e *errs) {
 	for i := range c.ops {
-		if o := &c.ops[i]; !intervalFits(o, c.counts) {
-			checkIntervalExact(c, o, e)
+		if _, ok := c.ops[i].Extent(c.counts); !ok {
+			checkIntervalExact(c, &c.ops[i], e)
 		}
 	}
 }
 
 func checkIntervalExact(c *comp, o *operand, e *errs) {
-	lo := new(big.Int).SetUint64(uint64(o.base.Addr))
-	hi := new(big.Int).Add(lo, big.NewInt(int64(o.base.Bytes)))
-	minOff, maxOff := new(big.Int), new(big.Int)
+	start := new(big.Int).SetUint64(uint64(o.Addr))
+	end := new(big.Int).Add(start, big.NewInt(int64(o.Bytes)))
 	var witMin, witMax witness
-	for l := 0; l < descriptor.MaxLoopLevels; l++ {
-		n := int64(c.counts[l])
-		if n < 1 {
-			n = 1
-		}
-		d := new(big.Int).Mul(big.NewInt(o.strides[l]), big.NewInt(n-1))
+	for l := range c.counts {
+		n := max(int64(c.counts[l]), 1)
+		d := new(big.Int).Mul(big.NewInt(o.Strides[l]), big.NewInt(n-1))
 		switch d.Sign() {
 		case -1:
-			minOff.Add(minOff, d)
+			start.Add(start, d)
 			witMin[l] = n - 1
 		case 1:
-			maxOff.Add(maxOff, d)
+			end.Add(end, d)
 			witMax[l] = n - 1
 		}
 	}
-	start := new(big.Int).Add(lo, minOff)
-	end := new(big.Int).Add(hi, maxOff)
 	if start.Sign() < 0 {
 		e.addf(c.line, c.idx, "%v: operand %s %v: loop stride arithmetic underflows the physical address space at iteration %v (start %v < 0); the span the verifier checks does not contain the addresses the loop touches",
-			c.op, o.name, o.base, witMin, start)
+			c.op, o.name, o.Span, witMin, start)
 	}
 	// Strictly below 2^64: a span ending exactly at the top of the space
 	// has a machine End() of zero, which silently breaks every Overlaps
 	// comparison downstream.
-	if end.Cmp(addrSpace) >= 0 {
+	if end.BitLen() > 64 {
 		e.addf(c.line, c.idx, "%v: operand %s %v: loop stride arithmetic wraps the 64-bit physical address space at iteration %v (end %v >= 2^64); the span the verifier checks does not contain the addresses the loop touches",
-			c.op, o.name, o.base, witMax, end)
+			c.op, o.name, o.Span, witMax, end)
 	}
 	if total := new(big.Int).Sub(end, start); !total.IsInt64() {
 		e.addf(c.line, c.idx, "%v: operand %s: whole-loop extent %v bytes exceeds the verifier's 63-bit size domain",
 			c.op, o.name, total)
 	}
-}
-
-// intervalFits certifies checkIntervals' three properties for one operand in
-// checked machine arithmetic. False means not certified, never wrong (a stride
-// of MinInt64 has no magnitude, and mulFits refuses it): the caller
-// re-evaluates exactly before it judges, as operandBytes does.
-func intervalFits(o *operand, counts descriptor.LoopCounts) bool {
-	var minOff, maxOff uint64 // magnitudes of the extreme offsets
-	for l, st := range o.strides {
-		mag, ok := mulFits(max(st, -st), max(int64(counts[l]), 1)-1)
-		off := &maxOff
-		if st < 0 {
-			off = &minOff
-		}
-		var carry uint64
-		if *off, carry = bits.Add64(*off, uint64(mag), 0); !ok || carry != 0 {
-			return false
-		}
-	}
-	lo := uint64(o.base.Addr)
-	end, c1 := bits.Add64(lo, uint64(o.base.Bytes), 0)
-	end, c2 := bits.Add64(end, maxOff, 0)
-	return minOff <= lo && c1|c2 == 0 && end-(lo-minOff) <= math.MaxInt64
 }

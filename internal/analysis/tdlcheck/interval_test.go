@@ -141,10 +141,11 @@ func TestOperandBytesIsExact(t *testing.T) {
 	}
 }
 
-// TestIntervalFitsIsExact holds the machine-arithmetic certificate of
-// checkIntervals to the exact evaluation on addresses, sizes, strides and trip
-// counts around every overflow boundary: whatever it certifies the exact path
-// accepts, and on this grid it certifies everything the exact path accepts.
+// TestIntervalFitsIsExact holds the checked arithmetic of span.Strided.Extent,
+// which checkIntervals asks first, to the exact evaluation on addresses,
+// sizes, strides and trip counts around every overflow boundary: whatever it
+// certifies the exact path accepts, and on this grid it certifies everything
+// the exact path accepts.
 func TestIntervalFitsIsExact(t *testing.T) {
 	addrs := []uint64{0, 1, 1 << 32, 1 << 63, math.MaxUint64 - 8, math.MaxUint64}
 	sizes := []int64{0, 1, 8, 1 << 62, math.MaxInt64}
@@ -156,8 +157,9 @@ func TestIntervalFitsIsExact(t *testing.T) {
 				for _, s1 := range strides {
 					for _, n0 := range counts {
 						for _, n1 := range counts {
-							o := operand{name: "v", base: Span{Addr: phys.Addr(addr), Bytes: units.Bytes(size)}}
-							o.strides[0], o.strides[descriptor.MaxLoopLevels-1] = s0, s1
+							o := operand{name: "v"}
+							o.Span = Span{Addr: phys.Addr(addr), Bytes: units.Bytes(size)}
+							o.Strides[0], o.Strides[descriptor.MaxLoopLevels-1] = s0, s1
 							c := comp{op: descriptor.OpAXPY, ops: []operand{o}}
 							c.counts[0], c.counts[descriptor.MaxLoopLevels-1] = n0, n1
 							var e errs
@@ -166,7 +168,7 @@ func TestIntervalFitsIsExact(t *testing.T) {
 							// cannot be asked about.
 							var exact errs
 							checkIntervalExact(&c, &c.ops[0], &exact)
-							if fits := intervalFits(&c.ops[0], c.counts); fits != (len(exact.list) == 0) || len(e.list) != len(exact.list) {
+							if _, fits := c.ops[0].Extent(c.counts); fits != (len(exact.list) == 0) || len(e.list) != len(exact.list) {
 								t.Fatalf("operand %+v under %v: certified %v, checkIntervals reports %d failures, the exact evaluation %v", o, c.counts, fits, len(e.list), exact.err())
 							}
 						}

@@ -96,16 +96,15 @@ type Span = span.Span
 // operand is one buffer an invocation touches.
 type operand struct {
 	name string
-	// base is the span at loop iteration zero; ext extends it over the
-	// hardware loop nest strides (what the whole LOOP touches).
-	base, ext   Span
-	align       int64 // required address alignment (element size)
-	read, write bool
-	// strides is the per-level byte advance the hardware applies to the
-	// operand's base address each loop trip (zero outside a LOOP). Kept on
-	// the operand so the interval analysis can re-derive the extension in
-	// exact arithmetic rather than trusting ext's machine-width math.
-	strides accel.Strides
+	// Strided is the span at loop iteration zero, written or not, with the
+	// per-level byte advance the hardware applies each loop trip (zero outside
+	// a LOOP). ext is its whole-nest extent (span.Strided.Extent), what the
+	// whole LOOP touches, or the iteration-zero span when the extent does not
+	// fit the address space; checkIntervals reports that.
+	span.Strided
+	ext   Span
+	align int64 // required address alignment (element size)
+	read  bool
 }
 
 // comp is one accelerator invocation in verification form.
@@ -138,9 +137,12 @@ func operandsOf(op descriptor.OpCode, p descriptor.Params, counts descriptor.Loo
 		o := a.Operand(i)
 		n, ok := operandBytes(o, op, fail)
 		fits = fits && ok
-		base := Span{Addr: o.Addr, Bytes: n}
-		ops = append(ops, operand{name: o.Name, base: base, ext: o.Strides.Extend(base, counts),
-			align: o.Elem, read: o.Read, write: o.Write, strides: o.Strides})
+		op := operand{name: o.Name, align: o.Elem, read: o.Read, Strided: span.Strided{
+			Dir: span.Dir{Span: Span{Addr: o.Addr, Bytes: n}, Write: o.Write}, Strides: o.Strides}}
+		if op.ext, ok = op.Extent(counts); !ok {
+			op.ext = op.Span
+		}
+		ops = append(ops, op)
 	}
 	if !fits {
 		return nil
@@ -154,8 +156,8 @@ func operandsOf(op descriptor.OpCode, p descriptor.Params, counts descriptor.Loo
 func checkComp(c *comp, e *errs) {
 	checkIntervals(c, e)
 	for _, o := range c.ops {
-		if o.align > 1 && int64(o.base.Addr)%o.align != 0 {
-			e.addf(c.line, c.idx, "%v: operand %s at %v is not %d-byte aligned", c.op, o.name, o.base.Addr, o.align)
+		if o.align > 1 && int64(o.Addr)%o.align != 0 {
+			e.addf(c.line, c.idx, "%v: operand %s at %v is not %d-byte aligned", c.op, o.name, o.Addr, o.align)
 		}
 	}
 	// A written operand must not partially overlap any other operand:
@@ -164,11 +166,11 @@ func checkComp(c *comp, e *errs) {
 	for i := 0; i < len(c.ops); i++ {
 		for j := i + 1; j < len(c.ops); j++ {
 			a, b := c.ops[i], c.ops[j]
-			if !a.write && !b.write {
+			if !a.Write && !b.Write {
 				continue
 			}
-			if a.base.Overlaps(b.base) && a.base != b.base {
-				e.addf(c.line, c.idx, "%v: operands %s %v and %s %v partially overlap", c.op, a.name, a.base, b.name, b.base)
+			if a.Span.Overlaps(b.Span) && a.Span != b.Span {
+				e.addf(c.line, c.idx, "%v: operands %s %v and %s %v partially overlap", c.op, a.name, a.Span, b.name, b.Span)
 			}
 		}
 	}
@@ -454,11 +456,11 @@ func checkComps(comps []comp, o *options, e *errs) Footprint {
 					continue
 				}
 				for _, wb := range b.ops {
-					if !wb.write {
+					if !wb.Write {
 						continue
 					}
-					if ra.base.Overlaps(wb.base) {
-						e.addf(b.line, b.idx, "chained pass: %v writes %s %v which %v (comp %d) reads — cycle in the task graph", b.op, wb.name, wb.base, a.op, a.idx)
+					if ra.Span.Overlaps(wb.Span) {
+						e.addf(b.line, b.idx, "chained pass: %v writes %s %v which %v (comp %d) reads — cycle in the task graph", b.op, wb.name, wb.Span, a.op, a.idx)
 					}
 				}
 			}
@@ -478,28 +480,19 @@ func checkComps(comps []comp, o *options, e *errs) Footprint {
 				continue
 			}
 			fp.Reads = append(fp.Reads, op.ext)
-			if overlapsAny(fp.Writes, op.ext) {
+			if span.Overlap(fp.Writes, []Span{op.ext}) {
 				continue
 			}
 			fp.Exposed = append(fp.Exposed, op.ext)
-			if o.checkInit && !overlapsAny(o.initialized, op.ext) {
-				e.addf(c.line, c.idx, "%v reads %s %v before any write reaches it (uninitialized buffer)", c.op, op.name, op.base)
+			if o.checkInit && !span.Overlap(o.initialized, []Span{op.ext}) {
+				e.addf(c.line, c.idx, "%v reads %s %v before any write reaches it (uninitialized buffer)", c.op, op.name, op.Span)
 			}
 		}
 		for _, op := range c.ops {
-			if op.write {
+			if op.Write {
 				fp.Writes = append(fp.Writes, op.ext)
 			}
 		}
 	}
 	return fp
-}
-
-func overlapsAny(spans []Span, s Span) bool {
-	for _, w := range spans {
-		if w.Overlaps(s) {
-			return true
-		}
-	}
-	return false
 }

@@ -466,7 +466,11 @@ func TestCheckIsTheOneWalk(t *testing.T) {
 					}
 					for i := 0; i < a.NumOperands(); i++ {
 						o := a.Operand(i)
-						ext := o.Strides.Extend(Span{Addr: o.Addr, Bytes: o.Bytes()}, sc.Counts)
+						s := span.Strided{Dir: span.Dir{Span: Span{Addr: o.Addr, Bytes: o.Bytes()}}, Strides: o.Strides}
+						ext, ok := s.Extent(sc.Counts)
+						if !ok {
+							t.Fatalf("descriptor %d: an accepted operand's extent %v does not fit", di, ext)
+						}
 						if o.Read {
 							wantR = append(wantR, ext)
 						}

@@ -1,9 +1,12 @@
 // Package span is the one byte-range vocabulary of the stack: a half-open
 // physical range, its directional form, the any-overlap test between two
-// lists of either, and the sorted merged set the runtime tracks initialized
-// memory in. The accelerator layer (footprints, dependence edges, fusion
-// extents, out-of-core extents, wave footprints), the static verifier and
-// the runtime's admission control all speak these types.
+// lists of either, the sorted merged set the runtime tracks initialized
+// memory in, and the strided form a LOOP descriptor declares an operand in
+// (strided.go): a directional span at iteration zero with a byte stride per
+// level, placed at one iteration by At and over the whole nest, in checked
+// arithmetic, by Extent. The accelerator layer (footprints, dependence edges,
+// the nest judge, fusion extents, out-of-core extents, wave footprints), the
+// static verifier and the runtime's admission control all speak these types.
 package span
 
 import (
