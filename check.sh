@@ -67,6 +67,14 @@ if grep -rnE 'Extend\(|nestExtent|intervalFits|stridedSpan' --include='*.go' . |
 	exit 1
 fi
 
+echo "==> one-price gate (a plan's report is priced once: the scheduler builds none, and runOOC keeps no model timeline)"
+if grep -nE 'Report|merge\(' internal/accel/sched.go ||
+	awk '/^func \(r \*Runtime\) runOOC\(/,/^}/' internal/mealibrt/ooc.go |
+	grep -nE 'units\.|\.Time\b|StagingCost|DescriptorSetupLatency|Merge\(|NewReport'; then
+	echo "check.sh: a launch builds a report again, or runOOC regained a model-time variable" >&2
+	exit 1
+fi
+
 echo "==> go test -race ./... (incl. the serial/wavefront/hooked scheduler differentials, TestNestVerdictNeverOptimistic, TestTemplateDepsMatchScoreboard and TestAppNestsAreConflictFree on the nest templates, and on ranges TestConflictFreeWindowIsConstantSize, TestRangeWaveFootprintIsNodeUnion, TestRangeErrorIsFirstInProgramOrder and TestDifferentialWindowsThreePassNest, TestResampleC64AllocatesNothing and TestFFTBatchInlineAllocatesNothing on the SAR kernels, TestFusionGate's DRAM-byte conservation, TestGraphGatePageRankSmoke's 4-stack bit-identity and per-link traffic, the out-of-core differentials, FuzzServerFrames' seed corpus, and on the one launch record TestLaunchLifeCycle, TestLaunchStartsOnce, TestCancelledWaiterAdmitsTheNextOne, span's TestConflict, TestEngineModelVsFigure9Calibration and Runtime.CheckInvariants at the end of the mealibrt, FuzzServerFrames and mealibd server tests, and on the compiled plan TestExecuteFixedCost (allocations per Execute and accel.compiles flat across launches), the TestCompiledEqualsFresh* differentials behind every differential corpus, TestProgramSharedByConcurrentRuns, TestSessionsShareOneLayer, TestStaleImageNeverRuns, TestFreedBufferStalesPlan in process and over the wire, TestPlanIsImmutableAfterInstall, TestSamePlanFlightsTakeTurns, TestExposedReadsIsTheReadBeforeWriteCheck and span's TestSetOverlaps, and on the one-walk install TestInstallFixedCost (allocations per install, one compile each), TestEncodeIsImageAtBase and TestScopes, TestCheckIsTheOneWalk, TestIntervalFitsIsExact, TestBatchMemberFailsAlone and TestLaunchRun, and on the mealibd wire TestFrameIsOneWrite (one Write per frame, k pipelined frames in at most k+1 Reads), TestExecuteIsSubmitThenWait, TestReadFrameAllocatesWhatArrives, TestServerKeepsNoPayload, TestClientCloseUnblocksPendingRequest, TestClientFailureSticks, FuzzReadFrame's seed corpus and FuzzServerFrames' pipelined and MsgExecute seeds)"
 go test -race ./...
 
@@ -94,9 +102,6 @@ tmpdirs="$tmpdirs $tracedir"
 go run ./cmd/mealib-trace -workload micro -op AXPY -out "$tracedir" >/dev/null
 grep -q traceEvents "$tracedir/trace.json"
 grep -q 'accel.launches' "$tracedir/metrics.json"
-
-echo "==> mealibd smoke gate (unix socket, 16 concurrent CHAIN tenants)"
-go run ./cmd/mealibd -smoke 16 >/dev/null
 
 echo "==> benchmark gate (traced bench/ runs against BENCH_BASELINE.json: model time and energy, DRAM bytes, nodes, waves, fused groups must repeat exactly)"
 benchdir=$(mktemp -d)

@@ -9,9 +9,6 @@
 //	mealibd                              # serve on unix:/tmp/mealibd.sock
 //	mealibd -listen tcp:127.0.0.1:9431   # serve on TCP
 //	mealibd -quota 67108864              # 64 MiB default tenant quota
-//	mealibd -smoke 16                    # self-test: 16 concurrent CHAIN
-//	                                     # tenants against an in-process
-//	                                     # endpoint, then exit
 package main
 
 import (
@@ -23,7 +20,6 @@ import (
 	"strings"
 	"syscall"
 
-	"mealib/internal/exp"
 	"mealib/internal/mealibd"
 	"mealib/internal/mealibrt"
 	"mealib/internal/telemetry"
@@ -39,20 +35,11 @@ func main() {
 	batchBytes := flag.Int64("batch-bytes", 0, "footprint ceiling in bytes for a batchable descriptor (0 = default 256 KiB)")
 	pipeline := flag.Bool("pipeline", true, "wave-granularity pipelining of dependent launches")
 	staging := flag.Int64("staging", 0, "out-of-core staging region in bytes carved from stack 0 (0 = out-of-core off)")
-	smoke := flag.Int("smoke", 0, "run the self-test with this many concurrent CHAIN tenants and exit")
 	flag.Parse()
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "mealibd:", err)
 		os.Exit(1)
-	}
-
-	if *smoke > 0 {
-		if err := exp.ServeSmoke(*smoke); err != nil {
-			fail(err)
-		}
-		fmt.Printf("mealibd: smoke ok (%d concurrent CHAIN tenants, bit-identical results, clean shutdown)\n", *smoke)
-		return
 	}
 
 	network, addr, ok := strings.Cut(*listen, ":")

@@ -30,8 +30,8 @@ type WaveHooks interface {
 	// immediately before running the wave's nodes.
 	WaveStart(w int)
 	// WaveDone reports wave w complete; elapsed is the launch's cumulative
-	// model time through that wave (fetch/decode overhead excluded — it is
-	// charged once at launch end).
+	// model time through that wave (fetch/decode overhead excluded — the
+	// price adds it last).
 	WaveDone(w int, elapsed units.Seconds)
 }
 

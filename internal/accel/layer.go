@@ -119,7 +119,8 @@ type OpStats struct {
 	Bytes       units.Bytes
 }
 
-// Report is the outcome of one descriptor execution.
+// Report is the outcome of one descriptor execution. Every launch of a
+// compiled program returns the same one, read-only (Program.Report).
 type Report struct {
 	Time   units.Seconds
 	Energy units.Joules
@@ -150,14 +151,6 @@ type Report struct {
 	StagedBytes units.Bytes
 }
 
-func newReport() *Report {
-	return &Report{PerOp: make(map[descriptor.OpCode]*OpStats)}
-}
-
-// NewReport returns an empty report for callers outside the layer (the
-// runtime's out-of-core driver aggregates per-chunk reports into one).
-func NewReport() *Report { return newReport() }
-
 // Merge folds sub into r. Per-op stats merge in op-table order, so the float
 // accumulation sequence never depends on map iteration order.
 func (r *Report) Merge(sub *Report) {
@@ -173,14 +166,18 @@ func (r *Report) Merge(sub *Report) {
 	r.StagedBytes += sub.StagedBytes
 	for i := range specs {
 		if st := sub.PerOp[descriptor.OpCode(i)]; st != nil {
-			agg := r.opStats(descriptor.OpCode(i))
-			agg.Invocations += st.Invocations
-			agg.Time += st.Time
-			agg.Energy += st.Energy
-			agg.Flops += st.Flops
-			agg.Bytes += st.Bytes
+			r.opStats(descriptor.OpCode(i)).add(st)
 		}
 	}
+}
+
+// add accumulates o into st.
+func (st *OpStats) add(o *OpStats) {
+	st.Invocations += o.Invocations
+	st.Time += o.Time
+	st.Energy += o.Energy
+	st.Flops += o.Flops
+	st.Bytes += o.Bytes
 }
 
 func (r *Report) opStats(op descriptor.OpCode) *OpStats {
@@ -210,34 +207,29 @@ func (l *Layer) run(s *phys.Space, base phys.Addr, hooks WaveHooks) (*Report, er
 	if err != nil {
 		return nil, err
 	}
-	prog, err := l.compile(d, planExpand, planWindow)
+	prog, err := l.compile(d, planWindow)
 	if err != nil {
 		return nil, err
 	}
-	return l.launch(prog, "descriptor", s, base, hooks)
+	return l.launch(prog, s, base, hooks)
 }
 
-// launch runs a compiled program under its launch span: functionally against
-// the descriptor started at base in s, or, with a nil s, analytically. The
-// configuration unit's fetch and decode is charged once, at the end, and the
-// functional run completes by writing CmdDone.
-func (l *Layer) launch(prog *Program, name string, s *phys.Space, base phys.Addr, hooks WaveHooks) (*Report, error) {
+// launch runs a compiled program under its launch span against the
+// descriptor started at base in s, completes by writing CmdDone and returns
+// the program's price. A failed launch returns no report.
+func (l *Layer) launch(prog *Program, s *phys.Space, base phys.Addr, hooks WaveHooks) (*Report, error) {
 	tb := l.tr.Buffer(telemetry.TrackAccel)
 	defer tb.Release()
-	tb.Begin(telemetry.SpanLaunch, name)
-	rep, err := l.exec(prog, s, tb, hooks)
+	tb.Begin(telemetry.SpanLaunch, "descriptor")
+	err := l.exec(prog, s, tb, hooks)
+	if err == nil {
+		err = descriptor.WriteCommand(s, base, descriptor.CmdDone)
+	}
 	if err != nil {
 		tb.End(telemetry.SpanLaunch, 0)
 		return nil, err
 	}
-	rep.FetchDecodeTime = prog.fetchDecode
-	rep.Time += prog.fetchDecode
-	if s != nil {
-		if err := descriptor.WriteCommand(s, base, descriptor.CmdDone); err != nil {
-			tb.End(telemetry.SpanLaunch, rep.Time)
-			return nil, err
-		}
-	}
+	rep := prog.Report()
 	tb.End2(telemetry.SpanLaunch, rep.Time,
 		telemetry.Arg{Key: "comps", Val: rep.Comps},
 		telemetry.Arg{Key: "noc_bytes", Val: int64(rep.NoCBytes)})
@@ -245,22 +237,24 @@ func (l *Layer) launch(prog *Program, name string, s *phys.Space, base phys.Addr
 	return rep, nil
 }
 
-// RunModel evaluates a descriptor analytically: same plan IR, scheduler,
-// chaining and loop accounting as Run, but nothing executes, and each LOOP
-// collapses to one representative node per body pass scaled by the trip
-// count (every iteration of a hardware loop has identical cost; only
-// addresses differ) — so paper-scale problems (gigabyte buffers, millions of
-// LOOP iterations) cost microseconds to evaluate. Used by the experiment
-// harness.
+// RunModel prices a descriptor as Run would, but schedules and executes
+// nothing, and each LOOP collapses to one template per body pass scaled by
+// the trip count (every iteration has identical cost), so paper-scale
+// problems cost microseconds to evaluate. Used by the experiment harness.
 func (l *Layer) RunModel(d *descriptor.Descriptor) (*Report, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	prog, err := l.compile(d, planCollapse, planWindow)
+	var lw lowering
+	if err := l.lower(d, planCollapse, &lw); err != nil {
+		return nil, err
+	}
+	rep, err := lw.price(l.cfg.CU.FetchDecodeTime(d))
 	if err != nil {
 		return nil, err
 	}
-	return l.launch(prog, "descriptor(model)", nil, 0, nil)
+	l.noteLaunch(rep)
+	return rep, nil
 }
 
 // iterDispatch is the amortised per-iteration initiation cost: the decode

@@ -14,11 +14,11 @@ import (
 // whole) at consecutive loop iterations, all in one wave; each is a pass
 // instance. Edges are read-after-write, write-after-read and write-after-write
 // span intersections, derived from the same affine base + Σ stride·index
-// arithmetic the decode unit performs (span.Strided.At). The functional
-// and the analytic interpreters both lower to this IR and execute it with the
-// one wavefront scheduler in sched.go; the analytic path collapses each LOOP
-// to a representative iteration carrying a scale factor, so paper-scale
-// trip counts stay O(1) to evaluate.
+// arithmetic the decode unit performs (span.Strided.At). A run executes it
+// with the one wavefront scheduler in sched.go and reports the lowering's
+// price (lowering.price), summed once per program; RunModel prices a lowering
+// whose LOOPs collapse to a representative iteration carrying a scale factor,
+// so paper-scale trip counts stay O(1) to evaluate, and schedules nothing.
 //
 // A descriptor lowers once (segments decoded and fused once, every pass
 // bound, resolved and priced once into its template, template.go) and its
@@ -161,9 +161,13 @@ type lowering struct {
 	iter      int64
 }
 
-// lower decodes and fuses the descriptor (unless Config.NoFusion) into lw
-// and builds the templates of its passes.
+// lower checks that the descriptor fits the instruction memory, decodes and
+// fuses it (unless Config.NoFusion) into lw and builds the templates of its
+// passes.
 func (l *Layer) lower(d *descriptor.Descriptor, mode planMode, lw *lowering) error {
+	if err := l.cfg.CU.CheckCapacity(d); err != nil {
+		return err
+	}
 	segs, err := segmentsOf(d)
 	if err != nil {
 		return err
@@ -221,6 +225,44 @@ func (lw *lowering) settle() {
 			lw.iter = 0
 		}
 	}
+}
+
+// price sums a run's report: the fixed time, every pass instance's template
+// in program order (segment, iteration, pass; each accelerator's stats in
+// op-table order), then the fetch and decode. It fails, as every run would,
+// with the first instance whose template did not bind or price.
+func (lw *lowering) price(fetchDecode units.Seconds) (*Report, error) {
+	rep := &Report{Time: lw.fixed, PerOp: map[descriptor.OpCode]*OpStats{}}
+	// agg caches each accelerator's entry of PerOp: no map lookup per op.
+	var agg [len(specs)]*OpStats
+	for si := range lw.segs {
+		seg := &lw.segs[si]
+		for n := lw.trips(seg); n > 0 && len(seg.tmpl) > 0; n-- {
+			for pi := range seg.tmpl {
+				t := &seg.tmpl[pi]
+				if t.err != nil {
+					return nil, t.err
+				}
+				rep.Time += t.time
+				rep.Energy += t.energy
+				rep.Comps += t.ncomps
+				rep.NoCBytes += t.noc
+				rep.LMSpillBytes += t.spill
+				rep.RemoteBytes += t.remote
+				rep.ElidedBytes += t.elided
+				for i := range t.ops {
+					o := &t.ops[i]
+					if agg[o.op] == nil {
+						agg[o.op] = rep.opStats(o.op)
+					}
+					agg[o.op].add(&o.OpStats)
+				}
+			}
+		}
+	}
+	rep.FetchDecodeTime = fetchDecode
+	rep.Time += fetchDecode
+	return rep, nil
 }
 
 // more reports whether any pass instance is left to lower.
@@ -557,7 +599,7 @@ func (l *Layer) ExplainPlan(d *descriptor.Descriptor) (PlanInfo, error) {
 	if err := d.Validate(); err != nil {
 		return PlanInfo{}, err
 	}
-	prog, err := l.compile(d, planExpand, planWindow)
+	prog, err := l.compile(d, planWindow)
 	if err != nil {
 		return PlanInfo{}, err
 	}

@@ -17,12 +17,13 @@ import (
 // mealib_acc_execute is a cache flush and a doorbell (paper §3.5), so that a
 // plan launched thousands of times pays its set-up once. Program is that
 // set-up on the accelerator's side: everything a run derives from the
-// descriptor and the layer configuration alone. A run adds what the moment of
-// the launch decides: the memory it executes against, its hooks, its report.
+// descriptor and the layer configuration alone, its price included. A run adds
+// what the moment of the launch decides: the memory it executes against and
+// its hooks.
 
 // Program is a descriptor compiled for one layer. It is read-only once built
-// (but for waveSpans, filled in once): any number of runs, concurrent ones
-// included, share it.
+// (but for waveSpans and rep, each filled in once): any number of runs,
+// concurrent ones included, share it.
 type Program struct {
 	// lw holds the segments, fused, with every pass bound, resolved and priced
 	// into its template, and the cursor at the first node: a run copies it.
@@ -35,6 +36,9 @@ type Program struct {
 	win       *plan
 	wavesOnce sync.Once
 	waveSpans [][]span.Dir
+	// rep is the price (Report), summed lazily so that compiling stays cheap.
+	repOnce sync.Once
+	rep     *Report
 	// fetchDecode is the configuration unit's time for the descriptor.
 	fetchDecode units.Seconds
 	// img is the descriptor as encoded at base 0 and ptrs the offsets of its
@@ -50,7 +54,7 @@ func (l *Layer) Compile(d *descriptor.Descriptor) (*Program, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	prog, err := l.compile(d, planExpand, planWindow)
+	prog, err := l.compile(d, planWindow)
 	if err != nil {
 		return nil, err
 	}
@@ -61,15 +65,12 @@ func (l *Layer) Compile(d *descriptor.Descriptor) (*Program, error) {
 // compile is the one way from a descriptor to something the scheduler runs:
 // lower it (segments, fusion, templates with their prices, the fixed time) and,
 // if all its nodes fit one window of `window`, lower that window too.
-func (l *Layer) compile(d *descriptor.Descriptor, mode planMode, window int) (*Program, error) {
-	if err := l.cfg.CU.CheckCapacity(d); err != nil {
-		return nil, err
-	}
+func (l *Layer) compile(d *descriptor.Descriptor, window int) (*Program, error) {
 	tb := l.tr.Buffer(telemetry.TrackAccel)
 	defer tb.Release()
 	tb.Begin(telemetry.SpanPlanLower, "compile")
 	prog := &Program{fetchDecode: l.cfg.CU.FetchDecodeTime(d)}
-	if err := l.lower(d, mode, &prog.lw); err != nil {
+	if err := l.lower(d, planExpand, &prog.lw); err != nil {
 		tb.End(telemetry.SpanPlanLower, 0)
 		return nil, err
 	}
@@ -99,6 +100,14 @@ func (pr *Program) wavesOf(p *plan) [][]span.Dir {
 	}
 	pr.wavesOnce.Do(func() { pr.waveSpans = waveSpansOf(p) })
 	return pr.waveSpans
+}
+
+// Report is the program's price: the one *Report every successful launch of
+// it returns, shared and read-only. It is nil when no launch can succeed (a
+// pass that does not bind or price).
+func (pr *Program) Report() *Report {
+	pr.repOnce.Do(func() { pr.rep, _ = pr.lw.price(pr.fetchDecode) })
+	return pr.rep
 }
 
 // Install writes the program's image at base, command idle: what
@@ -150,5 +159,5 @@ func (l *Layer) RunProgram(s *phys.Space, base phys.Addr, prog *Program, hooks W
 	if !prog.installedAt(s, base) {
 		return l.run(s, base, hooks)
 	}
-	return l.launch(prog, "descriptor", s, base, hooks)
+	return l.launch(prog, s, base, hooks)
 }

@@ -36,6 +36,25 @@ func mapped(t *testing.T, r *testRig) []byte {
 	return reg.Bytes()
 }
 
+// compileIn compiles d for l, image included, to be lowered in windows of
+// window nodes.
+func compileIn(t *testing.T, l *Layer, d *descriptor.Descriptor, window int) *Program {
+	t.Helper()
+	prog, err := l.Compile(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if window == planWindow {
+		return prog
+	}
+	cut, err := l.compile(d, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut.img, cut.ptrs = prog.img, prog.ptrs
+	return cut
+}
+
 // requireCompiledEqualsFresh is the memo's differential: three launches
 // through one compiled program against three runs that each decode and compile
 // afresh, on twin rigs. After every round the reports are deeply equal and the
@@ -47,20 +66,9 @@ func requireCompiledEqualsFresh(t *testing.T, newRig func() *testRig, window int
 	t.Helper()
 	fresh, memo := newRig(), newRig()
 	fd, md := build(fresh), build(memo)
-	prog, err := memo.layer.Compile(md)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if window != planWindow {
-		cut, err := memo.layer.compile(md, planExpand, window)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cut.win != nil {
-			t.Fatalf("windows of %d: the program still fits one", window)
-		}
-		cut.img, cut.ptrs = prog.img, prog.ptrs
-		prog = cut
+	prog := compileIn(t, memo.layer, md, window)
+	if window != planWindow && prog.win != nil {
+		t.Fatalf("windows of %d: the program still fits one", window)
 	}
 	before := templatesOf(prog)
 	fbase, mbase := fresh.alloc(int(fd.Size())), memo.alloc(int(md.Size()))
@@ -203,6 +211,51 @@ func TestCompiledEqualsFreshOOC(t *testing.T) {
 	}
 }
 
+// TestPriceIsAConstantOfTheProgram: a launch's report is its program's
+// price, summed once. Over the differential corpus, in windows of 1, 3 and
+// planWindow nodes, serial and on four workers, hooked and not, the price
+// deeply equals the report of a fresh Run, and every launch of the program
+// returns that same *Report.
+func TestPriceIsAConstantOfTheProgram(t *testing.T) {
+	for _, c := range differentialCorpus {
+		for _, window := range []int{1, 3, planWindow} {
+			for _, workers := range []int{1, 4} {
+				for _, hooked := range []bool{false, true} {
+					fresh, memo := newRigWorkers(t, workers), newRigWorkers(t, workers)
+					want := fresh.run(t, c.build(t, fresh))
+					md := c.build(t, memo)
+					prog := compileIn(t, memo.layer, md, window)
+					if !reflect.DeepEqual(prog.Report(), want) {
+						t.Fatalf("%s, window %d, %d workers: the price differs from a fresh run's report:\n%+v\n%+v",
+							c.name, window, workers, prog.Report(), want)
+					}
+					base := memo.alloc(int(md.Size()))
+					if err := prog.Install(memo.space, base); err != nil {
+						t.Fatal(err)
+					}
+					for round := 0; round < 2; round++ {
+						if err := descriptor.WriteCommand(memo.space, base, descriptor.CmdStart); err != nil {
+							t.Fatal(err)
+						}
+						var hooks WaveHooks
+						if hooked {
+							hooks = &waveLog{t: t}
+						}
+						got, err := memo.layer.RunProgram(memo.space, base, prog, hooks)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got != prog.Report() {
+							t.Fatalf("%s, window %d, %d workers, hooked %v: launch %d returned a report of its own",
+								c.name, window, workers, hooked, round)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestProgramSharedByConcurrentRuns: one layer, one compiled program, four
 // runs of it in the air at once, each against a twin space of its own (what
 // the runs share is the program and the layer, nothing else). Under the race
@@ -236,12 +289,7 @@ func TestProgramSharedByConcurrentRuns(t *testing.T) {
 	for _, cut := range []bool{false, true} {
 		if cut {
 			// The same program in windows of five nodes: every run lowers its own.
-			small, err := layer.compile(refD, planExpand, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			small.img, small.ptrs = prog.img, prog.ptrs
-			prog = small
+			prog = compileIn(t, layer, refD, 5)
 		}
 		rigs := make([]*testRig, runs)
 		for i := range rigs {

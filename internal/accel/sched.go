@@ -19,11 +19,11 @@ import (
 // serial chain interleaves with unrelated passes instead of serialising the
 // whole descriptor.
 //
-// Determinism: an instance's sub-report is its template's, priced before
-// anything runs; sub-reports merge in program order regardless of which
-// goroutine ran which block, and memory effects are ordered by the edges.
-// Serial (Workers=1) and scheduled runs are therefore bit-identical in both
-// memory and Report.
+// Determinism: memory effects are ordered by the edges, so serial
+// (Workers=1) and scheduled runs leave memory bit-identical. The scheduler
+// prices nothing: a launch's model numbers are its program's price, summed
+// once in program order before any launch needs it (program.go), whichever
+// goroutine ran which block.
 
 // planWorkers sizes the pool for a plan: cfg.Workers if set (1 forces
 // serial), else min(GOMAXPROCS, Tiles), never wider than the plan's widest
@@ -40,16 +40,16 @@ func (l *Layer) planWorkers(p *plan) int {
 }
 
 // runBlock executes instances [lo, lo+n) of node k, one comp over the block
-// after the other (none on the analytic path; an instance a comp failed runs
-// no more): the instances of a range do not conflict. The block's span lands
-// on tb, the buffer of whichever goroutine runs it.
+// after the other (an instance a comp failed runs no more): the instances of
+// a range do not conflict. The block's span lands on tb, the buffer of
+// whichever goroutine runs it.
 func (l *Layer) runBlock(r *planRun, k int32, lo, n int, tb *telemetry.Buf) {
 	p, t := r.win, r.win.nodes[k].tmpl
 	if tb != nil {
 		tb.Begin(telemetry.SpanNode, t.name)
 	}
 	b := iters{it: p.iterAt(k, lo), counts: t.counts, n: n}
-	for i := 0; i < len(t.comps) && r.space != nil; i++ {
+	for i := range t.comps {
 		b = t.comps[i].spec.run(r.space, t.comps[i], b)
 	}
 	if t.err != nil && b.failed&1 == 0 {
@@ -75,34 +75,6 @@ func (l *Layer) runBlock(r *planRun, k int32, lo, n int, tb *telemetry.Buf) {
 	}
 }
 
-// merge folds one pass instance's sub-report into the launch's report. It
-// runs once per instance, in program order, and adds the per-op stats in
-// op-table order, so the float accumulation sequence is a pure function of
-// the program — never of goroutine completion order.
-func (r *planRun) merge(t *nodeTemplate) {
-	rep := r.rep
-	rep.Time += t.time
-	rep.Energy += t.energy
-	rep.Comps += t.ncomps
-	rep.NoCBytes += t.noc
-	rep.LMSpillBytes += t.spill
-	rep.RemoteBytes += t.remote
-	rep.ElidedBytes += t.elided
-	for i := range t.ops {
-		o := &t.ops[i]
-		agg := r.agg[o.op]
-		if agg == nil {
-			agg = rep.opStats(o.op)
-			r.agg[o.op] = agg
-		}
-		agg.Invocations += o.Invocations
-		agg.Time += o.Time
-		agg.Energy += o.Energy
-		agg.Flops += o.Flops
-		agg.Bytes += o.Bytes
-	}
-}
-
 // planRun is one run of a program: the cursor over its windows, the window
 // being run and what the windows share. Everything a run writes is here or in
 // memory; the program is shared with every other run of it. It is one heap
@@ -116,15 +88,11 @@ type planRun struct {
 	// which the cursor refills.
 	lw  lowering
 	win *plan
-	// space is what the comps run against; nil evaluates analytically.
+	// space is what the comps run against.
 	space *phys.Space
 	tb    *telemetry.Buf
 	hooks WaveHooks
-	// rep merges the sub-reports of every window in program order, agg is
-	// where it accumulates each accelerator's stats, and blocks the claims on
-	// the wave running.
-	rep    *Report
-	agg    [len(specs)]*OpStats
+	// blocks are the claims on the wave running.
 	blocks []block
 	// failed is the first failure in program order.
 	failed atomic.Pointer[failure]
@@ -151,25 +119,24 @@ func (r *planRun) nextWindow() {
 		telemetry.Arg{Key: "waves", Val: int64(len(r.win.waves))})
 }
 
-// exec runs a compiled program window by window, functionally against s or,
-// with a nil s, analytically. Non-nil hooks hear of every window's waves
-// before it runs and bracket each wave with WaveStart/WaveDone (hooks.go).
-func (l *Layer) exec(prog *Program, s *phys.Space, tb *telemetry.Buf, hooks WaveHooks) (*Report, error) {
-	r := &planRun{prog: prog, lw: prog.lw, space: s, tb: tb, hooks: hooks, rep: newReport()}
+// exec runs a compiled program window by window against s. Non-nil hooks
+// hear of every window's waves before it runs and bracket each wave with
+// WaveStart/WaveDone (hooks.go).
+func (l *Layer) exec(prog *Program, s *phys.Space, tb *telemetry.Buf, hooks WaveHooks) error {
+	r := &planRun{prog: prog, lw: prog.lw, space: s, tb: tb, hooks: hooks, elapsed: prog.lw.fixed}
 	l.met.fusedGroups.Add(int64(len(r.lw.fused)))
 	l.met.fusionSpills.Add(int64(r.lw.fusionSpills))
-	r.rep.Time, r.elapsed = r.lw.fixed, r.lw.fixed
 	for {
 		r.nextWindow()
 		if err := l.runPlan(r); err != nil {
-			return nil, err
+			return err
 		}
 		if !r.lw.more() {
 			break
 		}
 	}
 	l.met.wavesPerLaunch.Observe(int64(r.waves))
-	return r.rep, nil
+	return nil
 }
 
 // failure is a failed pass instance: its window position and its error.
@@ -182,8 +149,7 @@ type failure struct {
 type block struct{ k, lo, n int32 }
 
 // runPlan executes the launch's current window wave by wave, after
-// announcing its waves to the hooks, and merges its sub-reports into the
-// launch's report. A wave with a failure ends the run (its dependents must
+// announcing its waves to the hooks. A wave with a failure ends the run (its dependents must
 // not run) with the first error in program order, as serial execution would
 // return. Hooks or workers bracket every wave (span, histogram, WaveStart and
 // WaveDone), so gating sees the same waves at any worker count.
@@ -218,13 +184,6 @@ func (l *Layer) runPlan(r *planRun) error {
 		}
 		if f := r.failed.Load(); f != nil {
 			return f.err
-		}
-	}
-	for q := range p.size {
-		if p.body == nil {
-			r.merge(p.nodes[q].tmpl)
-		} else {
-			r.merge(&p.body[(p.first+q)%len(p.body)])
 		}
 	}
 	return nil

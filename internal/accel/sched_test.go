@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"mealib/internal/descriptor"
+	"mealib/internal/units"
 )
 
-// Analytic-path differentials: RunModel on a serial (Workers=1) layer and a
-// scheduled (Workers=4) layer must produce bit-identical reports — the
-// wavefront scheduler may reorder evaluation but never results. RunModel
-// touches no memory, so no space is needed.
+// Analytic-path differentials: RunModel collapses each LOOP to one template
+// scaled by its trip count, Compile expands every iteration into instances;
+// the two must price a descriptor alike. Neither touches memory, so no space
+// is needed.
 
 func newModelLayer(t *testing.T, workers int) *Layer {
 	t.Helper()
@@ -24,15 +25,34 @@ func newModelLayer(t *testing.T, workers int) *Layer {
 
 func runModelDifferential(t *testing.T, d *descriptor.Descriptor) {
 	t.Helper()
-	serial, err := newModelLayer(t, 1).RunModel(d)
+	l := newModelLayer(t, 1)
+	model, err := l.RunModel(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scheduled, err := newModelLayer(t, 4).RunModel(d)
+	prog, err := l.Compile(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireReportsIdentical(t, serial, scheduled)
+	requireModelMatches(t, model, prog.Report())
+}
+
+// requireModelMatches compares an analytic report with the price of the
+// expanded run: counts and bytes exactly, time and energy to CloseTo (a
+// scaled template and a sum of its instances round differently).
+func requireModelMatches(t *testing.T, model, want *Report) {
+	t.Helper()
+	if !units.CloseTo(float64(model.Time), float64(want.Time)) || !units.CloseTo(float64(model.Energy), float64(want.Energy)) ||
+		model.Comps != want.Comps || model.NoCBytes != want.NoCBytes || model.ElidedBytes != want.ElidedBytes {
+		t.Errorf("model report %+v, functional %+v", model, want)
+	}
+	for op, fs := range want.PerOp {
+		ms := model.PerOp[op]
+		if ms == nil || ms.Invocations != fs.Invocations || ms.Bytes != fs.Bytes ||
+			!units.CloseTo(float64(ms.Time), float64(fs.Time)) || !units.CloseTo(float64(ms.Energy), float64(fs.Energy)) {
+			t.Errorf("%v: model %+v, functional %+v", op, ms, fs)
+		}
+	}
 }
 
 // TestModelDifferentialAllOpcodes drives every accelerator opcode through

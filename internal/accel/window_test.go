@@ -144,17 +144,7 @@ func runWindowDifferential(t *testing.T, build func(r *testRig) *descriptor.Desc
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !units.CloseTo(float64(model.Time), float64(want.Time)) || !units.CloseTo(float64(model.Energy), float64(want.Energy)) ||
-		model.Comps != want.Comps || model.NoCBytes != want.NoCBytes || model.ElidedBytes != want.ElidedBytes {
-		t.Errorf("model report %+v, functional %+v", model, want)
-	}
-	for op, fs := range want.PerOp {
-		ms := model.PerOp[op]
-		if ms == nil || ms.Invocations != fs.Invocations || ms.Bytes != fs.Bytes ||
-			!units.CloseTo(float64(ms.Time), float64(fs.Time)) || !units.CloseTo(float64(ms.Energy), float64(fs.Energy)) {
-			t.Errorf("%v: model %+v, functional %+v", op, ms, fs)
-		}
-	}
+	requireModelMatches(t, model, want)
 	requireCompiledEqualsFresh(t, func() *testRig { return newRigWorkers(t, 2) }, planWindow, true, build)
 	return want
 }

@@ -20,7 +20,6 @@ package stap
 
 import (
 	"fmt"
-	"strings"
 
 	"mealib/internal/accel"
 	"mealib/internal/cpu"
@@ -355,24 +354,4 @@ func Compare(p Params) (*Gains, error) {
 		Haswell:     base,
 		MEALib:      mea,
 	}, nil
-}
-
-// RenderStages formats the per-stage breakdown of a run as fixed-width
-// text (used by cmd/stapdemo).
-func (r *Result) RenderStages() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-36s %-10s %-12s %s\n", "stage", "time", "energy", "executes on")
-	for _, s := range r.Stages {
-		where := "accelerators"
-		if s.OnHost {
-			where = "host"
-		}
-		fmt.Fprintf(&b, "%-36s %-10v %-12v %s\n", s.Stage.Name, s.Time, s.Energy, where)
-	}
-	if r.InvocationTime > 0 {
-		fmt.Fprintf(&b, "%-36s %-10v %-12v %s\n", "invocation (flush + descriptor copy)",
-			r.InvocationTime, r.InvocationEnergy, "host")
-	}
-	fmt.Fprintf(&b, "%-36s %-10v %-12v\n", "total", r.Time, r.Energy)
-	return b.String()
 }

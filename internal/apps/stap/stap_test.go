@@ -1,7 +1,6 @@
 package stap
 
 import (
-	"strings"
 	"testing"
 
 	"mealib/internal/cpu"
@@ -142,25 +141,4 @@ func TestHaswellRunAccumulates(t *testing.T) {
 	if hs != 1 {
 		t.Errorf("host share = %v, want 1", hs)
 	}
-}
-
-func TestRenderStages(t *testing.T) {
-	g, err := Compare(Small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := g.MEALib.RenderStages()
-	for _, want := range []string{"covariance", "inner products", "invocation", "total", "host", "accelerators"} {
-		if !containsFold(out, want) {
-			t.Errorf("RenderStages missing %q:\n%s", want, out)
-		}
-	}
-	base := g.Haswell.RenderStages()
-	if containsFold(base, "invocation (flush") {
-		t.Error("Haswell run must not show invocation overhead")
-	}
-}
-
-func containsFold(haystack, needle string) bool {
-	return strings.Contains(strings.ToLower(haystack), strings.ToLower(needle))
 }

@@ -124,7 +124,7 @@ func loopAxpyPlan(t *testing.T, r *Runtime, n, iters int64) *Plan {
 }
 
 // TestSubmitOverlappedIdleEnergySplit is the regression test for the
-// flight-aware idle-energy fix: two overlapping Submits of identical work
+// flight-aware idle-energy fix: two overlapping launches of identical work
 // must split the shared host-idle window (union billing: one flight's
 // worth), while running the same two launches serially bills their sum.
 // Before the fix each overlapped flight billed its full span, so the
@@ -156,18 +156,27 @@ func TestSubmitOverlappedIdleEnergySplit(t *testing.T) {
 	}
 
 	// Overlapped: disjoint spans admit concurrently at the same model-time
-	// frontier. The flights are milliseconds of wall time each, so the
-	// second Submit lands while the first is still in flight.
+	// frontier. Both launches are accepted, and so admitted, before either
+	// starts, so both windows open at the same start whatever the wall
+	// clock does.
 	ro, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	qa, qb := loopAxpyPlan(t, ro, n, iters), loopAxpyPlan(t, ro, n, iters)
-	fa, err := qa.Submit(context.Background())
+	la, err := qa.Accept()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := qb.Submit(context.Background())
+	lb, err := qb.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fa, err := la.Start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := lb.Start(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,22 +15,22 @@ import (
 // (accel.PlanOOC) split it into chunks whose window extents are relocated
 // into the double-buffered staging region, and this file executes that
 // schedule: stage in, execute, write back, chunk by chunk, with chunk N+1's
-// stage-in prefetched — both functionally, on a real goroutine, and in the
-// model, on the inbound link timeline — under chunk N's execution whenever
+// stage-in prefetched on a real goroutine under chunk N's execution whenever
 // the schedule marked it legal. Admission already serialised the flight
 // against everything conflicting (including the staging region itself, via
 // Plan.admWrites), so the only concurrency inside a schedule is the one the
 // Prefetchable flags license.
 //
-// Model time is a three-timeline pipeline per the overlap argument of
-// libhclooc (PAPERS.md): the host↔stack link is full duplex, so stage-ins
-// occupy an inbound timeline and write-backs an outbound one, while chunk
-// executions serialise on the accelerator timeline (each paying the
-// per-launch descriptor setup). A staging half is reusable once its
-// previous occupant's write-back drains; a non-prefetchable chunk's
-// stage-in additionally waits for the whole previous chunk to finish. With
-// Config.NoPrefetch every stage-in waits that way, which is exactly the
-// synchronous baseline TestOOCPrefetchFasterThanSync compares against.
+// The model prices the schedule once, when the plan is installed (priceOOC),
+// as a three-timeline pipeline per the overlap argument of libhclooc
+// (PAPERS.md): the host↔stack link is full duplex, so stage-ins occupy an
+// inbound timeline and write-backs an outbound one, while chunk executions
+// serialise on the accelerator timeline (each paying the per-launch
+// descriptor setup). A staging half is reusable once its previous occupant's
+// write-back drains; a non-prefetchable chunk's stage-in additionally waits
+// for the whole previous chunk to finish. With Config.NoPrefetch every
+// stage-in waits that way: the synchronous baseline
+// TestOOCPrefetchFasterThanSync compares against.
 
 // oocSpans reports whether any span lives in the host-backed window.
 func (r *Runtime) oocSpans(spans []span.Span) bool {
@@ -90,57 +90,79 @@ func (r *Runtime) runChunk(ch *accel.OOCChunk, base phys.Addr) (*accel.Report, e
 	return r.layers[0].RunProgram(r.space, base, ch.Prog, nil)
 }
 
-// runOOC drives the plan's chunk schedule and returns the aggregate report.
+// priceOOC is the model's report of every launch of the schedule: the chunk
+// programs' reports merged in chunk order, the pipelined time of the three
+// timelines in place of their sum, plus the staging energy and traffic. Nil
+// when a chunk program has no report (no launch of it can succeed).
+func (r *Runtime) priceOOC(sched *accel.OOCSchedule) *accel.Report {
+	acfg := r.layers[0].Config()
+	agg := &accel.Report{PerOp: map[descriptor.OpCode]*accel.OpStats{}}
+	// Timeline frontiers (model seconds from the flight's start).
+	var inLink, outLink, accelT units.Seconds
+	var halfFree [2]units.Seconds
+	var stageE units.Joules
+	for _, ch := range sched.Chunks {
+		rep := ch.Prog.Report()
+		if rep == nil {
+			return nil
+		}
+		// Stage-in on the inbound link: after the link frees up and the
+		// chunk's staging half drains, and — when the stage-in may not
+		// overlap the previous chunk (data dependence, or NoPrefetch) —
+		// after the previous chunk completes outright, its write-back
+		// drained.
+		tIn, eIn := acfg.StagingCost(ch.StageInBytes)
+		sIn := max(inLink, halfFree[ch.Half])
+		if r.cfg.NoPrefetch || !ch.Prefetchable {
+			sIn = max(sIn, outLink)
+		}
+		inLink = sIn + tIn
+		stageE += eIn
+		// Execution on the accelerator timeline, then write-back on the
+		// outbound link; the chunk's half is reusable once it has drained.
+		accelT = max(accelT, inLink) + r.cfg.DescriptorSetupLatency + rep.Time
+		tOut, eOut := acfg.StagingCost(ch.WriteBackBytes)
+		outLink = max(outLink, accelT) + tOut
+		stageE += eOut
+		halfFree[ch.Half] = outLink
+		agg.Merge(rep)
+	}
+	// End to end, the flight spans until both the accelerator and the
+	// outbound link drain; the per-chunk Times summed by Merge are replaced
+	// with the pipelined total.
+	agg.Time = max(accelT, outLink)
+	agg.Energy += stageE
+	agg.OOCChunks = int64(len(sched.Chunks))
+	agg.StagedBytes = sched.StageInBytes + sched.WriteBackBytes
+	return agg
+}
+
+// runOOC drives the plan's chunk schedule and returns the plan's price.
 // Called from the launch's flight goroutine, so the launch is admitted and
 // holds the staging region; the descriptor command slot at p.basePA is reused
 // serially for every chunk.
 func (r *Runtime) runOOC(p *Plan) (*accel.Report, error) {
-	sched := p.ooc
-	acfg := r.layers[0].Config()
-	agg := accel.NewReport()
-	chunks := sched.Chunks
-	// Timeline frontiers (model seconds from the flight's start).
-	var inLink, outLink, accelT units.Seconds
-	var halfFree [2]units.Seconds
-	var prevDone units.Seconds
-	var stageE units.Joules
-	// pf carries the in-progress prefetch of the next chunk's stage-in.
+	chunks := p.ooc.Chunks
+	// pf carries the in-progress prefetch of the next chunk's stage-in; a
+	// failed launch joins it before returning.
 	var pf chan error
-	drainPF := func() {
+	defer func() {
 		if pf != nil {
 			<-pf
-			pf = nil
 		}
-	}
+	}()
 	for i, ch := range chunks {
-		// Functional stage-in: join the prefetch launched under the
-		// previous chunk's execution, or copy synchronously.
+		// Stage in: join the prefetch launched under the previous chunk's
+		// execution, or copy synchronously.
+		var err error
 		if pf != nil {
-			if err := <-pf; err != nil {
-				pf = nil
-				return nil, err
-			}
-			pf = nil
-		} else if err := r.stageIn(ch); err != nil {
+			err, pf = <-pf, nil
+		} else {
+			err = r.stageIn(ch)
+		}
+		if err != nil {
 			return nil, err
 		}
-		// Model stage-in on the inbound link: after the link frees up and
-		// the chunk's staging half drains, and — when the stage-in may not
-		// overlap the previous chunk (data dependence, or NoPrefetch) —
-		// after the previous chunk completes outright.
-		tIn, eIn := acfg.StagingCost(ch.StageInBytes)
-		sIn := inLink
-		if halfFree[ch.Half] > sIn {
-			sIn = halfFree[ch.Half]
-		}
-		if i > 0 && (r.cfg.NoPrefetch || !ch.Prefetchable) {
-			if prevDone > sIn {
-				sIn = prevDone
-			}
-		}
-		inDone := sIn + tIn
-		inLink = inDone
-		stageE += eIn
 		// Launch the next chunk's prefetch before executing: it reads host
 		// extents disjoint from this chunk's write-backs (that is what
 		// Prefetchable certifies) and fills the other staging half, whose
@@ -152,48 +174,15 @@ func (r *Runtime) runOOC(p *Plan) (*accel.Report, error) {
 		}
 		// Execute the rebased chunk descriptor out of the plan's slot: its
 		// image, compiled when the schedule was planned, and the doorbell.
-		rep, err := r.runChunk(ch, p.basePA)
-		if err != nil {
-			drainPF()
+		if _, err := r.runChunk(ch, p.basePA); err != nil {
 			return nil, fmt.Errorf("mealibrt: ooc chunk %d: %w", i, err)
 		}
-		execStart := accelT
-		if inDone > execStart {
-			execStart = inDone
-		}
-		execDone := execStart + r.cfg.DescriptorSetupLatency + rep.Time
-		accelT = execDone
-		// Write back on the outbound link.
 		if err := r.writeBack(ch); err != nil {
-			drainPF()
 			return nil, err
 		}
-		tOut, eOut := acfg.StagingCost(ch.WriteBackBytes)
-		wbStart := outLink
-		if execDone > wbStart {
-			wbStart = execDone
-		}
-		wbDone := wbStart + tOut
-		outLink = wbDone
-		stageE += eOut
-		// The chunk's half is reusable once its write-back has drained.
-		halfFree[ch.Half] = wbDone
-		prevDone = wbDone
-		agg.Merge(rep)
 	}
-	// End to end, the flight spans until both the accelerator and the
-	// outbound link drain; the per-chunk Times summed by Merge are replaced
-	// with the pipelined total.
-	total := accelT
-	if outLink > total {
-		total = outLink
-	}
-	agg.Time = total
-	agg.Energy += stageE
-	agg.OOCChunks = int64(len(chunks))
-	agg.StagedBytes = sched.StageInBytes + sched.WriteBackBytes
 	r.mOOCLaunches.Add(1)
-	r.mOOCChunks.Add(int64(len(chunks)))
-	r.mOOCStaged.Add(int64(sched.StageInBytes + sched.WriteBackBytes))
-	return agg, nil
+	r.mOOCChunks.Add(p.price.OOCChunks)
+	r.mOOCStaged.Add(int64(p.price.StagedBytes))
+	return p.price, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -549,5 +550,55 @@ func TestOOCDotUnchunkable(t *testing.T) {
 	d.AddEndPass()
 	if _, err := rt.AccPlanDescriptor(d); !errors.Is(err, accel.ErrUnchunkable) {
 		t.Fatalf("oversized DOT: got %v, want ErrUnchunkable", err)
+	}
+}
+
+// TestOOCPriceIsAConstantOfThePlan: an out-of-core plan is priced once, at
+// install, from its schedule; every launch returns that price, the same
+// *Report, and a second install of the same descriptor prices it the same.
+// An ordinary plan's launches return its program's price likewise.
+func TestOOCPriceIsAConstantOfThePlan(t *testing.T) {
+	ctx := context.Background()
+	rt, err := New(oocConfig(128 * units.KiB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1 << 16 // 256 KiB a vector, over 64 KiB staging halves
+	hx, err := rt.MemAllocHost(4 * n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hy, err := rt.MemAllocHost(4 * n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillPattern(t, hx, n, 1)
+	fillPattern(t, hy, n, -3)
+	ooc := axpyOver(t, rt.def, hx, hy, n, 1)
+	if ooc.ooc == nil || ooc.price == nil {
+		t.Fatalf("want an out-of-core plan priced at install (schedule %v, price %v)", ooc.ooc != nil, ooc.price)
+	}
+	incore, _, _ := sessAxpyPlan(t, rt.def, 2, 256)
+	for _, tc := range []struct {
+		name  string
+		p     *Plan
+		price *accel.Report
+	}{{"out-of-core", ooc, ooc.price}, {"in-core", incore, incore.prog.Report()}} {
+		for i := 0; i < 2; i++ {
+			inv, err := tc.p.Execute(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if inv.Report != tc.price {
+				t.Errorf("%s launch %d: report %p, want the plan's price %p", tc.name, i, inv.Report, tc.price)
+			}
+		}
+	}
+	if got := ooc.price.OOCChunks; got != int64(len(ooc.ooc.Chunks)) {
+		t.Errorf("the price counts %d chunks, the schedule has %d", got, len(ooc.ooc.Chunks))
+	}
+	again := axpyOver(t, rt.def, hx, hy, n, 1)
+	if again.price == ooc.price || !reflect.DeepEqual(again.price, ooc.price) {
+		t.Errorf("a second install priced the same schedule %+v, want a report of its own equal to %+v", again.price, ooc.price)
 	}
 }

@@ -232,8 +232,8 @@ func TestExecuteFixedCost(t *testing.T) {
 		if _, err := p.Execute(ctx); err != nil {
 			t.Fatal(err)
 		}
-	}); avg > 12 {
-		t.Errorf("Execute of a warm one-comp plan allocates %.1f times, want at most 12", avg)
+	}); avg > 5 {
+		t.Errorf("Execute of a warm one-comp plan allocates %.1f times, want at most 5", avg)
 	}
 
 	cfg := oocConfig(128 * units.KiB)

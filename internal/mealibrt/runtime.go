@@ -516,6 +516,8 @@ type Plan struct {
 	// out-of-core plan's original descriptor is never executed: Submit runs
 	// the schedule's rebased chunk descriptors instead (ooc.go).
 	ooc *accel.OOCSchedule
+	// price is an out-of-core plan's report, priced at install (priceOOC).
+	price *accel.Report
 	// sess is the owning tenant: the runtime's default tenant for plans
 	// from Runtime.AccPlan*.
 	sess *Session
@@ -571,7 +573,8 @@ func (p *Plan) Footprint() (writes, reads []span.Span) { return p.writes, p.read
 
 // Invocation is the outcome of one AccExecute.
 type Invocation struct {
-	// Report is the accelerator layer's execution report.
+	// Report is the accelerator layer's execution report: the plan's price,
+	// the same for every launch of the plan, shared and read-only.
 	Report *accel.Report
 	// OverheadTime/OverheadEnergy cover the cache flush and descriptor
 	// copy (the paper's "cost of accelerator invocation", §5.5).
@@ -903,8 +906,9 @@ func (r *Runtime) retireLocked(l *Launch, inv *Invocation) {
 	if g := l.gate; g != nil {
 		// The flight's waves stalled behind older conflicting flights for
 		// g.shift of model time: its window on the model timeline is that
-		// much longer than its device time, which is the report's (summed in
-		// node order), not the gate's running per-wave total.
+		// much longer than its device time, which is the report's (the
+		// program's price, summed once in program order), not the gate's
+		// running per-wave total.
 		g.elapsed = rep.Time
 		end = l.start + g.shift + rep.Time
 	}

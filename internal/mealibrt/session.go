@@ -457,6 +457,9 @@ func (s *Session) AccPlanDescriptorOn(stack int, d *descriptor.Descriptor) (*Pla
 	p := &Plan{rt: r, desc: d, descSize: d.Size(), prog: prog, baseVA: va, basePA: pa,
 		writes: writes, reads: reads, exposed: fp.Exposed,
 		admWrites: admWrites, ooc: sched, sess: s, stack: stack}
+	if sched != nil {
+		p.price = r.priceOOC(sched)
+	}
 	r.mu.Lock()
 	s.plans[p] = struct{}{}
 	r.mu.Unlock()
