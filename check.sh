@@ -84,6 +84,9 @@ go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 5s ./internal/mealibd
 echo "==> FuzzStridedExtent, 5 s (span.Strided.Extent against the exact math/big extent)"
 go test -run '^$' -fuzz '^FuzzStridedExtent$' -fuzztime 5s ./internal/span
 
+echo "==> FuzzSpmvSemiring, 5 s (row pointers and column indices are tenant bytes: the SPMV kernel never panics and matches the scalar loop bit for bit)"
+go test -run '^$' -fuzz '^FuzzSpmvSemiring$' -fuzztime 5s ./internal/kernels
+
 echo "==> BenchmarkLowerLoop smoke (one launch of each nest on the range path and on the scoreboard path; it fails if a nest is on the wrong one)"
 go test -run '^$' -bench BenchmarkLowerLoop -benchtime 1x ./internal/accel
 

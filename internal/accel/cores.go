@@ -189,15 +189,7 @@ func spmvCore(s *phys.Space, a SpmvArgs) error {
 		copy(*p, x.Data)
 		xs = *p
 	}
-	// The plus-times/zero-bias fast path is the historical kernel; the
-	// semiring variant reproduces it bit for bit (same float64 accumulation
-	// order), so the split is only about keeping the common path obvious.
-	if a.Semiring == SpmvPlusTimes && a.Bias == 0 {
-		err = kernels.SpmvCSR(int(a.M), rowPtr.Data, colIdx.Data, values.Data, xs, y.Data)
-	} else {
-		err = kernels.SpmvCSRSemiring(int(a.M), rowPtr.Data, colIdx.Data, values.Data, xs, y.Data, a.Semiring, a.Bias)
-	}
-	if err != nil {
+	if err := kernels.SpmvCSRSemiring(int(a.M), rowPtr.Data, colIdx.Data, values.Data, xs, y.Data, a.Semiring, a.Bias); err != nil {
 		return err
 	}
 	return y.Commit()

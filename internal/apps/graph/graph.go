@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"mealib/internal/kernels"
 	"mealib/internal/multistack"
@@ -46,9 +47,11 @@ func PageRankOperator(adj *sparse.CSR, alpha float32) (*sparse.CSR, float32, err
 			scale[u] = float64(alpha) / d
 		}
 	}
-	m, err := adj.Transpose().ScaleColumns(scale)
-	if err != nil {
-		return nil, 0, err
+	// The transpose is private, so it is scaled in place: the same product
+	// ScaleColumns would store in a copy.
+	m := adj.Transpose()
+	for k, u := range m.ColIdx {
+		m.Values[k] = float32(float64(m.Values[k]) * scale[u])
 	}
 	return m, (1 - alpha) / float32(adj.Rows), nil
 }
@@ -57,22 +60,37 @@ func PageRankOperator(adj *sparse.CSR, alpha float32) (*sparse.CSR, float32, err
 // edge u->v (hop counts ignore edge weights) and B[v][v] = 0 so a vertex
 // keeps its own previous distance. One SPMV with bias +Inf is then one
 // round of Bellman-Ford relaxation over unit weights — level-synchronous
-// BFS.
+// BFS. The transpose's rows are already sorted by column, so each row of B
+// is that row with its self-loops dropped and the zero diagonal merged in
+// at its place; an edge stored k times weighs k, as FromCOO would sum it.
 func BFSOperator(adj *sparse.CSR) (*sparse.CSR, error) {
 	if adj.Rows != adj.Cols {
 		return nil, fmt.Errorf("graph: adjacency must be square, got %dx%d", adj.Rows, adj.Cols)
 	}
 	t := adj.Transpose()
-	entries := make([]sparse.COO, 0, t.NNZ()+t.Rows)
-	for v := 0; v < t.Rows; v++ {
-		entries = append(entries, sparse.COO{Row: int32(v), Col: int32(v), Val: 0})
-		for k := t.RowPtr[v]; k < t.RowPtr[v+1]; k++ {
-			if u := t.ColIdx[k]; int(u) != v {
-				entries = append(entries, sparse.COO{Row: int32(v), Col: u, Val: 1})
+	b := &sparse.CSR{Rows: t.Rows, Cols: t.Cols, RowPtr: make([]int32, t.Rows+1),
+		ColIdx: make([]int32, 0, t.NNZ()+t.Rows), Values: make([]float32, 0, t.NNZ()+t.Rows)}
+	edges := func(cols []int32) {
+		for k, u := range cols {
+			if k > 0 && cols[k-1] == u {
+				b.Values[len(b.Values)-1]++
+				continue
 			}
+			b.ColIdx = append(b.ColIdx, u)
+			b.Values = append(b.Values, 1)
 		}
 	}
-	return sparse.FromCOO(t.Rows, t.Cols, entries)
+	for v := range int32(t.Rows) {
+		row := t.ColIdx[t.RowPtr[v]:t.RowPtr[v+1]]
+		below, _ := slices.BinarySearch(row, v)
+		above, _ := slices.BinarySearch(row, v+1)
+		edges(row[:below])
+		b.ColIdx = append(b.ColIdx, v)
+		b.Values = append(b.Values, 0)
+		edges(row[above:])
+		b.RowPtr[v+1] = int32(len(b.ColIdx))
+	}
+	return b, nil
 }
 
 // Result is one analytic run: the final vertex vector, the iterations

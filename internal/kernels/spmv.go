@@ -20,20 +20,9 @@ func SpmvCSRNaive(m int, rowPtr []int32, colIdx []int32, values []float32, x []f
 }
 
 // SpmvCSR is the optimized variant: row-parallel with float64 accumulation.
+// It is SpmvCSRSemiring over plus-times with a zero bias.
 func SpmvCSR(m int, rowPtr []int32, colIdx []int32, values []float32, x []float32, y []float32) error {
-	if err := checkCSR(m, rowPtr, colIdx, values, x, y); err != nil {
-		return err
-	}
-	parallelRanges(m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var sum float64
-			for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-				sum += float64(values[k]) * float64(x[colIdx[k]])
-			}
-			y[i] = float32(sum)
-		}
-	})
-	return nil
+	return SpmvCSRSemiring(m, rowPtr, colIdx, values, x, y, SemiringPlusTimes, 0)
 }
 
 // Semirings accepted by SpmvCSRSemiring. Plus-times is the ordinary
@@ -51,11 +40,12 @@ const (
 //	plus-times: y[i] = bias + sum_k values[k]*x[colIdx[k]]
 //	min-plus:   y[i] = min(bias, min_k values[k]+x[colIdx[k]])
 //
-// Plus-times accumulates in float64 in CSR entry order, exactly like
-// SpmvCSR — with a zero bias the two are bit-identical. Min-plus works in
+// Plus-times accumulates in float64 in CSR entry order. Min-plus works in
 // float32 directly (min is exact, no rounding order to fix). Both are
 // row-parallel; rows never share an accumulator, so results do not depend
-// on the parallel split.
+// on the parallel split. checkCSR has already proven every row range and
+// column index in bounds, so each row is walked as one colIdx/values slice
+// pair and the only per-entry bounds check left is the gather x[c].
 func SpmvCSRSemiring(m int, rowPtr []int32, colIdx []int32, values []float32, x []float32, y []float32, semiring int64, bias float32) error {
 	if err := checkCSR(m, rowPtr, colIdx, values, x, y); err != nil {
 		return err
@@ -64,9 +54,11 @@ func SpmvCSRSemiring(m int, rowPtr []int32, colIdx []int32, values []float32, x 
 	case SemiringPlusTimes:
 		parallelRanges(m, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
+				a, b := rowPtr[i], rowPtr[i+1]
+				vals := values[a:b]
 				sum := float64(bias)
-				for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-					sum += float64(values[k]) * float64(x[colIdx[k]])
+				for k, c := range colIdx[a:b] {
+					sum += float64(vals[k]) * float64(x[c])
 				}
 				y[i] = float32(sum)
 			}
@@ -74,9 +66,11 @@ func SpmvCSRSemiring(m int, rowPtr []int32, colIdx []int32, values []float32, x 
 	case SemiringMinPlus:
 		parallelRanges(m, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
+				a, b := rowPtr[i], rowPtr[i+1]
+				vals := values[a:b]
 				best := bias
-				for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-					if d := values[k] + x[colIdx[k]]; d < best {
+				for k, c := range colIdx[a:b] {
+					if d := vals[k] + x[c]; d < best {
 						best = d
 					}
 				}
@@ -89,12 +83,18 @@ func SpmvCSRSemiring(m int, rowPtr []int32, colIdx []int32, values []float32, x 
 	return nil
 }
 
+// checkCSR proves the kernels' indexing in bounds: rowPtr starts at or
+// above zero and never decreases, so every row range lies within
+// [0, nnz], and every column index of those rows addresses x.
 func checkCSR(m int, rowPtr, colIdx []int32, values, x, y []float32) error {
 	if m < 0 {
 		return fmt.Errorf("kernels: spmv: negative rows %d", m)
 	}
 	if len(rowPtr) < m+1 {
 		return fmt.Errorf("kernels: spmv: rowPtr length %d < m+1=%d", len(rowPtr), m+1)
+	}
+	if rowPtr[0] < 0 {
+		return fmt.Errorf("kernels: spmv: rowPtr[0] = %d is negative", rowPtr[0])
 	}
 	nnz := int(rowPtr[m])
 	if len(colIdx) < nnz || len(values) < nnz {
@@ -108,8 +108,14 @@ func checkCSR(m int, rowPtr, colIdx []int32, values, x, y []float32) error {
 			return fmt.Errorf("kernels: spmv: rowPtr not monotone at row %d", i)
 		}
 	}
-	for k := 0; k < nnz; k++ {
-		if c := int(colIdx[k]); c < 0 || c >= len(x) {
+	// One unsigned compare per column (a negative one converts above any
+	// length), four a step; the loop after names the first bad column.
+	n, cols := uint(len(x)), colIdx[:nnz]
+	for len(cols) >= 4 && uint(cols[0]) < n && uint(cols[1]) < n && uint(cols[2]) < n && uint(cols[3]) < n {
+		cols = cols[4:]
+	}
+	for _, c := range cols {
+		if uint(c) >= n {
 			return fmt.Errorf("kernels: spmv: column index %d out of range [0,%d)", c, len(x))
 		}
 	}

@@ -90,6 +90,12 @@ func TestSpmvErrors(t *testing.T) {
 	if err := SpmvCSR(3, rp, []int32{0, 2, 1, 0, 7}, v, x, y); err == nil {
 		t.Error("column index out of range must fail")
 	}
+	if err := SpmvCSR(3, rp, []int32{0, 2, 1, -1, 2}, v, x, y); err == nil {
+		t.Error("negative column index must fail")
+	}
+	if err := SpmvCSR(2, []int32{-1, 0, 1}, ci, v, x, y); err == nil {
+		t.Error("negative first row pointer must fail")
+	}
 }
 
 func TestSpmvSemiringPlusTimesMatchesSpmv(t *testing.T) {

@@ -7,9 +7,11 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -66,8 +68,10 @@ type COO struct {
 	Val      float32
 }
 
-// FromCOO builds a CSR matrix from coordinate triples, sorting by (row,col)
-// and summing duplicates.
+// FromCOO builds a CSR matrix from coordinate triples in linear time plus
+// a per-row column sort: a counting sort by row keeps each row's entries in
+// input order, a stable sort orders the row by column, and duplicates of
+// one (row, col) are summed in input order.
 func FromCOO(rows, cols int, entries []COO) (*CSR, error) {
 	if rows < 0 || cols < 0 {
 		return nil, fmt.Errorf("sparse: negative dimensions %dx%d", rows, cols)
@@ -77,27 +81,37 @@ func FromCOO(rows, cols int, entries []COO) (*CSR, error) {
 			return nil, fmt.Errorf("sparse: entry (%d,%d) out of %dx%d", e.Row, e.Col, rows, cols)
 		}
 	}
-	sorted := append([]COO(nil), entries...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Row != sorted[j].Row {
-			return sorted[i].Row < sorted[j].Row
-		}
-		return sorted[i].Col < sorted[j].Col
-	})
-	m := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int32, rows+1)}
-	for i, e := range sorted {
-		if i > 0 && sorted[i-1].Row == e.Row && sorted[i-1].Col == e.Col {
-			m.Values[len(m.Values)-1] += e.Val
-			continue
-		}
-		m.ColIdx = append(m.ColIdx, e.Col)
-		m.Values = append(m.Values, e.Val)
-		m.RowPtr[e.Row+1] = int32(len(m.Values))
+	rowPtr := make([]int32, rows+1)
+	for _, e := range entries {
+		rowPtr[e.Row+1]++
 	}
-	for i := 1; i <= rows; i++ {
-		if m.RowPtr[i] < m.RowPtr[i-1] {
-			m.RowPtr[i] = m.RowPtr[i-1]
+	for r := 0; r < rows; r++ {
+		rowPtr[r+1] += rowPtr[r]
+	}
+	next := slices.Clone(rowPtr[:rows])
+	byRow := make([]COO, len(entries))
+	for _, e := range entries {
+		byRow[next[e.Row]] = e
+		next[e.Row]++
+	}
+	// Rows are compacted in place: rowPtr[r+1] still holds row r's end in
+	// byRow when the row is read and its end in the output after.
+	m := &CSR{Rows: rows, Cols: cols, RowPtr: rowPtr,
+		ColIdx: make([]int32, 0, len(entries)), Values: make([]float32, 0, len(entries))}
+	lo := int32(0)
+	for r := 0; r < rows; r++ {
+		row := byRow[lo:rowPtr[r+1]]
+		lo = rowPtr[r+1]
+		slices.SortStableFunc(row, func(a, b COO) int { return cmp.Compare(a.Col, b.Col) })
+		for k, e := range row {
+			if k > 0 && row[k-1].Col == e.Col {
+				m.Values[len(m.Values)-1] += e.Val
+				continue
+			}
+			m.ColIdx = append(m.ColIdx, e.Col)
+			m.Values = append(m.Values, e.Val)
 		}
+		rowPtr[r+1] = int32(len(m.Values))
 	}
 	return m, nil
 }

@@ -85,8 +85,8 @@ func (m *CSR) SymNormalize() (*CSR, error) {
 }
 
 // ScaleColumns multiplies every column j by scale[j], returning a new
-// matrix. PageRank uses it to fold alpha/outdegree into the link matrix so
-// the accelerator-side SpMV needs no separate elementwise pass.
+// matrix. graph.PageRankOperator stores the same products in place over a
+// transpose it owns; its tests hold it to this copy.
 func (m *CSR) ScaleColumns(scale []float64) (*CSR, error) {
 	if len(scale) != m.Cols {
 		return nil, fmt.Errorf("sparse: %d column scales for %d columns", len(scale), m.Cols)
