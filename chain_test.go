@@ -71,7 +71,9 @@ func TestChainLoopDifferential(t *testing.T) {
 		return dst.All()
 	}
 	fused := newSystem(t)
-	plain, err := New(WithoutFusion())
+	acc := AcceleratorConfig()
+	acc.NoFusion = true
+	plain, err := New(WithAccelerator(acc))
 	if err != nil {
 		t.Fatal(err)
 	}

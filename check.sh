@@ -75,8 +75,11 @@ if grep -nE 'Report|merge\(' internal/accel/sched.go ||
 	exit 1
 fi
 
-echo "==> go test -race ./... (incl. the serial/wavefront/hooked scheduler differentials, TestNestVerdictNeverOptimistic, TestTemplateDepsMatchScoreboard and TestAppNestsAreConflictFree on the nest templates, and on ranges TestConflictFreeWindowIsConstantSize, TestRangeWaveFootprintIsNodeUnion, TestRangeErrorIsFirstInProgramOrder and TestDifferentialWindowsThreePassNest, TestResampleC64AllocatesNothing and TestFFTBatchInlineAllocatesNothing on the SAR kernels, TestFusionGate's DRAM-byte conservation, TestGraphGatePageRankSmoke's 4-stack bit-identity and per-link traffic, the out-of-core differentials, FuzzServerFrames' seed corpus, and on the one launch record TestLaunchLifeCycle, TestLaunchStartsOnce, TestCancelledWaiterAdmitsTheNextOne, span's TestConflict, TestEngineModelVsFigure9Calibration and Runtime.CheckInvariants at the end of the mealibrt, FuzzServerFrames and mealibd server tests, and on the compiled plan TestExecuteFixedCost (allocations per Execute and accel.compiles flat across launches), the TestCompiledEqualsFresh* differentials behind every differential corpus, TestProgramSharedByConcurrentRuns, TestSessionsShareOneLayer, TestStaleImageNeverRuns, TestFreedBufferStalesPlan in process and over the wire, TestPlanIsImmutableAfterInstall, TestSamePlanFlightsTakeTurns, TestExposedReadsIsTheReadBeforeWriteCheck and span's TestSetOverlaps, and on the one-walk install TestInstallFixedCost (allocations per install, one compile each), TestEncodeIsImageAtBase and TestScopes, TestCheckIsTheOneWalk, TestIntervalFitsIsExact, TestBatchMemberFailsAlone and TestLaunchRun, and on the mealibd wire TestFrameIsOneWrite (one Write per frame, k pipelined frames in at most k+1 Reads), TestExecuteIsSubmitThenWait, TestReadFrameAllocatesWhatArrives, TestServerKeepsNoPayload, TestClientCloseUnblocksPendingRequest, TestClientFailureSticks, FuzzReadFrame's seed corpus and FuzzServerFrames' pipelined and MsgExecute seeds)"
+echo "==> go test -race ./... (the gates: bit-identity, nest verdicts and ranges, fixed costs, the compiled plan, the one launch record, the one-walk install, the mealibd wire, fusion traffic and the model calibration; each test that carries one says so in its comment, \"Gate (check.sh): ...\", and Runtime.CheckInvariants closes the mealibrt and mealibd tests)"
 go test -race ./...
+
+echo "==> FuzzDifferential, 5 s (internal/accel's bit-identity matrix: generated descriptors through every worker, fusion, window, compiled and hooked cell)"
+go test -run '^$' -fuzz '^FuzzDifferential$' -fuzztime 5s ./internal/accel
 
 echo "==> FuzzReadFrame, 5 s (a frame header is a claim: what ReadFrame allocates follows the bytes that arrive)"
 go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 5s ./internal/mealibd

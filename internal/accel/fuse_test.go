@@ -1,77 +1,17 @@
 package accel
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
 	"mealib/internal/descriptor"
-	"mealib/internal/kernels"
 	"mealib/internal/phys"
 	"mealib/internal/units"
 )
 
-// fuseRig builds a rig with explicit worker-pool size and fusion switch.
-func fuseRig(t *testing.T, workers int, noFusion bool) *testRig {
-	t.Helper()
-	s := phys.NewSpace(1 * units.GiB)
-	if _, err := s.Map(0x10000, 64*units.MiB); err != nil {
-		t.Fatal(err)
-	}
-	cfg := MEALibConfig()
-	cfg.Workers = workers
-	cfg.NoFusion = noFusion
-	l, err := NewLayer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &testRig{space: s, layer: l, next: 0x10000}
-}
-
-// chainShape encodes the CHAIN micro: LOOP iters { PASS{RESMP ra->ia};
-// PASS{FFT ia in place} } — the producer→consumer pair the fusion pass must
-// merge.
-func chainShape(r *testRig, nin, n int64, iters uint32) (*descriptor.Descriptor, phys.Addr, int, error) {
-	ra := r.alloc(int(8 * nin * int64(iters)))
-	ia := r.alloc(int(8 * n * int64(iters)))
-	src := make([]complex64, nin*int64(iters))
-	rng := rand.New(rand.NewSource(41))
-	for i := range src {
-		src[i] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
-	}
-	if err := r.space.StoreComplex64s(ra, src); err != nil {
-		return nil, 0, 0, err
-	}
-	d := &descriptor.Descriptor{}
-	if err := d.AddLoop(iters); err != nil {
-		return nil, 0, 0, err
-	}
-	if err := d.AddComp(descriptor.OpRESMP, ResmpArgs{
-		NIn: nin, NOut: n, Kind: ResmpComplex + int64(kernels.InterpLinear),
-		Src: ra, Dst: ia,
-		LoopStrideSrc: Lin(8 * nin), LoopStrideDst: Lin(8 * n),
-	}.Params()); err != nil {
-		return nil, 0, 0, err
-	}
-	d.AddEndPass()
-	if err := d.AddComp(descriptor.OpFFT, FFTArgs{
-		N: n, HowMany: 1, Src: ia, Dst: ia,
-		LoopStrideSrc: Lin(8 * n), LoopStrideDst: Lin(8 * n),
-	}.Params()); err != nil {
-		return nil, 0, 0, err
-	}
-	d.AddEndPass()
-	d.AddEndLoop()
-	return d, ia, int(n * int64(iters)), nil
-}
-
 func TestExplainPlanReportsFusion(t *testing.T) {
-	r := fuseRig(t, 1, false)
-	d, _, _, err := chainShape(r, 768, 1024, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := r.layer.ExplainPlan(d)
+	d := chainShape(t, newRig(t), 768, 1024, 32)
+	info, err := testLayer(t, 1, true).ExplainPlan(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +40,7 @@ func TestExplainPlanReportsFusion(t *testing.T) {
 	}
 
 	// The same descriptor with fusion off keeps both passes per iteration.
-	r2 := fuseRig(t, 1, true)
-	d2, _, _, err := chainShape(r2, 768, 1024, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info2, err := r2.layer.ExplainPlan(d2)
+	info2, err := testLayer(t, 1, false).ExplainPlan(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,83 +52,57 @@ func TestExplainPlanReportsFusion(t *testing.T) {
 	}
 }
 
-// TestFusionMultiConsumerNegative: an intermediate with a second consumer
-// must NOT be fused — the extra reader needs the DRAM copy.
-func TestFusionMultiConsumerNegative(t *testing.T) {
-	r := fuseRig(t, 1, false)
-	const n = 1024
-	a := r.alloc(8 * n)
-	b := r.alloc(8 * n)
-	c := r.alloc(8 * n)
-	e := r.alloc(8 * n)
-	d := &descriptor.Descriptor{}
-	// PASS{FFT a->b}; PASS{FFT b->c}; PASS{FFT b->e}: b has two consumers.
-	for _, p := range [][2]phys.Addr{{a, b}, {b, c}, {b, e}} {
-		if err := d.AddComp(descriptor.OpFFT, FFTArgs{
-			N: n, HowMany: 1, Src: p[0], Dst: p[1],
-		}.Params()); err != nil {
-			t.Fatal(err)
-		}
-		d.AddEndPass()
+// fftPasses is one top-level pass per (src, dst) pair: an n-point FFT.
+func fftPasses(t *testing.T, n int64, pairs ...[2]phys.Addr) *descriptor.Descriptor {
+	s := newShape(t)
+	for _, p := range pairs {
+		s.pass(ChainComp{descriptor.OpFFT, FFTArgs{N: n, HowMany: 1, Src: p[0], Dst: p[1]}.Params()})
 	}
-	groups, err := FusionGroups(d, r.layer.cfg)
+	return s.d
+}
+
+// fused is FusionGroups on the paper's configuration.
+func fused(t *testing.T, d *descriptor.Descriptor) []FusedGroup {
+	groups, err := FusionGroups(d, MEALibConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(groups) != 0 {
+	return groups
+}
+
+// TestFusionMultiConsumerNegative: an intermediate with a second consumer
+// must NOT be fused — the extra reader needs the DRAM copy.
+func TestFusionMultiConsumerNegative(t *testing.T) {
+	const n = 1024
+	a, b, c, e := phys.Addr(0x10000), phys.Addr(0x10000+8*n), phys.Addr(0x10000+16*n), phys.Addr(0x10000+24*n)
+	// PASS{FFT a->b}; PASS{FFT b->c}; PASS{FFT b->e}: b has two consumers.
+	if groups := fused(t, fftPasses(t, n, [2]phys.Addr{a, b}, [2]phys.Addr{b, c}, [2]phys.Addr{b, e})); len(groups) != 0 {
 		t.Fatalf("multi-consumer intermediate fused: %+v", groups)
 	}
 	// Dropping the second consumer makes the first pair fusible again (the
 	// b->c intermediate c is dead after, but b is single-consumer now).
-	d2 := &descriptor.Descriptor{}
-	for _, p := range [][2]phys.Addr{{a, b}, {b, c}} {
-		if err := d2.AddComp(descriptor.OpFFT, FFTArgs{
-			N: n, HowMany: 1, Src: p[0], Dst: p[1],
-		}.Params()); err != nil {
-			t.Fatal(err)
-		}
-		d2.AddEndPass()
-	}
-	groups2, err := FusionGroups(d2, r.layer.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups2) != 1 || groups2[0].Passes != 2 {
-		t.Fatalf("single-consumer pair did not fuse: %+v", groups2)
+	if groups := fused(t, fftPasses(t, n, [2]phys.Addr{a, b}, [2]phys.Addr{b, c})); len(groups) != 1 || groups[0].Passes != 2 {
+		t.Fatalf("single-consumer pair did not fuse: %+v", groups)
 	}
 }
 
 // TestFusionCapacitySpill: a handoff larger than the aggregate tile-local
 // memory falls back to DRAM (no merge) and is reported as a spill.
 func TestFusionCapacitySpill(t *testing.T) {
-	r := fuseRig(t, 1, false)
-	cfg := r.layer.cfg
+	l := testLayer(t, 1, true)
 	// 8 MiB intermediate vs LMBytes*Tiles = 4 MiB capacity.
 	const n = int64(1 << 20)
 	a := phys.Addr(0x10000)
 	b := a + phys.Addr(8*n)
-	c := b + phys.Addr(8*n)
-	d := &descriptor.Descriptor{}
-	for _, p := range [][2]phys.Addr{{a, b}, {b, c}} {
-		if err := d.AddComp(descriptor.OpFFT, FFTArgs{
-			N: n, HowMany: 1, Src: p[0], Dst: p[1],
-		}.Params()); err != nil {
-			t.Fatal(err)
-		}
-		d.AddEndPass()
+	d := fftPasses(t, n, [2]phys.Addr{a, b}, [2]phys.Addr{b, b + phys.Addr(8*n)})
+	if lmCap := int64(l.cfg.LMBytes) * int64(l.cfg.Tiles); lmCap >= 8*n {
+		t.Fatalf("test premise broken: capacity %d >= intermediate %d", lmCap, 8*n)
 	}
-	if int64(cfg.LMBytes)*int64(cfg.Tiles) >= 8*n {
-		t.Fatalf("test premise broken: capacity %d >= intermediate %d", int64(cfg.LMBytes)*int64(cfg.Tiles), 8*n)
-	}
-	groups, err := FusionGroups(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 0 {
+	if groups := fused(t, d); len(groups) != 0 {
 		t.Fatalf("oversized handoff fused: %+v", groups)
 	}
 	var lw lowering
-	if err := r.layer.lower(d, planCollapse, &lw); err != nil {
+	if err := l.lower(d, planCollapse, &lw); err != nil {
 		t.Fatal(err)
 	}
 	if lw.fusionSpills != 1 {
@@ -204,26 +113,11 @@ func TestFusionCapacitySpill(t *testing.T) {
 // TestFusionWARNegative: a consumer that also writes memory the producer
 // reads must not be fused (the chained datapaths stream concurrently).
 func TestFusionWARNegative(t *testing.T) {
-	r := fuseRig(t, 1, false)
 	const n = 1024
-	a := r.alloc(8 * n)
-	b := r.alloc(8 * n)
-	d := &descriptor.Descriptor{}
+	a, b := phys.Addr(0x10000), phys.Addr(0x10000+8*n)
 	// PASS{FFT a->b}; PASS{FFT b->a}: handoff through b matches, but the
 	// consumer overwrites a while the producer is still streaming it.
-	for _, p := range [][2]phys.Addr{{a, b}, {b, a}} {
-		if err := d.AddComp(descriptor.OpFFT, FFTArgs{
-			N: n, HowMany: 1, Src: p[0], Dst: p[1],
-		}.Params()); err != nil {
-			t.Fatal(err)
-		}
-		d.AddEndPass()
-	}
-	groups, err := FusionGroups(d, r.layer.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 0 {
+	if groups := fused(t, fftPasses(t, n, [2]phys.Addr{a, b}, [2]phys.Addr{b, a})); len(groups) != 0 {
 		t.Fatalf("WAR-hazardous pair fused: %+v", groups)
 	}
 }
@@ -232,37 +126,14 @@ func TestFusionWARNegative(t *testing.T) {
 // per-level loop strides mean later iterations hand off the wrong span, so
 // the pair must stay unfused.
 func TestFusionStrideMismatchNegative(t *testing.T) {
-	r := fuseRig(t, 1, false)
 	const n = 256
-	a := r.alloc(8 * n * 8)
-	b := r.alloc(8 * n * 8)
-	c := r.alloc(8 * n * 8)
-	d := &descriptor.Descriptor{}
-	if err := d.AddLoop(4); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.AddComp(descriptor.OpFFT, FFTArgs{
-		N: n, HowMany: 1, Src: a, Dst: b,
-		LoopStrideSrc: Lin(8 * n), LoopStrideDst: Lin(8 * n),
-	}.Params()); err != nil {
-		t.Fatal(err)
-	}
-	d.AddEndPass()
-	// Consumer reads b with twice the producer's stride: equal at iteration
-	// 0 only.
-	if err := d.AddComp(descriptor.OpFFT, FFTArgs{
-		N: n, HowMany: 1, Src: b, Dst: c,
-		LoopStrideSrc: Lin(16 * n), LoopStrideDst: Lin(16 * n),
-	}.Params()); err != nil {
-		t.Fatal(err)
-	}
-	d.AddEndPass()
-	d.AddEndLoop()
-	groups, err := FusionGroups(d, r.layer.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 0 {
+	a, b, c := phys.Addr(0x10000), phys.Addr(0x10000+64*n), phys.Addr(0x10000+128*n)
+	// The consumer reads b with twice the producer's stride: equal at
+	// iteration 0 only.
+	d := looped(t, 4,
+		ChainComp{descriptor.OpFFT, FFTArgs{N: n, HowMany: 1, Src: a, Dst: b, LoopStrideSrc: Lin(8 * n), LoopStrideDst: Lin(8 * n)}.Params()},
+		ChainComp{descriptor.OpFFT, FFTArgs{N: n, HowMany: 1, Src: b, Dst: c, LoopStrideSrc: Lin(16 * n), LoopStrideDst: Lin(16 * n)}.Params()})
+	if groups := fused(t, d); len(groups) != 0 {
 		t.Fatalf("stride-mismatched pair fused: %+v", groups)
 	}
 }
@@ -324,229 +195,7 @@ func TestFusionExtentRefusesWrap(t *testing.T) {
 	if _, err := VerifyChain(chain, counts, 1<<30); err == nil || !strings.Contains(err.Error(), "chain stage 0 (AXPY): unresolvable operand spans") {
 		t.Errorf("VerifyChain: %v; want its unresolvable operand spans error", err)
 	}
-	d := &descriptor.Descriptor{}
-	if err := d.AddLoop(5); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range chain {
-		if err := d.AddComp(c.Op, c.Params); err != nil {
-			t.Fatal(err)
-		}
-		d.AddEndPass()
-	}
-	d.AddEndLoop()
-	if groups, err := FusionGroups(d, MEALibConfig()); err != nil || len(groups) != 0 {
-		t.Errorf("FusionGroups = %+v, %v; want nothing fused", groups, err)
-	}
-}
-
-// runDiff executes d on the rig and returns the contents of out.
-func runDiff(t *testing.T, r *testRig, d *descriptor.Descriptor, out phys.Addr, elems int) ([]complex64, *Report) {
-	t.Helper()
-	rep := r.run(t, d)
-	v, err := r.space.LoadComplex64s(out, elems)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v, rep
-}
-
-// TestDifferentialFusionChain: the CHAIN shape must produce bit-identical
-// results with fusion on and off, serial and parallel, while eliding DRAM
-// traffic only when fused.
-func TestDifferentialFusionChain(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		fused := fuseRig(t, workers, false)
-		plain := fuseRig(t, workers, true)
-		df, outF, n, err := chainShape(fused, 768, 1024, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dp, outP, _, err := chainShape(plain, 768, 1024, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, repF := runDiff(t, fused, df, outF, n)
-		b, repP := runDiff(t, plain, dp, outP, n)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("workers=%d: fused and unfused differ at %d: %v != %v", workers, i, a[i], b[i])
-			}
-		}
-		want := units.Bytes(2 * 8 * 1024 * 32) // store+load of the 8 KiB row, 32 iterations
-		if repF.ElidedBytes != want {
-			t.Errorf("workers=%d: fused elided %v, want %v", workers, repF.ElidedBytes, want)
-		}
-		if repP.ElidedBytes != 0 {
-			t.Errorf("workers=%d: unfused elided %v, want 0", workers, repP.ElidedBytes)
-		}
-		if repF.Time >= repP.Time {
-			t.Errorf("workers=%d: fused model time %v not below unfused %v", workers, repF.Time, repP.Time)
-		}
-	}
-}
-
-// stapShape is the STAP Doppler stage as separate library calls: corner
-// turn (RESHP) into a scratch cube, then the batched pulse FFT over it.
-func stapShape(r *testRig, pulses, chans, rng int64) (*descriptor.Descriptor, phys.Addr, int, error) {
-	elems := pulses * chans * rng
-	dc := r.alloc(int(8 * elems))
-	scr := r.alloc(int(8 * elems))
-	dop := r.alloc(int(8 * elems))
-	src := make([]complex64, elems)
-	rnd := rand.New(rand.NewSource(42))
-	for i := range src {
-		src[i] = complex(float32(rnd.NormFloat64()), float32(rnd.NormFloat64()))
-	}
-	if err := r.space.StoreComplex64s(dc, src); err != nil {
-		return nil, 0, 0, err
-	}
-	d := &descriptor.Descriptor{}
-	if err := d.AddComp(descriptor.OpRESHP, ReshpArgs{
-		Rows: chans * rng, Cols: pulses, Elem: ElemC64, Src: dc, Dst: scr,
-	}.Params()); err != nil {
-		return nil, 0, 0, err
-	}
-	d.AddEndPass()
-	if err := d.AddComp(descriptor.OpFFT, FFTArgs{
-		N: pulses, HowMany: chans * rng, Src: scr, Dst: dop,
-	}.Params()); err != nil {
-		return nil, 0, 0, err
-	}
-	d.AddEndPass()
-	return d, dop, int(elems), nil
-}
-
-func TestDifferentialFusionSTAP(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		fused := fuseRig(t, workers, false)
-		plain := fuseRig(t, workers, true)
-		df, outF, n, err := stapShape(fused, 16, 4, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dp, outP, _, err := stapShape(plain, 16, 4, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, repF := runDiff(t, fused, df, outF, n)
-		b, repP := runDiff(t, plain, dp, outP, n)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("workers=%d: fused and unfused differ at %d", workers, i)
-			}
-		}
-		if repF.ElidedBytes == 0 {
-			t.Errorf("workers=%d: STAP shape did not fuse", workers)
-		}
-		if repP.ElidedBytes != 0 {
-			t.Errorf("workers=%d: unfused STAP elided %v", workers, repP.ElidedBytes)
-		}
-	}
-}
-
-// sarShape is SAR image formation as separate calls under a two-level loop:
-// cubic range interpolation then the in-place azimuth FFT per row block.
-func sarShape(r *testRig, nin, n int64, outer, inner uint32) (*descriptor.Descriptor, phys.Addr, int, error) {
-	iters := int64(outer) * int64(inner)
-	ra := r.alloc(int(8 * nin * iters))
-	ia := r.alloc(int(8 * n * iters))
-	src := make([]complex64, nin*iters)
-	rnd := rand.New(rand.NewSource(43))
-	for i := range src {
-		src[i] = complex(float32(rnd.NormFloat64()), float32(rnd.NormFloat64()))
-	}
-	if err := r.space.StoreComplex64s(ra, src); err != nil {
-		return nil, 0, 0, err
-	}
-	d := &descriptor.Descriptor{}
-	if err := d.AddLoop(outer, inner); err != nil {
-		return nil, 0, 0, err
-	}
-	// Two-level strides: the outer level jumps a block of inner rows.
-	rstr := Strides{}
-	istr := Strides{}
-	rstr[2], rstr[3] = 8*nin*int64(inner), 8*nin
-	istr[2], istr[3] = 8*n*int64(inner), 8*n
-	if err := d.AddComp(descriptor.OpRESMP, ResmpArgs{
-		NIn: nin, NOut: n, Kind: ResmpComplex + int64(kernels.InterpCubic),
-		Src: ra, Dst: ia,
-		LoopStrideSrc: rstr, LoopStrideDst: istr,
-	}.Params()); err != nil {
-		return nil, 0, 0, err
-	}
-	d.AddEndPass()
-	if err := d.AddComp(descriptor.OpFFT, FFTArgs{
-		N: n, HowMany: 1, Src: ia, Dst: ia,
-		LoopStrideSrc: istr, LoopStrideDst: istr,
-	}.Params()); err != nil {
-		return nil, 0, 0, err
-	}
-	d.AddEndPass()
-	d.AddEndLoop()
-	return d, ia, int(n * iters), nil
-}
-
-func TestDifferentialFusionSAR(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		fused := fuseRig(t, workers, false)
-		plain := fuseRig(t, workers, true)
-		df, outF, n, err := sarShape(fused, 300, 512, 4, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dp, outP, _, err := sarShape(plain, 300, 512, 4, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, repF := runDiff(t, fused, df, outF, n)
-		b, repP := runDiff(t, plain, dp, outP, n)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("workers=%d: fused and unfused differ at %d", workers, i)
-			}
-		}
-		if repF.ElidedBytes == 0 {
-			t.Errorf("workers=%d: SAR shape did not fuse", workers)
-		}
-		if repP.ElidedBytes != 0 {
-			t.Errorf("workers=%d: unfused SAR elided %v", workers, repP.ElidedBytes)
-		}
-	}
-}
-
-// TestDifferentialFusionModelPath: the analytic interpreter must agree with
-// itself across the fusion switch on everything except time/energy/traffic,
-// and both switches must produce the same per-op work accounting.
-func TestDifferentialFusionModelPath(t *testing.T) {
-	fused := fuseRig(t, 1, false)
-	plain := fuseRig(t, 1, true)
-	df, _, _, err := chainShape(fused, 768, 1024, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repF, err := fused.layer.RunModel(df)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repP, err := plain.layer.RunModel(df)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repF.Comps != repP.Comps {
-		t.Errorf("model comps differ: %d vs %d", repF.Comps, repP.Comps)
-	}
-	for op, st := range repP.PerOp {
-		fst := repF.PerOp[op]
-		if fst == nil || fst.Invocations != st.Invocations ||
-			f64bits(float64(fst.Flops)) != f64bits(float64(st.Flops)) || fst.Bytes != st.Bytes {
-			t.Errorf("model per-op %v accounting differs: %+v vs %+v", op, fst, st)
-		}
-	}
-	if repF.ElidedBytes == 0 || repP.ElidedBytes != 0 {
-		t.Errorf("model elision: fused %v, unfused %v", repF.ElidedBytes, repP.ElidedBytes)
-	}
-	if repF.Time >= repP.Time {
-		t.Errorf("fused model time %v not below unfused %v", repF.Time, repP.Time)
+	if groups := fused(t, looped(t, 5, chain...)); len(groups) != 0 {
+		t.Errorf("FusionGroups = %+v; want nothing fused", groups)
 	}
 }

@@ -1,7 +1,6 @@
 package accel
 
 import (
-	"mealib/internal/phys"
 	"mealib/internal/span"
 	"mealib/internal/units"
 )
@@ -62,14 +61,4 @@ func waveSpansOf(p *plan) [][]span.Dir {
 		}
 	}
 	return out
-}
-
-// RunHooked is Run with wave-granularity execution hooks: hooks.Lowered
-// receives the per-wave footprint of each window as it is lowered, and
-// every wave is bracketed by WaveStart (which may block the wave until an
-// external hazard clears) and WaveDone (which reports the cumulative model
-// time, so the observer can place the wave on the model timeline). A nil
-// hooks is exactly Run.
-func (l *Layer) RunHooked(s *phys.Space, base phys.Addr, hooks WaveHooks) (*Report, error) {
-	return l.run(s, base, hooks)
 }

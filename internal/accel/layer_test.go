@@ -19,17 +19,38 @@ type testRig struct {
 	next  phys.Addr
 }
 
-func newRig(t *testing.T) *testRig {
+func newRig(t testing.TB) *testRig { return rigOn(t, MEALibConfig(), 64*units.MiB) }
+
+// rigOn maps an arena of the given size at arenaBase for a layer on cfg.
+func rigOn(t testing.TB, cfg *Config, arena units.Bytes) *testRig {
 	t.Helper()
 	s := phys.NewSpace(1 * units.GiB)
-	if _, err := s.Map(0x10000, 64*units.MiB); err != nil {
+	if _, err := s.Map(arenaBase, arena); err != nil {
 		t.Fatal(err)
 	}
-	l, err := NewLayer(MEALibConfig())
+	return &testRig{space: s, layer: mustLayer(t, cfg), next: arenaBase}
+}
+
+// configWith is the paper's configuration with a worker pool and the fusion
+// switch set: the two knobs of the matrix a layer holds.
+func configWith(workers int, fusion bool) *Config {
+	cfg := MEALibConfig()
+	cfg.Workers, cfg.NoFusion = workers, !fusion
+	return cfg
+}
+
+// testLayer is a layer of configWith(workers, fusion).
+func testLayer(t testing.TB, workers int, fusion bool) *Layer {
+	return mustLayer(t, configWith(workers, fusion))
+}
+
+func mustLayer(t testing.TB, cfg *Config) *Layer {
+	t.Helper()
+	l, err := NewLayer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &testRig{space: s, layer: l, next: 0x10000}
+	return l
 }
 
 // alloc reserves n bytes in the arena.
@@ -39,7 +60,7 @@ func (r *testRig) alloc(n int) phys.Addr {
 	return a
 }
 
-func (r *testRig) run(t *testing.T, d *descriptor.Descriptor) *Report {
+func (r *testRig) run(t testing.TB, d *descriptor.Descriptor) *Report {
 	t.Helper()
 	base := r.alloc(int(d.Size()))
 	rep, err := r.layer.RunPlain(r.space, d, base)
@@ -91,11 +112,7 @@ func TestAxpyFunctional(t *testing.T) {
 	if err := r.space.StoreFloat32s(ya, y); err != nil {
 		t.Fatal(err)
 	}
-	d := &descriptor.Descriptor{}
-	if err := d.AddComp(descriptor.OpAXPY, AxpyArgs{N: int64(n), Alpha: 2.5, X: xa, Y: ya, IncX: 1, IncY: 1}.Params()); err != nil {
-		t.Fatal(err)
-	}
-	d.AddEndPass()
+	d := newShape(t).pass(ChainComp{descriptor.OpAXPY, AxpyArgs{N: int64(n), Alpha: 2.5, X: xa, Y: ya, IncX: 1, IncY: 1}.Params()}).d
 	rep := r.run(t, d)
 	got, err := r.space.LoadFloat32s(ya, n)
 	if err != nil {
@@ -122,11 +139,7 @@ func TestDotRealAndComplex(t *testing.T) {
 	xa, ya, oa := r.alloc(12), r.alloc(12), r.alloc(8)
 	_ = r.space.StoreFloat32s(xa, x)
 	_ = r.space.StoreFloat32s(ya, y)
-	d := &descriptor.Descriptor{}
-	if err := d.AddComp(descriptor.OpDOT, DotArgs{N: 3, X: xa, Y: ya, Out: oa, IncX: 1, IncY: 1}.Params()); err != nil {
-		t.Fatal(err)
-	}
-	d.AddEndPass()
+	d := newShape(t).pass(ChainComp{descriptor.OpDOT, DotArgs{N: 3, X: xa, Y: ya, Out: oa, IncX: 1, IncY: 1}.Params()}).d
 	r.run(t, d)
 	got, _ := r.space.ReadFloat32(oa)
 	if got != 32 {
@@ -138,11 +151,7 @@ func TestDotRealAndComplex(t *testing.T) {
 	cxa, cya, coa := r.alloc(16), r.alloc(16), r.alloc(8)
 	_ = r.space.StoreComplex64s(cxa, cx)
 	_ = r.space.StoreComplex64s(cya, cy)
-	d2 := &descriptor.Descriptor{}
-	if err := d2.AddComp(descriptor.OpDOT, DotArgs{N: 2, Complex: true, X: cxa, Y: cya, Out: coa, IncX: 1, IncY: 1}.Params()); err != nil {
-		t.Fatal(err)
-	}
-	d2.AddEndPass()
+	d2 := newShape(t).pass(ChainComp{descriptor.OpDOT, DotArgs{N: 2, Complex: true, X: cxa, Y: cya, Out: coa, IncX: 1, IncY: 1}.Params()}).d
 	r.run(t, d2)
 	cgot, _ := r.space.LoadComplex64s(coa, 1)
 	if cmplx.Abs(complex128(cgot[0])-4) > 1e-5 {
@@ -159,11 +168,7 @@ func TestGemvFunctional(t *testing.T) {
 	_ = r.space.StoreFloat32s(aa, a)
 	_ = r.space.StoreFloat32s(xa, x)
 	_ = r.space.StoreFloat32s(ya, y)
-	d := &descriptor.Descriptor{}
-	if err := d.AddComp(descriptor.OpGEMV, GemvArgs{M: 2, N: 2, Alpha: 1, Beta: 0, A: aa, Lda: 2, X: xa, Y: ya}.Params()); err != nil {
-		t.Fatal(err)
-	}
-	d.AddEndPass()
+	d := newShape(t).pass(ChainComp{descriptor.OpGEMV, GemvArgs{M: 2, N: 2, Alpha: 1, Beta: 0, A: aa, Lda: 2, X: xa, Y: ya}.Params()}).d
 	r.run(t, d)
 	got, _ := r.space.LoadFloat32s(ya, 2)
 	if got[0] != 3 || got[1] != 7 {
@@ -183,11 +188,7 @@ func TestSpmvFunctional(t *testing.T) {
 	_ = r.space.StoreInt32s(cia, colIdx)
 	_ = r.space.StoreFloat32s(va, values)
 	_ = r.space.StoreFloat32s(xa, x)
-	d := &descriptor.Descriptor{}
-	if err := d.AddComp(descriptor.OpSPMV, SpmvArgs{M: 3, Cols: 3, NNZ: 5, RowPtr: rpa, ColIdx: cia, Values: va, X: xa, Y: ya}.Params()); err != nil {
-		t.Fatal(err)
-	}
-	d.AddEndPass()
+	d := newShape(t).pass(ChainComp{descriptor.OpSPMV, SpmvArgs{M: 3, Cols: 3, NNZ: 5, RowPtr: rpa, ColIdx: cia, Values: va, X: xa, Y: ya}.Params()}).d
 	rep := r.run(t, d)
 	got, _ := r.space.LoadFloat32s(ya, 3)
 	want := []float32{7, 6, 19}
@@ -208,11 +209,7 @@ func TestFFTAndReshpFunctional(t *testing.T) {
 	data[0] = 1 // impulse -> flat spectrum
 	da := r.alloc(8 * n)
 	_ = r.space.StoreComplex64s(da, data)
-	d := &descriptor.Descriptor{}
-	if err := d.AddComp(descriptor.OpFFT, FFTArgs{N: int64(n), HowMany: 1, Src: da, Dst: da}.Params()); err != nil {
-		t.Fatal(err)
-	}
-	d.AddEndPass()
+	d := newShape(t).pass(ChainComp{descriptor.OpFFT, FFTArgs{N: int64(n), HowMany: 1, Src: da, Dst: da}.Params()}).d
 	r.run(t, d)
 	got, _ := r.space.LoadComplex64s(da, n)
 	for i, v := range got {
@@ -224,11 +221,7 @@ func TestFFTAndReshpFunctional(t *testing.T) {
 	src := []float32{1, 2, 3, 4, 5, 6}
 	sa, ta := r.alloc(24), r.alloc(24)
 	_ = r.space.StoreFloat32s(sa, src)
-	d2 := &descriptor.Descriptor{}
-	if err := d2.AddComp(descriptor.OpRESHP, ReshpArgs{Rows: 2, Cols: 3, Elem: ElemF32, Src: sa, Dst: ta}.Params()); err != nil {
-		t.Fatal(err)
-	}
-	d2.AddEndPass()
+	d2 := newShape(t).pass(ChainComp{descriptor.OpRESHP, ReshpArgs{Rows: 2, Cols: 3, Elem: ElemF32, Src: sa, Dst: ta}.Params()}).d
 	r.run(t, d2)
 	tr, _ := r.space.LoadFloat32s(ta, 6)
 	want := []float32{1, 4, 2, 5, 3, 6}
@@ -244,11 +237,7 @@ func TestResmpFunctional(t *testing.T) {
 	src := []float32{0, 2, 4, 6}
 	sa, da := r.alloc(16), r.alloc(16*4)
 	_ = r.space.StoreFloat32s(sa, src)
-	d := &descriptor.Descriptor{}
-	if err := d.AddComp(descriptor.OpRESMP, ResmpArgs{NIn: 4, NOut: 7, Kind: int64(kernels.InterpLinear), Src: sa, Dst: da}.Params()); err != nil {
-		t.Fatal(err)
-	}
-	d.AddEndPass()
+	d := newShape(t).pass(ChainComp{descriptor.OpRESMP, ResmpArgs{NIn: 4, NOut: 7, Kind: int64(kernels.InterpLinear), Src: sa, Dst: da}.Params()}).d
 	r.run(t, d)
 	got, _ := r.space.LoadFloat32s(da, 7)
 	for i, v := range got {
@@ -278,19 +267,10 @@ func TestLoopExecutesWithStrides(t *testing.T) {
 		}
 		_ = r.space.StoreFloat32s(ya+phys.Addr(4*n*k), y)
 	}
-	d := &descriptor.Descriptor{}
-	if err := d.AddLoop(uint32(iters)); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.AddComp(descriptor.OpDOT, DotArgs{
+	rep := r.run(t, looped(t, uint32(iters), ChainComp{descriptor.OpDOT, DotArgs{
 		N: int64(n), X: xa, Y: ya, Out: oa, IncX: 1, IncY: 1,
 		LoopStrideY: Lin(int64(4 * n)), LoopStrideOut: Lin(4),
-	}.Params()); err != nil {
-		t.Fatal(err)
-	}
-	d.AddEndPass()
-	d.AddEndLoop()
-	rep := r.run(t, d)
+	}.Params()}))
 	if rep.Comps != int64(iters) {
 		t.Errorf("comps = %d, want %d", rep.Comps, iters)
 	}

@@ -57,9 +57,10 @@ type Config struct {
 	// NoFusion disables the descriptor fusion pass: adjacent
 	// producer→consumer passes are lowered as separate plan nodes with the
 	// intermediate round-tripping through DRAM, exactly as the paper's
-	// one-descriptor-per-call model behaves. Fusion never changes results —
-	// this switch exists for differential testing and for measuring the
-	// DRAM traffic fusion elides.
+	// one-descriptor-per-call model behaves, and a runtime on this layer
+	// (mealibrt) does not merge TDL passes at AccPlan either. Fusion never
+	// changes results — this switch exists for differential testing and for
+	// measuring the DRAM traffic fusion elides.
 	NoFusion bool
 
 	// Workers bounds the goroutines the wavefront scheduler runs the

@@ -5,70 +5,8 @@ import (
 	"testing"
 
 	"mealib/internal/descriptor"
-	"mealib/internal/phys"
 	"mealib/internal/units"
 )
-
-// TestRunModelMatchesFunctionalRun pins the analytic path (RunModel) to the
-// functional path (Run) for a descriptor exercising chaining and a loop:
-// identical time, energy and activation accounting.
-func TestRunModelMatchesFunctionalRun(t *testing.T) {
-	r := newRig(t)
-	n := 64
-	elems := n * n
-	src := make([]complex64, elems)
-	src[0] = 1
-	sa, ta := r.alloc(8*elems), r.alloc(8*elems)
-	if err := r.space.StoreComplex64s(sa, src); err != nil {
-		t.Fatal(err)
-	}
-	build := func(sa, ta phys.Addr) *descriptor.Descriptor {
-		d := &descriptor.Descriptor{}
-		_ = d.AddComp(descriptor.OpRESHP, ReshpArgs{
-			Rows: int64(n), Cols: int64(n), Elem: ElemC64, Src: sa, Dst: ta,
-		}.Params())
-		_ = d.AddComp(descriptor.OpFFT, FFTArgs{
-			N: int64(n), HowMany: int64(n), Src: ta, Dst: ta,
-		}.Params())
-		d.AddEndPass()
-		_ = d.AddLoop(4, 2)
-		_ = d.AddComp(descriptor.OpDOT, DotArgs{
-			N: 16, Complex: true, X: ta, Y: ta, Out: sa, IncX: 1, IncY: 1,
-			LoopStrideX: Lin(128), LoopStrideOut: Lin(8),
-		}.Params())
-		d.AddEndPass()
-		d.AddEndLoop()
-		return d
-	}
-	functional, err := r.layer.RunPlain(r.space, build(sa, ta), r.alloc(4096))
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := r.layer.RunModel(build(sa, ta))
-	if err != nil {
-		t.Fatal(err)
-	}
-	relT := math.Abs(float64(functional.Time-model.Time)) / float64(functional.Time)
-	if relT > 1e-9 {
-		t.Errorf("model time %v vs functional %v", model.Time, functional.Time)
-	}
-	relE := math.Abs(float64(functional.Energy-model.Energy)) / float64(functional.Energy)
-	if relE > 1e-9 {
-		t.Errorf("model energy %v vs functional %v", model.Energy, functional.Energy)
-	}
-	if functional.Comps != model.Comps {
-		t.Errorf("model comps %d vs functional %d", model.Comps, functional.Comps)
-	}
-	if functional.NoCBytes != model.NoCBytes {
-		t.Errorf("model NoC %v vs functional %v", model.NoCBytes, functional.NoCBytes)
-	}
-	for op, fs := range functional.PerOp {
-		ms := model.PerOp[op]
-		if ms == nil || ms.Invocations != fs.Invocations || !units.CloseTo(float64(ms.Flops), float64(fs.Flops)) || ms.Bytes != fs.Bytes {
-			t.Errorf("%v per-op stats diverge: functional %+v model %+v", op, fs, ms)
-		}
-	}
-}
 
 // TestRunModelScalesLoopsInConstantWork checks the O(1)-per-loop evaluation:
 // a million-iteration loop must cost the same to *evaluate* as a one-

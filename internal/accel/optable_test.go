@@ -98,7 +98,7 @@ func TestToyAcceleratorIsOneTableEntry(t *testing.T) {
 
 	checkFootprintProperty(t, op)
 
-	r := fuseRig(t, 2, false)
+	r := rigOn(t, configWith(2, true), 64*units.MiB)
 	const n, iters = 256, 4
 	src, mid, out, bias := r.alloc(4*n*iters), r.alloc(4*n*iters), r.alloc(4*n*iters), r.alloc(4)
 	in := make([]float32, n*iters)
@@ -116,24 +116,12 @@ func TestToyAcceleratorIsOneTableEntry(t *testing.T) {
 	// mid→out} } with per-iteration strides — iterations are independent, the
 	// AXPY of each reads what its TOY wrote.
 	loop := func(toyDstStride int64) *descriptor.Descriptor {
-		d := &descriptor.Descriptor{}
-		if err := d.AddLoop(iters); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.AddComp(op, toyParams(n, 2, src, mid, bias, 4*n, toyDstStride)); err != nil {
-			t.Fatal(err)
-		}
-		d.AddEndPass()
-		if err := d.AddComp(descriptor.OpAXPY, AxpyArgs{N: n, Alpha: 1, X: mid, Y: out, IncX: 1, IncY: 1,
-			LoopStrideX: Lin(toyDstStride), LoopStrideY: Lin(4 * n)}.Params()); err != nil {
-			t.Fatal(err)
-		}
-		d.AddEndPass()
-		d.AddEndLoop()
-		return d
+		return looped(t, iters, ChainComp{op, toyParams(n, 2, src, mid, bias, 4*n, toyDstStride)},
+			ChainComp{descriptor.OpAXPY, AxpyArgs{N: n, Alpha: 1, X: mid, Y: out, IncX: 1, IncY: 1,
+				LoopStrideX: Lin(toyDstStride), LoopStrideY: Lin(4 * n)}.Params()})
 	}
 	d := loop(4 * n)
-	unfused, err := fuseRig(t, 2, true).layer.ExplainPlan(d)
+	unfused, err := testLayer(t, 2, false).ExplainPlan(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,19 +138,12 @@ func TestToyAcceleratorIsOneTableEntry(t *testing.T) {
 	}
 	// Every iteration writing the same mid serialises the loop (WAW on the
 	// toy, RAW/WAR against the AXPYs) and the handoff still matches.
-	if shared, err := fuseRig(t, 2, true).layer.ExplainPlan(loop(0)); err != nil || shared.Waves != 2*iters {
+	if shared, err := testLayer(t, 2, false).ExplainPlan(loop(0)); err != nil || shared.Waves != 2*iters {
 		t.Errorf("shared intermediate: %+v, %v; want a %d-wave chain", shared, err, 2*iters)
 	}
 	// No fusion when the consumer reads half of what the toy wrote.
-	half := &descriptor.Descriptor{}
-	if err := half.AddComp(op, toyParams(n, 2, src, mid, bias, 0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	half.AddEndPass()
-	if err := half.AddComp(descriptor.OpAXPY, AxpyArgs{N: n / 2, Alpha: 1, X: mid, Y: out, IncX: 1, IncY: 1}.Params()); err != nil {
-		t.Fatal(err)
-	}
-	half.AddEndPass()
+	half := newShape(t).pass(ChainComp{op, toyParams(n, 2, src, mid, bias, 0, 0)}).
+		pass(ChainComp{descriptor.OpAXPY, AxpyArgs{N: n / 2, Alpha: 1, X: mid, Y: out, IncX: 1, IncY: 1}.Params()}).d
 	if groups, err := FusionGroups(half, r.layer.cfg); err != nil || len(groups) != 0 {
 		t.Errorf("partially consumed toy output fused: %+v, %v", groups, err)
 	}
@@ -183,11 +164,7 @@ func TestToyAcceleratorIsOneTableEntry(t *testing.T) {
 	// along its declared axis; without one it is unchunkable.
 	const big = 4096
 	window := func(a phys.Addr) bool { return a >= 1<<32 }
-	one := &descriptor.Descriptor{}
-	if err := one.AddComp(op, toyParams(big, 2, 1<<32, 1<<32+4*big, bias, 0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	one.AddEndPass()
+	one := newShape(t).pass(ChainComp{op, toyParams(big, 2, 1<<32, 1<<32+4*big, bias, 0, 0)}).d
 	halves := [2]phys.Addr{r.alloc(16 << 10), r.alloc(16 << 10)}
 	sched, err := r.layer.PlanOOC(one, window, halves, 16*units.KiB)
 	if err != nil {
@@ -215,7 +192,7 @@ func TestToyAcceleratorIsOneTableEntry(t *testing.T) {
 // it always does subsumes the read's edges), is not a fusion consumer
 // through y, and still charges y's stream-in to the work model.
 func TestGemvBetaZeroWritesOnly(t *testing.T) {
-	r := fuseRig(t, 1, false)
+	r := rigOn(t, configWith(1, true), 64*units.MiB)
 	const m, n = 64, 32
 	a, x, src, y := r.alloc(4*m*n), r.alloc(4*n), r.alloc(4*m), r.alloc(4*m)
 	build := func(beta float32) *descriptor.Descriptor {
@@ -238,7 +215,7 @@ func TestGemvBetaZeroWritesOnly(t *testing.T) {
 		}
 		return info
 	}
-	plain := fuseRig(t, 1, true).layer
+	plain := testLayer(t, 1, false)
 	zero, one := shape(plain, 0), shape(plain, 1)
 	if zero.Nodes != 2 || zero.Edges != 1 || zero.Waves != 2 {
 		t.Errorf("beta=0 GEMV after its y's writer lowered to %+v; want 2 nodes, 1 edge, 2 waves", zero)

@@ -146,12 +146,16 @@ func started(s *phys.Space, base phys.Addr) error {
 	return nil
 }
 
-// RunProgram is RunHooked for a descriptor the caller compiled when it
-// installed it. The hardware still fetches from memory: the command at base
-// must be CmdStart and the bytes there must be the program's image, in which
-// case the run skips the decode and the lowering and is otherwise the same
-// run; the fetch and decode time is charged as ever. Bytes that differ are
-// decoded, compiled and run as Run would — a stale program never executes.
+// RunProgram is Run for a descriptor the caller compiled when it installed
+// it, with wave-granularity hooks (hooks.go; nil: none): hooks.Lowered hears
+// each window's per-wave footprint as it is lowered, and every wave is
+// bracketed by WaveStart, which may hold it until an external hazard clears,
+// and WaveDone, which reports the cumulative model time. The hardware still
+// fetches from memory: the command at base must be CmdStart and the bytes
+// there must be the program's image, in which case the run skips the decode
+// and the lowering and is otherwise the same run; the fetch and decode time
+// is charged as ever. Bytes that differ are decoded, compiled and run as Run
+// would — a stale program never executes.
 func (l *Layer) RunProgram(s *phys.Space, base phys.Addr, prog *Program, hooks WaveHooks) (*Report, error) {
 	if err := started(s, base); err != nil {
 		return nil, err

@@ -9,6 +9,7 @@ import (
 	"mealib/internal/descriptor"
 	"mealib/internal/phys"
 	"mealib/internal/span"
+	"mealib/internal/units"
 )
 
 // Ranges (plan.go lowerRanges, sched.go runBlock): a window inside a
@@ -19,8 +20,10 @@ import (
 // TestConflictFreeWindowIsConstantSize: every window of the STAP nest (131,072
 // iterations, one pass) and of the three-pass nest holds at most two ranges
 // per body pass and records no spans and no edges.
+//
+// Gate (check.sh): nest verdicts and ranges.
 func TestConflictFreeWindowIsConstantSize(t *testing.T) {
-	l := newModelLayer(t, 2)
+	l := testLayer(t, 2, true)
 	for _, d := range []*descriptor.Descriptor{
 		cdotcNest(t, 512, 8, 32, 16, 0x10000, 0x1000000, 0x2000000),
 		threePassNest(t, 2*planWindow/3+20, 16, 0x10000, 0x100000, 0x200000, 0x300000),
@@ -50,12 +53,14 @@ func TestConflictFreeWindowIsConstantSize(t *testing.T) {
 // instances the scoreboard puts in that wave, each derived from its comps'
 // parameters at its iteration (Args.appendIO) — over the random conflict-free
 // nests, windows of every small size, and the three-pass nest.
+//
+// Gate (check.sh): nest verdicts and ranges.
 func TestRangeWaveFootprintIsNodeUnion(t *testing.T) {
-	l := fuseRig(t, 1, true).layer
+	l := testLayer(t, 1, false)
 	rng := rand.New(rand.NewSource(28))
 	var nests []*descriptor.Descriptor
 	for len(nests) < 60 {
-		if d := randomNest(t, rng); !iterationsConflict(t, d) {
+		if d := drawNest(t, rng); !iterationsConflict(t, d) {
 			if _, n := lowerNest(t, l, d); n.rule == ruleNone {
 				nests = append(nests, d)
 			}
@@ -122,28 +127,20 @@ func TestRangeWaveFootprintIsNodeUnion(t *testing.T) {
 // the first block a worker claims and into the next. Under one worker and
 // two, hooked and not, the launch returns iteration j's error — what the core
 // returns for that one invocation.
+//
+// Gate (check.sh): nest verdicts and ranges.
 func TestRangeErrorIsFirstInProgramOrder(t *testing.T) {
-	const n, iters, j = 16, 64, 2
+	const n, iters, j, arena = 16, 64, 2, 16 * units.KiB
 	build := func(r *testRig) *descriptor.Descriptor {
-		x := r.alloc(4 * n * iters)
-		storeRandF32(t, r, x, n*iters, 281)
+		x := r.noise(t, n*iters, 281)
 		// y's iteration j starts where the arena ends.
-		y := phys.Addr(0x10000+diffArena) - 4*n*j
-		d := &descriptor.Descriptor{}
-		if err := d.AddLoop(iters); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.AddComp(descriptor.OpAXPY, AxpyArgs{N: n, Alpha: 1, X: x, Y: y, IncX: 1, IncY: 1,
-			LoopStrideX: Lin(4 * n), LoopStrideY: Lin(4 * n)}.Params()); err != nil {
-			t.Fatal(err)
-		}
-		d.AddEndPass()
-		d.AddEndLoop()
-		return d
+		y := arenaBase + phys.Addr(arena) - 4*n*j
+		return looped(t, iters, ChainComp{descriptor.OpAXPY, AxpyArgs{N: n, Alpha: 1, X: x, Y: y, IncX: 1, IncY: 1,
+			LoopStrideX: Lin(4 * n), LoopStrideY: Lin(4 * n)}.Params()})
 	}
 	for _, workers := range []int{1, 2} {
 		for _, hooked := range []bool{false, true} {
-			r := newRigWorkers(t, workers)
+			r := rigOn(t, configWith(workers, true), arena)
 			d := build(r)
 			if _, n := lowerNest(t, r.layer, d); n.rule != ruleNone {
 				t.Fatalf("the nest is blocked: %s", n.why())
@@ -167,7 +164,7 @@ func TestRangeErrorIsFirstInProgramOrder(t *testing.T) {
 			if hooked {
 				hooks = &waveLog{t: t}
 			}
-			if _, err := r.layer.RunHooked(r.space, base, hooks); err == nil || err.Error() != want.Error() {
+			if _, err := r.layer.run(r.space, base, hooks); err == nil || err.Error() != want.Error() {
 				t.Errorf("workers %d, hooked %v: the launch returns %v, want iteration %d's %v", workers, hooked, err, j, want)
 			}
 		}

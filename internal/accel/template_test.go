@@ -9,103 +9,13 @@ import (
 	"mealib/internal/kernels"
 	"mealib/internal/phys"
 	"mealib/internal/span"
+	"mealib/internal/units"
 )
 
 // Nest templates (template.go): the verdict on a LOOP is checked against a
 // brute-force oracle, the edges it stands in for against the scoreboard, and
 // the nests the applications and the benchmark launch are pinned to the
 // verdict they get today.
-
-// randomNest builds a LOOP of 1-3 iterating levels (counts 2-6, sometimes a
-// level of 1 between them) around 1-3 body passes whose operands come from a
-// small pool of 64-byte buffers, so that comps share bytes. A buffer's
-// strides are zero, a tiling in a random level order with random signs and
-// gaps, smaller than the footprint, or arbitrary; a buffer may also sit
-// half-way into another one. Passes are single comps, chained pairs, or a
-// RESMP feeding an in-place FFT that fusion may merge.
-func randomNest(t testing.TB, rng *rand.Rand) *descriptor.Descriptor {
-	t.Helper()
-	const foot = 64
-	counts := make([]uint32, 1+rng.Intn(3))
-	for i := range counts {
-		counts[i] = uint32(2 + rng.Intn(5))
-	}
-	if len(counts) > 1 && rng.Intn(4) == 0 {
-		counts[rng.Intn(len(counts))] = 1
-	}
-	level := func(i int) int { return descriptor.MaxLoopLevels - len(counts) + i }
-	type buffer struct {
-		base    phys.Addr
-		strides Strides
-	}
-	pool := make([]buffer, 2+rng.Intn(3))
-	for i := range pool {
-		b := &pool[i]
-		b.base = phys.Addr(0x400000 + 0x100000*i)
-		if i > 0 && rng.Intn(5) == 0 {
-			b.base = pool[i-1].base + foot/2
-		}
-		switch rng.Intn(7) {
-		case 0: // shared by every iteration
-		case 1, 2, 3, 4:
-			step := int64(foot) << rng.Intn(2)
-			for _, i := range rng.Perm(len(counts)) {
-				b.strides[level(i)] = step * int64(1-2*rng.Intn(2))
-				step *= int64(counts[i]) + int64(rng.Intn(2))
-			}
-			if rng.Intn(6) == 0 { // one level falls short
-				b.strides[level(rng.Intn(len(counts)))] /= 2
-			}
-		case 5:
-			b.strides[level(len(counts)-1)] = foot / 2
-		default:
-			for i := range counts {
-				b.strides[level(i)] = int64(8 * (rng.Intn(49) - 24))
-			}
-		}
-	}
-	pick := func() buffer { return pool[rng.Intn(len(pool))] }
-	d := &descriptor.Descriptor{}
-	if err := d.AddLoop(counts...); err != nil {
-		t.Fatal(err)
-	}
-	comp := func(op descriptor.OpCode, p descriptor.Params) {
-		if err := d.AddComp(op, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	axpy := func() {
-		x, y := pick(), pick()
-		comp(descriptor.OpAXPY, AxpyArgs{N: foot / 4, Alpha: 0.5, X: x.base, Y: y.base, IncX: 1, IncY: 1,
-			LoopStrideX: x.strides, LoopStrideY: y.strides}.Params())
-	}
-	dot := func() {
-		x, y, out := pick(), pick(), pick()
-		comp(descriptor.OpDOT, DotArgs{N: foot / 4, X: x.base, Y: y.base, Out: out.base + phys.Addr(4*rng.Intn(foot/4)), IncX: 1, IncY: 1,
-			LoopStrideX: x.strides, LoopStrideY: y.strides, LoopStrideOut: out.strides}.Params())
-	}
-	for passes := 1 + rng.Intn(3); passes > 0; passes-- {
-		switch rng.Intn(4) {
-		case 0:
-			axpy()
-		case 1:
-			dot()
-		case 2: // chained
-			axpy()
-			dot()
-		default: // fusible: the FFT consumes the RESMP's row whole
-			src, dst := pick(), pick()
-			comp(descriptor.OpRESMP, ResmpArgs{NIn: foot / 8, NOut: foot / 8, Kind: ResmpComplex + int64(kernels.InterpLinear),
-				Src: src.base, Dst: dst.base, LoopStrideSrc: src.strides, LoopStrideDst: dst.strides}.Params())
-			d.AddEndPass()
-			comp(descriptor.OpFFT, FFTArgs{N: foot / 8, HowMany: 1, Src: dst.base, Dst: dst.base,
-				LoopStrideSrc: dst.strides, LoopStrideDst: dst.strides}.Params())
-		}
-		d.AddEndPass()
-	}
-	d.AddEndLoop()
-	return d
-}
 
 // lowerNest lowers a one-LOOP descriptor on l and returns its verdict.
 func lowerNest(t testing.TB, l *Layer, d *descriptor.Descriptor) (*lowering, *nest) {
@@ -159,12 +69,14 @@ func iterationsConflict(t testing.TB, d *descriptor.Descriptor) bool {
 // TestNestVerdictNeverOptimistic: "conflict-free" is never the verdict on a
 // nest two iterations of which conflict. The verdict may be conservative;
 // the counts at the end show it is not vacuously so.
+//
+// Gate (check.sh): nest verdicts and ranges.
 func TestNestVerdictNeverOptimistic(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
-	fused, unfused := fuseRig(t, 1, false).layer, fuseRig(t, 1, true).layer
+	fused, unfused := testLayer(t, 1, true), testLayer(t, 1, false)
 	free, proven, conflicting := 0, 0, 0
 	for trial := 0; trial < 400; trial++ {
-		d := randomNest(t, rng)
+		d := drawNest(t, rng)
 		conflict := iterationsConflict(t, d)
 		for _, l := range []*Layer{fused, unfused} {
 			_, n := lowerNest(t, l, d)
@@ -245,12 +157,14 @@ func templateMatchesScoreboard(lw *lowering, window int) (_ PlanInfo, mid int, o
 // the scoreboard gives it on the materialised nodes, and ExplainPlan reports
 // the materialised counts. The control at the end shows the test can tell: a
 // zero-stride write forced to "conflict-free" does not match.
+//
+// Gate (check.sh): nest verdicts and ranges.
 func TestTemplateDepsMatchScoreboard(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	layers := []*Layer{fuseRig(t, 1, false).layer, fuseRig(t, 1, true).layer}
+	layers := []*Layer{testLayer(t, 1, true), testLayer(t, 1, false)}
 	checked, edges, mid := 0, 0, 0
 	for trial := 0; trial < 400; trial++ {
-		d := randomNest(t, rng)
+		d := drawNest(t, rng)
 		for _, l := range layers {
 			lw, n := lowerNest(t, l, d)
 			if n.rule != ruleNone {
@@ -286,15 +200,7 @@ func TestTemplateDepsMatchScoreboard(t *testing.T) {
 	}
 
 	// Every iteration accumulates into the same y.
-	d := &descriptor.Descriptor{}
-	if err := d.AddLoop(8); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.AddComp(descriptor.OpAXPY, AxpyArgs{N: 16, Alpha: 1, X: 0x1000, Y: 0x9000, IncX: 1, IncY: 1, LoopStrideX: Lin(64)}.Params()); err != nil {
-		t.Fatal(err)
-	}
-	d.AddEndPass()
-	d.AddEndLoop()
+	d := looped(t, 8, ChainComp{descriptor.OpAXPY, AxpyArgs{N: 16, Alpha: 1, X: 0x1000, Y: 0x9000, IncX: 1, IncY: 1, LoopStrideX: Lin(64)}.Params()})
 	lw, n := lowerNest(t, layers[0], d)
 	if _, _, ok := templateMatchesScoreboard(lw, 3); n.rule != ruleTiling || !ok {
 		t.Fatalf("a zero-stride write: rule %d, want %d and the scoreboard's own nodes", n.rule, ruleTiling)
@@ -311,21 +217,9 @@ func TestTemplateDepsMatchScoreboard(t *testing.T) {
 // that drops one of them back onto the scoreboard fails this test, not only
 // a benchmark. SPMV and RESHP have no stride fields, so every iteration
 // rewrites the same bytes and they stay a serial chain on the scoreboard.
+//
+// Gate (check.sh): nest verdicts and ranges.
 func TestAppNestsAreConflictFree(t *testing.T) {
-	looped := func(iters uint32, comps ...ChainComp) *descriptor.Descriptor {
-		d := &descriptor.Descriptor{}
-		if err := d.AddLoop(iters); err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range comps {
-			if err := d.AddComp(c.Op, c.Params); err != nil {
-				t.Fatal(err)
-			}
-			d.AddEndPass()
-		}
-		d.AddEndLoop()
-		return d
-	}
 	const a, b, c = 0x1000000, 0x2000000, 0x3000000
 	sarRow := func(nin, n int64) (resmp, fft ChainComp) {
 		return ChainComp{descriptor.OpRESMP, ResmpArgs{NIn: nin, NOut: n, Kind: ResmpComplex + int64(kernels.InterpLinear),
@@ -333,18 +227,8 @@ func TestAppNestsAreConflictFree(t *testing.T) {
 			ChainComp{descriptor.OpFFT, FFTArgs{N: n, HowMany: 1, Src: b, Dst: b, LoopStrideSrc: Lin(8 * n), LoopStrideDst: Lin(8 * n)}.Params()}
 	}
 	// apps/sar.FormImageChained: both stages in one pass per row.
-	sar := &descriptor.Descriptor{}
-	if err := sar.AddLoop(1024); err != nil {
-		t.Fatal(err)
-	}
 	resmp, fft := sarRow(1024, 1024)
-	for _, c := range []ChainComp{resmp, fft} {
-		if err := sar.AddComp(c.Op, c.Params); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sar.AddEndPass()
-	sar.AddEndLoop()
+	sar := newShape(t).loop([]uint32{1024}, func(s *shape) { s.pass(resmp, fft) }).d
 	chainResmp, chainFFT := sarRow(768, 1024)
 	for _, tc := range []struct {
 		name    string
@@ -354,24 +238,24 @@ func TestAppNestsAreConflictFree(t *testing.T) {
 		// apps/stap.InnerProducts at stap.Small(): 512 pairs, 8 steering vectors, 32 cells.
 		{"STAP", cdotcNest(t, 512, 8, 32, 16, a, b, c), ""},
 		{"SAR", sar, ""},
-		{"AXPY", looped(64, ChainComp{descriptor.OpAXPY, AxpyArgs{N: 4096, Alpha: 0.5, X: a, Y: b, IncX: 1, IncY: 1,
+		{"AXPY", looped(t, 64, ChainComp{descriptor.OpAXPY, AxpyArgs{N: 4096, Alpha: 0.5, X: a, Y: b, IncX: 1, IncY: 1,
 			LoopStrideX: Lin(4 * 4096), LoopStrideY: Lin(4 * 4096)}.Params()}), ""},
-		{"DOT", looped(64, ChainComp{descriptor.OpDOT, DotArgs{N: 4096, X: a, Y: b, Out: c, IncX: 1, IncY: 1,
+		{"DOT", looped(t, 64, ChainComp{descriptor.OpDOT, DotArgs{N: 4096, X: a, Y: b, Out: c, IncX: 1, IncY: 1,
 			LoopStrideX: Lin(4 * 4096), LoopStrideOut: Lin(4)}.Params()}), ""},
-		{"GEMV", looped(32, ChainComp{descriptor.OpGEMV, GemvArgs{M: 128, N: 128, Alpha: 1, A: a, Lda: 128, X: b, Y: c,
+		{"GEMV", looped(t, 32, ChainComp{descriptor.OpGEMV, GemvArgs{M: 128, N: 128, Alpha: 1, A: a, Lda: 128, X: b, Y: c,
 			LoopStrideA: Lin(4 * 128 * 128), LoopStrideY: Lin(4 * 128)}.Params()}), ""},
-		{"SPMV", looped(8, ChainComp{descriptor.OpSPMV, SpmvArgs{M: 4096, Cols: 4096, NNZ: 16384,
+		{"SPMV", looped(t, 8, ChainComp{descriptor.OpSPMV, SpmvArgs{M: 4096, Cols: 4096, NNZ: 16384,
 			RowPtr: a, ColIdx: a + 0x100000, Values: a + 0x200000, X: b, Y: c}.Params()}), "[0x000003000000,+16KiB): written bytes"},
-		{"RESMP", looped(32, ChainComp{descriptor.OpRESMP, ResmpArgs{NIn: 4096, NOut: 8192, Kind: int64(kernels.InterpCubic), Src: a, Dst: b,
+		{"RESMP", looped(t, 32, ChainComp{descriptor.OpRESMP, ResmpArgs{NIn: 4096, NOut: 8192, Kind: int64(kernels.InterpCubic), Src: a, Dst: b,
 			LoopStrideSrc: Lin(4 * 4096), LoopStrideDst: Lin(4 * 8192)}.Params()}), ""},
-		{"FFT", looped(32, ChainComp{descriptor.OpFFT, FFTArgs{N: 1024, HowMany: 4, Src: a, Dst: b,
+		{"FFT", looped(t, 32, ChainComp{descriptor.OpFFT, FFTArgs{N: 1024, HowMany: 4, Src: a, Dst: b,
 			LoopStrideSrc: Lin(8 * 1024 * 4), LoopStrideDst: Lin(8 * 1024 * 4)}.Params()}), ""},
-		{"CHAIN", looped(32, chainResmp, chainFFT), ""},
-		{"RESHP", looped(4, ChainComp{descriptor.OpRESHP, ReshpArgs{Rows: 256, Cols: 256, Elem: ElemF32, Src: a, Dst: b}.Params()}),
+		{"CHAIN", looped(t, 32, chainResmp, chainFFT), ""},
+		{"RESHP", looped(t, 4, ChainComp{descriptor.OpRESHP, ReshpArgs{Rows: 256, Cols: 256, Elem: ElemF32, Src: a, Dst: b}.Params()}),
 			"[0x000002000000,+256KiB): written bytes"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			l := newModelLayer(t, 2)
+			l := testLayer(t, 2, true)
 			_, n := lowerNest(t, l, tc.d)
 			info, err := l.ExplainPlan(tc.d)
 			if err != nil {
@@ -401,25 +285,15 @@ func TestAppNestsAreConflictFree(t *testing.T) {
 // before it have run, as when every node bound its own comps.
 func TestUndecodableCompIsABarrier(t *testing.T) {
 	const n, iters = 16, 4
-	r := newRigWorkers(t, 2)
-	xa, ya, za := r.alloc(4*n*iters), r.alloc(4*n*iters), r.alloc(4*n*iters)
-	storeRandF32(t, r, xa, n*iters, 241)
+	r := rigOn(t, configWith(2, true), 4*units.MiB)
+	xa, ya, za := r.noise(t, n*iters, 241), r.alloc(4*n*iters), r.alloc(4*n*iters)
 	axpy := func(y phys.Addr) descriptor.Params {
 		return AxpyArgs{N: n, Alpha: 1, X: xa, Y: y, IncX: 1, IncY: 1, LoopStrideX: Lin(4 * n), LoopStrideY: Lin(4 * n)}.Params()
 	}
-	d := &descriptor.Descriptor{}
-	if err := d.AddLoop(iters); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []ChainComp{{descriptor.OpAXPY, axpy(ya)}, {}, {descriptor.OpAXPY, axpy(za)}, {descriptor.OpDOT, descriptor.Params{1}}} {
-		if c.Op == descriptor.OpInvalid {
-			d.AddEndPass()
-		} else if err := d.AddComp(c.Op, c.Params); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d.AddEndPass()
-	d.AddEndLoop()
+	d := newShape(t).loop([]uint32{iters}, func(s *shape) {
+		s.pass(ChainComp{descriptor.OpAXPY, axpy(ya)})
+		s.pass(ChainComp{descriptor.OpAXPY, axpy(za)}, ChainComp{descriptor.OpDOT, descriptor.Params{1}})
+	}).d
 
 	info, err := r.layer.ExplainPlan(d)
 	if err != nil {

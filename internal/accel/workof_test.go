@@ -11,94 +11,6 @@ import (
 	"mealib/internal/span"
 )
 
-// randomArgs draws a parameter block for op that passes the accelerator's
-// own input checks, knowing nothing about the op beyond its table entry:
-// small integers for the int fields (rejection-sampled against validate),
-// disjoint aligned windows for the address fields — sometimes aliased
-// pairwise, so in-place forms are drawn too, under the verifier's rule that
-// a written operand aliases another exactly or not at all — and
-// element-multiple loop strides of either sign. Ops with index operands
-// (indexFill) are never aliased: one buffer cannot hold two index
-// structures.
-func randomArgs(t *testing.T, rng *rand.Rand, op descriptor.OpCode) Args {
-	t.Helper()
-	spec := specs[op]
-	for try := 0; try < 10000; try++ {
-		p := make(descriptor.Params, spec.nparams)
-		var addrs []int
-		for f, k := range spec.fields {
-			switch k {
-			case fInt:
-				p[f] = uint64(int64(rng.Intn(14) - 2))
-			case fF32:
-				p[f] = descriptor.F32Field(float32(rng.Intn(5)) / 2)
-			default:
-				p[f] = uint64(1+len(addrs)) << 20
-				if len(addrs) > 0 && indexFill[op] == nil && rng.Intn(6) == 0 {
-					p[f] = p[addrs[rng.Intn(len(addrs))]]
-				}
-				addrs = append(addrs, f)
-			}
-		}
-		a, err := Bind(op, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Validate() != nil || !aliasesExactly(a) {
-			continue
-		}
-		for _, off := range spec.strideOff {
-			for l := 0; off > 0 && l < descriptor.MaxLoopLevels; l++ {
-				p[off+l] = uint64(spec.elem(a) * int64(rng.Intn(9)-4))
-			}
-		}
-		return a
-	}
-	t.Fatalf("%v: no valid parameter block in 10000 draws", op)
-	return Args{}
-}
-
-// aliasesExactly reports whether every written operand is identical to or
-// disjoint from every other operand at iteration zero.
-func aliasesExactly(a Args) bool {
-	for i := 0; i < a.NumOperands(); i++ {
-		for j := 0; j < a.NumOperands(); j++ {
-			x, y := a.Operand(i), a.Operand(j)
-			xs, ys := span.Span{Addr: x.Addr, Bytes: x.Bytes()}, span.Span{Addr: y.Addr, Bytes: y.Bytes()}
-			if x.Write && xs != ys && xs.Overlaps(ys) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// indexFill writes well-formed index structures over operands whose
-// contents a kernel interprets as positions; every other operand is dense
-// numeric data and takes the default fill. Keyed by opcode, so the default
-// covers any accelerator that streams plain numbers.
-var indexFill = map[descriptor.OpCode]func(t *testing.T, rng *rand.Rand, s *phys.Space, a Args, it IterVec){
-	descriptor.OpSPMV: func(t *testing.T, rng *rand.Rand, s *phys.Space, a Args, it IterVec) {
-		m, cols, nnz := int(a.i(spM)), int(a.i(spCols)), int(a.i(spNNZ))
-		rowPtr := make([]int32, m+1)
-		for i := 1; i <= m; i++ {
-			rowPtr[i] = rowPtr[i-1] + int32(rng.Intn(nnz-int(rowPtr[i-1])+1))
-		}
-		colIdx := make([]int32, nnz)
-		for k := range colIdx {
-			colIdx[k] = int32(rng.Intn(cols))
-		}
-		if err := s.StoreInt32s(a.at(spRowPtr, it), rowPtr); err != nil {
-			t.Fatal(err)
-		}
-		if nnz > 0 {
-			if err := s.StoreInt32s(a.at(spColIdx, it), colIdx); err != nil {
-				t.Fatal(err)
-			}
-		}
-	},
-}
-
 // execute runs one invocation functionally against the space at iteration it
 // and returns its workload profile, as a launch does through a template.
 func execute(s *phys.Space, op descriptor.OpCode, p descriptor.Params, it IterVec) (Work, error) {
@@ -176,7 +88,10 @@ func checkFootprintProperty(t *testing.T, op descriptor.OpCode) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(op)))
 	for trial := 0; trial < 60; trial++ {
-		a := randomArgs(t, rng, op)
+		a, ok := drawArgs(randomBits(rng, 4096), op)
+		if !ok {
+			t.Fatalf("%v: no valid parameter block drawn", op)
+		}
 		for _, it := range []IterVec{{}, {0, 0, 0, 1}, {0, 1, 2, 3}} {
 			checkFootprint(t, rng, op, a, it)
 		}

@@ -146,6 +146,8 @@ func TestOperandBytesIsExact(t *testing.T) {
 // sizes, strides and trip counts around every overflow boundary: whatever it
 // certifies the exact path accepts, and on this grid it certifies everything
 // the exact path accepts.
+//
+// Gate (check.sh): the one-walk install.
 func TestIntervalFitsIsExact(t *testing.T) {
 	addrs := []uint64{0, 1, 1 << 32, 1 << 63, math.MaxUint64 - 8, math.MaxUint64}
 	sizes := []int64{0, 1, 8, 1 << 62, math.MaxInt64}

@@ -367,6 +367,8 @@ func randomTaskGraph(rng *rand.Rand) *descriptor.Descriptor {
 // corpus and seeded random task graphs, against random initialized sets, the
 // full verifier with the set accepts iff the verifier without it accepts and
 // every ExposedReads span overlaps the set.
+//
+// Gate (check.sh): the compiled plan.
 func TestExposedReadsIsTheReadBeforeWriteCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	var corpus []*descriptor.Descriptor
@@ -420,6 +422,8 @@ func TestExposedReadsIsTheReadBeforeWriteCheck(t *testing.T) {
 // and seeded random task graphs; and on every accepted descriptor the writes
 // and reads are the whole-loop extents of the bound operands, in program order,
 // as an independent pass over the scopes derives them.
+//
+// Gate (check.sh): the one-walk install.
 func TestCheckIsTheOneWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	var corpus []*descriptor.Descriptor

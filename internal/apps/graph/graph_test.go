@@ -143,6 +143,8 @@ func TestBFSMatchesSerialAndQueue(t *testing.T) {
 // at n=2^16 must be bit-identical to the serial run, and the interconnect
 // ledger must conserve traffic — every link carried exactly iters x the
 // sharder's ghost volume, and total bytes sent equal total bytes received.
+//
+// Gate (check.sh): bit-identity.
 func TestGraphGatePageRankSmoke(t *testing.T) {
 	adj, err := sparse.RGG(1<<16, 8, 2020)
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 func newPipelineWorkers(t *testing.T, p Params, workers int) *Pipeline {
 	t.Helper()
 	cfg := mealibrt.DefaultConfig()
-	cfg.Workers = workers
+	cfg.Accel.Workers = workers
 	rt, err := mealibrt.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,7 @@ import (
 func newTinyPipelineWorkers(t *testing.T, workers int) *Pipeline {
 	t.Helper()
 	cfg := mealibrt.DefaultConfig()
-	cfg.Workers = workers
+	cfg.Accel.Workers = workers
 	rt, err := mealibrt.New(cfg)
 	if err != nil {
 		t.Fatal(err)

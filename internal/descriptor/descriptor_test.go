@@ -492,6 +492,8 @@ func corpus(t *testing.T) []*Descriptor {
 // the slot are Image's with the address words advanced by the base, and they
 // decode to the descriptor. The golden string pins the layout itself, as the
 // word-by-word writer this encoder replaced produced it.
+//
+// Gate (check.sh): the one-walk install.
 func TestEncodeIsImageAtBase(t *testing.T) {
 	s := space(t)
 	// Two more regions, meeting where the last base's control region ends: no
@@ -572,6 +574,8 @@ func TestEncodeIsImageAtBase(t *testing.T) {
 // TestScopes: the one parser of the instruction region yields a run of
 // top-level passes or a LOOP per scope, with program-order pass and comp
 // indices and the parameter blocks themselves.
+//
+// Gate (check.sh): the one-walk install.
 func TestScopes(t *testing.T) {
 	d := &Descriptor{}
 	add := func(op OpCode, tag uint64) {

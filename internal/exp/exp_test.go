@@ -85,6 +85,8 @@ func TestFigure10PaperAgreement(t *testing.T) {
 // energy for a one-comp descriptor at the Table 2 size over the table's, held
 // to +-0.005: a change to either model moves one, on purpose or not.
 // Reconciling them is ROADMAP items 5 and 10.
+//
+// Gate (check.sh): the model calibration.
 func TestEngineModelVsFigure9Calibration(t *testing.T) {
 	layer, err := accel.NewLayer(accel.MEALibConfig())
 	if err != nil {

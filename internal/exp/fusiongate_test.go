@@ -77,6 +77,8 @@ func chainGateRun(t *testing.T, noFusion bool) (moved, elided, groups int64) {
 // shape with fusion on must move strictly fewer DRAM bytes than with fusion
 // off, by exactly the size of the elided intermediate (one 8 KiB row stored
 // and re-loaded per loop iteration).
+//
+// Gate (check.sh): fusion traffic.
 func TestFusionGate(t *testing.T) {
 	movedOn, elidedOn, groupsOn := chainGateRun(t, false)
 	movedOff, elidedOff, groupsOff := chainGateRun(t, true)

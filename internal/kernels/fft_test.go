@@ -223,6 +223,8 @@ func TestFFT2DErrors(t *testing.T) {
 
 // TestFFTBatchInlineAllocatesNothing: below minParallel transforms a batch of
 // a power-of-two length runs inline on the shared plan and allocates nothing.
+//
+// Gate (check.sh): fixed costs.
 func TestFFTBatchInlineAllocatesNothing(t *testing.T) {
 	p, err := SharedFFTPlan(1024, Forward)
 	if err != nil {

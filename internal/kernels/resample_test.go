@@ -110,6 +110,8 @@ func TestResampleErrors(t *testing.T) {
 // split planes from a pool and runs inline below minParallel, so a steady
 // stream of calls allocates nothing; the output is the split planes
 // resampled one by one, bit for bit.
+//
+// Gate (check.sh): fixed costs.
 func TestResampleC64AllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	src := make([]complex64, 1024)

@@ -62,6 +62,8 @@ func (l *countingListener) conn(i int) *countingConn {
 // request from the client or a reply from the server, is one Write on the
 // connection, and k frames that arrive in one client write cost the server at
 // most k+1 Reads, the last of them the one that waits for more.
+//
+// Gate (check.sh): the mealibd wire.
 func TestFrameIsOneWrite(t *testing.T) {
 	rt, err := mealibrt.New(mealibrt.DefaultConfig())
 	if err != nil {
@@ -211,6 +213,8 @@ func muteServer(t *testing.T) (addr string, peer <-chan net.Conn) {
 // TestClientCloseUnblocksPendingRequest: Close must not wait behind a request
 // whose reply never comes. The pending request returns an error, and so does
 // every later one.
+//
+// Gate (check.sh): the mealibd wire.
 func TestClientCloseUnblocksPendingRequest(t *testing.T) {
 	addr, peer := muteServer(t)
 	cl, err := Dial(Config{Network: "unix", Addr: addr, Tenant: "waits"})
@@ -252,6 +256,8 @@ func TestClientCloseUnblocksPendingRequest(t *testing.T) {
 // TestClientFailureSticks: a reply that cannot be read whole leaves the byte
 // stream out of step. The client must return that error on every later call,
 // not read the bytes that follow as the next request's reply.
+//
+// Gate (check.sh): the mealibd wire.
 func TestClientFailureSticks(t *testing.T) {
 	addr, peer := muteServer(t)
 	cl, err := Dial(Config{Network: "unix", Addr: addr, Tenant: "torn"})

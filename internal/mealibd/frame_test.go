@@ -26,6 +26,8 @@ func allocated(f func()) uint64 {
 // bytes in hand. A header claiming 2^28 bytes followed by three must cost
 // about what arrived, not 256 MiB, and a real 16 MiB frame must still
 // round-trip.
+//
+// Gate (check.sh): the mealibd wire.
 func TestReadFrameAllocatesWhatArrives(t *testing.T) {
 	lie := append(binary.LittleEndian.AppendUint32(nil, 1<<28), 1, 2, 3)
 	var err error
@@ -51,6 +53,8 @@ func TestReadFrameAllocatesWhatArrives(t *testing.T) {
 // FuzzReadFrame: arbitrary bytes never panic the frame reader, and reading
 // every frame they hold allocates at most about twice the input plus the
 // first growth step.
+//
+// Gate (check.sh): the mealibd wire.
 func FuzzReadFrame(f *testing.F) {
 	framed := func(payloads ...[]byte) []byte {
 		var b bytes.Buffer
@@ -101,6 +105,8 @@ func FuzzReadFrame(f *testing.F) {
 // stored data) is followed by a junk frame of the same length, which the
 // server reads over the same storage; the name, the plan and the data must
 // come out whole.
+//
+// Gate (check.sh): the mealibd wire.
 func TestServerKeepsNoPayload(t *testing.T) {
 	cli, drop := servePipe(t, Config{BatchMax: 1})
 	send := func(p []byte) *Dec {

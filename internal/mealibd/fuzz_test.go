@@ -155,6 +155,8 @@ func servePipe(t *testing.T, cfg Config) (net.Conn, func()) {
 // every frame is answered by one well-formed reply (or the connection is
 // closed); and once the handler has returned nothing of the tenant is left
 // behind.
+//
+// Gate (check.sh): the mealibd wire.
 func FuzzServerFrames(f *testing.F) {
 	// The allocator is deterministic, so the addresses a scratch runtime
 	// hands out are the ones the fuzzed server's first buffers get.

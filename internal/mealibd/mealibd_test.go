@@ -970,6 +970,8 @@ func TestRemoteAccessStaysInBounds(t *testing.T) {
 // its installed plan names, tenant b is handed the same physical range, and a's
 // next launch must come back as the typed ErrPlanStale, carried by
 // CodePlanStale, with b's bytes untouched and both connections usable.
+//
+// Gate (check.sh): the compiled plan.
 func TestFreedBufferStalesPlan(t *testing.T) {
 	_, addr := startServer(t, nil)
 	dial := func(tenant string) *client.Client {
@@ -1038,6 +1040,8 @@ func TestFreedBufferStalesPlan(t *testing.T) {
 // members then launch through their own plans, in submission order: a member
 // whose plan went stale gets ErrPlanStale, typed, and the one next to it runs;
 // members that fit the instruction memory one by one and not together all run.
+//
+// Gate (check.sh): the one-walk install.
 func TestBatchMemberFailsAlone(t *testing.T) {
 	dial := func(t *testing.T) *client.Client {
 		t.Helper()
@@ -1179,6 +1183,8 @@ func (o *launchOutcome) load(t *testing.T, b *client.Buffer, n int) {
 // case runs once with Execute and once with Submit + Wait, on a fresh server
 // each: the reports (Batched included), the errors and every buffer's bytes
 // must be the same.
+//
+// Gate (check.sh): the mealibd wire.
 func TestExecuteIsSubmitThenWait(t *testing.T) {
 	type launchFunc func(*client.Plan) (*mealibd.Report, error)
 	execute := func(p *client.Plan) (*mealibd.Report, error) { return p.Execute() }

@@ -28,6 +28,8 @@ func wantCounts(t *testing.T, step string, r *Runtime, p *Plan, inflight, queued
 // launch, so the pump runs: the tenant's next queued launch, which conflicts
 // with nothing, is admitted at once instead of when some unrelated flight
 // happens to retire.
+//
+// Gate (check.sh): the one launch record.
 func TestCancelledWaiterAdmitsTheNextOne(t *testing.T) {
 	eachTenant(t, DefaultConfig(), func(t *testing.T, r *Runtime, s *Session) {
 		f, x, y := slowAxpyPlan(t, s, 1<<16, 1<<11)
@@ -72,6 +74,8 @@ func TestCancelledWaiterAdmitsTheNextOne(t *testing.T) {
 
 // Every accepted launch is started exactly once: a second Start is refused
 // and moves no count, and Wait may be repeated.
+//
+// Gate (check.sh): the one launch record.
 func TestLaunchStartsOnce(t *testing.T) {
 	r := newRuntime(t)
 	p, _, y := axpyPlan(t, r, 3, 1<<10)
@@ -127,6 +131,8 @@ func (c *tellingCtx) Err() error {
 
 // TestLaunchLifeCycle drives one launch record down every path of its state
 // machine and checks the books after each step.
+//
+// Gate (check.sh): the one launch record.
 func TestLaunchLifeCycle(t *testing.T) {
 	bg := context.Background()
 	cancelled, cancel := context.WithCancel(bg)
@@ -364,6 +370,8 @@ func TestLaunchLifeCycle(t *testing.T) {
 // TestLaunchRun: Run is Start and Wait by one caller. A queued launch waits
 // for the pump, flies and retires inside Run; under a cancelled context it
 // gives its place back, as Start would; and Run is the launch's one Start.
+//
+// Gate (check.sh): the one-walk install.
 func TestLaunchRun(t *testing.T) {
 	bg := context.Background()
 	cancelled, cancel := context.WithCancel(bg)

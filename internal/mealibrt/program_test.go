@@ -43,6 +43,8 @@ func session(t *testing.T, r *Runtime, name string) *Session {
 // must be refused with ErrPlanStale instead of writing into b's memory (the
 // launch-time verifier only asks whether the bytes are initialized, and b
 // initialized them).
+//
+// Gate (check.sh): the compiled plan.
 func TestFreedBufferStalesPlan(t *testing.T) {
 	r := newRuntime(t)
 	a, b := session(t, r, "a"), session(t, r, "b")
@@ -97,6 +99,8 @@ func TestFreedBufferStalesPlan(t *testing.T) {
 // are the plan's own. The caller mutates its descriptor and its parameter
 // block after install; the installed plan's next launch must be the launch it
 // was before.
+//
+// Gate (check.sh): the compiled plan.
 func TestPlanIsImmutableAfterInstall(t *testing.T) {
 	r := newRuntime(t)
 	x, y := f32s(t, r.def, 1, 2, 3, 4), f32s(t, r.def, 0, 0, 0, 0)
@@ -162,6 +166,8 @@ func TestPlanIsImmutableAfterInstall(t *testing.T) {
 // of the installed image flipped through Runtime.Space, a launch does what a
 // run that decodes those bytes does (the modified program's result, or its
 // error) and never what the cached program would.
+//
+// Gate (check.sh): the compiled plan.
 func TestStaleImageNeverRuns(t *testing.T) {
 	// Byte offsets into the one-comp AXPY image: the control region is 32
 	// bytes, the COMP and ENDPASS entries 32 each, then the parameter block
@@ -221,6 +227,8 @@ func TestStaleImageNeverRuns(t *testing.T) {
 // TestExecuteFixedCost gates what a launch of an installed plan may cost: a
 // bounded number of allocations, and no compile. Install is the only compile,
 // for an ordinary plan and for every chunk of an out-of-core one.
+//
+// Gate (check.sh): fixed costs.
 func TestExecuteFixedCost(t *testing.T) {
 	ctx := context.Background()
 	r := newRuntime(t)
@@ -297,6 +305,8 @@ func TestExecuteFixedCost(t *testing.T) {
 // an error per adjacent pair that is no link, 76 and 360 before the install
 // was one walk) and accel.compiles moves by exactly one per install. The race
 // detector adds a few.
+//
+// Gate (check.sh): fixed costs.
 func TestInstallFixedCost(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Tracer = telemetry.New()
@@ -350,11 +360,13 @@ func TestInstallFixedCost(t *testing.T) {
 // WavePipeline they used to be admitted together, and the later doorbell and
 // the earlier flight's CmdDone overwrote each other ("descriptor not started
 // (command 2)").
+//
+// Gate (check.sh): the compiled plan.
 func TestSamePlanFlightsTakeTurns(t *testing.T) {
 	ctx := context.Background()
 	cfg := DefaultConfig()
 	cfg.WavePipeline = true
-	cfg.Workers = 2
+	cfg.Accel.Workers = 2
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -415,6 +427,8 @@ func TestSamePlanFlightsTakeTurns(t *testing.T) {
 
 // TestSessionsShareOneLayer: two sessions launch their own plans on the one
 // layer at the same time, for the race detector and for the results.
+//
+// Gate (check.sh): the compiled plan.
 func TestSessionsShareOneLayer(t *testing.T) {
 	ctx := context.Background()
 	cfg := DefaultConfig()

@@ -41,17 +41,6 @@ type Config struct {
 	// descriptor and ringing the doorbell (user/kernel crossing plus
 	// uncached CR write).
 	DescriptorSetupLatency units.Seconds
-	// NoFusion disables descriptor fusion at both levels: AccPlan stops
-	// merging producer→consumer TDL passes, and the accelerator layer's
-	// plan lowering keeps every pass as its own node, so intermediates
-	// round-trip through DRAM exactly as the paper's one-descriptor-per-
-	// call model behaves. Results are identical either way; this switch
-	// exists for differential testing and traffic measurement.
-	NoFusion bool
-	// Workers overrides the accelerator layer's worker-pool size for the
-	// independent nodes of a wave: 0 keeps the layer's own setting
-	// (min(GOMAXPROCS, Tiles) by default), 1 forces serial execution.
-	Workers int
 	// MaxInFlight caps the number of descriptors concurrently in flight
 	// through Plan.Submit (0 = unlimited). Submissions past the cap block
 	// in admission until a flight completes.
@@ -201,12 +190,6 @@ func New(cfg *Config) (*Runtime, error) {
 	if accelCfg.StackOf == nil {
 		accelCfg.StackOf = driver.StackOf
 		accelCfg.HomeStack = 0
-	}
-	if cfg.Workers != 0 {
-		accelCfg.Workers = cfg.Workers
-	}
-	if cfg.NoFusion {
-		accelCfg.NoFusion = true
 	}
 	if accelCfg.Tracer == nil {
 		accelCfg.Tracer = cfg.Tracer

@@ -363,7 +363,7 @@ func (s *Session) AccPlan(tdlSrc string, params map[string]descriptor.Params) (*
 	if err := tdlcheck.Verify(prog, resolve); err != nil {
 		return nil, fmt.Errorf("mealibrt: program rejected by the static verifier: %w", err)
 	}
-	if !r.cfg.NoFusion {
+	if !r.layers[0].Config().NoFusion {
 		// Fuse producer→consumer pass chains at the program level (the plan
 		// lowering would fuse them anyway; doing it here keeps what the
 		// verifier checks and what the hardware runs identical). The merged

@@ -614,7 +614,7 @@ func TestWavePipeliningOverlap(t *testing.T) {
 	run := func(pipeline bool) (units.Seconds, []float32) {
 		t.Helper()
 		cfg := DefaultConfig()
-		cfg.NoFusion = true // keep the two producer passes as two waves
+		cfg.Accel.NoFusion = true // keep the two producer passes as two waves
 		cfg.WavePipeline = pipeline
 		r, err := New(cfg)
 		if err != nil {

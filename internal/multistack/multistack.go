@@ -42,12 +42,6 @@ type Config struct {
 	// Net parameterises the inter-stack interconnect. Nil uses
 	// noc.MEALibInterStack(Stacks).
 	Net *noc.InterStackConfig
-	// Refine enables the edge-cut-minimizing greedy boundary refinement on
-	// top of the nnz-balanced row blocks.
-	Refine bool
-	// RefineWindow bounds how far refinement slides each boundary
-	// (0: the partitioner's default).
-	RefineWindow int
 	// Tracer records exchange spans and per-link counters (nil: disabled).
 	// It also propagates into the runtime if that has no tracer of its own.
 	Tracer *telemetry.Tracer

@@ -223,14 +223,19 @@ func TestRefinementReducesModeledTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(4)
-	cfg.Refine = true
-	cfg.RefineWindow = 256
-	ref, err := New(cfg)
+	blocks, err := sparse.RowBlocks(m, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shRef, err := ref.Shard(m)
+	part, err := sparse.RefineGreedy(m, blocks, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(testConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shRef, err := ref.ShardWith(m, part)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,9 +69,9 @@ type RunStats struct {
 	Energy        units.Joules
 }
 
-// Shard distributes the matrix: nnz-balanced row blocks (edge-cut-refined
-// when the system was configured with Refine), one block per stack, CSR
-// arrays rebased per shard and uploaded to the owning stack.
+// Shard distributes the matrix: nnz-balanced row blocks, one block per
+// stack, CSR arrays rebased per shard and uploaded to the owning stack. A
+// placement refined for edge cut goes through ShardWith (sparse.RefineGreedy).
 func (s *System) Shard(m *sparse.CSR) (*Sharded, error) {
 	if m.Rows != m.Cols {
 		return nil, fmt.Errorf("multistack: iterated SpMV needs a square matrix, got %dx%d", m.Rows, m.Cols)
@@ -79,12 +79,6 @@ func (s *System) Shard(m *sparse.CSR) (*Sharded, error) {
 	part, err := sparse.RowBlocks(m, s.cfg.Stacks)
 	if err != nil {
 		return nil, err
-	}
-	if s.cfg.Refine {
-		part, err = sparse.RefineGreedy(m, part, s.cfg.RefineWindow)
-		if err != nil {
-			return nil, err
-		}
 	}
 	return s.ShardWith(m, part)
 }

@@ -270,6 +270,8 @@ func TestOverlapDirections(t *testing.T) {
 // TestConflict is the one hazard predicate admission, the host-operation
 // wait and mealibd's batcher share: two operations conflict when one writes
 // bytes the other writes or reads.
+//
+// Gate (check.sh): the one launch record.
 func TestConflict(t *testing.T) {
 	a := []Span{{Addr: 100, Bytes: 10}}
 	inside := []Span{{Addr: 105, Bytes: 1}}
@@ -304,6 +306,8 @@ func TestConflict(t *testing.T) {
 
 // TestSetOverlaps is the table for the binary search, and a sweep holding it
 // to the linear scan it replaces.
+//
+// Gate (check.sh): the compiled plan.
 func TestSetOverlaps(t *testing.T) {
 	var empty, ss Set
 	for _, s := range []Span{{Addr: 100, Bytes: 10}, {Addr: 200, Bytes: 10}, {Addr: 300, Bytes: 10}} {

@@ -65,14 +65,6 @@ func WithHost(h *cpu.Host) Option {
 	return func(c *mealibrt.Config) { c.Host = h }
 }
 
-// WithWorkers sets the worker-pool size the wavefront scheduler runs the
-// independent nodes of a wave on: 0 selects min(GOMAXPROCS, tiles), 1
-// restores serial execution. Parallel and serial runs produce byte-identical
-// buffers and identical reports.
-func WithWorkers(n int) Option {
-	return func(c *mealibrt.Config) { c.Workers = n }
-}
-
 // WithMaxInFlight caps the number of plans concurrently in flight through
 // InstalledPlan.Submit (0 = unlimited). Submissions past the cap block
 // until a flight completes.
@@ -87,15 +79,6 @@ func WithMaxInFlight(n int) Option {
 // overlap.
 func WithWavePipelining() Option {
 	return func(c *mealibrt.Config) { c.WavePipeline = true }
-}
-
-// WithoutFusion disables descriptor fusion: producer→consumer pass chains
-// stay separate passes and their intermediates round-trip through DRAM, as
-// in the paper's one-descriptor-per-call model. Results are bit-identical
-// with fusion on or off; only time, energy and DRAM traffic differ. Used
-// for differential testing and for measuring the traffic fusion elides.
-func WithoutFusion() Option {
-	return func(c *mealibrt.Config) { c.NoFusion = true }
 }
 
 // WithStaging carves a double-buffered staging region of n bytes out of
