@@ -75,10 +75,18 @@ if grep -nE 'Report|merge\(' internal/accel/sched.go ||
 	exit 1
 fi
 
+echo "==> one-admission-rule gate (a launch that conflicts with a flight waits in admission for the whole flight; no second admission path)"
+if grep -rnE 'flightGate|WaveHooks|waveSpansOf|olderWritesLocked|WithWavePipelining' --include='*.go' . ||
+	grep -rnw 'WavePipeline' --include='*.go' . | grep -v '^\./bench/' |
+	grep -vE '^\./internal/mealibrt/runtime\.go:[0-9]+:	WavePipeline bool$'; then
+	echo "check.sh: wave pipelining, its hooks or a reader of Config.WavePipeline grew back" >&2
+	exit 1
+fi
+
 echo "==> go test -race ./... (the gates: bit-identity, nest verdicts and ranges, fixed costs, the compiled plan, the one launch record, the one-walk install, the mealibd wire, fusion traffic and the model calibration; each test that carries one says so in its comment, \"Gate (check.sh): ...\", and Runtime.CheckInvariants closes the mealibrt and mealibd tests)"
 go test -race ./...
 
-echo "==> FuzzDifferential, 5 s (internal/accel's bit-identity matrix: generated descriptors through every worker, fusion, window, compiled and hooked cell)"
+echo "==> FuzzDifferential, 5 s (internal/accel's bit-identity matrix: generated descriptors through every worker, fusion, window and compiled cell, the traced ones held to the scoreboard's windows and waves)"
 go test -run '^$' -fuzz '^FuzzDifferential$' -fuzztime 5s ./internal/accel
 
 echo "==> FuzzReadFrame, 5 s (a frame header is a claim: what ReadFrame allocates follows the bytes that arrive)"

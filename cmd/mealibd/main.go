@@ -33,7 +33,6 @@ func main() {
 	queued := flag.Int("max-queued", 0, "default per-tenant admission queue cap (0 = unlimited)")
 	batchMax := flag.Int("batch-max", 0, "max small descriptors coalesced per merged launch (0 = default 8, 1 = off)")
 	batchBytes := flag.Int64("batch-bytes", 0, "footprint ceiling in bytes for a batchable descriptor (0 = default 256 KiB)")
-	pipeline := flag.Bool("pipeline", true, "wave-granularity pipelining of dependent launches")
 	staging := flag.Int64("staging", 0, "out-of-core staging region in bytes carved from stack 0 (0 = out-of-core off)")
 	flag.Parse()
 
@@ -49,7 +48,6 @@ func main() {
 
 	rcfg := mealibrt.DefaultConfig()
 	rcfg.Tracer = telemetry.New()
-	rcfg.WavePipeline = *pipeline
 	rcfg.Driver.StagingSize = units.Bytes(*staging)
 	rt, err := mealibrt.New(rcfg)
 	if err != nil {

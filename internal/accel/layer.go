@@ -194,12 +194,6 @@ func (r *Report) opStats(op descriptor.OpCode) *OpStats {
 // Execution is functional (data in the space is really transformed) and
 // modelled (the report carries time and energy).
 func (l *Layer) Run(s *phys.Space, base phys.Addr) (*Report, error) {
-	return l.run(s, base, nil)
-}
-
-// run is Run with optional wave-granularity hooks (see hooks.go): read the
-// command, decode what is at base, compile it and launch the program.
-func (l *Layer) run(s *phys.Space, base phys.Addr, hooks WaveHooks) (*Report, error) {
 	if err := started(s, base); err != nil {
 		return nil, err
 	}
@@ -211,17 +205,17 @@ func (l *Layer) run(s *phys.Space, base phys.Addr, hooks WaveHooks) (*Report, er
 	if err != nil {
 		return nil, err
 	}
-	return l.launch(prog, s, base, hooks)
+	return l.launch(prog, s, base)
 }
 
 // launch runs a compiled program under its launch span against the
 // descriptor started at base in s, completes by writing CmdDone and returns
 // the program's price. A failed launch returns no report.
-func (l *Layer) launch(prog *Program, s *phys.Space, base phys.Addr, hooks WaveHooks) (*Report, error) {
+func (l *Layer) launch(prog *Program, s *phys.Space, base phys.Addr) (*Report, error) {
 	tb := l.tr.Buffer(telemetry.TrackAccel)
 	defer tb.Release()
 	tb.Begin(telemetry.SpanLaunch, "descriptor")
-	err := l.exec(prog, s, tb, hooks)
+	err := l.exec(prog, s, tb)
 	if err == nil {
 		err = descriptor.WriteCommand(s, base, descriptor.CmdDone)
 	}

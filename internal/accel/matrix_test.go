@@ -13,17 +13,21 @@ import (
 	"mealib/internal/descriptor"
 	"mealib/internal/phys"
 	"mealib/internal/span"
+	"mealib/internal/telemetry"
 	"mealib/internal/units"
 )
 
-// The bit-identity matrix. Fusion, windows, ranges, the worker pool, compiled
-// programs and wave hooks may change how a descriptor is scheduled and priced,
-// never what it computes: one call per COMP, in program order (paper §2.2's
-// LOOP descriptor, §3.4's chaining). genCase draws a descriptor and the memory
-// it runs on from a byte string; checkCase runs it through every cell of
+// The bit-identity matrix. Fusion, windows, ranges, the worker pool and
+// compiled programs may change how a descriptor is scheduled and priced, never
+// what it computes: one call per COMP, in program order (paper §2.2's LOOP
+// descriptor, §3.4's chaining). genCase draws a descriptor and the memory it
+// runs on from a byte string; checkCase runs it through every cell of
 //
 //	workers {1, 4} × fusion {on, off} × window {1, 3, 7, planWindow}
-//	  × {fresh, one Program launched three times} × hooks {nil, waveLog}
+//	  × {fresh, one Program launched three times}
+//
+// and the cells of four workers run traced, so that what the scheduler emits
+// is checked too.
 //
 // FuzzDifferential is the two together. Its seed corpus is the hand-written
 // shapes (shapes_test.go) and a few generated draws (drawnSeeds).
@@ -61,9 +65,13 @@ func (c *diffCase) config(workers int, fusion bool) *Config {
 }
 
 // rig maps the case's arena, and the descriptor's command slot after it,
-// for a layer of the cell's, and returns the slot.
-func (c *diffCase) rig(t testing.TB, workers int, fusion bool) (*testRig, phys.Addr) {
-	r := rigOn(t, c.config(workers, fusion), units.Bytes(len(c.mem))+c.d.Size()+64)
+// for a layer of the cell's, traced if seen is not nil, and returns the slot.
+func (c *diffCase) rig(t testing.TB, workers int, fusion bool, seen *traced) (*testRig, phys.Addr) {
+	cfg := c.config(workers, fusion)
+	if seen != nil {
+		cfg.Tracer = seen.tr
+	}
+	r := rigOn(t, cfg, units.Bytes(len(c.mem))+c.d.Size()+64)
 	copy(mapped(t, r), c.mem)
 	r.alloc(len(c.mem))
 	return r, r.alloc(int(c.d.Size()))
@@ -71,7 +79,7 @@ func (c *diffCase) rig(t testing.TB, workers int, fusion bool) (*testRig, phys.A
 
 // launch encodes the descriptor at base and runs it as Run does, with the
 // lowering cut into windows of window pass instances.
-func (c *diffCase) launch(r *testRig, base phys.Addr, window int, hooks WaveHooks) (*Report, error) {
+func (c *diffCase) launch(r *testRig, base phys.Addr, window int) (*Report, error) {
 	if err := c.d.Encode(r.space, base); err != nil {
 		return nil, err
 	}
@@ -79,7 +87,7 @@ func (c *diffCase) launch(r *testRig, base phys.Addr, window int, hooks WaveHook
 		return nil, err
 	}
 	if window == planWindow {
-		return r.layer.run(r.space, base, hooks)
+		return r.layer.Run(r.space, base)
 	}
 	d, err := descriptor.Decode(r.space, base)
 	if err != nil {
@@ -89,7 +97,7 @@ func (c *diffCase) launch(r *testRig, base phys.Addr, window int, hooks WaveHook
 	if err != nil {
 		return nil, err
 	}
-	return r.layer.launch(prog, r.space, base, hooks)
+	return r.layer.launch(prog, r.space, base)
 }
 
 // outcome is what one launch leaves: the mapped bytes, or its error.
@@ -151,7 +159,7 @@ func sameReport(t testing.TB, what string, got, want *Report, eq func(a, b float
 
 // scoreboardShape counts the windows of window pass instances d is cut into
 // on l, and their waves, every window lowered on the dependence scoreboard:
-// what the hooks of a run must hear, ranges or not.
+// what a run must lower and run, ranges or not.
 func scoreboardShape(t testing.TB, l *Layer, d *descriptor.Descriptor, window int) (windows, waves int) {
 	lw := lowering{}
 	if err := l.lower(d, planExpand, &lw); err != nil {
@@ -163,6 +171,25 @@ func scoreboardShape(t testing.TB, l *Layer, d *descriptor.Descriptor, window in
 		lw = nodesOf(lw, &q)
 		windows, waves = windows+1, waves+len(q.waves)
 	}
+	return windows, waves
+}
+
+// traced reads what the scheduler of a layer traced on tr emits.
+type traced struct {
+	tr                      *telemetry.Tracer
+	lowers, compiles, waves int64
+}
+
+// next returns what the layer's runs emitted since the last call: the windows
+// they lowered (plan_lower spans that are not a compile's; a program compiled
+// as one window runs that window and lowers none) and the waves they ran
+// (accel.waves_per_launch).
+func (e *traced) next() (windows, waves int) {
+	m := e.tr.Metrics().Snapshot()
+	lowers := int64(e.tr.Spans()[telemetry.SpanPlanLower])
+	compiles, sum := m.Counters["accel.compiles"], m.Histograms["accel.waves_per_launch"].Sum
+	windows, waves = int(max(1, lowers-e.lowers-(compiles-e.compiles))), int(sum-e.waves)
+	e.lowers, e.compiles, e.waves = lowers, compiles, sum
 	return windows, waves
 }
 
@@ -184,7 +211,7 @@ func activations(d *descriptor.Descriptor) (n int64) {
 }
 
 // checkCase runs c through every cell of the matrix against the reference
-// cell (one worker, fusion on, whole windows, fresh, unhooked) and requires:
+// cell (one worker, fusion on, whole windows, fresh) and requires:
 //   - the same memory after every launch, or the same error text;
 //   - of a compiled program, every launch returning its price, the pointer,
 //     and its templates unchanged by the launches; of a fresh run, a report
@@ -193,13 +220,14 @@ func activations(d *descriptor.Descriptor) (n int64) {
 //   - across fusion, equal Comps (the descriptor's activations), per-op
 //     Invocations and Flops and ΣPerOp.Bytes; a report that differs only by
 //     the DRAM traffic of ExplainPlan's fused groups, in less time;
-//   - hooks hearing of as many windows and waves as the dependence scoreboard
-//     lowers, which at planWindow are ExplainPlan's.
+//   - of a traced cell, the scheduler lowering and running as many windows and
+//     waves as the dependence scoreboard lowers, which at planWindow are
+//     ExplainPlan's.
 func checkCase(t *testing.T, c *diffCase) {
-	ref, base := c.rig(t, 1, true)
+	ref, base := c.rig(t, 1, true, nil)
 	var want []outcome
 	for range 3 {
-		_, err := c.launch(ref, base, planWindow, nil)
+		_, err := c.launch(ref, base, planWindow)
 		if err != nil {
 			want = append(want, outcome{err: err.Error()})
 			break
@@ -247,64 +275,64 @@ func checkCase(t *testing.T, c *diffCase) {
 			for _, window := range []int{1, 3, 7, planWindow} {
 				windows, waves := scoreboardShape(t, mustLayer(t, c.config(1, fusion)), c.d, window)
 				for _, compiled := range []bool{false, true} {
-					for _, hooked := range []bool{false, true} {
-						cell := fmt.Sprintf("workers %d, fusion %v, window %d, compiled %v, hooked %v", workers, fusion, window, compiled, hooked)
-						r, base := c.rig(t, workers, fusion)
-						var prog *Program
-						var before []nodeTemplate
+					cell := fmt.Sprintf("workers %d, fusion %v, window %d, compiled %v", workers, fusion, window, compiled)
+					var seen *traced
+					if workers > 1 {
+						seen = &traced{tr: telemetry.New()}
+					}
+					r, base := c.rig(t, workers, fusion, seen)
+					var prog *Program
+					var before []nodeTemplate
+					if compiled {
+						prog = compileIn(t, r.layer, c.d, window)
+						if err := prog.Install(r.space, base); err != nil {
+							t.Fatal(err)
+						}
+						before = templatesOf(prog)
+					}
+					for round, w := range want {
+						if !compiled && round > 0 {
+							break
+						}
+						var rep *Report
+						var err error
 						if compiled {
-							prog = compileIn(t, r.layer, c.d, window)
-							if err := prog.Install(r.space, base); err != nil {
+							if err = descriptor.WriteCommand(r.space, base, descriptor.CmdStart); err != nil {
 								t.Fatal(err)
 							}
-							before = templatesOf(prog)
+							rep, err = r.layer.RunProgram(r.space, base, prog)
+						} else {
+							rep, err = c.launch(r, base, window)
 						}
-						for round, w := range want {
-							if !compiled && round > 0 {
-								break
+						if err != nil || w.err != "" {
+							if err == nil || err.Error() != w.err {
+								t.Fatalf("%s, launch %d: error %v, want %q", cell, round, err, w.err)
 							}
-							log := &waveLog{t: t}
-							var hooks WaveHooks
-							if hooked {
-								hooks = log
-							}
-							var rep *Report
-							var err error
-							if compiled {
-								if err = descriptor.WriteCommand(r.space, base, descriptor.CmdStart); err != nil {
-									t.Fatal(err)
-								}
-								rep, err = r.layer.RunProgram(r.space, base, prog, hooks)
-							} else {
-								rep, err = c.launch(r, base, window, hooks)
-							}
-							if err != nil || w.err != "" {
-								if err == nil || err.Error() != w.err {
-									t.Fatalf("%s, launch %d: error %v, want %q", cell, round, err, w.err)
-								}
-								break
-							}
-							if got := mapped(t, r); !bytes.Equal(got, w.mem) {
-								at := 0
-								for got[at] == w.mem[at] {
-									at++
-								}
-								t.Fatalf("%s, launch %d: memory differs from the reference first at %v", cell, round, arenaBase+phys.Addr(at))
-							}
-							if compiled && rep != prog.Report() {
-								t.Fatalf("%s, launch %d: a report that is not the program's price", cell, round)
-							}
-							if !compiled {
-								sameReport(t, cell+": the fresh run against the compiled price", rep, prices[fi], exactly)
-							}
-							if hooked && (log.windows != windows || !log.closed || log.next != waves) {
-								t.Errorf("%s, launch %d: hooks heard of %d windows (closed %v) and %d waves, the scoreboard lowers %d and %d",
-									cell, round, log.windows, log.closed, log.next, windows, waves)
-							}
+							break
 						}
-						if compiled && !reflect.DeepEqual(before, templatesOf(prog)) {
-							t.Fatalf("%s: a launch wrote to the program's templates", cell)
+						if got := mapped(t, r); !bytes.Equal(got, w.mem) {
+							at := 0
+							for got[at] == w.mem[at] {
+								at++
+							}
+							t.Fatalf("%s, launch %d: memory differs from the reference first at %v", cell, round, arenaBase+phys.Addr(at))
 						}
+						if compiled && rep != prog.Report() {
+							t.Fatalf("%s, launch %d: a report that is not the program's price", cell, round)
+						}
+						if !compiled {
+							sameReport(t, cell+": the fresh run against the compiled price", rep, prices[fi], exactly)
+						}
+						if seen == nil {
+							continue
+						}
+						if gotWindows, gotWaves := seen.next(); gotWindows != windows || gotWaves != waves {
+							t.Errorf("%s, launch %d: the scheduler lowered %d windows and ran %d waves, the scoreboard lowers %d and %d",
+								cell, round, gotWindows, gotWaves, windows, waves)
+						}
+					}
+					if compiled && !reflect.DeepEqual(before, templatesOf(prog)) {
+						t.Fatalf("%s: a launch wrote to the program's templates", cell)
 					}
 				}
 			}

@@ -31,7 +31,7 @@ import (
 // lands in the wave the scoreboard gives it.
 
 // planWindow is the most pass instances lowered, analysed and scheduled at a
-// time, on both paths alike, so the waves hooks see do not depend on the
+// time, on both paths alike, so the waves a launch runs do not depend on the
 // path. The scoreboard's lowering cost grows with the square of the window,
 // that of ranges with the body. BenchmarkLowerLoop measures both (CHANGES.md).
 const planWindow = 1024
@@ -101,22 +101,6 @@ func (p *plan) iterAt(k int32, j int) IterVec {
 		return p.nodes[k].it
 	}
 	return iterVecAt(p.nodes[k].tmpl.counts, p.nodes[k].iter+int64(j))
-}
-
-// inOrder calls f on the wave's instances in program order until f returns
-// false: every node's first, then every node's second, and so on.
-func (p *plan) inOrder(wave []int32, f func(k int32, j int) bool) bool {
-	for j, more := 0, true; more; j++ {
-		more = false
-		for _, k := range wave {
-			if n := int(p.nodes[k].n); j < n {
-				if more = more || j+1 < n; !f(k, j) {
-					return false
-				}
-			}
-		}
-	}
-	return true
 }
 
 func (p *plan) spansOf(k int32) []span.Dir { return p.spans[p.nodes[k].spanLo:p.nodes[k].spanHi] }

@@ -8,7 +8,6 @@ import (
 
 	"mealib/internal/descriptor"
 	"mealib/internal/phys"
-	"mealib/internal/span"
 	"mealib/internal/telemetry"
 	"mealib/internal/units"
 )
@@ -18,12 +17,11 @@ import (
 // plan launched thousands of times pays its set-up once. Program is that
 // set-up on the accelerator's side: everything a run derives from the
 // descriptor and the layer configuration alone, its price included. A run adds
-// what the moment of the launch decides: the memory it executes against and
-// its hooks.
+// what the moment of the launch decides: the memory it executes against.
 
 // Program is a descriptor compiled for one layer. It is read-only once built
-// (but for waveSpans and rep, each filled in once): any number of runs,
-// concurrent ones included, share it.
+// (but for rep, filled in once): any number of runs, concurrent ones included,
+// share it.
 type Program struct {
 	// lw holds the segments, fused, with every pass bound, resolved and priced
 	// into its template, and the cursor at the first node: a run copies it.
@@ -31,11 +29,8 @@ type Program struct {
 	// win is the lowered plan, edges and waves included, when the whole
 	// program is one window; a longer one lowers window by window as it runs,
 	// so that compiling costs O(descriptor + one window) whatever the trip
-	// counts. waveSpans is win's per-wave footprint for WaveHooks.Lowered,
-	// built by the first hooked run (most programs never meet a hook).
-	win       *plan
-	wavesOnce sync.Once
-	waveSpans [][]span.Dir
+	// counts.
+	win *plan
 	// rep is the price (Report), summed lazily so that compiling stays cheap.
 	repOnce sync.Once
 	rep     *Report
@@ -92,16 +87,6 @@ func (l *Layer) compile(d *descriptor.Descriptor, window int) (*Program, error) 
 	return prog, nil
 }
 
-// wavesOf returns the per-wave footprint of window p of the program: built
-// once for the window it was compiled with, per call for any other.
-func (pr *Program) wavesOf(p *plan) [][]span.Dir {
-	if p != pr.win {
-		return waveSpansOf(p)
-	}
-	pr.wavesOnce.Do(func() { pr.waveSpans = waveSpansOf(p) })
-	return pr.waveSpans
-}
-
 // Report is the program's price: the one *Report every successful launch of
 // it returns, shared and read-only. It is nil when no launch can succeed (a
 // pass that does not bind or price).
@@ -147,21 +132,17 @@ func started(s *phys.Space, base phys.Addr) error {
 }
 
 // RunProgram is Run for a descriptor the caller compiled when it installed
-// it, with wave-granularity hooks (hooks.go; nil: none): hooks.Lowered hears
-// each window's per-wave footprint as it is lowered, and every wave is
-// bracketed by WaveStart, which may hold it until an external hazard clears,
-// and WaveDone, which reports the cumulative model time. The hardware still
-// fetches from memory: the command at base must be CmdStart and the bytes
-// there must be the program's image, in which case the run skips the decode
-// and the lowering and is otherwise the same run; the fetch and decode time
-// is charged as ever. Bytes that differ are decoded, compiled and run as Run
-// would — a stale program never executes.
-func (l *Layer) RunProgram(s *phys.Space, base phys.Addr, prog *Program, hooks WaveHooks) (*Report, error) {
+// it. The hardware still fetches from memory: the command at base must be
+// CmdStart and the bytes there must be the program's image, in which case the
+// run skips the decode and the lowering and is otherwise the same run; the
+// fetch and decode time is charged as ever. Bytes that differ are decoded,
+// compiled and run as Run would — a stale program never executes.
+func (l *Layer) RunProgram(s *phys.Space, base phys.Addr, prog *Program) (*Report, error) {
+	if !prog.installedAt(s, base) {
+		return l.Run(s, base)
+	}
 	if err := started(s, base); err != nil {
 		return nil, err
 	}
-	if !prog.installedAt(s, base) {
-		return l.run(s, base, hooks)
-	}
-	return l.launch(prog, s, base, hooks)
+	return l.launch(prog, s, base)
 }

@@ -140,7 +140,7 @@ func TestProgramSharedByConcurrentRuns(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					got, err := layer.RunProgram(r.space, refBase, prog, &waveLog{t: t})
+					got, err := layer.RunProgram(r.space, refBase, prog)
 					if err != nil {
 						t.Error(err)
 						return

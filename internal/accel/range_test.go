@@ -1,21 +1,17 @@
 package accel
 
 import (
-	"cmp"
-	"math/rand"
-	"slices"
 	"testing"
 
 	"mealib/internal/descriptor"
 	"mealib/internal/phys"
-	"mealib/internal/span"
 	"mealib/internal/units"
 )
 
 // Ranges (plan.go lowerRanges, sched.go runBlock): a window inside a
-// conflict-free nest is a few ranges whatever its size, hooks still see every
-// instance's footprint, and a failure is reported as the first in program
-// order however the blocks of a range were claimed.
+// conflict-free nest is a few ranges whatever its size, and a failure is
+// reported as the first in program order however the blocks of a range were
+// claimed.
 
 // TestConflictFreeWindowIsConstantSize: every window of the STAP nest (131,072
 // iterations, one pass) and of the three-pass nest holds at most two ranges
@@ -48,85 +44,11 @@ func TestConflictFreeWindowIsConstantSize(t *testing.T) {
 	}
 }
 
-// TestRangeWaveFootprintIsNodeUnion: the footprint hooks hear of every wave
-// of a window of ranges is, as a set, the union of the footprints of the pass
-// instances the scoreboard puts in that wave, each derived from its comps'
-// parameters at its iteration (Args.appendIO) — over the random conflict-free
-// nests, windows of every small size, and the three-pass nest.
-//
-// Gate (check.sh): nest verdicts and ranges.
-func TestRangeWaveFootprintIsNodeUnion(t *testing.T) {
-	l := testLayer(t, 1, false)
-	rng := rand.New(rand.NewSource(28))
-	var nests []*descriptor.Descriptor
-	for len(nests) < 60 {
-		if d := drawNest(t, rng); !iterationsConflict(t, d) {
-			if _, n := lowerNest(t, l, d); n.rule == ruleNone {
-				nests = append(nests, d)
-			}
-		}
-	}
-	nests = append(nests, threePassNest(t, 2*planWindow/3+20, 16, 0x10000, 0x100000, 0x200000, 0x300000))
-	sorted := func(s []span.Dir) []span.Dir {
-		s = slices.Clone(s)
-		slices.SortFunc(s, func(a, b span.Dir) int {
-			if c := cmp.Compare(a.Addr, b.Addr); c != 0 {
-				return c
-			}
-			if c := cmp.Compare(a.Bytes, b.Bytes); c != 0 {
-				return c
-			}
-			if a.Write == b.Write {
-				return 0
-			}
-			if a.Write {
-				return 1
-			}
-			return -1
-		})
-		return s
-	}
-	waves := 0
-	for i, d := range nests {
-		for _, window := range []int{1, 2, 3, 5, 7, planWindow} {
-			lw, _ := lowerNest(t, l, d)
-			lw.window = window
-			var p, q plan
-			for lw.more() {
-				nodesOf(*lw, &q)
-				lw.next(&p)
-				got := waveSpansOf(&p)
-				want := make([][]span.Dir, len(q.waves))
-				for k := range q.nodes {
-					nd := &q.nodes[k]
-					for _, a := range nd.tmpl.comps {
-						var ok bool
-						if want[nd.wave], ok = a.appendIO(want[nd.wave], q.iterAt(int32(k), 0)); !ok {
-							t.Fatal("a generated operand wraps the address space")
-						}
-					}
-				}
-				if len(got) != len(want) {
-					t.Fatalf("nest %d, windows of %d: %d waves hooked, the scoreboard has %d", i, window, len(got), len(want))
-				}
-				for w := range want {
-					if got[w] == nil || !slices.Equal(sorted(got[w]), sorted(want[w])) {
-						t.Fatalf("nest %d, windows of %d, wave %d: hooks hear of\n%v\nthe nodes' footprint is\n%v",
-							i, window, w, got[w], want[w])
-					}
-					waves++
-				}
-			}
-		}
-	}
-	t.Logf("%d nests, %d waves compared", len(nests), waves)
-}
-
 // TestRangeErrorIsFirstInProgramOrder: an AXPY nest whose y runs off the
 // mapped arena from iteration j on fails at every iteration from j, across
 // the first block a worker claims and into the next. Under one worker and
-// two, hooked and not, the launch returns iteration j's error — what the core
-// returns for that one invocation.
+// two, the launch returns iteration j's error — what the core returns for
+// that one invocation.
 //
 // Gate (check.sh): nest verdicts and ranges.
 func TestRangeErrorIsFirstInProgramOrder(t *testing.T) {
@@ -139,34 +61,28 @@ func TestRangeErrorIsFirstInProgramOrder(t *testing.T) {
 			LoopStrideX: Lin(4 * n), LoopStrideY: Lin(4 * n)}.Params()})
 	}
 	for _, workers := range []int{1, 2} {
-		for _, hooked := range []bool{false, true} {
-			r := rigOn(t, configWith(workers, true), arena)
-			d := build(r)
-			if _, n := lowerNest(t, r.layer, d); n.rule != ruleNone {
-				t.Fatalf("the nest is blocked: %s", n.why())
-			}
-			p, err := d.ParamsOf(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, want := execute(r.space, descriptor.OpAXPY, p, IterVec{3: j})
-			if _, after := execute(r.space, descriptor.OpAXPY, p, IterVec{3: j + 1}); want == nil || after == nil || after.Error() == want.Error() {
-				t.Fatalf("iteration %d fails with %v and the next with %v: want two distinct errors", j, want, after)
-			}
-			base := r.alloc(int(d.Size()))
-			if err := d.Encode(r.space, base); err != nil {
-				t.Fatal(err)
-			}
-			if err := descriptor.WriteCommand(r.space, base, descriptor.CmdStart); err != nil {
-				t.Fatal(err)
-			}
-			var hooks WaveHooks
-			if hooked {
-				hooks = &waveLog{t: t}
-			}
-			if _, err := r.layer.run(r.space, base, hooks); err == nil || err.Error() != want.Error() {
-				t.Errorf("workers %d, hooked %v: the launch returns %v, want iteration %d's %v", workers, hooked, err, j, want)
-			}
+		r := rigOn(t, configWith(workers, true), arena)
+		d := build(r)
+		if _, n := lowerNest(t, r.layer, d); n.rule != ruleNone {
+			t.Fatalf("the nest is blocked: %s", n.why())
+		}
+		p, err := d.ParamsOf(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, want := execute(r.space, descriptor.OpAXPY, p, IterVec{3: j})
+		if _, after := execute(r.space, descriptor.OpAXPY, p, IterVec{3: j + 1}); want == nil || after == nil || after.Error() == want.Error() {
+			t.Fatalf("iteration %d fails with %v and the next with %v: want two distinct errors", j, want, after)
+		}
+		base := r.alloc(int(d.Size()))
+		if err := d.Encode(r.space, base); err != nil {
+			t.Fatal(err)
+		}
+		if err := descriptor.WriteCommand(r.space, base, descriptor.CmdStart); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.layer.Run(r.space, base); err == nil || err.Error() != want.Error() {
+			t.Errorf("workers %d: the launch returns %v, want iteration %d's %v", workers, err, j, want)
 		}
 	}
 }

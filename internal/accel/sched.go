@@ -7,7 +7,6 @@ import (
 
 	"mealib/internal/phys"
 	"mealib/internal/telemetry"
-	"mealib/internal/units"
 )
 
 // Wavefront scheduler over the execution-plan IR (plan.go). Ranges execute
@@ -91,15 +90,13 @@ type planRun struct {
 	// space is what the comps run against.
 	space *phys.Space
 	tb    *telemetry.Buf
-	hooks WaveHooks
 	// blocks are the claims on the wave running.
 	blocks []block
 	// failed is the first failure in program order.
 	failed atomic.Pointer[failure]
-	// waves counts the waves run so far — wave numbers run on from one
-	// window to the next — and elapsed is the model time through the last.
-	waves   int
-	elapsed units.Seconds
+	// waves counts the waves run so far: wave numbers run on from one window
+	// to the next.
+	waves int
 }
 
 // nextWindow makes the program's next window current: the one it was compiled
@@ -119,11 +116,9 @@ func (r *planRun) nextWindow() {
 		telemetry.Arg{Key: "waves", Val: int64(len(r.win.waves))})
 }
 
-// exec runs a compiled program window by window against s. Non-nil hooks
-// hear of every window's waves before it runs and bracket each wave with
-// WaveStart/WaveDone (hooks.go).
-func (l *Layer) exec(prog *Program, s *phys.Space, tb *telemetry.Buf, hooks WaveHooks) error {
-	r := &planRun{prog: prog, lw: prog.lw, space: s, tb: tb, hooks: hooks, elapsed: prog.lw.fixed}
+// exec runs a compiled program window by window against s.
+func (l *Layer) exec(prog *Program, s *phys.Space, tb *telemetry.Buf) error {
+	r := &planRun{prog: prog, lw: prog.lw, space: s, tb: tb}
 	l.met.fusedGroups.Add(int64(len(r.lw.fused)))
 	l.met.fusionSpills.Add(int64(r.lw.fusionSpills))
 	for {
@@ -148,27 +143,20 @@ type failure struct {
 // block is a claim of a wave worker: instances [lo, lo+n) of node k.
 type block struct{ k, lo, n int32 }
 
-// runPlan executes the launch's current window wave by wave, after
-// announcing its waves to the hooks. A wave with a failure ends the run (its dependents must
-// not run) with the first error in program order, as serial execution would
-// return. Hooks or workers bracket every wave (span, histogram, WaveStart and
-// WaveDone), so gating sees the same waves at any worker count.
+// runPlan executes the launch's current window wave by wave. A wave with a
+// failure ends the run (its dependents must not run) with the first error in
+// program order, as serial execution would return. A window run by more than
+// one worker brackets every wave (span and histogram).
 func (l *Layer) runPlan(r *planRun) error {
 	p := r.win
 	workers := l.planWorkers(p)
 	base := r.waves
 	r.waves += len(p.waves)
-	if r.hooks != nil {
-		r.hooks.Lowered(r.prog.wavesOf(p), r.lw.more())
-	}
-	bracket := workers > 1 || r.hooks != nil
+	bracket := workers > 1
 	for wi, wave := range p.waves {
 		width := p.width(wave)
 		if bracket {
 			l.met.waveWidth.Observe(int64(width))
-			if r.hooks != nil {
-				r.hooks.WaveStart(base + wi)
-			}
 			r.tb.Begin(telemetry.SpanWave, "wave")
 		}
 		l.runWave(r, wave, width, workers)
@@ -176,11 +164,6 @@ func (l *Layer) runPlan(r *planRun) error {
 			r.tb.End2(telemetry.SpanWave, 0,
 				telemetry.Arg{Key: "wave", Val: int64(base + wi)},
 				telemetry.Arg{Key: "width", Val: int64(width)})
-		}
-		if r.hooks != nil {
-			// The model time through the wave, added in program order.
-			p.inOrder(wave, func(k int32, _ int) bool { r.elapsed += p.nodes[k].tmpl.time; return true })
-			r.hooks.WaveDone(base+wi, r.elapsed)
 		}
 		if f := r.failed.Load(); f != nil {
 			return f.err

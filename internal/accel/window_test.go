@@ -5,59 +5,16 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 
 	"mealib/internal/descriptor"
 	"mealib/internal/phys"
-	"mealib/internal/span"
 	"mealib/internal/units"
 )
 
-// Windowed lowering (plan.go): what a window holds and what hooks hear of
-// it. The matrix (matrix_test.go) runs every shape in windows of 1, 3, 7 and
-// planWindow pass instances.
-
-// waveLog is a WaveHooks that records what it is told and checks the
-// numbering contract: windows announce their waves before running them,
-// wave numbers run on across windows, and only the last says more=false.
-type waveLog struct {
-	mu        sync.Mutex
-	t         *testing.T
-	announced int // waves announced so far
-	windows   int
-	closed    bool // a window said more=false
-	next      int  // the wave number expected next
-	last      units.Seconds
-}
-
-func (g *waveLog) Lowered(waves [][]span.Dir, more bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		g.t.Error("a window was announced after more=false")
-	}
-	g.announced += len(waves)
-	g.windows++
-	g.closed = !more
-}
-
-func (g *waveLog) WaveStart(w int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if w != g.next || w >= g.announced {
-		g.t.Errorf("WaveStart(%d): want wave %d of %d announced", w, g.next, g.announced)
-	}
-}
-
-func (g *waveLog) WaveDone(w int, elapsed units.Seconds) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if w != g.next || elapsed < g.last {
-		g.t.Errorf("WaveDone(%d, %v): want wave %d at or after %v", w, elapsed, g.next, g.last)
-	}
-	g.next, g.last = w+1, elapsed
-}
+// Windowed lowering (plan.go): what a window holds. The matrix
+// (matrix_test.go) runs every shape in windows of 1, 3, 7 and planWindow pass
+// instances.
 
 // TestExplainPlanPastOneWindow: the CDOTC nest's iterations are independent
 // (they share y read-only), so each window is one wave as wide as the

@@ -23,7 +23,6 @@ func fuzzRuntime(t testing.TB) *mealibrt.Runtime {
 	cfg := mealibrt.DefaultConfig()
 	cfg.Driver.DataSize = fuzzDataSize
 	cfg.Tracer = telemetry.New()
-	cfg.WavePipeline = true
 	rt, err := mealibrt.New(cfg)
 	if err != nil {
 		t.Fatal(err)

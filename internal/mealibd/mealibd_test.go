@@ -31,14 +31,13 @@ import (
 	"mealib/internal/units"
 )
 
-// startServer brings a server up on a unix socket with telemetry and wave
-// pipelining on, and tears it down (asserting a clean shutdown) with the
+// startServer brings a server up on a unix socket with telemetry on, and
+// tears it down (asserting a clean shutdown) with the
 // test. mut adjusts the server config before construction.
 func startServer(t *testing.T, mut func(*mealibd.Config)) (*mealibrt.Runtime, string) {
 	t.Helper()
 	rcfg := mealibrt.DefaultConfig()
 	rcfg.Tracer = telemetry.New()
-	rcfg.WavePipeline = true
 	rt, err := mealibrt.New(rcfg)
 	if err != nil {
 		t.Fatal(err)

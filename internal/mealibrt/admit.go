@@ -20,15 +20,12 @@ import (
 func (p *Plan) tenant() string { return p.sess.cfg.Name }
 
 // blockedLocked reports whether the plan must wait for admission: the global
-// or per-session MaxInFlight cap is full, or its spans conflict with a launch
-// in flight. With wave pipelining a conflicting gated flight does not block
-// (the plan's waves gate on its progress instead, pipeline.go); a gateless
-// one, an out-of-core chunk schedule, exposes no wave stream to gate behind
-// and still does, and an out-of-core plan, which runs gateless itself,
-// serializes behind every conflicting flight. So does a launch behind a flight
-// of its own plan, pipelining or not: the two share the plan's one command
-// word, where the later doorbell and the earlier CmdDone would overwrite each
-// other. Called with mu held.
+// or per-session MaxInFlight cap is full, or the plan conflicts with a launch
+// in flight, whose whole flight it then waits for (paper §3.5: a descriptor
+// that depends on another runs after it). A launch of the plan in flight
+// counts as a conflict whatever the spans: the two share the plan's one
+// command word, where the later doorbell and the earlier CmdDone would
+// overwrite each other. Called with mu held.
 func (r *Runtime) blockedLocked(p *Plan) bool {
 	if r.cfg.MaxInFlight > 0 && r.inflight >= r.cfg.MaxInFlight {
 		return true
@@ -36,9 +33,8 @@ func (r *Runtime) blockedLocked(p *Plan) bool {
 	if s := p.sess; s.cfg.MaxInFlight > 0 && s.inflight >= s.cfg.MaxInFlight {
 		return true
 	}
-	gated := r.cfg.WavePipeline && p.ooc == nil
 	for _, l := range r.launches {
-		if l.seq != 0 && (l.p == p || !(gated && l.gate != nil) && plansConflict(p, l.p)) {
+		if l.seq != 0 && (l.p == p || plansConflict(p, l.p)) {
 			return true
 		}
 	}
@@ -55,13 +51,7 @@ func (r *Runtime) admitNowLocked(p *Plan) bool {
 		return false
 	}
 	for _, w := range r.launches {
-		if w.seq != 0 {
-			continue
-		}
-		if w.p.tenant() == p.tenant() {
-			return false
-		}
-		if (!r.cfg.WavePipeline || p.ooc != nil || w.p.ooc != nil) && plansConflict(p, w.p) {
+		if w.seq == 0 && (w.p.tenant() == p.tenant() || plansConflict(p, w.p)) {
 			return false
 		}
 	}
@@ -115,23 +105,14 @@ func (r *Runtime) pickLocked() *Launch {
 }
 
 // admitLocked moves an accepted launch into flight: it takes the next
-// admission number and the current model-time frontier as its start, session
-// accounting and the admission hook fire, a queued launch's Start is woken,
-// and (with wave pipelining enabled) the launch's gate captures the
-// conflicting older flights it must pipeline behind. Called with mu held.
+// admission number and the current model-time frontier as its start (every
+// launch it conflicts with has retired by then, so it starts after their
+// ends), session accounting and the admission hook fire, and a queued
+// launch's Start is woken. Called with mu held.
 func (r *Runtime) admitLocked(l *Launch) {
 	p, s := l.p, l.p.sess
 	r.seq++
 	l.seq, l.start = r.seq, r.clock
-	if r.cfg.WavePipeline && p.ooc == nil {
-		g := &flightGate{r: r, l: l, more: true}
-		for _, o := range r.launches {
-			if o.gate != nil && plansConflict(p, o.p) {
-				g.olders = append(g.olders, o.gate)
-			}
-		}
-		l.gate = g
-	}
 	r.inflight++
 	s.inflight++
 	if l.ready != nil {
@@ -149,8 +130,8 @@ func (r *Runtime) admitLocked(l *Launch) {
 // retireLocked completes), failed, or backed out before it ran (err). It
 // closes the launch's window on the model timeline, gives back its
 // MaxInFlight slot or its place in the queue and its plan's count, and wakes
-// everything that may have been waiting on it: host operations, Destroy,
-// Session.Close and wave gates on cond, queued launches through the pump. Wait
+// everything that may have been waiting on it: host operations, Destroy and
+// Session.Close on cond, queued launches through the pump. Wait
 // is completed last, with mu released, so the caller it wakes does not run
 // into the lock.
 func (r *Runtime) finish(l *Launch, inv *Invocation, err error) {
@@ -158,10 +139,6 @@ func (r *Runtime) finish(l *Launch, inv *Invocation, err error) {
 	r.mu.Lock()
 	if inv != nil {
 		r.retireLocked(l, inv)
-	}
-	if g := l.gate; g != nil {
-		g.retired = true
-		g.endAt = l.start + g.shift + g.elapsed
 	}
 	r.launches = slices.DeleteFunc(r.launches, func(o *Launch) bool { return o == l })
 	if l.seq != 0 {

@@ -3,11 +3,16 @@ package mealibrt
 import (
 	"context"
 	"errors"
+	"math"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"mealib/internal/accel"
+	"mealib/internal/descriptor"
+	"mealib/internal/telemetry"
 )
 
 // wantCounts checks the books the registry feeds: the session's in-flight and
@@ -329,40 +334,157 @@ func TestLaunchLifeCycle(t *testing.T) {
 		}
 	})
 
-	t.Run("wave-gated behind a launch that fails", func(t *testing.T) {
-		cfg := DefaultConfig()
-		cfg.WavePipeline = true
-		r, err := New(cfg)
+	t.Run("queued behind a launch that fails", func(t *testing.T) {
+		// First a producer that retires: its first pass writes b and its
+		// second reads b into c, and the consumer reads b into d. The consumer
+		// waits in admission for the whole flight, so it starts on the model
+		// clock no earlier than the producer ends, and leaves what the two
+		// leave run one after the other.
+		const m = 1 << 16
+		pair := func(r *Runtime) (prod, cons *Plan, c, d *Buffer) {
+			vals := make([]float32, m)
+			for i := range vals {
+				vals[i] = float32(i%13) / 4
+			}
+			a, b := f32s(t, r.def, vals...), f32s(t, r.def, vals...)
+			c, d = f32s(t, r.def, vals...), f32s(t, r.def, vals...)
+			axpy := func(desc *descriptor.Descriptor, alpha float32, x, y *Buffer) {
+				if err := desc.AddComp(descriptor.OpAXPY, accel.AxpyArgs{
+					N: m, Alpha: alpha, X: x.PA(), Y: y.PA(), IncX: 1, IncY: 1,
+				}.Params()); err != nil {
+					t.Fatal(err)
+				}
+				desc.AddEndPass()
+			}
+			pd, cd := &descriptor.Descriptor{}, &descriptor.Descriptor{}
+			axpy(pd, 2, a, b)
+			axpy(pd, 3, b, c)
+			axpy(cd, 5, b, d)
+			var err error
+			if prod, err = r.AccPlanDescriptor(pd); err != nil {
+				t.Fatal(err)
+			}
+			if cons, err = r.AccPlanDescriptor(cd); err != nil {
+				t.Fatal(err)
+			}
+			return prod, cons, c, d
+		}
+		ref := newRuntime(t)
+		refProd, refCons, refC, refD := pair(ref)
+		for _, p := range []*Plan{refProd, refCons} {
+			if _, err := p.Execute(bg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := newRuntime(t)
+		prod, cons, c, d := pair(r)
+		lp, err := prod.Accept()
 		if err != nil {
+			t.Fatal(err)
+		}
+		lc, err := cons.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCounts(t, "consumer accepted behind the producer", r, cons, 1, 1, 1, 2)
+		if _, err := lp.Start(bg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lc.Start(bg); err != nil {
+			t.Fatal(err)
+		}
+		inv, err := lp.Wait(bg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lc.Wait(bg); err != nil {
+			t.Fatal(err)
+		}
+		if end := lp.start + inv.Report.Time; lc.start < end {
+			t.Errorf("the consumer starts at %v on the model clock, before the producer ends at %v", lc.start, end)
+		}
+		for _, bufs := range [][2]*Buffer{{c, refC}, {d, refD}} {
+			got, err := bufs[0].LoadFloat32s(0, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := bufs[1].LoadFloat32s(0, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("[%d] = %v, want %v as the two run one after the other", i, got[i], want[i])
+				}
+			}
+		}
+
+		// Then a producer that fails mid-flight: the consumer stays queued
+		// until the producer exits, and then runs on what it wrote.
+		cfg := DefaultConfig()
+		cfg.Tracer = telemetry.New()
+		if r, err = New(cfg); err != nil {
 			t.Fatal(err)
 		}
 		checkQuiescent(t, r)
-		prod, x, y := slowAxpyPlan(t, r.def, 1<<16, 1<<11)
+		fp, x, y := slowAxpyPlan(t, r.def, 1<<16, 1<<11)
+		ones := make([]float32, 1<<16)
+		for i := range ones {
+			ones[i] = 1
+		}
+		if err := x.StoreFloat32s(0, ones); err != nil {
+			t.Fatal(err)
+		}
 		z := zeroed(t, r.def, n)
-		cons := axpyOver(t, r.def, y, z, n, 1) // reads what the producer writes
-		lp, err := prod.Submit(bg)
-		if err != nil {
+		fc := axpyOver(t, r.def, y, z, n, 1) // reads what the producer writes
+		if lp, err = fp.Accept(); err != nil {
 			t.Fatal(err)
 		}
-		lc, err := cons.Submit(bg)
-		if err != nil {
+		if lc, err = fc.Accept(); err != nil {
 			t.Fatal(err)
 		}
-		wantCounts(t, "both admitted", r, cons, 2, 0, 1, 2)
-		// The producer loses its input mid-flight and fails at its next wave.
+		wantCounts(t, "consumer accepted behind the failing producer", r, fc, 1, 1, 1, 2)
+		if _, err := lp.Start(bg); err != nil {
+			t.Fatal(err)
+		}
+		// The producer loses its input once it has written y, and fails at
+		// its next wave.
+		nodes := cfg.Tracer.Metrics().Counter("accel.nodes")
+		waitUntil(t, "the producer to run a wave", func() bool { return nodes.Value() > 0 })
 		if err := r.driver.Free(x.VA()); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := lp.Wait(bg); err == nil {
 			t.Fatal("the producer retired before the fault landed: nothing was tested")
 		}
-		// Its exit released the gate: the consumer runs on what was written.
+		// Its exit pumped the queue before Wait could return.
+		wantCounts(t, "consumer admitted by the producer's exit", r, fc, 1, 0, 1, 1)
+		if _, err := lc.Start(bg); err != nil {
+			t.Fatal(err)
+		}
 		if _, err := lc.Wait(bg); err != nil {
 			t.Fatalf("consumer behind the failed producer: %v", err)
 		}
-		wantCounts(t, "consumer retired", r, cons, 0, 0, 0, 0)
+		wantCounts(t, "consumer retired", r, fc, 0, 0, 0, 0)
 		if got := r.Stats().Invocations; got != 1 {
 			t.Errorf("Invocations = %d, want 1 (the consumer alone)", got)
+		}
+		written, err := y.LoadFloat32s(0, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := z.LoadFloat32s(0, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if written[0] == 0 {
+			t.Fatal("the producer wrote nothing before the fault: nothing was tested")
+		}
+		if !slices.Equal(got, written) {
+			t.Errorf("z[:4] = %v, want what the failed producer left in y, %v", got[:4], written[:4])
+		}
+		if err := r.CheckInvariants(); err != nil {
+			t.Error(err)
 		}
 	})
 }

@@ -87,7 +87,7 @@ func (r *Runtime) runChunk(ch *accel.OOCChunk, base phys.Addr) (*accel.Report, e
 	if err := descriptor.WriteCommand(r.space, base, descriptor.CmdStart); err != nil {
 		return nil, err
 	}
-	return r.layers[0].RunProgram(r.space, base, ch.Prog, nil)
+	return r.layers[0].RunProgram(r.space, base, ch.Prog)
 }
 
 // priceOOC is the model's report of every launch of the schedule: the chunk

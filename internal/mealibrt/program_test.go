@@ -356,16 +356,15 @@ func TestInstallFixedCost(t *testing.T) {
 }
 
 // TestSamePlanFlightsTakeTurns: a plan has one command word, so launches of
-// one plan never overlap, wave pipelining or not. Submitted back to back under
-// WavePipeline they used to be admitted together, and the later doorbell and
-// the earlier flight's CmdDone overwrote each other ("descriptor not started
-// (command 2)").
+// one plan never overlap: submitted back to back, each waits in admission for
+// the one before it to retire. Were two admitted together, the later doorbell
+// and the earlier flight's CmdDone would overwrite each other ("descriptor not
+// started (command 2)").
 //
 // Gate (check.sh): the compiled plan.
 func TestSamePlanFlightsTakeTurns(t *testing.T) {
 	ctx := context.Background()
 	cfg := DefaultConfig()
-	cfg.WavePipeline = true
 	cfg.Accel.Workers = 2
 	r, err := New(cfg)
 	if err != nil {
@@ -431,13 +430,7 @@ func TestSamePlanFlightsTakeTurns(t *testing.T) {
 // Gate (check.sh): the compiled plan.
 func TestSessionsShareOneLayer(t *testing.T) {
 	ctx := context.Background()
-	cfg := DefaultConfig()
-	cfg.WavePipeline = true
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkQuiescent(t, r)
+	r := newRuntime(t)
 	var wg sync.WaitGroup
 	for _, name := range []string{"a", "b"} {
 		s := session(t, r, name)

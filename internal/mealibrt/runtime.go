@@ -51,10 +51,9 @@ type Config struct {
 	// bit-identical; only the model-time overlap differs (the differential
 	// benchmarks measure exactly this).
 	NoPrefetch bool
-	// WavePipeline admits conflicting descriptors immediately and gates
-	// them at wave granularity instead of serializing whole launches: a
-	// dependent launch's first waves start as the producer's last waves
-	// drain (pipeline.go). Results are bit-identical either way.
+	// Deprecated: ignored; conflicting launches always wait in admission.
+	// Removed together with bench/serve.go's assignment by the next
+	// benchmark PR (ROADMAP item 1).
 	WavePipeline bool
 	// AdmitHook, when non-nil, is invoked with the tenant name at every
 	// admission, in admission order, with the runtime lock held. It must
@@ -118,7 +117,7 @@ type Runtime struct {
 	mOOCChunks   *telemetry.Counter
 	mOOCStaged   *telemetry.Counter
 	// cond (bound to mu) wakes whatever waits for accepted work to go away:
-	// host operations, Destroy, Session.Close and wave gates.
+	// host operations, Destroy and Session.Close.
 	cond *sync.Cond
 	// mu guards every field below: the coherence/verification state and
 	// the launch registry, shared between the host path and the completion
@@ -145,8 +144,7 @@ type Runtime struct {
 	launches   []*Launch
 	inflight   int
 	lastTenant string
-	// seq numbers launches in admission order; wave-pipelining gates only
-	// ever wait on lower-seq flights, keeping the wait graph acyclic.
+	// seq numbers launches in admission order.
 	seq uint64
 	// clock is the model-time frontier: flights start at the current
 	// frontier and push it forward as they retire.
@@ -615,9 +613,6 @@ type Launch struct {
 	// model time the launch was admitted at.
 	seq   uint64
 	start units.Seconds
-	// gate pipelines the launch's waves behind conflicting older flights
-	// when Config.WavePipeline is set (nil otherwise).
-	gate *flightGate
 	// done is closed when the launch leaves the registry, with inv (retired)
 	// or err (failed, or its place given back) set. It exists only for a
 	// record somebody else can wait on: Execute's never leaves its caller.
@@ -657,12 +652,11 @@ func (l *Launch) outcome(tb *telemetry.Buf) (*Invocation, error) {
 // Submit launches the plan asynchronously: the mealib_acc_execute doorbell
 // without the wait. Admission is dependence-aware — the plan's read/write
 // spans are checked against every in-flight descriptor, and Submit blocks
-// until no write-write, write-read or read-write overlap remains (and the
-// global and per-session MaxInFlight caps, if set, have room). Blocked
-// submissions queue and are admitted round-robin over tenants (admit.go);
-// with Config.WavePipeline the span conflicts do not block admission at all
-// and are enforced at wave granularity instead (pipeline.go). The context
-// bounds only the admission wait: once admitted, the launch proceeds.
+// until no write-write, write-read or read-write overlap remains, that is
+// until every flight it depends on has retired as a whole (and the global and
+// per-session MaxInFlight caps, if set, have room). Blocked submissions queue
+// and are admitted round-robin over tenants (admit.go). The context bounds
+// only the admission wait: once admitted, the launch proceeds.
 //
 // Submit is Accept then Start under one hold of the runtime lock.
 func (p *Plan) Submit(ctx context.Context) (*Launch, error) { return p.newLaunch().launch(ctx, true) }
@@ -818,25 +812,14 @@ func (l *Launch) ringTraced(ctx context.Context, accept bool, tb *telemetry.Buf)
 // verifyLocked is the launch-time verification: of everything the static
 // verifier checks, only the read-before-write check depends on the moment of
 // the launch, and of that only whether each of the plan's exposed reads
-// overlaps initialized data. Without pipelining, admission has drained every
-// in-flight writer overlapping the plan's reads, so the initialized set is
-// complete. With pipelining the producers may still be in flight; their
-// declared writes count as initialized optimistically — the wave gate
-// guarantees they land before any gated wave reads them. A launch about to be
-// rejected runs the whole verifier over a copy of the set, for its error.
-// Called with mu held.
+// overlaps initialized data. Admission has drained every writer overlapping
+// the plan's reads, so the initialized set is complete. A launch about to be
+// rejected runs the whole verifier over the set, for its error. Called with mu
+// held.
 func (r *Runtime) verifyLocked(l *Launch) error {
-	var older []span.Span
 	for _, sp := range l.p.exposed {
-		if r.initialized.Overlaps(sp) {
-			continue
-		}
-		if older == nil && r.cfg.WavePipeline {
-			older = r.olderWritesLocked(l)
-		}
-		if !span.Overlap(older, []span.Span{sp}) {
-			init := append(append([]span.Span(nil), r.initialized.All()...), older...)
-			return tdlcheck.VerifyDescriptor(l.p.desc, tdlcheck.WithInitialized(init...))
+		if !r.initialized.Overlaps(sp) {
+			return tdlcheck.VerifyDescriptor(l.p.desc, tdlcheck.WithInitialized(r.initialized.All()...))
 		}
 	}
 	return nil
@@ -854,11 +837,7 @@ func (l *Launch) fly(ovT units.Seconds, ovE units.Joules) {
 	if p.ooc != nil {
 		rep, err = r.runOOC(p)
 	} else {
-		var hooks accel.WaveHooks
-		if l.gate != nil {
-			hooks = l.gate
-		}
-		rep, err = r.layers[p.stack].RunProgram(r.space, p.basePA, p.prog, hooks)
+		rep, err = r.layers[p.stack].RunProgram(r.space, p.basePA, p.prog)
 	}
 	// The flight's trace is complete before Wait can return: whoever
 	// collects the launch may export the trace.
@@ -886,15 +865,6 @@ func (r *Runtime) retireLocked(l *Launch, inv *Invocation) {
 		r.initialized.Add(s)
 	}
 	end := l.start + rep.Time
-	if g := l.gate; g != nil {
-		// The flight's waves stalled behind older conflicting flights for
-		// g.shift of model time: its window on the model timeline is that
-		// much longer than its device time, which is the report's (the
-		// program's price, summed once in program order), not the gate's
-		// running per-wave total.
-		g.elapsed = rep.Time
-		end = l.start + g.shift + rep.Time
-	}
 	newIdle := r.billedIdle.add(l.start, end)
 	if end > r.clock {
 		r.clock = end

@@ -3,7 +3,6 @@ package mealibrt
 import (
 	"context"
 	"errors"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -602,202 +601,6 @@ func TestAdmissionFairness(t *testing.T) {
 	}
 	if counts["tenant-a"] != perTenant || counts["tenant-b"] != perTenant {
 		t.Fatalf("per-tenant admissions = %v, want %d each", counts, perTenant)
-	}
-}
-
-// Wave pipelining must beat whole-launch serialization on the model timeline
-// for a producer→consumer pair where the consumer needs only the producer's
-// first wave — and produce bit-identical data. This pins the scheduler's
-// overlap: if gating regresses to whole-launch granularity the two model
-// times become equal and the test fails.
-func TestWavePipeliningOverlap(t *testing.T) {
-	run := func(pipeline bool) (units.Seconds, []float32) {
-		t.Helper()
-		cfg := DefaultConfig()
-		cfg.Accel.NoFusion = true // keep the two producer passes as two waves
-		cfg.WavePipeline = pipeline
-		r, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const n = 1 << 22
-		alloc := func() *Buffer {
-			b, err := r.MemAlloc(units.Bytes(4 * n))
-			if err != nil {
-				t.Fatal(err)
-			}
-			vs := make([]float32, n)
-			for i := range vs {
-				vs[i] = float32(i%13) / 4
-			}
-			if err := b.StoreFloat32s(0, vs); err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}
-		a, b, c, dd := alloc(), alloc(), alloc(), alloc()
-		// Producer: wave 0 writes B (reads A,B), wave 1 reads B, writes C.
-		prod := &descriptor.Descriptor{}
-		if err := prod.AddComp(descriptor.OpAXPY, accel.AxpyArgs{
-			N: n, Alpha: 2, X: a.PA(), Y: b.PA(), IncX: 1, IncY: 1,
-		}.Params()); err != nil {
-			t.Fatal(err)
-		}
-		prod.AddEndPass()
-		if err := prod.AddComp(descriptor.OpAXPY, accel.AxpyArgs{
-			N: n, Alpha: 3, X: b.PA(), Y: c.PA(), IncX: 1, IncY: 1,
-		}.Params()); err != nil {
-			t.Fatal(err)
-		}
-		prod.AddEndPass()
-		pProd, err := r.AccPlanDescriptor(prod)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Consumer: reads B (final after the producer's wave 0), writes D.
-		cons := &descriptor.Descriptor{}
-		if err := cons.AddComp(descriptor.OpAXPY, accel.AxpyArgs{
-			N: n, Alpha: 5, X: b.PA(), Y: dd.PA(), IncX: 1, IncY: 1,
-		}.Params()); err != nil {
-			t.Fatal(err)
-		}
-		cons.AddEndPass()
-		pCons, err := r.AccPlanDescriptor(cons)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fp, err := pProd.Submit(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		fc, err := pCons.Submit(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fp.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fc.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		// Sample the outputs (C depends on wave-0 B, D on the gated read).
-		cd, err := c.LoadFloat32s(0, 1<<12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dv, err := dd.LoadFloat32s(0, 1<<12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.ModelTime(), append(cd, dv...)
-	}
-	serialT, serialData := run(false)
-	pipeT, pipeData := run(true)
-	for i := range serialData {
-		if serialData[i] != pipeData[i] {
-			t.Fatalf("data[%d]: serial %v != pipelined %v", i, serialData[i], pipeData[i])
-		}
-	}
-	if pipeT >= serialT {
-		t.Fatalf("pipelined model time %v must beat whole-launch serialization %v", pipeT, serialT)
-	}
-}
-
-// A producer of several plan windows announces its waves window by window.
-// A consumer that reads what the last window writes conflicts with no wave
-// announced before then; it must still see the same memory and report the
-// same invocation time as under whole-launch serialization, and be released
-// no later than the producer's retire.
-func TestWavePipeliningMultiWindowProducer(t *testing.T) {
-	// Three windows of the accelerator layer's 1024 nodes.
-	const n, iters = 64, 3000
-	run := func(pipeline bool) (units.Seconds, [2]units.Seconds, []float32) {
-		t.Helper()
-		cfg := DefaultConfig()
-		cfg.WavePipeline = pipeline
-		r, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		alloc := func(elems int) *Buffer {
-			b, err := r.MemAlloc(units.Bytes(4 * elems))
-			if err != nil {
-				t.Fatal(err)
-			}
-			vs := make([]float32, elems)
-			for i := range vs {
-				vs[i] = float32(i%17) / 8
-			}
-			if err := b.StoreFloat32s(0, vs); err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}
-		x, y, z := alloc(n*iters), alloc(n*iters), alloc(n)
-		prod := &descriptor.Descriptor{}
-		if err := prod.AddLoop(iters); err != nil {
-			t.Fatal(err)
-		}
-		if err := prod.AddComp(descriptor.OpAXPY, accel.AxpyArgs{
-			N: n, Alpha: 2, X: x.PA(), Y: y.PA(), IncX: 1, IncY: 1,
-			LoopStrideX: accel.Lin(4 * n), LoopStrideY: accel.Lin(4 * n),
-		}.Params()); err != nil {
-			t.Fatal(err)
-		}
-		prod.AddEndPass()
-		prod.AddEndLoop()
-		// Consumer: reads the last row of y.
-		cons := &descriptor.Descriptor{}
-		if err := cons.AddComp(descriptor.OpAXPY, accel.AxpyArgs{
-			N: n, Alpha: 3, X: y.PA() + 4*n*(iters-1), Y: z.PA(), IncX: 1, IncY: 1,
-		}.Params()); err != nil {
-			t.Fatal(err)
-		}
-		cons.AddEndPass()
-		var times [2]units.Seconds
-		var plans [2]*Plan
-		var pending [2]*Launch
-		for i, d := range []*descriptor.Descriptor{prod, cons} {
-			if plans[i], err = r.AccPlanDescriptor(d); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i, p := range plans {
-			if pending[i], err = p.Submit(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i, f := range pending {
-			inv, err := f.Wait(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			times[i] = inv.TotalTime()
-		}
-		yv, err := y.LoadFloat32s(0, n*iters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		zv, err := z.LoadFloat32s(0, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.ModelTime(), times, append(yv, zv...)
-	}
-	serialT, serialInv, serialData := run(false)
-	pipeT, pipeInv, pipeData := run(true)
-	for i := range serialData {
-		if serialData[i] != pipeData[i] {
-			t.Fatalf("data[%d]: serial %v != pipelined %v", i, serialData[i], pipeData[i])
-		}
-	}
-	for i, name := range []string{"producer", "consumer"} {
-		if math.Float64bits(float64(serialInv[i])) != math.Float64bits(float64(pipeInv[i])) {
-			t.Errorf("%s invocation time: serial %v, pipelined %v", name, serialInv[i], pipeInv[i])
-		}
-	}
-	if pipeT > serialT {
-		t.Fatalf("pipelined model time %v is past whole-launch serialization %v", pipeT, serialT)
 	}
 }
 

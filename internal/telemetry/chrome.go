@@ -165,18 +165,13 @@ func (t *Tracer) Summary() string {
 	if t == nil {
 		return "telemetry: disabled\n"
 	}
-	var spanCount [numSpanTypes]int
+	spanCount := t.Spans()
 	events := 0
 	tracks := make(map[string]int)
 	bufs := t.snapshotBufs()
 	for _, b := range bufs {
 		tracks[b.track]++
 		events += len(b.events)
-		for i := range b.events {
-			if b.events[i].phase == phaseBegin {
-				spanCount[b.events[i].typ]++
-			}
-		}
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "telemetry: %d events on %d buffers\n", events, len(bufs))

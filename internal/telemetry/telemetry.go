@@ -167,6 +167,23 @@ func (t *Tracer) Events() int {
 	return n
 }
 
+// Spans counts the spans begun so far, by type. Like the exporters, call it
+// only after the traced work has completed.
+func (t *Tracer) Spans() map[SpanType]int {
+	if t == nil {
+		return nil
+	}
+	n := make(map[SpanType]int)
+	for _, b := range t.snapshotBufs() {
+		for i := range b.events {
+			if b.events[i].phase == phaseBegin {
+				n[b.events[i].typ]++
+			}
+		}
+	}
+	return n
+}
+
 // snapshotBufs copies the buffer list for the exporters.
 func (t *Tracer) snapshotBufs() []*Buf {
 	t.mu.Lock()

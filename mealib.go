@@ -72,15 +72,6 @@ func WithMaxInFlight(n int) Option {
 	return func(c *mealibrt.Config) { c.MaxInFlight = n }
 }
 
-// WithWavePipelining admits conflicting plans immediately and pipelines
-// them at wave granularity: a dependent plan's first waves start as the
-// producer's last waves drain, instead of the whole launches serialising.
-// Results are bit-identical either way; the model timeline shows the
-// overlap.
-func WithWavePipelining() Option {
-	return func(c *mealibrt.Config) { c.WavePipeline = true }
-}
-
 // WithStaging carves a double-buffered staging region of n bytes out of
 // stack 0's data space and enables out-of-core execution: allocations past
 // the stack's physical capacity fall back to host-backed buffers, and
