@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"mealib/internal/accel"
 	"mealib/internal/descriptor"
@@ -99,56 +101,87 @@ func (pl *Pipeline) DopplerProcess() (*mealibrt.Invocation, error) {
 // SolveWeights runs the compute-bounded covariance/solve stages on the host
 // (CHERK -> CPOTRF -> CTRSM x2) for every (doppler, block) pair, writing
 // adaptive weights. Snapshot training data is drawn from the Doppler cube.
+// The pairs are independent problems: GOMAXPROCS goroutines each solve one
+// contiguous range of them with scratch of their own, so the weights are the
+// same bits at any core count, and the error returned is the first in pair
+// order.
 func (pl *Pipeline) SolveWeights() error {
 	p := pl.Params
 	n := p.Dof()
 	if p.TBS < n {
 		return fmt.Errorf("stap: TBS %d < DOF %d: covariance would be singular", p.TBS, n)
 	}
+	// The snapshot walk's largest index is NPulses*NBlocks*TBS - 1 + 31(n-1):
+	// it reads that prefix of the cube unless its indices wrap.
 	total := p.DatacubeElems()
-	cube, err := pl.doppler.LoadComplex64s(0, total)
+	cube, err := pl.doppler.LoadComplex64s(0, min(p.NPulses*p.NBlocks*p.TBS+(n-1)*31, total))
 	if err != nil {
 		return err
 	}
 	steer := steeringVectors(p)
 	weights := make([]complex64, p.NPulses*p.NBlocks*p.NSteering*n)
-	snap := make([]complex64, n*p.TBS)
-	cov := make([]complex64, n*n)
-	for dop := 0; dop < p.NPulses; dop++ {
-		for blk := 0; blk < p.NBlocks; blk++ {
-			// Assemble the n x TBS snapshot matrix from the cube.
-			for i := 0; i < n; i++ {
-				for t := 0; t < p.TBS; t++ {
-					idx := (dop*p.NBlocks*p.TBS + blk*p.TBS + t + i*31) % total
-					snap[i*p.TBS+t] = cube[idx]
-				}
-			}
-			// Covariance: R = snap * snap^H + diag loading.
-			if err := kernels.Cherk(n, p.TBS, 1, snap, p.TBS, 0, cov, n); err != nil {
-				return err
-			}
-			for i := 0; i < n; i++ {
-				cov[i*n+i] += complex(float32(n), 0)
-			}
-			if err := kernels.Cpotrf(n, cov, n); err != nil {
-				return err
-			}
-			// Solve R w = v for every steering vector.
-			for sv := 0; sv < p.NSteering; sv++ {
-				w := make([]complex64, n)
-				copy(w, steer[sv])
-				if err := kernels.Ctrsm(kernels.Lower, kernels.NoTrans, n, 1, 1, cov, n, w, 1); err != nil {
-					return err
-				}
-				if err := kernels.Ctrsm(kernels.Lower, kernels.ConjTrans, n, 1, 1, cov, n, w, 1); err != nil {
-					return err
-				}
-				off := ((dop*p.NBlocks+blk)*p.NSteering + sv) * n
-				copy(weights[off:off+n], w)
-			}
+	pairs := p.NPulses * p.NBlocks
+	workers := max(1, min(runtime.GOMAXPROCS(0), pairs))
+	chunk := (pairs + workers - 1) / workers
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range errs {
+		lo, hi := min(w*chunk, pairs), min((w+1)*chunk, pairs)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[w] = solvePairs(p, cube, total, steer, weights, lo, hi)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return pl.weights.StoreComplex64s(0, weights)
+}
+
+// solvePairs solves the (doppler, block) pairs [lo, hi), in order, writing
+// each steering vector's weights in place in weights. It stops at the first
+// error.
+func solvePairs(p Params, cube []complex64, total int, steer [][]complex64, weights []complex64, lo, hi int) error {
+	n := p.Dof()
+	snap := make([]complex64, n*p.TBS)
+	cov := make([]complex64, n*n)
+	for pair := lo; pair < hi; pair++ {
+		dop, blk := pair/p.NBlocks, pair%p.NBlocks
+		// Assemble the n x TBS snapshot matrix from the cube.
+		for i := 0; i < n; i++ {
+			for t := 0; t < p.TBS; t++ {
+				idx := (dop*p.NBlocks*p.TBS + blk*p.TBS + t + i*31) % total
+				snap[i*p.TBS+t] = cube[idx]
+			}
+		}
+		// Covariance: R = snap * snap^H + diag loading.
+		if err := kernels.Cherk(n, p.TBS, 1, snap, p.TBS, 0, cov, n); err != nil {
+			return err
+		}
+		for i := 0; i < n; i++ {
+			cov[i*n+i] += complex(float32(n), 0)
+		}
+		if err := kernels.Cpotrf(n, cov, n); err != nil {
+			return err
+		}
+		// Solve R w = v for every steering vector.
+		for sv := 0; sv < p.NSteering; sv++ {
+			off := (pair*p.NSteering + sv) * n
+			w := weights[off : off+n]
+			copy(w, steer[sv])
+			if err := kernels.Ctrsm(kernels.Lower, kernels.NoTrans, n, 1, 1, cov, n, w, 1); err != nil {
+				return err
+			}
+			if err := kernels.Ctrsm(kernels.Lower, kernels.ConjTrans, n, 1, 1, cov, n, w, 1); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // InnerProducts runs the CDOTC stage as a single 3-level LOOP descriptor

@@ -25,7 +25,14 @@ type FFTPlan struct {
 	n        int
 	dir      Direction
 	pow2     bool
-	twiddles []complex64 // for radix-2: n/2 factors
+	twiddles []complex64 // for radix-2: n/2 factors of the last stage
+	// Radix-2 state: stages[s] holds stage s's factors w^k (k < 2^s) of the
+	// length-2^(s+1) sub-transforms, contiguous (stages[0], the factor 1, is
+	// never read: the first stage is twiddle-free), and swaps the
+	// bit-reversal pairs (i, j) with i < j, flattened. Both are read-only
+	// after construction.
+	stages [][]complex64
+	swaps  []int32
 	// Bluestein state for non-power-of-two lengths.
 	m       int // padded power-of-two length >= 2n-1
 	chirp   []complex64
@@ -53,6 +60,31 @@ func NewFFTPlan(n int, dir Direction) (*FFTPlan, error) {
 		for k := range p.twiddles {
 			ang := sign * 2 * math.Pi * float64(k) / float64(n)
 			p.twiddles[k] = complex64(cmplx.Exp(complex(0, ang)))
+		}
+		lg := bits.TrailingZeros(uint(n))
+		// Every stage but the last takes its table from one backing array
+		// of 1 + 2 + ... + n/4 factors.
+		backing := make([]complex64, n/2)
+		p.stages = make([][]complex64, lg)
+		for s := range p.stages {
+			half, step := 1<<s, n>>(s+1)
+			if step == 1 {
+				p.stages[s] = p.twiddles
+				break
+			}
+			t := backing[half-1 : 2*half-1]
+			for k := range t {
+				t[k] = p.twiddles[k*step]
+			}
+			p.stages[s] = t
+		}
+		// The indices whose lg-bit reversal is themselves stay put: 2^ceil(lg/2).
+		p.swaps = make([]int32, 0, n-1<<((lg+1)/2))
+		shift := 64 - uint(lg)
+		for i := 0; i < n; i++ {
+			if j := int(bits.Reverse64(uint64(i)) >> shift); j > i {
+				p.swaps = append(p.swaps, int32(i), int32(j))
+			}
 		}
 		return p, nil
 	}
@@ -122,30 +154,79 @@ func (p *FFTPlan) Execute(data []complex64) error {
 	return p.bluestein(data)
 }
 
-// radix2 is the iterative in-place decimation-in-time transform.
+// radix2 is the iterative in-place decimation-in-time transform: the
+// bit-reversal permutation, then the stages two per pass. When log2 n is odd
+// the first stage runs alone, twiddle-free; when it is even the first pass is
+// a four-point butterfly.
 func (p *FFTPlan) radix2(data []complex64) {
-	n := p.n
-	// Bit-reversal permutation.
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			data[i], data[j] = data[j], data[i]
+	sw := p.swaps
+	for i := 0; i+1 < len(sw); i += 2 {
+		a, b := sw[i], sw[i+1]
+		data[a], data[b] = data[b], data[a]
+	}
+	s := 0
+	switch {
+	case len(p.stages)%2 == 1:
+		for i := 0; i+1 < len(data); i += 2 {
+			a, b := data[i], data[i+1]
+			data[i], data[i+1] = a+b, a-b
+		}
+		s = 1
+	case len(p.stages) >= 2:
+		// The first two stages as one four-point butterfly: their only
+		// factor other than 1 is the quarter turn w.
+		w := p.stages[1][1]
+		for i := 0; i+3 < len(data); i += 4 {
+			q := data[i : i+4 : i+4]
+			a0, a1 := q[0]+q[1], q[0]-q[1]
+			a2, a3 := q[2]+q[3], q[2]-q[3]
+			c3 := mul32(a3, w)
+			q[0], q[2] = a0+a2, a0-a2
+			q[1], q[3] = a1+c3, a1-c3
+		}
+		s = 2
+	}
+	for ; s+1 < len(p.stages); s += 2 {
+		radix2Pass(data, p.stages[s], p.stages[s+1])
+	}
+}
+
+// radix2Pass runs two consecutive radix-2 stages over data: the stage of
+// factors t1 (half length h) and the next one of factors t2 (2h). Each block
+// of 4h points is four quarter slices; the first stage pairs q0 with q1 and
+// q2 with q3, the second pairs the first stage's sums, then its differences.
+func radix2Pass(data, t1, t2 []complex64) {
+	h := len(t1)
+	t2a, t2b := t2[:h], t2[h:2*h]
+	for start := 0; start+4*h <= len(data); start += 4 * h {
+		// Every slice the loop reads has len(q0), so it runs without
+		// bounds checks.
+		q0 := data[start : start+h]
+		q1 := data[start+h : start+2*h][:len(q0)]
+		q2 := data[start+2*h : start+3*h][:len(q0)]
+		q3 := data[start+3*h : start+4*h][:len(q0)]
+		w1s, w2s, w3s := t1[:len(q0)], t2a[:len(q0)], t2b[:len(q0)]
+		for k := range q0 {
+			w1 := w1s[k]
+			b1 := mul32(q1[k], w1)
+			b3 := mul32(q3[k], w1)
+			a0, a1 := q0[k]+b1, q0[k]-b1
+			a2, a3 := q2[k]+b3, q2[k]-b3
+			c2 := mul32(a2, w2s[k])
+			c3 := mul32(a3, w3s[k])
+			q0[k], q2[k] = a0+c2, a0-c2
+			q1[k], q3[k] = a1+c3, a1-c3
 		}
 	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size / 2
-		step := n / size
-		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				w := p.twiddles[k*step]
-				a := data[start+k]
-				b := data[start+k+half] * w
-				data[start+k] = a + b
-				data[start+k+half] = a - b
-			}
-		}
-	}
+}
+
+// mul32 is the complex product in float32. Go's own complex64 product is
+// computed in float64; each float32 conversion here rounds its product, so
+// no architecture fuses it into an FMA and the result is the same on every
+// GOARCH.
+func mul32(a, w complex64) complex64 {
+	ar, ai, wr, wi := real(a), imag(a), real(w), imag(w)
+	return complex(float32(ar*wr)-float32(ai*wi), float32(ar*wi)+float32(ai*wr))
 }
 
 // bluestein evaluates an arbitrary-length DFT as a convolution.

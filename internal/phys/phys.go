@@ -243,13 +243,14 @@ func (s *Space) StoreFloat32s(addr Addr, v []float32) error {
 // LoadComplex64s copies n complex64 values (interleaved re,im float32 pairs)
 // starting at addr.
 func (s *Space) LoadComplex64s(addr Addr, n int) ([]complex64, error) {
-	f, err := s.LoadFloat32s(addr, 2*n)
+	b, err := s.slice(addr, 8*n)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]complex64, n)
 	for i := range out {
-		out[i] = complex(f[2*i], f[2*i+1])
+		out[i] = complex(math.Float32frombits(binary.LittleEndian.Uint32(b[8*i:])),
+			math.Float32frombits(binary.LittleEndian.Uint32(b[8*i+4:])))
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package phys
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -161,6 +162,51 @@ func TestBulkComplex64(t *testing.T) {
 		if in[i] != out[i] {
 			t.Errorf("element %d: got %v want %v", i, out[i], in[i])
 		}
+	}
+}
+
+// TestLoadComplex64sDecodesOnce: a complex load is one allocation, the
+// result, decoded straight from the bytes, and a store then load returns
+// every bit pattern it was given, NaN payloads and -0 included.
+func TestLoadComplex64sDecodesOnce(t *testing.T) {
+	s := NewSpace(64 * units.KiB)
+	if _, err := s.Map(0, 4096); err != nil {
+		t.Fatal(err)
+	}
+	patterns := []uint32{
+		0x00000000, 0x80000000, // +0, -0
+		0x7fc00000, 0xffc00001, 0x7f800001, 0x7fbfffff, // quiet and signalling NaNs with payloads
+		0x7f800000, 0xff800000, // infinities
+		0x00000001, 0x807fffff, // subnormals
+		0x3f800000, 0xc2f6e979, // 1, -123.456
+	}
+	in := make([]complex64, 0, len(patterns)*len(patterns))
+	for _, re := range patterns {
+		for _, im := range patterns {
+			in = append(in, complex(math.Float32frombits(re), math.Float32frombits(im)))
+		}
+	}
+	if err := s.StoreComplex64s(8, in); err != nil {
+		t.Fatal(err)
+	}
+	out, err := s.LoadComplex64s(8, len(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range in {
+		if gr, wr := math.Float32bits(real(out[i])), math.Float32bits(real(in[i])); gr != wr {
+			t.Errorf("element %d real: bits %#08x, want %#08x", i, gr, wr)
+		}
+		if gi, wi := math.Float32bits(imag(out[i])), math.Float32bits(imag(in[i])); gi != wi {
+			t.Errorf("element %d imag: bits %#08x, want %#08x", i, gi, wi)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, err := s.LoadComplex64s(8, len(in)); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 1 {
+		t.Errorf("LoadComplex64s allocates %v times a call, want 1", avg)
 	}
 }
 
