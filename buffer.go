@@ -6,6 +6,10 @@ import (
 	"mealib/internal/units"
 )
 
+// within reports whether the n elements at element offset off lie inside a
+// buffer of size elements, in arithmetic that cannot overflow.
+func within(off, n, size int) bool { return off >= 0 && n >= 0 && off <= size-n }
+
 // Float32Buffer is a physically contiguous accelerator-visible buffer of
 // float32 elements.
 type Float32Buffer struct {
@@ -45,16 +49,16 @@ func (b *Float32Buffer) Set(v []float32) error {
 
 // SetAt copies v into the buffer starting at element off.
 func (b *Float32Buffer) SetAt(off int, v []float32) error {
-	if off < 0 || off+len(v) > b.n {
-		return errorf("SetAt [%d,%d) outside %d-element buffer", off, off+len(v), b.n)
+	if !within(off, len(v), b.n) {
+		return errorf("SetAt of %d elements at %d outside %d-element buffer", len(v), off, b.n)
 	}
 	return b.buf.StoreFloat32s(units.Bytes(4*off), v)
 }
 
 // Get copies out n elements starting at element off.
 func (b *Float32Buffer) Get(off, n int) ([]float32, error) {
-	if off < 0 || off+n > b.n {
-		return nil, errorf("Get [%d,%d) outside %d-element buffer", off, off+n, b.n)
+	if !within(off, n, b.n) {
+		return nil, errorf("Get of %d elements at %d outside %d-element buffer", n, off, b.n)
 	}
 	return b.buf.LoadFloat32s(units.Bytes(4*off), n)
 }
@@ -107,8 +111,8 @@ func (b *Complex64Buffer) Set(v []complex64) error {
 
 // Get copies out n elements starting at element off.
 func (b *Complex64Buffer) Get(off, n int) ([]complex64, error) {
-	if off < 0 || off+n > b.n {
-		return nil, errorf("Get [%d,%d) outside %d-element buffer", off, off+n, b.n)
+	if !within(off, n, b.n) {
+		return nil, errorf("Get of %d elements at %d outside %d-element buffer", n, off, b.n)
 	}
 	return b.buf.LoadComplex64s(units.Bytes(8*off), n)
 }

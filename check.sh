@@ -86,6 +86,9 @@ fi
 echo "==> go test -race ./... (the gates: bit-identity, nest verdicts and ranges, fixed costs, the compiled plan, the one launch record, the one-walk install, the mealibd wire, fusion traffic and the model calibration; each test that carries one says so in its comment, \"Gate (check.sh): ...\", and Runtime.CheckInvariants closes the mealibrt and mealibd tests)"
 go test -race ./...
 
+echo "==> one-allocation launch gate (without the race detector, whose sync.Pool drops a quarter of its Puts: an Execute allocates its Invocation and nothing else of its own, a run of a compiled program nothing at all, beyond the kernels' closures)"
+go test -count=1 -run 'FixedCost' ./internal/mealibrt ./internal/accel
+
 echo "==> FuzzDifferential, 5 s (internal/accel's bit-identity matrix: generated descriptors through every worker, fusion, window and compiled cell, the traced ones held to the scoreboard's windows and waves)"
 go test -run '^$' -fuzz '^FuzzDifferential$' -fuzztime 5s ./internal/accel
 

@@ -86,12 +86,15 @@ func main() {
 			return descriptor.Params(words), nil
 		}
 	}
+	// d is the program compiled, once: by the fusion analysis, or for -dump.
+	var d *descriptor.Descriptor
 	if *fuse {
 		if *paramsFile == "" {
 			fmt.Fprintln(os.Stderr, "tdlc: -fuse needs real operand addresses; supply -params")
 			os.Exit(2)
 		}
-		groups, err := tdl.Fuse(prog, resolve, accel.MEALibConfig())
+		var groups []accel.FusedGroup
+		d, groups, err = tdl.Fuse(prog, resolve, accel.MEALibConfig())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tdlc: fuse:", err)
 			os.Exit(1)
@@ -108,10 +111,11 @@ func main() {
 		fmt.Print(tdl.Format(prog))
 		return
 	}
-	d, err := tdl.Compile(prog, resolve)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tdlc:", err)
-		os.Exit(1)
+	if d == nil {
+		if d, err = tdl.Compile(prog, resolve); err != nil {
+			fmt.Fprintln(os.Stderr, "tdlc:", err)
+			os.Exit(1)
+		}
 	}
 	fmt.Print(d.Disassemble())
 }

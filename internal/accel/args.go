@@ -192,55 +192,95 @@ type iters struct {
 	err    error
 }
 
-// ranged is the run entry of an accelerator whose core executes a T: it
-// decodes the block once, through T's slots, then steps the iteration like an
-// odometer and moves only the addresses; the core still checks every call.
-// The decoded struct is pooled: a block runs on whichever worker claims it.
-func ranged[T any, P typed[T]](core func(*phys.Space, T) error) func(*phys.Space, Args, iters) iters {
+// entry is how the layer runs an accelerator's core (ranged). decode turns a
+// bound block into what run takes, once per template: the core's typed struct
+// at iteration zero. run executes a block of iterations of the comp.
+type entry struct {
+	decode func(a Args) any
+	run    func(s *phys.Space, c *boundComp, b iters) iters
+}
+
+// ranged is the entry of an accelerator whose core executes a *T: the block is
+// decoded into a T once, when its template is built. One instance at
+// iteration zero runs on that T itself, so no core may write its *T (the
+// differential matrix compares every compiled program's decoded structs
+// before and after its launches). Any other block copies it into a pooled T,
+// since a block runs on whichever worker claims it, and steps the iteration
+// like an odometer, moving only the copy's addresses. The core still checks
+// every call.
+func ranged[T any, P typed[T]](core func(*phys.Space, *T) error) entry {
 	var fields []int // the address slots
 	for f, slot := range P(new(T)).slots() {
 		if _, ok := slot.(*phys.Addr); ok {
 			fields = append(fields, f)
 		}
 	}
-	type state struct {
+	// moved is a T whose addresses a block advances, its address fields, and
+	// each one's base and strides.
+	type moved struct {
 		t       T
-		slots   []any
+		addrs   []*phys.Addr
+		base    []phys.Addr
 		strides []Strides
 	}
 	pool := sync.Pool{New: func() any {
-		d := new(state)
-		d.slots = P(&d.t).slots()
-		return d
+		m := &moved{base: make([]phys.Addr, len(fields)), strides: make([]Strides, len(fields))}
+		slots := P(&m.t).slots()
+		for _, f := range fields {
+			m.addrs = append(m.addrs, slots[f].(*phys.Addr))
+		}
+		return m
 	}}
-	return func(s *phys.Space, a Args, b iters) iters {
-		d := pool.Get().(*state)
-		a.decode(d.slots, b.it)
-		if b.n > 1 && d.strides == nil {
-			d.strides = make([]Strides, len(fields))
-		}
-		for i := 0; i < len(fields) && b.n > 1; i++ {
-			d.strides[i] = a.strides(fields[i])
-		}
-		for j, it := 0, b.it; j < b.n; j++ {
-			if j > 0 {
-				nextIter(&it, &b.counts)
+	// decode goes through one T whose slots are laid out once, under a lock:
+	// laying them out afresh would cost every compiled comp an allocation,
+	// which TestInstallFixedCost's bounds have no room for.
+	var mu sync.Mutex
+	var scratch T
+	slots := P(&scratch).slots()
+	return entry{
+		decode: func(a Args) any {
+			mu.Lock()
+			defer mu.Unlock()
+			a.decode(slots, IterVec{})
+			t := new(T)
+			*t = scratch
+			return t
+		},
+		run: func(s *phys.Space, c *boundComp, b iters) iters {
+			t := c.typed.(*T)
+			var m *moved
+			if b.n > 1 || b.it != (IterVec{}) {
+				m = pool.Get().(*moved)
+				m.t = *t
 				for i, f := range fields {
-					*d.slots[f].(*phys.Addr) = descriptor.AddrOf(a.p[f]) + phys.Addr(d.strides[i].Offset(it))
+					m.base[i], m.strides[i] = descriptor.AddrOf(c.p[f]), c.strides(f)
+				}
+				t = &m.t
+			}
+			for j, it := 0, b.it; j < b.n; j++ {
+				if j > 0 {
+					nextIter(&it, &b.counts)
+				}
+				if m != nil {
+					for i, addr := range m.addrs {
+						*addr = m.base[i] + phys.Addr(m.strides[i].Offset(it))
+					}
+				}
+				if b.failed&(1<<j) != 0 {
+					continue
+				}
+				if err := core(s, t); err != nil {
+					b.failed |= 1 << j
+					if b.err == nil || j < b.at {
+						b.at, b.err = j, err
+					}
 				}
 			}
-			if b.failed&(1<<j) != 0 {
-				continue
+			if m != nil {
+				pool.Put(m)
 			}
-			if err := core(s, d.t); err != nil {
-				b.failed |= 1 << j
-				if b.err == nil || j < b.at {
-					b.at, b.err = j, err
-				}
-			}
-		}
-		pool.Put(d)
-		return b
+			return b
+		},
 	}
 }
 

@@ -53,7 +53,7 @@ func overlaps(a phys.Addr, an int64, b phys.Addr, bn int64) bool {
 // vecLen returns the number of elements a strided vector touches.
 func vecLen(n, inc int64) int { return int(elems(n, inc, 1)) }
 
-func axpyCore(s *phys.Space, a AxpyArgs) error {
+func axpyCore(s *phys.Space, a *AxpyArgs) error {
 	if a.N < 0 {
 		return fmt.Errorf("accel: AXPY: negative n %d", a.N)
 	}
@@ -81,7 +81,7 @@ func axpyCore(s *phys.Space, a AxpyArgs) error {
 	return y.Commit()
 }
 
-func dotCore(s *phys.Space, a DotArgs) error {
+func dotCore(s *phys.Space, a *DotArgs) error {
 	if a.N < 0 {
 		return fmt.Errorf("accel: DOT: negative n %d", a.N)
 	}
@@ -115,7 +115,7 @@ func dotCore(s *phys.Space, a DotArgs) error {
 	return s.WriteFloat32(a.Out, r)
 }
 
-func gemvCore(s *phys.Space, a GemvArgs) error {
+func gemvCore(s *phys.Space, a *GemvArgs) error {
 	if a.M < 0 || a.N < 0 || a.Lda < a.N {
 		return fmt.Errorf("accel: GEMV: bad dimensions m=%d n=%d lda=%d", a.M, a.N, a.Lda)
 	}
@@ -156,7 +156,7 @@ func gemvCore(s *phys.Space, a GemvArgs) error {
 	return y.Commit()
 }
 
-func spmvCore(s *phys.Space, a SpmvArgs) error {
+func spmvCore(s *phys.Space, a *SpmvArgs) error {
 	if a.M < 0 || a.Cols < 0 || a.NNZ < 0 {
 		return fmt.Errorf("accel: SPMV: negative dimensions")
 	}
@@ -195,7 +195,7 @@ func spmvCore(s *phys.Space, a SpmvArgs) error {
 	return y.Commit()
 }
 
-func resmpCore(s *phys.Space, a ResmpArgs) error {
+func resmpCore(s *phys.Space, a *ResmpArgs) error {
 	if a.NIn < 2 || a.NOut < 0 {
 		return fmt.Errorf("accel: RESMP: bad sizes in=%d out=%d", a.NIn, a.NOut)
 	}
@@ -241,7 +241,7 @@ func resmpCore(s *phys.Space, a ResmpArgs) error {
 	return dst.Commit()
 }
 
-func fftCore(s *phys.Space, a FFTArgs) error {
+func fftCore(s *phys.Space, a *FFTArgs) error {
 	if a.N < 1 || a.HowMany < 1 {
 		return fmt.Errorf("accel: FFT: bad sizes n=%d howmany=%d", a.N, a.HowMany)
 	}
@@ -277,7 +277,7 @@ func fftCore(s *phys.Space, a FFTArgs) error {
 	return dst.Commit()
 }
 
-func reshpCore(s *phys.Space, a ReshpArgs) error {
+func reshpCore(s *phys.Space, a *ReshpArgs) error {
 	if a.Rows < 0 || a.Cols < 0 {
 		return fmt.Errorf("accel: RESHP: negative dimensions")
 	}

@@ -194,7 +194,11 @@ func (r *Report) opStats(op descriptor.OpCode) *OpStats {
 // Execution is functional (data in the space is really transformed) and
 // modelled (the report carries time and energy).
 func (l *Layer) Run(s *phys.Space, base phys.Addr) (*Report, error) {
-	if err := started(s, base); err != nil {
+	slot, err := s.ViewBytes(base, descriptor.SlotBytes)
+	if err != nil {
+		return nil, err
+	}
+	if err := started(slot, base); err != nil {
 		return nil, err
 	}
 	d, err := descriptor.Decode(s, base)
@@ -205,19 +209,20 @@ func (l *Layer) Run(s *phys.Space, base phys.Addr) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return l.launch(prog, s, base)
+	return l.launch(prog, s, base, slot)
 }
 
 // launch runs a compiled program under its launch span against the
-// descriptor started at base in s, completes by writing CmdDone and returns
-// the program's price. A failed launch returns no report.
-func (l *Layer) launch(prog *Program, s *phys.Space, base phys.Addr) (*Report, error) {
+// descriptor started at base in s, completes by writing CmdDone through slot,
+// the caller's view of base, and returns the program's price. A failed launch
+// returns no report.
+func (l *Layer) launch(prog *Program, s *phys.Space, base phys.Addr, slot []byte) (*Report, error) {
 	tb := l.tr.Buffer(telemetry.TrackAccel)
 	defer tb.Release()
 	tb.Begin(telemetry.SpanLaunch, "descriptor")
 	err := l.exec(prog, s, tb)
 	if err == nil {
-		err = descriptor.WriteCommand(s, base, descriptor.CmdDone)
+		err = descriptor.SetCommand(slot, base, descriptor.CmdDone)
 	}
 	if err != nil {
 		tb.End(telemetry.SpanLaunch, 0)
@@ -313,7 +318,7 @@ func (l *Layer) price(t *nodeTemplate, pass []descriptor.Comp) {
 		}
 		// Remote-stack buffers stream over the inter-stack links instead of
 		// the local TSVs (paper §3.3: data should reside in the LMS).
-		if remote := l.cfg.remoteBytes(t.comps[i]); remote > 0 {
+		if remote := l.cfg.remoteBytes(t.comps[i].Args); remote > 0 {
 			extraT, extraE := l.cfg.remotePenalty(remote)
 			c.Time += extraT
 			c.Energy += extraE

@@ -97,7 +97,11 @@ func (c *diffCase) launch(r *testRig, base phys.Addr, window int) (*Report, erro
 	if err != nil {
 		return nil, err
 	}
-	return r.layer.launch(prog, r.space, base)
+	slot, err := r.space.ViewBytes(base, descriptor.SlotBytes)
+	if err != nil {
+		return nil, err
+	}
+	return r.layer.launch(prog, r.space, base, slot)
 }
 
 // outcome is what one launch leaves: the mapped bytes, or its error.

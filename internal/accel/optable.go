@@ -5,7 +5,6 @@ import (
 
 	"mealib/internal/descriptor"
 	"mealib/internal/kernels"
-	"mealib/internal/phys"
 	"mealib/internal/units"
 )
 
@@ -109,8 +108,8 @@ type opSpec struct {
 	validate func(a Args) error
 	// flops is nil for pure data movement.
 	flops func(a Args) units.Flops
-	// run executes the invocation over a block of iterations (ranged).
-	run func(s *phys.Space, a Args, b iters) iters
+	// core executes the invocation over a block of iterations (ranged).
+	core entry
 	// chunk is nil when the op has no exact split (reductions, global-access
 	// ops, boundary-coupled interpolation).
 	chunk *chunkAxis
@@ -188,7 +187,7 @@ var specs = [...]*opSpec{
 			return nil
 		},
 		flops: func(a Args) units.Flops { return kernels.SaxpyFlops(int(a.i(axN))) },
-		run:   ranged(axpyCore),
+		core:  ranged(axpyCore),
 		// By vector range.
 		chunk: &chunkAxis{count: axN, per: func(a Args, pieces int64, _ units.Bytes) (int64, error) {
 			n, incX, incY := a.i(axN), a.i(axIncX), a.i(axIncY)
@@ -222,7 +221,7 @@ var specs = [...]*opSpec{
 			}
 			return kernels.SdotFlops(int(a.i(dtN)))
 		},
-		run: ranged(dotCore),
+		core: ranged(dotCore),
 	}),
 
 	descriptor.OpGEMV: newSpec(opSpec{
@@ -244,7 +243,7 @@ var specs = [...]*opSpec{
 			return nil
 		},
 		flops: func(a Args) units.Flops { return kernels.SgemvFlops(int(a.i(gvM)), int(a.i(gvN))) },
-		run:   ranged(gemvCore),
+		core:  ranged(gemvCore),
 		// By row block: every piece re-reads the full x vector; rows amortise
 		// the rest.
 		chunk: &chunkAxis{count: gvM, per: func(a Args, _ int64, budget units.Bytes) (int64, error) {
@@ -283,7 +282,7 @@ var specs = [...]*opSpec{
 			return nil
 		},
 		flops: func(a Args) units.Flops { return kernels.SpmvFlops(int(a.i(spNNZ))) },
-		run:   ranged(spmvCore),
+		core:  ranged(spmvCore),
 	}),
 
 	descriptor.OpRESMP: newSpec(opSpec{
@@ -311,7 +310,7 @@ var specs = [...]*opSpec{
 			}
 			return f
 		},
-		run: ranged(resmpCore),
+		core: ranged(resmpCore),
 	}),
 
 	descriptor.OpFFT: newSpec(opSpec{
@@ -333,7 +332,7 @@ var specs = [...]*opSpec{
 		flops: func(a Args) units.Flops {
 			return units.Flops(float64(a.i(ffHowMany))) * kernels.FFTFlops(int(a.i(ffN)))
 		},
-		run: ranged(fftCore),
+		core: ranged(fftCore),
 		// By batch.
 		chunk: &chunkAxis{count: ffHowMany, per: func(a Args, _ int64, budget units.Bytes) (int64, error) {
 			n := a.i(ffN)
@@ -369,6 +368,6 @@ var specs = [...]*opSpec{
 			}
 			return nil
 		},
-		run: ranged(reshpCore),
+		core: ranged(reshpCore),
 	}),
 }

@@ -35,7 +35,7 @@ func toySpec() *opSpec {
 			return nil
 		},
 		flops: func(a Args) units.Flops { return units.Flops(2 * a.i(toyN)) },
-		run:   ranged(toyCore),
+		core:  ranged(toyCore),
 		chunk: &chunkAxis{count: toyN, per: func(a Args, pieces int64, _ units.Bytes) (int64, error) {
 			return (a.i(toyN) + pieces - 1) / pieces, nil
 		}},
@@ -54,7 +54,7 @@ func (a *toyArgs) slots() []any {
 	return []any{&a.N, &a.Alpha, &a.Src, &a.Dst, &a.Bias, &a.SrcStride, &a.DstStride}
 }
 
-func toyCore(s *phys.Space, a toyArgs) error {
+func toyCore(s *phys.Space, a *toyArgs) error {
 	src, err := s.LoadFloat32s(a.Src, int(a.N))
 	if err != nil {
 		return err

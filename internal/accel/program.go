@@ -101,27 +101,32 @@ func (pr *Program) Install(s *phys.Space, base phys.Addr) error {
 	return descriptor.InstallImage(s, base, pr.img, pr.ptrs)
 }
 
-// installedAt reports whether the bytes at base are the program's image, the
-// magic and the command word (the caller's, through ReadCommand) aside.
-func (pr *Program) installedAt(s *phys.Space, base phys.Addr) bool {
+// installedAt returns the slot at base, a view of the program's size, if its
+// bytes are the program's image, the magic and the command word (the caller's,
+// through descriptor.CommandOf) aside; else nil.
+func (pr *Program) installedAt(s *phys.Space, base phys.Addr) []byte {
 	slot, err := s.ViewBytes(base, len(pr.img))
 	if err != nil {
-		return false
+		return nil
 	}
 	at := 8
 	for _, off := range pr.ptrs {
 		if !bytes.Equal(slot[at:off], pr.img[at:off]) ||
 			binary.LittleEndian.Uint64(slot[off:]) != binary.LittleEndian.Uint64(pr.img[off:])+uint64(base) {
-			return false
+			return nil
 		}
 		at = off + 8
 	}
-	return bytes.Equal(slot[at:], pr.img[at:])
+	if !bytes.Equal(slot[at:], pr.img[at:]) {
+		return nil
+	}
+	return slot
 }
 
-// started checks the doorbell: the CR command at base must be CmdStart.
-func started(s *phys.Space, base phys.Addr) error {
-	cmd, err := descriptor.ReadCommand(s, base)
+// started checks the doorbell: the CR command in slot, the view of the
+// descriptor at base, must be CmdStart.
+func started(slot []byte, base phys.Addr) error {
+	cmd, err := descriptor.CommandOf(slot, base)
 	if err != nil {
 		return err
 	}
@@ -136,13 +141,16 @@ func started(s *phys.Space, base phys.Addr) error {
 // CmdStart and the bytes there must be the program's image, in which case the
 // run skips the decode and the lowering and is otherwise the same run; the
 // fetch and decode time is charged as ever. Bytes that differ are decoded,
-// compiled and run as Run would — a stale program never executes.
+// compiled and run as Run would — a stale program never executes. The magic,
+// the doorbell and CmdDone go through the view of the slot the image compare
+// took.
 func (l *Layer) RunProgram(s *phys.Space, base phys.Addr, prog *Program) (*Report, error) {
-	if !prog.installedAt(s, base) {
+	slot := prog.installedAt(s, base)
+	if slot == nil {
 		return l.Run(s, base)
 	}
-	if err := started(s, base); err != nil {
+	if err := started(slot, base); err != nil {
 		return nil, err
 	}
-	return l.launch(prog, s, base)
+	return l.launch(prog, s, base, slot)
 }

@@ -26,16 +26,18 @@ import (
 
 // planWorkers sizes the pool for a plan: cfg.Workers if set (1 forces
 // serial), else min(GOMAXPROCS, Tiles), never wider than the plan's widest
-// wave.
+// wave. A plan no wave of which is wider than one runs serially without
+// asking.
 func (l *Layer) planWorkers(p *plan) int {
+	width := p.maxWidth()
+	if width <= 1 {
+		return 1
+	}
 	w := l.cfg.Workers
 	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-		if w > l.cfg.Tiles {
-			w = l.cfg.Tiles
-		}
+		w = min(runtime.GOMAXPROCS(0), l.cfg.Tiles)
 	}
-	return max(1, min(w, p.maxWidth()))
+	return max(1, min(w, width))
 }
 
 // runBlock executes instances [lo, lo+n) of node k, one comp over the block
@@ -49,7 +51,7 @@ func (l *Layer) runBlock(r *planRun, k int32, lo, n int, tb *telemetry.Buf) {
 	}
 	b := iters{it: p.iterAt(k, lo), counts: t.counts, n: n}
 	for i := range t.comps {
-		b = t.comps[i].spec.run(r.space, t.comps[i], b)
+		b = t.comps[i].spec.core.run(r.space, &t.comps[i], b)
 	}
 	if t.err != nil && b.failed&1 == 0 {
 		// Every instance fails, the first with t.err unless a comp failed it.
@@ -79,14 +81,17 @@ func (l *Layer) runBlock(r *planRun, k int32, lo, n int, tb *telemetry.Buf) {
 // memory; the program is shared with every other run of it. It is one heap
 // object, not locals of exec: a submitted launch runs on a new goroutine, and
 // what exec, runPlan and runBlock hold on that small stack decides whether it
-// must grow before the kernel is reached.
+// must grow before the kernel is reached. The object comes from a pool, so a
+// launch allocates none.
 type planRun struct {
 	prog *Program
 	// lw is the run's copy of the program's lowering: its cursor. win is the
-	// window being run: the program's own when it has one, else the run's,
-	// which the cursor refills.
-	lw  lowering
-	win *plan
+	// window being run: the program's own when it has one, else own, which the
+	// cursor refills. own stays with the record in the pool and is never the
+	// program's window: a record that kept a shared window would lower another
+	// program's windows into it.
+	lw       lowering
+	win, own *plan
 	// space is what the comps run against.
 	space *phys.Space
 	tb    *telemetry.Buf
@@ -99,6 +104,22 @@ type planRun struct {
 	waves int
 }
 
+// runs holds the records of finished runs.
+var runs = sync.Pool{New: func() any { return new(planRun) }}
+
+// release returns the record to the pool with nothing of the run in it but
+// its own storage: no program, window, space, trace buffer or failure.
+func (r *planRun) release() {
+	if r.own != nil {
+		clear(r.own.nodes[:cap(r.own.nodes)])
+		r.own.body = nil
+	}
+	r.prog, r.lw, r.win, r.space, r.tb, r.waves = nil, lowering{}, nil, nil, nil, 0
+	r.blocks = r.blocks[:0]
+	r.failed.Store(nil)
+	runs.Put(r)
+}
+
 // nextWindow makes the program's next window current: the one it was compiled
 // with, or the next the cursor lowers.
 func (r *planRun) nextWindow() {
@@ -107,9 +128,10 @@ func (r *planRun) nextWindow() {
 		return
 	}
 	r.tb.Begin(telemetry.SpanPlanLower, "lower")
-	if r.win == nil {
-		r.win = new(plan)
+	if r.own == nil {
+		r.own = new(plan)
 	}
+	r.win = r.own
 	r.lw.next(r.win)
 	r.tb.End2(telemetry.SpanPlanLower, 0,
 		telemetry.Arg{Key: "nodes", Val: int64(r.win.size)},
@@ -118,12 +140,14 @@ func (r *planRun) nextWindow() {
 
 // exec runs a compiled program window by window against s.
 func (l *Layer) exec(prog *Program, s *phys.Space, tb *telemetry.Buf) error {
-	r := &planRun{prog: prog, lw: prog.lw, space: s, tb: tb}
+	r := runs.Get().(*planRun)
+	r.prog, r.lw, r.space, r.tb = prog, prog.lw, s, tb
 	l.met.fusedGroups.Add(int64(len(r.lw.fused)))
 	l.met.fusionSpills.Add(int64(r.lw.fusionSpills))
 	for {
 		r.nextWindow()
 		if err := l.runPlan(r); err != nil {
+			r.release()
 			return err
 		}
 		if !r.lw.more() {
@@ -131,6 +155,7 @@ func (l *Layer) exec(prog *Program, s *phys.Space, tb *telemetry.Buf) error {
 		}
 	}
 	l.met.wavesPerLaunch.Observe(int64(r.waves))
+	r.release()
 	return nil
 }
 

@@ -31,7 +31,7 @@ type nodeTemplate struct {
 	// comps are the pass's comps, bound once: all of them, or with barrier
 	// set those before the first that does not decode, whose error is err.
 	// The instances of a barrier conflict with everything.
-	comps   []Args
+	comps   []boundComp
 	barrier bool
 	// spans are the pass's directional spans at iteration zero.
 	spans []span.Strided
@@ -55,6 +55,13 @@ type nodeTemplate struct {
 	err                        error
 }
 
+// boundComp is a comp of a template: its bound block and, in an expanded
+// lowering, the block decoded for its core (entry.decode).
+type boundComp struct {
+	Args
+	typed any
+}
+
 // nest is what the lowering knows about an expanded LOOP of more than one
 // iteration as a whole.
 type nest struct {
@@ -76,7 +83,7 @@ type nest struct {
 func (l *Layer) buildTemplates(seg *planSegment, mode planMode) {
 	comps, nspans := sizeOf(seg.passes)
 	seg.tmpl = make([]nodeTemplate, len(seg.passes))
-	bound, ops := make([]Args, comps), make([]opCost, comps)
+	bound, ops := make([]boundComp, comps), make([]opCost, comps)
 	spans := make([]span.Strided, 0, nspans)
 	for pi, pass := range seg.passes {
 		t := &seg.tmpl[pi]
@@ -96,7 +103,11 @@ func (l *Layer) buildTemplates(seg *planSegment, mode planMode) {
 			if a, err := Bind(in.Op, in.Params); err != nil && !t.barrier {
 				t.barrier, t.err = true, err
 			} else if !t.barrier {
-				t.comps = append(t.comps, a)
+				c := boundComp{Args: a}
+				if mode == planExpand {
+					c.typed = a.spec.core.decode(a)
+				}
+				t.comps = append(t.comps, c)
 				spans = a.appendSpans(spans)
 			}
 		}

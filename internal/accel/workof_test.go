@@ -18,7 +18,8 @@ func execute(s *phys.Space, op descriptor.OpCode, p descriptor.Params, it IterVe
 	if err != nil {
 		return Work{}, err
 	}
-	if b := a.spec.run(s, a, iters{it: it, n: 1}); b.err != nil {
+	c := boundComp{Args: a, typed: a.spec.core.decode(a)}
+	if b := a.spec.core.run(s, &c, iters{it: it, n: 1}); b.err != nil {
 		return Work{}, b.err
 	}
 	return a.Work(), nil

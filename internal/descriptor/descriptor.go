@@ -357,8 +357,17 @@ func (d *Descriptor) Encode(s *phys.Space, base phys.Addr) error {
 // parameter blocks it was built from reaches the copy.
 func (d *Descriptor) Clone() *Descriptor {
 	c := &Descriptor{Instrs: slices.Clone(d.Instrs), params: make([]Params, len(d.params))}
+	n := 0
+	for _, p := range d.params {
+		n += len(p)
+	}
+	// One slab for every block, each capped at its length: appending to one
+	// cannot run into the next.
+	slab := make([]uint64, 0, n)
 	for i, p := range d.params {
-		c.params[i] = slices.Clone(p)
+		at := len(slab)
+		slab = append(slab, p...)
+		c.params[i] = slab[at:len(slab):len(slab)]
 	}
 	return c
 }
@@ -442,28 +451,52 @@ func InstallImage(s *phys.Space, base phys.Addr, img []byte, ptrs []int) error {
 	return nil
 }
 
+// SlotBytes is how much of a command slot SetCommand and CommandOf read: the
+// magic and the CR command. They lie in one mapped region.
+const SlotBytes = headerOffCommand + 4
+
 // WriteCommand sets the CR command field of an encoded descriptor.
 func WriteCommand(s *phys.Space, base phys.Addr, cmd uint32) error {
-	m, err := s.ReadUint32(base)
+	slot, err := s.ViewBytes(base, SlotBytes)
 	if err != nil {
 		return err
 	}
-	if m != magic {
-		return fmt.Errorf("descriptor: no descriptor at %v (bad magic %#x)", base, m)
-	}
-	return s.WriteUint32(base+headerOffCommand, cmd)
+	return SetCommand(slot, base, cmd)
 }
 
 // ReadCommand reads the CR command field of an encoded descriptor.
 func ReadCommand(s *phys.Space, base phys.Addr) (uint32, error) {
-	m, err := s.ReadUint32(base)
+	slot, err := s.ViewBytes(base, SlotBytes)
 	if err != nil {
 		return 0, err
 	}
-	if m != magic {
-		return 0, fmt.Errorf("descriptor: no descriptor at %v (bad magic %#x)", base, m)
+	return CommandOf(slot, base)
+}
+
+// SetCommand is WriteCommand through a view of the slot at base (at least
+// SlotBytes long) that its holder resolved once.
+func SetCommand(slot []byte, base phys.Addr, cmd uint32) error {
+	if err := checkMagic(binary.LittleEndian.Uint32(slot), base); err != nil {
+		return err
 	}
-	return s.ReadUint32(base + headerOffCommand)
+	binary.LittleEndian.PutUint32(slot[headerOffCommand:], cmd)
+	return nil
+}
+
+// CommandOf is ReadCommand through a view of the slot at base.
+func CommandOf(slot []byte, base phys.Addr) (uint32, error) {
+	if err := checkMagic(binary.LittleEndian.Uint32(slot), base); err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(slot[headerOffCommand:]), nil
+}
+
+// checkMagic refuses a slot whose first word is not the descriptor magic.
+func checkMagic(m uint32, base phys.Addr) error {
+	if m != magic {
+		return fmt.Errorf("descriptor: no descriptor at %v (bad magic %#x)", base, m)
+	}
+	return nil
 }
 
 // Decode reconstructs a descriptor from the space — the fetch-unit side of
@@ -473,8 +506,8 @@ func Decode(s *phys.Space, base phys.Addr) (*Descriptor, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m != magic {
-		return nil, fmt.Errorf("descriptor: no descriptor at %v (bad magic %#x)", base, m)
+	if err := checkMagic(m, base); err != nil {
+		return nil, err
 	}
 	nInstr, err := s.ReadUint32(base + headerOffNInstr)
 	if err != nil {

@@ -14,6 +14,7 @@ package mealibrt
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"mealib/internal/accel"
@@ -371,6 +372,16 @@ func (b *Buffer) span(off, n units.Bytes) (span.Span, error) {
 	return span.Span{Addr: b.pa + phys.Addr(off), Bytes: n}, nil
 }
 
+// elemBytes is the byte size of n elements of size bytes each. A count whose
+// byte size does not fit is refused: wrapped, it would pass span and the load
+// would then allocate n elements.
+func elemBytes(n, size int) (units.Bytes, error) {
+	if n < 0 || n > math.MaxInt64/size {
+		return 0, fmt.Errorf("mealibrt: access to %d elements of %d bytes overflows the byte count", n, size)
+	}
+	return units.Bytes(n * size), nil
+}
+
 // access runs one host-side access to the n bytes at byte offset off: it
 // waits until no accepted launch conflicts with the range (the ordering
 // rule, Session.awaitLocked) and runs op under the runtime lock, so no
@@ -433,7 +444,11 @@ func (b *Buffer) StoreFloat32s(off units.Bytes, v []float32) error {
 
 // LoadFloat32s reads n float32 values at byte offset off.
 func (b *Buffer) LoadFloat32s(off units.Bytes, n int) (out []float32, err error) {
-	err = b.access(off, units.Bytes(4*n), false, func(pa phys.Addr) (e error) { out, e = b.rt.space.LoadFloat32s(pa, n); return })
+	size, err := elemBytes(n, 4)
+	if err != nil {
+		return nil, err
+	}
+	err = b.access(off, size, false, func(pa phys.Addr) (e error) { out, e = b.rt.space.LoadFloat32s(pa, n); return })
 	return out, err
 }
 
@@ -444,7 +459,11 @@ func (b *Buffer) StoreComplex64s(off units.Bytes, v []complex64) error {
 
 // LoadComplex64s reads n complex64 values at byte offset off.
 func (b *Buffer) LoadComplex64s(off units.Bytes, n int) (out []complex64, err error) {
-	err = b.access(off, units.Bytes(8*n), false, func(pa phys.Addr) (e error) { out, e = b.rt.space.LoadComplex64s(pa, n); return })
+	size, err := elemBytes(n, 8)
+	if err != nil {
+		return nil, err
+	}
+	err = b.access(off, size, false, func(pa phys.Addr) (e error) { out, e = b.rt.space.LoadComplex64s(pa, n); return })
 	return out, err
 }
 
@@ -455,7 +474,11 @@ func (b *Buffer) StoreInt32s(off units.Bytes, v []int32) error {
 
 // LoadInt32s reads n int32 values at byte offset off.
 func (b *Buffer) LoadInt32s(off units.Bytes, n int) (out []int32, err error) {
-	err = b.access(off, units.Bytes(4*n), false, func(pa phys.Addr) (e error) { out, e = b.rt.space.LoadInt32s(pa, n); return })
+	size, err := elemBytes(n, 4)
+	if err != nil {
+		return nil, err
+	}
+	err = b.access(off, size, false, func(pa phys.Addr) (e error) { out, e = b.rt.space.LoadInt32s(pa, n); return })
 	return out, err
 }
 
@@ -476,6 +499,10 @@ type Plan struct {
 	prog   *accel.Program
 	baseVA vm.VAddr
 	basePA phys.Addr
+	// slot is a view of the command slot's magic and command words, resolved
+	// at install: every doorbell rings through it (nil for an out-of-core
+	// plan). The slot is the plan's own mapping until Destroy.
+	slot []byte
 	// writes are the spans the descriptor's task graph initializes,
 	// propagated into the runtime's initialized set after each execution.
 	writes []span.Span
@@ -800,7 +827,7 @@ func (l *Launch) ringTraced(ctx context.Context, accept bool, tb *telemetry.Buf)
 	if p.ooc == nil {
 		// Out-of-core plans have no resident descriptor to ring: each chunk
 		// is installed and doorbelled inside the schedule driver (ooc.go).
-		if err := descriptor.WriteCommand(r.space, p.basePA, descriptor.CmdStart); err != nil {
+		if err := descriptor.SetCommand(p.slot, p.basePA, descriptor.CmdStart); err != nil {
 			r.finish(l, nil, err)
 			return 0, 0, err
 		}
@@ -888,8 +915,18 @@ func (r *Runtime) retireLocked(l *Launch, inv *Invocation) {
 // repeatedly. Execute is Accept and Run under one hold of the runtime lock,
 // with a record nobody else could collect.
 func (p *Plan) Execute(ctx context.Context) (*Invocation, error) {
-	return (&Launch{p: p}).run(ctx, true)
+	l := execRecords.Get().(*Launch)
+	l.p = p
+	inv, err := l.run(ctx, true)
+	*l = Launch{}
+	execRecords.Put(l)
+	return inv, err
 }
+
+// execRecords holds the records of finished Executes. Such a record never
+// leaves its caller, and every way out of run passes finish, which takes it
+// out of the registry: once run returns, nothing else reaches it.
+var execRecords = sync.Pool{New: func() any { return new(Launch) }}
 
 // Run is Start followed by Wait, by one caller, so the flight runs where that
 // caller would only wait for it: on its own goroutine, with no hand-off. The

@@ -2,6 +2,7 @@ package mealibrt
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"mealib/internal/accel"
@@ -337,5 +338,48 @@ func TestMemAllocOnInvalidStack(t *testing.T) {
 	}
 	if _, err := r.MemAllocOn(-1, 4*units.KiB); err == nil {
 		t.Error("negative stack must fail")
+	}
+}
+
+// noPanic runs f and turns a panic into a test error.
+func noPanic(t *testing.T, f func() error) error {
+	t.Helper()
+	defer func() {
+		if v := recover(); v != nil {
+			t.Errorf("panicked: %v", v)
+		}
+	}()
+	return f()
+}
+
+// TestTypedLoadsRefuseOverflowingCounts: a count whose byte size does not fit
+// is an error, for each typed load. Wrapped, 4·2^62 is 0 bytes, which passed
+// the buffer's span check, and the load then asked makeslice for 2^62
+// elements.
+func TestTypedLoadsRefuseOverflowingCounts(t *testing.T) {
+	r := newRuntime(t)
+	b, err := r.MemAlloc(4 * units.KiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := []int{-1, 1 << 61, 1 << 62, math.MaxInt}
+	for _, tc := range []struct {
+		name string
+		load func(n int) error
+	}{
+		{"LoadFloat32s", func(n int) error { _, err := b.LoadFloat32s(0, n); return err }},
+		{"LoadComplex64s", func(n int) error { _, err := b.LoadComplex64s(0, n); return err }},
+		{"LoadInt32s", func(n int) error { _, err := b.LoadInt32s(0, n); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, n := range counts {
+				if err := noPanic(t, func() error { return tc.load(n) }); err == nil {
+					t.Errorf("a load of %d elements succeeded", n)
+				}
+			}
+			if err := tc.load(8); err != nil {
+				t.Errorf("a load of 8 elements: %v", err)
+			}
+		})
 	}
 }

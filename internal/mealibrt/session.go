@@ -363,17 +363,19 @@ func (s *Session) AccPlan(tdlSrc string, params map[string]descriptor.Params) (*
 	if err := tdlcheck.Verify(prog, resolve); err != nil {
 		return nil, fmt.Errorf("mealibrt: program rejected by the static verifier: %w", err)
 	}
-	if !r.layers[0].Config().NoFusion {
-		// Fuse producer→consumer pass chains at the program level (the plan
-		// lowering would fuse them anyway; doing it here keeps what the
-		// verifier checks and what the hardware runs identical). The merged
-		// chained passes are verified once, in the form they are installed in:
-		// by AccPlanDescriptor's reading of the compiled descriptor.
-		if _, err := tdl.Fuse(prog, resolve, r.layers[0].Config()); err != nil {
-			return nil, fmt.Errorf("mealibrt: fusion pass failed: %w", err)
-		}
+	// Fuse producer→consumer pass chains at the program level (the plan
+	// lowering would fuse them anyway; doing it here keeps what the verifier
+	// checks and what the hardware runs identical). The merged chained passes
+	// are verified once, in the form they are installed in: by
+	// AccPlanDescriptor's reading of the compiled descriptor, which it copies
+	// (its parameter blocks are the caller's params). Fuse returns the program
+	// compiled, once when nothing fuses.
+	var d *descriptor.Descriptor
+	if r.layers[0].Config().NoFusion {
+		d, err = tdl.Compile(prog, resolve)
+	} else if d, _, err = tdl.Fuse(prog, resolve, r.layers[0].Config()); err != nil {
+		err = fmt.Errorf("mealibrt: fusion pass failed: %w", err)
 	}
-	d, err := tdl.Compile(prog, resolve)
 	if err != nil {
 		return nil, err
 	}
@@ -448,13 +450,17 @@ func (s *Session) AccPlanDescriptorOn(stack int, d *descriptor.Descriptor) (*Pla
 	if err != nil {
 		return nil, err
 	}
+	var slot []byte
 	if prog != nil {
-		if err := prog.Install(r.space, pa); err != nil {
+		if err = prog.Install(r.space, pa); err == nil {
+			slot, err = r.space.ViewBytes(pa, descriptor.SlotBytes)
+		}
+		if err != nil {
 			_ = r.driver.Free(va)
 			return nil, err
 		}
 	}
-	p := &Plan{rt: r, desc: d, descSize: d.Size(), prog: prog, baseVA: va, basePA: pa,
+	p := &Plan{rt: r, desc: d, descSize: d.Size(), prog: prog, baseVA: va, basePA: pa, slot: slot,
 		writes: writes, reads: reads, exposed: fp.Exposed,
 		admWrites: admWrites, ooc: sched, sess: s, stack: stack}
 	if sched != nil {

@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -91,9 +90,19 @@ func (s *Space) regions() []*Region {
 	return nil
 }
 
-// search returns the index of the first region ending after a.
+// search returns the index of the first region ending after a: a plain
+// binary search, since every access to the space starts with one.
 func search(regions []*Region, a Addr) int {
-	return sort.Search(len(regions), func(i int) bool { return regions[i].end() > a })
+	lo, hi := 0, len(regions)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if regions[m].end() > a {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
 }
 
 // locate returns the region of the table containing a, or nil.
@@ -160,6 +169,17 @@ func (s *Space) slice(addr Addr, n int) ([]byte, error) {
 	return r.data[off : off+n], nil
 }
 
+// elems returns the bytes of n elements of size bytes each at addr. A count
+// whose byte size does not fit an int is refused before any size is computed
+// from it: a wrapped size would pass the region check and the caller would
+// then allocate n elements.
+func (s *Space) elems(addr Addr, n, size int) ([]byte, error) {
+	if n < 0 || n > math.MaxInt/size {
+		return nil, fmt.Errorf("phys: access to %d elements of %d bytes at %s overflows", n, size, addr)
+	}
+	return s.slice(addr, n*size)
+}
+
 // ViewBytes returns a zero-copy view of n bytes at addr.
 func (s *Space) ViewBytes(addr Addr, n int) ([]byte, error) { return s.slice(addr, n) }
 
@@ -217,7 +237,7 @@ func (s *Space) WriteFloat32(addr Addr, v float32) error {
 
 // LoadFloat32s copies n float32 values starting at addr.
 func (s *Space) LoadFloat32s(addr Addr, n int) ([]float32, error) {
-	b, err := s.slice(addr, 4*n)
+	b, err := s.elems(addr, n, 4)
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +263,7 @@ func (s *Space) StoreFloat32s(addr Addr, v []float32) error {
 // LoadComplex64s copies n complex64 values (interleaved re,im float32 pairs)
 // starting at addr.
 func (s *Space) LoadComplex64s(addr Addr, n int) ([]complex64, error) {
-	b, err := s.slice(addr, 8*n)
+	b, err := s.elems(addr, n, 8)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +296,7 @@ func (s *Space) WriteComplex64(addr Addr, v complex64) error {
 // LoadInt32s copies n int32 values starting at addr (used for CSR index
 // arrays consumed by the SPMV accelerator).
 func (s *Space) LoadInt32s(addr Addr, n int) ([]int32, error) {
-	b, err := s.slice(addr, 4*n)
+	b, err := s.elems(addr, n, 4)
 	if err != nil {
 		return nil, err
 	}

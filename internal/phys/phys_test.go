@@ -345,3 +345,24 @@ func TestSpaceConcurrentMapUnmapAndView(t *testing.T) {
 		t.Errorf("mapped = %v after the churn, want the one stable region", s.Mapped())
 	}
 }
+
+// TestTypedLoadsRefuseOverflowingCounts: a count whose byte size does not fit
+// an int is an error. Wrapped, 4·2^62 is 0 bytes, which passes the region
+// check, and the load then asked makeslice for 2^62 elements.
+func TestTypedLoadsRefuseOverflowingCounts(t *testing.T) {
+	s := NewSpace(1 * units.MiB)
+	if _, err := s.Map(0x1000, 4096); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{-1, 1 << 61, 1 << 62, math.MaxInt} {
+		if _, err := s.LoadFloat32s(0x1000, n); err == nil {
+			t.Errorf("LoadFloat32s of %d elements succeeded", n)
+		}
+		if _, err := s.LoadComplex64s(0x1000, n); err == nil {
+			t.Errorf("LoadComplex64s of %d elements succeeded", n)
+		}
+		if _, err := s.LoadInt32s(0x1000, n); err == nil {
+			t.Errorf("LoadInt32s of %d elements succeeded", n)
+		}
+	}
+}

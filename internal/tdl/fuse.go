@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mealib/internal/accel"
+	"mealib/internal/descriptor"
 )
 
 // Fuse runs the descriptor fusion analysis (accel.FusionGroups) over the
@@ -17,16 +18,21 @@ import (
 // the chained pass, and shrinks the descriptor the configuration unit must
 // fetch and parse.
 //
-// The returned groups describe what merged. prog is modified in place only
+// The returned groups describe what merged, and the descriptor is the fused
+// program compiled: when no group applies, the one the analysis ran on, so a
+// program nothing fuses in is compiled once. prog is modified in place only
 // when the analysis succeeds; any error leaves it untouched.
-func Fuse(prog *Program, resolve ParamResolver, cfg *accel.Config) ([]accel.FusedGroup, error) {
+func Fuse(prog *Program, resolve ParamResolver, cfg *accel.Config) (*descriptor.Descriptor, []accel.FusedGroup, error) {
 	d, err := Compile(prog, resolve)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	groups, err := accel.FusionGroups(d, cfg)
-	if err != nil || len(groups) == 0 {
-		return groups, err
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(groups) == 0 {
+		return d, nil, nil
 	}
 	// Map the analysis' program-order pass indices (counting every pass,
 	// top-level and loop-body alike) onto program locations.
@@ -50,13 +56,13 @@ func Fuse(prog *Program, resolve ParamResolver, cfg *accel.Config) ([]accel.Fuse
 	for gi := len(groups) - 1; gi >= 0; gi-- {
 		g := groups[gi]
 		if g.FirstPass < 0 || g.FirstPass+g.Passes > len(locs) {
-			return nil, fmt.Errorf("tdl: fusion group [%d,%d) outside program", g.FirstPass, g.FirstPass+g.Passes)
+			return nil, nil, fmt.Errorf("tdl: fusion group [%d,%d) outside program", g.FirstPass, g.FirstPass+g.Passes)
 		}
 		first := locs[g.FirstPass]
 		if first.loop {
 			lp, ok := prog.Blocks[first.block].(Loop)
 			if !ok || first.inLoop+g.Passes > len(lp.Passes) {
-				return nil, fmt.Errorf("tdl: fusion group at pass %d does not fit its loop", g.FirstPass)
+				return nil, nil, fmt.Errorf("tdl: fusion group at pass %d does not fit its loop", g.FirstPass)
 			}
 			merged := Pass{Line: lp.Passes[first.inLoop].Line}
 			for k := 0; k < g.Passes; k++ {
@@ -70,10 +76,13 @@ func Fuse(prog *Program, resolve ParamResolver, cfg *accel.Config) ([]accel.Fuse
 		} else {
 			for k := 1; k < g.Passes; k++ {
 				if err := MergePasses(prog, first.block); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 			}
 		}
 	}
-	return groups, nil
+	if d, err = Compile(prog, resolve); err != nil {
+		return nil, nil, err
+	}
+	return d, groups, nil
 }

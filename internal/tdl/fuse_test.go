@@ -1,6 +1,7 @@
 package tdl
 
 import (
+	"reflect"
 	"testing"
 
 	"mealib/internal/accel"
@@ -48,7 +49,7 @@ PASS { COMP FFT PARAMS "fft.bc" }
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups, err := Fuse(prog, fuseResolver(t), accel.MEALibConfig())
+	_, groups, err := Fuse(prog, fuseResolver(t), accel.MEALibConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ LOOP 16 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups, err := Fuse(prog, fuseResolver(t), accel.MEALibConfig())
+	_, groups, err := Fuse(prog, fuseResolver(t), accel.MEALibConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ PASS { COMP FFT PARAMS "fft.ca" }
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups, err := Fuse(prog, fuseResolver(t), accel.MEALibConfig())
+	_, groups, err := Fuse(prog, fuseResolver(t), accel.MEALibConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,5 +122,33 @@ PASS { COMP FFT PARAMS "fft.ca" }
 	}
 	if len(prog.Blocks) != 2 {
 		t.Fatalf("program restructured without fusion: %d blocks", len(prog.Blocks))
+	}
+}
+
+// TestFuseReturnsTheFusedProgramCompiled: the descriptor Fuse returns is
+// the fused program compiled, whether a group applied (the rewritten program)
+// or not (the descriptor the analysis compiled, returned as it is).
+func TestFuseReturnsTheFusedProgramCompiled(t *testing.T) {
+	for _, src := range []string{
+		"PASS { COMP FFT PARAMS \"fft.ab\" }\nPASS { COMP FFT PARAMS \"fft.bc\" }\n",
+		"LOOP 16 {\n  PASS { COMP RESMP PARAMS \"resmp.loop\" }\n  PASS { COMP FFT PARAMS \"fft.loop\" }\n}\n",
+		"PASS { COMP FFT PARAMS \"fft.ab\" }\nPASS { COMP FFT PARAMS \"fft.ca\" }\n",
+	} {
+		prog, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resolve := fuseResolver(t)
+		got, _, err := Fuse(prog, resolve, accel.MEALibConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Compile(prog, resolve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%q: Fuse returned\n%+v\nwant the fused program compiled\n%+v", src, got, want)
+		}
 	}
 }

@@ -58,6 +58,49 @@ func TestBufferValidation(t *testing.T) {
 	}
 }
 
+// TestAccessorsRefuseOverflowingRanges: an element offset and count whose sum
+// or byte size does not fit an int are refused with an error, for each
+// accessor. Get(1<<62, 1<<62) used to pass its bounds check with a wrapped
+// sum and panic in makeslice.
+func TestAccessorsRefuseOverflowingRanges(t *testing.T) {
+	s := newSystem(t)
+	f, err := s.AllocFloat32(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.AllocComplex64(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranges := [][2]int{{1 << 62, 1 << 62}, {0, 1 << 62}, {0, 1 << 61}, {1, math.MaxInt}, {math.MaxInt, 1}, {0, -1}, {-1, 1}}
+	for _, tc := range []struct {
+		name   string
+		access func(off, n int) error
+	}{
+		{"Float32Buffer.Get", func(off, n int) error { _, err := f.Get(off, n); return err }},
+		{"Complex64Buffer.Get", func(off, n int) error { _, err := c.Get(off, n); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, r := range ranges {
+				err := func() (err error) {
+					defer func() {
+						if v := recover(); v != nil {
+							t.Errorf("%d elements at %d: panicked: %v", r[1], r[0], v)
+						}
+					}()
+					return tc.access(r[0], r[1])
+				}()
+				if err == nil {
+					t.Errorf("%d elements at %d: no error", r[1], r[0])
+				}
+			}
+			if err := tc.access(0, 8); err != nil {
+				t.Errorf("8 elements at 0: %v", err)
+			}
+		})
+	}
+}
+
 func TestSaxpyAndDot(t *testing.T) {
 	s := newSystem(t)
 	n := 1024
