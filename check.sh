@@ -83,6 +83,12 @@ if grep -rnE 'flightGate|WaveHooks|waveSpansOf|olderWritesLocked|WithWavePipelin
 	exit 1
 fi
 
+echo "==> one-clock gate (the runtime bills host idle from its frontier alone, and a serially reused resource on the model clock is a units.Timeline)"
+if grep -rnE 'idleWindows|idleIvl|billedIdle|egressFree|ingressFree|egressBusy|inLink|outLink|accelT' --include='*.go' . | grep -v '_test\.go:'; then
+	echo "check.sh: a union of billed idle windows or a serial-link ledger of its own grew back" >&2
+	exit 1
+fi
+
 echo "==> go test -race ./... (the gates: bit-identity, nest verdicts and ranges, fixed costs, the compiled plan, the one launch record, the one-walk install, the mealibd wire, fusion traffic and the model calibration; each test that carries one says so in its comment, \"Gate (check.sh): ...\", and Runtime.CheckInvariants closes the mealibrt and mealibd tests)"
 go test -race ./...
 

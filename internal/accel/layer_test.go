@@ -420,6 +420,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewLayer(bad3); err == nil {
 		t.Error("NewLayer must validate")
 	}
+	bad4 := MEALibConfig()
+	bad4.ELinkBit = -8e-12
+	if err := bad4.Validate(); err == nil {
+		t.Error("negative link energy must fail")
+	}
 }
 
 func TestExecuteErrorsSurface(t *testing.T) {

@@ -94,6 +94,7 @@ type Config struct {
 // MEALibConfig returns the paper's accelerator layer: 16 tiles (one per
 // vault) on the 510 GB/s stack, 1 GHz datapath.
 func MEALibConfig() *Config {
+	link := noc.MEALibInterStack(1) // the remote links are the inter-stack network's
 	return &Config{
 		DRAM:              dram.HMC3D(),
 		Mesh:              noc.MEALibMesh(),
@@ -105,8 +106,8 @@ func MEALibConfig() *Config {
 		LMBytes:           256 * units.KiB,
 		StreamEfficiency:  0.95,
 		CU:                DefaultConfigUnit(),
-		RemoteLinkBW:      units.GBps(40), // one HMC link pair
-		ELinkBit:          8e-12,          // ~8 pJ/bit SerDes
+		RemoteLinkBW:      link.LinkBW,
+		ELinkBit:          link.EBit,
 		OpRates: map[descriptor.OpCode]units.FlopsPerSec{
 			descriptor.OpFFT:  units.GFlops(2000),
 			descriptor.OpDOT:  units.GFlops(512),
@@ -133,6 +134,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("accel: stream efficiency %v out of (0,1]", c.StreamEfficiency)
 	case c.Workers < 0:
 		return fmt.Errorf("accel: negative worker count %d", c.Workers)
+	case c.ELinkBit < 0:
+		return fmt.Errorf("accel: negative link energy per bit")
 	}
 	if err := c.CU.Validate(); err != nil {
 		return err

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mealib/internal/descriptor"
+	"mealib/internal/noc"
 	"mealib/internal/units"
 )
 
@@ -162,5 +163,35 @@ func TestChainingSpillsBeyondLocalMemory(t *testing.T) {
 	wantSpill := units.Bytes(8*n) - lmCap
 	if rep.LMSpillBytes != wantSpill {
 		t.Errorf("spill = %v, want %v", rep.LMSpillBytes, wantSpill)
+	}
+}
+
+// TestStagingCostIsAnInterStackSend pins the promise of
+// noc.MEALibInterStack's doc comment: the accelerator model's link is the
+// inter-stack network's, so for the same bytes StagingCost is a Send's
+// serialisation time (end - start - LinkLatency) and its energy.
+func TestStagingCostIsAnInterStackSend(t *testing.T) {
+	cfg := MEALibConfig()
+	for _, b := range []units.Bytes{1, 3, 4096, 65537, 1 << 20, 3<<20 + 5} {
+		link := noc.MEALibInterStack(2)
+		net, err := noc.NewInterStack(*link)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start, end, err := net.Send(0, 1, b, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tStage, eStage := cfg.StagingCost(b)
+		// The port's occupancy is the serialisation bit for bit; the
+		// latency subtracted back out of end may round in the last place.
+		if !exactly(float64(net.EgressBusy(0)), float64(tStage)) ||
+			!units.CloseTo(float64(end-start-link.LinkLatency), float64(tStage)) {
+			t.Errorf("%d B: StagingCost time %v, Send serialises for %v (busy %v)",
+				b, tStage, end-start-link.LinkLatency, net.EgressBusy(0))
+		}
+		if !exactly(float64(net.Energy()), float64(eStage)) {
+			t.Errorf("%d B: StagingCost energy %v, Send %v", b, eStage, net.Energy())
+		}
 	}
 }

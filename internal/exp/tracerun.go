@@ -169,22 +169,23 @@ func TraceMicro(tr *telemetry.Tracer, op string) error {
 	if err != nil {
 		return err
 	}
-	fa, err := pa.Submit(context.Background())
-	if err != nil {
-		return err
+	// Accepting all three launches before any starts fixes their order: pa
+	// and pb are disjoint and admitted at once, and the resubmission of pa
+	// conflicts with pa's first launch, so it queues behind it and its Start
+	// stalls in admission until that flight retires.
+	var ls [3]*mealibrt.Launch
+	for i, p := range []*mealibrt.Plan{pa, pb, pa} {
+		if ls[i], err = p.Accept(); err != nil {
+			return err
+		}
 	}
-	fb, err := pb.Submit(context.Background())
-	if err != nil {
-		return err
-	}
-	// Resubmitting pa conflicts with its own in-flight writes: this Submit
-	// blocks in admission until the first flight retires.
-	fc, err := pa.Submit(context.Background())
-	if err != nil {
-		return err
+	for _, l := range ls {
+		if _, err := l.Start(context.Background()); err != nil {
+			return err
+		}
 	}
 	var total units.Seconds
-	for _, f := range []*mealibrt.Launch{fa, fb, fc} {
+	for _, f := range ls {
 		inv, err := f.Wait(context.Background())
 		if err != nil {
 			return err

@@ -9,78 +9,6 @@ import (
 	"mealib/internal/units"
 )
 
-// TestIdleWindowsAdd pins the interval-union semantics the flight-aware
-// idle accounting rests on: overlapping windows bill only their uncovered
-// portion, disjoint windows bill in full, and the set stays merged.
-func TestIdleWindowsAdd(t *testing.T) {
-	var w idleWindows
-	if got := w.add(0, 10); !units.CloseTo(float64(got), 10) {
-		t.Fatalf("first window billed %v, want 10", got)
-	}
-	// Identical overlap: nothing new.
-	if got := w.add(0, 10); !units.CloseTo(float64(got), 0) {
-		t.Fatalf("identical window billed %v, want 0", got)
-	}
-	// Partial overlap: only the extension bills.
-	if got := w.add(5, 15); !units.CloseTo(float64(got), 5) {
-		t.Fatalf("extension billed %v, want 5", got)
-	}
-	// Adjacent window: bills in full, merges.
-	if got := w.add(15, 20); !units.CloseTo(float64(got), 5) {
-		t.Fatalf("adjacent window billed %v, want 5", got)
-	}
-	if len(w.ivls) != 1 {
-		t.Fatalf("windows did not merge: %v", w.ivls)
-	}
-	// Disjoint later window: bills in full, second interval.
-	if got := w.add(30, 35); !units.CloseTo(float64(got), 5) {
-		t.Fatalf("disjoint window billed %v, want 5", got)
-	}
-	if len(w.ivls) != 2 {
-		t.Fatalf("expected two intervals, got %v", w.ivls)
-	}
-	// A window spanning the gap bills only the gap and re-merges all.
-	if got := w.add(10, 40); !units.CloseTo(float64(got), 15) {
-		t.Fatalf("gap-spanning window billed %v, want 15 (gap 20..30 plus 35..40)", got)
-	}
-	if len(w.ivls) != 1 || !units.CloseTo(float64(w.ivls[0].start), 0) || !units.CloseTo(float64(w.ivls[0].end), 40) {
-		t.Fatalf("final set = %v, want [0,40)", w.ivls)
-	}
-	// Degenerate windows are free.
-	if got := w.add(50, 50); got != 0 {
-		t.Fatalf("empty window billed %v", got)
-	}
-	// A window before everything is inserted in front, in order.
-	w.add(60, 70)
-	if got := w.add(-10, -5); !units.CloseTo(float64(got), 5) {
-		t.Fatalf("leading window billed %v, want 5", got)
-	}
-	if len(w.ivls) != 3 || w.ivls[0].end > w.ivls[1].start || w.ivls[1].end > w.ivls[2].start {
-		t.Fatalf("set out of order after a front insert: %v", w.ivls)
-	}
-}
-
-// TestIdleWindowsAddSteadyStateAllocs pins the retire path's steady state:
-// a serial flight starts where the last one ended, so its window extends
-// the set's one element in place.
-func TestIdleWindowsAddSteadyStateAllocs(t *testing.T) {
-	var w idleWindows
-	w.add(0, 1)
-	at := units.Seconds(1)
-	allocs := testing.AllocsPerRun(100, func() {
-		if got := w.add(at, at+1); !units.CloseTo(float64(got), 1) {
-			t.Fatalf("serial window at %v billed %v, want 1", at, got)
-		}
-		at++
-	})
-	if allocs != 0 {
-		t.Fatalf("extending the last window allocates %v times per retire, want 0", allocs)
-	}
-	if len(w.ivls) != 1 {
-		t.Fatalf("serial windows did not stay merged: %v", w.ivls)
-	}
-}
-
 // loopAxpyPlan builds a LOOP{iters} x PASS{AXPY n} plan over fresh disjoint
 // buffers — big enough that its flight stays in the air for milliseconds of
 // wall time, which the overlap test below relies on.

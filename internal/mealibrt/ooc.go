@@ -97,8 +97,9 @@ func (r *Runtime) runChunk(ch *accel.OOCChunk, base phys.Addr) (*accel.Report, e
 func (r *Runtime) priceOOC(sched *accel.OOCSchedule) *accel.Report {
 	acfg := r.layers[0].Config()
 	agg := &accel.Report{PerOp: map[descriptor.OpCode]*accel.OpStats{}}
-	// Timeline frontiers (model seconds from the flight's start).
-	var inLink, outLink, accelT units.Seconds
+	// Timelines in model seconds from the flight's start; halfFree is when
+	// each staging half's last write-back drains.
+	var in, acc, out units.Timeline
 	var halfFree [2]units.Seconds
 	var stageE units.Joules
 	for _, ch := range sched.Chunks {
@@ -112,25 +113,26 @@ func (r *Runtime) priceOOC(sched *accel.OOCSchedule) *accel.Report {
 		// after the previous chunk completes outright, its write-back
 		// drained.
 		tIn, eIn := acfg.StagingCost(ch.StageInBytes)
-		sIn := max(inLink, halfFree[ch.Half])
+		ready := halfFree[ch.Half]
 		if r.cfg.NoPrefetch || !ch.Prefetchable {
-			sIn = max(sIn, outLink)
+			ready = max(ready, out.Free())
 		}
-		inLink = sIn + tIn
+		_, staged := in.Reserve(ready, tIn)
 		stageE += eIn
-		// Execution on the accelerator timeline, then write-back on the
-		// outbound link; the chunk's half is reusable once it has drained.
-		accelT = max(accelT, inLink) + r.cfg.DescriptorSetupLatency + rep.Time
+		// Execution on the accelerator timeline (the descriptor setup, then
+		// the run), then write-back on the outbound link; the chunk's half
+		// is reusable once it has drained.
+		_, set := acc.Reserve(staged, r.cfg.DescriptorSetupLatency)
+		_, ran := acc.Reserve(set, rep.Time)
 		tOut, eOut := acfg.StagingCost(ch.WriteBackBytes)
-		outLink = max(outLink, accelT) + tOut
+		_, halfFree[ch.Half] = out.Reserve(ran, tOut)
 		stageE += eOut
-		halfFree[ch.Half] = outLink
 		agg.Merge(rep)
 	}
 	// End to end, the flight spans until both the accelerator and the
 	// outbound link drain; the per-chunk Times summed by Merge are replaced
 	// with the pipelined total.
-	agg.Time = max(accelT, outLink)
+	agg.Time = max(acc.Free(), out.Free())
 	agg.Energy += stageE
 	agg.OOCChunks = int64(len(sched.Chunks))
 	agg.StagedBytes = sched.StageInBytes + sched.WriteBackBytes

@@ -148,12 +148,9 @@ type Runtime struct {
 	// seq numbers launches in admission order.
 	seq uint64
 	// clock is the model-time frontier: flights start at the current
-	// frontier and push it forward as they retire.
+	// frontier and push it forward as they retire, so the host has been
+	// billed idle for exactly [0, clock).
 	clock units.Seconds
-	// billedIdle unions the model-time windows whose host idle energy has
-	// already been billed, so overlapping flights split the shared window
-	// instead of each billing it in full (see idle.go).
-	billedIdle idleWindows
 }
 
 // Stats aggregates invocation accounting across the runtime's lifetime
@@ -261,7 +258,8 @@ func (r *Runtime) Stats() Stats {
 // launch is accepted and no call into the runtime is in progress: there a
 // record still in the registry is itself a violation, because "the
 // accelerators own no DRAM" (paper §2.1) means exactly "nothing is accepted",
-// and every count and gauge derived from the registry must read zero.
+// and every count and gauge derived from the registry must read zero. The
+// host's idle energy must be that of the one window [0, frontier).
 func (r *Runtime) CheckInvariants() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -290,6 +288,10 @@ func (r *Runtime) CheckInvariants() error {
 		if used != s.memUsed {
 			return fmt.Errorf("mealibrt: session %q holds %d bytes in buffers but is charged %d", s.cfg.Name, used, s.memUsed)
 		}
+	}
+	if want := r.cfg.Host.Wait(r.clock).Energy; !units.CloseTo(float64(r.stats.HostIdleEnergy), float64(want)) {
+		return fmt.Errorf("mealibrt: host billed %v idle energy, but idling for [0, %v) of model time costs %v",
+			r.stats.HostIdleEnergy, r.clock, want)
 	}
 	return nil
 }
@@ -882,21 +884,23 @@ func (l *Launch) fly(ovT units.Seconds, ovE units.Joules) {
 
 // retireLocked is the successful flight's half of finish: the descriptor's
 // writes become live data for subsequent launches and the accounting lands in
-// Stats and in inv. The host-idle energy the invocation is billed covers the
-// portion of its model-time window no earlier flight already covered —
-// overlapping flights split the shared idle window instead of double-counting
-// it.
+// Stats and in inv. The host idles while a descriptor is in flight, and each
+// instant is billed once: the billed windows are [0, clock) (DESIGN.md, "Model
+// clock"), so a flight is billed the part of [start, end) past the frontier.
 func (r *Runtime) retireLocked(l *Launch, inv *Invocation) {
 	rep := inv.Report
 	for _, s := range l.p.writes {
 		r.initialized.Add(s)
 	}
 	end := l.start + rep.Time
-	newIdle := r.billedIdle.add(l.start, end)
-	if end > r.clock {
-		r.clock = end
+	// The span less its billed part, not end - clock: the two can differ in
+	// the last bit when flights overlap.
+	idle := end - l.start
+	if billed := min(r.clock, end) - l.start; billed > 0 {
+		idle -= billed
 	}
-	inv.HostIdleEnergy = r.cfg.Host.Wait(newIdle).Energy
+	r.clock = max(r.clock, end)
+	inv.HostIdleEnergy = r.cfg.Host.Wait(idle).Energy
 	r.stats.Invocations++
 	r.stats.OverheadTime += inv.OverheadTime
 	r.stats.OverheadEnergy += inv.OverheadEnergy

@@ -5,9 +5,8 @@ package noc
 // Unlike the intra-layer mesh above, what matters here is contention: an
 // iterated sharded SpMV exchanges vector segments between every pair of
 // stacks each iteration, and with one SerDes port per direction per stack
-// those transfers serialise. The model keeps a serialization timeline per
-// port — the same technique the OOC staging link uses — so a schedule of
-// Sends yields deterministic per-transfer start/finish times, per-link byte
+// those transfers serialise. The model keeps a units.Timeline per port, the
+// type the OOC staging link reserves too, so a schedule of Sends yields deterministic per-transfer start/finish times, per-link byte
 // counters for traffic-conservation checks, and link energy for the pJ
 // accounting.
 
@@ -33,9 +32,11 @@ type InterStackConfig struct {
 	EBit units.Joules
 }
 
-// MEALibInterStack returns the inter-stack network matching the accel
-// model's remote-access parameters (RemoteLinkBW, ELinkBit), so a sharded
-// launch and a remote gather price cross-stack bytes identically.
+// MEALibInterStack returns the inter-stack network: one HMC link pair per
+// port at ~8 pJ/bit. The accel model takes its remote-access parameters
+// (RemoteLinkBW, ELinkBit) from here, so a sharded launch and a remote
+// gather price cross-stack bytes identically: for the same bytes,
+// accel.Config.StagingCost is a Send's serialisation time and its energy.
 func MEALibInterStack(stacks int) *InterStackConfig {
 	return &InterStackConfig{
 		Stacks:      stacks,
@@ -54,6 +55,8 @@ func (c *InterStackConfig) Validate() error {
 		return fmt.Errorf("noc: non-positive inter-stack link bandwidth")
 	case c.LinkLatency < 0:
 		return fmt.Errorf("noc: negative inter-stack link latency")
+	case c.EBit < 0:
+		return fmt.Errorf("noc: negative inter-stack link energy per bit")
 	}
 	return nil
 }
@@ -63,16 +66,11 @@ func (c *InterStackConfig) Validate() error {
 // safe for concurrent use; callers schedule Sends in a deterministic order.
 type InterStack struct {
 	cfg InterStackConfig
-	// egressFree/ingressFree are the model times at which each stack's
-	// ports next become available.
-	egressFree  []units.Seconds
-	ingressFree []units.Seconds
+	// egress and ingress are each stack's two ports.
+	egress, ingress []units.Timeline
 	// pair[s][d] counts bytes sent from stack s to stack d.
-	pair [][]units.Bytes
-	// egressBusy accumulates each stack's egress serialisation time (port
-	// occupancy, for utilisation counters).
-	egressBusy []units.Seconds
-	energy     units.Joules
+	pair   [][]units.Bytes
+	energy units.Joules
 }
 
 // NewInterStack builds an idle network.
@@ -81,11 +79,10 @@ func NewInterStack(cfg InterStackConfig) (*InterStack, error) {
 		return nil, err
 	}
 	n := &InterStack{
-		cfg:         cfg,
-		egressFree:  make([]units.Seconds, cfg.Stacks),
-		ingressFree: make([]units.Seconds, cfg.Stacks),
-		pair:        make([][]units.Bytes, cfg.Stacks),
-		egressBusy:  make([]units.Seconds, cfg.Stacks),
+		cfg:     cfg,
+		egress:  make([]units.Timeline, cfg.Stacks),
+		ingress: make([]units.Timeline, cfg.Stacks),
+		pair:    make([][]units.Bytes, cfg.Stacks),
 	}
 	for s := range n.pair {
 		n.pair[s] = make([]units.Bytes, cfg.Stacks)
@@ -112,20 +109,14 @@ func (n *InterStack) Send(src, dst int, b units.Bytes, at units.Seconds) (start,
 	if src == dst || b == 0 {
 		return at, at, nil
 	}
-	start = at
-	if n.egressFree[src] > start {
-		start = n.egressFree[src]
-	}
-	if n.ingressFree[dst] > start {
-		start = n.ingressFree[dst]
-	}
+	// Both ports are held for the same window: the egress reservation
+	// waits for the ingress port too, so the ingress one starts with it.
 	serial := n.cfg.LinkBW.Time(b)
-	n.egressFree[src] = start + serial
-	n.ingressFree[dst] = start + serial
-	n.egressBusy[src] += serial
+	start, end = n.egress[src].Reserve(max(at, n.ingress[dst].Free()), serial)
+	n.ingress[dst].Reserve(start, serial)
 	n.pair[src][dst] += b
 	n.energy += units.Joules(float64(b) * 8 * float64(n.cfg.EBit))
-	return start, start + serial + n.cfg.LinkLatency, nil
+	return start, end + n.cfg.LinkLatency, nil
 }
 
 // Energy returns the total link energy of all accounted transfers.
@@ -166,4 +157,4 @@ func (n *InterStack) TotalBytes() units.Bytes {
 
 // EgressBusy returns stack k's accumulated egress serialisation time — the
 // port-occupancy counter telemetry reports.
-func (n *InterStack) EgressBusy(k int) units.Seconds { return n.egressBusy[k] }
+func (n *InterStack) EgressBusy(k int) units.Seconds { return n.egress[k].Busy() }

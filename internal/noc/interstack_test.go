@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"mealib/internal/units"
@@ -212,6 +214,60 @@ func TestInterStackErrors(t *testing.T) {
 	}
 	if _, err := NewInterStack(InterStackConfig{Stacks: 2}); err == nil {
 		t.Error("zero bandwidth accepted")
+	}
+	if _, err := NewInterStack(InterStackConfig{Stacks: 2, LinkBW: 1, EBit: -1e-12}); err == nil {
+		t.Error("negative link energy accepted")
+	}
+}
+
+// TestInterStackReplaysPortLedger replays a seeded random schedule of Sends
+// against the port ledger InterStack kept before its ports became
+// units.Timelines: a free time per egress and ingress port and a busy sum per
+// egress port, in that ledger's float order. Every start, end and EgressBusy
+// must repeat bit for bit.
+func TestInterStackReplaysPortLedger(t *testing.T) {
+	const stacks = 4
+	cfg := *MEALibInterStack(stacks)
+	n, err := NewInterStack(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var egressFree, ingressFree, egressBusy [stacks]units.Seconds
+	bits := func(s units.Seconds) uint64 { return math.Float64bits(float64(s)) }
+	rng := rand.New(rand.NewSource(1))
+	var at units.Seconds
+	for i := 0; i < 2000; i++ {
+		src, dst := rng.Intn(stacks), rng.Intn(stacks)
+		b := units.Bytes(rng.Intn(1 << 16))
+		at += units.Seconds(rng.Float64()) * units.Microsecond
+		ready := max(0, at-units.Seconds(rng.Float64())*2*units.Microsecond)
+		start, end, err := n.Send(src, dst, b, ready)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantStart, wantEnd := ready, ready
+		if src != dst && b != 0 {
+			if egressFree[src] > wantStart {
+				wantStart = egressFree[src]
+			}
+			if ingressFree[dst] > wantStart {
+				wantStart = ingressFree[dst]
+			}
+			serial := cfg.LinkBW.Time(b)
+			egressFree[src] = wantStart + serial
+			ingressFree[dst] = wantStart + serial
+			egressBusy[src] += serial
+			wantEnd = wantStart + serial + cfg.LinkLatency
+		}
+		if bits(start) != bits(wantStart) || bits(end) != bits(wantEnd) {
+			t.Fatalf("send %d (%d->%d, %d B at %v): [%v, %v), the ledger gives [%v, %v)",
+				i, src, dst, b, ready, start, end, wantStart, wantEnd)
+		}
+	}
+	for k := range egressBusy {
+		if bits(n.EgressBusy(k)) != bits(egressBusy[k]) {
+			t.Errorf("stack %d: EgressBusy %v, the ledger gives %v", k, n.EgressBusy(k), egressBusy[k])
+		}
 	}
 }
 
