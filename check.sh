@@ -95,6 +95,9 @@ go test -race ./...
 echo "==> one-allocation launch gate (without the race detector, whose sync.Pool drops a quarter of its Puts: an Execute allocates its Invocation and nothing else of its own, a run of a compiled program nothing at all, beyond the kernels' closures)"
 go test -count=1 -run 'FixedCost' ./internal/mealibrt ./internal/accel
 
+echo "==> core-count gate (the first bad SPMV column named and the DOT reductions' bits are the same at any GOMAXPROCS)"
+go test -count=1 -cpu 1,2,3 -run '^(TestSpmvFirstBadColumnAnyProcs|TestDotBitsAnyProcs|TestParallelReduceBitIdentical)$' ./internal/kernels
+
 echo "==> FuzzDifferential, 5 s (internal/accel's bit-identity matrix: generated descriptors through every worker, fusion, window and compiled cell, the traced ones held to the scoreboard's windows and waves)"
 go test -run '^$' -fuzz '^FuzzDifferential$' -fuzztime 5s ./internal/accel
 

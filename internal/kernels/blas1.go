@@ -33,7 +33,7 @@ func Saxpy(n int, alpha float32, x []float32, incX int, y []float32, incY int) e
 		return err
 	}
 	xs, ys := x[:n], y[:n]
-	parallelRanges(n, func(lo, hi int) {
+	parallelRanges(n, func(lo, hi int) int {
 		i := lo
 		for ; i+4 <= hi; i += 4 {
 			ys[i] += alpha * xs[i]
@@ -44,6 +44,7 @@ func Saxpy(n int, alpha float32, x []float32, incX int, y []float32, incY int) e
 		for ; i < hi; i++ {
 			ys[i] += alpha * xs[i]
 		}
+		return hi
 	})
 	return nil
 }
@@ -104,10 +105,11 @@ func Sscal(n int, alpha float32, x []float32, incX int) error {
 	}
 	if incX == 1 {
 		xs := x[:n]
-		parallelRanges(n, func(lo, hi int) {
+		parallelRanges(n, func(lo, hi int) int {
 			for i := lo; i < hi; i++ {
 				xs[i] *= alpha
 			}
+			return hi
 		})
 		return nil
 	}

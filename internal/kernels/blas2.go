@@ -47,7 +47,7 @@ func Sgemv(m, n int, alpha float32, a []float32, lda int, x []float32, beta floa
 		return fmt.Errorf("kernels: sgemv: y length %d < m=%d", len(y), m)
 	}
 	xs := x[:n]
-	parallelRanges(m, func(lo, hi int) {
+	parallelRanges(m, func(lo, hi int) int {
 		for i := lo; i < hi; i++ {
 			row := a[i*lda : i*lda+n]
 			var s0, s1, s2, s3 float64
@@ -63,6 +63,7 @@ func Sgemv(m, n int, alpha float32, a []float32, lda int, x []float32, beta floa
 			}
 			y[i] = alpha*float32(s0+s1+s2+s3) + beta*y[i]
 		}
+		return hi
 	})
 	return nil
 }

@@ -59,10 +59,11 @@ func Caxpy(n int, alpha complex64, x []complex64, incX int, y []complex64, incY 
 	}
 	if incX == 1 && incY == 1 {
 		xs, ys := x[:n], y[:n]
-		parallelRanges(n, func(lo, hi int) {
+		parallelRanges(n, func(lo, hi int) int {
 			for i := lo; i < hi; i++ {
 				ys[i] += alpha * xs[i]
 			}
+			return hi
 		})
 		return nil
 	}
@@ -96,7 +97,7 @@ func Cherk(n, k int, alpha float32, a []complex64, lda int, beta float32, c []co
 	if n > 0 && len(c) < (n-1)*ldc+n {
 		return fmt.Errorf("kernels: cherk: C length %d too short", len(c))
 	}
-	parallelRanges(n, func(lo, hi int) {
+	parallelRanges(n, func(lo, hi int) int {
 		for i := lo; i < hi; i++ {
 			ai := a[i*lda : i*lda+k]
 			for j := i; j < n; j++ {
@@ -115,6 +116,7 @@ func Cherk(n, k int, alpha float32, a []complex64, lda int, beta float32, c []co
 				c[i*ldc+j] = v
 			}
 		}
+		return hi
 	})
 	// Mirror to the lower triangle.
 	for i := 0; i < n; i++ {

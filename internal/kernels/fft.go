@@ -313,7 +313,7 @@ func FFTBatch(p *FFTPlan, data []complex64, howMany int) error {
 	}
 	// One slot per range, at its first transform.
 	errs := make([]error, howMany)
-	parallelRanges(howMany, func(lo, hi int) { errs[lo] = fftRange(p, data, lo, hi) })
+	parallelRanges(howMany, func(lo, hi int) int { errs[lo] = fftRange(p, data, lo, hi); return hi })
 	for _, err := range errs {
 		if err != nil {
 			return err

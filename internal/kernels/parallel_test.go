@@ -39,33 +39,8 @@ func TestParallelPathsMatchSerial(t *testing.T) {
 			}
 		}
 
-		serial, err := SdotNaive(n, x, 1, y, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := Sdot(n, x, 1, y, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEqual(float64(serial), float64(par), 1e-3) {
-			t.Errorf("sdot parallel %v vs naive %v", par, serial)
-		}
-
 		if err := Sscal(n, 1.25, append([]float32(nil), x...), 1); err != nil {
 			t.Fatal(err)
-		}
-
-		cx := randCVec(rng, n)
-		cSerial, err := CdotcNaive(n, cx, 1, cx, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cPar, err := Cdotc(n, cx, 1, cx, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEqual(float64(real(cSerial)), float64(real(cPar)), 1e-3) {
-			t.Errorf("cdotc parallel %v vs naive %v", cPar, cSerial)
 		}
 
 		// Row-parallel GEMV, SPMV and transpose on matrices big enough to
@@ -96,16 +71,13 @@ func TestParallelPathsMatchSerial(t *testing.T) {
 			values = append(values, 1)
 			rowPtr[i+1] = int32(len(values))
 		}
-		s1 := make([]float32, m)
+		s1 := spmvScalar(m, rowPtr, colIdx, values, xs, SemiringPlusTimes, 0)
 		s2 := make([]float32, m)
-		if err := SpmvCSRNaive(m, rowPtr, colIdx, values, xs, s1); err != nil {
-			t.Fatal(err)
-		}
 		if err := SpmvCSR(m, rowPtr, colIdx, values, xs, s2); err != nil {
 			t.Fatal(err)
 		}
 		for i := range s1 {
-			if s1[i] != s2[i] {
+			if math.Float32bits(s1[i]) != math.Float32bits(s2[i]) {
 				t.Fatalf("spmv diverges at %d", i)
 			}
 		}
@@ -176,10 +148,85 @@ func TestParallelPathsMatchSerial(t *testing.T) {
 	})
 }
 
+// TestDotBitsAnyProcs: SDOT and CDOTC return the same bits at GOMAXPROCS
+// 1, 2, 3, 4 and 7, on random inputs and on inputs whose halves nearly
+// cancel, where the order of the partial sums shows in the result; on the
+// random inputs the value is that of a float64 sum.
+//
+// Gate (check.sh): core count, at -cpu 1,2,3.
+func TestDotBitsAnyProcs(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	n := 5*minParallel + 77 // five full chunks and a partial one
+	x, y := randVec(rng, n), randVec(rng, n)
+	cx, cy := randCVec(rng, n), randCVec(rng, n)
+	// The second halves negate the first, so all that is left of the sum
+	// is one term and the rounding of the partial sums, whose bits follow
+	// the order they are added in.
+	xc, yc := append([]float32(nil), x...), append([]float32(nil), y...)
+	cxc, cyc := append([]complex64(nil), cx...), append([]complex64(nil), cy...)
+	for i := 0; i < n/2; i++ {
+		xc[n/2+i], yc[n/2+i] = xc[i], -yc[i]
+		cxc[n/2+i], cyc[n/2+i] = cxc[i], -cyc[i]
+	}
+	yc[n-1], cyc[n-1] = 1e-6, 1e-6
+	inputs := []struct {
+		name   string
+		x, y   []float32
+		cx, cy []complex64
+	}{{"random", x, y, cx, cy}, {"cancelling", xc, yc, cxc, cyc}}
+	for _, in := range inputs {
+		// The reference runs at the ambient core count, which go test's
+		// -cpu flag varies.
+		ambient := runtime.GOMAXPROCS(0)
+		dot, err := Sdot(n, in.x, 1, in.y, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cdot, err := Cdotc(n, in.cx, 1, in.cy, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.name == "random" {
+			// The value itself: within float32 rounding of a float64 sum
+			// in index order.
+			var want float64
+			var cwant complex128
+			for i := 0; i < n; i++ {
+				want += float64(in.x[i]) * float64(in.y[i])
+				xv := complex128(in.cx[i])
+				cwant += complex(real(xv), -imag(xv)) * complex128(in.cy[i])
+			}
+			if !almostEqual(float64(dot), want, 1e-6) || !almostEqual(float64(real(cdot)), real(cwant), 1e-6) || !almostEqual(float64(imag(cdot)), imag(cwant), 1e-6) {
+				t.Errorf("sdot %v, cdotc %v; float64 sums %v, %v", dot, cdot, want, cwant)
+			}
+		}
+		for _, procs := range []int{1, 2, 3, 4, 7} {
+			withProcs(t, procs, func() {
+				d, err := Sdot(n, in.x, 1, in.y, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, err := Cdotc(n, in.cx, 1, in.cy, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float32bits(d) != math.Float32bits(dot) {
+					t.Errorf("%s: sdot at GOMAXPROCS %d = %v, at %d = %v", in.name, procs, d, ambient, dot)
+				}
+				if math.Float32bits(real(c)) != math.Float32bits(real(cdot)) || math.Float32bits(imag(c)) != math.Float32bits(imag(cdot)) {
+					t.Errorf("%s: cdotc at GOMAXPROCS %d = %v, at %d = %v", in.name, procs, c, ambient, cdot)
+				}
+			})
+		}
+	}
+}
+
 // TestParallelReduceBitIdentical drives the reductions with partials of
 // mixed magnitude — where float addition order visibly changes the result —
 // and checks that repeated runs agree bit for bit: the partials must be
 // summed in chunk order, never in goroutine-completion order.
+//
+// Gate (check.sh): core count, at -cpu 1,2,3.
 func TestParallelReduceBitIdentical(t *testing.T) {
 	withProcs(t, 8, func() {
 		n := minParallel * 4

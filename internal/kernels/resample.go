@@ -42,7 +42,7 @@ func resample(src, dst []float32, kind InterpKind, parallel bool) error {
 	if parallel && m >= minParallel {
 		// The closure is built only here: below minParallel a call allocates
 		// nothing.
-		parallelRanges(m, func(lo, hi int) { resampleRange(src, dst, kind, scale, lo, hi) })
+		parallelRanges(m, func(lo, hi int) int { resampleRange(src, dst, kind, scale, lo, hi); return hi })
 	} else {
 		resampleRange(src, dst, kind, scale, 0, m)
 	}

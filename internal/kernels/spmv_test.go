@@ -1,8 +1,10 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -42,17 +44,14 @@ func TestSpmvMatchesNaive(t *testing.T) {
 		rowPtr = append(rowPtr, int32(len(values)))
 	}
 	x := randVec(rng, n)
-	y1 := make([]float32, m)
-	y2 := make([]float32, m)
-	if err := SpmvCSRNaive(m, rowPtr, colIdx, values, x, y1); err != nil {
+	y := make([]float32, m)
+	if err := SpmvCSR(m, rowPtr, colIdx, values, x, y); err != nil {
 		t.Fatal(err)
 	}
-	if err := SpmvCSR(m, rowPtr, colIdx, values, x, y2); err != nil {
-		t.Fatal(err)
-	}
-	for i := range y1 {
-		if !almostEqual(float64(y1[i]), float64(y2[i]), 1e-4) {
-			t.Fatalf("row %d: %v vs %v", i, y1[i], y2[i])
+	want := spmvScalar(m, rowPtr, colIdx, values, x, SemiringPlusTimes, 0)
+	for i := range want {
+		if math.Float32bits(y[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("row %d: kernel %v, scalar loop %v", i, y[i], want[i])
 		}
 	}
 }
@@ -187,5 +186,39 @@ func TestSpmvSemiringUnknown(t *testing.T) {
 	y := make([]float32, 3)
 	if err := SpmvCSRSemiring(3, rp, ci, v, x, y, 99, 0); err == nil {
 		t.Error("unknown semiring must fail")
+	}
+}
+
+// TestSpmvFirstBadColumnAnyProcs: a column out of range fails the call with
+// an error naming the first bad column in CSR order, whatever the row split.
+// Two bad columns sit in different rows, at two layouts: at two workers the
+// later chunk meets its bad column first in one, last in the other.
+//
+// Gate (check.sh): core count, at -cpu 1,2,3.
+func TestSpmvFirstBadColumnAnyProcs(t *testing.T) {
+	m := minParallel + 3
+	half := (m + 1) / 2 // where the second of two chunks starts
+	for _, rows := range [][2]int{{half - 1, half}, {0, m - 1}} {
+		rowPtr := make([]int32, m+1)
+		colIdx := make([]int32, 0, 2*m)
+		for i := 0; i < m; i++ {
+			colIdx = append(colIdx, int32(i%7), int32((i+3)%7))
+			rowPtr[i+1] = int32(len(colIdx))
+		}
+		values := make([]float32, len(colIdx))
+		x := make([]float32, 7)
+		colIdx[rowPtr[rows[0]]+1] = -3
+		colIdx[rowPtr[rows[1]]] = 7
+		want := fmt.Sprintf("kernels: spmv: row %d: column index -3 out of range [0,7)", rows[0])
+		for _, procs := range []int{1, 2, 3, runtime.GOMAXPROCS(0)} {
+			withProcs(t, procs, func() {
+				for _, semiring := range []int64{SemiringPlusTimes, SemiringMinPlus} {
+					err := SpmvCSRSemiring(m, rowPtr, colIdx, values, x, make([]float32, m), semiring, 0)
+					if err == nil || err.Error() != want {
+						t.Errorf("bad rows %v, GOMAXPROCS %d, semiring %d: err = %v, want %q", rows, procs, semiring, err, want)
+					}
+				}
+			})
+		}
 	}
 }

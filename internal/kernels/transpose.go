@@ -29,7 +29,7 @@ func Transpose(m, n int, src, dst []float32) error {
 	}
 	nbi := (m + transposeBlock - 1) / transposeBlock
 	nbj := (n + transposeBlock - 1) / transposeBlock
-	parallelRanges(nbi*nbj, func(lo, hi int) {
+	parallelRanges(nbi*nbj, func(lo, hi int) int {
 		for b := lo; b < hi; b++ {
 			bi := (b / nbj) * transposeBlock
 			bj := (b % nbj) * transposeBlock
@@ -42,6 +42,7 @@ func Transpose(m, n int, src, dst []float32) error {
 				}
 			}
 		}
+		return hi
 	})
 	return nil
 }

@@ -156,28 +156,26 @@ func (s *Space) Region(addr Addr) (*Region, bool) {
 	return r, r != nil
 }
 
+// window returns the n bytes at addr if they lie inside one region.
+func (s *Space) window(addr Addr, n int) ([]byte, bool) {
+	r := locate(s.regions(), addr)
+	if r == nil || n < 0 || int(addr-r.addr)+n > len(r.data) {
+		return nil, false
+	}
+	off := int(addr - r.addr)
+	return r.data[off : off+n], true
+}
+
 // slice returns the n bytes at addr, which must lie inside one region.
 func (s *Space) slice(addr Addr, n int) ([]byte, error) {
+	if b, ok := s.window(addr, n); ok {
+		return b, nil
+	}
 	r := locate(s.regions(), addr)
 	if r == nil {
 		return nil, fmt.Errorf("phys: access to unmapped address %s", addr)
 	}
-	off := int(addr - r.addr)
-	if off+n > len(r.data) {
-		return nil, fmt.Errorf("phys: access %s+%d crosses region end %s", addr, n, r.end())
-	}
-	return r.data[off : off+n], nil
-}
-
-// elems returns the bytes of n elements of size bytes each at addr. A count
-// whose byte size does not fit an int is refused before any size is computed
-// from it: a wrapped size would pass the region check and the caller would
-// then allocate n elements.
-func (s *Space) elems(addr Addr, n, size int) ([]byte, error) {
-	if n < 0 || n > math.MaxInt/size {
-		return nil, fmt.Errorf("phys: access to %d elements of %d bytes at %s overflows", n, size, addr)
-	}
-	return s.slice(addr, n*size)
+	return nil, fmt.Errorf("phys: access %s+%d crosses region end %s", addr, n, r.end())
 }
 
 // ViewBytes returns a zero-copy view of n bytes at addr.
@@ -235,57 +233,63 @@ func (s *Space) WriteFloat32(addr Addr, v float32) error {
 	return s.WriteUint32(addr, math.Float32bits(v))
 }
 
+// Typed bulk copies. A span that can be aliased (little-endian host, 4-byte
+// aligned, inside one region) is copied through the typed view at memmove
+// speed; any other span (a misaligned address, one that straddles a region
+// seam, a big-endian host) is converted element by element, which is what
+// a view of it already holds. Both give the same bytes in the space and the
+// same values out of it.
+
 // LoadFloat32s copies n float32 values starting at addr.
 func (s *Space) LoadFloat32s(addr Addr, n int) ([]float32, error) {
-	b, err := s.elems(addr, n, 4)
-	if err != nil {
-		return nil, err
+	v, err := s.ViewFloat32s(addr, n)
+	if err != nil || !v.aliased {
+		return v.Data, err
 	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out, nil
+	return clone(v.Data), nil
 }
 
 // StoreFloat32s copies v into the space starting at addr.
 func (s *Space) StoreFloat32s(addr Addr, v []float32) error {
-	b, err := s.slice(addr, 4*len(v))
-	if err != nil {
+	b, direct, err := s.storeBytes(addr, len(v), 4)
+	switch {
+	case err != nil:
 		return err
+	case direct && viewable(b, 4):
+		copy(f32sOf(b), v)
+		return nil
 	}
 	for i, x := range v {
 		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(x))
 	}
-	return nil
+	return s.flush(addr, b, direct)
 }
 
 // LoadComplex64s copies n complex64 values (interleaved re,im float32 pairs)
 // starting at addr.
 func (s *Space) LoadComplex64s(addr Addr, n int) ([]complex64, error) {
-	b, err := s.elems(addr, n, 8)
-	if err != nil {
-		return nil, err
+	v, err := s.ViewComplex64s(addr, n)
+	if err != nil || !v.aliased {
+		return v.Data, err
 	}
-	out := make([]complex64, n)
-	for i := range out {
-		out[i] = complex(math.Float32frombits(binary.LittleEndian.Uint32(b[8*i:])),
-			math.Float32frombits(binary.LittleEndian.Uint32(b[8*i+4:])))
-	}
-	return out, nil
+	return clone(v.Data), nil
 }
 
 // StoreComplex64s copies v into the space starting at addr.
 func (s *Space) StoreComplex64s(addr Addr, v []complex64) error {
-	b, err := s.slice(addr, 8*len(v))
-	if err != nil {
+	b, direct, err := s.storeBytes(addr, len(v), 8)
+	switch {
+	case err != nil:
 		return err
+	case direct && viewable(b, 4):
+		copy(c64sOf(b), v)
+		return nil
 	}
 	for i, c := range v {
 		binary.LittleEndian.PutUint32(b[8*i:], math.Float32bits(real(c)))
 		binary.LittleEndian.PutUint32(b[8*i+4:], math.Float32bits(imag(c)))
 	}
-	return nil
+	return s.flush(addr, b, direct)
 }
 
 // WriteComplex64 writes one complex64 (re, im) at addr.
@@ -296,25 +300,73 @@ func (s *Space) WriteComplex64(addr Addr, v complex64) error {
 // LoadInt32s copies n int32 values starting at addr (used for CSR index
 // arrays consumed by the SPMV accelerator).
 func (s *Space) LoadInt32s(addr Addr, n int) ([]int32, error) {
-	b, err := s.elems(addr, n, 4)
-	if err != nil {
-		return nil, err
+	v, err := s.ViewInt32s(addr, n)
+	if err != nil || !v.aliased {
+		return v.Data, err
 	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out, nil
+	return clone(v.Data), nil
 }
 
 // StoreInt32s copies v into the space starting at addr.
 func (s *Space) StoreInt32s(addr Addr, v []int32) error {
-	b, err := s.slice(addr, 4*len(v))
-	if err != nil {
+	b, direct, err := s.storeBytes(addr, len(v), 4)
+	switch {
+	case err != nil:
 		return err
+	case direct && viewable(b, 4):
+		copy(i32sOf(b), v)
+		return nil
 	}
 	for i, x := range v {
 		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
 	}
-	return nil
+	return s.flush(addr, b, direct)
+}
+
+// clone copies s into a new slice; make then copy is one allocation the
+// compiler does not zero before the copy.
+func clone[T float32 | complex64 | int32](s []T) []T {
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
+}
+
+// loadBytes returns the bytes of n elements of size bytes each at addr and
+// whether a typed view may alias them: the region's own bytes when the span
+// lies inside one region, otherwise a gathered copy. A count whose byte
+// size does not fit an int is refused before any size is computed from it:
+// a wrapped size would pass the region check and the caller would then
+// allocate n elements.
+func (s *Space) loadBytes(addr Addr, n, size int) (b []byte, aliased bool, err error) {
+	if n < 0 || n > math.MaxInt/size {
+		return nil, false, fmt.Errorf("phys: access to %d elements of %d bytes at %s overflows", n, size, addr)
+	}
+	if b, ok := s.window(addr, n*size); ok {
+		return b, viewable(b, 4), nil
+	}
+	b, err = s.gather(addr, n*size)
+	return b, false, err
+}
+
+// storeBytes returns where n elements of size bytes each at addr are
+// written: the region's own bytes when the span lies inside one region
+// (direct), otherwise a scratch buffer for flush to scatter once it is
+// filled. A span with an unmapped byte is refused before anything is
+// written.
+func (s *Space) storeBytes(addr Addr, n, size int) (b []byte, direct bool, err error) {
+	if b, ok := s.window(addr, n*size); ok {
+		return b, true, nil
+	}
+	if err := s.mapped(addr, n*size); err != nil {
+		return nil, false, err
+	}
+	return make([]byte, n*size), false, nil
+}
+
+// flush writes a filled storeBytes buffer; a direct one is already in place.
+func (s *Space) flush(addr Addr, b []byte, direct bool) error {
+	if direct {
+		return nil
+	}
+	return s.scatter(addr, b)
 }

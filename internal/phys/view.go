@@ -1,6 +1,7 @@
 package phys
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"unsafe"
@@ -94,8 +95,12 @@ func (r *Region) Int32s() ([]int32, bool) {
 }
 
 // gather copies the n bytes at addr, walking contiguously mapped regions
-// (the copy fallback for spans that straddle a region boundary).
+// (the copy fallback for spans that straddle a region boundary). It
+// allocates only once the whole span is known to be mapped.
 func (s *Space) gather(addr Addr, n int) ([]byte, error) {
+	if err := s.mapped(addr, n); err != nil {
+		return nil, err
+	}
 	out := make([]byte, n)
 	if err := s.copyRange(addr, n, func(dst int, src []byte) { copy(out[dst:], src) }); err != nil {
 		return nil, err
@@ -106,6 +111,11 @@ func (s *Space) gather(addr Addr, n int) ([]byte, error) {
 // scatter writes b at addr across contiguously mapped regions.
 func (s *Space) scatter(addr Addr, b []byte) error {
 	return s.copyRange(addr, len(b), func(off int, dst []byte) { copy(dst, b[off:]) })
+}
+
+// mapped returns an error unless every byte of [addr, addr+n) is mapped.
+func (s *Space) mapped(addr Addr, n int) error {
+	return s.copyRange(addr, n, func(int, []byte) {})
 }
 
 // copyRange visits the region-backed byte windows covering [addr, addr+n),
@@ -148,7 +158,7 @@ func (v *Float32View) Commit() error {
 	if v.aliased {
 		return nil
 	}
-	return v.space.storeFloat32sAcross(v.addr, v.Data)
+	return v.space.StoreFloat32s(v.addr, v.Data)
 }
 
 // Complex64View is the complex64 analogue of Float32View.
@@ -167,12 +177,7 @@ func (v *Complex64View) Commit() error {
 	if v.aliased {
 		return nil
 	}
-	f := make([]float32, 2*len(v.Data))
-	for i, c := range v.Data {
-		f[2*i] = real(c)
-		f[2*i+1] = imag(c)
-	}
-	return v.space.storeFloat32sAcross(v.addr, f)
+	return v.space.StoreComplex64s(v.addr, v.Data)
 }
 
 // Int32View is the int32 analogue of Float32View.
@@ -191,65 +196,23 @@ func (v *Int32View) Commit() error {
 	if v.aliased {
 		return nil
 	}
-	b := make([]byte, 4*len(v.Data))
-	for i, x := range v.Data {
-		putUint32LE(b[4*i:], uint32(x))
-	}
-	return v.space.scatter(v.addr, b)
-}
-
-// putUint32LE is binary.LittleEndian.PutUint32 without the import cycle
-// risk of adding encoding/binary helpers here (phys already imports it in
-// phys.go; this keeps the view fallback self-contained).
-func putUint32LE(b []byte, v uint32) {
-	_ = b[3]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-// uint32LE reads a little-endian uint32.
-func uint32LE(b []byte) uint32 {
-	_ = b[3]
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-// storeFloat32sAcross is StoreFloat32s that tolerates region-straddling
-// spans (the copy-fallback write-back path).
-func (s *Space) storeFloat32sAcross(addr Addr, v []float32) error {
-	b := make([]byte, 4*len(v))
-	for i, x := range v {
-		putUint32LE(b[4*i:], math.Float32bits(x))
-	}
-	return s.scatter(addr, b)
-}
-
-// viewBytes returns the raw byte window for a typed view: the aliasing
-// region slice when the span lies inside one region, otherwise a gathered
-// copy (aliased=false).
-func (s *Space) viewBytes(addr Addr, n int) (b []byte, aliased bool, err error) {
-	if b, err := s.slice(addr, n); err == nil {
-		return b, true, nil
-	}
-	b, err = s.gather(addr, n)
-	return b, false, err
+	return v.space.StoreInt32s(v.addr, v.Data)
 }
 
 // ViewFloat32s returns a view of n float32 values at addr: zero-copy when
 // the span is 4-byte aligned, inside one region and the host is
 // little-endian; a copy (write back with Commit) otherwise.
 func (s *Space) ViewFloat32s(addr Addr, n int) (Float32View, error) {
-	b, aliased, err := s.viewBytes(addr, 4*n)
-	if err != nil {
+	b, aliased, err := s.loadBytes(addr, n, 4)
+	switch {
+	case err != nil:
 		return Float32View{}, err
-	}
-	if aliased && viewable(b, 4) {
+	case aliased:
 		return Float32View{Data: f32sOf(b), space: s, addr: addr, aliased: true}, nil
 	}
 	out := make([]float32, n)
 	for i := range out {
-		out[i] = math.Float32frombits(uint32LE(b[4*i:]))
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return Float32View{Data: out, space: s, addr: addr}, nil
 }
@@ -257,17 +220,17 @@ func (s *Space) ViewFloat32s(addr Addr, n int) (Float32View, error) {
 // ViewComplex64s returns a view of n complex64 values (interleaved re,im
 // float32 pairs) at addr, zero-copy when possible.
 func (s *Space) ViewComplex64s(addr Addr, n int) (Complex64View, error) {
-	b, aliased, err := s.viewBytes(addr, 8*n)
-	if err != nil {
+	b, aliased, err := s.loadBytes(addr, n, 8)
+	switch {
+	case err != nil:
 		return Complex64View{}, err
-	}
-	if aliased && viewable(b, 4) {
+	case aliased:
 		return Complex64View{Data: c64sOf(b), space: s, addr: addr, aliased: true}, nil
 	}
 	out := make([]complex64, n)
 	for i := range out {
-		re := math.Float32frombits(uint32LE(b[8*i:]))
-		im := math.Float32frombits(uint32LE(b[8*i+4:]))
+		re := math.Float32frombits(binary.LittleEndian.Uint32(b[8*i:]))
+		im := math.Float32frombits(binary.LittleEndian.Uint32(b[8*i+4:]))
 		out[i] = complex(re, im)
 	}
 	return Complex64View{Data: out, space: s, addr: addr}, nil
@@ -276,16 +239,16 @@ func (s *Space) ViewComplex64s(addr Addr, n int) (Complex64View, error) {
 // ViewInt32s returns a view of n int32 values at addr, zero-copy when
 // possible.
 func (s *Space) ViewInt32s(addr Addr, n int) (Int32View, error) {
-	b, aliased, err := s.viewBytes(addr, 4*n)
-	if err != nil {
+	b, aliased, err := s.loadBytes(addr, n, 4)
+	switch {
+	case err != nil:
 		return Int32View{}, err
-	}
-	if aliased && viewable(b, 4) {
+	case aliased:
 		return Int32View{Data: i32sOf(b), space: s, addr: addr, aliased: true}, nil
 	}
 	out := make([]int32, n)
 	for i := range out {
-		out[i] = int32(uint32LE(b[4*i:]))
+		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return Int32View{Data: out, space: s, addr: addr}, nil
 }
@@ -293,5 +256,5 @@ func (s *Space) ViewInt32s(addr Addr, n int) (Int32View, error) {
 // SpanMapped reports whether every byte of [addr, addr+n) is backed by a
 // mapped region (possibly more than one).
 func (s *Space) SpanMapped(addr Addr, n units.Bytes) bool {
-	return s.copyRange(addr, int(n), func(int, []byte) {}) == nil
+	return s.mapped(addr, int(n)) == nil
 }

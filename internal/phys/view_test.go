@@ -1,6 +1,10 @@
 package phys
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"slices"
 	"testing"
 
 	"mealib/internal/units"
@@ -220,5 +224,103 @@ func TestSpanMapped(t *testing.T) {
 	}
 	if s.SpanMapped(0x4000, 1) {
 		t.Error("unmapped address must not count as mapped")
+	}
+}
+
+// bitPatterns are float32 encodings a typed copy must carry unchanged:
+// signed zeros, NaNs with payloads, infinities, subnormals and ordinary
+// numbers.
+var bitPatterns = []uint32{
+	0x00000000, 0x80000000, 0x7fc00000, 0xffc00001, 0x7f800001, 0x7fbfffff,
+	0x7f800000, 0xff800000, 0x00000001, 0x807fffff, 0x3f800000, 0xc2f6e979,
+}
+
+// TestTypedCopiesEveryPath stores, then loads, every element type through
+// the aliased path (aligned, inside one region) and through the element
+// loop (a misaligned address; an aligned span straddling the region seam at
+// 0x2000). Every path must leave the little-endian encoding in the space,
+// read the same bits back, and store without allocating except for the
+// straddling span's one scratch buffer.
+func TestTypedCopiesEveryPath(t *testing.T) {
+	s := viewSpace(t)
+	paths := []struct {
+		name    string
+		addr    Addr
+		aliased bool
+		allocs  float64
+	}{
+		{"aliased", 0x1100, true, 0},
+		{"misaligned", 0x1102, false, 0},
+		{"straddling", 0x2000 - 24, false, 1},
+	}
+	f32 := make([]float32, len(bitPatterns))
+	i32 := make([]int32, len(bitPatterns))
+	c64 := make([]complex64, len(bitPatterns))
+	var want []byte // the words of f32 and i32; c64's are these twice over
+	for i, p := range bitPatterns {
+		f32[i] = math.Float32frombits(p)
+		i32[i] = int32(p)
+		c64[i] = complex(math.Float32frombits(p), math.Float32frombits(bitPatterns[len(bitPatterns)-1-i]))
+		want = binary.LittleEndian.AppendUint32(want, p)
+	}
+	var wantC []byte
+	for i, p := range bitPatterns {
+		wantC = binary.LittleEndian.AppendUint32(wantC, p)
+		wantC = binary.LittleEndian.AppendUint32(wantC, bitPatterns[len(bitPatterns)-1-i])
+	}
+	for _, p := range paths {
+		if _, aliased, err := s.loadBytes(p.addr, len(f32), 4); err != nil || aliased != p.aliased {
+			t.Fatalf("%s: aliased = %v, %v; want %v", p.name, aliased, err, p.aliased)
+		}
+		if p.name == "straddling" {
+			if _, err := s.slice(p.addr, 4*len(f32)); err == nil {
+				t.Fatalf("%s: the span lies inside one region", p.name)
+			}
+		}
+		check := func(kind string, wantBytes []byte, store func() error, load func() ([]uint32, error), words []uint32) {
+			t.Helper()
+			if err := store(); err != nil {
+				t.Fatalf("%s %s: store: %v", p.name, kind, err)
+			}
+			got, err := s.gather(p.addr, len(wantBytes))
+			if err != nil || !bytes.Equal(got, wantBytes) {
+				t.Errorf("%s %s: space holds % x, %v; want % x", p.name, kind, got, err, wantBytes)
+			}
+			back, err := load()
+			if err != nil || !slices.Equal(back, words) {
+				t.Errorf("%s %s: load = %#x, %v; want %#x", p.name, kind, back, err, words)
+			}
+			if avg := testing.AllocsPerRun(20, func() { _ = store() }); avg != p.allocs {
+				t.Errorf("%s %s: a store allocates %v times, want %v", p.name, kind, avg, p.allocs)
+			}
+		}
+		check("float32", want, func() error { return s.StoreFloat32s(p.addr, f32) }, func() ([]uint32, error) {
+			v, err := s.LoadFloat32s(p.addr, len(f32))
+			out := make([]uint32, len(v))
+			for i, x := range v {
+				out[i] = math.Float32bits(x)
+			}
+			return out, err
+		}, bitPatterns)
+		check("int32", want, func() error { return s.StoreInt32s(p.addr, i32) }, func() ([]uint32, error) {
+			v, err := s.LoadInt32s(p.addr, len(i32))
+			out := make([]uint32, len(v))
+			for i, x := range v {
+				out[i] = uint32(x)
+			}
+			return out, err
+		}, bitPatterns)
+		var wordsC []uint32
+		for i := 0; i < len(wantC); i += 4 {
+			wordsC = append(wordsC, binary.LittleEndian.Uint32(wantC[i:]))
+		}
+		check("complex64", wantC, func() error { return s.StoreComplex64s(p.addr, c64) }, func() ([]uint32, error) {
+			v, err := s.LoadComplex64s(p.addr, len(c64))
+			var out []uint32
+			for _, x := range v {
+				out = append(out, math.Float32bits(real(x)), math.Float32bits(imag(x)))
+			}
+			return out, err
+		}, wordsC)
 	}
 }
