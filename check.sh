@@ -89,13 +89,23 @@ if grep -rnE 'idleWindows|idleIvl|billedIdle|egressFree|ingressFree|egressBusy|i
 	exit 1
 fi
 
+echo "==> one-fan-out gate (internal/par is the one fan-out: it alone asks runtime.GOMAXPROCS, and outside it a go statement starts only a flight, the OOC prefetch and mealibd's connections)"
+# bench/ is the benchmark harness, which sizes and drives its own clients;
+# testdata holds the analyzers' fixtures.
+if grep -rn 'runtime\.GOMAXPROCS' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./(internal/par|bench)/' ||
+	grep -rnE '(^|[^[:alnum:]_."])go (func|[[:alpha:]_][[:alnum:]_.]*\()' --include='*.go' . | grep -v '_test\.go:' | grep -v '/testdata/' |
+	grep -vE '^\./(internal/par/|internal/mealibrt/(runtime|ooc)\.go:|internal/mealibd/server\.go:|cmd/mealibd/|bench/)'; then
+	echo "check.sh: a fan-out of its own or a runtime.GOMAXPROCS call grew back outside internal/par" >&2
+	exit 1
+fi
+
 echo "==> go test -race ./... (the gates: bit-identity, nest verdicts and ranges, fixed costs, the compiled plan, the one launch record, the one-walk install, the mealibd wire, fusion traffic and the model calibration; each test that carries one says so in its comment, \"Gate (check.sh): ...\", and Runtime.CheckInvariants closes the mealibrt and mealibd tests)"
 go test -race ./...
 
 echo "==> one-allocation launch gate (without the race detector, whose sync.Pool drops a quarter of its Puts: an Execute allocates its Invocation and nothing else of its own, a run of a compiled program nothing at all, beyond the kernels' closures)"
 go test -count=1 -run 'FixedCost' ./internal/mealibrt ./internal/accel
 
-echo "==> core-count gate (the first bad SPMV column named and the DOT reductions' bits are the same at any GOMAXPROCS)"
+echo "==> core-count gate (the first bad SPMV column named and the bits of every kernel that fans out are the same at any GOMAXPROCS)"
 go test -count=1 -cpu 1,2,3 -run '^(TestSpmvFirstBadColumnAnyProcs|TestDotBitsAnyProcs|TestParallelReduceBitIdentical)$' ./internal/kernels
 
 echo "==> FuzzDifferential, 5 s (internal/accel's bit-identity matrix: generated descriptors through every worker, fusion, window and compiled cell, the traced ones held to the scoreboard's windows and waves)"

@@ -64,12 +64,12 @@ type Config struct {
 	NoFusion bool
 
 	// Workers bounds the goroutines the wavefront scheduler runs the
-	// independent nodes of a wave on. 0 selects the automatic size
-	// min(GOMAXPROCS, Tiles); 1 restores fully serial execution. Values
-	// above GOMAXPROCS are honoured (useful to exercise the parallel path
-	// deterministically on small hosts). Parallel and serial runs produce
-	// byte-identical spaces and identical reports; nodes whose spans
-	// overlap are ordered by dependence edges.
+	// independent nodes of a wave on. 0 selects min(GOMAXPROCS, Tiles) as
+	// internal/par's helper budget allows; 1 restores fully serial
+	// execution. Other values are honoured whatever the budget (useful to
+	// exercise the parallel path deterministically on small hosts). Parallel
+	// and serial runs produce byte-identical spaces and identical reports;
+	// nodes whose spans overlap are ordered by dependence edges.
 	Workers int
 
 	// Tracer, when non-nil, receives execution spans (descriptor launches,

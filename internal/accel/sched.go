@@ -1,10 +1,11 @@
 package accel
 
 import (
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"mealib/internal/par"
 	"mealib/internal/phys"
 	"mealib/internal/telemetry"
 )
@@ -12,8 +13,8 @@ import (
 // Wavefront scheduler over the execution-plan IR (plan.go). Ranges execute
 // in topological waves: wave w starts only after wave w-1 completed, and no
 // two pass instances of a wave conflict (conflicting instances are ordered by
-// dependence edges, and waves strictly increase along edges). Workers claim a
-// wave's instances in blocks from one atomic cursor, so independent work runs
+// dependence edges, and waves strictly increase along edges). A wave's
+// instances run in blocks on internal/par, so independent work runs
 // concurrently while dependent work pipelines wave by wave — an SPMV loop's
 // serial chain interleaves with unrelated passes instead of serialising the
 // whole descriptor.
@@ -24,27 +25,18 @@ import (
 // once in program order before any launch needs it (program.go), whichever
 // goroutine ran which block.
 
-// planWorkers sizes the pool for a plan: cfg.Workers if set (1 forces
-// serial), else min(GOMAXPROCS, Tiles), never wider than the plan's widest
-// wave. A plan no wave of which is wider than one runs serially without
-// asking.
-func (l *Layer) planWorkers(p *plan) int {
-	width := p.maxWidth()
-	if width <= 1 {
-		return 1
-	}
-	w := l.cfg.Workers
-	if w == 0 {
-		w = min(runtime.GOMAXPROCS(0), l.cfg.Tiles)
-	}
-	return max(1, min(w, width))
-}
-
-// runBlock executes instances [lo, lo+n) of node k, one comp over the block
+// runBlock runs block c of the wave on worker w, one comp over the block
 // after the other (an instance a comp failed runs no more): the instances of
-// a range do not conflict. The block's span lands on tb, the buffer of
-// whichever goroutine runs it.
-func (l *Layer) runBlock(r *planRun, k int32, lo, n int, tb *telemetry.Buf) {
+// a range do not conflict. The span lands on the launch's buffer for worker
+// 0, else on the one the worker took on its first block.
+func (r *planRun) runBlock(w, c int) error {
+	tb, k, lo, n := r.tb, r.blocks[c].k, int(r.blocks[c].lo), int(r.blocks[c].n)
+	if w > 0 {
+		if r.bufs[w] == nil {
+			r.bufs[w] = r.l.tr.Buffer(telemetry.TrackAccel)
+		}
+		tb = r.bufs[w]
+	}
 	p, t := r.win, r.win.nodes[k].tmpl
 	if tb != nil {
 		tb.Begin(telemetry.SpanNode, t.name)
@@ -63,8 +55,8 @@ func (l *Layer) runBlock(r *planRun, k int32, lo, n int, tb *telemetry.Buf) {
 				telemetry.Arg{Key: "iters", Val: int64(n)},
 				telemetry.Arg{Key: "comps", Val: t.ncomps})
 		}
-		l.met.nodes.Add(int64(n))
-		return
+		r.l.met.nodes.Add(int64(n))
+		return nil
 	}
 	tb.End(telemetry.SpanNode, 0)
 	// Keep the failure first in program order, whichever block reports first.
@@ -74,6 +66,7 @@ func (l *Layer) runBlock(r *planRun, k int32, lo, n int, tb *telemetry.Buf) {
 			break
 		}
 	}
+	return nil
 }
 
 // planRun is one run of a program: the cursor over its windows, the window
@@ -84,6 +77,7 @@ func (l *Layer) runBlock(r *planRun, k int32, lo, n int, tb *telemetry.Buf) {
 // must grow before the kernel is reached. The object comes from a pool, so a
 // launch allocates none.
 type planRun struct {
+	l    *Layer
 	prog *Program
 	// lw is the run's copy of the program's lowering: its cursor. win is the
 	// window being run: the program's own when it has one, else own, which the
@@ -95,8 +89,11 @@ type planRun struct {
 	// space is what the comps run against.
 	space *phys.Space
 	tb    *telemetry.Buf
-	// blocks are the claims on the wave running.
+	// blocks are the chunks of the wave running, bufs[1:] its helpers' trace
+	// buffers and run is runBlock, bound once per record.
 	blocks []block
+	bufs   []*telemetry.Buf
+	run    func(w, c int) error
 	// failed is the first failure in program order.
 	failed atomic.Pointer[failure]
 	// waves counts the waves run so far: wave numbers run on from one window
@@ -105,7 +102,11 @@ type planRun struct {
 }
 
 // runs holds the records of finished runs.
-var runs = sync.Pool{New: func() any { return new(planRun) }}
+var runs = sync.Pool{New: func() any {
+	r := new(planRun)
+	r.run = r.runBlock
+	return r
+}}
 
 // release returns the record to the pool with nothing of the run in it but
 // its own storage: no program, window, space, trace buffer or failure.
@@ -114,7 +115,7 @@ func (r *planRun) release() {
 		clear(r.own.nodes[:cap(r.own.nodes)])
 		r.own.body = nil
 	}
-	r.prog, r.lw, r.win, r.space, r.tb, r.waves = nil, lowering{}, nil, nil, nil, 0
+	r.l, r.prog, r.lw, r.win, r.space, r.tb, r.waves = nil, nil, lowering{}, nil, nil, nil, 0
 	r.blocks = r.blocks[:0]
 	r.failed.Store(nil)
 	runs.Put(r)
@@ -141,7 +142,7 @@ func (r *planRun) nextWindow() {
 // exec runs a compiled program window by window against s.
 func (l *Layer) exec(prog *Program, s *phys.Space, tb *telemetry.Buf) error {
 	r := runs.Get().(*planRun)
-	r.prog, r.lw, r.space, r.tb = prog, prog.lw, s, tb
+	r.l, r.prog, r.lw, r.space, r.tb = l, prog, prog.lw, s, tb
 	l.met.fusedGroups.Add(int64(len(r.lw.fused)))
 	l.met.fusionSpills.Add(int64(r.lw.fusionSpills))
 	for {
@@ -165,16 +166,28 @@ type failure struct {
 	err error
 }
 
-// block is a claim of a wave worker: instances [lo, lo+n) of node k.
+// block is a chunk of a wave: instances [lo, lo+n) of node k.
 type block struct{ k, lo, n int32 }
 
-// runPlan executes the launch's current window wave by wave. A wave with a
-// failure ends the run (its dependents must not run) with the first error in
-// program order, as serial execution would return. A window run by more than
-// one worker brackets every wave (span and histogram).
+// runPlan executes the launch's current window wave by wave, each wave in
+// blocks of its width over 8·workers, so that a slow core still sheds work,
+// one block per chunk on par. The workers are cfg.Workers if set (1 forces
+// serial), else par.Workers(Tiles) as the budget allows, never more than
+// the widest wave; a window no wave of which is wider than one runs
+// serially without asking. A wave with a failure ends the run (its
+// dependents must not run) with the first error in program order, as serial
+// execution would return. A window run by more than one worker brackets
+// every wave (span and histogram).
 func (l *Layer) runPlan(r *planRun) error {
 	p := r.win
-	workers := l.planWorkers(p)
+	workers, fanOut := 1, par.Fixed
+	if width := p.maxWidth(); width > 1 {
+		if workers = l.cfg.Workers; workers == 0 {
+			workers, fanOut = par.Workers(l.cfg.Tiles), par.Do
+		}
+		workers = min(workers, width)
+	}
+	r.bufs = slices.Grow(r.bufs[:0], workers)[:workers]
 	base := r.waves
 	r.waves += len(p.waves)
 	bracket := workers > 1
@@ -184,7 +197,21 @@ func (l *Layer) runPlan(r *planRun) error {
 			l.met.waveWidth.Observe(int64(width))
 			r.tb.Begin(telemetry.SpanWave, "wave")
 		}
-		l.runWave(r, wave, width, workers)
+		size := int32(1)
+		if width > 8*workers {
+			size = int32(min(maxBlock, width/(8*workers)))
+		}
+		r.blocks = r.blocks[:0]
+		for _, k := range wave {
+			for lo, n := int32(0), p.nodes[k].n; lo < n; lo += size {
+				r.blocks = append(r.blocks, block{k, lo, min(size, n-lo)})
+			}
+		}
+		_ = fanOut(len(r.blocks), workers, r.run)
+		for _, b := range r.bufs[1:] {
+			b.Release()
+		}
+		clear(r.bufs[1:])
 		if bracket {
 			r.tb.End2(telemetry.SpanWave, 0,
 				telemetry.Arg{Key: "wave", Val: int64(base + wi)},
@@ -195,45 +222,4 @@ func (l *Layer) runPlan(r *planRun) error {
 		}
 	}
 	return nil
-}
-
-// runWave runs the wave in blocks of its width over 8·workers, so that a
-// slow core still sheds work: inline for one worker or instance, else claimed
-// from one atomic cursor by up to workers goroutines.
-func (l *Layer) runWave(r *planRun, wave []int32, width, workers int) {
-	size := int32(1)
-	if width > 8*workers {
-		size = int32(min(maxBlock, width/(8*workers)))
-	}
-	if workers == 1 || width == 1 {
-		for _, k := range wave {
-			for lo, n := int32(0), r.win.nodes[k].n; lo < n; lo += size {
-				l.runBlock(r, k, int(lo), int(min(size, n-lo)), r.tb)
-			}
-		}
-		return
-	}
-	r.blocks = r.blocks[:0]
-	for _, k := range wave {
-		for lo, n := int32(0), r.win.nodes[k].n; lo < n; lo += size {
-			r.blocks = append(r.blocks, block{k, lo, min(size, n-lo)})
-		}
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(workers, len(r.blocks)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each wave worker records onto its own buffer; the coordinator's
-			// wave span brackets them all.
-			wb := l.tr.Buffer(telemetry.TrackAccel)
-			defer wb.Release()
-			for i := next.Add(1) - 1; i < int64(len(r.blocks)); i = next.Add(1) - 1 {
-				b := r.blocks[i]
-				l.runBlock(r, b.k, int(b.lo), int(b.n), wb)
-			}
-		}()
-	}
-	wg.Wait()
 }

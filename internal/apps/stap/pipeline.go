@@ -5,13 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"mealib/internal/accel"
 	"mealib/internal/descriptor"
 	"mealib/internal/kernels"
 	"mealib/internal/mealibrt"
+	"mealib/internal/par"
 	"mealib/internal/units"
 )
 
@@ -101,10 +100,10 @@ func (pl *Pipeline) DopplerProcess() (*mealibrt.Invocation, error) {
 // SolveWeights runs the compute-bounded covariance/solve stages on the host
 // (CHERK -> CPOTRF -> CTRSM x2) for every (doppler, block) pair, writing
 // adaptive weights. Snapshot training data is drawn from the Doppler cube.
-// The pairs are independent problems: GOMAXPROCS goroutines each solve one
-// contiguous range of them with scratch of their own, so the weights are the
-// same bits at any core count, and the error returned is the first in pair
-// order.
+// The pairs are independent problems, one chunk each on par: a worker solves
+// the pairs it claims with scratch of its own and writes their weights in
+// place, so the weights are the same bits at any core count, and the error
+// returned is the first in pair order.
 func (pl *Pipeline) SolveWeights() error {
 	p := pl.Params
 	n := p.Dof()
@@ -121,64 +120,53 @@ func (pl *Pipeline) SolveWeights() error {
 	steer := steeringVectors(p)
 	weights := make([]complex64, p.NPulses*p.NBlocks*p.NSteering*n)
 	pairs := p.NPulses * p.NBlocks
-	workers := max(1, min(runtime.GOMAXPROCS(0), pairs))
-	chunk := (pairs + workers - 1) / workers
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := range errs {
-		lo, hi := min(w*chunk, pairs), min((w+1)*chunk, pairs)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[w] = solvePairs(p, cube, total, steer, weights, lo, hi)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	width := par.Workers(pairs)
+	scratch := make([][]complex64, width)
+	err = par.Do(pairs, width, func(w, pair int) error {
+		if scratch[w] == nil {
+			scratch[w] = make([]complex64, n*p.TBS+n*n)
 		}
+		return solvePair(p, cube, total, steer, weights, scratch[w], pair)
+	})
+	if err != nil {
+		return err
 	}
 	return pl.weights.StoreComplex64s(0, weights)
 }
 
-// solvePairs solves the (doppler, block) pairs [lo, hi), in order, writing
-// each steering vector's weights in place in weights. It stops at the first
-// error.
-func solvePairs(p Params, cube []complex64, total int, steer [][]complex64, weights []complex64, lo, hi int) error {
+// solvePair solves one (doppler, block) pair in scratch, writing each
+// steering vector's weights in place in weights.
+func solvePair(p Params, cube []complex64, total int, steer [][]complex64, weights, scratch []complex64, pair int) error {
 	n := p.Dof()
-	snap := make([]complex64, n*p.TBS)
-	cov := make([]complex64, n*n)
-	for pair := lo; pair < hi; pair++ {
-		dop, blk := pair/p.NBlocks, pair%p.NBlocks
-		// Assemble the n x TBS snapshot matrix from the cube.
-		for i := 0; i < n; i++ {
-			for t := 0; t < p.TBS; t++ {
-				idx := (dop*p.NBlocks*p.TBS + blk*p.TBS + t + i*31) % total
-				snap[i*p.TBS+t] = cube[idx]
-			}
+	snap, cov := scratch[:n*p.TBS], scratch[n*p.TBS:]
+	dop, blk := pair/p.NBlocks, pair%p.NBlocks
+	// Assemble the n x TBS snapshot matrix from the cube.
+	for i := 0; i < n; i++ {
+		for t := 0; t < p.TBS; t++ {
+			idx := (dop*p.NBlocks*p.TBS + blk*p.TBS + t + i*31) % total
+			snap[i*p.TBS+t] = cube[idx]
 		}
-		// Covariance: R = snap * snap^H + diag loading.
-		if err := kernels.Cherk(n, p.TBS, 1, snap, p.TBS, 0, cov, n); err != nil {
+	}
+	// Covariance: R = snap * snap^H + diag loading.
+	if err := kernels.Cherk(n, p.TBS, 1, snap, p.TBS, 0, cov, n); err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		cov[i*n+i] += complex(float32(n), 0)
+	}
+	if err := kernels.Cpotrf(n, cov, n); err != nil {
+		return err
+	}
+	// Solve R w = v for every steering vector.
+	for sv := 0; sv < p.NSteering; sv++ {
+		off := (pair*p.NSteering + sv) * n
+		w := weights[off : off+n]
+		copy(w, steer[sv])
+		if err := kernels.Ctrsm(kernels.Lower, kernels.NoTrans, n, 1, 1, cov, n, w, 1); err != nil {
 			return err
 		}
-		for i := 0; i < n; i++ {
-			cov[i*n+i] += complex(float32(n), 0)
-		}
-		if err := kernels.Cpotrf(n, cov, n); err != nil {
+		if err := kernels.Ctrsm(kernels.Lower, kernels.ConjTrans, n, 1, 1, cov, n, w, 1); err != nil {
 			return err
-		}
-		// Solve R w = v for every steering vector.
-		for sv := 0; sv < p.NSteering; sv++ {
-			off := (pair*p.NSteering + sv) * n
-			w := weights[off : off+n]
-			copy(w, steer[sv])
-			if err := kernels.Ctrsm(kernels.Lower, kernels.NoTrans, n, 1, 1, cov, n, w, 1); err != nil {
-				return err
-			}
-			if err := kernels.Ctrsm(kernels.Lower, kernels.ConjTrans, n, 1, 1, cov, n, w, 1); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"mealib/internal/par"
 	"mealib/internal/units"
 )
 
@@ -60,7 +61,7 @@ func FFTDesignSpace() []DesignPoint {
 		}
 	}
 	out := make([]DesignPoint, len(cfgs))
-	_ = forEachIndexed(len(cfgs), func(i int) error {
+	_ = par.Do(len(cfgs), len(cfgs), func(_, i int) error {
 		c := cfgs[i]
 		// Butterfly datapath: 8 flops/cycle per core.
 		compute := float64(fig11Tiles) * float64(c.cores) * 8 * float64(c.freq)
@@ -114,7 +115,7 @@ func SpmvDesignSpace() []DesignPoint {
 		}
 	}
 	out := make([]DesignPoint, len(cfgs))
-	_ = forEachIndexed(len(cfgs), func(i int) error {
+	_ = par.Do(len(cfgs), len(cfgs), func(_, i int) error {
 		c := cfgs[i]
 		// Random-access bound: 128 banks, one 32 B access per
 		// ~66 ns row cycle; blocking converts part of the gathers

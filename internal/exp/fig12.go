@@ -7,6 +7,7 @@ import (
 	"mealib/internal/cpu"
 	"mealib/internal/descriptor"
 	"mealib/internal/mealibrt"
+	"mealib/internal/par"
 	"mealib/internal/units"
 )
 
@@ -80,10 +81,10 @@ func Figure12Chaining(sizes []int) ([]Fig12Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Rows are independent analytic evaluations: dispatch each size to the
-	// worker pool, filling indexed slots to keep the output order.
+	// Rows are independent analytic evaluations: one chunk per size on
+	// par, filling indexed slots to keep the output order.
 	rows := make([]Fig12Row, len(sizes))
-	err = forEachIndexed(len(sizes), func(i int) error {
+	err = par.Do(len(sizes), len(sizes), func(_, i int) error {
 		n := sizes[i]
 		resmp, fft := sarRowArgs(n)
 		// Hardware chaining: LOOP n { PASS { RESMP FFT } }.
@@ -152,7 +153,7 @@ func Figure12Loop(sizes []int, iterations int) ([]Fig12Row, error) {
 		return nil, err
 	}
 	rows := make([]Fig12Row, len(sizes))
-	err = forEachIndexed(len(sizes), func(i int) error {
+	err = par.Do(len(sizes), len(sizes), func(_, i int) error {
 		n := sizes[i]
 		fft := accel.FFTArgs{
 			N: int64(n), HowMany: int64(n), // one n x n image per invocation

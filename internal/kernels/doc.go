@@ -7,7 +7,7 @@
 //
 //   - a Naive reference — the straight textbook loop, standing in for the
 //     "original code" of the paper's Figure 1;
-//   - an optimized variant — blocked, unrolled and goroutine-parallel,
+//   - an optimized variant — blocked, unrolled and fanned out on par,
 //     standing in for the high-performance library (MKL) implementation.
 //
 // SPMV's textbook loop is kept in its tests only (spmvScalar), which hold

@@ -5,8 +5,9 @@ import (
 	"math"
 	"math/bits"
 	"math/cmplx"
-	"runtime"
 	"sync"
+
+	"mealib/internal/par"
 )
 
 // Direction selects forward or inverse transform (FFTW sign convention:
@@ -299,44 +300,43 @@ func FFT(data []complex64, dir Direction) error {
 }
 
 // FFTBatch executes the plan over howMany contiguous transforms stored back
-// to back in data, in parallel — the batched FFT of the STAP Doppler stage.
-// Below minParallel transforms it runs them inline and allocates nothing but
-// the per-call plan of a length that is not a power of two. The error
-// returned is the first transform's, in batch order.
+// to back in data — the batched FFT of the STAP Doppler stage. From
+// minParallel transforms on it runs chunks of grain transforms on par;
+// below that it runs them inline and allocates nothing but the plan of a
+// length that is not a power of two. The error returned is the first
+// transform's, in batch order.
 func FFTBatch(p *FFTPlan, data []complex64, howMany int) error {
 	n := p.Len()
 	if len(data) < n*howMany {
 		return fmt.Errorf("kernels: fft batch: data length %d < %d transforms of %d", len(data), howMany, n)
 	}
-	if howMany < minParallel || runtime.GOMAXPROCS(0) <= 1 {
-		return fftRange(p, data, 0, howMany)
+	if howMany < minParallel {
+		return fftRange(p, new(*FFTPlan), data, 0, howMany)
 	}
-	// One slot per range, at its first transform.
-	errs := make([]error, howMany)
-	parallelRanges(howMany, func(lo, hi int) int { errs[lo] = fftRange(p, data, lo, hi); return hi })
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	chunks := (howMany + grain - 1) / grain
+	locals := make([]*FFTPlan, chunks)
+	return par.Do(chunks, chunks, func(w, c int) error {
+		return fftRange(p, &locals[w], data, c*grain, min((c+1)*grain, howMany))
+	})
 }
 
 // fftRange executes transforms [lo, hi) of data, every one of them, and
-// returns the first error.
-func fftRange(p *FFTPlan, data []complex64, lo, hi int) error {
+// returns the first error. A length that is not a power of two runs on
+// *local, the worker's own plan (scratch aliasing), made on first use.
+func fftRange(p *FFTPlan, local **FFTPlan, data []complex64, lo, hi int) error {
 	n := p.Len()
-	// Each range needs its own plan state (scratch aliasing).
-	local := p
 	if !p.pow2 {
-		var err error
-		if local, err = NewFFTPlan(n, p.dir); err != nil {
-			return err
+		if *local == nil {
+			var err error
+			if *local, err = NewFFTPlan(n, p.dir); err != nil {
+				return err
+			}
 		}
+		p = *local
 	}
 	var first error
 	for b := lo; b < hi; b++ {
-		if err := local.Execute(data[b*n : (b+1)*n]); err != nil && first == nil {
+		if err := p.Execute(data[b*n : (b+1)*n]); err != nil && first == nil {
 			first = err
 		}
 	}

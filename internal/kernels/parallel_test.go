@@ -148,15 +148,17 @@ func TestParallelPathsMatchSerial(t *testing.T) {
 	})
 }
 
-// TestDotBitsAnyProcs: SDOT and CDOTC return the same bits at GOMAXPROCS
-// 1, 2, 3, 4 and 7, on random inputs and on inputs whose halves nearly
-// cancel, where the order of the partial sums shows in the result; on the
-// random inputs the value is that of a float64 sum.
+// TestDotBitsAnyProcs: every kernel that fans out returns the same bits at
+// GOMAXPROCS 1, 2, 3, 4 and 7 as at the ambient count, each at a size that
+// crosses its fan-out threshold. SDOT and CDOTC run on random inputs and on
+// inputs whose halves nearly cancel, where the order of the partial sums
+// shows in the result; on the random inputs their value is that of a
+// float64 sum.
 //
 // Gate (check.sh): core count, at -cpu 1,2,3.
 func TestDotBitsAnyProcs(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	n := 5*minParallel + 77 // five full chunks and a partial one
+	n := 5*minParallel + 77 // five full reduction chunks and a partial one
 	x, y := randVec(rng, n), randVec(rng, n)
 	cx, cy := randCVec(rng, n), randCVec(rng, n)
 	// The second halves negate the first, so all that is left of the sum
@@ -169,56 +171,138 @@ func TestDotBitsAnyProcs(t *testing.T) {
 		cxc[n/2+i], cyc[n/2+i] = cxc[i], -cyc[i]
 	}
 	yc[n-1], cyc[n-1] = 1e-6, 1e-6
-	inputs := []struct {
-		name   string
-		x, y   []float32
-		cx, cy []complex64
-	}{{"random", x, y, cx, cy}, {"cancelling", xc, yc, cxc, cyc}}
-	for _, in := range inputs {
-		// The reference runs at the ambient core count, which go test's
-		// -cpu flag varies.
-		ambient := runtime.GOMAXPROCS(0)
-		dot, err := Sdot(n, in.x, 1, in.y, 1)
-		if err != nil {
-			t.Fatal(err)
+
+	// The value itself: within float32 rounding of a float64 sum in index
+	// order.
+	var want float64
+	var cwant complex128
+	for i := 0; i < n; i++ {
+		want += float64(x[i]) * float64(y[i])
+		xv := complex128(cx[i])
+		cwant += complex(real(xv), -imag(xv)) * complex128(cy[i])
+	}
+	dot, err := Sdot(n, x, 1, y, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cdot, err := Cdotc(n, cx, 1, cy, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !almostEqual(float64(dot), want, 1e-6) || !almostEqual(float64(real(cdot)), real(cwant), 1e-6) || !almostEqual(float64(imag(cdot)), imag(cwant), 1e-6) {
+		t.Errorf("sdot %v, cdotc %v; float64 sums %v, %v", dot, cdot, want, cwant)
+	}
+
+	// A CSR matrix of m rows with one to four entries each, over k columns.
+	m, k := minParallel+3, 64
+	rowPtr := make([]int32, m+1)
+	var colIdx []int32
+	var values []float32
+	for i := 0; i < m; i++ {
+		for e := rng.Intn(4); e >= 0; e-- {
+			colIdx = append(colIdx, int32(rng.Intn(k)))
+			values = append(values, float32(rng.NormFloat64()))
 		}
-		cdot, err := Cdotc(n, in.cx, 1, in.cy, 1)
-		if err != nil {
-			t.Fatal(err)
+		rowPtr[i+1] = int32(len(values))
+	}
+	a, xk := randVec(rng, m*k), randVec(rng, k)
+	batch := randCVec(rng, minParallel*12)
+
+	sdot := func(x, y []float32) func() ([]float32, error) {
+		return func() ([]float32, error) {
+			d, err := Sdot(n, x, 1, y, 1)
+			return []float32{d}, err
 		}
-		if in.name == "random" {
-			// The value itself: within float32 rounding of a float64 sum
-			// in index order.
-			var want float64
-			var cwant complex128
-			for i := 0; i < n; i++ {
-				want += float64(in.x[i]) * float64(in.y[i])
-				xv := complex128(in.cx[i])
-				cwant += complex(real(xv), -imag(xv)) * complex128(in.cy[i])
+	}
+	cdotc := func(x, y []complex64) func() ([]float32, error) {
+		return func() ([]float32, error) {
+			d, err := Cdotc(n, x, 1, y, 1)
+			return []float32{real(d), imag(d)}, err
+		}
+	}
+	spmv := func(semiring int64) func() ([]float32, error) {
+		return func() ([]float32, error) {
+			out := make([]float32, m)
+			return out, SpmvCSRSemiring(m, rowPtr, colIdx, values, xk, out, semiring, 0.5)
+		}
+	}
+	fftBatch := func(length int) func() ([]float32, error) {
+		return func() ([]float32, error) {
+			p, err := NewFFTPlan(length, Forward)
+			if err != nil {
+				return nil, err
 			}
-			if !almostEqual(float64(dot), want, 1e-6) || !almostEqual(float64(real(cdot)), real(cwant), 1e-6) || !almostEqual(float64(imag(cdot)), imag(cwant), 1e-6) {
-				t.Errorf("sdot %v, cdotc %v; float64 sums %v, %v", dot, cdot, want, cwant)
-			}
+			data := append([]complex64(nil), batch[:minParallel*length]...)
+			err = FFTBatch(p, data, minParallel)
+			return complexBits(data), err
+		}
+	}
+	kernels := []struct {
+		name string
+		run  func() ([]float32, error)
+	}{
+		{"sdot/random", sdot(x, y)},
+		{"sdot/cancelling", sdot(xc, yc)},
+		{"cdotc/random", cdotc(cx, cy)},
+		{"cdotc/cancelling", cdotc(cxc, cyc)},
+		{"saxpy", func() ([]float32, error) {
+			out := append([]float32(nil), y...)
+			return out, Saxpy(n, 1.5, x, 1, out, 1)
+		}},
+		{"sscal", func() ([]float32, error) {
+			out := append([]float32(nil), x...)
+			return out, Sscal(n, 1.25, out, 1)
+		}},
+		{"sgemv", func() ([]float32, error) {
+			out := append([]float32(nil), y[:m]...)
+			return out, Sgemv(m, k, 1.5, a, k, xk, 0.5, out)
+		}},
+		{"caxpy", func() ([]float32, error) {
+			out := append([]complex64(nil), cy...)
+			err := Caxpy(n, complex(1.5, -0.5), cx, 1, out, 1)
+			return complexBits(out), err
+		}},
+		{"spmv/plus-times", spmv(SemiringPlusTimes)},
+		{"spmv/min-plus", spmv(SemiringMinPlus)},
+		{"resample", func() ([]float32, error) {
+			out := make([]float32, 2*n)
+			return out, Resample(x, out, InterpCubic)
+		}},
+		{"fftbatch/8", fftBatch(8)},
+		{"fftbatch/12", fftBatch(12)},
+	}
+	// The reference runs at the ambient core count, which go test's -cpu
+	// flag varies.
+	ambient := runtime.GOMAXPROCS(0)
+	for _, kn := range kernels {
+		ref, err := kn.run()
+		if err != nil {
+			t.Fatalf("%s: %v", kn.name, err)
 		}
 		for _, procs := range []int{1, 2, 3, 4, 7} {
 			withProcs(t, procs, func() {
-				d, err := Sdot(n, in.x, 1, in.y, 1)
+				got, err := kn.run()
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s at GOMAXPROCS %d: %v", kn.name, procs, err)
 				}
-				c, err := Cdotc(n, in.cx, 1, in.cy, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Float32bits(d) != math.Float32bits(dot) {
-					t.Errorf("%s: sdot at GOMAXPROCS %d = %v, at %d = %v", in.name, procs, d, ambient, dot)
-				}
-				if math.Float32bits(real(c)) != math.Float32bits(real(cdot)) || math.Float32bits(imag(c)) != math.Float32bits(imag(cdot)) {
-					t.Errorf("%s: cdotc at GOMAXPROCS %d = %v, at %d = %v", in.name, procs, c, ambient, cdot)
+				for i := range ref {
+					if math.Float32bits(got[i]) != math.Float32bits(ref[i]) {
+						t.Errorf("%s: output %d at GOMAXPROCS %d = %v, at %d = %v", kn.name, i, procs, got[i], ambient, ref[i])
+						return
+					}
 				}
 			})
 		}
 	}
+}
+
+// complexBits is data's real and imaginary parts, interleaved.
+func complexBits(data []complex64) []float32 {
+	out := make([]float32, 0, 2*len(data))
+	for _, v := range data {
+		out = append(out, real(v), imag(v))
+	}
+	return out
 }
 
 // TestParallelReduceBitIdentical drives the reductions with partials of
