@@ -314,8 +314,8 @@ func BenchmarkAblationCoherenceFlush(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := 1 << 18
-	x, _ := sys.AllocFloat32(n)
-	y, _ := sys.AllocFloat32(n)
+	x, _ := Alloc[float32](sys, n)
+	y, _ := Alloc[float32](sys, n)
 	xs, ys := benchVec(n)
 	_ = x.Set(xs)
 	_ = y.Set(ys)
@@ -358,11 +358,11 @@ func BenchmarkAblationRemoteStack(b *testing.B) {
 	n := 1 << 18
 	xs, ys := benchVec(n)
 	mk := func(stack int) (*Float32Buffer, *Float32Buffer) {
-		x, err := sys.AllocFloat32On(stack, n)
+		x, err := AllocOn[float32](sys, stack, n)
 		if err != nil {
 			b.Fatal(err)
 		}
-		y, err := sys.AllocFloat32On(stack, n)
+		y, err := AllocOn[float32](sys, stack, n)
 		if err != nil {
 			b.Fatal(err)
 		}

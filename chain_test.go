@@ -10,9 +10,9 @@ import (
 func TestChainBuilderVerifies(t *testing.T) {
 	s := newSystem(t)
 	n := 16
-	src, _ := s.AllocComplex64(n * n)
-	dst, _ := s.AllocComplex64(n * n)
-	other, _ := s.AllocComplex64(n * n)
+	src, _ := Alloc[complex64](s, n*n)
+	dst, _ := Alloc[complex64](s, n*n)
+	other, _ := Alloc[complex64](s, n*n)
 	rng := rand.New(rand.NewSource(7))
 	img := make([]complex64, n*n)
 	for i := range img {
@@ -51,11 +51,11 @@ func TestChainLoopDifferential(t *testing.T) {
 		raw[i] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
 	}
 	shape := func(s *System) ([]complex64, error) {
-		src, err := s.AllocComplex64(nin * iters)
+		src, err := Alloc[complex64](s, nin*iters)
 		if err != nil {
 			return nil, err
 		}
-		dst, err := s.AllocComplex64(n * iters)
+		dst, err := Alloc[complex64](s, n*iters)
 		if err != nil {
 			return nil, err
 		}
@@ -97,8 +97,8 @@ func TestChainLoopDifferential(t *testing.T) {
 func TestChainLoopRejectsStrideMismatch(t *testing.T) {
 	s := newSystem(t)
 	const nin, n, iters = 300, 512, 4
-	src, _ := s.AllocComplex64(nin * iters)
-	dst, _ := s.AllocComplex64(2 * n * iters)
+	src, _ := Alloc[complex64](s, nin*iters)
+	dst, _ := Alloc[complex64](s, 2*n*iters)
 	if _, err := s.NewPlan().ChainLoop([]int{iters},
 		ResampleC64Comp(nin, n, src, dst, false, Strides{nin}, Strides{n}),
 		FFTComp(n, 1, dst, false, Strides{2 * n}),

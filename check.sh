@@ -99,6 +99,13 @@ if grep -rn 'runtime\.GOMAXPROCS' --include='*.go' . | grep -v '_test\.go:' | gr
 	exit 1
 fi
 
+echo "==> one-codec gate (float32, complex64 and int32 share one typed view, load, store and wire encoding: internal/phys's View[T], Load[T], Store[T], Encode and Decode)"
+if grep -rnwE 'ViewFloat32s|ViewComplex64s|ViewInt32s|Float32View|Complex64View|Int32View|f32sOf|c64sOf|i32sOf|F32ToBytes|BytesToF32|C64ToBytes|BytesToC64|I32ToBytes|BytesToI32|getF32|getC64' --include='*.go' . |
+	grep -v '_test\.go:'; then
+	echo "check.sh: a per-type view, element codec or scratch getter grew back" >&2
+	exit 1
+fi
+
 echo "==> go test -race ./... (the gates: bit-identity, nest verdicts and ranges, fixed costs, the compiled plan, the one launch record, the one-walk install, the mealibd wire, fusion traffic and the model calibration; each test that carries one says so in its comment, \"Gate (check.sh): ...\", and Runtime.CheckInvariants closes the mealibrt and mealibd tests)"
 go test -race ./...
 

@@ -54,19 +54,9 @@ type BufferBinding struct {
 	elems int64
 }
 
-// BindFloat32 binds a float32 buffer.
-func BindFloat32(b *Float32Buffer) BufferBinding {
+// Bind binds a buffer.
+func Bind[T Elem](b *Buffer[T]) BufferBinding {
 	return BufferBinding{addr: b.addr(0), elems: int64(b.Len())}
-}
-
-// BindComplex64 binds a complex64 buffer.
-func BindComplex64(b *Complex64Buffer) BufferBinding {
-	return BufferBinding{addr: b.addr(0), elems: int64(b.Len())}
-}
-
-// BindInt32 binds an int32 buffer.
-func BindInt32(b *Int32Buffer) BufferBinding {
-	return BufferBinding{addr: b.addr(), elems: int64(b.Len())}
 }
 
 // Execute binds every generated plan against the provided buffers and

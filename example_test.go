@@ -14,8 +14,8 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	x, _ := sys.AllocFloat32(4)
-	y, _ := sys.AllocFloat32(4)
+	x, _ := mealib.Alloc[float32](sys, 4)
+	y, _ := mealib.Alloc[float32](sys, 4)
 	_ = x.Set([]float32{1, 2, 3, 4})
 	_ = y.Set([]float32{10, 20, 30, 40})
 	if _, err := sys.Saxpy(2, x, y); err != nil {
@@ -34,8 +34,8 @@ func ExampleSystem_NewPlan_chaining() {
 		log.Fatal(err)
 	}
 	const n = 8
-	src, _ := sys.AllocComplex64(n * n)
-	dst, _ := sys.AllocComplex64(n * n)
+	src, _ := mealib.Alloc[complex64](sys, n*n)
+	dst, _ := mealib.Alloc[complex64](sys, n*n)
 	img := make([]complex64, n*n)
 	img[0] = 1 // impulse
 	_ = src.Set(img)
@@ -62,9 +62,9 @@ func ExampleSystem_NewPlan_loop() {
 		log.Fatal(err)
 	}
 	const iters, n = 8, 16
-	x, _ := sys.AllocComplex64(n)
-	y, _ := sys.AllocComplex64(n * iters)
-	out, _ := sys.AllocComplex64(iters)
+	x, _ := mealib.Alloc[complex64](sys, n)
+	y, _ := mealib.Alloc[complex64](sys, n*iters)
+	out, _ := mealib.Alloc[complex64](sys, iters)
 	ones := make([]complex64, n)
 	for i := range ones {
 		ones[i] = 1

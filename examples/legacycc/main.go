@@ -62,7 +62,7 @@ func main() {
 	}
 	buffers := map[string]mealib.BufferBinding{}
 	for name, n := range elems {
-		b, err := sys.AllocComplex64(n)
+		b, err := mealib.Alloc[complex64](sys, n)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -73,17 +73,17 @@ func main() {
 		if err := b.Set(data); err != nil {
 			log.Fatal(err)
 		}
-		buffers[name] = mealib.BindComplex64(b)
+		buffers[name] = mealib.Bind(b)
 	}
 	for name, n := range floatElems {
-		b, err := sys.AllocFloat32(n)
+		b, err := mealib.Alloc[float32](sys, n)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if err := b.Set(make([]float32, n)); err != nil {
 			log.Fatal(err)
 		}
-		buffers[name] = mealib.BindFloat32(b)
+		buffers[name] = mealib.Bind(b)
 	}
 
 	runs, err := prog.Execute(sys, buffers, symbols)

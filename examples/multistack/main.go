@@ -26,11 +26,11 @@ func main() {
 	}
 
 	measure := func(stack int) *mealib.Run {
-		x, err := sys.AllocFloat32On(stack, n)
+		x, err := mealib.AllocOn[float32](sys, stack, n)
 		if err != nil {
 			log.Fatal(err)
 		}
-		y, err := sys.AllocFloat32On(stack, n)
+		y, err := mealib.AllocOn[float32](sys, stack, n)
 		if err != nil {
 			log.Fatal(err)
 		}

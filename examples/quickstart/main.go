@@ -20,11 +20,11 @@ func main() {
 	// Buffers live in the physically contiguous data space, visible to the
 	// host (this code) and to the accelerators (by physical address).
 	const n = 1 << 20
-	x, err := sys.AllocFloat32(n)
+	x, err := mealib.Alloc[float32](sys, n)
 	if err != nil {
 		log.Fatal(err)
 	}
-	y, err := sys.AllocFloat32(n)
+	y, err := mealib.Alloc[float32](sys, n)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func main() {
 
 	// A batched FFT on the FFT accelerator.
 	const fftN, batch = 4096, 64
-	sig, err := sys.AllocComplex64(fftN * batch)
+	sig, err := mealib.Alloc[complex64](sys, fftN*batch)
 	if err != nil {
 		log.Fatal(err)
 	}

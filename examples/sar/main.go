@@ -20,11 +20,11 @@ const (
 )
 
 func buffers(sys *mealib.System, rng *rand.Rand) (*mealib.Complex64Buffer, *mealib.Complex64Buffer) {
-	rawBuf, err := sys.AllocComplex64(size * raw)
+	rawBuf, err := mealib.Alloc[complex64](sys, size*raw)
 	if err != nil {
 		log.Fatal(err)
 	}
-	img, err := sys.AllocComplex64(size * size)
+	img, err := mealib.Alloc[complex64](sys, size*size)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -148,7 +148,8 @@ func (g *gen) done() *diffCase {
 		g.t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(int64(r.Size())))
-	words, _ := r.Float32s()
+	view, _ := phys.ViewOf[float32](s, r.Addr(), int(r.Size())/4)
+	words := view.Data
 	for i := range words {
 		words[i] = 2*rng.Float32() - 1
 	}
@@ -318,11 +319,11 @@ var indexFill = map[descriptor.OpCode]func(t testing.TB, rng *rand.Rand, s *phys
 		for k := range colIdx {
 			colIdx[k] = int32(rng.Intn(cols))
 		}
-		if err := s.StoreInt32s(a.at(spRowPtr, it), rowPtr); err != nil {
+		if err := phys.Store(s, a.at(spRowPtr, it), rowPtr); err != nil {
 			t.Fatal(err)
 		}
 		if nnz > 0 {
-			if err := s.StoreInt32s(a.at(spColIdx, it), colIdx); err != nil {
+			if err := phys.Store(s, a.at(spColIdx, it), colIdx); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -149,11 +149,11 @@ func TestDotRealAndComplex(t *testing.T) {
 	cx := []complex64{1 + 2i, 3 - 1i}
 	cy := []complex64{2, 1 + 1i}
 	cxa, cya, coa := r.alloc(16), r.alloc(16), r.alloc(8)
-	_ = r.space.StoreComplex64s(cxa, cx)
-	_ = r.space.StoreComplex64s(cya, cy)
+	_ = phys.Store(r.space, cxa, cx)
+	_ = phys.Store(r.space, cya, cy)
 	d2 := newShape(t).pass(ChainComp{descriptor.OpDOT, DotArgs{N: 2, Complex: true, X: cxa, Y: cya, Out: coa, IncX: 1, IncY: 1}.Params()}).d
 	r.run(t, d2)
-	cgot, _ := r.space.LoadComplex64s(coa, 1)
+	cgot, _ := phys.Load[complex64](r.space, coa, 1)
 	if cmplx.Abs(complex128(cgot[0])-4) > 1e-5 {
 		t.Errorf("complex dot = %v, want 4", cgot[0])
 	}
@@ -184,8 +184,8 @@ func TestSpmvFunctional(t *testing.T) {
 	x := []float32{1, 2, 3}
 	rpa, cia, va := r.alloc(16), r.alloc(20), r.alloc(20)
 	xa, ya := r.alloc(12), r.alloc(12)
-	_ = r.space.StoreInt32s(rpa, rowPtr)
-	_ = r.space.StoreInt32s(cia, colIdx)
+	_ = phys.Store(r.space, rpa, rowPtr)
+	_ = phys.Store(r.space, cia, colIdx)
 	_ = r.space.StoreFloat32s(va, values)
 	_ = r.space.StoreFloat32s(xa, x)
 	d := newShape(t).pass(ChainComp{descriptor.OpSPMV, SpmvArgs{M: 3, Cols: 3, NNZ: 5, RowPtr: rpa, ColIdx: cia, Values: va, X: xa, Y: ya}.Params()}).d
@@ -208,10 +208,10 @@ func TestFFTAndReshpFunctional(t *testing.T) {
 	data := make([]complex64, n)
 	data[0] = 1 // impulse -> flat spectrum
 	da := r.alloc(8 * n)
-	_ = r.space.StoreComplex64s(da, data)
+	_ = phys.Store(r.space, da, data)
 	d := newShape(t).pass(ChainComp{descriptor.OpFFT, FFTArgs{N: int64(n), HowMany: 1, Src: da, Dst: da}.Params()}).d
 	r.run(t, d)
-	got, _ := r.space.LoadComplex64s(da, n)
+	got, _ := phys.Load[complex64](r.space, da, n)
 	for i, v := range got {
 		if cmplx.Abs(complex128(v)-1) > 1e-4 {
 			t.Fatalf("fft bin %d = %v, want 1", i, v)
@@ -294,7 +294,7 @@ func TestChainingReducesTimeAndDRAMTraffic(t *testing.T) {
 	}
 	mkBuffers := func() (phys.Addr, phys.Addr) {
 		sa, ta := r.alloc(8*elems), r.alloc(8*elems)
-		_ = r.space.StoreComplex64s(sa, src)
+		_ = phys.Store(r.space, sa, src)
 		return sa, ta
 	}
 	reshp := func(sa, ta phys.Addr) descriptor.Params {
@@ -353,9 +353,9 @@ func TestChainingReducesTimeAndDRAMTraffic(t *testing.T) {
 		t.Error("fused pass must report elided DRAM traffic")
 	}
 	// All paths must compute identical results.
-	a, _ := r.space.LoadComplex64s(ta1, elems)
-	b, _ := nofuse.space.LoadComplex64s(ta2, elems)
-	c, _ := r.space.LoadComplex64s(ta3, elems)
+	a, _ := phys.Load[complex64](r.space, ta1, elems)
+	b, _ := phys.Load[complex64](nofuse.space, ta2, elems)
+	c, _ := phys.Load[complex64](r.space, ta3, elems)
 	for i := range a {
 		if a[i] != b[i] || a[i] != c[i] {
 			t.Fatalf("chained, separate and fused results differ at %d", i)
@@ -366,7 +366,7 @@ func TestChainingReducesTimeAndDRAMTraffic(t *testing.T) {
 // mkBuffers2 allocates the source/target pair in an independent rig.
 func mkBuffers2(r *testRig, src []complex64) (phys.Addr, phys.Addr) {
 	sa, ta := r.alloc(8*len(src)), r.alloc(8*len(src))
-	_ = r.space.StoreComplex64s(sa, src)
+	_ = phys.Store(r.space, sa, src)
 	return sa, ta
 }
 

@@ -243,10 +243,10 @@ func spmvMatrix(t testing.TB, r *testRig, m, cols int, seed int64) SpmvArgs {
 	nnz := len(colIdx)
 	a := SpmvArgs{M: int64(m), Cols: int64(cols), NNZ: int64(nnz),
 		RowPtr: r.alloc(4 * (m + 1)), ColIdx: r.alloc(4 * nnz), Values: r.noise(t, nnz, seed), X: r.noise(t, cols, seed+1), Y: r.alloc(4 * m)}
-	if err := r.space.StoreInt32s(a.RowPtr, rowPtr); err != nil {
+	if err := phys.Store(r.space, a.RowPtr, rowPtr); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.space.StoreInt32s(a.ColIdx, colIdx); err != nil {
+	if err := phys.Store(r.space, a.ColIdx, colIdx); err != nil {
 		t.Fatal(err)
 	}
 	return a

@@ -156,7 +156,7 @@ func TestResmpComplexCore(t *testing.T) {
 	r := newRig(t)
 	src := []complex64{0, 2 + 2i, 4 + 4i, 6 + 6i}
 	sa, da := r.alloc(32), r.alloc(64)
-	if err := r.space.StoreComplex64s(sa, src); err != nil {
+	if err := phys.Store(r.space, sa, src); err != nil {
 		t.Fatal(err)
 	}
 	w, err := execute(r.space, descriptor.OpRESMP, ResmpArgs{
@@ -168,7 +168,7 @@ func TestResmpComplexCore(t *testing.T) {
 	if w.InStream != 32 || w.OutStream != 56 {
 		t.Errorf("complex resample traffic: %+v", w)
 	}
-	got, err := r.space.LoadComplex64s(da, 7)
+	got, err := phys.Load[complex64](r.space, da, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

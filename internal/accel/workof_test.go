@@ -46,7 +46,8 @@ func checkFootprint(t *testing.T, rng *rand.Rand, op descriptor.OpCode, a Args, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		words, _ := r.Float32s()
+		view, _ := phys.ViewOf[float32](s, r.Addr(), int(r.Size())/4)
+		words := view.Data
 		for i := range words {
 			words[i] = float32(rng.Intn(17) - 8)
 		}

@@ -26,6 +26,13 @@ func launderedStore(s *phys.Space, r *phys.Region, v []float32) {
 	_ = s.StoreFloat32s(addr, v) // want `addr reaches the first argument of s\.StoreFloat32s with its phys\.Addr provenance laundered`
 }
 
+// launderedGenericStore reaches the generic element store, an address sink
+// for every element type.
+func launderedGenericStore(s *phys.Space, r *phys.Region, v []complex64) {
+	raw := uint64(r.Addr()) + 8
+	_ = phys.Store(s, phys.Addr(raw), v) // want `phys\.Addr\(raw\) reaches the second argument of phys\.Store with its phys\.Addr provenance laundered`
+}
+
 // launderedViaInt64 washes the address through int64 offset math and a
 // helper-typed variable before the view constructor consumes it.
 func launderedViaInt64(s *phys.Space, r *phys.Region) []byte {

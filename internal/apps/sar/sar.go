@@ -71,7 +71,7 @@ func (pl *Pipeline) LoadRaw(seed int64) error {
 	for i := range v {
 		v[i] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
 	}
-	return pl.raw.StoreComplex64s(0, v)
+	return mealibrt.Store(pl.raw, 0, v)
 }
 
 // rowArgs builds the per-row RESMP and FFT argument blocks with loop
@@ -150,5 +150,5 @@ func (pl *Pipeline) FormImageSeparate() (first, second *mealibrt.Invocation, err
 
 // Image returns the formed image.
 func (pl *Pipeline) Image() ([]complex64, error) {
-	return pl.image.LoadComplex64s(0, pl.Params.Rows*pl.Params.Width)
+	return mealibrt.Load[complex64](pl.image, 0, pl.Params.Rows*pl.Params.Width)
 }

@@ -64,7 +64,7 @@ func (pl *Pipeline) LoadDatacube(seed int64) error {
 	for i := range v {
 		v[i] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
 	}
-	return pl.datacube.StoreComplex64s(0, v)
+	return mealibrt.Store(pl.datacube, 0, v)
 }
 
 // DopplerProcess runs the reshape + batched Doppler FFT as one chained
@@ -113,7 +113,7 @@ func (pl *Pipeline) SolveWeights() error {
 	// The snapshot walk's largest index is NPulses*NBlocks*TBS - 1 + 31(n-1):
 	// it reads that prefix of the cube unless its indices wrap.
 	total := p.DatacubeElems()
-	cube, err := pl.doppler.LoadComplex64s(0, min(p.NPulses*p.NBlocks*p.TBS+(n-1)*31, total))
+	cube, err := mealibrt.Load[complex64](pl.doppler, 0, min(p.NPulses*p.NBlocks*p.TBS+(n-1)*31, total))
 	if err != nil {
 		return err
 	}
@@ -131,7 +131,7 @@ func (pl *Pipeline) SolveWeights() error {
 	if err != nil {
 		return err
 	}
-	return pl.weights.StoreComplex64s(0, weights)
+	return mealibrt.Store(pl.weights, 0, weights)
 }
 
 // solvePair solves one (doppler, block) pair in scratch, writing each
@@ -209,18 +209,18 @@ func (pl *Pipeline) InnerProducts() (*mealibrt.Invocation, error) {
 // Prods returns the inner-product results.
 func (pl *Pipeline) Prods() ([]complex64, error) {
 	p := pl.Params
-	return pl.prods.LoadComplex64s(0, p.NPulses*p.NBlocks*p.NSteering*p.TBS)
+	return mealibrt.Load[complex64](pl.prods, 0, p.NPulses*p.NBlocks*p.NSteering*p.TBS)
 }
 
 // Weights returns the adaptive weights.
 func (pl *Pipeline) Weights() ([]complex64, error) {
 	p := pl.Params
-	return pl.weights.LoadComplex64s(0, p.NPulses*p.NBlocks*p.NSteering*p.Dof())
+	return mealibrt.Load[complex64](pl.weights, 0, p.NPulses*p.NBlocks*p.NSteering*p.Dof())
 }
 
 // Doppler returns the Doppler-processed cube.
 func (pl *Pipeline) Doppler() ([]complex64, error) {
-	return pl.doppler.LoadComplex64s(0, pl.Params.DatacubeElems())
+	return mealibrt.Load[complex64](pl.doppler, 0, pl.Params.DatacubeElems())
 }
 
 // steeringVectors builds NSteering unit-modulus steering vectors.

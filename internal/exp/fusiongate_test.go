@@ -41,7 +41,7 @@ func chainGateRun(t *testing.T, noFusion bool) (moved, elided, groups int64) {
 	for i := range raw {
 		raw[i] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
 	}
-	if err := s.StoreComplex64s(ra, raw); err != nil {
+	if err := phys.Store(s, ra, raw); err != nil {
 		t.Fatal(err)
 	}
 	d := &descriptor.Descriptor{}

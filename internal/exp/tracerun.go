@@ -62,13 +62,13 @@ func microTracePlan(rt *mealibrt.Runtime, op string) (*mealibrt.Plan, units.Byte
 			for i := range v {
 				v[i] = complex(float32(i%17)*0.25, float32(i%5)*0.5)
 			}
-			return b, b.StoreComplex64s(0, v)
+			return b, mealibrt.Store(b, 0, v)
 		}
 		v := make([]float32, bytes/4)
 		for i := range v {
 			v[i] = float32(i%13) * 0.5
 		}
-		return b, b.StoreFloat32s(0, v)
+		return b, mealibrt.Store(b, 0, v)
 	}
 	d := &descriptor.Descriptor{}
 	var footprint units.Bytes

@@ -19,17 +19,23 @@ func TransposeNaive(m, n int, src, dst []float32) error {
 }
 
 // transposeBlock is the cache-blocking tile edge (32x32 float32 = 4 KiB,
-// comfortably inside L1).
+// complex64 = 8 KiB, comfortably inside L1).
 const transposeBlock = 32
 
-// Transpose is the optimized blocked, parallel transpose.
-func Transpose(m, n int, src, dst []float32) error {
+// blocks is the number of tiles across an edge of n elements.
+func blocks(n int) int { return (n + transposeBlock - 1) / transposeBlock }
+
+// Transpose is the optimized blocked, parallel transpose. It only moves
+// elements, so it serves any element type.
+func Transpose[T any](m, n int, src, dst []T) error {
 	if err := checkTranspose(m, n, src, dst); err != nil {
 		return err
 	}
-	nbi := (m + transposeBlock - 1) / transposeBlock
-	nbj := (n + transposeBlock - 1) / transposeBlock
-	parallelRanges(nbi*nbj, func(lo, hi int) int {
+	parallelRanges(blocks(m)*blocks(n), func(lo, hi int) int {
+		// nbj is worked out here, not captured: the closure is allocated
+		// per call, and with the generic dictionary one more capture would
+		// take it past the 80-byte size class.
+		nbj := blocks(n)
 		for b := lo; b < hi; b++ {
 			bi := (b / nbj) * transposeBlock
 			bj := (b % nbj) * transposeBlock
@@ -49,7 +55,7 @@ func Transpose(m, n int, src, dst []float32) error {
 
 // TransposeInPlace transposes a square n x n matrix in place
 // (mkl_simatcopy with alpha=1).
-func TransposeInPlace(n int, a []float32) error {
+func TransposeInPlace[T any](n int, a []T) error {
 	if n < 0 {
 		return fmt.Errorf("kernels: transpose: negative size %d", n)
 	}
@@ -64,7 +70,7 @@ func TransposeInPlace(n int, a []float32) error {
 	return nil
 }
 
-func checkTranspose(m, n int, src, dst []float32) error {
+func checkTranspose[T any](m, n int, src, dst []T) error {
 	if m < 0 || n < 0 {
 		return fmt.Errorf("kernels: transpose: negative dimensions %dx%d", m, n)
 	}

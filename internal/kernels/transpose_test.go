@@ -55,7 +55,7 @@ func TestTransposeInPlace(t *testing.T) {
 }
 
 func TestTransposeErrors(t *testing.T) {
-	if err := Transpose(-1, 2, nil, nil); err == nil {
+	if err := Transpose[float32](-1, 2, nil, nil); err == nil {
 		t.Error("negative dims must fail")
 	}
 	if err := Transpose(2, 2, make([]float32, 3), make([]float32, 4)); err == nil {

@@ -8,12 +8,14 @@ package client
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 
 	"mealib/internal/descriptor"
 	"mealib/internal/mealibd"
 	"mealib/internal/mealibrt"
+	"mealib/internal/phys"
 	"mealib/internal/units"
 )
 
@@ -210,22 +212,29 @@ func (b *Buffer) Free() error {
 	return err
 }
 
-func (b *Buffer) store(kind uint8, data []byte, off units.Bytes) error {
+// Store writes vs at byte offset off.
+func Store[T phys.Elem](b *Buffer, off units.Bytes, vs []T) error {
 	_, err := b.cl.roundTrip(mealibd.MsgStore, func(e *mealibd.Enc) error {
 		e.U64(b.id)
 		e.U64(uint64(off))
-		e.U8(kind)
-		e.Bytes(data)
+		e.U8(mealibd.ElemKind[T]())
+		e.Bytes(phys.Encode(vs))
 		return nil
 	})
 	return err
 }
 
-func (b *Buffer) load(kind uint8, off units.Bytes, count int) ([]byte, error) {
+// Load reads count elements at byte offset off. The wire carries a 32-bit
+// count, so a larger one is refused before it is sent, and a reply that
+// does not hold count elements is an error.
+func Load[T phys.Elem](b *Buffer, off units.Bytes, count int) ([]T, error) {
+	if count < 0 || uint64(count) > math.MaxUint32 {
+		return nil, fmt.Errorf("client: load of %d elements does not fit the wire's 32-bit count", count)
+	}
 	d, err := b.cl.roundTrip(mealibd.MsgLoad, func(e *mealibd.Enc) error {
 		e.U64(b.id)
 		e.U64(uint64(off))
-		e.U8(kind)
+		e.U8(mealibd.ElemKind[T]())
 		e.U32(uint32(count))
 		return nil
 	})
@@ -233,49 +242,21 @@ func (b *Buffer) load(kind uint8, off units.Bytes, count int) ([]byte, error) {
 		return nil, err
 	}
 	data := d.Bytes()
-	return data, d.Err()
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if want := count * phys.Size[T](); len(data) != want {
+		return nil, fmt.Errorf("client: load reply holds %d bytes, want %d", len(data), want)
+	}
+	return phys.Decode[T](data), nil
 }
 
-// StoreFloat32s writes vs at byte offset off.
-func (b *Buffer) StoreFloat32s(off units.Bytes, vs []float32) error {
-	return b.store(mealibd.ElemF32, mealibd.F32ToBytes(vs), off)
-}
+// StoreFloat32s is Store[float32].
+func (b *Buffer) StoreFloat32s(off units.Bytes, vs []float32) error { return Store(b, off, vs) }
 
-// LoadFloat32s reads count float32 values at byte offset off.
+// LoadFloat32s is Load[float32].
 func (b *Buffer) LoadFloat32s(off units.Bytes, count int) ([]float32, error) {
-	data, err := b.load(mealibd.ElemF32, off, count)
-	if err != nil {
-		return nil, err
-	}
-	return mealibd.BytesToF32(data), nil
-}
-
-// StoreComplex64s writes vs at byte offset off.
-func (b *Buffer) StoreComplex64s(off units.Bytes, vs []complex64) error {
-	return b.store(mealibd.ElemC64, mealibd.C64ToBytes(vs), off)
-}
-
-// LoadComplex64s reads count complex64 values at byte offset off.
-func (b *Buffer) LoadComplex64s(off units.Bytes, count int) ([]complex64, error) {
-	data, err := b.load(mealibd.ElemC64, off, count)
-	if err != nil {
-		return nil, err
-	}
-	return mealibd.BytesToC64(data), nil
-}
-
-// StoreInt32s writes vs at byte offset off.
-func (b *Buffer) StoreInt32s(off units.Bytes, vs []int32) error {
-	return b.store(mealibd.ElemI32, mealibd.I32ToBytes(vs), off)
-}
-
-// LoadInt32s reads count int32 values at byte offset off.
-func (b *Buffer) LoadInt32s(off units.Bytes, count int) ([]int32, error) {
-	data, err := b.load(mealibd.ElemI32, off, count)
-	if err != nil {
-		return nil, err
-	}
-	return mealibd.BytesToI32(data), nil
+	return Load[float32](b, off, count)
 }
 
 // Plan installs a descriptor in the tenant's namespace. The server

@@ -294,3 +294,44 @@ func TestClientFailureSticks(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadReplyLengthIsChecked: a load reply that does not hold count
+// elements is an error, not a short or long result. The fake server answers
+// every load with 12 bytes.
+func TestLoadReplyLengthIsChecked(t *testing.T) {
+	cli, srv := net.Pipe()
+	defer srv.Close()
+	go func() {
+		for i := 0; ; i++ {
+			if _, err := mealibd.ReadFrame(srv); err != nil {
+				return
+			}
+			e := &mealibd.Enc{}
+			e.U8(mealibd.ReplyOK)
+			if i > 0 { // the hello's reply carries nothing
+				e.Bytes(make([]byte, 12))
+			}
+			if mealibd.WriteFrame(srv, e.Payload()) != nil {
+				return
+			}
+		}
+	}()
+	cl, err := open(cli, Config{Tenant: "short"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	b := &Buffer{cl: cl, id: 1}
+	if got, err := b.LoadFloat32s(0, 4); err == nil {
+		t.Errorf("a 12-byte reply to a load of 4 float32s returned %v", got)
+	}
+	if got, err := Load[int32](b, 0, 2); err == nil {
+		t.Errorf("a 12-byte reply to a load of 2 int32s returned %v", got)
+	}
+	if got, err := Load[complex64](b, 0, 1); err == nil {
+		t.Errorf("a 12-byte reply to a load of 1 complex64 returned %v", got)
+	}
+	if got, err := b.LoadFloat32s(0, 3); err != nil || len(got) != 3 {
+		t.Errorf("a 12-byte reply to a load of 3 float32s = %v, %v", got, err)
+	}
+}

@@ -155,7 +155,7 @@ func TestServerKeepsNoPayload(t *testing.T) {
 			e.U64(bufs[i].id)
 			e.U64(0)
 			e.U8(ElemF32)
-			e.Bytes(F32ToBytes(vs))
+			e.Bytes(phys.Encode(vs))
 		}))
 	}
 	axpy := &descriptor.Descriptor{}
@@ -171,7 +171,7 @@ func TestServerKeepsNoPayload(t *testing.T) {
 		t.Fatal(merr)
 	}
 	send(frame(MsgExecute, func(e *Enc) { e.U64(plan) }))
-	got := BytesToF32(send(frame(MsgLoad, func(e *Enc) { e.U64(bufs[1].id); e.U64(0); e.U8(ElemF32); e.U32(n) })).Bytes())
+	got := phys.Decode[float32](send(frame(MsgLoad, func(e *Enc) { e.U64(bufs[1].id); e.U64(0); e.U8(ElemF32); e.U32(n) })).Bytes())
 	for i, v := range got {
 		if want := 1 + 2*xs[i]; v != want {
 			t.Fatalf("y[%d] = %v, want %v: a plan or a store kept the request buffer", i, v, want)

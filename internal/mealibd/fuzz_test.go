@@ -10,6 +10,7 @@ import (
 	"mealib/internal/accel"
 	"mealib/internal/descriptor"
 	"mealib/internal/mealibrt"
+	"mealib/internal/phys"
 	"mealib/internal/telemetry"
 	"mealib/internal/units"
 )
@@ -194,7 +195,7 @@ func FuzzServerFrames(f *testing.F) {
 			e.U64(id)
 			e.U64(uint64(off))
 			e.U8(ElemF32)
-			e.Bytes(F32ToBytes(make([]float32, 16)))
+			e.Bytes(phys.Encode(make([]float32, 16)))
 		})
 	}
 	load := func(id uint64, off int64) []byte {

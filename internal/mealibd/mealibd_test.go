@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"path/filepath"
 	"reflect"
@@ -213,7 +214,7 @@ func chainRemote(cl *client.Client, in []complex64) ([]complex64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := ra.StoreComplex64s(0, in); err != nil {
+	if err := client.Store(ra, 0, in); err != nil {
 		return nil, err
 	}
 	d, err := chainDesc(phys.Addr(ra.PA()), phys.Addr(ia.PA()))
@@ -231,7 +232,7 @@ func chainRemote(cl *client.Client, in []complex64) ([]complex64, error) {
 	if rep.Comps == 0 {
 		return nil, fmt.Errorf("report carries no computations: %+v", rep)
 	}
-	out, err := ia.LoadComplex64s(0, chainN*chainIters)
+	out, err := client.Load[complex64](ia, 0, chainN*chainIters)
 	if err != nil {
 		return nil, err
 	}
@@ -910,6 +911,99 @@ func TestRemoteOverCapacityError(t *testing.T) {
 	})
 }
 
+// TestRemoteLoadCountFitsTheWire: a load's count crosses the wire as 32
+// bits. A larger one is refused before it is sent; truncated, 2^32+2 read
+// back as 2 elements and no error.
+func TestRemoteLoadCountFitsTheWire(t *testing.T) {
+	_, addr := startServer(t, nil)
+	cl, err := client.Dial(client.Config{Network: "unix", Addr: addr, Tenant: "wide"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	b, err := cl.Alloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1<<32 + 2, 1 << 32, -1} {
+		if got, err := b.LoadFloat32s(0, n); err == nil {
+			t.Errorf("a load of %d elements returned %d and no error", n, len(got))
+		}
+	}
+	if got, err := client.Load[complex64](b, 0, 8); err != nil || len(got) != 8 {
+		t.Errorf("a load of the whole buffer after the refused ones = %d elements, %v", len(got), err)
+	}
+}
+
+// wireWords returns the 32-bit words of a typed slice, the real word of a
+// complex64 before its imaginary one.
+func wireWords(v any) []uint32 {
+	var out []uint32
+	switch v := v.(type) {
+	case []float32:
+		for _, x := range v {
+			out = append(out, math.Float32bits(x))
+		}
+	case []int32:
+		for _, x := range v {
+			out = append(out, uint32(x))
+		}
+	case []complex64:
+		for _, x := range v {
+			out = append(out, math.Float32bits(real(x)), math.Float32bits(imag(x)))
+		}
+	}
+	return out
+}
+
+// wireRoundTrip stores v through the client and loads it back.
+func wireRoundTrip[T phys.Elem](t *testing.T, b *client.Buffer, v []T) {
+	t.Helper()
+	if err := client.Store(b, 4, v); err != nil {
+		t.Fatal(err)
+	}
+	got, err := client.Load[T](b, 4, len(v))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := wireWords(v); !slices.Equal(wireWords(got), want) {
+		t.Errorf("%T round trip = %#x, want %#x", v, wireWords(got), want)
+	}
+}
+
+// TestRemoteElemBitsRoundTrip: every element type's NaN payloads, -0 and
+// subnormals cross the wire and the space and come back bit for bit, at an
+// offset that is not 8-byte aligned.
+func TestRemoteElemBitsRoundTrip(t *testing.T) {
+	_, addr := startServer(t, nil)
+	cl, err := client.Dial(client.Config{Network: "unix", Addr: addr, Tenant: "bits"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	b, err := cl.Alloc(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patterns := []uint32{
+		0x80000000,                                     // -0
+		0x7fc00000, 0xffc00001, 0x7f800001, 0x7fbfffff, // quiet and signalling NaNs with payloads
+		0x00000001, 0x807fffff, // subnormals
+		0x7f800000, 0x3f800000, // +Inf, 1
+	}
+	f32 := make([]float32, len(patterns))
+	i32 := make([]int32, len(patterns))
+	c64 := make([]complex64, len(patterns))
+	for i, p := range patterns {
+		f32[i] = math.Float32frombits(p)
+		i32[i] = int32(p)
+		c64[i] = complex(math.Float32frombits(p), math.Float32frombits(patterns[len(patterns)-1-i]))
+	}
+	wireRoundTrip(t, b, f32)
+	wireRoundTrip(t, b, i32)
+	wireRoundTrip(t, b, c64)
+}
+
 // TestRemoteAccessStaysInBounds is the wire half of the tenant-isolation
 // regression: the store and load offsets come raw from the client frame, so
 // a tenant aiming one at the buffer next door (below or above its own) must
@@ -938,7 +1032,7 @@ func TestRemoteAccessStaysInBounds(t *testing.T) {
 		ones[i] = 1
 	}
 	for _, b := range bufs {
-		if err := b.StoreInt32s(0, ones); err != nil {
+		if err := client.Store(b, 0, ones); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -946,15 +1040,15 @@ func TestRemoteAccessStaysInBounds(t *testing.T) {
 		"negative":     -units.Bytes(mid.PA() - below.PA()),
 		"past the end": units.Bytes(above.PA() - mid.PA()),
 	} {
-		if err := mid.StoreInt32s(off, []int32{9, 9, 9, 9}); err == nil {
+		if err := client.Store(mid, off, []int32{9, 9, 9, 9}); err == nil {
 			t.Errorf("%s store at %d succeeded", what, off)
 		}
-		if _, err := mid.LoadInt32s(off, 4); err == nil {
+		if _, err := client.Load[int32](mid, off, 4); err == nil {
 			t.Errorf("%s load at %d succeeded", what, off)
 		}
 	}
 	for i, b := range bufs {
-		got, err := b.LoadInt32s(0, len(ones))
+		got, err := client.Load[int32](b, 0, len(ones))
 		if err != nil {
 			t.Fatalf("buffer %d's connection after the refused accesses: %v", i, err)
 		}

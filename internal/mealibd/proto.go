@@ -32,6 +32,7 @@ import (
 	"math"
 
 	"mealib/internal/descriptor"
+	"mealib/internal/phys"
 	"mealib/internal/units"
 )
 
@@ -425,72 +426,15 @@ func UnmarshalReport(d *Dec) Report {
 	}
 }
 
-// Element conversions (little-endian wire layout).
-
-// BytesToF32 decodes a wire f32 array.
-func BytesToF32(p []byte) []float32 {
-	out := make([]float32, len(p)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(leU32(p[4*i:]))
+// ElemKind is the wire's element-kind code for T. A store's or a load's
+// elements travel in the little-endian layout of the physical space
+// (phys.Encode, phys.Decode), so the server copies them as bytes.
+func ElemKind[T phys.Elem]() uint8 {
+	switch any(*new(T)).(type) {
+	case complex64:
+		return ElemC64
+	case int32:
+		return ElemI32
 	}
-	return out
-}
-
-// F32ToBytes encodes a wire f32 array.
-func F32ToBytes(vs []float32) []byte {
-	out := make([]byte, 4*len(vs))
-	for i, v := range vs {
-		putU32(out[4*i:], math.Float32bits(v))
-	}
-	return out
-}
-
-// BytesToC64 decodes a wire c64 array (real, imag pairs).
-func BytesToC64(p []byte) []complex64 {
-	out := make([]complex64, len(p)/8)
-	for i := range out {
-		re := math.Float32frombits(leU32(p[8*i:]))
-		im := math.Float32frombits(leU32(p[8*i+4:]))
-		out[i] = complex(re, im)
-	}
-	return out
-}
-
-// C64ToBytes encodes a wire c64 array.
-func C64ToBytes(vs []complex64) []byte {
-	out := make([]byte, 8*len(vs))
-	for i, v := range vs {
-		putU32(out[8*i:], math.Float32bits(real(v)))
-		putU32(out[8*i+4:], math.Float32bits(imag(v)))
-	}
-	return out
-}
-
-// BytesToI32 decodes a wire i32 array.
-func BytesToI32(p []byte) []int32 {
-	out := make([]int32, len(p)/4)
-	for i := range out {
-		out[i] = int32(leU32(p[4*i:]))
-	}
-	return out
-}
-
-// I32ToBytes encodes a wire i32 array.
-func I32ToBytes(vs []int32) []byte {
-	out := make([]byte, 4*len(vs))
-	for i, v := range vs {
-		putU32(out[4*i:], uint32(v))
-	}
-	return out
-}
-
-func leU32(p []byte) uint32 {
-	return uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24
-}
-
-func putU32(p []byte, v uint32) {
-	p[0] = byte(v)
-	p[1] = byte(v >> 8)
-	p[2] = byte(v >> 16)
-	p[3] = byte(v >> 24)
+	return ElemF32
 }

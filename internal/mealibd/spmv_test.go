@@ -35,10 +35,10 @@ func TestRemoteBadRowPtrFailsTheLaunch(t *testing.T) {
 	// [[1 0 2],[0 3 0],[4 0 5]] times [1 2 3].
 	rowPtr, colIdx, values, x, y := alloc(4), alloc(5), alloc(5), alloc(3), alloc(3)
 	for _, err := range []error{
-		colIdx.StoreInt32s(0, []int32{0, 2, 1, 0, 2}),
+		client.Store(colIdx, 0, []int32{0, 2, 1, 0, 2}),
 		values.StoreFloat32s(0, []float32{1, 2, 3, 4, 5}),
 		x.StoreFloat32s(0, []float32{1, 2, 3}),
-		rowPtr.StoreInt32s(0, []int32{-1, 2, 3, 5}),
+		client.Store(rowPtr, 0, []int32{-1, 2, 3, 5}),
 	} {
 		if err != nil {
 			t.Fatal(err)
@@ -59,7 +59,7 @@ func TestRemoteBadRowPtrFailsTheLaunch(t *testing.T) {
 	if _, err := p.Execute(); err == nil {
 		t.Fatal("a remote launch over rowPtr[0] = -1 succeeded")
 	}
-	if err := rowPtr.StoreInt32s(0, []int32{0, 2, 3, 5}); err != nil {
+	if err := client.Store(rowPtr, 0, []int32{0, 2, 3, 5}); err != nil {
 		t.Fatalf("the connection after the failed launch: %v", err)
 	}
 	if _, err := p.Execute(); err != nil {

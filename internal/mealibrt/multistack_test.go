@@ -3,6 +3,7 @@ package mealibrt
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"mealib/internal/accel"
@@ -199,6 +200,32 @@ func TestDeviceCopyFloat32s(t *testing.T) {
 	}
 	if err := rt.DeviceCopyFloat32s(dst, 4, src, 0, n); err == nil {
 		t.Error("overrunning device copy accepted")
+	}
+}
+
+// TestDeviceCopyRefusesWrappedCounts: an element count whose byte size
+// wraps is refused and no byte moves. 4·(2^62+1) wrapped to 4 bytes, which
+// passed both span checks, so the copy moved one element and returned nil.
+func TestDeviceCopyRefusesWrappedCounts(t *testing.T) {
+	rt := multiStackRuntime(t, 2)
+	src, err := rt.MemAllocOn(0, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := rt.MemAllocOn(1, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Store(src, 0, []float32{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1<<62 + 1, 1<<62 + 4, math.MaxInt} {
+		if err := rt.DeviceCopyFloat32s(dst, 0, src, 0, n); err == nil {
+			t.Errorf("a device copy of %d elements succeeded", n)
+		}
+	}
+	if got, err := Load[float32](dst, 0, 16); err != nil || !slices.Equal(got, make([]float32, 16)) {
+		t.Errorf("dst = %v, %v after the refused copies; want zeros", got, err)
 	}
 }
 

@@ -374,14 +374,14 @@ func (b *Buffer) span(off, n units.Bytes) (span.Span, error) {
 	return span.Span{Addr: b.pa + phys.Addr(off), Bytes: n}, nil
 }
 
-// elemBytes is the byte size of n elements of size bytes each. A count whose
-// byte size does not fit is refused: wrapped, it would pass span and the load
-// would then allocate n elements.
-func elemBytes(n, size int) (units.Bytes, error) {
-	if n < 0 || n > math.MaxInt64/size {
+// ElemBytes is the byte size of n elements of T. A count whose byte size
+// does not fit is refused: wrapped, it would pass span and the load would
+// then allocate n elements, or a copy would move fewer than n.
+func ElemBytes[T phys.Elem](n int) (units.Bytes, error) {
+	if size := phys.Size[T](); n < 0 || n > math.MaxInt64/size {
 		return 0, fmt.Errorf("mealibrt: access to %d elements of %d bytes overflows the byte count", n, size)
 	}
-	return units.Bytes(n * size), nil
+	return units.Bytes(n * phys.Size[T]()), nil
 }
 
 // access runs one host-side access to the n bytes at byte offset off: it
@@ -439,50 +439,39 @@ func (b *Buffer) LoadBytes(off units.Bytes, n int) (out []byte, err error) {
 	return out, err
 }
 
-// StoreFloat32s writes v at byte offset off through the host mapping.
-func (b *Buffer) StoreFloat32s(off units.Bytes, v []float32) error {
-	return b.access(off, units.Bytes(4*len(v)), true, func(pa phys.Addr) error { return b.rt.space.StoreFloat32s(pa, v) })
+// Store writes v at byte offset off through the host mapping.
+func Store[T phys.Elem](b *Buffer, off units.Bytes, v []T) error {
+	return b.access(off, units.Bytes(len(v)*phys.Size[T]()), true, func(pa phys.Addr) error { return phys.Store(b.rt.space, pa, v) })
 }
 
-// LoadFloat32s reads n float32 values at byte offset off.
-func (b *Buffer) LoadFloat32s(off units.Bytes, n int) (out []float32, err error) {
-	size, err := elemBytes(n, 4)
+// Load reads n elements at byte offset off.
+func Load[T phys.Elem](b *Buffer, off units.Bytes, n int) (out []T, err error) {
+	size, err := ElemBytes[T](n)
 	if err != nil {
 		return nil, err
 	}
-	err = b.access(off, size, false, func(pa phys.Addr) (e error) { out, e = b.rt.space.LoadFloat32s(pa, n); return })
+	err = b.access(off, size, false, func(pa phys.Addr) (e error) { out, e = phys.Load[T](b.rt.space, pa, n); return })
 	return out, err
 }
 
-// StoreComplex64s writes v at byte offset off.
-func (b *Buffer) StoreComplex64s(off units.Bytes, v []complex64) error {
-	return b.access(off, units.Bytes(8*len(v)), true, func(pa phys.Addr) error { return b.rt.space.StoreComplex64s(pa, v) })
+// StoreFloat32s is Store[float32].
+func (b *Buffer) StoreFloat32s(off units.Bytes, v []float32) error { return Store(b, off, v) }
+
+// LoadFloat32s is Load[float32].
+func (b *Buffer) LoadFloat32s(off units.Bytes, n int) ([]float32, error) {
+	return Load[float32](b, off, n)
 }
 
-// LoadComplex64s reads n complex64 values at byte offset off.
-func (b *Buffer) LoadComplex64s(off units.Bytes, n int) (out []complex64, err error) {
-	size, err := elemBytes(n, 8)
-	if err != nil {
-		return nil, err
-	}
-	err = b.access(off, size, false, func(pa phys.Addr) (e error) { out, e = b.rt.space.LoadComplex64s(pa, n); return })
-	return out, err
+// StoreComplex64s is Store[complex64].
+func (b *Buffer) StoreComplex64s(off units.Bytes, v []complex64) error { return Store(b, off, v) }
+
+// LoadComplex64s is Load[complex64].
+func (b *Buffer) LoadComplex64s(off units.Bytes, n int) ([]complex64, error) {
+	return Load[complex64](b, off, n)
 }
 
-// StoreInt32s writes v at byte offset off.
-func (b *Buffer) StoreInt32s(off units.Bytes, v []int32) error {
-	return b.access(off, units.Bytes(4*len(v)), true, func(pa phys.Addr) error { return b.rt.space.StoreInt32s(pa, v) })
-}
-
-// LoadInt32s reads n int32 values at byte offset off.
-func (b *Buffer) LoadInt32s(off units.Bytes, n int) (out []int32, err error) {
-	size, err := elemBytes(n, 4)
-	if err != nil {
-		return nil, err
-	}
-	err = b.access(off, size, false, func(pa phys.Addr) (e error) { out, e = b.rt.space.LoadInt32s(pa, n); return })
-	return out, err
-}
+// StoreInt32s is Store[int32].
+func (b *Buffer) StoreInt32s(off units.Bytes, v []int32) error { return Store(b, off, v) }
 
 // Plan is a reusable accelerator descriptor (mealib_acc_plan's acc_plan),
 // compiled when it is installed: everything a launch needs that the descriptor

@@ -296,7 +296,7 @@ func TestRuntimeAccessors(t *testing.T) {
 	if err := b.StoreInt32s(0, []int32{1, -2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.LoadInt32s(0, 3)
+	got, err := Load[int32](b, 0, 3)
 	if err != nil || got[1] != -2 {
 		t.Errorf("int32 round trip: %v, %v", got, err)
 	}
@@ -369,7 +369,7 @@ func TestTypedLoadsRefuseOverflowingCounts(t *testing.T) {
 	}{
 		{"LoadFloat32s", func(n int) error { _, err := b.LoadFloat32s(0, n); return err }},
 		{"LoadComplex64s", func(n int) error { _, err := b.LoadComplex64s(0, n); return err }},
-		{"LoadInt32s", func(n int) error { _, err := b.LoadInt32s(0, n); return err }},
+		{"LoadInt32s", func(n int) error { _, err := Load[int32](b, 0, n); return err }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, n := range counts {

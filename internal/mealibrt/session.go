@@ -290,11 +290,15 @@ func (s *Session) DeviceCopyFloat32s(dst *Buffer, dstOff units.Bytes, src *Buffe
 	if !dst.Resident() || !src.Resident() {
 		return fmt.Errorf("mealibrt: device copy needs stack-resident buffers")
 	}
-	from, err := src.span(srcOff, units.Bytes(4*n))
+	size, err := ElemBytes[float32](n)
 	if err != nil {
 		return err
 	}
-	to, err := dst.span(dstOff, units.Bytes(4*n))
+	from, err := src.span(srcOff, size)
+	if err != nil {
+		return err
+	}
+	to, err := dst.span(dstOff, size)
 	if err != nil {
 		return err
 	}

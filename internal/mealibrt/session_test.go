@@ -653,7 +653,7 @@ func TestBufferAccessStaysInBounds(t *testing.T) {
 				"StoreFloat32s":   func(off units.Bytes) error { return mid.StoreFloat32s(off, []float32{9, 9, 9, 9}) },
 				"StoreComplex64s": func(off units.Bytes) error { return mid.StoreComplex64s(off, []complex64{9, 9}) },
 				"StoreBytes":      func(off units.Bytes) error { return mid.StoreBytes(off, make([]byte, 16)) },
-				"LoadInt32s":      func(off units.Bytes) error { _, err := mid.LoadInt32s(off, 4); return err },
+				"LoadInt32s":      func(off units.Bytes) error { _, err := Load[int32](mid, off, 4); return err },
 				"LoadFloat32s":    func(off units.Bytes) error { _, err := mid.LoadFloat32s(off, 4); return err },
 				"LoadComplex64s":  func(off units.Bytes) error { _, err := mid.LoadComplex64s(off, 2); return err },
 				"LoadBytes":       func(off units.Bytes) error { _, err := mid.LoadBytes(off, 16); return err },
@@ -667,14 +667,14 @@ func TestBufferAccessStaysInBounds(t *testing.T) {
 					}
 				}
 			}
-			if _, err := mid.LoadInt32s(0, -1); err == nil {
+			if _, err := Load[int32](mid, 0, -1); err == nil {
 				t.Error("LoadInt32s of a negative count succeeded")
 			}
 			if err := s.DeviceCopyFloat32s(mid, 0, far, 0, -1); err == nil {
 				t.Error("device copy of a negative count succeeded")
 			}
 			for i, b := range bufs {
-				got, err := b.LoadInt32s(0, len(ones))
+				got, err := Load[int32](b, 0, len(ones))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -690,7 +690,7 @@ func TestBufferAccessStaysInBounds(t *testing.T) {
 			if err := s.DeviceCopyFloat32s(far, size-4, mid, size-4, 1); err != nil {
 				t.Errorf("in-range device copy at the buffers' ends: %v", err)
 			}
-			if got, err := far.LoadInt32s(size-8, 2); err != nil || got[0] != 1 || got[1] != 2 {
+			if got, err := Load[int32](far, size-8, 2); err != nil || got[0] != 1 || got[1] != 2 {
 				t.Errorf("far[-2:] = %v, %v after the device copy; want [1 2]", got, err)
 			}
 		})

@@ -126,14 +126,14 @@ func (s *System) ShardWith(m *sparse.CSR, part sparse.Partition) (*Sharded, erro
 		if err != nil {
 			return nil, fmt.Errorf("multistack: shard %d: %w", k, err)
 		}
-		if err := sd.rowPtr.StoreInt32s(0, rebased); err != nil {
+		if err := mealibrt.Store(sd.rowPtr, 0, rebased); err != nil {
 			return nil, err
 		}
 		if nnz > 0 {
-			if err := sd.colIdx.StoreInt32s(0, m.ColIdx[base:base+int32(nnz)]); err != nil {
+			if err := mealibrt.Store(sd.colIdx, 0, m.ColIdx[base:base+int32(nnz)]); err != nil {
 				return nil, err
 			}
-			if err := sd.values.StoreFloat32s(0, m.Values[base:base+int32(nnz)]); err != nil {
+			if err := mealibrt.Store(sd.values, 0, m.Values[base:base+int32(nnz)]); err != nil {
 				return nil, err
 			}
 		}
@@ -214,7 +214,7 @@ func (sh *Sharded) SetX(v []float32) error {
 		return fmt.Errorf("multistack: x has %d elements, want %d", len(v), sh.n)
 	}
 	for _, sd := range sh.shards {
-		if err := sd.x.StoreFloat32s(0, v); err != nil {
+		if err := mealibrt.Store(sd.x, 0, v); err != nil {
 			return err
 		}
 	}
@@ -224,7 +224,7 @@ func (sh *Sharded) SetX(v []float32) error {
 // X reads the current working vector (stack 0's copy; after an exchange all
 // copies are identical).
 func (sh *Sharded) X() ([]float32, error) {
-	return sh.shards[0].x.LoadFloat32s(0, sh.n)
+	return mealibrt.Load[float32](sh.shards[0].x, 0, sh.n)
 }
 
 // Step runs one iteration: the N shard launches concurrently (compute

@@ -236,99 +236,45 @@ func (s *Space) WriteFloat32(addr Addr, v float32) error {
 // Typed bulk copies. A span that can be aliased (little-endian host, 4-byte
 // aligned, inside one region) is copied through the typed view at memmove
 // speed; any other span (a misaligned address, one that straddles a region
-// seam, a big-endian host) is converted element by element, which is what
-// a view of it already holds. Both give the same bytes in the space and the
-// same values out of it.
+// seam, a big-endian host) is converted word by word, which is what a view
+// of it already holds. Both give the same bytes in the space and the same
+// values out of it.
 
-// LoadFloat32s copies n float32 values starting at addr.
-func (s *Space) LoadFloat32s(addr Addr, n int) ([]float32, error) {
-	v, err := s.ViewFloat32s(addr, n)
+// Load copies n elements starting at addr.
+func Load[T Elem](s *Space, addr Addr, n int) ([]T, error) {
+	v, err := ViewOf[T](s, addr, n)
 	if err != nil || !v.aliased {
 		return v.Data, err
 	}
-	return clone(v.Data), nil
+	// make then copy is one allocation the compiler does not zero first.
+	out := make([]T, len(v.Data))
+	copy(out, v.Data)
+	return out, nil
 }
 
-// StoreFloat32s copies v into the space starting at addr.
-func (s *Space) StoreFloat32s(addr Addr, v []float32) error {
-	b, direct, err := s.storeBytes(addr, len(v), 4)
+// Store copies v into the space starting at addr.
+func Store[T Elem](s *Space, addr Addr, v []T) error {
+	b, direct, err := s.storeBytes(addr, len(v), Size[T]())
 	switch {
 	case err != nil:
 		return err
 	case direct && viewable(b, 4):
-		copy(f32sOf(b), v)
+		copy(cast[T](b), v)
 		return nil
 	}
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(x))
-	}
+	encode(b, v)
 	return s.flush(addr, b, direct)
 }
 
-// LoadComplex64s copies n complex64 values (interleaved re,im float32 pairs)
-// starting at addr.
-func (s *Space) LoadComplex64s(addr Addr, n int) ([]complex64, error) {
-	v, err := s.ViewComplex64s(addr, n)
-	if err != nil || !v.aliased {
-		return v.Data, err
-	}
-	return clone(v.Data), nil
-}
+// LoadFloat32s is Load[float32].
+func (s *Space) LoadFloat32s(addr Addr, n int) ([]float32, error) { return Load[float32](s, addr, n) }
 
-// StoreComplex64s copies v into the space starting at addr.
-func (s *Space) StoreComplex64s(addr Addr, v []complex64) error {
-	b, direct, err := s.storeBytes(addr, len(v), 8)
-	switch {
-	case err != nil:
-		return err
-	case direct && viewable(b, 4):
-		copy(c64sOf(b), v)
-		return nil
-	}
-	for i, c := range v {
-		binary.LittleEndian.PutUint32(b[8*i:], math.Float32bits(real(c)))
-		binary.LittleEndian.PutUint32(b[8*i+4:], math.Float32bits(imag(c)))
-	}
-	return s.flush(addr, b, direct)
-}
+// StoreFloat32s is Store[float32].
+func (s *Space) StoreFloat32s(addr Addr, v []float32) error { return Store(s, addr, v) }
 
 // WriteComplex64 writes one complex64 (re, im) at addr.
 func (s *Space) WriteComplex64(addr Addr, v complex64) error {
 	return s.WriteUint64(addr, uint64(math.Float32bits(real(v)))|uint64(math.Float32bits(imag(v)))<<32)
-}
-
-// LoadInt32s copies n int32 values starting at addr (used for CSR index
-// arrays consumed by the SPMV accelerator).
-func (s *Space) LoadInt32s(addr Addr, n int) ([]int32, error) {
-	v, err := s.ViewInt32s(addr, n)
-	if err != nil || !v.aliased {
-		return v.Data, err
-	}
-	return clone(v.Data), nil
-}
-
-// StoreInt32s copies v into the space starting at addr.
-func (s *Space) StoreInt32s(addr Addr, v []int32) error {
-	b, direct, err := s.storeBytes(addr, len(v), 4)
-	switch {
-	case err != nil:
-		return err
-	case direct && viewable(b, 4):
-		copy(i32sOf(b), v)
-		return nil
-	}
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
-	}
-	return s.flush(addr, b, direct)
-}
-
-// clone copies s into a new slice; make then copy is one allocation the
-// compiler does not zero before the copy.
-func clone[T float32 | complex64 | int32](s []T) []T {
-	out := make([]T, len(s))
-	copy(out, s)
-	return out
 }
 
 // loadBytes returns the bytes of n elements of size bytes each at addr and

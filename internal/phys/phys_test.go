@@ -145,16 +145,16 @@ func TestBulkComplex64(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := []complex64{1 + 2i, -3 - 4i, 0, complex(1e10, -1e-10)}
-	if err := s.StoreComplex64s(64, in[:3]); err != nil {
+	if err := Store(s, 64, in[:3]); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.WriteComplex64(64+8*3, in[3]); err != nil {
 		t.Fatal(err)
 	}
-	if s.WriteComplex64(4092, 1) == nil || s.StoreComplex64s(4096, in) == nil {
+	if s.WriteComplex64(4092, 1) == nil || Store(s, 4096, in) == nil {
 		t.Error("a complex store past the region must fail")
 	}
-	out, err := s.LoadComplex64s(64, len(in))
+	out, err := Load[complex64](s, 64, len(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +186,10 @@ func TestLoadComplex64sDecodesOnce(t *testing.T) {
 			in = append(in, complex(math.Float32frombits(re), math.Float32frombits(im)))
 		}
 	}
-	if err := s.StoreComplex64s(8, in); err != nil {
+	if err := Store(s, 8, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.LoadComplex64s(8, len(in))
+	out, err := Load[complex64](s, 8, len(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestLoadComplex64sDecodesOnce(t *testing.T) {
 		}
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		if _, err := s.LoadComplex64s(8, len(in)); err != nil {
+		if _, err := Load[complex64](s, 8, len(in)); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 1 {
@@ -216,10 +216,10 @@ func TestInt32s(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := []int32{0, -1, 1 << 30, -(1 << 30)}
-	if err := s.StoreInt32s(128, in); err != nil {
+	if err := Store(s, 128, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.LoadInt32s(128, len(in))
+	out, err := Load[int32](s, 128, len(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestSpaceConcurrentMapUnmapAndView(t *testing.T) {
 			defer readers.Done()
 			base := 4*page + Addr(g)*1024 // each reader owns a quarter of the region
 			for i := 0; i < 2000; i++ {
-				v, err := s.ViewFloat32s(base, 64)
+				v, err := ViewOf[float32](s, base, 64)
 				if err != nil || !v.Aliased() {
 					t.Errorf("reader %d: view of the stable region: aliased %v, %v", g, v.Aliased(), err)
 					return
@@ -358,10 +358,10 @@ func TestTypedLoadsRefuseOverflowingCounts(t *testing.T) {
 		if _, err := s.LoadFloat32s(0x1000, n); err == nil {
 			t.Errorf("LoadFloat32s of %d elements succeeded", n)
 		}
-		if _, err := s.LoadComplex64s(0x1000, n); err == nil {
+		if _, err := Load[complex64](s, 0x1000, n); err == nil {
 			t.Errorf("LoadComplex64s of %d elements succeeded", n)
 		}
-		if _, err := s.LoadInt32s(0x1000, n); err == nil {
+		if _, err := Load[int32](s, 0x1000, n); err == nil {
 			t.Errorf("LoadInt32s of %d elements succeeded", n)
 		}
 	}

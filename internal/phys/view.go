@@ -3,7 +3,6 @@ package phys
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"unsafe"
 
 	"mealib/internal/units"
@@ -14,15 +13,39 @@ import (
 // The space's regions are backed by real process memory, so on a
 // little-endian host an accelerator can operate directly on the bytes a
 // buffer occupies — the in-memory representation of []float32 IS the
-// little-endian wire format the Load/Store accessors implement. A view
-// aliases the region storage whenever the span is element-aligned and lies
-// inside one region; otherwise (misaligned address, span straddling a
-// region boundary, or a big-endian host) it degrades to the copy-in /
-// copy-out discipline of Load/Store, and Commit writes the copy back.
+// little-endian wire format Load and Store implement. A view aliases the
+// region storage whenever the span is 4-byte aligned and lies inside one
+// region; otherwise (misaligned address, span straddling a region
+// boundary, or a big-endian host) it degrades to the copy-in / copy-out
+// discipline of Load/Store, and Commit writes the copy back.
 //
 // Views are the accelerators' fast path: a core that mutates v.Data of an
 // aliased view is writing simulated DRAM in place, with no copy at either
 // end of the invocation.
+
+// Elem is the type of an operand's elements. Every operand in the space is
+// a run of little-endian 32-bit words at 4-byte alignment: float32 for
+// BLAS, complex64 (the real word, then the imaginary one) for FFT and
+// resampling, int32 for CSR indices. One view, load, store and wire
+// encoding serves all three.
+type Elem interface{ float32 | complex64 | int32 }
+
+// Size is the byte size of one T: 4, or 8 for complex64.
+func Size[T Elem]() int {
+	var z T
+	return int(unsafe.Sizeof(z))
+}
+
+// cast reinterprets s as a slice of To over the same memory. A []byte must
+// satisfy viewable(s, 4) and hold whole elements.
+func cast[To, From any](s []From) []To {
+	if len(s) == 0 {
+		return nil
+	}
+	var f From
+	var t To
+	return unsafe.Slice((*To)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(f))/int(unsafe.Sizeof(t)))
+}
 
 // nativeLittleEndian reports whether the host stores multi-byte values in
 // little-endian order, i.e. whether region bytes can be reinterpreted as
@@ -41,57 +64,47 @@ func viewable(b []byte, elemAlign uintptr) bool {
 	return uintptr(unsafe.Pointer(&b[0]))%elemAlign == 0
 }
 
-// f32sOf reinterprets b as float32s. b must satisfy viewable(b, 4) and have
-// a length that is a multiple of 4.
-func f32sOf(b []byte) []float32 {
-	if len(b) == 0 {
-		return nil
+// encode writes v's 32-bit words into b, little-endian, in any host order.
+func encode[T Elem](b []byte, v []T) {
+	for i, w := range cast[uint32](v) {
+		binary.LittleEndian.PutUint32(b[4*i:], w)
 	}
-	return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), len(b)/4)
 }
 
-// c64sOf reinterprets b as complex64s (alignment 4, size 8).
-func c64sOf(b []byte) []complex64 {
-	if len(b) == 0 {
-		return nil
+// decode fills out from the little-endian 32-bit words of b.
+func decode[T Elem](out []T, b []byte) {
+	w := cast[uint32](out)
+	for i := range w {
+		w[i] = binary.LittleEndian.Uint32(b[4*i:])
 	}
-	return unsafe.Slice((*complex64)(unsafe.Pointer(&b[0])), len(b)/8)
 }
 
-// i32sOf reinterprets b as int32s.
-func i32sOf(b []byte) []int32 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
+// Encode returns v in the little-endian layout the space and the mealibd
+// wire share.
+func Encode[T Elem](v []T) []byte {
+	b := make([]byte, len(v)*Size[T]())
+	encode(b, v)
+	return b
 }
 
-// Float32s returns the region's storage as a float32 slice aliasing the
-// region (writes through it are visible to every accessor), or ok=false if
-// the host byte order or the region size/alignment rules it out.
-func (r *Region) Float32s() ([]float32, bool) {
-	if len(r.data)%4 != 0 || !viewable(r.data, 4) {
-		return nil, false
-	}
-	return f32sOf(r.data), true
+// Decode returns the elements b holds in that layout; a trailing partial
+// element is ignored.
+func Decode[T Elem](b []byte) []T {
+	out := make([]T, len(b)/Size[T]())
+	decode(out, b)
+	return out
 }
 
-// Complex64s returns the region's storage as a complex64 slice aliasing the
-// region, or ok=false if it cannot be viewed.
-func (r *Region) Complex64s() ([]complex64, bool) {
-	if len(r.data)%8 != 0 || !viewable(r.data, 4) {
-		return nil, false
+// Scratch returns n elements of T backed by the 32-bit words of *p, which
+// it grows when they are too few. Every element type is whole words, so one
+// pool of word slices backs scratch of any of them.
+func Scratch[T Elem](p *[]uint32, n int) []T {
+	w := n * Size[T]() / 4
+	if cap(*p) < w {
+		*p = make([]uint32, w)
 	}
-	return c64sOf(r.data), true
-}
-
-// Int32s returns the region's storage as an int32 slice aliasing the
-// region, or ok=false if it cannot be viewed.
-func (r *Region) Int32s() ([]int32, bool) {
-	if len(r.data)%4 != 0 || !viewable(r.data, 4) {
-		return nil, false
-	}
-	return i32sOf(r.data), true
+	*p = (*p)[:w]
+	return cast[T](*p)
 }
 
 // gather copies the n bytes at addr, walking contiguously mapped regions
@@ -139,118 +152,50 @@ func (s *Space) copyRange(addr Addr, n int, visit func(off int, window []byte)) 
 	return nil
 }
 
-// Float32View is n float32 values at a physical address. When Aliased, Data
-// is the simulated DRAM itself; otherwise Data is a copy and Commit writes
-// it back.
-type Float32View struct {
-	Data    []float32
+// View is n elements at a physical address. When Aliased, Data is the
+// simulated DRAM itself; otherwise Data is a copy and Commit writes it back.
+type View[T Elem] struct {
+	Data    []T
 	space   *Space
 	addr    Addr
 	aliased bool
 }
 
 // Aliased reports whether the view is zero-copy.
-func (v *Float32View) Aliased() bool { return v.aliased }
+func (v *View[T]) Aliased() bool { return v.aliased }
 
 // Commit propagates a copied view back to the space; aliased views are
 // already live and Commit is a no-op.
-func (v *Float32View) Commit() error {
+func (v *View[T]) Commit() error {
 	if v.aliased {
 		return nil
 	}
-	return v.space.StoreFloat32s(v.addr, v.Data)
+	return Store(v.space, v.addr, v.Data)
 }
 
-// Complex64View is the complex64 analogue of Float32View.
-type Complex64View struct {
-	Data    []complex64
-	space   *Space
-	addr    Addr
-	aliased bool
-}
-
-// Aliased reports whether the view is zero-copy.
-func (v *Complex64View) Aliased() bool { return v.aliased }
-
-// Commit propagates a copied view back to the space.
-func (v *Complex64View) Commit() error {
-	if v.aliased {
-		return nil
+// Overlap reports whether a and b both alias the space and share a byte: a
+// kernel that writes one while it reads the other would read what it wrote.
+func Overlap[T Elem](a, b View[T]) bool {
+	if !a.aliased || !b.aliased || len(a.Data) == 0 || len(b.Data) == 0 {
+		return false
 	}
-	return v.space.StoreComplex64s(v.addr, v.Data)
+	return a.addr < b.addr+Addr(len(b.Data)*Size[T]()) && b.addr < a.addr+Addr(len(a.Data)*Size[T]())
 }
 
-// Int32View is the int32 analogue of Float32View.
-type Int32View struct {
-	Data    []int32
-	space   *Space
-	addr    Addr
-	aliased bool
-}
-
-// Aliased reports whether the view is zero-copy.
-func (v *Int32View) Aliased() bool { return v.aliased }
-
-// Commit propagates a copied view back to the space.
-func (v *Int32View) Commit() error {
-	if v.aliased {
-		return nil
-	}
-	return v.space.StoreInt32s(v.addr, v.Data)
-}
-
-// ViewFloat32s returns a view of n float32 values at addr: zero-copy when
-// the span is 4-byte aligned, inside one region and the host is
-// little-endian; a copy (write back with Commit) otherwise.
-func (s *Space) ViewFloat32s(addr Addr, n int) (Float32View, error) {
-	b, aliased, err := s.loadBytes(addr, n, 4)
+// ViewOf returns a view of n elements at addr: zero-copy when the span is
+// 4-byte aligned, inside one region and the host is little-endian; a copy
+// (write back with Commit) otherwise.
+func ViewOf[T Elem](s *Space, addr Addr, n int) (View[T], error) {
+	b, aliased, err := s.loadBytes(addr, n, Size[T]())
 	switch {
 	case err != nil:
-		return Float32View{}, err
+		return View[T]{}, err
 	case aliased:
-		return Float32View{Data: f32sOf(b), space: s, addr: addr, aliased: true}, nil
+		return View[T]{Data: cast[T](b), space: s, addr: addr, aliased: true}, nil
 	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return Float32View{Data: out, space: s, addr: addr}, nil
-}
-
-// ViewComplex64s returns a view of n complex64 values (interleaved re,im
-// float32 pairs) at addr, zero-copy when possible.
-func (s *Space) ViewComplex64s(addr Addr, n int) (Complex64View, error) {
-	b, aliased, err := s.loadBytes(addr, n, 8)
-	switch {
-	case err != nil:
-		return Complex64View{}, err
-	case aliased:
-		return Complex64View{Data: c64sOf(b), space: s, addr: addr, aliased: true}, nil
-	}
-	out := make([]complex64, n)
-	for i := range out {
-		re := math.Float32frombits(binary.LittleEndian.Uint32(b[8*i:]))
-		im := math.Float32frombits(binary.LittleEndian.Uint32(b[8*i+4:]))
-		out[i] = complex(re, im)
-	}
-	return Complex64View{Data: out, space: s, addr: addr}, nil
-}
-
-// ViewInt32s returns a view of n int32 values at addr, zero-copy when
-// possible.
-func (s *Space) ViewInt32s(addr Addr, n int) (Int32View, error) {
-	b, aliased, err := s.loadBytes(addr, n, 4)
-	switch {
-	case err != nil:
-		return Int32View{}, err
-	case aliased:
-		return Int32View{Data: i32sOf(b), space: s, addr: addr, aliased: true}, nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return Int32View{Data: out, space: s, addr: addr}, nil
+	out := make([]T, n)
+	decode(out, b)
+	return View[T]{Data: out, space: s, addr: addr}, nil
 }
 
 // SpanMapped reports whether every byte of [addr, addr+n) is backed by a

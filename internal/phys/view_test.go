@@ -3,6 +3,7 @@ package phys
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -26,10 +27,10 @@ func viewSpace(t *testing.T) *Space {
 
 func TestViewFloat32sAliasesRegion(t *testing.T) {
 	s := viewSpace(t)
-	if err := s.StoreFloat32s(0x1000, []float32{1, 2, 3, 4}); err != nil {
+	if err := Store(s, 0x1000, []float32{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.ViewFloat32s(0x1000, 4)
+	v, err := ViewOf[float32](s, 0x1000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,12 +53,12 @@ func TestViewFloat32sAliasesRegion(t *testing.T) {
 
 func TestViewFloat32sUnalignedFallsBack(t *testing.T) {
 	s := viewSpace(t)
-	if err := s.StoreFloat32s(0x1000, []float32{1, 2, 3, 4, 5}); err != nil {
+	if err := Store(s, 0x1000, []float32{1, 2, 3, 4, 5}); err != nil {
 		t.Fatal(err)
 	}
 	// 0x1002 is not 4-byte aligned: the view must copy, and Commit must
 	// write back.
-	v, err := s.ViewFloat32s(0x1002, 2)
+	v, err := ViewOf[float32](s, 0x1002, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +94,13 @@ func TestViewStraddlingRegionsFallsBack(t *testing.T) {
 	s := viewSpace(t)
 	want := []float32{10, 20, 30, 40}
 	// 0x1FF8..0x2008 straddles the region seam at 0x2000.
-	if err := s.StoreFloat32s(0x1ff8, want[:2]); err != nil {
+	if err := Store(s, 0x1ff8, want[:2]); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.StoreFloat32s(0x2000, want[2:]); err != nil {
+	if err := Store(s, 0x2000, want[2:]); err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.ViewFloat32s(0x1ff8, 4)
+	v, err := ViewOf[float32](s, 0x1ff8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,12 +129,12 @@ func TestViewStraddlingRegionsFallsBack(t *testing.T) {
 
 func TestViewUnmappedFails(t *testing.T) {
 	s := viewSpace(t)
-	if _, err := s.ViewFloat32s(0x8000, 4); err == nil {
+	if _, err := ViewOf[float32](s, 0x8000, 4); err == nil {
 		t.Fatal("view of unmapped span must fail")
 	}
 	// A span running past the last mapped byte must also fail, even though
 	// it starts inside a region.
-	if _, err := s.ViewFloat32s(0x2ffc, 2); err == nil {
+	if _, err := ViewOf[float32](s, 0x2ffc, 2); err == nil {
 		t.Fatal("view crossing into unmapped space must fail")
 	}
 }
@@ -141,10 +142,10 @@ func TestViewUnmappedFails(t *testing.T) {
 func TestViewComplex64s(t *testing.T) {
 	s := viewSpace(t)
 	want := []complex64{complex(1, 2), complex(3, 4)}
-	if err := s.StoreComplex64s(0x1000, want); err != nil {
+	if err := Store(s, 0x1000, want); err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.ViewComplex64s(0x1000, 2)
+	v, err := ViewOf[complex64](s, 0x1000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestViewComplex64s(t *testing.T) {
 	if err := v.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.LoadComplex64s(0x1000, 1)
+	got, err := Load[complex64](s, 0x1000, 1)
 	if err != nil || got[0] != complex(9, 9) {
 		t.Fatalf("after commit = %v, %v; want (9+9i)", got, err)
 	}
@@ -165,10 +166,10 @@ func TestViewComplex64s(t *testing.T) {
 
 func TestViewInt32s(t *testing.T) {
 	s := viewSpace(t)
-	if err := s.StoreInt32s(0x1000, []int32{-5, 6}); err != nil {
+	if err := Store(s, 0x1000, []int32{-5, 6}); err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.ViewInt32s(0x1000, 2)
+	v, err := ViewOf[int32](s, 0x1000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,35 +180,35 @@ func TestViewInt32s(t *testing.T) {
 	if err := v.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.LoadInt32s(0x1004, 1)
+	got, err := Load[int32](s, 0x1004, 1)
 	if err != nil || got[0] != 100 {
 		t.Fatalf("after commit = %v, %v; want 100", got, err)
 	}
 }
 
+// TestRegionTypedAccessors: a view of a whole region, of any element type,
+// aliases the region's storage, and a write through it is visible to every
+// other accessor.
 func TestRegionTypedAccessors(t *testing.T) {
 	s := NewSpace(1 * units.MiB)
 	r, err := s.Map(0x0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.StoreFloat32s(0, []float32{1.5}); err != nil {
+	if err := Store(s, 0, []float32{1.5}); err != nil {
 		t.Fatal(err)
 	}
-	f, ok := r.Float32s()
-	if !ok || len(f) != 16 || f[0] != 1.5 {
-		t.Fatalf("Region.Float32s = %v (ok=%v)", f, ok)
+	f, err := ViewOf[float32](s, r.Addr(), 16)
+	if err != nil || !f.Aliased() || f.Data[0] != 1.5 {
+		t.Fatalf("float32 view of the region = %v, aliased %v, %v", f.Data, f.Aliased(), err)
 	}
-	c, ok := r.Complex64s()
-	if !ok || len(c) != 8 {
-		t.Fatalf("Region.Complex64s len = %d (ok=%v), want 8", len(c), ok)
+	if c, err := ViewOf[complex64](s, r.Addr(), 8); err != nil || !c.Aliased() {
+		t.Fatalf("complex64 view of the region: aliased %v, %v", c.Aliased(), err)
 	}
-	i32, ok := r.Int32s()
-	if !ok || len(i32) != 16 {
-		t.Fatalf("Region.Int32s len = %d (ok=%v), want 16", len(i32), ok)
+	if i, err := ViewOf[int32](s, r.Addr(), 16); err != nil || !i.Aliased() || i.Data[0] != int32(math.Float32bits(1.5)) {
+		t.Fatalf("int32 view of the region = %v, aliased %v, %v", i.Data, i.Aliased(), err)
 	}
-	// Mutations through a region view are visible to space accessors.
-	f[1] = 2.5
+	f.Data[1] = 2.5
 	got, err := s.ReadFloat32(4)
 	if err != nil || got != 2.5 {
 		t.Fatalf("after region view write = %v, %v; want 2.5", got, err)
@@ -235,92 +236,124 @@ var bitPatterns = []uint32{
 	0x7f800000, 0xff800000, 0x00000001, 0x807fffff, 0x3f800000, 0xc2f6e979,
 }
 
-// TestTypedCopiesEveryPath stores, then loads, every element type through
-// the aliased path (aligned, inside one region) and through the element
-// loop (a misaligned address; an aligned span straddling the region seam at
-// 0x2000). Every path must leave the little-endian encoding in the space,
-// read the same bits back, and store without allocating except for the
-// straddling span's one scratch buffer.
-func TestTypedCopiesEveryPath(t *testing.T) {
-	s := viewSpace(t)
-	paths := []struct {
-		name    string
-		addr    Addr
-		aliased bool
-		allocs  float64
-	}{
-		{"aliased", 0x1100, true, 0},
-		{"misaligned", 0x1102, false, 0},
-		{"straddling", 0x2000 - 24, false, 1},
+// words returns the 32-bit words of a typed slice, the real word of a
+// complex64 before its imaginary one.
+func words(v any) []uint32 {
+	var out []uint32
+	switch v := v.(type) {
+	case []float32:
+		for _, x := range v {
+			out = append(out, math.Float32bits(x))
+		}
+	case []int32:
+		for _, x := range v {
+			out = append(out, uint32(x))
+		}
+	case []complex64:
+		for _, x := range v {
+			out = append(out, math.Float32bits(real(x)), math.Float32bits(imag(x)))
+		}
 	}
+	return out
+}
+
+// elemRow is one case of TestTypedCopiesEveryPath: where n elements go,
+// whether a view of them aliases the space, how often a store of them
+// allocates, and whether the access must fail instead.
+type elemRow struct {
+	name    string
+	addr    Addr
+	n       int
+	aliased bool
+	allocs  float64
+	fails   bool
+}
+
+// elemRows are the cases every element type runs through, in viewSpace:
+// two adjacent 4 KiB regions at 0x1000 and 0x2000, nothing mapped after.
+var elemRows = []elemRow{
+	{name: "aliased", addr: 0x1100, n: len(bitPatterns), aliased: true},
+	{name: "misaligned", addr: 0x1102, n: len(bitPatterns)},
+	{name: "across a region seam", addr: 0x2000 - 24, n: len(bitPatterns), allocs: 1},
+	{name: "zero length", addr: 0x1100, aliased: true},
+	{name: "unmapped", addr: 0x8000, n: 2, fails: true},
+	{name: "running off the last region", addr: 0x2ffc, n: 2, fails: true},
+	{name: "negative count", addr: 0x1100, n: -1, fails: true},
+	{name: "count of 2^61", addr: 0x1100, n: 1 << 61, fails: true},
+	{name: "count of 2^62", addr: 0x1100, n: 1 << 62, fails: true},
+	{name: "count of MaxInt", addr: 0x1100, n: math.MaxInt, fails: true},
+}
+
+// TestTypedCopiesEveryPath is one table over the three element types: each
+// row stores, views and loads float32, int32 and complex64 values through
+// the aliased path (aligned, inside one region), the word loop (a
+// misaligned address; an aligned span across the region seam at 0x2000),
+// an empty span, and spans that must fail (unmapped; a count whose byte
+// size does not fit an int, which wrapped would pass the region check and
+// ask makeslice for 2^62 elements). Every path that succeeds leaves the
+// little-endian words in the space, reads the same bits back (NaN
+// payloads, -0 and subnormals included), and stores without allocating
+// except for the seam's one scratch buffer; a failing one writes nothing.
+func TestTypedCopiesEveryPath(t *testing.T) {
 	f32 := make([]float32, len(bitPatterns))
 	i32 := make([]int32, len(bitPatterns))
 	c64 := make([]complex64, len(bitPatterns))
-	var want []byte // the words of f32 and i32; c64's are these twice over
 	for i, p := range bitPatterns {
 		f32[i] = math.Float32frombits(p)
 		i32[i] = int32(p)
 		c64[i] = complex(math.Float32frombits(p), math.Float32frombits(bitPatterns[len(bitPatterns)-1-i]))
-		want = binary.LittleEndian.AppendUint32(want, p)
 	}
-	var wantC []byte
-	for i, p := range bitPatterns {
-		wantC = binary.LittleEndian.AppendUint32(wantC, p)
-		wantC = binary.LittleEndian.AppendUint32(wantC, bitPatterns[len(bitPatterns)-1-i])
+	for _, row := range elemRows {
+		t.Run(row.name, func(t *testing.T) {
+			checkElemRow(t, row, f32)
+			checkElemRow(t, row, i32)
+			checkElemRow(t, row, c64)
+		})
 	}
-	for _, p := range paths {
-		if _, aliased, err := s.loadBytes(p.addr, len(f32), 4); err != nil || aliased != p.aliased {
-			t.Fatalf("%s: aliased = %v, %v; want %v", p.name, aliased, err, p.aliased)
+}
+
+func checkElemRow[T Elem](t *testing.T, row elemRow, all []T) {
+	t.Helper()
+	s := viewSpace(t)
+	kind := fmt.Sprintf("%T", all[0])
+	if row.fails {
+		// A slice cannot be as long as an overflowing count, so only the
+		// unmapped rows have a store to refuse.
+		if row.n > 0 && row.n <= len(all) && Store(s, row.addr, all[:row.n]) == nil {
+			t.Errorf("%s: a store of %d elements succeeded", kind, row.n)
 		}
-		if p.name == "straddling" {
-			if _, err := s.slice(p.addr, 4*len(f32)); err == nil {
-				t.Fatalf("%s: the span lies inside one region", p.name)
-			}
+		if _, err := ViewOf[T](s, row.addr, row.n); err == nil {
+			t.Errorf("%s: a view of %d elements succeeded", kind, row.n)
 		}
-		check := func(kind string, wantBytes []byte, store func() error, load func() ([]uint32, error), words []uint32) {
-			t.Helper()
-			if err := store(); err != nil {
-				t.Fatalf("%s %s: store: %v", p.name, kind, err)
-			}
-			got, err := s.gather(p.addr, len(wantBytes))
-			if err != nil || !bytes.Equal(got, wantBytes) {
-				t.Errorf("%s %s: space holds % x, %v; want % x", p.name, kind, got, err, wantBytes)
-			}
-			back, err := load()
-			if err != nil || !slices.Equal(back, words) {
-				t.Errorf("%s %s: load = %#x, %v; want %#x", p.name, kind, back, err, words)
-			}
-			if avg := testing.AllocsPerRun(20, func() { _ = store() }); avg != p.allocs {
-				t.Errorf("%s %s: a store allocates %v times, want %v", p.name, kind, avg, p.allocs)
-			}
+		if _, err := Load[T](s, row.addr, row.n); err == nil {
+			t.Errorf("%s: a load of %d elements succeeded", kind, row.n)
 		}
-		check("float32", want, func() error { return s.StoreFloat32s(p.addr, f32) }, func() ([]uint32, error) {
-			v, err := s.LoadFloat32s(p.addr, len(f32))
-			out := make([]uint32, len(v))
-			for i, x := range v {
-				out[i] = math.Float32bits(x)
-			}
-			return out, err
-		}, bitPatterns)
-		check("int32", want, func() error { return s.StoreInt32s(p.addr, i32) }, func() ([]uint32, error) {
-			v, err := s.LoadInt32s(p.addr, len(i32))
-			out := make([]uint32, len(v))
-			for i, x := range v {
-				out[i] = uint32(x)
-			}
-			return out, err
-		}, bitPatterns)
-		var wordsC []uint32
-		for i := 0; i < len(wantC); i += 4 {
-			wordsC = append(wordsC, binary.LittleEndian.Uint32(wantC[i:]))
+		if b, err := s.gather(0x1000, 0x2000); err != nil || !bytes.Equal(b, make([]byte, 0x2000)) {
+			t.Errorf("%s: a refused access changed the space", kind)
 		}
-		check("complex64", wantC, func() error { return s.StoreComplex64s(p.addr, c64) }, func() ([]uint32, error) {
-			v, err := s.LoadComplex64s(p.addr, len(c64))
-			var out []uint32
-			for _, x := range v {
-				out = append(out, math.Float32bits(real(x)), math.Float32bits(imag(x)))
-			}
-			return out, err
-		}, wordsC)
+		return
+	}
+	v := all[:row.n]
+	want := words(v)
+	if err := Store(s, row.addr, v); err != nil {
+		t.Fatalf("%s: store: %v", kind, err)
+	}
+	var wantBytes []byte
+	for _, w := range want {
+		wantBytes = binary.LittleEndian.AppendUint32(wantBytes, w)
+	}
+	if got, err := s.gather(row.addr, len(wantBytes)); err != nil || !bytes.Equal(got, wantBytes) {
+		t.Errorf("%s: space holds % x, %v; want % x", kind, got, err, wantBytes)
+	}
+	view, err := ViewOf[T](s, row.addr, row.n)
+	if err != nil || view.Aliased() != row.aliased || !slices.Equal(words(view.Data), want) {
+		t.Errorf("%s: view = %#x, aliased %v, %v; want %#x, aliased %v", kind, words(view.Data), view.Aliased(), err, want, row.aliased)
+	}
+	back, err := Load[T](s, row.addr, row.n)
+	if err != nil || len(back) != row.n || !slices.Equal(words(back), want) {
+		t.Errorf("%s: load = %#x, %v; want %#x", kind, words(back), err, want)
+	}
+	if avg := testing.AllocsPerRun(20, func() { _ = Store(s, row.addr, v) }); avg != row.allocs {
+		t.Errorf("%s: a store allocates %v times, want %v", kind, avg, row.allocs)
 	}
 }

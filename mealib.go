@@ -14,8 +14,8 @@
 // time and energy of the simulated hardware.
 //
 //	sys, _ := mealib.New()
-//	x, _ := sys.AllocFloat32(1 << 20)
-//	y, _ := sys.AllocFloat32(1 << 20)
+//	x, _ := mealib.Alloc[float32](sys, 1<<20)
+//	y, _ := mealib.Alloc[float32](sys, 1<<20)
 //	x.Set(xs)
 //	y.Set(ys)
 //	run, _ := sys.Saxpy(2.0, x, y) // y += 2x on the AXPY accelerator

@@ -30,17 +30,17 @@ func TestNewWithOptions(t *testing.T) {
 		t.Fatal("runtime must be exposed")
 	}
 	// Allocation beyond the shrunken data space must fail.
-	if _, err := s.AllocFloat32(1 << 26); err == nil {
+	if _, err := Alloc[float32](s, 1<<26); err == nil {
 		t.Error("allocation beyond the 64 MiB data space must fail")
 	}
 }
 
 func TestBufferValidation(t *testing.T) {
 	s := newSystem(t)
-	if _, err := s.AllocFloat32(0); err == nil {
+	if _, err := Alloc[float32](s, 0); err == nil {
 		t.Error("zero-size buffer must fail")
 	}
-	b, err := s.AllocFloat32(8)
+	b, err := Alloc[float32](s, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,17 +58,32 @@ func TestBufferValidation(t *testing.T) {
 	}
 }
 
+// TestAllocRefusesWrappedCounts: a count whose byte size does not fit is
+// refused. 4·(2^62+1) wrapped to 4 bytes, and the allocation returned a
+// buffer whose Len claimed 2^62+1 elements over those 4 bytes.
+func TestAllocRefusesWrappedCounts(t *testing.T) {
+	s := newSystem(t)
+	for _, n := range []int{1<<62 + 1, 1<<61 + 1, math.MaxInt} {
+		if b, err := Alloc[float32](s, n); err == nil {
+			t.Errorf("Alloc[float32](%d) returned a buffer of Len %d", n, b.Len())
+		}
+		if b, err := AllocOn[complex64](s, 0, n); err == nil {
+			t.Errorf("AllocOn[complex64](0, %d) returned a buffer of Len %d", n, b.Len())
+		}
+	}
+}
+
 // TestAccessorsRefuseOverflowingRanges: an element offset and count whose sum
 // or byte size does not fit an int are refused with an error, for each
 // accessor. Get(1<<62, 1<<62) used to pass its bounds check with a wrapped
 // sum and panic in makeslice.
 func TestAccessorsRefuseOverflowingRanges(t *testing.T) {
 	s := newSystem(t)
-	f, err := s.AllocFloat32(8)
+	f, err := Alloc[float32](s, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := s.AllocComplex64(8)
+	c, err := Alloc[complex64](s, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +126,8 @@ func TestSaxpyAndDot(t *testing.T) {
 		xs[i] = float32(rng.NormFloat64())
 		ys[i] = float32(rng.NormFloat64())
 	}
-	x, _ := s.AllocFloat32(n)
-	y, _ := s.AllocFloat32(n)
+	x, _ := Alloc[float32](s, n)
+	y, _ := Alloc[float32](s, n)
 	if err := x.Set(xs); err != nil {
 		t.Fatal(err)
 	}
@@ -151,9 +166,9 @@ func TestSaxpyAndDot(t *testing.T) {
 
 func TestSgemv(t *testing.T) {
 	s := newSystem(t)
-	a, _ := s.AllocFloat32(4)
-	x, _ := s.AllocFloat32(2)
-	y, _ := s.AllocFloat32(2)
+	a, _ := Alloc[float32](s, 4)
+	x, _ := Alloc[float32](s, 2)
+	y, _ := Alloc[float32](s, 2)
 	_ = a.Set([]float32{1, 2, 3, 4})
 	_ = x.Set([]float32{1, 1})
 	if _, err := s.Sgemv(2, 2, 1, a, x, 0, y); err != nil {
@@ -178,8 +193,8 @@ func TestSpmvOnRGG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, _ := s.AllocFloat32(m.Cols)
-	y, _ := s.AllocFloat32(m.Rows)
+	x, _ := Alloc[float32](s, m.Cols)
+	y, _ := Alloc[float32](s, m.Rows)
 	ones := make([]float32, m.Cols)
 	for i := range ones {
 		ones[i] = 1
@@ -200,7 +215,7 @@ func TestSpmvOnRGG(t *testing.T) {
 func TestFFTAndTranspose(t *testing.T) {
 	s := newSystem(t)
 	n := 64
-	data, _ := s.AllocComplex64(n)
+	data, _ := Alloc[complex64](s, n)
 	imp := make([]complex64, n)
 	imp[0] = 1
 	_ = data.Set(imp)
@@ -217,8 +232,8 @@ func TestFFTAndTranspose(t *testing.T) {
 		t.Error("overlarge batch must fail")
 	}
 
-	src, _ := s.AllocFloat32(6)
-	dst, _ := s.AllocFloat32(6)
+	src, _ := Alloc[float32](s, 6)
+	dst, _ := Alloc[float32](s, 6)
 	_ = src.Set([]float32{1, 2, 3, 4, 5, 6})
 	if _, err := s.Transpose(2, 3, src, dst); err != nil {
 		t.Fatal(err)
@@ -234,8 +249,8 @@ func TestFFTAndTranspose(t *testing.T) {
 
 func TestResample(t *testing.T) {
 	s := newSystem(t)
-	src, _ := s.AllocFloat32(4)
-	dst, _ := s.AllocFloat32(7)
+	src, _ := Alloc[float32](s, 4)
+	dst, _ := Alloc[float32](s, 7)
 	_ = src.Set([]float32{0, 2, 4, 6})
 	if _, err := s.Resample(src, dst, false); err != nil {
 		t.Fatal(err)
@@ -252,8 +267,8 @@ func TestPlanBuilderChainAndLoop(t *testing.T) {
 	s := newSystem(t)
 	// Chained transpose+FFT over a small image, then a loop of dots.
 	n := 16
-	src, _ := s.AllocComplex64(n * n)
-	dst, _ := s.AllocComplex64(n * n)
+	src, _ := Alloc[complex64](s, n*n)
+	dst, _ := Alloc[complex64](s, n*n)
 	rng := rand.New(rand.NewSource(5))
 	img := make([]complex64, n*n)
 	for i := range img {
@@ -289,9 +304,9 @@ func TestPlanBuilderChainAndLoop(t *testing.T) {
 
 	// Loop: 4 complex dots with strided buffers.
 	iters, l := 4, 8
-	x, _ := s.AllocComplex64(l)
-	ybuf, _ := s.AllocComplex64(l * iters)
-	out, _ := s.AllocComplex64(iters)
+	x, _ := Alloc[complex64](s, l)
+	ybuf, _ := Alloc[complex64](s, l*iters)
+	out, _ := Alloc[complex64](s, iters)
 	xs := make([]complex64, l)
 	for i := range xs {
 		xs[i] = 1
@@ -325,8 +340,8 @@ func TestPlanBuilderChainAndLoop(t *testing.T) {
 func TestPlanReusableAcrossExecutes(t *testing.T) {
 	s := newSystem(t)
 	n := 32
-	x, _ := s.AllocFloat32(n)
-	y, _ := s.AllocFloat32(n)
+	x, _ := Alloc[float32](s, n)
+	y, _ := Alloc[float32](s, n)
 	ones := make([]float32, n)
 	for i := range ones {
 		ones[i] = 1
@@ -356,7 +371,7 @@ func TestPlanBuilderErrorsPropagate(t *testing.T) {
 	if _, err := s.NewPlan().Build(); err == nil {
 		t.Error("empty plan must fail")
 	}
-	x, _ := s.AllocFloat32(4)
+	x, _ := Alloc[float32](s, 4)
 	if _, err := s.NewPlan().Loop([]int{0}, SaxpyComp(4, 1, x, x, nil, nil)).Run(); err == nil {
 		t.Error("zero-count loop must fail")
 	}
@@ -390,19 +405,19 @@ func TestCompileCFacade(t *testing.T) {
 	d := 2 * 4 * 8
 	alloc := func(n int, complex bool) BufferBinding {
 		if complex {
-			b, err := s.AllocComplex64(n)
+			b, err := Alloc[complex64](s, n)
 			if err != nil {
 				t.Fatal(err)
 			}
 			_ = b.Set(make([]complex64, n))
-			return BindComplex64(b)
+			return Bind(b)
 		}
-		b, err := s.AllocFloat32(n)
+		b, err := Alloc[float32](s, n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		_ = b.Set(make([]float32, n))
-		return BindFloat32(b)
+		return Bind(b)
 	}
 	buffers := map[string]BufferBinding{
 		"datacube":                    alloc(d, true),
@@ -440,11 +455,11 @@ func TestRemoteStackPlacement(t *testing.T) {
 	}
 
 	run := func(stack int) *Run {
-		x, err := s.AllocFloat32On(stack, n)
+		x, err := AllocOn[float32](s, stack, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		y, err := s.AllocFloat32On(stack, n)
+		y, err := AllocOn[float32](s, stack, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -476,18 +491,18 @@ func TestRemoteStackPlacement(t *testing.T) {
 
 func TestAllocOnInvalidStack(t *testing.T) {
 	s := newSystem(t) // single stack
-	if _, err := s.AllocFloat32On(1, 16); err == nil {
+	if _, err := AllocOn[float32](s, 1, 16); err == nil {
 		t.Error("allocation on a nonexistent stack must fail")
 	}
-	if _, err := s.AllocComplex64On(-1, 16); err == nil {
+	if _, err := AllocOn[complex64](s, -1, 16); err == nil {
 		t.Error("negative stack must fail")
 	}
 }
 
 func TestCdotcFacade(t *testing.T) {
 	s := newSystem(t)
-	x, _ := s.AllocComplex64(2)
-	y, _ := s.AllocComplex64(2)
+	x, _ := Alloc[complex64](s, 2)
+	y, _ := Alloc[complex64](s, 2)
 	_ = x.Set([]complex64{1 + 2i, 3 - 1i})
 	_ = y.Set([]complex64{2, 1 + 1i})
 	got, run, err := s.Cdotc(x, y)
@@ -500,7 +515,7 @@ func TestCdotcFacade(t *testing.T) {
 	if run.Comps != 1 {
 		t.Errorf("comps = %d", run.Comps)
 	}
-	short, _ := s.AllocComplex64(1)
+	short, _ := Alloc[complex64](s, 1)
 	if _, _, err := s.Cdotc(x, short); err == nil {
 		t.Error("length mismatch must fail")
 	}
@@ -508,8 +523,8 @@ func TestCdotcFacade(t *testing.T) {
 
 func TestTransposeC64Facade(t *testing.T) {
 	s := newSystem(t)
-	src, _ := s.AllocComplex64(6)
-	dst, _ := s.AllocComplex64(6)
+	src, _ := Alloc[complex64](s, 6)
+	dst, _ := Alloc[complex64](s, 6)
 	_ = src.Set([]complex64{1, 2i, 3, 4, 5i, 6})
 	if _, err := s.TransposeC64(2, 3, src, dst); err != nil {
 		t.Fatal(err)
@@ -528,14 +543,14 @@ func TestTransposeC64Facade(t *testing.T) {
 
 func TestBufferFreeAndAccessors(t *testing.T) {
 	s := newSystem(t)
-	c, err := s.AllocComplex64(4)
+	c, err := Alloc[complex64](s, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Free(s); err != nil {
 		t.Fatal(err)
 	}
-	i32, err := s.AllocInt32(4)
+	i32, err := Alloc[int32](s, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +570,7 @@ func TestBufferFreeAndAccessors(t *testing.T) {
 	if err := i32.Free(s); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AllocInt32(0); err == nil {
+	if _, err := Alloc[int32](s, 0); err == nil {
 		t.Error("zero-size int32 buffer must fail")
 	}
 }
@@ -563,8 +578,8 @@ func TestBufferFreeAndAccessors(t *testing.T) {
 func TestFFTCompIntoAndResampleComp(t *testing.T) {
 	s := newSystem(t)
 	n := 16
-	src, _ := s.AllocComplex64(n)
-	dst, _ := s.AllocComplex64(n)
+	src, _ := Alloc[complex64](s, n)
+	dst, _ := Alloc[complex64](s, n)
 	imp := make([]complex64, n)
 	imp[0] = 1
 	_ = src.Set(imp)
@@ -582,8 +597,8 @@ func TestFFTCompIntoAndResampleComp(t *testing.T) {
 		}
 	}
 	// Complex resample comp (cubic path).
-	raw, _ := s.AllocComplex64(8)
-	out, _ := s.AllocComplex64(16)
+	raw, _ := Alloc[complex64](s, 8)
+	out, _ := Alloc[complex64](s, 16)
 	vals := make([]complex64, 8)
 	for i := range vals {
 		vals[i] = complex(float32(i), -float32(i))
@@ -617,13 +632,13 @@ void f(void) {
 	}
 	// Int32 bindings participate in Execute.
 	s := newSystem(t)
-	xb, _ := s.AllocFloat32(16)
-	yb, _ := s.AllocFloat32(16)
+	xb, _ := Alloc[float32](s, 16)
+	yb, _ := Alloc[float32](s, 16)
 	_ = xb.Set(make([]float32, 16))
 	_ = yb.Set(make([]float32, 16))
-	ib, _ := s.AllocInt32(4)
+	ib, _ := Alloc[int32](s, 4)
 	bindings := map[string]BufferBinding{
-		"x": BindFloat32(xb), "y": BindFloat32(yb), "unused": BindInt32(ib),
+		"x": Bind(xb), "y": Bind(yb), "unused": Bind(ib),
 	}
 	if _, err := prog.Execute(s, bindings, nil); err != nil {
 		t.Fatal(err)
@@ -641,8 +656,8 @@ func TestPortability(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := 1 << 14
-		x, _ := s.AllocFloat32(n)
-		y, _ := s.AllocFloat32(n)
+		x, _ := Alloc[float32](s, n)
+		y, _ := Alloc[float32](s, n)
 		xs := make([]float32, n)
 		ys := make([]float32, n)
 		for i := range xs {
@@ -682,8 +697,8 @@ func TestSubmitWaitAndMaxInFlight(t *testing.T) {
 	}
 	n := 64
 	mkPlan := func() (*InstalledPlan, *Float32Buffer) {
-		x, _ := s.AllocFloat32(n)
-		y, _ := s.AllocFloat32(n)
+		x, _ := Alloc[float32](s, n)
+		y, _ := Alloc[float32](s, n)
 		ones := make([]float32, n)
 		for i := range ones {
 			ones[i] = 1

@@ -35,7 +35,7 @@ func (s *System) Sdot(x, y *Float32Buffer) (float32, *Run, error) {
 	if x.Len() != y.Len() {
 		return 0, nil, errorf("sdot: length mismatch %d vs %d", x.Len(), y.Len())
 	}
-	out, err := s.AllocFloat32(1)
+	out, err := Alloc[float32](s, 1)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -68,7 +68,7 @@ func (s *System) Cdotc(x, y *Complex64Buffer) (complex64, *Run, error) {
 	if x.Len() != y.Len() {
 		return 0, nil, errorf("cdotc: length mismatch %d vs %d", x.Len(), y.Len())
 	}
-	out, err := s.AllocComplex64(1)
+	out, err := Alloc[complex64](s, 1)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -134,15 +134,15 @@ func (s *System) UploadCSR(m *sparse.CSR) (*CSRMatrix, error) {
 	if m.NNZ() == 0 {
 		return nil, errorf("empty sparse matrix")
 	}
-	rowPtr, err := s.AllocInt32(len(m.RowPtr))
+	rowPtr, err := Alloc[int32](s, len(m.RowPtr))
 	if err != nil {
 		return nil, err
 	}
-	colIdx, err := s.AllocInt32(m.NNZ())
+	colIdx, err := Alloc[int32](s, m.NNZ())
 	if err != nil {
 		return nil, err
 	}
-	values, err := s.AllocFloat32(m.NNZ())
+	values, err := Alloc[float32](s, m.NNZ())
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +169,7 @@ func (s *System) Spmv(a *CSRMatrix, x, y *Float32Buffer) (*Run, error) {
 	d := &descriptor.Descriptor{}
 	if err := d.AddComp(descriptor.OpSPMV, accel.SpmvArgs{
 		M: int64(a.Rows), Cols: int64(a.Cols), NNZ: int64(a.NNZ),
-		RowPtr: a.rowPtr.addr(), ColIdx: a.colIdx.addr(), Values: a.values.addr(0),
+		RowPtr: a.rowPtr.addr(0), ColIdx: a.colIdx.addr(0), Values: a.values.addr(0),
 		X: x.addr(0), Y: y.addr(0),
 	}.Params()); err != nil {
 		return nil, err

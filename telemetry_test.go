@@ -18,11 +18,11 @@ func TestWithTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 1024
-	x, err := s.AllocFloat32(n)
+	x, err := Alloc[float32](s, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := s.AllocFloat32(n)
+	y, err := Alloc[float32](s, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,11 @@ func TestWithTelemetry(t *testing.T) {
 // tracer all the way down.
 func TestSystemWithoutTelemetryUntraced(t *testing.T) {
 	s := newSystem(t)
-	x, err := s.AllocFloat32(16)
+	x, err := Alloc[float32](s, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := s.AllocFloat32(16)
+	y, err := Alloc[float32](s, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
