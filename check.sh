@@ -53,11 +53,11 @@ if grep -nE 'type (waiter|flight|PendingInvocation) |LinkController|AcquireShare
 	exit 1
 fi
 
-echo "==> one-walk gate (install reads a descriptor once: one parser of the instruction region, one verifier entry, one encoder)"
+echo "==> one-walk gate (install reads a descriptor once: one parser of the instruction region, one verifier entry, one encoder, one byte reader for the fetch unit and the mealibd wire)"
 if grep -nE 'tdlcheck\.(Writes|Reads|ExposedReads)\(' internal/mealibrt/*.go internal/mealibd/*.go | grep -v '_test\.go:' ||
 	grep -n 'phys\.NewSpace' internal/descriptor/*.go | grep -v '_test\.go:' ||
-	grep -rn 'case descriptor\.KindEndPass' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/mealibd/proto\.go:'; then
-	echo "check.sh: a second reading of the descriptor at install, a scratch space in the encoder or a second parser of the instruction region grew back" >&2
+	grep -rnE 'case descriptor\.Kind|\b(descBytesOf|ParamAddr|ParamSize)\b' --include='*.go' . | grep -v '_test\.go:'; then
+	echo "check.sh: a second reading of the descriptor at install, a scratch space in the encoder, a second parser of the instruction region or a second copy of the descriptor's size arithmetic grew back" >&2
 	exit 1
 fi
 

@@ -68,7 +68,11 @@ func (r *testRig) run(t testing.TB, d *descriptor.Descriptor) *Report {
 		t.Fatal(err)
 	}
 	// The CU must have marked the descriptor done.
-	cmd, err := descriptor.ReadCommand(r.space, base)
+	slot, err := r.space.ViewBytes(base, descriptor.SlotBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd, err := descriptor.CommandOf(slot, base)
 	if err != nil || cmd != descriptor.CmdDone {
 		t.Fatalf("descriptor command after run = %d, %v; want done", cmd, err)
 	}

@@ -294,19 +294,6 @@ func oocUnitsOf(d *descriptor.Descriptor, inWindow func(phys.Addr) bool, budget 
 	return out, nil
 }
 
-// descBytesOf estimates the encoded size of a chunk's passes (CR + IR + PR,
-// matching descriptor.Size's accounting).
-func descBytesOf(passes [][]descriptor.Comp) units.Bytes {
-	n := units.Bytes(32) // control region
-	for _, pass := range passes {
-		n += 32 // ENDPASS instruction
-		for _, pi := range pass {
-			n += 32 + units.Bytes(4+8*len(pi.Params))
-		}
-	}
-	return n
-}
-
 // PlanOOC lowers an out-of-core descriptor into a chunked schedule over the
 // double-buffered staging region: halves[0] and halves[1] are the two
 // staging bases, halfBytes the capacity of each. inWindow classifies
@@ -328,16 +315,16 @@ func (l *Layer) PlanOOC(d *descriptor.Descriptor, inWindow func(phys.Addr) bool,
 	var groups [][]oocUnit
 	var cur []oocUnit
 	var curBoxes []span.Dir
-	var curDesc units.Bytes = 32
+	curDesc := descriptor.CRSize
 	flush := func() {
 		if len(cur) > 0 {
 			groups = append(groups, cur)
-			cur, curBoxes, curDesc = nil, nil, 32
+			cur, curBoxes, curDesc = nil, nil, descriptor.CRSize
 		}
 	}
 	for _, u := range units_ {
 		tentative := mergeBoxes(append(append([]span.Dir(nil), curBoxes...), u.boxes...))
-		uDesc := descBytesOf(u.passes)
+		uDesc := descriptor.PassesSize(u.passes)
 		if len(cur) > 0 && (layoutBytes(tentative) > halfBytes || curDesc+uDesc > imem) {
 			flush()
 			tentative = mergeBoxes(append([]span.Dir(nil), u.boxes...))

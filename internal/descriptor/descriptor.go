@@ -115,10 +115,6 @@ type Instruction struct {
 	Op   OpCode // KindComp only
 	// Counts are the per-level iteration counts for KindLoop.
 	Counts LoopCounts
-	// ParamAddr/ParamSize locate this invocation's parameters in the PR
-	// (KindComp only; filled in by Encode).
-	ParamAddr phys.Addr
-	ParamSize uint32
 }
 
 // Params is the parameter block of one accelerator invocation: an ordered
@@ -330,14 +326,33 @@ func (d *Descriptor) Scopes() ([]Scope, error) {
 	return scopes, nil
 }
 
+// CRSize is the control region's size, the Size of an empty descriptor.
+const CRSize units.Bytes = crSize
+
 // Size returns the total encoded size (CR + IR + PR).
 func (d *Descriptor) Size() units.Bytes {
-	n := units.Bytes(crSize + instrSize*len(d.Instrs))
+	n := CRSize + instrSize*units.Bytes(len(d.Instrs))
 	for _, p := range d.params {
-		n += units.Bytes(4 + 8*len(p))
+		n += paramSize(p)
 	}
 	return n
 }
+
+// PassesSize is what passes outside a LOOP add to a descriptor's Size: an IR
+// entry per COMP and per ENDPASS, and each COMP's parameter block.
+func PassesSize(passes [][]Comp) units.Bytes {
+	var n units.Bytes
+	for _, pass := range passes {
+		n += instrSize * units.Bytes(len(pass)+1)
+		for _, c := range pass {
+			n += paramSize(c.Params)
+		}
+	}
+	return n
+}
+
+// paramSize is a parameter block's size in the PR: field count and fields.
+func paramSize(p Params) units.Bytes { return units.Bytes(4 + 8*len(p)) }
 
 // Encode serialises the descriptor into the space at base: the image, put at
 // base. The CR command is written as CmdIdle; the runtime flips it to CmdStart
@@ -377,9 +392,9 @@ func (d *Descriptor) Clone() *Descriptor {
 // absolute addresses: the PR base in the control region and every COMP's
 // parameter pointer. At any other base the same bytes stand with those words
 // advanced by the base (InstallImage), so one image serves every command slot.
-// The first eight bytes are the magic and the command word, ReadCommand's and
-// WriteCommand's. This is the one place the byte layout is written; Decode is
-// the one place it is read. The descriptor must be valid.
+// The first eight bytes are the magic and the command word, CommandOf's and
+// SetCommand's. This is the one place the byte layout is written;
+// DecodeImage is the one place it is read. The descriptor must be valid.
 func (d *Descriptor) Image() (img []byte, ptrs []int, err error) {
 	le := binary.LittleEndian
 	prBase := crSize + instrSize*len(d.Instrs)
@@ -404,7 +419,7 @@ func (d *Descriptor) Image() (img []byte, ptrs []int, err error) {
 			}
 			p := d.params[comp]
 			comp++
-			size := 4 + 8*len(p)
+			size := int(paramSize(p))
 			le.PutUint32(at[4:], uint32(size))
 			le.PutUint64(at[8:], uint64(pa))
 			ptrs = append(ptrs, crSize+instrSize*i+8)
@@ -464,15 +479,6 @@ func WriteCommand(s *phys.Space, base phys.Addr, cmd uint32) error {
 	return SetCommand(slot, base, cmd)
 }
 
-// ReadCommand reads the CR command field of an encoded descriptor.
-func ReadCommand(s *phys.Space, base phys.Addr) (uint32, error) {
-	slot, err := s.ViewBytes(base, SlotBytes)
-	if err != nil {
-		return 0, err
-	}
-	return CommandOf(slot, base)
-}
-
 // SetCommand is WriteCommand through a view of the slot at base (at least
 // SlotBytes long) that its holder resolved once.
 func SetCommand(slot []byte, base phys.Addr, cmd uint32) error {
@@ -483,7 +489,8 @@ func SetCommand(slot []byte, base phys.Addr, cmd uint32) error {
 	return nil
 }
 
-// CommandOf is ReadCommand through a view of the slot at base.
+// CommandOf reads the CR command field through a view of the slot at base
+// (at least SlotBytes long).
 func CommandOf(slot []byte, base phys.Addr) (uint32, error) {
 	if err := checkMagic(binary.LittleEndian.Uint32(slot), base); err != nil {
 		return 0, err
@@ -499,102 +506,82 @@ func checkMagic(m uint32, base phys.Addr) error {
 	return nil
 }
 
-// Decode reconstructs a descriptor from the space — the fetch-unit side of
-// the interface. Parameter blocks are loaded from the PR.
+// Decode reads the descriptor encoded at base, the fetch unit's side of the
+// interface: the header's total, then that many bytes from the space in one
+// take (gathered across a region seam if the slot straddles one), through
+// DecodeImage.
 func Decode(s *phys.Space, base phys.Addr) (*Descriptor, error) {
-	m, err := s.ReadUint32(base)
+	total, err := s.ReadUint64(base + headerOffTotal)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkMagic(m, base); err != nil {
-		return nil, err
+	if total > uint64(s.Size()) {
+		return nil, fmt.Errorf("descriptor: total size %d exceeds the physical space (%v)", total, s.Size())
 	}
-	nInstr, err := s.ReadUint32(base + headerOffNInstr)
+	img, err := s.ReadBytes(base, int(total))
 	if err != nil {
 		return nil, err
 	}
-	prBase64, err := s.ReadUint64(base + headerOffPRBase)
-	if err != nil {
+	return DecodeImage(img, base)
+}
+
+// DecodeImage reads a descriptor from its image as it stands at base (Image's
+// bytes are the image at base 0): the one reader of the byte layout, behind
+// Decode and the mealibd wire. Region sizes, the PR base and every parameter
+// pointer must agree with the bytes present before anything derived from
+// them is read or allocated. A LOOP level of zero is refused, and the result
+// must pass Validate. Nothing returned aliases img.
+func DecodeImage(img []byte, base phys.Addr) (*Descriptor, error) {
+	le := binary.LittleEndian
+	if len(img) < crSize {
+		return nil, fmt.Errorf("descriptor: image of %d bytes does not cover the %d-byte control region", len(img), crSize)
+	}
+	if err := checkMagic(le.Uint32(img), base); err != nil {
 		return nil, err
 	}
-	total64, err := s.ReadUint64(base + headerOffTotal)
-	if err != nil {
-		return nil, err
+	nInstr := uint64(le.Uint32(img[headerOffNInstr:]))
+	total := le.Uint64(img[headerOffTotal:])
+	if total != uint64(len(img)) {
+		return nil, fmt.Errorf("descriptor: total size %d disagrees with the %d bytes of the image", total, len(img))
 	}
-	// Byte-layout bounds: the header's self-described region sizes must be
-	// mutually consistent before any offset derived from them is
-	// dereferenced, so a truncated or corrupted image is rejected here
-	// rather than fetched from whatever happens to live past its end.
-	if total64 > ^uint64(0)-uint64(base) {
-		return nil, fmt.Errorf("descriptor: total size %d wraps the address space at %v", total64, base)
+	if total > ^uint64(0)-uint64(base) {
+		return nil, fmt.Errorf("descriptor: total size %d wraps the address space at %v", total, base)
 	}
-	if total64 > uint64(s.Size()) {
-		return nil, fmt.Errorf("descriptor: total size %d exceeds the physical space (%v)", total64, s.Size())
+	if nInstr*instrSize > total-crSize {
+		return nil, fmt.Errorf("descriptor: truncated instruction region: %d instructions need %d bytes, %d remain after the control region", nInstr, nInstr*instrSize, total-crSize)
 	}
-	if total64 < crSize {
-		return nil, fmt.Errorf("descriptor: total size %d does not cover the %d-byte control region", total64, crSize)
+	prStart, end := uint64(base)+crSize+nInstr*instrSize, uint64(base)+total
+	if pr := le.Uint64(img[headerOffPRBase:]); pr != prStart {
+		return nil, fmt.Errorf("descriptor: PR base %#x inconsistent with %d instructions (want %#x)", pr, nInstr, prStart)
 	}
-	irBytes := uint64(nInstr) * instrSize
-	if irBytes > total64-crSize {
-		return nil, fmt.Errorf("descriptor: truncated instruction region: %d instructions need %d bytes, %d remain after the control region", nInstr, irBytes, total64-crSize)
-	}
-	prStart := uint64(base) + crSize + irBytes
-	if prBase64 != prStart {
-		return nil, fmt.Errorf("descriptor: PR base %#x inconsistent with %d instructions (want %#x)", prBase64, nInstr, prStart)
-	}
-	end := uint64(base) + total64
-	d := &Descriptor{}
-	for i := 0; i < int(nInstr); i++ {
-		at := base + phys.Addr(crSize+instrSize*i)
-		word0, err := s.ReadUint32(at)
-		if err != nil {
-			return nil, err
-		}
-		count, err := s.ReadUint32(at + 4)
-		if err != nil {
-			return nil, err
-		}
-		paddr64, err := s.ReadUint64(at + 8)
-		if err != nil {
-			return nil, err
-		}
-		in := Instruction{Kind: InstrKind(word0 & 0xff), Op: OpCode(word0 >> 8 & 0xff)}
+	d := &Descriptor{Instrs: make([]Instruction, nInstr)}
+	for i := range d.Instrs {
+		at := img[crSize+instrSize*i:]
+		in := Instruction{Kind: InstrKind(at[0]), Op: OpCode(at[1])}
 		switch in.Kind {
 		case KindComp:
-			if count < 4 || paddr64 < prStart || paddr64 > end || uint64(count) > end-paddr64 {
-				return nil, fmt.Errorf("descriptor: instruction %d: parameter block %#x+%d outside the parameter region [%#x,%#x)", i, paddr64, count, prStart, end)
+			size, pa := uint64(le.Uint32(at[4:])), le.Uint64(at[8:])
+			if size < 4 || pa < prStart || pa > end || size > end-pa {
+				return nil, fmt.Errorf("descriptor: instruction %d: parameter block %#x+%d outside the parameter region [%#x,%#x)", i, pa, size, prStart, end)
 			}
-			in.ParamAddr = phys.Addr(paddr64)
-			in.ParamSize = count
-			nFields, err := s.ReadUint32(in.ParamAddr)
-			if err != nil {
-				return nil, err
+			block := img[pa-uint64(base):][:size]
+			// In 64 bits: a huge field count must not wrap onto the size.
+			if nFields := uint64(le.Uint32(block)); 4+8*nFields != size {
+				return nil, fmt.Errorf("descriptor: instruction %d: parameter size %d inconsistent with field count %d", i, size, nFields)
 			}
-			// 64-bit arithmetic: a huge corrupted field count must not wrap
-			// back onto a plausible size and drive the allocation below.
-			if 4+8*uint64(nFields) != uint64(count) {
-				return nil, fmt.Errorf("descriptor: instruction %d: parameter size %d inconsistent with field count %d", i, count, nFields)
-			}
-			p := make(Params, nFields)
+			p := make(Params, (size-4)/8)
 			for j := range p {
-				f, err := s.ReadUint64(in.ParamAddr + 4 + phys.Addr(8*j))
-				if err != nil {
-					return nil, err
-				}
-				p[j] = f
+				p[j] = le.Uint64(block[4+8*j:])
 			}
 			d.params = append(d.params, p)
 		case KindLoop:
-			for l := range in.Counts {
-				v, err := s.ReadUint32(at + phys.Addr(loopLevelOff[l]))
-				if err != nil {
-					return nil, err
+			for l, off := range loopLevelOff {
+				if in.Counts[l] = le.Uint32(at[off:]); in.Counts[l] == 0 {
+					return nil, fmt.Errorf("descriptor: instruction %d: zero-iteration loop level %d", i, l)
 				}
-				in.Counts[l] = v
 			}
-			in.Counts = in.Counts.normalised()
 		}
-		d.Instrs = append(d.Instrs, in)
+		d.Instrs[i] = in
 	}
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("descriptor: decoded descriptor invalid: %w", err)

@@ -112,14 +112,18 @@ func TestCommandLifecycle(t *testing.T) {
 	if err := d.Encode(s, 0x1000); err != nil {
 		t.Fatal(err)
 	}
-	cmd, err := ReadCommand(s, 0x1000)
+	slot, err := s.ViewBytes(0x1000, SlotBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd, err := CommandOf(slot, 0x1000)
 	if err != nil || cmd != CmdIdle {
 		t.Fatalf("fresh descriptor command = %d, %v; want idle", cmd, err)
 	}
 	if err := WriteCommand(s, 0x1000, CmdStart); err != nil {
 		t.Fatal(err)
 	}
-	cmd, err = ReadCommand(s, 0x1000)
+	cmd, err = CommandOf(slot, 0x1000)
 	if err != nil || cmd != CmdStart {
 		t.Fatalf("command = %d, %v; want start", cmd, err)
 	}
@@ -130,8 +134,12 @@ func TestCommandRequiresMagic(t *testing.T) {
 	if err := WriteCommand(s, 0x1000, CmdStart); err == nil {
 		t.Error("WriteCommand on garbage must fail")
 	}
-	if _, err := ReadCommand(s, 0x1000); err == nil {
-		t.Error("ReadCommand on garbage must fail")
+	slot, err := s.ViewBytes(0x1000, SlotBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CommandOf(slot, 0x1000); err == nil {
+		t.Error("CommandOf on garbage must fail")
 	}
 	if _, err := Decode(s, 0x1000); err == nil {
 		t.Error("Decode on garbage must fail")
@@ -293,6 +301,19 @@ func TestSizeMatchesEncoding(t *testing.T) {
 	// CR 32 + 2 instructions x 32 + one param block 4+8*4 = 132.
 	if sz != 32+64+36 {
 		t.Errorf("Size = %v, want 132", sz)
+	}
+	// A loop-free descriptor is its control region and what its passes add.
+	two := simpleDescriptor(t)
+	if err := two.AddComp(OpDOT, Params{7, 8, 9}); err != nil {
+		t.Fatal(err)
+	}
+	two.AddEndPass()
+	scopes, err := two.Scopes()
+	if err != nil || len(scopes) != 1 {
+		t.Fatalf("scopes %v, %v", scopes, err)
+	}
+	if got := CRSize + PassesSize(scopes[0].Passes); got != two.Size() {
+		t.Errorf("CRSize + PassesSize = %v, Size = %v", got, two.Size())
 	}
 	if err := d.Encode(s, 0x1000); err != nil {
 		t.Fatal(err)

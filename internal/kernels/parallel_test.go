@@ -82,14 +82,19 @@ func TestParallelPathsMatchSerial(t *testing.T) {
 			}
 		}
 
-		edge := 256 // 256x256 > minParallel blocks? blocks=64 — rows fan out via block count
-		src := randVec(rng, edge*edge)
-		d1 := make([]float32, edge*edge)
-		d2 := make([]float32, edge*edge)
-		if err := TransposeNaive(edge, edge, src, d1); err != nil {
+		// 300x200 is 70 tiles, ragged on both far edges: 18 chunks of whole
+		// tiles, the last of two.
+		tm, tn := 300, 200
+		if grain%tileElems != 0 || blocks(tm)*blocks(tn)*tileElems < minParallel {
+			t.Fatalf("a %dx%d transpose does not fan out in chunks of whole tiles", tm, tn)
+		}
+		src := randVec(rng, tm*tn)
+		d1 := make([]float32, tm*tn)
+		d2 := make([]float32, tm*tn)
+		if err := TransposeNaive(tm, tn, src, d1); err != nil {
 			t.Fatal(err)
 		}
-		if err := Transpose(edge, edge, src, d2); err != nil {
+		if err := Transpose(tm, tn, src, d2); err != nil {
 			t.Fatal(err)
 		}
 		for i := range d1 {

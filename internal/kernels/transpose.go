@@ -22,21 +22,25 @@ func TransposeNaive(m, n int, src, dst []float32) error {
 // complex64 = 8 KiB, comfortably inside L1).
 const transposeBlock = 32
 
+// tileElems is a tile's element count; grain is a multiple of it.
+const tileElems = transposeBlock * transposeBlock
+
 // blocks is the number of tiles across an edge of n elements.
 func blocks(n int) int { return (n + transposeBlock - 1) / transposeBlock }
 
 // Transpose is the optimized blocked, parallel transpose. It only moves
-// elements, so it serves any element type.
+// elements, so it serves any element type. It ranges over its tiles'
+// elements, so it fans out from minParallel elements, each chunk whole tiles.
 func Transpose[T any](m, n int, src, dst []T) error {
 	if err := checkTranspose(m, n, src, dst); err != nil {
 		return err
 	}
-	parallelRanges(blocks(m)*blocks(n), func(lo, hi int) int {
+	parallelRanges(blocks(m)*blocks(n)*tileElems, func(lo, hi int) int {
 		// nbj is worked out here, not captured: the closure is allocated
 		// per call, and with the generic dictionary one more capture would
 		// take it past the 80-byte size class.
 		nbj := blocks(n)
-		for b := lo; b < hi; b++ {
+		for b := lo / tileElems; b < hi/tileElems; b++ {
 			bi := (b / nbj) * transposeBlock
 			bj := (b % nbj) * transposeBlock
 			ie := min(bi+transposeBlock, m)

@@ -7,6 +7,7 @@ package client
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -103,6 +104,13 @@ func Dial(cfg Config) (*Client, error) {
 
 // open opens the session on an established connection.
 func open(c net.Conn, cfg Config) (*Client, error) {
+	if err := errors.Join(
+		fits("quota", int64(cfg.Quota), math.MaxInt64),
+		fits("MaxInFlight", int64(cfg.MaxInFlight), math.MaxUint32),
+		fits("MaxQueued", int64(cfg.MaxQueued), math.MaxUint32),
+	); err != nil {
+		return nil, err
+	}
 	cl := &Client{c: conn{Conn: c}, r: bufio.NewReader(c)}
 	_, err := cl.roundTrip(mealibd.MsgHello, func(e *mealibd.Enc) error {
 		e.Str(cfg.Tenant)
@@ -112,6 +120,14 @@ func open(c net.Conn, cfg Config) (*Client, error) {
 		return nil
 	})
 	return cl, err
+}
+
+// fits refuses v outside 0..max, the range of the wire field that carries it.
+func fits(what string, v int64, max uint64) error {
+	if v < 0 || uint64(v) > max {
+		return fmt.Errorf("client: %s %d does not fit the wire's field (0..%d)", what, v, max)
+	}
+	return nil
 }
 
 // Close tears the connection down; the server drains and closes the session
@@ -191,6 +207,9 @@ func (cl *Client) Alloc(n units.Bytes) (*Buffer, error) {
 
 // AllocOn reserves n bytes on an explicit stack.
 func (cl *Client) AllocOn(stack int, n units.Bytes) (*Buffer, error) {
+	if err := errors.Join(fits("stack", int64(stack), math.MaxUint32), fits("size", int64(n), math.MaxInt64)); err != nil {
+		return nil, err
+	}
 	d, err := cl.roundTrip(mealibd.MsgAlloc, func(e *mealibd.Enc) error {
 		e.U32(uint32(stack))
 		e.U64(uint64(n))
@@ -228,8 +247,8 @@ func Store[T phys.Elem](b *Buffer, off units.Bytes, vs []T) error {
 // count, so a larger one is refused before it is sent, and a reply that
 // does not hold count elements is an error.
 func Load[T phys.Elem](b *Buffer, off units.Bytes, count int) ([]T, error) {
-	if count < 0 || uint64(count) > math.MaxUint32 {
-		return nil, fmt.Errorf("client: load of %d elements does not fit the wire's 32-bit count", count)
+	if err := fits("load count", int64(count), math.MaxUint32); err != nil {
+		return nil, err
 	}
 	d, err := b.cl.roundTrip(mealibd.MsgLoad, func(e *mealibd.Enc) error {
 		e.U64(b.id)
@@ -259,11 +278,14 @@ func (b *Buffer) LoadFloat32s(off units.Bytes, count int) ([]float32, error) {
 	return Load[float32](b, off, count)
 }
 
-// Plan installs a descriptor in the tenant's namespace. The server
+// Plan installs a descriptor in the tenant's namespace. It travels as its
+// image at base 0; the server decodes it with the fetch unit's reader,
 // re-verifies it and rejects any footprint outside the tenant's buffers.
 func (cl *Client) Plan(desc *descriptor.Descriptor) (*Plan, error) {
 	d, err := cl.roundTrip(mealibd.MsgPlan, func(e *mealibd.Enc) error {
-		return mealibd.MarshalDescriptor(e, desc)
+		img, _, err := desc.Image()
+		e.Raw(img)
+		return err
 	})
 	if err != nil {
 		return nil, err

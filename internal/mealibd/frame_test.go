@@ -165,11 +165,7 @@ func TestServerKeepsNoPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	axpy.AddEndPass()
-	var merr error
-	plan := sendThenJunk(frame(MsgPlan, func(e *Enc) { merr = MarshalDescriptor(e, axpy) })).U64()
-	if merr != nil {
-		t.Fatal(merr)
-	}
+	plan := sendThenJunk(planFrame(t, axpy)).U64()
 	send(frame(MsgExecute, func(e *Enc) { e.U64(plan) }))
 	got := phys.Decode[float32](send(frame(MsgLoad, func(e *Enc) { e.U64(bufs[1].id); e.U64(0); e.U8(ElemF32); e.U32(n) })).Bytes())
 	for i, v := range got {

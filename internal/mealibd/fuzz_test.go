@@ -66,14 +66,25 @@ func frame(msg uint8, body func(*Enc)) []byte {
 	return e.Payload()
 }
 
+// planFrame is a MsgPlan request installing d: its image at base 0.
+func planFrame(tb testing.TB, d *descriptor.Descriptor) []byte {
+	tb.Helper()
+	img, _, err := d.Image()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return frame(MsgPlan, func(e *Enc) { e.Raw(img) })
+}
+
 // tooMuchWork reports whether a plan frame asks for more loop iterations
 // than a fuzz execution should spend: the functional engine runs every
-// iteration, and a zero-stride LOOP of 2^32 trips is a valid descriptor.
+// iteration, and a zero-stride LOOP of 2^32 trips is a valid descriptor. It
+// reads the frame with the server's reader.
 func tooMuchWork(payload []byte) bool {
 	if len(payload) == 0 || payload[0] != MsgPlan {
 		return false
 	}
-	d, err := UnmarshalDescriptor(NewDec(payload[1:]))
+	d, err := descriptor.DecodeImage(payload[1:], 0)
 	if err != nil {
 		return false
 	}
@@ -180,14 +191,6 @@ func FuzzServerFrames(f *testing.F) {
 		d.AddEndPass()
 		return d
 	}
-	planOf := func(d *descriptor.Descriptor) []byte {
-		var err error
-		p := frame(MsgPlan, func(e *Enc) { err = MarshalDescriptor(e, d) })
-		if err != nil {
-			f.Fatal(err)
-		}
-		return p
-	}
 	hello := frame(MsgHello, func(e *Enc) { e.Str("fuzz"); e.U64(0); e.U32(0); e.U32(0) })
 	alloc := frame(MsgAlloc, func(e *Enc) { e.U32(0); e.U64(uint64(bufBytes)) })
 	store := func(id uint64, off int64) []byte {
@@ -202,7 +205,7 @@ func FuzzServerFrames(f *testing.F) {
 		return frame(MsgLoad, func(e *Enc) { e.U64(id); e.U64(uint64(off)); e.U8(ElemF32); e.U32(16) })
 	}
 	id := func(msg uint8, id uint64) []byte { return frame(msg, func(e *Enc) { e.U64(id) }) }
-	plan := planOf(axpyOver(sbuf[0], sbuf[1]))
+	plan := planFrame(f, axpyOver(sbuf[0], sbuf[1]))
 	// Buffers get ids 1 and 2, the plan 3, its first ticket 4.
 	f.Add(false, packFrames(hello, alloc, alloc, store(1, 0), store(2, 0), plan, id(MsgSubmit, 3), id(MsgWait, 4),
 		load(2, 0), frame(MsgStats, nil), id(MsgDestroyPlan, 3), id(MsgFree, 1), id(MsgFree, 2)))
@@ -211,14 +214,20 @@ func FuzzServerFrames(f *testing.F) {
 		load(2, -int64(bufBytes)), load(1, int64(bufBytes)), load(1, 0)))
 	// A client that vanishes with a launch in flight and nothing freed.
 	f.Add(false, packFrames(hello, alloc, alloc, store(1, 0), store(2, 0), plan, id(MsgSubmit, 3), id(MsgSubmit, 3)))
-	// A comp claiming 2^25 parameter fields in a 7-byte plan frame: the
-	// decoder used to allocate and walk all of them.
-	f.Add(false, packFrames(hello, frame(MsgPlan, func(e *Enc) {
-		e.U32(1)
-		e.U8(uint8(descriptor.KindComp))
-		e.U8(uint8(descriptor.OpAXPY))
-		e.U32(1 << 25)
-	})))
+	// A comp claiming 2^25 parameter fields in a short plan frame: the
+	// parameter size and the field count of the plan's one block say so. A
+	// decoder once allocated and walked all of them.
+	huge := append([]byte(nil), plan...)
+	pr := 1 + binary.LittleEndian.Uint64(huge[1+16:])
+	binary.LittleEndian.PutUint32(huge[1+32+4:], 4+8<<25)
+	binary.LittleEndian.PutUint32(huge[pr:], 1<<25)
+	f.Add(false, packFrames(hello, huge))
+	// The plan with one byte of its image flipped, the COMP's opcode from AXPY
+	// to DOT over AXPY's parameters, then a launch of what was installed, if
+	// anything was.
+	flipped := append([]byte(nil), plan...)
+	flipped[1+32+1] ^= byte(descriptor.OpAXPY ^ descriptor.OpDOT)
+	f.Add(false, packFrames(hello, alloc, alloc, store(1, 0), store(2, 0), flipped, id(MsgExecute, 3)))
 	// No hello, an unknown type, an empty frame, a truncated body.
 	f.Add(false, packFrames(alloc, []byte{0xff}, nil, hello[:3]))
 	// Execute: a plan run twice with a load between, then a destroyed plan
@@ -230,7 +239,7 @@ func FuzzServerFrames(f *testing.F) {
 	// An Execute that joins a pending Submit's batch (plans 5 and 6 are
 	// disjoint; the Submit's ticket is 7), pipelined.
 	f.Add(true, packFrames(hello, alloc, alloc, alloc, alloc, store(1, 0), store(2, 0), store(3, 0), store(4, 0),
-		plan, planOf(axpyOver(sbuf[2], sbuf[3])), id(MsgSubmit, 5), id(MsgExecute, 6), id(MsgWait, 7)))
+		plan, planFrame(f, axpyOver(sbuf[2], sbuf[3])), id(MsgSubmit, 5), id(MsgExecute, 6), id(MsgWait, 7)))
 	// An Execute of a plan whose buffer was freed, and a client that vanishes
 	// with an Execute's batch partner still pending.
 	f.Add(true, packFrames(hello, alloc, alloc, store(1, 0), store(2, 0), plan, id(MsgFree, 2), id(MsgExecute, 3),

@@ -935,6 +935,44 @@ func TestRemoteLoadCountFitsTheWire(t *testing.T) {
 	}
 }
 
+// TestRemoteSessionBoundsFitTheWire: a session's bounds and an allocation's
+// stack cross the wire as fixed-width fields. A value outside a field's range
+// is refused before it is sent; truncated or wrapped, a stack of 2^32 used to
+// allocate on stack 0 and a negative bound to ask for a huge or an unlimited
+// one, with no error.
+func TestRemoteSessionBoundsFitTheWire(t *testing.T) {
+	_, addr := startServer(t, nil)
+	for _, cfg := range []client.Config{
+		{Quota: -1},
+		{MaxInFlight: -1},
+		{MaxInFlight: 1 << 32},
+		{MaxQueued: -1},
+		{MaxQueued: 1<<32 + 1},
+	} {
+		cfg.Network, cfg.Addr, cfg.Tenant = "unix", addr, "bounds"
+		if cl, err := client.Dial(cfg); err == nil {
+			_ = cl.Close()
+			t.Errorf("Dial with quota %d, MaxInFlight %d, MaxQueued %d opened a session", cfg.Quota, cfg.MaxInFlight, cfg.MaxQueued)
+		}
+	}
+	cl, err := client.Dial(client.Config{Network: "unix", Addr: addr, Tenant: "bounds"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for _, c := range []struct {
+		stack int
+		n     units.Bytes
+	}{{1 << 32, 64}, {-1, 64}, {0, -64}} {
+		if b, err := cl.AllocOn(c.stack, c.n); err == nil {
+			t.Errorf("AllocOn(%d, %d) returned a buffer at %#x and no error", c.stack, c.n, b.PA())
+		}
+	}
+	if _, err := cl.AllocOn(0, 64); err != nil {
+		t.Errorf("an allocation after the refused ones: %v", err)
+	}
+}
+
 // wireWords returns the 32-bit words of a typed slice, the real word of a
 // complex64 before its imaginary one.
 func wireWords(v any) []uint32 {

@@ -26,6 +26,7 @@
 package mealibd
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -221,13 +222,17 @@ func (e *Enc) Str(s string) {
 }
 func (e *Enc) Bytes(p []byte) {
 	e.U32(uint32(len(p)))
-	e.b = append(e.b, p...)
+	e.Raw(p)
 }
 
+// Raw appends p with no length: the rest of the payload.
+func (e *Enc) Raw(p []byte) { e.b = append(e.buf(), p...) }
+
 // Dec consumes a payload; the first decoding error sticks (check Err at the
-// end of a message). Str and Bytes return copies, and UnmarshalDescriptor
-// builds a descriptor of its own, so nothing decoded holds the payload: the
-// server reads the next frame into the same storage.
+// end of a message). Str and Bytes return copies, and a plan's image is
+// decoded into a descriptor of its own (descriptor.DecodeImage copies every
+// field it keeps), so nothing decoded holds the payload: the server reads the
+// next frame into the same storage.
 type Dec struct {
 	b   []byte
 	err error
@@ -251,130 +256,36 @@ func (d *Dec) take(n int) []byte {
 	d.b = d.b[n:]
 	return p
 }
-func (d *Dec) U8() uint8 {
-	p := d.take(1)
-	if p == nil {
-		return 0
-	}
-	return p[0]
-}
-func (d *Dec) U16() uint16 {
-	p := d.take(2)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(p)
-}
-func (d *Dec) U32() uint32 {
-	p := d.take(4)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(p)
-}
-func (d *Dec) U64() uint64 {
-	p := d.take(8)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(p)
-}
-func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
-func (d *Dec) Str() string  { return string(d.take(int(d.U32()))) }
-func (d *Dec) Bytes() []byte {
-	n := int(d.U32())
-	p := d.take(n)
-	if p == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, p)
-	return out
+
+// word reads an n-byte little-endian integer, n ≤ 8; 0 once an error stuck.
+func (d *Dec) word(n int) uint64 {
+	var w [8]byte
+	copy(w[:], d.take(n))
+	return binary.LittleEndian.Uint64(w[:])
 }
 
-// MarshalDescriptor serialises a descriptor's instruction stream and
-// parameter blocks for MsgPlan. The wire carries the builder-side IR, not
-// the encoded command-space image: the server re-verifies and re-encodes it
-// inside the tenant's namespace.
+func (d *Dec) U8() uint8     { return uint8(d.word(1)) }
+func (d *Dec) U16() uint16   { return uint16(d.word(2)) }
+func (d *Dec) U32() uint32   { return uint32(d.word(4)) }
+func (d *Dec) U64() uint64   { return d.word(8) }
+func (d *Dec) F64() float64  { return math.Float64frombits(d.U64()) }
+func (d *Dec) Str() string   { return string(d.take(int(d.U32()))) }
+func (d *Dec) Bytes() []byte { return bytes.Clone(d.take(int(d.U32()))) }
+
+// Rest consumes what is left of the payload and returns it, not a copy.
+func (d *Dec) Rest() []byte { return d.take(len(d.b)) }
+
+// MarshalDescriptor appends d's image at base 0, a MsgPlan body. It and
+// UnmarshalDescriptor survive for the benchmark harness, which times them.
 func MarshalDescriptor(e *Enc, d *descriptor.Descriptor) error {
-	e.U32(uint32(len(d.Instrs)))
-	comp := 0
-	for _, in := range d.Instrs {
-		e.U8(uint8(in.Kind))
-		switch in.Kind {
-		case descriptor.KindComp:
-			e.U8(uint8(in.Op))
-			p, err := d.ParamsOf(comp)
-			if err != nil {
-				return err
-			}
-			comp++
-			e.U32(uint32(len(p)))
-			for _, f := range p {
-				e.U64(f)
-			}
-		case descriptor.KindLoop:
-			for _, c := range in.Counts {
-				e.U32(c)
-			}
-		case descriptor.KindEndPass, descriptor.KindEndLoop:
-		default:
-			return fmt.Errorf("mealibd: unmarshalable instruction kind %d", in.Kind)
-		}
-	}
-	return nil
+	img, _, err := d.Image()
+	e.Raw(img)
+	return err
 }
 
-// UnmarshalDescriptor rebuilds a descriptor from the wire through the
-// builder API, so every structural invariant AddComp/AddLoop enforce holds
-// for wire-received descriptors too.
+// UnmarshalDescriptor decodes the rest of the payload with DecodeImage.
 func UnmarshalDescriptor(d *Dec) (*descriptor.Descriptor, error) {
-	n := int(d.U32())
-	if n > maxFrame/8 {
-		return nil, fmt.Errorf("mealibd: descriptor instruction count %d too large", n)
-	}
-	out := &descriptor.Descriptor{}
-	for i := 0; i < n && d.err == nil; i++ {
-		switch kind := descriptor.InstrKind(d.U8()); kind {
-		case descriptor.KindComp:
-			op := descriptor.OpCode(d.U8())
-			nf := int(d.U32())
-			if nf > len(d.b)/8 { // before allocating what a 5-byte header claims
-				return nil, fmt.Errorf("mealibd: parameter block of %d fields exceeds the payload", nf)
-			}
-			p := make(descriptor.Params, nf)
-			for j := range p {
-				p[j] = d.U64()
-			}
-			if d.err != nil {
-				return nil, d.err
-			}
-			if err := out.AddComp(op, p); err != nil {
-				return nil, err
-			}
-		case descriptor.KindEndPass:
-			out.AddEndPass()
-		case descriptor.KindLoop:
-			var counts [descriptor.MaxLoopLevels]uint32
-			for l := range counts {
-				counts[l] = d.U32()
-			}
-			if d.err != nil {
-				return nil, d.err
-			}
-			if err := out.AddLoop(counts[:]...); err != nil {
-				return nil, err
-			}
-		case descriptor.KindEndLoop:
-			out.AddEndLoop()
-		default:
-			return nil, fmt.Errorf("mealibd: unknown instruction kind %d", kind)
-		}
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	return out, nil
+	return descriptor.DecodeImage(d.Rest(), 0)
 }
 
 // Report is the wire form of one completed flight's accounting, the MsgWait

@@ -9,6 +9,7 @@ import (
 	"net"
 	"sync"
 
+	"mealib/internal/descriptor"
 	"mealib/internal/mealibrt"
 	"mealib/internal/phys"
 	"mealib/internal/span"
@@ -190,7 +191,7 @@ func (s *Server) serveConn(c net.Conn) {
 			return
 		}
 		// Nothing holds the payload once dispatch has returned (Dec.Str,
-		// Dec.Bytes and UnmarshalDescriptor copy what they keep), so the next
+		// Dec.Bytes and descriptor.DecodeImage copy what they keep), so the next
 		// frame may be read over it; TestServerKeepsNoPayload pins that.
 		if cap(payload) <= smallFrame {
 			in = payload
@@ -425,7 +426,7 @@ func (sc *srvConn) handleLoad(d *Dec, e *Enc) error {
 }
 
 func (sc *srvConn) handlePlan(d *Dec, e *Enc) error {
-	desc, err := UnmarshalDescriptor(d)
+	desc, err := descriptor.DecodeImage(d.Rest(), 0)
 	if err != nil {
 		return err
 	}

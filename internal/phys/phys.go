@@ -159,7 +159,7 @@ func (s *Space) Region(addr Addr) (*Region, bool) {
 // window returns the n bytes at addr if they lie inside one region.
 func (s *Space) window(addr Addr, n int) ([]byte, bool) {
 	r := locate(s.regions(), addr)
-	if r == nil || n < 0 || int(addr-r.addr)+n > len(r.data) {
+	if r == nil || n < 0 || n > len(r.data)-int(addr-r.addr) {
 		return nil, false
 	}
 	off := int(addr - r.addr)
@@ -180,6 +180,14 @@ func (s *Space) slice(addr Addr, n int) ([]byte, error) {
 
 // ViewBytes returns a zero-copy view of n bytes at addr.
 func (s *Space) ViewBytes(addr Addr, n int) ([]byte, error) { return s.slice(addr, n) }
+
+// ReadBytes returns the n bytes at addr for reading: the region's own bytes
+// when they lie inside one region, otherwise a copy gathered across the
+// seams. The caller must not write to them.
+func (s *Space) ReadBytes(addr Addr, n int) ([]byte, error) {
+	b, _, err := s.loadBytes(addr, n, 1)
+	return b, err
+}
 
 // ReadUint32 reads a little-endian uint32.
 func (s *Space) ReadUint32(addr Addr) (uint32, error) {

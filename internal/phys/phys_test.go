@@ -366,3 +366,25 @@ func TestTypedLoadsRefuseOverflowingCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestByteAccessRefusesOverflowingCounts: a byte count that runs past the
+// largest int from an offset inside a region is an error. Summed with the
+// offset it wrapped negative, passed the region check, and the slice
+// expression panicked.
+func TestByteAccessRefusesOverflowingCounts(t *testing.T) {
+	s := NewSpace(1 * units.MiB)
+	if _, err := s.Map(0x1000, 4096); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{-1, math.MaxInt - 4, math.MaxInt} {
+		if _, err := s.ViewBytes(0x1008, n); err == nil {
+			t.Errorf("ViewBytes of %d bytes succeeded", n)
+		}
+		if _, err := s.ReadBytes(0x1008, n); err == nil {
+			t.Errorf("ReadBytes of %d bytes succeeded", n)
+		}
+	}
+	if b, err := s.ReadBytes(0x1008, 4088); err != nil || len(b) != 4088 {
+		t.Errorf("ReadBytes of the region's tail = %d bytes, %v", len(b), err)
+	}
+}
