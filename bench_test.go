@@ -10,17 +10,15 @@ package mealib
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
-	"mealib/internal/accel"
 	"mealib/internal/apps/stap"
-	"mealib/internal/descriptor"
 	"mealib/internal/dram"
 	"mealib/internal/exp"
 	"mealib/internal/phys"
 	"mealib/internal/platform"
 	"mealib/internal/power"
-	"mealib/internal/units"
 )
 
 // --- Figures ---
@@ -191,107 +189,19 @@ func BenchmarkDRAMSimulatorStream(b *testing.B) {
 
 // --- Ablations (DESIGN.md design choices) ---
 
-// BenchmarkAblationChaining quantifies hardware chaining vs DRAM
-// round-tripping for the SAR pass (design choice 1).
-func BenchmarkAblationChaining(b *testing.B) {
-	layer, err := accel.NewLayer(accel.MEALibConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	// An LM-resident intermediate (4 MiB), where chaining removes the whole
-	// DRAM round trip; oversized intermediates spill and benefit less.
-	elems := int64(1) << 19
-	resmp := accel.ResmpArgs{
-		NIn: elems + elems/4, NOut: elems, Kind: accel.ResmpComplex,
-		Src: 0x1000_0000, Dst: 0x2000_0000,
-	}.Params()
-	fft := accel.FFTArgs{N: 64, HowMany: elems / 64, Src: 0x2000_0000, Dst: 0x2000_0000}.Params()
-	chained := &descriptor.Descriptor{}
-	_ = chained.AddComp(descriptor.OpRESMP, resmp)
-	_ = chained.AddComp(descriptor.OpFFT, fft)
-	chained.AddEndPass()
-	separate := &descriptor.Descriptor{}
-	_ = separate.AddComp(descriptor.OpRESMP, resmp)
-	separate.AddEndPass()
-	_ = separate.AddComp(descriptor.OpFFT, fft)
-	separate.AddEndPass()
-	var ratio float64
+// BenchmarkAblations reports every row of exp.Ablations (the DESIGN.md
+// design choices, each against its removal) as one factor metric.
+func BenchmarkAblations(b *testing.B) {
+	var rows []exp.AblationRow
 	for i := 0; i < b.N; i++ {
-		rc, err := layer.RunModel(chained)
-		if err != nil {
+		var err error
+		if rows, err = exp.Ablations(); err != nil {
 			b.Fatal(err)
 		}
-		rs, err := layer.RunModel(separate)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = float64(rs.Time) / float64(rc.Time)
 	}
-	b.ReportMetric(ratio, "chain-accel-speedup")
-}
-
-// BenchmarkAblationLoopCompaction quantifies LOOP descriptors vs per-call
-// descriptors (design choice 2).
-func BenchmarkAblationLoopCompaction(b *testing.B) {
-	rows, err := exp.Figure12Loop([]int{512}, 128)
-	if err != nil {
-		b.Fatal(err)
+	for _, r := range rows {
+		b.ReportMetric(r.Value, strings.Join(strings.Fields(r.Design), "_")+"-x")
 	}
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		ratio = rows[0].SpeedupHWoverSW
-	}
-	b.ReportMetric(ratio, "loop-compaction-speedup")
-}
-
-// BenchmarkAblationTiles compares 1 tile vs 16 tiles exploiting vault
-// bandwidth (design choice 3).
-func BenchmarkAblationTiles(b *testing.B) {
-	mk := func(tiles int) *accel.Config {
-		cfg := accel.MEALibConfig()
-		cfg.Tiles = tiles
-		// One tile reaches only its local vault's share of the bandwidth.
-		cfg.StreamEfficiency = 0.95 * float64(tiles) / 16
-		return cfg
-	}
-	w := accel.Work{InStream: 1 * units.GiB, Flops: 1e9}
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		one, err := mk(1).OpCost(descriptor.OpAXPY, w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sixteen, err := mk(16).OpCost(descriptor.OpAXPY, w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = float64(one.Time) / float64(sixteen.Time)
-	}
-	b.ReportMetric(ratio, "tiled-speedup")
-}
-
-// BenchmarkAblationRowBuffer compares streaming efficiency across DRAM
-// row-buffer sizes (design choice 4).
-func BenchmarkAblationRowBuffer(b *testing.B) {
-	run := func(rowBytes units.Bytes) dram.Stats {
-		cfg := dram.HMC3D()
-		cfg.RowBytes = rowBytes
-		sim, err := dram.NewSimulator(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for a := phys.Addr(0); a < 1<<21; a += 256 {
-			sim.Access(dram.Request{Addr: a, Size: 256})
-		}
-		return sim.Finalize()
-	}
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		small := run(64)
-		big := run(512)
-		ratio = float64(small.Energy()) / float64(big.Energy())
-	}
-	b.ReportMetric(ratio, "small-row-energy-overhead")
 }
 
 // benchVec returns two seeded random vectors of n elements.

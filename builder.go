@@ -130,10 +130,11 @@ func (b *PlanBuilder) Pass(comps ...Comp) *PlanBuilder {
 }
 
 // Chain appends one fused pass after statically verifying the
-// producer→consumer handoffs: each comp's output span must be consumed
-// whole by the next (same address, size and loop strides), no later stage
-// may write memory an earlier stage reads, and the summed per-iteration
-// intermediates must fit the aggregate tile-local memory. Unlike Pass —
+// producer→consumer handoffs by the rule the plan lowering fuses with: each
+// comp's output span must be consumed whole by the next (same address, size
+// and loop strides) and by no other stage, no later stage may write memory
+// an earlier stage reads, and the summed per-iteration intermediates must
+// fit the aggregate tile-local memory. Unlike Pass —
 // which trusts the caller to chain compatible comps — Chain rejects an
 // unfusible pipeline at build time with a stage-level error.
 func (b *PlanBuilder) Chain(comps ...Comp) *PlanBuilder {

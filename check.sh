@@ -106,6 +106,13 @@ if grep -rnwE 'ViewFloat32s|ViewComplex64s|ViewInt32s|Float32View|Complex64View|
 	exit 1
 fi
 
+echo "==> one-fusion gate (whether passes chain is decided by the plan lowering's fusion analysis alone: no TDL-level merge, no second entry to the analysis, and Config.NoFusion read in internal/accel only)"
+if grep -rnE '\b(tdl\.Fuse|MergePasses|FusionGroups)\b' --include='*.go' . | grep -v '_test\.go:' ||
+	grep -rnw 'NoFusion' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./internal/(accel/|exp/ablations\.go:)'; then
+	echo "check.sh: a second chaining rule or a reader of Config.NoFusion outside the plan lowering grew back" >&2
+	exit 1
+fi
+
 echo "==> go test -race ./... (the gates: bit-identity, nest verdicts and ranges, fixed costs, the compiled plan, the one launch record, the one-walk install, the mealibd wire, fusion traffic and the model calibration; each test that carries one says so in its comment, \"Gate (check.sh): ...\", and Runtime.CheckInvariants closes the mealibrt and mealibd tests)"
 go test -race ./...
 

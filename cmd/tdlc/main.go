@@ -5,15 +5,16 @@
 //
 // Usage:
 //
-//	tdlc [-dump] [-nocheck] [-fuse -params table.json] program.tdl
+//	tdlc [-dump] [-nocheck] [-params table.json] program.tdl
 //	echo 'LOOP 128 { PASS { COMP FFT PARAMS "fft.para" } }' | tdlc -dump -
 //
 // Programs are run through the static verifier (internal/analysis/tdlcheck)
-// by default; -nocheck skips it. With -fuse, the descriptor fusion pass
-// merges adjacent producer→consumer passes into chained passes; fusion
-// analyses real operand addresses and sizes, so it needs a bound parameter
-// table (-params: a JSON object mapping each PARAMS reference to its
-// 64-bit words).
+// by default; -nocheck skips it. Parameters bind at run time, so -dump
+// lists placeholders unless -params supplies a table (a JSON object mapping
+// each PARAMS reference to its 64-bit words). With a table, -dump also
+// prints the producer→consumer pass groups the accelerator layer's plan
+// lowering will fuse into chained passes: fusion is decided there, on real
+// operand addresses and sizes, for every descriptor it installs.
 package main
 
 import (
@@ -33,11 +34,10 @@ import (
 func main() {
 	dump := flag.Bool("dump", false, "print the compiled descriptor instruction listing")
 	nocheck := flag.Bool("nocheck", false, "skip the static verifier")
-	fuse := flag.Bool("fuse", false, "apply the descriptor fusion pass (requires -params)")
-	paramsFile := flag.String("params", "", `JSON parameter table: {"fft.para": [w0, w1, ...], ...}`)
+	paramsFile := flag.String("params", "", `JSON parameter table: {"fft.para": [w0, w1, ...], ...}; with -dump, also list the passes the plan lowering fuses`)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tdlc [-dump] [-nocheck] [-fuse -params table.json] program.tdl (use - for stdin)")
+		fmt.Fprintln(os.Stderr, "usage: tdlc [-dump] [-nocheck] [-params table.json] program.tdl (use - for stdin)")
 		os.Exit(2)
 	}
 	var src []byte
@@ -86,36 +86,36 @@ func main() {
 			return descriptor.Params(words), nil
 		}
 	}
-	// d is the program compiled, once: by the fusion analysis, or for -dump.
-	var d *descriptor.Descriptor
-	if *fuse {
-		if *paramsFile == "" {
-			fmt.Fprintln(os.Stderr, "tdlc: -fuse needs real operand addresses; supply -params")
-			os.Exit(2)
-		}
-		var groups []accel.FusedGroup
-		d, groups, err = tdl.Fuse(prog, resolve, accel.MEALibConfig())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tdlc: fuse:", err)
-			os.Exit(1)
-		}
-		for _, g := range groups {
-			fmt.Fprintf(os.Stderr, "tdlc: fused %s: passes %d..%d, %d B/iter kept in tile-local memory (x%d iterations)\n",
-				strings.Join(g.Ops, "+"), g.FirstPass, g.FirstPass+g.Passes-1, g.HandoffBytes, g.Iters)
-		}
-		if len(groups) == 0 {
-			fmt.Fprintln(os.Stderr, "tdlc: fuse: no fusible pass chains")
-		}
-	}
 	if !*dump {
 		fmt.Print(tdl.Format(prog))
 		return
 	}
-	if d == nil {
-		if d, err = tdl.Compile(prog, resolve); err != nil {
-			fmt.Fprintln(os.Stderr, "tdlc:", err)
-			os.Exit(1)
-		}
+	d, err := tdl.Compile(prog, resolve)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tdlc:", err)
+		os.Exit(1)
 	}
 	fmt.Print(d.Disassemble())
+	if *paramsFile == "" {
+		return
+	}
+	// The groups the plan lowering of a runtime on the paper's configuration
+	// fuses.
+	layer, err := accel.NewLayer(accel.MEALibConfig())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tdlc:", err)
+		os.Exit(1)
+	}
+	info, err := layer.ExplainPlan(d)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tdlc:", err)
+		os.Exit(1)
+	}
+	for _, g := range info.Fused {
+		fmt.Printf("fused %s: passes %d..%d, %d B/iter kept in tile-local memory (x%d iterations)\n",
+			strings.Join(g.Ops, "+"), g.FirstPass, g.FirstPass+g.Passes-1, g.HandoffBytes, g.Iters)
+	}
+	if len(info.Fused) == 0 {
+		fmt.Println("fused: no producer→consumer pass chains")
+	}
 }

@@ -316,11 +316,6 @@ func (a *AxpyArgs) slots() []any {
 // Params encodes the argument block.
 func (a AxpyArgs) Params() descriptor.Params { return encode(a.slots()) }
 
-// DecodeAxpyArgs decodes an AXPY argument block.
-func DecodeAxpyArgs(p descriptor.Params) (AxpyArgs, error) {
-	return decodeTyped[AxpyArgs](descriptor.OpAXPY, p)
-}
-
 // DotArgs configures the DOT accelerator (cblas_sdot and, with Complex set,
 // cblas_cdotc_sub; the paper maps both onto the DOT accelerator).
 type DotArgs struct {
@@ -338,11 +333,6 @@ func (a *DotArgs) slots() []any {
 
 // Params encodes the argument block.
 func (a DotArgs) Params() descriptor.Params { return encode(a.slots()) }
-
-// DecodeDotArgs decodes a DOT argument block.
-func DecodeDotArgs(p descriptor.Params) (DotArgs, error) {
-	return decodeTyped[DotArgs](descriptor.OpDOT, p)
-}
 
 // GemvArgs configures the GEMV accelerator (cblas_sgemv, row major,
 // no-transpose).
@@ -363,11 +353,6 @@ func (a *GemvArgs) slots() []any {
 
 // Params encodes the argument block.
 func (a GemvArgs) Params() descriptor.Params { return encode(a.slots()) }
-
-// DecodeGemvArgs decodes a GEMV argument block.
-func DecodeGemvArgs(p descriptor.Params) (GemvArgs, error) {
-	return decodeTyped[GemvArgs](descriptor.OpGEMV, p)
-}
 
 // SPMV semiring selectors (kernels.SemiringPlusTimes / SemiringMinPlus).
 // The zero value is the ordinary arithmetic SpMV, so descriptors from older
@@ -397,11 +382,6 @@ func (a *SpmvArgs) slots() []any {
 // Params encodes the argument block.
 func (a SpmvArgs) Params() descriptor.Params { return encode(a.slots()) }
 
-// DecodeSpmvArgs decodes an SPMV argument block.
-func DecodeSpmvArgs(p descriptor.Params) (SpmvArgs, error) {
-	return decodeTyped[SpmvArgs](descriptor.OpSPMV, p)
-}
-
 // Resampling kinds accepted by ResmpArgs.Kind: values 0/1 are
 // kernels.InterpLinear/InterpCubic over float32 data; adding ResmpComplex
 // selects complex64 data (real and imaginary parts interpolated
@@ -423,11 +403,6 @@ func (a *ResmpArgs) slots() []any {
 // Params encodes the argument block.
 func (a ResmpArgs) Params() descriptor.Params { return encode(a.slots()) }
 
-// DecodeResmpArgs decodes a RESMP argument block.
-func DecodeResmpArgs(p descriptor.Params) (ResmpArgs, error) {
-	return decodeTyped[ResmpArgs](descriptor.OpRESMP, p)
-}
-
 // FFTArgs configures the FFT accelerator (fftwf_execute on a guru plan:
 // batched 1-D complex transforms, optionally out of place).
 type FFTArgs struct {
@@ -444,11 +419,6 @@ func (a *FFTArgs) slots() []any {
 
 // Params encodes the argument block.
 func (a FFTArgs) Params() descriptor.Params { return encode(a.slots()) }
-
-// DecodeFFTArgs decodes an FFT argument block.
-func DecodeFFTArgs(p descriptor.Params) (FFTArgs, error) {
-	return decodeTyped[FFTArgs](descriptor.OpFFT, p)
-}
 
 // ElemKind selects the element type of a RESHP operation.
 type ElemKind int64
@@ -474,8 +444,3 @@ func (a *ReshpArgs) slots() []any {
 
 // Params encodes the argument block.
 func (a ReshpArgs) Params() descriptor.Params { return encode(a.slots()) }
-
-// DecodeReshpArgs decodes a RESHP argument block.
-func DecodeReshpArgs(p descriptor.Params) (ReshpArgs, error) {
-	return decodeTyped[ReshpArgs](descriptor.OpRESHP, p)
-}

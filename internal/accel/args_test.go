@@ -8,68 +8,68 @@ import (
 
 func TestArgsRoundTrips(t *testing.T) {
 	axpy := AxpyArgs{N: 100, Alpha: 2.5, X: 0x1000, Y: 0x2000, IncX: 1, IncY: -2, LoopStrideX: Lin(400)}
-	got, err := DecodeAxpyArgs(axpy.Params())
+	got, err := decodeTyped[AxpyArgs](descriptor.OpAXPY, axpy.Params())
 	if err != nil || got != axpy {
 		t.Errorf("axpy round trip: %+v, %v", got, err)
 	}
 
 	dot := DotArgs{N: 32, Complex: true, X: 0x100, Y: 0x200, Out: 0x300, IncX: 1, IncY: 4, LoopStrideX: Lin(256), LoopStrideOut: Lin(8)}
-	gd, err := DecodeDotArgs(dot.Params())
+	gd, err := decodeTyped[DotArgs](descriptor.OpDOT, dot.Params())
 	if err != nil || gd != dot {
 		t.Errorf("dot round trip: %+v, %v", gd, err)
 	}
 
 	gemv := GemvArgs{M: 16, N: 8, Alpha: 1, Beta: 0.5, A: 0x1000, Lda: 8, X: 0x2000, Y: 0x3000}
-	gg, err := DecodeGemvArgs(gemv.Params())
+	gg, err := decodeTyped[GemvArgs](descriptor.OpGEMV, gemv.Params())
 	if err != nil || gg != gemv {
 		t.Errorf("gemv round trip: %+v, %v", gg, err)
 	}
 
 	spmv := SpmvArgs{M: 5, Cols: 5, NNZ: 9, RowPtr: 1, ColIdx: 2, Values: 3, X: 4, Y: 5, Semiring: SpmvMinPlus, Bias: 2.5}
-	gs, err := DecodeSpmvArgs(spmv.Params())
+	gs, err := decodeTyped[SpmvArgs](descriptor.OpSPMV, spmv.Params())
 	if err != nil || gs != spmv {
 		t.Errorf("spmv round trip: %+v, %v", gs, err)
 	}
 
 	resmp := ResmpArgs{NIn: 100, NOut: 200, Kind: 1, Src: 0x10, Dst: 0x20, LoopStrideSrc: Lin(400), LoopStrideDst: Lin(800)}
-	gr, err := DecodeResmpArgs(resmp.Params())
+	gr, err := decodeTyped[ResmpArgs](descriptor.OpRESMP, resmp.Params())
 	if err != nil || gr != resmp {
 		t.Errorf("resmp round trip: %+v, %v", gr, err)
 	}
 
 	fft := FFTArgs{N: 64, Inverse: true, HowMany: 4, Src: 0x100, Dst: 0x100, LoopStrideSrc: Lin(2048), LoopStrideDst: Lin(2048)}
-	gf, err := DecodeFFTArgs(fft.Params())
+	gf, err := decodeTyped[FFTArgs](descriptor.OpFFT, fft.Params())
 	if err != nil || gf != fft {
 		t.Errorf("fft round trip: %+v, %v", gf, err)
 	}
 
 	reshp := ReshpArgs{Rows: 8, Cols: 16, Elem: ElemC64, Src: 0x1, Dst: 0x2}
-	gp, err := DecodeReshpArgs(reshp.Params())
+	gp, err := decodeTyped[ReshpArgs](descriptor.OpRESHP, reshp.Params())
 	if err != nil || gp != reshp {
 		t.Errorf("reshp round trip: %+v, %v", gp, err)
 	}
 }
 
 func TestDecodeWrongFieldCount(t *testing.T) {
-	if _, err := DecodeAxpyArgs(descriptor.Params{1, 2}); err == nil {
+	if _, err := decodeTyped[AxpyArgs](descriptor.OpAXPY, descriptor.Params{1, 2}); err == nil {
 		t.Error("short AXPY params must fail")
 	}
-	if _, err := DecodeDotArgs(descriptor.Params{1}); err == nil {
+	if _, err := decodeTyped[DotArgs](descriptor.OpDOT, descriptor.Params{1}); err == nil {
 		t.Error("short DOT params must fail")
 	}
-	if _, err := DecodeGemvArgs(descriptor.Params{1}); err == nil {
+	if _, err := decodeTyped[GemvArgs](descriptor.OpGEMV, descriptor.Params{1}); err == nil {
 		t.Error("short GEMV params must fail")
 	}
-	if _, err := DecodeSpmvArgs(descriptor.Params{1}); err == nil {
+	if _, err := decodeTyped[SpmvArgs](descriptor.OpSPMV, descriptor.Params{1}); err == nil {
 		t.Error("short SPMV params must fail")
 	}
-	if _, err := DecodeResmpArgs(descriptor.Params{1}); err == nil {
+	if _, err := decodeTyped[ResmpArgs](descriptor.OpRESMP, descriptor.Params{1}); err == nil {
 		t.Error("short RESMP params must fail")
 	}
-	if _, err := DecodeFFTArgs(descriptor.Params{1}); err == nil {
+	if _, err := decodeTyped[FFTArgs](descriptor.OpFFT, descriptor.Params{1}); err == nil {
 		t.Error("short FFT params must fail")
 	}
-	if _, err := DecodeReshpArgs(descriptor.Params{1}); err == nil {
+	if _, err := decodeTyped[ReshpArgs](descriptor.OpRESHP, descriptor.Params{1}); err == nil {
 		t.Error("short RESHP params must fail")
 	}
 }

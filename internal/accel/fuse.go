@@ -102,14 +102,17 @@ func compExtents(dst []span.Dir, a Args, counts descriptor.LoopCounts) (_ []span
 	return dst, true
 }
 
-// linkFault is why two adjacent passes are no producer→consumer link: a
-// format of the producer's and the consumer's op. "" is a link.
+// linkFault is why a pass boundary does not chain: a format of the
+// producer's and the consumer's op. "" chains.
 type linkFault string
 
 const (
 	linkManyOutputs linkFault = "%[1]v writes more than one operand"
 	linkNoOutput    linkFault = "%[1]v produces no output span"
 	linkNotWhole    linkFault = "%[1]v output is not consumed whole by %[2]v"
+	linkSpill       linkFault = "%[1]v→%[2]v handoff overflows the tile-local memories"
+	linkWAR         linkFault = "%[2]v writes memory %[1]v reads"
+	linkShared      linkFault = "%[1]v output has another reader or writer than %[2]v"
 )
 
 // handoffOf finds the producer→consumer handoff from prod, the last comp of a
@@ -142,12 +145,12 @@ func handoffOf(prod, cons Args, counts descriptor.LoopCounts) (units.Bytes, link
 	return 0, linkNotWhole
 }
 
-// warHazard reports whether any comp of pass b writes memory any comp of
-// pass a reads, judged on whole-box extents (conservative): the fused
-// datapath streams the stages concurrently, so a consumer-side write over a
+// warHazard finds a comp of pass b that writes memory a comp of pass a
+// reads, judged on whole-box extents (conservative): the fused datapath
+// streams the stages concurrently, so a consumer-side write over a
 // producer-side read would race in hardware. exts maps global comp index to
-// extents.
-func warHazard(a, b []descriptor.Comp, exts [][]span.Dir) bool {
+// extents; ok is false when there is none.
+func warHazard(a, b []descriptor.Comp, exts [][]span.Dir) (writer, reader int, ok bool) {
 	for _, bc := range b {
 		for _, w := range exts[bc.Index] {
 			if !w.Write {
@@ -156,13 +159,13 @@ func warHazard(a, b []descriptor.Comp, exts [][]span.Dir) bool {
 			for _, ac := range a {
 				for _, r := range exts[ac.Index] {
 					if !r.Write && r.Overlaps(w.Span) {
-						return true
+						return bc.Index, ac.Index, true
 					}
 				}
 			}
 		}
 	}
-	return false
+	return 0, 0, false
 }
 
 // singleConsumer reports whether the handoff extent is untouched by every
@@ -175,6 +178,50 @@ func singleConsumer(handoff span.Span, producer, consumer int, exts [][]span.Dir
 		}
 	}
 	return true
+}
+
+// link is the verdict on one pass boundary.
+type link struct {
+	// handoff is the per-iteration intermediate the boundary keeps in
+	// tile-local memory (set for a linkSpill too).
+	handoff units.Bytes
+	// fault is why the boundary does not chain; "" chains it.
+	fault linkFault
+	// writer and reader are the comps of a linkWAR hazard.
+	writer, reader int
+}
+
+// chainAt decides whether pass chains onto prev (the passes merged so far,
+// already holding used bytes of the tile-local capacity lmCap), by the four
+// rules above, checked in this order: handoff, capacity, WAR, single
+// consumer. bound and
+// exts map global comp index to the bound block and its whole-box extents
+// over counts. It is the one place a chain is decided: the fusion pass asks
+// it at every boundary, and VerifyChain at every stage of a builder chain.
+func chainAt(prev, pass []descriptor.Comp, bound []Args, exts [][]span.Dir, counts descriptor.LoopCounts, used, lmCap units.Bytes) link {
+	producer, consumer := prev[len(prev)-1].Index, pass[0].Index
+	hb, fault := handoffOf(bound[producer], bound[consumer], counts)
+	switch {
+	case fault != "":
+		return link{fault: fault}
+	case used+hb > lmCap:
+		return link{handoff: hb, fault: linkSpill}
+	}
+	if w, r, ok := warHazard(prev, pass, exts); ok {
+		return link{fault: linkWAR, writer: w, reader: r}
+	}
+	// The handoff's whole-box extent is the producer's write extent (the
+	// consumer's matched read equals it at every iteration by construction).
+	var handoff span.Span
+	for _, e := range exts[producer] {
+		if e.Write {
+			handoff = e.Span
+		}
+	}
+	if !singleConsumer(handoff, producer, consumer, exts) {
+		return link{fault: linkShared}
+	}
+	return link{handoff: hb}
 }
 
 // fuseResult is the outcome of the fusion pass over one descriptor.
@@ -249,28 +296,8 @@ func fuseSegments(segs []planSegment, lmCap units.Bytes) fuseResult {
 		for pi, pass := range seg.passes {
 			if len(passes) > 0 {
 				prev := passes[len(passes)-1]
-				producer, consumer := prev[len(prev)-1].Index, pass[0].Index
-				hb, fault := handoffOf(bound[producer], bound[consumer], seg.counts)
-				switch {
-				case fault != "":
-					// No producer→consumer relationship: fall through.
-				case groupScratch+hb > lmCap:
-					res.spills++
-				case warHazard(prev, pass, exts):
-					// Unsafe to stream concurrently: keep the DRAM boundary.
-				default:
-					// The handoff's whole-box extent is the producer's write
-					// extent (the consumer's matched read equals it at every
-					// iteration by construction).
-					var handoff span.Span
-					for _, e := range exts[producer] {
-						if e.Write {
-							handoff = e.Span
-						}
-					}
-					if !singleConsumer(handoff, producer, consumer, exts) {
-						break
-					}
+				l := chainAt(prev, pass, bound, exts, seg.counts, groupScratch, lmCap)
+				if l.fault == "" {
 					passes[len(passes)-1] = append(append([]descriptor.Comp(nil), prev...), pass...)
 					if group == nil {
 						group = &FusedGroup{
@@ -282,9 +309,12 @@ func fuseSegments(segs []planSegment, lmCap units.Bytes) fuseResult {
 					}
 					group.Passes++
 					group.Ops = append(group.Ops, opsOf(pass)...)
-					group.HandoffBytes += hb
-					groupScratch += hb
+					group.HandoffBytes += l.handoff
+					groupScratch += l.handoff
 					continue
+				}
+				if l.fault == linkSpill {
+					res.spills++
 				}
 			}
 			flush()
@@ -306,20 +336,6 @@ func opsOf(pass []descriptor.Comp) []string {
 	return out
 }
 
-// FusionGroups runs the fusion analysis over a descriptor and reports the
-// pass groups that would merge under cfg (capacity from LMBytes*Tiles),
-// without building or executing a plan. The TDL compiler path uses this to
-// apply the identical merges to the source program, so descriptor-level and
-// plan-level fusion can never disagree.
-func FusionGroups(d *descriptor.Descriptor, cfg *Config) ([]FusedGroup, error) {
-	segs, err := segmentsOf(d)
-	if err != nil {
-		return nil, err
-	}
-	res := fuseSegments(segs, cfg.LMBytes*units.Bytes(cfg.Tiles))
-	return res.groups, nil
-}
-
 // ChainComp is one stage of a candidate fused chain (builder API surface).
 type ChainComp struct {
 	Op     descriptor.OpCode
@@ -327,10 +343,12 @@ type ChainComp struct {
 }
 
 // VerifyChain checks that comps form a legal fused chain over the loop
-// counts: every adjacent pair must have an exact producer→consumer handoff,
-// no later stage may write memory an earlier stage reads, and the summed
-// per-iteration handoffs must fit the aggregate tile-local capacity lmCap.
-// It returns the total per-iteration handoff bytes on success.
+// counts: the fusion pass would merge them, laid out as one pass each, into
+// one chained pass (chainAt at every stage). Every adjacent pair must have
+// an exact producer→consumer handoff, the summed per-iteration handoffs must
+// fit the aggregate tile-local capacity lmCap, no later stage may write
+// memory an earlier stage reads, and no stage but the next may touch an
+// intermediate. It returns the total per-iteration handoff bytes on success.
 func VerifyChain(comps []ChainComp, counts descriptor.LoopCounts, lmCap units.Bytes) (units.Bytes, error) {
 	if len(comps) < 2 {
 		return 0, fmt.Errorf("accel: chain needs at least two comps, got %d", len(comps))
@@ -350,22 +368,18 @@ func VerifyChain(comps []ChainComp, counts descriptor.LoopCounts, lmCap units.By
 		bound[i] = a
 	}
 	var total units.Bytes
-	for i := 0; i+1 < len(pass); i++ {
-		hb, fault := handoffOf(bound[i], bound[i+1], counts)
-		if fault != "" {
-			return 0, fmt.Errorf("accel: chain stages %d→%d: %w", i, i+1, fmt.Errorf("accel: fuse: "+string(fault), comps[i].Op, comps[i+1].Op))
-		}
-		total += hb
-	}
-	if total > lmCap {
-		return 0, fmt.Errorf("accel: chain handoff %v exceeds tile-local capacity %v", total, lmCap)
-	}
-	for i := 0; i < len(comps); i++ {
-		for j := i + 1; j < len(comps); j++ {
-			if warHazard(pass[i:i+1], pass[j:j+1], exts) {
-				return 0, fmt.Errorf("accel: chain stage %d (%v) writes memory stage %d (%v) reads",
-					j, comps[j].Op, i, comps[i].Op)
-			}
+	for i := 1; i < len(pass); i++ {
+		l := chainAt(pass[:i], pass[i:i+1], bound, exts, counts, total, lmCap)
+		switch l.fault {
+		case "":
+			total += l.handoff
+		case linkSpill:
+			return 0, fmt.Errorf("accel: chain handoff %v exceeds tile-local capacity %v", total+l.handoff, lmCap)
+		case linkWAR:
+			return 0, fmt.Errorf("accel: chain stage %d (%v) writes memory stage %d (%v) reads",
+				l.writer, comps[l.writer].Op, l.reader, comps[l.reader].Op)
+		default:
+			return 0, fmt.Errorf("accel: chain stages %d→%d: %w", i-1, i, fmt.Errorf("accel: fuse: "+string(l.fault), comps[i-1].Op, comps[i].Op))
 		}
 	}
 	return total, nil

@@ -144,8 +144,8 @@ func TestToyAcceleratorIsOneTableEntry(t *testing.T) {
 	// No fusion when the consumer reads half of what the toy wrote.
 	half := newShape(t).pass(ChainComp{op, toyParams(n, 2, src, mid, bias, 0, 0)}).
 		pass(ChainComp{descriptor.OpAXPY, AxpyArgs{N: n / 2, Alpha: 1, X: mid, Y: out, IncX: 1, IncY: 1}.Params()}).d
-	if groups, err := FusionGroups(half, r.layer.cfg); err != nil || len(groups) != 0 {
-		t.Errorf("partially consumed toy output fused: %+v, %v", groups, err)
+	if info, err := r.layer.ExplainPlan(half); err != nil || len(info.Fused) != 0 {
+		t.Errorf("partially consumed toy output fused: %+v, %v", info.Fused, err)
 	}
 
 	// Execution through the layer, fused and on two workers.

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"mealib/internal/accel"
 	"mealib/internal/descriptor"
 	"mealib/internal/phys"
 )
@@ -699,11 +698,8 @@ func TestBindRejectsOverflowingOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, aerr := accel.DecodeAxpyArgs(params["p0"])
-	if aerr != nil {
-		t.Fatal(aerr)
-	}
-	if want := phys.Addr(0xffff_ffff_ffff_0000 + 64); a.Y != want {
-		t.Errorf("bound y = %v, want %v", a.Y, want)
+	// AXPY's head fields are n, alpha, x, y.
+	if y, want := descriptor.AddrOf(params["p0"][3]), phys.Addr(0xffff_ffff_ffff_0000+64); y != want {
+		t.Errorf("bound y = %v, want %v", y, want)
 	}
 }

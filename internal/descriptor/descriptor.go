@@ -53,6 +53,16 @@ func (o OpCode) String() string {
 	return fmt.Sprintf("OpCode(%d)", uint8(o))
 }
 
+// OpNamed returns the accelerator whose mnemonic is name.
+func OpNamed(name string) (OpCode, bool) {
+	for o := OpInvalid + 1; o < opMax; o++ {
+		if opNames[o] == name {
+			return o, true
+		}
+	}
+	return OpInvalid, false
+}
+
 // Valid reports whether o names a real accelerator.
 func (o OpCode) Valid() bool { return o > OpInvalid && o < opMax }
 

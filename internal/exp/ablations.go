@@ -36,7 +36,9 @@ func Ablations() ([]AblationRow, error) {
 	// bound, and the intermediate (4 MiB) fits the aggregate tile-local
 	// memory, so the whole DRAM round trip disappears. (Oversized
 	// intermediates spill — see TestChainingSpillsBeyondLocalMemory — which
-	// is why the SAR pipeline chains row by row.)
+	// is why the SAR pipeline chains row by row.) The separate passes are
+	// priced on a layer that does not fuse: the default one would chain them
+	// too, and compare chaining with itself.
 	elems := int64(1) << 19 // 4 MiB of complex64
 	resmp := accel.ResmpArgs{
 		NIn: elems + elems/4, NOut: elems, Kind: accel.ResmpComplex,
@@ -56,7 +58,13 @@ func Ablations() ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs, err := layer.RunModel(separate)
+	unfusedCfg := accel.MEALibConfig()
+	unfusedCfg.NoFusion = true
+	unfused, err := accel.NewLayer(unfusedCfg)
+	if err != nil {
+		return nil, err
+	}
+	rs, err := unfused.RunModel(separate)
 	if err != nil {
 		return nil, err
 	}

@@ -355,6 +355,12 @@ func TestAblations(t *testing.T) {
 			t.Errorf("%s: factor %.2f must exceed 1 (the design must help)", r.Design, r.Value)
 		}
 	}
+	// Chaining keeps the 4 MiB intermediate out of DRAM: about 1.6x over the
+	// round trip (EXPERIMENTS.md). A factor near 1 compares chaining with
+	// itself.
+	if r := rows[0]; r.Value < 1.5 {
+		t.Errorf("%s: factor %.4f, want at least 1.5", r.Design, r.Value)
+	}
 	if _, err := RenderAblations(); err != nil {
 		t.Error(err)
 	}

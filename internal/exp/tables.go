@@ -93,7 +93,7 @@ func Table5() *Table {
 			area = fmt.Sprintf("%.2f", c.Area)
 			pct = fmt.Sprintf("%.2f", 100*c.Area/tab.LayerArea)
 		}
-		t.Rows = append(t.Rows, []string{c.Name, c.Power.String(), area, pct})
+		t.Rows = append(t.Rows, []string{op.String(), c.Power.String(), area, pct})
 	}
 	t.Rows = append(t.Rows, []string{tab.NoC.Name, tab.NoC.Power.String(),
 		fmt.Sprintf("%.2f", tab.NoC.Area), fmt.Sprintf("%.2f", 100*tab.NoC.Area/tab.LayerArea)})

@@ -358,7 +358,6 @@ func (r *Runtime) spanBusyLocked(rd, wr span.Span) bool {
 // AccPlan compiles a TDL program into a plan owned by the session (see
 // Runtime.AccPlan).
 func (s *Session) AccPlan(tdlSrc string, params map[string]descriptor.Params) (*Plan, error) {
-	r := s.rt
 	prog, err := tdl.Parse(tdlSrc)
 	if err != nil {
 		return nil, err
@@ -367,19 +366,11 @@ func (s *Session) AccPlan(tdlSrc string, params map[string]descriptor.Params) (*
 	if err := tdlcheck.Verify(prog, resolve); err != nil {
 		return nil, fmt.Errorf("mealibrt: program rejected by the static verifier: %w", err)
 	}
-	// Fuse producer→consumer pass chains at the program level (the plan
-	// lowering would fuse them anyway; doing it here keeps what the verifier
-	// checks and what the hardware runs identical). The merged chained passes
-	// are verified once, in the form they are installed in: by
-	// AccPlanDescriptor's reading of the compiled descriptor, which it copies
-	// (its parameter blocks are the caller's params). Fuse returns the program
-	// compiled, once when nothing fuses.
-	var d *descriptor.Descriptor
-	if r.layers[0].Config().NoFusion {
-		d, err = tdl.Compile(prog, resolve)
-	} else if d, _, err = tdl.Fuse(prog, resolve, r.layers[0].Config()); err != nil {
-		err = fmt.Errorf("mealibrt: fusion pass failed: %w", err)
-	}
+	// The program compiles once and installs like any other descriptor: the
+	// plan lowering fuses its producer→consumer passes, and
+	// AccPlanDescriptor verifies the copy it keeps (whose parameter blocks
+	// are the caller's params).
+	d, err := tdl.Compile(prog, resolve)
 	if err != nil {
 		return nil, err
 	}

@@ -14,6 +14,8 @@ import (
 
 // Component is one row of Table 5.
 type Component struct {
+	// Name labels the row; an accelerator's row is its opcode's mnemonic
+	// (descriptor.OpCode.String) and leaves it empty.
 	Name string
 	// Power is the operating power of the component. For primitive
 	// accelerators it includes the accelerator and the 3D DRAM power
@@ -41,13 +43,13 @@ type Table5 struct {
 func MEALib() *Table5 {
 	return &Table5{
 		Accels: map[descriptor.OpCode]Component{
-			descriptor.OpAXPY:  {Name: "AXPY", Power: 23.56, Area: 1.38},
-			descriptor.OpDOT:   {Name: "DOT", Power: 23.49, Area: 1.81},
-			descriptor.OpGEMV:  {Name: "GEMV", Power: 23.75, Area: 2.45},
-			descriptor.OpSPMV:  {Name: "SPMV", Power: 15.44, Area: 14.17},
-			descriptor.OpRESMP: {Name: "RESMP", Power: 8.19, Area: 2.64},
-			descriptor.OpFFT:   {Name: "FFT", Power: 18.89, Area: 16.13},
-			descriptor.OpRESHP: {Name: "RESHP", Power: 22.70, Area: 0},
+			descriptor.OpAXPY:  {Power: 23.56, Area: 1.38},
+			descriptor.OpDOT:   {Power: 23.49, Area: 1.81},
+			descriptor.OpGEMV:  {Power: 23.75, Area: 2.45},
+			descriptor.OpSPMV:  {Power: 15.44, Area: 14.17},
+			descriptor.OpRESMP: {Power: 8.19, Area: 2.64},
+			descriptor.OpFFT:   {Power: 18.89, Area: 16.13},
+			descriptor.OpRESHP: {Power: 22.70, Area: 0},
 		},
 		NoC:             Component{Name: "NoC (router + link)", Power: 0.095, Area: 1.44},
 		TSVs:            Component{Name: "TSVs", Power: 0, Area: 1.75},

@@ -84,23 +84,3 @@ func CompileString(src string, resolve ParamResolver) (*descriptor.Descriptor, e
 	}
 	return Compile(prog, resolve)
 }
-
-// MergePasses implements the chaining optimization of compiler pass 1
-// (paper §3.4): when two adjacent top-level passes form a producer/consumer
-// pair, they are merged into one pass so the configuration unit chains the
-// accelerators through tile-local memory instead of round-tripping the
-// intermediate through DRAM. The caller asserts chainability (the compiler
-// checks that the output buffer of the first is the input of the second).
-func MergePasses(prog *Program, i int) error {
-	if i < 0 || i+1 >= len(prog.Blocks) {
-		return fmt.Errorf("tdl: merge index %d out of range", i)
-	}
-	a, ok1 := prog.Blocks[i].(Pass)
-	b, ok2 := prog.Blocks[i+1].(Pass)
-	if !ok1 || !ok2 {
-		return fmt.Errorf("tdl: blocks %d and %d are not both passes", i, i+1)
-	}
-	merged := Pass{Comps: append(append([]Comp(nil), a.Comps...), b.Comps...)}
-	prog.Blocks = append(prog.Blocks[:i], append([]Block{merged}, prog.Blocks[i+2:]...)...)
-	return nil
-}

@@ -185,17 +185,6 @@ func (p *parser) expect(kind tokKind, what string) (token, error) {
 	return t, nil
 }
 
-// opCodes maps TDL accelerator mnemonics to opcodes.
-var opCodes = map[string]descriptor.OpCode{
-	"AXPY":  descriptor.OpAXPY,
-	"DOT":   descriptor.OpDOT,
-	"GEMV":  descriptor.OpGEMV,
-	"SPMV":  descriptor.OpSPMV,
-	"RESMP": descriptor.OpRESMP,
-	"FFT":   descriptor.OpFFT,
-	"RESHP": descriptor.OpRESHP,
-}
-
 // Parse parses a TDL program.
 func Parse(src string) (*Program, error) {
 	toks, err := lex(src)
@@ -269,7 +258,7 @@ func (p *parser) parseComp() (Comp, error) {
 	if err != nil {
 		return comp, err
 	}
-	op, ok := opCodes[opTok.text]
+	op, ok := descriptor.OpNamed(opTok.text)
 	if !ok {
 		return comp, fmt.Errorf("tdl: line %d: unknown accelerator %q", opTok.line, opTok.text)
 	}

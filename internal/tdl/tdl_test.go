@@ -193,40 +193,6 @@ func TestCompileNilResolver(t *testing.T) {
 	}
 }
 
-func TestMergePasses(t *testing.T) {
-	prog, err := Parse(`
-PASS { COMP RESMP PARAMS "a" }
-PASS { COMP FFT PARAMS "b" }
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := MergePasses(prog, 0); err != nil {
-		t.Fatal(err)
-	}
-	if len(prog.Blocks) != 1 {
-		t.Fatalf("blocks after merge = %d", len(prog.Blocks))
-	}
-	pass := prog.Blocks[0].(Pass)
-	if len(pass.Comps) != 2 || pass.Comps[0].Op != descriptor.OpRESMP || pass.Comps[1].Op != descriptor.OpFFT {
-		t.Errorf("merged pass = %+v", pass)
-	}
-}
-
-func TestMergePassesErrors(t *testing.T) {
-	prog, _ := Parse(`PASS { COMP FFT PARAMS "a" }`)
-	if err := MergePasses(prog, 0); err == nil {
-		t.Error("merge needs two blocks")
-	}
-	prog2, _ := Parse(`
-PASS { COMP FFT PARAMS "a" }
-LOOP 2 { PASS { COMP DOT PARAMS "b" } }
-`)
-	if err := MergePasses(prog2, 0); err == nil {
-		t.Error("merging a pass with a loop must fail")
-	}
-}
-
 // Property: Format is a bijection on the parse tree — random programs
 // survive a Format/Parse/Format round trip, and compiling either side
 // yields the same descriptor structure.

@@ -11,23 +11,29 @@ import (
 // the accelerator layer, and returns the run report. These mirror the
 // library APIs of the paper's Table 1.
 
+// launch installs one accelerator call as a one-pass descriptor and
+// executes it.
+func (s *System) launch(op descriptor.OpCode, p descriptor.Params) (*Run, error) {
+	d := &descriptor.Descriptor{}
+	if err := d.AddComp(op, p); err != nil {
+		return nil, err
+	}
+	d.AddEndPass()
+	plan, err := s.rt.AccPlanDescriptor(d)
+	if err != nil {
+		return nil, err
+	}
+	return s.execute(plan)
+}
+
 // Saxpy computes y += alpha*x on the AXPY accelerator.
 func (s *System) Saxpy(alpha float32, x, y *Float32Buffer) (*Run, error) {
 	if x.Len() != y.Len() {
 		return nil, errorf("saxpy: length mismatch %d vs %d", x.Len(), y.Len())
 	}
-	d := &descriptor.Descriptor{}
-	if err := d.AddComp(descriptor.OpAXPY, accel.AxpyArgs{
+	return s.launch(descriptor.OpAXPY, accel.AxpyArgs{
 		N: int64(x.Len()), Alpha: alpha, X: x.addr(0), Y: y.addr(0), IncX: 1, IncY: 1,
-	}.Params()); err != nil {
-		return nil, err
-	}
-	d.AddEndPass()
-	p, err := s.rt.AccPlanDescriptor(d)
-	if err != nil {
-		return nil, err
-	}
-	return s.execute(p)
+	}.Params())
 }
 
 // Sdot computes the inner product of x and y on the DOT accelerator.
@@ -40,18 +46,9 @@ func (s *System) Sdot(x, y *Float32Buffer) (float32, *Run, error) {
 		return 0, nil, err
 	}
 	defer func() { _ = out.Free(s) }()
-	d := &descriptor.Descriptor{}
-	if err := d.AddComp(descriptor.OpDOT, accel.DotArgs{
+	run, err := s.launch(descriptor.OpDOT, accel.DotArgs{
 		N: int64(x.Len()), X: x.addr(0), Y: y.addr(0), Out: out.addr(0), IncX: 1, IncY: 1,
-	}.Params()); err != nil {
-		return 0, nil, err
-	}
-	d.AddEndPass()
-	p, err := s.rt.AccPlanDescriptor(d)
-	if err != nil {
-		return 0, nil, err
-	}
-	run, err := s.execute(p)
+	}.Params())
 	if err != nil {
 		return 0, nil, err
 	}
@@ -73,19 +70,10 @@ func (s *System) Cdotc(x, y *Complex64Buffer) (complex64, *Run, error) {
 		return 0, nil, err
 	}
 	defer func() { _ = out.Free(s) }()
-	d := &descriptor.Descriptor{}
-	if err := d.AddComp(descriptor.OpDOT, accel.DotArgs{
+	run, err := s.launch(descriptor.OpDOT, accel.DotArgs{
 		N: int64(x.Len()), Complex: true,
 		X: x.addr(0), Y: y.addr(0), Out: out.addr(0), IncX: 1, IncY: 1,
-	}.Params()); err != nil {
-		return 0, nil, err
-	}
-	d.AddEndPass()
-	p, err := s.rt.AccPlanDescriptor(d)
-	if err != nil {
-		return 0, nil, err
-	}
-	run, err := s.execute(p)
+	}.Params())
 	if err != nil {
 		return 0, nil, err
 	}
@@ -102,19 +90,10 @@ func (s *System) Sgemv(m, n int, alpha float32, a *Float32Buffer, x *Float32Buff
 	if a.Len() < m*n || x.Len() < n || y.Len() < m {
 		return nil, errorf("sgemv: buffers too small for %dx%d", m, n)
 	}
-	d := &descriptor.Descriptor{}
-	if err := d.AddComp(descriptor.OpGEMV, accel.GemvArgs{
+	return s.launch(descriptor.OpGEMV, accel.GemvArgs{
 		M: int64(m), N: int64(n), Alpha: alpha, Beta: beta,
 		A: a.addr(0), Lda: int64(n), X: x.addr(0), Y: y.addr(0),
-	}.Params()); err != nil {
-		return nil, err
-	}
-	d.AddEndPass()
-	p, err := s.rt.AccPlanDescriptor(d)
-	if err != nil {
-		return nil, err
-	}
-	return s.execute(p)
+	}.Params())
 }
 
 // CSRMatrix is a sparse matrix staged into accelerator-visible memory.
@@ -166,20 +145,11 @@ func (s *System) Spmv(a *CSRMatrix, x, y *Float32Buffer) (*Run, error) {
 	if x.Len() < a.Cols || y.Len() < a.Rows {
 		return nil, errorf("spmv: vector sizes %d/%d for %dx%d matrix", x.Len(), y.Len(), a.Rows, a.Cols)
 	}
-	d := &descriptor.Descriptor{}
-	if err := d.AddComp(descriptor.OpSPMV, accel.SpmvArgs{
+	return s.launch(descriptor.OpSPMV, accel.SpmvArgs{
 		M: int64(a.Rows), Cols: int64(a.Cols), NNZ: int64(a.NNZ),
 		RowPtr: a.rowPtr.addr(0), ColIdx: a.colIdx.addr(0), Values: a.values.addr(0),
 		X: x.addr(0), Y: y.addr(0),
-	}.Params()); err != nil {
-		return nil, err
-	}
-	d.AddEndPass()
-	p, err := s.rt.AccPlanDescriptor(d)
-	if err != nil {
-		return nil, err
-	}
-	return s.execute(p)
+	}.Params())
 }
 
 // Resample interpolates src onto dst's grid (linear or cubic) on the RESMP
@@ -189,19 +159,10 @@ func (s *System) Resample(src, dst *Float32Buffer, cubic bool) (*Run, error) {
 	if cubic {
 		kind = int64(kernels.InterpCubic)
 	}
-	d := &descriptor.Descriptor{}
-	if err := d.AddComp(descriptor.OpRESMP, accel.ResmpArgs{
+	return s.launch(descriptor.OpRESMP, accel.ResmpArgs{
 		NIn: int64(src.Len()), NOut: int64(dst.Len()), Kind: kind,
 		Src: src.addr(0), Dst: dst.addr(0),
-	}.Params()); err != nil {
-		return nil, err
-	}
-	d.AddEndPass()
-	p, err := s.rt.AccPlanDescriptor(d)
-	if err != nil {
-		return nil, err
-	}
-	return s.execute(p)
+	}.Params())
 }
 
 // FFT transforms howMany contiguous length-n signals in place on the FFT
@@ -211,19 +172,10 @@ func (s *System) FFT(data *Complex64Buffer, n, howMany int, inverse bool) (*Run,
 	if n < 1 || howMany < 1 || data.Len() < n*howMany {
 		return nil, errorf("fft: %d transforms of %d exceed buffer %d", howMany, n, data.Len())
 	}
-	d := &descriptor.Descriptor{}
-	if err := d.AddComp(descriptor.OpFFT, accel.FFTArgs{
+	return s.launch(descriptor.OpFFT, accel.FFTArgs{
 		N: int64(n), Inverse: inverse, HowMany: int64(howMany),
 		Src: data.addr(0), Dst: data.addr(0),
-	}.Params()); err != nil {
-		return nil, err
-	}
-	d.AddEndPass()
-	p, err := s.rt.AccPlanDescriptor(d)
-	if err != nil {
-		return nil, err
-	}
-	return s.execute(p)
+	}.Params())
 }
 
 // Transpose writes the transpose of the rows x cols matrix src into dst on
@@ -233,19 +185,10 @@ func (s *System) Transpose(rows, cols int, src, dst *Float32Buffer) (*Run, error
 	if src.Len() < rows*cols || dst.Len() < rows*cols {
 		return nil, errorf("transpose: buffers too small for %dx%d", rows, cols)
 	}
-	d := &descriptor.Descriptor{}
-	if err := d.AddComp(descriptor.OpRESHP, accel.ReshpArgs{
+	return s.launch(descriptor.OpRESHP, accel.ReshpArgs{
 		Rows: int64(rows), Cols: int64(cols), Elem: accel.ElemF32,
 		Src: src.addr(0), Dst: dst.addr(0),
-	}.Params()); err != nil {
-		return nil, err
-	}
-	d.AddEndPass()
-	p, err := s.rt.AccPlanDescriptor(d)
-	if err != nil {
-		return nil, err
-	}
-	return s.execute(p)
+	}.Params())
 }
 
 // TransposeC64 is Transpose for complex64 matrices.
@@ -253,17 +196,8 @@ func (s *System) TransposeC64(rows, cols int, src, dst *Complex64Buffer) (*Run, 
 	if src.Len() < rows*cols || dst.Len() < rows*cols {
 		return nil, errorf("transpose: buffers too small for %dx%d", rows, cols)
 	}
-	d := &descriptor.Descriptor{}
-	if err := d.AddComp(descriptor.OpRESHP, accel.ReshpArgs{
+	return s.launch(descriptor.OpRESHP, accel.ReshpArgs{
 		Rows: int64(rows), Cols: int64(cols), Elem: accel.ElemC64,
 		Src: src.addr(0), Dst: dst.addr(0),
-	}.Params()); err != nil {
-		return nil, err
-	}
-	d.AddEndPass()
-	p, err := s.rt.AccPlanDescriptor(d)
-	if err != nil {
-		return nil, err
-	}
-	return s.execute(p)
+	}.Params())
 }
