@@ -22,6 +22,14 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> gofmt -l . (every Go file as gofmt prints it)"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "$unformatted"
+	echo "check.sh: gofmt would rewrite the files above; run gofmt -w on them" >&2
+	exit 1
+fi
+
 echo "==> go run ./cmd/mealint ./..."
 go run ./cmd/mealint ./...
 
@@ -116,8 +124,9 @@ fi
 echo "==> go test -race ./... (the gates: bit-identity, nest verdicts and ranges, fixed costs, the compiled plan, the one launch record, the one-walk install, the mealibd wire, fusion traffic and the model calibration; each test that carries one says so in its comment, \"Gate (check.sh): ...\", and Runtime.CheckInvariants closes the mealibrt and mealibd tests)"
 go test -race ./...
 
-echo "==> one-allocation launch gate (without the race detector, whose sync.Pool drops a quarter of its Puts: an Execute allocates its Invocation and nothing else of its own, a run of a compiled program nothing at all, beyond the kernels' closures)"
+echo "==> one-allocation launch gate (without the race detector, whose sync.Pool drops a quarter of its Puts: an Execute allocates its Invocation and nothing else, a run of a compiled program nothing at all, and a kernel below its fan-out threshold nothing)"
 go test -count=1 -run 'FixedCost' ./internal/mealibrt ./internal/accel
+go test -count=1 -run '^TestKernelsInlineAllocateNothing$' ./internal/kernels
 
 echo "==> core-count gate (the first bad SPMV column named and the bits of every kernel that fans out are the same at any GOMAXPROCS)"
 go test -count=1 -cpu 1,2,3 -run '^(TestSpmvFirstBadColumnAnyProcs|TestDotBitsAnyProcs|TestParallelReduceBitIdentical)$' ./internal/kernels

@@ -10,11 +10,12 @@
 //
 // Programs are run through the static verifier (internal/analysis/tdlcheck)
 // by default; -nocheck skips it. Parameters bind at run time, so -dump
-// lists placeholders unless -params supplies a table (a JSON object mapping
-// each PARAMS reference to its 64-bit words). With a table, -dump also
-// prints the producer→consumer pass groups the accelerator layer's plan
-// lowering will fuse into chained passes: fusion is decided there, on real
-// operand addresses and sizes, for every descriptor it installs.
+// lists placeholders, and no encoded size, unless -params supplies a table
+// (a JSON object mapping each PARAMS reference to its 64-bit words). With a
+// table, -dump prints the descriptor's encoded size and the producer→consumer
+// pass groups the accelerator layer's plan lowering will fuse into chained
+// passes: fusion is decided there, on real operand addresses and sizes, for
+// every descriptor it installs.
 package main
 
 import (
@@ -31,35 +32,46 @@ import (
 	"mealib/internal/tdl"
 )
 
-func main() {
-	dump := flag.Bool("dump", false, "print the compiled descriptor instruction listing")
-	nocheck := flag.Bool("nocheck", false, "skip the static verifier")
-	paramsFile := flag.String("params", "", `JSON parameter table: {"fft.para": [w0, w1, ...], ...}; with -dump, also list the passes the plan lowering fuses`)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tdlc [-dump] [-nocheck] [-params table.json] program.tdl (use - for stdin)")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is the command on args, reading a program named - from stdin; it
+// returns the exit status.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("tdlc", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	dump := flags.Bool("dump", false, "print the compiled descriptor instruction listing")
+	nocheck := flags.Bool("nocheck", false, "skip the static verifier")
+	paramsFile := flags.String("params", "", `JSON parameter table: {"fft.para": [w0, w1, ...], ...}; with -dump, also print the encoded size and list the passes the plan lowering fuses`)
+	if err := flags.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	if flags.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: tdlc [-dump] [-nocheck] [-params table.json] program.tdl (use - for stdin)")
+		return 2
+	}
+	fail := func(what string, err error) int {
+		fmt.Fprintln(stderr, what, err)
+		return 1
 	}
 	var src []byte
 	var err error
-	if flag.Arg(0) == "-" {
-		src, err = io.ReadAll(os.Stdin)
+	if flags.Arg(0) == "-" {
+		src, err = io.ReadAll(stdin)
 	} else {
-		src, err = os.ReadFile(flag.Arg(0))
+		src, err = os.ReadFile(flags.Arg(0))
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tdlc:", err)
-		os.Exit(1)
+		return fail("tdlc:", err)
 	}
 	prog, err := tdl.Parse(string(src))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tdlc:", err)
-		os.Exit(1)
+		return fail("tdlc:", err)
 	}
 	if !*nocheck {
 		if err := tdlcheck.VerifyProgram(prog); err != nil {
-			fmt.Fprintln(os.Stderr, "tdlc:", err)
-			os.Exit(1)
+			return fail("tdlc:", err)
 		}
 	}
 	// Parameters bind at run time; -dump inspects structure with
@@ -70,13 +82,11 @@ func main() {
 	if *paramsFile != "" {
 		raw, err := os.ReadFile(*paramsFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tdlc:", err)
-			os.Exit(1)
+			return fail("tdlc:", err)
 		}
 		var table map[string][]uint64
 		if err := json.Unmarshal(raw, &table); err != nil {
-			fmt.Fprintln(os.Stderr, "tdlc: params table:", err)
-			os.Exit(1)
+			return fail("tdlc: params table:", err)
 		}
 		resolve = func(ref string) (descriptor.Params, error) {
 			words, ok := table[ref]
@@ -87,35 +97,37 @@ func main() {
 		}
 	}
 	if !*dump {
-		fmt.Print(tdl.Format(prog))
-		return
+		fmt.Fprint(stdout, tdl.Format(prog))
+		return 0
 	}
 	d, err := tdl.Compile(prog, resolve)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tdlc:", err)
-		os.Exit(1)
+		return fail("tdlc:", err)
 	}
-	fmt.Print(d.Disassemble())
 	if *paramsFile == "" {
-		return
+		// The blocks are one-word placeholders, so the descriptor's encoded
+		// size is not the program's.
+		fmt.Fprintf(stdout, "descriptor: %d instructions, %d accelerator invocations, encoded size unknown (parameters unbound; -params binds them)\n%s",
+			len(d.Instrs), d.Comps(), d.Listing())
+		return 0
 	}
+	fmt.Fprint(stdout, d.Disassemble())
 	// The groups the plan lowering of a runtime on the paper's configuration
 	// fuses.
 	layer, err := accel.NewLayer(accel.MEALibConfig())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tdlc:", err)
-		os.Exit(1)
+		return fail("tdlc:", err)
 	}
 	info, err := layer.ExplainPlan(d)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tdlc:", err)
-		os.Exit(1)
+		return fail("tdlc:", err)
 	}
 	for _, g := range info.Fused {
-		fmt.Printf("fused %s: passes %d..%d, %d B/iter kept in tile-local memory (x%d iterations)\n",
+		fmt.Fprintf(stdout, "fused %s: passes %d..%d, %d B/iter kept in tile-local memory (x%d iterations)\n",
 			strings.Join(g.Ops, "+"), g.FirstPass, g.FirstPass+g.Passes-1, g.HandoffBytes, g.Iters)
 	}
 	if len(info.Fused) == 0 {
-		fmt.Println("fused: no producer→consumer pass chains")
+		fmt.Fprintln(stdout, "fused: no producer→consumer pass chains")
 	}
+	return 0
 }

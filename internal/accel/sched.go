@@ -180,10 +180,10 @@ type block struct{ k, lo, n int32 }
 // every wave (span and histogram).
 func (l *Layer) runPlan(r *planRun) error {
 	p := r.win
-	workers, fanOut := 1, par.Fixed
+	workers, auto := 1, false
 	if width := p.maxWidth(); width > 1 {
 		if workers = l.cfg.Workers; workers == 0 {
-			workers, fanOut = par.Workers(l.cfg.Tiles), par.Do
+			workers, auto = par.Workers(l.cfg.Tiles), true
 		}
 		workers = min(workers, width)
 	}
@@ -207,7 +207,11 @@ func (l *Layer) runPlan(r *planRun) error {
 				r.blocks = append(r.blocks, block{k, lo, min(size, n-lo)})
 			}
 		}
-		_ = fanOut(len(r.blocks), workers, r.run)
+		if auto {
+			_ = par.Do(len(r.blocks), workers, r.run)
+		} else {
+			_ = par.Fixed(len(r.blocks), workers, r.run)
+		}
 		for _, b := range r.bufs[1:] {
 			b.Release()
 		}

@@ -608,11 +608,17 @@ func (d *Descriptor) ParamsOf(comp int) (Params, error) {
 }
 
 // Disassemble renders the instruction region as a human-readable listing
-// (what cmd/tdlc -dump prints).
+// under a header that counts the instructions, the invocations and the
+// encoded bytes.
 func (d *Descriptor) Disassemble() string {
+	return fmt.Sprintf("descriptor: %d instructions, %d accelerator invocations, %v encoded\n",
+		len(d.Instrs), d.Comps(), d.Size()) + d.Listing()
+}
+
+// Listing renders the instruction region one instruction a line, loop
+// bodies indented (what cmd/tdlc -dump prints).
+func (d *Descriptor) Listing() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "descriptor: %d instructions, %d accelerator invocations, %v encoded\n",
-		len(d.Instrs), d.Comps(), d.Size())
 	indent := ""
 	for i, in := range d.Instrs {
 		switch in.Kind {

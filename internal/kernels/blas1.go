@@ -32,21 +32,29 @@ func Saxpy(n int, alpha float32, x []float32, incX int, y []float32, incY int) e
 	if err := checkVec("saxpy", n, y, 1); err != nil {
 		return err
 	}
-	xs, ys := x[:n], y[:n]
-	parallelRanges(n, func(lo, hi int) int {
-		i := lo
-		for ; i+4 <= hi; i += 4 {
-			ys[i] += alpha * xs[i]
-			ys[i+1] += alpha * xs[i+1]
-			ys[i+2] += alpha * xs[i+2]
-			ys[i+3] += alpha * xs[i+3]
-		}
-		for ; i < hi; i++ {
-			ys[i] += alpha * xs[i]
-		}
-		return hi
-	})
+	parallelRanges(n, saxpyBody{alpha, x[:n], y[:n]})
 	return nil
+}
+
+// saxpyBody is Saxpy's range body.
+type saxpyBody struct {
+	alpha  float32
+	xs, ys []float32
+}
+
+func (b saxpyBody) span(lo, hi int) int {
+	xs, ys, alpha := b.xs, b.ys, b.alpha
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		ys[i] += alpha * xs[i]
+		ys[i+1] += alpha * xs[i+1]
+		ys[i+2] += alpha * xs[i+2]
+		ys[i+3] += alpha * xs[i+3]
+	}
+	for ; i < hi; i++ {
+		ys[i] += alpha * xs[i]
+	}
+	return hi
 }
 
 // SdotNaive computes the inner product of x and y.
@@ -80,22 +88,26 @@ func Sdot(n int, x []float32, incX int, y []float32, incY int) (float32, error) 
 	if err := checkVec("sdot", n, y, 1); err != nil {
 		return 0, err
 	}
-	xs, ys := x[:n], y[:n]
-	sum := parallelReduce(n, func(lo, hi int) float64 {
-		var s0, s1, s2, s3 float64
-		i := lo
-		for ; i+4 <= hi; i += 4 {
-			s0 += float64(xs[i]) * float64(ys[i])
-			s1 += float64(xs[i+1]) * float64(ys[i+1])
-			s2 += float64(xs[i+2]) * float64(ys[i+2])
-			s3 += float64(xs[i+3]) * float64(ys[i+3])
-		}
-		for ; i < hi; i++ {
-			s0 += float64(xs[i]) * float64(ys[i])
-		}
-		return s0 + s1 + s2 + s3
-	})
-	return float32(sum), nil
+	return float32(parallelReduce[float64](n, sdotBody{x[:n], y[:n]})), nil
+}
+
+// sdotBody is Sdot's reduction body.
+type sdotBody struct{ xs, ys []float32 }
+
+func (b sdotBody) part(lo, hi int) float64 {
+	xs, ys := b.xs, b.ys
+	var s0, s1, s2, s3 float64
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		s0 += float64(xs[i]) * float64(ys[i])
+		s1 += float64(xs[i+1]) * float64(ys[i+1])
+		s2 += float64(xs[i+2]) * float64(ys[i+2])
+		s3 += float64(xs[i+3]) * float64(ys[i+3])
+	}
+	for ; i < hi; i++ {
+		s0 += float64(xs[i]) * float64(ys[i])
+	}
+	return s0 + s1 + s2 + s3
 }
 
 // Sscal scales x by alpha in place.
@@ -104,13 +116,7 @@ func Sscal(n int, alpha float32, x []float32, incX int) error {
 		return err
 	}
 	if incX == 1 {
-		xs := x[:n]
-		parallelRanges(n, func(lo, hi int) int {
-			for i := lo; i < hi; i++ {
-				xs[i] *= alpha
-			}
-			return hi
-		})
+		parallelRanges(n, sscalBody{alpha, x[:n]})
 		return nil
 	}
 	ix := startIndex(n, incX)
@@ -119,6 +125,19 @@ func Sscal(n int, alpha float32, x []float32, incX int) error {
 		ix += incX
 	}
 	return nil
+}
+
+// sscalBody is Sscal's range body.
+type sscalBody struct {
+	alpha float32
+	xs    []float32
+}
+
+func (b sscalBody) span(lo, hi int) int {
+	for i := lo; i < hi; i++ {
+		b.xs[i] *= b.alpha
+	}
+	return hi
 }
 
 // checkVec validates a strided BLAS vector argument.

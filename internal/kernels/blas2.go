@@ -46,26 +46,36 @@ func Sgemv(m, n int, alpha float32, a []float32, lda int, x []float32, beta floa
 	if len(y) < m {
 		return fmt.Errorf("kernels: sgemv: y length %d < m=%d", len(y), m)
 	}
-	xs := x[:n]
-	parallelRanges(m, func(lo, hi int) int {
-		for i := lo; i < hi; i++ {
-			row := a[i*lda : i*lda+n]
-			var s0, s1, s2, s3 float64
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				s0 += float64(row[j]) * float64(xs[j])
-				s1 += float64(row[j+1]) * float64(xs[j+1])
-				s2 += float64(row[j+2]) * float64(xs[j+2])
-				s3 += float64(row[j+3]) * float64(xs[j+3])
-			}
-			for ; j < n; j++ {
-				s0 += float64(row[j]) * float64(xs[j])
-			}
-			y[i] = alpha*float32(s0+s1+s2+s3) + beta*y[i]
-		}
-		return hi
-	})
+	parallelRanges(m, sgemvBody{alpha, beta, a, lda, x[:n], y})
 	return nil
+}
+
+// sgemvBody is Sgemv's range body, over rows.
+type sgemvBody struct {
+	alpha, beta float32
+	a           []float32
+	lda         int
+	xs, y       []float32
+}
+
+func (b sgemvBody) span(lo, hi int) int {
+	xs, n := b.xs, len(b.xs)
+	for i := lo; i < hi; i++ {
+		row := b.a[i*b.lda : i*b.lda+n]
+		var s0, s1, s2, s3 float64
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			s0 += float64(row[j]) * float64(xs[j])
+			s1 += float64(row[j+1]) * float64(xs[j+1])
+			s2 += float64(row[j+2]) * float64(xs[j+2])
+			s3 += float64(row[j+3]) * float64(xs[j+3])
+		}
+		for ; j < n; j++ {
+			s0 += float64(row[j]) * float64(xs[j])
+		}
+		b.y[i] = b.alpha*float32(s0+s1+s2+s3) + b.beta*b.y[i]
+	}
+	return hi
 }
 
 // checkMat validates a dense row-major matrix argument.

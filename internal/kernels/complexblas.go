@@ -37,16 +37,19 @@ func Cdotc(n int, x []complex64, incX int, y []complex64, incY int) (complex64, 
 	if err := checkCVec("cdotc", n, y, 1); err != nil {
 		return 0, err
 	}
-	xs, ys := x[:n], y[:n]
-	sum := parallelReduce(n, func(lo, hi int) complex128 {
-		var s complex128
-		for i := lo; i < hi; i++ {
-			xv := complex128(xs[i])
-			s += complex(real(xv), -imag(xv)) * complex128(ys[i])
-		}
-		return s
-	})
-	return complex64(sum), nil
+	return complex64(parallelReduce[complex128](n, cdotcBody{x[:n], y[:n]})), nil
+}
+
+// cdotcBody is Cdotc's reduction body.
+type cdotcBody struct{ xs, ys []complex64 }
+
+func (b cdotcBody) part(lo, hi int) complex128 {
+	var s complex128
+	for i := lo; i < hi; i++ {
+		xv := complex128(b.xs[i])
+		s += complex(real(xv), -imag(xv)) * complex128(b.ys[i])
+	}
+	return s
 }
 
 // Caxpy computes y[i] += alpha*x[i] for complex vectors.
@@ -58,13 +61,7 @@ func Caxpy(n int, alpha complex64, x []complex64, incX int, y []complex64, incY 
 		return err
 	}
 	if incX == 1 && incY == 1 {
-		xs, ys := x[:n], y[:n]
-		parallelRanges(n, func(lo, hi int) int {
-			for i := lo; i < hi; i++ {
-				ys[i] += alpha * xs[i]
-			}
-			return hi
-		})
+		parallelRanges(n, caxpyBody{alpha, x[:n], y[:n]})
 		return nil
 	}
 	ix, iy := startIndex(n, incX), startIndex(n, incY)
@@ -74,6 +71,19 @@ func Caxpy(n int, alpha complex64, x []complex64, incX int, y []complex64, incY 
 		iy += incY
 	}
 	return nil
+}
+
+// caxpyBody is Caxpy's range body.
+type caxpyBody struct {
+	alpha  complex64
+	xs, ys []complex64
+}
+
+func (b caxpyBody) span(lo, hi int) int {
+	for i := lo; i < hi; i++ {
+		b.ys[i] += b.alpha * b.xs[i]
+	}
+	return hi
 }
 
 // Cherk performs the Hermitian rank-k update C = alpha*A*A^H + beta*C for an
@@ -97,27 +107,7 @@ func Cherk(n, k int, alpha float32, a []complex64, lda int, beta float32, c []co
 	if n > 0 && len(c) < (n-1)*ldc+n {
 		return fmt.Errorf("kernels: cherk: C length %d too short", len(c))
 	}
-	parallelRanges(n, func(lo, hi int) int {
-		for i := lo; i < hi; i++ {
-			ai := a[i*lda : i*lda+k]
-			for j := i; j < n; j++ {
-				aj := a[j*lda : j*lda+k]
-				var sum complex128
-				for p := 0; p < k; p++ {
-					av := complex128(ai[p])
-					bv := complex128(aj[p])
-					sum += av * complex(real(bv), -imag(bv))
-				}
-				v := complex64(complex(float64(alpha), 0)*sum) + complex(beta, 0)*c[i*ldc+j]
-				if i == j {
-					// Diagonal of a Hermitian matrix is real.
-					v = complex(real(v), 0)
-				}
-				c[i*ldc+j] = v
-			}
-		}
-		return hi
-	})
+	parallelRanges(n, cherkBody{n, k, alpha, beta, a, lda, c, ldc})
 	// Mirror to the lower triangle.
 	for i := 0; i < n; i++ {
 		for j := 0; j < i; j++ {
@@ -126,6 +116,39 @@ func Cherk(n, k int, alpha float32, a []complex64, lda int, beta float32, c []co
 		}
 	}
 	return nil
+}
+
+// cherkBody is Cherk's range body, over rows of the upper triangle.
+type cherkBody struct {
+	n, k        int
+	alpha, beta float32
+	a           []complex64
+	lda         int
+	c           []complex64
+	ldc         int
+}
+
+func (b cherkBody) span(lo, hi int) int {
+	n, k, a, lda, c, ldc := b.n, b.k, b.a, b.lda, b.c, b.ldc
+	for i := lo; i < hi; i++ {
+		ai := a[i*lda : i*lda+k]
+		for j := i; j < n; j++ {
+			aj := a[j*lda : j*lda+k]
+			var sum complex128
+			for p := 0; p < k; p++ {
+				av := complex128(ai[p])
+				bv := complex128(aj[p])
+				sum += av * complex(real(bv), -imag(bv))
+			}
+			v := complex64(complex(float64(b.alpha), 0)*sum) + complex(b.beta, 0)*c[i*ldc+j]
+			if i == j {
+				// Diagonal of a Hermitian matrix is real.
+				v = complex(real(v), 0)
+			}
+			c[i*ldc+j] = v
+		}
+	}
+	return hi
 }
 
 // Uplo selects which triangle of a triangular matrix is stored.

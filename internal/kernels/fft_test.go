@@ -223,27 +223,6 @@ func TestFFT2DErrors(t *testing.T) {
 	}
 }
 
-// TestFFTBatchInlineAllocatesNothing: below minParallel transforms a batch of
-// a power-of-two length runs inline on the shared plan and allocates nothing.
-//
-// Gate (check.sh): fixed costs.
-func TestFFTBatchInlineAllocatesNothing(t *testing.T) {
-	p, err := SharedFFTPlan(1024, Forward)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, howMany := range []int{1, 4} {
-		data := make([]complex64, 1024*howMany)
-		if avg := testing.AllocsPerRun(100, func() {
-			if err := FFTBatch(p, data, howMany); err != nil {
-				t.Fatal(err)
-			}
-		}); avg != 0 {
-			t.Errorf("FFTBatch of %d transforms allocates %v times a call, want 0", howMany, avg)
-		}
-	}
-}
-
 // refRadix2 is the radix-2 loop the two-stage kernel replaced: one stage per
 // pass over the last stage's twiddle table, with Go's complex64 product. It
 // is the reference the kernel's accuracy is held to.

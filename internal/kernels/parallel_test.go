@@ -310,6 +310,11 @@ func complexBits(data []complex64) []float32 {
 	return out
 }
 
+// partFunc is a reduction body made of a function.
+type partFunc[T float64 | complex128] func(lo, hi int) T
+
+func (f partFunc[T]) part(lo, hi int) T { return f(lo, hi) }
+
 // TestParallelReduceBitIdentical drives the reductions with partials of
 // mixed magnitude — where float addition order visibly changes the result —
 // and checks that repeated runs agree bit for bit: the partials must be
@@ -323,29 +328,29 @@ func TestParallelReduceBitIdentical(t *testing.T) {
 		for i := range data {
 			data[i] = float64(i%97) * math.Pow(10, float64(i%13-6))
 		}
-		sum := func(lo, hi int) float64 {
+		sum := partFunc[float64](func(lo, hi int) float64 {
 			var s float64
 			for i := lo; i < hi; i++ {
 				s += data[i]
 			}
 			return s
-		}
-		first := parallelReduce(n, sum)
+		})
+		first := parallelReduce[float64](n, sum)
 		for run := 0; run < 50; run++ {
-			if got := parallelReduce(n, sum); math.Float64bits(got) != math.Float64bits(first) {
+			if got := parallelReduce[float64](n, sum); math.Float64bits(got) != math.Float64bits(first) {
 				t.Fatalf("run %d: parallelReduce = %x, first run gave %x", run, math.Float64bits(got), math.Float64bits(first))
 			}
 		}
-		csum := func(lo, hi int) complex128 {
+		csum := partFunc[complex128](func(lo, hi int) complex128 {
 			var s complex128
 			for i := lo; i < hi; i++ {
 				s += complex(data[i], -data[i])
 			}
 			return s
-		}
-		cfirst := parallelReduce(n, csum)
+		})
+		cfirst := parallelReduce[complex128](n, csum)
 		for run := 0; run < 50; run++ {
-			got := parallelReduce(n, csum)
+			got := parallelReduce[complex128](n, csum)
 			if math.Float64bits(real(got)) != math.Float64bits(real(cfirst)) ||
 				math.Float64bits(imag(got)) != math.Float64bits(imag(cfirst)) {
 				t.Fatalf("run %d: parallelReduce (complex) = %v, first run gave %v", run, got, cfirst)
@@ -358,21 +363,87 @@ func TestParallelReduceBitIdentical(t *testing.T) {
 func TestParallelReduceDeterministic(t *testing.T) {
 	withProcs(t, 8, func() {
 		n := minParallel * 2
-		sum := parallelReduce(n, func(lo, hi int) float64 {
+		sum := parallelReduce[float64](n, partFunc[float64](func(lo, hi int) float64 {
 			return float64(hi - lo)
-		})
+		}))
 		if sum != float64(n) {
 			t.Errorf("parallelReduce = %v, want %v", sum, n)
 		}
-		csum := parallelReduce(n, func(lo, hi int) complex128 {
+		csum := parallelReduce[complex128](n, partFunc[complex128](func(lo, hi int) complex128 {
 			return complex(float64(hi-lo), float64(hi-lo))
-		})
+		}))
 		if csum != complex(float64(n), float64(n)) {
 			t.Errorf("parallelReduce (complex) = %v", csum)
 		}
 		// Zero and tiny inputs stay on the serial path.
-		if got := parallelReduce(3, func(lo, hi int) float64 { return float64(hi - lo) }); got != 3 {
+		if got := parallelReduce[float64](3, partFunc[float64](func(lo, hi int) float64 { return float64(hi - lo) })); got != 3 {
 			t.Errorf("small parallelReduce = %v", got)
 		}
 	})
+}
+
+// TestKernelsInlineAllocateNothing: below minParallel every range and
+// reduction kernel, at float32 and at complex64, runs its body inline and
+// allocates nothing, and so does FFTBatch on a shared power-of-two plan.
+//
+// Gate (check.sh): fixed costs.
+func TestKernelsInlineAllocateNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const n, m, k = 256, 16, 16
+	x, y := randVec(rng, n), randVec(rng, n)
+	cx, cy := randCVec(rng, n), randCVec(rng, n)
+	a := randVec(rng, m*k)
+	ca, cc := randCVec(rng, m*k), make([]complex64, m*m)
+	rowPtr := make([]int32, m+1)
+	colIdx := make([]int32, 0, 4*m)
+	for i := 0; i < m; i++ {
+		for e := 0; e < 4; e++ {
+			colIdx = append(colIdx, int32(rng.Intn(k)))
+		}
+		rowPtr[i+1] = int32(len(colIdx))
+	}
+	values := randVec(rng, len(colIdx))
+	tm, tn := 48, 40
+	src, dst := randVec(rng, tm*tn), make([]float32, tm*tn)
+	csrc, cdst := randCVec(rng, tm*tn), make([]complex64, tm*tn)
+	plan, err := SharedFFTPlan(1024, Forward)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := randCVec(rng, 1024*4)
+	resampled := make([]float32, 2*n)
+	for _, kn := range []struct {
+		name string
+		run  func() error
+	}{
+		{"saxpy", func() error { return Saxpy(n, 0.5, x, 1, y, 1) }},
+		{"sdot", func() error { _, err := Sdot(n, x, 1, y, 1); return err }},
+		{"sscal", func() error { return Sscal(n, 1, x, 1) }},
+		{"sgemv", func() error { return Sgemv(m, k, 1, a, k, x, 0, y) }},
+		{"caxpy", func() error { return Caxpy(n, 0.5, cx, 1, cy, 1) }},
+		{"cdotc", func() error { _, err := Cdotc(n, cx, 1, cy, 1); return err }},
+		{"cherk", func() error { return Cherk(m, k, 1, ca, k, 0, cc, m) }},
+		{"spmv/plus-times", func() error {
+			return SpmvCSRSemiring(m, rowPtr, colIdx, values, x, y, SemiringPlusTimes, 0)
+		}},
+		{"spmv/min-plus", func() error {
+			return SpmvCSRSemiring(m, rowPtr, colIdx, values, x, y, SemiringMinPlus, 0)
+		}},
+		{"resample", func() error { return Resample(x, resampled, InterpCubic) }},
+		{"transpose/float32", func() error { return Transpose(tm, tn, src, dst) }},
+		{"transpose/complex64", func() error { return Transpose(tm, tn, csrc, cdst) }},
+		{"fftbatch/1", func() error { return FFTBatch(plan, batch, 1) }},
+		{"fftbatch/4", func() error { return FFTBatch(plan, batch, 4) }},
+	} {
+		if err := kn.run(); err != nil {
+			t.Fatalf("%s: %v", kn.name, err)
+		}
+		if avg := testing.AllocsPerRun(100, func() {
+			if err := kn.run(); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("%s below minParallel allocates %v times a call, want 0", kn.name, avg)
+		}
+	}
 }

@@ -39,19 +39,25 @@ func resample(src, dst []float32, kind InterpKind, parallel bool) error {
 		return fmt.Errorf("kernels: resample: unknown interpolation kind %d", kind)
 	}
 	scale := float64(n-1) / float64(max(m-1, 1))
-	if parallel && m >= minParallel {
-		// The closure is built only here: below minParallel a call allocates
-		// nothing.
-		parallelRanges(m, func(lo, hi int) int { resampleRange(src, dst, kind, scale, lo, hi); return hi })
+	body := resampleBody{src, dst, kind, scale}
+	if parallel {
+		parallelRanges(m, body)
 	} else {
-		resampleRange(src, dst, kind, scale, 0, m)
+		body.span(0, m)
 	}
 	return nil
 }
 
-// resampleRange computes dst[lo:hi].
-func resampleRange(src, dst []float32, kind InterpKind, scale float64, lo, hi int) {
-	n := len(src)
+// resampleBody is resample's range body.
+type resampleBody struct {
+	src, dst []float32
+	kind     InterpKind
+	scale    float64
+}
+
+// span computes dst[lo:hi].
+func (b resampleBody) span(lo, hi int) int {
+	src, dst, kind, scale, n := b.src, b.dst, b.kind, b.scale, len(b.src)
 	for i := lo; i < hi; i++ {
 		pos := float64(i) * scale
 		j := int(pos)
@@ -66,6 +72,7 @@ func resampleRange(src, dst []float32, kind InterpKind, scale float64, lo, hi in
 			dst[i] = catmullRom(sampleExtrapolated(src, j-1), src[j], src[j+1], sampleExtrapolated(src, j+2), t)
 		}
 	}
+	return hi
 }
 
 // splitScratch holds the split planes of ResampleC64, so that a steady

@@ -37,16 +37,16 @@ func SpmvCSRSemiring(m int, rowPtr []int32, colIdx []int32, values []float32, x 
 	if err := checkCSR(m, rowPtr, colIdx, values, y); err != nil {
 		return err
 	}
-	var rows func(rowPtr, colIdx []int32, values, x, y []float32, bias float32, lo, hi int) int
+	csr := csrRows{rowPtr, colIdx, values, x, y, bias}
+	var stop int
 	switch semiring {
 	case SemiringPlusTimes:
-		rows = plusTimesRows
+		stop = parallelRanges(m, plusTimesRows{csr})
 	case SemiringMinPlus:
-		rows = minPlusRows
+		stop = parallelRanges(m, minPlusRows{csr})
 	default:
 		return fmt.Errorf("kernels: spmv: unknown semiring %d", semiring)
 	}
-	stop := parallelRanges(m, func(lo, hi int) int { return rows(rowPtr, colIdx, values, x, y, bias, lo, hi) })
 	if stop == m {
 		return nil
 	}
@@ -59,9 +59,21 @@ func SpmvCSRSemiring(m int, rowPtr []int32, colIdx []int32, values []float32, x 
 	return fmt.Errorf("kernels: spmv: row %d: column index out of range [0,%d)", stop, len(x))
 }
 
-// plusTimesRows computes rows [lo, hi) over plus-times and returns hi, or
-// the first row that has a column out of range, which it leaves unwritten.
-func plusTimesRows(rowPtr, colIdx []int32, values, x, y []float32, bias float32, lo, hi int) int {
+// csrRows is SpmvCSRSemiring's operands, which each semiring's range body
+// over rows embeds.
+type csrRows struct {
+	rowPtr, colIdx []int32
+	values, x, y   []float32
+	bias           float32
+}
+
+// plusTimesRows is the range body over plus-times.
+type plusTimesRows struct{ csrRows }
+
+// span computes rows [lo, hi) and returns hi, or the first row that has a
+// column out of range, which it leaves unwritten.
+func (r plusTimesRows) span(lo, hi int) int {
+	rowPtr, colIdx, values, x, y, bias := r.rowPtr, r.colIdx, r.values, r.x, r.y, r.bias
 	for i := lo; i < hi; i++ {
 		a, b := rowPtr[i], rowPtr[i+1]
 		vals := values[a:b]
@@ -78,8 +90,12 @@ func plusTimesRows(rowPtr, colIdx []int32, values, x, y []float32, bias float32,
 	return hi
 }
 
-// minPlusRows is plusTimesRows over min-plus.
-func minPlusRows(rowPtr, colIdx []int32, values, x, y []float32, bias float32, lo, hi int) int {
+// minPlusRows is the range body over min-plus.
+type minPlusRows struct{ csrRows }
+
+// span is plusTimesRows.span over min-plus.
+func (r minPlusRows) span(lo, hi int) int {
+	rowPtr, colIdx, values, x, y, bias := r.rowPtr, r.colIdx, r.values, r.x, r.y, r.bias
 	for i := lo; i < hi; i++ {
 		a, b := rowPtr[i], rowPtr[i+1]
 		vals := values[a:b]

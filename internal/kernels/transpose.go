@@ -35,26 +35,32 @@ func Transpose[T any](m, n int, src, dst []T) error {
 	if err := checkTranspose(m, n, src, dst); err != nil {
 		return err
 	}
-	parallelRanges(blocks(m)*blocks(n)*tileElems, func(lo, hi int) int {
-		// nbj is worked out here, not captured: the closure is allocated
-		// per call, and with the generic dictionary one more capture would
-		// take it past the 80-byte size class.
-		nbj := blocks(n)
-		for b := lo / tileElems; b < hi/tileElems; b++ {
-			bi := (b / nbj) * transposeBlock
-			bj := (b % nbj) * transposeBlock
-			ie := min(bi+transposeBlock, m)
-			je := min(bj+transposeBlock, n)
-			for i := bi; i < ie; i++ {
-				row := src[i*n:]
-				for j := bj; j < je; j++ {
-					dst[j*m+i] = row[j]
-				}
+	parallelRanges(blocks(m)*blocks(n)*tileElems, transposeBody[T]{m, n, src, dst})
+	return nil
+}
+
+// transposeBody is Transpose's range body, over its tiles' elements.
+type transposeBody[T any] struct {
+	m, n     int
+	src, dst []T
+}
+
+func (b transposeBody[T]) span(lo, hi int) int {
+	m, n, src, dst := b.m, b.n, b.src, b.dst
+	nbj := blocks(n)
+	for t := lo / tileElems; t < hi/tileElems; t++ {
+		bi := (t / nbj) * transposeBlock
+		bj := (t % nbj) * transposeBlock
+		ie := min(bi+transposeBlock, m)
+		je := min(bj+transposeBlock, n)
+		for i := bi; i < ie; i++ {
+			row := src[i*n:]
+			for j := bj; j < je; j++ {
+				dst[j*m+i] = row[j]
 			}
 		}
-		return hi
-	})
-	return nil
+	}
+	return hi
 }
 
 // TransposeInPlace transposes a square n x n matrix in place

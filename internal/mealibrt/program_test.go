@@ -273,14 +273,14 @@ func TestStaleImageNeverRuns(t *testing.T) {
 // bounded number of allocations, and no compile. Install is the only compile,
 // for an ordinary plan and for every chunk of an out-of-core one.
 //
-// An Execute allocates the Invocation it returns and nothing else of its own:
-// its launch record and the layer's run record come from pools, and the
-// arguments were decoded at install. What is left is AXPY's kernel closure,
-// one an instance, so a one-comp plan allocates twice and a 64-instance LOOP
-// 65 times (4 and 67 before the pools). A Submit + Wait adds the record
-// somebody else may Wait on, its done channel and the flight's goroutine: 5
-// (6). sync.Pool drops a quarter of its Puts under the race detector, so there
-// the bounds are looser.
+// An Execute allocates the Invocation it returns and nothing else: its launch
+// record and the layer's run record come from pools, the arguments were
+// decoded at install, and the AXPY kernel runs its value body inline, so a
+// one-comp plan and a 64-instance LOOP allocate once each (4 and 67 before the
+// pools, 2 and 65 while every kernel call allocated a closure). A Submit +
+// Wait adds the record somebody else may Wait on, its done channel and the
+// flight's goroutine: 4. sync.Pool drops a quarter of its Puts under the race
+// detector, so there the bounds are looser.
 //
 // Gate (check.sh): fixed costs.
 func TestExecuteFixedCost(t *testing.T) {
@@ -308,15 +308,15 @@ func TestExecuteFixedCost(t *testing.T) {
 		launch     func() error
 		most, race float64
 	}{
-		{"Execute of a warm one-comp plan", func() error { _, err := p.Execute(ctx); return err }, 2, 5},
-		{"Execute of a warm 64-instance LOOP", func() error { _, err := loop.Execute(ctx); return err }, iters + 1, iters + 16},
+		{"Execute of a warm one-comp plan", func() error { _, err := p.Execute(ctx); return err }, 1, 5},
+		{"Execute of a warm 64-instance LOOP", func() error { _, err := loop.Execute(ctx); return err }, 1, iters + 16},
 		{"Submit + Wait of a warm one-comp plan", func() error {
 			l, err := p.Submit(ctx)
 			if err == nil {
 				_, err = l.Wait(ctx)
 			}
 			return err
-		}, 5, 8},
+		}, 4, 8},
 	} {
 		if err := tc.launch(); err != nil {
 			t.Fatal(err)

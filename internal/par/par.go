@@ -25,33 +25,25 @@ func Workers(limit int) int { return min(limit, runtime.GOMAXPROCS(0)) }
 // once per worker and used by one goroutine at a time. A call of one chunk,
 // or one that finds the budget spent, starts no goroutine and allocates
 // nothing.
-func Do(n, width int, body func(w, c int) error) error {
-	if n <= 1 || width <= 1 {
-		return fan(n, 0, body)
-	}
-	limit := int64(runtime.GOMAXPROCS(0) - 1)
-	for {
-		live := helpers.Load()
-		h := max(0, min(int64(min(n, width)-1), limit-live))
-		if h == 0 || helpers.CompareAndSwap(live, live+h) {
-			return fan(n, int(h), body)
-		}
-	}
-}
+func Do(n, width int, body func(w, c int) error) error { return run(n, width, false, body) }
 
 // Fixed is Do on min(n, width) workers whatever the budget holds: a width
 // set explicitly gets its width. Its helpers count against the budget all
 // the same, so fan-outs nested in its chunks run inline.
-func Fixed(n, width int, body func(w, c int) error) error {
-	h := max(0, min(n, width)-1)
-	if h > 0 {
-		helpers.Add(int64(h))
-	}
-	return fan(n, h, body)
-}
+func Fixed(n, width int, body func(w, c int) error) error { return run(n, width, true, body) }
 
-// fan runs the chunks on the caller and on h helpers already counted.
-func fan(n, h int, body func(w, c int) error) error {
+// run is Fixed if fixed is set, else Do. Do and Fixed inline into their
+// callers, so a call that starts no helper reaches body through this one
+// call of par's.
+func run(n, width int, fixed bool, body func(w, c int) error) error {
+	h := 0
+	if n > 1 && width > 1 {
+		if h = min(n, width) - 1; fixed {
+			helpers.Add(int64(h))
+		} else {
+			h = take(h)
+		}
+	}
 	if h == 0 {
 		var first error
 		for c := 0; c < n; c++ {
@@ -69,6 +61,19 @@ func fan(n, h int, body func(w, c int) error) error {
 	f.work(0)
 	f.wg.Wait()
 	return f.err
+}
+
+// take claims up to want helpers from the budget and returns how many it
+// got.
+func take(want int) int {
+	limit := int64(runtime.GOMAXPROCS(0) - 1)
+	for {
+		live := helpers.Load()
+		h := max(0, min(int64(want), limit-live))
+		if h == 0 || helpers.CompareAndSwap(live, live+h) {
+			return int(h)
+		}
+	}
 }
 
 // fanOut is what the workers of one call share.
