@@ -10,8 +10,8 @@
 // Package patterns are directories relative to the working directory;
 // "dir/..." recurses (testdata, hidden and underscore directories are
 // skipped). With no patterns, ./... is analyzed. Test files are included.
-// -analyzers restricts the run to the named analyzers (-run is an alias,
-// kept for compatibility); -json emits the diagnostics as a JSON array for
+// -analyzers restricts the run to the named analyzers (rules is the table
+// of architecture rules); -json emits the diagnostics as a JSON array for
 // CI annotation tooling. Exits 1 when any diagnostic is reported, 2 on
 // usage or load errors.
 package main
@@ -39,7 +39,6 @@ type jsonDiag struct {
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	names := flag.String("analyzers", "", "comma-separated analyzer names to run (default: all)")
-	run := flag.String("run", "", "alias for -analyzers")
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 	flag.Parse()
 
@@ -50,14 +49,10 @@ func main() {
 		return
 	}
 
-	filter := *names
-	if filter == "" {
-		filter = *run
-	}
 	analyzers := analysis.Analyzers()
-	if filter != "" {
+	if *names != "" {
 		analyzers = nil
-		for _, name := range strings.Split(filter, ",") {
+		for _, name := range strings.Split(*names, ",") {
 			a := analysis.ByName(strings.TrimSpace(name))
 			if a == nil {
 				fmt.Fprintf(os.Stderr, "mealint: unknown analyzer %q (try -list)\n", name)

@@ -135,17 +135,6 @@ func (a Args) Work() Work {
 	return w
 }
 
-// WorkOf computes the workload profile of an invocation without executing
-// it. The experiment harness uses this for paper-scale problem sizes where
-// functionally transforming gigabytes per sweep point would be pointless.
-func WorkOf(op descriptor.OpCode, p descriptor.Params) (Work, error) {
-	a, err := Bind(op, p)
-	if err != nil {
-		return Work{}, err
-	}
-	return a.Work(), nil
-}
-
 // remoteBytes sums the traffic of operands living outside the home stack
 // (paper §3.3: data should reside in the accelerator's Local Memory Stack;
 // remote-stack traffic crosses the inter-stack high-speed links). An operand

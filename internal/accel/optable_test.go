@@ -232,8 +232,8 @@ func TestGemvBetaZeroWritesOnly(t *testing.T) {
 	gemv := func(beta float32) descriptor.Params {
 		return GemvArgs{M: m, N: n, Beta: beta, A: a, Lda: n, X: x, Y: y}.Params()
 	}
-	w0, _ := WorkOf(descriptor.OpGEMV, gemv(0))
-	w1, _ := WorkOf(descriptor.OpGEMV, gemv(1))
+	w0, _ := workOf(descriptor.OpGEMV, gemv(0))
+	w1, _ := workOf(descriptor.OpGEMV, gemv(1))
 	if w0 != w1 || w0.InStream != 4*(m*n+n+m) {
 		t.Errorf("work model must not depend on beta: %+v vs %+v", w0, w1)
 	}

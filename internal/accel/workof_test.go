@@ -145,17 +145,26 @@ func TestWorkModelPinned(t *testing.T) {
 			Work{InStream: 8 * 32, OutStream: 8 * 32}},
 	}
 	for _, c := range cases {
-		if got, err := WorkOf(c.op, c.p); err != nil || got != c.want {
-			t.Errorf("%s: WorkOf = %+v, %v; want %+v", c.name, got, err, c.want)
+		if got, err := workOf(c.op, c.p); err != nil || got != c.want {
+			t.Errorf("%s: workOf = %+v, %v; want %+v", c.name, got, err, c.want)
 		}
 	}
 }
 
+// workOf is the work model of one invocation, bound but not executed.
+func workOf(op descriptor.OpCode, p descriptor.Params) (Work, error) {
+	a, err := Bind(op, p)
+	if err != nil {
+		return Work{}, err
+	}
+	return a.Work(), nil
+}
+
 func TestWorkOfErrors(t *testing.T) {
-	if _, err := WorkOf(descriptor.OpInvalid, nil); err == nil {
+	if _, err := workOf(descriptor.OpInvalid, nil); err == nil {
 		t.Error("invalid opcode must fail")
 	}
-	if _, err := WorkOf(descriptor.OpAXPY, descriptor.Params{1}); err == nil {
+	if _, err := workOf(descriptor.OpAXPY, descriptor.Params{1}); err == nil {
 		t.Error("short params must fail")
 	}
 }

@@ -17,8 +17,9 @@
 //   - locksafe: mutex-guarded struct fields accessed without the lock;
 //   - wgadd: sync.WaitGroup.Add inside the goroutine it accounts for (the
 //     schedulers rely on the Add-before-go protocol);
-//   - detrand: wall-clock time and unseeded randomness inside the
-//     deterministic simulator packages;
+//   - rules: the architecture rules, one typed table: each "one X" design
+//     (one op table, one executor, one fan-out, one codec, ...) and the
+//     deterministic simulator forbid code outside their places;
 //   - addrflow: physical addresses laundered through bare integer
 //     arithmetic re-entering an address sink (the initialized-span
 //     tracker only sees values typed phys.Addr).
@@ -79,7 +80,7 @@ func Analyzers() []Analyzer {
 		unitsafe{},
 		locksafe{},
 		wgadd{},
-		detrand{},
+		rules{ruleTable},
 		addrflow{},
 	}
 }

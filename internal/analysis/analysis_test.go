@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -20,13 +21,12 @@ type expectation struct {
 	file string
 	line int
 	re   *regexp.Regexp
-	hit  bool
 }
 
 // collectWants extracts the expectations from a loaded package's comments.
-func collectWants(t *testing.T, p *Pkg) []*expectation {
+func collectWants(t *testing.T, p *Pkg) []expectation {
 	t.Helper()
-	var wants []*expectation
+	var wants []expectation
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -47,7 +47,7 @@ func collectWants(t *testing.T, p *Pkg) []*expectation {
 						t.Fatalf("bad want regexp %q: %v", pat, err)
 					}
 					pos := p.Position(c.Pos())
-					wants = append(wants, &expectation{file: pos.Filename, line: pos.Line, re: re})
+					wants = append(wants, expectation{file: pos.Filename, line: pos.Line, re: re})
 				}
 			}
 		}
@@ -55,11 +55,32 @@ func collectWants(t *testing.T, p *Pkg) []*expectation {
 	return wants
 }
 
-// TestAnalyzers runs each analyzer over its testdata package and checks
-// the reported diagnostics against the // want comments: every want must
-// be matched by a diagnostic on its line, and every diagnostic must be
-// covered by a want.
-func TestAnalyzers(t *testing.T) {
+// unmatched returns the diagnostics no want covers and the wants no
+// diagnostic on their line matches.
+func unmatched(wants []expectation, diags []Diagnostic) (extra []Diagnostic, missing []expectation) {
+	hit := make([]bool, len(wants))
+	for _, d := range diags {
+		matched := false
+		for i, w := range wants {
+			if w.file == d.Pos.Filename && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
+				hit[i], matched = true, true
+			}
+		}
+		if !matched {
+			extra = append(extra, d)
+		}
+	}
+	for i, w := range wants {
+		if !hit[i] {
+			missing = append(missing, w)
+		}
+	}
+	return extra, missing
+}
+
+// repoLoader returns a loader for the module holding this package.
+func repoLoader(t *testing.T) *Loader {
+	t.Helper()
 	root, err := FindModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
@@ -68,41 +89,73 @@ func TestAnalyzers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return loader
+}
+
+// loadFixtures loads an analyzer's test data: testdata/src/<name> as
+// itself, and each directory below it as the module package at its
+// relative path, so the rules fixtures, which mirror the module's layout,
+// fall in the places their rows name.
+func loadFixtures(t *testing.T, l *Loader, name string) []*Pkg {
+	t.Helper()
+	top := filepath.Join("testdata", "src", name)
+	var pkgs []*Pkg
+	err := filepath.WalkDir(top, func(dir string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() || !hasGoFiles(dir) {
+			return err
+		}
+		if dir == top {
+			ps, err := l.Load(dir)
+			pkgs = append(pkgs, ps...)
+			return err
+		}
+		rel, err := filepath.Rel(top, dir)
+		if err != nil {
+			return err
+		}
+		files, _, err := l.parseDir(dir, true)
+		if err != nil {
+			return err
+		}
+		path := l.mod + "/" + filepath.ToSlash(rel)
+		tpkg, info, err := l.check(path, files)
+		if err != nil {
+			return err
+		}
+		pkgs = append(pkgs, &Pkg{Path: path, Fset: l.fset, Files: files, Types: tpkg, Info: info})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) == 0 {
+		t.Fatalf("no package in %s", top)
+	}
+	return pkgs
+}
+
+// TestAnalyzers runs each analyzer over its testdata and checks the
+// reported diagnostics against the // want comments: every want must be
+// matched by a diagnostic on its line, and every diagnostic must be
+// covered by a want.
+func TestAnalyzers(t *testing.T) {
+	loader := repoLoader(t)
 	for _, a := range Analyzers() {
 		t.Run(a.Name(), func(t *testing.T) {
-			dir := filepath.Join("testdata", "src", a.Name())
-			pkgs, err := loader.Load(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(pkgs) == 0 {
-				t.Fatalf("no package in %s", dir)
-			}
-			var wants []*expectation
-			var diags []Diagnostic
+			pkgs := loadFixtures(t, loader, a.Name())
+			var wants []expectation
 			for _, p := range pkgs {
 				wants = append(wants, collectWants(t, p)...)
-				diags = append(diags, a.Run(p)...)
 			}
 			if len(wants) < 2 {
 				t.Fatalf("testdata for %s seeds %d violations; want at least 2", a.Name(), len(wants))
 			}
-			for _, d := range diags {
-				matched := false
-				for _, w := range wants {
-					if w.file == d.Pos.Filename && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
-						w.hit = true
-						matched = true
-					}
-				}
-				if !matched {
-					t.Errorf("unexpected diagnostic: %s", d)
-				}
+			extra, missing := unmatched(wants, Run(pkgs, []Analyzer{a}))
+			for _, d := range extra {
+				t.Errorf("unexpected diagnostic: %s", d)
 			}
-			for _, w := range wants {
-				if !w.hit {
-					t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.re)
-				}
+			for _, w := range missing {
+				t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.re)
 			}
 		})
 	}
@@ -123,15 +176,8 @@ func TestByName(t *testing.T) {
 // TestLoaderRepo smoke-tests the loader against the real module: the
 // analysis package itself must load and come back clean under the suite.
 func TestLoaderRepo(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load(filepath.Join(root, "internal", "units"))
+	loader := repoLoader(t)
+	pkgs, err := loader.Load(filepath.Join(loader.root, "internal", "units"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,12 +68,6 @@ func NewLoader(root string) (*Loader, error) {
 	}, nil
 }
 
-// Root returns the module root directory.
-func (l *Loader) Root() string { return l.root }
-
-// Fset returns the loader's file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Import resolves an import path: module-internal packages load from
 // source, everything else is assumed to be standard library.
 func (l *Loader) Import(path string) (*types.Package, error) {

@@ -17,7 +17,7 @@ type fuzzSeed struct {
 	trips   uint32
 }
 
-// fuzzSeeds is the fuzzer's seed corpus (the ExposedReads property test runs
+// fuzzSeeds is the fuzzer's seed corpus (the exposed-reads property test runs
 // over it too).
 var fuzzSeeds = []fuzzSeed{
 	{256, 1, 0x1000, 0x11000, 4096, 4},

@@ -19,8 +19,8 @@
 //     descriptor in one reading and returns the verdict together with the
 //     footprint — what the runtime does on the AccPlanDescriptor path.
 //     VerifyDescriptor (its verdict; with the host-initialized span set, the
-//     error of a launch about to be rejected), Writes, Reads and ExposedReads
-//     are views of it.
+//     error of a launch about to be rejected), Writes and Reads are views
+//     of it.
 //
 // Errors carry positions: the TDL source line when the program was parsed,
 // otherwise the accelerator-invocation index.
@@ -345,7 +345,7 @@ type Footprint struct {
 // and returns the verdict together with the footprint. Positions are
 // invocation indices (the TDL line information is gone after lowering). The
 // footprint covers every invocation whose operands bound, whatever the
-// verdict; VerifyDescriptor, Writes, Reads and ExposedReads are views of it.
+// verdict; VerifyDescriptor, Writes and Reads are views of it.
 func Check(d *descriptor.Descriptor, opts ...Option) (Footprint, error) {
 	var o options
 	for _, opt := range opts {
@@ -403,13 +403,6 @@ func footprintOf(d *descriptor.Descriptor) (Footprint, error) {
 		err = fmt.Errorf("tdlcheck: %w", err)
 	}
 	return fp, err
-}
-
-// ExposedReads returns the whole-loop extents of the reads no earlier write of
-// the program overlaps (Footprint.Exposed). The descriptor must be valid.
-func ExposedReads(d *descriptor.Descriptor) []Span {
-	fp, _ := footprintOf(d)
-	return fp.Exposed
 }
 
 // Writes returns the buffer spans a descriptor's task graph writes,

@@ -366,7 +366,7 @@ func randomTaskGraph(rng *rand.Rand) *descriptor.Descriptor {
 // exactly "does every exposed read overlap initialized data". Over the fuzz
 // corpus and seeded random task graphs, against random initialized sets, the
 // full verifier with the set accepts iff the verifier without it accepts and
-// every ExposedReads span overlaps the set.
+// every exposed read of Check's footprint overlaps the set.
 //
 // Gate (check.sh): the compiled plan.
 func TestExposedReadsIsTheReadBeforeWriteCheck(t *testing.T) {
@@ -383,7 +383,8 @@ func TestExposedReadsIsTheReadBeforeWriteCheck(t *testing.T) {
 	accepted, rejectedByInit := 0, 0
 	for di, d := range corpus {
 		static := VerifyDescriptor(d)
-		exposed := ExposedReads(d)
+		fp, _ := Check(d)
+		exposed := fp.Exposed
 		for trial := 0; trial < 16; trial++ {
 			var init []Span
 			var set span.Set
@@ -418,7 +419,7 @@ func TestExposedReadsIsTheReadBeforeWriteCheck(t *testing.T) {
 }
 
 // TestCheckIsTheOneWalk: Check's verdict is VerifyDescriptor's and its
-// footprint is what Writes, Reads and ExposedReads return, over the fuzz corpus
+// footprint is what Writes and Reads return, over the fuzz corpus
 // and seeded random task graphs; and on every accepted descriptor the writes
 // and reads are the whole-loop extents of the bound operands, in program order,
 // as an independent pass over the scopes derives them.
@@ -449,8 +450,8 @@ func TestCheckIsTheOneWalk(t *testing.T) {
 		}
 		writes, werr := Writes(d)
 		reads, rerr := Reads(d)
-		if werr != nil || rerr != nil || !slices.Equal(fp.Writes, writes) || !slices.Equal(fp.Reads, reads) || !slices.Equal(fp.Exposed, ExposedReads(d)) {
-			t.Fatalf("descriptor %d: Check's footprint %+v; the views return %v (%v), %v (%v), %v", di, fp, writes, werr, reads, rerr, ExposedReads(d))
+		if werr != nil || rerr != nil || !slices.Equal(fp.Writes, writes) || !slices.Equal(fp.Reads, reads) {
+			t.Fatalf("descriptor %d: Check's footprint %+v; the views return %v (%v), %v (%v)", di, fp, writes, werr, reads, rerr)
 		}
 		if err != nil {
 			continue

@@ -1,0 +1,9 @@
+// Package tdl is analyzer test data: whether passes chain is decided by the
+// plan lowering alone.
+package tdl
+
+func Fuse() {}
+
+var fused = Fuse // want `one-fusion: tdl\.Fuse`
+
+func MergePasses() {} // want `one-fusion: MergePasses`

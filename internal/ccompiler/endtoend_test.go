@@ -250,7 +250,11 @@ func TestPaperScaleModelExecution(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", plan.Name, err)
 		}
-		d, err := tdl.CompileString(tdlSrc, tdl.MapResolver(params))
+		prog, err := tdl.Parse(tdlSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := tdl.Compile(prog, tdl.MapResolver(params))
 		if err != nil {
 			t.Fatal(err)
 		}

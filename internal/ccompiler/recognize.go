@@ -29,10 +29,9 @@ type FieldKind int
 
 // Field kinds.
 const (
-	FieldInt  FieldKind = iota // integer expression
-	FieldF32                   // float expression
-	FieldBuf                   // buffer address
-	FieldZero                  // reserved / stride placeholder
+	FieldInt FieldKind = iota // integer expression
+	FieldF32                  // float expression
+	FieldBuf                  // buffer address
 )
 
 // SymField is one accelerator parameter before binding.
@@ -251,15 +250,6 @@ func newRecognizer(syms map[string]int64) *recognizer {
 		syms:  syms,
 		dims:  make(map[string][][3]string),
 		plans: make(map[string]*fftwPlan),
-	}
-}
-
-// AcceleratedAPIs lists the library entry points the compiler recognises
-// (paper Table 1 plus the STAP complex calls).
-func AcceleratedAPIs() []string {
-	return []string{
-		"cblas_saxpy", "cblas_sdot", "cblas_sgemv", "mkl_scsrgemv", "mkl_cspblas_scsrgemv",
-		"dfsInterpolate1D", "fftwf_execute", "mkl_simatcopy", "cblas_cdotc_sub",
 	}
 }
 

@@ -25,10 +25,10 @@ type AddressMode int
 
 // Address mapping modes.
 const (
-	// ModeChannelInterleave distributes each physical page across all
+	// modeChannelInterleave distributes each physical page across all
 	// channels in block granularity — the default of modern memory
-	// controllers.
-	ModeChannelInterleave AddressMode = iota
+	// controllers, and the zero Mode.
+	modeChannelInterleave AddressMode = iota
 	// ModeAsymmetric reproduces the paper's measurement trick: with one
 	// DIMM removed, the high-address zone falls into single-channel mode.
 	// Addresses below AsymmetricBoundary interleave across the first
@@ -138,17 +138,6 @@ func DDR3() *Config {
 		EBitIO:          4.5e-12, // off-chip DDR I/O
 		BackgroundW:     3.0,
 	}
-}
-
-// MSAS2D returns the 2D memory-side accelerated system's memory (NDA-style
-// accelerators atop commodity DRAM, Table 3: 102.4 GB/s): wider access to
-// conventional dies, still paying 2D page and I/O costs.
-func MSAS2D() *Config {
-	c := DDR3()
-	c.Name = "MSAS-2D"
-	c.Channels = 8
-	c.EBitIO = 2.5e-12 // through-silicon interposer, cheaper than DDR pins
-	return c
 }
 
 // Request is one memory access in a trace.

@@ -29,7 +29,7 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("config %q should fail validation", c.Name)
 		}
 	}
-	for _, c := range []*Config{HMC3D(), DDR3(), MSAS2D()} {
+	for _, c := range []*Config{HMC3D(), DDR3()} {
 		if err := c.Validate(); err != nil {
 			t.Errorf("stock config %q invalid: %v", c.Name, err)
 		}
@@ -43,9 +43,6 @@ func TestPeakBandwidths(t *testing.T) {
 	}
 	if got := DDR3().PeakBandwidth().GBs(); got < 25.5 || got > 25.7 {
 		t.Errorf("DDR3 peak = %.1f GB/s, want 25.6", got)
-	}
-	if got := MSAS2D().PeakBandwidth().GBs(); got < 102 || got > 103 {
-		t.Errorf("MSAS peak = %.1f GB/s, want 102.4", got)
 	}
 }
 
@@ -158,7 +155,7 @@ func TestResetClearsState(t *testing.T) {
 func TestStreamEstimateMatchesTrace(t *testing.T) {
 	// The analytic fast path must track the trace-driven result for
 	// streaming loads within a few percent.
-	for _, cfg := range []*Config{HMC3D(), DDR3(), MSAS2D()} {
+	for _, cfg := range []*Config{HMC3D(), DDR3()} {
 		n := 8 * units.MiB
 		sim := mustSim(t, cfg)
 		traced := sim.Run(sequentialTrace(n, cfg.BlockBytes, false))

@@ -110,36 +110,6 @@ func (b sdotBody) part(lo, hi int) float64 {
 	return s0 + s1 + s2 + s3
 }
 
-// Sscal scales x by alpha in place.
-func Sscal(n int, alpha float32, x []float32, incX int) error {
-	if err := checkVec("sscal", n, x, incX); err != nil {
-		return err
-	}
-	if incX == 1 {
-		parallelRanges(n, sscalBody{alpha, x[:n]})
-		return nil
-	}
-	ix := startIndex(n, incX)
-	for i := 0; i < n; i++ {
-		x[ix] *= alpha
-		ix += incX
-	}
-	return nil
-}
-
-// sscalBody is Sscal's range body.
-type sscalBody struct {
-	alpha float32
-	xs    []float32
-}
-
-func (b sscalBody) span(lo, hi int) int {
-	for i := lo; i < hi; i++ {
-		b.xs[i] *= b.alpha
-	}
-	return hi
-}
-
 // checkVec validates a strided BLAS vector argument.
 func checkVec(op string, n int, v []float32, inc int) error {
 	if n < 0 {

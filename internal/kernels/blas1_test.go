@@ -110,27 +110,6 @@ func TestSdotKnown(t *testing.T) {
 	}
 }
 
-func TestSscal(t *testing.T) {
-	x := []float32{1, 2, 3, 4}
-	if err := Sscal(4, 0.5, x, 1); err != nil {
-		t.Fatal(err)
-	}
-	want := []float32{0.5, 1, 1.5, 2}
-	for i := range want {
-		if x[i] != want[i] {
-			t.Errorf("x[%d] = %v, want %v", i, x[i], want[i])
-		}
-	}
-	// Strided path.
-	s := []float32{1, 9, 2, 9}
-	if err := Sscal(2, 10, s, 2); err != nil {
-		t.Fatal(err)
-	}
-	if s[0] != 10 || s[1] != 9 || s[2] != 20 || s[3] != 9 {
-		t.Errorf("strided scal: %v", s)
-	}
-}
-
 func TestPropertySaxpyLinearity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	f := func(seed int64, raw uint8) bool {

@@ -2,38 +2,6 @@ package kernels
 
 import "fmt"
 
-// Layout selects the storage order of dense matrices (CBLAS convention).
-type Layout int
-
-// Storage orders.
-const (
-	RowMajor Layout = iota
-	ColMajor
-)
-
-// SgemvNaive computes y = alpha*A*x + beta*y for an m x n row-major matrix A
-// stored with leading dimension lda.
-func SgemvNaive(m, n int, alpha float32, a []float32, lda int, x []float32, beta float32, y []float32) error {
-	if err := checkMat("sgemv", m, n, a, lda); err != nil {
-		return err
-	}
-	if len(x) < n {
-		return fmt.Errorf("kernels: sgemv: x length %d < n=%d", len(x), n)
-	}
-	if len(y) < m {
-		return fmt.Errorf("kernels: sgemv: y length %d < m=%d", len(y), m)
-	}
-	for i := 0; i < m; i++ {
-		var sum float32
-		row := a[i*lda:]
-		for j := 0; j < n; j++ {
-			sum += row[j] * x[j]
-		}
-		y[i] = alpha*sum + beta*y[i]
-	}
-	return nil
-}
-
 // Sgemv is the optimized row-major GEMV: float64 accumulation, 4-way
 // unrolling and row-parallel execution.
 func Sgemv(m, n int, alpha float32, a []float32, lda int, x []float32, beta float32, y []float32) error {

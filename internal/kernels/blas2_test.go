@@ -1,9 +1,33 @@
 package kernels
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
+
+// sgemvNaive is the reference Sgemv is held to: it computes y = alpha*A*x + beta*y for an m x n row-major matrix A
+// stored with leading dimension lda.
+func sgemvNaive(m, n int, alpha float32, a []float32, lda int, x []float32, beta float32, y []float32) error {
+	if err := checkMat("sgemv", m, n, a, lda); err != nil {
+		return err
+	}
+	if len(x) < n {
+		return fmt.Errorf("kernels: sgemv: x length %d < n=%d", len(x), n)
+	}
+	if len(y) < m {
+		return fmt.Errorf("kernels: sgemv: y length %d < m=%d", len(y), m)
+	}
+	for i := 0; i < m; i++ {
+		var sum float32
+		row := a[i*lda:]
+		for j := 0; j < n; j++ {
+			sum += row[j] * x[j]
+		}
+		y[i] = alpha*sum + beta*y[i]
+	}
+	return nil
+}
 
 func TestSgemvMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
@@ -13,7 +37,7 @@ func TestSgemvMatchesNaive(t *testing.T) {
 		x := randVec(rng, n)
 		y1 := randVec(rng, m)
 		y2 := append([]float32(nil), y1...)
-		if err := SgemvNaive(m, n, 1.5, a, n, x, 0.5, y1); err != nil {
+		if err := sgemvNaive(m, n, 1.5, a, n, x, 0.5, y1); err != nil {
 			t.Fatal(err)
 		}
 		if err := Sgemv(m, n, 1.5, a, n, x, 0.5, y2); err != nil {

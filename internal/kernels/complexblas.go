@@ -52,40 +52,6 @@ func (b cdotcBody) part(lo, hi int) complex128 {
 	return s
 }
 
-// Caxpy computes y[i] += alpha*x[i] for complex vectors.
-func Caxpy(n int, alpha complex64, x []complex64, incX int, y []complex64, incY int) error {
-	if err := checkCVec("caxpy", n, x, incX); err != nil {
-		return err
-	}
-	if err := checkCVec("caxpy", n, y, incY); err != nil {
-		return err
-	}
-	if incX == 1 && incY == 1 {
-		parallelRanges(n, caxpyBody{alpha, x[:n], y[:n]})
-		return nil
-	}
-	ix, iy := startIndex(n, incX), startIndex(n, incY)
-	for i := 0; i < n; i++ {
-		y[iy] += alpha * x[ix]
-		ix += incX
-		iy += incY
-	}
-	return nil
-}
-
-// caxpyBody is Caxpy's range body.
-type caxpyBody struct {
-	alpha  complex64
-	xs, ys []complex64
-}
-
-func (b caxpyBody) span(lo, hi int) int {
-	for i := lo; i < hi; i++ {
-		b.ys[i] += b.alpha * b.xs[i]
-	}
-	return hi
-}
-
 // Cherk performs the Hermitian rank-k update C = alpha*A*A^H + beta*C for an
 // n x n row-major C and n x k row-major A, updating the upper triangle
 // (cblas_cherk with CblasUpper, CblasNoTrans; alpha and beta are real per

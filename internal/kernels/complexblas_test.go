@@ -49,17 +49,6 @@ func TestCdotcStrided(t *testing.T) {
 	}
 }
 
-func TestCaxpy(t *testing.T) {
-	x := []complex64{1 + 1i, 2}
-	y := []complex64{0, 1i}
-	if err := Caxpy(2, 2i, x, 1, y, 1); err != nil {
-		t.Fatal(err)
-	}
-	if y[0] != complex64(-2+2i) || y[1] != complex64(5i) {
-		t.Errorf("caxpy y = %v", y)
-	}
-}
-
 func TestCherkProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	n, k := 12, 20

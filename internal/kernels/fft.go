@@ -136,9 +136,6 @@ func NewFFTPlan(n int, dir Direction) (*FFTPlan, error) {
 // Len returns the transform length.
 func (p *FFTPlan) Len() int { return p.n }
 
-// Direction returns the transform direction.
-func (p *FFTPlan) Direction() Direction { return p.dir }
-
 // Execute transforms data in place. len(data) must equal the plan length.
 // Inverse transforms are unscaled (FFTW convention): IFFT(FFT(x)) == n*x.
 func (p *FFTPlan) Execute(data []complex64) error {
@@ -311,28 +308,32 @@ func FFTBatch(p *FFTPlan, data []complex64, howMany int) error {
 		return fmt.Errorf("kernels: fft batch: data length %d < %d transforms of %d", len(data), howMany, n)
 	}
 	if howMany < minParallel {
-		return fftRange(p, new(*FFTPlan), data, 0, howMany)
+		return fftRange(p, make([]*FFTPlan, 1), 0, data, 0, howMany)
 	}
 	chunks := (howMany + grain - 1) / grain
-	locals := make([]*FFTPlan, chunks)
+	var locals []*FFTPlan
+	if !p.pow2 {
+		locals = make([]*FFTPlan, chunks)
+	}
 	return par.Do(chunks, chunks, func(w, c int) error {
-		return fftRange(p, &locals[w], data, c*grain, min((c+1)*grain, howMany))
+		return fftRange(p, locals, w, data, c*grain, min((c+1)*grain, howMany))
 	})
 }
 
 // fftRange executes transforms [lo, hi) of data, every one of them, and
 // returns the first error. A length that is not a power of two runs on
-// *local, the worker's own plan (scratch aliasing), made on first use.
-func fftRange(p *FFTPlan, local **FFTPlan, data []complex64, lo, hi int) error {
+// locals[w], worker w's own plan (scratch aliasing), made on first use; a
+// power of two never reads locals.
+func fftRange(p *FFTPlan, locals []*FFTPlan, w int, data []complex64, lo, hi int) error {
 	n := p.Len()
 	if !p.pow2 {
-		if *local == nil {
+		if locals[w] == nil {
 			var err error
-			if *local, err = NewFFTPlan(n, p.dir); err != nil {
+			if locals[w], err = NewFFTPlan(n, p.dir); err != nil {
 				return err
 			}
 		}
-		p = *local
+		p = locals[w]
 	}
 	var first error
 	for b := lo; b < hi; b++ {

@@ -73,9 +73,6 @@ func TransposeBytes(m, n int) units.Bytes { return units.Bytes(2 * 4 * m * n) }
 // (8 real flops per element).
 func CdotcFlops(n int) units.Flops { return units.Flops(8 * n) }
 
-// CdotcBytes returns DRAM traffic: read both complex vectors.
-func CdotcBytes(n int) units.Bytes { return units.Bytes(2 * 8 * n) }
-
 // CherkFlops returns flops for an n x n rank-k Hermitian update
 // (~4*n^2*k complex MACs over the triangle = 4 n^2 k real flops).
 func CherkFlops(n, k int) units.Flops { return units.Flops(4 * float64(n) * float64(n) * float64(k)) }

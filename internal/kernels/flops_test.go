@@ -61,7 +61,4 @@ func TestByteCounts(t *testing.T) {
 	if SgemvBytes(4, 8) != 4*(32+8+8) {
 		t.Error("sgemv bytes")
 	}
-	if CdotcBytes(10) != 160 {
-		t.Error("cdotc bytes")
-	}
 }

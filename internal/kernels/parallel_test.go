@@ -39,10 +39,6 @@ func TestParallelPathsMatchSerial(t *testing.T) {
 			}
 		}
 
-		if err := Sscal(n, 1.25, append([]float32(nil), x...), 1); err != nil {
-			t.Fatal(err)
-		}
-
 		// Row-parallel GEMV, SPMV and transpose on matrices big enough to
 		// fan out.
 		m := minParallel + 3
@@ -51,7 +47,7 @@ func TestParallelPathsMatchSerial(t *testing.T) {
 		xs := randVec(rng, k)
 		y1 := make([]float32, m)
 		y2 := make([]float32, m)
-		if err := SgemvNaive(m, k, 1, a, k, xs, 0, y1); err != nil {
+		if err := sgemvNaive(m, k, 1, a, k, xs, 0, y1); err != nil {
 			t.Fatal(err)
 		}
 		if err := Sgemv(m, k, 1, a, k, xs, 0, y2); err != nil {
@@ -105,7 +101,7 @@ func TestParallelPathsMatchSerial(t *testing.T) {
 
 		rs := make([]float32, 2*n)
 		rsN := make([]float32, 2*n)
-		if err := ResampleNaive(x, rsN, InterpCubic); err != nil {
+		if err := resampleNaive(x, rsN, InterpCubic); err != nil {
 			t.Fatal(err)
 		}
 		if err := Resample(x, rs, InterpCubic); err != nil {
@@ -254,18 +250,9 @@ func TestDotBitsAnyProcs(t *testing.T) {
 			out := append([]float32(nil), y...)
 			return out, Saxpy(n, 1.5, x, 1, out, 1)
 		}},
-		{"sscal", func() ([]float32, error) {
-			out := append([]float32(nil), x...)
-			return out, Sscal(n, 1.25, out, 1)
-		}},
 		{"sgemv", func() ([]float32, error) {
 			out := append([]float32(nil), y[:m]...)
 			return out, Sgemv(m, k, 1.5, a, k, xk, 0.5, out)
-		}},
-		{"caxpy", func() ([]float32, error) {
-			out := append([]complex64(nil), cy...)
-			err := Caxpy(n, complex(1.5, -0.5), cx, 1, out, 1)
-			return complexBits(out), err
 		}},
 		{"spmv/plus-times", spmv(SemiringPlusTimes)},
 		{"spmv/min-plus", spmv(SemiringMinPlus)},
@@ -418,9 +405,7 @@ func TestKernelsInlineAllocateNothing(t *testing.T) {
 	}{
 		{"saxpy", func() error { return Saxpy(n, 0.5, x, 1, y, 1) }},
 		{"sdot", func() error { _, err := Sdot(n, x, 1, y, 1); return err }},
-		{"sscal", func() error { return Sscal(n, 1, x, 1) }},
 		{"sgemv", func() error { return Sgemv(m, k, 1, a, k, x, 0, y) }},
-		{"caxpy", func() error { return Caxpy(n, 0.5, cx, 1, cy, 1) }},
 		{"cdotc", func() error { _, err := Cdotc(n, cx, 1, cy, 1); return err }},
 		{"cherk", func() error { return Cherk(m, k, 1, ca, k, 0, cc, m) }},
 		{"spmv/plus-times", func() error {
@@ -445,5 +430,23 @@ func TestKernelsInlineAllocateNothing(t *testing.T) {
 		}); avg != 0 {
 			t.Errorf("%s below minParallel allocates %v times a call, want 0", kn.name, avg)
 		}
+	}
+}
+
+// TestFFTBatchFanOutAllocatesOnce: from minParallel transforms on, a batch
+// on a power-of-two plan allocates its chunk closure and nothing else; only
+// a length that is not a power of two makes its per-worker plan slots.
+func TestFFTBatchFanOutAllocatesOnce(t *testing.T) {
+	plan, err := SharedFFTPlan(8, Forward)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := randCVec(rand.New(rand.NewSource(24)), 8*minParallel)
+	if avg := testing.AllocsPerRun(20, func() {
+		if err := FFTBatch(plan, batch, minParallel); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 1 {
+		t.Errorf("FFTBatch of %d power-of-two transforms allocates %v times a call, want at most 1", minParallel, avg)
 	}
 }

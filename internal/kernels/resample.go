@@ -15,14 +15,10 @@ const (
 	InterpCubic             // Catmull-Rom
 )
 
-// ResampleNaive resamples the uniformly sampled signal src (over [0,1]) onto
-// m uniformly spaced output points, the memory-bounded core of MKL's
-// dfsInterpolate1D as used by the RESMP accelerator.
-func ResampleNaive(src []float32, dst []float32, kind InterpKind) error {
-	return resample(src, dst, kind, false)
-}
-
-// Resample is the optimized parallel variant.
+// Resample resamples the uniformly sampled signal src (over [0,1]) onto
+// len(dst) uniformly spaced output points, the memory-bounded core of MKL's
+// dfsInterpolate1D as used by the RESMP accelerator, fanned out over ranges
+// of dst.
 func Resample(src []float32, dst []float32, kind InterpKind) error {
 	return resample(src, dst, kind, true)
 }

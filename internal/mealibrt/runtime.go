@@ -500,8 +500,8 @@ type Plan struct {
 	// reads are the spans the task graph consumes; together with writes
 	// they drive Submit's conflict admission against in-flight descriptors.
 	// exposed are those of them no earlier write of the plan covers
-	// (tdlcheck.ExposedReads): all the launch-time verifier still has to ask
-	// the initialized set about.
+	// (tdlcheck.Footprint.Exposed): all the launch-time verifier still has
+	// to ask the initialized set about.
 	reads   []span.Span
 	exposed []span.Span
 	// admWrites is what admission sees as the plan's write set: writes, plus

@@ -130,9 +130,6 @@ func (r *Runtime) NewSession(cfg SessionConfig) (*Session, error) {
 // Name returns the session's tenant name.
 func (s *Session) Name() string { return s.cfg.Name }
 
-// Config returns the session's configuration.
-func (s *Session) Config() SessionConfig { return s.cfg }
-
 // Stats snapshots the tenant's accounting.
 func (s *Session) Stats() SessionStats {
 	r := s.rt

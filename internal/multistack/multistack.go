@@ -105,14 +105,8 @@ func New(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// Runtime exposes the underlying runtime.
-func (s *System) Runtime() *mealibrt.Runtime { return s.rt }
-
 // Net exposes the interconnect timeline (counters and conservation checks).
 func (s *System) Net() *noc.InterStack { return s.net }
-
-// Stacks returns the stack count.
-func (s *System) Stacks() int { return s.cfg.Stacks }
 
 // ModelTime returns the engine's model-time frontier: alternating compute
 // phases (max over the concurrent per-shard launches) and exchange phases

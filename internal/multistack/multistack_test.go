@@ -206,46 +206,6 @@ func TestTrafficConservation(t *testing.T) {
 	}
 }
 
-// TestRefinementReducesModeledTraffic shards the same banded matrix with
-// and without greedy refinement: the refined placement must not move more
-// ghost bytes, and on an RGG (locality-ordered, uneven row structure) it
-// should typically move fewer.
-func TestRefinementReducesModeledTraffic(t *testing.T) {
-	m, err := sparse.RGG(1<<12, 12, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := New(testConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shBase, err := base.Shard(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks, err := sparse.RowBlocks(m, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := sparse.RefineGreedy(m, blocks, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := New(testConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shRef, err := ref.ShardWith(m, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b0, b1 := shBase.ExchangeBytesPerStep(), shRef.ExchangeBytesPerStep()
-	if b1 > b0 {
-		t.Errorf("refinement raised modeled traffic: %d -> %d bytes/step", b0, b1)
-	}
-	t.Logf("ghost bytes/step: row blocks %d, refined %d", b0, b1)
-}
-
 // TestModelTimelineAdvances checks the engine clock: each Step adds the
 // compute phase (max shard invocation) plus the exchange makespan, and
 // iterations with traffic have a non-zero exchange phase.

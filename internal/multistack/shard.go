@@ -36,7 +36,6 @@ func (sh *shard) rows() int { return sh.hi - sh.lo }
 type Sharded struct {
 	sys    *System
 	n      int
-	nnz    int
 	part   sparse.Partition
 	shards []*shard
 	// ghost[d][s] is the modeled exchange volume from stack s to stack d:
@@ -70,8 +69,7 @@ type RunStats struct {
 }
 
 // Shard distributes the matrix: nnz-balanced row blocks, one block per
-// stack, CSR arrays rebased per shard and uploaded to the owning stack. A
-// placement refined for edge cut goes through ShardWith (sparse.RefineGreedy).
+// stack, CSR arrays rebased per shard and uploaded to the owning stack.
 func (s *System) Shard(m *sparse.CSR) (*Sharded, error) {
 	if m.Rows != m.Cols {
 		return nil, fmt.Errorf("multistack: iterated SpMV needs a square matrix, got %dx%d", m.Rows, m.Cols)
@@ -95,7 +93,7 @@ func (s *System) ShardWith(m *sparse.CSR, part sparse.Partition) (*Sharded, erro
 	if part.Parts() != s.cfg.Stacks {
 		return nil, fmt.Errorf("multistack: partition has %d parts for %d stacks", part.Parts(), s.cfg.Stacks)
 	}
-	sh := &Sharded{sys: s, n: m.Rows, nnz: m.NNZ(), part: part}
+	sh := &Sharded{sys: s, n: m.Rows, part: part}
 	// seen marks columns counted into the current shard's ghost volume;
 	// stamped with the shard index+1 so it resets without clearing.
 	seen := make([]int32, m.Cols)
@@ -156,12 +154,6 @@ func (s *System) ShardWith(m *sparse.CSR, part sparse.Partition) (*Sharded, erro
 	}
 	return sh, nil
 }
-
-// N returns the vector length.
-func (sh *Sharded) N() int { return sh.n }
-
-// NNZ returns the matrix non-zero count.
-func (sh *Sharded) NNZ() int { return sh.nnz }
 
 // Partition returns the row partition in effect.
 func (sh *Sharded) Partition() sparse.Partition { return sh.part }

@@ -90,9 +90,6 @@ func NewInterStack(cfg InterStackConfig) (*InterStack, error) {
 	return n, nil
 }
 
-// Config returns the network parameters.
-func (n *InterStack) Config() InterStackConfig { return n.cfg }
-
 // Send schedules a transfer of b bytes from stack src to stack dst, ready
 // at model time at. It starts when the source egress port, the destination
 // ingress port, and the data are all available, occupies both ports for the

@@ -100,25 +100,3 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	}
 	return FromCOO(rows, cols, entries)
 }
-
-// WriteMatrixMarket emits the matrix in general real coordinate format.
-func WriteMatrixMarket(w io.Writer, m *CSR) error {
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%%%%MatrixMarket matrix coordinate real general\n"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(bw, "%d %d %d\n", m.Rows, m.Cols, m.NNZ()); err != nil {
-		return err
-	}
-	for i := 0; i < m.Rows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			if _, err := fmt.Fprintf(bw, "%d %d %g\n", i+1, m.ColIdx[k]+1, m.Values[k]); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}

@@ -103,87 +103,3 @@ func EdgeCut(m *CSR, p Partition) int64 {
 	}
 	return cut
 }
-
-// refineTolerance bounds how far greedy refinement may unbalance a part:
-// each block must keep at least (1-refineTolerance) and at most
-// (1+refineTolerance) of the equal nnz share.
-const refineTolerance = 0.25
-
-// RefineGreedy slides each block boundary within ±window rows to the
-// position crossed by the fewest entries, keeping every block's nnz within
-// refineTolerance of the equal share. Boundaries are refined left to right
-// in one sweep; ties resolve to the smallest row, so the result is
-// deterministic. Blocks stay contiguous — the refinement reduces the edge
-// cut (never the row order), so sharded results remain bit-identical to the
-// unrefined partition.
-func RefineGreedy(m *CSR, p Partition, window int) (Partition, error) {
-	if err := p.Validate(m.Rows); err != nil {
-		return Partition{}, err
-	}
-	if window <= 0 {
-		window = 1024
-	}
-	parts := p.Parts()
-	out := Partition{Bounds: append([]int(nil), p.Bounds...)}
-	if parts < 2 || m.NNZ() == 0 {
-		return out, nil
-	}
-	share := float64(m.NNZ()) / float64(parts)
-	minShare := int64((1 - refineTolerance) * share)
-	maxShare := int64((1 + refineTolerance) * share)
-	nnzBetween := func(lo, hi int) int64 { return int64(m.RowPtr[hi]) - int64(m.RowPtr[lo]) }
-	for k := 1; k < parts; k++ {
-		lo := out.Bounds[k-1] + 1
-		if b := out.Bounds[k] - window; b > lo {
-			lo = b
-		}
-		hi := out.Bounds[k+1] - 1
-		if b := out.Bounds[k] + window; b < hi {
-			hi = b
-		}
-		if lo > hi {
-			continue
-		}
-		// crossings[pos-lo] counts entries (i,j) with min(i,j) < pos <=
-		// max(i,j): the traffic attributable to a boundary placed at pos.
-		// Built as a difference array over the candidate range.
-		diff := make([]int64, hi-lo+2)
-		for i := 0; i < m.Rows; i++ {
-			for e := m.RowPtr[i]; e < m.RowPtr[i+1]; e++ {
-				j := int(m.ColIdx[e])
-				a, b := i, j
-				if a > b {
-					a, b = b, a
-				}
-				from, to := a+1, b
-				if from < lo {
-					from = lo
-				}
-				if to > hi {
-					to = hi
-				}
-				if from <= to {
-					diff[from-lo]++
-					diff[to-lo+1]--
-				}
-			}
-		}
-		best, bestCost := out.Bounds[k], int64(-1)
-		var running int64
-		for pos := lo; pos <= hi; pos++ {
-			running += diff[pos-lo]
-			left := nnzBetween(out.Bounds[k-1], pos)
-			right := nnzBetween(pos, out.Bounds[k+1])
-			if left < minShare || left > maxShare || right < minShare || right > maxShare {
-				continue
-			}
-			if bestCost < 0 || running < bestCost {
-				best, bestCost = pos, running
-			}
-		}
-		if bestCost >= 0 {
-			out.Bounds[k] = best
-		}
-	}
-	return out, nil
-}

@@ -93,99 +93,6 @@ func TestEdgeCutTridiagonal(t *testing.T) {
 	}
 }
 
-func TestRefineGreedyFindsCliqueGap(t *testing.T) {
-	// Two 8-node cliques joined by one edge. The nnz-balanced boundary
-	// falls at row 8 already, so shift it first and check refinement moves
-	// it back to the gap, where the cut is the minimum possible (2 stored
-	// entries for the single undirected bridge).
-	var entries []COO
-	clique := func(base int32) {
-		for i := base; i < base+8; i++ {
-			for j := base; j < base+8; j++ {
-				if i != j {
-					entries = append(entries, COO{i, j, 1})
-				}
-			}
-		}
-	}
-	clique(0)
-	clique(8)
-	entries = append(entries, COO{7, 8, 1}, COO{8, 7, 1})
-	m, err := FromCOO(16, 16, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	skewed := Partition{Bounds: []int{0, 6, 16}}
-	refined, err := RefineGreedy(m, skewed, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refined.Bounds[1] != 8 {
-		t.Fatalf("refined boundary = %d, want 8 (clique gap); bounds %v", refined.Bounds[1], refined.Bounds)
-	}
-	if before, after := EdgeCut(m, skewed), EdgeCut(m, refined); after >= before {
-		t.Errorf("refinement did not reduce cut: %d -> %d", before, after)
-	}
-	if cut := EdgeCut(m, refined); cut != 2 {
-		t.Errorf("refined cut = %d, want 2", cut)
-	}
-}
-
-func TestRefineGreedyNeverWorsensCut(t *testing.T) {
-	m, err := RGG(1<<10, 10, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := RowBlocks(m, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refined, err := RefineGreedy(m, base, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := refined.Validate(m.Rows); err != nil {
-		t.Fatal(err)
-	}
-	if before, after := EdgeCut(m, base), EdgeCut(m, refined); after > before {
-		t.Errorf("refinement worsened cut: %d -> %d", before, after)
-	}
-	// Refinement must preserve the nnz-balance tolerance.
-	share := float64(m.NNZ()) / 4
-	for k := 0; k < 4; k++ {
-		lo, hi := refined.Range(k)
-		nnz := float64(m.RowPtr[hi] - m.RowPtr[lo])
-		if nnz < (1-refineTolerance)*share-float64(m.AvgDegree()) ||
-			nnz > (1+refineTolerance)*share+float64(m.AvgDegree()) {
-			t.Errorf("block %d holds %g nnz, outside tolerance of share %g", k, nnz, share)
-		}
-	}
-}
-
-func TestRefineGreedyDeterministic(t *testing.T) {
-	m, err := RGG(1<<9, 6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := RowBlocks(m, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := RefineGreedy(m, base, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RefineGreedy(m, base, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Bounds {
-		if a.Bounds[i] != b.Bounds[i] {
-			t.Fatalf("refinement not deterministic: %v vs %v", a.Bounds, b.Bounds)
-		}
-	}
-}
-
 func TestPartitionQuickOwnership(t *testing.T) {
 	// Every row belongs to exactly the block whose range contains it.
 	p := Partition{Bounds: []int{0, 5, 9, 9, 20}}

@@ -75,12 +75,3 @@ func Compile(prog *Program, resolve ParamResolver) (*descriptor.Descriptor, erro
 	}
 	return d, nil
 }
-
-// CompileString parses and compiles in one step.
-func CompileString(src string, resolve ParamResolver) (*descriptor.Descriptor, error) {
-	prog, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return Compile(prog, resolve)
-}

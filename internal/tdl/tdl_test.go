@@ -154,7 +154,11 @@ func testResolver() ParamResolver {
 }
 
 func TestCompile(t *testing.T) {
-	d, err := CompileString(stapTDL, testResolver())
+	prog, err := Parse(stapTDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Compile(prog, testResolver())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +182,11 @@ func TestCompile(t *testing.T) {
 }
 
 func TestCompileUnresolvedRef(t *testing.T) {
-	if _, err := CompileString(stapTDL, MapResolver(nil)); err == nil {
+	prog, err := Parse(stapTDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Compile(prog, MapResolver(nil)); err == nil {
 		t.Error("unresolved reference must fail")
 	}
 }

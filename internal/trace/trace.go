@@ -78,12 +78,3 @@ func Interleave(traces ...[]dram.Request) []dram.Request {
 	}
 	return out
 }
-
-// Bytes sums the sizes of all requests in the trace.
-func Bytes(tr []dram.Request) units.Bytes {
-	var n units.Bytes
-	for _, r := range tr {
-		n += r.Size
-	}
-	return n
-}

@@ -10,7 +10,7 @@ import (
 
 func TestStreamCoversExactly(t *testing.T) {
 	tr := Stream(0x1000, 1000, 256, false)
-	if got := Bytes(tr); got != 1000 {
+	if got := bytesOf(tr); got != 1000 {
 		t.Errorf("stream bytes = %v, want 1000", got)
 	}
 	if len(tr) != 4 {
@@ -35,6 +35,15 @@ func TestStreamDefaultsChunk(t *testing.T) {
 			t.Error("write flag must propagate")
 		}
 	}
+}
+
+// bytesOf sums the sizes of all requests in the trace.
+func bytesOf(tr []dram.Request) units.Bytes {
+	var n units.Bytes
+	for _, r := range tr {
+		n += r.Size
+	}
+	return n
 }
 
 func TestStrided(t *testing.T) {
@@ -74,7 +83,7 @@ func TestInterleave(t *testing.T) {
 			t.Errorf("merged[%d].Addr = %v, want %v", i, r.Addr, wantAddr[i])
 		}
 	}
-	if Bytes(m) != Bytes(a)+Bytes(b)+Bytes(c) {
+	if bytesOf(m) != bytesOf(a)+bytesOf(b)+bytesOf(c) {
 		t.Error("interleave must preserve total bytes")
 	}
 }

@@ -204,10 +204,6 @@ func (d *Driver) StackOf(a phys.Addr) int {
 // Space returns the underlying physical space.
 func (d *Driver) Space() *phys.Space { return d.space }
 
-// PageTable exposes the translation table (the runtime uses it to translate
-// buffer addresses when building descriptors).
-func (d *Driver) PageTable() *PageTable { return &d.pt }
-
 // DataUsed reports bytes allocated across all data spaces.
 func (d *Driver) DataUsed() units.Bytes {
 	d.mu.Lock()
