@@ -9,10 +9,10 @@ package mealib
 // loop.*_us and the launch_small workload.
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
+	"mealib/internal/accel"
 	"mealib/internal/apps/stap"
 	"mealib/internal/dram"
 	"mealib/internal/exp"
@@ -161,7 +161,7 @@ func BenchmarkTable2Workloads(b *testing.B) {
 	h := platform.Haswell()
 	loads := platform.StandardWorkloads()
 	for i := 0; i < b.N; i++ {
-		for _, op := range platform.Ops() {
+		for _, op := range accel.Ops() {
 			if _, err := h.Run(op, loads[op]); err != nil {
 				b.Fatal(err)
 			}
@@ -204,51 +204,6 @@ func BenchmarkAblations(b *testing.B) {
 	}
 }
 
-// benchVec returns two seeded random vectors of n elements.
-func benchVec(n int) ([]float32, []float32) {
-	rng := rand.New(rand.NewSource(1))
-	x := make([]float32, n)
-	y := make([]float32, n)
-	for i := range x {
-		x[i] = float32(rng.NormFloat64())
-		y[i] = float32(rng.NormFloat64())
-	}
-	return x, y
-}
-
-// BenchmarkAblationCoherenceFlush quantifies the wbinvd invocation cost
-// (design choice 5) by comparing dirty- and clean-cache launches.
-func BenchmarkAblationCoherenceFlush(b *testing.B) {
-	sys, err := New()
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := 1 << 18
-	x, _ := Alloc[float32](sys, n)
-	y, _ := Alloc[float32](sys, n)
-	xs, ys := benchVec(n)
-	_ = x.Set(xs)
-	_ = y.Set(ys)
-	var dirtyOverhead, cleanOverhead float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		_ = x.Set(xs) // dirty the cache model
-		b.StartTimer()
-		r1, err := sys.Saxpy(1, x, y)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r2, err := sys.Saxpy(1, x, y) // clean launch
-		if err != nil {
-			b.Fatal(err)
-		}
-		dirtyOverhead = float64(r1.Time - r1.AccelTime)
-		cleanOverhead = float64(r2.Time - r2.AccelTime)
-	}
-	b.ReportMetric(dirtyOverhead/cleanOverhead, "dirty-vs-clean-overhead")
-}
-
 // BenchmarkSTAPModel evaluates the full application model.
 func BenchmarkSTAPModel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -256,44 +211,4 @@ func BenchmarkSTAPModel(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkAblationRemoteStack quantifies LMS vs RMS buffer placement
-// (paper §3.3: accelerator data should reside in its local stack).
-func BenchmarkAblationRemoteStack(b *testing.B) {
-	sys, err := New(WithStacks(2))
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := 1 << 18
-	xs, ys := benchVec(n)
-	mk := func(stack int) (*Float32Buffer, *Float32Buffer) {
-		x, err := AllocOn[float32](sys, stack, n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		y, err := AllocOn[float32](sys, stack, n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = x.Set(xs)
-		_ = y.Set(ys)
-		return x, y
-	}
-	lx, ly := mk(0)
-	rx, ry := mk(1)
-	var ratio float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		local, err := sys.Saxpy(1, lx, ly)
-		if err != nil {
-			b.Fatal(err)
-		}
-		remote, err := sys.Saxpy(1, rx, ry)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = float64(remote.AccelTime) / float64(local.AccelTime)
-	}
-	b.ReportMetric(ratio, "remote-vs-local-slowdown")
 }

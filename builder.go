@@ -3,8 +3,6 @@ package mealib
 import (
 	"context"
 
-	"fmt"
-
 	"mealib/internal/accel"
 	"mealib/internal/descriptor"
 	"mealib/internal/kernels"
@@ -156,17 +154,10 @@ func (b *PlanBuilder) ChainLoop(counts []int, comps ...Comp) *PlanBuilder {
 	if b.err != nil {
 		return b
 	}
-	var lc descriptor.LoopCounts
-	for i := range lc {
-		lc[i] = 1
-	}
-	if len(counts) == 0 || len(counts) > len(lc) {
-		b.err = fmt.Errorf("mealib: chain loop needs 1..%d levels, got %d", len(lc), len(counts))
+	lc, err := descriptor.CountsOf(counts)
+	if err != nil {
+		b.err = err
 		return b
-	}
-	off := len(lc) - len(counts)
-	for i, c := range counts {
-		lc[off+i] = uint32(c)
 	}
 	if err := b.verifyChain(lc, comps); err != nil {
 		b.err = err
@@ -194,11 +185,12 @@ func (b *PlanBuilder) Loop(counts []int, comps ...Comp) *PlanBuilder {
 	if b.err != nil {
 		return b
 	}
-	u := make([]uint32, len(counts))
-	for i, c := range counts {
-		u[i] = uint32(c)
+	lc, err := descriptor.CountsOf(counts)
+	if err != nil {
+		b.err = err
+		return b
 	}
-	if err := b.desc.AddLoop(u...); err != nil {
+	if err := b.desc.AddLoop(lc[:]...); err != nil {
 		b.err = err
 		return b
 	}

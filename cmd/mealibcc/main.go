@@ -5,11 +5,11 @@
 //
 // Usage:
 //
-//	mealibcc [-D NAME=VALUE ...] [-o out.c] [-summary] [-nocheck] input.c
+//	mealibcc [-D NAME=VALUE ...] [-o out.c] [-summary] input.c
 //
-// Every generated TDL program is run back through the parser and the static
-// verifier (internal/analysis/tdlcheck) before the transformed source is
-// emitted; -nocheck skips that pass.
+// Every generated TDL program is run back through the parser, which rejects
+// a malformed one, before the transformed source is emitted; its parameters
+// are verified where they bind, at install.
 package main
 
 import (
@@ -19,7 +19,6 @@ import (
 	"strconv"
 	"strings"
 
-	"mealib/internal/analysis/tdlcheck"
 	"mealib/internal/ccompiler"
 	"mealib/internal/tdl"
 )
@@ -46,12 +45,11 @@ func main() {
 	defines := defineFlags{"NULL": 0, "FFTW_FORWARD": 0, "FFTW_WISDOM_ONLY": 0}
 	out := flag.String("o", "", "write transformed source here (default stdout)")
 	summary := flag.Bool("summary", false, "print the compilation summary instead of the source")
-	nocheck := flag.Bool("nocheck", false, "skip the static verifier on generated TDL programs")
 	flag.Var(defines, "D", "define an integer constant (repeatable): -D N_DOP=256")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: mealibcc [-D NAME=VALUE ...] [-o out.c] [-summary] [-nocheck] input.c")
+		fmt.Fprintln(os.Stderr, "usage: mealibcc [-D NAME=VALUE ...] [-o out.c] [-summary] input.c")
 		os.Exit(2)
 	}
 	src, err := os.ReadFile(flag.Arg(0))
@@ -64,17 +62,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mealibcc:", err)
 		os.Exit(1)
 	}
-	if !*nocheck {
-		for _, plan := range res.Plans {
-			prog, err := tdl.Parse(plan.TDL)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mealibcc: generated TDL for %s does not parse: %v\n", plan.Name, err)
-				os.Exit(1)
-			}
-			if err := tdlcheck.VerifyProgram(prog); err != nil {
-				fmt.Fprintf(os.Stderr, "mealibcc: generated TDL for %s rejected: %v\n", plan.Name, err)
-				os.Exit(1)
-			}
+	for _, plan := range res.Plans {
+		if _, err := tdl.Parse(plan.TDL); err != nil {
+			fmt.Fprintf(os.Stderr, "mealibcc: generated TDL for %s does not parse: %v\n", plan.Name, err)
+			os.Exit(1)
 		}
 	}
 	if *summary {

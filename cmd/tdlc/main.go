@@ -5,11 +5,12 @@
 //
 // Usage:
 //
-//	tdlc [-dump] [-nocheck] [-params table.json] program.tdl
+//	tdlc [-dump] [-params table.json] program.tdl
 //	echo 'LOOP 128 { PASS { COMP FFT PARAMS "fft.para" } }' | tdlc -dump -
 //
-// Programs are run through the static verifier (internal/analysis/tdlcheck)
-// by default; -nocheck skips it. Parameters bind at run time, so -dump
+// The parser rejects a malformed program (trip counts, nesting, opcodes,
+// parameter references); what the parameters decide is verified where they
+// bind, at install. Parameters bind at run time, so -dump
 // lists placeholders, and no encoded size, unless -params supplies a table
 // (a JSON object mapping each PARAMS reference to its 64-bit words). With a
 // table, -dump prints the descriptor's encoded size and the producer→consumer
@@ -27,7 +28,6 @@ import (
 	"strings"
 
 	"mealib/internal/accel"
-	"mealib/internal/analysis/tdlcheck"
 	"mealib/internal/descriptor"
 	"mealib/internal/tdl"
 )
@@ -40,7 +40,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("tdlc", flag.ContinueOnError)
 	flags.SetOutput(stderr)
 	dump := flags.Bool("dump", false, "print the compiled descriptor instruction listing")
-	nocheck := flags.Bool("nocheck", false, "skip the static verifier")
 	paramsFile := flags.String("params", "", `JSON parameter table: {"fft.para": [w0, w1, ...], ...}; with -dump, also print the encoded size and list the passes the plan lowering fuses`)
 	if err := flags.Parse(args); err == flag.ErrHelp {
 		return 0
@@ -48,7 +47,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if flags.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: tdlc [-dump] [-nocheck] [-params table.json] program.tdl (use - for stdin)")
+		fmt.Fprintln(stderr, "usage: tdlc [-dump] [-params table.json] program.tdl (use - for stdin)")
 		return 2
 	}
 	fail := func(what string, err error) int {
@@ -68,11 +67,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	prog, err := tdl.Parse(string(src))
 	if err != nil {
 		return fail("tdlc:", err)
-	}
-	if !*nocheck {
-		if err := tdlcheck.VerifyProgram(prog); err != nil {
-			return fail("tdlc:", err)
-		}
 	}
 	// Parameters bind at run time; -dump inspects structure with
 	// placeholders unless a table is supplied.

@@ -81,3 +81,13 @@ func TestDumpSizeIsTheProgramsOrNone(t *testing.T) {
 		t.Errorf("-dump -params fused passes over disjoint buffers:\n%s", withParams)
 	}
 }
+
+// TestDumpRefusesWrappingCount: a trip count the descriptor's 32-bit count
+// field cannot hold is a parse error, not a LOOP of its low 32 bits.
+func TestDumpRefusesWrappingCount(t *testing.T) {
+	var stdout, stderr strings.Builder
+	src := `LOOP 4294967297 { PASS { COMP FFT PARAMS "f" } }`
+	if code := run([]string{"-dump", "-"}, strings.NewReader(src), &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), "32-bit count field") {
+		t.Errorf("exit %d, stdout %q, stderr %q; want exit 1 naming the count field", code, stdout.String(), stderr.String())
+	}
+}

@@ -11,10 +11,11 @@ import (
 )
 
 // This file holds the typed argument structs of the accelerators — the
-// constructors producers build parameter blocks with — and Args, the bound
-// view of a block the rest of the layer reads through. A block is the head
-// fields of the op table's schema (optable.go) followed by one Strides block
-// per strided address field: the per-iteration address strides the compiler
+// layout of each one's parameter block, which its op-table entry derives
+// from their slots, and the constructors producers build blocks with — and
+// Args, the bound view of a block the rest of the layer reads through. A
+// block is the struct's head fields followed by one Strides block per
+// strided address field: the per-iteration address strides the compiler
 // derives from OpenMP loops so a single LOOP-block descriptor can cover
 // millions of library calls (paper §2.2-2.3, §3.4).
 
@@ -70,8 +71,8 @@ func Assemble(op descriptor.OpCode, head []uint64, strides func(field int) Strid
 	if err != nil {
 		return nil, err
 	}
-	if len(head) > len(s.fields) {
-		return nil, fmt.Errorf("accel: %v takes %d head fields, got %d", op, len(s.fields), len(head))
+	if len(head) > len(s.head) {
+		return nil, fmt.Errorf("accel: %v takes %d head fields, got %d", op, len(s.head), len(head))
 	}
 	p := make(descriptor.Params, s.nparams)
 	copy(p, head)
@@ -111,7 +112,7 @@ func (a Args) at(f int, it IterVec) phys.Addr {
 // stride blocks, in parameter order) from the block, with every address
 // advanced to iteration it.
 func (a Args) decode(slots []any, it IterVec) {
-	next := len(a.spec.fields) // next stride block
+	next := len(a.spec.head) // next stride block
 	for f, slot := range slots {
 		switch v := slot.(type) {
 		case *int64:
@@ -194,10 +195,14 @@ type iters struct {
 
 // entry is how the layer runs an accelerator's core (ranged). decode turns a
 // bound block into what run takes, once per template: the core's typed struct
-// at iteration zero. run executes a block of iterations of the comp.
+// at iteration zero. run executes a block of iterations of the comp. kinds
+// are the struct's head fields and strided its Strides blocks, which newSpec
+// lays the parameter block out from.
 type entry struct {
-	decode func(a Args) any
-	run    func(s *phys.Space, c *boundComp, b iters) iters
+	decode  func(a Args) any
+	run     func(s *phys.Space, c *boundComp, b iters) iters
+	kinds   []FieldKind
+	strided int
 }
 
 // ranged is the entry of an accelerator whose core executes a *T: the block is
@@ -210,10 +215,24 @@ type entry struct {
 // every call.
 func ranged[T any, P typed[T]](core func(*phys.Space, *T) error) entry {
 	var fields []int // the address slots
+	var kinds []FieldKind
+	strided := 0
 	for f, slot := range P(new(T)).slots() {
-		if _, ok := slot.(*phys.Addr); ok {
+		k := FieldInt
+		switch slot.(type) {
+		case *Strides:
+			strided++
+			continue
+		case *float32:
+			k = FieldF32
+		case *phys.Addr:
+			k = FieldAddr
 			fields = append(fields, f)
 		}
+		if strided > 0 {
+			panic("accel: a typed struct lays a head field out after a Strides block")
+		}
+		kinds = append(kinds, k)
 	}
 	// moved is a T whose addresses a block advances, its address fields, and
 	// each one's base and strides.
@@ -238,6 +257,8 @@ func ranged[T any, P typed[T]](core func(*phys.Space, *T) error) entry {
 	var scratch T
 	slots := P(&scratch).slots()
 	return entry{
+		kinds:   kinds,
+		strided: strided,
 		decode: func(a Args) any {
 			mu.Lock()
 			defer mu.Unlock()
@@ -288,15 +309,6 @@ func ranged[T any, P typed[T]](core func(*phys.Space, *T) error) entry {
 type typed[T any] interface {
 	*T
 	slots() []any
-}
-
-// decodeTyped binds p to op and decodes it into a T at iteration zero.
-func decodeTyped[T any, P typed[T]](op descriptor.OpCode, p descriptor.Params) (t T, err error) {
-	a, err := Bind(op, p)
-	if err == nil {
-		a.decode(P(&t).slots(), IterVec{})
-	}
-	return t, err
 }
 
 // AxpyArgs configures the AXPY accelerator (cblas_saxpy).

@@ -6,6 +6,15 @@ import (
 	"mealib/internal/descriptor"
 )
 
+// decodeTyped binds p to op and decodes it into a T at iteration zero.
+func decodeTyped[T any, P typed[T]](op descriptor.OpCode, p descriptor.Params) (t T, err error) {
+	a, err := Bind(op, p)
+	if err == nil {
+		a.decode(P(&t).slots(), IterVec{})
+	}
+	return t, err
+}
+
 func TestArgsRoundTrips(t *testing.T) {
 	axpy := AxpyArgs{N: 100, Alpha: 2.5, X: 0x1000, Y: 0x2000, IncX: 1, IncY: -2, LoopStrideX: Lin(400)}
 	got, err := decodeTyped[AxpyArgs](descriptor.OpAXPY, axpy.Params())

@@ -261,11 +261,11 @@ func drawArgs(b *bits, op descriptor.OpCode) (_ Args, ok bool) {
 	for try := 0; try < 256; try++ {
 		p := make(descriptor.Params, spec.nparams)
 		var addrs []int
-		for f, k := range spec.fields {
-			switch k {
-			case fInt:
+		for f, h := range spec.head {
+			switch h.Kind {
+			case FieldInt:
 				p[f] = uint64(int64((b.intn(14)+3)%14 - 2))
-			case fF32:
+			case FieldF32:
 				p[f] = descriptor.F32Field(float32(b.intn(5)) / 2)
 			default:
 				p[f] = uint64(1+len(addrs)) << 20

@@ -7,18 +7,17 @@ import (
 	"mealib/internal/dram"
 	"mealib/internal/noc"
 	"mealib/internal/phys"
-	"mealib/internal/power"
 	"mealib/internal/telemetry"
 	"mealib/internal/units"
 )
 
 // Config parameterises the accelerator layer: the 3D-stacked DRAM it sits
-// under, the tile mesh, the synthesis power/area table, and the datapath
-// parameters the design-space exploration of Figure 11 sweeps.
+// under, the tile mesh, and the datapath parameters the design-space
+// exploration of Figure 11 sweeps. Each accelerator's power and rate are its
+// op-table entry's.
 type Config struct {
-	DRAM  *dram.Config
-	Mesh  *noc.Config
-	Table *power.Table5
+	DRAM *dram.Config
+	Mesh *noc.Config
 
 	// Datapath.
 	Freq              units.Hertz
@@ -31,12 +30,6 @@ type Config struct {
 	// engines achieve (accelerators are co-designed with the vault
 	// controllers, so this is high).
 	StreamEfficiency float64
-
-	// OpRates optionally overrides the datapath rate per accelerator:
-	// hardwired cores (the Spiral-generated FFT engines of [24]) sustain
-	// far more than the generic PE estimate. Ops without an entry use
-	// PeakFlops().
-	OpRates map[descriptor.OpCode]units.FlopsPerSec
 
 	// CU is the configuration unit (fetch unit, instruction memory,
 	// decode unit) that loads and parses descriptors.
@@ -95,28 +88,17 @@ type Config struct {
 func MEALibConfig() *Config {
 	link := noc.MEALibInterStack(1) // the remote links are the inter-stack network's
 	return &Config{
-		DRAM:              dram.HMC3D(),
-		Mesh:              noc.MEALibMesh(),
-		Table:             power.MEALib(),
-		Freq:              1 * units.GHz,
-		Tiles:             16,
-		CoresPerTile:      4,
-		FlopsPerCoreCycle: 4, // 2-wide FMA pipes
-		LMBytes:           256 * units.KiB,
-		StreamEfficiency:  0.95,
-		CU:                DefaultConfigUnit(),
-		RemoteLinkBW:      link.LinkBW,
-		ELinkBit:          link.EBit,
-		OpRates: map[descriptor.OpCode]units.FlopsPerSec{
-			descriptor.OpFFT:  units.GFlops(2000),
-			descriptor.OpDOT:  units.GFlops(512),
-			descriptor.OpGEMV: units.GFlops(512),
-			// Streaming engines process at line rate: one MAC-class
-			// operation per delivered element, never the bottleneck.
-			descriptor.OpAXPY:  units.GFlops(1024),
-			descriptor.OpRESMP: units.GFlops(1024),
-			descriptor.OpSPMV:  units.GFlops(512),
-		},
+		DRAM:                dram.HMC3D(),
+		Mesh:                noc.MEALibMesh(),
+		Freq:                1 * units.GHz,
+		Tiles:               16,
+		CoresPerTile:        4,
+		FlopsPerCoreCycle:   4, // 2-wide FMA pipes
+		LMBytes:             256 * units.KiB,
+		StreamEfficiency:    0.95,
+		CU:                  DefaultConfigUnit(),
+		RemoteLinkBW:        link.LinkBW,
+		ELinkBit:            link.EBit,
 		PassConfigLatency:   2 * units.Microsecond,
 		IterDispatchLatency: 40 * units.Nanosecond,
 	}
@@ -125,8 +107,8 @@ func MEALibConfig() *Config {
 // Validate reports configuration errors.
 func (c *Config) Validate() error {
 	switch {
-	case c.DRAM == nil || c.Mesh == nil || c.Table == nil:
-		return fmt.Errorf("accel: config missing DRAM, mesh or power table")
+	case c.DRAM == nil || c.Mesh == nil:
+		return fmt.Errorf("accel: config missing DRAM or mesh")
 	case c.Freq <= 0 || c.Tiles <= 0 || c.CoresPerTile <= 0 || c.FlopsPerCoreCycle <= 0:
 		return fmt.Errorf("accel: non-positive datapath parameters")
 	case c.StreamEfficiency <= 0 || c.StreamEfficiency > 1:
@@ -178,19 +160,20 @@ type Cost struct {
 	CompTime units.Seconds
 }
 
-// OpCost converts a workload profile to time and energy for accelerator op.
-// Chained traffic must already be removed from the Work by the caller.
+// OpCost converts a workload profile to time and energy for accelerator op,
+// at its op-table entry's datapath rate and Table 5 power. Chained traffic
+// must already be removed from the Work by the caller.
 func (c *Config) OpCost(op descriptor.OpCode, w Work) (Cost, error) {
-	p, err := c.Table.AccelPower(op)
+	s, err := specOf(op)
 	if err != nil {
 		return Cost{}, err
 	}
 	memT := c.StreamBandwidth().Time(w.InStream+w.OutStream) + c.RandomBandwidth().Time(w.Random)
 	compT := units.Seconds(0)
 	if w.Flops > 0 {
-		rate := c.PeakFlops()
-		if r, ok := c.OpRates[op]; ok {
-			rate = r
+		rate := s.rate
+		if rate == 0 {
+			rate = c.PeakFlops()
 		}
 		compT = units.Seconds(float64(w.Flops) / float64(rate))
 	}
@@ -198,6 +181,6 @@ func (c *Config) OpCost(op descriptor.OpCode, w Work) (Cost, error) {
 	if compT > t {
 		t = compT
 	}
-	e := p.Energy(t) + c.Mesh.StaticPower().Energy(t)
+	e := s.power.Energy(t) + c.Mesh.StaticPower().Energy(t)
 	return Cost{Time: t, Energy: e, MemTime: memT, CompTime: compT}, nil
 }

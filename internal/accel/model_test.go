@@ -62,7 +62,10 @@ func TestRunModelValidates(t *testing.T) {
 	}
 }
 
-func TestOpRatesOverride(t *testing.T) {
+// TestDatapathRateOverride prices compute at the entry's datapath rate, the
+// generic PE rate when the entry gives none, and fails an opcode the table
+// does not declare with Bind's error.
+func TestDatapathRateOverride(t *testing.T) {
 	cfg := MEALibConfig()
 	w := Work{Flops: 1e9} // pure compute
 	fft, err := cfg.OpCost(descriptor.OpFFT, w)
@@ -74,14 +77,24 @@ func TestOpRatesOverride(t *testing.T) {
 	if math.Abs(float64(fft.Time-want))/float64(want) > 1e-9 {
 		t.Errorf("FFT compute time %v, want %v", fft.Time, want)
 	}
-	// RESHP has no override: the generic PE rate applies, but RESHP has no
-	// flops in practice; use GEMV's override instead.
 	gemv, err := cfg.OpCost(descriptor.OpGEMV, w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gemv.Time <= fft.Time {
 		t.Error("GEMV's 512 GFLOPS datapath must be slower than FFT's 2 TFLOPS")
+	}
+	// RESHP has no rate of its own: the generic PE rate applies.
+	reshp, err := cfg.OpCost(descriptor.OpRESHP, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := units.Seconds(1e9 / float64(cfg.PeakFlops())); !units.CloseTo(float64(reshp.Time), float64(want)) {
+		t.Errorf("RESHP compute time %v, want %v at the generic PE rate", reshp.Time, want)
+	}
+	_, bindErr := Bind(descriptor.OpInvalid, nil)
+	if _, err := cfg.OpCost(descriptor.OpInvalid, w); err == nil || bindErr == nil || err.Error() != bindErr.Error() {
+		t.Errorf("unknown opcode priced with error %v, want Bind's %v", err, bindErr)
 	}
 }
 

@@ -2,6 +2,7 @@ package accel
 
 import (
 	"fmt"
+	"slices"
 
 	"mealib/internal/descriptor"
 	"mealib/internal/kernels"
@@ -10,23 +11,41 @@ import (
 
 // The op table: every accelerator of the layer (paper §2.2: seven
 // fixed-function cores behind one descriptor format) declared once. An entry
-// states the parameter-block schema, the memory operands with their affine
-// extents and directions, the input checks, the flop count, the core, and
-// how an oversized invocation may be split. Everything else that needs to
-// know what an opcode is — plan lowering, dependence edges, fusion legality,
-// out-of-core shift/rebase/split, the work and locality models (operand.go),
-// the static verifier (tdlcheck) and the C compiler's argument binder
-// (ccompiler) — derives it from here. Adding an accelerator is one entry
-// plus its kernel; see DESIGN.md "Adding an accelerator".
+// names the core that executes an invocation, whose typed argument struct
+// (args.go) lays out the parameter block; it states the memory operands with
+// their affine extents and directions, the input checks, the flop count, how
+// an oversized invocation may be split, the accelerator's Table 5 power and
+// area (paper §5.2) and its datapath rate. Everything else that needs to know
+// what an opcode is — plan lowering, dependence edges, fusion legality,
+// out-of-core shift/rebase/split, the work, locality and cost models
+// (operand.go, model.go), the static verifier (tdlcheck), the Table 5 census
+// (internal/power), the platform model and the C compiler (ccompiler, through
+// Schema) — reads it from here. The descriptor package keeps only the
+// opcode's value and mnemonic. Adding an accelerator is its opcode, one entry
+// with its typed struct and core, and its kernel; see DESIGN.md "Adding an
+// accelerator".
 
-// fieldKind classifies one head field of a parameter block.
-type fieldKind uint8
+// Field is one head field of a parameter block, as Schema reports it. Its
+// kind comes from the typed argument struct's slot; its directions from the
+// entry's operands.
+type Field struct {
+	Kind FieldKind
+	// Strided marks an address field that owns a Strides block in the tail.
+	Strided bool
+	// In marks an operand the accelerator always reads; one whose read
+	// depends on the arguments (GEMV y, read only when beta != 0) is not an
+	// input. Out marks an operand it writes.
+	In, Out bool
+}
 
+// FieldKind is what a head field holds.
+type FieldKind uint8
+
+// Field kinds.
 const (
-	fInt     fieldKind = iota // signed integer: sizes, increments, selectors, flags
-	fF32                      // float32 scalar
-	fAddr                     // physical address, fixed across LOOP iterations
-	fStrided                  // physical address with a Strides block in the tail
+	FieldInt  FieldKind = iota // signed integer: sizes, increments, selectors, flags
+	FieldF32                   // float32 scalar
+	FieldAddr                  // physical address
 )
 
 // access is the direction an operand is streamed in.
@@ -96,9 +115,6 @@ type chunkAxis struct {
 
 // opSpec is one accelerator.
 type opSpec struct {
-	// fields is the head of the parameter block; every fStrided field owns one
-	// Strides block in the tail, in field order.
-	fields []fieldKind
 	// elem is the element size in bytes: the unit of every extent and the
 	// alignment every operand address must have.
 	elem     func(a Args) int64
@@ -108,35 +124,101 @@ type opSpec struct {
 	validate func(a Args) error
 	// flops is nil for pure data movement.
 	flops func(a Args) units.Flops
-	// core executes the invocation over a block of iterations (ranged).
+	// core executes the invocation over a block of iterations (ranged); its
+	// typed struct lays out the parameter block.
 	core entry
 	// chunk is nil when the op has no exact split (reductions, global-access
 	// ops, boundary-coupled interpolation).
 	chunk *chunkAxis
+	// power is the Table 5 operating power: the accelerator and its share of
+	// the 3D DRAM power, TSVs included, as the paper accounts it. area is the
+	// 32 nm layout area in mm^2; RESHP lives on the DRAM logic layer, so it
+	// occupies none of the accelerator layer.
+	power units.Watts
+	area  float64
+	// rate is the datapath rate: hardwired cores (the Spiral-generated FFT
+	// engines of [24]) sustain far more than the generic PE estimate, and
+	// streaming engines process at line rate. Zero means the generic PE rate
+	// (Config.PeakFlops).
+	rate units.FlopsPerSec
 
-	// Derived by newSpec: the parameter count, each field's Strides offset
-	// (0: none) and the most directional spans one invocation emits.
+	// Derived by newSpec: the head fields, the parameter count, each field's
+	// Strides offset (0: none) and the most directional spans one invocation
+	// emits.
+	head      []Field
 	nparams   int
 	strideOff []int
 	maxSpans  int
 }
 
+// newSpec derives an entry's layout from its core's typed struct: the struct's
+// k Strides slots belong, in order, to its first k address fields, and sit
+// in the tail of the block in that order.
 func newSpec(s opSpec) *opSpec {
-	s.nparams = len(s.fields)
-	s.strideOff = make([]int, len(s.fields))
+	s.head = make([]Field, len(s.core.kinds))
+	s.strideOff = make([]int, len(s.core.kinds))
+	s.nparams = len(s.core.kinds)
+	strided := s.core.strided
+	for f, k := range s.core.kinds {
+		s.head[f].Kind = k
+		if k == FieldAddr && strided > 0 {
+			s.head[f].Strided = true
+			s.strideOff[f] = s.nparams
+			s.nparams += descriptor.MaxLoopLevels
+			strided--
+		}
+	}
+	if strided > 0 {
+		panic("accel: a typed struct has more Strides blocks than address fields")
+	}
 	s.maxSpans = len(s.operands)
-	for i := range s.operands {
-		if s.operands[i].acc == accRead|accWrite {
+	for _, o := range s.operands {
+		s.head[o.addr].In = o.acc&accRead != 0 && o.readIf == nil
+		s.head[o.addr].Out = o.acc&accWrite != 0
+		if o.acc == accRead|accWrite {
 			s.maxSpans++
 		}
 	}
-	for f, k := range s.fields {
-		if k == fStrided {
-			s.strideOff[f] = s.nparams
-			s.nparams += descriptor.MaxLoopLevels
+	return &s
+}
+
+// Schema returns the head fields of op's parameter block, in order: what each
+// holds, which addresses are strided, and which operands op reads and writes.
+func Schema(op descriptor.OpCode) ([]Field, error) {
+	s, err := specOf(op)
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(s.head), nil
+}
+
+// Synthesis is an accelerator's row of Table 5 (paper §5.2, 32 nm).
+type Synthesis struct {
+	// Power includes the accelerator's share of the 3D DRAM power.
+	Power units.Watts
+	// Area is in mm^2; zero for an engine on the DRAM logic layer.
+	Area float64
+}
+
+// SynthesisOf returns op's Table 5 row.
+func SynthesisOf(op descriptor.OpCode) (Synthesis, error) {
+	s, err := specOf(op)
+	if err != nil {
+		return Synthesis{}, err
+	}
+	return Synthesis{Power: s.power, Area: s.area}, nil
+}
+
+// Ops returns every opcode the table declares, in opcode order (the order of
+// the paper's Table 1).
+func Ops() []descriptor.OpCode {
+	var ops []descriptor.OpCode
+	for op, s := range specs {
+		if s != nil {
+			ops = append(ops, descriptor.OpCode(op))
 		}
 	}
-	return &s
+	return ops
 }
 
 func f32Elems(Args) int64 { return 4 }
@@ -155,8 +237,8 @@ func wideIf(sel func(a Args) bool) func(Args) int64 {
 func fieldOf(f int) func(Args) int64 { return func(a Args) int64 { return a.i(f) } }
 func unitStep(Args) int64            { return 1 }
 
-// Head-field positions, in the order the typed constructors in args.go emit
-// them.
+// Head-field positions, in the order the typed structs in args.go lay them
+// out.
 const (
 	axN, axAlpha, axX, axY, axIncX, axIncY                     = 0, 1, 2, 3, 4, 5
 	dtN, dtComplex, dtX, dtY, dtOut, dtIncX, dtIncY            = 0, 1, 2, 3, 4, 5, 6
@@ -171,8 +253,8 @@ const (
 // specs is the table, indexed by opcode. Only tests ever replace an entry.
 var specs = [...]*opSpec{
 	descriptor.OpAXPY: newSpec(opSpec{
-		fields: []fieldKind{fInt, fF32, fStrided, fStrided, fInt, fInt},
-		elem:   f32Elems,
+		power: 23.56, area: 1.38, rate: units.GFlops(1024),
+		elem: f32Elems,
 		operands: []operandSpec{
 			{name: "x", addr: axX, footprint: vec(axN, axIncX), acc: accRead, step: fieldOf(axIncX)},
 			{name: "y", addr: axY, footprint: vec(axN, axIncY), acc: accRead | accWrite, step: fieldOf(axIncY)},
@@ -199,8 +281,8 @@ var specs = [...]*opSpec{
 	}),
 
 	descriptor.OpDOT: newSpec(opSpec{
-		fields: []fieldKind{fInt, fInt, fStrided, fStrided, fStrided, fInt, fInt},
-		elem:   wideIf(func(a Args) bool { return a.i(dtComplex) != 0 }),
+		power: 23.49, area: 1.81, rate: units.GFlops(512),
+		elem: wideIf(func(a Args) bool { return a.i(dtComplex) != 0 }),
 		operands: []operandSpec{
 			{name: "x", addr: dtX, footprint: vec(dtN, dtIncX), acc: accRead},
 			{name: "y", addr: dtY, footprint: vec(dtN, dtIncY), acc: accRead},
@@ -225,8 +307,8 @@ var specs = [...]*opSpec{
 	}),
 
 	descriptor.OpGEMV: newSpec(opSpec{
-		fields: []fieldKind{fInt, fInt, fF32, fF32, fStrided, fInt, fStrided, fStrided},
-		elem:   f32Elems,
+		power: 23.75, area: 2.45, rate: units.GFlops(512),
+		elem: f32Elems,
 		operands: []operandSpec{
 			{name: "A", addr: gvA, footprint: mat(gvM, gvLda, gvN), acc: accRead, step: fieldOf(gvLda)},
 			{name: "x", addr: gvX, footprint: lin(gvN), acc: accRead},
@@ -260,8 +342,8 @@ var specs = [...]*opSpec{
 	}),
 
 	descriptor.OpSPMV: newSpec(opSpec{
-		fields: []fieldKind{fInt, fInt, fInt, fAddr, fAddr, fAddr, fAddr, fAddr, fInt, fF32},
-		elem:   f32Elems,
+		power: 15.44, area: 14.17, rate: units.GFlops(512),
+		elem: f32Elems,
 		operands: []operandSpec{
 			{name: "rowPtr", addr: spRowPtr, acc: accRead,
 				footprint: func(a Args) (int64, int64, int64) { return 2, a.i(spM), 1 }}, // M+1
@@ -286,8 +368,8 @@ var specs = [...]*opSpec{
 	}),
 
 	descriptor.OpRESMP: newSpec(opSpec{
-		fields: []fieldKind{fInt, fInt, fInt, fStrided, fStrided},
-		elem:   wideIf(func(a Args) bool { return a.i(rsKind) >= ResmpComplex }),
+		power: 8.19, area: 2.64, rate: units.GFlops(1024),
+		elem: wideIf(func(a Args) bool { return a.i(rsKind) >= ResmpComplex }),
 		operands: []operandSpec{
 			{name: "src", addr: rsSrc, footprint: lin(rsNIn), acc: accRead},
 			{name: "dst", addr: rsDst, footprint: lin(rsNOut), acc: accWrite},
@@ -314,8 +396,8 @@ var specs = [...]*opSpec{
 	}),
 
 	descriptor.OpFFT: newSpec(opSpec{
-		fields: []fieldKind{fInt, fInt, fInt, fStrided, fStrided},
-		elem:   c64Elems,
+		power: 18.89, area: 16.13, rate: units.GFlops(2000),
+		elem: c64Elems,
 		operands: []operandSpec{
 			{name: "src", addr: ffSrc, footprint: mat(ffHowMany, ffN, ffN), acc: accRead, step: fieldOf(ffN)},
 			{name: "dst", addr: ffDst, footprint: mat(ffHowMany, ffN, ffN), acc: accWrite, step: fieldOf(ffN)},
@@ -351,8 +433,8 @@ var specs = [...]*opSpec{
 	}),
 
 	descriptor.OpRESHP: newSpec(opSpec{
-		fields: []fieldKind{fInt, fInt, fInt, fAddr, fAddr},
-		elem:   wideIf(func(a Args) bool { return ElemKind(a.i(rhElem)) == ElemC64 }),
+		power: 22.70, area: 0,
+		elem: wideIf(func(a Args) bool { return ElemKind(a.i(rhElem)) == ElemC64 }),
 		operands: []operandSpec{
 			{name: "src", addr: rhSrc, footprint: mat(rhRows, rhCols, rhCols), acc: accRead},
 			{name: "dst", addr: rhDst, footprint: mat(rhRows, rhCols, rhCols), acc: accWrite},

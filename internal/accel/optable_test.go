@@ -3,6 +3,7 @@ package accel
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"mealib/internal/descriptor"
@@ -13,16 +14,16 @@ import (
 
 // The toy accelerator: dst[i] = alpha*src[i] + bias[0]. Nothing about it —
 // a float field in second place, two strided vectors and one fixed scalar
-// operand, a split by vector range — matches the accelerator whose opcode it
-// borrows.
+// operand, a split by vector range, its power and area — matches the
+// accelerator whose opcode it borrows.
 const (
 	toyN, toyAlpha, toySrc, toyDst, toyBias = 0, 1, 2, 3, 4
 )
 
 func toySpec() *opSpec {
 	return newSpec(opSpec{
-		fields: []fieldKind{fInt, fF32, fStrided, fStrided, fAddr},
-		elem:   f32Elems,
+		power: 3.5, area: 0.75,
+		elem: f32Elems,
 		operands: []operandSpec{
 			{name: "src", addr: toySrc, footprint: lin(toyN), acc: accRead, step: unitStep},
 			{name: "dst", addr: toyDst, footprint: lin(toyN), acc: accWrite, step: unitStep},
@@ -160,6 +161,19 @@ func TestToyAcceleratorIsOneTableEntry(t *testing.T) {
 		}
 	}
 
+	// Pricing: the toy's own Table 5 power and, with no datapath rate of its
+	// own, the generic PE rate.
+	cfg := r.layer.Config()
+	cost, err := cfg.OpCost(op, Work{Flops: 1e9})
+	wantT := units.Seconds(1e9 / float64(cfg.PeakFlops()))
+	if wantE := units.Watts(3.5).Energy(wantT) + cfg.Mesh.StaticPower().Energy(wantT); err != nil ||
+		!units.CloseTo(float64(cost.Time), float64(wantT)) || !units.CloseTo(float64(cost.Energy), float64(wantE)) {
+		t.Errorf("toy priced at %v, %v (%v); want %v, %v", cost.Time, cost.Energy, err, wantT, wantE)
+	}
+	if row, err := SynthesisOf(op); err != nil || row != (Synthesis{Power: 3.5, Area: 0.75}) {
+		t.Errorf("toy's Table 5 row %+v (%v)", row, err)
+	}
+
 	// Out-of-core: a toy over a host window twice the staging half splits
 	// along its declared axis; without one it is unchunkable.
 	const big = 4096
@@ -249,4 +263,39 @@ func maxOpSpans() int {
 		}
 	}
 	return most
+}
+
+// TestOpTableLayout pins what the op table derives from each entry's typed
+// struct: the head field kinds (i an integer, f a float32, a a fixed address,
+// S an address with a Strides block), each field's Strides offset and the
+// parameter count.
+func TestOpTableLayout(t *testing.T) {
+	for _, tc := range []struct {
+		op        descriptor.OpCode
+		kinds     string
+		strideOff []int
+		nparams   int
+	}{
+		{descriptor.OpAXPY, "ifSSii", []int{0, 0, 6, 10, 0, 0}, 14},
+		{descriptor.OpDOT, "iiSSSii", []int{0, 0, 7, 11, 15, 0, 0}, 19},
+		{descriptor.OpGEMV, "iiffSiSS", []int{0, 0, 0, 0, 8, 0, 12, 16}, 20},
+		{descriptor.OpSPMV, "iiiaaaaaif", make([]int, 10), 10},
+		{descriptor.OpRESMP, "iiiSS", []int{0, 0, 0, 5, 9}, 13},
+		{descriptor.OpFFT, "iiiSS", []int{0, 0, 0, 5, 9}, 13},
+		{descriptor.OpRESHP, "iiiaa", make([]int, 5), 5},
+	} {
+		s := specs[tc.op]
+		kinds := ""
+		for _, h := range s.head {
+			k := "ifa"[h.Kind]
+			if h.Strided {
+				k = 'S'
+			}
+			kinds += string(k)
+		}
+		if kinds != tc.kinds || !slices.Equal(s.strideOff, tc.strideOff) || s.nparams != tc.nparams {
+			t.Errorf("%v: fields %s, stride offsets %v, %d parameters; want %s, %v, %d",
+				tc.op, kinds, s.strideOff, s.nparams, tc.kinds, tc.strideOff, tc.nparams)
+		}
+	}
 }

@@ -151,9 +151,9 @@ func (b *Buddy) Free(addr phys.Addr) error {
 	return nil
 }
 
-// FreeBlocks returns the number of free blocks at each order, mostly for
+// freeBlocks returns the number of free blocks at each order, mostly for
 // tests and fragmentation diagnostics.
-func (b *Buddy) FreeBlocks() []int {
+func (b *Buddy) freeBlocks() []int {
 	out := make([]int, b.orders+1)
 	for k := range b.free {
 		out[k] = len(b.free[k])

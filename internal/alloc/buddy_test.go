@@ -138,7 +138,7 @@ func TestCoalesceAcrossOrders(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	blocks := b.FreeBlocks()
+	blocks := b.freeBlocks()
 	top := len(blocks) - 1
 	if blocks[top] != 1 {
 		t.Errorf("free lists after full coalesce: %v (want single top-order block)", blocks)

@@ -12,10 +12,10 @@ import (
 	"strings"
 )
 
-// rules keeps the tree's "one X" designs: one op table, one executor, one
-// tenant rule, one launch record, one walk of a descriptor, one extent, one
-// price, one admission rule, one clock, one fan-out, one codec, one chaining
-// rule, and a deterministic simulator. Each row of its table forbids one
+// rules keeps the tree's "one X" designs: one op table, one accelerator
+// entry, one executor, one tenant rule, one launch record, one walk of a
+// descriptor, one extent, one price, one admission rule, one clock, one
+// fan-out, one codec, one chaining rule, and a deterministic simulator. Each row of its table forbids one
 // kind of code outside the places where that concept lives. Objects are
 // resolved through go/types, so an aliased or dot import, a method value
 // or a composite-literal key is caught, and a comment or a string is not.
@@ -64,6 +64,8 @@ var ruleTable = []rule{
 		in:    []string{"internal/accel/...", "internal/analysis/tdlcheck/...", "internal/ccompiler/..."},
 		allow: []string{"internal/accel/optable.go"},
 		msg:   "a per-opcode switch grew back outside the op table"},
+	{gate: "one-accelerator-entry", names: regexp.MustCompile(`^(fieldKind|fStrided|OpRates|AccelPower|InBufs|OutBufs|StrideBufs|VerifyProgram)$`),
+		msg: "a second declaration of an accelerator's schema, operands, power or rate, or a second verifier of a TDL program's structure, grew back beside its op-table entry and the parser"},
 	{gate: "one-executor", names: regexp.MustCompile(`streamWalk|interpretStream|runLoop|loopIndependent|SpanStream|planMaxNodes`),
 		in:  []string{"internal/..."},
 		msg: "a second executor or an expansion cap grew back"},

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"go/types"
 	"slices"
 	"strings"
 	"testing"
@@ -27,9 +28,26 @@ func TestRuleRows(t *testing.T) {
 	}
 }
 
-// keptExports are exported top-level names of internal/ packages that no
-// non-test code uses, each with the reason it stays exported.
+// keptExports are exported top-level names and methods of internal/
+// packages that no non-test code uses, each with the reason it stays
+// exported.
 var keptExports = map[string]string{
+	"mealib/internal/descriptor.Descriptor.ParamsOf":       "a comp's parameter block by invocation index, which the tests of accel, tdl and descriptor read off the descriptors they build; production code walks Scopes",
+	"mealib/internal/dram.Stats.Bandwidth":                 "the simulated stream's achieved bandwidth, which accel's and trace's tests replay traces to hold RandomBandwidth to (the paper's Figure 8 method)",
+	"mealib/internal/dram.Stats.RowHitRate":                "the simulated row-buffer hit rate, which accel's trace-replay tests read beside Bandwidth",
+	"mealib/internal/mealibd/client.Buffer.Free":           "the client's counterpart of Alloc (MsgFree), which the mealibd tests drive over the wire",
+	"mealib/internal/mealibrt.Runtime.CheckInvariants":     "the registry, quota and initialized-set invariants that close the mealibrt and mealibd tests (ROADMAP aim 3)",
+	"mealib/internal/multistack.Sharded.GhostBytes":        "the halo bytes one stack receives from another per step, which multistack's and graph's tests hold the interconnect's counters to",
+	"mealib/internal/noc.InterStack.BytesReceived":         "the inter-stack counters multistack's and graph's tests hold to the partition's halo",
+	"mealib/internal/noc.InterStack.PairBytes":             "the inter-stack counters multistack's and graph's tests hold to the partition's halo",
+	"mealib/internal/noc.InterStack.TotalBytes":            "the inter-stack counters multistack's and noc's tests hold to the partition's halo",
+	"mealib/internal/phys.Region.Addr":                     "a region's base, which accel's and mealibrt's tests use to snapshot and compare the bytes a launch may touch",
+	"mealib/internal/phys.Region.Bytes":                    "a region's bytes, which accel's and mealibrt's tests snapshot to prove a launch wrote nothing outside its declared spans",
+	"mealib/internal/phys.Space.Region":                    "the region holding an address, which accel's, mealibrt's and vm's tests snapshot",
+	"mealib/internal/phys.Space.ReadFloat32":               "one element read, which the toy accelerator's core and vm's and accel's tests use",
+	"mealib/internal/sparse.CSR.ScaleColumns":              "the allocating reference graph's operator test holds the in-place PageRank scaling to",
+	"mealib/internal/telemetry.Tracer.Events":              "the recorded event count, which multistack's and telemetry's tests check a traced run against",
+	"mealib/internal/vm.Driver.Translate":                  "VA to PA translation, which mealibrt's tests use to check a buffer's mapping",
 	"mealib/internal/apps/graph.AdjacencyFromMatrixMarket": "the entry for the paper's UF-collection graphs (Table 2's rgg_n_2_20) and the one caller of the fuzzed sparse.ReadMatrixMarket; the workloads generate their RGG instead",
 	"mealib/internal/dram.DDR3":                            "the Haswell baseline's DDR3-1600 (Table 3): the memory the paper's asymmetric-mode measurement (ModeAsymmetric, §4.1) and the 3D-versus-DDR energy comparison are defined on, which dram's tests drive",
 	"mealib/internal/kernels.Upper":                        "Ctrsm's other triangle: the STAP solve passes Lower with both transposes, and Upper completes the cblas_ctrsm contract Ctrsm's tests check",
@@ -40,8 +58,9 @@ var keptExports = map[string]string{
 // TestModuleFollowsRules loads the whole module, the nested bench/ module
 // included (the loader maps it to mealib/bench), and holds it to the rules
 // table and to one whole-program rule: every exported top-level identifier
-// of an internal/ package has a use outside test files, or is kept with a
-// reason in keptExports.
+// of an internal/ package, and every exported method of its types that no
+// interface needs, has a use outside test files, or is kept with a reason in
+// keptExports.
 func TestModuleFollowsRules(t *testing.T) {
 	l := repoLoader(t)
 	pkgs, err := l.LoadPatterns(l.root, nil)
@@ -55,12 +74,25 @@ func TestModuleFollowsRules(t *testing.T) {
 	used := make(map[string]bool)
 	for _, p := range pkgs {
 		for id, obj := range p.Info.Uses {
-			if obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() && !strings.HasSuffix(p.Position(id.Pos()).Filename, "_test.go") {
-				used[objKey(obj)] = true
+			if obj.Pkg() != nil && !strings.HasSuffix(p.Position(id.Pos()).Filename, "_test.go") {
+				if k := objKey(obj); k != "" {
+					used[k] = true
+				}
 			}
 		}
 	}
+	ifaces := interfacesOf(pkgs)
 	exported := make(map[string]bool)
+	check := func(p *Pkg, obj types.Object) {
+		if !obj.Exported() || strings.HasSuffix(p.Position(obj.Pos()).Filename, "_test.go") {
+			return
+		}
+		key := objKey(obj)
+		exported[key] = true
+		if !used[key] && keptExports[key] == "" {
+			t.Errorf("%s: %s has no use outside tests; delete it with its tests, unexport it, move it into the test that uses it, or keep it with a reason", p.Position(obj.Pos()), key)
+		}
+	}
 	for _, p := range pkgs {
 		if !strings.HasPrefix(p.Path, l.mod+"/internal/") || strings.HasSuffix(p.Path, ".test") {
 			continue
@@ -68,13 +100,16 @@ func TestModuleFollowsRules(t *testing.T) {
 		scope := p.Types.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
-			if !obj.Exported() || strings.HasSuffix(p.Position(obj.Pos()).Filename, "_test.go") {
+			check(p, obj)
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
 				continue
 			}
-			key := objKey(obj)
-			exported[key] = true
-			if !used[key] && keptExports[key] == "" {
-				t.Errorf("%s: %s has no use outside tests; delete it with its tests, unexport it, move it into the test that uses it, or keep it with a reason", p.Position(obj.Pos()), key)
+			named := tn.Type().(*types.Named)
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); !needed(named, m, ifaces) {
+					check(p, m)
+				}
 			}
 		}
 	}
@@ -83,4 +118,52 @@ func TestModuleFollowsRules(t *testing.T) {
 			t.Errorf("keptExports lists %s, which is not an unused export", key)
 		}
 	}
+}
+
+// interfacesOf collects the interfaces a method may be called through
+// without go/types recording a use of it: error, every package-level
+// interface of the program and of what it imports, and every interface
+// literal the program writes.
+func interfacesOf(pkgs []*Pkg) []*types.Interface {
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	seen := make(map[*types.Package]bool)
+	var visit func(pkg *types.Package)
+	visit = func(pkg *types.Package) {
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+					ifaces = append(ifaces, it)
+				}
+			}
+		}
+		for _, imp := range pkg.Imports() {
+			visit(imp)
+		}
+	}
+	for _, p := range pkgs {
+		visit(p.Types)
+		for _, tv := range p.Info.Types {
+			if it, ok := tv.Type.(*types.Interface); ok && it.NumMethods() > 0 {
+				ifaces = append(ifaces, it)
+			}
+		}
+	}
+	return ifaces
+}
+
+// needed reports whether an interface that T or *T implements declares m.
+func needed(t *types.Named, m *types.Func, ifaces []*types.Interface) bool {
+	for _, it := range ifaces {
+		if obj, _, _ := types.LookupFieldOrMethod(it, false, m.Pkg(), m.Name()); obj == nil {
+			continue
+		}
+		if types.Implements(t, it) || types.Implements(types.NewPointer(t), it) {
+			return true
+		}
+	}
+	return false
 }

@@ -106,18 +106,18 @@ func checkIntervalExact(c *comp, o *operand, e *errs) {
 		}
 	}
 	if start.Sign() < 0 {
-		e.addf(c.line, c.idx, "%v: operand %s %v: loop stride arithmetic underflows the physical address space at iteration %v (start %v < 0); the span the verifier checks does not contain the addresses the loop touches",
+		e.addf(c.idx, "%v: operand %s %v: loop stride arithmetic underflows the physical address space at iteration %v (start %v < 0); the span the verifier checks does not contain the addresses the loop touches",
 			c.op, o.name, o.Span, witMin, start)
 	}
 	// Strictly below 2^64: a span ending exactly at the top of the space
 	// has a machine End() of zero, which silently breaks every Overlaps
 	// comparison downstream.
 	if end.BitLen() > 64 {
-		e.addf(c.line, c.idx, "%v: operand %s %v: loop stride arithmetic wraps the 64-bit physical address space at iteration %v (end %v >= 2^64); the span the verifier checks does not contain the addresses the loop touches",
+		e.addf(c.idx, "%v: operand %s %v: loop stride arithmetic wraps the 64-bit physical address space at iteration %v (end %v >= 2^64); the span the verifier checks does not contain the addresses the loop touches",
 			c.op, o.name, o.Span, witMax, end)
 	}
 	if total := new(big.Int).Sub(end, start); !total.IsInt64() {
-		e.addf(c.line, c.idx, "%v: operand %s: whole-loop extent %v bytes exceeds the verifier's 63-bit size domain",
+		e.addf(c.idx, "%v: operand %s: whole-loop extent %v bytes exceeds the verifier's 63-bit size domain",
 			c.op, o.name, total)
 	}
 }

@@ -30,7 +30,7 @@ func TestRejectWrappingLoopStride(t *testing.T) {
 	resolve := tdl.MapResolver(map[string]descriptor.Params{
 		"a": stridedAxpy(bufA, phys.Addr(0xffff_ffff_ffff_f000), 256, 1<<62),
 	})
-	err := Verify(prog, resolve)
+	err := verify(prog, resolve)
 	wantReject(t, err, "wraps the 64-bit physical address space", "operand y", "line 1")
 	if !strings.Contains(err.Error(), "(0,0,0,3)") {
 		t.Errorf("error %q does not carry the witness iteration", err)
@@ -43,7 +43,7 @@ func TestRejectUnderflowingLoopStride(t *testing.T) {
 	resolve := tdl.MapResolver(map[string]descriptor.Params{
 		"a": stridedAxpy(bufB, phys.Addr(0x1000), 256, -0x1000),
 	})
-	err := Verify(prog, resolve)
+	err := verify(prog, resolve)
 	wantReject(t, err, "underflows the physical address space", "operand y", "line 2", "(0,0,0,3)")
 }
 
@@ -55,7 +55,7 @@ func TestRejectOperandSizeOverflow(t *testing.T) {
 	resolve := tdl.MapResolver(map[string]descriptor.Params{
 		"f": accel.FFTArgs{N: 1 << 40, HowMany: 1 << 22, Src: bufA, Dst: bufB}.Params(),
 	})
-	err := Verify(prog, resolve)
+	err := verify(prog, resolve)
 	wantReject(t, err, "63-bit size domain", "FFT", "line 1")
 }
 

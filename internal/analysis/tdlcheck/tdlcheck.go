@@ -1,34 +1,27 @@
-// Package tdlcheck statically verifies TDL programs and accelerator
-// descriptors before they reach the simulated stack. The compiler and the
-// runtime trust descriptor contents; without this pass a malformed task
-// graph (dangling parameter reference, zero-trip loop, overlapping operand
-// spans, inconsistent operand sizes, non-power-of-two FFT, read of an
-// uninitialized intermediate) only surfaces — or silently corrupts results —
+// Package tdlcheck statically verifies accelerator descriptors, and so the
+// TDL programs they are compiled from, before they reach the simulated stack.
+// The compiler and the runtime trust descriptor contents; without this pass a
+// malformed task graph (overlapping operand spans, inconsistent operand
+// sizes, non-power-of-two FFT, read of an uninitialized intermediate) only
+// surfaces — or silently corrupts results —
 // deep inside the accelerator layer. Production library stacks reject such
 // inputs up front (cf. MKL input validation); tdlcheck is that layer.
 //
-// Three entry points, by how much is known at the call site:
+// A TDL program's structure (trip counts, nesting, opcodes, parameter
+// references) is the parser's to reject (internal/tdl). What parameters
+// decide is checked once, on the descriptor the program compiles to: Check
+// performs the operand and dataflow checks in one reading and returns the
+// verdict together with the footprint — what the runtime does at every
+// install. VerifyDescriptor (its verdict; with the host-initialized span set,
+// the error of a launch about to be rejected), Writes and Reads are views of
+// it.
 //
-//   - VerifyProgram checks a parsed tdl.Program structurally (loop trip
-//     counts, nesting, opcode validity) without parameter bindings — what
-//     tdlc and the source-to-source compiler can check.
-//   - Verify additionally resolves every parameter reference and checks the
-//     per-kernel operand semantics and the dataflow of the task graph —
-//     what mealib_acc_plan checks.
-//   - Check performs the operand and dataflow checks on an already-lowered
-//     descriptor in one reading and returns the verdict together with the
-//     footprint — what the runtime does on the AccPlanDescriptor path.
-//     VerifyDescriptor (its verdict; with the host-initialized span set, the
-//     error of a launch about to be rejected), Writes and Reads are views
-//     of it.
-//
-// Errors carry positions: the TDL source line when the program was parsed,
-// otherwise the accelerator-invocation index.
+// Errors carry positions: the accelerator-invocation index, and with
+// AtLines the TDL source line of its COMP.
 package tdlcheck
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"mealib/internal/accel"
@@ -39,8 +32,8 @@ import (
 
 // Error is one verification failure with its position.
 type Error struct {
-	// Line is the 1-based TDL source line (0 when the program was built
-	// programmatically or verified at the descriptor level).
+	// Line is the 1-based TDL source line of the invocation's COMP (0 unless
+	// Check was given AtLines).
 	Line int
 	// Comp is the index of the accelerator invocation the failure belongs
 	// to, in program order (-1 when not invocation-specific).
@@ -79,8 +72,8 @@ func (l ErrorList) Error() string {
 // errs is a builder for ErrorList.
 type errs struct{ list ErrorList }
 
-func (e *errs) addf(line, comp int, format string, args ...interface{}) {
-	e.list = append(e.list, &Error{Line: line, Comp: comp, Msg: fmt.Sprintf(format, args...)})
+func (e *errs) addf(comp int, format string, args ...interface{}) {
+	e.list = append(e.list, &Error{Comp: comp, Msg: fmt.Sprintf(format, args...)})
 }
 
 func (e *errs) err() error {
@@ -109,7 +102,6 @@ type operand struct {
 
 // comp is one accelerator invocation in verification form.
 type comp struct {
-	line int // 0 when unknown
 	idx  int // invocation index in program order
 	pass int // pass ordinal
 	op   descriptor.OpCode
@@ -157,7 +149,7 @@ func checkComp(c *comp, e *errs) {
 	checkIntervals(c, e)
 	for _, o := range c.ops {
 		if o.align > 1 && int64(o.Addr)%o.align != 0 {
-			e.addf(c.line, c.idx, "%v: operand %s at %v is not %d-byte aligned", c.op, o.name, o.Addr, o.align)
+			e.addf(c.idx, "%v: operand %s at %v is not %d-byte aligned", c.op, o.name, o.Addr, o.align)
 		}
 	}
 	// A written operand must not partially overlap any other operand:
@@ -170,32 +162,17 @@ func checkComp(c *comp, e *errs) {
 				continue
 			}
 			if a.Span.Overlaps(b.Span) && a.Span != b.Span {
-				e.addf(c.line, c.idx, "%v: operands %s %v and %s %v partially overlap", c.op, a.name, a.Span, b.name, b.Span)
+				e.addf(c.idx, "%v: operands %s %v and %s %v partially overlap", c.op, a.name, a.Span, b.name, b.Span)
 			}
 		}
 	}
 }
 
-// loopCountsOf right-aligns a TDL loop nest into the descriptor's fixed
-// LoopCounts form, the way descriptor.AddLoop does.
-func loopCountsOf(counts []int) descriptor.LoopCounts {
-	var lc descriptor.LoopCounts
-	for i := range lc {
-		lc[i] = 1
-	}
-	off := descriptor.MaxLoopLevels - len(counts)
-	for i, c := range counts {
-		if off+i >= 0 && c > 0 && c <= math.MaxUint32 {
-			lc[off+i] = uint32(c)
-		}
-	}
-	return lc
-}
-
-// options collects Verify adjustments.
+// options collects Check adjustments.
 type options struct {
 	initialized []Span
 	checkInit   bool
+	prog        *tdl.Program // AtLines
 }
 
 // Option adjusts verification.
@@ -212,119 +189,36 @@ func WithInitialized(spans ...Span) Option {
 	}
 }
 
-// VerifyProgram checks a parsed TDL program structurally, without parameter
-// bindings: non-empty, valid opcodes, loop trip counts positive and within
-// the descriptor's uint32 count fields, nest depth within the hardware
-// limit. This is the check available before parameters bind (tdlc,
-// mealibcc).
-func VerifyProgram(prog *tdl.Program) error {
-	var e errs
-	verifyStructure(prog, &e)
-	return e.err()
+// AtLines names every failure that belongs to an invocation by the source
+// line of its COMP in prog, the program the descriptor was compiled from.
+func AtLines(prog *tdl.Program) Option {
+	return func(o *options) { o.prog = prog }
 }
 
-func verifyStructure(prog *tdl.Program, e *errs) {
-	if prog == nil || len(prog.Blocks) == 0 {
-		e.addf(0, -1, "empty program")
-		return
-	}
-	idx := 0
-	checkPass := func(p tdl.Pass) {
-		if len(p.Comps) == 0 {
-			e.addf(p.Line, -1, "PASS without COMP blocks")
-		}
+// atLines maps each failure's invocation index to the line of its COMP:
+// tdl.Compile numbers a descriptor's invocations in program order.
+func atLines(list ErrorList, prog *tdl.Program) {
+	var lines []int
+	addPass := func(p tdl.Pass) {
 		for _, c := range p.Comps {
-			if !c.Op.Valid() {
-				e.addf(c.Line, idx, "invalid accelerator opcode %v", c.Op)
-			}
-			if c.ParamRef == "" {
-				e.addf(c.Line, idx, "%v: empty parameter reference", c.Op)
-			}
-			idx++
+			lines = append(lines, c.Line)
 		}
 	}
 	for _, blk := range prog.Blocks {
 		switch v := blk.(type) {
 		case tdl.Pass:
-			checkPass(v)
+			addPass(v)
 		case tdl.Loop:
-			if len(v.Counts) == 0 {
-				e.addf(v.Line, -1, "LOOP without iteration counts")
-			}
-			if len(v.Counts) > descriptor.MaxLoopLevels {
-				e.addf(v.Line, -1, "loop nest deeper than %d levels", descriptor.MaxLoopLevels)
-			}
-			for lvl, c := range v.Counts {
-				if c <= 0 {
-					e.addf(v.Line, -1, "zero-trip loop: level %d has count %d", lvl, c)
-				} else if c > math.MaxUint32 {
-					e.addf(v.Line, -1, "loop count %d at level %d exceeds the descriptor's 32-bit count field", c, lvl)
-				}
-			}
-			if len(v.Passes) == 0 {
-				e.addf(v.Line, -1, "LOOP without PASS blocks")
-			}
 			for _, p := range v.Passes {
-				checkPass(p)
-			}
-		default:
-			e.addf(0, -1, "unknown block type %T", blk)
-		}
-	}
-}
-
-// Verify checks a TDL program with its parameter bindings: everything
-// VerifyProgram checks, plus parameter-reference resolution, per-kernel
-// operand semantics (sizes, alignment, overlap, power-of-two FFT lengths,
-// square in-place transposes), and the dataflow of the task graph (no
-// write-after-read cycle inside a chained pass; with WithInitialized, no
-// read of an uninitialized buffer).
-func Verify(prog *tdl.Program, resolve tdl.ParamResolver, opts ...Option) error {
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	var e errs
-	verifyStructure(prog, &e)
-	if len(e.list) > 0 {
-		return e.err() // structure is broken; operand checks would mislead
-	}
-	if resolve == nil {
-		e.addf(0, -1, "nil parameter resolver")
-		return e.err()
-	}
-	var comps []comp
-	idx, passNo := 0, 0
-	addPass := func(p tdl.Pass, counts descriptor.LoopCounts) {
-		for _, c := range p.Comps {
-			cm := comp{line: c.Line, idx: idx, pass: passNo, op: c.Op, counts: counts}
-			params, err := resolve(c.ParamRef)
-			if err != nil {
-				e.addf(c.Line, idx, "dangling parameter reference %q: %v", c.ParamRef, err)
-			} else {
-				cm.ops = operandsOf(c.Op, params, counts, func(format string, args ...interface{}) {
-					e.addf(c.Line, idx, format, args...)
-				})
-			}
-			comps = append(comps, cm)
-			idx++
-		}
-		passNo++
-	}
-	ones := loopCountsOf(nil)
-	for _, blk := range prog.Blocks {
-		switch v := blk.(type) {
-		case tdl.Pass:
-			addPass(v, ones)
-		case tdl.Loop:
-			lc := loopCountsOf(v.Counts)
-			for _, p := range v.Passes {
-				addPass(p, lc)
+				addPass(p)
 			}
 		}
 	}
-	checkComps(comps, &o, &e)
-	return e.err()
+	for _, e := range list {
+		if e.Comp >= 0 && e.Comp < len(lines) {
+			e.Line = lines[e.Comp]
+		}
+	}
 }
 
 // Footprint is what a descriptor's task graph touches, every span extended
@@ -343,7 +237,7 @@ type Footprint struct {
 // Check is the one reading of a lowered descriptor: it validates the
 // structure, binds every invocation once, runs the operand and dataflow checks
 // and returns the verdict together with the footprint. Positions are
-// invocation indices (the TDL line information is gone after lowering). The
+// invocation indices, and with AtLines TDL source lines. The
 // footprint covers every invocation whose operands bound, whatever the
 // verdict; VerifyDescriptor, Writes and Reads are views of it.
 func Check(d *descriptor.Descriptor, opts ...Option) (Footprint, error) {
@@ -354,7 +248,10 @@ func Check(d *descriptor.Descriptor, opts ...Option) (Footprint, error) {
 	var e errs
 	fp, err := check(d, &o, &e)
 	if err != nil {
-		e.addf(0, -1, "%v", err)
+		e.addf(-1, "%v", err)
+	}
+	if o.prog != nil && len(e.list) > 0 {
+		atLines(e.list, o.prog)
 	}
 	return fp, e.err()
 }
@@ -380,7 +277,7 @@ func check(d *descriptor.Descriptor, o *options, e *errs) (Footprint, error) {
 				idx := in.Index
 				comps = append(comps, comp{idx: idx, pass: sc.FirstPass + pi, op: in.Op, counts: sc.Counts,
 					ops: operandsOf(in.Op, in.Params, sc.Counts, func(format string, args ...interface{}) {
-						e.addf(0, idx, format, args...)
+						e.addf(idx, format, args...)
 					})})
 			}
 		}
@@ -453,7 +350,7 @@ func checkComps(comps []comp, o *options, e *errs) Footprint {
 						continue
 					}
 					if ra.Span.Overlaps(wb.Span) {
-						e.addf(b.line, b.idx, "chained pass: %v writes %s %v which %v (comp %d) reads — cycle in the task graph", b.op, wb.name, wb.Span, a.op, a.idx)
+						e.addf(b.idx, "chained pass: %v writes %s %v which %v (comp %d) reads — cycle in the task graph", b.op, wb.name, wb.Span, a.op, a.idx)
 					}
 				}
 			}
@@ -478,7 +375,7 @@ func checkComps(comps []comp, o *options, e *errs) Footprint {
 			}
 			fp.Exposed = append(fp.Exposed, op.ext)
 			if o.checkInit && !span.Overlap(o.initialized, []Span{op.ext}) {
-				e.addf(c.line, c.idx, "%v reads %s %v before any write reaches it (uninitialized buffer)", c.op, op.name, op.Span)
+				e.addf(c.idx, "%v reads %s %v before any write reaches it (uninitialized buffer)", c.op, op.name, op.Span)
 			}
 		}
 		for _, op := range c.ops {

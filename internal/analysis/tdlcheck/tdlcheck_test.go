@@ -44,6 +44,17 @@ func mustParse(t *testing.T, src string) *tdl.Program {
 	return prog
 }
 
+// verify is what Session.AccPlan does with a TDL program: compile it, run the
+// one Check over the descriptor, and name each failure by its source line.
+func verify(prog *tdl.Program, resolve tdl.ParamResolver, opts ...Option) error {
+	d, err := tdl.Compile(prog, resolve)
+	if err != nil {
+		return err
+	}
+	_, err = Check(d, append(opts, AtLines(prog))...)
+	return err
+}
+
 // wantReject verifies the program is rejected with a message containing
 // every fragment, and that the error carries a position (a "line N" marker).
 func wantReject(t *testing.T, err error, fragments ...string) {
@@ -71,7 +82,7 @@ LOOP 4 { PASS { COMP AXPY PARAMS "axpy" } }
 		"fft":  fft(bufA, bufB, 1024),
 		"axpy": axpy(bufC, bufD, 256),
 	})
-	if err := Verify(prog, resolve); err != nil {
+	if err := verify(prog, resolve); err != nil {
 		t.Fatalf("valid program rejected: %v", err)
 	}
 }
@@ -79,25 +90,24 @@ LOOP 4 { PASS { COMP AXPY PARAMS "axpy" } }
 func TestRejectDanglingParamRef(t *testing.T) {
 	prog := mustParse(t, `PASS { COMP FFT PARAMS "nosuch" }`)
 	resolve := tdl.MapResolver(map[string]descriptor.Params{})
-	err := Verify(prog, resolve)
+	err := verify(prog, resolve)
 	wantReject(t, err, "dangling parameter reference", `"nosuch"`, "line 1")
 }
 
 func TestRejectZeroTripLoop(t *testing.T) {
 	// The parser rejects LOOP 0 at the syntax level; a programmatically
-	// built program can still carry one, which is what the verifier guards.
+	// built program can still carry one, which compiling it rejects.
 	prog := &tdl.Program{Blocks: []tdl.Block{
 		tdl.Loop{Counts: []int{0}, Line: 3, Passes: []tdl.Pass{
 			{Comps: []tdl.Comp{{Op: descriptor.OpFFT, ParamRef: "f", Line: 3}}, Line: 3},
 		}},
 	}}
-	err := VerifyProgram(prog)
-	wantReject(t, err, "zero-trip loop", "line 3")
+	err := verify(prog, tdl.MapResolver(map[string]descriptor.Params{"f": fft(bufA, bufB, 64)}))
+	wantReject(t, err, "zero-iteration loop", "line 3")
 }
 
 func TestRejectLoopCountBeyondFieldWidth(t *testing.T) {
-	prog := mustParse(t, `LOOP 99999999999 { PASS { COMP FFT PARAMS "f" } }`)
-	err := VerifyProgram(prog)
+	_, err := tdl.Parse(`LOOP 99999999999 { PASS { COMP FFT PARAMS "f" } }`)
 	wantReject(t, err, "exceeds the descriptor's 32-bit count field", "line 1")
 }
 
@@ -107,7 +117,7 @@ func TestRejectOverlappingSpans(t *testing.T) {
 	resolve := tdl.MapResolver(map[string]descriptor.Params{
 		"f": fft(bufA, bufA+512, 512), // src [A, A+4096), dst [A+512, ...)
 	})
-	err := Verify(prog, resolve)
+	err := verify(prog, resolve)
 	wantReject(t, err, "partially overlap", "line 1")
 }
 
@@ -118,7 +128,7 @@ func TestRejectSizeMismatch(t *testing.T) {
 	resolve := tdl.MapResolver(map[string]descriptor.Params{
 		"g": accel.GemvArgs{M: 8, N: 16, Lda: 4, Alpha: 1, A: bufA, X: bufB, Y: bufC}.Params(),
 	})
-	err := Verify(prog, resolve)
+	err := verify(prog, resolve)
 	wantReject(t, err, "size mismatch", "leading dimension", "line 1")
 }
 
@@ -127,7 +137,7 @@ func TestRejectWrongParamFieldCount(t *testing.T) {
 	resolve := tdl.MapResolver(map[string]descriptor.Params{
 		"a": {1, 2, 3}, // AXPY expects 6 + 2*MaxLoopLevels fields
 	})
-	err := Verify(prog, resolve)
+	err := verify(prog, resolve)
 	wantReject(t, err, "parameter fields", "line 1")
 }
 
@@ -136,7 +146,7 @@ func TestRejectNonPowerOfTwoFFT(t *testing.T) {
 	resolve := tdl.MapResolver(map[string]descriptor.Params{
 		"f": fft(bufA, bufB, 1000),
 	})
-	err := Verify(prog, resolve)
+	err := verify(prog, resolve)
 	wantReject(t, err, "not a power of two", "line 2")
 }
 
@@ -152,14 +162,14 @@ PASS { COMP FFT PARAMS "f" }
 		"f": fft(bufA, bufB, 128),
 	})
 	// Host initialized only A.
-	err := Verify(prog, resolve, WithInitialized(Span{Addr: bufA, Bytes: 64 * 1024}))
+	err := verify(prog, resolve, WithInitialized(Span{Addr: bufA, Bytes: 64 * 1024}))
 	wantReject(t, err, "uninitialized buffer", "line 2")
 	// Same graph with the passes in producer order is clean.
 	good := mustParse(t, `
 PASS { COMP FFT PARAMS "f" }
 PASS { COMP RESMP PARAMS "r" }
 `)
-	if err := Verify(good, resolve, WithInitialized(Span{Addr: bufA, Bytes: 64 * 1024})); err != nil {
+	if err := verify(good, resolve, WithInitialized(Span{Addr: bufA, Bytes: 64 * 1024})); err != nil {
 		t.Fatalf("producer-ordered graph rejected: %v", err)
 	}
 }
@@ -172,7 +182,7 @@ func TestRejectChainedPassCycle(t *testing.T) {
 		"p": axpy(bufA, bufB, 64), // reads A, writes B
 		"q": axpy(bufC, bufA, 64), // writes A -> back edge to comp 0
 	})
-	err := Verify(prog, resolve)
+	err := verify(prog, resolve)
 	wantReject(t, err, "cycle in the task graph", "line 1")
 }
 
@@ -181,7 +191,7 @@ func TestRejectMisalignedOperand(t *testing.T) {
 	resolve := tdl.MapResolver(map[string]descriptor.Params{
 		"f": fft(bufA+2, bufB, 64), // complex64 data needs 8-byte alignment
 	})
-	err := Verify(prog, resolve)
+	err := verify(prog, resolve)
 	wantReject(t, err, "aligned", "line 1")
 }
 
@@ -190,7 +200,7 @@ func TestRejectInPlaceNonSquareReshape(t *testing.T) {
 	resolve := tdl.MapResolver(map[string]descriptor.Params{
 		"t": accel.ReshpArgs{Rows: 8, Cols: 16, Elem: accel.ElemF32, Src: bufA, Dst: bufA}.Params(),
 	})
-	err := Verify(prog, resolve)
+	err := verify(prog, resolve)
 	wantReject(t, err, "square", "line 1")
 }
 
@@ -225,7 +235,7 @@ PASS { COMP GEMV PARAMS "bad2" }
 		"bad1": fft(bufA, bufB, 1000),
 		"bad2": accel.GemvArgs{M: 8, N: 16, Lda: 4, Alpha: 1, A: bufA, X: bufB, Y: bufC}.Params(),
 	})
-	err := Verify(prog, resolve)
+	err := verify(prog, resolve)
 	list, ok := err.(ErrorList)
 	if !ok {
 		t.Fatalf("want ErrorList, got %T: %v", err, err)
@@ -266,11 +276,15 @@ func TestWritesExtendOverLoops(t *testing.T) {
 }
 
 func TestVerifyProgramEmptyAndNil(t *testing.T) {
-	if err := VerifyProgram(nil); err == nil {
+	resolve := tdl.MapResolver(nil)
+	if err := verify(nil, resolve); err == nil {
 		t.Error("nil program accepted")
 	}
-	if err := VerifyProgram(&tdl.Program{}); err == nil {
+	if err := verify(&tdl.Program{}, resolve); err == nil {
 		t.Error("empty program accepted")
+	}
+	if _, err := tdl.Parse("# nothing\n"); err == nil {
+		t.Error("empty source parsed")
 	}
 }
 

@@ -274,7 +274,6 @@ func RunMEALib(p Params, h *cpu.Host, cfg *accel.Config, rtCfg *mealibrt.Config)
 		return nil, err
 	}
 	res := &Result{Params: p, Descriptors: 3}
-	table := cfg.Table
 	mesh := cfg.Mesh
 	for _, s := range Stages(p) {
 		if s.Compute {
@@ -295,11 +294,11 @@ func RunMEALib(p Params, h *cpu.Host, cfg *accel.Config, rtCfg *mealibrt.Config)
 		if compT > t {
 			t = compT
 		}
-		pw, err := table.AccelPower(s.Op)
+		row, err := accel.SynthesisOf(s.Op)
 		if err != nil {
 			return nil, err
 		}
-		e := pw.Energy(t) + mesh.StaticPower().Energy(t)
+		e := row.Power.Energy(t) + mesh.StaticPower().Energy(t)
 		// The blocked host still burns idle power.
 		e += h.IdlePower.Energy(t)
 		res.Stages = append(res.Stages, StageResult{Stage: s, Time: t, Energy: e})

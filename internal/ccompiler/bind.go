@@ -62,27 +62,25 @@ func Bind(plan *Plan, b *Binding) (string, map[string]descriptor.Params, error) 
 // resolve evaluates one symbolic field.
 func (pcb *callBinder) resolve(fi int) (uint64, error) {
 	f := pcb.pc.Sym.Fields[fi]
-	switch f.Kind {
-	case FieldInt:
+	switch pcb.pc.Sym.Schema[fi].Kind {
+	case accel.FieldInt:
 		v, err := EvalInt(f.Expr, pcb.ints)
 		if err != nil {
 			return 0, err
 		}
 		return uint64(v), nil
-	case FieldF32:
+	case accel.FieldF32:
 		v, err := EvalF32(f.Expr, pcb.ints, pcb.b.Floats)
 		if err != nil {
 			return 0, err
 		}
 		return descriptor.F32Field(v), nil
-	case FieldBuf:
+	default:
 		a, err := pcb.bufAddr(fi)
 		if err != nil {
 			return 0, err
 		}
 		return descriptor.AddrField(a), nil
-	default:
-		return 0, nil
 	}
 }
 

@@ -663,16 +663,13 @@ func TestPaperScaleCompaction(t *testing.T) {
 // Binding must evaluate constant index offsets exactly: a wrapped base
 // address handed to the verifier defeats its interval proofs.
 func TestBindRejectsOverflowingOffset(t *testing.T) {
+	sym, err := symCall(&call{name: "cblas_saxpy"}, descriptor.OpAXPY, "cblas_saxpy",
+		expr("n"), expr("1.0"), buf(BufRef{Name: "x"}), buf(BufRef{Name: "y"}), expr("1"), expr("1"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	pc := &PlannedCall{
-		Sym: &SymCall{
-			Op:   descriptor.OpAXPY,
-			Name: "cblas_saxpy",
-			Fields: []SymField{
-				intField("n"), f32Field("1.0"),
-				bufField(BufRef{Name: "x"}), bufField(BufRef{Name: "y"}),
-				intField("1"), intField("1"),
-			},
-		},
+		Sym:      sym,
 		ParamRef: "p0",
 		Offsets: map[int][]offsetTerm{
 			// 2^61 elements of 4 bytes on top of a base near the top of the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"mealib/internal/accel"
 	"mealib/internal/descriptor"
 )
 
@@ -211,12 +212,12 @@ type callSite struct {
 	sym  *SymCall
 }
 
-// chainable reports whether the first call's output buffer is the second
-// call's input buffer.
+// chainable reports whether an output buffer of the first call is an input
+// buffer of the second.
 func chainable(a, b *SymCall) bool {
-	for _, oi := range a.OutBufs {
-		for _, ii := range b.InBufs {
-			if a.Fields[oi].Buf.Name != "" && a.Fields[oi].Buf.Name == b.Fields[ii].Buf.Name {
+	for oi, out := range a.Fields {
+		for ii, in := range b.Fields {
+			if a.Schema[oi].Out && b.Schema[ii].In && out.Buf.Name != "" && out.Buf.Name == in.Buf.Name {
 				return true
 			}
 		}
@@ -556,7 +557,7 @@ func (c *compiler) deriveStrides(sym *SymCall, levels []LoopLevel) (*PlannedCall
 	}
 	base := descriptor.MaxLoopLevels - len(levels)
 	for fi, field := range sym.Fields {
-		if field.Kind != FieldBuf {
+		if sym.Schema[fi].Kind != accel.FieldAddr {
 			if usesAnyVar(field.Expr) {
 				return nil, false // a size/scalar parameter varies per iteration
 			}
@@ -599,6 +600,9 @@ func (c *compiler) deriveStrides(sym *SymCall, levels []LoopLevel) (*PlannedCall
 			}
 		}
 		if strides != [4]int64{} {
+			if !sym.Schema[fi].Strided {
+				return nil, false // the accelerator cannot move this address per iteration
+			}
 			pc.Strides[fi] = strides
 		}
 	}
@@ -646,7 +650,7 @@ func (c *compiler) emitPassPlan(first *Simple, syms []*SymCall, nodes []*Simple)
 func (c *compiler) constOffsets(sym *SymCall) map[int][]offsetTerm {
 	out := make(map[int][]offsetTerm)
 	for fi, field := range sym.Fields {
-		if field.Kind != FieldBuf || len(field.Buf.Index) == 0 {
+		if len(field.Buf.Index) == 0 {
 			continue
 		}
 		decl := c.buffers[field.Buf.Name]

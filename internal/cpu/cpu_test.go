@@ -34,7 +34,7 @@ func TestValidateErrors(t *testing.T) {
 func TestRunComputeBound(t *testing.T) {
 	h := Haswell()
 	// 1 TFLOP with negligible traffic: bound by 112 GFLOPS x 0.82.
-	r := h.Run(1e12, 64)
+	r := h.run(1e12, 64)
 	want := 1e12 / (112e9 * 0.82)
 	if math.Abs(float64(r.Time)-want)/want > 1e-9 {
 		t.Errorf("compute-bound time %v, want %v", r.Time, units.Seconds(want))
@@ -47,7 +47,7 @@ func TestRunComputeBound(t *testing.T) {
 func TestRunMemoryBound(t *testing.T) {
 	h := Haswell()
 	// 1 GB with negligible flops: bound by 25.6 GB/s.
-	r := h.Run(10, 1e9)
+	r := h.run(10, 1e9)
 	want := 1e9 / 25.6e9
 	if math.Abs(float64(r.Time)-want)/want > 1e-9 {
 		t.Errorf("memory-bound time %v, want %v", r.Time, units.Seconds(want))

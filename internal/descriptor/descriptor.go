@@ -188,23 +188,40 @@ func (d *Descriptor) AddEndPass() {
 // hardware loop nest, outermost count first. AddLoop(n) is a single-level
 // loop of n iterations.
 func (d *Descriptor) AddLoop(counts ...uint32) error {
-	if len(counts) == 0 || len(counts) > MaxLoopLevels {
-		return fmt.Errorf("descriptor: loop needs 1..%d levels, got %d", MaxLoopLevels, len(counts))
+	lc, err := alignCounts(counts)
+	if err != nil {
+		return err
 	}
+	d.Instrs = append(d.Instrs, Instruction{Kind: KindLoop, Counts: lc})
+	return nil
+}
+
+// CountsOf checks a loop nest given outermost count first — 1..MaxLoopLevels
+// levels of 1..2^32-1 iterations each, what the header's count fields hold —
+// and right-aligns it the way AddLoop does. AddLoop(lc[:]...) appends it.
+func CountsOf(counts []int) (LoopCounts, error) { return alignCounts(counts) }
+
+// alignCounts right-aligns a checked nest so level MaxLoopLevels-1 is always
+// the innermost; the levels above it count once.
+func alignCounts[T int | uint32](counts []T) (LoopCounts, error) {
 	var lc LoopCounts
 	for i := range lc {
 		lc[i] = 1
 	}
-	// Right-align so level MaxLoopLevels-1 is always the innermost.
+	if len(counts) == 0 || len(counts) > MaxLoopLevels {
+		return lc, fmt.Errorf("descriptor: loop needs 1..%d levels, got %d", MaxLoopLevels, len(counts))
+	}
 	off := MaxLoopLevels - len(counts)
 	for i, c := range counts {
-		if c == 0 {
-			return fmt.Errorf("descriptor: zero-iteration loop level %d", i)
+		switch {
+		case c == 0:
+			return lc, fmt.Errorf("descriptor: zero-iteration loop level %d", i)
+		case c < 0 || uint64(c) > math.MaxUint32:
+			return lc, fmt.Errorf("descriptor: loop level %d count %d is outside the 32-bit count field's 1..%d", i, c, uint32(math.MaxUint32))
 		}
-		lc[off+i] = c
+		lc[off+i] = uint32(c)
 	}
-	d.Instrs = append(d.Instrs, Instruction{Kind: KindLoop, Counts: lc})
-	return nil
+	return lc, nil
 }
 
 // AddEndLoop appends a LOOP terminator.

@@ -243,6 +243,25 @@ func TestMultiLevelLoopRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCountsOfChecksEveryLevel: a nest of ints is right-aligned the way
+// AddLoop aligns its uint32 counts, and every count outside the header's
+// 1..2^32-1 is refused, never wrapped.
+func TestCountsOfChecksEveryLevel(t *testing.T) {
+	lc, err := CountsOf([]int{3, 1<<32 - 1})
+	if err != nil || lc != (LoopCounts{1, 1, 3, 1<<32 - 1}) {
+		t.Errorf("CountsOf(3, 2^32-1) = %v, %v", lc, err)
+	}
+	var d Descriptor
+	if err := d.AddLoop(lc[:]...); err != nil || d.Instrs[0].Counts != lc {
+		t.Errorf("AddLoop(lc...) = %v, %v; want the same nest", d.Instrs, err)
+	}
+	for _, counts := range [][]int{nil, {-1}, {0}, {1 << 32}, {1<<32 + 3}, {2, -2}, {1, 1, 1, 1, 1}} {
+		if lc, err := CountsOf(counts); err == nil {
+			t.Errorf("CountsOf(%v) = %v, want an error", counts, lc)
+		}
+	}
+}
+
 func TestLoopCountsTotal(t *testing.T) {
 	if (LoopCounts{0, 0, 0, 0}).Total() != 1 {
 		t.Error("all-zero counts normalise to 1")

@@ -218,8 +218,8 @@ func NewSimulator(cfg *Config) (*Simulator, error) {
 	return s, nil
 }
 
-// Config returns the device configuration.
-func (s *Simulator) Config() *Config { return s.cfg }
+// config returns the device configuration.
+func (s *Simulator) config() *Config { return s.cfg }
 
 // Reset clears all timing and statistics state.
 func (s *Simulator) Reset() {
@@ -360,12 +360,12 @@ func (s *Simulator) Finalize() Stats {
 	return out
 }
 
-// StreamEstimate analytically predicts the stats of a perfectly sequential
+// streamEstimate analytically predicts the stats of a perfectly sequential
 // stream of n bytes (the fast path used for paper-scale workloads where a
 // full trace would be billions of requests). It applies the same per-access
 // arithmetic the trace path uses, aggregated in closed form, and matches the
 // trace-driven result for streaming patterns (see tests).
-func (s *Simulator) StreamEstimate(n units.Bytes, write bool) Stats {
+func (s *Simulator) streamEstimate(n units.Bytes, write bool) Stats {
 	cfg := s.cfg
 	if n <= 0 {
 		return Stats{}

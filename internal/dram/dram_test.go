@@ -61,7 +61,7 @@ func sequentialTrace(n units.Bytes, step units.Bytes, write bool) []Request {
 func TestStreamingApproachesPeak(t *testing.T) {
 	s := mustSim(t, HMC3D())
 	st := s.Run(sequentialTrace(4*units.MiB, 256, false))
-	peak := s.Config().PeakBandwidth().GBs()
+	peak := s.config().PeakBandwidth().GBs()
 	got := st.Bandwidth().GBs()
 	if got < 0.7*peak {
 		t.Errorf("streaming bandwidth %.1f GB/s, want >= 70%% of peak %.1f", got, peak)
@@ -159,7 +159,7 @@ func TestStreamEstimateMatchesTrace(t *testing.T) {
 		n := 8 * units.MiB
 		sim := mustSim(t, cfg)
 		traced := sim.Run(sequentialTrace(n, cfg.BlockBytes, false))
-		est := mustSim(t, cfg).StreamEstimate(n, false)
+		est := mustSim(t, cfg).streamEstimate(n, false)
 		relT := float64(traced.Time-est.Time) / float64(traced.Time)
 		if relT < -0.15 || relT > 0.15 {
 			t.Errorf("%s: estimate time %v vs traced %v (%.1f%% off)",
@@ -178,7 +178,7 @@ func TestStreamEstimateMatchesTrace(t *testing.T) {
 
 func TestStreamEstimateZero(t *testing.T) {
 	s := mustSim(t, HMC3D())
-	st := s.StreamEstimate(0, false)
+	st := s.streamEstimate(0, false)
 	if st.Bytes() != 0 || st.Time != 0 {
 		t.Error("zero-byte estimate must be empty")
 	}
@@ -188,8 +188,8 @@ func Test3DEnergyPerBitBelowDDR(t *testing.T) {
 	// The core 3D-stacking claim: moving a byte internally costs much less
 	// than over DDR pins.
 	n := 4 * units.MiB
-	e3d := mustSim(t, HMC3D()).StreamEstimate(n, false)
-	eddr := mustSim(t, DDR3()).StreamEstimate(n, false)
+	e3d := mustSim(t, HMC3D()).streamEstimate(n, false)
+	eddr := mustSim(t, DDR3()).streamEstimate(n, false)
 	perBit3D := float64(e3d.DynamicEnergy) / (float64(n) * 8)
 	perBitDDR := float64(eddr.DynamicEnergy) / (float64(n) * 8)
 	if perBit3D >= perBitDDR/2 {

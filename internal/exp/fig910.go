@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"mealib/internal/accel"
 	"mealib/internal/descriptor"
 	"mealib/internal/platform"
 )
@@ -47,7 +48,7 @@ func gains(energy bool) ([]Fig9Row, error) {
 		paper = paperFig10
 	}
 	var rows []Fig9Row
-	for _, op := range platform.Ops() {
+	for _, op := range accel.Ops() {
 		w := loads[op]
 		rb, err := base.Run(op, w)
 		if err != nil {

@@ -3,7 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"mealib/internal/descriptor"
+	"mealib/internal/accel"
 	"mealib/internal/platform"
 	"mealib/internal/power"
 )
@@ -81,12 +81,8 @@ func Table5() *Table {
 		Title:   "Table 5: accelerator layer power and area (32 nm)",
 		Columns: []string{"Component", "Power", "Area mm^2", "Area %"},
 	}
-	order := []descriptor.OpCode{
-		descriptor.OpAXPY, descriptor.OpDOT, descriptor.OpGEMV, descriptor.OpSPMV,
-		descriptor.OpRESMP, descriptor.OpFFT, descriptor.OpRESHP,
-	}
-	for _, op := range order {
-		c := tab.Accels[op]
+	for _, op := range accel.Ops() {
+		c, _ := accel.SynthesisOf(op) // the op table declares every op Ops returns
 		area := "-"
 		pct := "-"
 		if c.Area > 0 {

@@ -318,7 +318,7 @@ func TestLaunchLifeCycle(t *testing.T) {
 		r := newRuntime(t)
 		p, x, _ := axpyPlan(t, r, 3, n)
 		// The fault: x's mapping disappears behind the runtime's back.
-		if err := r.driver.Free(x.VA()); err != nil {
+		if err := r.driver.Free(x.va); err != nil {
 			t.Fatal(err)
 		}
 		l, err := p.Submit(bg)
@@ -451,7 +451,7 @@ func TestLaunchLifeCycle(t *testing.T) {
 		// its next wave.
 		nodes := cfg.Tracer.Metrics().Counter("accel.nodes")
 		waitUntil(t, "the producer to run a wave", func() bool { return nodes.Value() > 0 })
-		if err := r.driver.Free(x.VA()); err != nil {
+		if err := r.driver.Free(x.va); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := lp.Wait(bg); err == nil {

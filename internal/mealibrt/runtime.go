@@ -243,9 +243,6 @@ func (r *Runtime) LayerOn(stack int) (*accel.Layer, error) {
 	return r.layers[stack], nil
 }
 
-// Host exposes the central processor model.
-func (r *Runtime) Host() *cpu.Host { return r.cfg.Host }
-
 // Stats returns the accumulated invocation accounting.
 func (r *Runtime) Stats() Stats {
 	r.mu.Lock()
@@ -317,9 +314,6 @@ type Buffer struct {
 	host bool
 }
 
-// VA returns the buffer's host virtual address.
-func (b *Buffer) VA() vm.VAddr { return b.va }
-
 // PA returns the buffer's physical address (what descriptors carry).
 func (b *Buffer) PA() phys.Addr { return b.pa }
 
@@ -350,9 +344,6 @@ func (r *Runtime) MemAllocOn(stack int, n units.Bytes) (*Buffer, error) {
 // whether the request would fit stack memory. Useful for keeping cold data
 // out of the stack on purpose.
 func (r *Runtime) MemAllocHost(n units.Bytes) (*Buffer, error) { return r.def.MemAllocHost(n) }
-
-// Stacks returns the number of memory stacks.
-func (r *Runtime) Stacks() int { return r.driver.Stacks() }
 
 // MemFree releases a buffer (mealib_mem_free).
 func (r *Runtime) MemFree(b *Buffer) error { return r.def.MemFree(b) }

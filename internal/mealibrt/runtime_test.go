@@ -61,7 +61,7 @@ func TestMemAllocFree(t *testing.T) {
 		t.Errorf("accelerator-side view = %v, %v", got, err)
 	}
 	// Virtual translation must agree.
-	pa, err := r.Driver().Translate(b.VA())
+	pa, err := r.Driver().Translate(b.va)
 	if err != nil || pa != b.PA() {
 		t.Errorf("Translate(VA) = %v, %v; want %v", pa, err, b.PA())
 	}
@@ -283,11 +283,11 @@ func TestLinkOwnershipReturnsAfterExecute(t *testing.T) {
 
 func TestRuntimeAccessors(t *testing.T) {
 	r := newRuntime(t)
-	if r.Layer() == nil || r.Host() == nil {
+	if r.Layer() == nil || r.cfg.Host == nil {
 		t.Error("layer and host must be exposed")
 	}
-	if r.Stacks() != 1 {
-		t.Errorf("default stacks = %d", r.Stacks())
+	if r.driver.Stacks() != 1 {
+		t.Errorf("default stacks = %d", r.driver.Stacks())
 	}
 	b, err := r.MemAlloc(4 * units.KiB)
 	if err != nil {

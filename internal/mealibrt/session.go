@@ -359,19 +359,16 @@ func (s *Session) AccPlan(tdlSrc string, params map[string]descriptor.Params) (*
 	if err != nil {
 		return nil, err
 	}
-	resolve := tdl.MapResolver(params)
-	if err := tdlcheck.Verify(prog, resolve); err != nil {
-		return nil, fmt.Errorf("mealibrt: program rejected by the static verifier: %w", err)
-	}
 	// The program compiles once and installs like any other descriptor: the
 	// plan lowering fuses its producer→consumer passes, and
 	// AccPlanDescriptor verifies the copy it keeps (whose parameter blocks
-	// are the caller's params).
-	d, err := tdl.Compile(prog, resolve)
+	// are the caller's params) — the program's one verification, whose
+	// failures name their TDL source lines.
+	d, err := tdl.Compile(prog, tdl.MapResolver(params))
 	if err != nil {
 		return nil, err
 	}
-	return s.AccPlanDescriptor(d)
+	return s.install(0, d, tdlcheck.AtLines(prog))
 }
 
 // AccPlanDescriptor installs an already-built descriptor as a session plan.
@@ -385,6 +382,11 @@ func (s *Session) AccPlanDescriptor(d *descriptor.Descriptor) (*Plan, error) {
 // AccPlanDescriptorOn is AccPlanDescriptor for a plan that launches on the
 // given memory stack's accelerator layer (see Runtime.AccPlanDescriptorOn).
 func (s *Session) AccPlanDescriptorOn(stack int, d *descriptor.Descriptor) (*Plan, error) {
+	return s.install(stack, d)
+}
+
+// install is AccPlanDescriptorOn with the options of its one verification.
+func (s *Session) install(stack int, d *descriptor.Descriptor, opts ...tdlcheck.Option) (*Plan, error) {
 	r := s.rt
 	if _, err := r.LayerOn(stack); err != nil {
 		return nil, err
@@ -398,7 +400,7 @@ func (s *Session) AccPlanDescriptorOn(stack int, d *descriptor.Descriptor) (*Pla
 	d = d.Clone()
 	// One reading by the verifier: the verdict, and the footprint everything
 	// below and every launch to come is judged by.
-	fp, err := tdlcheck.Check(d)
+	fp, err := tdlcheck.Check(d, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("mealibrt: descriptor rejected by the static verifier: %w", err)
 	}

@@ -33,7 +33,7 @@ func TestAccPlanDescriptorNil(t *testing.T) {
 func TestAccPlanUnresolvedParamRef(t *testing.T) {
 	r := newRuntime(t)
 	_, err := r.AccPlan(`PASS { COMP FFT PARAMS "missing.para" }`, map[string]descriptor.Params{})
-	wantErr(t, err, "rejected by the static verifier", "missing.para")
+	wantErr(t, err, "line 1", "dangling parameter reference", "missing.para")
 }
 
 func TestAccPlanVerifierRejectsBadKernelArgs(t *testing.T) {
@@ -45,17 +45,17 @@ func TestAccPlanVerifierRejectsBadKernelArgs(t *testing.T) {
 	_, err = r.AccPlan(`PASS { COMP FFT PARAMS "fft.para" }`, map[string]descriptor.Params{
 		"fft.para": accel.FFTArgs{N: 100, HowMany: 1, Src: buf.PA(), Dst: buf.PA()}.Params(),
 	})
-	wantErr(t, err, "rejected by the static verifier", "not a power of two")
+	wantErr(t, err, "rejected by the static verifier", "line 1", "not a power of two")
 }
 
 func TestAccPlanVerifierRejectsOverflowingLoopCount(t *testing.T) {
 	r := newRuntime(t)
-	// 2^33 parses fine but would be silently truncated by the descriptor's
-	// 32-bit count field; the verifier must reject it before compilation.
+	// 2^33 would be silently truncated by the descriptor's 32-bit count
+	// field; the parser rejects it before compilation.
 	_, err := r.AccPlan(`LOOP 8589934592 { PASS { COMP FFT PARAMS "fft.para" } }`, map[string]descriptor.Params{
 		"fft.para": accel.FFTArgs{N: 16, HowMany: 1}.Params(),
 	})
-	wantErr(t, err, "rejected by the static verifier", "32-bit count field")
+	wantErr(t, err, "line 1", "32-bit count field")
 }
 
 func TestExecuteRejectsUninitializedRead(t *testing.T) {

@@ -108,7 +108,7 @@ func New(cfg Config) (*System, error) {
 // Net exposes the interconnect timeline (counters and conservation checks).
 func (s *System) Net() *noc.InterStack { return s.net }
 
-// ModelTime returns the engine's model-time frontier: alternating compute
+// modelTime returns the engine's model-time frontier: alternating compute
 // phases (max over the concurrent per-shard launches) and exchange phases
 // (interconnect makespan).
-func (s *System) ModelTime() units.Seconds { return s.clock }
+func (s *System) modelTime() units.Seconds { return s.clock }

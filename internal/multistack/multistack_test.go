@@ -201,8 +201,8 @@ func TestTrafficConservation(t *testing.T) {
 	if sent != recvd {
 		t.Errorf("conservation: %d sent, %d received", sent, recvd)
 	}
-	if got := sh.Stats().ExchangeBytes; got != iters*sh.ExchangeBytesPerStep() {
-		t.Errorf("stats counted %d exchange bytes, want %d", got, iters*sh.ExchangeBytesPerStep())
+	if got := sh.Stats().ExchangeBytes; got != iters*sh.exchangeBytesPerStep() {
+		t.Errorf("stats counted %d exchange bytes, want %d", got, iters*sh.exchangeBytesPerStep())
 	}
 }
 
@@ -236,10 +236,10 @@ func TestModelTimelineAdvances(t *testing.T) {
 	if st.ComputeTime <= 0 {
 		t.Error("compute phase took no model time")
 	}
-	if sh.ExchangeBytesPerStep() > 0 && st.ExchangeTime <= 0 {
+	if sh.exchangeBytesPerStep() > 0 && st.ExchangeTime <= 0 {
 		t.Error("exchange moved bytes in zero model time")
 	}
-	if got := sys.ModelTime(); !units.CloseTo(float64(got), float64(st.ComputeTime+st.ExchangeTime)) {
+	if got := sys.modelTime(); !units.CloseTo(float64(got), float64(st.ComputeTime+st.ExchangeTime)) {
 		t.Errorf("engine clock %v, want %v", got, st.ComputeTime+st.ExchangeTime)
 	}
 	if st.Energy <= 0 {
@@ -262,7 +262,7 @@ func TestExchangeTelemetry(t *testing.T) {
 	}
 	x := make([]float32, m.Rows)
 	_, sh := runSharded(t, sys, m, x, kernels.SemiringPlusTimes, 0, 2)
-	if sh.ExchangeBytesPerStep() == 0 {
+	if sh.exchangeBytesPerStep() == 0 {
 		t.Fatal("no traffic to trace")
 	}
 	if cfg.Tracer.Events() == 0 {

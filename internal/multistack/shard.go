@@ -164,8 +164,8 @@ func (sh *Sharded) Partition() sparse.Partition { return sh.part }
 // these independently derived figures.
 func (sh *Sharded) GhostBytes(dst, src int) units.Bytes { return sh.ghost[dst][src] }
 
-// ExchangeBytesPerStep returns the total modeled traffic of one exchange.
-func (sh *Sharded) ExchangeBytesPerStep() units.Bytes {
+// exchangeBytesPerStep returns the total modeled traffic of one exchange.
+func (sh *Sharded) exchangeBytesPerStep() units.Bytes {
 	var total units.Bytes
 	for d := range sh.ghost {
 		for s := range sh.ghost[d] {

@@ -276,8 +276,8 @@ func TestInterStackReplaysPortLedger(t *testing.T) {
 // linear in bytes and hops.
 func TestMeshSaturation(t *testing.T) {
 	c := MEALibMesh()
-	a, _ := c.TileCoord(0)
-	b, _ := c.TileCoord(15) // opposite corner: 6 hops
+	a, _ := c.tileCoord(0)
+	b, _ := c.tileCoord(15) // opposite corner: 6 hops
 	const n = 1 << 16
 	lat, e := c.Transfer(a, b, n)
 	wantLat := 6*float64(c.HopLatency) + float64(n)/float64(c.LinkBW)

@@ -50,8 +50,8 @@ func MEALibMesh() *Config {
 	}
 }
 
-// Validate reports configuration errors.
-func (c *Config) Validate() error {
+// validate reports configuration errors.
+func (c *Config) validate() error {
 	switch {
 	case c.Width <= 0 || c.Height <= 0:
 		return fmt.Errorf("noc: non-positive mesh dimensions %dx%d", c.Width, c.Height)
@@ -75,8 +75,8 @@ func (c *Config) StaticPower() units.Watts {
 		float64(c.LinkPower)*float64(c.Links()))
 }
 
-// TileCoord maps a tile index (vault id) to its mesh coordinate, row-major.
-func (c *Config) TileCoord(id int) (Coord, error) {
+// tileCoord maps a tile index (vault id) to its mesh coordinate, row-major.
+func (c *Config) tileCoord(id int) (Coord, error) {
 	if id < 0 || id >= c.Tiles() {
 		return Coord{}, fmt.Errorf("noc: tile id %d out of range [0,%d)", id, c.Tiles())
 	}
@@ -96,8 +96,8 @@ func (c *Config) Hops(src, dst Coord) int {
 	return dx + dy
 }
 
-// Route returns the XY route from src to dst, inclusive of both endpoints.
-func (c *Config) Route(src, dst Coord) []Coord {
+// route returns the XY route from src to dst, inclusive of both endpoints.
+func (c *Config) route(src, dst Coord) []Coord {
 	route := []Coord{src}
 	cur := src
 	for cur.X != dst.X {

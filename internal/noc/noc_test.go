@@ -9,7 +9,7 @@ import (
 
 func TestMeshShape(t *testing.T) {
 	m := MEALibMesh()
-	if err := m.Validate(); err != nil {
+	if err := m.validate(); err != nil {
 		t.Fatal(err)
 	}
 	if m.Tiles() != 16 {
@@ -22,11 +22,11 @@ func TestMeshShape(t *testing.T) {
 
 func TestValidate(t *testing.T) {
 	bad := &Config{Width: 0, Height: 4, LinkBW: 1, FlitBytes: 1}
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Error("zero width must fail")
 	}
 	bad2 := &Config{Width: 4, Height: 4}
-	if err := bad2.Validate(); err == nil {
+	if err := bad2.validate(); err == nil {
 		t.Error("zero bandwidth must fail")
 	}
 }
@@ -41,22 +41,22 @@ func TestStaticPowerMatchesTable5(t *testing.T) {
 
 func TestTileCoord(t *testing.T) {
 	m := MEALibMesh()
-	c, err := m.TileCoord(0)
+	c, err := m.tileCoord(0)
 	if err != nil || c != (Coord{0, 0}) {
 		t.Errorf("tile 0 = %v, %v", c, err)
 	}
-	c, err = m.TileCoord(5)
+	c, err = m.tileCoord(5)
 	if err != nil || c != (Coord{1, 1}) {
 		t.Errorf("tile 5 = %v, %v", c, err)
 	}
-	c, err = m.TileCoord(15)
+	c, err = m.tileCoord(15)
 	if err != nil || c != (Coord{3, 3}) {
 		t.Errorf("tile 15 = %v, %v", c, err)
 	}
-	if _, err := m.TileCoord(16); err == nil {
+	if _, err := m.tileCoord(16); err == nil {
 		t.Error("tile 16 must be out of range")
 	}
-	if _, err := m.TileCoord(-1); err == nil {
+	if _, err := m.tileCoord(-1); err == nil {
 		t.Error("tile -1 must be out of range")
 	}
 }
@@ -69,7 +69,7 @@ func TestHopsAndRoute(t *testing.T) {
 	if h := m.Hops(Coord{2, 1}, Coord{2, 1}); h != 0 {
 		t.Errorf("self hops = %d, want 0", h)
 	}
-	route := m.Route(Coord{0, 0}, Coord{2, 1})
+	route := m.route(Coord{0, 0}, Coord{2, 1})
 	want := []Coord{{0, 0}, {1, 0}, {2, 0}, {2, 1}}
 	if len(route) != len(want) {
 		t.Fatalf("route = %v, want %v", route, want)
@@ -108,12 +108,12 @@ func TestTransfer(t *testing.T) {
 func TestPropertyRouteLengthMatchesHops(t *testing.T) {
 	m := MEALibMesh()
 	f := func(a, b uint8) bool {
-		src, err1 := m.TileCoord(int(a) % 16)
-		dst, err2 := m.TileCoord(int(b) % 16)
+		src, err1 := m.tileCoord(int(a) % 16)
+		dst, err2 := m.tileCoord(int(b) % 16)
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		route := m.Route(src, dst)
+		route := m.route(src, dst)
 		return len(route) == m.Hops(src, dst)+1
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -124,9 +124,9 @@ func TestPropertyRouteLengthMatchesHops(t *testing.T) {
 func TestPropertyHopsSymmetricTriangle(t *testing.T) {
 	m := MEALibMesh()
 	f := func(a, b, c uint8) bool {
-		x, _ := m.TileCoord(int(a) % 16)
-		y, _ := m.TileCoord(int(b) % 16)
-		z, _ := m.TileCoord(int(c) % 16)
+		x, _ := m.tileCoord(int(a) % 16)
+		y, _ := m.tileCoord(int(b) % 16)
+		z, _ := m.tileCoord(int(c) % 16)
 		if m.Hops(x, y) != m.Hops(y, x) {
 			return false
 		}

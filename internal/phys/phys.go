@@ -72,8 +72,8 @@ func NewSpace(size units.Bytes) *Space {
 // Size returns the capacity of the space.
 func (s *Space) Size() units.Bytes { return s.size }
 
-// Mapped returns the total size of all mapped regions.
-func (s *Space) Mapped() units.Bytes {
+// mappedBytes returns the total size of all mapped regions.
+func (s *Space) mappedBytes() units.Bytes {
 	var total units.Bytes
 	for _, r := range s.regions() {
 		total += r.Size()

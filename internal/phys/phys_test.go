@@ -18,13 +18,13 @@ func TestMapUnmap(t *testing.T) {
 	if r.Addr() != 0x1000 || r.Size() != 4096 {
 		t.Fatalf("region = %v+%v", r.Addr(), r.Size())
 	}
-	if got := s.Mapped(); got != 4096 {
+	if got := s.mappedBytes(); got != 4096 {
 		t.Errorf("Mapped = %v, want 4096", got)
 	}
 	if err := s.Unmap(0x1000); err != nil {
 		t.Fatalf("Unmap: %v", err)
 	}
-	if got := s.Mapped(); got != 0 {
+	if got := s.mappedBytes(); got != 0 {
 		t.Errorf("Mapped after unmap = %v", got)
 	}
 }
@@ -298,7 +298,7 @@ func TestSpaceConcurrentMapUnmapAndView(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, ok := s.Region(a + 8); !ok || s.Mapped() != 2*units.Bytes(page) {
+			if _, ok := s.Region(a + 8); !ok || s.mappedBytes() != 2*units.Bytes(page) {
 				t.Errorf("round %d: the region just mapped at %v is not in the table", i, a)
 			}
 			if err := s.Unmap(a); err != nil {
@@ -318,8 +318,8 @@ func TestSpaceConcurrentMapUnmapAndView(t *testing.T) {
 			base := 4*page + Addr(g)*1024 // each reader owns a quarter of the region
 			for i := 0; i < 2000; i++ {
 				v, err := ViewOf[float32](s, base, 64)
-				if err != nil || !v.Aliased() {
-					t.Errorf("reader %d: view of the stable region: aliased %v, %v", g, v.Aliased(), err)
+				if err != nil || !v.aliased {
+					t.Errorf("reader %d: view of the stable region: aliased %v, %v", g, v.aliased, err)
 					return
 				}
 				v.Data[i%64] = float32(i)
@@ -331,7 +331,7 @@ func TestSpaceConcurrentMapUnmapAndView(t *testing.T) {
 					t.Errorf("reader %d: %v", g, err)
 					return
 				}
-				if s.SpanMapped(9*page, 8) || s.WriteUint32(9*page, 1) == nil {
+				if s.spanMapped(9*page, 8) || s.WriteUint32(9*page, 1) == nil {
 					t.Errorf("reader %d: unmapped page 9 accepted an access", g)
 					return
 				}
@@ -341,8 +341,8 @@ func TestSpaceConcurrentMapUnmapAndView(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	churn.Wait()
-	if s.Mapped() != units.Bytes(page) {
-		t.Errorf("mapped = %v after the churn, want the one stable region", s.Mapped())
+	if s.mappedBytes() != units.Bytes(page) {
+		t.Errorf("mapped = %v after the churn, want the one stable region", s.mappedBytes())
 	}
 }
 

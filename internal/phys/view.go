@@ -161,9 +161,6 @@ type View[T Elem] struct {
 	aliased bool
 }
 
-// Aliased reports whether the view is zero-copy.
-func (v *View[T]) Aliased() bool { return v.aliased }
-
 // Commit propagates a copied view back to the space; aliased views are
 // already live and Commit is a no-op.
 func (v *View[T]) Commit() error {
@@ -198,8 +195,8 @@ func ViewOf[T Elem](s *Space, addr Addr, n int) (View[T], error) {
 	return View[T]{Data: out, space: s, addr: addr}, nil
 }
 
-// SpanMapped reports whether every byte of [addr, addr+n) is backed by a
+// spanMapped reports whether every byte of [addr, addr+n) is backed by a
 // mapped region (possibly more than one).
-func (s *Space) SpanMapped(addr Addr, n units.Bytes) bool {
+func (s *Space) spanMapped(addr Addr, n units.Bytes) bool {
 	return s.mapped(addr, int(n)) == nil
 }

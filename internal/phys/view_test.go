@@ -34,7 +34,7 @@ func TestViewFloat32sAliasesRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v.Aliased() {
+	if !v.aliased {
 		t.Fatal("aligned single-region span must alias")
 	}
 	if v.Data[2] != 3 {
@@ -62,7 +62,7 @@ func TestViewFloat32sUnalignedFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Aliased() {
+	if v.aliased {
 		t.Fatal("misaligned span must not alias")
 	}
 	v.Data[0] = 7
@@ -104,7 +104,7 @@ func TestViewStraddlingRegionsFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Aliased() {
+	if v.aliased {
 		t.Fatal("region-straddling span must not alias")
 	}
 	for i := range want {
@@ -199,14 +199,14 @@ func TestRegionTypedAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	f, err := ViewOf[float32](s, r.Addr(), 16)
-	if err != nil || !f.Aliased() || f.Data[0] != 1.5 {
-		t.Fatalf("float32 view of the region = %v, aliased %v, %v", f.Data, f.Aliased(), err)
+	if err != nil || !f.aliased || f.Data[0] != 1.5 {
+		t.Fatalf("float32 view of the region = %v, aliased %v, %v", f.Data, f.aliased, err)
 	}
-	if c, err := ViewOf[complex64](s, r.Addr(), 8); err != nil || !c.Aliased() {
-		t.Fatalf("complex64 view of the region: aliased %v, %v", c.Aliased(), err)
+	if c, err := ViewOf[complex64](s, r.Addr(), 8); err != nil || !c.aliased {
+		t.Fatalf("complex64 view of the region: aliased %v, %v", c.aliased, err)
 	}
-	if i, err := ViewOf[int32](s, r.Addr(), 16); err != nil || !i.Aliased() || i.Data[0] != int32(math.Float32bits(1.5)) {
-		t.Fatalf("int32 view of the region = %v, aliased %v, %v", i.Data, i.Aliased(), err)
+	if i, err := ViewOf[int32](s, r.Addr(), 16); err != nil || !i.aliased || i.Data[0] != int32(math.Float32bits(1.5)) {
+		t.Fatalf("int32 view of the region = %v, aliased %v, %v", i.Data, i.aliased, err)
 	}
 	f.Data[1] = 2.5
 	got, err := s.ReadFloat32(4)
@@ -217,13 +217,13 @@ func TestRegionTypedAccessors(t *testing.T) {
 
 func TestSpanMapped(t *testing.T) {
 	s := viewSpace(t)
-	if !s.SpanMapped(0x1ff0, 0x20) {
+	if !s.spanMapped(0x1ff0, 0x20) {
 		t.Error("span across the seam of two mapped regions must count as mapped")
 	}
-	if s.SpanMapped(0x2ff0, 0x20) {
+	if s.spanMapped(0x2ff0, 0x20) {
 		t.Error("span running off the last region must not count as mapped")
 	}
-	if s.SpanMapped(0x4000, 1) {
+	if s.spanMapped(0x4000, 1) {
 		t.Error("unmapped address must not count as mapped")
 	}
 }
@@ -346,8 +346,8 @@ func checkElemRow[T Elem](t *testing.T, row elemRow, all []T) {
 		t.Errorf("%s: space holds % x, %v; want % x", kind, got, err, wantBytes)
 	}
 	view, err := ViewOf[T](s, row.addr, row.n)
-	if err != nil || view.Aliased() != row.aliased || !slices.Equal(words(view.Data), want) {
-		t.Errorf("%s: view = %#x, aliased %v, %v; want %#x, aliased %v", kind, words(view.Data), view.Aliased(), err, want, row.aliased)
+	if err != nil || view.aliased != row.aliased || !slices.Equal(words(view.Data), want) {
+		t.Errorf("%s: view = %#x, aliased %v, %v; want %#x, aliased %v", kind, words(view.Data), view.aliased, err, want, row.aliased)
 	}
 	back, err := Load[T](s, row.addr, row.n)
 	if err != nil || len(back) != row.n || !slices.Equal(words(back), want) {

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"mealib/internal/accel"
 	"mealib/internal/descriptor"
 	"mealib/internal/power"
 	"mealib/internal/units"
@@ -146,10 +147,11 @@ func MSAS() *Platform {
 // MEALib returns the proposed system (Table 3: 510 GB/s 3D-stacked
 // internal bandwidth; powers from Table 5).
 func MEALib() *Platform {
-	t5 := power.MEALib()
-	pw := make(map[descriptor.OpCode]units.Watts, len(t5.Accels))
-	for op, c := range t5.Accels {
-		pw[op] = c.Power + t5.NoC.Power
+	noc := power.MEALib().NoC.Power
+	pw := make(map[descriptor.OpCode]units.Watts)
+	for _, op := range accel.Ops() {
+		row, _ := accel.SynthesisOf(op) // the op table declares every op Ops returns
+		pw[op] = row.Power + noc
 	}
 	return &Platform{
 		Name:  "MEALib (3D memory-side accel)",
@@ -174,21 +176,9 @@ func MEALib() *Platform {
 
 // perOpPower builds a flat per-operation power table.
 func perOpPower(w units.Watts) map[descriptor.OpCode]units.Watts {
-	ops := []descriptor.OpCode{
-		descriptor.OpAXPY, descriptor.OpDOT, descriptor.OpGEMV, descriptor.OpSPMV,
-		descriptor.OpRESMP, descriptor.OpFFT, descriptor.OpRESHP,
-	}
-	out := make(map[descriptor.OpCode]units.Watts, len(ops))
-	for _, op := range ops {
+	out := make(map[descriptor.OpCode]units.Watts)
+	for _, op := range accel.Ops() {
 		out[op] = w
 	}
 	return out
-}
-
-// Ops returns the seven accelerated operations in Table 1 order.
-func Ops() []descriptor.OpCode {
-	return []descriptor.OpCode{
-		descriptor.OpAXPY, descriptor.OpDOT, descriptor.OpGEMV, descriptor.OpSPMV,
-		descriptor.OpRESMP, descriptor.OpFFT, descriptor.OpRESHP,
-	}
 }

@@ -31,17 +31,17 @@ type Result struct {
 	Energy units.Joules
 }
 
-// Rate returns the achieved compute rate.
-func (r Result) Rate(w Workload) units.FlopsPerSec {
+// rate returns the achieved compute rate.
+func (r Result) rate(w Workload) units.FlopsPerSec {
 	if r.Time <= 0 {
 		return 0
 	}
 	return units.FlopsPerSec(float64(w.Flops) / float64(r.Time))
 }
 
-// Throughput returns the achieved data rate (how RESHP, which has no flops,
+// throughput returns the achieved data rate (how RESHP, which has no flops,
 // is reported in the paper).
-func (r Result) Throughput(w Workload) units.BytesPerSec {
+func (r Result) throughput(w Workload) units.BytesPerSec {
 	if r.Time <= 0 {
 		return 0
 	}
@@ -65,8 +65,8 @@ type Platform struct {
 	Power map[descriptor.OpCode]units.Watts
 }
 
-// Validate reports configuration errors.
-func (p *Platform) Validate() error {
+// validate reports configuration errors.
+func (p *Platform) validate() error {
 	switch {
 	case p.Name == "":
 		return fmt.Errorf("platform: empty name")

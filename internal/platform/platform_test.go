@@ -4,13 +4,14 @@ import (
 	"math"
 	"testing"
 
+	"mealib/internal/accel"
 	"mealib/internal/descriptor"
 	"mealib/internal/units"
 )
 
 func TestAllPlatformsValid(t *testing.T) {
 	for _, p := range All() {
-		if err := p.Validate(); err != nil {
+		if err := p.validate(); err != nil {
 			t.Errorf("%s: %v", p.Name, err)
 		}
 	}
@@ -19,22 +20,22 @@ func TestAllPlatformsValid(t *testing.T) {
 func TestValidateCatchesBrokenConfigs(t *testing.T) {
 	p := Haswell()
 	p.Name = ""
-	if err := p.Validate(); err == nil {
+	if err := p.validate(); err == nil {
 		t.Error("empty name must fail")
 	}
 	p2 := Haswell()
 	p2.MemBW = 0
-	if err := p2.Validate(); err == nil {
+	if err := p2.validate(); err == nil {
 		t.Error("zero bandwidth must fail")
 	}
 	p3 := Haswell()
 	p3.Eff[descriptor.OpFFT] = 0
-	if err := p3.Validate(); err == nil {
+	if err := p3.validate(); err == nil {
 		t.Error("zero efficiency must fail")
 	}
 	p4 := Haswell()
 	p4.Power[descriptor.OpFFT] = 0
-	if err := p4.Validate(); err == nil {
+	if err := p4.validate(); err == nil {
 		t.Error("zero power must fail")
 	}
 }
@@ -118,10 +119,10 @@ func TestFigure9Averages(t *testing.T) {
 	h := Haswell()
 	avg := func(p *Platform) float64 {
 		var sum float64
-		for _, op := range Ops() {
+		for _, op := range accel.Ops() {
 			sum += speedup(t, h, p, op)
 		}
-		return sum / float64(len(Ops()))
+		return sum / float64(len(accel.Ops()))
 	}
 	// Paper: MEALib 38x, PSAS 2.51x, MSAS 10.32x on average.
 	if got := avg(MEALib()); math.Abs(got-38)/38 > 0.10 {
@@ -205,14 +206,14 @@ func TestComputeBoundCeiling(t *testing.T) {
 func TestResultRates(t *testing.T) {
 	w := Workload{Flops: 2e9, Bytes: 1e9}
 	r := Result{Time: 1}
-	if got := r.Rate(w).G(); math.Abs(got-2) > 1e-9 {
+	if got := r.rate(w).G(); math.Abs(got-2) > 1e-9 {
 		t.Errorf("rate = %v GFLOPS, want 2", got)
 	}
-	if got := r.Throughput(w).GBs(); math.Abs(got-1) > 1e-9 {
+	if got := r.throughput(w).GBs(); math.Abs(got-1) > 1e-9 {
 		t.Errorf("throughput = %v GB/s, want 1", got)
 	}
 	zero := Result{}
-	if zero.Rate(w) != 0 || zero.Throughput(w) != 0 {
+	if zero.rate(w) != 0 || zero.throughput(w) != 0 {
 		t.Error("zero time must yield zero rates, not Inf")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"mealib/internal/accel"
 	"mealib/internal/descriptor"
 	"mealib/internal/units"
 )
@@ -23,8 +24,9 @@ func TestTable5Totals(t *testing.T) {
 	}
 }
 
+// TestAccelPower pins each accelerator's Table 5 power, which its op-table
+// entry carries.
 func TestAccelPower(t *testing.T) {
-	tab := MEALib()
 	cases := map[descriptor.OpCode]float64{
 		descriptor.OpAXPY:  23.56,
 		descriptor.OpDOT:   23.49,
@@ -35,23 +37,23 @@ func TestAccelPower(t *testing.T) {
 		descriptor.OpRESHP: 22.70,
 	}
 	for op, want := range cases {
-		got, err := tab.AccelPower(op)
+		got, err := accel.SynthesisOf(op)
 		if err != nil {
 			t.Errorf("%v: %v", op, err)
 			continue
 		}
-		if !units.CloseTo(float64(got), want) {
-			t.Errorf("%v power = %v, want %v", op, got, want)
+		if !units.CloseTo(float64(got.Power), want) {
+			t.Errorf("%v power = %v, want %v", op, got.Power, want)
 		}
 	}
-	if _, err := tab.AccelPower(descriptor.OpInvalid); err == nil {
+	if _, err := accel.SynthesisOf(descriptor.OpInvalid); err == nil {
 		t.Error("invalid opcode must fail")
 	}
 }
 
 func TestRESHPOnLogicLayer(t *testing.T) {
 	tab := MEALib()
-	if tab.Accels[descriptor.OpRESHP].Area != 0 {
+	if row, err := accel.SynthesisOf(descriptor.OpRESHP); err != nil || row.Area != 0 {
 		t.Error("RESHP occupies no accelerator-layer area (it is on the DRAM logic layer)")
 	}
 	if !units.CloseTo(float64(tab.LogicLayerExtra.Power), 0.25) {

@@ -79,7 +79,7 @@ func TestFromCOOMatchesSortReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Dense()[2]; got != 1 {
+	if got := m.dense()[2]; got != 1 {
 		t.Errorf("duplicates 1e8, -1e8, 1 summed to %v, want 1 (input order)", got)
 	}
 }

@@ -25,7 +25,7 @@ func TestReadMatrixMarketGeneral(t *testing.T) {
 	if m.Rows != 3 || m.Cols != 3 || m.NNZ() != 4 {
 		t.Fatalf("shape %dx%d nnz %d", m.Rows, m.Cols, m.NNZ())
 	}
-	d := m.Dense()
+	d := m.dense()
 	if d[0] != 1.5 || d[2] != 2 || d[4] != -3 || d[6] != 4.25 {
 		t.Errorf("dense = %v", d)
 	}
@@ -44,7 +44,7 @@ func TestReadMatrixMarketSymmetric(t *testing.T) {
 	if m.NNZ() != 3 {
 		t.Fatalf("nnz = %d, want 3 (mirror expanded)", m.NNZ())
 	}
-	d := m.Dense()
+	d := m.dense()
 	if d[1] != 7 || d[2] != 7 || d[0] != 5 {
 		t.Errorf("dense = %v", d)
 	}
@@ -60,7 +60,7 @@ func TestReadMatrixMarketPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := m.Dense()
+	d := m.dense()
 	if d[1] != 1 || d[5] != 1 {
 		t.Errorf("pattern values must be 1: %v", d)
 	}

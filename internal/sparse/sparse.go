@@ -26,8 +26,8 @@ type CSR struct {
 // NNZ returns the number of stored non-zeros.
 func (m *CSR) NNZ() int { return len(m.Values) }
 
-// AvgDegree returns non-zeros per row.
-func (m *CSR) AvgDegree() float64 {
+// avgDegree returns non-zeros per row.
+func (m *CSR) avgDegree() float64 {
 	if m.Rows == 0 {
 		return 0
 	}
@@ -196,9 +196,9 @@ func RGG(n int, avgDegree float64, seed int64) (*CSR, error) {
 	return FromCOO(n, n, entries)
 }
 
-// Dense returns the matrix as a dense row-major slice (tests only; do not
+// dense returns the matrix as a dense row-major slice (tests only; do not
 // call on paper-scale matrices).
-func (m *CSR) Dense() []float32 {
+func (m *CSR) dense() []float32 {
 	out := make([]float32, m.Rows*m.Cols)
 	for i := 0; i < m.Rows; i++ {
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {

@@ -20,7 +20,7 @@ func TestFromCOO(t *testing.T) {
 	if m.NNZ() != 5 {
 		t.Errorf("nnz = %d, want 5", m.NNZ())
 	}
-	d := m.Dense()
+	d := m.dense()
 	want := []float32{1, 0, 2, 0, 3, 0, 4, 0, 5}
 	for i := range want {
 		if d[i] != want[i] {
@@ -37,7 +37,7 @@ func TestFromCOODuplicatesSummed(t *testing.T) {
 	if m.NNZ() != 2 {
 		t.Errorf("nnz = %d, want 2 (duplicates merged)", m.NNZ())
 	}
-	if d := m.Dense(); d[0] != 3 {
+	if d := m.dense(); d[0] != 3 {
 		t.Errorf("merged value = %v, want 3", d[0])
 	}
 }
@@ -50,7 +50,7 @@ func TestFromCOOUnsortedInput(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	d := m.Dense()
+	d := m.dense()
 	if d[2] != 1 || d[3] != 4 || d[7] != 9 {
 		t.Errorf("dense = %v", d)
 	}
@@ -103,7 +103,7 @@ func TestRGGProperties(t *testing.T) {
 	}
 	// Average degree should land near the target (generous tolerance: it is
 	// a random graph).
-	if d := m.AvgDegree(); d < 13*0.6 || d > 13*1.4 {
+	if d := m.avgDegree(); d < 13*0.6 || d > 13*1.4 {
 		t.Errorf("avg degree %.1f, want ~13", d)
 	}
 	// Symmetric adjacency: every (i,j) has a (j,i).
@@ -212,7 +212,7 @@ func TestPropertyFromCOORoundTrip(t *testing.T) {
 			want += float64(e.Val)
 		}
 		var got float64
-		for _, v := range m.Dense() {
+		for _, v := range m.dense() {
 			got += float64(v)
 		}
 		return got == want

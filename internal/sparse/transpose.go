@@ -52,10 +52,10 @@ func (m *CSR) RowSums() []float64 {
 	return sums
 }
 
-// SymNormalize returns D^{-1/2} A D^{-1/2} where D is the diagonal of row
+// symNormalize returns D^{-1/2} A D^{-1/2} where D is the diagonal of row
 // sums (node degrees for an adjacency matrix). Rows with a zero sum are left
 // zero; a negative row sum is an error since its square root is undefined.
-func (m *CSR) SymNormalize() (*CSR, error) {
+func (m *CSR) symNormalize() (*CSR, error) {
 	if m.Rows != m.Cols {
 		return nil, fmt.Errorf("sparse: sym-normalize of non-square %dx%d matrix", m.Rows, m.Cols)
 	}

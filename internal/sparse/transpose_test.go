@@ -17,7 +17,7 @@ func TestTransposeSmall(t *testing.T) {
 	if tr.Rows != 3 || tr.Cols != 2 {
 		t.Fatalf("transpose is %dx%d, want 3x2", tr.Rows, tr.Cols)
 	}
-	d := tr.Dense()
+	d := tr.dense()
 	want := []float32{1, 0, 0, 3, 2, 0}
 	for i := range want {
 		if d[i] != want[i] {
@@ -86,7 +86,7 @@ func TestSymNormalizeRowSums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	norm, err := m.SymNormalize()
+	norm, err := m.symNormalize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,29 +113,29 @@ func TestSymNormalizeZeroRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	norm, err := m.SymNormalize()
+	norm, err := m.symNormalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := norm.Dense()
+	d := norm.dense()
 	if d[0] != 1 || d[8] != 1 {
 		t.Errorf("diagonal normalization: got %v and %v, want 1 and 1", d[0], d[8])
 	}
-	if _, err := m.Transpose().SymNormalize(); err != nil {
+	if _, err := m.Transpose().symNormalize(); err != nil {
 		t.Log(err) // transpose of square is fine; just exercise the path
 	}
 	bad, err := FromCOO(2, 2, []COO{{0, 0, -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bad.SymNormalize(); err == nil {
+	if _, err := bad.symNormalize(); err == nil {
 		t.Error("negative row sum accepted")
 	}
 	rect, err := FromCOO(2, 3, []COO{{0, 0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rect.SymNormalize(); err == nil {
+	if _, err := rect.symNormalize(); err == nil {
 		t.Error("non-square matrix accepted")
 	}
 }
@@ -149,7 +149,7 @@ func TestScaleColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := out.Dense()
+	d := out.dense()
 	want := []float32{1, 1, 0, 2}
 	for i := range want {
 		if d[i] != want[i] {

@@ -17,14 +17,15 @@ func MapResolver(m map[string]descriptor.Params) ParamResolver {
 	return func(ref string) (descriptor.Params, error) {
 		p, ok := m[ref]
 		if !ok {
-			return nil, fmt.Errorf("tdl: unresolved parameter reference %q", ref)
+			return nil, fmt.Errorf("no parameter block named %q", ref)
 		}
 		return p, nil
 	}
 }
 
 // Compile lowers a TDL program to an accelerator descriptor, resolving every
-// parameter reference.
+// parameter reference. The descriptor's invocations are the program's COMPs in
+// program order; an error names the source line it belongs to.
 func Compile(prog *Program, resolve ParamResolver) (*descriptor.Descriptor, error) {
 	if prog == nil || len(prog.Blocks) == 0 {
 		return nil, fmt.Errorf("tdl: empty program")
@@ -37,10 +38,10 @@ func Compile(prog *Program, resolve ParamResolver) (*descriptor.Descriptor, erro
 		for _, c := range pass.Comps {
 			p, err := resolve(c.ParamRef)
 			if err != nil {
-				return err
+				return fmt.Errorf("tdl: line %d: dangling parameter reference: %w", c.Line, err)
 			}
 			if err := d.AddComp(c.Op, p); err != nil {
-				return err
+				return fmt.Errorf("tdl: line %d: %w", c.Line, err)
 			}
 		}
 		d.AddEndPass()
@@ -53,12 +54,12 @@ func Compile(prog *Program, resolve ParamResolver) (*descriptor.Descriptor, erro
 				return nil, err
 			}
 		case Loop:
-			counts := make([]uint32, len(v.Counts))
-			for i, c := range v.Counts {
-				counts[i] = uint32(c)
+			lc, err := descriptor.CountsOf(v.Counts)
+			if err == nil {
+				err = d.AddLoop(lc[:]...)
 			}
-			if err := d.AddLoop(counts...); err != nil {
-				return nil, err
+			if err != nil {
+				return nil, fmt.Errorf("tdl: line %d: %w", v.Line, err)
 			}
 			for _, pass := range v.Passes {
 				if err := addPass(pass); err != nil {

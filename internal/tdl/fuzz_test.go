@@ -1,7 +1,6 @@
-// External test package: the fuzzers exercise the parser together with
-// the static verifier (internal/analysis/tdlcheck) and the runtime
-// (internal/mealibrt), both of which import tdl — an in-package test
-// would be an import cycle.
+// External test package: the fuzzers exercise the parser together with the
+// runtime (internal/mealibrt), which imports tdl — an in-package test would
+// be an import cycle.
 package tdl_test
 
 import (
@@ -9,7 +8,6 @@ import (
 	"testing"
 
 	"mealib/internal/accel"
-	"mealib/internal/analysis/tdlcheck"
 	"mealib/internal/descriptor"
 	"mealib/internal/mealibrt"
 	"mealib/internal/tdl"
@@ -18,10 +16,9 @@ import (
 
 // FuzzParse hardens the TDL front end: arbitrary input must never panic,
 // and anything that parses must survive Format -> Parse -> Compile. On
-// top of that sits the verifier contract: a program that passes
-// tdlcheck.Verify with well-formed parameters must never panic the
-// runtime — at worst it may fail with a clean error (capacity limits,
-// command-space exhaustion).
+// top of that sits the verifier contract: a program that AccPlan installs
+// with well-formed parameters must never panic the runtime — at worst it may
+// fail with a clean error (capacity limits, command-space exhaustion).
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		`PASS { COMP FFT PARAMS "fft.para" }`,
@@ -111,12 +108,9 @@ func execVerified(t *testing.T, prog *tdl.Program) {
 	if !ok {
 		return
 	}
-	if err := tdlcheck.Verify(prog, tdl.MapResolver(params)); err != nil {
-		return
-	}
 	plan, err := r.AccPlan(tdl.Format(prog), params)
 	if err != nil {
-		return // e.g. descriptor exceeds instruction memory
+		return // rejected by the verifier, or e.g. exceeds instruction memory
 	}
 	_, _ = plan.Execute(context.Background()) // errors tolerated; a panic fails the fuzzer
 }

@@ -15,6 +15,7 @@ package tdl
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"unicode"
@@ -42,7 +43,7 @@ func (Pass) isBlock() {}
 
 // Loop repeats its passes over a hardware loop nest; Counts are the
 // per-level iteration counts, outermost first (a single count is a plain
-// loop). Count returns the flattened total.
+// loop).
 type Loop struct {
 	Counts []int
 	Passes []Pass
@@ -51,8 +52,8 @@ type Loop struct {
 	Line int
 }
 
-// Count returns the flattened iteration count of the nest.
-func (l Loop) Count() int {
+// count returns the flattened iteration count of the nest.
+func (l Loop) count() int {
 	total := 1
 	for _, c := range l.Counts {
 		total *= c
@@ -274,6 +275,9 @@ func (p *parser) parseComp() (Comp, error) {
 	if err != nil {
 		return comp, err
 	}
+	if ref.text == "" {
+		return comp, fmt.Errorf("tdl: line %d: %v: empty parameter reference", ref.line, op)
+	}
 	comp.ParamRef = ref.text
 	return comp, nil
 }
@@ -289,18 +293,18 @@ func (p *parser) parseLoop() (Loop, error) {
 	if err != nil {
 		return loop, err
 	}
-	count, err := strconv.Atoi(countTok.text)
-	if err != nil || count <= 0 {
-		return loop, fmt.Errorf("tdl: line %d: invalid loop count %q", countTok.line, countTok.text)
-	}
-	loop.Counts = []int{count}
-	for p.peek().kind == tokInt {
-		extra := p.next()
-		c, err := strconv.Atoi(extra.text)
-		if err != nil || c <= 0 {
-			return loop, fmt.Errorf("tdl: line %d: invalid loop count %q", extra.line, extra.text)
+	for tok := countTok; ; tok = p.next() {
+		c, err := strconv.Atoi(tok.text)
+		switch {
+		case err != nil || c <= 0:
+			return loop, fmt.Errorf("tdl: line %d: invalid loop count %q", tok.line, tok.text)
+		case c > math.MaxUint32:
+			return loop, fmt.Errorf("tdl: line %d: loop count %d exceeds the descriptor's 32-bit count field", tok.line, c)
 		}
 		loop.Counts = append(loop.Counts, c)
+		if p.peek().kind != tokInt {
+			break
+		}
 	}
 	if len(loop.Counts) > descriptor.MaxLoopLevels {
 		return loop, fmt.Errorf("tdl: line %d: loop nest deeper than %d levels", countTok.line, descriptor.MaxLoopLevels)

@@ -45,7 +45,7 @@ func TestParseBasic(t *testing.T) {
 	if !ok {
 		t.Fatalf("block 1 is %T, want Loop", prog.Blocks[1])
 	}
-	if loop.Count() != 128 || len(loop.Passes) != 1 {
+	if loop.count() != 128 || len(loop.Passes) != 1 {
 		t.Errorf("loop = %+v", loop)
 	}
 }
@@ -83,11 +83,35 @@ func TestParseErrors(t *testing.T) {
 		"missing brace":      `PASS COMP FFT PARAMS "p" }`,
 		"trailing garbage":   `PASS { COMP FFT PARAMS "p" } @`,
 		"loop in loop":       `LOOP 2 { LOOP 2 { PASS { COMP FFT PARAMS "p" } } }`,
+		"count past 2^32-1":  `LOOP 4294967297 { PASS { COMP FFT PARAMS "p" } }`,
+		"inner count 2^32":   `LOOP 2 4294967296 { PASS { COMP FFT PARAMS "p" } }`,
+		"empty ref":          `PASS { COMP FFT PARAMS "" }`,
 	}
 	for name, src := range cases {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("%s: Parse must fail", name)
 		}
+	}
+}
+
+// TestCompileChecksLoopCounts: a nest built in code reaches the descriptor's
+// 32-bit count fields through one checked conversion, never truncated.
+func TestCompileChecksLoopCounts(t *testing.T) {
+	pass := []Pass{{Comps: []Comp{{Op: descriptor.OpFFT, ParamRef: "p", Line: 2}}, Line: 2}}
+	resolve := MapResolver(map[string]descriptor.Params{"p": {1}})
+	for _, counts := range [][]int{{-1}, {1<<32 + 3}, {1 << 32}, {0}, {2, 1, 1, 1, 1}} {
+		prog := &Program{Blocks: []Block{Loop{Counts: counts, Passes: pass, Line: 2}}}
+		if d, err := Compile(prog, resolve); err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("LOOP %v compiled (%v, %v); want an error naming line 2", counts, d, err)
+		}
+	}
+	prog, err := Parse(`LOOP 4294967295 { PASS { COMP FFT PARAMS "p" } }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Compile(prog, resolve)
+	if err != nil || d.Instrs[0].Counts.Total() != 1<<32-1 {
+		t.Errorf("LOOP 2^32-1: %v, %v", d, err)
 	}
 }
 
@@ -104,8 +128,8 @@ func TestMultiLevelLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	loop := prog.Blocks[0].(Loop)
-	if loop.Count() != 4*8*16 {
-		t.Errorf("nest total = %d", loop.Count())
+	if loop.count() != 4*8*16 {
+		t.Errorf("nest total = %d", loop.count())
 	}
 	d, err := Compile(prog, MapResolver(map[string]descriptor.Params{"p": {1}}))
 	if err != nil {
@@ -119,7 +143,7 @@ func TestMultiLevelLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog2.Blocks[0].(Loop).Count() != 4*8*16 {
+	if prog2.Blocks[0].(Loop).count() != 4*8*16 {
 		t.Error("format lost loop levels")
 	}
 }

@@ -40,8 +40,8 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add adjusts the gauge by d.
-func (g *Gauge) Add(d int64) {
+// add adjusts the gauge by d.
+func (g *Gauge) add(d int64) {
 	if g == nil {
 		return
 	}
@@ -87,14 +87,6 @@ func (h *Histogram) Observe(v int64) {
 		}
 	}
 	h.buckets[bits.Len64(uint64(v))%histBuckets].Add(1)
-}
-
-// Count returns the number of samples (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // Quantile returns an upper-bound estimate of the q-quantile (q in [0,1]):

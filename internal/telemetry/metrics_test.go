@@ -29,7 +29,7 @@ func TestCounterGauge(t *testing.T) {
 	}
 	g := reg.Gauge("inflight")
 	g.Set(4)
-	g.Add(-1)
+	g.add(-1)
 	if got := g.Value(); got != 3 {
 		t.Fatalf("gauge = %d, want 3", got)
 	}
@@ -41,7 +41,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	for v := int64(1); v <= 100; v++ {
 		h.Observe(v)
 	}
-	if got := h.Count(); got != 100 {
+	if got := h.count.Load(); got != 100 {
 		t.Fatalf("count = %d, want 100", got)
 	}
 	// Power-of-two buckets: quantile estimates are upper bounds within 2x.

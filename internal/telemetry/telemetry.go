@@ -242,8 +242,8 @@ func (b *Buf) Instant(typ SpanType, name string) {
 	b.append(event{phase: phaseInstant, typ: typ, name: name})
 }
 
-// Instant2 is Instant with two inline annotations.
-func (b *Buf) Instant2(typ SpanType, name string, a1, a2 Arg) {
+// instant2 is Instant with two inline annotations.
+func (b *Buf) instant2(typ SpanType, name string, a1, a2 Arg) {
 	if b == nil {
 		return
 	}

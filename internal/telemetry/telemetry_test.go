@@ -18,7 +18,7 @@ func TestNilTracerNoOps(t *testing.T) {
 	b.End(SpanLaunch, 0)
 	b.End2(SpanLaunch, 0, Arg{Key: "a", Val: 1}, Arg{})
 	b.Instant(SpanSubmit, "x")
-	b.Instant2(SpanSubmit, "x", Arg{}, Arg{})
+	b.instant2(SpanSubmit, "x", Arg{}, Arg{})
 	b.Release()
 	if tr.Events() != 0 {
 		t.Fatalf("nil tracer reports events")

@@ -59,8 +59,8 @@ func (h Hertz) String() string {
 	return fmt.Sprintf("%.1fMHz", float64(h)/float64(MHz))
 }
 
-// Period returns the duration of one cycle at this frequency.
-func (h Hertz) Period() Seconds {
+// period returns the duration of one cycle at this frequency.
+func (h Hertz) period() Seconds {
 	if h <= 0 {
 		return 0
 	}

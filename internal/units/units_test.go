@@ -33,11 +33,11 @@ func TestHertz(t *testing.T) {
 	if got := (800 * MHz).String(); got != "800.0MHz" {
 		t.Errorf("800MHz renders as %q", got)
 	}
-	p := (1 * GHz).Period()
+	p := (1 * GHz).period()
 	if math.Abs(float64(p)-1e-9) > 1e-18 {
 		t.Errorf("1GHz period = %v, want 1ns", p)
 	}
-	if (Hertz(0)).Period() != 0 {
+	if (Hertz(0)).period() != 0 {
 		t.Error("zero frequency must have zero period, not Inf")
 	}
 }

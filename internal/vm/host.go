@@ -66,16 +66,9 @@ func (d *Driver) InHostWindow(a phys.Addr) bool {
 	return a >= d.hostBase
 }
 
-// HostWindowBase returns the first physical address of the host window.
-func (d *Driver) HostWindowBase() phys.Addr {
+// hostWindowBase returns the first physical address of the host window.
+func (d *Driver) hostWindowBase() phys.Addr {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.hostBase
-}
-
-// HostUsed reports the bytes currently allocated in the host window.
-func (d *Driver) HostUsed() units.Bytes {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.hostUsed
 }

@@ -32,7 +32,7 @@ func TestAllocHostWindowPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !d.InHostWindow(pa) {
-		t.Fatalf("host allocation at %v not in host window (base %v)", pa, d.HostWindowBase())
+		t.Fatalf("host allocation at %v not in host window (base %v)", pa, d.hostWindowBase())
 	}
 	if pa < 0x8000_0000+phys.Addr(1*units.MiB) {
 		t.Fatalf("host window %v overlaps a carve-out", pa)
@@ -59,7 +59,7 @@ func TestAllocHostWindowPlacement(t *testing.T) {
 	if rpa, err := d.Translate(va); err != nil || rpa != pa {
 		t.Fatalf("Translate(%v) = %v, %v; want %v", va, rpa, err, pa)
 	}
-	if d.HostUsed() == 0 {
+	if d.hostUsed == 0 {
 		t.Fatal("HostUsed did not account the allocation")
 	}
 }
@@ -76,8 +76,8 @@ func TestAllocHostFreeReusesWindow(t *testing.T) {
 	if err := d.Free(va1); err != nil {
 		t.Fatal(err)
 	}
-	if d.HostUsed() != 0 {
-		t.Fatalf("HostUsed = %v after free, want 0", d.HostUsed())
+	if d.hostUsed != 0 {
+		t.Fatalf("HostUsed = %v after free, want 0", d.hostUsed)
 	}
 	_, pa2, err := d.AllocHost(64 * units.KiB)
 	if err != nil {

@@ -201,11 +201,8 @@ func (d *Driver) StackOf(a phys.Addr) int {
 	return k
 }
 
-// Space returns the underlying physical space.
-func (d *Driver) Space() *phys.Space { return d.space }
-
-// DataUsed reports bytes allocated across all data spaces.
-func (d *Driver) DataUsed() units.Bytes {
+// dataUsed reports bytes allocated across all data spaces.
+func (d *Driver) dataUsed() units.Bytes {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var total units.Bytes
@@ -247,10 +244,10 @@ func (d *Driver) mmap(pool *alloc.Buddy, n units.Bytes) (VAddr, phys.Addr, error
 	return va, pa, nil
 }
 
-// AllocData implements the ioctl+mmap path for user buffers: it reserves a
+// allocData implements the ioctl+mmap path for user buffers: it reserves a
 // physically contiguous block in stack 0's data space and maps it. Both the
 // virtual (CPU-side) and physical (accelerator-side) addresses are returned.
-func (d *Driver) AllocData(n units.Bytes) (VAddr, phys.Addr, error) {
+func (d *Driver) allocData(n units.Bytes) (VAddr, phys.Addr, error) {
 	return d.AllocDataOn(0, n)
 }
 

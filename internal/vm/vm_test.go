@@ -24,7 +24,7 @@ func newDriver(t *testing.T) *Driver {
 
 func TestAllocDataRoundTrip(t *testing.T) {
 	d := newDriver(t)
-	va, pa, err := d.AllocData(10 * units.KiB)
+	va, pa, err := d.allocData(10 * units.KiB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestAllocDataRoundTrip(t *testing.T) {
 		t.Errorf("Translate(base+4096) = %v, %v; want %v", got, err, pa+4096)
 	}
 	// The physical region must be mapped and writable.
-	if err := d.Space().WriteFloat32(pa, 1.5); err != nil {
+	if err := d.space.WriteFloat32(pa, 1.5); err != nil {
 		t.Errorf("write through phys addr: %v", err)
 	}
 }
@@ -55,7 +55,7 @@ func TestCommandSpaceSeparation(t *testing.T) {
 	if pcmd < 0x8000_0000 {
 		t.Errorf("command allocation at %v outside command space", pcmd)
 	}
-	_, pdata, err := d.AllocData(4 * units.KiB)
+	_, pdata, err := d.allocData(4 * units.KiB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestCommandSpaceSeparation(t *testing.T) {
 
 func TestFreeReleasesEverything(t *testing.T) {
 	d := newDriver(t)
-	va, pa, err := d.AllocData(8 * units.KiB)
+	va, pa, err := d.allocData(8 * units.KiB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,11 @@ func TestFreeReleasesEverything(t *testing.T) {
 	if _, err := d.Translate(va); err == nil {
 		t.Error("translation must fail after free")
 	}
-	if _, ok := d.Space().Region(pa); ok {
+	if _, ok := d.space.Region(pa); ok {
 		t.Error("physical region must be unmapped after free")
 	}
-	if d.DataUsed() != 0 {
-		t.Errorf("DataUsed = %v after free", d.DataUsed())
+	if d.dataUsed() != 0 {
+		t.Errorf("DataUsed = %v after free", d.dataUsed())
 	}
 	if err := d.Free(va); err == nil {
 		t.Error("double free must fail")
@@ -115,24 +115,24 @@ func TestTranslateUnmapped(t *testing.T) {
 
 func TestDistinctMappingsDoNotAlias(t *testing.T) {
 	d := newDriver(t)
-	va1, pa1, err := d.AllocData(4 * units.KiB)
+	va1, pa1, err := d.allocData(4 * units.KiB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	va2, pa2, err := d.AllocData(4 * units.KiB)
+	va2, pa2, err := d.allocData(4 * units.KiB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if va1 == va2 || pa1 == pa2 {
 		t.Fatalf("allocations alias: %v/%v %v/%v", va1, va2, pa1, pa2)
 	}
-	if err := d.Space().WriteFloat32(pa1, 1); err != nil {
+	if err := d.space.WriteFloat32(pa1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Space().WriteFloat32(pa2, 2); err != nil {
+	if err := d.space.WriteFloat32(pa2, 2); err != nil {
 		t.Fatal(err)
 	}
-	v1, _ := d.Space().ReadFloat32(pa1)
+	v1, _ := d.space.ReadFloat32(pa1)
 	if v1 != 1 {
 		t.Error("writes through distinct buffers interfered")
 	}
@@ -140,10 +140,10 @@ func TestDistinctMappingsDoNotAlias(t *testing.T) {
 
 func TestAllocErrors(t *testing.T) {
 	d := newDriver(t)
-	if _, _, err := d.AllocData(0); err == nil {
+	if _, _, err := d.allocData(0); err == nil {
 		t.Error("zero-size allocation must fail")
 	}
-	if _, _, err := d.AllocData(128 * units.MiB); err == nil {
+	if _, _, err := d.allocData(128 * units.MiB); err == nil {
 		t.Error("allocation beyond the data space must fail")
 	}
 }

@@ -375,6 +375,16 @@ func TestPlanBuilderErrorsPropagate(t *testing.T) {
 	if _, err := s.NewPlan().Loop([]int{0}, SaxpyComp(4, 1, x, x, nil, nil)).Run(); err == nil {
 		t.Error("zero-count loop must fail")
 	}
+	// A count the header's 32-bit fields cannot hold fails the build; it does
+	// not wrap to 2^32-1 iterations, to 3, or to a "zero-iteration" loop.
+	for _, counts := range [][]int{{-1}, {1<<32 + 3}, {1 << 32}, {2, -1}} {
+		if _, err := s.NewPlan().Loop(counts, SaxpyComp(4, 1, x, x, nil, nil)).Build(); err == nil || !strings.Contains(err.Error(), "32-bit count field") {
+			t.Errorf("Loop(%v) built (%v); want the count refused", counts, err)
+		}
+		if _, err := s.NewPlan().ChainLoop(counts, SaxpyComp(4, 1, x, x, nil, nil)).Build(); err == nil || !strings.Contains(err.Error(), "32-bit count field") {
+			t.Errorf("ChainLoop(%v) built (%v); want the count refused", counts, err)
+		}
+	}
 }
 
 func TestCompileCFacade(t *testing.T) {
@@ -444,9 +454,6 @@ func TestRemoteStackPlacement(t *testing.T) {
 	s, err := New(WithStacks(3))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if s.Runtime().Stacks() != 3 {
-		t.Fatalf("stacks = %d", s.Runtime().Stacks())
 	}
 	n := 1 << 20
 	xs := make([]float32, n)
