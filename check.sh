@@ -38,8 +38,8 @@ go run ./cmd/mealint ./...
 echo "==> go test -race ./... (the gates: bit-identity, nest verdicts and ranges, fixed costs, the compiled plan, the one launch record, the one-walk install, the mealibd wire, fusion traffic and the model calibration; each test that carries one says so in its comment, \"Gate (check.sh): ...\", and Runtime.CheckInvariants closes the mealibrt and mealibd tests)"
 go test -race ./...
 
-echo "==> one-allocation launch gate (without the race detector, whose sync.Pool drops a quarter of its Puts: an Execute allocates its Invocation and nothing else, a run of a compiled program nothing at all, a kernel below its fan-out threshold nothing, and a power-of-two FFT batch above it only its chunk closure)"
-go test -count=1 -run 'FixedCost' ./internal/mealibrt ./internal/accel
+echo "==> one-allocation launch gate (without the race detector, whose sync.Pool drops a quarter of its Puts: an Execute allocates its Invocation and nothing else, a run of a compiled program nothing at all, an install no more than its bounds, the verifier's reading as much for eight passes as for one, a kernel below its fan-out threshold nothing, and a power-of-two FFT batch above it only its chunk closure)"
+go test -count=1 -run 'FixedCost' ./internal/mealibrt ./internal/accel ./internal/analysis/tdlcheck
 go test -count=1 -run '^(TestKernelsInlineAllocateNothing|TestFFTBatchFanOutAllocatesOnce)$' ./internal/kernels
 
 echo "==> core-count gate (the first bad SPMV column named and the bits of every kernel that fans out are the same at any GOMAXPROCS)"

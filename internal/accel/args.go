@@ -250,21 +250,12 @@ func ranged[T any, P typed[T]](core func(*phys.Space, *T) error) entry {
 		}
 		return m
 	}}
-	// decode goes through one T whose slots are laid out once, under a lock:
-	// laying them out afresh would cost every compiled comp an allocation,
-	// which TestInstallFixedCost's bounds have no room for.
-	var mu sync.Mutex
-	var scratch T
-	slots := P(&scratch).slots()
 	return entry{
 		kinds:   kinds,
 		strided: strided,
 		decode: func(a Args) any {
-			mu.Lock()
-			defer mu.Unlock()
-			a.decode(slots, IterVec{})
 			t := new(T)
-			*t = scratch
+			a.decode(P(t).slots(), IterVec{})
 			return t
 		},
 		run: func(s *phys.Space, c *boundComp, b iters) iters {

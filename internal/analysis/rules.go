@@ -80,9 +80,12 @@ var ruleTable = []rule{
 		names: regexp.MustCompile(`LinkController|AcquireShared|ReleaseShared`),
 		in:    []string{"internal/mealibrt", "internal/accel", "internal/mealibd"},
 		msg:   "a second per-launch type or the link controller's ledger grew back"},
-	{gate: "one-walk", uses: []string{internalPath + "analysis/tdlcheck.Writes", internalPath + "analysis/tdlcheck.Reads", internalPath + "analysis/tdlcheck.ExposedReads"},
+	{gate: "one-walk", uses: []string{internalPath + "analysis/tdlcheck.Writes", internalPath + "analysis/tdlcheck.Reads"},
 		in:  []string{"internal/mealibrt", "internal/mealibd"},
 		msg: "a second reading of the descriptor at install grew back"},
+	{gate: "one-walk", uses: []string{internalPath + "descriptor.Descriptor.Scopes"},
+		in:  []string{"internal/mealibrt/...", "internal/mealibd/..."},
+		msg: "a plan's descriptor is parsed again after install; read the scopes the install's verifier kept (Plan.Scopes)"},
 	{gate: "one-walk", uses: []string{internalPath + "phys.NewSpace"},
 		in:  []string{"internal/descriptor"},
 		msg: "a scratch space in the encoder grew back"},
@@ -117,7 +120,7 @@ var ruleTable = []rule{
 		msg:   "a fan-out of its own grew back outside internal/par; a go statement starts only a flight, the OOC prefetch and mealibd's connections"},
 	{gate: "one-codec", names: regexp.MustCompile(`^(ViewFloat32s|ViewComplex64s|ViewInt32s|Float32View|Complex64View|Int32View|f32sOf|c64sOf|i32sOf|F32ToBytes|BytesToF32|C64ToBytes|BytesToC64|I32ToBytes|BytesToI32|getF32|getC64)$`),
 		msg: "a per-type view, element codec or scratch getter grew back"},
-	{gate: "one-fusion", uses: []string{internalPath + "tdl.Fuse"}, names: regexp.MustCompile(`^(MergePasses|FusionGroups)$`),
+	{gate: "one-fusion", names: regexp.MustCompile(`^(Fuse|MergePasses|FusionGroups)$`),
 		msg: "a second chaining rule grew back"},
 	{gate: "one-fusion", uses: []string{internalPath + "accel.Config.NoFusion"},
 		allow: []string{"internal/accel/...", "internal/exp/ablations.go"},

@@ -57,10 +57,11 @@ var keptExports = map[string]string{
 
 // TestModuleFollowsRules loads the whole module, the nested bench/ module
 // included (the loader maps it to mealib/bench), and holds it to the rules
-// table and to one whole-program rule: every exported top-level identifier
+// table and to two whole-program rules: every exported top-level identifier
 // of an internal/ package, and every exported method of its types that no
 // interface needs, has a use outside test files, or is kept with a reason in
-// keptExports.
+// keptExports; and every internal/ object a row's uses, compared or switchOn
+// entry names exists.
 func TestModuleFollowsRules(t *testing.T) {
 	l := repoLoader(t)
 	pkgs, err := l.LoadPatterns(l.root, nil)
@@ -93,13 +94,16 @@ func TestModuleFollowsRules(t *testing.T) {
 			t.Errorf("%s: %s has no use outside tests; delete it with its tests, unexport it, move it into the test that uses it, or keep it with a reason", p.Position(obj.Pos()), key)
 		}
 	}
+	objects := make(map[string]bool) // every internal/ object a row may name
 	for _, p := range pkgs {
 		if !strings.HasPrefix(p.Path, l.mod+"/internal/") || strings.HasSuffix(p.Path, ".test") {
 			continue
 		}
+		objects[p.Path+".*"] = true
 		scope := p.Types.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
+			objects[objKey(obj)] = true
 			check(p, obj)
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() {
@@ -107,9 +111,25 @@ func TestModuleFollowsRules(t *testing.T) {
 			}
 			named := tn.Type().(*types.Named)
 			for i := 0; i < named.NumMethods(); i++ {
-				if m := named.Method(i); !needed(named, m, ifaces) {
+				m := named.Method(i)
+				objects[objKey(m)] = true
+				if !needed(named, m, ifaces) {
 					check(p, m)
 				}
+			}
+			if st, ok := named.Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					objects[objKey(obj)+"."+st.Field(i).Name()] = true
+				}
+			}
+		}
+	}
+	// A row entry that names no object can never match: a deleted name lives
+	// on only in a tombstone pattern.
+	for _, row := range ruleTable {
+		for _, name := range append(append(slices.Clone(row.uses), row.compared...), row.switchOn) {
+			if name = strings.TrimPrefix(name, "*"); strings.HasPrefix(name, internalPath) && !objects[name] {
+				t.Errorf("the %s row (%s) names %s, which is no object of the module; drop it, or keep the name in a tombstone names pattern", row.gate, row.msg, name)
 			}
 		}
 	}

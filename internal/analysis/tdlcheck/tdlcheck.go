@@ -16,8 +16,8 @@
 // the error of a launch about to be rejected), Writes and Reads are views of
 // it.
 //
-// Errors carry positions: the accelerator-invocation index, and with
-// AtLines the TDL source line of its COMP.
+// Errors carry positions: the accelerator-invocation index, and once AtLines
+// has named it the TDL source line of its COMP.
 package tdlcheck
 
 import (
@@ -33,7 +33,7 @@ import (
 // Error is one verification failure with its position.
 type Error struct {
 	// Line is the 1-based TDL source line of the invocation's COMP (0 unless
-	// Check was given AtLines).
+	// AtLines named it).
 	Line int
 	// Comp is the index of the accelerator invocation the failure belongs
 	// to, in program order (-1 when not invocation-specific).
@@ -107,39 +107,32 @@ type comp struct {
 	op   descriptor.OpCode
 	// counts is the enclosing hardware loop nest (all-ones outside a LOOP).
 	counts descriptor.LoopCounts
+	args   accel.Args // the bound and validated parameter block
 	ops    []operand
 }
 
-// operandsOf binds the parameter block of one invocation to its op-table
-// entry, runs the accelerator's input checks, proves every operand size in
-// exact arithmetic, and returns the operand list. counts is the enclosing
-// hardware loop nest (all-ones outside a LOOP).
-func operandsOf(op descriptor.OpCode, p descriptor.Params, counts descriptor.LoopCounts, fail func(format string, args ...interface{})) []operand {
-	a, err := accel.Bind(op, p)
-	if err == nil {
-		err = a.Validate()
-	}
-	if err != nil {
-		fail("%v", err)
-		return nil
-	}
-	ops := make([]operand, 0, a.NumOperands())
-	fits := true
-	for i := 0; i < a.NumOperands(); i++ {
-		o := a.Operand(i)
-		n, ok := operandBytes(o, op, fail)
+// operandsOf resolves c's operands, proves every operand size in exact
+// arithmetic and appends them to slab, which the caller sized for the whole
+// program: c.ops is c's part of it, empty when a size does not fit.
+func operandsOf(c *comp, slab []operand, e *errs) []operand {
+	lo, fits := len(slab), true
+	fail := func(format string, args ...interface{}) { e.addf(c.idx, format, args...) }
+	for i := 0; i < c.args.NumOperands(); i++ {
+		o := c.args.Operand(i)
+		n, ok := operandBytes(o, c.op, fail)
 		fits = fits && ok
 		op := operand{name: o.Name, align: o.Elem, read: o.Read, Strided: span.Strided{
 			Dir: span.Dir{Span: Span{Addr: o.Addr, Bytes: n}, Write: o.Write}, Strides: o.Strides}}
-		if op.ext, ok = op.Extent(counts); !ok {
+		if op.ext, ok = op.Extent(c.counts); !ok {
 			op.ext = op.Span
 		}
-		ops = append(ops, op)
+		slab = append(slab, op)
 	}
 	if !fits {
-		return nil
+		slab = slab[:lo]
 	}
-	return ops
+	c.ops = slab[lo:len(slab):len(slab)]
+	return slab
 }
 
 // checkComp runs the per-invocation checks common to every kernel:
@@ -168,36 +161,31 @@ func checkComp(c *comp, e *errs) {
 	}
 }
 
-// options collects Check adjustments.
-type options struct {
-	initialized []Span
-	checkInit   bool
-	prog        *tdl.Program // AtLines
-}
-
-// Option adjusts verification.
-type Option func(*options)
+// Option adjusts verification: it is WithInitialized's span set. The zero
+// Option runs no read-before-write check.
+type Option struct{ initialized []Span }
 
 // WithInitialized declares the buffer spans the host (or earlier descriptor
 // executions) initialized before launch, enabling the read-before-write
 // check: every operand read by the task graph must be covered by an
-// initialized span or by an earlier write of the same program.
+// initialized span or by an earlier write of the same program. With no spans
+// the check still runs, and every exposed read fails it.
 func WithInitialized(spans ...Span) Option {
-	return func(o *options) {
-		o.initialized = append(o.initialized, spans...)
-		o.checkInit = true
+	if spans == nil {
+		spans = []Span{}
 	}
+	return Option{spans}
 }
 
-// AtLines names every failure that belongs to an invocation by the source
-// line of its COMP in prog, the program the descriptor was compiled from.
-func AtLines(prog *tdl.Program) Option {
-	return func(o *options) { o.prog = prog }
-}
-
-// atLines maps each failure's invocation index to the line of its COMP:
-// tdl.Compile numbers a descriptor's invocations in program order.
-func atLines(list ErrorList, prog *tdl.Program) {
+// AtLines names each failure in err, the error of a Check of the descriptor
+// tdl.Compile made of prog, that belongs to an invocation by the source line
+// of its COMP, and returns err. tdl.Compile numbers the invocations in
+// program order. A nil prog names nothing.
+func AtLines(err error, prog *tdl.Program) error {
+	list, ok := err.(ErrorList)
+	if !ok || prog == nil {
+		return err
+	}
 	var lines []int
 	addPass := func(p tdl.Pass) {
 		for _, c := range p.Comps {
@@ -219,6 +207,7 @@ func atLines(list ErrorList, prog *tdl.Program) {
 			e.Line = lines[e.Comp]
 		}
 	}
+	return err
 }
 
 // Footprint is what a descriptor's task graph touches, every span extended
@@ -232,26 +221,28 @@ type Footprint struct {
 	// Check(d, WithInitialized(s...)) passes exactly when Check(d) does and
 	// every exposed read overlaps one of s.
 	Exposed []Span
+	// Scopes is the pass structure this reading parsed: an install keeps it,
+	// so nothing parses the descriptor again.
+	Scopes []descriptor.Scope
 }
 
 // Check is the one reading of a lowered descriptor: it validates the
 // structure, binds every invocation once, runs the operand and dataflow checks
 // and returns the verdict together with the footprint. Positions are
-// invocation indices, and with AtLines TDL source lines. The
+// invocation indices (AtLines turns them into TDL source lines). The
 // footprint covers every invocation whose operands bound, whatever the
 // verdict; VerifyDescriptor, Writes and Reads are views of it.
 func Check(d *descriptor.Descriptor, opts ...Option) (Footprint, error) {
-	var o options
-	for _, opt := range opts {
-		opt(&o)
+	var initialized []Span // the last set given
+	for _, o := range opts {
+		if o.initialized != nil {
+			initialized = o.initialized
+		}
 	}
 	var e errs
-	fp, err := check(d, &o, &e)
+	fp, err := check(d, initialized, &e)
 	if err != nil {
 		e.addf(-1, "%v", err)
-	}
-	if o.prog != nil && len(e.list) > 0 {
-		atLines(e.list, o.prog)
 	}
 	return fp, e.err()
 }
@@ -259,7 +250,7 @@ func Check(d *descriptor.Descriptor, opts ...Option) (Footprint, error) {
 // check is Check with the verdict in e and the failures that leave nothing to
 // bind (no descriptor, a malformed instruction region, a COMP without
 // parameters) as its error.
-func check(d *descriptor.Descriptor, o *options, e *errs) (Footprint, error) {
+func check(d *descriptor.Descriptor, initialized []Span, e *errs) (Footprint, error) {
 	if d == nil {
 		return Footprint{}, fmt.Errorf("nil descriptor")
 	}
@@ -270,19 +261,34 @@ func check(d *descriptor.Descriptor, o *options, e *errs) (Footprint, error) {
 	if err != nil {
 		return Footprint{}, err
 	}
+	// Every invocation binds first, which sizes one operand slab for the
+	// whole program; each comp's operands are its slice of it. One that does
+	// not bind, or fails its accelerator's input checks, leaves only its error.
 	comps := make([]comp, 0, d.Comps())
+	n := 0
 	for _, sc := range scopes {
 		for pi, pass := range sc.Passes {
 			for _, in := range pass {
-				idx := in.Index
-				comps = append(comps, comp{idx: idx, pass: sc.FirstPass + pi, op: in.Op, counts: sc.Counts,
-					ops: operandsOf(in.Op, in.Params, sc.Counts, func(format string, args ...interface{}) {
-						e.addf(idx, format, args...)
-					})})
+				a, err := accel.Bind(in.Op, in.Params)
+				if err == nil {
+					err = a.Validate()
+				}
+				if err != nil {
+					e.addf(in.Index, "%v", err)
+					continue
+				}
+				n += a.NumOperands()
+				comps = append(comps, comp{idx: in.Index, pass: sc.FirstPass + pi, op: in.Op, counts: sc.Counts, args: a})
 			}
 		}
 	}
-	return checkComps(comps, o, e), nil
+	slab := make([]operand, 0, n)
+	for i := range comps {
+		slab = operandsOf(&comps[i], slab, e)
+	}
+	fp := checkComps(comps, len(slab), initialized, e)
+	fp.Scopes = scopes
+	return fp, nil
 }
 
 // VerifyDescriptor performs the operand and dataflow checks on a lowered
@@ -295,7 +301,7 @@ func VerifyDescriptor(d *descriptor.Descriptor, opts ...Option) error {
 // footprintOf is Check's footprint without its verdict, for the views that
 // take any valid descriptor.
 func footprintOf(d *descriptor.Descriptor) (Footprint, error) {
-	fp, err := check(d, &options{}, &errs{})
+	fp, err := check(d, nil, &errs{})
 	if err != nil {
 		err = fmt.Errorf("tdlcheck: %w", err)
 	}
@@ -319,16 +325,14 @@ func Reads(d *descriptor.Descriptor) ([]Span, error) {
 }
 
 // checkComps runs the per-invocation and cross-invocation (task graph)
-// checks over the program's invocations in execution order, and collects
-// their footprint on the way.
-func checkComps(comps []comp, o *options, e *errs) Footprint {
-	n := 0
+// checks over the program's invocations, n operands in all, in execution
+// order, and collects their footprint on the way.
+func checkComps(comps []comp, n int, initialized []Span, e *errs) Footprint {
 	for i := range comps {
 		checkComp(&comps[i], e)
-		n += len(comps[i].ops)
 	}
-	// One slab (an operand is at most a read, an exposed read and a write), cut
-	// so that no append reaches a neighbour.
+	// One slab for the n operands (an operand is at most a read, an exposed
+	// read and a write), cut so that no append reaches a neighbour.
 	slab := make([]Span, 3*n)
 	fp := Footprint{Reads: slab[:0:n], Exposed: slab[n : n : 2*n], Writes: slab[2*n : 2*n]}
 	// Write-after-read inside a chained pass: the comps of a pass stream
@@ -374,7 +378,7 @@ func checkComps(comps []comp, o *options, e *errs) Footprint {
 				continue
 			}
 			fp.Exposed = append(fp.Exposed, op.ext)
-			if o.checkInit && !span.Overlap(o.initialized, []Span{op.ext}) {
+			if initialized != nil && !span.Overlap(initialized, []Span{op.ext}) {
 				e.addf(c.idx, "%v reads %s %v before any write reaches it (uninitialized buffer)", c.op, op.name, op.Span)
 			}
 		}

@@ -51,8 +51,8 @@ func verify(prog *tdl.Program, resolve tdl.ParamResolver, opts ...Option) error 
 	if err != nil {
 		return err
 	}
-	_, err = Check(d, append(opts, AtLines(prog))...)
-	return err
+	_, err = Check(d, opts...)
+	return AtLines(err, prog)
 }
 
 // wantReject verifies the program is rejected with a message containing
@@ -512,5 +512,51 @@ func TestCheckIsTheOneWalk(t *testing.T) {
 	}
 	if _, err := Writes(nil); err == nil || err.Error() != "tdlcheck: nil descriptor" {
 		t.Errorf("Writes(nil): %v", err)
+	}
+}
+
+// TestCheckFixedCost pins what one reading costs and the empty-set rule.
+// Check allocates as often for an eight-pass AXPY descriptor as for a
+// one-pass one, with and without an initialized span set: its comps, its
+// operands and its footprint are one slab each, whatever the comp count (7
+// and 14 allocations while each comp had an operand slice of its own, one
+// more with an initialized set while an option was a closure). And
+// WithInitialized with no spans declares an empty set, not no set: every
+// exposed read fails it.
+//
+// Gate (check.sh): fixed costs.
+func TestCheckFixedCost(t *testing.T) {
+	descOf := func(passes int) *descriptor.Descriptor {
+		d := &descriptor.Descriptor{}
+		for i := 0; i < passes; i++ {
+			off := phys.Addr(i) * 0x1000
+			if err := d.AddComp(descriptor.OpAXPY, axpy(bufA+off, bufB+off, 256)); err != nil {
+				t.Fatal(err)
+			}
+			d.AddEndPass()
+		}
+		return d
+	}
+	one, eight := descOf(1), descOf(8)
+	inputs := WithInitialized(Span{Addr: bufA, Bytes: 0x10000}, Span{Addr: bufB, Bytes: 0x10000})
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{{"Check(d)", nil}, {"Check(d, WithInitialized(...))", []Option{inputs}}} {
+		allocs := func(d *descriptor.Descriptor) float64 {
+			return testing.AllocsPerRun(100, func() {
+				if _, err := Check(d, tc.opts...); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if a1, a8 := allocs(one), allocs(eight); a1 != a8 {
+			t.Errorf("%s allocates %.1f times for one pass and %.1f for eight, want the same", tc.name, a1, a8)
+		} else {
+			t.Logf("%s: %.1f allocations for one pass and for eight", tc.name, a1)
+		}
+	}
+	if err := VerifyDescriptor(one, WithInitialized()); err == nil || !strings.Contains(err.Error(), "uninitialized buffer") {
+		t.Errorf("VerifyDescriptor(d, WithInitialized()): %v, want the uninitialized-buffer rejection of every exposed read", err)
 	}
 }

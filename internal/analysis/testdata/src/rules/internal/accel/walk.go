@@ -19,6 +19,12 @@ func runLoop() {} // want `one-executor: runLoop`
 
 func descBytesOf() int { return 0 } // want `one-walk: descBytesOf`
 
+// The lowering parses the descriptors it compiles.
+func passes(desc *d.Descriptor) int {
+	scopes, _ := desc.Scopes()
+	return len(scopes)
+}
+
 type span struct{ lo, hi int }
 
 func (s span) Extend(t span) span { return span{s.lo, t.hi} } // want `one-extent: Extend`

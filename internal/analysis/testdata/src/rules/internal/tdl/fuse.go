@@ -2,8 +2,8 @@
 // plan lowering alone.
 package tdl
 
-func Fuse() {}
+func Fuse() {} // want `one-fusion: Fuse`
 
-var fused = Fuse // want `one-fusion: tdl\.Fuse`
+var fused = Fuse // want `one-fusion: Fuse`
 
 func MergePasses() {} // want `one-fusion: MergePasses`

@@ -35,13 +35,8 @@ type batcher struct {
 }
 
 type batchMember struct {
-	p *mealibrt.Plan
-	// scopes is the plan's descriptor as descriptor.Scopes reads it: top-level
-	// passes only.
-	scopes []descriptor.Scope
-	writes []span.Span
-	reads  []span.Span
-	pend   *pending
+	p    *mealibrt.Plan
+	pend *pending
 }
 
 // submit routes one plan submission: into the batch when compatible, as a
@@ -51,9 +46,8 @@ type batchMember struct {
 func (b *batcher) submit(p *mealibrt.Plan, pend *pending) {
 	srv := b.sc.srv
 	writes, reads := p.Footprint()
-	scopes, err := p.Descriptor().Scopes()
-	if err != nil || srv.cfg.BatchMax <= 1 || footprint(writes)+footprint(reads) > srv.cfg.BatchBytes ||
-		slices.ContainsFunc(scopes, func(sc descriptor.Scope) bool { return sc.Loop }) {
+	if srv.cfg.BatchMax <= 1 || footprint(writes)+footprint(reads) > srv.cfg.BatchBytes ||
+		slices.ContainsFunc(p.Scopes(), func(sc descriptor.Scope) bool { return sc.Loop }) {
 		b.flush()
 		b.sc.launch(p, false, 1, []*pending{pend})
 		return
@@ -61,7 +55,7 @@ func (b *batcher) submit(p *mealibrt.Plan, pend *pending) {
 	if b.conflicts(writes, reads) {
 		b.flush()
 	}
-	b.members = append(b.members, batchMember{p: p, scopes: scopes, writes: writes, reads: reads, pend: pend})
+	b.members = append(b.members, batchMember{p: p, pend: pend})
 	if len(b.members) >= srv.cfg.BatchMax {
 		b.flush()
 	}
@@ -72,7 +66,7 @@ func (b *batcher) submit(p *mealibrt.Plan, pend *pending) {
 // descriptor may execute in any wave order.
 func (b *batcher) conflicts(writes, reads []span.Span) bool {
 	for _, m := range b.members {
-		if span.Conflict(writes, reads, m.writes, m.reads) {
+		if w, r := m.p.Footprint(); span.Conflict(writes, reads, w, r) {
 			return true
 		}
 	}
@@ -117,7 +111,7 @@ func (b *batcher) flush() {
 func (b *batcher) merge(members []batchMember) *mealibrt.Plan {
 	merged := &descriptor.Descriptor{}
 	for _, m := range members {
-		for _, sc := range m.scopes {
+		for _, sc := range m.p.Scopes() {
 			for _, pass := range sc.Passes {
 				for _, c := range pass {
 					if merged.AddComp(c.Op, c.Params) != nil {

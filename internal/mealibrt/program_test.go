@@ -133,7 +133,7 @@ func TestPlanIsImmutableAfterInstall(t *testing.T) {
 		}
 		return inv, out
 	}
-	size := p.Descriptor().Size()
+	size := p.desc.Size()
 	launch() // the first launch also flushes the stores that set the buffers up
 	inv1, out1 := launch()
 
@@ -161,8 +161,8 @@ func TestPlanIsImmutableAfterInstall(t *testing.T) {
 		!units.CloseTo(float64(inv1.HostIdleEnergy), float64(inv2.HostIdleEnergy)) {
 		t.Errorf("the invocation changed with the caller's descriptor:\n%+v %+v\n%+v %+v", inv1, inv1.Report, inv2, inv2.Report)
 	}
-	if got := p.Descriptor().Size(); got != size || p.Descriptor().Comps() != 1 {
-		t.Errorf("the plan's descriptor changed with the caller's: %v with %d comps, was %v with 1", got, p.Descriptor().Comps(), size)
+	if got := p.desc.Size(); got != size || p.desc.Comps() != 1 {
+		t.Errorf("the plan's descriptor changed with the caller's: %v with %d comps, was %v with 1", got, p.desc.Comps(), size)
 	}
 
 	const iters = 4
@@ -389,8 +389,8 @@ func TestExecuteFixedCost(t *testing.T) {
 
 // TestInstallFixedCost gates what installing a plan may cost: the descriptor
 // is read once by the verifier, compiled once and serialised once, so the
-// allocations of AccPlanDescriptor + Destroy are bounded (35 for a one-pass
-// descriptor and 59 for an eight-pass one, what mealibd's batcher installs
+// allocations of AccPlanDescriptor + Destroy are bounded (36 for a one-pass
+// descriptor and 61 for an eight-pass one, what mealibd's batcher installs
 // per flush; 40 and 112 while fusion grew each comp's extents and formatted
 // an error per adjacent pair that is no link, 76 and 360 before the install
 // was one walk) and accel.compiles moves by exactly one per install. The race
@@ -448,9 +448,10 @@ func TestInstallFixedCost(t *testing.T) {
 // TestTDLInstallFixedCost gates what installing an eight-pass TDL program may
 // cost. The program compiles once, and the descriptor installs like any
 // other (a copy of it: its parameter blocks are the caller's); the plan
-// lowering alone decides what fuses. AccPlan + Destroy allocates 113 times
-// (120 while AccPlan ran a fusion analysis of its own first, 129 while it
-// also compiled the program a second time). The race detector adds a few
+// lowering alone decides what fuses. AccPlan + Destroy allocates 99 times
+// (113 while AccPlan also verified the program's structure on its own, 120
+// while it also ran a fusion analysis of its own first, 129 while it also
+// compiled the program a second time). The race detector adds a few
 // (121).
 //
 // Gate (check.sh): fixed costs.

@@ -472,9 +472,12 @@ type Plan struct {
 	rt *Runtime
 	// desc is the plan's own copy of the descriptor it was installed from and
 	// descSize its encoded size (the modelled descriptor copy); nothing the
-	// caller does to its descriptor afterwards reaches the plan.
+	// caller does to its descriptor afterwards reaches the plan. Only a
+	// launch about to be rejected reads desc again, for the verifier's error.
 	desc     *descriptor.Descriptor
 	descSize units.Bytes
+	// scopes is desc's pass structure, as the install's verifier parsed it.
+	scopes []descriptor.Scope
 	// prog is desc compiled for the plan's layer, and its image is what the
 	// command slot holds (nil for an out-of-core plan, whose chunks carry
 	// their own programs).
@@ -552,14 +555,14 @@ func (r *Runtime) AccPlanDescriptorOn(stack int, d *descriptor.Descriptor) (*Pla
 	return r.def.AccPlanDescriptorOn(stack, d)
 }
 
-// Descriptor returns the plan's descriptor: the plan's own copy of what it
-// was installed from. Callers must not mutate it.
-func (p *Plan) Descriptor() *descriptor.Descriptor { return p.desc }
-
 // Footprint returns the verifier-derived span sets the plan's task graph
 // writes and reads — what admission checks against in-flight descriptors.
 // Callers must not mutate the returned slices.
 func (p *Plan) Footprint() (writes, reads []span.Span) { return p.writes, p.reads }
+
+// Scopes returns the plan's pass structure, as the install's verifier parsed
+// it. Callers must not mutate it.
+func (p *Plan) Scopes() []descriptor.Scope { return p.scopes }
 
 // Invocation is the outcome of one AccExecute.
 type Invocation struct {

@@ -319,8 +319,8 @@ func TestAccPlanDescriptorErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Descriptor(); got == d || got.Disassemble() != d.Disassemble() {
-		t.Error("Descriptor accessor must return the plan's own copy of the descriptor it was installed from")
+	if got := p.desc; got == d || got.Disassemble() != d.Disassemble() {
+		t.Error("the plan must keep its own copy of the descriptor it was installed from")
 	}
 	// Exhaust the command space: repeated plans without Destroy.
 	for i := 0; i < 1<<16; i++ {

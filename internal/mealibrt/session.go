@@ -360,15 +360,13 @@ func (s *Session) AccPlan(tdlSrc string, params map[string]descriptor.Params) (*
 		return nil, err
 	}
 	// The program compiles once and installs like any other descriptor: the
-	// plan lowering fuses its producer→consumer passes, and
-	// AccPlanDescriptor verifies the copy it keeps (whose parameter blocks
-	// are the caller's params) — the program's one verification, whose
-	// failures name their TDL source lines.
+	// plan lowering fuses its producer→consumer passes, and the install's one
+	// verification names its failures by TDL source line.
 	d, err := tdl.Compile(prog, tdl.MapResolver(params))
 	if err != nil {
 		return nil, err
 	}
-	return s.install(0, d, tdlcheck.AtLines(prog))
+	return s.install(0, d, prog)
 }
 
 // AccPlanDescriptor installs an already-built descriptor as a session plan.
@@ -382,11 +380,12 @@ func (s *Session) AccPlanDescriptor(d *descriptor.Descriptor) (*Plan, error) {
 // AccPlanDescriptorOn is AccPlanDescriptor for a plan that launches on the
 // given memory stack's accelerator layer (see Runtime.AccPlanDescriptorOn).
 func (s *Session) AccPlanDescriptorOn(stack int, d *descriptor.Descriptor) (*Plan, error) {
-	return s.install(stack, d)
+	return s.install(stack, d, nil)
 }
 
-// install is AccPlanDescriptorOn with the options of its one verification.
-func (s *Session) install(stack int, d *descriptor.Descriptor, opts ...tdlcheck.Option) (*Plan, error) {
+// install is AccPlanDescriptorOn, with the TDL program the descriptor was
+// compiled from (or nil) to name its verifier failures by source line.
+func (s *Session) install(stack int, d *descriptor.Descriptor, src *tdl.Program) (*Plan, error) {
 	r := s.rt
 	if _, err := r.LayerOn(stack); err != nil {
 		return nil, err
@@ -396,13 +395,16 @@ func (s *Session) install(stack int, d *descriptor.Descriptor, opts ...tdlcheck.
 	}
 	// What is verified here, compiled below and launched later is the plan's
 	// own copy: the caller keeps its descriptor and may do with it what it
-	// likes.
+	// likes. AccPlan's descriptor needs the copy too: tdl.Compile puts the
+	// resolver's parameter blocks in it as they are, and those are the
+	// caller's params slices.
 	d = d.Clone()
-	// One reading by the verifier: the verdict, and the footprint everything
-	// below and every launch to come is judged by.
-	fp, err := tdlcheck.Check(d, opts...)
+	// One reading by the verifier: the verdict, the footprint everything
+	// below and every launch to come is judged by, and the pass structure
+	// the plan keeps (nothing parses the descriptor again).
+	fp, err := tdlcheck.Check(d)
 	if err != nil {
-		return nil, fmt.Errorf("mealibrt: descriptor rejected by the static verifier: %w", err)
+		return nil, fmt.Errorf("mealibrt: descriptor rejected by the static verifier: %w", tdlcheck.AtLines(err, src))
 	}
 	writes, reads := fp.Writes, fp.Reads
 	if err := s.checkNamespace(writes, reads); err != nil {
@@ -454,7 +456,7 @@ func (s *Session) install(stack int, d *descriptor.Descriptor, opts ...tdlcheck.
 			return nil, err
 		}
 	}
-	p := &Plan{rt: r, desc: d, descSize: d.Size(), prog: prog, baseVA: va, basePA: pa, slot: slot,
+	p := &Plan{rt: r, desc: d, descSize: d.Size(), scopes: fp.Scopes, prog: prog, baseVA: va, basePA: pa, slot: slot,
 		writes: writes, reads: reads, exposed: fp.Exposed,
 		admWrites: admWrites, ooc: sched, sess: s, stack: stack}
 	if sched != nil {
