@@ -42,8 +42,9 @@ echo "==> one-allocation launch gate (without the race detector, whose sync.Pool
 go test -count=1 -run 'FixedCost' ./internal/mealibrt ./internal/accel ./internal/analysis/tdlcheck
 go test -count=1 -run '^(TestKernelsInlineAllocateNothing|TestFFTBatchFanOutAllocatesOnce)$' ./internal/kernels
 
-echo "==> core-count gate (the first bad SPMV column named and the bits of every kernel that fans out are the same at any GOMAXPROCS)"
+echo "==> core-count gate (the first bad SPMV column named, the bits of every kernel that fans out, the DOT block body against its core, and a nest's windows run in one fan-out failing first in program order are the same at any GOMAXPROCS)"
 go test -count=1 -cpu 1,2,3 -run '^(TestSpmvFirstBadColumnAnyProcs|TestDotBitsAnyProcs|TestParallelReduceBitIdentical)$' ./internal/kernels
+go test -count=1 -cpu 1,2,3 -run '^(TestDotBlockIsCore|TestMergedNestFailsFirst)$' ./internal/accel
 
 echo "==> FuzzDifferential, 5 s (internal/accel's bit-identity matrix: generated descriptors through every worker, fusion, window and compiled cell, the traced ones held to the scoreboard's windows and waves)"
 go test -run '^$' -fuzz '^FuzzDifferential$' -fuzztime 5s ./internal/accel

@@ -108,9 +108,23 @@ func (a Args) at(f int, it IterVec) phys.Addr {
 	return descriptor.AddrOf(a.p[f]) + phys.Addr(a.strides(f).Offset(it))
 }
 
-// decode fills the field slots of a typed argument struct (head fields, then
-// stride blocks, in parameter order) from the block, with every address
-// advanced to iteration it.
+// slotList is a typed argument struct's field slots in parameter order (head
+// fields, then stride blocks), by value, so that a decode keeps them on its
+// caller's stack. It holds as many as the largest struct has (GemvArgs); the
+// slots past a struct's last are nil.
+type slotList [11]any
+
+// fields returns the struct's slots.
+func (s *slotList) fields() []any {
+	n := 0
+	for n < len(s) && s[n] != nil {
+		n++
+	}
+	return s[:n]
+}
+
+// decode fills the field slots of a typed argument struct from the block,
+// with every address advanced to iteration it.
 func (a Args) decode(slots []any, it IterVec) {
 	next := len(a.spec.head) // next stride block
 	for f, slot := range slots {
@@ -135,7 +149,8 @@ func (a Args) decode(slots []any, it IterVec) {
 }
 
 // encode is decode's inverse: the parameter block of a typed struct's slots.
-func encode(slots []any) descriptor.Params {
+func encode(list slotList) descriptor.Params {
+	slots := list.fields()
 	n := len(slots)
 	for _, slot := range slots {
 		if _, ok := slot.(*Strides); ok {
@@ -169,13 +184,26 @@ func encode(slots []any) descriptor.Params {
 }
 
 // nextIter advances it to the following iteration of a nest of counts, like
-// an odometer.
-func nextIter(it *IterVec, counts *descriptor.LoopCounts) {
+// an odometer, and returns the level it carried into.
+func nextIter(it *IterVec, counts *descriptor.LoopCounts) int {
 	l := descriptor.MaxLoopLevels - 1
 	for ; l > 0 && it[l]+1 >= max(int64(counts[l]), 1); l-- {
 		it[l] = 0
 	}
 	it[l]++
+	return l
+}
+
+// carries returns, per level l, how far strides s move an address when
+// nextIter carries into l: a step of l, less the steps of the deeper levels
+// it resets to zero.
+func carries(s *Strides, counts *descriptor.LoopCounts) (c [descriptor.MaxLoopLevels]phys.Addr) {
+	var reset int64
+	for l := descriptor.MaxLoopLevels - 1; l >= 0; l-- {
+		c[l] = phys.Addr(s[l] - reset)
+		reset += s[l] * (max(int64(counts[l]), 1) - 1)
+	}
+	return c
 }
 
 // maxBlock is the most instances of a range one block holds: a bit each in
@@ -217,7 +245,8 @@ func ranged[T any, P typed[T]](core func(*phys.Space, *T) error) entry {
 	var fields []int // the address slots
 	var kinds []FieldKind
 	strided := 0
-	for f, slot := range P(new(T)).slots() {
+	slots := P(new(T)).slots()
+	for f, slot := range slots.fields() {
 		k := FieldInt
 		switch slot.(type) {
 		case *Strides:
@@ -255,7 +284,8 @@ func ranged[T any, P typed[T]](core func(*phys.Space, *T) error) entry {
 		strided: strided,
 		decode: func(a Args) any {
 			t := new(T)
-			a.decode(P(t).slots(), IterVec{})
+			slots := P(t).slots()
+			a.decode(slots.fields(), IterVec{})
 			return t
 		},
 		run: func(s *phys.Space, c *boundComp, b iters) iters {
@@ -296,10 +326,29 @@ func ranged[T any, P typed[T]](core func(*phys.Space, *T) error) entry {
 	}
 }
 
+// blocked is ranged with a block body. The body runs a block of more than one
+// instance, one after the other, from the template's T as the core would run
+// them, or declines (ok false) before it changes anything, and the block runs
+// through the core. The core stays the reference: a block of one instance
+// always runs it.
+func blocked[T any, P typed[T]](core func(*phys.Space, *T) error, body func(*phys.Space, *T, iters) (_ iters, ok bool)) entry {
+	e := ranged[T, P](core)
+	run := e.run
+	e.run = func(s *phys.Space, c *boundComp, b iters) iters {
+		if b.n > 1 {
+			if done, ok := body(s, c.typed.(*T), b); ok {
+				return done
+			}
+		}
+		return run(s, c, b)
+	}
+	return e
+}
+
 // typed is a typed argument struct's pointer, which lays out its fields.
 type typed[T any] interface {
 	*T
-	slots() []any
+	slots() slotList
 }
 
 // AxpyArgs configures the AXPY accelerator (cblas_saxpy).
@@ -312,8 +361,8 @@ type AxpyArgs struct {
 	LoopStrideX, LoopStrideY Strides
 }
 
-func (a *AxpyArgs) slots() []any {
-	return []any{&a.N, &a.Alpha, &a.X, &a.Y, &a.IncX, &a.IncY, &a.LoopStrideX, &a.LoopStrideY}
+func (a *AxpyArgs) slots() slotList {
+	return slotList{&a.N, &a.Alpha, &a.X, &a.Y, &a.IncX, &a.IncY, &a.LoopStrideX, &a.LoopStrideY}
 }
 
 // Params encodes the argument block.
@@ -329,8 +378,8 @@ type DotArgs struct {
 	LoopStrideX, LoopStrideY, LoopStrideOut Strides
 }
 
-func (a *DotArgs) slots() []any {
-	return []any{&a.N, &a.Complex, &a.X, &a.Y, &a.Out, &a.IncX, &a.IncY,
+func (a *DotArgs) slots() slotList {
+	return slotList{&a.N, &a.Complex, &a.X, &a.Y, &a.Out, &a.IncX, &a.IncY,
 		&a.LoopStrideX, &a.LoopStrideY, &a.LoopStrideOut}
 }
 
@@ -349,8 +398,8 @@ type GemvArgs struct {
 	LoopStrideA, LoopStrideX, LoopStrideY Strides
 }
 
-func (a *GemvArgs) slots() []any {
-	return []any{&a.M, &a.N, &a.Alpha, &a.Beta, &a.A, &a.Lda, &a.X, &a.Y,
+func (a *GemvArgs) slots() slotList {
+	return slotList{&a.M, &a.N, &a.Alpha, &a.Beta, &a.A, &a.Lda, &a.X, &a.Y,
 		&a.LoopStrideA, &a.LoopStrideX, &a.LoopStrideY}
 }
 
@@ -378,8 +427,8 @@ type SpmvArgs struct {
 	Bias                   float32
 }
 
-func (a *SpmvArgs) slots() []any {
-	return []any{&a.M, &a.Cols, &a.NNZ, &a.RowPtr, &a.ColIdx, &a.Values, &a.X, &a.Y, &a.Semiring, &a.Bias}
+func (a *SpmvArgs) slots() slotList {
+	return slotList{&a.M, &a.Cols, &a.NNZ, &a.RowPtr, &a.ColIdx, &a.Values, &a.X, &a.Y, &a.Semiring, &a.Bias}
 }
 
 // Params encodes the argument block.
@@ -399,8 +448,8 @@ type ResmpArgs struct {
 	LoopStrideSrc, LoopStrideDst Strides
 }
 
-func (a *ResmpArgs) slots() []any {
-	return []any{&a.NIn, &a.NOut, &a.Kind, &a.Src, &a.Dst, &a.LoopStrideSrc, &a.LoopStrideDst}
+func (a *ResmpArgs) slots() slotList {
+	return slotList{&a.NIn, &a.NOut, &a.Kind, &a.Src, &a.Dst, &a.LoopStrideSrc, &a.LoopStrideDst}
 }
 
 // Params encodes the argument block.
@@ -416,8 +465,8 @@ type FFTArgs struct {
 	LoopStrideSrc, LoopStrideDst Strides
 }
 
-func (a *FFTArgs) slots() []any {
-	return []any{&a.N, &a.Inverse, &a.HowMany, &a.Src, &a.Dst, &a.LoopStrideSrc, &a.LoopStrideDst}
+func (a *FFTArgs) slots() slotList {
+	return slotList{&a.N, &a.Inverse, &a.HowMany, &a.Src, &a.Dst, &a.LoopStrideSrc, &a.LoopStrideDst}
 }
 
 // Params encodes the argument block.
@@ -441,8 +490,8 @@ type ReshpArgs struct {
 	Src, Dst   phys.Addr
 }
 
-func (a *ReshpArgs) slots() []any {
-	return []any{&a.Rows, &a.Cols, &a.Elem, &a.Src, &a.Dst}
+func (a *ReshpArgs) slots() slotList {
+	return slotList{&a.Rows, &a.Cols, &a.Elem, &a.Src, &a.Dst}
 }
 
 // Params encodes the argument block.

@@ -10,7 +10,8 @@ import (
 func decodeTyped[T any, P typed[T]](op descriptor.OpCode, p descriptor.Params) (t T, err error) {
 	a, err := Bind(op, p)
 	if err == nil {
-		a.decode(P(&t).slots(), IterVec{})
+		slots := P(&t).slots()
+		a.decode(slots.fields(), IterVec{})
 	}
 	return t, err
 }
@@ -85,14 +86,15 @@ func TestDecodeWrongFieldCount(t *testing.T) {
 
 // shifted decodes the typed struct's own parameter block at iteration it:
 // the route every core's arguments take.
-func shifted[T any](t *testing.T, op descriptor.OpCode, p descriptor.Params, slots func(*T) []any, it IterVec) T {
+func shifted[T any](t *testing.T, op descriptor.OpCode, p descriptor.Params, slotsOf func(*T) slotList, it IterVec) T {
 	t.Helper()
 	a, err := Bind(op, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out T
-	a.decode(slots(&out), it)
+	slots := slotsOf(&out)
+	a.decode(slots.fields(), it)
 	return out
 }
 

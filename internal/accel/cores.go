@@ -2,8 +2,10 @@ package accel
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
+	"mealib/internal/descriptor"
 	"mealib/internal/kernels"
 	"mealib/internal/phys"
 )
@@ -88,6 +90,93 @@ func dotCore(s *phys.Space, a *DotArgs) error {
 		return err
 	}
 	return s.WriteFloat32(a.Out, r)
+}
+
+// dotBlock is DOT's block body (blocked). Each operand's hull over the block's
+// instances is resolved to one view, and every instance calls dotCore's
+// kernel on subslices of the x and y views and stores its result through the
+// out view. It declines, for dotCore to run the block, arguments dotCore
+// fails on and a hull whose view would not be the space itself.
+func dotBlock(s *phys.Space, a *DotArgs, b iters) (iters, bool) {
+	if a.N < 1 || a.IncX == 0 || a.IncY == 0 {
+		return b, false
+	}
+	if a.Complex {
+		return dotViews(s, a, b, kernels.Cdotc)
+	}
+	return dotViews(s, a, b, kernels.Sdot)
+}
+
+// dotViews is dotBlock over elements of T.
+func dotViews[T phys.Elem](s *phys.Space, a *DotArgs, b iters, kernel func(n int, x []T, incX int, y []T, incY int) (T, error)) (iters, bool) {
+	size := phys.Addr(phys.Size[T]())
+	nx, ny := vecLen(a.N, a.IncX), vecLen(a.N, a.IncY)
+	// An extent past an int's bytes (it overflowed) is dotCore's to refuse.
+	if min(nx, ny) < 1 || max(nx, ny) > math.MaxInt/int(size) {
+		return b, false
+	}
+	// Operands x, y and out: their bytes per instance, their addresses at the
+	// block's instances (stepped by carries as the odometer moves) and their
+	// hulls [lo, hi+bytes).
+	bytes := [3]phys.Addr{size * phys.Addr(nx), size * phys.Addr(ny), size}
+	base, strides := [3]phys.Addr{a.X, a.Y, a.Out}, [3]*Strides{&a.LoopStrideX, &a.LoopStrideY, &a.LoopStrideOut}
+	var at [3][maxBlock]phys.Addr
+	var carry [3][descriptor.MaxLoopLevels]phys.Addr
+	for o, st := range strides {
+		at[o][0], carry[o] = base[o]+phys.Addr(st.Offset(b.it)), carries(st, &b.counts)
+	}
+	lo := [3]phys.Addr{at[0][0], at[1][0], at[2][0]}
+	hi := lo
+	for j, it := 1, b.it; j < b.n; j++ {
+		l := nextIter(&it, &b.counts)
+		for o := range at {
+			p := at[o][j-1] + carry[o][l]
+			if (p-at[o][0])%size != 0 {
+				return b, false
+			}
+			at[o][j], lo[o], hi[o] = p, min(lo[o], p), max(hi[o], p)
+		}
+	}
+	var views [3][]T
+	for o := range views {
+		var ok bool
+		if views[o], ok = hullView[T](s, lo[o], hi[o], bytes[o]); !ok {
+			return b, false
+		}
+	}
+	for j := 0; j < b.n; j++ {
+		if b.failed&(1<<j) != 0 {
+			continue
+		}
+		x, y := int((at[0][j]-lo[0])/size), int((at[1][j]-lo[1])/size)
+		r, err := kernel(int(a.N), views[0][x:x+nx], int(a.IncX), views[1][y:y+ny], int(a.IncY))
+		if err != nil {
+			b.failed |= 1 << j
+			if b.err == nil || j < b.at {
+				b.at, b.err = j, err
+			}
+			continue
+		}
+		views[2][(at[2][j]-lo[2])/size] = r
+	}
+	return b, true
+}
+
+// hullView returns the view of [lo, hi+n) if it is the space itself: inside
+// one region and aligned. A hull that is not (across a region seam, not all
+// mapped, misaligned, or wrapping the address space) gives false before
+// anything is copied.
+func hullView[T phys.Elem](s *phys.Space, lo, hi, n phys.Addr) ([]T, bool) {
+	end := hi + n
+	if end < hi || uint64(end-lo) > math.MaxInt || lo%4 != 0 {
+		return nil, false
+	}
+	if _, err := s.ViewBytes(lo, int(end-lo)); err != nil {
+		return nil, false
+	}
+	v, err := phys.ViewOf[T](s, lo, int(end-lo)/phys.Size[T]())
+	// Only a view of the space itself overlaps itself.
+	return v.Data, err == nil && phys.Overlap(v, v)
 }
 
 func gemvCore(s *phys.Space, a *GemvArgs) error {

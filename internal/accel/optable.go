@@ -303,7 +303,7 @@ var specs = [...]*opSpec{
 			}
 			return kernels.SdotFlops(int(a.i(dtN)))
 		},
-		core: ranged(dotCore),
+		core: blocked(dotCore, dotBlock),
 	}),
 
 	descriptor.OpGEMV: newSpec(opSpec{

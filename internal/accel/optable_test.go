@@ -51,8 +51,8 @@ type toyArgs struct {
 	SrcStride, DstStride Strides
 }
 
-func (a *toyArgs) slots() []any {
-	return []any{&a.N, &a.Alpha, &a.Src, &a.Dst, &a.Bias, &a.SrcStride, &a.DstStride}
+func (a *toyArgs) slots() slotList {
+	return slotList{&a.N, &a.Alpha, &a.Src, &a.Dst, &a.Bias, &a.SrcStride, &a.DstStride}
 }
 
 func toyCore(s *phys.Space, a *toyArgs) error {

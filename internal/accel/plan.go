@@ -95,6 +95,11 @@ func (p *plan) maxWidth() int {
 	return most
 }
 
+// oneRange reports whether the window is one range of a one-pass
+// conflict-free nest (lowerRanges): a window no other instance of the nest
+// conflicts with.
+func (p *plan) oneRange() bool { return len(p.body) == 1 }
+
 // iterAt is the iteration of the j-th instance of node k.
 func (p *plan) iterAt(k int32, j int) IterVec {
 	if j == 0 {

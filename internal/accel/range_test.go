@@ -5,13 +5,14 @@ import (
 
 	"mealib/internal/descriptor"
 	"mealib/internal/phys"
+	"mealib/internal/telemetry"
 	"mealib/internal/units"
 )
 
-// Ranges (plan.go lowerRanges, sched.go runBlock): a window inside a
-// conflict-free nest is a few ranges whatever its size, and a failure is
-// reported as the first in program order however the blocks of a range were
-// claimed.
+// Ranges (plan.go lowerRanges, sched.go runRange): a window inside a
+// conflict-free nest is a few ranges whatever its size, the windows of a
+// one-pass nest run as one range (runNest), and a failure is reported as the
+// first in program order however the blocks of a range were claimed.
 
 // TestConflictFreeWindowIsConstantSize: every window of the STAP nest (131,072
 // iterations, one pass) and of the three-pass nest holds at most two ranges
@@ -85,6 +86,121 @@ func TestRangeErrorIsFirstInProgramOrder(t *testing.T) {
 			t.Errorf("workers %d: the launch returns %v, want iteration %d's %v", workers, err, j, want)
 		}
 	}
+}
+
+// mergedNest is a DOT nest of iters instances whose x at iteration i is the
+// 64 bytes at xBase+64·i, mapped on r but for the instances in holes; y and
+// out are in the arena.
+func mergedNest(t *testing.T, r *testRig, iters int, holes ...int) *descriptor.Descriptor {
+	t.Helper()
+	const n, xBase = 16, phys.Addr(0x1000000)
+	lo := 0
+	for _, hole := range append(holes, iters) {
+		if hole > lo {
+			if _, err := r.space.Map(xBase+phys.Addr(64*lo), units.Bytes(64*(hole-lo))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lo = hole + 1
+	}
+	y, out := r.noise(t, n, 291), r.alloc(4*iters)
+	return looped(t, uint32(iters), ChainComp{descriptor.OpDOT, DotArgs{N: n, X: xBase, Y: y, Out: out, IncX: 1, IncY: 1,
+		LoopStrideX: Lin(4 * n), LoopStrideOut: Lin(4)}.Params()})
+}
+
+// launchIn compiles d in windows of window instances, installs it and
+// launches it once.
+func launchIn(t *testing.T, r *testRig, d *descriptor.Descriptor, window int) error {
+	t.Helper()
+	prog := compileIn(t, r.layer, d, window)
+	base := r.alloc(int(d.Size()))
+	if err := prog.Install(r.space, base); err != nil {
+		t.Fatal(err)
+	}
+	if err := descriptor.WriteCommand(r.space, base, descriptor.CmdStart); err != nil {
+		t.Fatal(err)
+	}
+	_, err := r.layer.RunProgram(r.space, base, prog)
+	return err
+}
+
+// TestMergedNestFailsFirst: a one-pass conflict-free DOT nest of 64 instances
+// lowered in eight windows of eight runs them as one range in one fan-out (one
+// wave span). Instances 20 and 45, in its third and sixth windows, read x
+// from unmapped holes, each at its own address. Under one worker and four,
+// the launch returns instance 20's failure: what the window-1 cell, every
+// block one instance run by the core, returns, and what the core returns for
+// that one invocation.
+//
+// Gate (check.sh): nest verdicts and ranges; the core-count gate.
+func TestMergedNestFailsFirst(t *testing.T) {
+	const iters, first, second = 64, 20, 45
+	for _, workers := range []int{1, 4} {
+		cfg := configWith(workers, true)
+		cfg.Tracer = telemetry.New()
+		r := rigOn(t, cfg, 64*units.KiB)
+		d := mergedNest(t, r, iters, first, second)
+		if _, n := lowerNest(t, r.layer, d); n.rule != ruleNone {
+			t.Fatalf("the nest is blocked: %s", n.why())
+		}
+		p, err := d.ParamsOf(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, want := execute(r.space, descriptor.OpDOT, p, IterVec{3: first})
+		if _, later := execute(r.space, descriptor.OpDOT, p, IterVec{3: second}); want == nil || later == nil || later.Error() == want.Error() {
+			t.Fatalf("instance %d fails with %v and %d with %v: want two distinct errors", first, want, second, later)
+		}
+		if err := launchIn(t, r, d, 1); err == nil || err.Error() != want.Error() {
+			t.Fatalf("workers %d, window 1: the launch returns %v, want instance %d's %v", workers, err, first, want)
+		}
+		waves := cfg.Tracer.Spans()[telemetry.SpanWave]
+		if err := launchIn(t, r, d, iters/8); err == nil || err.Error() != want.Error() {
+			t.Errorf("workers %d, eight windows: the launch returns %v, want instance %d's %v", workers, err, first, want)
+		}
+		if got := cfg.Tracer.Spans()[telemetry.SpanWave] - waves; workers > 1 && got != 1 {
+			t.Errorf("workers %d: eight windows ran in %d bracketed waves, want one fan-out", workers, got)
+		}
+	}
+}
+
+// TestMergedWindowsFixedCost: a compiled one-pass LOOP lowered in eight
+// windows runs them in one fan-out, so that a launch of it allocates no more
+// than one of the same LOOP compiled as one window (a fan-out per window
+// allocated its own helpers). The workers are set, so that the fan-outs start
+// helpers under testing.AllocsPerRun's one proc too. Without the race
+// detector, whose sync.Pool drops a quarter of its Puts.
+//
+// Gate (check.sh): fixed costs.
+func TestMergedWindowsFixedCost(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Puts")
+	}
+	const iters = 64
+	var allocs [2]float64
+	for i, window := range []int{planWindow, iters / 8} {
+		r := rigOn(t, configWith(2, true), 64*units.KiB)
+		d := mergedNest(t, r, iters)
+		prog := compileIn(t, r.layer, d, window)
+		base := r.alloc(int(d.Size()))
+		if err := prog.Install(r.space, base); err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if err := descriptor.WriteCommand(r.space, base, descriptor.CmdStart); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.layer.RunProgram(r.space, base, prog); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		allocs[i] = testing.AllocsPerRun(100, run)
+	}
+	if allocs[1] > allocs[0] {
+		t.Errorf("a launch of a LOOP in eight windows allocates %.1f times, one in one window %.1f", allocs[1], allocs[0])
+	}
+	t.Logf("one window: %.1f allocations per launch; eight windows: %.1f", allocs[0], allocs[1])
 }
 
 // TestEmptyLoopLowersToNothing: a LOOP with an empty body has no pass
