@@ -326,25 +326,6 @@ func ranged[T any, P typed[T]](core func(*phys.Space, *T) error) entry {
 	}
 }
 
-// blocked is ranged with a block body. The body runs a block of more than one
-// instance, one after the other, from the template's T as the core would run
-// them, or declines (ok false) before it changes anything, and the block runs
-// through the core. The core stays the reference: a block of one instance
-// always runs it.
-func blocked[T any, P typed[T]](core func(*phys.Space, *T) error, body func(*phys.Space, *T, iters) (_ iters, ok bool)) entry {
-	e := ranged[T, P](core)
-	run := e.run
-	e.run = func(s *phys.Space, c *boundComp, b iters) iters {
-		if b.n > 1 {
-			if done, ok := body(s, c.typed.(*T), b); ok {
-				return done
-			}
-		}
-		return run(s, c, b)
-	}
-	return e
-}
-
 // typed is a typed argument struct's pointer, which lays out its fields.
 type typed[T any] interface {
 	*T

@@ -12,10 +12,20 @@ import (
 	"mealib/internal/units"
 )
 
-// Block bodies (blocked): an entry that runs a block of instances on views
-// resolved once must leave what its core, run instance by instance, leaves.
-// The differential matrix holds the same at engine level: its window-1 cells
-// run every instance as a block of one, through the core.
+// DOT's block body (dotEntry, dotBlock): a block of instances run on views
+// resolved once must leave what dotCore, run instance by instance, leaves.
+// The differential matrix holds the same at engine level: its reference cell
+// runs under coreOnly, every other cell through the block body.
+
+// coreOnly runs f with DOT's op-table entry running every instance through
+// dotCore, without the block body: the reference the block body is held to.
+func coreOnly(f func()) {
+	spec := specs[descriptor.OpDOT]
+	entry := spec.core
+	spec.core = ranged(dotCore)
+	defer func() { spec.core = entry }()
+	f()
+}
 
 // Where the block-body rig maps its regions: a, then b from where a ends (a
 // region seam), an unmapped gap, then c.

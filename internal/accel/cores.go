@@ -92,12 +92,31 @@ func dotCore(s *phys.Space, a *DotArgs) error {
 	return s.WriteFloat32(a.Out, r)
 }
 
-// dotBlock is DOT's block body (blocked). Each operand's hull over the block's
-// instances is resolved to one view, and every instance calls dotCore's
-// kernel on subslices of the x and y views and stores its result through the
-// out view. It declines, for dotCore to run the block, arguments dotCore
-// fails on and a hull whose view would not be the space itself.
-func dotBlock(s *phys.Space, a *DotArgs, b iters) (iters, bool) {
+// dotEntry is DOT's op-table entry: ranged(dotCore), with a block of more
+// than one instance run by the block body (dotBlock) unless it declines.
+// dotCore stays the reference: a block of one instance always runs it.
+func dotEntry() entry {
+	e := ranged(dotCore)
+	run := e.run
+	e.run = func(s *phys.Space, c *boundComp, b iters) iters {
+		if b.n > 1 {
+			if done, ok := dotBlock(s, c.typed.(*DotArgs), b); ok {
+				return done
+			}
+		}
+		return run(s, c, b)
+	}
+	return e
+}
+
+// dotBlock is DOT's block body. It runs the block's instances one after the
+// other, as dotCore would from the template's a: each operand's hull over the
+// block is resolved to one view, and every instance calls dotCore's kernel on
+// subslices of the x and y views and stores its result through the out view.
+// It declines (ok false) before it changes anything, for dotCore to run the
+// block, on arguments dotCore fails on and on a hull whose view would not be
+// the space itself.
+func dotBlock(s *phys.Space, a *DotArgs, b iters) (_ iters, ok bool) {
 	if a.N < 1 || a.IncX == 0 || a.IncY == 0 {
 		return b, false
 	}
@@ -116,8 +135,9 @@ func dotViews[T phys.Elem](s *phys.Space, a *DotArgs, b iters, kernel func(n int
 		return b, false
 	}
 	// Operands x, y and out: their bytes per instance, their addresses at the
-	// block's instances (stepped by carries as the odometer moves) and their
-	// hulls [lo, hi+bytes).
+	// block's instances (stepped by carries as the odometer moves), which must
+	// lie a whole number of elements from the first's, and their hulls
+	// [lo, hi+bytes).
 	bytes := [3]phys.Addr{size * phys.Addr(nx), size * phys.Addr(ny), size}
 	base, strides := [3]phys.Addr{a.X, a.Y, a.Out}, [3]*Strides{&a.LoopStrideX, &a.LoopStrideY, &a.LoopStrideOut}
 	var at [3][maxBlock]phys.Addr

@@ -27,7 +27,8 @@ import (
 //	  × {fresh, one Program launched three times}
 //
 // and the cells of four workers run traced, so that what the scheduler emits
-// is checked too.
+// is checked too. The reference cell runs every DOT instance through dotCore
+// (coreOnly), so that every cell holds DOT's block body to its core.
 //
 // FuzzDifferential is the two together. Its seed corpus is the hand-written
 // shapes (shapes_test.go) and a few generated draws (drawnSeeds).
@@ -215,7 +216,8 @@ func activations(d *descriptor.Descriptor) (n int64) {
 }
 
 // checkCase runs c through every cell of the matrix against the reference
-// cell (one worker, fusion on, whole windows, fresh) and requires:
+// cell (one worker, fusion on, whole windows, fresh, every DOT instance run by
+// dotCore: coreOnly) and requires:
 //   - the same memory after every launch, or the same error text;
 //   - of a compiled program, every launch returning its price, the pointer,
 //     and its templates unchanged by the launches; of a fresh run, a report
@@ -230,14 +232,16 @@ func activations(d *descriptor.Descriptor) (n int64) {
 func checkCase(t *testing.T, c *diffCase) {
 	ref, base := c.rig(t, 1, true, nil)
 	var want []outcome
-	for range 3 {
-		_, err := c.launch(ref, base, planWindow)
-		if err != nil {
-			want = append(want, outcome{err: err.Error()})
-			break
+	coreOnly(func() {
+		for range 3 {
+			_, err := c.launch(ref, base, planWindow)
+			if err != nil {
+				want = append(want, outcome{err: err.Error()})
+				break
+			}
+			want = append(want, outcome{mem: slices.Clone(mapped(t, ref))})
 		}
-		want = append(want, outcome{mem: slices.Clone(mapped(t, ref))})
-	}
+	})
 
 	var prices [2]*Report
 	var infos [2]PlanInfo

@@ -303,7 +303,7 @@ var specs = [...]*opSpec{
 			}
 			return kernels.SdotFlops(int(a.i(dtN)))
 		},
-		core: blocked(dotCore, dotBlock),
+		core: dotEntry(),
 	}),
 
 	descriptor.OpGEMV: newSpec(opSpec{

@@ -128,9 +128,9 @@ func launchIn(t *testing.T, r *testRig, d *descriptor.Descriptor, window int) er
 // lowered in eight windows of eight runs them as one range in one fan-out (one
 // wave span). Instances 20 and 45, in its third and sixth windows, read x
 // from unmapped holes, each at its own address. Under one worker and four,
-// the launch returns instance 20's failure: what the window-1 cell, every
-// block one instance run by the core, returns, and what the core returns for
-// that one invocation.
+// the launch returns instance 20's failure: what the core returns for that
+// one invocation, and what the nest in windows of one returns with every
+// instance run by dotCore (coreOnly).
 //
 // Gate (check.sh): nest verdicts and ranges; the core-count gate.
 func TestMergedNestFailsFirst(t *testing.T) {
@@ -151,8 +151,10 @@ func TestMergedNestFailsFirst(t *testing.T) {
 		if _, later := execute(r.space, descriptor.OpDOT, p, IterVec{3: second}); want == nil || later == nil || later.Error() == want.Error() {
 			t.Fatalf("instance %d fails with %v and %d with %v: want two distinct errors", first, want, second, later)
 		}
-		if err := launchIn(t, r, d, 1); err == nil || err.Error() != want.Error() {
-			t.Fatalf("workers %d, window 1: the launch returns %v, want instance %d's %v", workers, err, first, want)
+		var err1 error
+		coreOnly(func() { err1 = launchIn(t, r, d, 1) })
+		if err1 == nil || err1.Error() != want.Error() {
+			t.Fatalf("workers %d, window 1, dotCore alone: the launch returns %v, want instance %d's %v", workers, err1, first, want)
 		}
 		waves := cfg.Tracer.Spans()[telemetry.SpanWave]
 		if err := launchIn(t, r, d, iters/8); err == nil || err.Error() != want.Error() {

@@ -50,6 +50,7 @@ var fixtures = []fixture{
 	}},
 	{"WindowsCarriedChain", carriedChainCase},
 	{"WindowsOverlappingWrites", func(t testing.TB, r *testRig) *descriptor.Descriptor { return overlappingWrites(t, r, 32, 20) }},
+	{"WideCDOTCNest", wideCDOTCNestCase},
 }
 
 // fixtureSeed is the generator input that draws the named fixture under the
@@ -101,6 +102,11 @@ func TestCompiledEqualsFreshSmallWindows(t *testing.T) { checkFixture(t, "SmallW
 func TestModelDifferentialSTAPShape(t *testing.T)      { checkFixture(t, "STAPShape", 0) }
 func TestModelDifferentialSARShape(t *testing.T)       { checkFixture(t, "SARShape", 0) }
 func TestRunModelMatchesFunctionalRun(t *testing.T)    { checkFixture(t, "RunModelChainAndNest", 0) }
+
+// TestDifferentialWideCDOTCNest: a STAP nest wide enough that every cell runs
+// blocks of more than one instance through DOT's block body, so that only the
+// reference cell (coreOnly) runs dotCore.
+func TestDifferentialWideCDOTCNest(t *testing.T) { checkFixture(t, "WideCDOTCNest", 0) }
 
 // TestModelDifferentialChainedPasses: the chained loop in 2-byte tile
 // memories with its upper half remote, so that RunModel's scaled template
@@ -469,6 +475,16 @@ func cdotcNest(tb testing.TB, pairs, sv, cells, n int, w, y, out phys.Addr) *des
 func cdotcNestCase(t testing.TB, r *testRig) *descriptor.Descriptor {
 	const pairs, sv, cells, n = 2, 2, 8, 8
 	w, y := r.noise(t, 2*pairs*sv*n, 201), r.noise(t, 2*pairs*n*cells, 202)
+	out := r.alloc(8 * pairs * sv * cells)
+	return cdotcNest(t, pairs, sv, cells, n, w, y, out)
+}
+
+// wideCDOTCNestCase is cdotcNestCase over 256 instances: blocks of at least
+// eight under four workers, and one range at every window size (below
+// planWindow, windows merged into it).
+func wideCDOTCNestCase(t testing.TB, r *testRig) *descriptor.Descriptor {
+	const pairs, sv, cells, n = 2, 2, 64, 8
+	w, y := r.noise(t, 2*pairs*sv*n, 203), r.noise(t, 2*pairs*n*cells, 204)
 	out := r.alloc(8 * pairs * sv * cells)
 	return cdotcNest(t, pairs, sv, cells, n, w, y, out)
 }
